@@ -198,15 +198,11 @@ fn main() {
                 .m
                 .level_set()
                 .is_some_and(|l| power_feasible(l, cand.p, r, budget));
-            let (stored, regen) = match cand.format {
-                "stencil" => (0, 2.0),
-                _ => (cand.m.stored_elements(), 1.0),
-            };
+            let stored = cand.m.stored_elements();
             // SELL has no level-blocked kernels: it streams the matrix
             // every iteration regardless of the requested depth.
             let model_p = if cand.format == "sell" { 1 } else { cand.p };
-            let modeled =
-                model_seconds_fmt(h.nrows(), h.nnz(), stored, &env, bc.max(1), model_p, regen);
+            let modeled = model_seconds_fmt(h.nrows(), h.nnz(), stored, &env, bc.max(1), model_p);
             let gflops = flops / s / 1e9;
             eprintln!(
                 "{:<8} p={} R={r}  {:>7.2} GF/s  model_gap={:>5.2}x  wavefront={}",

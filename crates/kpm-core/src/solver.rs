@@ -218,7 +218,7 @@ pub fn kpm_moments<M: SparseKernels + ?Sized>(
     with_threads(params.threads, || match variant {
         KpmVariant::Naive => run_vector_variant(h, sf, params, &starts, false),
         KpmVariant::AugSpmv => run_vector_variant(h, sf, params, &starts, true),
-        KpmVariant::AugSpmmv => run_blocked_variant(h, sf, params, &starts),
+        KpmVariant::AugSpmmv => run_blocked_variant(h, sf, params, starts),
     })?
 }
 
@@ -299,32 +299,55 @@ fn run_vector_variant<M: SparseKernels + ?Sized>(
 
 /// Shared initialization: `ν₁ = H̃ν₀`, `μ₀ = ⟨ν₀|ν₀⟩`, `μ₁ = ⟨ν₁|ν₀⟩`.
 ///
-/// Returns `(v, w, mu0, mu1)` with `v = ν₀`, `w = ν₁`. Implemented with
-/// the same BLAS-1 chain in every variant so that moments agree exactly.
+/// Returns `(w, mu0, mu1)` with `w = ν₁`; `ν₀` stays the caller's.
+/// Implemented with the same BLAS-1 chain in every variant so that
+/// moments agree exactly.
 fn init_recurrence<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
-    v0: &Vector,
+    v: &[Complex64],
     parallel: bool,
-) -> (Vec<Complex64>, Vec<Complex64>, f64, f64) {
-    let n = h.nrows();
-    let v = v0.as_slice().to_vec();
-    let mut w = vec![Complex64::default(); n];
+) -> (Vec<Complex64>, f64, f64) {
+    let mut w = vec![Complex64::default(); h.nrows()];
     if parallel {
-        h.spmv_par(&v, &mut w);
-        axpy_par(Complex64::real(-sf.b), &v, &mut w);
+        h.spmv_par(v, &mut w);
+        axpy_par(Complex64::real(-sf.b), v, &mut w);
         scal_par(Complex64::real(sf.a), &mut w);
-        let mu0 = nrm2_par(&v);
-        let mu1 = dot_par(&w, &v).re;
-        (v, w, mu0, mu1)
+        let mu0 = nrm2_par(v);
+        let mu1 = dot_par(&w, v).re;
+        (w, mu0, mu1)
     } else {
-        h.spmv(&v, &mut w);
-        axpy(Complex64::real(-sf.b), &v, &mut w);
+        h.spmv(v, &mut w);
+        axpy(Complex64::real(-sf.b), v, &mut w);
         scal(Complex64::real(sf.a), &mut w);
-        let mu0 = nrm2(&v);
-        let mu1 = dot(&w, &v).re;
-        (v, w, mu0, mu1)
+        let mu0 = nrm2(v);
+        let mu1 = dot(&w, v).re;
+        (w, mu0, mu1)
     }
+}
+
+/// [`init_recurrence`] per column of a blocked run: `(V, W, µ₀, µ₁)`
+/// with `V` interleaved straight from `starts` (no per-column copy of
+/// `ν₀`) and the `ν₁` columns freed before `V` is built, so at most
+/// three block-sized arrays are live at a time, `starts` included.
+fn init_block<M: SparseKernels + ?Sized>(
+    h: &M,
+    sf: ScaleFactors,
+    starts: &[Vector],
+    parallel: bool,
+    first_touch: bool,
+) -> (BlockVector, BlockVector, Vec<f64>, Vec<f64>) {
+    let (mut mu0, mut mu1) = (Vec::new(), Vec::new());
+    let mut w_cols = Vec::with_capacity(starts.len());
+    for v0 in starts {
+        let (w, m0, m1) = init_recurrence(h, sf, v0.as_slice(), parallel);
+        mu0.push(m0);
+        mu1.push(m1);
+        w_cols.push(Vector::from_vec(w));
+    }
+    let w = block_from_columns(&w_cols, first_touch);
+    drop(w_cols);
+    (block_from_columns(starts, first_touch), w, mu0, mu1)
 }
 
 /// The naive KPM loop (paper Fig. 3): per iteration one `spmv()`, two
@@ -339,7 +362,8 @@ fn single_run_naive<M: SparseKernels + ?Sized>(
     let n = h.nrows();
     let par = params.parallel;
     // Loop invariant at iteration m: v = ν_{m-1}, w = ν_m.
-    let (mut v, mut w, mu0, mu1) = init_recurrence(h, sf, v0, par);
+    let (mut w, mu0, mu1) = init_recurrence(h, sf, v0.as_slice(), par);
+    let mut v = v0.as_slice().to_vec();
     let mut u = vec![Complex64::default(); n];
     let mut eta = Vec::with_capacity(params.iterations());
     let two_a = Complex64::real(2.0 * sf.a);
@@ -376,7 +400,8 @@ fn single_run_aug<M: SparseKernels + ?Sized>(
     v0: &Vector,
 ) -> Result<MomentSet, KpmError> {
     let par = params.parallel;
-    let (mut v, mut w, mu0, mu1) = init_recurrence(h, sf, v0, par);
+    let (mut w, mu0, mu1) = init_recurrence(h, sf, v0.as_slice(), par);
+    let mut v = v0.as_slice().to_vec();
     let mut eta = Vec::with_capacity(params.iterations());
     for m in 0..params.iterations() {
         let _sweep = span("solver.sweep", "solver");
@@ -399,26 +424,13 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
     params: &KpmParams,
-    starts: &[Vector],
+    starts: Vec<Vector>,
 ) -> Result<MomentSet, KpmError> {
     let r = starts.len();
     let par = params.parallel;
-
-    // Per-column initialization with the identical BLAS-1 chain.
-    let mut mu0 = vec![0.0; r];
-    let mut mu1 = vec![0.0; r];
-    let mut v_cols = Vec::with_capacity(r);
-    let mut w_cols = Vec::with_capacity(r);
-    for (j, v0) in starts.iter().enumerate() {
-        let (v, w, m0, m1) = init_recurrence(h, sf, v0, par);
-        mu0[j] = m0;
-        mu1[j] = m1;
-        v_cols.push(Vector::from_vec(v));
-        w_cols.push(Vector::from_vec(w));
-    }
     let ft = params.first_touch && par;
-    let mut v = block_from_columns(&v_cols, ft);
-    let mut w = block_from_columns(&w_cols, ft);
+    let (mut v, mut w, mu0, mu1) = init_block(h, sf, &starts, par, ft);
+    drop(starts);
 
     let iters = params.iterations();
     let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iters); r];
@@ -563,19 +575,7 @@ fn batch_group_serial<M: SparseKernels + ?Sized>(
         return Ok(Vec::new());
     }
     let iterations = num_moments / 2 - 1;
-    let mut mu0 = vec![0.0; r];
-    let mut mu1 = vec![0.0; r];
-    let mut v_cols = Vec::with_capacity(r);
-    let mut w_cols = Vec::with_capacity(r);
-    for (j, v0) in starts.iter().enumerate() {
-        let (v, w, m0, m1) = init_recurrence(h, sf, v0, false);
-        mu0[j] = m0;
-        mu1[j] = m1;
-        v_cols.push(Vector::from_vec(v));
-        w_cols.push(Vector::from_vec(w));
-    }
-    let mut v = BlockVector::from_columns(&v_cols);
-    let mut w = BlockVector::from_columns(&w_cols);
+    let (mut v, mut w, mu0, mu1) = init_block(h, sf, starts, false, false);
 
     let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iterations); r];
     let mut m = 0;
@@ -689,23 +689,11 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
         }
         None => {
             let starts = starting_vectors(n, params);
-            let mut mu0 = vec![Complex64::default(); r];
-            let mut mu1 = vec![Complex64::default(); r];
-            let mut v_cols = Vec::with_capacity(r);
-            let mut w_cols = Vec::with_capacity(r);
-            for (j, v0) in starts.iter().enumerate() {
-                let (vv, ww, m0, m1) = init_recurrence(h, sf, v0, params.parallel);
-                mu0[j] = Complex64::real(m0);
-                mu1[j] = Complex64::real(m1);
-                v_cols.push(Vector::from_vec(vv));
-                w_cols.push(Vector::from_vec(ww));
-            }
             let ft = params.first_touch && params.parallel;
-            v = block_from_columns(&v_cols, ft);
-            w = block_from_columns(&w_cols, ft);
+            let (mu0, mu1);
+            (v, w, mu0, mu1) = init_block(h, sf, &starts, params.parallel, ft);
             eta_flat = Vec::with_capacity(2 * r + iters * 2 * r);
-            eta_flat.extend_from_slice(&mu0);
-            eta_flat.extend_from_slice(&mu1);
+            eta_flat.extend(mu0.into_iter().chain(mu1).map(Complex64::real));
             start_iter = 0;
         }
     }

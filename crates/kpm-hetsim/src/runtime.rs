@@ -1010,6 +1010,9 @@ mod tests {
             if comm.rank() == 0 {
                 comm.send(1, 77, vec![c(1.0)])?; // never received
             }
+            // Rank 1 must outlive the send: a send to a terminated rank
+            // is an error, not a leak.
+            comm.barrier();
             Ok(())
         });
         assert!(outcome.all_ok());

@@ -51,10 +51,12 @@ impl BlockVector {
             "all columns must have equal length"
         );
         let width = columns.len();
+        // Row by row, so the block is written once, front to back (a
+        // column at a time would stride through all of it `width` times).
         let mut b = Self::zeros(rows, width);
-        for (j, col) in columns.iter().enumerate() {
-            for (i, &z) in col.as_slice().iter().enumerate() {
-                b.data[i * width + j] = z;
+        for (i, row) in b.data.chunks_exact_mut(width).enumerate() {
+            for (z, col) in row.iter_mut().zip(columns) {
+                *z = col.as_slice()[i];
             }
         }
         b

@@ -162,13 +162,6 @@ fn predicted_stored(row_lens: &[usize], c: usize, sigma: usize) -> usize {
 /// interleaves `C` chains.
 const FMA_LATENCY: f64 = 4.0;
 
-/// Compute-side inflation of the matrix-free stencil kernels: each
-/// entry is *regenerated* (neighbour lookup, insertion sort, merge)
-/// rather than loaded, roughly doubling the per-entry instruction
-/// stream. Biases the model against stencil when compute-bound and for
-/// it when memory-bound — the trade the format exists to win.
-const STENCIL_REGEN_FLOP_FACTOR: f64 = 2.0;
-
 /// Modeled seconds of one augmented sweep *iteration* for a candidate.
 ///
 /// Memory side: the Eq. 5-style traffic with the matrix term streaming
@@ -176,13 +169,15 @@ const STENCIL_REGEN_FLOP_FACTOR: f64 = 2.0;
 /// `power` iterations — the level-blocked matrix-power divisor; the
 /// matrix-free stencil passes `stored = 0` and the term vanishes
 /// outright. The three vector streams are paid every iteration.
-/// Compute side: 8 flops per processed element (`flop_elems`, times
-/// the regeneration factor for stencil) issued on `C` independent
-/// chains; the effective rate is `peak · min(C / (L · latency), 1)`
-/// for `L` SIMD lanes — the latency-bound single-chain CRS/stencil
-/// limit versus SELL's lockstep chains. The FMA chain term is
-/// unchanged by power blocking: the wavefront reorders iterations, not
-/// the per-row dependency chain.
+/// Compute side: 8 flops per processed element (`flop_elems`) issued
+/// on `C` independent chains; the effective rate is
+/// `peak · min(C / (L · latency), 1)` for `L` SIMD lanes — the
+/// latency-bound single-chain CRS/stencil limit versus SELL's lockstep
+/// chains. The site-blocked stencil sweep applies pre-sorted block
+/// templates, so its per-entry instruction stream is CRS's minus the
+/// index and value loads and it is charged the same flops. The FMA
+/// chain term is unchanged by power blocking: the wavefront reorders
+/// iterations, not the per-row dependency chain.
 pub fn model_seconds_fmt(
     nrows: usize,
     flop_elems: usize,
@@ -190,13 +185,12 @@ pub fn model_seconds_fmt(
     env: &AutotuneEnv,
     c: usize,
     power: usize,
-    regen_factor: f64,
 ) -> f64 {
     const S_ELEM: f64 = 20.0; // value (16) + column index (4)
     const S_D: f64 = 16.0;
     let bytes = stored as f64 * S_ELEM / power.max(1) as f64 + 3.0 * nrows as f64 * S_D;
     let t_mem = bytes / (env.mem_bw_gbs.max(1e-9) * 1e9);
-    let flops = (8.0 * flop_elems as f64) * regen_factor + 16.0 * nrows as f64;
+    let flops = 8.0 * flop_elems as f64 + 16.0 * nrows as f64;
     let lanes = env.simd_lanes.max(1) as f64;
     let chain_frac = (c as f64 / (lanes * FMA_LATENCY)).min(1.0);
     let t_comp = flops / (env.peak_gflops.max(1e-9) * 1e9 * chain_frac);
@@ -206,7 +200,7 @@ pub fn model_seconds_fmt(
 /// Modeled seconds of one augmented SpMV sweep for a CRS/SELL shape
 /// (no power blocking).
 fn model_seconds(nrows: usize, stored: usize, env: &AutotuneEnv, c: usize) -> f64 {
-    model_seconds_fmt(nrows, stored, stored, env, c, 1, 1.0)
+    model_seconds_fmt(nrows, stored, stored, env, c, 1)
 }
 
 /// Task granularity for a SELL shape: enough work items to balance
@@ -265,10 +259,11 @@ pub fn autotune_formats_report(
 
     let mut candidates: Vec<(FormatSpec, usize, f64)> = Vec::new(); // (spec, stored, seconds)
     if stencil.is_some() {
-        // Matrix-free: no stored elements, pure vector traffic;
-        // regeneration inflates the compute side and the per-row chain
-        // is as serial as CRS.
-        let secs = model_seconds_fmt(nrows, nnz, 0, env, 1, power, STENCIL_REGEN_FLOP_FACTOR);
+        // Matrix-free: no stored elements, pure vector traffic; the
+        // per-row chain is as serial as CRS. Scored first, so it wins
+        // the compute-bound tie with CRS (it is CRS's flop stream with
+        // fewer loads).
+        let secs = model_seconds_fmt(nrows, nnz, 0, env, 1, power);
         candidates.push((FormatSpec::Stencil, 0, secs));
     }
     for &c in &CANDIDATE_CHUNK_HEIGHTS {
@@ -278,7 +273,7 @@ pub fn autotune_formats_report(
         if c == 1 {
             // SELL-1-1 is CRS; score it as the CRS baseline (with the
             // power divisor — CRS supports the level-blocked kernels).
-            let secs = model_seconds_fmt(nrows, nnz, nnz, env, 1, power, 1.0);
+            let secs = model_seconds_fmt(nrows, nnz, nnz, env, 1, power);
             candidates.push((FormatSpec::Crs, nnz, secs));
             continue;
         }
@@ -435,12 +430,7 @@ fn probe_finalists(
             FormatSpec::Sell { chunk_height, .. } => chunk_height,
             _ => 1,
         };
-        let regen = if spec == FormatSpec::Stencil {
-            STENCIL_REGEN_FLOP_FACTOR
-        } else {
-            1.0
-        };
-        let flops = (8.0 * m.nnz() as f64 * regen + 16.0 * m.nrows() as f64) * width;
+        let flops = (8.0 * m.nnz() as f64 + 16.0 * m.nrows() as f64) * width;
         let lanes = env.simd_lanes.max(1) as f64;
         let chain_frac_model = (chunk_height as f64 / (lanes * FMA_LATENCY)).min(1.0);
         let chain_frac_measured = if fastest.is_finite() && fastest > 0.0 {
@@ -650,7 +640,7 @@ mod tests {
     fn stencil_wins_when_memory_bound() {
         // Starved bandwidth, ample compute: the matrix-traffic term
         // dominates and the matrix-free candidate (which pays none)
-        // must win despite its regeneration flop inflation.
+        // must win.
         let (st, m) = toy_stencil(4, 4, 6);
         let mut env = AutotuneEnv::generic(1);
         env.mem_bw_gbs = 1.0;

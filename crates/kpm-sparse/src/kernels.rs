@@ -318,13 +318,13 @@ impl SparseKernels for StencilMatrix {
         stencil::aug_spmmv(self, a, b, v, w)
     }
     fn aug_spmmv_par(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
-        stencil::aug_spmmv_par(self, a, b, v, w)
+        stencil::aug_spmmv_par_budget(self, a, b, v, w, crate::tile::DEFAULT_CACHE_BYTES)
     }
     fn aug_spmmv_nodot(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
         stencil::aug_spmmv_nodot(self, a, b, v, w);
     }
     fn aug_spmmv_nodot_par(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
-        stencil::aug_spmmv_nodot_par(self, a, b, v, w);
+        stencil::aug_spmmv_nodot_par_budget(self, a, b, v, w, crate::tile::DEFAULT_CACHE_BYTES);
     }
     fn aug_spmmv_rect(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
         stencil::aug_spmmv_rect(self, a, b, v, w)
@@ -356,7 +356,10 @@ enum Repr {
 pub struct KpmMatrix {
     repr: Repr,
     cache_bytes: usize,
-    fingerprint: u64,
+    /// The content fingerprint, hashed on first use for the CRS and
+    /// stencil representations (solver-only callers never pay for it);
+    /// a SELL conversion is born with its CRS source's.
+    fingerprint: OnceLock<u64>,
     /// Budget (bytes) for the level-blocked power kernels' live vector
     /// window; a pure go/no-go gate, never a correctness input.
     power_budget_bytes: usize,
@@ -371,11 +374,11 @@ pub struct KpmMatrix {
 }
 
 impl KpmMatrix {
-    fn from_parts(repr: Repr, fingerprint: u64) -> Self {
+    fn from_parts(repr: Repr, fingerprint: Option<u64>) -> Self {
         Self {
             repr,
             cache_bytes: crate::tile::DEFAULT_CACHE_BYTES,
-            fingerprint,
+            fingerprint: fingerprint.map(OnceLock::from).unwrap_or_default(),
             power_budget_bytes: power::DEFAULT_POWER_BUDGET_BYTES,
             first_touch: false,
             levels: OnceLock::new(),
@@ -384,8 +387,7 @@ impl KpmMatrix {
 
     /// Wraps a CRS matrix at the default cache budget.
     pub fn crs(m: CrsMatrix) -> Self {
-        let fingerprint = m.content_fingerprint();
-        Self::from_parts(Repr::Crs(m), fingerprint)
+        Self::from_parts(Repr::Crs(m), None)
     }
 
     /// Wraps a matrix-free stencil operator at the default cache
@@ -396,8 +398,7 @@ impl KpmMatrix {
     /// stencil handle and a CRS handle of the same operator coalesce in
     /// the service registry and share moment-cache entries.
     pub fn stencil(m: StencilMatrix) -> Self {
-        let fingerprint = m.content_fingerprint();
-        Self::from_parts(Repr::Stencil(Box::new(m)), fingerprint)
+        Self::from_parts(Repr::Stencil(Box::new(m)), None)
     }
 
     /// Wraps a SELL matrix at the default cache budget.
@@ -409,25 +410,32 @@ impl KpmMatrix {
     /// when the fingerprint must identify matrix *content* across
     /// formats — the service registry always does.
     pub fn sell(m: SellMatrix) -> Self {
-        let mut h = crate::crs::Fnv1a::new();
-        h.write_u64(0x5e11_5e11_5e11_5e11); // SELL domain tag
-        h.write_u64(m.nrows() as u64);
-        h.write_u64(m.ncols() as u64);
-        h.write_u64(m.nnz() as u64);
-        h.write_u64(m.stored_elements() as u64);
-        h.write_u64(m.chunk_height() as u64);
-        h.write_u64(m.sigma() as u64);
-        let fingerprint = h.finish();
-        Self::from_parts(Repr::Sell(m), fingerprint)
+        Self::from_parts(Repr::Sell(m), None)
     }
 
     /// The content fingerprint identifying this operator (see
-    /// [`CrsMatrix::content_fingerprint`]). Computed from the assembled
-    /// CRS source in [`KpmMatrix::crs`] / [`KpmMatrix::try_with_format`],
-    /// so CRS and SELL handles built from the same assembly fingerprint
-    /// identically.
+    /// [`CrsMatrix::content_fingerprint`]): the hash of the assembled
+    /// CRS content, so CRS, SELL ([`KpmMatrix::try_with_format`]) and
+    /// stencil handles of one operator fingerprint identically. Hashed
+    /// on the first call and kept.
     pub fn content_fingerprint(&self) -> u64 {
-        self.fingerprint
+        *self.fingerprint.get_or_init(|| match &self.repr {
+            Repr::Crs(m) => m.content_fingerprint(),
+            Repr::Stencil(m) => m.content_fingerprint(),
+            // Only a directly-wrapped SELL matrix gets here (a
+            // conversion keeps its CRS source's hash): structural.
+            Repr::Sell(m) => {
+                let mut h = crate::crs::Fnv1a::new();
+                h.write_u64(0x5e11_5e11_5e11_5e11); // SELL domain tag
+                h.write_u64(m.nrows() as u64);
+                h.write_u64(m.ncols() as u64);
+                h.write_u64(m.nnz() as u64);
+                h.write_u64(m.stored_elements() as u64);
+                h.write_u64(m.chunk_height() as u64);
+                h.write_u64(m.sigma() as u64);
+                h.finish()
+            }
+        })
     }
 
     /// Builds the requested format from an assembled CRS matrix.
@@ -450,7 +458,7 @@ impl KpmMatrix {
                 // operator share a fingerprint.
                 let fingerprint = m.content_fingerprint();
                 let sell = SellMatrix::try_from_crs(&m, chunk_height, sigma)?;
-                Ok(Self::from_parts(Repr::Sell(sell), fingerprint))
+                Ok(Self::from_parts(Repr::Sell(sell), Some(fingerprint)))
             }
             FormatSpec::Stencil => Err(KpmError::InvalidParams {
                 what: "format",

@@ -32,8 +32,9 @@
 //! * [`kernels`] — the format-pluggable [`SparseKernels`] trait and the
 //!   [`KpmMatrix`] handle the solver runs on,
 //! * [`stencil`] — the matrix-free topological-insulator stencil
-//!   format: rows are regenerated on the fly inside the kernels, so the
-//!   matrix stream disappears from the traffic balance entirely,
+//!   format: the kernels rebuild the operator site by site from block
+//!   templates, so the matrix stream disappears from the traffic
+//!   balance entirely,
 //! * [`power`] — level-blocked Chebyshev matrix-power kernels that run
 //!   `p` iterations per matrix traversal behind `aug_spmmv_power`,
 //! * [`autotune`] — the `C`/`σ`/task-granularity autotuner driven by the

@@ -2,41 +2,57 @@
 //!
 //! The paper's roofline analysis makes the matrix stream the dominant
 //! traffic term (`N_nz ≈ 13·N` elements of 20 bytes each per sweep).
-//! [`StencilMatrix`] removes that term outright: instead of streaming
-//! stored `(col, val)` pairs, every kernel *regenerates* the row from
-//! the lattice geometry — per site one on-site diagonal (64 bytes) plus
-//! six precomputed 4×4 hopping-block row templates shared by all sites.
-//! β effectively drops to pure vector traffic; `stored_elements()` is 0
-//! and the probes model zero matrix bytes.
+//! [`StencilMatrix`] removes that term outright: every kernel rebuilds
+//! the operator from the lattice geometry — per site one on-site
+//! diagonal (64 bytes) plus six 4×4 hopping-block templates shared by
+//! all sites. `stored_elements()` is 0 and the probes model zero matrix
+//! bytes.
 //!
-//! Bitwise contract: the regenerated row is *identical* — column order,
-//! duplicate merging, zero filtering and all — to the row the kpm-topo
-//! assembly writes into CRS for the same lattice, so every kernel here
-//! reuses the exact floating-point chain of [`crate::aug`] /
-//! [`crate::spmv`] and produces bit-identical vectors and dot products
-//! (serial ≡ serial, parallel ≡ parallel at equal cache budget). The
-//! determinism and property suites pin this down against the CRS build.
+//! All kernels share one **site-blocked sweep** ([`sweep_rows`]). The
+//! four orbital rows of a site see the same up-to-seven 4×4 blocks (six
+//! neighbours plus the on-site diagonal), and distinct sites own
+//! disjoint column ranges, so walking the blocks in ascending *site*
+//! order visits each row's entries in exactly the ascending-column
+//! order the kpm-topo assembly sorts into CRS. That order depends only
+//! on the site's boundary class and is tabulated once at construction
+//! ([`SiteClass`]); the sweep looks the class up, keeps each row's
+//! accumulators in a const-width register panel and applies the
+//! pre-filtered block templates — no per-row gather, sort or merge.
 //!
-//! The row generator mirrors the assembly loop of kpm-topo
-//! `hamiltonian.rs`: gather the on-site entry first, then for each
-//! direction the `+ê_j` partner (`T_j†`) and the `−ê_j` partner
-//! (`T_j`), sort by column, merge duplicates (possible only on
-//! extent-2 periodic axes where `n+ê_j == n−ê_j`; IEEE addition of the
-//! two candidates is commutative, so the unstable sort in the assembly
-//! cannot produce different bits). Entries that are exactly zero are
-//! filtered *before* the merge, exactly like the assembly.
+//! Bitwise contract: every row runs the exact floating-point chain of
+//! [`crate::aug`] / [`crate::spmv`] over the exact entries of the CRS
+//! build, and the parallel kernels reduce on the same fixed grids, so
+//! vectors and dot products are bit-identical to CRS (serial ≡ serial,
+//! parallel ≡ parallel at equal cache budget) for any thread count.
+//! The determinism and property suites pin this down.
+//!
+//! The per-row generator [`StencilMatrix::regen_row`] — the literal
+//! mirror of the assembly loop: gather, sort by column, merge — remains
+//! for rows of a site split by a chunk edge (tile heights need not be
+//! multiples of 4), for lattices with a periodic extent-2 axis (the
+//! assembly merges the coincident `n±ê_j` blocks before the multiply),
+//! and as the row source of `to_crs`, the fingerprint and the power
+//! kernels; entry count and Gershgorin bounds are `O(sites)` folds.
 
+use std::ops::Range;
+
+use kpm_num::complex::ZERO;
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
-use kpm_num::{BlockVector, Complex64};
-use kpm_obs::probe::{kernel_timer_fmt, KernelKind, ProbeFormat};
+use kpm_num::{BlockVector, Complex64, KpmError};
+use kpm_obs::probe::{kernel_timer_fmt, KernelKind, KernelTimer, ProbeFormat};
 use rayon::prelude::*;
 
-use crate::aug::{widen, AugDots, AugDotsBlock, ROWS_PER_CHUNK};
+use crate::aug::{AugDots, AugDotsBlock, ROWS_PER_CHUNK};
 use crate::aug_sell_simd::axpy_row;
+use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
 /// hopping blocks contributing at most 4 entries per orbital row.
 pub const MAX_ROW_ENTRIES: usize = 32;
+
+/// Block id of the on-site diagonal in a [`SiteClass`] walk (the six
+/// hopping blocks are `0..6`).
+const ONSITE: u8 = 6;
 
 /// One orbital row of a 4×4 hopping block, pre-filtered to its
 /// non-zero entries (column offset within the block, value).
@@ -45,11 +61,30 @@ struct HopRow {
     len: u8,
     cols: [u8; 4],
     vals: [Complex64; 4],
+    /// `-vals[e].im`, tabulated (see [`axpy_panel`]).
+    neg_im: [f64; 4],
+}
+
+/// The blocks every site of one boundary class sees, in ascending site
+/// (hence ascending column) order, as offsets relative to the site.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteClass {
+    len: u8,
+    block: [u8; 7],
+    offset: [isize; 7],
+}
+
+/// Boundary code of one coordinate: bit 0 = on the low edge, bit 1 =
+/// on the high edge (both on an extent-1 axis). Three of them index
+/// the [`SiteClass`] table.
+#[inline(always)]
+fn edge_code(coord: usize, extent: usize) -> usize {
+    (coord == 0) as usize | ((coord + 1 == extent) as usize) << 1
 }
 
 /// A matrix-free representation of the nearest-neighbour 4-orbital
-/// lattice operator (paper Eq. 1): rows are regenerated on the fly
-/// from `O(1)` stencil data instead of streamed from memory.
+/// lattice operator (paper Eq. 1): rows are rebuilt on the fly from
+/// `O(1)` stencil data instead of streamed from memory.
 ///
 /// Construction takes the on-site *diagonals* per site and the six raw
 /// hopping blocks in assembly order (`+ê_j` H.c. partner before `−ê_j`
@@ -65,9 +100,18 @@ pub struct StencilMatrix {
     /// Diagonal of the on-site block, per site (the TI on-site block
     /// `V·Γ⁰ + 2Γ¹` is exactly diagonal).
     onsite_diag: Vec<[Complex64; 4]>,
-    /// Row templates: `[2j]` is the `+ê_j` block (`T_j†`), `[2j+1]`
-    /// the `−ê_j` block (`T_j`), each split into 4 orbital rows.
+    /// The raw blocks: `[2j]` is the `+ê_j` block (`T_j†`), `[2j+1]`
+    /// the `−ê_j` block (`T_j`).
+    hop_blocks: [[[Complex64; 4]; 4]; 6],
+    /// `hop_blocks` split into zero-filtered orbital rows.
     hop_rows: [[HopRow; 4]; 6],
+    /// Block order per boundary class, indexed by the three
+    /// [`edge_code`]s (`x | y << 2 | z << 4`).
+    classes: Vec<SiteClass>,
+    /// True when a periodic axis has extent 2: both partners along it
+    /// are the same site and the assembly merges their entries, so the
+    /// sweep regenerates (and merges) row by row.
+    coincident: bool,
     nnz: usize,
 }
 
@@ -106,9 +150,10 @@ impl StencilMatrix {
                 let hr = &mut hop_rows[b][o];
                 for (p, &val) in row.iter().enumerate() {
                     // The same pre-merge zero filter the assembly applies.
-                    if val != Complex64::default() {
+                    if val != ZERO {
                         hr.cols[hr.len as usize] = p as u8;
                         hr.vals[hr.len as usize] = val;
+                        hr.neg_im[hr.len as usize] = -val.im;
                         hr.len += 1;
                     }
                 }
@@ -120,19 +165,52 @@ impl StencilMatrix {
             nz,
             periodic,
             onsite_diag,
+            hop_blocks: *hop_blocks,
             hop_rows,
+            classes: Vec::new(),
+            coincident: [nx, ny, nz]
+                .iter()
+                .zip(periodic)
+                .any(|(&extent, wraps)| wraps && extent == 2),
             nnz: 0,
         };
-        // Count logical non-zeros by running the row generator once.
-        let mut gen = RowGen::new(&m);
-        let mut cols = [0u32; MAX_ROW_ENTRIES];
-        let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
+        m.classes = (0..64).map(|code| m.site_class(code)).collect();
         let mut nnz = 0;
-        for r in 0..4 * m.sites() {
-            nnz += gen.row(r, &mut cols, &mut vals);
+        m.for_row_sums(|_, entries, _| nnz += entries);
+        Self { nnz, ..m }
+    }
+
+    /// The block order of boundary class `code`, read off a
+    /// representative site (empty when the lattice has no such site).
+    fn site_class(&self, code: usize) -> SiteClass {
+        let rep = |code: usize, extent: usize| match code & 3 {
+            0 => (extent >= 3).then_some(1),
+            1 => (extent >= 2).then_some(0),
+            2 => (extent >= 2).then_some(extent - 1),
+            _ => (extent == 1).then_some(0),
+        };
+        let mut class = SiteClass::default();
+        let (Some(x), Some(y), Some(z)) = (
+            rep(code, self.nx),
+            rep(code >> 2, self.ny),
+            rep(code >> 4, self.nz),
+        ) else {
+            return class;
+        };
+        let site = x + self.nx * (y + self.ny * z);
+        let mut slots = vec![(0isize, ONSITE)];
+        for dir in 0..6 {
+            if let Some(ns) = self.neighbor(x, y, z, dir) {
+                slots.push((ns as isize - site as isize, dir as u8));
+            }
         }
-        m.nnz = nnz;
-        m
+        slots.sort_unstable();
+        for (k, &(offset, block)) in slots.iter().enumerate() {
+            class.offset[k] = offset;
+            class.block[k] = block;
+        }
+        class.len = slots.len() as u8;
+        class
     }
 
     /// Number of lattice sites.
@@ -165,38 +243,47 @@ impl StencilMatrix {
         self.periodic
     }
 
+    /// Regenerates rows `rows` in order — columns ascending, duplicates
+    /// merged, zeros filtered, exactly the assembled CRS rows — handing
+    /// each `(row, cols, vals)` to `f`.
+    fn for_rows(&self, rows: Range<usize>, mut f: impl FnMut(usize, &[u32], &[Complex64])) {
+        let (mut site, mut neigh) = (usize::MAX, [None; 6]);
+        let mut cols = [0u32; MAX_ROW_ENTRIES];
+        let mut vals = [ZERO; MAX_ROW_ENTRIES];
+        for r in rows {
+            let len = self.regen_row(r, &mut site, &mut neigh, &mut cols, &mut vals);
+            f(r, &cols[..len], &vals[..len]);
+        }
+    }
+
     /// The content fingerprint of the *assembled* operator: identical
     /// to [`crate::crs::CrsMatrix::content_fingerprint`] of the CRS
     /// build of the same lattice, so service-side request coalescing
     /// and moment caching work across the CRS/stencil format boundary.
+    /// CRS hashes its three arrays one after the other; so does this,
+    /// as three regeneration passes that never materialize them.
     pub fn content_fingerprint(&self) -> u64 {
         let n = self.nrows();
-        let mut row_ptr: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut all_cols: Vec<u32> = Vec::with_capacity(self.nnz);
-        let mut all_vals: Vec<Complex64> = Vec::with_capacity(self.nnz);
-        row_ptr.push(0);
-        let mut gen = RowGen::new(self);
-        let mut cols = [0u32; MAX_ROW_ENTRIES];
-        let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-        for r in 0..n {
-            let len = gen.row(r, &mut cols, &mut vals);
-            all_cols.extend_from_slice(&cols[..len]);
-            all_vals.extend_from_slice(&vals[..len]);
-            row_ptr.push(all_cols.len() as u64);
-        }
         let mut h = crate::crs::Fnv1a::new();
         h.write_u64(n as u64);
         h.write_u64(n as u64);
-        for &p in &row_ptr {
-            h.write_u64(p);
-        }
-        for &c in &all_cols {
-            h.write_u64(c as u64);
-        }
-        for v in &all_vals {
-            h.write_u64(v.re.to_bits());
-            h.write_u64(v.im.to_bits());
-        }
+        let mut row_ptr = 0u64;
+        h.write_u64(row_ptr);
+        self.for_rows(0..n, |_, cols, _| {
+            row_ptr += cols.len() as u64;
+            h.write_u64(row_ptr);
+        });
+        self.for_rows(0..n, |_, cols, _| {
+            for &c in cols {
+                h.write_u64(c as u64);
+            }
+        });
+        self.for_rows(0..n, |_, _, vals| {
+            for v in vals {
+                h.write_u64(v.re.to_bits());
+                h.write_u64(v.im.to_bits());
+            }
+        });
         h.finish()
     }
 
@@ -208,16 +295,87 @@ impl StencilMatrix {
         let mut all_cols: Vec<u32> = Vec::with_capacity(self.nnz);
         let mut all_vals: Vec<Complex64> = Vec::with_capacity(self.nnz);
         row_ptr.push(0);
-        let mut gen = RowGen::new(self);
-        let mut cols = [0u32; MAX_ROW_ENTRIES];
-        let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-        for r in 0..n {
-            let len = gen.row(r, &mut cols, &mut vals);
-            all_cols.extend_from_slice(&cols[..len]);
-            all_vals.extend_from_slice(&vals[..len]);
+        self.for_rows(0..n, |_, cols, vals| {
+            all_cols.extend_from_slice(cols);
+            all_vals.extend_from_slice(vals);
             row_ptr.push(all_cols.len() as u64);
-        }
+        });
         crate::crs::CrsMatrix::from_raw(n, n, row_ptr, all_cols, all_vals)
+    }
+
+    /// Hands `f` every row's real diagonal part (zero when the assembly
+    /// drops the entry), entry count and absolute off-diagonal sum in
+    /// ascending column order, row by row. The rows of a boundary class
+    /// share their hopping entries, so this is `O(sites)` unless
+    /// coincident neighbours force a regeneration.
+    fn for_row_sums(&self, mut f: impl FnMut(f64, usize, f64)) {
+        if self.coincident {
+            return self.for_rows(0..self.nrows(), |r, cols, vals| {
+                let diag = cols.iter().position(|&c| c as usize == r);
+                let off = (0..cols.len()).filter(|&k| Some(k) != diag);
+                let radius = off.fold(0.0, |s, k| s + vals[k].abs());
+                f(diag.map_or(0.0, |k| vals[k].re), cols.len(), radius)
+            });
+        }
+        let mut sums = vec![[(0, 0.0); 4]; self.classes.len()];
+        for (class, sums) in self.classes.iter().zip(&mut sums) {
+            let blocks = class.block[..class.len as usize].iter();
+            for &b in blocks.filter(|&&b| b != ONSITE) {
+                for (hr, (len, radius)) in self.hop_rows[b as usize].iter().zip(sums.iter_mut()) {
+                    let vals = &hr.vals[..hr.len as usize];
+                    *len += vals.len();
+                    *radius = vals.iter().fold(*radius, |s, v| s + v.abs());
+                }
+            }
+        }
+        let (nx, ny, nz) = self.shape();
+        for (site, diag) in self.onsite_diag.iter().enumerate() {
+            let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
+            let code = edge_code(x, nx) | edge_code(y, ny) << 2 | edge_code(z, nz) << 4;
+            for (d, &(len, radius)) in diag.iter().zip(&sums[code]) {
+                let kept = *d != ZERO;
+                f(if kept { d.re } else { 0.0 }, len + kept as usize, radius);
+            }
+        }
+    }
+
+    /// Gershgorin bounds on the spectrum, the fold of
+    /// [`crate::crs::CrsMatrix::gershgorin_bounds`] over the same row
+    /// sums: bounds and scale factors equal the CRS build's bit for bit.
+    pub fn gershgorin_bounds(&self) -> (f64, f64) {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        self.for_row_sums(|diag, _, radius| {
+            lo = lo.min(diag - radius);
+            hi = hi.max(diag + radius);
+        });
+        (lo, hi)
+    }
+
+    /// Structural Hermiticity in `O(sites)`: every on-site diagonal
+    /// entry is real and each direction's two partner blocks are
+    /// adjoints of each other (`hop[2j] == hop[2j+1]†`), which makes
+    /// every assembled entry pair exactly conjugate.
+    pub fn check_hermitian(&self) -> Result<(), KpmError> {
+        let bad = |details: String| KpmError::InvalidMatrix {
+            what: "stencil",
+            details,
+        };
+        let adjoint = |j: &usize| {
+            let (fwd, back) = (&self.hop_blocks[2 * j], &self.hop_blocks[2 * j + 1]);
+            (0..4).all(|o| (0..4).all(|p| fwd[o][p] == back[p][o].conj()))
+        };
+        if let Some(j) = (0..3).find(|j| !adjoint(j)) {
+            let blocks = format!("hopping blocks {} and {}", 2 * j, 2 * j + 1);
+            return Err(bad(format!("{blocks} are not adjoints of each other")));
+        }
+        match self
+            .onsite_diag
+            .iter()
+            .position(|d| d.iter().any(|z| z.im != 0.0))
+        {
+            Some(site) => Err(bad(format!("on-site entry of site {site} is not real"))),
+            None => Ok(()),
+        }
     }
 
     /// Neighbour site in `±ê_j`, mirroring the lattice rules: periodic
@@ -226,75 +384,32 @@ impl StencilMatrix {
     #[inline]
     fn neighbor(&self, x: usize, y: usize, z: usize, dir: usize) -> Option<u32> {
         let axis = dir / 2;
-        let forward = dir.is_multiple_of(2);
-        let (extent, coord) = match axis {
-            0 => (self.nx, x),
-            1 => (self.ny, y),
-            _ => (self.nz, z),
+        let (extent, coord, stride) = match axis {
+            0 => (self.nx, x, 1),
+            1 => (self.ny, y, self.nx),
+            _ => (self.nz, z, self.nx * self.ny),
         };
-        if extent == 1 {
-            return None;
-        }
-        let moved = if forward {
-            if coord + 1 < extent {
-                coord + 1
-            } else if self.periodic[axis] {
-                0
-            } else {
-                return None;
+        let wraps = self.periodic[axis] && extent > 1;
+        let moved = if dir.is_multiple_of(2) {
+            match coord + 1 < extent {
+                true => coord + 1,
+                false if wraps => 0,
+                false => return None,
             }
-        } else if coord > 0 {
-            coord - 1
-        } else if self.periodic[axis] {
-            extent - 1
         } else {
-            return None;
+            match coord > 0 {
+                true => coord - 1,
+                false if wraps => extent - 1,
+                false => return None,
+            }
         };
-        let site = match axis {
-            0 => moved + self.nx * (y + self.ny * z),
-            1 => x + self.nx * (moved + self.ny * z),
-            _ => x + self.nx * (y + self.ny * moved),
-        };
-        Some(site as u32)
-    }
-}
-
-/// Streaming row generator with a per-site neighbour cache (the four
-/// orbital rows of a site share one geometry lookup). Each worker
-/// chunk owns its own generator — no shared mutable state.
-struct RowGen<'a> {
-    m: &'a StencilMatrix,
-    site: usize,
-    neigh: [Option<u32>; 6],
-}
-
-impl<'a> RowGen<'a> {
-    #[inline]
-    fn new(m: &'a StencilMatrix) -> Self {
-        Self {
-            m,
-            site: usize::MAX,
-            neigh: [None; 6],
-        }
+        let site = x + self.nx * (y + self.ny * z);
+        Some((site - coord * stride + moved * stride) as u32)
     }
 
-    /// Regenerates row `r` into the scratch arrays (sorted by column,
-    /// duplicates merged, zeros filtered) and returns its length.
-    #[inline]
-    fn row(
-        &mut self,
-        r: usize,
-        cols: &mut [u32; MAX_ROW_ENTRIES],
-        vals: &mut [Complex64; MAX_ROW_ENTRIES],
-    ) -> usize {
-        self.m
-            .regen_row(r, &mut self.site, &mut self.neigh, cols, vals)
-    }
-}
-
-impl StencilMatrix {
-    /// Regenerates row `r` with a caller-held site cache — the shared
-    /// engine behind [`RowGen`] and the power kernels' row source.
+    /// Regenerates row `r` with a caller-held site cache (the four
+    /// orbital rows of a site share one geometry lookup), the literal
+    /// mirror of the assembly loop: gather, sort by column, merge.
     #[inline]
     pub(crate) fn regen_row(
         &self,
@@ -318,7 +433,7 @@ impl StencilMatrix {
         }
         let mut n = 0;
         let d = m.onsite_diag[site][o];
-        if d != Complex64::default() {
+        if d != ZERO {
             cols[n] = (4 * site + o) as u32;
             vals[n] = d;
             n += 1;
@@ -366,6 +481,273 @@ impl StencilMatrix {
     }
 }
 
+/// What a sweep does with each finished row accumulator `acc = (Hx)[row]`
+/// on block-vector columns `j0 .. j0 + acc.len()`, given the matching
+/// slices of `x`'s and `w`'s row. Rows arrive in ascending order.
+trait Epilogue {
+    fn finish(&mut self, j0: usize, acc: &[Complex64], xrow: &[Complex64], wrow: &mut [Complex64]);
+}
+
+/// `y = A x`.
+struct Plain;
+
+impl Epilogue for Plain {
+    #[inline(always)]
+    fn finish(&mut self, _: usize, acc: &[Complex64], _: &[Complex64], yrow: &mut [Complex64]) {
+        yrow.copy_from_slice(acc);
+    }
+}
+
+/// The augmented update `w ← 2a(H − b)v − w`, accumulating the
+/// `(η_even, η_odd)` dot products per block column when `DOTS`.
+struct Aug<const DOTS: bool> {
+    a: f64,
+    b: f64,
+    dots: AugDotsBlock,
+}
+
+impl<const DOTS: bool> Epilogue for Aug<DOTS> {
+    #[inline(always)]
+    fn finish(&mut self, j0: usize, acc: &[Complex64], vrow: &[Complex64], wrow: &mut [Complex64]) {
+        let n = acc.len();
+        let (vrow, wrow) = (&vrow[..n], &mut wrow[..n]);
+        for k in 0..n {
+            let vr = vrow[k];
+            let wr = (acc[k] - vr.scale(self.b)).scale(2.0 * self.a) - wrow[k];
+            wrow[k] = wr;
+            if DOTS {
+                self.dots.eta_even[j0 + k] += vr.norm_sqr();
+                self.dots.eta_odd[j0 + k] = wr.conj().mul_add(vr, self.dots.eta_odd[j0 + k]);
+            }
+        }
+    }
+}
+
+/// One sweep over the rows of `w` (`w.len() / r` rows of width `r`
+/// starting at `row0`): for each row, in order, the CRS accumulator
+/// chain `acc = Σ_c H[row, c] · x[c]` in ascending column order, handed
+/// to `epi`. Whole sites take the site-blocked walk in column panels of
+/// at most 8; rows of a site cut by the range edges, and every row of a
+/// coincident-neighbour lattice, are regenerated.
+fn sweep_rows<E: Epilogue>(
+    m: &StencilMatrix,
+    x: &[Complex64],
+    r: usize,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let row1 = row0 + w.len() / r;
+    let (s0, s1) = (row0.div_ceil(4), row1 / 4);
+    if m.coincident || s0 >= s1 {
+        return regen_rows(m, x, r, row0, row0..row1, w, epi);
+    }
+    regen_rows(m, x, r, row0, row0..4 * s0, w, epi);
+    let (mut cx, mut cy, mut cz) = (s0 % m.nx, s0 / m.nx % m.ny, s0 / (m.nx * m.ny));
+    let mut yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
+    for site in s0..s1 {
+        let class = &m.classes[edge_code(cx, m.nx) | yz];
+        let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
+        let mut j0 = 0;
+        while j0 + 8 <= r {
+            site_panel::<8, E>(m, class, site, x, r, j0, wsite, epi);
+            j0 += 8;
+        }
+        if j0 + 4 <= r {
+            site_panel::<4, E>(m, class, site, x, r, j0, wsite, epi);
+            j0 += 4;
+        }
+        if j0 + 2 <= r {
+            site_panel::<2, E>(m, class, site, x, r, j0, wsite, epi);
+            j0 += 2;
+        }
+        if j0 < r {
+            site_panel::<1, E>(m, class, site, x, r, j0, wsite, epi);
+        }
+        cx += 1;
+        if cx == m.nx {
+            cx = 0;
+            cy += 1;
+            if cy == m.ny {
+                cy = 0;
+                cz += 1;
+            }
+            yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
+        }
+    }
+    regen_rows(m, x, r, row0, 4 * s1..row1, w, epi);
+}
+
+/// The four orbital rows of `site` on block-vector columns
+/// `j0 .. j0 + W`: each row's accumulators stay in a `W`-wide register
+/// panel while the class's blocks are walked in ascending site order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
+fn site_panel<const W: usize, E: Epilogue>(
+    m: &StencilMatrix,
+    class: &SiteClass,
+    site: usize,
+    x: &[Complex64],
+    r: usize,
+    j0: usize,
+    wsite: &mut [Complex64],
+    epi: &mut E,
+) {
+    let diag = &m.onsite_diag[site];
+    for o in 0..4 {
+        let at = (4 * site + o) * r + j0;
+        let (mut re, mut im) = ([0.0; W], [0.0; W]);
+        for (&block, &offset) in class.block[..class.len as usize].iter().zip(&class.offset) {
+            if block == ONSITE {
+                // The assembly drops an exactly-zero diagonal entry.
+                if diag[o] != ZERO {
+                    axpy_panel(diag[o], -diag[o].im, &x[at..][..W], &mut re, &mut im);
+                }
+                continue;
+            }
+            let base = 4 * site.wrapping_add_signed(offset);
+            let hr = &m.hop_rows[block as usize][o];
+            for e in 0..hr.len as usize {
+                let xrow = &x[(base + hr.cols[e] as usize) * r + j0..][..W];
+                axpy_panel(hr.vals[e], hr.neg_im[e], xrow, &mut re, &mut im);
+            }
+        }
+        let acc: [Complex64; W] = std::array::from_fn(|k| Complex64::new(re[k], im[k]));
+        epi.finish(j0, &acc, &x[at..][..W], &mut wsite[o * r + j0..][..W]);
+    }
+}
+
+/// `acc[k] = val.mul_add(x[k], acc[k])` on a register panel. The real
+/// lane adds the exactly negated product `(−val.im)·x.im` instead of
+/// subtracting `val.im·x.im` — the same bits, but with `neg_im` coming
+/// from a table the compiler cannot fold it back into a subtraction,
+/// so both lanes are multiply, multiply, add, add and pack into one
+/// `[re, im]` register per element (8 instead of 11 SSE2 instructions).
+#[inline(always)]
+fn axpy_panel<const W: usize>(
+    val: Complex64,
+    neg_im: f64,
+    x: &[Complex64],
+    re: &mut [f64; W],
+    im: &mut [f64; W],
+) {
+    for k in 0..W {
+        re[k] += val.re * x[k].re + neg_im * x[k].im;
+        im[k] += val.re * x[k].im + val.im * x[k].re;
+    }
+}
+
+/// Full-width per-row path of [`sweep_rows`] over regenerated rows.
+fn regen_rows<E: Epilogue>(
+    m: &StencilMatrix,
+    x: &[Complex64],
+    r: usize,
+    row0: usize,
+    rows: Range<usize>,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    if rows.is_empty() {
+        return;
+    }
+    let use_simd = crate::simd::active();
+    let mut acc = vec![ZERO; r];
+    m.for_rows(rows, |row, cols, vals| {
+        acc.fill(ZERO);
+        for (hv, &c) in vals.iter().zip(cols) {
+            axpy_row(*hv, &x[c as usize * r..][..r], &mut acc, use_simd);
+        }
+        epi.finish(0, &acc, &x[row * r..][..r], &mut w[(row - row0) * r..][..r]);
+    });
+}
+
+/// The augmented update over the rows of `w` starting at `row0`,
+/// returning the range's partial dot products (empty without `DOTS`).
+fn aug_range<const DOTS: bool>(
+    m: &StencilMatrix,
+    a: f64,
+    b: f64,
+    v: &[Complex64],
+    r: usize,
+    row0: usize,
+    w: &mut [Complex64],
+) -> AugDotsBlock {
+    let mut epi = Aug::<DOTS> {
+        a,
+        b,
+        dots: zero_dots(DOTS, r),
+    };
+    sweep_rows(m, v, r, row0, w, &mut epi);
+    epi.dots
+}
+
+/// An all-zero dots block of width `r` (width 0 when not `wanted`).
+fn zero_dots(wanted: bool, r: usize) -> AugDotsBlock {
+    let width = if wanted { r } else { 0 };
+    AugDotsBlock {
+        eta_even: vec![0.0; width],
+        eta_odd: vec![ZERO; width],
+    }
+}
+
+/// Rows per parallel chunk — the reduction grid of the CRS kernels:
+/// 1024-row chunks at width 1, cache-budget tiles beyond.
+fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
+    match r {
+        1 => ROWS_PER_CHUNK,
+        _ => tile_rows_for_budget(r, cache_bytes),
+    }
+}
+
+/// [`aug_range`] over fixed row chunks in parallel, the partial dots
+/// combined exactly as [`crate::aug`] does (pairwise at width 1, in
+/// chunk order beyond).
+fn aug_par<const DOTS: bool>(
+    m: &StencilMatrix,
+    a: f64,
+    b: f64,
+    v: &[Complex64],
+    r: usize,
+    w: &mut [Complex64],
+    cache_bytes: usize,
+) -> AugDotsBlock {
+    let rows = chunk_rows(r, cache_bytes);
+    let partials: Vec<AugDotsBlock> = w
+        .par_chunks_mut(rows * r)
+        .enumerate()
+        .map(|(ci, wc)| aug_range::<DOTS>(m, a, b, v, r, ci * rows, wc))
+        .collect();
+    if DOTS && r == 1 {
+        let even: Vec<f64> = partials.iter().map(|p| p.eta_even[0]).collect();
+        let odd: Vec<Complex64> = partials.iter().map(|p| p.eta_odd[0]).collect();
+        return AugDotsBlock {
+            eta_even: vec![pairwise_sum(&even)],
+            eta_odd: vec![pairwise_sum_complex(&odd)],
+        };
+    }
+    let mut total = zero_dots(DOTS, r);
+    for part in &partials {
+        for j in 0..total.eta_even.len() {
+            total.eta_even[j] += part.eta_even[j];
+            total.eta_odd[j] += part.eta_odd[j];
+        }
+    }
+    total
+}
+
+/// `y = A x` over fixed row chunks in parallel (per-row writes, no
+/// reduction, trivially bitwise).
+fn plain_par(m: &StencilMatrix, x: &[Complex64], r: usize, y: &mut [Complex64]) {
+    let rows = chunk_rows(r, DEFAULT_CACHE_BYTES);
+    y.par_chunks_mut(rows * r)
+        .enumerate()
+        .for_each(|(ci, yc)| sweep_rows(m, x, r, ci * rows, yc, &mut Plain));
+}
+
+fn probe(kind: KernelKind, m: &StencilMatrix, r: usize) -> Option<KernelTimer> {
+    kernel_timer_fmt(kind, m.nrows(), m.nnz(), r, 0, ProbeFormat::Stencil)
+}
+
 fn check_vec_dims(m: &StencilMatrix, v: &[Complex64], w: &[Complex64], what: &str) {
     assert_eq!(v.len(), m.ncols(), "{what}: v dimension mismatch");
     assert_eq!(w.len(), m.nrows(), "{what}: w dimension mismatch");
@@ -378,8 +760,23 @@ fn check_block_dims(m: &StencilMatrix, v: &BlockVector, w: &BlockVector) -> usiz
     v.width()
 }
 
+/// The rect kernels' shape check; returns the block width.
+fn check_rect_dims(m: &StencilMatrix, v: &BlockVector, w: &BlockVector) -> usize {
+    assert_eq!(v.rows(), m.ncols(), "block v dimension mismatch");
+    assert!(w.rows() >= m.nrows(), "block w too small");
+    assert_eq!(v.width(), w.width(), "block width mismatch");
+    v.width()
+}
+
+fn single(d: AugDotsBlock) -> AugDots {
+    AugDots {
+        eta_even: d.eta_even[0],
+        eta_odd: d.eta_odd[0],
+    }
+}
+
 /// Matrix-free augmented SpMV; the floating-point chain of
-/// [`crate::aug::aug_spmv`] over regenerated rows.
+/// [`crate::aug::aug_spmv`].
 pub fn aug_spmv(
     m: &StencilMatrix,
     a: f64,
@@ -388,42 +785,8 @@ pub fn aug_spmv(
     w: &mut [Complex64],
 ) -> AugDots {
     check_vec_dims(m, v, w, "aug_spmv");
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmv,
-        m.nrows(),
-        m.nnz(),
-        1,
-        0,
-        ProbeFormat::Stencil,
-    );
-    aug_spmv_core(m, a, b, v, w)
-}
-
-pub(crate) fn aug_spmv_core(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    w: &mut [Complex64],
-) -> AugDots {
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    let mut eta_even = 0.0;
-    let mut eta_odd = Complex64::default();
-    for (r, wr_slot) in w.iter_mut().enumerate() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        let mut acc = Complex64::default();
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            acc = hv.mul_add(v[c as usize], acc);
-        }
-        let vr = v[r];
-        let wr = (acc - vr.scale(b)).scale(2.0 * a) - *wr_slot;
-        *wr_slot = wr;
-        eta_even += vr.norm_sqr();
-        eta_odd = wr.conj().mul_add(vr, eta_odd);
-    }
-    AugDots { eta_even, eta_odd }
+    let _probe = probe(KernelKind::AugSpmv, m, 1);
+    single(aug_range::<true>(m, a, b, v, 1, 0, w))
 }
 
 /// Row-parallel matrix-free augmented SpMV; identical reduction
@@ -437,53 +800,8 @@ pub fn aug_spmv_par(
     w: &mut [Complex64],
 ) -> AugDots {
     check_vec_dims(m, v, w, "aug_spmv_par");
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmv,
-        m.nrows(),
-        m.nnz(),
-        1,
-        0,
-        ProbeFormat::Stencil,
-    );
-    aug_spmv_par_core(m, a, b, v, w)
-}
-
-pub(crate) fn aug_spmv_par_core(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    w: &mut [Complex64],
-) -> AugDots {
-    let partials: Vec<(f64, Complex64)> = w
-        .par_chunks_mut(ROWS_PER_CHUNK)
-        .enumerate()
-        .map(|(ci, wc)| {
-            let row0 = ci * ROWS_PER_CHUNK;
-            let mut gen = RowGen::new(m);
-            let mut cols = [0u32; MAX_ROW_ENTRIES];
-            let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-            let mut even = 0.0;
-            let mut odd = Complex64::default();
-            for (i, wr_slot) in wc.iter_mut().enumerate() {
-                let r = row0 + i;
-                let len = gen.row(r, &mut cols, &mut vals);
-                let mut acc = Complex64::default();
-                for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-                    acc = hv.mul_add(v[c as usize], acc);
-                }
-                let vr = v[r];
-                let wr = (acc - vr.scale(b)).scale(2.0 * a) - *wr_slot;
-                *wr_slot = wr;
-                even += vr.norm_sqr();
-                odd = wr.conj().mul_add(vr, odd);
-            }
-            (even, odd)
-        })
-        .collect();
-    let eta_even = pairwise_sum(&partials.iter().map(|p| p.0).collect::<Vec<_>>());
-    let eta_odd = pairwise_sum_complex(&partials.iter().map(|p| p.1).collect::<Vec<_>>());
-    AugDots { eta_even, eta_odd }
+    let _probe = probe(KernelKind::AugSpmv, m, 1);
+    single(aug_par::<true>(m, a, b, v, 1, w, DEFAULT_CACHE_BYTES))
 }
 
 /// Matrix-free augmented SpMMV (serial blocked form).
@@ -494,54 +812,9 @@ pub fn aug_spmmv(
     v: &BlockVector,
     w: &mut BlockVector,
 ) -> AugDotsBlock {
-    let r_width = check_block_dims(m, v, w);
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    if r_width == 1 {
-        return widen(aug_spmv_core(m, a, b, v.as_slice(), w.as_mut_slice()));
-    }
-    let use_simd = crate::simd::active();
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..m.nrows() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            axpy_row(*hv, v.row(c as usize), &mut acc, use_simd);
-        }
-        let vrow = v.row(r);
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-            wrow[j] = wr;
-            eta_even[j] += vr.norm_sqr();
-            eta_odd[j] = wr.conj().mul_add(vr, eta_odd[j]);
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
-}
-
-/// Row-parallel matrix-free augmented SpMMV at the default cache
-/// budget.
-pub fn aug_spmmv_par(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-) -> AugDotsBlock {
-    aug_spmmv_par_budget(m, a, b, v, w, crate::tile::DEFAULT_CACHE_BYTES)
+    let r = check_block_dims(m, v, w);
+    let _probe = probe(KernelKind::AugSpmmv, m, r);
+    aug_range::<true>(m, a, b, v.as_slice(), r, 0, w.as_mut_slice())
 }
 
 /// Row-parallel matrix-free augmented SpMMV; identical tile boundaries
@@ -554,148 +827,16 @@ pub fn aug_spmmv_par_budget(
     w: &mut BlockVector,
     cache_bytes: usize,
 ) -> AugDotsBlock {
-    let r_width = check_block_dims(m, v, w);
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    if r_width == 1 {
-        return widen(aug_spmv_par_core(m, a, b, v.as_slice(), w.as_mut_slice()));
-    }
-    let rows_per_tile = crate::tile::tile_rows_for_budget(r_width, cache_bytes);
-    let use_simd = crate::simd::active();
-    let partials: Vec<(Vec<f64>, Vec<Complex64>)> = w
-        .as_mut_slice()
-        .par_chunks_mut(rows_per_tile * r_width)
-        .enumerate()
-        .map(|(ci, wc)| {
-            let row0 = ci * rows_per_tile;
-            let mut gen = RowGen::new(m);
-            let mut cols = [0u32; MAX_ROW_ENTRIES];
-            let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-            let mut even = vec![0.0; r_width];
-            let mut odd = vec![Complex64::default(); r_width];
-            let mut acc = vec![Complex64::default(); r_width];
-            for (i, wrow) in wc.chunks_mut(r_width).enumerate() {
-                let r = row0 + i;
-                let len = gen.row(r, &mut cols, &mut vals);
-                acc.fill(Complex64::default());
-                for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-                    axpy_row(*hv, v.row(c as usize), &mut acc, use_simd);
-                }
-                let vrow = v.row(r);
-                for j in 0..r_width {
-                    let vr = vrow[j];
-                    let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-                    wrow[j] = wr;
-                    even[j] += vr.norm_sqr();
-                    odd[j] = wr.conj().mul_add(vr, odd[j]);
-                }
-            }
-            (even, odd)
-        })
-        .collect();
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    for (even, odd) in &partials {
-        for j in 0..r_width {
-            eta_even[j] += even[j];
-            eta_odd[j] += odd[j];
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
+    let r = check_block_dims(m, v, w);
+    let _probe = probe(KernelKind::AugSpmmv, m, r);
+    aug_par::<true>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes)
 }
 
 /// Matrix-free augmented SpMMV without the fused scalar products.
 pub fn aug_spmmv_nodot(m: &StencilMatrix, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
-    let r_width = check_block_dims(m, v, w);
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    if r_width == 1 {
-        aug_spmv_nodot_core(m, a, b, v.as_slice(), w.as_mut_slice());
-        return;
-    }
-    let use_simd = crate::simd::active();
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..m.nrows() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            axpy_row(*hv, v.row(c as usize), &mut acc, use_simd);
-        }
-        let vrow = v.row(r);
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            wrow[j] = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-        }
-    }
-}
-
-fn aug_spmv_nodot_core(m: &StencilMatrix, a: f64, b: f64, v: &[Complex64], w: &mut [Complex64]) {
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    for (r, wr_slot) in w.iter_mut().enumerate() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        let mut acc = Complex64::default();
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            acc = hv.mul_add(v[c as usize], acc);
-        }
-        let vr = v[r];
-        *wr_slot = (acc - vr.scale(b)).scale(2.0 * a) - *wr_slot;
-    }
-}
-
-fn aug_spmv_nodot_par_core(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    w: &mut [Complex64],
-) {
-    w.par_chunks_mut(ROWS_PER_CHUNK)
-        .enumerate()
-        .for_each(|(ci, wc)| {
-            let row0 = ci * ROWS_PER_CHUNK;
-            let mut gen = RowGen::new(m);
-            let mut cols = [0u32; MAX_ROW_ENTRIES];
-            let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-            for (i, wr_slot) in wc.iter_mut().enumerate() {
-                let r = row0 + i;
-                let len = gen.row(r, &mut cols, &mut vals);
-                let mut acc = Complex64::default();
-                for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-                    acc = hv.mul_add(v[c as usize], acc);
-                }
-                let vr = v[r];
-                *wr_slot = (acc - vr.scale(b)).scale(2.0 * a) - *wr_slot;
-            }
-        });
-}
-
-/// Parallel no-dot matrix-free augmented SpMMV at the default budget.
-pub fn aug_spmmv_nodot_par(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-) {
-    aug_spmmv_nodot_par_budget(m, a, b, v, w, crate::tile::DEFAULT_CACHE_BYTES)
+    let r = check_block_dims(m, v, w);
+    let _probe = probe(KernelKind::AugSpmmv, m, r);
+    aug_range::<false>(m, a, b, v.as_slice(), r, 0, w.as_mut_slice());
 }
 
 /// Parallel no-dot matrix-free augmented SpMMV against an explicit
@@ -708,50 +849,14 @@ pub fn aug_spmmv_nodot_par_budget(
     w: &mut BlockVector,
     cache_bytes: usize,
 ) {
-    let r_width = check_block_dims(m, v, w);
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    if r_width == 1 {
-        aug_spmv_nodot_par_core(m, a, b, v.as_slice(), w.as_mut_slice());
-        return;
-    }
-    let rows_per_tile = crate::tile::tile_rows_for_budget(r_width, cache_bytes);
-    let use_simd = crate::simd::active();
-    w.as_mut_slice()
-        .par_chunks_mut(rows_per_tile * r_width)
-        .enumerate()
-        .for_each(|(ci, wc)| {
-            let row0 = ci * rows_per_tile;
-            let mut gen = RowGen::new(m);
-            let mut cols = [0u32; MAX_ROW_ENTRIES];
-            let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-            let mut acc = vec![Complex64::default(); r_width];
-            for (i, wrow) in wc.chunks_mut(r_width).enumerate() {
-                let r = row0 + i;
-                let len = gen.row(r, &mut cols, &mut vals);
-                acc.fill(Complex64::default());
-                for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-                    axpy_row(*hv, v.row(c as usize), &mut acc, use_simd);
-                }
-                let vrow = v.row(r);
-                for j in 0..r_width {
-                    let vr = vrow[j];
-                    wrow[j] = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-                }
-            }
-        });
+    let r = check_block_dims(m, v, w);
+    let _probe = probe(KernelKind::AugSpmmv, m, r);
+    aug_par::<false>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes);
 }
 
 /// Rectangular augmented SpMMV; the stencil operator is always square,
-/// so this is the serial blocked sweep with the rect kernel's exact
-/// shape (no width-1 dispatch), matching
-/// [`crate::aug::aug_spmmv_rect`] on square inputs.
+/// so this is the serial blocked sweep over the first `nrows` rows of
+/// `w`, matching [`crate::aug::aug_spmmv_rect`] on square inputs.
 pub fn aug_spmmv_rect(
     m: &StencilMatrix,
     a: f64,
@@ -759,162 +864,45 @@ pub fn aug_spmmv_rect(
     v: &BlockVector,
     w: &mut BlockVector,
 ) -> AugDotsBlock {
-    assert_eq!(v.rows(), m.ncols(), "block v dimension mismatch");
-    assert!(w.rows() >= m.nrows(), "block w too small");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    let r_width = v.width();
-    let _probe = kernel_timer_fmt(
-        KernelKind::AugSpmmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    let use_simd = crate::simd::active();
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..m.nrows() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            axpy_row(*hv, v.row(c as usize), &mut acc, use_simd);
-        }
-        let vrow = v.row(r);
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-            wrow[j] = wr;
-            eta_even[j] += vr.norm_sqr();
-            eta_odd[j] = wr.conj().mul_add(vr, eta_odd[j]);
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
+    let r = check_rect_dims(m, v, w);
+    let _probe = probe(KernelKind::AugSpmmv, m, r);
+    let w = &mut w.as_mut_slice()[..m.nrows() * r];
+    aug_range::<true>(m, a, b, v.as_slice(), r, 0, w)
 }
 
-/// `y = A x` with regenerated rows (serial).
+/// `y = A x` (serial).
 pub fn spmv(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
     check_vec_dims(m, x, y, "spmv");
-    let _probe = kernel_timer_fmt(
-        KernelKind::Spmv,
-        m.nrows(),
-        m.nnz(),
-        1,
-        0,
-        ProbeFormat::Stencil,
-    );
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    for (r, yr) in y.iter_mut().enumerate() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        let mut acc = Complex64::default();
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            acc = hv.mul_add(x[c as usize], acc);
-        }
-        *yr = acc;
-    }
+    let _probe = probe(KernelKind::Spmv, m, 1);
+    sweep_rows(m, x, 1, 0, y, &mut Plain);
 }
 
-/// `y = A x` with regenerated rows (row-parallel; per-row writes, no
-/// reduction, trivially bitwise).
+/// `y = A x` (row-parallel over fixed chunks).
 pub fn spmv_par(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
     check_vec_dims(m, x, y, "spmv_par");
-    let _probe = kernel_timer_fmt(
-        KernelKind::Spmv,
-        m.nrows(),
-        m.nnz(),
-        1,
-        0,
-        ProbeFormat::Stencil,
-    );
-    y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-        let mut gen = RowGen::new(m);
-        let mut cols = [0u32; MAX_ROW_ENTRIES];
-        let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-        let len = gen.row(r, &mut cols, &mut vals);
-        let mut acc = Complex64::default();
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            acc = hv.mul_add(x[c as usize], acc);
-        }
-        *yr = acc;
-    });
+    let _probe = probe(KernelKind::Spmv, m, 1);
+    plain_par(m, x, 1, y);
 }
 
-/// `Y = A X` with regenerated rows (serial blocked).
+/// `Y = A X` (serial blocked).
 pub fn spmmv(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
-    let r_width = check_block_dims(m, x, y);
-    let _probe = kernel_timer_fmt(
-        KernelKind::Spmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    let use_simd = crate::simd::active();
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    for r in 0..m.nrows() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        let yrow = y.row_mut(r);
-        yrow.fill(Complex64::default());
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            axpy_row(*hv, x.row(c as usize), yrow, use_simd);
-        }
-    }
+    let r = check_block_dims(m, x, y);
+    let _probe = probe(KernelKind::Spmv, m, r);
+    sweep_rows(m, x.as_slice(), r, 0, y.as_mut_slice(), &mut Plain);
 }
 
-/// `Y = A X` with regenerated rows (row-parallel blocked).
+/// `Y = A X` (row-parallel blocked over fixed chunks).
 pub fn spmmv_par(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
-    let r_width = check_block_dims(m, x, y);
-    let _probe = kernel_timer_fmt(
-        KernelKind::Spmv,
-        m.nrows(),
-        m.nnz(),
-        r_width,
-        0,
-        ProbeFormat::Stencil,
-    );
-    let use_simd = crate::simd::active();
-    y.as_mut_slice()
-        .par_chunks_mut(r_width)
-        .enumerate()
-        .for_each(|(r, yrow)| {
-            let mut gen = RowGen::new(m);
-            let mut cols = [0u32; MAX_ROW_ENTRIES];
-            let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-            let len = gen.row(r, &mut cols, &mut vals);
-            yrow.fill(Complex64::default());
-            for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-                axpy_row(*hv, x.row(c as usize), yrow, use_simd);
-            }
-        });
+    let r = check_block_dims(m, x, y);
+    let _probe = probe(KernelKind::Spmv, m, r);
+    plain_par(m, x.as_slice(), r, y.as_mut_slice());
 }
 
 /// Rectangular plain SpMMV; square on the stencil operator.
 pub fn spmmv_rect(m: &StencilMatrix, v: &BlockVector, w: &mut BlockVector) {
-    assert_eq!(v.rows(), m.ncols(), "block v dimension mismatch");
-    assert!(w.rows() >= m.nrows(), "block w too small");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    let use_simd = crate::simd::active();
-    let mut gen = RowGen::new(m);
-    let mut cols = [0u32; MAX_ROW_ENTRIES];
-    let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-    for r in 0..m.nrows() {
-        let len = gen.row(r, &mut cols, &mut vals);
-        let wrow = w.row_mut(r);
-        wrow.fill(Complex64::default());
-        for (hv, &c) in vals[..len].iter().zip(&cols[..len]) {
-            axpy_row(*hv, v.row(c as usize), wrow, use_simd);
-        }
-    }
+    let r = check_rect_dims(m, v, w);
+    let w = &mut w.as_mut_slice()[..m.nrows() * r];
+    sweep_rows(m, v.as_slice(), r, 0, w, &mut Plain);
 }
 
 #[cfg(test)]
@@ -926,18 +914,8 @@ mod tests {
     /// values are easy to state; geometry checks use the paper default
     /// boundaries (periodic x/y, open z).
     fn toy(nx: usize, ny: usize, nz: usize, periodic: [bool; 3]) -> StencilMatrix {
-        let sites = nx * ny * nz;
-        let onsite: Vec<[Complex64; 4]> = (0..sites)
-            .map(|s| {
-                let v = s as f64 * 0.25 - 1.0;
-                [
-                    Complex64::real(v + 2.0),
-                    Complex64::real(v + 2.0),
-                    Complex64::real(v - 2.0),
-                    Complex64::real(v - 2.0),
-                ]
-            })
-            .collect();
+        let onsite = (0..nx * ny * nz).map(|s| s as f64 * 0.25 - 1.0);
+        let onsite = onsite.map(|v| [v + 2.0, v + 2.0, v - 2.0, v - 2.0].map(Complex64::real));
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             for (o, row) in block.iter_mut().enumerate() {
@@ -945,51 +923,30 @@ mod tests {
                 row[3 - o] = I.scale(0.5);
             }
         }
-        StencilMatrix::new(nx, ny, nz, periodic, onsite, &hop)
+        StencilMatrix::new(nx, ny, nz, periodic, onsite.collect(), &hop)
     }
 
     #[test]
-    fn dimensions_and_nnz() {
-        let m = toy(4, 3, 3, [true, true, false]);
-        assert_eq!(m.nrows(), 4 * 4 * 3 * 3);
-        assert_eq!(m.ncols(), m.nrows());
-        // Interior rows: 1 onsite + 6 neighbours x 2 entries.
-        let crs = m.to_crs();
-        assert_eq!(crs.nnz(), m.nnz());
-        assert!(crs.max_row_len() <= 13);
-    }
-
-    #[test]
-    fn rows_match_explicit_crs() {
-        let m = toy(3, 4, 2, [true, false, true]);
-        let crs = m.to_crs();
-        let mut gen = RowGen::new(&m);
-        let mut cols = [0u32; MAX_ROW_ENTRIES];
-        let mut vals = [Complex64::default(); MAX_ROW_ENTRIES];
-        for r in 0..m.nrows() {
-            let len = gen.row(r, &mut cols, &mut vals);
-            assert_eq!(&cols[..len], crs.row_cols(r), "row {r}");
-            assert_eq!(&vals[..len], crs.row_vals(r), "row {r}");
-            // Columns strictly ascending after the merge.
-            for k in 1..len {
-                assert!(cols[k] > cols[k - 1]);
-            }
+    fn regenerated_rows_form_a_valid_crs_matrix() {
+        // `to_crs` goes through `CrsMatrix::from_raw`, which rejects
+        // unsorted and duplicate columns — so on the periodic extent-2
+        // axis, where +x and −x land on the same neighbour, the pairs
+        // of hopping entries per column must have been merged.
+        for m in [
+            toy(4, 3, 3, [true, true, false]),
+            toy(3, 4, 2, [true, false, true]),
+            toy(2, 3, 3, [true, true, false]),
+        ] {
+            let crs = m.to_crs();
+            assert_eq!((crs.nrows(), crs.ncols()), (m.nrows(), m.ncols()));
+            assert_eq!(crs.nnz(), m.nnz());
+            // Interior rows: 1 onsite + 6 neighbours x 2 entries.
+            assert!(crs.max_row_len() <= 13);
+            m.for_rows(0..m.nrows(), |r, cols, vals| {
+                assert_eq!(cols, crs.row_cols(r), "row {r}");
+                assert_eq!(vals, crs.row_vals(r), "row {r}");
+            });
         }
-    }
-
-    #[test]
-    fn extent_two_periodic_axis_merges_duplicates() {
-        // nx = 2 periodic: +x and -x land on the same neighbour, so the
-        // pair of hopping entries per column must be merged into one.
-        let m = toy(2, 3, 3, [true, true, false]);
-        let crs = m.to_crs();
-        for r in 0..m.nrows() {
-            let cols = crs.row_cols(r);
-            for k in 1..cols.len() {
-                assert!(cols[k] > cols[k - 1], "duplicate column in row {r}");
-            }
-        }
-        assert_eq!(crs.nnz(), m.nnz());
     }
 
     #[test]
@@ -1012,7 +969,7 @@ mod tests {
 
         let mut w1 = w0.clone();
         let mut w2 = w0;
-        let d1 = aug_spmmv_par(&m, 0.4, -0.2, &v, &mut w1);
+        let d1 = aug_spmmv_par_budget(&m, 0.4, -0.2, &v, &mut w1, DEFAULT_CACHE_BYTES);
         let d2 = crate::aug::aug_spmmv_par(&crs, 0.4, -0.2, &v, &mut w2);
         assert_eq!(w1.max_abs_diff(&w2), 0.0);
         assert_eq!(d1, d2);
@@ -1026,9 +983,51 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_matches_crs_build() {
-        let m = toy(3, 3, 4, [true, true, false]);
-        assert_eq!(m.content_fingerprint(), m.to_crs().content_fingerprint());
+    fn fingerprint_and_bounds_match_crs_build() {
+        for m in [toy(3, 3, 4, [true, true, false]), toy(2, 1, 3, [true; 3])] {
+            let crs = m.to_crs();
+            assert_eq!(m.content_fingerprint(), crs.content_fingerprint());
+            assert_eq!(m.gershgorin_bounds(), crs.gershgorin_bounds());
+        }
+    }
+
+    #[test]
+    fn hermiticity_is_checked_structurally() {
+        let real_onsite = vec![[Complex64::real(1.0); 4]; 8];
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            hop[2 * j][0][1] = Complex64::new(0.5, 0.25 * (j + 1) as f64);
+            hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
+        }
+        let good = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &hop);
+        assert!(good.check_hermitian().is_ok());
+        assert!(good.to_crs().is_hermitian());
+
+        // A partner block that is the transpose but not the conjugate.
+        let mut bad_hop = hop;
+        bad_hop[3][1][0] = hop[2][0][1];
+        let bad = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &bad_hop);
+        let err = bad.check_hermitian().unwrap_err();
+        let typed = |e: &KpmError| {
+            matches!(
+                e,
+                KpmError::InvalidMatrix {
+                    what: "stencil",
+                    ..
+                }
+            )
+        };
+        assert!(typed(&err), "{err}");
+        assert!(err.to_string().contains("blocks 2 and 3"), "{err}");
+        assert!(!bad.to_crs().is_hermitian());
+
+        // A complex on-site entry.
+        let mut complex_onsite = real_onsite;
+        complex_onsite[5][2] = Complex64::new(1.0, 1e-3);
+        let bad = StencilMatrix::new(2, 2, 2, [false; 3], complex_onsite, &hop);
+        let err = bad.check_hermitian().unwrap_err();
+        assert!(err.to_string().contains("site 5"), "{err}");
+        assert!(!bad.to_crs().is_hermitian());
     }
 
     #[test]

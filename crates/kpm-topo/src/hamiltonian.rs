@@ -184,13 +184,14 @@ impl TopoHamiltonian {
     /// Builds the matrix-free stencil representation of the same
     /// operator.
     ///
-    /// The stencil regenerates each row from the lattice geometry, the
+    /// The stencil rebuilds the operator from the lattice geometry, the
     /// per-site on-site diagonals, and the six hopping blocks — the
-    /// very inputs [`TopoHamiltonian::assemble`] consumes — using the
-    /// identical gather/sort/merge, so rows (and therefore every kernel
-    /// result) are bitwise-identical to the CRS build and the two
-    /// share a content fingerprint (asserted by the tests below and
-    /// the workspace determinism suite).
+    /// very inputs [`TopoHamiltonian::assemble`] consumes — visiting
+    /// each row's entries in the assembled order, so rows (and
+    /// therefore every kernel result, the Gershgorin bounds and the
+    /// content fingerprint) are bitwise-identical to the CRS build
+    /// (asserted by the tests below and the workspace determinism
+    /// suite).
     pub fn stencil_matrix(&self) -> StencilMatrix {
         let lat = &self.lattice;
         let t_blocks: [Gamma; 3] = [
@@ -469,6 +470,49 @@ mod tests {
             // Equal rows imply equal content fingerprints: stencil and
             // CRS handles of one operator coalesce in the service.
             assert_eq!(st.content_fingerprint(), crs.content_fingerprint());
+        }
+    }
+
+    #[test]
+    fn stencil_bounds_and_hermiticity_match_the_assembly_without_assembling() {
+        // `kpm dos --format stencil` never assembles: its scale factors
+        // come from the stencil's own Gershgorin replay, which must
+        // equal the CRS bounds bit for bit — every boundary combination,
+        // extent-1 and extent-2 axes, every potential kind.
+        use crate::lattice::Boundary::{Open, Periodic};
+        let potentials = [
+            Potential::Zero,
+            Potential::paper_quantum_dots(),
+            Potential::Disorder {
+                width: 1.5,
+                seed: 9,
+            },
+            Potential::Uniform(-2.0),
+        ];
+        for (k, (nx, ny, nz)) in [(1, 4, 3), (2, 3, 4), (5, 2, 2), (4, 4, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            for bc in 0..8usize {
+                let bound = |axis: usize| if bc >> axis & 1 == 1 { Periodic } else { Open };
+                let ham = TopoHamiltonian {
+                    lattice: Lattice3D::new(nx, ny, nz, [bound(0), bound(1), bound(2)]),
+                    t: 0.9,
+                    potential: potentials[(k + bc) % 4].clone(),
+                };
+                let (crs, st) = (ham.assemble(), ham.stencil_matrix());
+                assert_eq!(st.gershgorin_bounds(), crs.gershgorin_bounds());
+                assert_eq!(st.nnz(), crs.nnz());
+                assert!(st.check_hermitian().is_ok() && crs.is_hermitian());
+                assert_eq!(
+                    ScaleFactors::from_gershgorin(&crs, 0.01),
+                    {
+                        let (lo, hi) = st.gershgorin_bounds();
+                        ScaleFactors::from_bounds(lo, hi, 0.01)
+                    },
+                    "{nx}x{ny}x{nz} boundaries {bc:03b}"
+                );
+            }
         }
     }
 

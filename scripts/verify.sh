@@ -124,6 +124,27 @@ step "determinism: bitwise moments across formats and thread counts"
 # the suite covers all three solver variants on both formats.
 cargo test -q --test determinism
 
+step "matrix-free: kpm dos --format stencil is byte-identical to --format crs"
+# The stencil command never assembles a CRS: bounds, scale factors and
+# every moment come from the site-blocked sweep, and the CSV must still
+# equal the CRS run's byte for byte. nx = 2 is periodic (coincident
+# partners, the merge path); the dots potential varies the diagonal.
+for t in 1 2; do
+    for f in crs stencil; do
+        ./target/release/kpm dos --nx 2 --ny 6 --nz 5 --potential dots \
+            --moments 64 --random 8 --threads "$t" --format "$f" \
+            > "target/dos-$f-t$t.csv"
+    done
+    cmp "target/dos-crs-t$t.csv" "target/dos-stencil-t$t.csv"
+done
+cmp target/dos-crs-t1.csv target/dos-crs-t2.csv
+echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads"
+
+step "autotune model: predicted {crs, stencil} winner == measured winner at R = 8"
+# A timing probe, so it only runs optimized (ignored in debug builds).
+cargo test -q --release --test performance_models \
+    stencil_model_winner_is_the_measured_winner_at_r8
+
 step "smoke: kpm report (achieved vs predicted roofline)"
 ./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5

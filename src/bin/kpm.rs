@@ -244,29 +244,110 @@ impl ObsOutputs {
     }
 }
 
-/// Loads the matrix: either a Matrix Market file (positional argument)
-/// or a generated topological-insulator system (`--nx/--ny/--nz`). The
-/// generator is also returned so matrix-free formats can regenerate
-/// the stencil instead of reading the assembled rows.
-fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<TopoHamiltonian>), String> {
-    if let Some(path) = positional(args) {
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        return mmio::read(BufReader::new(file))
-            .map(|m| (m, None))
-            .map_err(|e| e.to_string());
-    }
-    let nx = opt_usize(args, "--nx", 0)?;
-    if nx == 0 {
-        return Err(format!("need a FILE.mtx or --nx/--ny/--nz\n{USAGE}"));
-    }
-    let ny = opt_usize(args, "--ny", nx)?;
-    let nz = opt_usize(args, "--nz", nx)?;
-    let ham = match opt(args, "--potential") {
-        Some("dots") => TopoHamiltonian::quantum_dot_superlattice(nx, ny, nz),
-        Some(other) => return Err(format!("unknown potential '{other}' (try: dots)")),
-        None => TopoHamiltonian::clean(nx, ny, nz),
+/// Where the matrix comes from, decided (and checked against the
+/// storage flags) from the command line alone: nothing has been read or
+/// assembled yet.
+enum MatrixSource {
+    /// A Matrix Market file (the positional argument).
+    File(String),
+    /// A generated topological-insulator system (`--nx/--ny/--nz`).
+    Lattice(TopoHamiltonian),
+}
+
+fn matrix_source(args: &[String]) -> Result<MatrixSource, String> {
+    let source = if let Some(path) = positional(args) {
+        MatrixSource::File(path.to_string())
+    } else {
+        let nx = opt_usize(args, "--nx", 0)?;
+        if nx == 0 {
+            return Err(format!("need a FILE.mtx or --nx/--ny/--nz\n{USAGE}"));
+        }
+        let ny = opt_usize(args, "--ny", nx)?;
+        let nz = opt_usize(args, "--nz", nx)?;
+        MatrixSource::Lattice(match opt(args, "--potential") {
+            Some("dots") => TopoHamiltonian::quantum_dot_superlattice(nx, ny, nz),
+            Some(other) => return Err(format!("unknown potential '{other}' (try: dots)")),
+            None => TopoHamiltonian::clean(nx, ny, nz),
+        })
     };
-    Ok((ham.assemble(), Some(ham)))
+    check_format_flags(args, &source)?;
+    Ok(source)
+}
+
+impl MatrixSource {
+    /// Reads or assembles the CRS matrix. The generator is also
+    /// returned so matrix-free formats can regenerate the stencil
+    /// instead of reading the assembled rows.
+    fn into_crs(self) -> Result<(CrsMatrix, Option<TopoHamiltonian>), String> {
+        match self {
+            MatrixSource::File(path) => {
+                let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+                mmio::read(BufReader::new(file))
+                    .map(|m| (m, None))
+                    .map_err(|e| e.to_string())
+            }
+            MatrixSource::Lattice(ham) => Ok((ham.assemble(), Some(ham))),
+        }
+    }
+}
+
+const STENCIL_NEEDS_LATTICE: &str =
+    "--format stencil is matrix-free: it regenerates the lattice stencil and \
+     cannot be built from a FILE.mtx source (use --nx/--ny/--nz)";
+
+/// True when the flags pin the matrix-free stencil format (`--autotune`
+/// overrides `--format` and scores the stencil against CRS itself).
+fn wants_stencil(args: &[String]) -> bool {
+    opt(args, "--format") == Some("stencil") && !has_flag(args, "--autotune")
+}
+
+/// Rejects contradictory storage flags — and applies the
+/// `--simd`/`--no-simd` toggle — before anything is loaded.
+fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), String> {
+    apply_simd_flags(args)?;
+    match opt(args, "--format") {
+        None | Some("crs" | "sell" | "stencil") => {}
+        Some(other) => {
+            return Err(format!(
+                "unknown format '{other}' (try: crs, sell, stencil)"
+            ))
+        }
+    }
+    if wants_stencil(args) && matches!(source, MatrixSource::File(_)) {
+        return Err(STENCIL_NEEDS_LATTICE.into());
+    }
+    Ok(())
+}
+
+/// Loads the matrix: either a Matrix Market file (positional argument)
+/// or a generated topological-insulator system (`--nx/--ny/--nz`).
+fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<TopoHamiltonian>), String> {
+    matrix_source(args)?.into_crs()
+}
+
+/// The shared prologue of `dos` and `count`: matrix source → Hermitian
+/// check → spectral bounds → storage format.
+///
+/// A generated lattice under `--format stencil` stays matrix-free end
+/// to end: Hermiticity, the Gershgorin bounds (bit-equal to the CRS
+/// build's, so the scale factors and every output byte are too) and the
+/// banner's `N`/`Nnz` all come from the stencil, and no CRS is ever
+/// assembled. Everything else loads the CRS matrix and converts it.
+fn solver_matrix(args: &[String], threads: usize) -> Result<(KpmMatrix, ScaleFactors), String> {
+    let source = matrix_source(args)?;
+    if let (MatrixSource::Lattice(ham), true) = (&source, wants_stencil(args)) {
+        let st = ham.stencil_matrix();
+        st.check_hermitian().map_err(|e| e.to_string())?;
+        let (lo, hi) = st.gershgorin_bounds();
+        let m = KpmMatrix::stencil(st).with_first_touch(has_flag(args, "--first-touch"));
+        return Ok((m, ScaleFactors::from_bounds(lo, hi, 0.01)));
+    }
+    let (h, ham) = source.into_crs()?;
+    if !h.is_hermitian() {
+        return Err("KPM-DOS needs a Hermitian matrix".into());
+    }
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    Ok((format_matrix(args, h, ham.as_ref(), threads, None)?, sf))
 }
 
 fn solver_params(args: &[String]) -> Result<KpmParams, String> {
@@ -332,7 +413,6 @@ fn format_matrix(
     threads: usize,
     machine: Option<&Machine>,
 ) -> Result<KpmMatrix, String> {
-    apply_simd_flags(args)?;
     let power = opt_usize(args, "--power-blocking", 1)?.max(1);
     let first_touch = has_flag(args, "--first-touch");
     // The window of p blocked vector levels must fit in cache; scale
@@ -396,11 +476,7 @@ fn format_matrix(
         }
         "stencil" => match ham {
             Some(hm) => Ok(finish(KpmMatrix::stencil(hm.stencil_matrix()))),
-            None => Err(
-                "--format stencil is matrix-free: it regenerates the lattice stencil and \
-                 cannot be built from a FILE.mtx source (use --nx/--ny/--nz)"
-                    .into(),
-            ),
+            None => Err(STENCIL_NEEDS_LATTICE.into()),
         },
         other => Err(format!(
             "unknown format '{other}' (try: crs, sell, stencil)"
@@ -462,15 +538,10 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
             &["--points"],
         ],
     )?;
-    let (h, ham) = load_matrix(args)?;
-    if !h.is_hermitian() {
-        return Err("KPM-DOS needs a Hermitian matrix".into());
-    }
     let params = solver_params(args)?;
     let points = opt_usize(args, "--points", 1024)?;
     let outputs = ObsOutputs::from_args(args);
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    let m = format_matrix(args, h, ham.as_ref(), params.threads, None)?;
+    let (m, sf) = solver_matrix(args, params.threads)?;
     eprintln!(
         "N = {}, Nnz = {}, M = {}, R = {}, format = {}",
         m.nrows(),
@@ -510,10 +581,6 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
             &["--from", "--to"],
         ],
     )?;
-    let (h, ham) = load_matrix(args)?;
-    if !h.is_hermitian() {
-        return Err("KPM-DOS needs a Hermitian matrix".into());
-    }
     let e_lo = opt_f64(args, "--from")?.ok_or("count needs --from E")?;
     let e_hi = opt_f64(args, "--to")?.ok_or("count needs --to E")?;
     if e_lo >= e_hi {
@@ -521,8 +588,7 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     }
     let params = solver_params(args)?;
     let outputs = ObsOutputs::from_args(args);
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    let m = format_matrix(args, h, ham.as_ref(), params.threads, None)?;
+    let (m, sf) = solver_matrix(args, params.threads)?;
     let n = m.nrows();
     let moments = kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
     let count = count_from_moments(&moments, Kernel::Jackson, sf, n, e_lo, e_hi);
@@ -1538,6 +1604,40 @@ mod tests {
         assert_eq!(stencil.nrows(), h.nrows());
         let err = format_matrix(&st, h, None, 1, None).unwrap_err();
         assert!(err.contains("matrix-free"), "{err}");
+    }
+
+    #[test]
+    fn stencil_on_a_file_is_rejected_before_any_load() {
+        // The file does not exist: the flag contradiction must win over
+        // the open error, on every loading path.
+        let a = args(&["missing.mtx", "--format", "stencil"]);
+        assert!(solver_matrix(&a, 1).unwrap_err().contains("matrix-free"));
+        assert!(load_matrix(&a).unwrap_err().contains("matrix-free"));
+        let typo = args(&["missing.mtx", "--format", "ellpack"]);
+        assert!(solver_matrix(&typo, 1)
+            .unwrap_err()
+            .contains("unknown format"));
+        // --autotune overrides --format, so the file is what fails.
+        let tuned = args(&["missing.mtx", "--format", "stencil", "--autotune"]);
+        assert!(solver_matrix(&tuned, 1)
+            .unwrap_err()
+            .contains("cannot open"));
+    }
+
+    #[test]
+    fn stencil_prologue_matches_the_crs_prologue() {
+        let lattice = ["--nx", "4", "--ny", "2", "--nz", "3", "--potential", "dots"];
+        let (crs, sf_crs) = solver_matrix(&args(&lattice), 1).unwrap();
+        let mut a = args(&lattice);
+        a.extend(args(&["--format", "stencil", "--first-touch"]));
+        let (st, sf_st) = solver_matrix(&a, 1).unwrap();
+        assert!(crs.as_crs().is_some() && st.as_stencil().is_some());
+        assert!(st.first_touch());
+        assert_eq!(
+            sf_crs, sf_st,
+            "bit-equal bounds give bit-equal scale factors"
+        );
+        assert_eq!((crs.nrows(), crs.nnz()), (st.nrows(), st.nnz()));
     }
 
     #[test]

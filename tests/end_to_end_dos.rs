@@ -276,3 +276,40 @@ fn wave_packet_spreads_under_evolution() {
         participation(&psi_t)
     );
 }
+
+/// The built `kpm dos` prints the same CSV, byte for byte, whether it
+/// streams the assembled CRS or runs matrix-free end to end (no CRS is
+/// assembled under `--format stencil`: bounds, scale factors and every
+/// moment must still carry the CRS bits) — on a lattice with a periodic
+/// extent-2 axis and the dots potential, at one and two threads, and
+/// through `kpm count`.
+#[test]
+fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
+    let run = |sub: &str, extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kpm"))
+            .arg(sub)
+            .args(["--nx", "2", "--ny", "5", "--nz", "4", "--potential", "dots"])
+            .args(["--moments", "48", "--random", "3", "--seed", "7"])
+            .args(extra)
+            .output()
+            .expect("kpm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "kpm {sub} {extra:?}: {stderr}");
+        (out.stdout, stderr)
+    };
+    for threads in ["1", "2"] {
+        let (crs, crs_banner) = run("dos", &["--threads", threads, "--format", "crs"]);
+        let (stencil, banner) = run("dos", &["--threads", threads, "--format", "stencil"]);
+        assert!(crs.starts_with(b"energy,dos\n") && crs.len() > 1024);
+        assert!(crs == stencil, "dos CSV differs at --threads {threads}");
+        // Same N and Nnz on the banner, read off the stencil.
+        assert_eq!(
+            banner.replace("format = stencil", "format = crs"),
+            crs_banner
+        );
+    }
+    let window = ["--from", "-0.5", "--to", "0.5", "--threads", "2"];
+    let (crs, _) = run("count", &[&window[..], &["--format", "crs"]].concat());
+    let (stencil, _) = run("count", &[&window[..], &["--format", "stencil"]].concat());
+    assert!(crs == stencil && !crs.is_empty(), "count output differs");
+}

@@ -158,6 +158,60 @@ fn roofline_consistency_between_modules() {
     assert!((p9 - p11).abs() < 1e-9);
 }
 
+/// The autotuner's analytic model and a timing probe must name the
+/// same winner among {CRS, stencil} at R = 8 on the benchmark's
+/// 48×48×24 lattice (221,184 rows, CRS 57 MB): the model charges both
+/// the same flops and the stencil no matrix bytes, so it predicts the
+/// stencil; the probe is the real parallel blocked kernel, best of
+/// five interleaved sweeps. A timing comparison means nothing at
+/// opt-level 0, so debug builds skip it; `scripts/verify.sh` runs it
+/// under `--release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing probe needs an optimized build")]
+fn stencil_model_winner_is_the_measured_winner_at_r8() {
+    use kpm_repro::num::BlockVector;
+    use kpm_repro::sparse::autotune::model_seconds_fmt;
+    use kpm_repro::sparse::{AutotuneEnv, KpmMatrix, SparseKernels};
+    use rand::SeedableRng;
+
+    let ham = TopoHamiltonian::clean(48, 48, 24);
+    let formats = [
+        ("crs", KpmMatrix::crs(ham.assemble())),
+        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    ];
+    let (n, nnz) = (formats[0].1.nrows(), formats[0].1.nnz());
+    let env = AutotuneEnv::generic(rayon::current_num_threads());
+    let modeled = formats
+        .each_ref()
+        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env, 1, 1));
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let v = BlockVector::random(n, 8, &mut rng);
+    let mut w = BlockVector::random(n, 8, &mut rng);
+    let mut measured = [f64::INFINITY; 2];
+    for rep in 0..6 {
+        for (k, (_, m)) in formats.iter().enumerate() {
+            let t = std::time::Instant::now();
+            m.aug_spmmv_par(0.3, 0.1, &v, &mut w);
+            if rep > 0 {
+                measured[k] = measured[k].min(t.elapsed().as_secs_f64());
+            }
+        }
+    }
+    let winner = |secs: [f64; 2]| formats[(secs[1] < secs[0]) as usize].0;
+    // A model tie goes to the stencil, which the tuner scores first.
+    let predicted = if modeled[1] <= modeled[0] {
+        "stencil"
+    } else {
+        "crs"
+    };
+    assert_eq!(
+        predicted,
+        winner(measured),
+        "modeled {modeled:?} s, measured {measured:?} s (crs, stencil)"
+    );
+}
+
 // --- Cachesim/omega validation: measured traffic vs paper Eqs. 5-8 ---
 
 mod traffic_validation {

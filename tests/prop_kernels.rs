@@ -9,7 +9,7 @@ use kpm_repro::num::{BlockVector, Complex64, Vector};
 use kpm_repro::sparse::aug::{aug_spmmv, aug_spmv};
 use kpm_repro::sparse::spmv::{spmmv, spmv};
 use kpm_repro::sparse::{CooMatrix, CrsMatrix, SellMatrix};
-use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
+use kpm_repro::topo::{Boundary, Lattice3D, Potential, ScaleFactors, TopoHamiltonian};
 use proptest::prelude::*;
 
 /// Strategy: a random Hermitian matrix of dimension `4..=40` with a few
@@ -46,6 +46,173 @@ fn lattice() -> impl Strategy<Value = TopoHamiltonian> {
             TopoHamiltonian::clean(nx, ny, nz)
         }
     })
+}
+
+/// Block widths of the stencil checks: the narrow ones plus the
+/// paper's sweep; 24 puts the default 170-row tile edges mid-site.
+const STENCIL_WIDTHS: [usize; 8] = [1, 2, 3, 4, 8, 16, 24, 32];
+
+/// Per-thread cache budgets of the stencil checks: the default and two
+/// that give tile heights which are not multiples of the 4 orbital rows
+/// at most widths.
+const STENCIL_BUDGETS: [usize; 3] = [256 * 1024, 100_000, 77_777];
+
+/// The potentials of the stencil checks; `Uniform(2.0)` makes two of
+/// the four on-site diagonal entries exactly zero (dropped by the
+/// assembly).
+fn stencil_potential(kind: usize, seed: u64) -> Potential {
+    match kind {
+        0 => Potential::Zero,
+        1 => Potential::QuantumDots {
+            strength: 0.153,
+            period: 4,
+            radius: 1.5,
+            depth: 1,
+        },
+        2 => Potential::Disorder { width: 1.0, seed },
+        _ => Potential::Uniform(2.0),
+    }
+}
+
+/// Strategy: a TI lattice with extents from 1 (no bonds along the axis)
+/// and 2 (coincident partners when periodic) upward, every open/periodic
+/// combination, and every potential of [`stencil_potential`].
+fn any_lattice() -> impl Strategy<Value = TopoHamiltonian> {
+    (
+        (1usize..=6, 1usize..=6, 1usize..=9),
+        (0usize..8, 0usize..4, any::<u64>()),
+    )
+        .prop_map(|((nx, ny, nz), (bc, kind, seed))| TopoHamiltonian {
+            lattice: Lattice3D::new(nx, ny, nz, boundaries(bc)),
+            t: 1.0,
+            potential: stencil_potential(kind, seed),
+        })
+}
+
+fn boundaries(bits: usize) -> [Boundary; 3] {
+    [0, 1, 2].map(|axis| {
+        if bits >> axis & 1 == 1 {
+            Boundary::Periodic
+        } else {
+            Boundary::Open
+        }
+    })
+}
+
+/// Every stencil kernel against its CRS twin, bit for bit, at block
+/// width `r` and the given cache budget: the serial kernels, then the
+/// parallel ones on 1-, 2-, 4- and 8-thread pools; plain, augmented
+/// with dots and augmented without.
+fn stencil_equals_crs(
+    ham: &TopoHamiltonian,
+    r: usize,
+    cache_bytes: usize,
+    seed: u64,
+) -> Result<(), String> {
+    use kpm_repro::sparse::{KpmMatrix, SparseKernels};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let h = ham.assemble();
+    let st = ham.stencil_matrix();
+    if (st.nrows(), SparseKernels::nnz(&st)) != (h.nrows(), h.nnz()) {
+        return Err("shape or nnz differ".into());
+    }
+    if st.gershgorin_bounds() != h.gershgorin_bounds() {
+        return Err("gershgorin bounds differ".into());
+    }
+    if st.check_hermitian().is_err() || !h.is_hermitian() {
+        return Err("hermiticity checks differ".into());
+    }
+    let n = h.nrows();
+    let crs = KpmMatrix::crs(h).with_cache_bytes(cache_bytes);
+    let st = KpmMatrix::stencil(st).with_cache_bytes(cache_bytes);
+    let v = cvec(n, seed);
+    let w0 = cvec(n, seed.wrapping_add(3));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let vb = BlockVector::random(n, r, &mut rng);
+    let wb0 = BlockVector::random(n, r, &mut rng);
+
+    // One kernel on both formats from identical inputs; `$dots` is the
+    // kernel's return value (`()` for the plain and no-dot kernels).
+    macro_rules! same {
+        ($what:expr, $w0:expr, |$m:ident, $w:ident| $call:expr) => {{
+            let ($m, mut $w) = (&crs, $w0.clone());
+            let d_crs = $call;
+            let w_crs = $w;
+            let ($m, mut $w) = (&st, $w0.clone());
+            let d_st = $call;
+            if w_crs != $w || d_crs != d_st {
+                return Err(format!(
+                    "{} differs (r = {r}, budget = {cache_bytes})",
+                    $what
+                ));
+            }
+        }};
+    }
+    same!("spmv", w0, |m, w| m.spmv(&v, &mut w));
+    same!("spmmv", wb0, |m, w| m.spmmv(&vb, &mut w));
+    same!("aug_spmv", w0, |m, w| m.aug_spmv(0.7, -0.2, &v, &mut w));
+    same!("aug_spmmv", wb0, |m, w| m.aug_spmmv(0.7, -0.2, &vb, &mut w));
+    same!("aug_spmmv_nodot", wb0, |m, w| m
+        .aug_spmmv_nodot(0.7, -0.2, &vb, &mut w));
+    same!("aug_spmmv_rect", wb0, |m, w| m
+        .aug_spmmv_rect(0.7, -0.2, &vb, &mut w));
+    for threads in [1usize, 2, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .map_err(|e| e.to_string())?;
+        pool.install(|| {
+            same!("spmv_par", w0, |m, w| m.spmv_par(&v, &mut w));
+            same!("spmmv_par", wb0, |m, w| m.spmmv_par(&vb, &mut w));
+            same!("aug_spmv_par", w0, |m, w| m
+                .aug_spmv_par(0.7, -0.2, &v, &mut w));
+            same!("aug_spmmv_par", wb0, |m, w| m
+                .aug_spmmv_par(0.7, -0.2, &vb, &mut w));
+            same!("aug_spmmv_nodot_par", wb0, |m, w| m
+                .aug_spmmv_nodot_par(0.7, -0.2, &vb, &mut w));
+            Ok::<(), String>(())
+        })
+        .map_err(|e| format!("{e} at {threads} threads"))?;
+    }
+    Ok(())
+}
+
+/// The deterministic counterpart of the property below: every
+/// open/periodic combination on shapes with an extent-1 axis, an
+/// extent-2 axis and neither, every potential, and widths on both sides
+/// of the panel and tile boundaries (the last shape has 288 rows, so at
+/// width 24 the 170-row tile edge falls inside site 42).
+#[test]
+fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
+    for (shape_idx, (nx, ny, nz)) in [
+        (1, 3, 4),
+        (3, 1, 1),
+        (2, 3, 3),
+        (4, 2, 3),
+        (3, 4, 2),
+        (4, 3, 6),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for bc in 0..8 {
+            let ham = TopoHamiltonian {
+                lattice: Lattice3D::new(nx, ny, nz, boundaries(bc)),
+                t: 1.0,
+                potential: stencil_potential((shape_idx + bc) % 4, 11),
+            };
+            for (r, budget) in [
+                (1, STENCIL_BUDGETS[0]),
+                (8, STENCIL_BUDGETS[1]),
+                (24, STENCIL_BUDGETS[0]),
+            ] {
+                if let Err(e) = stencil_equals_crs(&ham, r, budget, 5 + bc as u64) {
+                    panic!("{nx}x{ny}x{nz}, boundaries {bc:03b}: {e}");
+                }
+            }
+        }
+    }
 }
 
 fn cvec(n: usize, seed: u64) -> Vec<Complex64> {
@@ -383,65 +550,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn stencil_kernels_bitwise_equal_crs(ham in lattice(), r in 1usize..=4, seed in any::<u64>()) {
-        // The matrix-free stencil regenerates rows from the lattice
+    fn stencil_kernels_bitwise_equal_crs(
+        ham in any_lattice(),
+        r_idx in 0usize..STENCIL_WIDTHS.len(),
+        budget_idx in 0usize..STENCIL_BUDGETS.len(),
+        seed in any::<u64>(),
+    ) {
+        // The matrix-free stencil rebuilds the operator from the lattice
         // geometry; every kernel result must be *bitwise* equal to the
-        // assembled CRS operator — any lattice shape, any block width,
-        // any thread count.
-        use kpm_repro::sparse::aug::{aug_spmmv_par, aug_spmv_par};
-        use kpm_repro::sparse::SparseKernels;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let h = ham.assemble();
-        let st = ham.stencil_matrix();
-        prop_assert_eq!(st.nrows(), h.nrows());
-        prop_assert_eq!(SparseKernels::nnz(&st), h.nnz());
-        let n = h.nrows();
-
-        // Single-vector augmented kernel.
-        let v = cvec(n, seed);
-        let w0 = cvec(n, seed.wrapping_add(3));
-        let mut w_crs = w0.clone();
-        let d_crs = aug_spmv(&h, 0.7, -0.2, &v, &mut w_crs);
-        let mut w_st = w0.clone();
-        let d_st = st.aug_spmv(0.7, -0.2, &v, &mut w_st);
-        prop_assert_eq!(&w_crs, &w_st);
-        prop_assert!(d_crs == d_st, "stencil aug_spmv dots differ");
-
-        // Blocked augmented kernel.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let vb = BlockVector::random(n, r, &mut rng);
-        let wb0 = BlockVector::random(n, r, &mut rng);
-        let mut wb_crs = wb0.clone();
-        let db_crs = aug_spmmv(&h, 0.7, -0.2, &vb, &mut wb_crs);
-        let mut wb_st = wb0.clone();
-        let db_st = st.aug_spmmv(0.7, -0.2, &vb, &mut wb_st);
-        prop_assert_eq!(&wb_crs, &wb_st);
-        prop_assert!(db_crs == db_st, "stencil aug_spmmv dots differ");
-
-        // Parallel twins at 1 and 4 worker threads.
-        for threads in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            let (w_p_crs, d_p_crs, w_p_st, d_p_st, wb_p_crs, db_p_crs, wb_p_st, db_p_st) =
-                pool.install(|| {
-                    let mut w_p_crs = w0.clone();
-                    let d_p_crs = aug_spmv_par(&h, 0.7, -0.2, &v, &mut w_p_crs);
-                    let mut w_p_st = w0.clone();
-                    let d_p_st = st.aug_spmv_par(0.7, -0.2, &v, &mut w_p_st);
-                    let mut wb_p_crs = wb0.clone();
-                    let db_p_crs = aug_spmmv_par(&h, 0.7, -0.2, &vb, &mut wb_p_crs);
-                    let mut wb_p_st = wb0.clone();
-                    let db_p_st = st.aug_spmmv_par(0.7, -0.2, &vb, &mut wb_p_st);
-                    (w_p_crs, d_p_crs, w_p_st, d_p_st, wb_p_crs, db_p_crs, wb_p_st, db_p_st)
-                });
-            prop_assert_eq!(&w_p_crs, &w_p_st);
-            prop_assert!(d_p_crs == d_p_st, "parallel stencil aug_spmv dots differ at T={}", threads);
-            prop_assert_eq!(&wb_p_crs, &wb_p_st);
-            prop_assert!(db_p_crs == db_p_st, "parallel stencil aug_spmmv dots differ at T={}", threads);
-        }
+        // assembled CRS operator — any lattice shape and boundary, any
+        // block width, any tile height, any thread count.
+        let checked = stencil_equals_crs(&ham, STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
+        prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
     }
 
     #[test]

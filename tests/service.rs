@@ -187,6 +187,48 @@ fn repeat_queries_answer_from_the_moment_cache() {
     svc.shutdown(ShutdownMode::Drain);
 }
 
+/// A CRS handle and a matrix-free stencil handle of one lattice hash —
+/// each lazily, on registration — to the same fingerprint: they
+/// register as one matrix, requests naming either coalesce into one
+/// block solve, and an answer solved on one is a cache hit for the
+/// other.
+#[test]
+fn crs_and_stencil_handles_of_one_lattice_coalesce_and_share_the_cache() {
+    let ham = TopoHamiltonian::clean(3, 3, 2);
+    let (h, sf) = test_matrix();
+    let svc = Service::start(ServiceConfig {
+        // Wide enough that a descheduled test thread cannot split the
+        // two submits below across windows.
+        batch_window: Duration::from_millis(100),
+        ..ServiceConfig::default()
+    });
+    let fp_stencil = svc.register_matrix(KpmMatrix::stencil(ham.stencil_matrix()), sf);
+    let fp_crs = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    assert_eq!(fp_stencil, fp_crs, "one operator, one fingerprint");
+    assert_eq!(fp_crs, h.content_fingerprint());
+
+    // Submitted inside one batching window, one per handle name.
+    let t_a = submit_ok(&svc, dos_request(fp_stencil, 9, 1, 32));
+    let t_b = submit_ok(&svc, dos_request(fp_crs, 10, 1, 32));
+    let (a, b) = (t_a.wait().expect("a"), t_b.wait().expect("b"));
+    assert_eq!((a.stats.batch_width, b.stats.batch_width), (2, 2));
+    assert_eq!(
+        answer_of(&a).moments.as_slice(),
+        serial_reference(&h, sf, 9, 1, 32).as_slice(),
+        "the registered (stencil) handle must solve to the CRS bits"
+    );
+
+    let again = submit_ok(&svc, dos_request(fp_crs, 9, 1, 32))
+        .wait()
+        .expect("again");
+    assert!(again.stats.cache_hit, "same key through the other name");
+    assert_eq!(
+        answer_of(&again).moments.as_slice(),
+        answer_of(&a).moments.as_slice()
+    );
+    svc.shutdown(ShutdownMode::Drain);
+}
+
 /// A deadline that cannot survive the batching window is rejected at
 /// admission with a positive `retry_after` hint, not admitted and
 /// doomed.
