@@ -33,6 +33,7 @@ pub const KERNEL_CRATES: &[&str] = &[
 pub const HOT_KERNEL_FILES: &[&str] = &[
     "spmv.rs",
     "aug.rs",
+    "sweep.rs",
     "sell.rs",
     "aug_sell.rs",
     "aug_sell_simd.rs",

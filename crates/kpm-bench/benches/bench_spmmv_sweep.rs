@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use kpm_num::block::ColMajorBlock;
 use kpm_num::BlockVector;
 use kpm_sparse::aug::{aug_spmmv, aug_spmmv_nodot};
-use kpm_sparse::gen::aug_spmmv_auto;
 use kpm_sparse::spmv::spmmv_colmajor;
 use kpm_topo::TopoHamiltonian;
 use rand::rngs::StdRng;
@@ -27,8 +26,10 @@ fn bench_sweep(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("fused", r), |b| {
             b.iter(|| aug_spmmv(&h, 0.3, 0.1, &v, &mut w))
         });
-        g.bench_function(BenchmarkId::new("fused_codegen", r), |b| {
-            b.iter(|| aug_spmmv_auto(&h, 0.3, 0.1, &v, &mut w))
+        g.bench_function(BenchmarkId::new("fused_baseline_body", r), |b| {
+            kpm_sparse::simd::set_enabled(false);
+            b.iter(|| aug_spmmv(&h, 0.3, 0.1, &v, &mut w));
+            kpm_sparse::simd::set_enabled(true);
         });
         g.bench_function(BenchmarkId::new("nodot_plus_separate_dots", r), |b| {
             b.iter(|| {

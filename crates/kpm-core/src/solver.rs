@@ -446,9 +446,8 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
         let dots_vec = if par {
             h.aug_spmmv_power_par(p, sf.a, sf.b, &mut v, &mut w)
         } else {
-            // The serial trait kernel; on CRS this routes through the
-            // width-specialized registry (the paper's generated-kernel
-            // dispatch).
+            // The serial trait kernel: on CRS and stencil the same
+            // register-panel sweep as the parallel one, as one row range.
             h.aug_spmmv_power(p, sf.a, sf.b, &mut v, &mut w)
         };
         for dots in dots_vec {

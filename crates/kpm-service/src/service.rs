@@ -96,7 +96,7 @@ pub struct ServiceConfig {
     /// Admission-queue capacity (backpressure bound).
     pub queue_capacity: usize,
     /// Upper bound on batch column width `R`; snapped down to the
-    /// largest width with a compiled kernel specialization.
+    /// largest power of two up to 32 (the paper's sweep widths).
     pub max_batch_width: usize,
     /// How long the batcher waits after the first request of a batch
     /// for coalescing mates to arrive.
@@ -772,15 +772,12 @@ impl Drop for Service {
     }
 }
 
-/// Largest batch width with a compiled kernel specialization not
-/// exceeding the configured bound (the paper generates kernels for the
-/// widths its experiments sweep — `kpm_sparse::gen`).
+/// Largest power-of-two batch width up to 32 (the widths the paper's
+/// experiments sweep) not exceeding the configured bound.
 fn width_budget(max_batch_width: usize) -> usize {
     let mut best = 1;
-    for &w in &kpm_sparse::gen::SPECIALIZED_WIDTHS {
-        if w <= max_batch_width {
-            best = best.max(w);
-        }
+    while best < 32 && 2 * best <= max_batch_width {
+        best *= 2;
     }
     best
 }
@@ -1295,5 +1292,15 @@ fn member_marks(m: &BatchMember, solve_start_us: f64, solve_end_us: f64) -> Stag
         batched_us: m.batched_us,
         solve_start_us,
         solve_end_us,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn width_budget_is_the_largest_paper_width_within_the_bound() {
+        let bounds = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 1000];
+        let want = [1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 32];
+        assert_eq!(bounds.map(super::width_budget), want);
     }
 }

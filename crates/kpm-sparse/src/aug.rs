@@ -19,7 +19,10 @@
 //! block vectors of width `R`; the matrix is streamed once for all `R`
 //! Chebyshev runs. The `*_nodot` variants perform the same update without
 //! the fused scalar products — they are the kernels of panel (b) of paper
-//! Fig. 10 and the baseline of the fused-dot ablation.
+//! Fig. 10 and the baseline of the fused-dot ablation. All blocked forms
+//! are the one register-panel sweep of `sweep.rs` and differ only
+//! in row range, epilogue and reduction; the width-1 kernels (a single
+//! dependent chain on a memory-bound stream) keep their own loops.
 
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::{BlockVector, Complex64};
@@ -27,6 +30,7 @@ use kpm_obs::probe::{kernel_timer, KernelKind};
 use rayon::prelude::*;
 
 use crate::crs::CrsMatrix;
+use crate::sweep::{aug_par, aug_serial, plain_serial};
 
 /// Result of one augmented sweep over a single vector pair:
 /// `eta_even = <v|v>` and `eta_odd = <w_new|v>`.
@@ -155,7 +159,8 @@ pub(crate) fn widen(d: AugDots) -> AugDotsBlock {
 
 /// Augmented SpMMV (paper Fig. 5): the blocked form of [`aug_spmv`] over
 /// row-major block vectors of width `R`, with all `2R` scalar products
-/// accumulated on the fly.
+/// accumulated on the fly — the register-panel sweep of
+/// `sweep.rs` as one range over all rows.
 pub fn aug_spmmv(
     h: &CrsMatrix,
     a: f64,
@@ -172,32 +177,7 @@ pub fn aug_spmmv(
         // regression of BENCH_stages.json).
         return widen(aug_spmv_core(h, a, b, v.as_slice(), w.as_mut_slice()));
     }
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..h.nrows() {
-        let cols = h.row_cols(r);
-        let vals = h.row_vals(r);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals.iter().zip(cols) {
-            let xrow = v.row(c as usize);
-            for j in 0..r_width {
-                acc[j] = hv.mul_add(xrow[j], acc[j]);
-            }
-        }
-        let vrow = v.row(r);
-        // `vrow` borrows v immutably; w is a distinct block, so the row
-        // update below cannot alias it.
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-            wrow[j] = wr;
-            eta_even[j] += vr.norm_sqr();
-            eta_odd[j] = wr.conj().mul_add(vr, eta_odd[j]);
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
+    aug_serial::<_, true>(h, a, b, v.as_slice(), r_width, w.as_mut_slice())
 }
 
 /// Row-parallel augmented SpMMV, tiled so each row block's `V`/`W`
@@ -234,52 +214,11 @@ pub fn aug_spmmv_par_budget(
     let _probe = kernel_timer(KernelKind::AugSpmmv, h.nrows(), h.nnz(), r_width);
     if r_width == 1 {
         // Width-1 dispatch to the fused single-vector kernel (identical
-        // update chain; eta reduction uses the fixed 1024-row chunks of
-        // `aug_spmv_par` instead of width-1 tiles).
+        // update chain and the same 1024-row pairwise eta reduction).
         return widen(aug_spmv_par_core(h, a, b, v.as_slice(), w.as_mut_slice()));
     }
-    let rows_per_tile = crate::tile::tile_rows_for_budget(r_width, cache_bytes);
-    let partials: Vec<(Vec<f64>, Vec<Complex64>)> = w
-        .as_mut_slice()
-        .par_chunks_mut(rows_per_tile * r_width)
-        .enumerate()
-        .map(|(ci, wc)| {
-            let row0 = ci * rows_per_tile;
-            let mut even = vec![0.0; r_width];
-            let mut odd = vec![Complex64::default(); r_width];
-            let mut acc = vec![Complex64::default(); r_width];
-            for (i, wrow) in wc.chunks_mut(r_width).enumerate() {
-                let r = row0 + i;
-                let cols = h.row_cols(r);
-                let vals = h.row_vals(r);
-                acc.fill(Complex64::default());
-                for (hv, &c) in vals.iter().zip(cols) {
-                    let xrow = v.row(c as usize);
-                    for j in 0..r_width {
-                        acc[j] = hv.mul_add(xrow[j], acc[j]);
-                    }
-                }
-                let vrow = v.row(r);
-                for j in 0..r_width {
-                    let vr = vrow[j];
-                    let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-                    wrow[j] = wr;
-                    even[j] += vr.norm_sqr();
-                    odd[j] = wr.conj().mul_add(vr, odd[j]);
-                }
-            }
-            (even, odd)
-        })
-        .collect();
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    for (even, odd) in &partials {
-        for j in 0..r_width {
-            eta_even[j] += even[j];
-            eta_odd[j] += odd[j];
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
+    let (vs, ws) = (v.as_slice(), w.as_mut_slice());
+    aug_par::<_, true>(h, a, b, vs, r_width, ws, cache_bytes)
 }
 
 /// Augmented SpMMV *without* the fused scalar products: the kernel of
@@ -289,64 +228,7 @@ pub fn aug_spmmv_par_budget(
 pub fn aug_spmmv_nodot(h: &CrsMatrix, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
     let r_width = check_block_dims(h, v, w);
     let _probe = kernel_timer(KernelKind::AugSpmmv, h.nrows(), h.nnz(), r_width);
-    if r_width == 1 {
-        aug_spmv_nodot_core(h, a, b, v.as_slice(), w.as_mut_slice());
-        return;
-    }
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..h.nrows() {
-        let cols = h.row_cols(r);
-        let vals = h.row_vals(r);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals.iter().zip(cols) {
-            let xrow = v.row(c as usize);
-            for j in 0..r_width {
-                acc[j] = hv.mul_add(xrow[j], acc[j]);
-            }
-        }
-        let vrow = v.row(r);
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            wrow[j] = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-        }
-    }
-}
-
-/// The no-dot form of the single-vector update, for the width-1
-/// dispatch of [`aug_spmmv_nodot`].
-fn aug_spmv_nodot_core(h: &CrsMatrix, a: f64, b: f64, v: &[Complex64], w: &mut [Complex64]) {
-    for r in 0..h.nrows() {
-        let cols = h.row_cols(r);
-        let vals = h.row_vals(r);
-        let mut acc = Complex64::default();
-        for (hv, &c) in vals.iter().zip(cols) {
-            acc = hv.mul_add(v[c as usize], acc);
-        }
-        let vr = v[r];
-        w[r] = (acc - vr.scale(b)).scale(2.0 * a) - w[r];
-    }
-}
-
-/// Parallel no-dot form of the single-vector update, for the width-1
-/// dispatch of [`aug_spmmv_nodot_par`].
-fn aug_spmv_nodot_par_core(h: &CrsMatrix, a: f64, b: f64, v: &[Complex64], w: &mut [Complex64]) {
-    w.par_chunks_mut(ROWS_PER_CHUNK)
-        .enumerate()
-        .for_each(|(ci, wc)| {
-            let row0 = ci * ROWS_PER_CHUNK;
-            for (i, wr_slot) in wc.iter_mut().enumerate() {
-                let r = row0 + i;
-                let cols = h.row_cols(r);
-                let vals = h.row_vals(r);
-                let mut acc = Complex64::default();
-                for (hv, &c) in vals.iter().zip(cols) {
-                    acc = hv.mul_add(v[c as usize], acc);
-                }
-                let vr = v[r];
-                *wr_slot = (acc - vr.scale(b)).scale(2.0 * a) - *wr_slot;
-            }
-        });
+    aug_serial::<_, false>(h, a, b, v.as_slice(), r_width, w.as_mut_slice());
 }
 
 /// Parallel variant of [`aug_spmmv_nodot`], tiled like
@@ -367,35 +249,8 @@ pub fn aug_spmmv_nodot_par_budget(
 ) {
     let r_width = check_block_dims(h, v, w);
     let _probe = kernel_timer(KernelKind::AugSpmmv, h.nrows(), h.nnz(), r_width);
-    if r_width == 1 {
-        aug_spmv_nodot_par_core(h, a, b, v.as_slice(), w.as_mut_slice());
-        return;
-    }
-    let rows_per_tile = crate::tile::tile_rows_for_budget(r_width, cache_bytes);
-    w.as_mut_slice()
-        .par_chunks_mut(rows_per_tile * r_width)
-        .enumerate()
-        .for_each(|(ci, wc)| {
-            let row0 = ci * rows_per_tile;
-            let mut acc = vec![Complex64::default(); r_width];
-            for (i, wrow) in wc.chunks_mut(r_width).enumerate() {
-                let r = row0 + i;
-                let cols = h.row_cols(r);
-                let vals = h.row_vals(r);
-                acc.fill(Complex64::default());
-                for (hv, &c) in vals.iter().zip(cols) {
-                    let xrow = v.row(c as usize);
-                    for j in 0..r_width {
-                        acc[j] = hv.mul_add(xrow[j], acc[j]);
-                    }
-                }
-                let vrow = v.row(r);
-                for j in 0..r_width {
-                    let vr = vrow[j];
-                    wrow[j] = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-                }
-            }
-        });
+    let (vs, ws) = (v.as_slice(), w.as_mut_slice());
+    aug_par::<_, false>(h, a, b, vs, r_width, ws, cache_bytes);
 }
 
 fn check_block_dims(h: &CrsMatrix, v: &BlockVector, w: &BlockVector) -> usize {
@@ -406,6 +261,18 @@ fn check_block_dims(h: &CrsMatrix, v: &BlockVector, w: &BlockVector) -> usize {
     );
     assert_eq!(v.rows(), h.ncols(), "block v dimension mismatch");
     assert_eq!(w.rows(), h.nrows(), "block w dimension mismatch");
+    assert_eq!(v.width(), w.width(), "block width mismatch");
+    v.width()
+}
+
+/// The rect kernels' shape check; returns the block width.
+fn check_rect_dims(h: &CrsMatrix, v: &BlockVector, w: &BlockVector) -> usize {
+    assert!(
+        h.ncols() >= h.nrows(),
+        "local matrix must have ncols >= nrows"
+    );
+    assert_eq!(v.rows(), h.ncols(), "block v dimension mismatch");
+    assert!(w.rows() >= h.nrows(), "block w too small");
     assert_eq!(v.width(), w.width(), "block width mismatch");
     v.width()
 }
@@ -428,64 +295,18 @@ pub fn aug_spmmv_rect(
     v: &BlockVector,
     w: &mut BlockVector,
 ) -> AugDotsBlock {
-    assert!(
-        h.ncols() >= h.nrows(),
-        "local matrix must have ncols >= nrows"
-    );
-    assert_eq!(v.rows(), h.ncols(), "block v dimension mismatch");
-    assert!(w.rows() >= h.nrows(), "block w too small");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    let r_width = v.width();
+    let r_width = check_rect_dims(h, v, w);
     let _probe = kernel_timer(KernelKind::AugSpmmv, h.nrows(), h.nnz(), r_width);
-    let mut eta_even = vec![0.0; r_width];
-    let mut eta_odd = vec![Complex64::default(); r_width];
-    let mut acc = vec![Complex64::default(); r_width];
-    for r in 0..h.nrows() {
-        let cols = h.row_cols(r);
-        let vals = h.row_vals(r);
-        acc.fill(Complex64::default());
-        for (hv, &c) in vals.iter().zip(cols) {
-            let xrow = v.row(c as usize);
-            for j in 0..r_width {
-                acc[j] = hv.mul_add(xrow[j], acc[j]);
-            }
-        }
-        let vrow = v.row(r);
-        let wrow = w.row_mut(r);
-        for j in 0..r_width {
-            let vr = vrow[j];
-            let wr = (acc[j] - vr.scale(b)).scale(2.0 * a) - wrow[j];
-            wrow[j] = wr;
-            eta_even[j] += vr.norm_sqr();
-            eta_odd[j] = wr.conj().mul_add(vr, eta_odd[j]);
-        }
-    }
-    AugDotsBlock { eta_even, eta_odd }
+    let w = &mut w.as_mut_slice()[..h.nrows() * r_width];
+    aug_serial::<_, true>(h, a, b, v.as_slice(), r_width, w)
 }
 
 /// Plain rectangular SpMMV `W[0..nrows] = H V` on the extended column
 /// space (used by the distributed initialization step).
 pub fn spmmv_rect(h: &CrsMatrix, v: &BlockVector, w: &mut BlockVector) {
-    assert!(
-        h.ncols() >= h.nrows(),
-        "local matrix must have ncols >= nrows"
-    );
-    assert_eq!(v.rows(), h.ncols(), "block v dimension mismatch");
-    assert!(w.rows() >= h.nrows(), "block w too small");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    let r_width = v.width();
-    for r in 0..h.nrows() {
-        let cols = h.row_cols(r);
-        let vals = h.row_vals(r);
-        let wrow = w.row_mut(r);
-        wrow.fill(Complex64::default());
-        for (hv, &c) in vals.iter().zip(cols) {
-            let xrow = v.row(c as usize);
-            for j in 0..r_width {
-                wrow[j] = hv.mul_add(xrow[j], wrow[j]);
-            }
-        }
-    }
+    let r_width = check_rect_dims(h, v, w);
+    let w = &mut w.as_mut_slice()[..h.nrows() * r_width];
+    plain_serial(h, v.as_slice(), r_width, w);
 }
 
 #[cfg(test)]

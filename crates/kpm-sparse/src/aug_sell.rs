@@ -132,8 +132,7 @@ pub fn aug_spmv_par(
 }
 
 /// Augmented SpMMV on SELL-C-σ over row-major block vectors;
-/// bitwise-identical to [`crate::aug::aug_spmmv`] (and to the
-/// width-specialized [`crate::gen::aug_spmmv_auto`]) on the source
+/// bitwise-identical to [`crate::aug::aug_spmmv`] on the source
 /// matrix.
 pub fn aug_spmmv(
     m: &SellMatrix,

@@ -1,4 +1,7 @@
-//! Explicit SIMD lane mapping for the SELL-C-σ and blocked kernels.
+//! Explicit SIMD lane mapping for the SELL-C-σ kernels (nightly
+//! `simd` feature). The blocked CRS and stencil kernels do not come
+//! through here: their register-panel sweep (`sweep.rs`) is compiled
+//! for AVX2 on stable and picked at run time.
 //!
 //! Two inner-loop shapes carry essentially all the flops of the hot
 //! kernels, and both vectorize here:
@@ -9,7 +12,7 @@
 //!   *contiguous* value loads — exactly the layout SELL-C-σ exists for
 //!   (Kreutzer et al., ref. [13]). Lanes are processed in groups of
 //!   [`LANES`]; the `C mod LANES` leftover lanes run the scalar body.
-//! * **Lane dimension = block width `r`** ([`axpy_row`]): the blocked
+//! * **Lane dimension = block width `r`** ([`axpy_row`]): the blocked SELL
 //!   kernels apply one matrix entry to a whole row of the block vector
 //!   (`arow[k] += val·xrow[k]`); the `k` loop is elementwise-independent
 //!   and vectorizes directly, with a scalar tail for `r mod LANES`.
@@ -191,7 +194,7 @@ fn accum_chunk_vec(
 }
 
 /// `arow[k] = val.mul_add(xrow[k], arow[k])` over one block-vector row —
-/// the `r_width` inner loop of the blocked SELL and stencil kernels,
+/// the `r_width` inner loop of the blocked SELL kernels,
 /// vectorized across the block width (elementwise-independent, so any
 /// grouping is bitwise-safe). `use_simd` is hoisted by the caller.
 #[inline]

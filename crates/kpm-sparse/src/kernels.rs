@@ -21,8 +21,8 @@ use crate::aug_sell;
 use crate::crs::CrsMatrix;
 use crate::power::{self, LevelSet};
 use crate::sell::SellMatrix;
+use crate::spmv;
 use crate::stencil::{self, StencilMatrix};
-use crate::{gen, spmv};
 
 /// A sparse-matrix storage format selection, including the SELL shape
 /// parameters.
@@ -203,8 +203,7 @@ impl SparseKernels for CrsMatrix {
         aug::aug_spmv_par(self, a, b, v, w)
     }
     fn aug_spmmv(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
-        // Route through the width-specialized registry (Section IV-B).
-        gen::aug_spmmv_auto(self, a, b, v, w)
+        aug::aug_spmmv(self, a, b, v, w)
     }
     fn aug_spmmv_par(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
         aug::aug_spmmv_par(self, a, b, v, w)

@@ -25,8 +25,10 @@
 //! * [`io`] — Matrix Market reading/writing (std-only),
 //! * [`aug_sell`] — the augmented kernel family on SELL-C-σ matrices,
 //!   bitwise-identical to the CRS kernels for any `C`/`σ`/thread count,
-//! * [`gen`] — width-specialized (const-generic) kernel instances, the
-//!   Rust analogue of the paper's custom code generator (Section IV-B),
+//! * `sweep` (private) — the one register-panel row-range sweep every blocked
+//!   CRS and stencil kernel runs, compiled for the baseline target and
+//!   for AVX2 from the same source (the paper's generated, unrolled
+//!   kernels of Section IV-B for any block width),
 //! * [`tile`] — cache-aware row-block tile sizing for the blocked
 //!   kernels (per-thread cache budget → rows per tile),
 //! * [`kernels`] — the format-pluggable [`SparseKernels`] trait and the
@@ -39,9 +41,10 @@
 //!   `p` iterations per matrix traversal behind `aug_spmmv_power`,
 //! * [`autotune`] — the `C`/`σ`/task-granularity autotuner driven by the
 //!   row-length distribution and a machine model,
-//! * [`simd`] — build-time (`--features simd`) and runtime configuration
-//!   of the explicit vector lanes: compiled lane width and the global
-//!   scalar/vector toggle the benches flip,
+//! * [`simd`] — which vector bodies run: the run-time choice between
+//!   the baseline and AVX2 copies of the blocked sweep, the build-time
+//!   (`--features simd`) lane width of the SELL kernels, and the global
+//!   toggle the benches flip,
 //! * [`aug_sell_simd`] — the lane-mapped inner loops of the SELL-C-σ and
 //!   blocked kernels (`C` is the lane dimension; scalar tails everywhere),
 //!   bitwise-identical to the scalar bodies by construction,
@@ -56,7 +59,6 @@ pub mod autotune;
 pub mod blocked;
 pub mod coo;
 pub mod crs;
-pub mod gen;
 pub mod io;
 pub mod kernels;
 pub mod placement;
@@ -66,6 +68,7 @@ pub mod simd;
 pub mod spmv;
 pub mod stats;
 pub mod stencil;
+mod sweep;
 pub mod tile;
 
 pub use autotune::{

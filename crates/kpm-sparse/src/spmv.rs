@@ -9,9 +9,9 @@
 
 use kpm_num::{BlockVector, Complex64};
 use kpm_obs::probe::{kernel_timer, KernelKind};
-use rayon::prelude::*;
 
 use crate::crs::CrsMatrix;
+use crate::sweep::{plain_par, plain_serial};
 
 /// `y = A x` (serial CRS SpMV).
 pub fn spmv(a: &CrsMatrix, x: &[Complex64], y: &mut [Complex64]) {
@@ -30,20 +30,12 @@ pub fn spmv(a: &CrsMatrix, x: &[Complex64], y: &mut [Complex64]) {
     }
 }
 
-/// `y = A x` (row-parallel CRS SpMV).
+/// `y = A x` (row-parallel CRS SpMV over fixed 1024-row chunks).
 pub fn spmv_par(a: &CrsMatrix, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), a.ncols(), "spmv_par: x dimension mismatch");
     assert_eq!(y.len(), a.nrows(), "spmv_par: y dimension mismatch");
     let _probe = kernel_timer(KernelKind::Spmv, a.nrows(), a.nnz(), 1);
-    y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-        let cols = a.row_cols(r);
-        let vals = a.row_vals(r);
-        let mut acc = Complex64::default();
-        for (v, &c) in vals.iter().zip(cols) {
-            acc = v.mul_add(x[c as usize], acc);
-        }
-        *yr = acc;
-    });
+    plain_par(a, x, 1, y);
 }
 
 /// `Y = A X` for row-major block vectors (serial SpMMV).
@@ -51,48 +43,27 @@ pub fn spmv_par(a: &CrsMatrix, x: &[Complex64], y: &mut [Complex64]) {
 /// The inner loop runs over the block width, so for each matrix element
 /// the `R` right-hand-side values are loaded contiguously — the access
 /// pattern that makes SpMMV SIMD-friendly regardless of the sparsity
-/// pattern.
+/// pattern. This is the register-panel sweep of `sweep.rs` with
+/// the plain epilogue.
 pub fn spmmv(a: &CrsMatrix, x: &BlockVector, y: &mut BlockVector) {
-    assert_eq!(x.rows(), a.ncols(), "spmmv: x dimension mismatch");
-    assert_eq!(y.rows(), a.nrows(), "spmmv: y dimension mismatch");
-    assert_eq!(x.width(), y.width(), "spmmv: block width mismatch");
-    let _probe = kernel_timer(KernelKind::Spmv, a.nrows(), a.nnz(), x.width());
-    let r_width = x.width();
-    for r in 0..a.nrows() {
-        let cols = a.row_cols(r);
-        let vals = a.row_vals(r);
-        let yrow = y.row_mut(r);
-        yrow.fill(Complex64::default());
-        for (v, &c) in vals.iter().zip(cols) {
-            let xrow = x.row(c as usize);
-            for j in 0..r_width {
-                yrow[j] = v.mul_add(xrow[j], yrow[j]);
-            }
-        }
-    }
+    let r_width = check_block_dims(a, x, y, "spmmv");
+    let _probe = kernel_timer(KernelKind::Spmv, a.nrows(), a.nnz(), r_width);
+    plain_serial(a, x.as_slice(), r_width, y.as_mut_slice());
 }
 
-/// `Y = A X` (row-parallel SpMMV over row-major blocks).
+/// `Y = A X` (row-parallel SpMMV over the cache-budget tiles of the
+/// augmented kernels).
 pub fn spmmv_par(a: &CrsMatrix, x: &BlockVector, y: &mut BlockVector) {
-    assert_eq!(x.rows(), a.ncols(), "spmmv_par: x dimension mismatch");
-    assert_eq!(y.rows(), a.nrows(), "spmmv_par: y dimension mismatch");
-    assert_eq!(x.width(), y.width(), "spmmv_par: block width mismatch");
-    let _probe = kernel_timer(KernelKind::Spmv, a.nrows(), a.nnz(), x.width());
-    let r_width = x.width();
-    y.as_mut_slice()
-        .par_chunks_mut(r_width)
-        .enumerate()
-        .for_each(|(r, yrow)| {
-            let cols = a.row_cols(r);
-            let vals = a.row_vals(r);
-            yrow.fill(Complex64::default());
-            for (v, &c) in vals.iter().zip(cols) {
-                let xrow = x.row(c as usize);
-                for j in 0..r_width {
-                    yrow[j] = v.mul_add(xrow[j], yrow[j]);
-                }
-            }
-        });
+    let r_width = check_block_dims(a, x, y, "spmmv_par");
+    let _probe = kernel_timer(KernelKind::Spmv, a.nrows(), a.nnz(), r_width);
+    plain_par(a, x.as_slice(), r_width, y.as_mut_slice());
+}
+
+fn check_block_dims(a: &CrsMatrix, x: &BlockVector, y: &BlockVector, what: &str) -> usize {
+    assert_eq!(x.rows(), a.ncols(), "{what}: x dimension mismatch");
+    assert_eq!(y.rows(), a.nrows(), "{what}: y dimension mismatch");
+    assert_eq!(x.width(), y.width(), "{what}: block width mismatch");
+    x.width()
 }
 
 /// `Y = A X` where both blocks are column-major (ablation variant).
@@ -203,6 +174,32 @@ mod tests {
         spmmv(&a, &x, &mut y1);
         spmmv_par(&a, &x, &mut y2);
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn blocked_kernels_take_tall_and_wide_matrices() {
+        // nrows != ncols: the plain epilogue must never look at x's
+        // "own" row, which a tall matrix does not have.
+        for (nrows, ncols) in [(40usize, 7usize), (9, 50)] {
+            let mut coo = CooMatrix::new(nrows, ncols);
+            for r in 0..nrows {
+                coo.push(r, r % ncols, Complex64::new(1.0 + r as f64, -0.5));
+                coo.push(r, (3 * r + 1) % ncols, Complex64::new(0.25, r as f64));
+            }
+            let a = coo.to_crs();
+            let mut rng = StdRng::seed_from_u64(16);
+            let x = BlockVector::random(ncols, 11, &mut rng);
+            let mut y = BlockVector::zeros(nrows, 11);
+            let mut y_par = BlockVector::zeros(nrows, 11);
+            spmmv(&a, &x, &mut y);
+            spmmv_par(&a, &x, &mut y_par);
+            assert_eq!(y, y_par);
+            for j in 0..11 {
+                let mut yc = vec![Complex64::default(); nrows];
+                spmv(&a, x.column(j).as_slice(), &mut yc);
+                assert_eq!(y.column(j).into_vec(), yc, "{nrows}x{ncols} col {j}");
+            }
+        }
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! all sites. `stored_elements()` is 0 and the probes model zero matrix
 //! bytes.
 //!
-//! All kernels share one **site-blocked sweep** ([`sweep_rows`]). The
-//! four orbital rows of a site see the same up-to-seven 4×4 blocks (six
+//! All kernels share one **site-blocked sweep** (the [`RowSweep`]
+//! body, run by the shared panel machinery of `sweep.rs`). The four
+//! orbital rows of a site see the same up-to-seven 4×4 blocks (six
 //! neighbours plus the on-site diagonal), and distinct sites own
 //! disjoint column ranges, so walking the blocks in ascending *site*
 //! order visits each row's entries in exactly the ascending-column
 //! order the kpm-topo assembly sorts into CRS. That order depends only
 //! on the site's boundary class and is tabulated once at construction
-//! ([`SiteClass`]); the sweep looks the class up, keeps each row's
-//! accumulators in a const-width register panel and applies the
-//! pre-filtered block templates — no per-row gather, sort or merge.
+//! (flattened per orbital row into a [`RowPlan`]); the
+//! sweep looks the class up, keeps each row's accumulators in a
+//! const-width register panel and walks the row's flat entry list — no
+//! per-row gather, sort or merge, no per-block bookkeeping.
 //!
 //! Bitwise contract: every row runs the exact floating-point chain of
 //! [`crate::aug`] / [`crate::spmv`] over the exact entries of the CRS
@@ -37,22 +39,23 @@
 use std::ops::Range;
 
 use kpm_num::complex::ZERO;
-use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::{BlockVector, Complex64, KpmError};
 use kpm_obs::probe::{kernel_timer_fmt, KernelKind, KernelTimer, ProbeFormat};
-use rayon::prelude::*;
 
-use crate::aug::{AugDots, AugDotsBlock, ROWS_PER_CHUNK};
-use crate::aug_sell_simd::axpy_row;
-use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
+use crate::aug::{AugDots, AugDotsBlock};
+use crate::sweep::{
+    aug_par, aug_serial, axpy_panel, for_panels, plain_par, plain_serial, row_panel, Epilogue,
+    RowSweep,
+};
+use crate::tile::DEFAULT_CACHE_BYTES;
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
 /// hopping blocks contributing at most 4 entries per orbital row.
 pub const MAX_ROW_ENTRIES: usize = 32;
 
-/// Block id of the on-site diagonal in a [`SiteClass`] walk (the six
+/// Block id of the on-site diagonal in a class's block order (the six
 /// hopping blocks are `0..6`).
-const ONSITE: u8 = 6;
+const ONSITE: usize = 6;
 
 /// One orbital row of a 4×4 hopping block, pre-filtered to its
 /// non-zero entries (column offset within the block, value).
@@ -61,22 +64,32 @@ struct HopRow {
     len: u8,
     cols: [u8; 4],
     vals: [Complex64; 4],
-    /// `-vals[e].im`, tabulated (see [`axpy_panel`]).
-    neg_im: [f64; 4],
 }
 
-/// The blocks every site of one boundary class sees, in ascending site
-/// (hence ascending column) order, as offsets relative to the site.
+/// One orbital row of a boundary class: the blocks every site of the
+/// class sees, walked in ascending site (hence ascending column) order
+/// and flattened into the row's hopping entries `(x-row offset from the
+/// site's first row, value, −value.im)`, with the on-site entry — whose
+/// value varies per site — slotted in before entry `onsite_at`.
 #[derive(Debug, Clone, Copy, Default)]
-struct SiteClass {
+struct RowPlan {
     len: u8,
-    block: [u8; 7],
-    offset: [isize; 7],
+    onsite_at: u8,
+    entries: [PlanEntry; MAX_ROW_ENTRIES],
+}
+
+/// One hopping entry of a [`RowPlan`]; `neg_im` is `-val.im`,
+/// tabulated (see [`axpy_panel`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct PlanEntry {
+    offset: isize,
+    val: Complex64,
+    neg_im: f64,
 }
 
 /// Boundary code of one coordinate: bit 0 = on the low edge, bit 1 =
 /// on the high edge (both on an extent-1 axis). Three of them index
-/// the [`SiteClass`] table.
+/// the [`RowPlan`] table.
 #[inline(always)]
 fn edge_code(coord: usize, extent: usize) -> usize {
     (coord == 0) as usize | ((coord + 1 == extent) as usize) << 1
@@ -105,9 +118,9 @@ pub struct StencilMatrix {
     hop_blocks: [[[Complex64; 4]; 4]; 6],
     /// `hop_blocks` split into zero-filtered orbital rows.
     hop_rows: [[HopRow; 4]; 6],
-    /// Block order per boundary class, indexed by the three
-    /// [`edge_code`]s (`x | y << 2 | z << 4`).
-    classes: Vec<SiteClass>,
+    /// The four orbital rows of every boundary class, indexed by the
+    /// three [`edge_code`]s (`x | y << 2 | z << 4`).
+    plans: Vec<[RowPlan; 4]>,
     /// True when a periodic axis has extent 2: both partners along it
     /// are the same site and the assembly merges their entries, so the
     /// sweep regenerates (and merges) row by row.
@@ -153,7 +166,6 @@ impl StencilMatrix {
                     if val != ZERO {
                         hr.cols[hr.len as usize] = p as u8;
                         hr.vals[hr.len as usize] = val;
-                        hr.neg_im[hr.len as usize] = -val.im;
                         hr.len += 1;
                     }
                 }
@@ -167,50 +179,64 @@ impl StencilMatrix {
             onsite_diag,
             hop_blocks: *hop_blocks,
             hop_rows,
-            classes: Vec::new(),
+            plans: Vec::new(),
             coincident: [nx, ny, nz]
                 .iter()
                 .zip(periodic)
                 .any(|(&extent, wraps)| wraps && extent == 2),
             nnz: 0,
         };
-        m.classes = (0..64).map(|code| m.site_class(code)).collect();
+        m.plans = (0..64).map(|code| m.row_plans(code)).collect();
         let mut nnz = 0;
         m.for_row_sums(|_, entries, _| nnz += entries);
         Self { nnz, ..m }
     }
 
-    /// The block order of boundary class `code`, read off a
+    /// The four orbital rows of boundary class `code`, read off a
     /// representative site (empty when the lattice has no such site).
-    fn site_class(&self, code: usize) -> SiteClass {
+    fn row_plans(&self, code: usize) -> [RowPlan; 4] {
         let rep = |code: usize, extent: usize| match code & 3 {
             0 => (extent >= 3).then_some(1),
             1 => (extent >= 2).then_some(0),
             2 => (extent >= 2).then_some(extent - 1),
             _ => (extent == 1).then_some(0),
         };
-        let mut class = SiteClass::default();
+        let mut plans = [RowPlan::default(); 4];
         let (Some(x), Some(y), Some(z)) = (
             rep(code, self.nx),
             rep(code >> 2, self.ny),
             rep(code >> 4, self.nz),
         ) else {
-            return class;
+            return plans;
         };
         let site = x + self.nx * (y + self.ny * z);
+        // (site offset, block), ascending: the on-site block and the
+        // neighbours the boundary leaves.
         let mut slots = vec![(0isize, ONSITE)];
         for dir in 0..6 {
             if let Some(ns) = self.neighbor(x, y, z, dir) {
-                slots.push((ns as isize - site as isize, dir as u8));
+                slots.push((ns as isize - site as isize, dir));
             }
         }
         slots.sort_unstable();
-        for (k, &(offset, block)) in slots.iter().enumerate() {
-            class.offset[k] = offset;
-            class.block[k] = block;
+        for (o, plan) in plans.iter_mut().enumerate() {
+            for &(offset, block) in &slots {
+                if block == ONSITE {
+                    plan.onsite_at = plan.len;
+                    continue;
+                }
+                let hr = &self.hop_rows[block][o];
+                for e in 0..hr.len as usize {
+                    plan.entries[plan.len as usize] = PlanEntry {
+                        offset: 4 * offset + hr.cols[e] as isize,
+                        val: hr.vals[e],
+                        neg_im: -hr.vals[e].im,
+                    };
+                    plan.len += 1;
+                }
+            }
         }
-        class.len = slots.len() as u8;
-        class
+        plans
     }
 
     /// Number of lattice sites.
@@ -317,17 +343,15 @@ impl StencilMatrix {
                 f(diag.map_or(0.0, |k| vals[k].re), cols.len(), radius)
             });
         }
-        let mut sums = vec![[(0, 0.0); 4]; self.classes.len()];
-        for (class, sums) in self.classes.iter().zip(&mut sums) {
-            let blocks = class.block[..class.len as usize].iter();
-            for &b in blocks.filter(|&&b| b != ONSITE) {
-                for (hr, (len, radius)) in self.hop_rows[b as usize].iter().zip(sums.iter_mut()) {
-                    let vals = &hr.vals[..hr.len as usize];
-                    *len += vals.len();
-                    *radius = vals.iter().fold(*radius, |s, v| s + v.abs());
-                }
-            }
-        }
+        let row_sum = |plan: &RowPlan| {
+            let entries = &plan.entries[..plan.len as usize];
+            (
+                entries.len(),
+                entries.iter().fold(0.0, |s, en| s + en.val.abs()),
+            )
+        };
+        let sums: Vec<[(usize, f64); 4]> =
+            (self.plans.iter().map(|rows| rows.each_ref().map(row_sum))).collect();
         let (nx, ny, nz) = self.shape();
         for (site, diag) in self.onsite_diag.iter().enumerate() {
             let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
@@ -481,111 +505,60 @@ impl StencilMatrix {
     }
 }
 
-/// What a sweep does with each finished row accumulator `acc = (Hx)[row]`
-/// on block-vector columns `j0 .. j0 + acc.len()`, given the matching
-/// slices of `x`'s and `w`'s row. Rows arrive in ascending order.
-trait Epilogue {
-    fn finish(&mut self, j0: usize, acc: &[Complex64], xrow: &[Complex64], wrow: &mut [Complex64]);
-}
-
-/// `y = A x`.
-struct Plain;
-
-impl Epilogue for Plain {
+/// The sweep body: whole sites take the site-blocked walk in column
+/// panels of at most 8; rows of a site cut by the range edges, and
+/// every row of a coincident-neighbour lattice, are regenerated.
+impl RowSweep for StencilMatrix {
     #[inline(always)]
-    fn finish(&mut self, _: usize, acc: &[Complex64], _: &[Complex64], yrow: &mut [Complex64]) {
-        yrow.copy_from_slice(acc);
-    }
-}
-
-/// The augmented update `w ← 2a(H − b)v − w`, accumulating the
-/// `(η_even, η_odd)` dot products per block column when `DOTS`.
-struct Aug<const DOTS: bool> {
-    a: f64,
-    b: f64,
-    dots: AugDotsBlock,
-}
-
-impl<const DOTS: bool> Epilogue for Aug<DOTS> {
-    #[inline(always)]
-    fn finish(&mut self, j0: usize, acc: &[Complex64], vrow: &[Complex64], wrow: &mut [Complex64]) {
-        let n = acc.len();
-        let (vrow, wrow) = (&vrow[..n], &mut wrow[..n]);
-        for k in 0..n {
-            let vr = vrow[k];
-            let wr = (acc[k] - vr.scale(self.b)).scale(2.0 * self.a) - wrow[k];
-            wrow[k] = wr;
-            if DOTS {
-                self.dots.eta_even[j0 + k] += vr.norm_sqr();
-                self.dots.eta_odd[j0 + k] = wr.conj().mul_add(vr, self.dots.eta_odd[j0 + k]);
+    fn sweep_body<E: Epilogue>(
+        &self,
+        x: &[Complex64],
+        r: usize,
+        row0: usize,
+        w: &mut [Complex64],
+        epi: &mut E,
+    ) {
+        let m = self;
+        let row1 = row0 + w.len() / r;
+        let (s0, s1) = (row0.div_ceil(4), row1 / 4);
+        if m.coincident || s0 >= s1 {
+            return regen_rows(m, x, r, row0, row0..row1, w, epi);
+        }
+        regen_rows(m, x, r, row0, row0..4 * s0, w, epi);
+        let (mut cx, mut cy, mut cz) = (s0 % m.nx, s0 / m.nx % m.ny, s0 / (m.nx * m.ny));
+        let mut yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
+        for site in s0..s1 {
+            let plans = &m.plans[edge_code(cx, m.nx) | yz];
+            let diag = &m.onsite_diag[site];
+            let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
+            for_panels!(r, |j0| site_panel(plans, diag, site, x, r, j0, wsite, epi));
+            for (o, wrow) in wsite.chunks(r).enumerate() {
+                epi.row_done(x, (4 * site + o) * r, wrow);
+            }
+            cx += 1;
+            if cx == m.nx {
+                cx = 0;
+                cy += 1;
+                if cy == m.ny {
+                    cy = 0;
+                    cz += 1;
+                }
+                yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
             }
         }
+        regen_rows(m, x, r, row0, 4 * s1..row1, w, epi);
     }
-}
-
-/// One sweep over the rows of `w` (`w.len() / r` rows of width `r`
-/// starting at `row0`): for each row, in order, the CRS accumulator
-/// chain `acc = Σ_c H[row, c] · x[c]` in ascending column order, handed
-/// to `epi`. Whole sites take the site-blocked walk in column panels of
-/// at most 8; rows of a site cut by the range edges, and every row of a
-/// coincident-neighbour lattice, are regenerated.
-fn sweep_rows<E: Epilogue>(
-    m: &StencilMatrix,
-    x: &[Complex64],
-    r: usize,
-    row0: usize,
-    w: &mut [Complex64],
-    epi: &mut E,
-) {
-    let row1 = row0 + w.len() / r;
-    let (s0, s1) = (row0.div_ceil(4), row1 / 4);
-    if m.coincident || s0 >= s1 {
-        return regen_rows(m, x, r, row0, row0..row1, w, epi);
-    }
-    regen_rows(m, x, r, row0, row0..4 * s0, w, epi);
-    let (mut cx, mut cy, mut cz) = (s0 % m.nx, s0 / m.nx % m.ny, s0 / (m.nx * m.ny));
-    let mut yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
-    for site in s0..s1 {
-        let class = &m.classes[edge_code(cx, m.nx) | yz];
-        let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
-        let mut j0 = 0;
-        while j0 + 8 <= r {
-            site_panel::<8, E>(m, class, site, x, r, j0, wsite, epi);
-            j0 += 8;
-        }
-        if j0 + 4 <= r {
-            site_panel::<4, E>(m, class, site, x, r, j0, wsite, epi);
-            j0 += 4;
-        }
-        if j0 + 2 <= r {
-            site_panel::<2, E>(m, class, site, x, r, j0, wsite, epi);
-            j0 += 2;
-        }
-        if j0 < r {
-            site_panel::<1, E>(m, class, site, x, r, j0, wsite, epi);
-        }
-        cx += 1;
-        if cx == m.nx {
-            cx = 0;
-            cy += 1;
-            if cy == m.ny {
-                cy = 0;
-                cz += 1;
-            }
-            yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
-        }
-    }
-    regen_rows(m, x, r, row0, 4 * s1..row1, w, epi);
 }
 
 /// The four orbital rows of `site` on block-vector columns
 /// `j0 .. j0 + W`: each row's accumulators stay in a `W`-wide register
-/// panel while the class's blocks are walked in ascending site order.
+/// panel while its class's entries are walked in ascending column
+/// order, the on-site entry in its slot.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 fn site_panel<const W: usize, E: Epilogue>(
-    m: &StencilMatrix,
-    class: &SiteClass,
+    plans: &[RowPlan; 4],
+    diag: &[Complex64; 4],
     site: usize,
     x: &[Complex64],
     r: usize,
@@ -593,51 +566,43 @@ fn site_panel<const W: usize, E: Epilogue>(
     wsite: &mut [Complex64],
     epi: &mut E,
 ) {
-    let diag = &m.onsite_diag[site];
-    for o in 0..4 {
+    for (o, plan) in plans.iter().enumerate() {
         let at = (4 * site + o) * r + j0;
         let (mut re, mut im) = ([0.0; W], [0.0; W]);
-        for (&block, &offset) in class.block[..class.len as usize].iter().zip(&class.offset) {
-            if block == ONSITE {
-                // The assembly drops an exactly-zero diagonal entry.
-                if diag[o] != ZERO {
-                    axpy_panel(diag[o], -diag[o].im, &x[at..][..W], &mut re, &mut im);
-                }
-                continue;
-            }
-            let base = 4 * site.wrapping_add_signed(offset);
-            let hr = &m.hop_rows[block as usize][o];
-            for e in 0..hr.len as usize {
-                let xrow = &x[(base + hr.cols[e] as usize) * r + j0..][..W];
-                axpy_panel(hr.vals[e], hr.neg_im[e], xrow, &mut re, &mut im);
-            }
+        let (below, above) = plan.entries[..plan.len as usize].split_at(plan.onsite_at as usize);
+        let base = 4 * site * r + j0;
+        walk(below, x, base, r, &mut re, &mut im);
+        // The assembly drops an exactly-zero diagonal entry.
+        if diag[o] != ZERO {
+            axpy_panel(diag[o], -diag[o].im, &x[at..][..W], &mut re, &mut im);
         }
+        walk(above, x, base, r, &mut re, &mut im);
         let acc: [Complex64; W] = std::array::from_fn(|k| Complex64::new(re[k], im[k]));
-        epi.finish(j0, &acc, &x[at..][..W], &mut wsite[o * r + j0..][..W]);
+        epi.finish(&acc, x, at, &mut wsite[o * r + j0..]);
     }
 }
 
-/// `acc[k] = val.mul_add(x[k], acc[k])` on a register panel. The real
-/// lane adds the exactly negated product `(−val.im)·x.im` instead of
-/// subtracting `val.im·x.im` — the same bits, but with `neg_im` coming
-/// from a table the compiler cannot fold it back into a subtraction,
-/// so both lanes are multiply, multiply, add, add and pack into one
-/// `[re, im]` register per element (8 instead of 11 SSE2 instructions).
+/// Applies a run of plan entries to the panel at `x[base..]` (the
+/// site's first row, panel column `j0`).
 #[inline(always)]
-fn axpy_panel<const W: usize>(
-    val: Complex64,
-    neg_im: f64,
+fn walk<const W: usize>(
+    entries: &[PlanEntry],
     x: &[Complex64],
+    base: usize,
+    r: usize,
     re: &mut [f64; W],
     im: &mut [f64; W],
 ) {
-    for k in 0..W {
-        re[k] += val.re * x[k].re + neg_im * x[k].im;
-        im[k] += val.re * x[k].im + val.im * x[k].re;
+    for en in entries {
+        let xrow = &x[base.wrapping_add_signed(en.offset * r as isize)..][..W];
+        axpy_panel(en.val, en.neg_im, xrow, re, im);
     }
 }
 
-/// Full-width per-row path of [`sweep_rows`] over regenerated rows.
+/// Per-row path of the sweep body: the CRS row panels over regenerated
+/// rows. Not inlined into the sweep copies — it serves a tile's few cut
+/// rows and the coincident-neighbour lattices — so it runs as compiled
+/// for the baseline target under either copy.
 fn regen_rows<E: Epilogue>(
     m: &StencilMatrix,
     x: &[Complex64],
@@ -647,101 +612,11 @@ fn regen_rows<E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    if rows.is_empty() {
-        return;
-    }
-    let use_simd = crate::simd::active();
-    let mut acc = vec![ZERO; r];
     m.for_rows(rows, |row, cols, vals| {
-        acc.fill(ZERO);
-        for (hv, &c) in vals.iter().zip(cols) {
-            axpy_row(*hv, &x[c as usize * r..][..r], &mut acc, use_simd);
-        }
-        epi.finish(0, &acc, &x[row * r..][..r], &mut w[(row - row0) * r..][..r]);
+        let wrow = &mut w[(row - row0) * r..][..r];
+        for_panels!(r, |j0| row_panel(cols, vals, x, r, row, j0, wrow, epi));
+        epi.row_done(x, row * r, wrow);
     });
-}
-
-/// The augmented update over the rows of `w` starting at `row0`,
-/// returning the range's partial dot products (empty without `DOTS`).
-fn aug_range<const DOTS: bool>(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    r: usize,
-    row0: usize,
-    w: &mut [Complex64],
-) -> AugDotsBlock {
-    let mut epi = Aug::<DOTS> {
-        a,
-        b,
-        dots: zero_dots(DOTS, r),
-    };
-    sweep_rows(m, v, r, row0, w, &mut epi);
-    epi.dots
-}
-
-/// An all-zero dots block of width `r` (width 0 when not `wanted`).
-fn zero_dots(wanted: bool, r: usize) -> AugDotsBlock {
-    let width = if wanted { r } else { 0 };
-    AugDotsBlock {
-        eta_even: vec![0.0; width],
-        eta_odd: vec![ZERO; width],
-    }
-}
-
-/// Rows per parallel chunk — the reduction grid of the CRS kernels:
-/// 1024-row chunks at width 1, cache-budget tiles beyond.
-fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
-    match r {
-        1 => ROWS_PER_CHUNK,
-        _ => tile_rows_for_budget(r, cache_bytes),
-    }
-}
-
-/// [`aug_range`] over fixed row chunks in parallel, the partial dots
-/// combined exactly as [`crate::aug`] does (pairwise at width 1, in
-/// chunk order beyond).
-fn aug_par<const DOTS: bool>(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    r: usize,
-    w: &mut [Complex64],
-    cache_bytes: usize,
-) -> AugDotsBlock {
-    let rows = chunk_rows(r, cache_bytes);
-    let partials: Vec<AugDotsBlock> = w
-        .par_chunks_mut(rows * r)
-        .enumerate()
-        .map(|(ci, wc)| aug_range::<DOTS>(m, a, b, v, r, ci * rows, wc))
-        .collect();
-    if DOTS && r == 1 {
-        let even: Vec<f64> = partials.iter().map(|p| p.eta_even[0]).collect();
-        let odd: Vec<Complex64> = partials.iter().map(|p| p.eta_odd[0]).collect();
-        return AugDotsBlock {
-            eta_even: vec![pairwise_sum(&even)],
-            eta_odd: vec![pairwise_sum_complex(&odd)],
-        };
-    }
-    let mut total = zero_dots(DOTS, r);
-    for part in &partials {
-        for j in 0..total.eta_even.len() {
-            total.eta_even[j] += part.eta_even[j];
-            total.eta_odd[j] += part.eta_odd[j];
-        }
-    }
-    total
-}
-
-/// `y = A x` over fixed row chunks in parallel (per-row writes, no
-/// reduction, trivially bitwise).
-fn plain_par(m: &StencilMatrix, x: &[Complex64], r: usize, y: &mut [Complex64]) {
-    let rows = chunk_rows(r, DEFAULT_CACHE_BYTES);
-    y.par_chunks_mut(rows * r)
-        .enumerate()
-        .for_each(|(ci, yc)| sweep_rows(m, x, r, ci * rows, yc, &mut Plain));
 }
 
 fn probe(kind: KernelKind, m: &StencilMatrix, r: usize) -> Option<KernelTimer> {
@@ -786,7 +661,7 @@ pub fn aug_spmv(
 ) -> AugDots {
     check_vec_dims(m, v, w, "aug_spmv");
     let _probe = probe(KernelKind::AugSpmv, m, 1);
-    single(aug_range::<true>(m, a, b, v, 1, 0, w))
+    single(aug_serial::<_, true>(m, a, b, v, 1, w))
 }
 
 /// Row-parallel matrix-free augmented SpMV; identical reduction
@@ -801,7 +676,7 @@ pub fn aug_spmv_par(
 ) -> AugDots {
     check_vec_dims(m, v, w, "aug_spmv_par");
     let _probe = probe(KernelKind::AugSpmv, m, 1);
-    single(aug_par::<true>(m, a, b, v, 1, w, DEFAULT_CACHE_BYTES))
+    single(aug_par::<_, true>(m, a, b, v, 1, w, DEFAULT_CACHE_BYTES))
 }
 
 /// Matrix-free augmented SpMMV (serial blocked form).
@@ -814,7 +689,7 @@ pub fn aug_spmmv(
 ) -> AugDotsBlock {
     let r = check_block_dims(m, v, w);
     let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_range::<true>(m, a, b, v.as_slice(), r, 0, w.as_mut_slice())
+    aug_serial::<_, true>(m, a, b, v.as_slice(), r, w.as_mut_slice())
 }
 
 /// Row-parallel matrix-free augmented SpMMV; identical tile boundaries
@@ -829,14 +704,14 @@ pub fn aug_spmmv_par_budget(
 ) -> AugDotsBlock {
     let r = check_block_dims(m, v, w);
     let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_par::<true>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes)
+    aug_par::<_, true>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes)
 }
 
 /// Matrix-free augmented SpMMV without the fused scalar products.
 pub fn aug_spmmv_nodot(m: &StencilMatrix, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
     let r = check_block_dims(m, v, w);
     let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_range::<false>(m, a, b, v.as_slice(), r, 0, w.as_mut_slice());
+    aug_serial::<_, false>(m, a, b, v.as_slice(), r, w.as_mut_slice());
 }
 
 /// Parallel no-dot matrix-free augmented SpMMV against an explicit
@@ -851,7 +726,7 @@ pub fn aug_spmmv_nodot_par_budget(
 ) {
     let r = check_block_dims(m, v, w);
     let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_par::<false>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes);
+    aug_par::<_, false>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes);
 }
 
 /// Rectangular augmented SpMMV; the stencil operator is always square,
@@ -867,14 +742,14 @@ pub fn aug_spmmv_rect(
     let r = check_rect_dims(m, v, w);
     let _probe = probe(KernelKind::AugSpmmv, m, r);
     let w = &mut w.as_mut_slice()[..m.nrows() * r];
-    aug_range::<true>(m, a, b, v.as_slice(), r, 0, w)
+    aug_serial::<_, true>(m, a, b, v.as_slice(), r, w)
 }
 
 /// `y = A x` (serial).
 pub fn spmv(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
     check_vec_dims(m, x, y, "spmv");
     let _probe = probe(KernelKind::Spmv, m, 1);
-    sweep_rows(m, x, 1, 0, y, &mut Plain);
+    plain_serial(m, x, 1, y);
 }
 
 /// `y = A x` (row-parallel over fixed chunks).
@@ -888,7 +763,7 @@ pub fn spmv_par(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
 pub fn spmmv(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
     let r = check_block_dims(m, x, y);
     let _probe = probe(KernelKind::Spmv, m, r);
-    sweep_rows(m, x.as_slice(), r, 0, y.as_mut_slice(), &mut Plain);
+    plain_serial(m, x.as_slice(), r, y.as_mut_slice());
 }
 
 /// `Y = A X` (row-parallel blocked over fixed chunks).
@@ -902,7 +777,7 @@ pub fn spmmv_par(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
 pub fn spmmv_rect(m: &StencilMatrix, v: &BlockVector, w: &mut BlockVector) {
     let r = check_rect_dims(m, v, w);
     let w = &mut w.as_mut_slice()[..m.nrows() * r];
-    sweep_rows(m, v.as_slice(), r, 0, w, &mut Plain);
+    plain_serial(m, v.as_slice(), r, w);
 }
 
 #[cfg(test)]
@@ -963,7 +838,7 @@ mod tests {
         let mut w1 = w0.clone();
         let mut w2 = w0.clone();
         let d1 = aug_spmmv(&m, 0.4, -0.2, &v, &mut w1);
-        let d2 = crate::gen::aug_spmmv_auto(&crs, 0.4, -0.2, &v, &mut w2);
+        let d2 = crate::aug::aug_spmmv(&crs, 0.4, -0.2, &v, &mut w2);
         assert_eq!(w1.max_abs_diff(&w2), 0.0);
         assert_eq!(d1, d2);
 
@@ -980,6 +855,34 @@ mod tests {
         spmv(&m, &vs, &mut y1);
         crate::spmv::spmv(&crs, &vs, &mut y2);
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn dense_hop_blocks_fill_the_row_plans() {
+        // Four entries per orbital row and block: 24 hopping entries
+        // plus the on-site one, the longest row a plan has to hold.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let onsite = vec![[Complex64::real(0.5); 4]; 27];
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for (b, block) in hop.iter_mut().enumerate() {
+            for (o, row) in block.iter_mut().enumerate() {
+                for (p, z) in row.iter_mut().enumerate() {
+                    *z = Complex64::new(0.1 * (b + 1) as f64, 0.05 * (o + 2 * p + 1) as f64);
+                }
+            }
+        }
+        let m = StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop);
+        let crs = m.to_crs();
+        assert_eq!(crs.max_row_len(), 25);
+        let mut rng = StdRng::seed_from_u64(3);
+        let v = BlockVector::random(m.nrows(), 9, &mut rng);
+        let w0 = BlockVector::random(m.nrows(), 9, &mut rng);
+        let (mut w1, mut w2) = (w0.clone(), w0);
+        let d1 = aug_spmmv(&m, 0.3, 0.1, &v, &mut w1);
+        let d2 = crate::aug::aug_spmmv(&crs, 0.3, 0.1, &v, &mut w2);
+        assert_eq!(w1, w2);
+        assert_eq!(d1, d2);
     }
 
     #[test]

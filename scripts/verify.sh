@@ -140,6 +140,30 @@ done
 cmp target/dos-crs-t1.csv target/dos-crs-t2.csv
 echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads"
 
+step "sweep bodies: kpm dos is byte-identical with and without --no-simd"
+# The blocked CRS and stencil sweep is compiled twice from one source
+# (baseline and AVX2) and --no-simd forces the baseline copy — which is
+# also all that exists off x86-64. Both must print the same bytes at a
+# one-panel width and one with mid-site tile edges, at 1 and 2 threads.
+if ./target/release/kpm report --nx 2 --ny 2 --nz 2 --moments 4 --random 1 2>&1 \
+        | grep -q 'sweep body = avx2'; then
+    echo "this CPU has AVX2: comparing the AVX2 copy against the baseline copy"
+else
+    echo "NO AVX2 on this CPU: both runs below take the baseline copy, the comparison DOES NOT RUN"
+fi
+for f in crs stencil; do
+    for r in 8 24; do
+        for t in 1 2; do
+            run="./target/release/kpm dos --nx 3 --ny 6 --nz 5 --potential dots \
+                --moments 64 --random $r --threads $t --format $f"
+            $run > "target/dos-body-wide.csv"
+            $run --no-simd > "target/dos-body-base.csv"
+            cmp target/dos-body-wide.csv target/dos-body-base.csv
+        done
+    done
+done
+echo "both sweep bodies print identical DOS output (crs and stencil, R = 8 and 24, 1 and 2 threads)"
+
 step "autotune model: predicted {crs, stencil} winner == measured winner at R = 8"
 # A timing probe, so it only runs optimized (ignored in debug builds).
 cargo test -q --release --test performance_models \
@@ -162,12 +186,14 @@ step "smoke: kpm report on matrix-free stencil with level-blocked powers"
     --power-blocking 2
 
 step "smoke: kpm report with the simd/first-touch runtime toggles"
-# --simd on a scalar build warns (stderr) and runs scalar; --first-touch
-# re-places the matrix and block vectors. Either way the report must run
-# end to end and print the lanes/first-touch banner fields.
+# --simd where no vector body exists (no AVX2, no `simd` feature) warns
+# on stderr and runs the baseline bodies; --first-touch re-places the
+# matrix and block vectors. Either way the report must run end to end
+# and print the lanes / sweep-body / first-touch banner fields.
 simd_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5 --simd --first-touch 2>&1)
 echo "$simd_report" | grep -q 'lanes = '
+echo "$simd_report" | grep -q 'sweep body = '
 echo "$simd_report" | grep -q 'first-touch = on'
 
 step "service: chaos ledger (500 randomized schedules)"

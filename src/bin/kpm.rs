@@ -96,9 +96,11 @@ common:
                              level-blocked kernels (default 1; bitwise-invariant)
   --autotune                 pick format, C, sigma and task grain from the
                              row-length distribution and the machine model
-  --simd / --no-simd         force the explicit-SIMD kernel bodies on/off
-                             (on by default when built with --features simd;
-                             --simd on a scalar build warns and runs scalar;
+  --simd / --no-simd         vector kernel bodies on/off (default on: the AVX2
+                             copy of the blocked sweep when the CPU has AVX2,
+                             plus the SELL lanes of a --features simd build;
+                             --no-simd runs the baseline bodies, --simd warns
+                             when no vector body exists on this host/build;
                              moments are bitwise-identical either way)
   --first-touch              NUMA first-touch placement: fault matrix chunks
                              and block-vector rows from the workers that
@@ -362,9 +364,11 @@ fn solver_params(args: &[String]) -> Result<KpmParams, String> {
     })
 }
 
-/// Applies the `--simd`/`--no-simd` runtime toggle. The SIMD bodies are
-/// on by default whenever the binary was built with them; `--simd` on a
-/// scalar build warns (the request cannot be honored) and runs scalar.
+/// Applies the `--simd`/`--no-simd` runtime toggle. The vector bodies
+/// are on by default wherever they exist — the AVX2 copy of the blocked
+/// sweep on a CPU that has AVX2, the SELL lanes in a `--features simd`
+/// build; `--simd` where neither exists warns (the request cannot be
+/// honored) and runs the baseline bodies.
 fn apply_simd_flags(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--simd") && has_flag(args, "--no-simd") {
         return Err("--simd and --no-simd are mutually exclusive".into());
@@ -373,10 +377,10 @@ fn apply_simd_flags(args: &[String]) -> Result<(), String> {
         kpm_repro::sparse::simd::set_enabled(false);
     } else if has_flag(args, "--simd") {
         kpm_repro::sparse::simd::set_enabled(true);
-        if !kpm_repro::sparse::simd::compiled() {
+        if kpm_repro::sparse::simd::active_lanes() == 1 {
             eprintln!(
-                "kpm: --simd requested but this binary was built without \
-                 `--features simd`; running the scalar kernels (1 lane)"
+                "kpm: --simd requested but this CPU reports no AVX2 and this binary was \
+                 built without `--features simd`; running the baseline kernels (1 lane)"
             );
         }
     }
@@ -435,10 +439,10 @@ fn format_matrix(
             env.cache_bytes_per_thread = m.tile_budget_bytes();
             env.mem_bw_gbs = m.mem_bw_gbs;
             env.peak_gflops = m.peak_of_cores(t.min(m.cores));
-            // The chain-parallelism reward reflects what this binary
-            // can actually issue — the compiled lane count (1 for
-            // scalar builds or under --no-simd) — not the machine's
-            // nominal register width, which the build may not use.
+            // The chain-parallelism reward reflects what this run can
+            // actually issue — the lanes of the kernel bodies that
+            // execute (1 under --no-simd or without any vector body) —
+            // not the machine's nominal register width.
             env.simd_lanes = kpm_repro::sparse::simd::active_lanes();
         }
         let stencil = ham.map(|hm| hm.stencil_matrix());
@@ -646,7 +650,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     )?;
     eprintln!(
         "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
-         (beta = {:.3}, lanes = {}, first-touch = {})",
+         (beta = {:.3}, lanes = {}, sweep body = {}, first-touch = {})",
         h.nrows(),
         h.nnz(),
         params.num_moments,
@@ -655,6 +659,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         m.format(),
         m.beta(),
         kpm_repro::sparse::simd::active_lanes(),
+        kpm_repro::sparse::simd::body_name(),
         if m.first_touch() { "on" } else { "off" }
     );
     for variant in [KpmVariant::Naive, KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {

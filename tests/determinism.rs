@@ -179,16 +179,30 @@ fn stencil_and_power_grid_is_bitwise_identical() {
     }
 }
 
+/// Serialises the tests that flip the process-wide `simd::set_enabled`
+/// switch, so each arm of a comparison runs the body it names.
+static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn simd_toggle_grid_is_bitwise_identical() {
-    // The lane dimension of the determinism contract: the explicit-SIMD
-    // kernel bodies replay the scalar operation order per lane, so
+    // The lane dimension of the determinism contract: every vector
+    // kernel body replays the scalar operation order per lane, so
     // toggling them at runtime — across formats, thread counts, power
-    // depths and first-touch placement — must reproduce the scalar CRS
-    // moments bit for bit. On a scalar build both arms run the same
-    // code and the test pins the toggle's neutrality; under
-    // `--features simd` it is the real vector-vs-scalar comparison.
+    // depths and first-touch placement — must reproduce the baseline
+    // CRS moments bit for bit. On a stable build the switch selects
+    // between the baseline and the AVX2 copy of the blocked CRS and
+    // stencil sweep, so this is a real comparison on any CPU with AVX2
+    // (and says so when it is not); `--features simd` adds the SELL
+    // lanes to the vector arm.
     use kpm_repro::sparse::{simd, KpmMatrix, SellMatrix};
+    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    simd::set_enabled(true);
+    if simd::active_lanes() == 1 {
+        println!(
+            "simd_toggle_grid: no AVX2 on this CPU and no `simd` feature in this build — \
+             both arms run the baseline bodies, the vector comparison DID NOT RUN"
+        );
+    }
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
@@ -196,6 +210,17 @@ fn simd_toggle_grid_is_bitwise_identical() {
     let baseline = kpm_moments(&h, sf, &params(1), KpmVariant::AugSpmmv)
         .expect("scalar baseline")
         .into_vec();
+    // The blocked sweep at the panel splits of the benchmark widths
+    // (8 = one panel, 24 = three with mid-site tile edges, 32 = four).
+    let wide_params = |r: usize, threads: usize| KpmParams {
+        num_moments: 16,
+        num_random: r,
+        ..params(threads)
+    };
+    let wide_baseline = [8usize, 24, 32].map(|r| {
+        let m = kpm_moments(&h, sf, &wide_params(r, 1), KpmVariant::AugSpmmv);
+        (r, m.expect("scalar baseline").into_vec())
+    });
 
     let handles: Vec<(&str, KpmMatrix)> = vec![
         ("crs", KpmMatrix::crs(h.clone())),
@@ -230,6 +255,18 @@ fn simd_toggle_grid_is_bitwise_identical() {
                          power={power} first_touch={first_touch}"
                     );
                 }
+                if name.starts_with("sell") {
+                    continue;
+                }
+                for (r, want) in &wide_baseline {
+                    let got = kpm_moments(m, sf, &wide_params(*r, threads), KpmVariant::AugSpmmv)
+                        .expect("solver run")
+                        .into_vec();
+                    assert_eq!(
+                        want, &got,
+                        "{name} differs at R={r} with simd={simd_on} threads={threads}"
+                    );
+                }
             }
         }
     }
@@ -247,6 +284,7 @@ fn simd_checkpoint_restart_is_bitwise_identical() {
     use kpm_repro::num::KpmError;
     use kpm_repro::sparse::simd;
 
+    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let h = TopoHamiltonian::clean(4, 4, 2).assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     simd::set_enabled(false);

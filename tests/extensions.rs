@@ -1,7 +1,7 @@
 //! Integration tests for the Section VII (outlook) extensions: the
 //! automatic weight tuner feeding the distributed solver, the pipelined
 //! cluster model, the multi-level ECM roofline driven by simulated
-//! traffic, and the width-specialized kernel dispatch inside the
+//! traffic, and the blocked kernel at the paper's widths inside the
 //! production solver.
 
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
@@ -97,12 +97,9 @@ fn ecm_model_agrees_with_custom_roofline_in_the_single_level_limit() {
 
 #[test]
 fn specialized_dispatch_active_in_solver_for_paper_widths() {
-    // R = 32 (the paper's production width) runs through the
-    // const-generic specialization; a non-specialized width falls back.
-    // Both must give moments identical to the parallel kernel path.
-    use kpm_repro::sparse::gen::has_specialization;
-    assert!(has_specialization(32));
-    assert!(!has_specialization(12));
+    // The register-panel sweep specializes every width: R = 32 (the
+    // paper's production width) is four 8-wide panels, R = 12 an 8 and
+    // a 4. Both must give moments identical to the parallel kernel path.
     let h = TopoHamiltonian::clean(4, 4, 2).assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     for r in [12usize, 32] {

@@ -215,6 +215,254 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
     }
 }
 
+/// Serialises the tests of this file that flip the process-wide
+/// `simd::set_enabled` switch, so "both bodies" really means both.
+static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// `(η_even, η_odd)` per block column.
+type Dots = (Vec<f64>, Vec<Complex64>);
+
+/// Block widths of the CRS panel grid: every 8/4/2/1 panel split up
+/// to one past the paper's 32.
+const CRS_WIDTHS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 24, 32, 33];
+
+/// A Hermitian matrix with empty rows (every seventh), single-entry
+/// rows (the next) and random off-diagonal pairs among the rest.
+fn ragged_hermitian(n: usize, seed: u64) -> CrsMatrix {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coo = CooMatrix::new(n, n);
+    let free = |i: usize| i % 7 > 1;
+    for r in 0..n {
+        if r % 7 == 0 {
+            continue;
+        }
+        coo.push(r, r, Complex64::real(rng.gen_range(-1.0..1.0)));
+        for _ in 0..rng.gen_range(0..5) {
+            let c = rng.gen_range(0..n);
+            if c != r && free(r) && free(c) {
+                let v = Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                coo.push(r, c, v);
+                coo.push(c, r, v.conj());
+            }
+        }
+    }
+    coo.to_crs()
+}
+
+/// The reference the panel sweep is held to, written out as the plain
+/// `Complex64::mul_add` chain: `acc = Σ_c H[row, c]·x[c]` in column
+/// order, then either `y[row] = acc` (`aug = None`, no dots) or the
+/// augmented update with both dot products, reduced over
+/// `tile_rows`-row tiles whose partials are added in order (one tile =
+/// the serial kernel).
+fn reference_sweep(
+    h: &CrsMatrix,
+    aug: Option<(f64, f64)>,
+    x: &BlockVector,
+    w: &mut BlockVector,
+    tile_rows: usize,
+) -> Dots {
+    let r = x.width();
+    let zero = Complex64::default();
+    let mut partials: Vec<Dots> = Vec::new();
+    for row in 0..h.nrows() {
+        if row % tile_rows == 0 {
+            partials.push((vec![0.0; r], vec![zero; r]));
+        }
+        let (even, odd) = partials.last_mut().expect("a tile is open");
+        for j in 0..r {
+            let mut acc = zero;
+            for (hv, &c) in h.row_vals(row).iter().zip(h.row_cols(row)) {
+                acc = hv.mul_add(x.get(c as usize, j), acc);
+            }
+            let Some((a, b)) = aug else {
+                w.set(row, j, acc);
+                continue;
+            };
+            let vr = x.get(row, j);
+            let wr = (acc - vr.scale(b)).scale(2.0 * a) - w.get(row, j);
+            w.set(row, j, wr);
+            even[j] += vr.norm_sqr();
+            odd[j] = wr.conj().mul_add(vr, odd[j]);
+        }
+    }
+    if aug.is_none() {
+        return (Vec::new(), Vec::new());
+    }
+    if partials.len() == 1 {
+        return partials.pop().expect("one tile");
+    }
+    if r == 1 {
+        // The single-vector kernel's grid: pairwise over its chunks.
+        use kpm_repro::num::summation::{pairwise_sum, pairwise_sum_complex};
+        let even: Vec<f64> = partials.iter().map(|p| p.0[0]).collect();
+        let odd: Vec<Complex64> = partials.iter().map(|p| p.1[0]).collect();
+        return (vec![pairwise_sum(&even)], vec![pairwise_sum_complex(&odd)]);
+    }
+    let mut total = (vec![0.0; r], vec![zero; r]);
+    for (even, odd) in &partials {
+        for j in 0..r {
+            total.0[j] += even[j];
+            total.1[j] += odd[j];
+        }
+    }
+    total
+}
+
+/// The CRS register-panel sweep against [`reference_sweep`], bit for
+/// bit: every width of [`CRS_WIDTHS`]; plain, augmented, no-dot and
+/// rectangular kernels; serial and on 1-, 2-, 4- and 8-thread pools at
+/// three cache budgets; on ragged random and lattice matrices; and
+/// under both positions of the runtime switch, i.e. on the baseline
+/// and the AVX2 copy of the body.
+#[test]
+fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
+    use kpm_repro::sparse::aug::{
+        aug_spmmv_nodot, aug_spmmv_nodot_par_budget, aug_spmmv_par_budget, aug_spmmv_rect,
+        spmmv_rect,
+    };
+    use kpm_repro::sparse::spmv::spmmv_par;
+    use kpm_repro::sparse::tile::tile_rows_for_budget;
+    use kpm_repro::sparse::{aug::AugDotsBlock, simd};
+    use rand::SeedableRng;
+
+    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    simd::set_enabled(true);
+    let bodies: &[bool] = if simd::wide().is_some() {
+        &[true, false]
+    } else {
+        println!(
+            "crs_panel_sweep: this CPU reports no AVX2 — the baseline-vs-AVX2 \
+             comparison DID NOT RUN (baseline body checked against the reference only)"
+        );
+        &[false]
+    };
+    let pools: Vec<rayon::ThreadPool> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .expect("pool")
+        })
+        .collect();
+    let dots = |d: AugDotsBlock| (d.eta_even, d.eta_odd);
+    let none = (Vec::new(), Vec::new());
+    let matrices = [
+        ("ragged-700", ragged_hermitian(700, 3)),
+        ("ragged-90", ragged_hermitian(90, 4)),
+        ("ti-8x8x5", TopoHamiltonian::clean(8, 8, 5).assemble()),
+        (
+            "dots-6x6x4",
+            TopoHamiltonian::quantum_dot_superlattice(6, 6, 4).assemble(),
+        ),
+    ];
+    let (a, b) = (0.7, -0.2);
+    for (name, h) in &matrices {
+        let n = h.nrows();
+        let top = h.row_block(0, n / 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        for r in CRS_WIDTHS {
+            let v = BlockVector::random(n, r, &mut rng);
+            let w0 = BlockVector::random(n, r, &mut rng);
+            // (label, reference result) per kernel; the serial forms first.
+            let expect = |m: &CrsMatrix, aug, tile: usize| {
+                let mut w = w0.clone();
+                let d = reference_sweep(m, aug, &v, &mut w, tile);
+                (w, d)
+            };
+            let serial_plain = expect(h, None, n);
+            let serial_aug = expect(h, Some((a, b)), n);
+            let rect_plain = expect(&top, None, n);
+            let rect_aug = expect(&top, Some((a, b)), n);
+            for &on in bodies {
+                simd::set_enabled(on);
+                let check = |what: &str, want: &(BlockVector, _), got: (BlockVector, _)| {
+                    assert!(
+                        want.0 == got.0 && want.1 == got.1,
+                        "{name}: {what} differs from the mul_add chain (r = {r}, simd = {on})"
+                    );
+                };
+                let run = |f: &dyn Fn(&mut BlockVector) -> Dots| {
+                    let mut w = w0.clone();
+                    let d = f(&mut w);
+                    (w, d)
+                };
+                check(
+                    "spmmv",
+                    &serial_plain,
+                    run(&|w| {
+                        spmmv(h, &v, w);
+                        none.clone()
+                    }),
+                );
+                check(
+                    "aug_spmmv",
+                    &serial_aug,
+                    run(&|w| dots(aug_spmmv(h, a, b, &v, w))),
+                );
+                let nodot = (serial_aug.0.clone(), none.clone());
+                check(
+                    "aug_spmmv_nodot",
+                    &nodot,
+                    run(&|w| {
+                        aug_spmmv_nodot(h, a, b, &v, w);
+                        none.clone()
+                    }),
+                );
+                check(
+                    "spmmv_rect",
+                    &rect_plain,
+                    run(&|w| {
+                        spmmv_rect(&top, &v, w);
+                        none.clone()
+                    }),
+                );
+                check(
+                    "aug_spmmv_rect",
+                    &rect_aug,
+                    run(&|w| dots(aug_spmmv_rect(&top, a, b, &v, w))),
+                );
+                for budget in STENCIL_BUDGETS {
+                    let tile = match r {
+                        1 => 1024,
+                        _ => tile_rows_for_budget(r, budget),
+                    };
+                    let par_aug = expect(h, Some((a, b)), tile);
+                    for pool in &pools {
+                        pool.install(|| {
+                            check(
+                                "spmmv_par",
+                                &serial_plain,
+                                run(&|w| {
+                                    spmmv_par(h, &v, w);
+                                    none.clone()
+                                }),
+                            );
+                            check(
+                                "aug_spmmv_par_budget",
+                                &par_aug,
+                                run(&|w| dots(aug_spmmv_par_budget(h, a, b, &v, w, budget))),
+                            );
+                            check(
+                                "aug_spmmv_nodot_par_budget",
+                                &nodot,
+                                run(&|w| {
+                                    aug_spmmv_nodot_par_budget(h, a, b, &v, w, budget);
+                                    none.clone()
+                                }),
+                            );
+                        });
+                    }
+                }
+            }
+        }
+    }
+    simd::set_enabled(true);
+}
+
 fn cvec(n: usize, seed: u64) -> Vec<Complex64> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -440,6 +688,7 @@ proptest! {
         // arms compile to the same code and the test pins the degenerate
         // case; under `--features simd` it is the real comparison.
         use kpm_repro::sparse::{aug_sell, simd};
+        let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let c = [3usize, 5, 7, 8][c_idx]; // odd heights: remainder lanes
         let sell = SellMatrix::from_crs(&h, c, c); // sigma = C keeps odd C valid
         let n = h.nrows();
