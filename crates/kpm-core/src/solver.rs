@@ -10,7 +10,10 @@
 //! for the same seed — the paper's point is precisely that the
 //! *algorithm is untouched* and only the implementation changes.
 
-use kpm_num::vector::{axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, scal, scal_par};
+use kpm_num::block::{shift_scale_dots, shift_scale_dots_par};
+use kpm_num::vector::{
+    axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, random_entry, random_nrm2, scal, scal_par,
+};
 use kpm_num::{BlockVector, Complex64, KpmError, Vector};
 use kpm_obs::{metrics, span::span};
 use kpm_sparse::SparseKernels;
@@ -157,13 +160,15 @@ impl KpmParams {
     }
 }
 
-/// Runs `f` under the thread count the caller pinned: on a dedicated
-/// pool of `threads` workers when `threads > 0`, on the ambient pool
-/// otherwise. Building a small pool is cheap next to a solver run, and
-/// keeping it scoped here means nested calls (e.g. the distributed
-/// driver invoking per-rank solvers) compose without global state.
-fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> Result<T, KpmError> {
-    if threads == 0 {
+/// Runs `f` under the thread count the caller pinned: on the ambient
+/// pool when `threads` is 0 or the ambient pool already has that many
+/// workers (a command that installed its `--threads` pool around
+/// set-up and solve gets no second one), else on a dedicated pool of
+/// `threads` workers. Scoping the pool to the call means nested calls
+/// (e.g. the distributed driver invoking per-rank solvers) compose
+/// without global state.
+pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> Result<T, KpmError> {
+    if threads == 0 || threads == rayon::current_num_threads() {
         return Ok(f());
     }
     let pool = rayon::ThreadPoolBuilder::new()
@@ -213,12 +218,15 @@ pub fn kpm_moments<M: SparseKernels + ?Sized>(
         .arg("variant", format!("{variant:?}"))
         .arg("moments", params.num_moments)
         .arg("random", params.num_random);
-    let starts = starting_vectors(h.nrows(), params);
-
     with_threads(params.threads, || match variant {
-        KpmVariant::Naive => run_vector_variant(h, sf, params, &starts, false),
-        KpmVariant::AugSpmv => run_vector_variant(h, sf, params, &starts, true),
-        KpmVariant::AugSpmmv => run_blocked_variant(h, sf, params, starts),
+        KpmVariant::AugSpmmv => run_blocked_variant(h, sf, params),
+        KpmVariant::Naive | KpmVariant::AugSpmv => {
+            let starts = {
+                let _sp = span("solver.start", "solver");
+                starting_vectors(h.nrows(), params)
+            };
+            run_vector_variant(h, sf, params, &starts, variant == KpmVariant::AugSpmv)
+        }
     })?
 }
 
@@ -233,6 +241,61 @@ pub fn starting_vectors(n: usize, params: &KpmParams) -> Vec<Vector> {
             v
         })
         .collect()
+}
+
+/// Rows per parallel fill chunk of [`starting_block`].
+const START_CHUNK_ROWS: usize = 4096;
+
+/// [`starting_vectors`] written straight into the interleaved block:
+/// `starting_block(n, p).column(j) == starting_vectors(n, p)[j]` bit for
+/// bit, without the `R` column vectors in between.
+///
+/// All columns share one seeded stream and column `j` starts `2·n·j`
+/// draws into it, so every `(row, column)` is a random-access position
+/// ([`StdRng::advance`]). Two passes on the ambient pool when
+/// `params.parallel`: the columns' norms, reduced on `nrm2`'s tree as
+/// the entries are drawn (one task per column, nothing stored), then
+/// fixed row chunks of the block, each entry drawn again and written
+/// scaled — every block page is written once, by the worker that fills
+/// it. Drawing twice costs less than a second pass over the block.
+pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
+    let r = params.num_random;
+    let stream_at = |row: usize, j: usize| {
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        rng.advance(2 * (j * n + row) as u64);
+        rng
+    };
+    // `Vector::normalize`: scale by `1/‖v‖` unless the norm is zero.
+    let scale_of = |j: usize| {
+        let norm = random_nrm2(n, &mut stream_at(0, j)).sqrt();
+        (norm > 0.0).then(|| Complex64::real(1.0 / norm))
+    };
+    let scales: Vec<Option<Complex64>> = if params.parallel {
+        (0..r).into_par_iter().map(scale_of).collect()
+    } else {
+        (0..r).map(scale_of).collect()
+    };
+    let fill = |(chunk, rows): (usize, &mut [Complex64])| {
+        for (j, scale) in scales.iter().enumerate() {
+            let mut rng = stream_at(chunk * START_CHUNK_ROWS, j);
+            for row in rows.chunks_exact_mut(r) {
+                let z = random_entry(&mut rng);
+                row[j] = scale.map_or(z, |s| s * z);
+            }
+        }
+    };
+    let mut v = BlockVector::zeros(n, r);
+    if params.parallel {
+        if params.first_touch {
+            kpm_sparse::fault_block_rows(&mut v, 0);
+        }
+        let chunks = v.as_mut_slice().par_chunks_mut(START_CHUNK_ROWS * r);
+        chunks.enumerate().for_each(fill);
+    } else {
+        let chunks = v.as_mut_slice().chunks_mut(START_CHUNK_ROWS * r);
+        chunks.enumerate().for_each(fill);
+    }
+    v
 }
 
 /// Computes the moments `μ_m = ⟨φ|T_m(H̃)|φ⟩` of a *given* (not
@@ -257,24 +320,6 @@ pub fn moments_from_start<M: SparseKernels + ?Sized>(
     };
     params.validate()?;
     single_run_aug(h, sf, &params, start)
-}
-
-/// Builds a block vector from equal-length columns, optionally placing
-/// its pages NUMA-locally first: allocate untouched, fault each
-/// contiguous row range from the pinned pool worker that will stream it
-/// ([`kpm_sparse::fault_block_rows`]), then fill. The filled values are
-/// identical either way — placement is a pure performance property.
-fn block_from_columns(cols: &[Vector], first_touch: bool) -> BlockVector {
-    if !first_touch {
-        return BlockVector::from_columns(cols);
-    }
-    let rows = cols.first().map_or(0, |c| c.len());
-    let mut v = BlockVector::zeros(rows, cols.len());
-    kpm_sparse::fault_block_rows(&mut v, 0);
-    for (j, col) in cols.iter().enumerate() {
-        v.set_column(j, col);
-    }
-    v
 }
 
 /// One KPM run in the naive (Fig. 3) or stage-1 (Fig. 4) formulation.
@@ -308,6 +353,7 @@ fn init_recurrence<M: SparseKernels + ?Sized>(
     v: &[Complex64],
     parallel: bool,
 ) -> (Vec<Complex64>, f64, f64) {
+    let _sp = span("solver.init", "solver");
     let mut w = vec![Complex64::default(); h.nrows()];
     if parallel {
         h.spmv_par(v, &mut w);
@@ -326,28 +372,32 @@ fn init_recurrence<M: SparseKernels + ?Sized>(
     }
 }
 
-/// [`init_recurrence`] per column of a blocked run: `(V, W, µ₀, µ₁)`
-/// with `V` interleaved straight from `starts` (no per-column copy of
-/// `ν₀`) and the `ν₁` columns freed before `V` is built, so at most
-/// three block-sized arrays are live at a time, `starts` included.
+/// [`init_recurrence`] for all columns of a blocked run at once, as the
+/// paper's Fig. 5 loop does on its first trip: one width-`R` `spmmv`
+/// (the matrix is read once, not `R` times) and one fused pass for the
+/// shift, the scaling and both dot products. Returns `(V, W, µ₀, µ₁)`;
+/// every column carries the bits of its own [`init_recurrence`] chain,
+/// serial or parallel.
 fn init_block<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
-    starts: &[Vector],
+    v: BlockVector,
     parallel: bool,
     first_touch: bool,
 ) -> (BlockVector, BlockVector, Vec<f64>, Vec<f64>) {
-    let (mut mu0, mut mu1) = (Vec::new(), Vec::new());
-    let mut w_cols = Vec::with_capacity(starts.len());
-    for v0 in starts {
-        let (w, m0, m1) = init_recurrence(h, sf, v0.as_slice(), parallel);
-        mu0.push(m0);
-        mu1.push(m1);
-        w_cols.push(Vector::from_vec(w));
-    }
-    let w = block_from_columns(&w_cols, first_touch);
-    drop(w_cols);
-    (block_from_columns(starts, first_touch), w, mu0, mu1)
+    let _sp = span("solver.init", "solver").arg("width", v.width());
+    let mut w = BlockVector::zeros(v.rows(), v.width());
+    let (mu0, mu1) = if parallel {
+        if first_touch {
+            kpm_sparse::fault_block_rows(&mut w, 0);
+        }
+        h.spmmv_par(&v, &mut w);
+        shift_scale_dots_par(sf.a, sf.b, &v, &mut w)
+    } else {
+        h.spmmv(&v, &mut w);
+        shift_scale_dots(sf.a, sf.b, &v, &mut w)
+    };
+    (v, w, mu0, mu1)
 }
 
 /// The naive KPM loop (paper Fig. 3): per iteration one `spmv()`, two
@@ -424,13 +474,14 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
     params: &KpmParams,
-    starts: Vec<Vector>,
 ) -> Result<MomentSet, KpmError> {
-    let r = starts.len();
+    let r = params.num_random;
     let par = params.parallel;
-    let ft = params.first_touch && par;
-    let (mut v, mut w, mu0, mu1) = init_block(h, sf, &starts, par, ft);
-    drop(starts);
+    let start = {
+        let _sp = span("solver.start", "solver");
+        starting_block(h.nrows(), params)
+    };
+    let (mut v, mut w, mu0, mu1) = init_block(h, sf, start, par, params.first_touch);
 
     let iters = params.iterations();
     let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iters); r];
@@ -574,7 +625,8 @@ fn batch_group_serial<M: SparseKernels + ?Sized>(
         return Ok(Vec::new());
     }
     let iterations = num_moments / 2 - 1;
-    let (mut v, mut w, mu0, mu1) = init_block(h, sf, starts, false, false);
+    let start = BlockVector::from_columns(starts);
+    let (mut v, mut w, mu0, mu1) = init_block(h, sf, start, false, false);
 
     let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iterations); r];
     let mut m = 0;
@@ -687,10 +739,9 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
             );
         }
         None => {
-            let starts = starting_vectors(n, params);
-            let ft = params.first_touch && params.parallel;
+            let start = starting_block(n, params);
             let (mu0, mu1);
-            (v, w, mu0, mu1) = init_block(h, sf, &starts, params.parallel, ft);
+            (v, w, mu0, mu1) = init_block(h, sf, start, params.parallel, params.first_touch);
             eta_flat = Vec::with_capacity(2 * r + iters * 2 * r);
             eta_flat.extend(mu0.into_iter().chain(mu1).map(Complex64::real));
             start_iter = 0;
@@ -844,6 +895,101 @@ mod tests {
         p.parallel = true;
         let parallel = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
         assert!(serial.max_abs_diff(&parallel) < 1e-9);
+    }
+
+    /// Runs `f` on a dedicated pool of `threads` workers.
+    fn on_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+        pool.build().unwrap().install(f)
+    }
+
+    #[test]
+    fn init_block_is_the_per_column_chain_bitwise() {
+        use kpm_sparse::SellMatrix;
+        // 4,508 rows: two ragged 4,096-row chunks, ragged 256-row leaves.
+        let ham = TopoHamiltonian::quantum_dot_superlattice(7, 7, 23);
+        let crs = ham.assemble();
+        let sf = ScaleFactors::from_gershgorin(&crs, 0.01);
+        let sell = SellMatrix::from_crs(&crs, 8, 32);
+        let stencil = ham.stencil_matrix();
+        let formats: [&dyn SparseKernels; 3] = [&crs, &sell, &stencil];
+        // The chain `init_block` replaced, column by column.
+        let reference = |h: &dyn SparseKernels, v: &[Complex64], parallel: bool| {
+            let mut w = vec![Complex64::default(); v.len()];
+            let (minus_b, a) = (Complex64::real(-sf.b), Complex64::real(sf.a));
+            if parallel {
+                h.spmv_par(v, &mut w);
+                axpy_par(minus_b, v, &mut w);
+                scal_par(a, &mut w);
+                let mu1 = dot_par(&w, v).re;
+                (w, nrm2_par(v), mu1)
+            } else {
+                h.spmv(v, &mut w);
+                axpy(minus_b, v, &mut w);
+                scal(a, &mut w);
+                let mu1 = dot(&w, v).re;
+                (w, nrm2(v), mu1)
+            }
+        };
+        for width in [1, 2, 3, 8, 24, 32, 33] {
+            let p = params(4, width);
+            let start = starting_block(crs.nrows(), &p);
+            for h in formats {
+                let check = |parallel: bool| {
+                    let (v, w, mu0, mu1) = init_block(h, sf, start.clone(), parallel, false);
+                    assert_eq!(v, start);
+                    for j in 0..width {
+                        let want = reference(h, start.column(j).as_slice(), parallel);
+                        let got = (w.column(j).into_vec(), mu0[j], mu1[j]);
+                        assert!(got == want, "{} R={width} column {j}", h.format());
+                    }
+                };
+                check(false);
+                for threads in [1, 2, 4, 8] {
+                    on_pool(threads, || check(true));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn starting_block_is_the_starting_vectors_bitwise() {
+        for n in [1, 255, 4097] {
+            for r in [1, 2, 7, 33] {
+                let mut p = params(4, r);
+                let want = starting_vectors(n, &p);
+                let check = |p: &KpmParams| {
+                    let block = starting_block(n, p);
+                    for (j, v) in want.iter().enumerate() {
+                        assert!(block.column(j) == *v, "n={n} R={r} column {j}");
+                    }
+                };
+                check(&p);
+                p.parallel = true;
+                for threads in [1, 2, 4, 8] {
+                    on_pool(threads, || check(&p));
+                    p.first_touch = !p.first_touch;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_threads_reuses_an_installed_pool_of_the_requested_size() {
+        // Worker threads carry the pool's name; the caller does not.
+        let on_worker = || {
+            let name = |_| std::thread::current().name().map(str::to_owned);
+            (0..64).into_par_iter().map(name).collect::<Vec<_>>()
+        };
+        on_pool(3, || {
+            assert_eq!(with_threads(3, rayon::current_num_threads).unwrap(), 3);
+            assert_eq!(with_threads(0, rayon::current_num_threads).unwrap(), 3);
+            assert_eq!(with_threads(2, rayon::current_num_threads).unwrap(), 2);
+            assert!(with_threads(3, on_worker)
+                .unwrap()
+                .iter()
+                .all(Option::is_some));
+        });
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! SpMMV directly on the unfavourable layout.
 
 use rand::Rng;
+use rayon::prelude::*;
 
 use crate::aligned::AlignedVec;
-use crate::complex::Complex64;
-use crate::vector::{dot, Vector};
+use crate::complex::{Complex64, ZERO};
+use crate::summation::pairwise_sum_complex;
+use crate::vector::{dot, random_entry, Vector, DOT_BASE, PAR_CHUNK};
 
 /// A dense `rows x width` block of complex numbers in row-major
 /// (interleaved) storage: entry `(i, j)` is at index `i * width + j`.
@@ -77,15 +79,6 @@ impl BlockVector {
         )
     }
 
-    /// Overwrites column `j` from a vector.
-    pub fn set_column(&mut self, j: usize, col: &Vector) {
-        assert!(j < self.width, "column index out of range");
-        assert_eq!(col.len(), self.rows, "column length mismatch");
-        for (i, &z) in col.as_slice().iter().enumerate() {
-            self.data[i * self.width + j] = z;
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -133,7 +126,7 @@ impl BlockVector {
     /// Fills all entries with uniform random values in `[-1,1]^2`.
     pub fn fill_random<R: Rng>(&mut self, rng: &mut R) {
         for z in self.data.as_mut_slice() {
-            *z = Complex64::new(rng.gen_range(-1.0..=1.0), rng.gen_range(-1.0..=1.0));
+            *z = random_entry(rng);
         }
     }
 
@@ -188,6 +181,129 @@ impl BlockVector {
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0, f64::max)
     }
+}
+
+/// The rows of `v`/`w` (interleaved, width `r`) on columns
+/// `j0 .. j0 + W`: applies `w ← a·(w + (−b)·v)` — the `axpy` then the
+/// `scal` of the per-column chain, operation for operation — and returns
+/// the partials of `dot(v, v)` and `dot(w, v)` over these rows on
+/// [`dot`]'s own tree (halves down to [`DOT_BASE`]-row leaves).
+fn shift_scale_panel<const W: usize>(
+    a: Complex64,
+    minus_b: Complex64,
+    v: &[Complex64],
+    w: &mut [Complex64],
+    r: usize,
+    j0: usize,
+) -> ([Complex64; W], [Complex64; W]) {
+    let rows = v.len() / r;
+    if rows <= DOT_BASE {
+        let (mut vv, mut wv) = ([ZERO; W], [ZERO; W]);
+        for (vrow, wrow) in v.chunks_exact(r).zip(w.chunks_exact_mut(r)) {
+            let (vp, wp) = (&vrow[j0..][..W], &mut wrow[j0..][..W]);
+            for k in 0..W {
+                wp[k] = a * minus_b.mul_add(vp[k], wp[k]);
+                vv[k] = vp[k].conj().mul_add(vp[k], vv[k]);
+                wv[k] = wp[k].conj().mul_add(vp[k], wv[k]);
+            }
+        }
+        return (vv, wv);
+    }
+    let (vlo, vhi) = v.split_at(rows / 2 * r);
+    let (wlo, whi) = w.split_at_mut(rows / 2 * r);
+    let lo = shift_scale_panel::<W>(a, minus_b, vlo, wlo, r, j0);
+    let hi = shift_scale_panel::<W>(a, minus_b, vhi, whi, r, j0);
+    (
+        std::array::from_fn(|k| lo.0[k] + hi.0[k]),
+        std::array::from_fn(|k| lo.1[k] + hi.1[k]),
+    )
+}
+
+/// [`shift_scale_panel`] on every column, in panels of 8/4/2/1; the
+/// partials land in `vv[j]`, `wv[j]`.
+fn shift_scale_rows(
+    a: f64,
+    b: f64,
+    v: &[Complex64],
+    w: &mut [Complex64],
+    r: usize,
+    vv: &mut [Complex64],
+    wv: &mut [Complex64],
+) {
+    let (a, minus_b) = (Complex64::real(a), Complex64::real(-b));
+    let mut j0 = 0;
+    macro_rules! panel {
+        ($width:literal) => {{
+            let (pv, pw) = shift_scale_panel::<$width>(a, minus_b, v, w, r, j0);
+            vv[j0..][..$width].copy_from_slice(&pv);
+            wv[j0..][..$width].copy_from_slice(&pw);
+            j0 += $width;
+        }};
+    }
+    while j0 < r {
+        match r - j0 {
+            8.. => panel!(8),
+            4.. => panel!(4),
+            2.. => panel!(2),
+            _ => panel!(1),
+        }
+    }
+}
+
+/// The BLAS-1 tail of the blocked KPM initialisation in one pass:
+/// `w ← a·(w − b·v)` and, per column `j`, `(⟨v_j|v_j⟩, Re⟨w_j|v_j⟩)`.
+/// Column `j` gets the bits of `axpy(-b, v_j, w_j)`, `scal(a, w_j)`,
+/// `nrm2(v_j)`, `dot(w_j, v_j).re` on its extracted column vectors.
+pub fn shift_scale_dots(
+    a: f64,
+    b: f64,
+    v: &BlockVector,
+    w: &mut BlockVector,
+) -> (Vec<f64>, Vec<f64>) {
+    let r = check_same_shape(v, w);
+    let (mut vv, mut wv) = (vec![ZERO; r], vec![ZERO; r]);
+    shift_scale_rows(a, b, &v.data, &mut w.data, r, &mut vv, &mut wv);
+    let re = |z: &Complex64| z.re;
+    (vv.iter().map(re).collect(), wv.iter().map(re).collect())
+}
+
+/// Parallel [`shift_scale_dots`]: column `j` gets the bits of the
+/// `_par` chain (`axpy_par`, `scal_par`, `nrm2_par`, `dot_par`) — the
+/// same 4,096-row chunks, each reduced on [`dot`]'s tree, the chunk
+/// partials summed pairwise — at any thread count.
+pub fn shift_scale_dots_par(
+    a: f64,
+    b: f64,
+    v: &BlockVector,
+    w: &mut BlockVector,
+) -> (Vec<f64>, Vec<f64>) {
+    let r = check_same_shape(v, w);
+    let chunks = v.rows.div_ceil(PAR_CHUNK);
+    // Per chunk: r partials of <v|v>, then r of <w|v>.
+    let mut partials = vec![ZERO; chunks * 2 * r];
+    w.data
+        .par_chunks_mut(PAR_CHUNK * r)
+        .zip(v.data.par_chunks(PAR_CHUNK * r))
+        .zip(partials.par_chunks_mut(2 * r))
+        .for_each(|((wc, vc), pc)| {
+            let (vv, wv) = pc.split_at_mut(r);
+            shift_scale_rows(a, b, vc, wc, r, vv, wv);
+        });
+    let mut column = vec![ZERO; chunks];
+    let mut reduce = |at: usize| {
+        for (z, pc) in column.iter_mut().zip(partials.chunks_exact(2 * r)) {
+            *z = pc[at];
+        }
+        pairwise_sum_complex(&column).re
+    };
+    let mu0 = (0..r).map(&mut reduce).collect();
+    (mu0, (r..2 * r).map(&mut reduce).collect())
+}
+
+fn check_same_shape(v: &BlockVector, w: &BlockVector) -> usize {
+    assert_eq!(v.rows, w.rows, "row count mismatch");
+    assert_eq!(v.width, w.width, "width mismatch");
+    v.width
 }
 
 /// A dense block in column-major storage: entry `(i, j)` is at
@@ -329,6 +445,43 @@ mod tests {
     }
 
     #[test]
+    fn shift_scale_dots_is_the_per_column_blas1_chain_bitwise() {
+        use crate::vector::{axpy, axpy_par, dot_par, nrm2, nrm2_par, scal, scal_par};
+        // 9,001 rows: three ragged 4,096-row chunks, ragged 256-row leaves.
+        let (rows, a, b) = (9_001, 0.37, -0.21);
+        let mut rg = rng();
+        for width in [1, 2, 3, 8, 24, 32, 33] {
+            let v = BlockVector::random(rows, width, &mut rg);
+            let w0 = BlockVector::random(rows, width, &mut rg);
+            let mut w = w0.clone();
+            let (mu0, mu1) = shift_scale_dots(a, b, &v, &mut w);
+            for j in 0..width {
+                let (vj, mut wj) = (v.column(j).into_vec(), w0.column(j).into_vec());
+                axpy(Complex64::real(-b), &vj, &mut wj);
+                scal(Complex64::real(a), &mut wj);
+                assert_eq!(w.column(j).as_slice(), &wj[..], "width {width} column {j}");
+                assert_eq!((mu0[j], mu1[j]), (nrm2(&vj), dot(&wj, &vj).re));
+            }
+            for threads in [1, 2, 4, 8] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+                let mut w = w0.clone();
+                let dots = pool
+                    .build()
+                    .unwrap()
+                    .install(|| shift_scale_dots_par(a, b, &v, &mut w));
+                for j in 0..width {
+                    let (vj, mut wj) = (v.column(j).into_vec(), w0.column(j).into_vec());
+                    axpy_par(Complex64::real(-b), &vj, &mut wj);
+                    scal_par(Complex64::real(a), &mut wj);
+                    assert_eq!(w.column(j).as_slice(), &wj[..], "width {width} column {j}");
+                    let want = (nrm2_par(&vj), dot_par(&wj, &vj).re);
+                    assert_eq!((dots.0[j], dots.1[j]), want, "{threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn swap_exchanges_contents() {
         let mut r = rng();
         let mut a = BlockVector::random(10, 3, &mut r);
@@ -337,16 +490,6 @@ mod tests {
         a.swap(&mut b);
         assert_eq!(a, b0);
         assert_eq!(b, a0);
-    }
-
-    #[test]
-    fn set_column_overwrites() {
-        let mut r = rng();
-        let mut b = BlockVector::zeros(9, 2);
-        let c = Vector::random(9, &mut r);
-        b.set_column(1, &c);
-        assert_eq!(b.column(1), c);
-        assert_eq!(b.column(0), Vector::zeros(9));
     }
 
     #[test]

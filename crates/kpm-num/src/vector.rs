@@ -15,7 +15,37 @@ use crate::summation::pairwise_sum_complex;
 /// Chunk length used by the parallel kernels. One chunk of complex
 /// doubles is 64 KiB — large enough to amortize scheduling, small enough
 /// to load-balance.
-const PAR_CHUNK: usize = 4096;
+pub(crate) const PAR_CHUNK: usize = 4096;
+
+/// Leaf length of [`dot`]'s pairwise tree.
+pub(crate) const DOT_BASE: usize = 256;
+
+/// One uniform random entry of the complex square `[-1,1] x [-1,1]i`
+/// (two draws: real part first).
+#[inline]
+pub fn random_entry<R: Rng>(rng: &mut R) -> Complex64 {
+    let re = rng.gen_range(-1.0..=1.0);
+    Complex64::new(re, rng.gen_range(-1.0..=1.0))
+}
+
+/// `nrm2` of the `n` entries [`Vector::fill_random`] would draw next,
+/// reduced on [`dot`]'s tree as they are drawn — bit-equal to filling a
+/// vector and taking its `nrm2`, without the vector.
+pub fn random_nrm2<R: Rng>(n: usize, rng: &mut R) -> f64 {
+    fn tree<R: Rng>(n: usize, rng: &mut R) -> Complex64 {
+        if n <= DOT_BASE {
+            let mut acc = Complex64::default();
+            for _ in 0..n {
+                let z = random_entry(rng);
+                acc = z.conj().mul_add(z, acc);
+            }
+            return acc;
+        }
+        let lo = tree(n / 2, rng);
+        lo + tree(n - n / 2, rng)
+    }
+    tree(n, rng).re
+}
 
 /// A dense vector of [`Complex64`] entries.
 ///
@@ -46,7 +76,7 @@ impl Vector {
     /// stochastic trace estimator.
     pub fn fill_random<R: Rng>(&mut self, rng: &mut R) {
         for z in &mut self.data {
-            *z = Complex64::new(rng.gen_range(-1.0..=1.0), rng.gen_range(-1.0..=1.0));
+            *z = random_entry(rng);
         }
     }
 
@@ -154,8 +184,7 @@ pub fn nrm2_par(x: &[Complex64]) -> f64 {
 /// pairwise for accuracy and reduction-order stability.
 pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     assert_eq!(x.len(), y.len(), "dot: dimension mismatch");
-    const BASE: usize = 256;
-    if x.len() <= BASE {
+    if x.len() <= DOT_BASE {
         let mut acc = Complex64::default();
         for (xi, yi) in x.iter().zip(y) {
             acc = xi.conj().mul_add(*yi, acc);
@@ -203,6 +232,19 @@ mod tests {
             assert!(z.re.abs() <= 1.0 && z.im.abs() <= 1.0);
         }
         assert!(v.norm() > 0.0);
+    }
+
+    #[test]
+    fn random_nrm2_is_the_norm_of_the_vector_it_does_not_store() {
+        for n in [0, 1, 255, 256, 257, 4097, 10_000] {
+            let drawn = nrm2(Vector::random(n, &mut rng()).as_slice());
+            let mut r = rng();
+            assert_eq!(random_nrm2(n, &mut r), drawn, "n = {n}");
+            // ... and leaves the stream where the fill would have.
+            let mut after = rng();
+            Vector::random(n, &mut after);
+            assert_eq!(r.gen_range(0u64..u64::MAX), after.gen_range(0u64..u64::MAX));
+        }
     }
 
     #[test]

@@ -252,18 +252,70 @@ impl CrsMatrix {
     /// True if the matrix equals its conjugate transpose (exact
     /// comparison; assembly produces exactly conjugate pairs).
     pub fn is_hermitian(&self) -> bool {
+        self.check_hermitian().is_ok()
+    }
+
+    /// [`CrsMatrix::is_hermitian`] with the reason: the error names the
+    /// first stored entry `(row, col)` found without its exact conjugate
+    /// at `(col, row)`.
+    ///
+    /// Only the strict upper triangle is looked up (one binary search
+    /// per entry with `col > row`) and the diagonal must be real. That
+    /// proves the strict-lower entries too when each of them is some
+    /// upper entry's partner — equal counts; otherwise (an unpartnered
+    /// strict-lower entry) those are looked up as well.
+    pub fn check_hermitian(&self) -> Result<(), KpmError> {
+        let bad = |details: String| KpmError::InvalidMatrix {
+            what: "hermiticity",
+            details,
+        };
         if self.nrows != self.ncols {
-            return false;
+            let shape = format!("{} x {}", self.nrows, self.ncols);
+            return Err(bad(format!("the matrix is not square ({shape})")));
         }
+        let unpaired = |r: usize, c: usize| {
+            let transposed = format!("entry ({r}, {c}) is not the conjugate of entry ({c}, {r})");
+            bad(format!("KPM needs a Hermitian matrix: {transposed}"))
+        };
+        // The entry at (c, r), if stored.
+        let partner = |r: usize, c: usize| {
+            let at = self.row_cols(c).binary_search(&(r as u32)).ok();
+            at.map(|k| self.row_vals(c)[k])
+        };
+        let (mut lower, mut partnered) = (0usize, 0usize);
         for r in 0..self.nrows {
-            for (k, &c) in self.row_cols(r).iter().enumerate() {
-                let v = self.row_vals(r)[k];
-                if self.get(c as usize, r) != v.conj() {
-                    return false;
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
+                let c = c as usize;
+                let ok = match c.cmp(&r) {
+                    std::cmp::Ordering::Less => {
+                        lower += 1;
+                        true
+                    }
+                    std::cmp::Ordering::Equal => v == v.conj(),
+                    std::cmp::Ordering::Greater => {
+                        let p = partner(r, c);
+                        partnered += p.is_some() as usize;
+                        p.unwrap_or_default() == v.conj()
+                    }
+                };
+                if !ok {
+                    return Err(unpaired(r, c));
                 }
             }
         }
-        true
+        if lower != partnered {
+            // A strict-lower entry with nothing stored opposite it:
+            // Hermitian only if it is an explicit zero.
+            for r in 0..self.nrows {
+                for (&c, &v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
+                    let c = c as usize;
+                    if c < r && partner(r, c).is_none() && v.conj() != Complex64::default() {
+                        return Err(unpaired(r, c));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Gershgorin bounds on the (real) spectrum of a Hermitian matrix:
@@ -405,6 +457,60 @@ mod tests {
         let mut m = CooMatrix::new(2, 2);
         m.push(0, 1, c(1.0, 0.0));
         assert!(!m.to_crs().is_hermitian());
+    }
+
+    #[test]
+    fn hermitian_check_names_the_entry_and_keeps_the_entrywise_verdict() {
+        // The verdict of the literal definition, one lookup per entry.
+        let entrywise = |m: &CrsMatrix| {
+            (0..m.nrows()).all(|r| {
+                let row = m.row_cols(r).iter().zip(m.row_vals(r));
+                row.clone().all(|(&c, v)| m.get(c as usize, r) == v.conj())
+            })
+        };
+        // Entries in row-major order, kept as given (COO would drop the
+        // explicit zeros).
+        type Entries<'a> = &'a [(usize, usize, Complex64)];
+        let build = |entries: Entries| {
+            let row_ptr = (0..=3).map(|r| entries.iter().filter(|e| e.0 < r).count() as u64);
+            let cols = entries.iter().map(|e| e.1 as u32).collect();
+            let vals = entries.iter().map(|e| e.2).collect();
+            CrsMatrix::from_raw(3, 3, row_ptr.collect(), cols, vals)
+        };
+        let cases: [(Entries, Option<&str>); 7] = [
+            (&[(0, 1, c(1.0, 1.0)), (1, 0, c(1.0, -1.0))], None),
+            // Wrong value below the diagonal: found from above.
+            (&[(0, 2, c(1.0, 1.0)), (2, 0, c(1.0, 1.0))], Some("(0, 2)")),
+            // Complex diagonal.
+            (&[(1, 1, c(2.0, 1e-9))], Some("(1, 1)")),
+            // Upper entry with nothing below, lower entry with nothing above.
+            (&[(0, 1, c(0.5, 0.0))], Some("(0, 1)")),
+            (&[(2, 1, c(0.5, 0.0))], Some("(2, 1)")),
+            // Equal counts, but the pairs do not line up.
+            (&[(0, 1, c(1.0, 0.0)), (2, 0, c(1.0, 0.0))], Some("(0, 1)")),
+            // Explicit zeros opposite nothing stay Hermitian.
+            (
+                &[
+                    (0, 1, c(0.0, 0.0)),
+                    (1, 2, c(0.0, 0.0)),
+                    (2, 0, c(0.0, -0.0)),
+                ],
+                None,
+            ),
+        ];
+        for (entries, offender) in cases {
+            let m = build(entries);
+            let verdict = m.check_hermitian();
+            assert_eq!(verdict.is_ok(), entrywise(&m), "{entries:?}");
+            assert_eq!(m.is_hermitian(), offender.is_none(), "{entries:?}");
+            if let Some(at) = offender {
+                let msg = verdict.unwrap_err().to_string();
+                assert!(msg.contains(&format!("entry {at}")), "{msg}");
+            }
+        }
+        let wide = CrsMatrix::from_raw(1, 2, vec![0, 0], vec![], vec![]);
+        let msg = wide.check_hermitian().unwrap_err().to_string();
+        assert!(msg.contains("not square (1 x 2)"), "{msg}");
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //! neighbours plus the on-site diagonal), and distinct sites own
 //! disjoint column ranges, so walking the blocks in ascending *site*
 //! order visits each row's entries in exactly the ascending-column
-//! order the kpm-topo assembly sorts into CRS. That order depends only
-//! on the site's boundary class and is tabulated once at construction
-//! (flattened per orbital row into a [`RowPlan`]); the
-//! sweep looks the class up, keeps each row's accumulators in a
-//! const-width register panel and walks the row's flat entry list — no
-//! per-row gather, sort or merge, no per-block bookkeeping.
+//! order of a CRS row. That order depends only on the site's boundary
+//! class and is tabulated once at construction (flattened per orbital
+//! row into a [`RowPlan`]); the sweep looks the class up, keeps each
+//! row's accumulators in a const-width register panel and walks the
+//! row's flat entry list — no per-row gather, sort or merge, no
+//! per-block bookkeeping. The same tables are the lattice's CRS
+//! generator: [`StencilMatrix::to_crs`] (kpm-topo's `assemble()`)
+//! writes the plans out row by row.
 //!
 //! Bitwise contract: every row runs the exact floating-point chain of
 //! [`crate::aug`] / [`crate::spmv`] over the exact entries of the CRS
@@ -29,20 +31,22 @@
 //! The determinism and property suites pin this down.
 //!
 //! The per-row generator [`StencilMatrix::regen_row`] — the literal
-//! mirror of the assembly loop: gather, sort by column, merge — remains
-//! for rows of a site split by a chunk edge (tile heights need not be
-//! multiples of 4), for lattices with a periodic extent-2 axis (the
-//! assembly merges the coincident `n±ê_j` blocks before the multiply),
-//! and as the row source of `to_crs`, the fingerprint and the power
-//! kernels; entry count and Gershgorin bounds are `O(sites)` folds.
+//! form of Eq. (1): gather, sort by column, merge — remains for rows of
+//! a site split by a chunk edge (tile heights need not be multiples of
+//! 4), for lattices with a periodic extent-2 axis (the coincident
+//! `n±ê_j` blocks are merged before the multiply), and as the row
+//! source of the fingerprint and the power kernels; entry count and
+//! Gershgorin bounds are `O(sites)` folds.
 
 use std::ops::Range;
 
 use kpm_num::complex::ZERO;
 use kpm_num::{BlockVector, Complex64, KpmError};
 use kpm_obs::probe::{kernel_timer_fmt, KernelKind, KernelTimer, ProbeFormat};
+use rayon::prelude::*;
 
 use crate::aug::{AugDots, AugDotsBlock};
+use crate::placement::zeroed_vec;
 use crate::sweep::{
     aug_par, aug_serial, axpy_panel, for_panels, plain_par, plain_serial, row_panel, Epilogue,
     RowSweep,
@@ -52,6 +56,10 @@ use crate::tile::DEFAULT_CACHE_BYTES;
 /// Upper bound on regenerated row length: 1 on-site entry plus six
 /// hopping blocks contributing at most 4 entries per orbital row.
 pub const MAX_ROW_ENTRIES: usize = 32;
+
+/// Rows per parallel fill chunk of [`StencilMatrix::to_crs`] (whole
+/// sites; ~4 MB of CRS entries on the TI lattice).
+const FILL_ROWS: usize = 16_384;
 
 /// Block id of the on-site diagonal in a class's block order (the six
 /// hopping blocks are `0..6`).
@@ -313,20 +321,81 @@ impl StencilMatrix {
         h.finish()
     }
 
-    /// Assembles the regenerated rows into an explicit CRS matrix
-    /// (testing/interop; the kernels never materialize this).
+    /// Assembles the operator into an explicit CRS matrix — the one
+    /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
+    /// this). Row lengths come from the boundary-class table, so
+    /// `row_ptr` is an `O(sites)` prefix sum and `cols`/`vals` are
+    /// allocated untouched at their final size; fixed chunks of
+    /// [`FILL_ROWS`] rows are then filled straight from the
+    /// [`RowPlan`]s on the ambient pool — ascending columns by
+    /// construction, no sort, no merge, every page first written by the
+    /// worker that fills it. A lattice of one chunk fills inline.
+    /// Coincident-neighbour lattices regenerate (and merge) row by row.
     pub fn to_crs(&self) -> crate::crs::CrsMatrix {
         let n = self.nrows();
         let mut row_ptr: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut all_cols: Vec<u32> = Vec::with_capacity(self.nnz);
-        let mut all_vals: Vec<Complex64> = Vec::with_capacity(self.nnz);
-        row_ptr.push(0);
-        self.for_rows(0..n, |_, cols, vals| {
-            all_cols.extend_from_slice(cols);
-            all_vals.extend_from_slice(vals);
-            row_ptr.push(all_cols.len() as u64);
+        let mut end = 0u64;
+        row_ptr.push(end);
+        self.for_row_sums(|_, entries, _| {
+            end += entries as u64;
+            row_ptr.push(end);
         });
-        crate::crs::CrsMatrix::from_raw(n, n, row_ptr, all_cols, all_vals)
+        let mut cols = zeroed_vec::<u32>(self.nnz);
+        let mut vals = zeroed_vec::<Complex64>(self.nnz);
+        let mut chunks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
+        let (mut cols_rest, mut vals_rest) = (&mut cols[..], &mut vals[..]);
+        for row0 in (0..n).step_by(FILL_ROWS) {
+            let row1 = (row0 + FILL_ROWS).min(n);
+            let len = (row_ptr[row1] - row_ptr[row0]) as usize;
+            let (c, v) = (cols_rest.split_at_mut(len), vals_rest.split_at_mut(len));
+            (cols_rest, vals_rest) = (c.1, v.1);
+            chunks.push((row0..row1, c.0, v.0));
+        }
+        chunks
+            .par_iter_mut()
+            .for_each(|(rows, cols, vals)| self.fill_rows(rows.clone(), cols, vals));
+        crate::crs::CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
+    }
+
+    /// Writes the entries of `rows` (whole sites), row after row, into
+    /// `cols`/`vals`, which hold exactly those rows.
+    fn fill_rows(&self, rows: Range<usize>, cols: &mut [u32], vals: &mut [Complex64]) {
+        let mut at = 0;
+        if self.coincident {
+            return self.for_rows(rows, |_, c, v| {
+                cols[at..][..c.len()].copy_from_slice(c);
+                vals[at..][..v.len()].copy_from_slice(v);
+                at += c.len();
+            });
+        }
+        let mut put = |col: usize, val: Complex64| {
+            (cols[at], vals[at]) = (col as u32, val);
+            at += 1;
+        };
+        for site in rows.start / 4..rows.end / 4 {
+            let diag = &self.onsite_diag[site];
+            for (o, plan) in self.plans[self.site_class(site)].iter().enumerate() {
+                let hops = &plan.entries[..plan.len as usize];
+                let (below, above) = hops.split_at(plan.onsite_at as usize);
+                for en in below {
+                    put((4 * site).wrapping_add_signed(en.offset), en.val);
+                }
+                // The assembly drops an exactly-zero diagonal entry.
+                if diag[o] != ZERO {
+                    put(4 * site + o, diag[o]);
+                }
+                for en in above {
+                    put((4 * site).wrapping_add_signed(en.offset), en.val);
+                }
+            }
+        }
+    }
+
+    /// Boundary class of `site`: the index into the [`RowPlan`] table.
+    fn site_class(&self, site: usize) -> usize {
+        let (nx, ny, nz) = self.shape();
+        let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
+        edge_code(x, nx) | edge_code(y, ny) << 2 | edge_code(z, nz) << 4
     }
 
     /// Hands `f` every row's real diagonal part (zero when the assembly
@@ -352,11 +421,8 @@ impl StencilMatrix {
         };
         let sums: Vec<[(usize, f64); 4]> =
             (self.plans.iter().map(|rows| rows.each_ref().map(row_sum))).collect();
-        let (nx, ny, nz) = self.shape();
         for (site, diag) in self.onsite_diag.iter().enumerate() {
-            let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
-            let code = edge_code(x, nx) | edge_code(y, ny) << 2 | edge_code(z, nz) << 4;
-            for (d, &(len, radius)) in diag.iter().zip(&sums[code]) {
+            for (d, &(len, radius)) in diag.iter().zip(&sums[self.site_class(site)]) {
                 let kept = *d != ZERO;
                 f(if kept { d.re } else { 0.0 }, len + kept as usize, radius);
             }
@@ -922,6 +988,14 @@ mod tests {
         };
         assert!(typed(&err), "{err}");
         assert!(err.to_string().contains("blocks 2 and 3"), "{err}");
+        assert!(!bad.to_crs().is_hermitian());
+
+        // A z-partner whose real part is off.
+        let mut bad_hop = hop;
+        bad_hop[5][1][0] += Complex64::real(0.125);
+        let bad = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &bad_hop);
+        let err = bad.check_hermitian().unwrap_err();
+        assert!(err.to_string().contains("blocks 4 and 5"), "{err}");
         assert!(!bad.to_crs().is_hermitian());
 
         // A complex on-site entry.

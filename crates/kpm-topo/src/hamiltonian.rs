@@ -1,7 +1,6 @@
 //! Assembly of the topological-insulator Hamiltonian (paper Eq. 1).
 //!
-//! The matrix is built row-block by row-block directly into CRS: for
-//! site `n`, row block `n` receives
+//! For site `n`, row block `n` of the matrix receives
 //!
 //! * the diagonal on-site block `V_n Γ⁰ + 2Γ¹`,
 //! * the block `T_j† = -t(Γ¹ + iΓ^{j+1})/2` in column block `n + ê_j`
@@ -11,6 +10,12 @@
 //!
 //! Every interior row has exactly 13 non-zeros (1 diagonal + 6 bonds × 2
 //! per orbital row), matching the paper's `N_nz ≈ 13·N`.
+//!
+//! [`TopoHamiltonian::stencil_matrix`] turns exactly these inputs into
+//! the stencil tables, which generate both forms of the operator: the
+//! matrix-free sweeps and, through [`TopoHamiltonian::assemble`], the
+//! CRS matrix. The literal per-row gather/sort/merge of the blocks
+//! survives as the test oracle both are checked against.
 
 use kpm_num::Complex64;
 use kpm_sparse::{CrsMatrix, StencilMatrix};
@@ -104,17 +109,101 @@ impl TopoHamiltonian {
         self.lattice.dim()
     }
 
-    /// Assembles the sparse matrix in CRS format.
+    /// Assembles the sparse matrix in CRS format: the stencil tables
+    /// are the lattice's one generator, and this is their CRS form
+    /// ([`StencilMatrix::to_crs`] — row lengths from the boundary-class
+    /// table, rows filled in parallel on the ambient pool).
     pub fn assemble(&self) -> CrsMatrix {
+        self.stencil_matrix().to_crs()
+    }
+
+    /// Builds the matrix-free stencil representation of the same
+    /// operator.
+    ///
+    /// The stencil rebuilds the operator from the lattice geometry, the
+    /// per-site on-site diagonals, and the six hopping blocks, visiting
+    /// each row's entries in ascending column order, so rows (and
+    /// therefore every kernel result, the Gershgorin bounds and the
+    /// content fingerprint) are bitwise-identical to its CRS form
+    /// (asserted against the gather/sort/merge oracle in the tests
+    /// below and by the workspace determinism suite).
+    pub fn stencil_matrix(&self) -> StencilMatrix {
         let lat = &self.lattice;
+        let t_blocks: [Gamma; 3] = [
+            hopping_block(self.t, 1),
+            hopping_block(self.t, 2),
+            hopping_block(self.t, 3),
+        ];
+        let t_dagger: [Gamma; 3] = [
+            dagger(&t_blocks[0]),
+            dagger(&t_blocks[1]),
+            dagger(&t_blocks[2]),
+        ];
+        // Direction layout of StencilMatrix: 2j = +ê_j (the H.c. block
+        // T_j†), 2j+1 = −ê_j (the incoming block T_j).
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            hop[2 * j] = t_dagger[j];
+            hop[2 * j + 1] = t_blocks[j];
+        }
+        let onsite: Vec<[Complex64; 4]> = (0..lat.sites())
+            .map(|site| {
+                let (x, y, z) = lat.coords(site);
+                let block = onsite_block(self.potential.value(lat, x, y, z));
+                // The on-site block is exactly diagonal (Γ⁰ and Γ¹ are);
+                // the stencil stores only the diagonal.
+                debug_assert!(
+                    (0..4).all(|o| (0..4).all(|p| o == p || block[o][p] == Complex64::default()))
+                );
+                [block[0][0], block[1][1], block[2][2], block[3][3]]
+            })
+            .collect();
+        let periodic = [
+            lat.boundary[0] == Boundary::Periodic,
+            lat.boundary[1] == Boundary::Periodic,
+            lat.boundary[2] == Boundary::Periodic,
+        ];
+        StencilMatrix::new(lat.nx, lat.ny, lat.nz, periodic, onsite, &hop)
+    }
+
+    /// The four Bloch eigenvalues of the translation-invariant system
+    /// (`V_n = v` uniform, fully periodic lattice) at momentum
+    /// `(kx, ky, kz)`:
+    ///
+    /// `E(k) = v ± sqrt( (2 - t·Σ_j cos k_j)² + t²·Σ_j sin² k_j )`,
+    /// each doubly degenerate. Used to validate the assembled matrix
+    /// against exact plane-wave states.
+    pub fn bloch_eigenvalues(t: f64, v: f64, kx: f64, ky: f64, kz: f64) -> [f64; 4] {
+        let mass = 2.0 - t * (kx.cos() + ky.cos() + kz.cos());
+        let kin = t * t * (kx.sin() * kx.sin() + ky.sin() * ky.sin() + kz.sin() * kz.sin());
+        let e = (mass * mass + kin).sqrt();
+        [v - e, v - e, v + e, v + e]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gamma::{dagger, hopping_block, onsite_block, Gamma};
+    use kpm_num::vector::dot;
+    use kpm_num::Complex64;
+    use kpm_sparse::spmv::spmv;
+    use std::f64::consts::PI;
+
+    /// The literal assembly of Eq. (1), kept as the oracle the one
+    /// generator is checked against: per site gather the on-site block
+    /// and the up-to-six hopping blocks, per orbital row filter the
+    /// zeros, sort by column and merge coincident partners.
+    fn assemble_oracle(ham: &TopoHamiltonian) -> CrsMatrix {
+        let lat = &ham.lattice;
         let n_sites = lat.sites();
         let dim = lat.dim();
 
         // Precompute the six hopping blocks (direction x sign).
         let t_blocks: [Gamma; 3] = [
-            hopping_block(self.t, 1),
-            hopping_block(self.t, 2),
-            hopping_block(self.t, 3),
+            hopping_block(ham.t, 1),
+            hopping_block(ham.t, 2),
+            hopping_block(ham.t, 3),
         ];
         let t_dagger: [Gamma; 3] = [
             dagger(&t_blocks[0]),
@@ -134,7 +223,7 @@ impl TopoHamiltonian {
 
         for site in 0..n_sites {
             let (x, y, z) = lat.coords(site);
-            let v = self.potential.value(lat, x, y, z);
+            let v = ham.potential.value(lat, x, y, z);
             let onsite = onsite_block(v);
 
             blocks.clear();
@@ -181,79 +270,78 @@ impl TopoHamiltonian {
         CrsMatrix::from_raw(dim, dim, row_ptr, cols, vals)
     }
 
-    /// Builds the matrix-free stencil representation of the same
-    /// operator.
-    ///
-    /// The stencil rebuilds the operator from the lattice geometry, the
-    /// per-site on-site diagonals, and the six hopping blocks — the
-    /// very inputs [`TopoHamiltonian::assemble`] consumes — visiting
-    /// each row's entries in the assembled order, so rows (and
-    /// therefore every kernel result, the Gershgorin bounds and the
-    /// content fingerprint) are bitwise-identical to the CRS build
-    /// (asserted by the tests below and the workspace determinism
-    /// suite).
-    pub fn stencil_matrix(&self) -> StencilMatrix {
-        let lat = &self.lattice;
-        let t_blocks: [Gamma; 3] = [
-            hopping_block(self.t, 1),
-            hopping_block(self.t, 2),
-            hopping_block(self.t, 3),
-        ];
-        let t_dagger: [Gamma; 3] = [
-            dagger(&t_blocks[0]),
-            dagger(&t_blocks[1]),
-            dagger(&t_blocks[2]),
-        ];
-        // Direction layout of StencilMatrix: 2j = +ê_j (the H.c. block
-        // T_j†), 2j+1 = −ê_j (the incoming block T_j) — the gather
-        // order of assemble().
-        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
-        for j in 0..3 {
-            hop[2 * j] = t_dagger[j];
-            hop[2 * j + 1] = t_blocks[j];
+    fn all_boundaries(nx: usize, ny: usize, nz: usize) -> impl Iterator<Item = Lattice3D> {
+        use crate::lattice::Boundary::{Open, Periodic};
+        (0..8usize).map(move |bc| {
+            let bound = |axis: usize| if bc >> axis & 1 == 1 { Periodic } else { Open };
+            Lattice3D::new(nx, ny, nz, [bound(0), bound(1), bound(2)])
+        })
+    }
+
+    fn potentials() -> [Potential; 4] {
+        [
+            Potential::Zero,
+            Potential::paper_quantum_dots(),
+            Potential::Disorder {
+                width: 1.5,
+                seed: 9,
+            },
+            Potential::Uniform(-2.0),
+        ]
+    }
+
+    #[test]
+    fn assemble_equals_the_gather_sort_merge_oracle_bitwise() {
+        // Every shape with extents 1..=6 (extent 1 drops the axis,
+        // extent 2 periodic merges the coincident partners), all eight
+        // open/periodic combinations, four potentials — each smaller
+        // than one fill chunk, so filled inline. `CrsMatrix: PartialEq`
+        // compares row_ptr, cols and the values' bits.
+        for (nx, ny, nz) in (0..216).map(|i| (1 + i % 6, 1 + i / 6 % 6, 1 + i / 36)) {
+            for lattice in all_boundaries(nx, ny, nz) {
+                for potential in potentials() {
+                    let ham = TopoHamiltonian {
+                        lattice,
+                        t: 0.9,
+                        potential,
+                    };
+                    let (h, st) = (ham.assemble(), ham.stencil_matrix());
+                    assert!(h == assemble_oracle(&ham), "{ham:?}");
+                    // What `kpm dos` reads off the generator instead of
+                    // the CRS: the structural proof agrees with the
+                    // entrywise check, the tabulated Gershgorin sums
+                    // with the fold over the rows — bit-equal bounds,
+                    // hence scale factors — and so does the entry count.
+                    assert_eq!(st.check_hermitian().is_ok(), h.is_hermitian());
+                    assert!(h.is_hermitian(), "{ham:?}");
+                    assert_eq!(st.gershgorin_bounds(), h.gershgorin_bounds());
+                    assert_eq!(st.nnz(), h.nnz());
+                }
+            }
         }
-        let onsite: Vec<[Complex64; 4]> = (0..lat.sites())
-            .map(|site| {
-                let (x, y, z) = lat.coords(site);
-                let block = onsite_block(self.potential.value(lat, x, y, z));
-                // The on-site block is exactly diagonal (Γ⁰ and Γ¹ are);
-                // the stencil stores only the diagonal.
-                debug_assert!(
-                    (0..4).all(|o| (0..4).all(|p| o == p || block[o][p] == Complex64::default()))
-                );
-                [block[0][0], block[1][1], block[2][2], block[3][3]]
-            })
-            .collect();
-        let periodic = [
-            lat.boundary[0] == Boundary::Periodic,
-            lat.boundary[1] == Boundary::Periodic,
-            lat.boundary[2] == Boundary::Periodic,
-        ];
-        StencilMatrix::new(lat.nx, lat.ny, lat.nz, periodic, onsite, &hop)
     }
 
-    /// The four Bloch eigenvalues of the translation-invariant system
-    /// (`V_n = v` uniform, fully periodic lattice) at momentum
-    /// `(kx, ky, kz)`:
-    ///
-    /// `E(k) = v ± sqrt( (2 - t·Σ_j cos k_j)² + t²·Σ_j sin² k_j )`,
-    /// each doubly degenerate. Used to validate the assembled matrix
-    /// against exact plane-wave states.
-    pub fn bloch_eigenvalues(t: f64, v: f64, kx: f64, ky: f64, kz: f64) -> [f64; 4] {
-        let mass = 2.0 - t * (kx.cos() + ky.cos() + kz.cos());
-        let kin = t * t * (kx.sin() * kx.sin() + ky.sin() * ky.sin() + kz.sin() * kz.sin());
-        let e = (mass * mass + kin).sqrt();
-        [v - e, v - e, v + e, v + e]
+    #[test]
+    fn assemble_fills_chunks_in_parallel_to_the_same_bits() {
+        // Two and three fill chunks of 16,384 rows with a ragged last
+        // one, on pools of 1, 2 and 4 workers; 2 x 48 x 48 also takes
+        // the coincident-partner path through the chunked fill.
+        for (nx, ny, nz) in [(17, 16, 16), (40, 21, 10), (2, 48, 48)] {
+            for (lattice, potential) in all_boundaries(nx, ny, nz).step_by(3).zip(potentials()) {
+                let ham = TopoHamiltonian {
+                    lattice,
+                    t: 1.0,
+                    potential,
+                };
+                let want = assemble_oracle(&ham);
+                for threads in [1, 2, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+                    let h = pool.build().unwrap().install(|| ham.assemble());
+                    assert!(h == want, "{ham:?} on {threads} threads");
+                }
+            }
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kpm_num::vector::dot;
-    use kpm_num::Complex64;
-    use kpm_sparse::spmv::spmv;
-    use std::f64::consts::PI;
 
     #[test]
     fn dimensions_and_nnz_density() {
@@ -458,7 +546,7 @@ mod tests {
                 potential: Potential::Uniform(0.25),
             },
         ] {
-            let crs = ham.assemble();
+            let crs = assemble_oracle(&ham);
             let st = ham.stencil_matrix();
             assert_eq!(st.nrows(), crs.nrows());
             assert_eq!(st.nnz(), crs.nnz());
@@ -470,49 +558,6 @@ mod tests {
             // Equal rows imply equal content fingerprints: stencil and
             // CRS handles of one operator coalesce in the service.
             assert_eq!(st.content_fingerprint(), crs.content_fingerprint());
-        }
-    }
-
-    #[test]
-    fn stencil_bounds_and_hermiticity_match_the_assembly_without_assembling() {
-        // `kpm dos --format stencil` never assembles: its scale factors
-        // come from the stencil's own Gershgorin replay, which must
-        // equal the CRS bounds bit for bit — every boundary combination,
-        // extent-1 and extent-2 axes, every potential kind.
-        use crate::lattice::Boundary::{Open, Periodic};
-        let potentials = [
-            Potential::Zero,
-            Potential::paper_quantum_dots(),
-            Potential::Disorder {
-                width: 1.5,
-                seed: 9,
-            },
-            Potential::Uniform(-2.0),
-        ];
-        for (k, (nx, ny, nz)) in [(1, 4, 3), (2, 3, 4), (5, 2, 2), (4, 4, 5)]
-            .into_iter()
-            .enumerate()
-        {
-            for bc in 0..8usize {
-                let bound = |axis: usize| if bc >> axis & 1 == 1 { Periodic } else { Open };
-                let ham = TopoHamiltonian {
-                    lattice: Lattice3D::new(nx, ny, nz, [bound(0), bound(1), bound(2)]),
-                    t: 0.9,
-                    potential: potentials[(k + bc) % 4].clone(),
-                };
-                let (crs, st) = (ham.assemble(), ham.stencil_matrix());
-                assert_eq!(st.gershgorin_bounds(), crs.gershgorin_bounds());
-                assert_eq!(st.nnz(), crs.nnz());
-                assert!(st.check_hermitian().is_ok() && crs.is_hermitian());
-                assert_eq!(
-                    ScaleFactors::from_gershgorin(&crs, 0.01),
-                    {
-                        let (lo, hi) = st.gershgorin_bounds();
-                        ScaleFactors::from_bounds(lo, hi, 0.01)
-                    },
-                    "{nx}x{ny}x{nz} boundaries {bc:03b}"
-                );
-            }
         }
     }
 

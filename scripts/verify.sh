@@ -164,6 +164,37 @@ for f in crs stencil; do
 done
 echo "both sweep bodies print identical DOS output (crs and stencil, R = 8 and 24, 1 and 2 threads)"
 
+step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
+# The repo benchmark's setup_s is the wall time of the `--moments 2`
+# twin (zero sweeps) of the command. Three alternating runs of twin and
+# full command, medians of the raw wall times (not yardstick-normalised:
+# read the share, not the milliseconds). The twin must be the same
+# problem: same CSV header, same N / Nnz on the banner.
+block_r8="./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 8 --threads 2"
+twin_ms=""
+full_ms=""
+for _ in 1 2 3; do
+    t0=$(date +%s%N)
+    $block_r8 --moments 2 > target/setup-twin.csv 2> target/setup-twin.err
+    t1=$(date +%s%N)
+    $block_r8 --moments 96 > target/setup-full.csv 2> target/setup-full.err
+    t2=$(date +%s%N)
+    twin_ms+="$(((t1 - t0) / 1000000))"$'\n'
+    full_ms+="$(((t2 - t1) / 1000000))"$'\n'
+done
+twin=$(printf '%s' "$twin_ms" | sort -n | sed -n 2p)
+full=$(printf '%s' "$full_ms" | sort -n | sed -n 2p)
+banner() { grep -o 'N = [0-9]*, Nnz = [0-9]*' "$1"; }
+if [[ "$(head -n 1 target/setup-twin.csv)" != "$(head -n 1 target/setup-full.csv)" ]] \
+        || [[ -z "$(banner target/setup-twin.err)" ]] \
+        || [[ "$(banner target/setup-twin.err)" != "$(banner target/setup-full.err)" ]]; then
+    echo "SET-UP TWIN AND FULL COMMAND DISAGREE (CSV header or banner N/Nnz):" >&2
+    head -n 1 target/setup-twin.csv target/setup-full.csv >&2
+    cat target/setup-twin.err target/setup-full.err >&2
+    exit 1
+fi
+echo "set-up share on dos_block_r8 ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
+
 step "autotune model: predicted {crs, stencil} winner == measured winner at R = 8"
 # A timing probe, so it only runs optimized (ignored in debug builds).
 cargo test -q --release --test performance_models \

@@ -107,6 +107,9 @@ int_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 pub mod rngs {
     use super::{RngCore, SeedableRng};
 
+    /// The SplitMix64 state increment per draw.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// SplitMix64 generator standing in for the upstream `StdRng`.
     #[derive(Debug, Clone)]
     pub struct StdRng {
@@ -115,7 +118,7 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -126,6 +129,15 @@ pub mod rngs {
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
             StdRng { state: seed }
+        }
+    }
+
+    impl StdRng {
+        /// Skips `draws` outputs in O(1): SplitMix64's state after `k`
+        /// draws is `seed + k·γ` (wrapping), so the stream position is
+        /// random-access. Not part of the upstream `rand` API.
+        pub fn advance(&mut self, draws: u64) {
+            self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
         }
     }
 
@@ -194,6 +206,30 @@ mod tests {
             seen[rng.gen_range(0usize..8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        use super::RngCore;
+        // Seeds near the top of the range wrap the state within a few
+        // draws; 2^63 + 5 draws wrap the multiplication.
+        for seed in [0, 7, 2015, u64::MAX, u64::MAX - 0x9E37_79B9_7F4A_7C15] {
+            for k in [0u64, 1, 2, 255, 4097, 442_368] {
+                let mut stepped = StdRng::seed_from_u64(seed);
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                let mut jumped = StdRng::seed_from_u64(seed);
+                jumped.advance(k);
+                assert_eq!(jumped.next_u64(), stepped.next_u64(), "seed {seed} k {k}");
+            }
+            // Two jumps compose, also across the 2^64 wrap-around.
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            a.advance((1 << 63) + 5);
+            a.advance((1 << 63) + 6);
+            b.advance(11);
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
     }
 
     #[test]

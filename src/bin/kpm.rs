@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use kpm_repro::core::dos::reconstruct;
 use kpm_repro::core::eigencount::count_from_moments;
-use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
+use kpm_repro::core::solver::{kpm_moments, with_threads, KpmParams, KpmVariant};
 use kpm_repro::core::Kernel;
 use kpm_repro::obs;
 use kpm_repro::perfmodel::cachesim::CacheConfig;
@@ -39,7 +39,7 @@ use kpm_repro::service::{
 };
 use kpm_repro::sparse::{
     autotune_formats, io as mmio, stats, AutotuneEnv, CrsMatrix, FormatSpec, KpmMatrix,
-    SparseKernels,
+    SparseKernels, StencilMatrix,
 };
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
@@ -277,10 +277,12 @@ fn matrix_source(args: &[String]) -> Result<MatrixSource, String> {
 }
 
 impl MatrixSource {
-    /// Reads or assembles the CRS matrix. The generator is also
-    /// returned so matrix-free formats can regenerate the stencil
-    /// instead of reading the assembled rows.
-    fn into_crs(self) -> Result<(CrsMatrix, Option<TopoHamiltonian>), String> {
+    /// Reads or assembles the CRS matrix. A generated lattice also
+    /// returns its generator — the stencil tables the CRS rows were
+    /// filled from — which carries the Hermiticity proof and the
+    /// tabulated Gershgorin sums, and is the matrix-free format itself.
+    fn into_crs(self) -> Result<(CrsMatrix, Option<StencilMatrix>), String> {
+        let _sp = obs::span::span("setup.assemble", "setup");
         match self {
             MatrixSource::File(path) => {
                 let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -288,9 +290,53 @@ impl MatrixSource {
                     .map(|m| (m, None))
                     .map_err(|e| e.to_string())
             }
-            MatrixSource::Lattice(ham) => Ok((ham.assemble(), Some(ham))),
+            MatrixSource::Lattice(ham) => {
+                let generator = ham.stencil_matrix();
+                Ok((generator.to_crs(), Some(generator)))
+            }
         }
     }
+}
+
+/// What the Hermiticity gate and the spectral bounds are read from.
+enum Evidence<'a> {
+    /// A generated lattice carries its proof: the structural `O(sites)`
+    /// check of the tables its CRS rows were filled from, and their
+    /// tabulated row sums — bit-equal to the fold over the CRS rows.
+    Generator(&'a StencilMatrix),
+    /// A loaded `FILE.mtx` pays the entrywise check (one lookup per
+    /// strict-upper entry) and a pass over its rows.
+    Stored(&'a CrsMatrix),
+}
+
+/// The Hermiticity gate and the spectral rescaling of every
+/// solver-running subcommand.
+fn hermitian_scale_factors(m: Evidence) -> Result<ScaleFactors, String> {
+    let _sp = obs::span::span("setup.bounds", "setup");
+    let (lo, hi) = match m {
+        Evidence::Generator(st) => {
+            st.check_hermitian().map_err(|e| e.to_string())?;
+            st.gershgorin_bounds()
+        }
+        Evidence::Stored(h) => {
+            h.check_hermitian().map_err(|e| e.to_string())?;
+            h.gershgorin_bounds()
+        }
+    };
+    Ok(ScaleFactors::from_bounds(lo, hi, 0.01))
+}
+
+/// Reads or assembles the CRS matrix and passes it through
+/// [`hermitian_scale_factors`] — on its generator when it has one.
+fn load_hermitian(
+    source: MatrixSource,
+) -> Result<(CrsMatrix, Option<StencilMatrix>, ScaleFactors), String> {
+    let (h, generator) = source.into_crs()?;
+    let evidence = generator
+        .as_ref()
+        .map_or(Evidence::Stored(&h), Evidence::Generator);
+    let sf = hermitian_scale_factors(evidence)?;
+    Ok((h, generator, sf))
 }
 
 const STENCIL_NEEDS_LATTICE: &str =
@@ -323,7 +369,7 @@ fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), Stri
 
 /// Loads the matrix: either a Matrix Market file (positional argument)
 /// or a generated topological-insulator system (`--nx/--ny/--nz`).
-fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<TopoHamiltonian>), String> {
+fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<StencilMatrix>), String> {
     matrix_source(args)?.into_crs()
 }
 
@@ -331,25 +377,32 @@ fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<TopoHamiltonian>), 
 /// check → spectral bounds → storage format.
 ///
 /// A generated lattice under `--format stencil` stays matrix-free end
-/// to end: Hermiticity, the Gershgorin bounds (bit-equal to the CRS
-/// build's, so the scale factors and every output byte are too) and the
-/// banner's `N`/`Nnz` all come from the stencil, and no CRS is ever
-/// assembled. Everything else loads the CRS matrix and converts it.
+/// to end: its generator *is* the solver matrix, and no CRS is ever
+/// filled. Everything else loads the CRS matrix and converts it. Either
+/// way a generated lattice is checked and bounded on its generator, so
+/// scale factors — and every output byte — do not depend on the format.
 fn solver_matrix(args: &[String], threads: usize) -> Result<(KpmMatrix, ScaleFactors), String> {
     let source = matrix_source(args)?;
     if let (MatrixSource::Lattice(ham), true) = (&source, wants_stencil(args)) {
-        let st = ham.stencil_matrix();
-        st.check_hermitian().map_err(|e| e.to_string())?;
-        let (lo, hi) = st.gershgorin_bounds();
+        let st = {
+            let _sp = obs::span::span("setup.assemble", "setup");
+            ham.stencil_matrix()
+        };
+        let sf = hermitian_scale_factors(Evidence::Generator(&st))?;
         let m = KpmMatrix::stencil(st).with_first_touch(has_flag(args, "--first-touch"));
-        return Ok((m, ScaleFactors::from_bounds(lo, hi, 0.01)));
+        return Ok((m, sf));
     }
-    let (h, ham) = source.into_crs()?;
-    if !h.is_hermitian() {
-        return Err("KPM-DOS needs a Hermitian matrix".into());
-    }
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    Ok((format_matrix(args, h, ham.as_ref(), threads, None)?, sf))
+    let (h, generator, sf) = load_hermitian(source)?;
+    Ok((
+        format_matrix(args, h, generator.as_ref(), threads, None)?,
+        sf,
+    ))
+}
+
+/// Runs a command's set-up and solve on one pool: the `--threads` pool
+/// is built once here, and the solver finds it installed.
+fn in_pool<T>(threads: usize, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    with_threads(threads, f).map_err(|e| e.to_string())?
 }
 
 fn solver_params(args: &[String]) -> Result<KpmParams, String> {
@@ -407,13 +460,14 @@ fn resolve_threads(requested: usize) -> usize {
 /// With `--autotune` the tuner's machine envelope comes from `machine`
 /// when the subcommand has one (`kpm report --machine ...`), else from
 /// the conservative generic model. The matrix-free stencil format is a
-/// candidate whenever the matrix came from a generated lattice (`ham`),
-/// and `--power-blocking P` both feeds the tuner's matrix-traffic
-/// divisor and sizes the level-window budget from the machine's cache.
+/// candidate whenever the matrix came from a generated lattice (whose
+/// `generator` it then is), and `--power-blocking P` both feeds the
+/// tuner's matrix-traffic divisor and sizes the level-window budget
+/// from the machine's cache.
 fn format_matrix(
     args: &[String],
     h: CrsMatrix,
-    ham: Option<&TopoHamiltonian>,
+    generator: Option<&StencilMatrix>,
     threads: usize,
     machine: Option<&Machine>,
 ) -> Result<KpmMatrix, String> {
@@ -445,8 +499,7 @@ fn format_matrix(
             // not the machine's nominal register width.
             env.simd_lanes = kpm_repro::sparse::simd::active_lanes();
         }
-        let stencil = ham.map(|hm| hm.stencil_matrix());
-        let choice = autotune_formats(&h, &env, stencil.as_ref(), power);
+        let choice = autotune_formats(&h, &env, generator, power);
         eprintln!(
             "autotune: format = {}, predicted beta = {:.3}, chunks/task = {}, \
              modeled sweep = {:.1} us (power = {power})",
@@ -456,9 +509,9 @@ fn format_matrix(
             choice.predicted_seconds * 1e6
         );
         if matches!(choice.format, FormatSpec::Stencil) {
-            let st = stencil.expect("the tuner only scores stencil when one exists");
+            let st = generator.expect("the tuner only scores stencil when one exists");
             return Ok(finish(
-                KpmMatrix::stencil(st).with_cache_bytes(choice.cache_bytes),
+                KpmMatrix::stencil(st.clone()).with_cache_bytes(choice.cache_bytes),
             ));
         }
         return choice.build(h).map(finish).map_err(|e| e.to_string());
@@ -478,8 +531,8 @@ fn format_matrix(
             .map(finish)
             .map_err(|e| e.to_string())
         }
-        "stencil" => match ham {
-            Some(hm) => Ok(finish(KpmMatrix::stencil(hm.stencil_matrix()))),
+        "stencil" => match generator {
+            Some(st) => Ok(finish(KpmMatrix::stencil(st.clone()))),
             None => Err(STENCIL_NEEDS_LATTICE.into()),
         },
         other => Err(format!(
@@ -491,7 +544,7 @@ fn format_matrix(
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS, &["--out"]])?;
     let out_path = opt(args, "--out").ok_or("generate needs --out FILE.mtx")?;
-    let (h, _) = load_matrix(args)?;
+    let (h, _) = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
     let file = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     let mut w = BufWriter::new(file);
     mmio::write_hermitian(&h, &mut w).map_err(|e| e.to_string())?;
@@ -505,7 +558,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS])?;
-    let (h, _) = load_matrix(args)?;
+    let (h, _) = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
     let s = stats::analyze(&h, 8.max(h.nrows() / 100));
     println!("rows x cols   : {} x {}", s.nrows, s.ncols);
     println!("non-zeros     : {} ({:.2} per row)", s.nnz, s.avg_row_len);
@@ -545,17 +598,20 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
     let params = solver_params(args)?;
     let points = opt_usize(args, "--points", 1024)?;
     let outputs = ObsOutputs::from_args(args);
-    let (m, sf) = solver_matrix(args, params.threads)?;
-    eprintln!(
-        "N = {}, Nnz = {}, M = {}, R = {}, format = {}",
-        m.nrows(),
-        m.nnz(),
-        params.num_moments,
-        params.num_random,
-        m.format()
-    );
-    let moments = kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
-    let curve = reconstruct(&moments, Kernel::Jackson, sf, points);
+    let curve = in_pool(params.threads, || {
+        let (m, sf) = solver_matrix(args, params.threads)?;
+        eprintln!(
+            "N = {}, Nnz = {}, M = {}, R = {}, format = {}",
+            m.nrows(),
+            m.nnz(),
+            params.num_moments,
+            params.num_random,
+            m.format()
+        );
+        let moments =
+            kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
+        Ok(reconstruct(&moments, Kernel::Jackson, sf, points))
+    })?;
     // A closed pipe (`kpm dos ... | head`) must not abort the run: stop
     // emitting rows but still write the requested metric/trace exports.
     let out = std::io::stdout();
@@ -592,10 +648,16 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     }
     let params = solver_params(args)?;
     let outputs = ObsOutputs::from_args(args);
-    let (m, sf) = solver_matrix(args, params.threads)?;
-    let n = m.nrows();
-    let moments = kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
-    let count = count_from_moments(&moments, Kernel::Jackson, sf, n, e_lo, e_hi);
+    let (n, count) = in_pool(params.threads, || {
+        let (m, sf) = solver_matrix(args, params.threads)?;
+        let moments =
+            kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
+        let n = m.nrows();
+        Ok((
+            n,
+            count_from_moments(&moments, Kernel::Jackson, sf, n, e_lo, e_hi),
+        ))
+    })?;
     println!("estimated eigenvalues in [{e_lo}, {e_hi}]: {count:.1} of {n}");
     outputs.export()
 }
@@ -616,10 +678,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             &["--machine", "--llc-mib", "--sweeps"],
         ],
     )?;
-    let (h, ham) = load_matrix(args)?;
-    if !h.is_hermitian() {
-        return Err("KPM-DOS needs a Hermitian matrix".into());
-    }
     let params = solver_params(args)?;
     let machine_name = opt(args, "--machine").unwrap_or("IVB");
     let machine = Machine::by_name(machine_name)
@@ -638,33 +696,39 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     // The report needs the probes regardless of the export flags.
     obs::set_enabled(true);
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     // Keep the CRS matrix for the cachesim replay; the solver runs on
     // the (possibly converted) handle.
-    let m = format_matrix(
-        args,
-        h.clone(),
-        ham.as_ref(),
-        params.threads,
-        Some(&machine),
-    )?;
-    eprintln!(
-        "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
-         (beta = {:.3}, lanes = {}, sweep body = {}, first-touch = {})",
-        h.nrows(),
-        h.nnz(),
-        params.num_moments,
-        params.num_random,
-        machine.name,
-        m.format(),
-        m.beta(),
-        kpm_repro::sparse::simd::active_lanes(),
-        kpm_repro::sparse::simd::body_name(),
-        if m.first_touch() { "on" } else { "off" }
-    );
-    for variant in [KpmVariant::Naive, KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {
-        kpm_moments(&m, sf, &params, variant).map_err(|e| e.to_string())?;
-    }
+    let h = in_pool(params.threads, || {
+        let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
+        let m = format_matrix(
+            args,
+            h.clone(),
+            generator.as_ref(),
+            params.threads,
+            Some(&machine),
+        )?;
+        eprintln!(
+            "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
+             (beta = {:.3}, lanes = {}, sweep body = {}, first-touch = {})",
+            h.nrows(),
+            h.nnz(),
+            params.num_moments,
+            params.num_random,
+            machine.name,
+            m.format(),
+            m.beta(),
+            kpm_repro::sparse::simd::active_lanes(),
+            kpm_repro::sparse::simd::body_name(),
+            if m.first_touch() { "on" } else { "off" }
+        );
+        // The blocked variant first: its initialisation is one width-R
+        // `spmv` call, and the probe's `width` column is that of a
+        // kind's last call — the naive loop's width-1 ones.
+        for variant in [KpmVariant::AugSpmmv, KpmVariant::Naive, KpmVariant::AugSpmv] {
+            kpm_moments(&m, sf, &params, variant).map_err(|e| e.to_string())?;
+        }
+        Ok(h)
+    })?;
 
     let nnzr = h.nnz() as f64 / h.nrows() as f64;
     println!("kernel     fmt   calls  width   beta  achieved-GF/s  GB-moved  GB/s   B_min(B/F)  B_pad(B/F)  omega-live  omega-pred  B_eff(B/F)  P*(GF/s)  %P*");
@@ -849,10 +913,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ],
         ],
     )?;
-    let (h, ham) = load_matrix(args)?;
-    if !h.is_hermitian() {
-        return Err("KPM service needs a Hermitian matrix".into());
-    }
     let points = opt_usize(args, "--points", 256)?;
     let kernel = match opt(args, "--kernel").unwrap_or("jackson") {
         "jackson" => Kernel::Jackson,
@@ -886,9 +946,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             obs::recorder::arm_sigterm();
         }
     }
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
     let threads = opt_usize(args, "--threads", 0)?;
-    let m = format_matrix(args, h, ham.as_ref(), threads, None)?;
+    let m = format_matrix(args, h, generator.as_ref(), threads, None)?;
 
     let config = ServiceConfig {
         workers: opt_usize(args, "--workers", 2)?.max(1),
@@ -1643,6 +1703,45 @@ mod tests {
             "bit-equal bounds give bit-equal scale factors"
         );
         assert_eq!((crs.nrows(), crs.nnz()), (st.nrows(), st.nnz()));
+    }
+
+    #[test]
+    fn generated_lattices_are_checked_and_bounded_on_their_generator() {
+        // The generator's structural proof and tabulated row sums stand
+        // in for the entrywise check and the CRS fold: same verdict,
+        // bit-equal scale factors, on the path every command takes.
+        let lattice = args(&["--nx", "2", "--ny", "5", "--nz", "3", "--potential", "dots"]);
+        let (h, generator, sf) = load_hermitian(matrix_source(&lattice).unwrap()).unwrap();
+        let st = generator.expect("generated sources keep their generator");
+        assert_eq!(sf, hermitian_scale_factors(Evidence::Stored(&h)).unwrap());
+        assert_eq!(
+            sf,
+            hermitian_scale_factors(Evidence::Generator(&st)).unwrap()
+        );
+        assert_eq!(sf, ScaleFactors::from_gershgorin(&h, 0.01));
+        assert_eq!(st.to_crs(), h);
+    }
+
+    #[test]
+    fn non_hermitian_file_is_rejected_naming_the_entry() {
+        let (h, _) = load_matrix(&args(&["--nx", "3", "--ny", "2", "--nz", "2"])).unwrap();
+        // Break the second stored entry, (0, 4): (4, 0) no longer is
+        // its conjugate.
+        let n = h.nrows();
+        let cols = (0..n).flat_map(|r| h.row_cols(r).to_vec()).collect();
+        let mut vals: Vec<_> = (0..n).flat_map(|r| h.row_vals(r).to_vec()).collect();
+        assert_eq!(h.row_cols(0)[1], 4);
+        vals[1].re += 1.0;
+        let broken = CrsMatrix::from_raw(n, n, h.row_ptr().to_vec(), cols, vals);
+        let path = std::env::temp_dir().join(format!("kpm-nonherm-{}.mtx", std::process::id()));
+        let mut file = BufWriter::new(File::create(&path).unwrap());
+        mmio::write_general(&broken, &mut file).unwrap();
+        drop(file);
+        let err = solver_matrix(&args(&[path.to_str().unwrap()]), 1).map(|_| ());
+        std::fs::remove_file(&path).unwrap();
+        let err = err.unwrap_err();
+        assert!(err.contains("invalid matrix (hermiticity)"), "{err}");
+        assert!(err.contains("entry (0, 4)"), "{err}");
     }
 
     #[test]

@@ -313,3 +313,45 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
     let (stencil, _) = run("count", &[&window[..], &["--format", "stencil"]].concat());
     assert!(crs == stencil && !crs.is_empty(), "count output differs");
 }
+
+/// The built `kpm dos` still prints what the binary of the commit
+/// before the set-up rewrite printed: the two CSVs under `tests/golden/`
+/// were captured from that parent binary, so this is a check against
+/// *old* outputs, not of the code against itself — byte for byte at one
+/// and two threads, streaming the CRS or matrix-free, with the AVX2 or
+/// the baseline sweep body. The second lattice has a periodic extent-2
+/// axis (coincident partners: rows are regenerated and merged).
+#[test]
+fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
+    let golden = |name: &str| {
+        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let dots = "--nx 6 --ny 5 --nz 4 --potential dots --moments 32 --random 3 --seed 7";
+    let coincident = "--nx 2 --ny 6 --nz 5 --moments 16 --random 8";
+    for (command, want) in [
+        (dots, golden("dos_6x5x4_dots_m32_r3_s7.csv")),
+        (coincident, golden("dos_2x6x5_m16_r8.csv")),
+    ] {
+        for threads in ["1", "2"] {
+            for format in ["crs", "stencil"] {
+                for body in [&[][..], &["--no-simd"]] {
+                    let out = std::process::Command::new(env!("CARGO_BIN_EXE_kpm"))
+                        .arg("dos")
+                        .args(command.split(' '))
+                        .args(["--threads", threads, "--format", format])
+                        .args(body)
+                        .output()
+                        .expect("kpm runs");
+                    let run =
+                        format!("kpm dos {command} --threads {threads} --format {format} {body:?}");
+                    assert!(out.status.success(), "{run}");
+                    assert!(
+                        out.stdout == want,
+                        "{run}: stdout differs from the golden CSV"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -187,6 +187,81 @@ fn repeat_queries_answer_from_the_moment_cache() {
     svc.shutdown(ShutdownMode::Drain);
 }
 
+/// The benchmark's `svc_mixed` shape — the 3,456-row lattice, DOS and
+/// Green queries of two random vectors, LDOS queries, hot keys asked
+/// again — through the blocked initialisation: every solved column is
+/// bitwise its own `moments_from_start` run, and a hot key's cached
+/// reply carries bitwise the moments of its first, solved one.
+#[test]
+fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
+    let h = TopoHamiltonian::clean(12, 12, 6).assemble();
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let m = 32;
+    let svc = Service::start(ServiceConfig {
+        workers: 2,
+        batch_window: Duration::from_millis(2),
+        ..ServiceConfig::default()
+    });
+    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let query = |kind: QueryKind| Request {
+        kind,
+        ..dos_request(fp, 0, 0, m)
+    };
+    let (dos, green) = (
+        |seed| QueryKind::Dos {
+            seed,
+            num_random: 2,
+        },
+        |seed| QueryKind::Green {
+            seed,
+            num_random: 2,
+        },
+    );
+    // One coalescing burst of the three routes, then the hot keys again.
+    let kinds = [
+        dos(1),
+        dos(2),
+        QueryKind::Ldos { site: 5 },
+        green(7),
+        dos(3),
+        QueryKind::Ldos { site: 863 },
+    ];
+    let solved: Vec<Response> = (kinds.iter())
+        .map(|kind| submit_ok(&svc, query(*kind)))
+        .collect::<Vec<Ticket>>()
+        .into_iter()
+        .map(|t| t.wait().expect("reply"))
+        .collect();
+    for (kind, resp) in kinds.iter().zip(&solved) {
+        let want = match *kind {
+            QueryKind::Dos { seed, num_random } | QueryKind::Green { seed, num_random } => {
+                serial_reference(&h, sf, seed, num_random, m)
+            }
+            QueryKind::Ldos { site } => site_moments(&h, sf, site, m).expect("serial ldos"),
+        };
+        assert!(
+            !resp.stats.cache_hit,
+            "{kind:?} is asked for the first time"
+        );
+        assert_eq!(
+            answer_of(resp).moments.as_slice(),
+            want.as_slice(),
+            "{kind:?}"
+        );
+    }
+    for hot in [0, 2, 3] {
+        let again = submit_ok(&svc, query(kinds[hot])).wait().expect("reply");
+        assert!(again.stats.cache_hit, "{:?} is a hot key", kinds[hot]);
+        assert_eq!(
+            answer_of(&again).moments.as_slice(),
+            answer_of(&solved[hot]).moments.as_slice(),
+            "{:?}",
+            kinds[hot]
+        );
+    }
+    assert!(svc.shutdown(ShutdownMode::Drain).consistent());
+}
+
 /// A CRS handle and a matrix-free stencil handle of one lattice hash —
 /// each lazily, on registration — to the same fingerprint: they
 /// register as one matrix, requests naming either coalesce into one
