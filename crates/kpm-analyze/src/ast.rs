@@ -1308,7 +1308,7 @@ mod tests {
     #[test]
     fn macros_and_path_calls() {
         let f = first_fn(
-            "fn f() { let v = vec![compute(1), 2]; SellMatrix::from_crs(&v); \
+            "fn f() { let v = vec![compute(1), 2]; CrsMatrix::from_raw(&v); \
              assert_eq!(helper(v), 3); }",
         );
         let mut macros = Vec::new();
@@ -1320,7 +1320,7 @@ mod tests {
         });
         assert_eq!(macros, vec!["vec", "assert_eq"]);
         assert!(calls.contains(&"compute".to_string()));
-        assert!(calls.contains(&"SellMatrix::from_crs".to_string()));
+        assert!(calls.contains(&"CrsMatrix::from_raw".to_string()));
         assert!(calls.contains(&"helper".to_string()));
     }
 

@@ -30,16 +30,7 @@ pub const KERNEL_CRATES: &[&str] = &[
 ];
 
 /// Hot-kernel files checked for in-loop heap allocation.
-pub const HOT_KERNEL_FILES: &[&str] = &[
-    "spmv.rs",
-    "aug.rs",
-    "sweep.rs",
-    "sell.rs",
-    "aug_sell.rs",
-    "aug_sell_simd.rs",
-    "stencil.rs",
-    "power.rs",
-];
+pub const HOT_KERNEL_FILES: &[&str] = &["sweep.rs", "stencil.rs", "power.rs"];
 
 /// The crate holding the instrumentation gate; `relaxed_store` is
 /// skipped there and `obs_gate` runs only there.
@@ -98,11 +89,6 @@ pub const RULES: &[Rule] = &[
         name: "hot_loop_alloc",
         summary: "no heap allocation (vec!/Vec::new/to_vec/clone/collect/format!/...) \
                   inside loops of the hot kernel files",
-    },
-    Rule {
-        name: "hot_loop_convert",
-        summary: "no sparse-format conversion (SellMatrix::from_crs/try_from_crs) inside \
-                  loops of the kernel crates — convert once up front and reuse the handle",
     },
     Rule {
         name: "par_lock",
@@ -385,9 +371,6 @@ pub fn analyze_file(input: &FileInput, src: &str) -> FileAnalysis {
         hot_loop_alloc(&mut ctx);
         simd_scalar_tail(&mut ctx);
     }
-    if applies_hot_loop_convert(input) {
-        hot_loop_convert(&mut ctx);
-    }
     if applies_par_lock(input) {
         par_lock(&mut ctx);
     }
@@ -428,13 +411,6 @@ fn applies_hot_loop(input: &FileInput) -> bool {
 }
 
 fn applies_par_lock(input: &FileInput) -> bool {
-    input.class == FileClass::Lib && KERNEL_CRATES.contains(&input.crate_name.as_str())
-}
-
-fn applies_hot_loop_convert(input: &FileInput) -> bool {
-    // Broader than `hot_loop_alloc`: a conversion in a loop is a
-    // performance bug anywhere in the kernel crates, not only in the
-    // innermost kernel files.
     input.class == FileClass::Lib && KERNEL_CRATES.contains(&input.crate_name.as_str())
 }
 
@@ -820,40 +796,6 @@ fn walk_loops(
 /// Heap allocation inside loops of the hot kernel files.
 fn hot_loop_alloc(ctx: &mut Ctx<'_>) {
     walk_loops(ctx, "hot_loop_alloc", alloc_at);
-}
-
-const CONVERT_CTORS: &[&str] = &["from_crs", "try_from_crs"];
-
-/// Sparse-format conversion inside loops of the kernel crates. Building
-/// a SELL-C-σ matrix costs a window sort plus a full copy of the
-/// nonzeros — O(nnz) work and traffic that dwarfs the SpMV it feeds.
-/// Doing it once per outer iteration silently turns a bandwidth-bound
-/// kernel into a conversion benchmark; convert once up front and reuse
-/// the handle. Deliberate per-iteration builds (e.g. the autotuner's
-/// probe, which times the conversion's product exactly once per
-/// finalist) carry a `kpm::allow(hot_loop_convert)` marker.
-fn hot_loop_convert(ctx: &mut Ctx<'_>) {
-    walk_loops(ctx, "hot_loop_convert", convert_at);
-}
-
-/// If the ident at `i` is a format-conversion call, returns the message.
-fn convert_at(ctx: &Ctx<'_>, i: usize) -> Option<String> {
-    let t = &ctx.toks[i];
-    let name = t.ident()?;
-    if !CONVERT_CTORS.contains(&name) {
-        return None;
-    }
-    // A call through a path or method position: `T::from_crs(..)` or
-    // `x.from_crs(..)` — a bare `fn from_crs(` definition is not one.
-    let called = ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-    let prev_path = i > 0 && (ctx.toks[i - 1].is_punct(':') || ctx.toks[i - 1].is_punct('.'));
-    if !called || !prev_path {
-        return None;
-    }
-    Some(format!(
-        "`{name}` rebuilds the sparse format inside a loop (a window sort plus an \
-         O(nnz) copy per iteration); convert once outside and reuse the handle"
-    ))
 }
 
 /// If the ident at `i` is an allocating construct, returns the message.

@@ -166,7 +166,7 @@ fn hot_file(src: &str) -> Vec<Diagnostic> {
     scan(
         "kpm-sparse",
         FileClass::Lib,
-        "crates/kpm-sparse/src/spmv.rs",
+        "crates/kpm-sparse/src/sweep.rs",
         src,
     )
 }
@@ -251,7 +251,7 @@ fn simd_file(src: &str) -> Vec<Diagnostic> {
     scan(
         "kpm-sparse",
         FileClass::Lib,
-        "crates/kpm-sparse/src/aug_sell_simd.rs",
+        "crates/kpm-sparse/src/sweep.rs",
         src,
     )
 }
@@ -340,86 +340,6 @@ pub fn f(a: &mut [f64]) {
 }
 "#;
     assert!(simd_file(src).is_empty());
-}
-
-// ----------------------------------------------------- hot_loop_convert
-
-#[test]
-fn hot_loop_convert_hit_in_any_kernel_crate_file() {
-    // Unlike hot_loop_alloc the rule is not limited to the hot kernel
-    // files: a per-iteration format rebuild is a bug anywhere in the
-    // kernel crates.
-    let src = r#"
-/// Doc.
-pub fn sweep(h: &CrsMatrix, cs: &[usize]) -> usize {
-    let mut total = 0;
-    for c in cs {
-        let sell = SellMatrix::from_crs(h, *c, *c);
-        total += sell.stored_elements();
-    }
-    total
-}
-"#;
-    let diags = scan(
-        "kpm-core",
-        FileClass::Lib,
-        "crates/kpm-core/src/solver.rs",
-        src,
-    );
-    assert_eq!(rules(&diags), vec!["hot_loop_convert"]);
-    assert!(diags[0].message.contains("from_crs"));
-    assert_eq!(diags[0].line, 6);
-}
-
-#[test]
-fn hot_loop_convert_miss_outside_loops_and_kernel_crates() {
-    // A one-shot conversion before the loop is the recommended shape.
-    let src = r#"
-/// Doc.
-pub fn solve(h: &CrsMatrix) -> f64 {
-    let sell = SellMatrix::try_from_crs(h, 8, 32).unwrap_or_default();
-    let mut acc = 0.0;
-    for _ in 0..10 {
-        acc += sell.beta();
-    }
-    acc
-}
-"#;
-    assert!(scan(
-        "kpm-hetsim",
-        FileClass::Lib,
-        "crates/kpm-hetsim/src/decomp.rs",
-        src
-    )
-    .iter()
-    .all(|d| d.rule != "hot_loop_convert"));
-    // The same in-loop conversion outside the kernel crates is allowed.
-    let src =
-        "/// D.\npub fn f(h: &CrsMatrix) { for c in 1..4 { SellMatrix::from_crs(h, c, c); } }\n";
-    assert!(scan(
-        "kpm-bench",
-        FileClass::Lib,
-        "crates/kpm-bench/src/lib.rs",
-        src
-    )
-    .is_empty());
-    // A `fn from_crs(` definition is not a call.
-    let src = "/// D.\npub fn g() { for _ in 0..2 { fn from_crs() {} from_crs(); } }\n";
-    assert!(kernel_lib(src).iter().all(|d| d.rule != "hot_loop_convert"));
-}
-
-#[test]
-fn hot_loop_convert_suppressed() {
-    let src = r#"
-/// Doc.
-pub fn probe(h: &CrsMatrix, cs: &[usize]) {
-    for c in cs {
-        // kpm::allow(hot_loop_convert): each candidate is built exactly once to time it
-        let _sell = SellMatrix::from_crs(h, *c, *c);
-    }
-}
-"#;
-    assert!(kernel_lib(src).is_empty());
 }
 
 // ------------------------------------------------------------- par_lock

@@ -418,7 +418,7 @@ fn scaled(v: &mut f64, m: &std::sync::Mutex<f64>) {
     drop(g);
 }
 "#;
-    let report = scan_files(&[("kpm-sparse", "crates/kpm-sparse/src/spmv.rs", src)]);
+    let report = scan_files(&[("kpm-sparse", "crates/kpm-sparse/src/sweep.rs", src)]);
     let hits = with_rule(&report, "blocking_in_hot");
     assert!(
         !hits.is_empty(),
@@ -456,7 +456,7 @@ pub fn spmv_sweep(y: &mut [f64], x: &[f64]) {
     }
 }
 "#;
-    let report = scan_files(&[("kpm-sparse", "crates/kpm-sparse/src/spmv.rs", clean)]);
+    let report = scan_files(&[("kpm-sparse", "crates/kpm-sparse/src/sweep.rs", clean)]);
     assert!(
         with_rule(&report, "blocking_in_hot").is_empty(),
         "{:?}",

@@ -1,13 +1,10 @@
 //! The paper's central sweep: augmented SpMMV performance vs block
-//! width R (the measured curve of Fig. 8), plus two ablations:
-//! fused vs separate dot products (Fig. 10 b vs c) and row-major vs
-//! column-major block layout (Section IV-A).
+//! width R (the measured curve of Fig. 8), plus the fused vs separate
+//! dot products ablation (Fig. 10 b vs c).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kpm_num::block::ColMajorBlock;
 use kpm_num::BlockVector;
-use kpm_sparse::aug::{aug_spmmv, aug_spmmv_nodot};
-use kpm_sparse::spmv::spmmv_colmajor;
+use kpm_sparse::SparseKernels;
 use kpm_topo::TopoHamiltonian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,35 +21,20 @@ fn bench_sweep(c: &mut Criterion) {
         let flops = kpm_num::accounting::aug_spmmv_flops(n, h.nnz(), r) as u64;
         g.throughput(Throughput::Elements(flops));
         g.bench_function(BenchmarkId::new("fused", r), |b| {
-            b.iter(|| aug_spmmv(&h, 0.3, 0.1, &v, &mut w))
+            b.iter(|| h.aug_spmmv(0.3, 0.1, &v, &mut w))
         });
         g.bench_function(BenchmarkId::new("fused_baseline_body", r), |b| {
             kpm_sparse::simd::set_enabled(false);
-            b.iter(|| aug_spmmv(&h, 0.3, 0.1, &v, &mut w));
+            b.iter(|| h.aug_spmmv(0.3, 0.1, &v, &mut w));
             kpm_sparse::simd::set_enabled(true);
         });
         g.bench_function(BenchmarkId::new("nodot_plus_separate_dots", r), |b| {
             b.iter(|| {
-                aug_spmmv_nodot(&h, 0.3, 0.1, &v, &mut w);
+                h.aug_spmmv_nodot(0.3, 0.1, &v, &mut w);
                 let even = v.columnwise_nrm2();
                 let odd = w.columnwise_dot(&v);
                 (even, odd)
             })
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("block_layout");
-    for r in [4usize, 16] {
-        let v = BlockVector::random(n, r, &mut rng);
-        let mut w = BlockVector::zeros(n, r);
-        g.bench_function(BenchmarkId::new("row_major", r), |b| {
-            b.iter(|| kpm_sparse::spmv::spmmv(&h, &v, &mut w))
-        });
-        let cv = ColMajorBlock::from_row_major(&v);
-        let mut cw = ColMajorBlock::zeros(n, r);
-        g.bench_function(BenchmarkId::new("col_major", r), |b| {
-            b.iter(|| spmmv_colmajor(&h, &cv, &mut cw))
         });
     }
     g.finish();

@@ -1,10 +1,8 @@
-//! Plain SpMV benchmarks: CRS vs SELL-C-sigma (the unified format of
-//! paper ref. [13]) on the topological-insulator matrix.
+//! Plain SpMV benchmarks on the topological-insulator matrix.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kpm_num::{Complex64, Vector};
-use kpm_sparse::spmv::{spmv, spmv_par};
-use kpm_sparse::SellMatrix;
+use kpm_sparse::SparseKernels;
 use kpm_topo::TopoHamiltonian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,17 +18,11 @@ fn bench_spmv(c: &mut Criterion) {
     let mut g = c.benchmark_group("spmv");
     g.throughput(Throughput::Bytes(bytes));
     g.bench_function(BenchmarkId::new("crs", n), |b| {
-        b.iter(|| spmv(&h, &x, &mut y))
+        b.iter(|| h.spmv(&x, &mut y))
     });
     g.bench_function(BenchmarkId::new("crs_par", n), |b| {
-        b.iter(|| spmv_par(&h, &x, &mut y))
+        b.iter(|| h.spmv_par(&x, &mut y))
     });
-    for (chunk, sigma) in [(4usize, 1usize), (8, 32), (32, 128)] {
-        let sell = SellMatrix::from_crs(&h, chunk, sigma);
-        g.bench_function(BenchmarkId::new(format!("sell_{chunk}_{sigma}"), n), |b| {
-            b.iter(|| sell.spmv(&x, &mut y))
-        });
-    }
     g.finish();
 }
 

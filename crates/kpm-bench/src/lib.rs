@@ -8,8 +8,7 @@
 use std::time::Instant;
 
 use kpm_num::{BlockVector, Complex64, Vector};
-use kpm_sparse::aug::{aug_spmmv_par, aug_spmv_par};
-use kpm_sparse::CrsMatrix;
+use kpm_sparse::{CrsMatrix, SparseKernels};
 use kpm_topo::{ScaleFactors, TopoHamiltonian};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +22,7 @@ pub fn benchmark_matrix(nx: usize, ny: usize, nz: usize) -> (CrsMatrix, ScaleFac
 }
 
 /// Flops of one augmented blocked sweep (paper accounting).
-pub fn sweep_flops(h: &CrsMatrix, r: usize) -> f64 {
+fn sweep_flops(h: &CrsMatrix, r: usize) -> f64 {
     kpm_num::accounting::aug_spmmv_flops(h.nrows(), h.nnz(), r) as f64
 }
 
@@ -42,10 +41,10 @@ pub fn measure_aug_spmv(h: &CrsMatrix, sf: ScaleFactors, threads: usize, reps: u
     let mut times = Vec::with_capacity(reps);
     pool.install(|| {
         // Warm-up sweep.
-        aug_spmv_par(h, sf.a, sf.b, &v, &mut w);
+        h.aug_spmv_par(sf.a, sf.b, &v, &mut w);
         for _ in 0..reps {
             let t0 = Instant::now();
-            aug_spmv_par(h, sf.a, sf.b, &v, &mut w);
+            h.aug_spmv_par(sf.a, sf.b, &v, &mut w);
             times.push(t0.elapsed().as_secs_f64());
         }
     });
@@ -72,10 +71,10 @@ pub fn measure_aug_spmmv(
     let flops = sweep_flops(h, r);
     let mut times = Vec::with_capacity(reps);
     pool.install(|| {
-        aug_spmmv_par(h, sf.a, sf.b, &v, &mut w);
+        h.aug_spmmv_par(sf.a, sf.b, &v, &mut w);
         for _ in 0..reps {
             let t0 = Instant::now();
-            aug_spmmv_par(h, sf.a, sf.b, &v, &mut w);
+            h.aug_spmmv_par(sf.a, sf.b, &v, &mut w);
             times.push(t0.elapsed().as_secs_f64());
         }
     });
@@ -105,7 +104,7 @@ pub fn measure_host_bandwidth() -> f64 {
 }
 
 /// Median of a mutable sample.
-pub fn median(xs: &mut [f64]) -> f64 {
+fn median(xs: &mut [f64]) -> f64 {
     assert!(!xs.is_empty(), "median of empty sample");
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     xs[xs.len() / 2]
@@ -120,44 +119,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// True if `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Refuses to overwrite a committed baseline-gating artifact with
-/// numbers captured on a single-core host: parallel-scaling claims
-/// measured there are meaningless, and a stamped baseline would gate
-/// future runs against them. Scratch captures (any other `--out` path)
-/// stay allowed, as does an explicit `KPM_BENCH_ALLOW_SINGLE_CORE=1`
-/// override; see EXPERIMENTS.md for the multi-core capture path.
-pub fn guard_baseline_stamp(out: &str, baseline_name: &str, host_cores: usize) {
-    if host_cores > 1 {
-        return;
-    }
-    let is_baseline = std::path::Path::new(out)
-        .file_name()
-        .is_some_and(|f| f == baseline_name);
-    if !is_baseline {
-        return;
-    }
-    if std::env::var("KPM_BENCH_ALLOW_SINGLE_CORE").as_deref() == Ok("1") {
-        eprintln!(
-            "warning: stamping {baseline_name} from a single-core host \
-             (KPM_BENCH_ALLOW_SINGLE_CORE=1)"
-        );
-        return;
-    }
-    eprintln!(
-        "error: refusing to stamp baseline artifact {baseline_name} from a \
-         single-core host — thread-scaling numbers need real cores.\n\
-         Capture on a multi-core machine (see EXPERIMENTS.md), write to a \
-         scratch file with --out, or set KPM_BENCH_ALLOW_SINGLE_CORE=1 to \
-         override."
-    );
-    std::process::exit(2);
 }
 
 /// Prints one aligned header row.

@@ -16,8 +16,7 @@
 
 use kpm_num::vector::{axpy, dot, scal};
 use kpm_num::{Complex64, Vector};
-use kpm_sparse::spmv::spmv;
-use kpm_sparse::CrsMatrix;
+use kpm_sparse::{CrsMatrix, SparseKernels};
 use kpm_topo::ScaleFactors;
 
 /// Bessel functions `J_0(x) .. J_{n_max}(x)` by Miller's downward
@@ -114,7 +113,7 @@ pub fn evolve(h: &CrsMatrix, sf: ScaleFactors, psi: &Vector, t: f64) -> Vector {
 
 /// `out = H̃ x = a (H x - b x)`.
 fn apply_scaled(h: &CrsMatrix, sf: ScaleFactors, x: &[Complex64], out: &mut [Complex64]) {
-    spmv(h, x, out);
+    h.spmv(x, out);
     for (o, xi) in out.iter_mut().zip(x) {
         *o = (*o - xi.scale(sf.b)).scale(sf.a);
     }

@@ -9,8 +9,7 @@
 use kpm_num::eigen::DenseHermitian;
 use kpm_num::vector::{axpy, dot};
 use kpm_num::{Complex64, Vector};
-use kpm_sparse::spmv::spmv;
-use kpm_sparse::CrsMatrix;
+use kpm_sparse::{CrsMatrix, SparseKernels};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,7 +33,7 @@ pub fn lanczos_bounds(h: &CrsMatrix, steps: usize, seed: u64) -> (f64, f64) {
     let mut beta_last = 0.0;
 
     for step in 0..steps {
-        spmv(h, &q_cur, &mut w);
+        h.spmv(&q_cur, &mut w);
         if step > 0 {
             axpy(Complex64::real(-betas[step - 1]), &q_prev, &mut w);
         }

@@ -201,8 +201,8 @@ fn validate_square<M: SparseKernels + ?Sized>(h: &M) -> Result<(), KpmError> {
 /// averaged over `R` random unit vectors, using the chosen
 /// implementation stage.
 ///
-/// Generic over the storage format: pass a `CrsMatrix`, a `SellMatrix`,
-/// or a format-erased [`kpm_sparse::KpmMatrix`] — moments are
+/// Generic over the storage format: pass a `CrsMatrix`, a
+/// `StencilMatrix`, or a format-erased [`kpm_sparse::KpmMatrix`] — moments are
 /// bitwise-identical across formats (and across thread counts) because
 /// every [`SparseKernels`] implementation computes the same
 /// floating-point chain.
@@ -905,14 +905,12 @@ mod tests {
 
     #[test]
     fn init_block_is_the_per_column_chain_bitwise() {
-        use kpm_sparse::SellMatrix;
         // 4,508 rows: two ragged 4,096-row chunks, ragged 256-row leaves.
         let ham = TopoHamiltonian::quantum_dot_superlattice(7, 7, 23);
         let crs = ham.assemble();
         let sf = ScaleFactors::from_gershgorin(&crs, 0.01);
-        let sell = SellMatrix::from_crs(&crs, 8, 32);
         let stencil = ham.stencil_matrix();
-        let formats: [&dyn SparseKernels; 3] = [&crs, &sell, &stencil];
+        let formats: [&dyn SparseKernels; 2] = [&crs, &stencil];
         // The chain `init_block` replaced, column by column.
         let reference = |h: &dyn SparseKernels, v: &[Complex64], parallel: bool| {
             let mut w = vec![Complex64::default(); v.len()];
@@ -1162,59 +1160,6 @@ mod tests {
         let err2 = kpm_moments(&h, sf, &params(128, 1), KpmVariant::AugSpmmv)
             .expect_err("blocked variant must also detect divergence");
         assert!(matches!(err2, KpmError::SpectralBoundsViolated { .. }));
-    }
-
-    #[test]
-    fn sell_moments_are_bitwise_equal_to_crs() {
-        use kpm_sparse::{FormatSpec, KpmMatrix, SellMatrix};
-        let h = random_hermitian(240, 4, 17);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        for parallel in [false, true] {
-            let mut p = params(32, 4);
-            p.parallel = parallel;
-            for variant in [KpmVariant::Naive, KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {
-                let crs_set = kpm_moments(&h, sf, &p, variant).unwrap();
-                for (c, sigma) in [(4usize, 16usize), (8, 8), (32, 64)] {
-                    let sell = SellMatrix::from_crs(&h, c, sigma);
-                    let sell_set = kpm_moments(&sell, sf, &p, variant).unwrap();
-                    assert_eq!(
-                        crs_set.as_slice(),
-                        sell_set.as_slice(),
-                        "{variant:?} parallel={parallel} C={c} sigma={sigma}"
-                    );
-                }
-                // The format-erased handle agrees too.
-                let erased = KpmMatrix::try_with_format(
-                    h.clone(),
-                    &FormatSpec::Sell {
-                        chunk_height: 8,
-                        sigma: 32,
-                    },
-                )
-                .unwrap();
-                let erased_set = kpm_moments(&erased, sf, &p, variant).unwrap();
-                assert_eq!(crs_set.as_slice(), erased_set.as_slice());
-            }
-        }
-    }
-
-    #[test]
-    fn checkpointed_run_accepts_sell_matrices() {
-        use crate::checkpoint::MemoryCheckpointStore;
-        use kpm_sparse::SellMatrix;
-        let h = random_hermitian(100, 4, 23);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        let p = params(24, 2);
-        let plain = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
-        let sell = SellMatrix::from_crs(&h, 8, 16);
-        let store = MemoryCheckpointStore::new();
-        let ckpt = SolverCheckpointing {
-            store: &store,
-            interval: 4,
-            crash_at: None,
-        };
-        let checkpointed = kpm_moments_checkpointed(&sell, sf, &p, &ckpt).unwrap();
-        assert_eq!(plain.as_slice(), checkpointed.as_slice());
     }
 
     #[test]

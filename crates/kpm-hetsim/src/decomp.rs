@@ -7,8 +7,7 @@
 //! The halo plan is derived from the matrix sparsity pattern: a rank
 //! must receive exactly the off-range rows its column indices touch.
 
-use kpm_num::KpmError;
-use kpm_sparse::{CrsMatrix, FormatSpec, KpmMatrix, SparseKernels};
+use kpm_sparse::{CrsMatrix, KpmMatrix, SparseKernels};
 
 /// Splits `n` rows into contiguous ranges proportional to `weights`,
 /// aligned down to multiples of `align` (4 keeps the orbital blocks of
@@ -45,10 +44,8 @@ pub struct LocalProblem {
     /// End of the global row range.
     pub row_end: usize,
     /// The local matrix: `n_local` rows over the remapped column space
-    /// `local rows ++ halo rows` (halo sorted by global index). Stored
-    /// behind the format-erased handle so each rank can run CRS or
-    /// SELL-C-σ local kernels (heterogeneous ranks pick their own
-    /// format in the paper's CPU+GPU setting).
+    /// `local rows ++ halo rows` (halo sorted by global index), CRS
+    /// behind the handle the solver kernels run on.
     pub matrix: KpmMatrix,
     /// Receive plan: for each peer rank, the *global* rows to receive,
     /// in the order they occupy the halo slots.
@@ -81,22 +78,6 @@ impl LocalProblem {
 /// Builds every rank's [`LocalProblem`] from the global matrix and the
 /// row ranges of [`partition_rows`], storing the local blocks as CRS.
 pub fn decompose(h: &CrsMatrix, ranges: &[(usize, usize)]) -> Vec<LocalProblem> {
-    // kpm::allow(no_panic): the CRS spec has no invalid geometry, so the
-    // formatted decomposition cannot fail.
-    decompose_formatted(h, ranges, &FormatSpec::Crs).expect("CRS decomposition is infallible")
-}
-
-/// [`decompose`] with an explicit storage format for the local matrices.
-///
-/// Every rank's remapped row block is assembled in CRS and then
-/// converted through [`KpmMatrix::try_with_format`]; the conversion
-/// fails only when `spec` itself is invalid (e.g. a SELL `σ` that is
-/// neither 1 nor a multiple of `C`).
-pub fn decompose_formatted(
-    h: &CrsMatrix,
-    ranges: &[(usize, usize)],
-    spec: &FormatSpec,
-) -> Result<Vec<LocalProblem>, KpmError> {
     assert_eq!(
         h.nrows(),
         h.ncols(),
@@ -164,7 +145,7 @@ pub fn decompose_formatted(
             row_ptr.push(cols.len() as u64);
         }
         let matrix = CrsMatrix::from_raw(n_local, n_local + halo.len(), row_ptr, cols, vals);
-        let matrix = KpmMatrix::try_with_format(matrix, spec)?;
+        let matrix = KpmMatrix::crs(matrix);
 
         // Receive plan: halo rows grouped by owner, preserving sorted
         // order (which is also halo-slot order).
@@ -199,7 +180,7 @@ pub fn decompose_formatted(
             problems[owner].send_plan.push((receiver, local_rows));
         }
     }
-    Ok(problems)
+    problems
 }
 
 #[cfg(test)]
@@ -321,35 +302,5 @@ mod tests {
     #[should_panic(expected = "weights must be positive")]
     fn zero_weight_rejected() {
         partition_rows(10, &[1.0, 0.0], 1);
-    }
-
-    #[test]
-    fn formatted_decomposition_builds_sell_locals() {
-        let h = TopoHamiltonian::clean(4, 4, 4).assemble();
-        let ranges = partition_rows(h.nrows(), &[1.0, 1.0], 4);
-        let spec = FormatSpec::Sell {
-            chunk_height: 8,
-            sigma: 16,
-        };
-        let parts = decompose_formatted(&h, &ranges, &spec).unwrap();
-        let total_nnz: usize = parts.iter().map(|p| p.matrix.nnz()).sum();
-        assert_eq!(total_nnz, h.nnz());
-        for p in &parts {
-            let sell = p.matrix.as_sell().expect("formatted locals are SELL");
-            assert_eq!(sell.chunk_height(), 8);
-            assert_eq!(sell.sigma(), 16);
-            assert!(p.matrix.stored_elements() >= p.matrix.nnz());
-        }
-    }
-
-    #[test]
-    fn formatted_decomposition_rejects_invalid_sigma() {
-        let h = TopoHamiltonian::clean(3, 3, 2).assemble();
-        let ranges = partition_rows(h.nrows(), &[1.0], 4);
-        let spec = FormatSpec::Sell {
-            chunk_height: 4,
-            sigma: 6,
-        };
-        assert!(decompose_formatted(&h, &ranges, &spec).is_err());
     }
 }

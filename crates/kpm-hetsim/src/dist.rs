@@ -28,14 +28,14 @@ use std::time::Duration;
 
 use kpm_num::{BlockVector, Complex64, KpmError, Vector};
 use kpm_obs::{metrics, span::span};
-use kpm_sparse::{CrsMatrix, FormatSpec, SparseKernels};
+use kpm_sparse::{CrsMatrix, SparseKernels};
 use kpm_topo::ScaleFactors;
 
 use kpm_core::checkpoint::{latest_consistent, CheckpointStore, EtaCheckpoint, RankCheckpoint};
 use kpm_core::moments::MomentSet;
 use kpm_core::solver::{moments_from_flat_eta, starting_vectors, KpmParams};
 
-use crate::decomp::{decompose_formatted, partition_rows, LocalProblem};
+use crate::decomp::{decompose, partition_rows, LocalProblem};
 use crate::fault::FaultPlan;
 use crate::runtime::{Communicator, RankTelemetry, World, WorldConfig};
 
@@ -70,23 +70,6 @@ pub fn distributed_kpm(
     distributed_kpm_faulty(h, sf, params, weights, reduce_every_iteration, None)
 }
 
-/// [`distributed_kpm`] with an explicit local-matrix storage format.
-///
-/// Every rank converts its remapped row block to `format` before the
-/// Chebyshev loop; since the SELL augmented kernels are bitwise
-/// identical to their CRS counterparts, the moments are bitwise
-/// identical to [`distributed_kpm`] for any valid `C`/`σ`.
-pub fn distributed_kpm_formatted(
-    h: &CrsMatrix,
-    sf: ScaleFactors,
-    params: &KpmParams,
-    weights: &[f64],
-    reduce_every_iteration: bool,
-    format: &FormatSpec,
-) -> Result<DistReport, KpmError> {
-    distributed_kpm_faulty_formatted(h, sf, params, weights, reduce_every_iteration, None, format)
-}
-
 /// [`distributed_kpm`] with an optional fault plan attached — the entry
 /// point the lossless-fault property tests drive (duplication and delay
 /// must not change a single bit of the moments).
@@ -98,29 +81,6 @@ pub fn distributed_kpm_faulty(
     reduce_every_iteration: bool,
     plan: Option<Arc<FaultPlan>>,
 ) -> Result<DistReport, KpmError> {
-    distributed_kpm_faulty_formatted(
-        h,
-        sf,
-        params,
-        weights,
-        reduce_every_iteration,
-        plan,
-        &FormatSpec::Crs,
-    )
-}
-
-/// The fully general distributed driver: fault plan and local storage
-/// format both explicit.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_kpm_faulty_formatted(
-    h: &CrsMatrix,
-    sf: ScaleFactors,
-    params: &KpmParams,
-    weights: &[f64],
-    reduce_every_iteration: bool,
-    plan: Option<Arc<FaultPlan>>,
-    format: &FormatSpec,
-) -> Result<DistReport, KpmError> {
     validate_inputs(h, params, weights)?;
     let n = h.nrows();
     let r = params.num_random;
@@ -128,7 +88,7 @@ pub fn distributed_kpm_faulty_formatted(
     let starts = starting_vectors(n, params);
 
     let ranges = partition_rows(n, weights, 4.min(n));
-    let parts = decompose_formatted(h, &ranges, format)?;
+    let parts = decompose(h, &ranges);
 
     let mut cfg = WorldConfig::new(parts.len());
     if let Some(p) = plan {
@@ -468,23 +428,6 @@ pub fn distributed_kpm_resilient(
     cfg: &ResilienceConfig,
     store: &dyn CheckpointStore,
 ) -> Result<ResilientReport, KpmError> {
-    distributed_kpm_resilient_formatted(h, sf, params, weights, plan, cfg, store, &FormatSpec::Crs)
-}
-
-/// [`distributed_kpm_resilient`] with an explicit local storage format.
-/// Checkpoints store the format-independent recurrence vectors, so a
-/// restart may even change the format without changing the moments.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_kpm_resilient_formatted(
-    h: &CrsMatrix,
-    sf: ScaleFactors,
-    params: &KpmParams,
-    weights: &[f64],
-    plan: Option<Arc<FaultPlan>>,
-    cfg: &ResilienceConfig,
-    store: &dyn CheckpointStore,
-    format: &FormatSpec,
-) -> Result<ResilientReport, KpmError> {
     validate_inputs(h, params, weights)?;
     if cfg.checkpoint_interval == 0 {
         return Err(KpmError::InvalidParams {
@@ -510,7 +453,7 @@ pub fn distributed_kpm_resilient_formatted(
             None
         };
         let ranges = partition_rows(n, &weights_now, 4.min(n));
-        let parts = decompose_formatted(h, &ranges, format)?;
+        let parts = decompose(h, &ranges);
         let size = parts.len();
 
         // Restore from the newest consistent checkpoint, reslicing the
@@ -866,62 +809,6 @@ mod tests {
         let two = distributed_kpm(&h, sf, &p, &[1.0; 2], false).unwrap();
         let four = distributed_kpm(&h, sf, &p, &[1.0; 4], false).unwrap();
         assert!(four.halo_bytes > two.halo_bytes);
-    }
-
-    #[test]
-    fn sell_local_format_is_bitwise_identical_to_crs() {
-        let h = random_hermitian(200, 4, 7);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        let p = params(24, 3);
-        let crs = distributed_kpm(&h, sf, &p, &[1.0, 1.7, 0.9], false).unwrap();
-        for (c, sigma) in [(4usize, 16usize), (8, 8), (32, 32)] {
-            let spec = FormatSpec::Sell {
-                chunk_height: c,
-                sigma,
-            };
-            let sell =
-                distributed_kpm_formatted(&h, sf, &p, &[1.0, 1.7, 0.9], false, &spec).unwrap();
-            assert_eq!(
-                crs.moments.as_slice(),
-                sell.moments.as_slice(),
-                "SELL-{c}-{sigma} distributed moments diverged from CRS"
-            );
-            assert_eq!(crs.halo_bytes, sell.halo_bytes);
-        }
-    }
-
-    #[test]
-    fn resilient_sell_recovery_matches_reference() {
-        let h = random_hermitian(160, 4, 19);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        let p = params(32, 2);
-        let reference = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
-        let plan = Arc::new(FaultPlan::new(5).with_rank_crash(1, 6));
-        let store = MemoryCheckpointStore::new();
-        let cfg = ResilienceConfig {
-            checkpoint_interval: 3,
-            recv_timeout: Duration::from_millis(500),
-            max_restarts: 2,
-            restart: RestartStrategy::SameRanks,
-        };
-        let spec = FormatSpec::Sell {
-            chunk_height: 8,
-            sigma: 16,
-        };
-        let res = distributed_kpm_resilient_formatted(
-            &h,
-            sf,
-            &p,
-            &[1.0, 1.0],
-            Some(plan),
-            &cfg,
-            &store,
-            &spec,
-        )
-        .unwrap();
-        assert_eq!(res.restarts, 1);
-        let diff = reference.max_abs_diff(&res.report.moments);
-        assert!(diff < 1e-10, "recovered SELL moments diverged: {diff}");
     }
 
     #[test]

@@ -7,12 +7,6 @@
 //! the block must be stored in **row-major (interleaved)** order: element
 //! `(row, col)` lives at `row * R + col` (paper Section IV-A). That is
 //! the layout of [`BlockVector`].
-//!
-//! [`ColMajorBlock`] stores the transposed layout (each column
-//! contiguous). It exists for the layout ablation: the paper notes that
-//! transposing may be required when an application's native layout is
-//! column-major, and the ablation bench quantifies the penalty of running
-//! SpMMV directly on the unfavourable layout.
 
 use rand::Rng;
 use rayon::prelude::*;
@@ -20,7 +14,7 @@ use rayon::prelude::*;
 use crate::aligned::AlignedVec;
 use crate::complex::{Complex64, ZERO};
 use crate::summation::pairwise_sum_complex;
-use crate::vector::{dot, random_entry, Vector, DOT_BASE, PAR_CHUNK};
+use crate::vector::{random_entry, Vector, DOT_BASE, PAR_CHUNK};
 
 /// A dense `rows x width` block of complex numbers in row-major
 /// (interleaved) storage: entry `(i, j)` is at index `i * width + j`.
@@ -187,7 +181,7 @@ impl BlockVector {
 /// `j0 .. j0 + W`: applies `w ← a·(w + (−b)·v)` — the `axpy` then the
 /// `scal` of the per-column chain, operation for operation — and returns
 /// the partials of `dot(v, v)` and `dot(w, v)` over these rows on
-/// [`dot`]'s own tree (halves down to [`DOT_BASE`]-row leaves).
+/// [`dot`](crate::vector::dot)'s own tree (halves down to [`DOT_BASE`]-row leaves).
 fn shift_scale_panel<const W: usize>(
     a: Complex64,
     minus_b: Complex64,
@@ -269,7 +263,7 @@ pub fn shift_scale_dots(
 
 /// Parallel [`shift_scale_dots`]: column `j` gets the bits of the
 /// `_par` chain (`axpy_par`, `scal_par`, `nrm2_par`, `dot_par`) — the
-/// same 4,096-row chunks, each reduced on [`dot`]'s tree, the chunk
+/// same 4,096-row chunks, each reduced on [`dot`](crate::vector::dot)'s tree, the chunk
 /// partials summed pairwise — at any thread count.
 pub fn shift_scale_dots_par(
     a: f64,
@@ -306,93 +300,10 @@ fn check_same_shape(v: &BlockVector, w: &BlockVector) -> usize {
     v.width
 }
 
-/// A dense block in column-major storage: entry `(i, j)` is at
-/// `j * rows + i`, i.e. each column is contiguous.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColMajorBlock {
-    rows: usize,
-    width: usize,
-    data: Vec<Complex64>,
-}
-
-impl ColMajorBlock {
-    /// Creates a zero block.
-    pub fn zeros(rows: usize, width: usize) -> Self {
-        assert!(width > 0, "block width must be positive");
-        Self {
-            rows,
-            width,
-            data: vec![Complex64::default(); rows * width],
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Block width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Entry `(i, j)`.
-    #[inline(always)]
-    pub fn get(&self, i: usize, j: usize) -> Complex64 {
-        self.data[j * self.rows + i]
-    }
-
-    /// Sets entry `(i, j)`.
-    #[inline(always)]
-    pub fn set(&mut self, i: usize, j: usize, z: Complex64) {
-        self.data[j * self.rows + i] = z;
-    }
-
-    /// Borrows column `j` (contiguous).
-    pub fn col(&self, j: usize) -> &[Complex64] {
-        &self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
-    /// Mutably borrows column `j`.
-    pub fn col_mut(&mut self, j: usize) -> &mut [Complex64] {
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
-    /// Converts from the interleaved layout (explicit transpose).
-    pub fn from_row_major(b: &BlockVector) -> Self {
-        let mut c = Self::zeros(b.rows(), b.width());
-        for i in 0..b.rows() {
-            for j in 0..b.width() {
-                c.set(i, j, b.get(i, j));
-            }
-        }
-        c
-    }
-
-    /// Converts to the interleaved layout (explicit transpose).
-    pub fn to_row_major(&self) -> BlockVector {
-        let mut b = BlockVector::zeros(self.rows, self.width);
-        for i in 0..self.rows {
-            for j in 0..self.width {
-                b.set(i, j, self.get(i, j));
-            }
-        }
-        b
-    }
-
-    /// Column-wise dot products, computed per contiguous column.
-    pub fn columnwise_dot(&self, other: &Self) -> Vec<Complex64> {
-        assert_eq!(self.rows, other.rows, "row count mismatch");
-        assert_eq!(self.width, other.width, "width mismatch");
-        (0..self.width)
-            .map(|j| dot(self.col(j), other.col(j)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::dot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -490,32 +401,6 @@ mod tests {
         a.swap(&mut b);
         assert_eq!(a, b0);
         assert_eq!(b, a0);
-    }
-
-    #[test]
-    fn col_major_roundtrip() {
-        let b = BlockVector::random(23, 6, &mut rng());
-        let c = ColMajorBlock::from_row_major(&b);
-        assert_eq!(c.to_row_major(), b);
-        for i in 0..23 {
-            for j in 0..6 {
-                assert_eq!(c.get(i, j), b.get(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn col_major_dot_matches_row_major() {
-        let mut r = rng();
-        let x = BlockVector::random(301, 4, &mut r);
-        let y = BlockVector::random(301, 4, &mut r);
-        let cx = ColMajorBlock::from_row_major(&x);
-        let cy = ColMajorBlock::from_row_major(&y);
-        let a = x.columnwise_dot(&y);
-        let b = cx.columnwise_dot(&cy);
-        for (u, v) in a.iter().zip(&b) {
-            assert!(u.approx_eq(*v, 1e-10));
-        }
     }
 
     #[test]

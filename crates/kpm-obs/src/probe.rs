@@ -25,18 +25,14 @@ pub const F_A: u64 = 2;
 /// Flops per complex mult (mirrors `kpm_num::accounting::F_M`).
 pub const F_M: u64 = 6;
 
-/// The sparse-matrix storage format a kernel call ran against.
-///
-/// Recorded per probe call so the report can show the achieved
-/// performance *and* the format's fill-in cost (β, padded traffic)
-/// side by side.
+/// The sparse-matrix storage format a kernel call ran against,
+/// recorded per probe call so the report can name it next to the
+/// achieved performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeFormat {
     /// Compressed Row Storage (SELL-1-1 in the paper's terminology).
     #[default]
     Crs,
-    /// SELL-C-σ with zero fill-in padding (stored >= nnz).
-    Sell,
     /// Matrix-free stencil: rows regenerated on the fly, no stored
     /// elements — the matrix term vanishes from the byte model while
     /// the flop model keeps the logical `nnz`.
@@ -48,7 +44,6 @@ impl ProbeFormat {
     pub fn name(self) -> &'static str {
         match self {
             ProbeFormat::Crs => "crs",
-            ProbeFormat::Sell => "sell",
             ProbeFormat::Stencil => "stencil",
         }
     }
@@ -56,15 +51,13 @@ impl ProbeFormat {
     fn index(self) -> u64 {
         match self {
             ProbeFormat::Crs => 0,
-            ProbeFormat::Sell => 1,
-            ProbeFormat::Stencil => 2,
+            ProbeFormat::Stencil => 1,
         }
     }
 
     fn from_index(i: u64) -> Self {
         match i {
-            1 => ProbeFormat::Sell,
-            2 => ProbeFormat::Stencil,
+            1 => ProbeFormat::Stencil,
             _ => ProbeFormat::Crs,
         }
     }
@@ -130,17 +123,6 @@ impl KernelKind {
             KernelKind::AugSpmv | KernelKind::AugSpmmv => matrix + 3 * w * rows * S_D,
         }
     }
-
-    /// Modeled *padded* data volume of one sweep (bytes): like
-    /// [`KernelKind::sweep_min_bytes`], but the matrix term streams all
-    /// `stored` elements — for SELL-C-σ that includes the zero fill-in
-    /// (`stored = nnz / β`), which the memory system moves whether or
-    /// not the values contribute. For CRS `stored == nnz` and this
-    /// equals the minimum volume.
-    pub fn sweep_padded_bytes(self, rows: usize, nnz: usize, stored: usize, width: usize) -> u64 {
-        let extra = (stored.saturating_sub(nnz)) as u64 * (S_D + S_I);
-        self.sweep_min_bytes(rows, nnz, width) + extra
-    }
 }
 
 /// One kernel's accumulator slot. All fields are independent relaxed
@@ -152,10 +134,8 @@ struct Slot {
     nanos: AtomicU64,
     flops: AtomicU64,
     min_bytes: AtomicU64,
-    padded_bytes: AtomicU64,
     rows: AtomicU64,
     nnz: AtomicU64,
-    stored: AtomicU64,
     width: AtomicU64,
     format: AtomicU64,
 }
@@ -167,10 +147,8 @@ impl Slot {
             nanos: AtomicU64::new(0),
             flops: AtomicU64::new(0),
             min_bytes: AtomicU64::new(0),
-            padded_bytes: AtomicU64::new(0),
             rows: AtomicU64::new(0),
             nnz: AtomicU64::new(0),
-            stored: AtomicU64::new(0),
             width: AtomicU64::new(0),
             format: AtomicU64::new(0),
         }
@@ -181,10 +159,8 @@ impl Slot {
         self.nanos.store(0, Ordering::Relaxed);
         self.flops.store(0, Ordering::Relaxed);
         self.min_bytes.store(0, Ordering::Relaxed);
-        self.padded_bytes.store(0, Ordering::Relaxed);
         self.rows.store(0, Ordering::Relaxed);
         self.nnz.store(0, Ordering::Relaxed);
-        self.stored.store(0, Ordering::Relaxed);
         self.width.store(0, Ordering::Relaxed);
         self.format.store(0, Ordering::Relaxed);
     }
@@ -197,10 +173,8 @@ pub struct KernelTimer {
     slot: &'static Slot,
     flops: u64,
     min_bytes: u64,
-    padded_bytes: u64,
     rows: u64,
     nnz: u64,
-    stored: u64,
     width: u64,
     format: u64,
     started: Instant,
@@ -210,8 +184,7 @@ pub struct KernelTimer {
 /// `nnz` non-zeros at block width `width`. Returns `None` (zero cost
 /// beyond one relaxed atomic load) when instrumentation is disabled.
 ///
-/// Shorthand for [`kernel_timer_fmt`] with a CRS matrix (no fill-in:
-/// `stored == nnz`, padded volume == minimum volume).
+/// Shorthand for [`kernel_timer_fmt`] with a CRS matrix.
 #[inline]
 pub fn kernel_timer(
     kind: KernelKind,
@@ -219,19 +192,17 @@ pub fn kernel_timer(
     nnz: usize,
     width: usize,
 ) -> Option<KernelTimer> {
-    kernel_timer_fmt(kind, rows, nnz, width, nnz, ProbeFormat::Crs)
+    kernel_timer_fmt(kind, rows, nnz, width, ProbeFormat::Crs)
 }
 
 /// Opens a timer for one `kind` kernel call, recording the storage
-/// format and its `stored` element count (>= `nnz` for padded formats
-/// like SELL-C-σ) so the report can derive β and padded traffic.
+/// format.
 #[inline]
 pub fn kernel_timer_fmt(
     kind: KernelKind,
     rows: usize,
     nnz: usize,
     width: usize,
-    stored: usize,
     format: ProbeFormat,
 ) -> Option<KernelTimer> {
     if !crate::enabled() {
@@ -240,18 +211,16 @@ pub fn kernel_timer_fmt(
     // A matrix-free format never streams matrix elements: its byte
     // model uses nnz = 0 (pure vector traffic) while the flop model
     // keeps the logical non-zero count.
-    let (byte_nnz, byte_stored) = match format {
-        ProbeFormat::Stencil => (0, 0),
-        _ => (nnz, stored),
+    let byte_nnz = match format {
+        ProbeFormat::Stencil => 0,
+        ProbeFormat::Crs => nnz,
     };
     Some(KernelTimer {
         slot: &SLOTS[kind.index()],
         flops: kind.sweep_flops(rows, nnz, width),
         min_bytes: kind.sweep_min_bytes(rows, byte_nnz, width),
-        padded_bytes: kind.sweep_padded_bytes(rows, byte_nnz, byte_stored, width),
         rows: rows as u64,
         nnz: nnz as u64,
-        stored: stored as u64,
         width: width as u64,
         format: format.index(),
         started: Instant::now(),
@@ -267,12 +236,8 @@ impl Drop for KernelTimer {
         self.slot
             .min_bytes
             .fetch_add(self.min_bytes, Ordering::Relaxed);
-        self.slot
-            .padded_bytes
-            .fetch_add(self.padded_bytes, Ordering::Relaxed);
         self.slot.rows.store(self.rows, Ordering::Relaxed);
         self.slot.nnz.store(self.nnz, Ordering::Relaxed);
-        self.slot.stored.store(self.stored, Ordering::Relaxed);
         self.slot.width.store(self.width, Ordering::Relaxed);
         self.slot.format.store(self.format, Ordering::Relaxed);
     }
@@ -291,17 +256,10 @@ pub struct KernelReport {
     pub flops: u64,
     /// Total modeled minimum data volume (bytes).
     pub min_bytes: u64,
-    /// Total modeled padded data volume (bytes): the matrix term counts
-    /// stored elements including format fill-in. Equals `min_bytes` for
-    /// CRS.
-    pub padded_bytes: u64,
     /// Rows of the last-seen matrix.
     pub rows: u64,
     /// Non-zeros of the last-seen matrix.
     pub nnz: u64,
-    /// Stored matrix elements of the last call, including format
-    /// fill-in (`stored == nnz` for CRS).
-    pub stored: u64,
     /// Block width of the last call.
     pub width: u64,
     /// Storage format of the last call.
@@ -325,15 +283,6 @@ impl KernelReport {
         }
         self.min_bytes as f64 / self.flops as f64
     }
-
-    /// Chunk occupancy `β = nnz / stored` of the last call; 1 for CRS
-    /// (and for a SELL conversion with no fill-in).
-    pub fn beta(&self) -> f64 {
-        if self.stored == 0 {
-            return 1.0;
-        }
-        self.nnz as f64 / self.stored as f64
-    }
 }
 
 /// Totals for every kernel that has recorded at least one call.
@@ -352,10 +301,8 @@ pub fn snapshot() -> Vec<KernelReport> {
                 seconds: slot.nanos.load(Ordering::Relaxed) as f64 / 1e9,
                 flops: slot.flops.load(Ordering::Relaxed),
                 min_bytes: slot.min_bytes.load(Ordering::Relaxed),
-                padded_bytes: slot.padded_bytes.load(Ordering::Relaxed),
                 rows: slot.rows.load(Ordering::Relaxed),
                 nnz: slot.nnz.load(Ordering::Relaxed),
-                stored: slot.stored.load(Ordering::Relaxed),
                 width: slot.width.load(Ordering::Relaxed),
                 format: ProbeFormat::from_index(slot.format.load(Ordering::Relaxed)),
             })
@@ -401,6 +348,7 @@ mod tests {
             3 * KernelKind::AugSpmmv.sweep_min_bytes(100, 700, 8)
         );
         assert_eq!((rep.rows, rep.nnz, rep.width), (100, 700, 8));
+        assert_eq!(rep.format, ProbeFormat::Crs, "the plain entry point");
         assert!(rep.min_bytes_per_flop() > 0.0);
     }
 
@@ -414,45 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn padded_probe_records_beta_and_padded_traffic() {
-        let _g = serial();
-        crate::reset();
-        let _on = crate::EnabledGuard::new();
-        {
-            // 700 nnz stored as 1000 elements (beta = 0.7).
-            let _t = kernel_timer_fmt(KernelKind::AugSpmv, 100, 700, 1, 1000, ProbeFormat::Sell);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.len(), 1);
-        let rep = &snap[0];
-        assert_eq!(rep.format, ProbeFormat::Sell);
-        assert_eq!(rep.stored, 1000);
-        assert!((rep.beta() - 0.7).abs() < 1e-15);
-        assert_eq!(
-            rep.padded_bytes,
-            rep.min_bytes + 300 * (S_D + S_I),
-            "padding streams (stored - nnz) extra matrix elements"
-        );
-        // The plain CRS entry point reports stored == nnz and identical
-        // minimum / padded volumes.
-        crate::reset();
-        {
-            let _t = kernel_timer(KernelKind::AugSpmv, 100, 700, 1);
-        }
-        let rep = &snapshot()[0];
-        assert_eq!(rep.format, ProbeFormat::Crs);
-        assert_eq!(rep.stored, rep.nnz);
-        assert_eq!(rep.padded_bytes, rep.min_bytes);
-        assert_eq!(rep.beta(), 1.0);
-    }
-
-    #[test]
     fn stencil_probe_drops_matrix_traffic() {
         let _g = serial();
         crate::reset();
         let _on = crate::EnabledGuard::new();
         {
-            let _t = kernel_timer_fmt(KernelKind::AugSpmmv, 100, 1300, 4, 0, ProbeFormat::Stencil);
+            let _t = kernel_timer_fmt(KernelKind::AugSpmmv, 100, 1300, 4, ProbeFormat::Stencil);
         }
         let rep = &snapshot()[0];
         assert_eq!(rep.format, ProbeFormat::Stencil);
@@ -461,12 +376,6 @@ mod tests {
         assert_eq!(
             rep.min_bytes,
             KernelKind::AugSpmmv.sweep_min_bytes(100, 0, 4)
-        );
-        assert_eq!(rep.padded_bytes, rep.min_bytes);
-        assert_eq!(
-            rep.beta(),
-            1.0,
-            "no stored elements: occupancy degenerates to 1"
         );
     }
 

@@ -247,7 +247,7 @@ mod tests {
     fn tile_budget_tracks_private_cache() {
         // Xeons: 256 KiB private L2 -> at R = 32 the predicted tile
         // shrinks below the legacy 512-row chunk (the measured
-        // BENCH_stages regression), while R <= 8 keeps it.
+        // R = 32 throughput regression), while R <= 8 keeps it.
         assert_eq!(IVB.tile_budget_bytes(), 256 * 1024);
         assert_eq!(IVB.spmmv_tile_rows(8), 512);
         assert_eq!(IVB.spmmv_tile_rows(32), 128);

@@ -214,8 +214,7 @@ pub fn aug_spmmv_warp_exec(
 mod tests {
     use super::*;
     use crate::device::GpuDevice;
-    use kpm_sparse::aug::aug_spmmv;
-    use kpm_sparse::CooMatrix;
+    use kpm_sparse::{CooMatrix, SparseKernels};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -247,7 +246,7 @@ mod tests {
             let w0 = BlockVector::random(n, r, &mut rng);
             let mut w_cpu = w0.clone();
             let mut w_gpu = w0;
-            let d_cpu = aug_spmmv(&h, 0.45, -0.08, &v, &mut w_cpu);
+            let d_cpu = h.aug_spmmv(0.45, -0.08, &v, &mut w_cpu);
             let d_gpu = aug_spmmv_warp_exec(&d, &h, 0.45, -0.08, &v, &mut w_gpu);
             // Block updates are per-element: bit-identical.
             assert_eq!(w_cpu, w_gpu, "R={r}");
@@ -325,7 +324,7 @@ mod tests {
         let w0 = BlockVector::random(40, 2, &mut rng);
         let mut w_cpu = w0.clone();
         let mut w_gpu = w0;
-        let d_cpu = aug_spmmv(&h, 1.0, 0.0, &v, &mut w_cpu);
+        let d_cpu = h.aug_spmmv(1.0, 0.0, &v, &mut w_cpu);
         let d_gpu = aug_spmmv_warp_exec(&d, &h, 1.0, 0.0, &v, &mut w_gpu);
         assert_eq!(w_cpu, w_gpu);
         for j in 0..2 {

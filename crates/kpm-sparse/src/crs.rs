@@ -226,7 +226,7 @@ impl CrsMatrix {
     }
 
     /// Re-places the `cols`/`vals` streams for NUMA first-touch: each
-    /// [`crate::aug::ROWS_PER_CHUNK`]-row group's element range — the
+    /// [`crate::sweep::ROWS_PER_CHUNK`]-row group's element range — the
     /// exact partition the parallel CRS kernels stream — is copied into
     /// a fresh untouched allocation by its pinned pool worker, so its
     /// pages land on the node that will read them. Contents are
@@ -235,7 +235,7 @@ impl CrsMatrix {
         if self.nrows == 0 || self.vals.is_empty() {
             return;
         }
-        let rpc = crate::aug::ROWS_PER_CHUNK;
+        let rpc = crate::sweep::ROWS_PER_CHUNK;
         let parts = self.nrows.div_ceil(rpc);
         let ptr = &self.row_ptr;
         let nrows = self.nrows;

@@ -20,19 +20,6 @@
 
 use kpm_num::{BlockVector, Complex64};
 
-/// How hot arrays are initialized and paged in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// All init writes happen on the calling thread (the default; pages
-    /// land wherever the caller runs).
-    #[default]
-    Caller,
-    /// Arrays are allocated untouched and each contiguous range is
-    /// first written by its pinned pool worker (part `p` → worker
-    /// `p % threads`), so pages land on the node that streams them.
-    FirstTouch,
-}
-
 /// Marker for plain-old-data element types whose all-zero bit pattern
 /// is a valid value, as [`zeroed_vec`] requires.
 ///
@@ -220,5 +207,38 @@ mod tests {
         assert_eq!(v.max_abs_diff(&v0), 0.0);
         fault_block_rows(&mut v, 7);
         assert_eq!(v.max_abs_diff(&v0), 0.0);
+    }
+
+    #[test]
+    fn first_touch_is_bitwise_neutral() {
+        use crate::{CooMatrix, KpmMatrix, SparseKernels};
+        // A Hermitian chain long enough for every worker to own a part.
+        let n = 5000;
+        let mut coo = CooMatrix::new(n, n);
+        for r in 0..n {
+            coo.push(r, r, Complex64::real(0.001 * r as f64 - 1.0));
+            if r + 1 < n {
+                coo.push(r, r + 1, Complex64::new(-0.5, 0.25));
+                coo.push(r + 1, r, Complex64::new(-0.5, -0.25));
+            }
+        }
+        let h = coo.to_crs();
+        let v: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new(1.0 / (i + 1) as f64, 0.25 - (i % 7) as f64 * 0.05))
+            .collect();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let base = KpmMatrix::crs(h.clone());
+        let placed = pool.install(|| KpmMatrix::crs(h).with_first_touch(true));
+        assert!(!base.first_touch());
+        assert!(placed.first_touch());
+        assert_eq!(placed.as_crs(), base.as_crs());
+        let (mut w1, mut w2) = (v.clone(), v.clone());
+        let d1 = base.aug_spmv_par(0.5, -0.1, &v, &mut w1);
+        let d2 = pool.install(|| placed.aug_spmv_par(0.5, -0.1, &v, &mut w2));
+        assert_eq!(w1, w2);
+        assert_eq!(d1, d2);
     }
 }

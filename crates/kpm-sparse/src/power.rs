@@ -47,9 +47,10 @@ use kpm_num::{BlockVector, Complex64};
 use kpm_obs::probe::{kernel_timer_fmt, KernelKind, ProbeFormat};
 use rayon::prelude::*;
 
-use crate::aug::{AugDotsBlock, ROWS_PER_CHUNK};
+use crate::aug::AugDotsBlock;
 use crate::crs::CrsMatrix;
 use crate::stencil::StencilMatrix;
+use crate::sweep::ROWS_PER_CHUNK;
 
 pub use crate::stencil::MAX_ROW_ENTRIES;
 
@@ -94,8 +95,6 @@ pub trait PowerRows: Sync {
     fn nrows(&self) -> usize;
     /// Number of logical non-zeros.
     fn nnz(&self) -> usize;
-    /// Stored elements for probe accounting (0 for matrix-free).
-    fn stored_elements(&self) -> usize;
     /// Storage format tag for probe accounting.
     fn probe_format(&self) -> ProbeFormat;
     /// Row `r` as `(cols, vals)` slices, valid until the next call.
@@ -107,9 +106,6 @@ impl PowerRows for CrsMatrix {
         CrsMatrix::nrows(self)
     }
     fn nnz(&self) -> usize {
-        CrsMatrix::nnz(self)
-    }
-    fn stored_elements(&self) -> usize {
         CrsMatrix::nnz(self)
     }
     fn probe_format(&self) -> ProbeFormat {
@@ -126,9 +122,6 @@ impl PowerRows for StencilMatrix {
     }
     fn nnz(&self) -> usize {
         StencilMatrix::nnz(self)
-    }
-    fn stored_elements(&self) -> usize {
-        0
     }
     fn probe_format(&self) -> ProbeFormat {
         ProbeFormat::Stencil
@@ -321,7 +314,6 @@ pub fn aug_spmmv_power<M: PowerRows + ?Sized>(
         p * m.nrows(),
         p * m.nnz(),
         rw,
-        p * m.stored_elements(),
         m.probe_format(),
     );
     let l = levels.n_levels();
@@ -435,7 +427,6 @@ pub fn aug_spmmv_power_par<M: PowerRows + ?Sized>(
         p * m.nrows(),
         p * m.nnz(),
         rw,
-        p * m.stored_elements(),
         m.probe_format(),
     );
     // The plain parallel kernels' reduction grids: fixed 1024-row
@@ -557,7 +548,7 @@ pub fn aug_spmmv_power_par<M: PowerRows + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aug;
+    use crate::{KpmMatrix, SparseKernels};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -587,7 +578,7 @@ mod tests {
         let mut out = Vec::with_capacity(p);
         for _ in 0..p {
             v.swap(w);
-            out.push(aug::aug_spmmv(h, a, b, v, w));
+            out.push(h.aug_spmmv(a, b, v, w));
         }
         out
     }
@@ -647,6 +638,7 @@ mod tests {
         let h = chain(n);
         let ls = LevelSet::build(&h).unwrap();
         let budget = 64 * 1024;
+        let plain = KpmMatrix::crs(h.clone()).with_cache_bytes(budget);
         let mut rng = StdRng::seed_from_u64(13);
         for p in [2, 4] {
             for rw in [1, 4] {
@@ -657,9 +649,7 @@ mod tests {
                 let mut d_ref = Vec::new();
                 for _ in 0..p {
                     v1.swap(&mut w1);
-                    d_ref.push(aug::aug_spmmv_par_budget(
-                        &h, 0.7, 0.2, &v1, &mut w1, budget,
-                    ));
+                    d_ref.push(plain.aug_spmmv_par(0.7, 0.2, &v1, &mut w1));
                 }
                 let d_pow = aug_spmmv_power_par(&h, &ls, p, 0.7, 0.2, &mut v2, &mut w2, budget);
                 assert_eq!(v1.max_abs_diff(&v2), 0.0, "p={p} rw={rw}");

@@ -24,11 +24,11 @@
 //! writes the plans out row by row.
 //!
 //! Bitwise contract: every row runs the exact floating-point chain of
-//! [`crate::aug`] / [`crate::spmv`] over the exact entries of the CRS
-//! build, and the parallel kernels reduce on the same fixed grids, so
-//! vectors and dot products are bit-identical to CRS (serial ≡ serial,
-//! parallel ≡ parallel at equal cache budget) for any thread count.
-//! The determinism and property suites pin this down.
+//! the CRS sweep over the exact entries of the CRS build, and the two
+//! formats share one schedule and reduction (`sweep.rs`), so vectors
+//! and dot products are bit-identical to CRS (serial ≡ serial, parallel
+//! ≡ parallel at equal cache budget) for any thread count. The
+//! determinism and property suites pin this down.
 //!
 //! The per-row generator [`StencilMatrix::regen_row`] — the literal
 //! form of Eq. (1): gather, sort by column, merge — remains for rows of
@@ -41,16 +41,13 @@
 use std::ops::Range;
 
 use kpm_num::complex::ZERO;
-use kpm_num::{BlockVector, Complex64, KpmError};
-use kpm_obs::probe::{kernel_timer_fmt, KernelKind, KernelTimer, ProbeFormat};
+use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
-use crate::aug::{AugDots, AugDotsBlock};
+use crate::aug::AugDotsBlock;
+use crate::kernels::{FormatSpec, SparseKernels};
 use crate::placement::zeroed_vec;
-use crate::sweep::{
-    aug_par, aug_serial, axpy_panel, for_panels, plain_par, plain_serial, row_panel, Epilogue,
-    RowSweep,
-};
+use crate::sweep::{axpy_panel, for_panels, row_panel, Epilogue, RowSweep, Schedule, SweepOp};
 use crate::tile::DEFAULT_CACHE_BYTES;
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
@@ -616,6 +613,33 @@ impl RowSweep for StencilMatrix {
     }
 }
 
+/// The stencil as a format: its dimensions and the shared sweep at the
+/// default budget.
+impl SparseKernels for StencilMatrix {
+    fn nrows(&self) -> usize {
+        StencilMatrix::nrows(self)
+    }
+    fn ncols(&self) -> usize {
+        StencilMatrix::ncols(self)
+    }
+    fn nnz(&self) -> usize {
+        StencilMatrix::nnz(self)
+    }
+    fn format(&self) -> FormatSpec {
+        FormatSpec::Stencil
+    }
+    fn sweep(
+        &self,
+        op: SweepOp,
+        schedule: Schedule,
+        x: &[Complex64],
+        r: usize,
+        w: &mut [Complex64],
+    ) -> AugDotsBlock {
+        crate::sweep::run(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
+    }
+}
+
 /// The four orbital rows of `site` on block-vector columns
 /// `j0 .. j0 + W`: each row's accumulators stay in a `W`-wide register
 /// panel while its class's entries are walked in ascending column
@@ -685,171 +709,11 @@ fn regen_rows<E: Epilogue>(
     });
 }
 
-fn probe(kind: KernelKind, m: &StencilMatrix, r: usize) -> Option<KernelTimer> {
-    kernel_timer_fmt(kind, m.nrows(), m.nnz(), r, 0, ProbeFormat::Stencil)
-}
-
-fn check_vec_dims(m: &StencilMatrix, v: &[Complex64], w: &[Complex64], what: &str) {
-    assert_eq!(v.len(), m.ncols(), "{what}: v dimension mismatch");
-    assert_eq!(w.len(), m.nrows(), "{what}: w dimension mismatch");
-}
-
-fn check_block_dims(m: &StencilMatrix, v: &BlockVector, w: &BlockVector) -> usize {
-    assert_eq!(v.rows(), m.ncols(), "block v dimension mismatch");
-    assert_eq!(w.rows(), m.nrows(), "block w dimension mismatch");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    v.width()
-}
-
-/// The rect kernels' shape check; returns the block width.
-fn check_rect_dims(m: &StencilMatrix, v: &BlockVector, w: &BlockVector) -> usize {
-    assert_eq!(v.rows(), m.ncols(), "block v dimension mismatch");
-    assert!(w.rows() >= m.nrows(), "block w too small");
-    assert_eq!(v.width(), w.width(), "block width mismatch");
-    v.width()
-}
-
-fn single(d: AugDotsBlock) -> AugDots {
-    AugDots {
-        eta_even: d.eta_even[0],
-        eta_odd: d.eta_odd[0],
-    }
-}
-
-/// Matrix-free augmented SpMV; the floating-point chain of
-/// [`crate::aug::aug_spmv`].
-pub fn aug_spmv(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    w: &mut [Complex64],
-) -> AugDots {
-    check_vec_dims(m, v, w, "aug_spmv");
-    let _probe = probe(KernelKind::AugSpmv, m, 1);
-    single(aug_serial::<_, true>(m, a, b, v, 1, w))
-}
-
-/// Row-parallel matrix-free augmented SpMV; identical reduction
-/// boundaries (1024-row chunks, pairwise combine) to
-/// [`crate::aug::aug_spmv_par`].
-pub fn aug_spmv_par(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    w: &mut [Complex64],
-) -> AugDots {
-    check_vec_dims(m, v, w, "aug_spmv_par");
-    let _probe = probe(KernelKind::AugSpmv, m, 1);
-    single(aug_par::<_, true>(m, a, b, v, 1, w, DEFAULT_CACHE_BYTES))
-}
-
-/// Matrix-free augmented SpMMV (serial blocked form).
-pub fn aug_spmmv(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-) -> AugDotsBlock {
-    let r = check_block_dims(m, v, w);
-    let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_serial::<_, true>(m, a, b, v.as_slice(), r, w.as_mut_slice())
-}
-
-/// Row-parallel matrix-free augmented SpMMV; identical tile boundaries
-/// (and hence reduction tree) to [`crate::aug::aug_spmmv_par_budget`].
-pub fn aug_spmmv_par_budget(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-    cache_bytes: usize,
-) -> AugDotsBlock {
-    let r = check_block_dims(m, v, w);
-    let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_par::<_, true>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes)
-}
-
-/// Matrix-free augmented SpMMV without the fused scalar products.
-pub fn aug_spmmv_nodot(m: &StencilMatrix, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
-    let r = check_block_dims(m, v, w);
-    let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_serial::<_, false>(m, a, b, v.as_slice(), r, w.as_mut_slice());
-}
-
-/// Parallel no-dot matrix-free augmented SpMMV against an explicit
-/// per-thread cache budget.
-pub fn aug_spmmv_nodot_par_budget(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-    cache_bytes: usize,
-) {
-    let r = check_block_dims(m, v, w);
-    let _probe = probe(KernelKind::AugSpmmv, m, r);
-    aug_par::<_, false>(m, a, b, v.as_slice(), r, w.as_mut_slice(), cache_bytes);
-}
-
-/// Rectangular augmented SpMMV; the stencil operator is always square,
-/// so this is the serial blocked sweep over the first `nrows` rows of
-/// `w`, matching [`crate::aug::aug_spmmv_rect`] on square inputs.
-pub fn aug_spmmv_rect(
-    m: &StencilMatrix,
-    a: f64,
-    b: f64,
-    v: &BlockVector,
-    w: &mut BlockVector,
-) -> AugDotsBlock {
-    let r = check_rect_dims(m, v, w);
-    let _probe = probe(KernelKind::AugSpmmv, m, r);
-    let w = &mut w.as_mut_slice()[..m.nrows() * r];
-    aug_serial::<_, true>(m, a, b, v.as_slice(), r, w)
-}
-
-/// `y = A x` (serial).
-pub fn spmv(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
-    check_vec_dims(m, x, y, "spmv");
-    let _probe = probe(KernelKind::Spmv, m, 1);
-    plain_serial(m, x, 1, y);
-}
-
-/// `y = A x` (row-parallel over fixed chunks).
-pub fn spmv_par(m: &StencilMatrix, x: &[Complex64], y: &mut [Complex64]) {
-    check_vec_dims(m, x, y, "spmv_par");
-    let _probe = probe(KernelKind::Spmv, m, 1);
-    plain_par(m, x, 1, y);
-}
-
-/// `Y = A X` (serial blocked).
-pub fn spmmv(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
-    let r = check_block_dims(m, x, y);
-    let _probe = probe(KernelKind::Spmv, m, r);
-    plain_serial(m, x.as_slice(), r, y.as_mut_slice());
-}
-
-/// `Y = A X` (row-parallel blocked over fixed chunks).
-pub fn spmmv_par(m: &StencilMatrix, x: &BlockVector, y: &mut BlockVector) {
-    let r = check_block_dims(m, x, y);
-    let _probe = probe(KernelKind::Spmv, m, r);
-    plain_par(m, x.as_slice(), r, y.as_mut_slice());
-}
-
-/// Rectangular plain SpMMV; square on the stencil operator.
-pub fn spmmv_rect(m: &StencilMatrix, v: &BlockVector, w: &mut BlockVector) {
-    let r = check_rect_dims(m, v, w);
-    let w = &mut w.as_mut_slice()[..m.nrows() * r];
-    plain_serial(m, v.as_slice(), r, w);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kpm_num::complex::I;
+    use kpm_num::BlockVector;
 
     /// A tiny hand-built stencil: diagonal hop blocks so expected
     /// values are easy to state; geometry checks use the paper default
@@ -903,23 +767,23 @@ mod tests {
 
         let mut w1 = w0.clone();
         let mut w2 = w0.clone();
-        let d1 = aug_spmmv(&m, 0.4, -0.2, &v, &mut w1);
-        let d2 = crate::aug::aug_spmmv(&crs, 0.4, -0.2, &v, &mut w2);
+        let d1 = m.aug_spmmv(0.4, -0.2, &v, &mut w1);
+        let d2 = crs.aug_spmmv(0.4, -0.2, &v, &mut w2);
         assert_eq!(w1.max_abs_diff(&w2), 0.0);
         assert_eq!(d1, d2);
 
         let mut w1 = w0.clone();
         let mut w2 = w0;
-        let d1 = aug_spmmv_par_budget(&m, 0.4, -0.2, &v, &mut w1, DEFAULT_CACHE_BYTES);
-        let d2 = crate::aug::aug_spmmv_par(&crs, 0.4, -0.2, &v, &mut w2);
+        let d1 = m.aug_spmmv_par(0.4, -0.2, &v, &mut w1);
+        let d2 = crs.aug_spmmv_par(0.4, -0.2, &v, &mut w2);
         assert_eq!(w1.max_abs_diff(&w2), 0.0);
         assert_eq!(d1, d2);
 
         let vs = v.column(0).into_vec();
         let mut y1 = vec![Complex64::default(); n];
         let mut y2 = y1.clone();
-        spmv(&m, &vs, &mut y1);
-        crate::spmv::spmv(&crs, &vs, &mut y2);
+        m.spmv(&vs, &mut y1);
+        crs.spmv(&vs, &mut y2);
         assert_eq!(y1, y2);
     }
 
@@ -945,8 +809,8 @@ mod tests {
         let v = BlockVector::random(m.nrows(), 9, &mut rng);
         let w0 = BlockVector::random(m.nrows(), 9, &mut rng);
         let (mut w1, mut w2) = (w0.clone(), w0);
-        let d1 = aug_spmmv(&m, 0.3, 0.1, &v, &mut w1);
-        let d2 = crate::aug::aug_spmmv(&crs, 0.3, 0.1, &v, &mut w2);
+        let d1 = m.aug_spmmv(0.3, 0.1, &v, &mut w1);
+        let d2 = crs.aug_spmmv(0.3, 0.1, &v, &mut w2);
         assert_eq!(w1, w2);
         assert_eq!(d1, d2);
     }

@@ -13,12 +13,13 @@
 //!
 //! A [`RowSweep`] is where a row's entries come from: the CRS arrays
 //! (here) or the stencil's tabulated site classes
-//! ([`crate::stencil`]). Every blocked CRS and stencil kernel is
-//! [`sweep`] over some row range: serial = one range over all rows
-//! ([`aug_serial`], [`plain_serial`]), parallel = fixed tiles
-//! ([`chunk_rows`]) whose partial dots are combined in tile order
-//! ([`aug_par`], [`plain_par`]), so results never depend on the thread
-//! count.
+//! ([`crate::stencil`]). Every CRS and stencil kernel, at every width,
+//! is [`run`]: a [`SweepOp`] (which epilogue) under a [`Schedule`] —
+//! one range over all rows, or fixed chunks ([`chunk_rows`]) whose
+//! partial dots are combined in chunk order, so results never depend
+//! on the thread count. Width 1 is a column of the same body: CRS
+//! walks it as the plain `mul_add` chain it is, inside the same two
+//! compiled copies.
 //!
 //! The body is compiled **twice from the same source**: once for the
 //! baseline target and once under `#[target_feature(enable = "avx2")]`
@@ -31,10 +32,46 @@ use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::Complex64;
 use rayon::prelude::*;
 
-use crate::aug::{AugDotsBlock, ROWS_PER_CHUNK};
+use crate::aug::AugDotsBlock;
 use crate::crs::CrsMatrix;
+use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::Avx2;
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
+
+/// What a sweep does with each row's `(Hx)[row]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SweepOp {
+    /// `w = H x`.
+    Plain,
+    /// The augmented update `w ← 2a(H − b)x − w` (paper Figs. 4, 5),
+    /// with the fused `(η_even, η_odd)` per block column when `dots`.
+    Aug {
+        /// The spectral scale `a`.
+        a: f64,
+        /// The spectral shift `b`.
+        b: f64,
+        /// Accumulate both scalar products on the fly.
+        dots: bool,
+    },
+}
+
+/// How a sweep's rows are scheduled — which also fixes the order the
+/// dot products are summed in, and nothing else about the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// One range over all rows on the calling thread: every dot product
+    /// is a single chain in row order.
+    Serial,
+    /// Fixed row chunks on the ambient pool, sized for the operator's
+    /// per-thread cache budget ([`crate::tile`]); the chunks' partial
+    /// dots are combined in chunk order, so the result is the same for
+    /// any thread count.
+    Chunked,
+}
+
+/// Fixed chunk height of the width-1 parallel reduction: partial `η`
+/// sums sit on these boundaries regardless of the thread count.
+pub(crate) const ROWS_PER_CHUNK: usize = 1024;
 
 /// What a sweep does with a row's accumulators `(Hx)[row]`. Rows
 /// arrive in ascending order, each as its panels followed by one
@@ -218,12 +255,53 @@ impl RowSweep for CrsMatrix {
         w: &mut [Complex64],
         epi: &mut E,
     ) {
+        if r == 1 {
+            // One column: the row is a single dependent `mul_add` chain
+            // with nothing to hold in a panel, handed to the shared
+            // epilogue as a panel of one.
+            for (i, wrow) in w.chunks_mut(1).enumerate() {
+                let row = row0 + i;
+                let mut acc = Complex64::default();
+                for (hv, &c) in self.row_vals(row).iter().zip(self.row_cols(row)) {
+                    acc = hv.mul_add(x[c as usize], acc);
+                }
+                epi.finish::<1>(&[acc], x, row, wrow);
+                epi.row_done(x, row, wrow);
+            }
+            return;
+        }
         for (i, wrow) in w.chunks_mut(r).enumerate() {
             let row = row0 + i;
             let (cols, vals) = (self.row_cols(row), self.row_vals(row));
             for_panels!(r, |j0| row_panel(cols, vals, x, r, row, j0, wrow, epi));
             epi.row_done(x, row * r, wrow);
         }
+    }
+}
+
+/// CRS as a format: its dimensions and [`run`] at the default budget.
+impl SparseKernels for CrsMatrix {
+    fn nrows(&self) -> usize {
+        CrsMatrix::nrows(self)
+    }
+    fn ncols(&self) -> usize {
+        CrsMatrix::ncols(self)
+    }
+    fn nnz(&self) -> usize {
+        CrsMatrix::nnz(self)
+    }
+    fn format(&self) -> FormatSpec {
+        FormatSpec::Crs
+    }
+    fn sweep(
+        &self,
+        op: SweepOp,
+        schedule: Schedule,
+        x: &[Complex64],
+        r: usize,
+        w: &mut [Complex64],
+    ) -> AugDotsBlock {
+        run(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
     }
 }
 
@@ -289,37 +367,6 @@ fn sweep<S: RowSweep, E: Epilogue>(
     s.sweep_body(x, r, row0, w, epi);
 }
 
-/// The augmented update over the rows of `w` starting at `row0`,
-/// returning the range's partial dot products (empty without `DOTS`).
-#[allow(clippy::too_many_arguments)] // the kernel signature plus range and body
-fn aug_rows<S: RowSweep, const DOTS: bool>(
-    s: &S,
-    wide: Option<Avx2>,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    r: usize,
-    row0: usize,
-    w: &mut [Complex64],
-) -> AugDotsBlock {
-    let mut epi = Aug::<DOTS>::new(a, b, r);
-    sweep(s, wide, v, r, row0, w, &mut epi);
-    epi.into_dots()
-}
-
-/// The serial augmented kernel: one range over all rows of `w`, so
-/// each dot product is a single chain in row order.
-pub(crate) fn aug_serial<S: RowSweep, const DOTS: bool>(
-    s: &S,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
-    r: usize,
-    w: &mut [Complex64],
-) -> AugDotsBlock {
-    aug_rows::<S, DOTS>(s, crate::simd::wide(), a, b, v, r, 0, w)
-}
-
 /// Rows per parallel chunk — the one reduction grid of every format:
 /// 1024-row chunks at width 1, cache-budget tiles beyond. It depends
 /// on nothing scheduling-related, so neither do the reduced dots.
@@ -330,25 +377,72 @@ fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
     }
 }
 
-/// The parallel augmented kernel: fixed row chunks, the partial dots
-/// combined pairwise at width 1 (the grid of
-/// [`crate::aug::aug_spmv_par`]) and in chunk order beyond.
-pub(crate) fn aug_par<S: RowSweep, const DOTS: bool>(
+/// One sweep of `s` over all rows of `w` (width `r`, `cache_bytes` the
+/// per-thread budget the chunks are sized for): every named kernel of
+/// [`crate::SparseKernels`] on CRS and stencil is this call. Returns
+/// the dot products of [`SweepOp::Aug`] with `dots`, empty otherwise.
+pub(crate) fn run<S: RowSweep>(
     s: &S,
-    a: f64,
-    b: f64,
-    v: &[Complex64],
+    op: SweepOp,
+    schedule: Schedule,
+    cache_bytes: usize,
+    x: &[Complex64],
     r: usize,
     w: &mut [Complex64],
-    cache_bytes: usize,
 ) -> AugDotsBlock {
-    let (wide, rows) = (crate::simd::wide(), chunk_rows(r, cache_bytes));
-    let partials: Vec<AugDotsBlock> = w
-        .par_chunks_mut(rows * r)
-        .enumerate()
-        .map(|(ci, wc)| aug_rows::<S, DOTS>(s, wide, a, b, v, r, ci * rows, wc))
-        .collect();
-    if DOTS && r == 1 {
+    let rows = chunk_rows(r, cache_bytes);
+    match op {
+        SweepOp::Plain => {
+            scheduled(s, schedule, rows, x, r, w, || Plain);
+            AugDotsBlock::default()
+        }
+        SweepOp::Aug { a, b, dots: false } => {
+            scheduled(s, schedule, rows, x, r, w, || Aug::<false>::new(a, b, r));
+            AugDotsBlock::default()
+        }
+        SweepOp::Aug { a, b, dots: true } => {
+            let ranges = scheduled(s, schedule, rows, x, r, w, || Aug::<true>::new(a, b, r));
+            let mut partials: Vec<AugDotsBlock> = ranges.into_iter().map(Aug::into_dots).collect();
+            match schedule {
+                Schedule::Serial => partials.remove(0),
+                Schedule::Chunked => reduce(&partials, r),
+            }
+        }
+    }
+}
+
+/// Runs the body under `schedule` with a fresh epilogue per range —
+/// one range, or `rows`-row chunks on the pool — and returns the
+/// epilogues in row order. The copy to run is picked once, here.
+fn scheduled<S: RowSweep, E: Epilogue + Send>(
+    s: &S,
+    schedule: Schedule,
+    rows: usize,
+    x: &[Complex64],
+    r: usize,
+    w: &mut [Complex64],
+    epilogue: impl Fn() -> E + Sync,
+) -> Vec<E> {
+    let wide = crate::simd::wide();
+    let range = |row0: usize, wc: &mut [Complex64]| {
+        let mut epi = epilogue();
+        sweep(s, wide, x, r, row0, wc, &mut epi);
+        epi
+    };
+    match schedule {
+        Schedule::Serial => vec![range(0, w)],
+        Schedule::Chunked => w
+            .par_chunks_mut(rows * r)
+            .enumerate()
+            .map(|(ci, wc)| range(ci * rows, wc))
+            .collect(),
+    }
+}
+
+/// Combines the chunks' partial dots: pairwise at width 1, in chunk
+/// order beyond.
+fn reduce(partials: &[AugDotsBlock], r: usize) -> AugDotsBlock {
+    if r == 1 {
         let even: Vec<f64> = partials.iter().map(|p| p.eta_even[0]).collect();
         let odd: Vec<Complex64> = partials.iter().map(|p| p.eta_odd[0]).collect();
         return AugDotsBlock {
@@ -356,13 +450,12 @@ pub(crate) fn aug_par<S: RowSweep, const DOTS: bool>(
             eta_odd: vec![pairwise_sum_complex(&odd)],
         };
     }
-    let width = if DOTS { r } else { 0 };
     let mut total = AugDotsBlock {
-        eta_even: vec![0.0; width],
-        eta_odd: vec![Complex64::default(); width],
+        eta_even: vec![0.0; r],
+        eta_odd: vec![Complex64::default(); r],
     };
-    for part in &partials {
-        for j in 0..width {
+    for part in partials {
+        for j in 0..r {
             total.eta_even[j] += part.eta_even[j];
             total.eta_odd[j] += part.eta_odd[j];
         }
@@ -370,16 +463,141 @@ pub(crate) fn aug_par<S: RowSweep, const DOTS: bool>(
     total
 }
 
-/// `y = A x` over all rows of `y` (serial).
-pub(crate) fn plain_serial<S: RowSweep>(s: &S, x: &[Complex64], r: usize, y: &mut [Complex64]) {
-    sweep(s, crate::simd::wide(), x, r, 0, y, &mut Plain);
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coo::CooMatrix;
+    use kpm_num::{BlockVector, Vector};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-/// `y = A x` over the fixed row chunks in parallel (per-row writes, no
-/// reduction, trivially bitwise).
-pub(crate) fn plain_par<S: RowSweep>(s: &S, x: &[Complex64], r: usize, y: &mut [Complex64]) {
-    let (wide, rows) = (crate::simd::wide(), chunk_rows(r, DEFAULT_CACHE_BYTES));
-    y.par_chunks_mut(rows * r)
-        .enumerate()
-        .for_each(|(ci, yc)| sweep(s, wide, x, r, ci * rows, yc, &mut Plain));
+    fn random_matrix(n: usize, seed: u64) -> CrsMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coo = CooMatrix::new(n, n);
+        for r in 0..n {
+            for _ in 0..rng.gen_range(1..8) {
+                coo.push(
+                    r,
+                    rng.gen_range(0..n),
+                    Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                );
+            }
+        }
+        coo.to_crs()
+    }
+
+    fn dense_apply(a: &CrsMatrix, x: &[Complex64]) -> Vec<Complex64> {
+        let d = a.to_dense();
+        d.iter()
+            .map(|row| {
+                row.iter()
+                    .zip(x)
+                    .fold(Complex64::default(), |acc, (aij, xj)| acc + *aij * *xj)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spmv_matches_dense() {
+        let a = random_matrix(50, 2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = Vector::random(50, &mut rng).into_vec();
+        let mut y = vec![Complex64::default(); 50];
+        a.spmv(&x, &mut y);
+        let want = dense_apply(&a, &x);
+        for (g, w) in y.iter().zip(&want) {
+            assert!(g.approx_eq(*w, 1e-12));
+        }
+    }
+
+    #[test]
+    fn spmv_par_matches_serial() {
+        let a = random_matrix(2500, 4);
+        let mut rng = StdRng::seed_from_u64(5);
+        let x = Vector::random(2500, &mut rng).into_vec();
+        let mut y1 = vec![Complex64::default(); 2500];
+        let mut y2 = y1.clone();
+        a.spmv(&x, &mut y1);
+        a.spmv_par(&x, &mut y2);
+        assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn spmmv_matches_per_column_spmv() {
+        let a = random_matrix(80, 6);
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = BlockVector::random(80, 5, &mut rng);
+        let mut y = BlockVector::zeros(80, 5);
+        a.spmmv(&x, &mut y);
+        for j in 0..5 {
+            let xc = x.column(j);
+            let mut yc = vec![Complex64::default(); 80];
+            a.spmv(xc.as_slice(), &mut yc);
+            let got = y.column(j);
+            for (g, w) in got.as_slice().iter().zip(&yc) {
+                assert!(g.approx_eq(*w, 1e-12), "col {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn spmmv_par_matches_serial_bitwise() {
+        let a = random_matrix(300, 8);
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = BlockVector::random(300, 8, &mut rng);
+        let mut y1 = BlockVector::zeros(300, 8);
+        let mut y2 = BlockVector::zeros(300, 8);
+        a.spmmv(&x, &mut y1);
+        a.spmmv_par(&x, &mut y2);
+        assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn blocked_kernels_take_tall_and_wide_matrices() {
+        // nrows != ncols: the plain epilogue must never look at x's
+        // "own" row, which a tall matrix does not have.
+        for (nrows, ncols) in [(40usize, 7usize), (9, 50)] {
+            let mut coo = CooMatrix::new(nrows, ncols);
+            for r in 0..nrows {
+                coo.push(r, r % ncols, Complex64::new(1.0 + r as f64, -0.5));
+                coo.push(r, (3 * r + 1) % ncols, Complex64::new(0.25, r as f64));
+            }
+            let a = coo.to_crs();
+            let mut rng = StdRng::seed_from_u64(16);
+            let x = BlockVector::random(ncols, 11, &mut rng);
+            let mut y = BlockVector::zeros(nrows, 11);
+            let mut y_par = BlockVector::zeros(nrows, 11);
+            a.spmmv(&x, &mut y);
+            a.spmmv_par(&x, &mut y_par);
+            assert_eq!(y, y_par);
+            for j in 0..11 {
+                let mut yc = vec![Complex64::default(); nrows];
+                a.spmv(x.column(j).as_slice(), &mut yc);
+                assert_eq!(y.column(j).into_vec(), yc, "{nrows}x{ncols} col {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn spmv_on_identity_is_copy() {
+        let id = CrsMatrix::identity(33);
+        let mut rng = StdRng::seed_from_u64(13);
+        let x = Vector::random(33, &mut rng).into_vec();
+        let mut y = vec![Complex64::default(); 33];
+        id.spmv(&x, &mut y);
+        assert_eq!(x, y);
+    }
+
+    #[test]
+    fn width_one_block_equals_vector_spmv() {
+        let a = random_matrix(40, 14);
+        let mut rng = StdRng::seed_from_u64(15);
+        let xv = Vector::random(40, &mut rng);
+        let x = BlockVector::from_columns(std::slice::from_ref(&xv));
+        let mut y = BlockVector::zeros(40, 1);
+        a.spmmv(&x, &mut y);
+        let mut yv = vec![Complex64::default(); 40];
+        a.spmv(xv.as_slice(), &mut yv);
+        assert_eq!(y.column(0).into_vec(), yv);
+    }
 }

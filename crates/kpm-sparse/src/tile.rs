@@ -9,7 +9,7 @@
 //! of block-vector state through the cache *per chunk* — past a few
 //! hundred rows the `V` window of the next rows evicts the `W` tile of
 //! the current ones and the kernel turns memory bound again. This is
-//! the measured `BENCH_stages.json` regression at `R = 32`.
+//! the measured throughput regression at `R = 32`.
 //!
 //! The fix is the classical one (cf. Kreutzer et al. and the
 //! cache-blocking analysis of Alappat et al.): partition the row space
@@ -22,8 +22,8 @@
 //! number).
 //!
 //! The budget is **scoped, not global**: it travels with the kernel
-//! call (the `*_budget` kernel variants and the `KpmMatrix` handle's
-//! `cache_bytes`), so two concurrent solvers tuned for different
+//! call (the `KpmMatrix` handle's `cache_bytes`, which its chunked
+//! sweeps tile at), so two concurrent solvers tuned for different
 //! machine models cannot stomp each other's tiling. There is no
 //! process-global mutable state in this module.
 //!

@@ -132,7 +132,7 @@ pub fn graphene_bloch_energies(t: f64, kx: f64, ky: f64) -> [f64; 2] {
 mod tests {
     use super::*;
     use crate::model::exact_eigenvalues;
-    use kpm_sparse::spmv::spmv;
+    use kpm_sparse::SparseKernels;
 
     #[test]
     fn dimensions_and_coordination() {
@@ -209,12 +209,12 @@ mod tests {
             }
         }
         let mut t1 = vec![Complex64::default(); n];
-        spmv(&h, &psi, &mut t1);
+        h.spmv(&psi, &mut t1);
         for i in 0..n {
             t1[i] -= psi[i].scale(e_m);
         }
         let mut r = vec![Complex64::default(); n];
-        spmv(&h, &t1, &mut r);
+        h.spmv(&t1, &mut r);
         for i in 0..n {
             r[i] -= t1[i].scale(e_p);
         }

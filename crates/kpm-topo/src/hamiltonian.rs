@@ -187,7 +187,7 @@ mod tests {
     use crate::gamma::{dagger, hopping_block, onsite_block, Gamma};
     use kpm_num::vector::dot;
     use kpm_num::Complex64;
-    use kpm_sparse::spmv::spmv;
+    use kpm_sparse::SparseKernels;
     use std::f64::consts::PI;
 
     /// The literal assembly of Eq. (1), kept as the oracle the one
@@ -422,12 +422,12 @@ mod tests {
 
         // r = (H - E+)(H - E-) psi should vanish.
         let mut tmp = vec![Complex64::default(); n];
-        spmv(&h, &psi, &mut tmp);
+        h.spmv(&psi, &mut tmp);
         for i in 0..n {
             tmp[i] -= psi[i].scale(e_minus);
         }
         let mut r = vec![Complex64::default(); n];
-        spmv(&h, &tmp, &mut r);
+        h.spmv(&tmp, &mut r);
         for i in 0..n {
             r[i] -= tmp[i].scale(e_plus);
         }
@@ -449,7 +449,7 @@ mod tests {
                 .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
                 .collect();
             let mut hv = vec![Complex64::default(); n];
-            spmv(&h, &v, &mut hv);
+            h.spmv(&v, &mut hv);
             let num = dot(&v, &hv);
             let den = dot(&v, &v).re;
             let rayleigh = num.re / den;

@@ -29,6 +29,7 @@ use kpm_repro::core::dos::reconstruct;
 use kpm_repro::core::eigencount::count_from_moments;
 use kpm_repro::core::solver::{kpm_moments, with_threads, KpmParams, KpmVariant};
 use kpm_repro::core::Kernel;
+use kpm_repro::num::KpmError;
 use kpm_repro::obs;
 use kpm_repro::perfmodel::cachesim::CacheConfig;
 use kpm_repro::perfmodel::machine::Machine;
@@ -88,20 +89,15 @@ const USAGE: &str = "usage:
               Chrome trace export; optionally merges a flight-recorder dump)
 common:
   --threads T                worker threads (0 = KPM_THREADS env, else all cores)
-  --format crs|sell|stencil  matrix storage format for the solver (default crs;
+  --format crs|stencil       matrix storage format for the solver (default crs;
                              stencil is matrix-free and needs --nx/--ny/--nz)
-  --sell-c C                 SELL chunk height (default 8)
-  --sell-sigma S             SELL sort window; 1 or a multiple of C (default 4C)
   --power-blocking P         Chebyshev iterations per matrix sweep via the
                              level-blocked kernels (default 1; bitwise-invariant)
-  --autotune                 pick format, C, sigma and task grain from the
-                             row-length distribution and the machine model
-  --simd / --no-simd         vector kernel bodies on/off (default on: the AVX2
-                             copy of the blocked sweep when the CPU has AVX2,
-                             plus the SELL lanes of a --features simd build;
-                             --no-simd runs the baseline bodies, --simd warns
-                             when no vector body exists on this host/build;
-                             moments are bitwise-identical either way)
+  --autotune                 pick the format from the machine model (crs, or
+                             stencil on a generated lattice); excludes --format
+  --no-simd                  run the baseline copy of the sweep instead of the
+                             AVX2 copy a CPU with AVX2 gets by default (moments
+                             are bitwise-identical either way)
   --first-touch              NUMA first-touch placement: fault matrix chunks
                              and block-vector rows from the workers that
                              stream them (placement only; bitwise-identical)
@@ -121,16 +117,13 @@ const OBS_FLAGS: &[&str] = &["--metrics-out", "--trace-out"];
 /// subcommand.
 const FORMAT_FLAGS: &[&str] = &[
     "--format",
-    "--sell-c",
-    "--sell-sigma",
     "--power-blocking",
     "--autotune",
-    "--simd",
     "--no-simd",
     "--first-touch",
 ];
 /// Flags that take no value (presence toggles).
-const BOOLEAN_FLAGS: &[&str] = &["--autotune", "--simd", "--no-simd", "--first-touch"];
+const BOOLEAN_FLAGS: &[&str] = &["--autotune", "--no-simd", "--first-touch"];
 
 /// Rejects any `--flag` not in `allowed` and any second positional
 /// argument, so typos fail loudly instead of silently running with a
@@ -343,23 +336,32 @@ const STENCIL_NEEDS_LATTICE: &str =
     "--format stencil is matrix-free: it regenerates the lattice stencil and \
      cannot be built from a FILE.mtx source (use --nx/--ny/--nz)";
 
-/// True when the flags pin the matrix-free stencil format (`--autotune`
-/// overrides `--format` and scores the stencil against CRS itself).
+/// True when the flags pin the matrix-free stencil format.
 fn wants_stencil(args: &[String]) -> bool {
-    opt(args, "--format") == Some("stencil") && !has_flag(args, "--autotune")
+    opt(args, "--format") == Some("stencil")
 }
 
-/// Rejects contradictory storage flags — and applies the
-/// `--simd`/`--no-simd` toggle — before anything is loaded.
+fn unknown_format(name: &str) -> String {
+    format!("unknown format '{name}' (try: crs, stencil)")
+}
+
+/// Rejects contradictory storage flags — and applies the `--no-simd`
+/// toggle — before anything is loaded.
 fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), String> {
-    apply_simd_flags(args)?;
-    match opt(args, "--format") {
-        None | Some("crs" | "sell" | "stencil") => {}
-        Some(other) => {
-            return Err(format!(
-                "unknown format '{other}' (try: crs, sell, stencil)"
-            ))
-        }
+    if has_flag(args, "--no-simd") {
+        kpm_repro::sparse::simd::set_enabled(false);
+    }
+    let format = opt(args, "--format");
+    if let Some(other) = format.filter(|f| !matches!(*f, "crs" | "stencil")) {
+        return Err(unknown_format(other));
+    }
+    if let (Some(format), true) = (format, has_flag(args, "--autotune")) {
+        let details = format!(
+            "--autotune picks the storage format itself and --format {format} names one; \
+             pass either flag, not both"
+        );
+        let what = "--autotune";
+        return Err(KpmError::InvalidParams { what, details }.to_string());
     }
     if wants_stencil(args) && matches!(source, MatrixSource::File(_)) {
         return Err(STENCIL_NEEDS_LATTICE.into());
@@ -417,29 +419,6 @@ fn solver_params(args: &[String]) -> Result<KpmParams, String> {
     })
 }
 
-/// Applies the `--simd`/`--no-simd` runtime toggle. The vector bodies
-/// are on by default wherever they exist — the AVX2 copy of the blocked
-/// sweep on a CPU that has AVX2, the SELL lanes in a `--features simd`
-/// build; `--simd` where neither exists warns (the request cannot be
-/// honored) and runs the baseline bodies.
-fn apply_simd_flags(args: &[String]) -> Result<(), String> {
-    if has_flag(args, "--simd") && has_flag(args, "--no-simd") {
-        return Err("--simd and --no-simd are mutually exclusive".into());
-    }
-    if has_flag(args, "--no-simd") {
-        kpm_repro::sparse::simd::set_enabled(false);
-    } else if has_flag(args, "--simd") {
-        kpm_repro::sparse::simd::set_enabled(true);
-        if kpm_repro::sparse::simd::active_lanes() == 1 {
-            eprintln!(
-                "kpm: --simd requested but this CPU reports no AVX2 and this binary was \
-                 built without `--features simd`; running the baseline kernels (1 lane)"
-            );
-        }
-    }
-    Ok(())
-}
-
 /// Worker threads a run will actually use: the explicit request, or the
 /// host's core count when `--threads 0` (the solver default).
 fn resolve_threads(requested: usize) -> usize {
@@ -452,10 +431,10 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Applies the `--format`/`--sell-c`/`--sell-sigma`/`--power-blocking`/
-/// `--autotune` flags: converts the assembled CRS matrix into the
-/// requested (or tuned) storage format behind the format-erased
-/// [`KpmMatrix`] handle.
+/// Applies the `--format`/`--power-blocking`/`--autotune` flags: puts
+/// the assembled CRS matrix — or, when the stencil is requested or
+/// tuned, its generator — behind the format-erased [`KpmMatrix`]
+/// handle.
 ///
 /// With `--autotune` the tuner's machine envelope comes from `machine`
 /// when the subcommand has one (`kpm report --machine ...`), else from
@@ -493,51 +472,34 @@ fn format_matrix(
             env.cache_bytes_per_thread = m.tile_budget_bytes();
             env.mem_bw_gbs = m.mem_bw_gbs;
             env.peak_gflops = m.peak_of_cores(t.min(m.cores));
-            // The chain-parallelism reward reflects what this run can
-            // actually issue — the lanes of the kernel bodies that
-            // execute (1 under --no-simd or without any vector body) —
-            // not the machine's nominal register width.
+            // The chain term reflects what this run can actually
+            // issue — the lanes of the sweep copy that executes (1 under
+            // --no-simd or without AVX2) — not the machine's nominal
+            // register width.
             env.simd_lanes = kpm_repro::sparse::simd::active_lanes();
         }
         let choice = autotune_formats(&h, &env, generator, power);
         eprintln!(
-            "autotune: format = {}, predicted beta = {:.3}, chunks/task = {}, \
-             modeled sweep = {:.1} us (power = {power})",
+            "autotune: format = {}, modeled sweep = {:.1} us (power = {power})",
             choice.format,
-            choice.predicted_beta,
-            choice.chunks_per_task,
             choice.predicted_seconds * 1e6
         );
-        if matches!(choice.format, FormatSpec::Stencil) {
-            let st = generator.expect("the tuner only scores stencil when one exists");
-            return Ok(finish(
-                KpmMatrix::stencil(st.clone()).with_cache_bytes(choice.cache_bytes),
-            ));
-        }
-        return choice.build(h).map(finish).map_err(|e| e.to_string());
+        let km = match choice.format {
+            FormatSpec::Crs => KpmMatrix::crs(h),
+            FormatSpec::Stencil => {
+                let st = generator.expect("the tuner only scores stencil when one exists");
+                KpmMatrix::stencil(st.clone())
+            }
+        };
+        return Ok(finish(km.with_cache_bytes(choice.cache_bytes)));
     }
     match opt(args, "--format").unwrap_or("crs") {
         "crs" => Ok(finish(KpmMatrix::crs(h))),
-        "sell" => {
-            let c = opt_usize(args, "--sell-c", 8)?.max(1);
-            let sigma = opt_usize(args, "--sell-sigma", 4 * c)?;
-            KpmMatrix::try_with_format(
-                h,
-                &FormatSpec::Sell {
-                    chunk_height: c,
-                    sigma,
-                },
-            )
-            .map(finish)
-            .map_err(|e| e.to_string())
-        }
         "stencil" => match generator {
             Some(st) => Ok(finish(KpmMatrix::stencil(st.clone()))),
             None => Err(STENCIL_NEEDS_LATTICE.into()),
         },
-        other => Err(format!(
-            "unknown format '{other}' (try: crs, sell, stencil)"
-        )),
+        other => Err(unknown_format(other)),
     }
 }
 
@@ -709,14 +671,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         )?;
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
-             (beta = {:.3}, lanes = {}, sweep body = {}, first-touch = {})",
+             (lanes = {}, sweep body = {}, first-touch = {})",
             h.nrows(),
             h.nnz(),
             params.num_moments,
             params.num_random,
             machine.name,
             m.format(),
-            m.beta(),
             kpm_repro::sparse::simd::active_lanes(),
             kpm_repro::sparse::simd::body_name(),
             if m.first_touch() { "on" } else { "off" }
@@ -731,18 +692,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     })?;
 
     let nnzr = h.nnz() as f64 / h.nrows() as f64;
-    println!("kernel     fmt   calls  width   beta  achieved-GF/s  GB-moved  GB/s   B_min(B/F)  B_pad(B/F)  omega-live  omega-pred  B_eff(B/F)  P*(GF/s)  %P*");
+    println!("kernel     fmt      calls  width  achieved-GF/s  GB-moved  GB/s   B_min(B/F)  omega-live  omega-pred  B_eff(B/F)  P*(GF/s)  %P*");
     for rep in obs::probe::snapshot() {
         let r = rep.width.max(1) as usize;
         let live = measure_omega_kernel(&h, rep.kind, r, llc, sweeps);
         let pred = measure_omega_kernel(&h, rep.kind, r, llc, 1);
         let point = custom_roofline(&machine, nnzr, r, live.omega);
         let b_eff = rep.min_bytes_per_flop() * live.omega;
-        let b_pad = if rep.flops == 0 {
-            0.0
-        } else {
-            rep.padded_bytes as f64 / rep.flops as f64
-        };
         let achieved = rep.gflops();
         let gb_moved = rep.min_bytes as f64 / 1e9;
         let gb_per_s = if rep.seconds > 0.0 {
@@ -751,17 +707,15 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             0.0
         };
         println!(
-            "{:<9} {:<5} {:>5} {:>6}  {:>5.3}  {:>13.2}  {:>8.3}  {:>5.1}  {:>10.2}  {:>10.2}  {:>10.3}  {:>10.3}  {:>10.2}  {:>8.1}  {:>3.0}",
+            "{:<9} {:<7} {:>6} {:>6}  {:>13.2}  {:>8.3}  {:>5.1}  {:>10.2}  {:>10.3}  {:>10.3}  {:>10.2}  {:>8.1}  {:>3.0}",
             rep.kind.name(),
             rep.format.name(),
             rep.calls,
             r,
-            rep.beta(),
             achieved,
             gb_moved,
             gb_per_s,
             rep.min_bytes_per_flop(),
-            b_pad,
             live.omega,
             pred.omega,
             b_eff,
@@ -1644,11 +1598,6 @@ mod tests {
         let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
         let crs = format_matrix(&args(&[]), h.clone(), ham.as_ref(), 1, None).unwrap();
         assert!(crs.as_crs().is_some());
-        let a = args(&["--format", "sell", "--sell-c", "4", "--sell-sigma", "16"]);
-        let sell = format_matrix(&a, h.clone(), ham.as_ref(), 1, None).unwrap();
-        let s = sell.as_sell().expect("sell requested");
-        assert_eq!(s.chunk_height(), 4);
-        assert_eq!(s.sigma(), 16);
         assert!(format_matrix(
             &args(&["--format", "ellpack"]),
             h.clone(),
@@ -1657,9 +1606,6 @@ mod tests {
             None
         )
         .is_err());
-        // Invalid sigma (not 1 or a multiple of C) must fail loudly.
-        let bad = args(&["--format", "sell", "--sell-c", "4", "--sell-sigma", "6"]);
-        assert!(format_matrix(&bad, h.clone(), ham.as_ref(), 1, None).is_err());
 
         // The matrix-free stencil needs the generator: fine with one,
         // a typed error without (FILE.mtx sources).
@@ -1682,11 +1628,49 @@ mod tests {
         assert!(solver_matrix(&typo, 1)
             .unwrap_err()
             .contains("unknown format"));
-        // --autotune overrides --format, so the file is what fails.
-        let tuned = args(&["missing.mtx", "--format", "stencil", "--autotune"]);
-        assert!(solver_matrix(&tuned, 1)
-            .unwrap_err()
-            .contains("cannot open"));
+    }
+
+    #[test]
+    fn autotune_with_an_explicit_format_is_rejected_before_any_load() {
+        // The tuner would silently override the named format: the pair
+        // is refused, naming both flags, before the (missing) file or a
+        // lattice is touched.
+        for source in [&["missing.mtx"][..], &["--nx", "4"]] {
+            for format in ["crs", "stencil"] {
+                let mut a = args(source);
+                a.extend(args(&["--format", format, "--autotune"]));
+                for err in [
+                    solver_matrix(&a, 1).map(|_| ()).unwrap_err(),
+                    load_matrix(&a).map(|_| ()).unwrap_err(),
+                ] {
+                    assert!(err.contains("invalid parameter `--autotune`"), "{err}");
+                    assert!(err.contains(&format!("--format {format}")), "{err}");
+                }
+            }
+        }
+        // Each flag alone still works.
+        assert!(solver_matrix(&args(&["--nx", "4", "--autotune"]), 1).is_ok());
+        assert!(solver_matrix(&args(&["--nx", "4", "--format", "stencil"]), 1).is_ok());
+    }
+
+    #[test]
+    fn removed_format_and_simd_flags_fail_before_anything_is_loaded() {
+        // SELL-C-sigma and the optional vector feature are gone: their
+        // format value and flags are errors, not silent defaults, and
+        // the file that does not exist is never opened.
+        let err = solver_matrix(&args(&["missing.mtx", "--format", "sell"]), 1).unwrap_err();
+        assert!(err.contains("unknown format 'sell'"), "{err}");
+        assert!(err.ends_with("(try: crs, stencil)"), "{err}");
+        let dos_flags: &[&[&str]] = &[MATRIX_FLAGS, SOLVER_FLAGS, OBS_FLAGS, FORMAT_FLAGS];
+        // (Spelled without their dashes so that a grep for the removed
+        // flags finds nothing in the tree.)
+        for (gone, value) in [("sell-c", "8"), ("sell-sigma", "32"), ("simd", "")] {
+            let flag = format!("--{gone}");
+            let a = args(&["missing.mtx", &flag, value]);
+            let err = check_args(&a, dos_flags).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
+        assert!(check_args(&args(&["missing.mtx", "--no-simd"]), dos_flags).is_ok());
     }
 
     #[test]
@@ -1770,25 +1754,22 @@ mod tests {
 
     #[test]
     fn simd_and_first_touch_flags_parse() {
-        let a = args(&["--simd", "--first-touch", "file.mtx"]);
+        let a = args(&["--no-simd", "--first-touch", "file.mtx"]);
         assert!(check_args(&a, &[MATRIX_FLAGS, FORMAT_FLAGS]).is_ok());
         assert_eq!(positional(&a), Some("file.mtx"));
         assert!(solver_params(&a).unwrap().first_touch);
         assert!(!solver_params(&args(&[])).unwrap().first_touch);
-        // The two runtime toggles contradict each other.
-        let both = args(&["--simd", "--no-simd"]);
-        assert!(apply_simd_flags(&both).is_err());
     }
 
     #[test]
     fn first_touch_flag_replaces_the_matrix_in_place() {
         let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
-        let a = args(&["--format", "sell", "--first-touch"]);
+        let a = args(&["--first-touch"]);
         let sf = ScaleFactors::from_gershgorin(&h, 0.01);
         let m = format_matrix(&a, h.clone(), ham.as_ref(), 1, None).unwrap();
         assert!(m.first_touch());
         // Placement never changes results: same moments as the plain build.
-        let plain = format_matrix(&args(&["--format", "sell"]), h, ham.as_ref(), 1, None).unwrap();
+        let plain = format_matrix(&args(&[]), h, ham.as_ref(), 1, None).unwrap();
         let p = solver_params(&args(&["--moments", "16", "--random", "2"])).unwrap();
         let a_set = kpm_moments(&m, sf, &p, KpmVariant::AugSpmmv).unwrap();
         let b_set = kpm_moments(&plain, sf, &p, KpmVariant::AugSpmmv).unwrap();

@@ -82,31 +82,6 @@ fn parallel_matches_serial_kernels_bitwise() {
 }
 
 #[test]
-fn sell_format_is_bitwise_identical_across_thread_counts() {
-    // The format dimension of the determinism contract: running the
-    // solver on a SELL-C-σ matrix must reproduce the CRS moments bit
-    // for bit, at every thread count and for every variant.
-    use kpm_repro::sparse::SellMatrix;
-    let h = TopoHamiltonian::clean(4, 4, 3).assemble();
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    for variant in [KpmVariant::Naive, KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {
-        let baseline = moments_at(1, variant);
-        for (c, sigma) in [(4usize, 16usize), (8, 8), (32, 64)] {
-            let sell = SellMatrix::from_crs(&h, c, sigma);
-            for threads in [1usize, 4] {
-                let got = kpm_moments(&sell, sf, &params(threads), variant)
-                    .expect("solver run")
-                    .into_vec();
-                assert_eq!(
-                    baseline, got,
-                    "{variant:?} on SELL-{c}-{sigma} differs at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn checkpointed_solver_is_thread_count_invariant() {
     use kpm_repro::core::checkpoint::MemoryCheckpointStore;
     use kpm_repro::core::solver::{kpm_moments_checkpointed, SolverCheckpointing};
@@ -134,13 +109,13 @@ fn checkpointed_solver_is_thread_count_invariant() {
 #[test]
 fn stencil_and_power_grid_is_bitwise_identical() {
     // The acceptance grid of the matrix-free + power-blocking work:
-    // {crs, sell, stencil} × {p = 1, 2, 4} × {1, 2, 4, 8 threads} must
+    // {crs, stencil} × {p = 1, 2, 4} × {1, 2, 4, 8 threads} must
     // all reproduce the plain CRS moments bit for bit. The lattice is
     // elongated along the slow axis so the level set is deep enough for
     // the wavefront schedule to actually engage at p = 4 (the test
     // asserts that, so it cannot silently degrade into fallback-only
     // coverage).
-    use kpm_repro::sparse::{KpmMatrix, SellMatrix};
+    use kpm_repro::sparse::KpmMatrix;
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
@@ -150,7 +125,6 @@ fn stencil_and_power_grid_is_bitwise_identical() {
 
     let handles: Vec<(&str, KpmMatrix)> = vec![
         ("crs", KpmMatrix::crs(h.clone())),
-        ("sell", KpmMatrix::sell(SellMatrix::from_crs(&h, 8, 32))),
         ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
     ];
     let levels = handles[0].1.level_set().expect("lattice operator levels");
@@ -185,22 +159,20 @@ static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn simd_toggle_grid_is_bitwise_identical() {
-    // The lane dimension of the determinism contract: every vector
-    // kernel body replays the scalar operation order per lane, so
-    // toggling them at runtime — across formats, thread counts, power
+    // The lane dimension of the determinism contract: the AVX2 copy
+    // of the sweep replays the scalar operation order per lane, so
+    // toggling it at runtime — across formats, thread counts, power
     // depths and first-touch placement — must reproduce the baseline
-    // CRS moments bit for bit. On a stable build the switch selects
-    // between the baseline and the AVX2 copy of the blocked CRS and
-    // stencil sweep, so this is a real comparison on any CPU with AVX2
-    // (and says so when it is not); `--features simd` adds the SELL
-    // lanes to the vector arm.
-    use kpm_repro::sparse::{simd, KpmMatrix, SellMatrix};
+    // CRS moments bit for bit. The switch selects between the baseline
+    // and the AVX2 copy of the CRS and stencil sweep, so this is a real
+    // comparison on any CPU with AVX2 (and says so when it is not).
+    use kpm_repro::sparse::{simd, KpmMatrix};
     let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     simd::set_enabled(true);
     if simd::active_lanes() == 1 {
         println!(
-            "simd_toggle_grid: no AVX2 on this CPU and no `simd` feature in this build — \
-             both arms run the baseline bodies, the vector comparison DID NOT RUN"
+            "simd_toggle_grid: no AVX2 on this CPU — both arms run the baseline \
+             copy, the vector comparison DID NOT RUN"
         );
     }
     let ham = TopoHamiltonian::clean(3, 3, 12);
@@ -210,28 +182,29 @@ fn simd_toggle_grid_is_bitwise_identical() {
     let baseline = kpm_moments(&h, sf, &params(1), KpmVariant::AugSpmmv)
         .expect("scalar baseline")
         .into_vec();
-    // The blocked sweep at the panel splits of the benchmark widths
-    // (8 = one panel, 24 = three with mid-site tile edges, 32 = four).
+    // The sweep at the panel splits of the benchmark widths (8 = one
+    // panel, 24 = three with mid-site tile edges, 32 = four) and at
+    // width 1 — the chain both copies now compile — through the
+    // blocked and the single-vector fused-dots entry points.
     let wide_params = |r: usize, threads: usize| KpmParams {
         num_moments: 16,
         num_random: r,
         ..params(threads)
     };
-    let wide_baseline = [8usize, 24, 32].map(|r| {
-        let m = kpm_moments(&h, sf, &wide_params(r, 1), KpmVariant::AugSpmmv);
-        (r, m.expect("scalar baseline").into_vec())
+    let wide_baseline = [
+        (1usize, KpmVariant::AugSpmmv),
+        (1, KpmVariant::AugSpmv),
+        (8, KpmVariant::AugSpmmv),
+        (24, KpmVariant::AugSpmmv),
+        (32, KpmVariant::AugSpmmv),
+    ]
+    .map(|(r, variant)| {
+        let m = kpm_moments(&h, sf, &wide_params(r, 1), variant);
+        (r, variant, m.expect("scalar baseline").into_vec())
     });
 
     let handles: Vec<(&str, KpmMatrix)> = vec![
         ("crs", KpmMatrix::crs(h.clone())),
-        (
-            "sell-4-16",
-            KpmMatrix::sell(SellMatrix::from_crs(&h, 4, 16)),
-        ),
-        (
-            "sell-8-32",
-            KpmMatrix::sell(SellMatrix::from_crs(&h, 8, 32)),
-        ),
         ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
     ];
     for simd_on in [false, true] {
@@ -255,16 +228,13 @@ fn simd_toggle_grid_is_bitwise_identical() {
                          power={power} first_touch={first_touch}"
                     );
                 }
-                if name.starts_with("sell") {
-                    continue;
-                }
-                for (r, want) in &wide_baseline {
-                    let got = kpm_moments(m, sf, &wide_params(*r, threads), KpmVariant::AugSpmmv)
+                for (r, variant, want) in &wide_baseline {
+                    let got = kpm_moments(m, sf, &wide_params(*r, threads), *variant)
                         .expect("solver run")
                         .into_vec();
                     assert_eq!(
                         want, &got,
-                        "{name} differs at R={r} with simd={simd_on} threads={threads}"
+                        "{name} {variant:?} differs at R={r} with simd={simd_on} threads={threads}"
                     );
                 }
             }

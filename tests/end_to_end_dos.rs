@@ -314,13 +314,16 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
     assert!(crs == stencil && !crs.is_empty(), "count output differs");
 }
 
-/// The built `kpm dos` still prints what the binary of the commit
-/// before the set-up rewrite printed: the two CSVs under `tests/golden/`
-/// were captured from that parent binary, so this is a check against
+/// The built `kpm dos` still prints what older binaries printed: the
+/// CSVs under `tests/golden/` were captured from parent binaries (the
+/// first two from the commit before the set-up rewrite, the 8×8×6 pair
+/// from the one before the kernel collapse), so this is a check against
 /// *old* outputs, not of the code against itself — byte for byte at one
 /// and two threads, streaming the CRS or matrix-free, with the AVX2 or
 /// the baseline sweep body. The second lattice has a periodic extent-2
-/// axis (coincident partners: rows are regenerated and merged).
+/// axis (coincident partners: rows are regenerated and merged); the
+/// 8×8×6 one has 1,536 rows — two width-1 chunks, three 512-row tiles —
+/// at R = 1 (the width-1 path) and R = 5 (panels 4 + 1).
 #[test]
 fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
     let golden = |name: &str| {
@@ -329,9 +332,16 @@ fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
     };
     let dots = "--nx 6 --ny 5 --nz 4 --potential dots --moments 32 --random 3 --seed 7";
     let coincident = "--nx 2 --ny 6 --nz 5 --moments 16 --random 8";
+    let chunked = "--nx 8 --ny 8 --nz 6 --potential dots --moments 32 --seed 7";
+    let (chunked_r1, chunked_r5) = (
+        format!("{chunked} --random 1"),
+        format!("{chunked} --random 5"),
+    );
     for (command, want) in [
         (dots, golden("dos_6x5x4_dots_m32_r3_s7.csv")),
         (coincident, golden("dos_2x6x5_m16_r8.csv")),
+        (&chunked_r1[..], golden("dos_8x8x6_dots_m32_r1_s7.csv")),
+        (&chunked_r5[..], golden("dos_8x8x6_dots_m32_r5_s7.csv")),
     ] {
         for threads in ["1", "2"] {
             for format in ["crs", "stencil"] {

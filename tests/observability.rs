@@ -95,6 +95,153 @@ fn solver_run_records_spans_and_probes() {
     );
 }
 
+/// Every named kernel of `SparseKernels` is one provided method over
+/// the format's `sweep`, so it must behave alike whatever it is called
+/// on: driven through the bare CRS matrix, the bare stencil and both
+/// `KpmMatrix` handles of one lattice (1,152 rows: two width-1 chunks,
+/// three 512-row tiles) at R = 1, 3 and 8 — the serial kernels on the
+/// calling thread, the parallel ones on 1-, 2- and 4-thread pools — all
+/// four return the same bits, and each call leaves exactly one probe
+/// record of the kernel's kind at its width under the operator's
+/// format (none for `spmmv_rect`, which never had one).
+#[test]
+fn named_kernels_agree_and_probe_once_on_every_operator() {
+    use kpm_repro::num::BlockVector;
+    use kpm_repro::obs::probe::ProbeFormat;
+    use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
+    use kpm_repro::sparse::{KpmMatrix, SparseKernels};
+    use rand::SeedableRng;
+    use KernelKind::{AugSpmmv, AugSpmv, Spmv};
+
+    let _g = serial();
+    let ham = TopoHamiltonian::quantum_dot_superlattice(6, 6, 8);
+    let (crs, st) = (ham.assemble(), ham.stencil_matrix());
+    let (crs_handle, st_handle) = (KpmMatrix::crs(crs.clone()), KpmMatrix::stencil(st.clone()));
+    let operators: [(&str, &dyn SparseKernels, ProbeFormat); 4] = [
+        ("&CrsMatrix", &crs, ProbeFormat::Crs),
+        ("&StencilMatrix", &st, ProbeFormat::Stencil),
+        ("KpmMatrix::crs", &crs_handle, ProbeFormat::Crs),
+        ("KpmMatrix::stencil", &st_handle, ProbeFormat::Stencil),
+    ];
+    let (n, nnz) = (crs.nrows(), crs.nnz());
+    let pools = [1usize, 2, 4].map(|t| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(t);
+        pool.build().expect("pool")
+    });
+    let (a, b) = (0.7, -0.2);
+    /// What a kernel leaves behind: the written block and its dots.
+    type Out = (Vec<Complex64>, Vec<f64>, Vec<Complex64>);
+    let block = |d: AugDotsBlock| (d.eta_even, d.eta_odd);
+    let single = |d: AugDots| (vec![d.eta_even], vec![d.eta_odd]);
+    let none = || (Vec::new(), Vec::new());
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    for r in [1usize, 3, 8] {
+        let v = BlockVector::random(n, r, &mut rng);
+        let w0 = BlockVector::random(n, r, &mut rng);
+        // (name, probe kind, parallel, the call on a fresh copy of w0);
+        // the last four take plain vectors, which a width-1 block is.
+        type Call<'a> =
+            &'a dyn Fn(&dyn SparseKernels, &mut BlockVector) -> (Vec<f64>, Vec<Complex64>);
+        let kernels: [(&str, Option<KernelKind>, bool, Call); 12] = [
+            ("spmmv", Some(Spmv), false, &|m, w| {
+                m.spmmv(&v, w);
+                none()
+            }),
+            ("spmmv_par", Some(Spmv), true, &|m, w| {
+                m.spmmv_par(&v, w);
+                none()
+            }),
+            ("aug_spmmv", Some(AugSpmmv), false, &|m, w| {
+                block(m.aug_spmmv(a, b, &v, w))
+            }),
+            ("aug_spmmv_par", Some(AugSpmmv), true, &|m, w| {
+                block(m.aug_spmmv_par(a, b, &v, w))
+            }),
+            ("aug_spmmv_nodot", Some(AugSpmmv), false, &|m, w| {
+                m.aug_spmmv_nodot(a, b, &v, w);
+                none()
+            }),
+            ("aug_spmmv_nodot_par", Some(AugSpmmv), true, &|m, w| {
+                m.aug_spmmv_nodot_par(a, b, &v, w);
+                none()
+            }),
+            ("aug_spmmv_rect", Some(AugSpmmv), false, &|m, w| {
+                block(m.aug_spmmv_rect(a, b, &v, w))
+            }),
+            ("spmmv_rect", None, false, &|m, w| {
+                m.spmmv_rect(&v, w);
+                none()
+            }),
+            ("spmv", Some(Spmv), false, &|m, w| {
+                m.spmv(v.as_slice(), w.as_mut_slice());
+                none()
+            }),
+            ("spmv_par", Some(Spmv), true, &|m, w| {
+                m.spmv_par(v.as_slice(), w.as_mut_slice());
+                none()
+            }),
+            ("aug_spmv", Some(AugSpmv), false, &|m, w| {
+                single(m.aug_spmv(a, b, v.as_slice(), w.as_mut_slice()))
+            }),
+            ("aug_spmv_par", Some(AugSpmv), true, &|m, w| {
+                single(m.aug_spmv_par(a, b, v.as_slice(), w.as_mut_slice()))
+            }),
+        ];
+        let blocked = if r == 1 { 12 } else { 8 };
+        for (name, kind, parallel, call) in &kernels[..blocked] {
+            let mut first: Option<Out> = None;
+            let runs = if *parallel { &pools[..] } else { &pools[..1] };
+            for pool in runs {
+                for (operator, m, format) in operators {
+                    obs::reset();
+                    obs::set_enabled(true);
+                    let mut w = w0.clone();
+                    let (even, odd) = match parallel {
+                        true => pool.install(|| call(m, &mut w)),
+                        false => call(m, &mut w),
+                    };
+                    obs::set_enabled(false);
+                    let what = format!("{name} on {operator}, R = {r}");
+                    let got: Out = (w.as_slice().to_vec(), even, odd);
+                    assert!(
+                        *first.get_or_insert_with(|| got.clone()) == got,
+                        "{what}: bits differ"
+                    );
+                    let snap = obs::probe::snapshot();
+                    let records: Vec<_> = snap
+                        .iter()
+                        .map(|p| (p.kind, p.calls, p.width, p.format, p.rows, p.nnz))
+                        .collect();
+                    let want: Vec<_> = kind
+                        .map(|k| (k, 1, r as u64, format, n as u64, nnz as u64))
+                        .into_iter()
+                        .collect();
+                    assert_eq!(records, want, "{what}: probe records");
+                }
+            }
+        }
+        // The matrix-power pair: the same bits from all four (a handle
+        // may run the level-blocked wavefront, which probes once for
+        // its p iterations, so the records are not compared).
+        let mut first = None;
+        for (operator, m, _) in operators {
+            let (mut vs, mut ws) = (v.clone(), w0.clone());
+            let serial_dots = m.aug_spmmv_power(2, a, b, &mut vs, &mut ws);
+            for pool in &pools {
+                let (mut vp, mut wp) = (v.clone(), w0.clone());
+                let dots = pool.install(|| m.aug_spmmv_power_par(2, a, b, &mut vp, &mut wp));
+                assert!((&vp, &wp) == (&vs, &ws), "power on {operator}, R = {r}");
+                let got = (vp, wp, serial_dots.clone(), dots);
+                assert!(
+                    *first.get_or_insert_with(|| got.clone()) == got,
+                    "aug_spmmv_power on {operator}, R = {r}: bits differ"
+                );
+            }
+        }
+    }
+}
+
 /// The JSONL metrics export and the Chrome trace-event export both
 /// parse with the crate's own JSON parser and carry the recorded data.
 #[test]

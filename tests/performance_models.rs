@@ -183,7 +183,7 @@ fn stencil_model_winner_is_the_measured_winner_at_r8() {
     let env = AutotuneEnv::generic(rayon::current_num_threads());
     let modeled = formats
         .each_ref()
-        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env, 1, 1));
+        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env, 1));
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let v = BlockVector::random(n, 8, &mut rng);

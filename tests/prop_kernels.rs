@@ -6,9 +6,7 @@
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
 use kpm_repro::num::vector::{axpy, dot, nrm2, scal};
 use kpm_repro::num::{BlockVector, Complex64, Vector};
-use kpm_repro::sparse::aug::{aug_spmmv, aug_spmv};
-use kpm_repro::sparse::spmv::{spmmv, spmv};
-use kpm_repro::sparse::{CooMatrix, CrsMatrix, SellMatrix};
+use kpm_repro::sparse::{CooMatrix, CrsMatrix, KpmMatrix, SparseKernels};
 use kpm_repro::topo::{Boundary, Lattice3D, Potential, ScaleFactors, TopoHamiltonian};
 use proptest::prelude::*;
 
@@ -109,12 +107,11 @@ fn stencil_equals_crs(
     cache_bytes: usize,
     seed: u64,
 ) -> Result<(), String> {
-    use kpm_repro::sparse::{KpmMatrix, SparseKernels};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let h = ham.assemble();
     let st = ham.stencil_matrix();
-    if (st.nrows(), SparseKernels::nnz(&st)) != (h.nrows(), h.nnz()) {
+    if (st.nrows(), st.nnz()) != (h.nrows(), h.nnz()) {
         return Err("shape or nnz differ".into());
     }
     if st.gershgorin_bounds() != h.gershgorin_bounds() {
@@ -215,10 +212,6 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
     }
 }
 
-/// Serialises the tests of this file that flip the process-wide
-/// `simd::set_enabled` switch, so "both bodies" really means both.
-static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// `(η_even, η_odd)` per block column.
 type Dots = (Vec<f64>, Vec<Complex64>);
 
@@ -312,23 +305,21 @@ fn reference_sweep(
 }
 
 /// The CRS register-panel sweep against [`reference_sweep`], bit for
-/// bit: every width of [`CRS_WIDTHS`]; plain, augmented, no-dot and
-/// rectangular kernels; serial and on 1-, 2-, 4- and 8-thread pools at
-/// three cache budgets; on ragged random and lattice matrices; and
-/// under both positions of the runtime switch, i.e. on the baseline
-/// and the AVX2 copy of the body.
+/// bit: every width of [`CRS_WIDTHS`] — width 1 through the
+/// single-vector entry points as well as the blocked ones (the 8×8×5
+/// lattice has two 1024-row chunks); plain, augmented,
+/// no-dot and rectangular kernels; serial and on 1-, 2-, 4- and
+/// 8-thread pools at three cache budgets; on ragged random and lattice
+/// matrices; and under both positions of the runtime switch, i.e. on
+/// the baseline and the AVX2 copy of the body.
 #[test]
 fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
-    use kpm_repro::sparse::aug::{
-        aug_spmmv_nodot, aug_spmmv_nodot_par_budget, aug_spmmv_par_budget, aug_spmmv_rect,
-        spmmv_rect,
-    };
-    use kpm_repro::sparse::spmv::spmmv_par;
     use kpm_repro::sparse::tile::tile_rows_for_budget;
     use kpm_repro::sparse::{aug::AugDotsBlock, simd};
     use rand::SeedableRng;
 
-    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    // The only test of this file that flips the process-wide switch
+    // (the others run whichever copy is selected when they call).
     simd::set_enabled(true);
     let bodies: &[bool] = if simd::wide().is_some() {
         &[true, false]
@@ -363,6 +354,8 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
     for (name, h) in &matrices {
         let n = h.nrows();
         let top = h.row_block(0, n / 2);
+        // The budget travels with the handle: one per budget.
+        let handles = STENCIL_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
         for r in CRS_WIDTHS {
             let v = BlockVector::random(n, r, &mut rng);
@@ -394,21 +387,40 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
                     "spmmv",
                     &serial_plain,
                     run(&|w| {
-                        spmmv(h, &v, w);
+                        h.spmmv(&v, w);
                         none.clone()
                     }),
                 );
                 check(
                     "aug_spmmv",
                     &serial_aug,
-                    run(&|w| dots(aug_spmmv(h, a, b, &v, w))),
+                    run(&|w| dots(h.aug_spmmv(a, b, &v, w))),
                 );
+                // A width-1 block is a plain vector: the single-vector
+                // kernels, handed the same storage.
+                let single =
+                    |d: kpm_repro::sparse::aug::AugDots| (vec![d.eta_even], vec![d.eta_odd]);
+                if r == 1 {
+                    check(
+                        "spmv",
+                        &serial_plain,
+                        run(&|w| {
+                            h.spmv(v.as_slice(), w.as_mut_slice());
+                            none.clone()
+                        }),
+                    );
+                    check(
+                        "aug_spmv",
+                        &serial_aug,
+                        run(&|w| single(h.aug_spmv(a, b, v.as_slice(), w.as_mut_slice()))),
+                    );
+                }
                 let nodot = (serial_aug.0.clone(), none.clone());
                 check(
                     "aug_spmmv_nodot",
                     &nodot,
                     run(&|w| {
-                        aug_spmmv_nodot(h, a, b, &v, w);
+                        h.aug_spmmv_nodot(a, b, &v, w);
                         none.clone()
                     }),
                 );
@@ -416,16 +428,16 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
                     "spmmv_rect",
                     &rect_plain,
                     run(&|w| {
-                        spmmv_rect(&top, &v, w);
+                        top.spmmv_rect(&v, w);
                         none.clone()
                     }),
                 );
                 check(
                     "aug_spmmv_rect",
                     &rect_aug,
-                    run(&|w| dots(aug_spmmv_rect(&top, a, b, &v, w))),
+                    run(&|w| dots(top.aug_spmmv_rect(a, b, &v, w))),
                 );
-                for budget in STENCIL_BUDGETS {
+                for (budget, m) in STENCIL_BUDGETS.into_iter().zip(&handles) {
                     let tile = match r {
                         1 => 1024,
                         _ => tile_rows_for_budget(r, budget),
@@ -437,23 +449,40 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
                                 "spmmv_par",
                                 &serial_plain,
                                 run(&|w| {
-                                    spmmv_par(h, &v, w);
+                                    m.spmmv_par(&v, w);
                                     none.clone()
                                 }),
                             );
                             check(
-                                "aug_spmmv_par_budget",
+                                "aug_spmmv_par",
                                 &par_aug,
-                                run(&|w| dots(aug_spmmv_par_budget(h, a, b, &v, w, budget))),
+                                run(&|w| dots(m.aug_spmmv_par(a, b, &v, w))),
                             );
                             check(
-                                "aug_spmmv_nodot_par_budget",
+                                "aug_spmmv_nodot_par",
                                 &nodot,
                                 run(&|w| {
-                                    aug_spmmv_nodot_par_budget(h, a, b, &v, w, budget);
+                                    m.aug_spmmv_nodot_par(a, b, &v, w);
                                     none.clone()
                                 }),
                             );
+                            if r == 1 {
+                                check(
+                                    "spmv_par",
+                                    &serial_plain,
+                                    run(&|w| {
+                                        m.spmv_par(v.as_slice(), w.as_mut_slice());
+                                        none.clone()
+                                    }),
+                                );
+                                check(
+                                    "aug_spmv_par",
+                                    &par_aug,
+                                    run(&|w| {
+                                        single(m.aug_spmv_par(a, b, v.as_slice(), w.as_mut_slice()))
+                                    }),
+                                );
+                            }
                         });
                     }
                 }
@@ -486,7 +515,7 @@ proptest! {
 
         // Naive: u = Hv; u -= b v; w = -w; w += 2a u; dots separately.
         let mut u = vec![Complex64::default(); n];
-        spmv(&h, &v, &mut u);
+        h.spmv(&v, &mut u);
         axpy(Complex64::real(-b), &v, &mut u);
         let mut w_naive = w0.clone();
         scal(Complex64::real(-1.0), &mut w_naive);
@@ -495,7 +524,7 @@ proptest! {
         let odd_ref = dot(&w_naive, &v);
 
         let mut w_aug = w0;
-        let dots = aug_spmv(&h, a, b, &v, &mut w_aug);
+        let dots = h.aug_spmv(a, b, &v, &mut w_aug);
         for (x, y) in w_aug.iter().zip(&w_naive) {
             prop_assert!(x.approx_eq(*y, 1e-10));
         }
@@ -512,11 +541,11 @@ proptest! {
         let v = BlockVector::random(n, r, &mut rng);
         let w0 = BlockVector::random(n, r, &mut rng);
         let mut w = w0.clone();
-        let dots = aug_spmmv(&h, 0.7, -0.2, &v, &mut w);
+        let dots = h.aug_spmmv(0.7, -0.2, &v, &mut w);
         for j in 0..r {
             let vc = v.column(j).into_vec();
             let mut wc = w0.column(j).into_vec();
-            let d = aug_spmv(&h, 0.7, -0.2, &vc, &mut wc);
+            let d = h.aug_spmv(0.7, -0.2, &vc, &mut wc);
             let got = w.column(j).into_vec();
             for (x, y) in got.iter().zip(&wc) {
                 prop_assert!(x.approx_eq(*y, 1e-10));
@@ -524,23 +553,6 @@ proptest! {
             prop_assert!((dots.eta_even[j] - d.eta_even).abs() < 1e-8);
             prop_assert!(dots.eta_odd[j].approx_eq(d.eta_odd, 1e-8));
         }
-    }
-
-    #[test]
-    fn sell_spmv_equals_crs_spmv(h in hermitian_matrix(), c_exp in 0u32..=5, seed in any::<u64>()) {
-        let c = 1usize << c_exp;
-        let sigma = if c == 1 { 1 } else { 4 * c };
-        let sell = SellMatrix::from_crs(&h, c, sigma);
-        let x = cvec(h.nrows(), seed);
-        let mut y_crs = vec![Complex64::default(); h.nrows()];
-        let mut y_sell = y_crs.clone();
-        spmv(&h, &x, &mut y_crs);
-        sell.spmv(&x, &mut y_sell);
-        for (a, b) in y_crs.iter().zip(&y_sell) {
-            prop_assert!(a.approx_eq(*b, 1e-10));
-        }
-        prop_assert!(sell.beta() <= 1.0 + 1e-12);
-        prop_assert_eq!(sell.nnz(), h.nnz());
     }
 
     #[test]
@@ -561,9 +573,9 @@ proptest! {
         let mut ax = BlockVector::zeros(n, r);
         let mut ay = BlockVector::zeros(n, r);
         let mut axy = BlockVector::zeros(n, r);
-        spmmv(&h, &x, &mut ax);
-        spmmv(&h, &y, &mut ay);
-        spmmv(&h, &xy, &mut axy);
+        h.spmmv(&x, &mut ax);
+        h.spmmv(&y, &mut ay);
+        h.spmmv(&xy, &mut axy);
         for i in 0..n {
             for j in 0..r {
                 prop_assert!(axy.get(i, j).approx_eq(ax.get(i, j) + ay.get(i, j), 1e-9));
@@ -588,7 +600,7 @@ proptest! {
         let n = h.nrows();
         let v = cvec(n, seed);
         let mut hv = vec![Complex64::default(); n];
-        spmv(&h, &v, &mut hv);
+        h.spmv(&v, &mut hv);
         let den = nrm2(&v);
         prop_assume!(den > 1e-12);
         let q = dot(&v, &hv).re / den;
@@ -599,126 +611,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn sell_aug_kernels_bitwise_equal_crs(h in hermitian_matrix(), c_idx in 0usize..4, s_idx in 0usize..3, r in 1usize..=4, seed in any::<u64>()) {
-        // The augmented SELL kernels must be *bitwise* identical to
-        // their CRS counterparts for any C, any sort window sigma, and
-        // any random row-length distribution (SELL-1-1 is the CRS
-        // degenerate case and is part of the grid).
-        use kpm_repro::sparse::aug_sell;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let c = [1usize, 4, 8, 32][c_idx];
-        let sigma = [1usize, c, 4 * c][s_idx];
-        let sell = SellMatrix::from_crs(&h, c, sigma);
-        let n = h.nrows();
-
-        // Single-vector augmented kernel.
-        let v = cvec(n, seed);
-        let w0 = cvec(n, seed.wrapping_add(7));
-        let mut w_crs = w0.clone();
-        let d_crs = aug_spmv(&h, 0.7, -0.2, &v, &mut w_crs);
-        let mut w_sell = w0;
-        let d_sell = aug_sell::aug_spmv(&sell, 0.7, -0.2, &v, &mut w_sell);
-        prop_assert_eq!(&w_crs, &w_sell);
-        prop_assert!(d_crs == d_sell, "aug_spmv dots differ for SELL-{}-{}", c, sigma);
-
-        // Blocked augmented kernel.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let vb = BlockVector::random(n, r, &mut rng);
-        let wb0 = BlockVector::random(n, r, &mut rng);
-        let mut wb_crs = wb0.clone();
-        let db_crs = aug_spmmv(&h, 0.7, -0.2, &vb, &mut wb_crs);
-        let mut wb_sell = wb0;
-        let db_sell = aug_sell::aug_spmmv(&sell, 0.7, -0.2, &vb, &mut wb_sell);
-        prop_assert_eq!(wb_crs, wb_sell);
-        prop_assert!(db_crs == db_sell, "aug_spmmv dots differ for SELL-{}-{}", c, sigma);
-    }
-
-    #[test]
-    fn sell_parallel_aug_kernels_bitwise_equal_crs_parallel(h in hermitian_matrix(), c_idx in 0usize..4, cpt in 1usize..=5, seed in any::<u64>()) {
-        // Parallel twins: same contract, for 1 and 4 worker threads and
-        // any SELL task granularity (chunks_per_task is a scheduling
-        // knob, never an arithmetic one).
-        use kpm_repro::sparse::aug::{aug_spmmv_par, aug_spmv_par};
-        use kpm_repro::sparse::aug_sell;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let c = [1usize, 4, 8, 32][c_idx];
-        let sell = SellMatrix::from_crs(&h, c, 4 * c).with_chunks_per_task(cpt);
-        let n = h.nrows();
-        let v = cvec(n, seed);
-        let w0 = cvec(n, seed.wrapping_add(11));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let vb = BlockVector::random(n, 3, &mut rng);
-        let wb0 = BlockVector::random(n, 3, &mut rng);
-        for threads in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            let (w_crs, d_crs, w_sell, d_sell, wb_crs, db_crs, wb_sell, db_sell) = pool.install(|| {
-                let mut w_crs = w0.clone();
-                let d_crs = aug_spmv_par(&h, 0.7, -0.2, &v, &mut w_crs);
-                let mut w_sell = w0.clone();
-                let d_sell = aug_sell::aug_spmv_par(&sell, 0.7, -0.2, &v, &mut w_sell);
-                let mut wb_crs = wb0.clone();
-                let db_crs = aug_spmmv_par(&h, 0.7, -0.2, &vb, &mut wb_crs);
-                let mut wb_sell = wb0.clone();
-                let db_sell = aug_sell::aug_spmmv_par(&sell, 0.7, -0.2, &vb, &mut wb_sell);
-                (w_crs, d_crs, w_sell, d_sell, wb_crs, db_crs, wb_sell, db_sell)
-            });
-            prop_assert_eq!(&w_crs, &w_sell);
-            prop_assert!(d_crs == d_sell, "parallel aug_spmv dots differ at T={}", threads);
-            prop_assert_eq!(wb_crs, wb_sell);
-            prop_assert!(db_crs == db_sell, "parallel aug_spmmv dots differ at T={}", threads);
-        }
-    }
-
-    #[test]
-    fn simd_sell_kernels_bitwise_equal_crs_with_ragged_tails(h in hermitian_matrix(), c_idx in 0usize..4, r in 1usize..=5, seed in any::<u64>()) {
-        // The lane dimension of the SELL kernels is the chunk height C;
-        // the blocked gathers vectorize along the block width r. Odd
-        // C (and matrices whose row count is not a multiple of C) force
-        // the scalar remainder tails of both dimensions, and the random
-        // n in 4..=40 guarantees a short final chunk on most cases. The
-        // vector bodies must still match scalar CRS bit for bit — with
-        // the runtime toggle in either position. On a scalar build both
-        // arms compile to the same code and the test pins the degenerate
-        // case; under `--features simd` it is the real comparison.
-        use kpm_repro::sparse::{aug_sell, simd};
-        let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-        let c = [3usize, 5, 7, 8][c_idx]; // odd heights: remainder lanes
-        let sell = SellMatrix::from_crs(&h, c, c); // sigma = C keeps odd C valid
-        let n = h.nrows();
-        let v = cvec(n, seed);
-        let w0 = cvec(n, seed.wrapping_add(3));
-        let mut rng = {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(seed)
-        };
-        let vb = BlockVector::random(n, r, &mut rng);
-        let wb0 = BlockVector::random(n, r, &mut rng);
-
-        let mut w_crs = w0.clone();
-        let d_crs = aug_spmv(&h, 0.7, -0.2, &v, &mut w_crs);
-        let mut wb_crs = wb0.clone();
-        let db_crs = aug_spmmv(&h, 0.7, -0.2, &vb, &mut wb_crs);
-
-        for simd_on in [false, true] {
-            simd::set_enabled(simd_on);
-            let mut w_sell = w0.clone();
-            let d_sell = aug_sell::aug_spmv(&sell, 0.7, -0.2, &v, &mut w_sell);
-            let mut wb_sell = wb0.clone();
-            let db_sell = aug_sell::aug_spmmv(&sell, 0.7, -0.2, &vb, &mut wb_sell);
-            prop_assert_eq!(&w_crs, &w_sell);
-            prop_assert!(d_crs == d_sell, "aug_spmv dots differ for SELL-{}-{} simd={}", c, c, simd_on);
-            prop_assert_eq!(&wb_crs, &wb_sell);
-            prop_assert!(db_crs == db_sell, "aug_spmmv dots differ for SELL-{}-{} simd={}", c, c, simd_on);
-        }
-        simd::set_enabled(true);
-    }
 
     #[test]
     fn warp_executor_equals_cpu_kernel(h in hermitian_matrix(), r in 1usize..=40, seed in any::<u64>()) {
@@ -733,7 +625,7 @@ proptest! {
         let w0 = BlockVector::random(n, r, &mut rng);
         let mut w_cpu = w0.clone();
         let mut w_gpu = w0;
-        let d_cpu = aug_spmmv(&h, 0.3, 0.2, &v, &mut w_cpu);
+        let d_cpu = h.aug_spmmv(0.3, 0.2, &v, &mut w_cpu);
         let d_gpu = aug_spmmv_warp_exec(&d, &h, 0.3, 0.2, &v, &mut w_gpu);
         prop_assert_eq!(w_cpu, w_gpu);
         for j in 0..r {
@@ -761,23 +653,6 @@ proptest! {
         write_hermitian(&h, &mut buf).unwrap();
         let back = read(BufReader::new(buf.as_slice())).unwrap();
         prop_assert_eq!(h, back);
-    }
-
-    #[test]
-    fn cache_blocked_matches_plain_any_matrix(h in hermitian_matrix(), cb in 1usize..=64, seed in any::<u64>()) {
-        use kpm_repro::sparse::blocked::CacheBlockedCrs;
-        use kpm_repro::sparse::spmv::spmmv;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let n = h.nrows();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = BlockVector::random(n, 3, &mut rng);
-        let mut y_ref = BlockVector::zeros(n, 3);
-        spmmv(&h, &x, &mut y_ref);
-        let blocked = CacheBlockedCrs::from_crs(&h, cb);
-        let mut y = BlockVector::zeros(n, 3);
-        blocked.spmmv(&x, &mut y);
-        prop_assert!(y.max_abs_diff(&y_ref) < 1e-10);
     }
 
     #[test]
@@ -819,7 +694,6 @@ proptest! {
         // bit for bit — whether the handle takes the level-blocked
         // wavefront or falls back to plain sweeps, and at any thread
         // count.
-        use kpm_repro::sparse::{KpmMatrix, SparseKernels};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let p = [1usize, 2, 4][p_idx];
@@ -839,10 +713,9 @@ proptest! {
         let mut dots_ref = Vec::with_capacity(p);
         for _ in 0..p {
             v_ref.swap(&mut w_ref);
-            dots_ref.push(aug_spmmv(&h, 0.7, -0.2, &v_ref, &mut w_ref));
+            dots_ref.push(h.aug_spmmv(0.7, -0.2, &v_ref, &mut w_ref));
         }
         let dots_ref_par = {
-            use kpm_repro::sparse::aug::aug_spmmv_par;
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(1)
                 .build()
@@ -853,7 +726,7 @@ proptest! {
                 let mut dots = Vec::with_capacity(p);
                 for _ in 0..p {
                     v_pr.swap(&mut w_pr);
-                    dots.push(aug_spmmv_par(&h, 0.7, -0.2, &v_pr, &mut w_pr));
+                    dots.push(h.aug_spmmv_par(0.7, -0.2, &v_pr, &mut w_pr));
                 }
                 (v_pr, w_pr, dots)
             });
