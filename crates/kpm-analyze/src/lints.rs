@@ -30,7 +30,7 @@ pub const KERNEL_CRATES: &[&str] = &[
 ];
 
 /// Hot-kernel files checked for in-loop heap allocation.
-pub const HOT_KERNEL_FILES: &[&str] = &["sweep.rs", "stencil.rs", "power.rs"];
+pub const HOT_KERNEL_FILES: &[&str] = &["sweep.rs", "stencil.rs"];
 
 /// The crate holding the instrumentation gate; `relaxed_store` is
 /// skipped there and `obs_gate` runs only there.

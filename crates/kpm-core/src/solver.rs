@@ -90,13 +90,11 @@ pub struct KpmParams {
     /// setting — the reduction tree is fixed by chunk boundaries, not by
     /// the thread count.
     pub threads: usize,
-    /// Matrix-power depth `p` (≥ 1): the blocked solver advances up to
-    /// `p` Chebyshev iterations per `aug_spmmv_power` call, letting a
-    /// level-blocked kernel stream the matrix once per `p` sweeps.
-    /// Purely a scheduling knob — moments are bitwise-identical for
-    /// every value (the power kernels reproduce the plain sweeps bit
-    /// for bit, and fall back to them when the operator does not
-    /// level). The naive/fused single-vector variants ignore it.
+    /// Chebyshev iterations per matrix sweep: always 1. Iteration
+    /// blocking was removed (EXPERIMENTS.md, "Level-blocked matrix
+    /// powers, the last trial"); the field is still here only because
+    /// `benchmark/src/pipeline.rs`, which solver PRs may not edit,
+    /// spells `power: 1` in its struct literal. It goes when that does.
     pub power: usize,
     /// NUMA-style first-touch placement: re-place the matrix's hot
     /// arrays and fault each block vector's row ranges from the pinned
@@ -150,10 +148,13 @@ impl KpmParams {
                 details: "need at least one random vector".to_string(),
             });
         }
-        if self.power < 1 {
+        if self.power != 1 {
             return Err(KpmError::InvalidParams {
                 what: "power",
-                details: "power-blocking depth must be >= 1".to_string(),
+                details: format!(
+                    "one Chebyshev iteration per matrix sweep is the only schedule (got {})",
+                    self.power
+                ),
             });
         }
         Ok(())
@@ -212,8 +213,8 @@ pub fn kpm_moments<M: SparseKernels + ?Sized>(
     params: &KpmParams,
     variant: KpmVariant,
 ) -> Result<MomentSet, KpmError> {
-    validate_square(h)?;
     params.validate()?;
+    validate_square(h)?;
     let _sp = span("solver.run", "solver")
         .arg("variant", format!("{variant:?}"))
         .arg("moments", params.num_moments)
@@ -372,19 +373,32 @@ fn init_recurrence<M: SparseKernels + ?Sized>(
     }
 }
 
+/// The recurrence state of a stage-2 run: the block pair, `(ν_m, ν_{m+1})`
+/// after `m` sweeps, and every moment partial recorded so far in the
+/// flat layout `[µ₀ | µ₁ | per sweep (η_even | η_odd)]`, each `R` wide —
+/// the layout [`moments_from_flat_eta`], the checkpoints and the
+/// distributed solver share.
+struct BlockedState {
+    v: BlockVector,
+    w: BlockVector,
+    eta: Vec<Complex64>,
+}
+
 /// [`init_recurrence`] for all columns of a blocked run at once, as the
 /// paper's Fig. 5 loop does on its first trip: one width-`R` `spmmv`
 /// (the matrix is read once, not `R` times) and one fused pass for the
-/// shift, the scaling and both dot products. Returns `(V, W, µ₀, µ₁)`;
-/// every column carries the bits of its own [`init_recurrence`] chain,
-/// serial or parallel.
+/// shift, the scaling and both dot products. Returns the state before
+/// the first of `iters` sweeps, `(V, W, [µ₀ | µ₁])`; every column
+/// carries the bits of its own [`init_recurrence`] chain, serial or
+/// parallel.
 fn init_block<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
     v: BlockVector,
+    iters: usize,
     parallel: bool,
     first_touch: bool,
-) -> (BlockVector, BlockVector, Vec<f64>, Vec<f64>) {
+) -> BlockedState {
     let _sp = span("solver.init", "solver").arg("width", v.width());
     let mut w = BlockVector::zeros(v.rows(), v.width());
     let (mu0, mu1) = if parallel {
@@ -397,7 +411,9 @@ fn init_block<M: SparseKernels + ?Sized>(
         h.spmmv(&v, &mut w);
         shift_scale_dots(sf.a, sf.b, &v, &mut w)
     };
-    (v, w, mu0, mu1)
+    let mut eta = Vec::with_capacity(EtaCheckpoint::expected_len(iters, v.width()));
+    eta.extend(mu0.into_iter().chain(mu1).map(Complex64::real));
+    BlockedState { v, w, eta }
 }
 
 /// The naive KPM loop (paper Fig. 3): per iteration one `spmv()`, two
@@ -467,54 +483,61 @@ fn single_run_aug<M: SparseKernels + ?Sized>(
     Ok(MomentSet::from_eta(mu0, mu1, &eta))
 }
 
-/// The stage-2 loop (paper Fig. 5): all `R` random vectors advance
-/// together through one blocked `aug_spmmv()` per iteration; the matrix
-/// is streamed once per iteration instead of `R` times.
+/// The stage-2 loop (paper Fig. 5), the only one there is: all `R`
+/// columns advance together through one blocked augmented SpMMV per
+/// iteration, so the matrix is streamed once per iteration instead of
+/// `R` times. For each iteration `m` of `iterations`: `before_sweep(m,
+/// state)` — the deadline test of the batched solver, the save and the
+/// injected crash of the checkpointed one — then swap, sweep, the
+/// [`check_partials`] guardrail on every column, and the partials
+/// appended to `state.eta`.
+fn blocked_sweeps<M: SparseKernels + ?Sized>(
+    h: &M,
+    sf: ScaleFactors,
+    parallel: bool,
+    state: &mut BlockedState,
+    iterations: std::ops::Range<usize>,
+    mut before_sweep: impl FnMut(usize, &BlockedState) -> Result<(), KpmError>,
+) -> Result<(), KpmError> {
+    for m in iterations {
+        before_sweep(m, state)?;
+        let _sweep = span("solver.sweep", "solver");
+        state.v.swap(&mut state.w);
+        let dots = if parallel {
+            h.aug_spmmv_par(sf.a, sf.b, &state.v, &mut state.w)
+        } else {
+            // On CRS and stencil the same register-panel sweep as the
+            // parallel one, as one row range.
+            h.aug_spmmv(sf.a, sf.b, &state.v, &mut state.w)
+        };
+        for (j, (&even, &odd)) in dots.eta_even.iter().zip(&dots.eta_odd).enumerate() {
+            check_partials(m, even, odd, state.eta[j].re)?;
+        }
+        state
+            .eta
+            .extend(dots.eta_even.iter().map(|&even| Complex64::real(even)));
+        state.eta.extend_from_slice(&dots.eta_odd);
+    }
+    Ok(())
+}
+
+/// [`KpmVariant::AugSpmmv`]: [`blocked_sweeps`] from the seeded starting
+/// block to the last iteration, nothing in between.
 fn run_blocked_variant<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
     params: &KpmParams,
 ) -> Result<MomentSet, KpmError> {
-    let r = params.num_random;
-    let par = params.parallel;
     let start = {
         let _sp = span("solver.start", "solver");
         starting_block(h.nrows(), params)
     };
-    let (mut v, mut w, mu0, mu1) = init_block(h, sf, start, par, params.first_touch);
-
     let iters = params.iterations();
-    let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iters); r];
-    let mut m = 0;
-    while m < iters {
-        let _sweep = span("solver.sweep", "solver");
-        // Advance up to `power` iterations per matrix sweep. The power
-        // kernels own the `v`/`w` swap (their contract maps
-        // (x_{k-1}, x_k) to (x_{k+p-1}, x_{k+p})), and their trait
-        // default is literally `p × { swap; aug_spmmv }`, so `power: 1`
-        // reproduces the classic loop bit for bit.
-        let p = params.power.max(1).min(iters - m);
-        let dots_vec = if par {
-            h.aug_spmmv_power_par(p, sf.a, sf.b, &mut v, &mut w)
-        } else {
-            // The serial trait kernel: on CRS and stencil the same
-            // register-panel sweep as the parallel one, as one row range.
-            h.aug_spmmv_power(p, sf.a, sf.b, &mut v, &mut w)
-        };
-        for dots in dots_vec {
-            for (j, eta_j) in eta.iter_mut().enumerate() {
-                check_partials(m, dots.eta_even[j], dots.eta_odd[j], mu0[j])?;
-                eta_j.push((dots.eta_even[j], dots.eta_odd[j]));
-            }
-            m += 1;
-        }
-    }
-
-    let mut acc = MomentSet::zeros(params.num_moments);
-    for j in 0..r {
-        acc.accumulate(&MomentSet::from_eta(mu0[j], mu1[j], &eta[j]));
-    }
-    Ok(acc)
+    let par = params.parallel;
+    let mut state = init_block(h, sf, start, iters, par, params.first_touch);
+    blocked_sweeps(h, sf, par, &mut state, 0..iters, |_, _| Ok(()))?;
+    let (m, r) = (params.num_moments, params.num_random);
+    Ok(moments_from_flat_eta(&state.eta, m, r, iters))
 }
 
 /// Columns per task when a batched solve runs in parallel.
@@ -536,10 +559,9 @@ const BATCH_GROUP_COLS: usize = 8;
 /// concurrently; grouping never mixes columns arithmetically, so
 /// results are also bitwise-identical across thread counts.
 ///
-/// `deadline` aborts the sweep loop with
-/// [`KpmError::DeadlineExceeded`] once the wall clock passes it — the
-/// hook the service uses to thread per-request budgets through the
-/// solver.
+/// `deadline` aborts a group with [`KpmError::DeadlineExceeded`] when
+/// the wall clock has passed it before a sweep — the hook the service
+/// uses to thread per-request budgets through the solver.
 pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
@@ -548,28 +570,10 @@ pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
     parallel: bool,
     deadline: Option<std::time::Instant>,
 ) -> Result<Vec<MomentSet>, KpmError> {
-    kpm_batch_moments_power(h, sf, starts, num_moments, parallel, deadline, 1)
-}
-
-/// [`kpm_batch_moments`] with a matrix-power depth: each group advances
-/// up to `power` Chebyshev iterations per matrix sweep through the
-/// level-blocked `aug_spmmv_power` kernel. Results are bitwise
-/// identical to `power = 1`; only the deadline check coarsens to one
-/// test per power chunk.
-pub fn kpm_batch_moments_power<M: SparseKernels + ?Sized>(
-    h: &M,
-    sf: ScaleFactors,
-    starts: &[Vector],
-    num_moments: usize,
-    parallel: bool,
-    deadline: Option<std::time::Instant>,
-    power: usize,
-) -> Result<Vec<MomentSet>, KpmError> {
     validate_square(h)?;
     KpmParams {
         num_moments,
         num_random: 1,
-        power: power.max(1),
         ..KpmParams::default()
     }
     .validate()?;
@@ -588,67 +592,42 @@ pub fn kpm_batch_moments_power<M: SparseKernels + ?Sized>(
     let _sp = span("solver.batch", "solver")
         .arg("columns", starts.len())
         .arg("moments", num_moments);
-    if !parallel || starts.len() <= BATCH_GROUP_COLS {
-        let mut out = Vec::with_capacity(starts.len());
-        for group in starts.chunks(BATCH_GROUP_COLS) {
-            out.extend(batch_group_serial(
-                h,
-                sf,
-                group,
-                num_moments,
-                deadline,
-                power,
-            )?);
-        }
-        return Ok(out);
-    }
-    let groups: Result<Vec<Vec<MomentSet>>, KpmError> = starts
-        .par_chunks(BATCH_GROUP_COLS)
-        .map(|group| batch_group_serial(h, sf, group, num_moments, deadline, power))
-        .collect();
+    let solve_group = |group: &[Vector]| batch_group_serial(h, sf, group, num_moments, deadline);
+    let groups: Result<Vec<Vec<MomentSet>>, KpmError> =
+        if parallel && starts.len() > BATCH_GROUP_COLS {
+            starts
+                .par_chunks(BATCH_GROUP_COLS)
+                .map(solve_group)
+                .collect()
+        } else {
+            starts.chunks(BATCH_GROUP_COLS).map(solve_group).collect()
+        };
     Ok(groups?.into_iter().flatten().collect())
 }
 
 /// One column group of a batched solve: the serial stage-2 recurrence
-/// over up to [`BATCH_GROUP_COLS`] columns. Serial by design — see
-/// [`kpm_batch_moments`] for the bitwise argument.
+/// over up to [`BATCH_GROUP_COLS`] columns (callers never pass an empty
+/// group), the deadline tested before every sweep. Serial by design —
+/// see [`kpm_batch_moments`] for the bitwise argument.
 fn batch_group_serial<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
     starts: &[Vector],
     num_moments: usize,
     deadline: Option<std::time::Instant>,
-    power: usize,
 ) -> Result<Vec<MomentSet>, KpmError> {
     let r = starts.len();
-    if r == 0 {
-        return Ok(Vec::new());
-    }
-    let iterations = num_moments / 2 - 1;
+    let iters = num_moments / 2 - 1;
     let start = BlockVector::from_columns(starts);
-    let (mut v, mut w, mu0, mu1) = init_block(h, sf, start, false, false);
-
-    let mut eta: Vec<Vec<(f64, Complex64)>> = vec![Vec::with_capacity(iterations); r];
-    let mut m = 0;
-    while m < iterations {
-        if let Some(d) = deadline {
-            if std::time::Instant::now() >= d {
-                return Err(KpmError::DeadlineExceeded { iteration: m });
-            }
+    let mut state = init_block(h, sf, start, iters, false, false);
+    blocked_sweeps(h, sf, false, &mut state, 0..iters, |m, _| match deadline {
+        Some(d) if std::time::Instant::now() >= d => {
+            Err(KpmError::DeadlineExceeded { iteration: m })
         }
-        let _sweep = span("solver.sweep", "solver");
-        let p = power.max(1).min(iterations - m);
-        let dots_vec = h.aug_spmmv_power(p, sf.a, sf.b, &mut v, &mut w);
-        for dots in dots_vec {
-            for (j, eta_j) in eta.iter_mut().enumerate() {
-                check_partials(m, dots.eta_even[j], dots.eta_odd[j], mu0[j])?;
-                eta_j.push((dots.eta_even[j], dots.eta_odd[j]));
-            }
-            m += 1;
-        }
-    }
+        _ => Ok(()),
+    })?;
     Ok((0..r)
-        .map(|j| MomentSet::from_eta(mu0[j], mu1[j], &eta[j]))
+        .map(|j| column_from_flat_eta(&state.eta, r, iters, j))
         .collect())
 }
 
@@ -698,18 +677,12 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
         });
     }
     let n = h.nrows();
-    let r = params.num_random;
+    let (r, par) = (params.num_random, params.parallel);
     let iters = params.iterations();
-
-    // η in the flat distributed layout: [µ0 | µ1 | per-sweep (even | odd)].
-    let mut eta_flat: Vec<Complex64>;
-    let mut v: BlockVector;
-    let mut w: BlockVector;
-    let start_iter: usize;
 
     let restore_sp = span("solver.ckpt.restore", "ckpt");
     let restore_t0 = std::time::Instant::now();
-    match crate::checkpoint::latest_consistent(ckpt.store, n)? {
+    let (mut state, start_iter) = match crate::checkpoint::latest_consistent(ckpt.store, n)? {
         Some(it) => {
             let rck = ckpt
                 .store
@@ -728,113 +701,90 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
                     details: "checkpoint geometry does not match this run".to_string(),
                 });
             }
-            v = block_from_interleaved(&rck.v, n, r);
-            w = block_from_interleaved(&rck.w, n, r);
-            eta_flat = eck.eta;
-            start_iter = it;
+            let state = BlockedState {
+                v: block_from_interleaved(&rck.v, n, r),
+                w: block_from_interleaved(&rck.w, n, r),
+                eta: eck.eta,
+            };
             metrics::counter_inc("solver.ckpt.restores");
             metrics::hist_record_ns(
                 "solver.ckpt.restore_ns",
                 restore_t0.elapsed().as_nanos() as u64,
             );
+            (state, it)
         }
         None => {
             let start = starting_block(n, params);
-            let (mu0, mu1);
-            (v, w, mu0, mu1) = init_block(h, sf, start, params.parallel, params.first_touch);
-            eta_flat = Vec::with_capacity(2 * r + iters * 2 * r);
-            eta_flat.extend(mu0.into_iter().chain(mu1).map(Complex64::real));
-            start_iter = 0;
+            (init_block(h, sf, start, iters, par, params.first_touch), 0)
         }
-    }
+    };
     drop(restore_sp);
 
-    let mut m = start_iter;
-    while m < iters {
-        let _sweep = span("solver.sweep", "solver");
-        if start_iter == 0 && ckpt.crash_at == Some(m) {
-            return Err(KpmError::RankCrashed { rank: 0 });
-        }
-        // Power chunks are clamped so saves still land exactly on
-        // checkpoint-interval boundaries and an injected crash fires at
-        // its precise iteration (the chunk stops just before it, the
-        // next loop entry reports the crash). Clamping never changes
-        // bits — the power kernels are iteration-exact at any `p`.
-        let mut p = params.power.max(1).min(iters - m);
-        p = p.min(ckpt.interval - m % ckpt.interval);
-        if start_iter == 0 {
-            if let Some(c) = ckpt.crash_at {
-                if c > m {
-                    p = p.min(c - m);
-                }
-            }
-        }
-        let dots_vec = if params.parallel {
-            h.aug_spmmv_power_par(p, sf.a, sf.b, &mut v, &mut w)
-        } else {
-            h.aug_spmmv_power(p, sf.a, sf.b, &mut v, &mut w)
-        };
-        for dots in dots_vec {
-            for j in 0..r {
-                check_partials(m, dots.eta_even[j], dots.eta_odd[j], eta_flat[j].re)?;
-                eta_flat.push(Complex64::real(dots.eta_even[j]));
-            }
-            eta_flat.extend_from_slice(&dots.eta_odd);
-            m += 1;
-        }
-        let done = m;
-        if done.is_multiple_of(ckpt.interval) && done < iters {
+    // Before sweep `m`, in this order: the state after `m` sweeps is
+    // saved when `m` is an interval boundary this run swept up to, then
+    // a fresh run crashes if `m` is the injected crash point — so a
+    // crash on a boundary still leaves that boundary's checkpoint.
+    let save_or_crash = |m: usize, state: &BlockedState| {
+        if m > start_iter && m.is_multiple_of(ckpt.interval) {
             let _save_sp = span("solver.ckpt.save", "ckpt");
             let save_t0 = std::time::Instant::now();
             ckpt.store.save_rank(&RankCheckpoint {
-                iteration: done,
+                iteration: m,
                 rank: 0,
                 row_begin: 0,
                 row_end: n,
                 width: r,
                 halo_sent: 0,
-                v: interleave_block(&v),
-                w: interleave_block(&w),
+                v: interleave_block(&state.v),
+                w: interleave_block(&state.w),
             })?;
             ckpt.store.save_eta(&EtaCheckpoint {
-                iteration: done,
+                iteration: m,
                 width: r,
-                eta: eta_flat.clone(),
+                eta: state.eta.clone(),
             })?;
             metrics::counter_inc("solver.ckpt.saves");
             metrics::hist_record_ns("solver.ckpt.save_ns", save_t0.elapsed().as_nanos() as u64);
         }
-    }
-
+        if start_iter == 0 && ckpt.crash_at == Some(m) {
+            return Err(KpmError::RankCrashed { rank: 0 });
+        }
+        Ok(())
+    };
+    blocked_sweeps(h, sf, par, &mut state, start_iter..iters, save_or_crash)?;
     Ok(moments_from_flat_eta(
-        &eta_flat,
+        &state.eta,
         params.num_moments,
         r,
         iters,
     ))
 }
 
-/// Rebuilds a [`MomentSet`] from the flat η layout shared by the
-/// checkpointed and the distributed solver.
+/// Rebuilds a [`MomentSet`] — the average over the `r` columns — from
+/// the flat η layout shared by the shared-memory and the distributed
+/// solver.
 pub fn moments_from_flat_eta(
     eta_flat: &[Complex64],
     num_moments: usize,
     r: usize,
     iters: usize,
 ) -> MomentSet {
-    debug_assert_eq!(eta_flat.len(), 2 * r + iters * 2 * r);
     let mut acc = MomentSet::zeros(num_moments);
     for j in 0..r {
-        let mu0 = eta_flat[j].re;
-        let mu1 = eta_flat[r + j].re;
-        let mut eta = Vec::with_capacity(iters);
-        for m in 0..iters {
-            let base = 2 * r + m * 2 * r;
-            eta.push((eta_flat[base + j].re, eta_flat[base + r + j]));
-        }
-        acc.accumulate(&MomentSet::from_eta(mu0, mu1, &eta));
+        acc.accumulate(&column_from_flat_eta(eta_flat, r, iters, j));
     }
     acc
+}
+
+/// The moments of column `j` alone from the flat η layout.
+fn column_from_flat_eta(eta_flat: &[Complex64], r: usize, iters: usize, j: usize) -> MomentSet {
+    debug_assert_eq!(eta_flat.len(), EtaCheckpoint::expected_len(iters, r));
+    let sweep = |m: usize| {
+        let base = 2 * r + m * 2 * r;
+        (eta_flat[base + j].re, eta_flat[base + r + j])
+    };
+    let eta: Vec<_> = (0..iters).map(sweep).collect();
+    MomentSet::from_eta(eta_flat[j].re, eta_flat[r + j].re, &eta)
 }
 
 fn block_from_interleaved(data: &[Complex64], rows: usize, width: usize) -> BlockVector {
@@ -934,11 +884,14 @@ mod tests {
             let start = starting_block(crs.nrows(), &p);
             for h in formats {
                 let check = |parallel: bool| {
-                    let (v, w, mu0, mu1) = init_block(h, sf, start.clone(), parallel, false);
-                    assert_eq!(v, start);
+                    let BlockedState { v, w, eta } =
+                        init_block(h, sf, start.clone(), 0, parallel, false);
+                    assert_eq!((&v, eta.len()), (&start, 2 * width));
                     for j in 0..width {
                         let want = reference(h, start.column(j).as_slice(), parallel);
-                        let got = (w.column(j).into_vec(), mu0[j], mu1[j]);
+                        let mu = (eta[j], eta[width + j]);
+                        assert_eq!((mu.0.im, mu.1.im), (0.0, 0.0));
+                        let got = (w.column(j).into_vec(), mu.0.re, mu.1.re);
                         assert!(got == want, "{} R={width} column {j}", h.format());
                     }
                 };
@@ -1135,6 +1088,53 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn power_other_than_one_rejected_before_the_matrix_is_looked_at() {
+        for power in [0, 2] {
+            let p = KpmParams {
+                power,
+                ..params(8, 1)
+            };
+            // Not square either: the parameter error comes first.
+            let h = kpm_sparse::CooMatrix::new(2, 3).to_crs();
+            let sf = ScaleFactors::from_bounds(-1.0, 1.0, 0.0);
+            for err in [
+                p.validate().expect_err("only 1 is valid"),
+                kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).expect_err("only 1 is valid"),
+            ] {
+                assert!(
+                    matches!(err, KpmError::InvalidParams { what: "power", .. }),
+                    "power = {power}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_moments_are_the_single_vector_chain_and_stop_at_a_past_deadline() {
+        // 3 columns take the serial path, 11 the grouped one (8 + 3).
+        let h = random_hermitian(90, 3, 29);
+        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+        let starts = starting_vectors(h.nrows(), &params(20, 11));
+        for (columns, parallel) in [(3, false), (3, true), (11, false), (11, true)] {
+            let batch = &starts[..columns];
+            let sets = kpm_batch_moments(&h, sf, batch, 20, parallel, None).unwrap();
+            assert_eq!(sets.len(), columns);
+            for (set, v0) in sets.iter().zip(batch) {
+                let alone = moments_from_start(&h, sf, v0, 20, false).unwrap();
+                assert_eq!(set.as_slice(), alone.as_slice(), "{columns} columns");
+            }
+            // The deadline is tested before every sweep, the first included.
+            let past = Some(std::time::Instant::now());
+            let err = kpm_batch_moments(&h, sf, batch, 20, parallel, past)
+                .expect_err("no sweep may start after the deadline");
+            assert!(
+                matches!(err, KpmError::DeadlineExceeded { iteration: 0 }),
+                "{columns} columns, parallel = {parallel}: {err:?}"
+            );
+        }
     }
 
     #[test]

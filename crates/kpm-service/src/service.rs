@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use kpm_core::dos::reconstruct;
 use kpm_core::green::reconstruct_green;
 use kpm_core::moments::MomentSet;
-use kpm_core::solver::{kpm_batch_moments_power, starting_vectors, KpmParams};
+use kpm_core::solver::{kpm_batch_moments, starting_vectors, KpmParams};
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_obs::span::{micros_since_epoch, mint_trace, record_manual, span};
 use kpm_obs::{hist as obs_hist, metrics, recorder, slo};
@@ -127,11 +127,6 @@ pub struct ServiceConfig {
     /// Solve batches on the ambient thread pool (column-group
     /// parallelism; bitwise-invariant either way).
     pub parallel_solve: bool,
-    /// Matrix-power depth per sweep (≥ 1): batches advance this many
-    /// Chebyshev iterations per matrix pass through the level-blocked
-    /// kernels. Bitwise-invariant; deadline checks coarsen to one per
-    /// power chunk.
-    pub power: usize,
     /// Seed of the retry-jitter RNG.
     pub seed: u64,
     /// Optional chaos injection (tests, soak runs).
@@ -156,7 +151,6 @@ impl Default for ServiceConfig {
             breaker_cooldown: Duration::from_millis(250),
             cache_capacity: 256,
             parallel_solve: true,
-            power: 1,
             seed: 0,
             chaos: None,
         }
@@ -1178,14 +1172,13 @@ fn process_batch(
         .arg("moments", job.m_max);
     let solve_start_us = stage_now();
     let t0 = Instant::now();
-    let result = kpm_batch_moments_power(
+    let result = kpm_batch_moments(
         &job.entry.matrix,
         job.entry.sf,
         &job.columns,
         job.m_max,
         inner.config.parallel_solve,
         Some(deadline),
-        inner.config.power.max(1),
     );
     let solve = t0.elapsed();
     let solve_end_us = stage_now();

@@ -5,7 +5,7 @@
 //! sweep of `sweep.rs` under a [`SweepOp`] and a [`Schedule`]. Every
 //! kernel the solver, the distributed driver, the tests and the benches
 //! name — `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par`,
-//! `_nodot` and `_rect` forms, the matrix-power pair — is a provided
+//! `_nodot` and `_rect` forms — is a provided
 //! method written once on top of it: shape assertions, the kpm-obs
 //! probe, then `sweep`. So the whole pipeline — moments, blocked runs,
 //! checkpointing, the distributed driver — runs unchanged on CRS or on
@@ -17,7 +17,7 @@
 //! (the cache budget for the chunked schedule) so tuning travels with
 //! the matrix instead of through global state.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use kpm_num::{BlockVector, Complex64};
 use kpm_obs::probe::KernelKind::{self, AugSpmmv, AugSpmv, Spmv};
@@ -25,7 +25,6 @@ use kpm_obs::probe::{kernel_timer_fmt, ProbeFormat};
 
 use crate::aug::{AugDots, AugDotsBlock};
 use crate::crs::CrsMatrix;
-use crate::power::{self, LevelSet};
 use crate::stencil::StencilMatrix;
 use crate::sweep::Schedule::{self, Chunked, Serial};
 use crate::sweep::SweepOp::{self, Plain};
@@ -156,38 +155,6 @@ pub trait SparseKernels: Sync {
     fn spmmv_rect(&self, v: &BlockVector, w: &mut BlockVector) {
         named_rect(self, None, Plain, block(v), block_mut(w));
     }
-
-    /// `p` consecutive Chebyshev iterations in one call (serial).
-    ///
-    /// On entry `(v, w)` hold `(x_{k−1}, x_k)`; on exit `(x_{k+p−1},
-    /// x_{k+p})`, with one dots block per iteration — bitwise-identical
-    /// to `p` swap-and-[`SparseKernels::aug_spmmv`] steps, which is
-    /// exactly what this default does. Implementations may overlap the
-    /// iterations (level-blocked matrix-power sweeps) as long as the
-    /// bits stay the same.
-    fn aug_spmmv_power(
-        &self,
-        p: usize,
-        a: f64,
-        b: f64,
-        v: &mut BlockVector,
-        w: &mut BlockVector,
-    ) -> Vec<AugDotsBlock> {
-        power_by_sweeps(self, Serial, p, a, b, v, w)
-    }
-    /// `p` consecutive Chebyshev iterations in one call (parallel);
-    /// same contract as [`SparseKernels::aug_spmmv_power`] relative to
-    /// the parallel kernels at the operator's cache budget.
-    fn aug_spmmv_power_par(
-        &self,
-        p: usize,
-        a: f64,
-        b: f64,
-        v: &mut BlockVector,
-        w: &mut BlockVector,
-    ) -> Vec<AugDotsBlock> {
-        power_by_sweeps(self, Chunked, p, a, b, v, w)
-    }
 }
 
 /// A vector argument as the sweep sees it — `(entries, rows, width)`,
@@ -262,29 +229,6 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
     m.sweep(op, schedule, x, r, &mut w[..nrows * r])
 }
 
-/// `p` × { swap; augmented SpMMV }: the matrix-power contract, spelled
-/// out.
-fn power_by_sweeps<M: SparseKernels + ?Sized>(
-    m: &M,
-    schedule: Schedule,
-    p: usize,
-    a: f64,
-    b: f64,
-    v: &mut BlockVector,
-    w: &mut BlockVector,
-) -> Vec<AugDotsBlock> {
-    assert!(p >= 1, "power depth must be at least 1");
-    let mut out = Vec::with_capacity(p);
-    for _ in 0..p {
-        v.swap(w);
-        out.push(match schedule {
-            Serial => m.aug_spmmv(a, b, v, w),
-            Chunked => m.aug_spmmv_par(a, b, v, w),
-        });
-    }
-    out
-}
-
 /// The concrete storage behind a [`KpmMatrix`].
 #[derive(Debug, Clone)]
 enum Repr {
@@ -308,17 +252,10 @@ pub struct KpmMatrix {
     /// The content fingerprint, hashed on first use (solver-only
     /// callers never pay for it).
     fingerprint: OnceLock<u64>,
-    /// Budget (bytes) for the level-blocked power kernels' live vector
-    /// window; a pure go/no-go gate, never a correctness input.
-    power_budget_bytes: usize,
     /// True once the storage arrays have been re-placed under the
     /// first-touch policy ([`KpmMatrix::with_first_touch`]); a pure
     /// placement property, never a correctness input.
     first_touch: bool,
-    /// Lazily-built level set for the power kernels (`None` inside the
-    /// cell when the structure does not level — e.g. a matrix without
-    /// structural symmetry).
-    levels: OnceLock<Option<Arc<LevelSet>>>,
 }
 
 impl KpmMatrix {
@@ -327,9 +264,7 @@ impl KpmMatrix {
             repr,
             cache_bytes: DEFAULT_CACHE_BYTES,
             fingerprint: OnceLock::new(),
-            power_budget_bytes: power::DEFAULT_POWER_BUDGET_BYTES,
             first_touch: false,
-            levels: OnceLock::new(),
         }
     }
 
@@ -374,16 +309,6 @@ impl KpmMatrix {
         self.cache_bytes
     }
 
-    /// Sets the budget (bytes) for the level-blocked power kernels'
-    /// live vector window, builder-style. Callers with a machine model
-    /// derive it from `Machine::l2_kib` × thread count; the gate only
-    /// decides whether the wavefront path is *profitable* — both paths
-    /// produce identical bits.
-    pub fn with_power_budget_bytes(mut self, bytes: usize) -> Self {
-        self.power_budget_bytes = bytes.max(1);
-        self
-    }
-
     /// Re-places the storage arrays under the NUMA first-touch policy,
     /// builder-style: each array range the parallel kernels stream is
     /// copied into a fresh untouched allocation by the pinned pool
@@ -425,47 +350,6 @@ impl KpmMatrix {
         }
     }
 
-    /// The level set of this operator, built (once) on first use;
-    /// `None` when the structure does not level.
-    pub fn level_set(&self) -> Option<&LevelSet> {
-        self.levels
-            .get_or_init(|| match &self.repr {
-                Repr::Crs(m) => LevelSet::build(m).map(Arc::new),
-                Repr::Stencil(m) => LevelSet::build(m.as_ref()).map(Arc::new),
-            })
-            .as_deref()
-    }
-
-    /// `p` iterations as one level-blocked wavefront when a depth-`p`
-    /// pass over width `v.width()` is worth running under the
-    /// power-window budget, as `p` sweeps otherwise — the same bits.
-    fn power(
-        &self,
-        schedule: Schedule,
-        p: usize,
-        a: f64,
-        b: f64,
-        v: &mut BlockVector,
-        w: &mut BlockVector,
-    ) -> Vec<AugDotsBlock> {
-        // p = 1 must not build the level set: 24 bytes per row and a
-        // regeneration of every stencil row, for sweeps that cannot use it.
-        let levels = if p >= 2 { self.level_set() } else { None };
-        let window = self.power_budget_bytes;
-        let Some(ls) = levels.filter(|ls| power::power_feasible(ls, p, v.width(), window)) else {
-            return power_by_sweeps(self, schedule, p, a, b, v, w);
-        };
-        let budget = self.cache_bytes;
-        match (&self.repr, schedule) {
-            (Repr::Crs(m), Serial) => power::aug_spmmv_power(m, ls, p, a, b, v, w),
-            (Repr::Crs(m), Chunked) => power::aug_spmmv_power_par(m, ls, p, a, b, v, w, budget),
-            (Repr::Stencil(m), Serial) => power::aug_spmmv_power(m.as_ref(), ls, p, a, b, v, w),
-            (Repr::Stencil(m), Chunked) => {
-                power::aug_spmmv_power_par(m.as_ref(), ls, p, a, b, v, w, budget)
-            }
-        }
-    }
-
     /// The representation as the interface it implements.
     fn inner(&self) -> &dyn SparseKernels {
         match &self.repr {
@@ -503,39 +387,11 @@ impl SparseKernels for KpmMatrix {
             }
         }
     }
-    fn aug_spmmv_power(
-        &self,
-        p: usize,
-        a: f64,
-        b: f64,
-        v: &mut BlockVector,
-        w: &mut BlockVector,
-    ) -> Vec<AugDotsBlock> {
-        self.power(Serial, p, a, b, v, w)
-    }
-    fn aug_spmmv_power_par(
-        &self,
-        p: usize,
-        a: f64,
-        b: f64,
-        v: &mut BlockVector,
-        w: &mut BlockVector,
-    ) -> Vec<AugDotsBlock> {
-        self.power(Chunked, p, a, b, v, w)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depth_one_never_builds_the_level_set() {
-        let m = KpmMatrix::crs(CrsMatrix::identity(64));
-        let (mut v, mut w) = (BlockVector::zeros(64, 2), BlockVector::zeros(64, 2));
-        m.aug_spmmv_power_par(1, 0.5, 0.0, &mut v, &mut w);
-        assert!(m.levels.get().is_none(), "p = 1 paid for a level set");
-    }
 
     #[test]
     fn handle_reports_the_format_it_wraps() {

@@ -25,10 +25,8 @@
 //! * [`aug`] — the dot products the augmented kernels return,
 //! * [`tile`] — cache-aware row-block tile sizing for the blocked
 //!   kernels (per-thread cache budget → rows per tile),
-//! * [`power`] — level-blocked Chebyshev matrix-power kernels that run
-//!   `p` iterations per matrix traversal behind `aug_spmmv_power`,
-//! * [`autotune`] — the format tuner: CRS against the stencil at a
-//!   matrix-power depth, by a traffic model and an optional probe,
+//! * [`autotune`] — the format tuner: CRS against the stencil, by a
+//!   traffic model,
 //! * [`simd`] — which copy of the sweep runs: the run-time choice
 //!   between the baseline and AVX2 copies and the global toggle the
 //!   benches flip,
@@ -47,20 +45,16 @@ pub mod crs;
 pub mod io;
 pub mod kernels;
 pub mod placement;
-pub mod power;
 pub mod simd;
 pub mod stats;
 pub mod stencil;
 mod sweep;
 pub mod tile;
 
-pub use autotune::{
-    autotune_formats, autotune_formats_report, AutotuneChoice, AutotuneEnv, ProbePoint,
-};
+pub use autotune::{autotune_formats, AutotuneChoice, AutotuneEnv};
 pub use coo::CooMatrix;
 pub use crs::CrsMatrix;
 pub use kernels::{FormatSpec, KpmMatrix, SparseKernels};
 pub use placement::fault_block_rows;
-pub use power::{LevelSet, PowerRows, RowBuf};
 pub use stencil::StencilMatrix;
 pub use sweep::{Schedule, SweepOp};

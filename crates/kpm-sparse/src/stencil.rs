@@ -35,8 +35,8 @@
 //! a site split by a chunk edge (tile heights need not be multiples of
 //! 4), for lattices with a periodic extent-2 axis (the coincident
 //! `n±ê_j` blocks are merged before the multiply), and as the row
-//! source of the fingerprint and the power kernels; entry count and
-//! Gershgorin bounds are `O(sites)` folds.
+//! source of the fingerprint; entry count and Gershgorin bounds are
+//! `O(sites)` folds.
 
 use std::ops::Range;
 

@@ -106,8 +106,8 @@ fi
 
 step "determinism: bitwise moments across formats and thread counts"
 # CRS and matrix-free stencil runs must agree bit for bit at every
-# thread count, power depth and sweep copy; the suite covers all three
-# solver variants.
+# thread count and sweep copy; the suite covers all three solver
+# variants.
 cargo test -q --test determinism
 
 step "matrix-free: kpm dos --format stencil is byte-identical to --format crs"
@@ -132,10 +132,7 @@ step "sweep bodies: kpm dos is byte-identical with and without --no-simd"
 # that exists off x86-64. Both must print the same bytes at width 1 (on
 # 1,152 rows: two of its 1,024-row chunks), at a one-panel width and at
 # one with mid-site tile edges, at 1 and 2 threads.
-# (The banner is captured first: a report on a lattice this small ends
-# in a kpm-perfmodel panic, which under pipefail used to read as "no
-# AVX2" here.)
-body_banner=$(./target/release/kpm report --nx 2 --ny 2 --nz 2 --moments 4 --random 1 2>&1 || true)
+body_banner=$(./target/release/kpm report --nx 2 --ny 2 --nz 2 --moments 4 --random 1 2>&1)
 if grep -q 'sweep body = avx2' <<<"$body_banner"; then
     echo "this CPU has AVX2: comparing the AVX2 copy against the baseline copy"
 else
@@ -197,14 +194,6 @@ step "smoke: kpm report (achieved vs predicted roofline)"
 step "smoke: kpm report --autotune (crs or stencil, by the machine model)"
 ./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5 --autotune
-
-step "smoke: kpm report on matrix-free stencil with level-blocked powers"
-# The matrix-free stencil format plus p=2 wavefront
-# blocking must run end to end; the lattice is deep enough (nz=10)
-# for the level schedule to engage rather than fall back.
-./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
-    --random 8 --machine IVB --llc-mib 0.5 --format stencil \
-    --power-blocking 2
 
 step "smoke: kpm report with the --no-simd/--first-touch runtime toggles"
 # --no-simd runs the baseline copy of the sweep; --first-touch re-places

@@ -107,14 +107,10 @@ fn checkpointed_solver_is_thread_count_invariant() {
 }
 
 #[test]
-fn stencil_and_power_grid_is_bitwise_identical() {
-    // The acceptance grid of the matrix-free + power-blocking work:
-    // {crs, stencil} × {p = 1, 2, 4} × {1, 2, 4, 8 threads} must
-    // all reproduce the plain CRS moments bit for bit. The lattice is
-    // elongated along the slow axis so the level set is deep enough for
-    // the wavefront schedule to actually engage at p = 4 (the test
-    // asserts that, so it cannot silently degrade into fallback-only
-    // coverage).
+fn stencil_and_crs_thread_grid_is_bitwise_identical() {
+    // The acceptance grid of the matrix-free work: {crs, stencil} ×
+    // {1, 2, 4, 8 threads} must all reproduce the plain CRS moments bit
+    // for bit.
     use kpm_repro::sparse::KpmMatrix;
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();
@@ -127,28 +123,12 @@ fn stencil_and_power_grid_is_bitwise_identical() {
         ("crs", KpmMatrix::crs(h.clone())),
         ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
     ];
-    let levels = handles[0].1.level_set().expect("lattice operator levels");
-    assert!(
-        levels.n_levels() >= 6,
-        "need >= p + 2 levels for the p = 4 wavefront to engage (got {})",
-        levels.n_levels()
-    );
-
     for (name, m) in &handles {
-        for power in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4, 8] {
-                let p = KpmParams {
-                    power,
-                    ..params(threads)
-                };
-                let got = kpm_moments(m, sf, &p, KpmVariant::AugSpmmv)
-                    .expect("solver run")
-                    .into_vec();
-                assert_eq!(
-                    baseline, got,
-                    "{name} moments differ at power {power}, {threads} threads"
-                );
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let got = kpm_moments(m, sf, &params(threads), KpmVariant::AugSpmmv)
+                .expect("solver run")
+                .into_vec();
+            assert_eq!(baseline, got, "{name} moments differ at {threads} threads");
         }
     }
 }
@@ -161,8 +141,8 @@ static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn simd_toggle_grid_is_bitwise_identical() {
     // The lane dimension of the determinism contract: the AVX2 copy
     // of the sweep replays the scalar operation order per lane, so
-    // toggling it at runtime — across formats, thread counts, power
-    // depths and first-touch placement — must reproduce the baseline
+    // toggling it at runtime — across formats, thread counts and
+    // first-touch placement — must reproduce the baseline
     // CRS moments bit for bit. The switch selects between the baseline
     // and the AVX2 copy of the CRS and stencil sweep, so this is a real
     // comparison on any CPU with AVX2 (and says so when it is not).
@@ -211,23 +191,20 @@ fn simd_toggle_grid_is_bitwise_identical() {
         simd::set_enabled(simd_on);
         for (name, m) in &handles {
             for threads in [1usize, 4] {
-                for power in [1usize, 4] {
-                    let first_touch = threads == 4; // one placed cell per row
-                    let m = m.clone().with_first_touch(first_touch);
-                    let p = KpmParams {
-                        power,
-                        first_touch,
-                        ..params(threads)
-                    };
-                    let got = kpm_moments(&m, sf, &p, KpmVariant::AugSpmmv)
-                        .expect("solver run")
-                        .into_vec();
-                    assert_eq!(
-                        baseline, got,
-                        "{name} differs with simd={simd_on} threads={threads} \
-                         power={power} first_touch={first_touch}"
-                    );
-                }
+                let first_touch = threads == 4; // one placed cell per row
+                let placed = m.clone().with_first_touch(first_touch);
+                let p = KpmParams {
+                    first_touch,
+                    ..params(threads)
+                };
+                let got = kpm_moments(&placed, sf, &p, KpmVariant::AugSpmmv)
+                    .expect("solver run")
+                    .into_vec();
+                assert_eq!(
+                    baseline, got,
+                    "{name} differs with simd={simd_on} threads={threads} \
+                     first_touch={first_touch}"
+                );
                 for (r, variant, want) in &wide_baseline {
                     let got = kpm_moments(m, sf, &wide_params(*r, threads), *variant)
                         .expect("solver run")
@@ -286,53 +263,4 @@ fn simd_checkpoint_restart_is_bitwise_identical() {
         reference, got,
         "simd-crash / scalar-resume diverged from the scalar run"
     );
-}
-
-#[test]
-fn power_blocked_checkpoint_restart_is_bitwise_identical() {
-    // Crash a power-blocked run mid-way, resume from the checkpoint,
-    // and compare against an uninterrupted p = 1 run: the wavefront
-    // clamps its chunks to checkpoint boundaries, so the saved
-    // (v, w, η) state — and therefore the recovered moments — are
-    // bitwise those of the plain solver.
-    use kpm_repro::core::checkpoint::MemoryCheckpointStore;
-    use kpm_repro::core::solver::{kpm_moments_checkpointed, SolverCheckpointing};
-    use kpm_repro::num::KpmError;
-    use kpm_repro::sparse::KpmMatrix;
-
-    let ham = TopoHamiltonian::clean(3, 3, 12);
-    let h = ham.assemble();
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    let reference = kpm_moments(&h, sf, &params(1), KpmVariant::AugSpmmv)
-        .expect("reference run")
-        .into_vec();
-
-    for power in [2usize, 4] {
-        for m in [
-            &KpmMatrix::crs(h.clone()),
-            &KpmMatrix::stencil(ham.stencil_matrix()),
-        ] {
-            let p = KpmParams { power, ..params(1) };
-            let store = MemoryCheckpointStore::new();
-            let ckpt = SolverCheckpointing {
-                store: &store,
-                interval: 5,
-                crash_at: Some(17),
-            };
-            let err = kpm_moments_checkpointed(m, sf, &p, &ckpt).expect_err("injected crash");
-            assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
-            let resumed = SolverCheckpointing {
-                store: &store,
-                interval: 5,
-                crash_at: Some(17), // ignored on resume
-            };
-            let got = kpm_moments_checkpointed(m, sf, &p, &resumed)
-                .expect("resumed run")
-                .into_vec();
-            assert_eq!(
-                reference, got,
-                "power {power} checkpoint/restart diverged from the plain run"
-            );
-        }
-    }
 }

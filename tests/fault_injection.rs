@@ -146,6 +146,8 @@ fn recv_on_crashed_peer_times_out_within_deadline() {
 /// and the store only retains consistent restart points.
 #[test]
 fn checkpoint_crash_resume_roundtrip() {
+    use kpm_repro::core::checkpoint::CheckpointStore as _;
+
     let h = random_hermitian(120, 4, 17);
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     let p = params(48, 3, 4321); // 23 sweeps
@@ -170,6 +172,23 @@ fn checkpoint_crash_resume_roundtrip() {
     let resumed = kpm_moments_checkpointed(&h, sf, &p, &crashing).unwrap();
     let diff = straight.max_abs_diff(&resumed);
     assert!(diff < 1e-12, "resume drifted by {diff}");
+
+    // A crash point off the interval grid: before each sweep the solver
+    // first saves (on a boundary it swept up to), then crashes — so
+    // sweep 7 is never run, the store holds exactly the states after 3
+    // and 6 sweeps, and the resume reproduces the uninterrupted bits.
+    let store = MemoryCheckpointStore::new();
+    let off_grid = SolverCheckpointing {
+        store: &store,
+        interval: 3,
+        crash_at: Some(7),
+    };
+    let err = kpm_moments_checkpointed(&h, sf, &p, &off_grid).expect_err("injected crash");
+    assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
+    assert_eq!(store.eta_iterations().unwrap(), [3, 6]);
+    assert_eq!(latest_consistent(&store, h.nrows()).unwrap(), Some(6));
+    let resumed = kpm_moments_checkpointed(&h, sf, &p, &off_grid).unwrap();
+    assert_eq!(straight.as_slice(), resumed.as_slice(), "not bitwise equal");
 }
 
 /// A corrupt checkpoint file — a truncated write or garbage bytes under

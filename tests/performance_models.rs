@@ -183,7 +183,7 @@ fn stencil_model_winner_is_the_measured_winner_at_r8() {
     let env = AutotuneEnv::generic(rayon::current_num_threads());
     let modeled = formats
         .each_ref()
-        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env, 1));
+        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env));
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let v = BlockVector::random(n, 8, &mut rng);
@@ -199,7 +199,7 @@ fn stencil_model_winner_is_the_measured_winner_at_r8() {
         }
     }
     let winner = |secs: [f64; 2]| formats[(secs[1] < secs[0]) as usize].0;
-    // A model tie goes to the stencil, which the tuner scores first.
+    // A model tie goes to the stencil, as in the tuner.
     let predicted = if modeled[1] <= modeled[0] {
         "stencil"
     } else {

@@ -33,19 +33,6 @@ fn hermitian_matrix() -> impl Strategy<Value = CrsMatrix> {
     })
 }
 
-/// Strategy: a random TI lattice — clean or quantum-dot potential, with
-/// the z extent allowed to run long so the level set is deep enough for
-/// the matrix-power wavefront to engage on some of the cases.
-fn lattice() -> impl Strategy<Value = TopoHamiltonian> {
-    (2usize..=4, 2usize..=4, 2usize..=10, any::<bool>()).prop_map(|(nx, ny, nz, dots)| {
-        if dots {
-            TopoHamiltonian::quantum_dot_superlattice(nx, ny, nz)
-        } else {
-            TopoHamiltonian::clean(nx, ny, nz)
-        }
-    })
-}
-
 /// Block widths of the stencil checks: the narrow ones plus the
 /// paper's sweep; 24 puts the default 170-row tile edges mid-site.
 const STENCIL_WIDTHS: [usize; 8] = [1, 2, 3, 4, 8, 16, 24, 32];
@@ -686,81 +673,5 @@ proptest! {
         // block width, any tile height, any thread count.
         let checked = stencil_equals_crs(&ham, STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
         prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
-    }
-
-    #[test]
-    fn power_kernel_equals_serial_sweeps(ham in lattice(), p_idx in 0usize..3, r in 1usize..=3, seed in any::<u64>()) {
-        // aug_spmmv_power(p) must equal p explicit swap-and-sweep steps
-        // bit for bit — whether the handle takes the level-blocked
-        // wavefront or falls back to plain sweeps, and at any thread
-        // count.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let p = [1usize, 2, 4][p_idx];
-        let h = ham.assemble();
-        let n = h.nrows();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let v0 = BlockVector::random(n, r, &mut rng);
-        let w0 = BlockVector::random(n, r, &mut rng);
-
-        // Reference: p explicit swap-and-sweep steps on plain CRS. The
-        // parallel kernels pin their fused-dot reduction to fixed chunk
-        // boundaries, which beyond one chunk associate differently from
-        // the single serial stream — so the parallel branch gets its own
-        // (thread-count-invariant) parallel-sweep reference.
-        let mut v_ref = v0.clone();
-        let mut w_ref = w0.clone();
-        let mut dots_ref = Vec::with_capacity(p);
-        for _ in 0..p {
-            v_ref.swap(&mut w_ref);
-            dots_ref.push(h.aug_spmmv(0.7, -0.2, &v_ref, &mut w_ref));
-        }
-        let dots_ref_par = {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("thread pool");
-            let (v_pr, w_pr, dots) = pool.install(|| {
-                let mut v_pr = v0.clone();
-                let mut w_pr = w0.clone();
-                let mut dots = Vec::with_capacity(p);
-                for _ in 0..p {
-                    v_pr.swap(&mut w_pr);
-                    dots.push(h.aug_spmmv_par(0.7, -0.2, &v_pr, &mut w_pr));
-                }
-                (v_pr, w_pr, dots)
-            });
-            prop_assert_eq!(&v_pr, &v_ref);
-            prop_assert_eq!(&w_pr, &w_ref);
-            dots
-        };
-
-        for m in [KpmMatrix::crs(h.clone()), KpmMatrix::stencil(ham.stencil_matrix())] {
-            let mut v = v0.clone();
-            let mut w = w0.clone();
-            let dots = m.aug_spmmv_power(p, 0.7, -0.2, &mut v, &mut w);
-            prop_assert_eq!(&v, &v_ref);
-            prop_assert_eq!(&w, &w_ref);
-            prop_assert!(dots == dots_ref, "{:?} power dots differ at p={}", m.format(), p);
-
-            for threads in [1usize, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("thread pool");
-                let (v, w, dots) = pool.install(|| {
-                    let mut v = v0.clone();
-                    let mut w = w0.clone();
-                    let dots = m.aug_spmmv_power_par(p, 0.7, -0.2, &mut v, &mut w);
-                    (v, w, dots)
-                });
-                prop_assert_eq!(&v, &v_ref);
-                prop_assert_eq!(&w, &w_ref);
-                prop_assert!(
-                    dots == dots_ref_par,
-                    "{:?} parallel power dots differ at p={}, T={}", m.format(), p, threads
-                );
-            }
-        }
     }
 }

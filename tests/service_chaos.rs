@@ -116,7 +116,6 @@ fn random_config(rng: &mut Rng, schedule: u64) -> ServiceConfig {
         breaker_cooldown: Duration::from_micros(200),
         cache_capacity: 8,
         parallel_solve: schedule.is_multiple_of(2),
-        power: 1 + (schedule % 3) as usize,
         seed: schedule,
         chaos: Some(chaos),
     }
