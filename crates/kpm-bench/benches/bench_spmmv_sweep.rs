@@ -18,7 +18,7 @@ fn bench_sweep(c: &mut Criterion) {
     for r in [1usize, 2, 4, 8, 16, 32] {
         let v = BlockVector::random(n, r, &mut rng);
         let mut w = BlockVector::random(n, r, &mut rng);
-        let flops = kpm_num::accounting::aug_spmmv_flops(n, h.nnz(), r) as u64;
+        let flops = kpm_num::accounting::Sweep::Aug.flops(n, h.nnz(), r) as u64;
         g.throughput(Throughput::Elements(flops));
         g.bench_function(BenchmarkId::new("fused", r), |b| {
             b.iter(|| h.aug_spmmv(0.3, 0.1, &v, &mut w))

@@ -23,7 +23,7 @@ pub fn benchmark_matrix(nx: usize, ny: usize, nz: usize) -> (CrsMatrix, ScaleFac
 
 /// Flops of one augmented blocked sweep (paper accounting).
 fn sweep_flops(h: &CrsMatrix, r: usize) -> f64 {
-    kpm_num::accounting::aug_spmmv_flops(h.nrows(), h.nnz(), r) as f64
+    kpm_num::accounting::Sweep::Aug.flops(h.nrows(), h.nnz(), r) as f64
 }
 
 /// Measured sustained Gflop/s of the stage-1 kernel (`aug_spmv`) on

@@ -96,11 +96,10 @@ pub struct KpmParams {
     /// `benchmark/src/pipeline.rs`, which solver PRs may not edit,
     /// spells `power: 1` in its struct literal. It goes when that does.
     pub power: usize,
-    /// NUMA-style first-touch placement: re-place the matrix's hot
-    /// arrays and fault each block vector's row ranges from the pinned
-    /// pool workers that stream them, so on multi-socket hosts pages
-    /// land on the node that reads them. A pure placement property —
-    /// moments are bitwise-identical with the flag on or off.
+    /// Always false. First-touch placement was removed (EXPERIMENTS.md,
+    /// "First-touch placement, the last trial"); like `power`, the field
+    /// is still here only because `benchmark/src/pipeline.rs` spells
+    /// `first_touch: false` in its struct literal.
     pub first_touch: bool,
 }
 
@@ -157,11 +156,19 @@ impl KpmParams {
                 ),
             });
         }
+        if self.first_touch {
+            return Err(KpmError::InvalidParams {
+                what: "first_touch",
+                details: "first-touch placement was removed; pages land where the \
+                          worker that fills them runs"
+                    .to_string(),
+            });
+        }
         Ok(())
     }
 }
 
-/// Runs `f` under the thread count the caller pinned: on the ambient
+/// Runs `f` under the thread count the caller asked for: on the ambient
 /// pool when `threads` is 0 or the ambient pool already has that many
 /// workers (a command that installed its `--threads` pool around
 /// set-up and solve gets no second one), else on a dedicated pool of
@@ -287,9 +294,6 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
     };
     let mut v = BlockVector::zeros(n, r);
     if params.parallel {
-        if params.first_touch {
-            kpm_sparse::fault_block_rows(&mut v, 0);
-        }
         let chunks = v.as_mut_slice().par_chunks_mut(START_CHUNK_ROWS * r);
         chunks.enumerate().for_each(fill);
     } else {
@@ -397,14 +401,10 @@ fn init_block<M: SparseKernels + ?Sized>(
     v: BlockVector,
     iters: usize,
     parallel: bool,
-    first_touch: bool,
 ) -> BlockedState {
     let _sp = span("solver.init", "solver").arg("width", v.width());
     let mut w = BlockVector::zeros(v.rows(), v.width());
     let (mu0, mu1) = if parallel {
-        if first_touch {
-            kpm_sparse::fault_block_rows(&mut w, 0);
-        }
         h.spmmv_par(&v, &mut w);
         shift_scale_dots_par(sf.a, sf.b, &v, &mut w)
     } else {
@@ -534,7 +534,7 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
     };
     let iters = params.iterations();
     let par = params.parallel;
-    let mut state = init_block(h, sf, start, iters, par, params.first_touch);
+    let mut state = init_block(h, sf, start, iters, par);
     blocked_sweeps(h, sf, par, &mut state, 0..iters, |_, _| Ok(()))?;
     let (m, r) = (params.num_moments, params.num_random);
     Ok(moments_from_flat_eta(&state.eta, m, r, iters))
@@ -619,7 +619,7 @@ fn batch_group_serial<M: SparseKernels + ?Sized>(
     let r = starts.len();
     let iters = num_moments / 2 - 1;
     let start = BlockVector::from_columns(starts);
-    let mut state = init_block(h, sf, start, iters, false, false);
+    let mut state = init_block(h, sf, start, iters, false);
     blocked_sweeps(h, sf, false, &mut state, 0..iters, |m, _| match deadline {
         Some(d) if std::time::Instant::now() >= d => {
             Err(KpmError::DeadlineExceeded { iteration: m })
@@ -715,7 +715,7 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
         }
         None => {
             let start = starting_block(n, params);
-            (init_block(h, sf, start, iters, par, params.first_touch), 0)
+            (init_block(h, sf, start, iters, par), 0)
         }
     };
     drop(restore_sp);
@@ -884,8 +884,7 @@ mod tests {
             let start = starting_block(crs.nrows(), &p);
             for h in formats {
                 let check = |parallel: bool| {
-                    let BlockedState { v, w, eta } =
-                        init_block(h, sf, start.clone(), 0, parallel, false);
+                    let BlockedState { v, w, eta } = init_block(h, sf, start.clone(), 0, parallel);
                     assert_eq!((&v, eta.len()), (&start, 2 * width));
                     for j in 0..width {
                         let want = reference(h, start.column(j).as_slice(), parallel);
@@ -919,7 +918,6 @@ mod tests {
                 p.parallel = true;
                 for threads in [1, 2, 4, 8] {
                     on_pool(threads, || check(&p));
-                    p.first_touch = !p.first_touch;
                 }
             }
         }
@@ -941,28 +939,6 @@ mod tests {
                 .iter()
                 .all(Option::is_some));
         });
-    }
-
-    #[test]
-    fn first_touch_is_bitwise_neutral_in_the_solver() {
-        // First-touch only changes *where* pages land, never what is in
-        // them, so moments must match bit for bit — across serial and
-        // parallel, and across a pinned multi-worker pool.
-        let h = random_hermitian(300, 4, 17);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        for (parallel, threads) in [(false, 0), (true, 0), (true, 4)] {
-            let mut p = params(32, 3);
-            p.parallel = parallel;
-            p.threads = threads;
-            let base = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
-            p.first_touch = true;
-            let placed = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
-            assert_eq!(
-                base.as_slice(),
-                placed.as_slice(),
-                "parallel={parallel} threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -1091,22 +1067,32 @@ mod tests {
     }
 
     #[test]
-    fn power_other_than_one_rejected_before_the_matrix_is_looked_at() {
-        for power in [0, 2] {
-            let p = KpmParams {
-                power,
-                ..params(8, 1)
-            };
-            // Not square either: the parameter error comes first.
-            let h = kpm_sparse::CooMatrix::new(2, 3).to_crs();
-            let sf = ScaleFactors::from_bounds(-1.0, 1.0, 0.0);
+    fn removed_fields_are_rejected_before_the_matrix_is_looked_at() {
+        // `power` and `first_touch` outlived their code paths only as
+        // fields: any value but the neutral one is a typed error.
+        let p = params(8, 1);
+        let cases = [
+            ("power", KpmParams { power: 0, ..p }),
+            ("power", KpmParams { power: 2, ..p }),
+            (
+                "first_touch",
+                KpmParams {
+                    first_touch: true,
+                    ..p
+                },
+            ),
+        ];
+        // Not square either: the parameter error comes first.
+        let h = kpm_sparse::CooMatrix::new(2, 3).to_crs();
+        let sf = ScaleFactors::from_bounds(-1.0, 1.0, 0.0);
+        for (field, p) in cases {
             for err in [
-                p.validate().expect_err("only 1 is valid"),
-                kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).expect_err("only 1 is valid"),
+                p.validate().expect_err("only the neutral value is valid"),
+                kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).expect_err("rejected"),
             ] {
                 assert!(
-                    matches!(err, KpmError::InvalidParams { what: "power", .. }),
-                    "power = {power}: {err:?}"
+                    matches!(err, KpmError::InvalidParams { what, .. } if what == field),
+                    "{field}: {err:?}"
                 );
             }
         }

@@ -189,7 +189,7 @@ impl ClusterModel {
         }
         let t_net = halo_bytes / (self.net_bw_gbs * 1e9) + messages * self.net_latency_s;
         // The GPU's share of the halo is staged through PCIe in both
-        // directions (paper Section VI-A: assembly on the GPU, pinned
+        // directions (paper Section VI-A: assembly on the GPU, page-locked
         // copies to the host).
         let t_pcie = 2.0 * self.gpu_share * halo_bytes / (self.pcie_bw_gbs * 1e9);
 

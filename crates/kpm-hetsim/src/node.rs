@@ -28,11 +28,14 @@ pub enum Stage {
 
 /// Code balance of a stage at block width `r` (minimum, Ω = 1).
 fn stage_balance(stage: Stage, nnzr: f64, r: usize) -> f64 {
-    use kpm_num::accounting::{F_A, F_M, S_D, S_I};
-    let flops = nnzr * (F_A + F_M) as f64 + (7 * F_A) as f64 / 2.0 + (9 * F_M) as f64 / 2.0;
+    use kpm_num::accounting::{Sweep, S_D};
     match stage {
-        // Naive: matrix once + 13 vector transfers per iteration.
-        Stage::Naive => (nnzr * (S_D + S_I) as f64 + 13.0 * S_D as f64) / flops,
+        // Naive: matrix once + 13 vector transfers per iteration — the
+        // plain sweep's 2 and the BLAS-1 chain's 11.
+        Stage::Naive => {
+            let bytes = Sweep::Plain.min_bytes_per_row(nnzr, 1) + (11 * S_D) as f64;
+            bytes / Sweep::Aug.flops_per_row(nnzr)
+        }
         // Stage 1: fused kernel at R = 1.
         Stage::Stage1 => min_code_balance(nnzr, 1),
         Stage::Stage2 => min_code_balance(nnzr, r),
@@ -53,7 +56,7 @@ const GPU_STAGE1_EFFICIENCY: f64 = 0.50;
 /// 10" total node speedup holds).
 const CPU_NAIVE_EFFICIENCY: f64 = 0.70;
 
-/// PCIe bandwidth available for halo staging (pinned memory, GB/s).
+/// PCIe bandwidth available for halo staging (page-locked memory, GB/s).
 const PCIE_BW_GBS: f64 = 6.0;
 
 /// Performance of one *CPU socket* at `stage`, using `cores` of its

@@ -289,7 +289,8 @@ mod tests {
         metrics::gauge_set("test.level", 2.5);
         metrics::hist_record("test.lat", 300.0);
         {
-            let _t = probe::kernel_timer(probe::KernelKind::AugSpmv, 10, 40, 1);
+            let (kind, format) = (probe::KernelKind::AugSpmv, probe::ProbeFormat::Crs);
+            let _t = probe::kernel_timer(kind, format, 10, 40, 1, || (660, 1280));
         }
         let text = metrics_jsonl_string();
         let mut counter_seen = false;

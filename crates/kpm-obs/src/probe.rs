@@ -8,22 +8,12 @@
 //! paper Eq. 5); dividing a cachesim-measured Ω in gives the effective
 //! code balance B = Ω · B_min (Eq. 7).
 //!
-//! The accounting constants mirror `kpm_num::accounting` (S_D = 16,
-//! S_I = 4, F_A = 2, F_M = 6). They are duplicated here because this
-//! crate depends on nothing; `tests/observability.rs` at the workspace
-//! root asserts the two stay in sync.
+//! The counts are the caller's: this crate depends on nothing, so the
+//! kernel layer hands each timer the `(flops, min_bytes)` of its sweep
+//! from `kpm_num::accounting`, the one Table I in the workspace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Bytes per complex double (mirrors `kpm_num::accounting::S_D`).
-pub const S_D: u64 = 16;
-/// Bytes per column index (mirrors `kpm_num::accounting::S_I`).
-pub const S_I: u64 = 4;
-/// Flops per complex add (mirrors `kpm_num::accounting::F_A`).
-pub const F_A: u64 = 2;
-/// Flops per complex mult (mirrors `kpm_num::accounting::F_M`).
-pub const F_M: u64 = 6;
 
 /// The sparse-matrix storage format a kernel call ran against,
 /// recorded per probe call so the report can name it next to the
@@ -34,8 +24,7 @@ pub enum ProbeFormat {
     #[default]
     Crs,
     /// Matrix-free stencil: rows regenerated on the fly, no stored
-    /// elements — the matrix term vanishes from the byte model while
-    /// the flop model keeps the logical `nnz`.
+    /// elements.
     Stencil,
 }
 
@@ -92,35 +81,6 @@ impl KernelKind {
             KernelKind::Spmv => 0,
             KernelKind::AugSpmv => 1,
             KernelKind::AugSpmmv => 2,
-        }
-    }
-
-    /// Modeled flops of one sweep of this kernel over a matrix with
-    /// `nnz` non-zeros and `rows` rows, block width `width`.
-    ///
-    /// `spmv` does only the multiply-add chain; the augmented kernels
-    /// add the fused scale/shift/swap and dot products (7/2 adds and
-    /// 9/2 mults per row per vector — paper Table III).
-    pub fn sweep_flops(self, rows: usize, nnz: usize, width: usize) -> u64 {
-        let (rows, nnz, w) = (rows as u64, nnz as u64, width as u64);
-        match self {
-            KernelKind::Spmv => w * nnz * (F_A + F_M),
-            KernelKind::AugSpmv | KernelKind::AugSpmmv => {
-                w * (nnz * (F_A + F_M) + rows * (7 * F_A + 9 * F_M) / 2)
-            }
-        }
-    }
-
-    /// Modeled minimum data volume of one sweep (bytes): the matrix
-    /// streamed once plus the block vectors touched once each.
-    pub fn sweep_min_bytes(self, rows: usize, nnz: usize, width: usize) -> u64 {
-        let (rows, nnz, w) = (rows as u64, nnz as u64, width as u64);
-        let matrix = nnz * (S_D + S_I);
-        match self {
-            // x read + y written.
-            KernelKind::Spmv => matrix + 2 * w * rows * S_D,
-            // v read, w read + written (in-place recurrence).
-            KernelKind::AugSpmv | KernelKind::AugSpmmv => matrix + 3 * w * rows * S_D,
         }
     }
 }
@@ -180,45 +140,28 @@ pub struct KernelTimer {
     started: Instant,
 }
 
-/// Opens a timer for one `kind` kernel call over `rows`×`rows` with
-/// `nnz` non-zeros at block width `width`. Returns `None` (zero cost
-/// beyond one relaxed atomic load) when instrumentation is disabled.
-///
-/// Shorthand for [`kernel_timer_fmt`] with a CRS matrix.
+/// Opens a timer for one `kind` kernel call on a `format` operator of
+/// `rows` rows and `nnz` non-zeros at block width `width`; `counts`
+/// gives the call's modeled `(flops, min_bytes)`. Returns `None` — one
+/// relaxed atomic load, `counts` never called — when instrumentation is
+/// disabled.
 #[inline]
 pub fn kernel_timer(
     kind: KernelKind,
-    rows: usize,
-    nnz: usize,
-    width: usize,
-) -> Option<KernelTimer> {
-    kernel_timer_fmt(kind, rows, nnz, width, ProbeFormat::Crs)
-}
-
-/// Opens a timer for one `kind` kernel call, recording the storage
-/// format.
-#[inline]
-pub fn kernel_timer_fmt(
-    kind: KernelKind,
-    rows: usize,
-    nnz: usize,
-    width: usize,
     format: ProbeFormat,
+    rows: usize,
+    nnz: usize,
+    width: usize,
+    counts: impl FnOnce() -> (u64, u64),
 ) -> Option<KernelTimer> {
     if !crate::enabled() {
         return None;
     }
-    // A matrix-free format never streams matrix elements: its byte
-    // model uses nnz = 0 (pure vector traffic) while the flop model
-    // keeps the logical non-zero count.
-    let byte_nnz = match format {
-        ProbeFormat::Stencil => 0,
-        ProbeFormat::Crs => nnz,
-    };
+    let (flops, min_bytes) = counts();
     Some(KernelTimer {
         slot: &SLOTS[kind.index()],
-        flops: kind.sweep_flops(rows, nnz, width),
-        min_bytes: kind.sweep_min_bytes(rows, byte_nnz, width),
+        flops,
+        min_bytes,
         rows: rows as u64,
         nnz: nnz as u64,
         width: width as u64,
@@ -323,73 +266,35 @@ mod tests {
     use crate::test_lock as serial;
 
     #[test]
-    fn disabled_probe_is_none() {
+    fn disabled_probe_is_none_and_never_counts() {
         let _g = serial();
         crate::set_enabled(false);
-        assert!(kernel_timer(KernelKind::Spmv, 10, 50, 1).is_none());
+        let counts = || -> (u64, u64) { unreachable!("counted only when enabled") };
+        assert!(kernel_timer(KernelKind::Spmv, ProbeFormat::Crs, 10, 50, 1, counts).is_none());
     }
 
     #[test]
-    fn probes_accumulate_flops_and_bytes() {
+    fn probes_accumulate_the_counts_they_are_handed() {
         let _g = serial();
         crate::reset();
         let _on = crate::EnabledGuard::new();
         for _ in 0..3 {
-            let _t = kernel_timer(KernelKind::AugSpmmv, 100, 700, 8);
+            let _t = kernel_timer(
+                KernelKind::AugSpmmv,
+                ProbeFormat::Stencil,
+                100,
+                700,
+                8,
+                || (72_000, 38_400),
+            );
         }
         let snap = snapshot();
         assert_eq!(snap.len(), 1);
         let rep = &snap[0];
         assert_eq!(rep.kind, KernelKind::AugSpmmv);
-        assert_eq!(rep.calls, 3);
-        assert_eq!(rep.flops, 3 * KernelKind::AugSpmmv.sweep_flops(100, 700, 8));
-        assert_eq!(
-            rep.min_bytes,
-            3 * KernelKind::AugSpmmv.sweep_min_bytes(100, 700, 8)
-        );
+        assert_eq!((rep.calls, rep.flops, rep.min_bytes), (3, 216_000, 115_200));
         assert_eq!((rep.rows, rep.nnz, rep.width), (100, 700, 8));
-        assert_eq!(rep.format, ProbeFormat::Crs, "the plain entry point");
-        assert!(rep.min_bytes_per_flop() > 0.0);
-    }
-
-    #[test]
-    fn flop_model_matches_hand_count() {
-        // nnz*(Fa+Fm) = 700*8 = 5600 per vector for spmv;
-        // aug adds rows*(7*Fa + 9*Fm)/2 = 100*34 = 3400.
-        assert_eq!(KernelKind::Spmv.sweep_flops(100, 700, 1), 5600);
-        assert_eq!(KernelKind::AugSpmv.sweep_flops(100, 700, 1), 9000);
-        assert_eq!(KernelKind::AugSpmmv.sweep_flops(100, 700, 4), 36000);
-    }
-
-    #[test]
-    fn stencil_probe_drops_matrix_traffic() {
-        let _g = serial();
-        crate::reset();
-        let _on = crate::EnabledGuard::new();
-        {
-            let _t = kernel_timer_fmt(KernelKind::AugSpmmv, 100, 1300, 4, ProbeFormat::Stencil);
-        }
-        let rep = &snapshot()[0];
         assert_eq!(rep.format, ProbeFormat::Stencil);
-        // Flops keep the logical nnz; bytes are pure vector traffic.
-        assert_eq!(rep.flops, KernelKind::AugSpmmv.sweep_flops(100, 1300, 4));
-        assert_eq!(
-            rep.min_bytes,
-            KernelKind::AugSpmmv.sweep_min_bytes(100, 0, 4)
-        );
-    }
-
-    #[test]
-    fn byte_model_matches_hand_count() {
-        // matrix: 700*(16+4) = 14000.
-        assert_eq!(KernelKind::Spmv.sweep_min_bytes(100, 700, 1), 14000 + 3200);
-        assert_eq!(
-            KernelKind::AugSpmv.sweep_min_bytes(100, 700, 1),
-            14000 + 4800
-        );
-        assert_eq!(
-            KernelKind::AugSpmmv.sweep_min_bytes(100, 700, 4),
-            14000 + 3 * 4 * 100 * 16
-        );
+        assert_eq!(rep.min_bytes_per_flop(), 115_200.0 / 216_000.0);
     }
 }

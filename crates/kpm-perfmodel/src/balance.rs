@@ -11,21 +11,19 @@
 //! 2.23 B/F at `R = 1`, asymptotically 0.35 B/F — which is what decouples
 //! the kernel from main-memory bandwidth.
 
-use kpm_num::accounting::{F_A, F_M, S_D, S_I};
+use kpm_num::accounting::Sweep;
 
 /// Minimum code balance `B_min(R)` in bytes/flop for average row
 /// occupancy `nnzr` and block width `r` (paper Eq. 5).
 pub fn min_code_balance(nnzr: f64, r: usize) -> f64 {
     assert!(r >= 1, "block width must be at least 1");
-    let bytes = nnzr / r as f64 * (S_D + S_I) as f64 + 3.0 * S_D as f64;
-    let flops = nnzr * (F_A + F_M) as f64 + (7 * F_A) as f64 / 2.0 + (9 * F_M) as f64 / 2.0;
-    bytes / flops
+    Sweep::Aug.min_bytes_per_row(nnzr, r) / Sweep::Aug.flops_per_row(nnzr)
 }
 
 /// The asymptotic balance `lim_{R→∞} B_min` (paper Eq. 7).
 pub fn asymptotic_balance(nnzr: f64) -> f64 {
-    let flops = nnzr * (F_A + F_M) as f64 + (7 * F_A) as f64 / 2.0 + (9 * F_M) as f64 / 2.0;
-    3.0 * S_D as f64 / flops
+    // The vector transfers alone: the matrix share vanishes with R.
+    Sweep::Aug.min_bytes_per_row(0.0, 1) / Sweep::Aug.flops_per_row(nnzr)
 }
 
 /// The *actual* balance `B = Ω · B_min` (paper Eq. 8), with

@@ -41,11 +41,6 @@ pub struct Machine {
     pub mem_bw_gbs: f64,
     /// Last-level cache capacity in MiB.
     pub llc_mib: f64,
-    /// Private per-core (CPU: L2; GPU: per-SMX L1/shared) cache in KiB —
-    /// the cache budget one thread can rely on without contending with
-    /// the other threads' matrix streams; drives the row-tile sizing of
-    /// the blocked kernels.
-    pub l2_kib: usize,
     /// Double-precision peak performance in Gflop/s.
     pub peak_gflops: f64,
     /// Calibrated LLC-limited ceiling for the augmented SpMMV kernel in
@@ -62,7 +57,6 @@ pub const IVB: Machine = Machine {
     cores: 10,
     mem_bw_gbs: 50.0,
     llc_mib: 25.0,
-    l2_kib: 256,
     peak_gflops: 176.0,
     llc_ceiling_gflops: 70.0,
 };
@@ -76,7 +70,6 @@ pub const SNB: Machine = Machine {
     cores: 8,
     mem_bw_gbs: 48.0,
     llc_mib: 20.0,
-    l2_kib: 256,
     peak_gflops: 166.4,
     // Sandy Bridge L3 sustains less kernel throughput than Ivy Bridge;
     // calibrated so the heterogeneous node lands at the paper's Fig. 11
@@ -93,7 +86,6 @@ pub const K20M: Machine = Machine {
     cores: 13,
     mem_bw_gbs: 150.0,
     llc_mib: 1.25,
-    l2_kib: 64,
     peak_gflops: 1174.0,
     llc_ceiling_gflops: 300.0,
 };
@@ -107,7 +99,6 @@ pub const K20X: Machine = Machine {
     cores: 14,
     mem_bw_gbs: 170.0,
     llc_mib: 1.5,
-    l2_kib: 64,
     peak_gflops: 1311.0,
     llc_ceiling_gflops: 330.0,
 };
@@ -126,7 +117,6 @@ pub const PHI: Machine = Machine {
     cores: 60,
     mem_bw_gbs: 150.0,
     llc_mib: 30.0,
-    l2_kib: 512,
     peak_gflops: 1010.9,
     llc_ceiling_gflops: 170.0,
 };
@@ -156,23 +146,6 @@ impl Machine {
     /// Looks a machine up by its paper name.
     pub fn by_name(name: &str) -> Option<Machine> {
         CATALOG.iter().copied().find(|m| m.name == name)
-    }
-
-    /// The per-thread cache budget in bytes the tile sizing of the
-    /// blocked kernels should work against: the private per-core cache.
-    /// (The LLC is shared with the other threads' matrix streams, so it
-    /// is *not* a reliable per-thread budget.)
-    pub fn tile_budget_bytes(&self) -> usize {
-        self.l2_kib * 1024
-    }
-
-    /// The row-tile height the model predicts for a blocked kernel of
-    /// width `r` on this machine (paper Section VII cache blocking).
-    /// Pass [`Machine::tile_budget_bytes`] to the `*_budget` kernel
-    /// variants (or a `KpmMatrix` handle) to make the kernels tile for
-    /// this machine — the budget is scoped per call, never global.
-    pub fn spmmv_tile_rows(&self, r: usize) -> usize {
-        kpm_sparse::tile::tile_rows_for_budget(r, self.tile_budget_bytes())
     }
 }
 
@@ -241,21 +214,6 @@ mod tests {
     #[should_panic(expected = "core count out of range")]
     fn too_many_cores_panics() {
         IVB.peak_of_cores(11);
-    }
-
-    #[test]
-    fn tile_budget_tracks_private_cache() {
-        // Xeons: 256 KiB private L2 -> at R = 32 the predicted tile
-        // shrinks below the legacy 512-row chunk (the measured
-        // R = 32 throughput regression), while R <= 8 keeps it.
-        assert_eq!(IVB.tile_budget_bytes(), 256 * 1024);
-        assert_eq!(IVB.spmmv_tile_rows(8), 512);
-        assert_eq!(IVB.spmmv_tile_rows(32), 128);
-        // K20: only 64 KiB per SMX -> even R = 16 pins to the floor.
-        assert!(K20M.spmmv_tile_rows(16) >= kpm_sparse::tile::MIN_TILE_ROWS);
-        assert!(K20M.spmmv_tile_rows(16) < IVB.spmmv_tile_rows(16));
-        // Wider private caches never predict smaller tiles.
-        assert!(PHI.spmmv_tile_rows(32) >= IVB.spmmv_tile_rows(32));
     }
 
     #[test]

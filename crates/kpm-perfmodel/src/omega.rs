@@ -11,6 +11,7 @@
 //! sweep over a real [`CrsMatrix`] through the LLC simulator and reads
 //! off the DRAM volume.
 
+use kpm_num::accounting::{Sweep, S_D, S_I};
 use kpm_obs::probe::KernelKind;
 use kpm_sparse::CrsMatrix;
 
@@ -53,8 +54,7 @@ pub fn measure_omega(h: &CrsMatrix, r: usize, llc: CacheConfig) -> OmegaReport {
     assert!(r >= 1, "block width must be >= 1");
     let n = h.nrows() as u64;
     let nnz = h.nnz() as u64;
-    let sd = 16u64; // S_D
-    let si = 4u64; // S_I
+    let (sd, si) = (S_D as u64, S_I as u64);
     let row_bytes = r as u64 * sd;
 
     // Disjoint address regions.
@@ -128,8 +128,7 @@ pub fn measure_omega_kernel(
     assert!(sweeps >= 1, "need at least one sweep");
     let n = h.nrows() as u64;
     let nnz = h.nnz() as u64;
-    let sd = 16u64; // S_D
-    let si = 4u64; // S_I
+    let (sd, si) = (S_D as u64, S_I as u64);
     let row_bytes = r as u64 * sd;
 
     // Disjoint address regions: vals | cols | V (or X) | W (or Y).
@@ -160,7 +159,8 @@ pub fn measure_omega_kernel(
     }
     let report = mem.finish();
 
-    let v_min = kind.sweep_min_bytes(h.nrows(), h.nnz(), r);
+    let sweep = if augmented { Sweep::Aug } else { Sweep::Plain };
+    let v_min = sweep.min_bytes(h.nrows(), h.nnz(), r) as u64;
     let v_meas = report.memory_bytes / sweeps as u64;
     OmegaReport {
         r,

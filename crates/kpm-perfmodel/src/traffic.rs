@@ -4,7 +4,7 @@
 //! once. The measured traffic exceeds these by the factor Ω (Eq. 8)
 //! when the right-hand-side vector does not fit the cache.
 
-use kpm_num::accounting::{F_A, F_M, S_D, S_I};
+use kpm_num::accounting::{Sweep, F_A, F_M, S_D};
 
 /// One row of paper Table I: a solver sub-routine with its call count,
 /// minimum bytes per call, and flops per call.
@@ -42,8 +42,8 @@ pub fn table1(n: usize, nnz: usize, r: usize, m: usize) -> Vec<FunctionCost> {
             calls: r * m / 2,
             // Matrix (data + index) once, input vector once, output
             // vector written once: Nnz(Sd+Si) + 2N·Sd.
-            bytes_per_call: nnz * (S_D + S_I) + 2 * n * S_D,
-            flops_per_call: nnz * (F_A + F_M),
+            bytes_per_call: Sweep::Plain.min_bytes(n, nnz, 1),
+            flops_per_call: Sweep::Plain.flops(n, nnz, 1),
         },
         FunctionCost {
             name: "axpy()",
@@ -75,9 +75,10 @@ pub fn table1(n: usize, nnz: usize, r: usize, m: usize) -> Vec<FunctionCost> {
 }
 
 /// Aggregate minimum traffic of the naive solver (paper Table I, last
-/// row): `R·M/2 · [Nnz(Sd+Si) + 13·N·Sd]` bytes.
+/// row): `R·M/2 · [Nnz(Sd+Si) + 13·N·Sd]` bytes — the `spmv()` sweep
+/// plus the 11 vector transfers of the BLAS-1 chain behind it.
 pub fn naive_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    r * m / 2 * (nnz * (S_D + S_I) + 13 * n * S_D)
+    r * m / 2 * (Sweep::Plain.min_bytes(n, nnz, 1) + 11 * n * S_D)
 }
 
 /// Aggregate flops of the solver (identical for all variants):
@@ -90,14 +91,14 @@ pub fn solver_flops(n: usize, nnz: usize, r: usize, m: usize) -> usize {
 /// `R·M/2 · [Nnz(Sd+Si) + 3·N·Sd]` — the fused kernel touches each of
 /// the two vectors once (v read, w read+write = 3 transfers).
 pub fn stage1_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    r * m / 2 * (nnz * (S_D + S_I) + 3 * n * S_D)
+    r * m / 2 * Sweep::Aug.min_bytes(n, nnz, 1)
 }
 
 /// Minimum traffic after optimization stage 2 (Eq. 4, bottom):
 /// `M/2 · [Nnz(Sd+Si) + 3·R·N·Sd]` — the matrix is streamed once per
 /// iteration for all R vectors.
 pub fn stage2_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    m / 2 * (nnz * (S_D + S_I) + 3 * r * n * S_D)
+    m / 2 * Sweep::Aug.min_bytes(n, nnz, r)
 }
 
 #[cfg(test)]
@@ -149,7 +150,7 @@ mod tests {
     fn stage2_reads_matrix_once_per_iteration() {
         let v2 = stage2_solver_traffic(N, NNZ, R, M);
         // Matrix term no longer multiplied by R.
-        assert_eq!(v2, M / 2 * (NNZ * (S_D + S_I) + 3 * R * N * S_D));
+        assert_eq!(v2, M / 2 * (NNZ * 20 + 3 * R * N * S_D));
         // For R = 1, stages 1 and 2 coincide.
         assert_eq!(
             stage1_solver_traffic(N, NNZ, 1, M),

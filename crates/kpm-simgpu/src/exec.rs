@@ -6,7 +6,7 @@
 //! data itself is loaded coalesced. The simulator replays this stream
 //! row by row — the order in which thread blocks drain on the device.
 
-use kpm_num::accounting::{F_A, F_M, S_D, S_I};
+use kpm_num::accounting::{Sweep, F_A, F_M, S_D, S_I};
 use kpm_sparse::CrsMatrix;
 
 use crate::device::{GpuDevice, GpuKernel};
@@ -42,15 +42,13 @@ impl GpuRunReport {
 /// fused scalar products (2 complex FMAs per row and vector); the plain
 /// kernel performs only the sparse inner products.
 pub fn kernel_flops(kernel: GpuKernel, n: usize, nnz: usize, r: usize) -> u64 {
-    let spmmv = nnz * (F_A + F_M);
-    let full_vector_term = n * (7 * F_A / 2 + 9 * F_M / 2); // shift+scale+recurrence+dots
-    let dots_term = n * 2 * (F_A + F_M); // eta_even + eta_odd FMAs
-    let per_vector = match kernel {
-        GpuKernel::PlainSpmmv => spmmv,
-        GpuKernel::AugNoDot => spmmv + full_vector_term - dots_term,
-        GpuKernel::AugFull => spmmv + full_vector_term,
+    let dots_term = r * n * 2 * (F_A + F_M); // eta_even + eta_odd FMAs
+    let flops = match kernel {
+        GpuKernel::PlainSpmmv => Sweep::Plain.flops(n, nnz, r),
+        GpuKernel::AugNoDot => Sweep::Aug.flops(n, nnz, r) - dots_term,
+        GpuKernel::AugFull => Sweep::Aug.flops(n, nnz, r),
     };
-    (r * per_vector) as u64
+    flops as u64
 }
 
 /// Simulates one launch of `kernel` over `h` at block width `r` on
@@ -216,7 +214,7 @@ mod tests {
         let r = 8;
         assert_eq!(
             kernel_flops(GpuKernel::AugFull, n, nnz, r) as usize,
-            kpm_num::accounting::aug_spmmv_flops(n, nnz, r)
+            Sweep::Aug.flops(n, nnz, r)
         );
         // Plain < NoDot < Full.
         assert!(

@@ -225,30 +225,6 @@ impl CrsMatrix {
         (0..self.nrows).map(|r| self.row_len(r)).max().unwrap_or(0)
     }
 
-    /// Re-places the `cols`/`vals` streams for NUMA first-touch: each
-    /// [`crate::sweep::ROWS_PER_CHUNK`]-row group's element range — the
-    /// exact partition the parallel CRS kernels stream — is copied into
-    /// a fresh untouched allocation by its pinned pool worker, so its
-    /// pages land on the node that will read them. Contents are
-    /// bitwise-unchanged; this is a pure placement operation.
-    pub fn first_touch_refault(&mut self) {
-        if self.nrows == 0 || self.vals.is_empty() {
-            return;
-        }
-        let rpc = crate::sweep::ROWS_PER_CHUNK;
-        let parts = self.nrows.div_ceil(rpc);
-        let ptr = &self.row_ptr;
-        let nrows = self.nrows;
-        let range_of = |p: usize| {
-            (
-                ptr[p * rpc] as usize,
-                ptr[((p + 1) * rpc).min(nrows)] as usize,
-            )
-        };
-        self.cols = crate::placement::refault_copy_by(&self.cols, parts, range_of);
-        self.vals = crate::placement::refault_copy_by(&self.vals, parts, range_of);
-    }
-
     /// True if the matrix equals its conjugate transpose (exact
     /// comparison; assembly produces exactly conjugate pairs).
     pub fn is_hermitian(&self) -> bool {

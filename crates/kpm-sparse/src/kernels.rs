@@ -19,9 +19,10 @@
 
 use std::sync::OnceLock;
 
+use kpm_num::accounting::Sweep;
 use kpm_num::{BlockVector, Complex64};
 use kpm_obs::probe::KernelKind::{self, AugSpmmv, AugSpmv, Spmv};
-use kpm_obs::probe::{kernel_timer_fmt, ProbeFormat};
+use kpm_obs::probe::{kernel_timer, ProbeFormat};
 
 use crate::aug::{AugDots, AugDotsBlock};
 use crate::crs::CrsMatrix;
@@ -225,7 +226,18 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         FormatSpec::Crs => ProbeFormat::Crs,
         FormatSpec::Stencil => ProbeFormat::Stencil,
     };
-    let _probe = kind.and_then(|kind| kernel_timer_fmt(kind, nrows, nnz, r, format));
+    // Table I's counts of this sweep: flops on the logical non-zeros,
+    // bytes on the elements actually streamed.
+    let counts = || {
+        let sweep = if op == Plain {
+            Sweep::Plain
+        } else {
+            Sweep::Aug
+        };
+        let bytes = sweep.min_bytes(nrows, m.stored_elements(), r);
+        (sweep.flops(nrows, nnz, r) as u64, bytes as u64)
+    };
+    let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, r, counts));
     m.sweep(op, schedule, x, r, &mut w[..nrows * r])
 }
 
@@ -252,10 +264,6 @@ pub struct KpmMatrix {
     /// The content fingerprint, hashed on first use (solver-only
     /// callers never pay for it).
     fingerprint: OnceLock<u64>,
-    /// True once the storage arrays have been re-placed under the
-    /// first-touch policy ([`KpmMatrix::with_first_touch`]); a pure
-    /// placement property, never a correctness input.
-    first_touch: bool,
 }
 
 impl KpmMatrix {
@@ -264,7 +272,6 @@ impl KpmMatrix {
             repr,
             cache_bytes: DEFAULT_CACHE_BYTES,
             fingerprint: OnceLock::new(),
-            first_touch: false,
         }
     }
 
@@ -298,39 +305,12 @@ impl KpmMatrix {
     /// Sets the per-thread cache budget (bytes) used by the blocked
     /// parallel kernels, builder-style. The budget fixes the
     /// reduction-tree boundaries, so results are bitwise-reproducible
-    /// for a fixed budget and any thread count.
+    /// for a fixed budget and any thread count. Tests are its only
+    /// callers now (`tests/prop_kernels.rs` uses budgets to reach ragged
+    /// tiles): every command runs at [`DEFAULT_CACHE_BYTES`].
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes.max(1);
         self
-    }
-
-    /// The per-thread cache budget (bytes) of the blocked tilings.
-    pub fn cache_bytes(&self) -> usize {
-        self.cache_bytes
-    }
-
-    /// Re-places the storage arrays under the NUMA first-touch policy,
-    /// builder-style: each array range the parallel kernels stream is
-    /// copied into a fresh untouched allocation by the pinned pool
-    /// worker that will stream it (see [`crate::placement`]), so its
-    /// pages land on that worker's memory node. A no-op for the
-    /// matrix-free stencil (there are no arrays to place) and when
-    /// `on` is false. Contents are bitwise-unchanged either way.
-    pub fn with_first_touch(mut self, on: bool) -> Self {
-        if on && !self.first_touch {
-            match &mut self.repr {
-                Repr::Crs(m) => m.first_touch_refault(),
-                Repr::Stencil(_) => {}
-            }
-        }
-        self.first_touch = on;
-        self
-    }
-
-    /// True when the storage arrays were placed under the first-touch
-    /// policy.
-    pub fn first_touch(&self) -> bool {
-        self.first_touch
     }
 
     /// The CRS representation, if that is the active format.

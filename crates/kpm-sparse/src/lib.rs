@@ -25,36 +25,27 @@
 //! * [`aug`] — the dot products the augmented kernels return,
 //! * [`tile`] — cache-aware row-block tile sizing for the blocked
 //!   kernels (per-thread cache budget → rows per tile),
-//! * [`autotune`] — the format tuner: CRS against the stencil, by a
-//!   traffic model,
 //! * [`simd`] — which copy of the sweep runs: the run-time choice
 //!   between the baseline and AVX2 copies and the global toggle the
 //!   benches flip,
 //! * [`stats`] — sparsity-structure analysis (diagonal detection,
 //!   bandwidth, row-length histograms) matching the paper's discussion
 //!   of the topological-insulator matrix structure,
-//! * [`io`] — Matrix Market reading/writing (std-only),
-//! * [`placement`] — NUMA-style first-touch placement: hot arrays are
-//!   allocated untouched and each range is first written by the pool
-//!   worker the stable part→worker assignment gives it.
+//! * [`io`] — Matrix Market reading/writing (std-only).
 
 pub mod aug;
-pub mod autotune;
 pub mod coo;
 pub mod crs;
 pub mod io;
 pub mod kernels;
-pub mod placement;
 pub mod simd;
 pub mod stats;
 pub mod stencil;
 mod sweep;
 pub mod tile;
 
-pub use autotune::{autotune_formats, AutotuneChoice, AutotuneEnv};
 pub use coo::CooMatrix;
 pub use crs::CrsMatrix;
 pub use kernels::{FormatSpec, KpmMatrix, SparseKernels};
-pub use placement::fault_block_rows;
 pub use stencil::StencilMatrix;
 pub use sweep::{Schedule, SweepOp};

@@ -13,9 +13,8 @@
 //! baseline-vs-AVX2 back to back.
 //!
 //! [`active_lanes`] is the `f64` lane count of what actually runs: the
-//! autotuner's machine envelope and the `kpm report` banner read it
-//! instead of hardcoding a width, so the model describes the host that
-//! executes.
+//! `kpm report` banner reads it instead of hardcoding a width, so it
+//! describes the host that executes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -46,7 +46,6 @@ use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
 use crate::kernels::{FormatSpec, SparseKernels};
-use crate::placement::zeroed_vec;
 use crate::sweep::{axpy_panel, for_panels, row_panel, Epilogue, RowSweep, Schedule, SweepOp};
 use crate::tile::DEFAULT_CACHE_BYTES;
 
@@ -57,6 +56,46 @@ pub const MAX_ROW_ENTRIES: usize = 32;
 /// Rows per parallel fill chunk of [`StencilMatrix::to_crs`] (whole
 /// sites; ~4 MB of CRS entries on the TI lattice).
 const FILL_ROWS: usize = 16_384;
+
+/// Marker for plain-old-data element types whose all-zero bit pattern
+/// is a valid value, as [`zeroed_vec`] requires.
+///
+/// # Safety
+///
+/// Implementors assert that a `T` consisting entirely of zero bytes is
+/// a fully initialized, valid `T`.
+unsafe trait ZeroInit: Copy {}
+// SAFETY: the all-zero u32 is 0.
+unsafe impl ZeroInit for u32 {}
+// SAFETY: `Complex64` is `repr(C)` over two f64s; all-zero bytes are
+// `0 + 0i`, its `Default`.
+unsafe impl ZeroInit for Complex64 {}
+
+/// Allocates a length-`len` vector of zeroed `T`s *without touching*
+/// the memory: `alloc_zeroed` hands back untouched copy-on-write zero
+/// pages for large requests, so [`StencilMatrix::to_crs`] pays each
+/// page fault once, on the worker that fills the page.
+fn zeroed_vec<T: ZeroInit>(len: usize) -> Vec<T> {
+    assert!(std::mem::size_of::<T>() > 0, "zeroed_vec: zero-sized T");
+    if len == 0 {
+        return Vec::new();
+    }
+    let Ok(layout) = std::alloc::Layout::array::<T>(len) else {
+        // Allocation-size overflow: unreachable for any in-memory
+        // matrix this crate can hold, and handled like exhaustion.
+        std::alloc::handle_alloc_error(std::alloc::Layout::new::<T>());
+    };
+    // SAFETY: `layout` has non-zero size (len >= 1, T non-zero-sized).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        std::alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` was just allocated with the array layout of `len`
+    // `T`s, `alloc_zeroed` guarantees all-zero bytes, and `T: ZeroInit`
+    // certifies the all-zero pattern as a valid `T` — so this is a
+    // fully initialized vector with length == capacity == `len`.
+    unsafe { Vec::from_raw_parts(ptr.cast::<T>(), len, len) }
+}
 
 /// Block id of the on-site diagonal in a class's block order (the six
 /// hopping blocks are `0..6`).
@@ -714,6 +753,15 @@ mod tests {
     use super::*;
     use kpm_num::complex::I;
     use kpm_num::BlockVector;
+
+    #[test]
+    fn zeroed_vec_is_zero() {
+        let v = zeroed_vec::<Complex64>(1000);
+        assert_eq!(v.len(), 1000);
+        assert!(v.iter().all(|z| *z == Complex64::default()));
+        assert!(zeroed_vec::<u32>(17).iter().all(|x| *x == 0));
+        assert!(zeroed_vec::<u32>(0).is_empty());
+    }
 
     /// A tiny hand-built stencil: diagonal hop blocks so expected
     /// values are easy to state; geometry checks use the paper default

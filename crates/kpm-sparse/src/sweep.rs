@@ -71,7 +71,7 @@ pub enum Schedule {
 
 /// Fixed chunk height of the width-1 parallel reduction: partial `η`
 /// sums sit on these boundaries regardless of the thread count.
-pub(crate) const ROWS_PER_CHUNK: usize = 1024;
+const ROWS_PER_CHUNK: usize = 1024;
 
 /// What a sweep does with a row's accumulators `(Hx)[row]`. Rows
 /// arrive in ascending order, each as its panels followed by one

@@ -16,16 +16,13 @@
 //! into *tiles* sized so the tile's block-vector working set fits in
 //! the per-thread share of the last-level cache, and hand whole tiles
 //! to the scheduler. The tile size is a pure function of the block
-//! width and one machine parameter — the per-thread cache budget,
-//! provided by `kpm-perfmodel::machine` (this crate deliberately keeps
-//! no dependency on the model crate; the budget is plumbed in as a
-//! number).
+//! width and one machine parameter — the per-thread cache budget.
 //!
 //! The budget is **scoped, not global**: it travels with the kernel
 //! call (the `KpmMatrix` handle's `cache_bytes`, which its chunked
-//! sweeps tile at), so two concurrent solvers tuned for different
-//! machine models cannot stomp each other's tiling. There is no
-//! process-global mutable state in this module.
+//! sweeps tile at), so two concurrent solvers at different budgets
+//! cannot stomp each other's tiling. There is no process-global
+//! mutable state in this module.
 //!
 //! Determinism: the tile size also fixes the boundaries of the
 //! per-tile partial dot products, so it must not depend on anything
@@ -53,12 +50,6 @@ pub const MIN_TILE_ROWS: usize = 64;
 /// unchanged.
 pub const MAX_TILE_ROWS: usize = 512;
 
-/// Rows per tile for a blocked kernel of width `r_width` at the
-/// default per-thread cache budget ([`DEFAULT_CACHE_BYTES`]).
-pub fn tile_rows(r_width: usize) -> usize {
-    tile_rows_for_budget(r_width, DEFAULT_CACHE_BYTES)
-}
-
 /// Rows per tile for a blocked kernel of width `r_width`, such that the
 /// tile's block-vector working set (`2 · rows · r_width · 16` bytes for
 /// `V` and `W`) stays within [`BLOCK_VECTOR_SHARE`] of the given
@@ -66,8 +57,6 @@ pub fn tile_rows(r_width: usize) -> usize {
 ///
 /// For `R <= 8` at the default budget this saturates at
 /// [`MAX_TILE_ROWS`] — identical chunking to the pre-tiling kernels.
-/// This is the pure sizing function; `kpm-perfmodel` also calls it to
-/// predict tile sizes for catalog machines.
 pub fn tile_rows_for_budget(r_width: usize, cache_bytes: usize) -> usize {
     let bytes_per_row = 2 * r_width.max(1) * 16;
     let budget = (cache_bytes as f64 * BLOCK_VECTOR_SHARE) as usize;
@@ -122,9 +111,6 @@ mod tests {
         let small = tile_rows_for_budget(32, 256 * 1024);
         let big = tile_rows_for_budget(32, 1024 * 1024);
         assert!(small < big);
-        // The default-budget convenience wrapper matches the explicit
-        // form, so callers can freely mix the two.
-        assert_eq!(tile_rows(32), tile_rows_for_budget(32, DEFAULT_CACHE_BYTES));
     }
 
     #[test]

@@ -46,7 +46,7 @@ cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
-step "tier-1 under pinned thread counts (KPM_THREADS=1, 4)"
+step "tier-1 under fixed thread counts (KPM_THREADS=1, 4)"
 # The same workspace tests on a serial global pool and on a 4-worker
 # pool: results (moments, kernels, checkpoints) must be bitwise
 # identical in both, so every suite has to pass in both.
@@ -182,28 +182,41 @@ if [[ "$(head -n 1 target/setup-twin.csv)" != "$(head -n 1 target/setup-full.csv
 fi
 echo "set-up share on dos_block_r8 ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
 
-step "autotune model: predicted {crs, stencil} winner == measured winner at R = 8"
-# A timing probe, so it only runs optimized (ignored in debug builds).
-cargo test -q --release --test performance_models \
-    stencil_model_winner_is_the_measured_winner_at_r8
-
 step "smoke: kpm report (achieved vs predicted roofline)"
 ./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5
 
-step "smoke: kpm report --autotune (crs or stencil, by the machine model)"
-./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
-    --random 8 --machine IVB --llc-mib 0.5 --autotune
-
-step "smoke: kpm report with the --no-simd/--first-touch runtime toggles"
-# --no-simd runs the baseline copy of the sweep; --first-touch re-places
-# the matrix and block vectors. The report must run end to end and print
-# the lanes / sweep-body / first-touch banner fields.
+step "smoke: kpm report with the --no-simd runtime toggle"
+# --no-simd runs the baseline copy of the sweep. The report must run end
+# to end and print the lanes / sweep-body banner fields.
 toggle_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
-    --random 8 --machine IVB --llc-mib 0.5 --no-simd --first-touch 2>&1)
+    --random 8 --machine IVB --llc-mib 0.5 --no-simd 2>&1)
 echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
-echo "$toggle_report" | grep -q 'first-touch = on'
+
+step "hostile flag values: one 'kpm:' line, exit status 1, no panic, no matrix"
+# Each of these used to panic, abort the process, or be refused only
+# after the matrix had been assembled and the banner printed. Now stderr
+# is a single line — so no banner came first — that names the flag.
+hostile() {
+    local err rc=0
+    err=$(./target/release/kpm "$@" 2>&1 >/dev/null) || rc=$?
+    echo "kpm $*  ->  exit $rc: $err"
+    if [[ $rc -ne 1 || "$err" != kpm:* || "$err" == *$'\n'* || "$err" == *panicked* ]]; then
+        echo "expected exit status 1 and one 'kpm: ...' line on stderr" >&2
+        exit 1
+    fi
+}
+lattice="--nx 48 --ny 48 --nz 24"
+hostile dos $lattice --points 0
+hostile dos $lattice --points 1
+hostile dos $lattice --moments 3
+hostile dos $lattice --random 0
+hostile dos $lattice --threads 100000
+hostile dos --nx 0
+hostile count $lattice --from nan --to 0.5
+hostile report $lattice --llc-mib nan
+hostile report $lattice --llc-mib 1e-9
 
 step "service: chaos ledger (500 randomized schedules)"
 # Exactly-once replies, bitwise batched moments, and a consistent

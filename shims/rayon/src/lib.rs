@@ -30,27 +30,15 @@ pub fn current_num_threads() -> usize {
     pool::current_registry().num_threads()
 }
 
-/// Runs `body(p)` for every part `p` in `[0, parts)` on the current
-/// pool, with the **stable assignment** part `p` → worker
-/// `p % threads`: pinned parts are never stolen, so the same part
-/// index always executes on the same OS thread (serial pools and calls
-/// from inside a worker run all parts inline). Blocks until every part
-/// has run; panics propagate to the caller.
-///
-/// This is the deterministic chunk→worker mapping surface the
-/// first-touch (NUMA) placement paths fault memory through. Not part
-/// of the real `rayon` API.
-pub fn run_pinned(parts: usize, body: impl Fn(usize) + Sync) {
-    pool::run_pinned(parts, &body);
-}
-
-/// Error type returned by [`ThreadPoolBuilder::build`]; never produced.
+/// Error type returned by [`ThreadPoolBuilder::build`]: more workers
+/// were requested than the pool supports, or the OS refused to start
+/// one (the workers already started have been joined).
 #[derive(Debug)]
-pub struct ThreadPoolBuildError;
+pub struct ThreadPoolBuildError(std::io::Error);
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool build error (shim; unreachable)")
+        self.0.fmt(f)
     }
 }
 
@@ -81,7 +69,7 @@ impl ThreadPoolBuilder {
         } else {
             self.num_threads
         };
-        let (registry, workers) = pool::Registry::new(threads);
+        let (registry, workers) = pool::Registry::new(threads).map_err(ThreadPoolBuildError)?;
         Ok(ThreadPool { registry, workers })
     }
 }

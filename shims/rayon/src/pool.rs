@@ -25,6 +25,17 @@ use std::thread::JoinHandle;
 /// The lifetime-erased range body of one parallel job.
 type Body = dyn Fn(usize, usize) + Sync;
 
+/// The body of one worker thread, as handed to the OS.
+type Worker = Box<dyn FnOnce() + Send>;
+
+/// Most workers one registry will start. A thread costs a stack and a
+/// handful of memory mappings, and a process that runs out of mappings
+/// is aborted from inside the new thread's start-up code (observed near
+/// 16,000 threads on Linux defaults) — past any `Result` this crate
+/// could return. No host this workspace targets has use for a pool this
+/// wide.
+pub(crate) const MAX_THREADS: usize = 1024;
+
 thread_local! {
     /// True on pool worker threads: nested `run` calls execute inline
     /// instead of re-entering the (blocked) pool.
@@ -36,8 +47,8 @@ thread_local! {
 
 /// One parallel job: the range body plus completion/panic state.
 struct Batch {
-    /// The range body. The `'static` lifetime is a lie told through
-    /// `transmute`; see the SAFETY argument in [`Registry::run`].
+    /// The range body. The `'static` lifetime is a lie; see the SAFETY
+    /// argument in [`Registry::run`].
     body: &'static Body,
     /// Ranges at or below this length execute without further splits.
     grain: usize,
@@ -67,11 +78,6 @@ struct Queues {
     locals: Vec<VecDeque<Chunk>>,
     /// Entry queue for new jobs from non-worker threads.
     injector: VecDeque<Chunk>,
-    /// Owner-pinned chunks: worker `i` pops `pinned[i]` first and no
-    /// other worker ever steals from it — the stable part→worker
-    /// assignment behind [`Registry::run_pinned`] that the first-touch
-    /// placement paths rely on.
-    pinned: Vec<VecDeque<Chunk>>,
     shutdown: bool,
 }
 
@@ -86,14 +92,32 @@ impl Registry {
     /// Creates a registry with `threads` workers (0 means 1) and spawns
     /// the worker threads. With one thread no workers are spawned at
     /// all: `run` executes inline and semantics are exactly serial.
-    pub(crate) fn new(threads: usize) -> (Arc<Registry>, Vec<JoinHandle<()>>) {
+    ///
+    /// Fails when `threads` exceeds [`MAX_THREADS`] or the OS refuses a
+    /// worker; the workers already started are shut down and joined
+    /// before the error is returned.
+    pub(crate) fn new(threads: usize) -> std::io::Result<(Arc<Registry>, Vec<JoinHandle<()>>)> {
+        Self::new_with(threads, &mut |builder, worker| builder.spawn(worker))
+    }
+
+    /// [`Registry::new`] with the OS call that starts a worker as a
+    /// parameter, so a test can make it fail.
+    fn new_with(
+        threads: usize,
+        spawn: &mut dyn FnMut(std::thread::Builder, Worker) -> std::io::Result<JoinHandle<()>>,
+    ) -> std::io::Result<(Arc<Registry>, Vec<JoinHandle<()>>)> {
         let n = threads.max(1);
+        if n > MAX_THREADS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{n} worker threads requested, at most {MAX_THREADS} supported"),
+            ));
+        }
         let registry = Arc::new(Registry {
             threads: n,
             queues: Mutex::new(Queues {
                 locals: (0..n).map(|_| VecDeque::new()).collect(),
                 injector: VecDeque::new(),
-                pinned: (0..n).map(|_| VecDeque::new()).collect(),
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -102,14 +126,20 @@ impl Registry {
         if n > 1 {
             for id in 0..n {
                 let r = Arc::clone(&registry);
-                let handle = std::thread::Builder::new()
-                    .name(format!("kpm-worker-{id}"))
-                    .spawn(move || worker_loop(id, &r))
-                    .expect("spawn pool worker");
-                handles.push(handle);
+                let builder = std::thread::Builder::new().name(format!("kpm-worker-{id}"));
+                match spawn(builder, Box::new(move || worker_loop(id, &r))) {
+                    Ok(handle) => handles.push(handle),
+                    Err(e) => {
+                        registry.shutdown();
+                        for h in handles {
+                            let _ = h.join();
+                        }
+                        return Err(e);
+                    }
+                }
             }
         }
-        (registry, handles)
+        Ok((registry, handles))
     }
 
     pub(crate) fn num_threads(&self) -> usize {
@@ -160,65 +190,6 @@ impl Registry {
                 lo: 0,
                 hi: len,
             });
-        }
-        self.work_cv.notify_all();
-        wait_batch(&batch);
-    }
-
-    /// Executes `body(p)` for every part `p` in `[0, parts)` with the
-    /// **stable assignment** part `p` → worker `p % threads`: each part
-    /// is queued on its worker's pinned deque, which no other worker
-    /// ever steals from. Blocks until every part has run; panics from
-    /// part bodies propagate to the caller.
-    ///
-    /// This is the chunk→worker mapping surface the first-touch
-    /// placement paths fault memory through: the same part index always
-    /// reaches the same OS thread (serial registries and calls from
-    /// inside a worker run all parts inline on the current thread).
-    pub(crate) fn run_pinned(self: &Arc<Self>, parts: usize, body: &(dyn Fn(usize) + Sync)) {
-        if parts == 0 {
-            return;
-        }
-        if self.threads <= 1 || IS_WORKER.with(|w| w.get()) {
-            for p in 0..parts {
-                body(p);
-            }
-            return;
-        }
-        let range_body = |lo: usize, hi: usize| {
-            for p in lo..hi {
-                body(p);
-            }
-        };
-        let range_body: &(dyn Fn(usize, usize) + Sync) = &range_body;
-        // SAFETY: same argument as in `run`: `wait_batch` below blocks
-        // until `pending` hits zero, i.e. until every queued chunk has
-        // executed, so no worker touches the erased body (or the
-        // `range_body` closure on this stack frame) after this call
-        // returns.
-        let body: &'static Body = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), &'static Body>(range_body)
-        };
-        let batch = Arc::new(Batch {
-            body,
-            // Grain 1 + single-part chunks: `execute` never splits a
-            // pinned chunk, so it runs exactly on its assigned worker.
-            grain: 1,
-            pending: AtomicUsize::new(parts),
-            panicked: AtomicBool::new(false),
-            payload: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut q = self.queues.lock().expect("pool queues");
-            for p in 0..parts {
-                q.pinned[p % self.threads].push_back(Chunk {
-                    batch: Arc::clone(&batch),
-                    lo: p,
-                    hi: p + 1,
-                });
-            }
         }
         self.work_cv.notify_all();
         wait_batch(&batch);
@@ -278,8 +249,7 @@ fn worker_loop(id: usize, registry: &Arc<Registry>) {
 }
 
 /// Blocks until `batch` completes, then re-throws a captured panic on
-/// the calling thread. Shared tail of [`Registry::run`] and
-/// [`Registry::run_pinned`].
+/// the calling thread.
 fn wait_batch(batch: &Batch) {
     let mut done = batch.done.lock().expect("batch done flag");
     while !*done {
@@ -296,11 +266,6 @@ fn wait_batch(batch: &Batch) {
 }
 
 fn pop_any(q: &mut Queues, id: usize) -> Option<Chunk> {
-    // Pinned chunks first: they are this worker's by assignment and
-    // never offered to thieves.
-    if let Some(c) = q.pinned[id].pop_front() {
-        return Some(c);
-    }
     if let Some(c) = q.locals[id].pop_back() {
         return Some(c);
     }
@@ -352,7 +317,11 @@ fn global() -> &'static Arc<Registry> {
     GLOBAL.get_or_init(|| {
         let threads = parse_threads(std::env::var("KPM_THREADS").ok().as_deref())
             .unwrap_or_else(default_threads);
-        let (registry, handles) = Registry::new(threads);
+        // A host that refuses the workers still computes, serially: a
+        // one-thread registry spawns nothing and cannot fail.
+        let (registry, handles) = Registry::new(threads)
+            .or_else(|_| Registry::new(1))
+            .expect("a one-thread registry spawns nothing");
         for h in handles {
             // Detach: the global pool is never shut down.
             drop(h);
@@ -382,12 +351,6 @@ pub(crate) fn run(len: usize, body: &(dyn Fn(usize, usize) + Sync)) {
     current_registry().run(len, body);
 }
 
-/// Runs `body(p)` for each part on the current registry with the
-/// stable part→worker assignment (see [`Registry::run_pinned`]).
-pub(crate) fn run_pinned(parts: usize, body: &(dyn Fn(usize) + Sync)) {
-    current_registry().run_pinned(parts, body);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +367,7 @@ mod tests {
 
     #[test]
     fn single_thread_registry_runs_inline() {
-        let (registry, handles) = Registry::new(1);
+        let (registry, handles) = Registry::new(1).unwrap();
         assert!(handles.is_empty());
         let caller = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
@@ -416,92 +379,43 @@ mod tests {
     }
 
     #[test]
-    fn run_pinned_covers_each_part_once() {
-        let (registry, handles) = Registry::new(4);
-        let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        registry.run_pinned(hits.len(), &|p| {
-            hits[p].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-        registry.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn run_pinned_assignment_is_stable() {
-        // Pinned chunks are never stolen, so part p always executes on
-        // worker p % threads: across parts and across repeated calls,
-        // parts congruent mod the thread count see the same OS thread.
-        let threads = 3;
-        let (registry, handles) = Registry::new(threads);
-        let parts = 12;
-        let mut runs: Vec<Vec<std::thread::ThreadId>> = Vec::new();
-        for _ in 0..3 {
-            let ids = Mutex::new(vec![None; parts]);
-            registry.run_pinned(parts, &|p| {
-                ids.lock().unwrap()[p] = Some(std::thread::current().id());
-            });
-            let ids: Vec<_> = ids.into_inner().unwrap().into_iter().flatten().collect();
-            assert_eq!(ids.len(), parts);
-            for p in 0..parts {
-                assert_eq!(ids[p], ids[p % threads], "part {p} migrated");
+    fn a_failed_spawn_leaves_no_live_workers() {
+        // The fourth worker is refused: the three already running must
+        // be shut down and joined before the error comes back.
+        let live = Arc::new(AtomicUsize::new(0));
+        let mut started = 0;
+        let result = Registry::new_with(6, &mut |builder, worker| {
+            if started == 3 {
+                return Err(std::io::Error::other("no more threads"));
             }
-            runs.push(ids);
-        }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
-        registry.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+            started += 1;
+            let live = Arc::clone(&live);
+            live.fetch_add(1, Ordering::SeqCst);
+            builder.spawn(move || {
+                worker();
+                live.fetch_sub(1, Ordering::SeqCst);
+            })
+        });
+        let err = result.err().expect("the refusal must surface");
+        assert_eq!(err.to_string(), "no more threads");
+        assert_eq!((started, live.load(Ordering::SeqCst)), (3, 0));
     }
 
     #[test]
-    fn run_pinned_serial_registry_runs_inline() {
-        let (registry, handles) = Registry::new(1);
-        assert!(handles.is_empty());
-        let caller = std::thread::current().id();
-        let seen = Mutex::new(Vec::new());
-        registry.run_pinned(5, &|p| {
-            assert!(p < 5);
-            seen.lock().unwrap().push(std::thread::current().id());
+    fn oversized_registry_is_refused_before_any_spawn() {
+        let mut spawned = 0;
+        let result = Registry::new_with(MAX_THREADS + 1, &mut |builder, worker| {
+            spawned += 1;
+            builder.spawn(worker)
         });
-        assert_eq!(seen.into_inner().unwrap(), vec![caller; 5]);
-    }
-
-    #[test]
-    fn run_pinned_propagates_panics() {
-        let (registry, handles) = Registry::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            registry.run_pinned(8, &|p| {
-                if p == 5 {
-                    panic!("pinned boom {p}");
-                }
-            });
-        }));
-        let payload = result.expect_err("pinned panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("pinned boom 5"), "payload: {msg}");
-        // The registry stays usable afterwards.
-        let hits = AtomicUsize::new(0);
-        registry.run_pinned(4, &|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
-        registry.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let err = result.err().expect("too many workers");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(spawned, 0);
     }
 
     #[test]
     fn ranges_cover_index_space_exactly_once() {
-        let (registry, handles) = Registry::new(4);
+        let (registry, handles) = Registry::new(4).unwrap();
         let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
         registry.run(hits.len(), &|lo, hi| {
             for h in &hits[lo..hi] {

@@ -38,10 +38,7 @@ use kpm_repro::perfmodel::roofline::custom_roofline;
 use kpm_repro::service::{
     Admission, QueryKind, RejectReason, Request, Service, ServiceConfig, ShutdownMode,
 };
-use kpm_repro::sparse::{
-    autotune_formats, io as mmio, stats, AutotuneEnv, CrsMatrix, FormatSpec, KpmMatrix,
-    SparseKernels, StencilMatrix,
-};
+use kpm_repro::sparse::{io as mmio, stats, CrsMatrix, KpmMatrix, SparseKernels, StencilMatrix};
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn main() -> ExitCode {
@@ -73,9 +70,11 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   kpm generate --nx N --ny N --nz N [--potential dots] --out FILE.mtx
   kpm info FILE.mtx
-  kpm dos [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R] [--points K]
+  kpm dos [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R] [--seed S]
+             [--points K]
   kpm count [FILE.mtx | --nx N --ny N --nz N] --from E --to E [--moments M] [--random R]
-  kpm report [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R]
+             [--seed S]
+  kpm report [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R] [--seed S]
              [--machine IVB|SNB|K20m|K20X] [--llc-mib F] [--sweeps S]
   kpm serve  [FILE.mtx | --nx N --ny N --nz N] [--workers W] [--queue Q]
              [--width R] [--window-us U] [--deadline-ms D] [--points K]
@@ -85,20 +84,18 @@ const USAGE: &str = "usage:
               | 'green SEED R M [MS]'; one JSON reply line per request)
   kpm stats  FILE.jsonl      (metrics JSONL -> Prometheus text exposition)
   kpm trace-report FILE.json [--machine IVB|SNB|K20m|K20X] [--flight FILE.jsonl]
+             [--paths]
              (per-request critical path + roofline attribution from a
-              Chrome trace export; optionally merges a flight-recorder dump)
+              Chrome trace export; optionally merges a flight-recorder dump;
+              --paths lists every span of each request)
 common:
-  --threads T                worker threads (0 = KPM_THREADS env, else all cores)
+  --threads T                worker threads of generate, info, dos, count and report
+                             (0 = KPM_THREADS env, else all cores)
   --format crs|stencil       matrix storage format for the solver (default crs;
                              stencil is matrix-free and needs --nx/--ny/--nz)
-  --autotune                 pick the format from the machine model (crs, or
-                             stencil on a generated lattice); excludes --format
   --no-simd                  run the baseline copy of the sweep instead of the
                              AVX2 copy a CPU with AVX2 gets by default (moments
                              are bitwise-identical either way)
-  --first-touch              NUMA first-touch placement: fault matrix chunks
-                             and block-vector rows from the workers that
-                             stream them (placement only; bitwise-identical)
   --metrics-out FILE.jsonl   export the kpm-obs metrics registry
   --trace-out FILE.json      export spans as a Chrome trace-event file";
 
@@ -113,9 +110,28 @@ const THREADS_FLAGS: &[&str] = &["--threads"];
 const OBS_FLAGS: &[&str] = &["--metrics-out", "--trace-out"];
 /// Storage-format selection, accepted by every solver-running
 /// subcommand.
-const FORMAT_FLAGS: &[&str] = &["--format", "--autotune", "--no-simd", "--first-touch"];
+const FORMAT_FLAGS: &[&str] = &["--format", "--no-simd"];
 /// Flags that take no value (presence toggles).
-const BOOLEAN_FLAGS: &[&str] = &["--autotune", "--no-simd", "--first-touch", "--paths"];
+const BOOLEAN_FLAGS: &[&str] = &["--no-simd", "--paths"];
+/// Each subcommand's own flags.
+const GENERATE_FLAGS: &[&str] = &["--out"];
+const DOS_FLAGS: &[&str] = &["--points"];
+const COUNT_FLAGS: &[&str] = &["--from", "--to"];
+const REPORT_FLAGS: &[&str] = &["--machine", "--llc-mib", "--sweeps"];
+const SERVE_FLAGS: &[&str] = &[
+    "--workers",
+    "--queue",
+    "--width",
+    "--window-us",
+    "--deadline-ms",
+    "--points",
+    "--kernel",
+    "--lambda",
+    "--slo-ms",
+    "--slo-goal",
+    "--flight-recorder",
+];
+const TRACE_REPORT_FLAGS: &[&str] = &["--machine", "--flight", "--paths"];
 
 /// Rejects any `--flag` not in `allowed`, any flag given twice (the
 /// lookups below would silently take the first), any value flag with
@@ -175,6 +191,36 @@ fn opt_f64(args: &[String], name: &str) -> Result<Option<f64>, String> {
             .parse()
             .map(Some)
             .map_err(|_| format!("bad value for {name}: {v}")),
+    }
+}
+
+/// [`opt_f64`] for a quantity that has to be a number: `nan` and `inf`
+/// parse as `f64` and are refused here.
+fn opt_finite(args: &[String], name: &str) -> Result<Option<f64>, String> {
+    match opt_f64(args, name)? {
+        Some(v) if !v.is_finite() => Err(format!("bad value for {name}: {v} (must be finite)")),
+        v => Ok(v),
+    }
+}
+
+/// `--points K`: a curve is reconstructed on at least two energies.
+fn opt_points(args: &[String], default: usize) -> Result<usize, String> {
+    match opt_usize(args, "--points", default)? {
+        points @ 0..=1 => Err(format!(
+            "bad value for --points: {points} (need at least 2 energy points)"
+        )),
+        points => Ok(points),
+    }
+}
+
+/// A lattice extent (`--nx`, `--ny`, `--nz`), `None` when not given.
+fn opt_extent(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    match opt(args, name).map(|v| (v, v.parse())) {
+        None => Ok(None),
+        Some((_, Ok(n @ 1..))) => Ok(Some(n)),
+        Some((v, _)) => Err(format!(
+            "bad value for {name}: {v} (lattice extents are integers from 1)"
+        )),
     }
 }
 
@@ -249,12 +295,11 @@ fn matrix_source(args: &[String]) -> Result<MatrixSource, String> {
     let source = if let Some(path) = positional(args) {
         MatrixSource::File(path.to_string())
     } else {
-        let nx = opt_usize(args, "--nx", 0)?;
-        if nx == 0 {
+        let Some(nx) = opt_extent(args, "--nx")? else {
             return Err(format!("need a FILE.mtx or --nx/--ny/--nz\n{USAGE}"));
-        }
-        let ny = opt_usize(args, "--ny", nx)?;
-        let nz = opt_usize(args, "--nz", nx)?;
+        };
+        let ny = opt_extent(args, "--ny")?.unwrap_or(nx);
+        let nz = opt_extent(args, "--nz")?.unwrap_or(nx);
         MatrixSource::Lattice(match opt(args, "--potential") {
             Some("dots") => TopoHamiltonian::quantum_dot_superlattice(nx, ny, nz),
             Some(other) => return Err(format!("unknown potential '{other}' (try: dots)")),
@@ -351,14 +396,6 @@ fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), Stri
     if let Some(other) = format.filter(|f| !matches!(*f, "crs" | "stencil")) {
         return Err(unknown_format(other));
     }
-    if let (Some(format), true) = (format, has_flag(args, "--autotune")) {
-        let details = format!(
-            "--autotune picks the storage format itself and --format {format} names one; \
-             pass either flag, not both"
-        );
-        let what = "--autotune";
-        return Err(KpmError::InvalidParams { what, details }.to_string());
-    }
     if wants_stencil(args) && matches!(source, MatrixSource::File(_)) {
         return Err(STENCIL_NEEDS_LATTICE.into());
     }
@@ -379,7 +416,7 @@ fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<StencilMatrix>), St
 /// filled. Everything else loads the CRS matrix and converts it. Either
 /// way a generated lattice is checked and bounded on its generator, so
 /// scale factors — and every output byte — do not depend on the format.
-fn solver_matrix(args: &[String], threads: usize) -> Result<(KpmMatrix, ScaleFactors), String> {
+fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
     let source = matrix_source(args)?;
     if let (MatrixSource::Lattice(ham), true) = (&source, wants_stencil(args)) {
         let st = {
@@ -387,14 +424,10 @@ fn solver_matrix(args: &[String], threads: usize) -> Result<(KpmMatrix, ScaleFac
             ham.stencil_matrix()
         };
         let sf = hermitian_scale_factors(Evidence::Generator(&st))?;
-        let m = KpmMatrix::stencil(st).with_first_touch(has_flag(args, "--first-touch"));
-        return Ok((m, sf));
+        return Ok((KpmMatrix::stencil(st), sf));
     }
     let (h, generator, sf) = load_hermitian(source)?;
-    Ok((
-        format_matrix(args, h, generator.as_ref(), threads, None)?,
-        sf,
-    ))
+    Ok((format_matrix(args, h, generator.as_ref())?, sf))
 }
 
 /// Runs a command's set-up and solve on one pool: the `--threads` pool
@@ -403,81 +436,44 @@ fn in_pool<T>(threads: usize, f: impl FnOnce() -> Result<T, String>) -> Result<T
     with_threads(threads, f).map_err(|e| e.to_string())?
 }
 
+/// The solver flags, validated here — before anything is loaded — so a
+/// bad `--moments` or `--random` names its flag and costs no assembly.
 fn solver_params(args: &[String]) -> Result<KpmParams, String> {
-    Ok(KpmParams {
+    let params = KpmParams {
         num_moments: opt_usize(args, "--moments", 256)?,
         num_random: opt_usize(args, "--random", 8)?,
         seed: opt_usize(args, "--seed", 2015)? as u64,
         parallel: true,
         threads: opt_usize(args, "--threads", 0)?,
         power: 1,
-        first_touch: has_flag(args, "--first-touch"),
-    })
+        first_touch: false,
+    };
+    params.validate().map_err(|e| {
+        let what = match e {
+            KpmError::InvalidParams { what, .. } => what,
+            _ => "",
+        };
+        match what {
+            "num_moments" => format!("bad value for --moments: {} ({e})", params.num_moments),
+            "num_random" => format!("bad value for --random: {} ({e})", params.num_random),
+            _ => e.to_string(),
+        }
+    })?;
+    Ok(params)
 }
 
-/// Worker threads a run will actually use: the explicit request, or the
-/// host's core count when `--threads 0` (the solver default).
-fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
-/// Applies the `--format`/`--autotune` flags: puts the assembled CRS
-/// matrix — or, when the stencil is requested or
-/// tuned, its generator — behind the format-erased [`KpmMatrix`]
-/// handle.
-///
-/// With `--autotune` the tuner's machine envelope comes from `machine`
-/// when the subcommand has one (`kpm report --machine ...`), else from
-/// the conservative generic model. The matrix-free stencil format is a
-/// candidate whenever the matrix came from a generated lattice (whose
-/// `generator` it then is).
+/// Applies the `--format` flag: puts the assembled CRS matrix — or,
+/// when the stencil is requested, its generator — behind the
+/// format-erased [`KpmMatrix`] handle.
 fn format_matrix(
     args: &[String],
     h: CrsMatrix,
     generator: Option<&StencilMatrix>,
-    threads: usize,
-    machine: Option<&Machine>,
 ) -> Result<KpmMatrix, String> {
-    let first_touch = has_flag(args, "--first-touch");
-    let finish = |km: KpmMatrix| km.with_first_touch(first_touch);
-    if has_flag(args, "--autotune") {
-        let t = resolve_threads(threads);
-        let mut env = AutotuneEnv::generic(t);
-        if let Some(m) = machine {
-            env.cache_bytes_per_thread = m.tile_budget_bytes();
-            env.mem_bw_gbs = m.mem_bw_gbs;
-            env.peak_gflops = m.peak_of_cores(t.min(m.cores));
-            // The chain term reflects what this run can actually
-            // issue — the lanes of the sweep copy that executes (1 under
-            // --no-simd or without AVX2) — not the machine's nominal
-            // register width.
-            env.simd_lanes = kpm_repro::sparse::simd::active_lanes();
-        }
-        let choice = autotune_formats(&h, &env, generator);
-        eprintln!(
-            "autotune: format = {}, modeled sweep = {:.1} us",
-            choice.format,
-            choice.predicted_seconds * 1e6
-        );
-        let km = match choice.format {
-            FormatSpec::Crs => KpmMatrix::crs(h),
-            FormatSpec::Stencil => {
-                let st = generator.expect("the tuner only scores stencil when one exists");
-                KpmMatrix::stencil(st.clone())
-            }
-        };
-        return Ok(finish(km.with_cache_bytes(choice.cache_bytes)));
-    }
     match opt(args, "--format").unwrap_or("crs") {
-        "crs" => Ok(finish(KpmMatrix::crs(h))),
+        "crs" => Ok(KpmMatrix::crs(h)),
         "stencil" => match generator {
-            Some(st) => Ok(finish(KpmMatrix::stencil(st.clone()))),
+            Some(st) => Ok(KpmMatrix::stencil(st.clone())),
             None => Err(STENCIL_NEEDS_LATTICE.into()),
         },
         other => Err(unknown_format(other)),
@@ -485,7 +481,7 @@ fn format_matrix(
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS, &["--out"]])?;
+    check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS, GENERATE_FLAGS])?;
     let out_path = opt(args, "--out").ok_or("generate needs --out FILE.mtx")?;
     let (h, _) = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
     let file = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
@@ -535,14 +531,14 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
             SOLVER_FLAGS,
             OBS_FLAGS,
             FORMAT_FLAGS,
-            &["--points"],
+            DOS_FLAGS,
         ],
     )?;
     let params = solver_params(args)?;
-    let points = opt_usize(args, "--points", 1024)?;
+    let points = opt_points(args, 1024)?;
     let outputs = ObsOutputs::from_args(args);
     let curve = in_pool(params.threads, || {
-        let (m, sf) = solver_matrix(args, params.threads)?;
+        let (m, sf) = solver_matrix(args)?;
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, format = {}",
             m.nrows(),
@@ -581,18 +577,18 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
             SOLVER_FLAGS,
             OBS_FLAGS,
             FORMAT_FLAGS,
-            &["--from", "--to"],
+            COUNT_FLAGS,
         ],
     )?;
-    let e_lo = opt_f64(args, "--from")?.ok_or("count needs --from E")?;
-    let e_hi = opt_f64(args, "--to")?.ok_or("count needs --to E")?;
+    let e_lo = opt_finite(args, "--from")?.ok_or("count needs --from E")?;
+    let e_hi = opt_finite(args, "--to")?.ok_or("count needs --to E")?;
     if e_lo >= e_hi {
         return Err("--from must be below --to".into());
     }
     let params = solver_params(args)?;
     let outputs = ObsOutputs::from_args(args);
     let (n, count) = in_pool(params.threads, || {
-        let (m, sf) = solver_matrix(args, params.threads)?;
+        let (m, sf) = solver_matrix(args)?;
         let moments =
             kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
         let n = m.nrows();
@@ -604,6 +600,9 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     println!("estimated eigenvalues in [{e_lo}, {e_hi}]: {count:.1} of {n}");
     outputs.export()
 }
+
+/// Largest `--llc-mib` the cachesim replay of `kpm report` accepts.
+const MAX_LLC_MIB: usize = 1024;
 
 /// `kpm report` — runs all three solver variants instrumented and prints
 /// the achieved-vs-predicted roofline table: per-kernel achieved GF/s,
@@ -619,22 +618,29 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             SOLVER_FLAGS,
             OBS_FLAGS,
             FORMAT_FLAGS,
-            &["--machine", "--llc-mib", "--sweeps"],
+            REPORT_FLAGS,
         ],
     )?;
     let params = solver_params(args)?;
     let machine_name = opt(args, "--machine").unwrap_or("IVB");
     let machine = Machine::by_name(machine_name)
         .ok_or_else(|| format!("unknown machine '{machine_name}' (try: IVB, SNB, K20m, K20X)"))?;
-    let llc_mib = opt_f64(args, "--llc-mib")?.unwrap_or(machine.llc_mib);
-    if llc_mib <= 0.0 {
-        return Err("--llc-mib must be positive".into());
-    }
+    let llc_mib = opt_finite(args, "--llc-mib")?.unwrap_or(machine.llc_mib);
     let llc = CacheConfig {
         capacity_bytes: (llc_mib * 1024.0 * 1024.0) as usize,
         line_bytes: 64,
         ways: 16,
     };
+    // One set at least, and a replay that fits in memory (the simulator
+    // keeps a record per line).
+    let one_set = llc.ways * llc.line_bytes;
+    if !(one_set..=MAX_LLC_MIB << 20).contains(&llc.capacity_bytes) {
+        return Err(format!(
+            "bad value for --llc-mib: {llc_mib} (the simulated LLC holds between {one_set} B \
+             — {} ways of {} B lines — and {MAX_LLC_MIB} MiB)",
+            llc.ways, llc.line_bytes
+        ));
+    }
     let sweeps = opt_usize(args, "--sweeps", 3)?.max(1);
     let outputs = ObsOutputs::from_args(args);
 
@@ -644,16 +650,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // the (possibly converted) handle.
     let h = in_pool(params.threads, || {
         let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
-        let m = format_matrix(
-            args,
-            h.clone(),
-            generator.as_ref(),
-            params.threads,
-            Some(&machine),
-        )?;
+        let m = format_matrix(args, h.clone(), generator.as_ref())?;
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
-             (lanes = {}, sweep body = {}, first-touch = {})",
+             (lanes = {}, sweep body = {})",
             h.nrows(),
             h.nnz(),
             params.num_moments,
@@ -661,8 +661,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             machine.name,
             m.format(),
             kpm_repro::sparse::simd::active_lanes(),
-            kpm_repro::sparse::simd::body_name(),
-            if m.first_touch() { "on" } else { "off" }
+            kpm_repro::sparse::simd::body_name()
         );
         // The blocked variant first: its initialisation is one width-R
         // `spmv` call, and the probe's `width` column is that of a
@@ -830,29 +829,8 @@ fn serve_reply_line(index: usize, resp: &kpm_repro::service::Response) -> String
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    check_args(
-        args,
-        &[
-            MATRIX_FLAGS,
-            OBS_FLAGS,
-            FORMAT_FLAGS,
-            THREADS_FLAGS,
-            &[
-                "--workers",
-                "--queue",
-                "--width",
-                "--window-us",
-                "--deadline-ms",
-                "--points",
-                "--kernel",
-                "--lambda",
-                "--slo-ms",
-                "--slo-goal",
-                "--flight-recorder",
-            ],
-        ],
-    )?;
-    let points = opt_usize(args, "--points", 256)?;
+    check_args(args, &[MATRIX_FLAGS, OBS_FLAGS, FORMAT_FLAGS, SERVE_FLAGS])?;
+    let points = opt_points(args, 256)?;
     let kernel = match opt(args, "--kernel").unwrap_or("jackson") {
         "jackson" => Kernel::Jackson,
         "dirichlet" => Kernel::Dirichlet,
@@ -886,8 +864,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
-    let threads = opt_usize(args, "--threads", 0)?;
-    let m = format_matrix(args, h, generator.as_ref(), threads, None)?;
+    let m = format_matrix(args, h, generator.as_ref())?;
 
     let config = ServiceConfig {
         workers: opt_usize(args, "--workers", 2)?.max(1),
@@ -1313,7 +1290,7 @@ fn spans_from_flight(text: &str) -> Result<Vec<ReportSpan>, String> {
 /// checks that the stage breakdown tiles each request's end-to-end
 /// latency, and attributes solve wall time to the roofline model.
 fn cmd_trace_report(args: &[String]) -> Result<(), String> {
-    check_args(args, &[&["--machine", "--flight", "--paths"]])?;
+    check_args(args, &[TRACE_REPORT_FLAGS])?;
     let path = positional(args).ok_or_else(|| format!("need a trace FILE.json\n{USAGE}"))?;
     let machine_name = opt(args, "--machine").unwrap_or("IVB");
     let machine = Machine::by_name(machine_name)
@@ -1565,10 +1542,10 @@ mod tests {
         let err = check_args(&a, dos_flags).unwrap_err();
         assert!(err.starts_with("flag '--moments' needs a value"), "{err}");
         // A presence flag may come last; a value may look like anything.
-        let a = args(&[&lattice[..], &["--seed", "7", "--first-touch"]].concat());
+        let a = args(&[&lattice[..], &["--seed", "7", "--no-simd"]].concat());
         assert!(check_args(&a, dos_flags).is_ok());
         let paths = args(&["trace.json", "--paths"]);
-        assert!(check_args(&paths, &[&["--machine", "--flight", "--paths"]]).is_ok());
+        assert!(check_args(&paths, &[TRACE_REPORT_FLAGS]).is_ok());
     }
 
     #[test]
@@ -1588,41 +1565,23 @@ mod tests {
     fn flag_values_are_not_positionals() {
         // "--from -0.5" must not count -0.5 as a positional.
         let a = args(&["file.mtx", "--from", "-0.5", "--to", "0.5"]);
-        assert!(check_args(&a, &[&["--from", "--to"]]).is_ok());
-    }
-
-    #[test]
-    fn autotune_is_a_presence_flag() {
-        // A positional right after --autotune must not be swallowed as
-        // the flag's value.
-        let a = args(&["--autotune", "file.mtx"]);
-        assert!(check_args(&a, &[MATRIX_FLAGS, FORMAT_FLAGS]).is_ok());
-        assert_eq!(positional(&a), Some("file.mtx"));
-        assert!(has_flag(&a, "--autotune"));
-        assert!(!has_flag(&args(&["file.mtx"]), "--autotune"));
+        assert!(check_args(&a, &[COUNT_FLAGS]).is_ok());
     }
 
     #[test]
     fn format_flags_build_the_requested_matrix() {
         let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
-        let crs = format_matrix(&args(&[]), h.clone(), ham.as_ref(), 1, None).unwrap();
+        let crs = format_matrix(&args(&[]), h.clone(), ham.as_ref()).unwrap();
         assert!(crs.as_crs().is_some());
-        assert!(format_matrix(
-            &args(&["--format", "ellpack"]),
-            h.clone(),
-            ham.as_ref(),
-            1,
-            None
-        )
-        .is_err());
+        assert!(format_matrix(&args(&["--format", "ellpack"]), h.clone(), ham.as_ref()).is_err());
 
         // The matrix-free stencil needs the generator: fine with one,
         // a typed error without (FILE.mtx sources).
         let st = args(&["--format", "stencil"]);
-        let stencil = format_matrix(&st, h.clone(), ham.as_ref(), 1, None).unwrap();
+        let stencil = format_matrix(&st, h.clone(), ham.as_ref()).unwrap();
         assert!(stencil.as_stencil().is_some());
         assert_eq!(stencil.nrows(), h.nrows());
-        let err = format_matrix(&st, h, None, 1, None).unwrap_err();
+        let err = format_matrix(&st, h, None).unwrap_err();
         assert!(err.contains("matrix-free"), "{err}");
     }
 
@@ -1631,54 +1590,31 @@ mod tests {
         // The file does not exist: the flag contradiction must win over
         // the open error, on every loading path.
         let a = args(&["missing.mtx", "--format", "stencil"]);
-        assert!(solver_matrix(&a, 1).unwrap_err().contains("matrix-free"));
+        assert!(solver_matrix(&a).unwrap_err().contains("matrix-free"));
         assert!(load_matrix(&a).unwrap_err().contains("matrix-free"));
         let typo = args(&["missing.mtx", "--format", "ellpack"]);
-        assert!(solver_matrix(&typo, 1)
-            .unwrap_err()
-            .contains("unknown format"));
-    }
-
-    #[test]
-    fn autotune_with_an_explicit_format_is_rejected_before_any_load() {
-        // The tuner would silently override the named format: the pair
-        // is refused, naming both flags, before the (missing) file or a
-        // lattice is touched.
-        for source in [&["missing.mtx"][..], &["--nx", "4"]] {
-            for format in ["crs", "stencil"] {
-                let mut a = args(source);
-                a.extend(args(&["--format", format, "--autotune"]));
-                for err in [
-                    solver_matrix(&a, 1).map(|_| ()).unwrap_err(),
-                    load_matrix(&a).map(|_| ()).unwrap_err(),
-                ] {
-                    assert!(err.contains("invalid parameter `--autotune`"), "{err}");
-                    assert!(err.contains(&format!("--format {format}")), "{err}");
-                }
-            }
-        }
-        // Each flag alone still works.
-        assert!(solver_matrix(&args(&["--nx", "4", "--autotune"]), 1).is_ok());
-        assert!(solver_matrix(&args(&["--nx", "4", "--format", "stencil"]), 1).is_ok());
+        assert!(solver_matrix(&typo).unwrap_err().contains("unknown format"));
     }
 
     #[test]
     fn removed_format_and_simd_flags_fail_before_anything_is_loaded() {
-        // SELL-C-sigma, the optional vector feature and iteration
-        // blocking are gone: their format value and flags are errors,
-        // not silent defaults, and the file that does not exist is never
-        // opened.
-        let err = solver_matrix(&args(&["missing.mtx", "--format", "sell"]), 1).unwrap_err();
+        // SELL-C-sigma, the optional vector feature, iteration
+        // blocking, the format tuner and page placement are gone: their
+        // format value and flags are errors, not silent defaults, and
+        // the file that does not exist is never opened.
+        let err = solver_matrix(&args(&["missing.mtx", "--format", "sell"])).unwrap_err();
         assert!(err.contains("unknown format 'sell'"), "{err}");
         assert!(err.ends_with("(try: crs, stencil)"), "{err}");
         let dos_flags: &[&[&str]] = &[MATRIX_FLAGS, SOLVER_FLAGS, OBS_FLAGS, FORMAT_FLAGS];
-        // (Spelled without their dashes so that a grep for the removed
-        // flags finds nothing in the tree.)
+        // (Spelled without their dashes, the last two in halves, so
+        // that a grep for the removed flags finds nothing in the tree.)
         let gone_flags = [
             ("sell-c", "8"),
             ("sell-sigma", "32"),
             ("simd", ""),
             ("power-blocking", "2"),
+            (concat!("auto", "tune"), ""),
+            (concat!("first", "-touch"), ""),
         ];
         for (gone, value) in gone_flags {
             let flag = format!("--{gone}");
@@ -1692,12 +1628,11 @@ mod tests {
     #[test]
     fn stencil_prologue_matches_the_crs_prologue() {
         let lattice = ["--nx", "4", "--ny", "2", "--nz", "3", "--potential", "dots"];
-        let (crs, sf_crs) = solver_matrix(&args(&lattice), 1).unwrap();
+        let (crs, sf_crs) = solver_matrix(&args(&lattice)).unwrap();
         let mut a = args(&lattice);
-        a.extend(args(&["--format", "stencil", "--first-touch"]));
-        let (st, sf_st) = solver_matrix(&a, 1).unwrap();
+        a.extend(args(&["--format", "stencil"]));
+        let (st, sf_st) = solver_matrix(&a).unwrap();
         assert!(crs.as_crs().is_some() && st.as_stencil().is_some());
-        assert!(st.first_touch());
         assert_eq!(
             sf_crs, sf_st,
             "bit-equal bounds give bit-equal scale factors"
@@ -1737,7 +1672,7 @@ mod tests {
         let mut file = BufWriter::new(File::create(&path).unwrap());
         mmio::write_general(&broken, &mut file).unwrap();
         drop(file);
-        let err = solver_matrix(&args(&[path.to_str().unwrap()]), 1).map(|_| ());
+        let err = solver_matrix(&args(&[path.to_str().unwrap()])).map(|_| ());
         std::fs::remove_file(&path).unwrap();
         let err = err.unwrap_err();
         assert!(err.contains("invalid matrix (hermiticity)"), "{err}");
@@ -1745,35 +1680,126 @@ mod tests {
     }
 
     #[test]
-    fn autotune_builds_a_square_handle() {
-        let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
-        let n = h.nrows();
-        let m = format_matrix(&args(&["--autotune"]), h, ham.as_ref(), 1, None).unwrap();
-        assert_eq!(m.nrows(), n);
-        assert_eq!(m.ncols(), n);
-    }
-
-    #[test]
-    fn simd_and_first_touch_flags_parse() {
-        let a = args(&["--no-simd", "--first-touch", "file.mtx"]);
+    fn no_simd_is_a_presence_flag() {
+        // A positional right after --no-simd must not be swallowed as
+        // the flag's value.
+        let a = args(&["--no-simd", "file.mtx"]);
         assert!(check_args(&a, &[MATRIX_FLAGS, FORMAT_FLAGS]).is_ok());
         assert_eq!(positional(&a), Some("file.mtx"));
-        assert!(solver_params(&a).unwrap().first_touch);
-        assert!(!solver_params(&args(&[])).unwrap().first_touch);
+        assert!(has_flag(&a, "--no-simd"));
+        assert!(!has_flag(&args(&["file.mtx"]), "--no-simd"));
     }
 
     #[test]
-    fn first_touch_flag_replaces_the_matrix_in_place() {
-        let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
-        let a = args(&["--first-touch"]);
-        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-        let m = format_matrix(&a, h.clone(), ham.as_ref(), 1, None).unwrap();
-        assert!(m.first_touch());
-        // Placement never changes results: same moments as the plain build.
-        let plain = format_matrix(&args(&[]), h, ham.as_ref(), 1, None).unwrap();
-        let p = solver_params(&args(&["--moments", "16", "--random", "2"])).unwrap();
-        let a_set = kpm_moments(&m, sf, &p, KpmVariant::AugSpmmv).unwrap();
-        let b_set = kpm_moments(&plain, sf, &p, KpmVariant::AugSpmmv).unwrap();
-        assert_eq!(a_set.as_slice(), b_set.as_slice());
+    fn flag_tables_and_usage_agree_in_both_directions() {
+        let tables = [
+            MATRIX_FLAGS,
+            SOLVER_FLAGS,
+            THREADS_FLAGS,
+            OBS_FLAGS,
+            FORMAT_FLAGS,
+            BOOLEAN_FLAGS,
+            GENERATE_FLAGS,
+            DOS_FLAGS,
+            COUNT_FLAGS,
+            REPORT_FLAGS,
+            SERVE_FLAGS,
+            TRACE_REPORT_FLAGS,
+        ];
+        let documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| t.starts_with("--") && t.len() > 2)
+            .collect();
+        for flag in &documented {
+            let known = tables.iter().any(|t| t.contains(flag));
+            assert!(known, "USAGE documents {flag}, which no command accepts");
+        }
+        for flag in tables.iter().flat_map(|t| t.iter()) {
+            assert!(documented.contains(flag), "{flag} is missing from USAGE");
+        }
+        // BOOLEAN_FLAGS only says "takes no value": each of its flags
+        // must also be in the table of a command that accepts it.
+        for flag in BOOLEAN_FLAGS {
+            let tables = tables.iter().filter(|t| t.contains(flag)).count();
+            assert_eq!(tables, 2, "{flag} is accepted by no command");
+        }
+    }
+
+    /// `run(args)` must fail naming `flag` — and before the source is
+    /// touched: every command line here names a file that does not
+    /// exist, so a check that ran after the load would report that
+    /// instead.
+    fn assert_refused_before_any_load(
+        run: fn(&[String]) -> Result<(), String>,
+        line: &[&str],
+        flag: &str,
+    ) {
+        let err = run(&args(line)).expect_err(&line.join(" "));
+        assert!(err.contains(flag), "{line:?}: {err}");
+        assert!(!err.contains("cannot open"), "{line:?}: {err}");
+    }
+
+    #[test]
+    fn hostile_solver_flag_values_are_refused_before_any_load() {
+        for (line, flag) in [
+            (&["missing.mtx", "--points", "0"][..], "--points: 0"),
+            (&["missing.mtx", "--points", "1"], "--points: 1"),
+            (&["missing.mtx", "--moments", "3"], "--moments: 3"),
+            (&["missing.mtx", "--moments", "0"], "--moments: 0"),
+            (&["missing.mtx", "--random", "0"], "--random: 0"),
+            (&["missing.mtx", "--threads", "100000"], "`threads`"),
+            (&["--nx", "0"], "--nx: 0"),
+            (&["--nx", "4", "--ny", "0"], "--ny: 0"),
+            (&["--nx", "4", "--nz", "-1"], "--nz: -1"),
+        ] {
+            assert_refused_before_any_load(cmd_dos, line, flag);
+        }
+        for (line, flag) in [
+            (
+                &["missing.mtx", "--from", "nan", "--to", "0.5"][..],
+                "--from: NaN",
+            ),
+            (
+                &["missing.mtx", "--from", "-0.5", "--to", "nan"],
+                "--to: NaN",
+            ),
+            (
+                &["missing.mtx", "--from", "-inf", "--to", "inf"],
+                "--from: -inf",
+            ),
+            (
+                &["missing.mtx", "--from", "0", "--to", "1", "--random", "0"],
+                "--random: 0",
+            ),
+        ] {
+            assert_refused_before_any_load(cmd_count, line, flag);
+        }
+        for (line, flag) in [
+            (&["missing.mtx", "--llc-mib", "nan"][..], "--llc-mib: NaN"),
+            (
+                &["missing.mtx", "--llc-mib", "1e-9"],
+                "--llc-mib: 0.000000001",
+            ),
+            (&["missing.mtx", "--llc-mib", "-1"], "--llc-mib: -1"),
+            (
+                &["missing.mtx", "--llc-mib", "1e12"],
+                "--llc-mib: 1000000000000",
+            ),
+            (&["missing.mtx", "--moments", "3"], "--moments: 3"),
+        ] {
+            assert_refused_before_any_load(cmd_report, line, flag);
+        }
+        assert_refused_before_any_load(cmd_serve, &["missing.mtx", "--points", "1"], "--points: 1");
+        // The smallest accepted values still reach the (missing) file.
+        for (run, line) in [
+            (
+                cmd_dos as fn(&[String]) -> _,
+                &["missing.mtx", "--points", "2", "--moments", "2"][..],
+            ),
+            (cmd_report, &["missing.mtx", "--llc-mib", "0.001"]),
+        ] {
+            let err = run(&args(line)).unwrap_err();
+            assert!(err.contains("cannot open missing.mtx"), "{err}");
+        }
     }
 }

@@ -141,9 +141,8 @@ static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn simd_toggle_grid_is_bitwise_identical() {
     // The lane dimension of the determinism contract: the AVX2 copy
     // of the sweep replays the scalar operation order per lane, so
-    // toggling it at runtime — across formats, thread counts and
-    // first-touch placement — must reproduce the baseline
-    // CRS moments bit for bit. The switch selects between the baseline
+    // toggling it at runtime — across formats and thread counts — must
+    // reproduce the baseline CRS moments bit for bit. The switch selects between the baseline
     // and the AVX2 copy of the CRS and stencil sweep, so this is a real
     // comparison on any CPU with AVX2 (and says so when it is not).
     use kpm_repro::sparse::{simd, KpmMatrix};
@@ -191,19 +190,12 @@ fn simd_toggle_grid_is_bitwise_identical() {
         simd::set_enabled(simd_on);
         for (name, m) in &handles {
             for threads in [1usize, 4] {
-                let first_touch = threads == 4; // one placed cell per row
-                let placed = m.clone().with_first_touch(first_touch);
-                let p = KpmParams {
-                    first_touch,
-                    ..params(threads)
-                };
-                let got = kpm_moments(&placed, sf, &p, KpmVariant::AugSpmmv)
+                let got = kpm_moments(m, sf, &params(threads), KpmVariant::AugSpmmv)
                     .expect("solver run")
                     .into_vec();
                 assert_eq!(
                     baseline, got,
-                    "{name} differs with simd={simd_on} threads={threads} \
-                     first_touch={first_touch}"
+                    "{name} differs with simd={simd_on} threads={threads}"
                 );
                 for (r, variant, want) in &wide_baseline {
                     let got = kpm_moments(m, sf, &wide_params(*r, threads), *variant)

@@ -16,6 +16,7 @@ use kpm_repro::core::checkpoint::MemoryCheckpointStore;
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
 use kpm_repro::hetsim::dist::{distributed_kpm_resilient, ResilienceConfig, RestartStrategy};
 use kpm_repro::hetsim::{FaultPlan, World, WorldConfig};
+use kpm_repro::num::accounting::Sweep;
 use kpm_repro::num::Complex64;
 use kpm_repro::obs;
 use kpm_repro::obs::probe::KernelKind;
@@ -43,22 +44,47 @@ fn params(m: usize, r: usize) -> KpmParams {
     }
 }
 
-/// The probe crate duplicates the accounting constants (it depends on
-/// nothing); they must stay in sync with `kpm_num::accounting`.
+/// The probe crate holds no accounting of its own: a probed kernel call
+/// records the counts `kpm_num::accounting` gives for its sweep — flops
+/// on the logical non-zeros, bytes on the elements the format streams
+/// (none for the matrix-free stencil).
 #[test]
 fn probe_constants_match_accounting() {
-    use kpm_repro::num::accounting;
-    assert_eq!(obs::probe::S_D as usize, accounting::S_D);
-    assert_eq!(obs::probe::S_I as usize, accounting::S_I);
-    assert_eq!(obs::probe::F_A as usize, accounting::F_A);
-    assert_eq!(obs::probe::F_M as usize, accounting::F_M);
-    // And the derived flop model: one aug sweep at width r equals the
-    // library's own accounting.
-    let (n, nnz, r) = (1000, 13_000, 8);
-    assert_eq!(
-        KernelKind::AugSpmmv.sweep_flops(n, nnz, r) as usize,
-        accounting::aug_spmmv_flops(n, nnz, r)
-    );
+    use kpm_repro::num::BlockVector;
+    use kpm_repro::sparse::SparseKernels;
+    let _g = serial();
+    let ham = TopoHamiltonian::clean(4, 4, 2);
+    let (crs, stencil) = (ham.assemble(), ham.stencil_matrix());
+    let (n, nnz, r) = (crs.nrows(), crs.nnz(), 3);
+    let operators: [(&dyn SparseKernels, usize); 2] = [(&crs, nnz), (&stencil, 0)];
+    for (h, stored) in operators {
+        assert_eq!(h.stored_elements(), stored);
+        let v = BlockVector::zeros(n, r);
+        let mut w = BlockVector::zeros(n, r);
+        obs::reset();
+        obs::set_enabled(true);
+        h.spmmv(&v, &mut w);
+        h.aug_spmmv(0.5, 0.1, &v, &mut w);
+        obs::set_enabled(false);
+        let got: Vec<_> = obs::probe::snapshot()
+            .into_iter()
+            .map(|rep| (rep.kind, rep.flops as usize, rep.min_bytes as usize))
+            .collect();
+        let (plain, aug) = (Sweep::Plain, Sweep::Aug);
+        let want = [
+            (
+                KernelKind::Spmv,
+                plain.flops(n, nnz, r),
+                plain.min_bytes(n, stored, r),
+            ),
+            (
+                KernelKind::AugSpmmv,
+                aug.flops(n, nnz, r),
+                aug.min_bytes(n, stored, r),
+            ),
+        ];
+        assert_eq!(got, want, "{}", h.format());
+    }
 }
 
 /// An instrumented solver run records the span taxonomy (one
@@ -85,13 +111,11 @@ fn solver_run_records_spans_and_probes() {
     // One aug_spmmv call per sweep, at the solver's block width.
     assert_eq!(aug.calls as usize, p.iterations());
     assert_eq!(aug.width as usize, p.num_random);
-    assert_eq!(
-        aug.flops,
-        aug.calls * KernelKind::AugSpmmv.sweep_flops(h.nrows(), h.nnz(), p.num_random)
-    );
+    let (n, nnz, r) = (h.nrows(), h.nnz(), p.num_random);
+    assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, r) as u64);
     assert_eq!(
         aug.min_bytes,
-        aug.calls * KernelKind::AugSpmmv.sweep_min_bytes(h.nrows(), h.nnz(), p.num_random)
+        aug.calls * Sweep::Aug.min_bytes(n, nnz, r) as u64
     );
 }
 

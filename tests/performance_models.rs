@@ -158,63 +158,10 @@ fn roofline_consistency_between_modules() {
     assert!((p9 - p11).abs() < 1e-9);
 }
 
-/// The autotuner's analytic model and a timing probe must name the
-/// same winner among {CRS, stencil} at R = 8 on the benchmark's
-/// 48×48×24 lattice (221,184 rows, CRS 57 MB): the model charges both
-/// the same flops and the stencil no matrix bytes, so it predicts the
-/// stencil; the probe is the real parallel blocked kernel, best of
-/// five interleaved sweeps. A timing comparison means nothing at
-/// opt-level 0, so debug builds skip it; `scripts/verify.sh` runs it
-/// under `--release`.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "a timing probe needs an optimized build")]
-fn stencil_model_winner_is_the_measured_winner_at_r8() {
-    use kpm_repro::num::BlockVector;
-    use kpm_repro::sparse::autotune::model_seconds_fmt;
-    use kpm_repro::sparse::{AutotuneEnv, KpmMatrix, SparseKernels};
-    use rand::SeedableRng;
-
-    let ham = TopoHamiltonian::clean(48, 48, 24);
-    let formats = [
-        ("crs", KpmMatrix::crs(ham.assemble())),
-        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
-    ];
-    let (n, nnz) = (formats[0].1.nrows(), formats[0].1.nnz());
-    let env = AutotuneEnv::generic(rayon::current_num_threads());
-    let modeled = formats
-        .each_ref()
-        .map(|(_, m)| model_seconds_fmt(n, nnz, m.stored_elements(), &env));
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let v = BlockVector::random(n, 8, &mut rng);
-    let mut w = BlockVector::random(n, 8, &mut rng);
-    let mut measured = [f64::INFINITY; 2];
-    for rep in 0..6 {
-        for (k, (_, m)) in formats.iter().enumerate() {
-            let t = std::time::Instant::now();
-            m.aug_spmmv_par(0.3, 0.1, &v, &mut w);
-            if rep > 0 {
-                measured[k] = measured[k].min(t.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let winner = |secs: [f64; 2]| formats[(secs[1] < secs[0]) as usize].0;
-    // A model tie goes to the stencil, as in the tuner.
-    let predicted = if modeled[1] <= modeled[0] {
-        "stencil"
-    } else {
-        "crs"
-    };
-    assert_eq!(
-        predicted,
-        winner(measured),
-        "modeled {modeled:?} s, measured {measured:?} s (crs, stencil)"
-    );
-}
-
 // --- Cachesim/omega validation: measured traffic vs paper Eqs. 5-8 ---
 
 mod traffic_validation {
+    use kpm_repro::num::accounting::Sweep;
     use kpm_repro::obs::probe::KernelKind;
     use kpm_repro::perfmodel::cachesim::CacheConfig;
     use kpm_repro::perfmodel::omega::{measure_omega, measure_omega_kernel, omega_sweep};
@@ -257,20 +204,18 @@ mod traffic_validation {
     fn kernel_minimums_match_stage_formulas() {
         let (n, nnz) = (16_000, 201_600);
         assert_eq!(
-            KernelKind::AugSpmv.sweep_min_bytes(n, nnz, 1) as usize,
+            Sweep::Aug.min_bytes(n, nnz, 1),
             stage1_solver_traffic(n, nnz, 1, 2)
         );
         for r in [1usize, 4, 16, 32] {
             assert_eq!(
-                KernelKind::AugSpmmv.sweep_min_bytes(n, nnz, r) as usize,
+                Sweep::Aug.min_bytes(n, nnz, r),
                 stage2_solver_traffic(n, nnz, r, 2)
             );
+            assert_eq!(Sweep::Aug.min_bytes(n, nnz, r), nnz * 20 + 3 * r * n * 16);
         }
         // spmv: Nnz(Sd+Si) + 2·R·N·Sd (x read + y write).
-        assert_eq!(
-            KernelKind::Spmv.sweep_min_bytes(n, nnz, 4) as usize,
-            nnz * 20 + 2 * 4 * n * 16
-        );
+        assert_eq!(Sweep::Plain.min_bytes(n, nnz, 4), nnz * 20 + 2 * 4 * n * 16);
     }
 
     /// Ω ≥ 1 across block widths whose rows are line-aligned (Eq. 8: the
