@@ -194,14 +194,20 @@ toggle_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64
 echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
 
-step "hostile flag values: one 'kpm:' line, exit status 1, no panic, no matrix"
-# Each of these used to panic, abort the process, or be refused only
-# after the matrix had been assembled and the banner printed. Now stderr
-# is a single line — so no banner came first — that names the flag.
+step "hostile flag and environment values: one 'kpm:' line, exit status 1, no panic, no matrix"
+# Each of these used to panic, abort the process, be refused only after
+# the matrix had been assembled and the banner printed, or (KPM_THREADS)
+# quietly run on another thread count. Now stderr is a single line — so
+# no banner came first — that names the flag or variable. Leading
+# VAR=value words are the command's environment.
 hostile() {
-    local err rc=0
-    err=$(./target/release/kpm "$@" 2>&1 >/dev/null) || rc=$?
-    echo "kpm $*  ->  exit $rc: $err"
+    local err rc=0 vars=()
+    while [[ "${1:-}" == *=* ]]; do
+        vars+=("$1")
+        shift
+    done
+    err=$(env "${vars[@]}" ./target/release/kpm "$@" 2>&1 >/dev/null </dev/null) || rc=$?
+    echo "${vars[*]} kpm $*  ->  exit $rc: $err"
     if [[ $rc -ne 1 || "$err" != kpm:* || "$err" == *$'\n'* || "$err" == *panicked* ]]; then
         echo "expected exit status 1 and one 'kpm: ...' line on stderr" >&2
         exit 1
@@ -217,6 +223,9 @@ hostile dos --nx 0
 hostile count $lattice --from nan --to 0.5
 hostile report $lattice --llc-mib nan
 hostile report $lattice --llc-mib 1e-9
+hostile serve --nx 4 --ny 4 --nz 2 --workers 100000
+hostile KPM_THREADS=100000 dos $lattice
+hostile KPM_THREADS=lots dos $lattice
 
 step "service: chaos ledger (500 randomized schedules)"
 # Exactly-once replies, bitwise batched moments, and a consistent

@@ -1,19 +1,19 @@
-//! Indexed parallel iterators over the work-stealing pool.
+//! Indexed parallel iterators over the pool.
 //!
 //! Everything here is an *indexed source*: it knows its length and can
 //! hand out an ordinary sequential iterator over any subrange of its
-//! index space ([`ParallelIterator::range_seq`]). The pool splits the
-//! index space into disjoint ranges; adapters (`map`, `zip`,
-//! `enumerate`) compose at the range level; drivers (`for_each`, `sum`,
-//! `collect`) execute the ranges on the pool.
+//! index space ([`ParallelIterator::range_seq`]). The pool cuts the
+//! index space into equal ranges; adapters (`map`, `zip`, `enumerate`)
+//! compose at the range level; drivers (`for_each`, `sum`, `collect`)
+//! execute the ranges on the pool.
 //!
-//! Ordered determinism: `collect` and `sum` tag every executed range
-//! with its start index and re-assemble the pieces in index order, so
-//! their results are identical to a serial run no matter how the pool
-//! happened to split or steal. (Floating-point *reduction trees* in the
-//! kernels additionally pin their partial-sum boundaries to fixed chunk
-//! sizes via `par_chunks`, which this layer never re-cuts below the
-//! chunk granularity.)
+//! Ordered determinism: range k is `[k·grain, (k+1)·grain)` whoever
+//! runs it, so `collect` and `sum` put its items into slot k and read
+//! the slots in order; their results are identical to a serial run no
+//! matter which thread claimed what. (Floating-point *reduction trees*
+//! in the kernels additionally pin their partial-sum boundaries to
+//! fixed chunk sizes via `par_chunks`, which this layer never re-cuts
+//! below the chunk granularity.)
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -75,7 +75,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     {
         let source = &self;
         let f = &f;
-        pool::run(source.par_len(), &|lo, hi| {
+        pool::current_registry().run(source.par_len(), &|lo, hi| {
             // SAFETY: the pool hands out disjoint in-bounds ranges.
             for item in unsafe { source.range_seq(lo, hi) } {
                 f(item);
@@ -83,9 +83,8 @@ pub trait ParallelIterator: Sized + Send + Sync {
         });
     }
 
-    /// Sums the elements. The pieces are re-assembled in index order
-    /// and summed sequentially, so the result does not depend on the
-    /// pool's split points or the thread count.
+    /// Sums the elements, collected in index order and summed
+    /// sequentially, so the result does not depend on the thread count.
     fn sum<S>(self) -> S
     where
         S: Send + std::iter::Sum<Self::Item>,
@@ -164,21 +163,22 @@ where
 fn collect_vec<P: ParallelIterator>(par: P) -> Vec<P::Item> {
     let len = par.par_len();
     let source = &par;
-    // Executed ranges arrive in scheduling order; tagging each part with
-    // its range start lets the final concatenation restore index order
-    // exactly. (This mutex is per-range bookkeeping in the runtime, not
-    // a lock inside the user's kernel closure.)
-    let parts: Mutex<Vec<(usize, Vec<P::Item>)>> = Mutex::new(Vec::new());
-    pool::run(len, &|lo, hi| {
+    let registry = pool::current_registry();
+    // One slot per range, written once by whoever runs the range (an
+    // inline run is the one range `[0, len)`, slot 0): the mutexes are
+    // never contended, they let `Send` items cross threads safely.
+    let grain = registry.grain(len);
+    let parts: Vec<Mutex<Vec<P::Item>>> = (0..len.div_ceil(grain))
+        .map(|_| Mutex::new(Vec::new()))
+        .collect();
+    registry.run(len, &|lo, hi| {
         // SAFETY: the pool hands out disjoint in-bounds ranges.
-        let items: Vec<P::Item> = unsafe { source.range_seq(lo, hi) }.collect();
-        parts.lock().expect("collect parts").push((lo, items));
+        let items = unsafe { source.range_seq(lo, hi) }.collect();
+        *parts[lo / grain].lock().expect("collect slot") = items;
     });
-    let mut parts = parts.into_inner().expect("collect parts");
-    parts.sort_unstable_by_key(|&(lo, _)| lo);
     let mut out = Vec::with_capacity(len);
-    for (_, mut part) in parts {
-        out.append(&mut part);
+    for part in parts {
+        out.append(&mut part.into_inner().expect("collect slot"));
     }
     out
 }

@@ -1,27 +1,28 @@
 //! Offline stand-in for the slice of the `rayon` API this workspace
-//! uses — now backed by a real `std::thread` work-stealing pool.
+//! uses, backed by a fixed `std::thread` team.
 //!
 //! `par_iter`/`par_chunks`/… return indexed parallel iterators whose
 //! combinator chains (`zip`, `enumerate`, `map`, `for_each`, `sum`,
-//! `collect`) compile unchanged against the old serial shim, but
-//! execute on worker threads: the index space of each job is split
-//! lazily into ranges, kept on per-worker deques, and stolen by idle
-//! workers ([`pool`]). Thread count comes from, in order of precedence:
-//! an installed [`ThreadPool`], the `KPM_THREADS` environment variable,
-//! `std::thread::available_parallelism`.
+//! `collect`) compile as they would against `rayon` and execute on a
+//! team of threads, the calling one among them: the index space of each
+//! job is cut into equal ranges that the team's members claim off one
+//! atomic cursor (the `pool` module has the protocol). Thread count
+//! comes from, in order of precedence: an installed [`ThreadPool`], the
+//! `KPM_THREADS` environment variable, `std::thread::available_parallelism`.
 //!
-//! Ordered drivers (`collect`, `sum`) re-assemble range results in
-//! index order, so collected values are independent of scheduling; the
-//! KPM kernels build on that to keep their floating-point reductions
+//! Ordered drivers (`collect`, `sum`) keep range k's results in slot k,
+//! so collected values are independent of scheduling; the KPM kernels
+//! build on that to keep their floating-point reductions
 //! bitwise-identical across thread counts (see DESIGN.md §10).
 
 mod iter;
-pub mod pool;
+mod pool;
 
 pub use iter::{
     Enumerate, FromParallelIterator, IntoParallelIterator, Map, ParChunks, ParChunksMut, ParIter,
     ParIterMut, ParRange, ParallelIterator, Zip,
 };
+pub use pool::MAX_THREADS;
 
 /// Number of threads `par_*` calls on this thread will use: the
 /// innermost installed [`ThreadPool`]'s size, else the global pool's
@@ -30,9 +31,9 @@ pub fn current_num_threads() -> usize {
     pool::current_registry().num_threads()
 }
 
-/// Error type returned by [`ThreadPoolBuilder::build`]: more workers
-/// were requested than the pool supports, or the OS refused to start
-/// one (the workers already started have been joined).
+/// Error type returned by [`ThreadPoolBuilder::build`]: more threads
+/// were requested than [`MAX_THREADS`], or the OS refused to start a
+/// worker (the workers already started have been joined).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError(std::io::Error);
 
@@ -55,27 +56,27 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Sets the worker count; 0 (the default) means `KPM_THREADS` or
-    /// host parallelism.
+    /// Sets the team size, calling thread included; 0 (the default)
+    /// means `KPM_THREADS` or host parallelism.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
     }
 
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            pool::parse_threads(std::env::var("KPM_THREADS").ok().as_deref())
-                .unwrap_or_else(pool::default_threads)
-        } else {
-            self.num_threads
+        let threads = match self.num_threads {
+            0 => pool::ambient_threads(),
+            n => n,
         };
         let (registry, workers) = pool::Registry::new(threads).map_err(ThreadPoolBuildError)?;
         Ok(ThreadPool { registry, workers })
     }
 }
 
-/// A pool of OS worker threads. `install` makes the pool current for
-/// the duration of a closure; dropping the pool joins its workers.
+/// A team of `num_threads − 1` parked OS threads that the thread
+/// calling a `par_*` driver joins for the length of its job. `install`
+/// makes the pool current for the duration of a closure; dropping the
+/// pool joins its workers.
 pub struct ThreadPool {
     registry: std::sync::Arc<pool::Registry>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -155,8 +156,10 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     #[allow(clippy::useless_vec)] // exercising Vec receivers specifically
@@ -186,32 +189,108 @@ mod tests {
         assert!(super::current_num_threads() >= 1);
     }
 
+    /// Runs `test` on a thread of its own and fails, instead of
+    /// hanging, when it has not finished after a minute: a protocol
+    /// that loses a wake-up, or waits for a team it is part of, never
+    /// finishes.
+    pub(crate) fn watchdog(test: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            test();
+            let _ = done_tx.send(());
+        });
+        if done_rx.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
+            panic!("the pool hung");
+        }
+        // Finished, or panicked and dropped the sender: the join tells.
+        if let Err(payload) = runner.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+
     #[test]
-    fn work_runs_on_multiple_os_threads() {
-        // Acceptance check for the work-stealing upgrade: a 4-thread
-        // pool must execute ranges on at least two distinct OS threads.
-        // One worker *could* race through everything, so items stall
-        // briefly and the whole observation retries a few times.
-        let pool = super::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        for _ in 0..50 {
+    fn a_team_of_n_is_the_caller_plus_at_most_n_minus_one_threads() {
+        // 64 items on a team of four are 16 ranges. Each side — the
+        // caller, the workers — holds the range it is in until the other
+        // side has shown up, so neither can drain the job alone: a pool
+        // whose caller only waits, or whose workers never wake, hangs.
+        watchdog(|| {
+            let pool = super::ThreadPoolBuilder::new()
+                .num_threads(4)
+                .build()
+                .unwrap();
+            let caller = std::thread::current().id();
+            let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+            let (caller_in, worker_in) = (AtomicBool::new(false), AtomicBool::new(false));
             pool.install(|| {
                 (0..64).into_par_iter().for_each(|_| {
-                    ids.lock().unwrap().insert(std::thread::current().id());
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    let me = std::thread::current().id();
+                    ids.lock().unwrap().insert(me);
+                    let (mine, theirs) = if me == caller {
+                        (&caller_in, &worker_in)
+                    } else {
+                        (&worker_in, &caller_in)
+                    };
+                    mine.store(true, Ordering::SeqCst);
+                    while !theirs.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
                 });
             });
-            if ids.lock().unwrap().len() >= 2 {
-                break;
-            }
-        }
-        let ids = ids.into_inner().unwrap();
-        assert!(ids.len() >= 2, "expected >=2 worker threads, got {ids:?}");
-        // Workers are pool threads, not the caller.
-        assert!(!ids.contains(&std::thread::current().id()));
+            let ids = ids.into_inner().unwrap();
+            assert!((2..=4).contains(&ids.len()), "a team of 4 ran on {ids:?}");
+            assert!(ids.contains(&caller));
+        });
+    }
+
+    #[test]
+    fn a_second_submitter_runs_its_job_on_its_own_thread() {
+        // Thread A's job holds the team (its item 0 does not return)
+        // until thread B has submitted a job to the same pool and seen
+        // it finish: B's job must run, whole, on B. A pool that made B
+        // wait for the team would hang here.
+        watchdog(|| {
+            let pool = super::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .unwrap();
+            let hits = |n| (0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
+            let (a_hits, b_hits) = (hits(64), hits(64));
+            let (a_started, b_done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let b_ran_on = Mutex::new(HashSet::new());
+            let b = std::thread::scope(|s| {
+                s.spawn(|| {
+                    pool.install(|| {
+                        a_hits.par_iter().enumerate().for_each(|(i, h)| {
+                            h.fetch_add(1, Ordering::SeqCst);
+                            if i == 0 {
+                                a_started.store(true, Ordering::SeqCst);
+                                while !b_done.load(Ordering::SeqCst) {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    });
+                });
+                let b = s.spawn(|| {
+                    while !a_started.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    pool.install(|| {
+                        b_hits.par_iter().for_each(|h| {
+                            h.fetch_add(1, Ordering::SeqCst);
+                            b_ran_on.lock().unwrap().insert(std::thread::current().id());
+                        });
+                    });
+                    b_done.store(true, Ordering::SeqCst);
+                    std::thread::current().id()
+                });
+                b.join().unwrap()
+            });
+            let once = |hits: &[AtomicUsize]| hits.iter().all(|h| h.load(Ordering::SeqCst) == 1);
+            assert!(once(&a_hits) && once(&b_hits));
+            assert_eq!(b_ran_on.into_inner().unwrap(), HashSet::from([b]));
+        });
     }
 
     #[test]

@@ -43,7 +43,19 @@ use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    let env_threads = std::env::var_os("KPM_THREADS");
+    let result = check_env_threads(env_threads.as_deref()).and_then(|()| subcommand(&args));
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("kpm: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn subcommand(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("dos") => cmd_dos(&args[1..]),
@@ -57,13 +69,37 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("kpm: {msg}");
-            ExitCode::FAILURE
-        }
+    }
+}
+
+/// `KPM_THREADS`, when set, must be a thread count the pool can give:
+/// the pool takes an unusable value for "not set", which would silently
+/// run the command on every core.
+fn check_env_threads(value: Option<&std::ffi::OsStr>) -> Result<(), String> {
+    let Some(value) = value else { return Ok(()) };
+    let usable = value
+        .to_str()
+        .and_then(|v| v.trim().parse().ok())
+        .is_some_and(|n: usize| (1..=rayon::MAX_THREADS).contains(&n));
+    if usable {
+        return Ok(());
+    }
+    Err(format!(
+        "bad value for KPM_THREADS: {} (a thread count from 1 to {})",
+        value.to_string_lossy(),
+        rayon::MAX_THREADS
+    ))
+}
+
+/// `--workers W` of `kpm serve`: a service worker is an OS thread like a
+/// pool worker, so the pool's limit is the limit.
+fn opt_workers(args: &[String]) -> Result<usize, String> {
+    match opt_usize(args, "--workers", 2)? {
+        workers if workers > rayon::MAX_THREADS => Err(format!(
+            "bad value for --workers: {workers} (at most {} supported)",
+            rayon::MAX_THREADS
+        )),
+        workers => Ok(workers.max(1)),
     }
 }
 
@@ -831,6 +867,7 @@ fn serve_reply_line(index: usize, resp: &kpm_repro::service::Response) -> String
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, OBS_FLAGS, FORMAT_FLAGS, SERVE_FLAGS])?;
     let points = opt_points(args, 256)?;
+    let workers = opt_workers(args)?;
     let kernel = match opt(args, "--kernel").unwrap_or("jackson") {
         "jackson" => Kernel::Jackson,
         "dirichlet" => Kernel::Dirichlet,
@@ -867,7 +904,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let m = format_matrix(args, h, generator.as_ref())?;
 
     let config = ServiceConfig {
-        workers: opt_usize(args, "--workers", 2)?.max(1),
+        workers,
         queue_capacity: opt_usize(args, "--queue", 64)?.max(1),
         max_batch_width: opt_usize(args, "--width", 8)?.max(1),
         batch_window: std::time::Duration::from_micros(opt_usize(args, "--window-us", 500)? as u64),
@@ -1790,6 +1827,14 @@ mod tests {
             assert_refused_before_any_load(cmd_report, line, flag);
         }
         assert_refused_before_any_load(cmd_serve, &["missing.mtx", "--points", "1"], "--points: 1");
+        for workers in ["1025", "100000"] {
+            let flag = format!("--workers: {workers}");
+            assert_refused_before_any_load(
+                cmd_serve,
+                &["missing.mtx", "--workers", workers],
+                &flag,
+            );
+        }
         // The smallest accepted values still reach the (missing) file.
         for (run, line) in [
             (
@@ -1797,9 +1842,22 @@ mod tests {
                 &["missing.mtx", "--points", "2", "--moments", "2"][..],
             ),
             (cmd_report, &["missing.mtx", "--llc-mib", "0.001"]),
+            (cmd_serve, &["missing.mtx", "--workers", "1024"]),
         ] {
             let err = run(&args(line)).unwrap_err();
             assert!(err.contains("cannot open missing.mtx"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_set_but_unusable_kpm_threads_is_refused_naming_the_variable() {
+        use std::ffi::OsStr;
+        for usable in [None, Some("1"), Some(" 8 "), Some("1024")] {
+            assert_eq!(check_env_threads(usable.map(OsStr::new)), Ok(()));
+        }
+        for unusable in ["", "0", "lots", "-2", "1025", "100000"] {
+            let err = check_env_threads(Some(OsStr::new(unusable))).unwrap_err();
+            assert!(err.contains(&format!("KPM_THREADS: {unusable} (")), "{err}");
         }
     }
 }

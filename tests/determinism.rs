@@ -2,8 +2,8 @@
 //! parallelism.
 //!
 //! The parallel kernels pin their reduction-tree boundaries to fixed,
-//! caller-chosen chunk sizes — never to the thread count or to how the
-//! work-stealing pool happened to split the range. These tests are the
+//! caller-chosen chunk sizes — never to the thread count or to which
+//! member of the pool's team happened to claim a range. These tests are the
 //! contract: the moments of a KPM run are *bitwise identical* for any
 //! worker-thread count and across repeated runs, for every solver
 //! variant. `assert_eq!` on `f64` slices is deliberate; a 1-ulp
@@ -46,8 +46,9 @@ fn moments_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn moments_bitwise_identical_across_repeated_runs() {
-    // Same thread count, repeated runs: the pool splits work
-    // nondeterministically (stealing races), the moments must not see it.
+    // Same thread count, repeated runs: which thread claims which range
+    // off the pool's cursor differs from run to run, the moments must
+    // not see it.
     for variant in [KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {
         let first = moments_at(4, variant);
         for _ in 0..3 {
