@@ -24,9 +24,9 @@ fn bench_sweep(c: &mut Criterion) {
             b.iter(|| h.aug_spmmv(0.3, 0.1, &v, &mut w))
         });
         g.bench_function(BenchmarkId::new("fused_baseline_body", r), |b| {
-            kpm_sparse::simd::set_enabled(false);
+            kpm_sparse::simd::set_cap(kpm_sparse::simd::Body::Baseline);
             b.iter(|| h.aug_spmmv(0.3, 0.1, &v, &mut w));
-            kpm_sparse::simd::set_enabled(true);
+            kpm_sparse::simd::set_cap(kpm_sparse::simd::Body::Avx512);
         });
         g.bench_function(BenchmarkId::new("nodot_plus_separate_dots", r), |b| {
             b.iter(|| {

@@ -10,7 +10,7 @@
 //! for the same seed — the paper's point is precisely that the
 //! *algorithm is untouched* and only the implementation changes.
 
-use kpm_num::block::{shift_scale_dots, shift_scale_dots_par};
+use kpm_num::block::{lanes_of, set_entry_at, shift_scale_dots, shift_scale_dots_par};
 use kpm_num::vector::{
     axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, random_entry, random_nrm2, scal, scal_par,
 };
@@ -254,7 +254,7 @@ pub fn starting_vectors(n: usize, params: &KpmParams) -> Vec<Vector> {
 /// Rows per parallel fill chunk of [`starting_block`].
 const START_CHUNK_ROWS: usize = 4096;
 
-/// [`starting_vectors`] written straight into the interleaved block:
+/// [`starting_vectors`] written straight into the block:
 /// `starting_block(n, p).column(j) == starting_vectors(n, p)[j]` bit for
 /// bit, without the `R` column vectors in between.
 ///
@@ -286,18 +286,19 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
     let fill = |(chunk, rows): (usize, &mut [Complex64])| {
         for (j, scale) in scales.iter().enumerate() {
             let mut rng = stream_at(chunk * START_CHUNK_ROWS, j);
+            let at = lanes_of(r, j);
             for row in rows.chunks_exact_mut(r) {
                 let z = random_entry(&mut rng);
-                row[j] = scale.map_or(z, |s| s * z);
+                set_entry_at(row, at, scale.map_or(z, |s| s * z));
             }
         }
     };
     let mut v = BlockVector::zeros(n, r);
     if params.parallel {
-        let chunks = v.as_mut_slice().par_chunks_mut(START_CHUNK_ROWS * r);
+        let chunks = v.panel_slots_mut().par_chunks_mut(START_CHUNK_ROWS * r);
         chunks.enumerate().for_each(fill);
     } else {
-        let chunks = v.as_mut_slice().chunks_mut(START_CHUNK_ROWS * r);
+        let chunks = v.panel_slots_mut().chunks_mut(START_CHUNK_ROWS * r);
         chunks.enumerate().for_each(fill);
     }
     v
@@ -702,8 +703,8 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
                 });
             }
             let state = BlockedState {
-                v: block_from_interleaved(&rck.v, n, r),
-                w: block_from_interleaved(&rck.w, n, r),
+                v: BlockVector::from_interleaved(&rck.v, n, r),
+                w: BlockVector::from_interleaved(&rck.w, n, r),
                 eta: eck.eta,
             };
             metrics::counter_inc("solver.ckpt.restores");
@@ -735,8 +736,8 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
                 row_end: n,
                 width: r,
                 halo_sent: 0,
-                v: interleave_block(&state.v),
-                w: interleave_block(&state.w),
+                v: state.v.to_interleaved(),
+                w: state.w.to_interleaved(),
             })?;
             ckpt.store.save_eta(&EtaCheckpoint {
                 iteration: m,
@@ -785,24 +786,6 @@ fn column_from_flat_eta(eta_flat: &[Complex64], r: usize, iters: usize, j: usize
     };
     let eta: Vec<_> = (0..iters).map(sweep).collect();
     MomentSet::from_eta(eta_flat[j].re, eta_flat[r + j].re, &eta)
-}
-
-fn block_from_interleaved(data: &[Complex64], rows: usize, width: usize) -> BlockVector {
-    debug_assert_eq!(data.len(), rows * width);
-    let mut b = BlockVector::zeros(rows, width);
-    for i in 0..rows {
-        b.row_mut(i)
-            .copy_from_slice(&data[i * width..(i + 1) * width]);
-    }
-    b
-}
-
-fn interleave_block(b: &BlockVector) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(b.rows() * b.width());
-    for i in 0..b.rows() {
-        out.extend_from_slice(b.row(i));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -904,8 +887,15 @@ mod tests {
 
     #[test]
     fn starting_block_is_the_starting_vectors_bitwise() {
-        for n in [1, 255, 4097] {
-            for r in [1, 2, 7, 33] {
+        // Every 8/4/2/1 cut of a row at a chunk-sized block; a few at
+        // one row and at two ragged fill chunks.
+        let all_cuts: Vec<usize> = (1..=40).collect();
+        for (n, widths) in [
+            (1, &[1, 2, 7, 33][..]),
+            (255, &all_cuts),
+            (4097, &[1, 2, 7, 33]),
+        ] {
+            for &r in widths {
                 let mut p = params(4, r);
                 let want = starting_vectors(n, &p);
                 let check = |p: &KpmParams| {

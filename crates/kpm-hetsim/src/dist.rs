@@ -252,9 +252,8 @@ fn init_rank_state(
     exchange_halo(comm, local, &mut v, slot_offsets, halo_sent, 0)?;
     let mut mu0 = vec![Complex64::default(); r];
     for i in 0..n_local {
-        let row = v.row(i);
-        for j in 0..r {
-            mu0[j] += Complex64::real(row[j].norm_sqr());
+        for (j, mu) in mu0.iter_mut().enumerate() {
+            *mu += Complex64::real(v.get(i, j).norm_sqr());
         }
     }
     local.matrix.spmmv_rect(&v, &mut w);
@@ -326,7 +325,7 @@ fn exchange_halo(
     for (dst, rows) in &local.send_plan {
         let mut buf = Vec::with_capacity(rows.len() * r);
         for &lr in rows {
-            buf.extend_from_slice(v.row(lr as usize));
+            buf.extend((0..r).map(|j| v.get(lr as usize, j)));
         }
         *halo_sent += (buf.len() * 16) as u64;
         comm.send(*dst, tag, buf)?;
@@ -346,7 +345,9 @@ fn exchange_halo(
         }
         let base = slot_offsets[g];
         for (i, chunk) in buf.chunks(r).enumerate() {
-            v.row_mut(base + i).copy_from_slice(chunk);
+            for (j, &z) in chunk.iter().enumerate() {
+                v.set(base + i, j, z);
+            }
         }
     }
     Ok(())
@@ -634,10 +635,10 @@ fn rank_resilient(
             let mut v = BlockVector::zeros(n_ext, r);
             let mut w = BlockVector::zeros(n_ext, r);
             for i in 0..n_local {
-                v.row_mut(i)
-                    .copy_from_slice(&state.v_slices[rank][i * r..(i + 1) * r]);
-                w.row_mut(i)
-                    .copy_from_slice(&state.w_slices[rank][i * r..(i + 1) * r]);
+                for j in 0..r {
+                    v.set(i, j, state.v_slices[rank][i * r + j]);
+                    w.set(i, j, state.w_slices[rank][i * r + j]);
+                }
             }
             let eta_flat = if rank == 0 {
                 halo_sent = state.halo_restored;
@@ -692,8 +693,8 @@ fn rank_resilient(
                 row_end: local.row_end,
                 width: r,
                 halo_sent,
-                v: interleave_local_rows(&v, n_local),
-                w: interleave_local_rows(&w, n_local),
+                v: local_rows(&v, n_local),
+                w: local_rows(&w, n_local),
             })?;
             if rank == 0 {
                 store.save_eta(&EtaCheckpoint {
@@ -711,12 +712,11 @@ fn rank_resilient(
     Ok((reduced, halo_total, reductions))
 }
 
-fn interleave_local_rows(b: &BlockVector, n_local: usize) -> Vec<Complex64> {
-    let r = b.width();
-    let mut out = Vec::with_capacity(n_local * r);
-    for i in 0..n_local {
-        out.extend_from_slice(b.row(i));
-    }
+/// The first `n_local` rows of `b` as the interleaved checkpoint
+/// record (the halo rows behind them are not part of the state).
+fn local_rows(b: &BlockVector, n_local: usize) -> Vec<Complex64> {
+    let mut out = b.to_interleaved();
+    out.truncate(n_local * b.width());
     out
 }
 

@@ -9,9 +9,11 @@
 //! * [`vector`] — dense complex vectors and the BLAS level-1 kernels used
 //!   by the *naive* KPM-DOS algorithm (paper Fig. 3): `axpy`, `scal`,
 //!   `nrm2`, `dot`,
-//! * [`block`] — block vectors of width `R` stored in *row-major
-//!   (interleaved)* order, the data layout that makes the augmented SpMMV
-//!   kernel of the paper stream contiguously (paper Section IV-A),
+//! * [`block`] — block vectors of width `R` stored row by row, the data
+//!   layout that makes the augmented SpMMV kernel of the paper stream
+//!   contiguously (paper Section IV-A), each row in *split panels*
+//!   (`[re; W][im; W]` per 8/4/2/1-column panel) so a kernel vectorised
+//!   along the block row needs no shuffle (Section IV-B),
 //! * [`summation`] — compensated/pairwise summation helpers used to keep
 //!   stochastic-trace reductions reproducible,
 //! * [`accounting`] — the byte/flop constants of the paper (S_d, S_i,

@@ -139,7 +139,7 @@ pub fn aug_spmmv_warp_exec(
                     }
                     let hv = h.row_vals(rr)[k];
                     let c = h.row_cols(rr)[k] as usize;
-                    acc[lane] = hv.mul_add(v.row(c)[col_idx], acc[lane]);
+                    acc[lane] = hv.mul_add(v.get(c, col_idx), acc[lane]);
                 }
             }
         }
@@ -156,9 +156,9 @@ pub fn aug_spmmv_warp_exec(
                     continue;
                 }
                 let rr = row + local_row;
-                let vr = v.row(rr)[col_idx];
-                let wr = (acc[lane] - vr.scale(b)).scale(2.0 * a) - w.row(rr)[col_idx];
-                w.row_mut(rr)[col_idx] = wr;
+                let vr = v.get(rr, col_idx);
+                let wr = (acc[lane] - vr.scale(b)).scale(2.0 * a) - w.get(rr, col_idx);
+                w.set(rr, col_idx, wr);
                 even_warp.regs[wi * ws + lane] = Complex64::real(vr.norm_sqr());
                 odd_warp.regs[wi * ws + lane] = wr.conj() * vr;
             }

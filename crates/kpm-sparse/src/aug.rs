@@ -18,7 +18,7 @@
 //!
 //! The kernels themselves are the provided methods of
 //! [`crate::SparseKernels`] — `aug_spmv` for one vector, `aug_spmmv` for
-//! row-major block vectors of width `R` (the matrix streamed once for
+//! block vectors of width `R` (the matrix streamed once for
 //! all `R` Chebyshev runs), the `*_nodot` forms of paper Fig. 10(b)
 //! without the fused scalar products (the caller computes the dots
 //! separately, e.g. with `BlockVector::columnwise_dot`; the ablation
@@ -31,7 +31,7 @@
 //! remapped matrix whose column space is `local rows ++ halo rows`
 //! (`ncols >= nrows`), with the convention that column `i < nrows` is
 //! local row `i` — so the diagonal shift `-b·v_i` and the scalar
-//! products use `v.row(i)` exactly as in the square kernel. Both blocks
+//! products use row `i` of `v` exactly as in the square kernel. Both blocks
 //! span the extended column space (`v`, `w` have `ncols` rows); only
 //! the first `nrows` rows of `w` are written, the halo rows are
 //! refreshed by communication between iterations.

@@ -69,7 +69,8 @@ pub trait SparseKernels: Sync {
     fn format(&self) -> FormatSpec;
 
     /// One sweep over the rows of `w` — `w.len() / r` of them, from row
-    /// 0, at block width `r` — reading the row-major block `x`: the one
+    /// 0, at block width `r` — reading the block `x`, both as
+    /// [`BlockVector::panel_slots`] (plain vectors at `r == 1`): the one
     /// kernel behind every method below. Returns the fused dot products
     /// of [`SweepOp::Aug`] with `dots`, empty vectors otherwise. The
     /// chunked schedule tiles at the operator's own cache budget:
@@ -158,8 +159,8 @@ pub trait SparseKernels: Sync {
     }
 }
 
-/// A vector argument as the sweep sees it — `(entries, rows, width)`,
-/// a plain vector being a block of width 1.
+/// A vector argument as the sweep sees it — `(panel slots, rows,
+/// width)`, a plain vector being a block of width 1.
 type Block<'a> = (&'a [Complex64], usize, usize);
 type BlockMut<'a> = (&'a mut [Complex64], usize, usize);
 
@@ -171,11 +172,11 @@ fn vector_mut(v: &mut [Complex64]) -> BlockMut<'_> {
     (v, rows, 1)
 }
 fn block(v: &BlockVector) -> Block<'_> {
-    (v.as_slice(), v.rows(), v.width())
+    (v.panel_slots(), v.rows(), v.width())
 }
 fn block_mut(v: &mut BlockVector) -> BlockMut<'_> {
     let (rows, width) = (v.rows(), v.width());
-    (v.as_mut_slice(), rows, width)
+    (v.panel_slots_mut(), rows, width)
 }
 
 /// The one body of the named kernels: shape assertions, the kpm-obs

@@ -19,15 +19,16 @@
 //!   Chebyshev scalar products into the matrix sweep) a provided method
 //!   on top — and the [`KpmMatrix`] handle the solver runs on,
 //! * `sweep` (private) — the one register-panel row-range sweep every
-//!   CRS and stencil kernel runs at every width, compiled for the
-//!   baseline target and for AVX2 from the same source (the paper's
+//!   CRS and stencil kernel runs at every width, on the split `re`/`im`
+//!   lanes of the block vectors' panels, compiled for the baseline
+//!   target, for AVX2 and for AVX-512 from the same source (the paper's
 //!   generated, unrolled kernels of Section IV-B for any block width),
 //! * [`aug`] — the dot products the augmented kernels return,
 //! * [`tile`] — cache-aware row-block tile sizing for the blocked
 //!   kernels (per-thread cache budget → rows per tile),
 //! * [`simd`] — which copy of the sweep runs: the run-time choice
-//!   between the baseline and AVX2 copies and the global toggle the
-//!   benches flip,
+//!   among the baseline, AVX2 and AVX-512 copies and the global cap the
+//!   tests and benches move,
 //! * [`stats`] — sparsity-structure analysis (diagonal detection,
 //!   bandwidth, row-length histograms) matching the paper's discussion
 //!   of the topological-insulator matrix structure,

@@ -1,78 +1,119 @@
 //! Which copy of the sweep body runs.
 //!
-//! The one sweep of `sweep.rs` is compiled twice from one source — for
-//! the baseline target and under `#[target_feature(enable = "avx2")]`
-//! — and [`wide`] picks the AVX2 copy when the CPU has it and the
-//! runtime switch ([`set_enabled`]) is on. No cargo feature, build flag
-//! or nightly toolchain is involved.
+//! The one sweep of `sweep.rs` is compiled three times from one source
+//! — for the baseline target, under `#[target_feature(enable =
+//! "avx2")]` and under `#[target_feature(enable = "avx512f")]` — and
+//! [`wide`] picks the widest copy ([`Body`]) the CPU executes that the
+//! cap ([`set_cap`]) allows. No cargo feature, build flag or nightly
+//! toolchain is involved.
 //!
-//! Both copies replay the exact scalar operation order per lane (no
+//! All copies replay the exact scalar operation order per lane (no
 //! fused multiply-add anywhere), so the choice is purely a performance
-//! knob — results are bitwise-identical either way, which is also why
-//! a *runtime* toggle is safe to expose: one binary can bench
-//! baseline-vs-AVX2 back to back.
+//! knob — results are bitwise-identical whichever runs, which is also
+//! why a *runtime* cap is safe to expose: one binary can bench and test
+//! the copies back to back.
 //!
 //! [`active_lanes`] is the `f64` lane count of what actually runs: the
 //! `kpm report` banner reads it instead of hardcoding a width, so it
 //! describes the host that executes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Master switch for the AVX2 copy; on by default.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the AVX2 copy at runtime. Purely a performance
-/// knob: the two copies are bitwise-identical, so flipping this mid-run
-/// can never change a result.
-///
-/// `Release` store pairing with the `Acquire` load in [`enabled`]: a
-/// thread observing the new value also observes everything the setter
-/// did before flipping the switch.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Release);
+/// A compiled copy of the sweep body, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Body {
+    /// The baseline x86-64 (SSE2) copy; the only one off x86-64.
+    Baseline,
+    /// The AVX2 copy: 256-bit registers.
+    Avx2,
+    /// The AVX-512 copy: 512-bit registers, two layout panels per pass.
+    Avx512,
 }
 
-/// Current state of the runtime switch (regardless of what the CPU
-/// supports).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
-}
+impl Body {
+    /// Every copy, narrowest first.
+    pub const ALL: [Body; 3] = [Body::Baseline, Body::Avx2, Body::Avx512];
 
-/// Proof that the running CPU executes AVX2: only [`wide`] makes one,
-/// after detecting the feature, and the sweep dispatch demands one
-/// before it enters the AVX2 copy.
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2(());
-
-/// The token for the AVX2 copy of the sweep when that is the copy to
-/// run: the runtime switch is on and the CPU reports AVX2. `None`
-/// selects the baseline copy (always, off x86-64). Kernels read this
-/// once per call, outside their chunk loops.
-pub fn wide() -> Option<Avx2> {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() && std::arch::is_x86_feature_detected!("avx2") {
-        return Some(Avx2(()));
+    /// The name `kpm report` prints.
+    pub fn name(self) -> &'static str {
+        ["baseline", "avx2", "avx512"][self as usize]
     }
-    None
+
+    /// `f64` lanes of one register of this copy (1 for the baseline:
+    /// what performance models should treat as scalar).
+    pub fn lanes(self) -> usize {
+        [1, 4, 8][self as usize]
+    }
+
+    /// Whether the running CPU executes this copy.
+    pub fn supported(self) -> bool {
+        match self {
+            Body::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+/// The widest copy [`wide`] may pick; [`Body::Avx512`] (no cap) by
+/// default.
+static CAP: AtomicU8 = AtomicU8::new(Body::Avx512 as u8);
+
+/// Caps the copy [`wide`] picks (`--no-simd` caps at
+/// [`Body::Baseline`]). Purely a performance knob: the copies are
+/// bitwise-identical, so moving the cap mid-run can never change a
+/// result.
+///
+/// `Release` store pairing with the `Acquire` load in [`cap`]: a thread
+/// observing the new value also observes everything the setter did
+/// before moving the cap.
+pub fn set_cap(body: Body) {
+    CAP.store(body as u8, Ordering::Release);
+}
+
+/// The current cap (regardless of what the CPU supports).
+pub fn cap() -> Body {
+    let cap = CAP.load(Ordering::Acquire);
+    Body::ALL[usize::from(cap).min(Body::ALL.len() - 1)]
+}
+
+/// Proof that the running CPU executes the [`Body`] it names: only
+/// [`wide`] makes one, after detecting the feature, and the sweep
+/// dispatch demands one before it enters a `#[target_feature]` copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Wide(Body);
+
+impl Wide {
+    /// The copy this token admits to.
+    pub fn body(self) -> Body {
+        self.0
+    }
+}
+
+/// The token for the copy of the sweep to run: the widest one under the
+/// cap that the CPU reports (the baseline always qualifies). Kernels
+/// read this once per call, outside their chunk loops.
+pub fn wide() -> Wide {
+    let cap = cap();
+    let mut bodies = Body::ALL.into_iter().rev();
+    let admitted = bodies.find(|b| *b <= cap && b.supported());
+    Wide(admitted.unwrap_or(Body::Baseline))
 }
 
 /// Name of the sweep copy [`wide`] selects right now.
 pub fn body_name() -> &'static str {
-    match wide() {
-        Some(_) => "avx2",
-        None => "baseline",
-    }
+    wide().body().name()
 }
 
-/// Lane count the kernels use right now: 4 (one 256-bit register of
-/// doubles) when the AVX2 copy runs, else 1. This is what performance
-/// models should read — a disabled runtime switch makes any host behave
-/// like a scalar one.
+/// Lane count the kernels use right now ([`Body::lanes`] of the copy
+/// that runs). This is what performance models should read — a cap at
+/// the baseline makes any host behave like a scalar one.
 pub fn active_lanes() -> usize {
-    match wide() {
-        Some(_) => 4,
-        None => 1,
-    }
+    wide().body().lanes()
 }
 
 #[cfg(test)]
@@ -80,14 +121,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn runtime_toggle_gates_the_wide_copy() {
-        set_enabled(false);
-        assert!(!enabled());
-        assert!(wide().is_none());
+    fn the_cap_bounds_the_copy_that_runs() {
+        for cap_at in Body::ALL {
+            set_cap(cap_at);
+            assert_eq!(cap(), cap_at);
+            let body = wide().body();
+            assert!(body <= cap_at && body.supported());
+            // Nothing wider was available under the cap.
+            let wider = |b: &Body| *b > body && *b <= cap_at;
+            assert!(Body::ALL
+                .iter()
+                .filter(|b| wider(b))
+                .all(|b| !b.supported()));
+            assert_eq!((body_name(), active_lanes()), (body.name(), body.lanes()));
+        }
+        set_cap(Body::Baseline);
         assert_eq!((body_name(), active_lanes()), ("baseline", 1));
-        set_enabled(true);
-        assert!(enabled());
-        assert_eq!(wide().is_some(), body_name() == "avx2");
-        assert_eq!(active_lanes(), if wide().is_some() { 4 } else { 1 });
+        set_cap(Body::Avx512);
+        assert_eq!(Body::Avx512.lanes(), 8);
+        assert_eq!(Body::Avx512.name(), "avx512");
     }
 }

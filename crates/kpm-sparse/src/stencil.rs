@@ -46,7 +46,7 @@ use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
 use crate::kernels::{FormatSpec, SparseKernels};
-use crate::sweep::{axpy_panel, for_panels, row_panel, Epilogue, RowSweep, Schedule, SweepOp};
+use crate::sweep::{for_passes, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp};
 use crate::tile::DEFAULT_CACHE_BYTES;
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
@@ -123,7 +123,7 @@ struct RowPlan {
 }
 
 /// One hopping entry of a [`RowPlan`]; `neg_im` is `-val.im`,
-/// tabulated (see [`axpy_panel`]).
+/// tabulated (see [`Pass::axpy`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct PlanEntry {
     offset: isize,
@@ -608,11 +608,11 @@ impl StencilMatrix {
 }
 
 /// The sweep body: whole sites take the site-blocked walk in column
-/// panels of at most 8; rows of a site cut by the range edges, and
+/// passes of at most `COLS`; rows of a site cut by the range edges, and
 /// every row of a coincident-neighbour lattice, are regenerated.
 impl RowSweep for StencilMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue>(
+    fn sweep_body<E: Epilogue, const COLS: usize>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -633,10 +633,9 @@ impl RowSweep for StencilMatrix {
             let plans = &m.plans[edge_code(cx, m.nx) | yz];
             let diag = &m.onsite_diag[site];
             let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
-            for_panels!(r, |j0| site_panel(plans, diag, site, x, r, j0, wsite, epi));
-            for (o, wrow) in wsite.chunks(r).enumerate() {
-                epi.row_done(x, (4 * site + o) * r, wrow);
-            }
+            for_passes!(COLS, r, |j0| site_pass(
+                plans, diag, site, x, r, j0, wsite, epi
+            ));
             cx += 1;
             if cx == m.nx {
                 cx = 0;
@@ -679,13 +678,13 @@ impl SparseKernels for StencilMatrix {
     }
 }
 
-/// The four orbital rows of `site` on block-vector columns
-/// `j0 .. j0 + W`: each row's accumulators stay in a `W`-wide register
-/// panel while its class's entries are walked in ascending column
-/// order, the on-site entry in its slot.
+/// The four orbital rows of `site` on the block-vector columns of one
+/// [`Pass`] from `j0`: each row's accumulators stay in registers while
+/// its class's entries are walked in ascending column order, the
+/// on-site entry in its slot.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
-fn site_panel<const W: usize, E: Epilogue>(
+fn site_pass<const W: usize, const TWO: bool, E: Epilogue>(
     plans: &[RowPlan; 4],
     diag: &[Complex64; 4],
     site: usize,
@@ -697,41 +696,40 @@ fn site_panel<const W: usize, E: Epilogue>(
 ) {
     for (o, plan) in plans.iter().enumerate() {
         let at = (4 * site + o) * r + j0;
-        let (mut re, mut im) = ([0.0; W], [0.0; W]);
+        let mut acc = Pass::<W, TWO>::ZERO;
         let (below, above) = plan.entries[..plan.len as usize].split_at(plan.onsite_at as usize);
         let base = 4 * site * r + j0;
-        walk(below, x, base, r, &mut re, &mut im);
+        walk(below, x, base, r, &mut acc);
         // The assembly drops an exactly-zero diagonal entry.
         if diag[o] != ZERO {
-            axpy_panel(diag[o], -diag[o].im, &x[at..][..W], &mut re, &mut im);
+            acc.axpy(diag[o], -diag[o].im, &x[at..]);
         }
-        walk(above, x, base, r, &mut re, &mut im);
-        let acc: [Complex64; W] = std::array::from_fn(|k| Complex64::new(re[k], im[k]));
-        epi.finish(&acc, x, at, &mut wsite[o * r + j0..]);
+        walk(above, x, base, r, &mut acc);
+        acc.finish(epi, x, at, j0, &mut wsite[o * r + j0..]);
     }
 }
 
-/// Applies a run of plan entries to the panel at `x[base..]` (the
-/// site's first row, panel column `j0`).
+/// Applies a run of plan entries to the pass at `x[base..]` (the
+/// site's first row, column `j0`).
 #[inline(always)]
-fn walk<const W: usize>(
+fn walk<const W: usize, const TWO: bool>(
     entries: &[PlanEntry],
     x: &[Complex64],
     base: usize,
     r: usize,
-    re: &mut [f64; W],
-    im: &mut [f64; W],
+    acc: &mut Pass<W, TWO>,
 ) {
     for en in entries {
-        let xrow = &x[base.wrapping_add_signed(en.offset * r as isize)..][..W];
-        axpy_panel(en.val, en.neg_im, xrow, re, im);
+        let at = base.wrapping_add_signed(en.offset * r as isize);
+        acc.axpy(en.val, en.neg_im, &x[at..]);
     }
 }
 
-/// Per-row path of the sweep body: the CRS row panels over regenerated
-/// rows. Not inlined into the sweep copies — it serves a tile's few cut
-/// rows and the coincident-neighbour lattices — so it runs as compiled
-/// for the baseline target under either copy.
+/// Per-row path of the sweep body: the CRS row passes over regenerated
+/// rows, one layout panel at a time. Not inlined into the sweep copies
+/// — it serves a tile's few cut rows and the coincident-neighbour
+/// lattices — so it runs as compiled for the baseline target under
+/// every copy.
 fn regen_rows<E: Epilogue>(
     m: &StencilMatrix,
     x: &[Complex64],
@@ -743,8 +741,7 @@ fn regen_rows<E: Epilogue>(
 ) {
     m.for_rows(rows, |row, cols, vals| {
         let wrow = &mut w[(row - row0) * r..][..r];
-        for_panels!(r, |j0| row_panel(cols, vals, x, r, row, j0, wrow, epi));
-        epi.row_done(x, row * r, wrow);
+        for_passes!(8, r, |j0| row_pass(cols, vals, x, r, row, j0, wrow, epi));
     });
 }
 

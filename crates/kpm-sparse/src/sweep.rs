@@ -1,15 +1,18 @@
 //! The one blocked sweep: a row-range body on register panels.
 //!
 //! Paper Section IV-B gets stage 2's speed from a blocked kernel whose
-//! `R`-wide inner loop is fully unrolled and vectorised. Here that
-//! kernel is written once. Per row, the block-vector columns are cut
-//! into const-width panels of 8/4/2/1 ([`for_panels`], so any `R` is
-//! "specialised"), a panel's accumulators sit in fixed-size `re`/`im`
-//! arrays the compiler keeps in registers ([`axpy_panel`]), the row's
-//! `(col, val)` pairs are re-walked per panel from L1, and an
-//! [`Epilogue`] — `y = A x` ([`Plain`]) or the augmented update with
-//! or without the fused dots ([`Aug`]) — finishes the panel and, after
-//! the last one, the row.
+//! `R`-wide inner loop is fully unrolled and vectorised along the block
+//! row. Here that kernel is written once. Per row, the block-vector
+//! columns are walked in the layout panels of 8/4/2/1 they are stored
+//! in ([`kpm_num::for_panels`], so any `R` is "specialised"; a panel of
+//! `W` columns is `[re; W][im; W]`, see [`kpm_num::block`]), a pass's
+//! accumulators sit in fixed-size `re`/`im` arrays the compiler keeps
+//! in registers ([`Pass`]: one panel, or two adjacent 8-column panels
+//! walked together), the row's `(col, val)` pairs are re-walked per
+//! pass from L1, and an [`Epilogue`] — `y = A x` ([`Plain`]) or the
+//! augmented update with or without the fused dots ([`Aug`]) —
+//! finishes each panel. Lanes are loaded, combined and stored with no
+//! shuffle.
 //!
 //! A [`RowSweep`] is where a row's entries come from: the CRS arrays
 //! (here) or the stencil's tabulated site classes
@@ -18,16 +21,20 @@
 //! one range over all rows, or fixed chunks ([`chunk_rows`]) whose
 //! partial dots are combined in chunk order, so results never depend
 //! on the thread count. Width 1 is a column of the same body: CRS
-//! walks it as the plain `mul_add` chain it is, inside the same two
-//! compiled copies.
+//! walks it as the plain `mul_add` chain on `Complex64` scalars it is,
+//! inside the same compiled copies.
 //!
-//! The body is compiled **twice from the same source**: once for the
-//! baseline target and once under `#[target_feature(enable = "avx2")]`
-//! ([`sweep`]); [`crate::simd::wide`] picks per kernel call. Neither
-//! copy uses a fused multiply-add, so every lane performs the IEEE
-//! multiplies and adds of [`Complex64::mul_add`] in the same order and
-//! the two copies — and the scalar chain — agree bit for bit.
+//! The body is compiled **three times from the same source**: for the
+//! baseline target, under `#[target_feature(enable = "avx2")]` and
+//! under `#[target_feature(enable = "avx512f")]` ([`sweep`]);
+//! [`crate::simd::wide`] picks per kernel call. The copies differ in
+//! one const, the columns of their widest pass: one layout panel for
+//! the first two, two panels (four 512-bit accumulators) for the
+//! third. No copy uses a fused multiply-add, so every lane performs
+//! the IEEE multiplies and adds of [`Complex64::mul_add`] in the same
+//! order and the copies — and the scalar chain — agree bit for bit.
 
+use kpm_num::block::{load_panel, store_panel};
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::Complex64;
 use rayon::prelude::*;
@@ -35,7 +42,7 @@ use rayon::prelude::*;
 use crate::aug::AugDotsBlock;
 use crate::crs::CrsMatrix;
 use crate::kernels::{FormatSpec, SparseKernels};
-use crate::simd::Avx2;
+use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
 
 /// What a sweep does with each row's `(Hx)[row]`.
@@ -74,24 +81,24 @@ pub enum Schedule {
 const ROWS_PER_CHUNK: usize = 1024;
 
 /// What a sweep does with a row's accumulators `(Hx)[row]`. Rows
-/// arrive in ascending order, each as its panels followed by one
-/// [`Epilogue::row_done`].
+/// arrive in ascending order, each as its panels in column order.
 pub(crate) trait Epilogue {
-    /// The finished panel `acc` on block-vector columns `j0 .. j0 + W`:
-    /// `x[at..]` is the matching slice of `x`'s row (not touched by
-    /// [`Plain`], so `y = A x` works on any shape), `wrow` that of
-    /// `w`'s.
+    /// The finished layout panel of columns `j0 .. j0 + W`, as lanes:
+    /// `x[at..]` are the matching slots of `x`'s row (not touched by
+    /// [`Plain`], so `y = A x` works on any shape), `w` those of `w`'s.
     fn finish<const W: usize>(
         &mut self,
-        acc: &[Complex64; W],
+        re: &[f64; W],
+        im: &[f64; W],
         x: &[Complex64],
         at: usize,
-        wrow: &mut [Complex64],
+        j0: usize,
+        w: &mut [Complex64],
     );
 
-    /// All panels of the row are finished: `x[at..]` and `wrow` are
-    /// the row's full-width slices.
-    fn row_done(&mut self, x: &[Complex64], at: usize, wrow: &[Complex64]);
+    /// [`Epilogue::finish`] for the width-1 chain, on scalars: `x[at]`
+    /// and `w` are the row's entries.
+    fn finish_one(&mut self, acc: Complex64, x: &[Complex64], at: usize, w: &mut Complex64);
 }
 
 /// `y = A x`.
@@ -101,22 +108,26 @@ impl Epilogue for Plain {
     #[inline(always)]
     fn finish<const W: usize>(
         &mut self,
-        acc: &[Complex64; W],
+        re: &[f64; W],
+        im: &[f64; W],
         _: &[Complex64],
         _: usize,
-        yrow: &mut [Complex64],
+        _: usize,
+        y: &mut [Complex64],
     ) {
-        yrow[..W].copy_from_slice(acc);
+        store_panel(re, im, y);
     }
 
     #[inline(always)]
-    fn row_done(&mut self, _: &[Complex64], _: usize, _: &[Complex64]) {}
+    fn finish_one(&mut self, acc: Complex64, _: &[Complex64], _: usize, y: &mut Complex64) {
+        *y = acc;
+    }
 }
 
 /// The augmented update `w ← 2a(H − b)v − w` panel by panel and, when
-/// `DOTS`, the `(η_even, η_odd)` dot products per block column once the
-/// row is complete: one run-time-width loop over split `re`/`im`
-/// accumulators, which the compiler vectorises across the columns.
+/// `DOTS`, the `(η_even, η_odd)` dot products per block column: split
+/// `re`/`im` accumulators, a panel's copied into locals, updated and
+/// copied back (updated in place behind `&mut self` they stay scalar).
 struct Aug<const DOTS: bool> {
     a: f64,
     b: f64,
@@ -145,97 +156,169 @@ impl<const DOTS: bool> Aug<DOTS> {
             eta_even: self.even,
         }
     }
+
+    /// One entry of the update: the new `w`.
+    #[inline(always)]
+    fn update(&self, acc: Complex64, v: Complex64, w: Complex64) -> Complex64 {
+        (acc - v.scale(self.b)).scale(2.0 * self.a) - w
+    }
 }
 
 impl<const DOTS: bool> Epilogue for Aug<DOTS> {
     #[inline(always)]
     fn finish<const W: usize>(
         &mut self,
-        acc: &[Complex64; W],
+        re: &[f64; W],
+        im: &[f64; W],
         v: &[Complex64],
         at: usize,
-        wrow: &mut [Complex64],
+        j0: usize,
+        w: &mut [Complex64],
     ) {
-        let (vrow, wrow) = (&v[at..][..W], &mut wrow[..W]);
+        let (vre, vim) = load_panel::<W>(&v[at..]);
+        let (mut wre, mut wim) = load_panel::<W>(w);
+        let v_at = |k: usize| Complex64::new(vre[k], vim[k]);
         for k in 0..W {
-            wrow[k] = (acc[k] - vrow[k].scale(self.b)).scale(2.0 * self.a) - wrow[k];
+            let wk = self.update(
+                Complex64::new(re[k], im[k]),
+                v_at(k),
+                Complex64::new(wre[k], wim[k]),
+            );
+            (wre[k], wim[k]) = (wk.re, wk.im);
+        }
+        store_panel(&wre, &wim, w);
+        if DOTS {
+            let (mut even, mut odd_re, mut odd_im) = ([0.0; W], [0.0; W], [0.0; W]);
+            even.copy_from_slice(&self.even[j0..][..W]);
+            odd_re.copy_from_slice(&self.odd_re[j0..][..W]);
+            odd_im.copy_from_slice(&self.odd_im[j0..][..W]);
+            for k in 0..W {
+                even[k] += v_at(k).norm_sqr();
+                let odd = Complex64::new(odd_re[k], odd_im[k]);
+                let odd = Complex64::new(wre[k], wim[k]).conj().mul_add(v_at(k), odd);
+                (odd_re[k], odd_im[k]) = (odd.re, odd.im);
+            }
+            self.even[j0..][..W].copy_from_slice(&even);
+            self.odd_re[j0..][..W].copy_from_slice(&odd_re);
+            self.odd_im[j0..][..W].copy_from_slice(&odd_im);
         }
     }
 
     #[inline(always)]
-    fn row_done(&mut self, v: &[Complex64], at: usize, wrow: &[Complex64]) {
+    fn finish_one(&mut self, acc: Complex64, v: &[Complex64], at: usize, w: &mut Complex64) {
+        *w = self.update(acc, v[at], *w);
         if DOTS {
-            let r = wrow.len();
-            let (vrow, even) = (&v[at..][..r], &mut self.even[..r]);
-            let (odd_re, odd_im) = (&mut self.odd_re[..r], &mut self.odd_im[..r]);
-            for k in 0..r {
-                even[k] += vrow[k].norm_sqr();
-                let odd = Complex64::new(odd_re[k], odd_im[k]);
-                let odd = wrow[k].conj().mul_add(vrow[k], odd);
-                (odd_re[k], odd_im[k]) = (odd.re, odd.im);
-            }
+            self.even[0] += v[at].norm_sqr();
+            let odd = Complex64::new(self.odd_re[0], self.odd_im[0]);
+            let odd = w.conj().mul_add(v[at], odd);
+            (self.odd_re[0], self.odd_im[0]) = (odd.re, odd.im);
         }
     }
 }
 
-/// `acc[k] = val.mul_add(x[k], acc[k])` on a register panel. The real
-/// lane is `mul_add`'s own `re·re − im·im`; the imaginary lane
-/// subtracts the exactly negated product `(−val.im)·x.re` instead of
-/// adding `val.im·x.re` — the same bits. `neg_im` is `-val.im`: read
-/// from a table (the stencil) it keeps both lanes multiply, multiply,
-/// subtract, add in one operand order, which packs into `[re, im]`
-/// registers with a single shuffle per register (measured 2–7 % on the
-/// stencil sweep); computed in the compiler's sight (CRS) it folds
-/// back into the add.
+/// `acc[k] = val.mul_add(x[k], acc[k])` on the lanes of a register
+/// panel, `x` the panel's slots of an `x` row. The real lane is
+/// `mul_add`'s own `re·re − im·im`; the imaginary lane subtracts the
+/// exactly negated product `(−val.im)·x.re` instead of adding
+/// `val.im·x.re` — the same bits. `neg_im` is `-val.im`: read from a
+/// table (the stencil) it keeps both lanes multiply, multiply,
+/// subtract, add in one operand order; computed in the compiler's
+/// sight (CRS) it folds back into the add.
 #[inline(always)]
-pub(crate) fn axpy_panel<const W: usize>(
+fn axpy_panel<const W: usize>(
     val: Complex64,
     neg_im: f64,
     x: &[Complex64],
     re: &mut [f64; W],
     im: &mut [f64; W],
 ) {
+    let (xre, xim) = load_panel::<W>(x);
     for k in 0..W {
-        re[k] += val.re * x[k].re - val.im * x[k].im;
-        im[k] += val.re * x[k].im - neg_im * x[k].re;
+        re[k] += val.re * xre[k] - val.im * xim[k];
+        im[k] += val.re * xim[k] - neg_im * xre[k];
     }
 }
 
-/// Cuts block-vector columns `0..$r` into register panels of 8/4/2/1
-/// and runs `$panel::<W, _>($args)` on each, `$j0` naming the panel's
-/// first column inside the argument list.
-macro_rules! for_panels {
-    ($r:expr, |$j0:ident| $panel:ident($($arg:expr),* $(,)?)) => {{
+/// The register accumulators of one compute pass over a row: the
+/// `W`-column layout panel at `j0` of `(Hx)[row]` as `re`/`im` lanes
+/// and, when `TWO`, the next panel beside it. Four named arrays, not an
+/// array of panels: a loop over sub-panels gets vectorised across the
+/// wrong axis.
+pub(crate) struct Pass<const W: usize, const TWO: bool> {
+    re: [f64; W],
+    im: [f64; W],
+    re2: [f64; W],
+    im2: [f64; W],
+}
+
+impl<const W: usize, const TWO: bool> Pass<W, TWO> {
+    /// Block-vector columns the pass covers.
+    pub(crate) const COLS: usize = if TWO { 2 * W } else { W };
+
+    pub(crate) const ZERO: Self = Self {
+        re: [0.0; W],
+        im: [0.0; W],
+        re2: [0.0; W],
+        im2: [0.0; W],
+    };
+
+    /// [`axpy_panel`] on each panel, `x` the slots of an `x` row from
+    /// column `j0`.
+    #[inline(always)]
+    pub(crate) fn axpy(&mut self, val: Complex64, neg_im: f64, x: &[Complex64]) {
+        let x = &x[..Self::COLS];
+        axpy_panel(val, neg_im, x, &mut self.re, &mut self.im);
+        if TWO {
+            axpy_panel(val, neg_im, &x[W..], &mut self.re2, &mut self.im2);
+        }
+    }
+
+    /// Hands each finished panel to `epi`: `x[at..]` and `w` are the
+    /// slots of the `x` and `w` rows from column `j0`.
+    #[inline(always)]
+    pub(crate) fn finish<E: Epilogue>(
+        &self,
+        epi: &mut E,
+        x: &[Complex64],
+        at: usize,
+        j0: usize,
+        w: &mut [Complex64],
+    ) {
+        epi.finish(&self.re, &self.im, x, at, j0, w);
+        if TWO {
+            epi.finish(&self.re2, &self.im2, x, at + W, j0 + W, &mut w[W..]);
+        }
+    }
+}
+
+/// Walks block-vector columns `0..$r` in compute passes and calls
+/// `$pass::<W, TWO, _>($args)` for each, `$j0` naming its first column:
+/// two adjacent 8-column panels together (`TWO`) while 16 columns remain
+/// when the copy's widest pass (`$cols`) is 16, then the layout panels
+/// one by one.
+macro_rules! for_passes {
+    ($cols:expr, $r:expr, |$j0:ident| $pass:ident($($arg:expr),*)) => {{
         let mut $j0 = 0;
-        while $j0 + 8 <= $r {
-            $panel::<8, _>($($arg),*);
-            $j0 += 8;
+        while $cols == 16 && $j0 + 16 <= $r {
+            $pass::<8, true, _>($($arg),*);
+            $j0 += 16;
         }
-        if $j0 + 4 <= $r {
-            $panel::<4, _>($($arg),*);
-            $j0 += 4;
-        }
-        if $j0 + 2 <= $r {
-            $panel::<2, _>($($arg),*);
-            $j0 += 2;
-        }
-        if $j0 < $r {
-            $panel::<1, _>($($arg),*);
-        }
+        kpm_num::for_panels!($r, $j0, W => $pass::<W, false, _>($($arg),*));
     }};
 }
-pub(crate) use for_panels;
+pub(crate) use for_passes;
 
 /// A row source the blocked sweep can run on.
 pub(crate) trait RowSweep: Sync {
     /// One sweep over the rows of `w` (`w.len() / r` rows of width `r`
     /// starting at `row0`): for each row, in order, the accumulator
     /// chain `acc = Σ_c H[row, c] · x[c]` in ascending column order,
-    /// panel by panel, handed to `epi`.
+    /// pass by pass — at most `COLS` (8 or 16) columns each — handed to
+    /// `epi`.
     ///
     /// Implementations are `#[inline(always)]`: [`sweep`] instantiates
     /// the body once per target-feature set.
-    fn sweep_body<E: Epilogue>(
+    fn sweep_body<E: Epilogue, const COLS: usize>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -247,7 +330,7 @@ pub(crate) trait RowSweep: Sync {
 
 impl RowSweep for CrsMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue>(
+    fn sweep_body<E: Epilogue, const COLS: usize>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -257,24 +340,21 @@ impl RowSweep for CrsMatrix {
     ) {
         if r == 1 {
             // One column: the row is a single dependent `mul_add` chain
-            // with nothing to hold in a panel, handed to the shared
-            // epilogue as a panel of one.
-            for (i, wrow) in w.chunks_mut(1).enumerate() {
+            // with nothing to hold in a panel, finished on scalars.
+            for (i, wrow) in w.iter_mut().enumerate() {
                 let row = row0 + i;
                 let mut acc = Complex64::default();
                 for (hv, &c) in self.row_vals(row).iter().zip(self.row_cols(row)) {
                     acc = hv.mul_add(x[c as usize], acc);
                 }
-                epi.finish::<1>(&[acc], x, row, wrow);
-                epi.row_done(x, row, wrow);
+                epi.finish_one(acc, x, row, wrow);
             }
             return;
         }
         for (i, wrow) in w.chunks_mut(r).enumerate() {
             let row = row0 + i;
             let (cols, vals) = (self.row_cols(row), self.row_vals(row));
-            for_panels!(r, |j0| row_panel(cols, vals, x, r, row, j0, wrow, epi));
-            epi.row_done(x, row * r, wrow);
+            for_passes!(COLS, r, |j0| row_pass(cols, vals, x, r, row, j0, wrow, epi));
         }
     }
 }
@@ -305,11 +385,11 @@ impl SparseKernels for CrsMatrix {
     }
 }
 
-/// One row, given as its CRS `(cols, vals)` pairs, on block-vector
-/// columns `j0 .. j0 + W`.
+/// One row, given as its CRS `(cols, vals)` pairs, on the block-vector
+/// columns of one [`Pass`] from `j0`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
-pub(crate) fn row_panel<const W: usize, E: Epilogue>(
+pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     cols: &[u32],
     vals: &[Complex64],
     x: &[Complex64],
@@ -319,13 +399,11 @@ pub(crate) fn row_panel<const W: usize, E: Epilogue>(
     wrow: &mut [Complex64],
     epi: &mut E,
 ) {
-    let (mut re, mut im) = ([0.0; W], [0.0; W]);
+    let mut acc = Pass::<W, TWO>::ZERO;
     for (hv, &c) in vals.iter().zip(cols) {
-        let xrow = &x[c as usize * r + j0..][..W];
-        axpy_panel(*hv, -hv.im, xrow, &mut re, &mut im);
+        acc.axpy(*hv, -hv.im, &x[c as usize * r + j0..]);
     }
-    let acc: [Complex64; W] = std::array::from_fn(|k| Complex64::new(re[k], im[k]));
-    epi.finish(&acc, x, row * r + j0, &mut wrow[j0..]);
+    acc.finish(epi, x, row * r + j0, j0, &mut wrow[j0..]);
 }
 
 /// The AVX2 copy of a sweep body.
@@ -339,32 +417,49 @@ fn sweep_avx2<S: RowSweep, E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    s.sweep_body(x, r, row0, w, epi);
+    s.sweep_body::<E, 8>(x, r, row0, w, epi);
 }
 
-/// Runs `s`'s sweep body over the rows of `w` starting at `row0`: the
-/// AVX2 copy when the caller holds the [`Avx2`] token
-/// ([`crate::simd::wide`], read once per kernel call), the baseline
-/// copy otherwise and on every other architecture.
-#[inline]
-fn sweep<S: RowSweep, E: Epilogue>(
+/// The AVX-512 copy of a sweep body: two layout panels per pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512<S: RowSweep, E: Epilogue>(
     s: &S,
-    wide: Option<Avx2>,
     x: &[Complex64],
     r: usize,
     row0: usize,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if wide.is_some() {
-        // SAFETY: an `Avx2` token is only ever made by `simd::wide`
-        // after `is_x86_feature_detected!("avx2")` returned true, so
-        // this CPU executes the instructions the copy was compiled to.
-        return unsafe { sweep_avx2(s, x, r, row0, w, epi) };
+    s.sweep_body::<E, 16>(x, r, row0, w, epi);
+}
+
+/// Runs `s`'s sweep body over the rows of `w` starting at `row0`: the
+/// copy the caller's [`Wide`] token names ([`crate::simd::wide`], read
+/// once per kernel call) — always the baseline one off x86-64.
+#[inline]
+fn sweep<S: RowSweep, E: Epilogue>(
+    s: &S,
+    wide: Wide,
+    x: &[Complex64],
+    r: usize,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    match wide.body() {
+        // SAFETY: a `Wide` token naming `Avx512` is only ever made by
+        // `simd::wide` after `is_x86_feature_detected!("avx512f")`
+        // returned true, so this CPU executes the instructions the copy
+        // was compiled to.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => unsafe { sweep_avx512(s, x, r, row0, w, epi) },
+        // SAFETY: likewise, a token naming `Avx2` exists only after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => unsafe { sweep_avx2(s, x, r, row0, w, epi) },
+        _ => s.sweep_body::<E, 8>(x, r, row0, w, epi),
     }
-    let _ = wide;
-    s.sweep_body(x, r, row0, w, epi);
 }
 
 /// Rows per parallel chunk — the one reduction grid of every format:

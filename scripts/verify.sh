@@ -127,19 +127,41 @@ cmp target/dos-crs-t1.csv target/dos-crs-t2.csv
 echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads"
 
 step "sweep bodies: kpm dos is byte-identical with and without --no-simd"
-# The CRS and stencil sweep is compiled twice from one source (baseline
-# and AVX2) and --no-simd forces the baseline copy — which is also all
-# that exists off x86-64. Both must print the same bytes at width 1 (on
-# 1,152 rows: two of its 1,024-row chunks), at a one-panel width and at
-# one with mid-site tile edges, at 1 and 2 threads.
+# The CRS and stencil sweep is compiled three times from one source
+# (baseline, AVX2, AVX-512); the widest copy the CPU executes runs and
+# --no-simd forces the baseline copy — which is also all that exists off
+# x86-64. Both must print the same bytes at width 1 (on 1,152 rows: two
+# of its 1,024-row chunks), at a one-panel width, at one with mid-site
+# tile edges (a 16-column pass and a panel under AVX-512) and at 33
+# (two passes and a column), at 1 and 2 threads. The CLI has no flag
+# for the copies in between: those pairs run in the determinism grid
+# above and in prop_kernels, through the library's cap.
 body_banner=$(./target/release/kpm report --nx 2 --ny 2 --nz 2 --moments 4 --random 1 2>&1)
-if grep -q 'sweep body = avx2' <<<"$body_banner"; then
-    echo "this CPU has AVX2: comparing the AVX2 copy against the baseline copy"
-else
-    echo "NO AVX2 on this CPU: both runs below take the baseline copy, the comparison DOES NOT RUN"
-fi
+body=$(grep -o 'sweep body = [a-z0-9]*' <<<"$body_banner" | head -n 1)
+body=${body#sweep body = }
+case "$body" in
+avx512)
+    grep -q 'lanes = 8' <<<"$body_banner"
+    echo "this CPU has AVX-512: comparing the avx512 copy against the baseline copy"
+    echo "avx2 vs baseline through the CLI DOES NOT RUN here (no flag picks the middle copy; the test grid caps to it)"
+    ;;
+avx2)
+    grep -q 'lanes = 4' <<<"$body_banner"
+    echo "this CPU has AVX2: comparing the avx2 copy against the baseline copy"
+    echo "NO AVX-512 on this CPU: avx512 vs baseline DOES NOT RUN"
+    ;;
+baseline)
+    grep -q 'lanes = 1' <<<"$body_banner"
+    echo "NO AVX2 or AVX-512 on this CPU: both runs below take the baseline copy;"
+    echo "avx2 vs baseline DOES NOT RUN, avx512 vs baseline DOES NOT RUN"
+    ;;
+*)
+    echo "kpm report names no known sweep body: $body_banner" >&2
+    exit 1
+    ;;
+esac
 for f in crs stencil; do
-    for r in 1 8 24; do
+    for r in 1 8 24 33; do
         for t in 1 2; do
             run="./target/release/kpm dos --nx 3 --ny 6 --nz 16 --potential dots \
                 --moments 64 --random $r --threads $t --format $f"
@@ -149,7 +171,7 @@ for f in crs stencil; do
         done
     done
 done
-echo "both sweep bodies print identical DOS output (crs and stencil, R = 1, 8 and 24, 1 and 2 threads)"
+echo "the $body and the baseline sweep body print identical DOS output (crs and stencil, R = 1, 8, 24 and 33, 1 and 2 threads)"
 
 step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`
@@ -183,16 +205,21 @@ fi
 echo "set-up share on dos_block_r8 ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
 
 step "smoke: kpm report (achieved vs predicted roofline)"
-./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
-    --random 8 --machine IVB --llc-mib 0.5
+# The banner names the copy that ran: the one the step above detected.
+wide_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
+    --random 8 --machine IVB --llc-mib 0.5 2>&1)
+echo "$wide_report"
+grep -q "sweep body = $body" <<<"$wide_report"
+echo "the report ran the $body sweep body"
 
-step "smoke: kpm report with the --no-simd runtime toggle"
+step "smoke: kpm report with the --no-simd runtime cap"
 # --no-simd runs the baseline copy of the sweep. The report must run end
 # to end and print the lanes / sweep-body banner fields.
 toggle_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5 --no-simd 2>&1)
 echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
+echo "the --no-simd report ran the baseline sweep body (lanes = 1)"
 
 step "hostile flag and environment values: one 'kpm:' line, exit status 1, no panic, no matrix"
 # Each of these used to panic, abort the process, be refused only after

@@ -130,8 +130,8 @@ common:
   --format crs|stencil       matrix storage format for the solver (default crs;
                              stencil is matrix-free and needs --nx/--ny/--nz)
   --no-simd                  run the baseline copy of the sweep instead of the
-                             AVX2 copy a CPU with AVX2 gets by default (moments
-                             are bitwise-identical either way)
+                             widest copy (AVX-512, else AVX2) the CPU executes
+                             (moments are bitwise-identical either way)
   --metrics-out FILE.jsonl   export the kpm-obs metrics registry
   --trace-out FILE.json      export spans as a Chrome trace-event file";
 
@@ -423,10 +423,10 @@ fn unknown_format(name: &str) -> String {
 }
 
 /// Rejects contradictory storage flags — and applies the `--no-simd`
-/// toggle — before anything is loaded.
+/// cap — before anything is loaded.
 fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), String> {
     if has_flag(args, "--no-simd") {
-        kpm_repro::sparse::simd::set_enabled(false);
+        kpm_repro::sparse::simd::set_cap(kpm_repro::sparse::simd::Body::Baseline);
     }
     let format = opt(args, "--format");
     if let Some(other) = format.filter(|f| !matches!(*f, "crs" | "stencil")) {

@@ -134,69 +134,81 @@ fn stencil_and_crs_thread_grid_is_bitwise_identical() {
     }
 }
 
-/// Serialises the tests that flip the process-wide `simd::set_enabled`
-/// switch, so each arm of a comparison runs the body it names.
-static SIMD_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Serialises the tests that move the process-wide `simd::set_cap`, so
+/// each arm of a comparison runs the body it names.
+static SIMD_CAP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The sweep bodies this CPU executes, narrowest first — saying loudly
+/// which comparisons cannot be made here instead of skipping them.
+fn runnable_bodies(test: &str) -> Vec<kpm_repro::sparse::simd::Body> {
+    use kpm_repro::sparse::simd::Body;
+    let (run, missing): (Vec<Body>, Vec<Body>) = Body::ALL.iter().partition(|b| b.supported());
+    for body in missing {
+        println!(
+            "{test}: this CPU does not execute the {} body — its comparison DOES NOT RUN",
+            body.name()
+        );
+    }
+    run
+}
 
 #[test]
 fn simd_toggle_grid_is_bitwise_identical() {
-    // The lane dimension of the determinism contract: the AVX2 copy
-    // of the sweep replays the scalar operation order per lane, so
-    // toggling it at runtime — across formats and thread counts — must
-    // reproduce the baseline CRS moments bit for bit. The switch selects between the baseline
-    // and the AVX2 copy of the CRS and stencil sweep, so this is a real
-    // comparison on any CPU with AVX2 (and says so when it is not).
-    use kpm_repro::sparse::{simd, KpmMatrix};
-    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_enabled(true);
-    if simd::active_lanes() == 1 {
-        println!(
-            "simd_toggle_grid: no AVX2 on this CPU — both arms run the baseline \
-             copy, the vector comparison DID NOT RUN"
-        );
-    }
+    // The lane dimension of the determinism contract: every compiled
+    // copy of the sweep (baseline, AVX2, AVX-512) replays the scalar
+    // operation order per lane, so moving the cap at runtime — across
+    // formats and thread counts — must reproduce the baseline CRS
+    // moments bit for bit. The cap selects the copy of the CRS and
+    // stencil sweep, so each arm is a real comparison on any CPU that
+    // executes the body (and says so when it does not).
+    use kpm_repro::sparse::simd::{self, Body};
+    use kpm_repro::sparse::KpmMatrix;
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("simd_toggle_grid");
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    simd::set_enabled(false);
+    simd::set_cap(Body::Baseline);
     let baseline = kpm_moments(&h, sf, &params(1), KpmVariant::AugSpmmv)
         .expect("scalar baseline")
         .into_vec();
-    // The sweep at the panel splits of the benchmark widths (8 = one
-    // panel, 24 = three with mid-site tile edges, 32 = four) and at
-    // width 1 — the chain both copies now compile — through the
-    // blocked and the single-vector fused-dots entry points.
+    // Every cut of a row into layout panels and two-panel passes: 8 =
+    // one panel, 13 = 8 + 4 + 1, 16 = one AVX-512 pass, 17 = a pass and
+    // a column, 24 = a pass and a panel (mid-site tile edges), 40 = two
+    // passes and a panel — and width 1, the chain every copy compiles,
+    // through the blocked and the single-vector fused-dots entry points.
     let wide_params = |r: usize, threads: usize| KpmParams {
         num_moments: 16,
         num_random: r,
         ..params(threads)
     };
-    let wide_baseline = [
-        (1usize, KpmVariant::AugSpmmv),
-        (1, KpmVariant::AugSpmv),
-        (8, KpmVariant::AugSpmmv),
-        (24, KpmVariant::AugSpmmv),
-        (32, KpmVariant::AugSpmmv),
-    ]
-    .map(|(r, variant)| {
-        let m = kpm_moments(&h, sf, &wide_params(r, 1), variant);
-        (r, variant, m.expect("scalar baseline").into_vec())
-    });
+    let blocked = [1usize, 2, 3, 7, 8, 13, 16, 17, 24, 32, 33, 40];
+    let entry_points = blocked
+        .iter()
+        .map(|&r| (r, KpmVariant::AugSpmmv))
+        .chain([(1, KpmVariant::AugSpmv)]);
+    let wide_baseline: Vec<_> = entry_points
+        .map(|(r, variant)| {
+            let m = kpm_moments(&h, sf, &wide_params(r, 1), variant);
+            (r, variant, m.expect("scalar baseline").into_vec())
+        })
+        .collect();
 
     let handles: Vec<(&str, KpmMatrix)> = vec![
         ("crs", KpmMatrix::crs(h.clone())),
         ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
     ];
-    for simd_on in [false, true] {
-        simd::set_enabled(simd_on);
+    for body in bodies {
+        simd::set_cap(body);
+        assert_eq!(simd::wide().body(), body, "the cap picks the body");
         for (name, m) in &handles {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2] {
                 let got = kpm_moments(m, sf, &params(threads), KpmVariant::AugSpmmv)
                     .expect("solver run")
                     .into_vec();
                 assert_eq!(
                     baseline, got,
-                    "{name} differs with simd={simd_on} threads={threads}"
+                    "{name} differs on the {body:?} body, threads={threads}"
                 );
                 for (r, variant, want) in &wide_baseline {
                     let got = kpm_moments(m, sf, &wide_params(*r, threads), *variant)
@@ -204,56 +216,107 @@ fn simd_toggle_grid_is_bitwise_identical() {
                         .into_vec();
                     assert_eq!(
                         want, &got,
-                        "{name} {variant:?} differs at R={r} with simd={simd_on} threads={threads}"
+                        "{name} {variant:?} differs at R={r} on the {body:?} body, threads={threads}"
                     );
                 }
             }
         }
     }
-    simd::set_enabled(true);
+    simd::set_cap(Body::Avx512);
 }
 
 #[test]
 fn simd_checkpoint_restart_is_bitwise_identical() {
-    // Crash with the SIMD bodies enabled, resume with them disabled:
-    // the checkpointed (v, w, η) state is bitwise, so a restart under a
-    // different lane configuration must still reproduce the scalar
-    // uninterrupted run exactly.
+    // Crash under one sweep body, resume under another — every ordered
+    // pair of the bodies this CPU executes: the checkpointed (v, w, η)
+    // state is bitwise and its records are row-major whatever the
+    // block's layout, so a restart under a different lane configuration
+    // must still reproduce the baseline uninterrupted run exactly.
     use kpm_repro::core::checkpoint::MemoryCheckpointStore;
     use kpm_repro::core::solver::{kpm_moments_checkpointed, SolverCheckpointing};
     use kpm_repro::num::KpmError;
-    use kpm_repro::sparse::simd;
+    use kpm_repro::sparse::simd::{self, Body};
 
-    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("simd_checkpoint_restart");
     let h = TopoHamiltonian::clean(4, 4, 2).assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    simd::set_enabled(false);
+    // 13 columns: an 8-, a 4- and a 1-column panel in every record.
+    let params = |threads| KpmParams {
+        num_random: 13,
+        ..params(threads)
+    };
+    simd::set_cap(Body::Baseline);
     let reference = kpm_moments(&h, sf, &params(1), KpmVariant::AugSpmmv)
         .expect("reference run")
         .into_vec();
 
-    simd::set_enabled(true);
-    let store = MemoryCheckpointStore::new();
-    let ckpt = SolverCheckpointing {
-        store: &store,
-        interval: 5,
-        crash_at: Some(12),
-    };
-    let err = kpm_moments_checkpointed(&h, sf, &params(2), &ckpt).expect_err("injected crash");
-    assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
+    for &crashed in &bodies {
+        for &resumed in &bodies {
+            simd::set_cap(crashed);
+            let store = MemoryCheckpointStore::new();
+            let ckpt = SolverCheckpointing {
+                store: &store,
+                interval: 5,
+                crash_at: Some(12), // ignored on resume
+            };
+            let err = kpm_moments_checkpointed(&h, sf, &params(2), &ckpt);
+            let err = err.expect_err("injected crash");
+            assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
 
-    simd::set_enabled(false);
-    let resumed = SolverCheckpointing {
-        store: &store,
-        interval: 5,
-        crash_at: Some(12), // ignored on resume
-    };
-    let got = kpm_moments_checkpointed(&h, sf, &params(2), &resumed)
-        .expect("resumed run")
-        .into_vec();
-    simd::set_enabled(true);
-    assert_eq!(
-        reference, got,
-        "simd-crash / scalar-resume diverged from the scalar run"
-    );
+            simd::set_cap(resumed);
+            let got = kpm_moments_checkpointed(&h, sf, &params(2), &ckpt)
+                .expect("resumed run")
+                .into_vec();
+            assert_eq!(
+                reference, got,
+                "{crashed:?}-crash / {resumed:?}-resume diverged from the baseline run"
+            );
+        }
+    }
+    simd::set_cap(Body::Avx512);
+}
+
+#[test]
+fn checkpoint_records_stay_row_major() {
+    // The `v`/`w` records are documented as interleaved: entry (i, j)
+    // at `i * R + j`. With split-panel blocks every round trip stays
+    // green whichever order the record is in, so pin the order itself.
+    use kpm_repro::core::checkpoint::{CheckpointStore, MemoryCheckpointStore};
+    use kpm_repro::core::solver::starting_block;
+    use kpm_repro::core::solver::{kpm_moments_checkpointed, SolverCheckpointing};
+    use kpm_repro::sparse::SparseKernels;
+
+    let h = TopoHamiltonian::clean(4, 4, 2).assemble();
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let n = h.nrows();
+    for r in [3usize, 8, 13] {
+        let p = KpmParams {
+            num_random: r,
+            ..params(1)
+        };
+        let store = MemoryCheckpointStore::new();
+        let ckpt = SolverCheckpointing {
+            store: &store,
+            interval: 1,
+            crash_at: Some(2),
+        };
+        kpm_moments_checkpointed(&h, sf, &p, &ckpt).expect_err("injected crash");
+        // The state after one sweep, rebuilt through the accessors.
+        let v0 = starting_block(n, &p);
+        let mut v1 = kpm_repro::num::BlockVector::zeros(n, r);
+        h.spmmv(&v0, &mut v1);
+        kpm_repro::num::block::shift_scale_dots(sf.a, sf.b, &v0, &mut v1);
+        let (v, mut w) = (v1, v0);
+        h.aug_spmmv(sf.a, sf.b, &v, &mut w);
+        let rck = store
+            .load_rank(1, 0)
+            .expect("load")
+            .expect("saved at sweep 1");
+        assert_eq!((rck.width, rck.v.len(), rck.w.len()), (r, n * r, n * r));
+        for (i, j) in (0..n).flat_map(|i| (0..r).map(move |j| (i, j))) {
+            assert_eq!(rck.v[i * r + j], v.get(i, j), "v({i}, {j}) at R = {r}");
+            assert_eq!(rck.w[i * r + j], w.get(i, j), "w({i}, {j}) at R = {r}");
+        }
+    }
 }

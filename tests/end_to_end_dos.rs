@@ -319,8 +319,8 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
 /// first two from the commit before the set-up rewrite, the 8×8×6 pair
 /// from the one before the kernel collapse), so this is a check against
 /// *old* outputs, not of the code against itself — byte for byte at one
-/// and two threads, streaming the CRS or matrix-free, with the AVX2 or
-/// the baseline sweep body. The second lattice has a periodic extent-2
+/// and two threads, streaming the CRS or matrix-free, with the widest
+/// sweep body the CPU executes (AVX-512, else AVX2) or the baseline one. The second lattice has a periodic extent-2
 /// axis (coincident partners: rows are regenerated and merged); the
 /// 8×8×6 one has 1,536 rows — two width-1 chunks, three 512-row tiles —
 /// at R = 1 (the width-1 path) and R = 5 (panels 4 + 1).

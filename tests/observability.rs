@@ -198,18 +198,18 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
                 none()
             }),
             ("spmv", Some(Spmv), false, &|m, w| {
-                m.spmv(v.as_slice(), w.as_mut_slice());
+                m.spmv(v.panel_slots(), w.panel_slots_mut());
                 none()
             }),
             ("spmv_par", Some(Spmv), true, &|m, w| {
-                m.spmv_par(v.as_slice(), w.as_mut_slice());
+                m.spmv_par(v.panel_slots(), w.panel_slots_mut());
                 none()
             }),
             ("aug_spmv", Some(AugSpmv), false, &|m, w| {
-                single(m.aug_spmv(a, b, v.as_slice(), w.as_mut_slice()))
+                single(m.aug_spmv(a, b, v.panel_slots(), w.panel_slots_mut()))
             }),
             ("aug_spmv_par", Some(AugSpmv), true, &|m, w| {
-                single(m.aug_spmv_par(a, b, v.as_slice(), w.as_mut_slice()))
+                single(m.aug_spmv_par(a, b, v.panel_slots(), w.panel_slots_mut()))
             }),
         ];
         let blocked = if r == 1 { 12 } else { 8 };
@@ -227,7 +227,7 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
                     };
                     obs::set_enabled(false);
                     let what = format!("{name} on {operator}, R = {r}");
-                    let got: Out = (w.as_slice().to_vec(), even, odd);
+                    let got: Out = (w.to_interleaved(), even, odd);
                     assert!(
                         *first.get_or_insert_with(|| got.clone()) == got,
                         "{what}: bits differ"

@@ -202,9 +202,10 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 /// `(η_even, η_odd)` per block column.
 type Dots = (Vec<f64>, Vec<Complex64>);
 
-/// Block widths of the CRS panel grid: every 8/4/2/1 panel split up
-/// to one past the paper's 32.
-const CRS_WIDTHS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 24, 32, 33];
+/// Block widths of the CRS panel grid: every 8/4/2/1 layout panel on
+/// its own and behind 8-column panels, and one, two and two-and-a-half
+/// of the AVX-512 copy's 16-column passes with and without a tail.
+const CRS_WIDTHS: [usize; 12] = [1, 2, 3, 7, 8, 13, 16, 17, 24, 32, 33, 40];
 
 /// A Hermitian matrix with empty rows (every seventh), single-entry
 /// rows (the next) and random off-diagonal pairs among the rest.
@@ -297,26 +298,25 @@ fn reference_sweep(
 /// lattice has two 1024-row chunks); plain, augmented,
 /// no-dot and rectangular kernels; serial and on 1-, 2-, 4- and
 /// 8-thread pools at three cache budgets; on ragged random and lattice
-/// matrices; and under both positions of the runtime switch, i.e. on
-/// the baseline and the AVX2 copy of the body.
+/// matrices; and under every position of the runtime cap, i.e. on the
+/// baseline, the AVX2 and the AVX-512 copy of the body.
 #[test]
-fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
+fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
     use kpm_repro::sparse::tile::tile_rows_for_budget;
     use kpm_repro::sparse::{aug::AugDotsBlock, simd};
     use rand::SeedableRng;
 
-    // The only test of this file that flips the process-wide switch
-    // (the others run whichever copy is selected when they call).
-    simd::set_enabled(true);
-    let bodies: &[bool] = if simd::wide().is_some() {
-        &[true, false]
-    } else {
+    // The only test of this file that moves the process-wide cap (the
+    // others run whichever copy is selected when they call).
+    let (bodies, missing): (Vec<simd::Body>, Vec<simd::Body>) =
+        simd::Body::ALL.iter().partition(|b| b.supported());
+    for body in missing {
         println!(
-            "crs_panel_sweep: this CPU reports no AVX2 — the baseline-vs-AVX2 \
-             comparison DID NOT RUN (baseline body checked against the reference only)"
+            "crs_panel_sweep: this CPU does not execute the {} body — its comparison \
+             with the reference DOES NOT RUN",
+            body.name()
         );
-        &[false]
-    };
+    }
     let pools: Vec<rayon::ThreadPool> = [1usize, 2, 4, 8]
         .iter()
         .map(|&t| {
@@ -357,18 +357,26 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
             let serial_aug = expect(h, Some((a, b)), n);
             let rect_plain = expect(&top, None, n);
             let rect_aug = expect(&top, Some((a, b)), n);
-            for &on in bodies {
-                simd::set_enabled(on);
+            for &body in &bodies {
+                simd::set_cap(body);
+                assert_eq!(simd::wide().body(), body, "the cap picks the body");
                 let check = |what: &str, want: &(BlockVector, _), got: (BlockVector, _)| {
                     assert!(
                         want.0 == got.0 && want.1 == got.1,
-                        "{name}: {what} differs from the mul_add chain (r = {r}, simd = {on})"
+                        "{name}: {what} differs from the mul_add chain (r = {r}, {body:?} body)"
                     );
                 };
                 let run = |f: &dyn Fn(&mut BlockVector) -> Dots| {
                     let mut w = w0.clone();
                     let d = f(&mut w);
                     (w, d)
+                };
+                // The single-vector kernels on the one column of a
+                // width-1 block.
+                let run_vector = |f: &dyn Fn(&[Complex64], &mut [Complex64]) -> Dots| {
+                    let mut w = w0.column(0).into_vec();
+                    let d = f(v.column(0).as_slice(), &mut w);
+                    (BlockVector::from_columns(&[Vector::from_vec(w)]), d)
                 };
                 check(
                     "spmmv",
@@ -383,23 +391,21 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
                     &serial_aug,
                     run(&|w| dots(h.aug_spmmv(a, b, &v, w))),
                 );
-                // A width-1 block is a plain vector: the single-vector
-                // kernels, handed the same storage.
                 let single =
                     |d: kpm_repro::sparse::aug::AugDots| (vec![d.eta_even], vec![d.eta_odd]);
                 if r == 1 {
                     check(
                         "spmv",
                         &serial_plain,
-                        run(&|w| {
-                            h.spmv(v.as_slice(), w.as_mut_slice());
+                        run_vector(&|v, w| {
+                            h.spmv(v, w);
                             none.clone()
                         }),
                     );
                     check(
                         "aug_spmv",
                         &serial_aug,
-                        run(&|w| single(h.aug_spmv(a, b, v.as_slice(), w.as_mut_slice()))),
+                        run_vector(&|v, w| single(h.aug_spmv(a, b, v, w))),
                     );
                 }
                 let nodot = (serial_aug.0.clone(), none.clone());
@@ -457,17 +463,15 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
                                 check(
                                     "spmv_par",
                                     &serial_plain,
-                                    run(&|w| {
-                                        m.spmv_par(v.as_slice(), w.as_mut_slice());
+                                    run_vector(&|v, w| {
+                                        m.spmv_par(v, w);
                                         none.clone()
                                     }),
                                 );
                                 check(
                                     "aug_spmv_par",
                                     &par_aug,
-                                    run(&|w| {
-                                        single(m.aug_spmv_par(a, b, v.as_slice(), w.as_mut_slice()))
-                                    }),
+                                    run_vector(&|v, w| single(m.aug_spmv_par(a, b, v, w))),
                                 );
                             }
                         });
@@ -476,7 +480,7 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_both_bodies() {
             }
         }
     }
-    simd::set_enabled(true);
+    simd::set_cap(simd::Body::Avx512);
 }
 
 fn cvec(n: usize, seed: u64) -> Vec<Complex64> {
