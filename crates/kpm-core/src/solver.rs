@@ -548,6 +548,15 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
 /// how many workers execute the groups.
 const BATCH_GROUP_COLS: usize = 8;
 
+/// Lanes a batch of `columns` is swept on: groups of
+/// [`BATCH_GROUP_COLS`], the last zero-filled to the next power of two —
+/// one 8/4/2/1 panel. A sweep's price follows the panels in the cut, not
+/// the columns (six as 4 + 2 cost 1.9× what eight cost as one).
+pub fn batch_lanes(columns: usize) -> usize {
+    let tail = columns % BATCH_GROUP_COLS;
+    columns - tail + tail.next_power_of_two() * usize::from(tail > 0)
+}
+
 /// Deadline-aware batched KPM runs over arbitrary starting vectors —
 /// the service front-end's solve primitive.
 ///
@@ -608,8 +617,9 @@ pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
 
 /// One column group of a batched solve: the serial stage-2 recurrence
 /// over up to [`BATCH_GROUP_COLS`] columns (callers never pass an empty
-/// group), the deadline tested before every sweep. Serial by design —
-/// see [`kpm_batch_moments`] for the bitwise argument.
+/// group) on [`batch_lanes`] lanes, the deadline tested before every
+/// sweep. Serial by design — see [`kpm_batch_moments`] for the bitwise
+/// argument; a pad lane's partials are exactly 0 and trip no guardrail.
 fn batch_group_serial<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
@@ -617,9 +627,9 @@ fn batch_group_serial<M: SparseKernels + ?Sized>(
     num_moments: usize,
     deadline: Option<std::time::Instant>,
 ) -> Result<Vec<MomentSet>, KpmError> {
-    let r = starts.len();
+    let (r, lanes) = (starts.len(), batch_lanes(starts.len()));
     let iters = num_moments / 2 - 1;
-    let start = BlockVector::from_columns(starts);
+    let start = BlockVector::from_columns_padded(starts, lanes);
     let mut state = init_block(h, sf, start, iters, false);
     blocked_sweeps(h, sf, false, &mut state, 0..iters, |m, _| match deadline {
         Some(d) if std::time::Instant::now() >= d => {
@@ -628,7 +638,7 @@ fn batch_group_serial<M: SparseKernels + ?Sized>(
         _ => Ok(()),
     })?;
     Ok((0..r)
-        .map(|j| column_from_flat_eta(&state.eta, r, iters, j))
+        .map(|j| column_from_flat_eta(&state.eta, lanes, iters, j))
         .collect())
 }
 

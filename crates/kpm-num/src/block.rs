@@ -132,6 +132,8 @@ pub fn store_panel<const W: usize>(re: &[f64; W], im: &[f64; W], slots: &mut [Co
 pub struct BlockVector {
     rows: usize,
     width: usize,
+    /// Leading columns that carry data ([`BlockVector::live_columns`]).
+    live: usize,
     /// 64-byte-aligned split-panel storage (the paper's AVX kernels
     /// require aligned block-vector loads).
     data: AlignedVec,
@@ -144,23 +146,33 @@ impl BlockVector {
         Self {
             rows,
             width,
+            live: width,
             data: AlignedVec::zeroed(rows * width),
         }
     }
 
     /// Builds a block from `width` equal-length column vectors.
     pub fn from_columns(columns: &[Vector]) -> Self {
+        Self::from_columns_padded(columns, columns.len())
+    }
+
+    /// [`BlockVector::from_columns`] at block width `width >=
+    /// columns.len()`, the lanes behind the columns zero: fills a
+    /// register panel (3 columns as 2 + 1 sweep slower than 4 as one).
+    /// A zero column stays zero under every kernel, its dots exactly 0.
+    pub fn from_columns_padded(columns: &[Vector], width: usize) -> Self {
         assert!(!columns.is_empty(), "need at least one column");
+        assert!(columns.len() <= width, "more columns than block width");
         let rows = columns[0].len();
         assert!(
             columns.iter().all(|c| c.len() == rows),
             "all columns must have equal length"
         );
-        let width = columns.len();
         let lanes = row_lanes(width);
         // Row by row, so the block is written once, front to back (a
         // column at a time would stride through all of it `width` times).
         let mut b = Self::zeros(rows, width);
+        b.live = columns.len();
         for (i, row) in b.data.chunks_exact_mut(width).enumerate() {
             for (col, &at) in columns.iter().zip(&lanes) {
                 set_entry_at(row, at, col.as_slice()[i]);
@@ -190,6 +202,13 @@ impl BlockVector {
     /// Block width `R`.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// `width()` minus the zero lanes of
+    /// [`BlockVector::from_columns_padded`], kept through `swap`:
+    /// kernels sweep every lane, the kpm-obs probes count these.
+    pub fn live_columns(&self) -> usize {
+        self.live
     }
 
     /// Entry `(i, j)`.
@@ -438,6 +457,31 @@ mod tests {
         assert_eq!(b.width(), 4);
         let back = b.to_columns();
         assert_eq!(cols, back);
+    }
+
+    #[test]
+    fn padded_blocks_keep_their_columns_first_and_the_rest_zero() {
+        let mut rg = rng();
+        let cols: Vec<Vector> = (0..40).map(|_| Vector::random(5, &mut rg)).collect();
+        for width in 1..=40 {
+            let exact = BlockVector::from_columns(&cols[..width]);
+            assert_eq!(
+                exact,
+                BlockVector::from_columns_padded(&cols[..width], width)
+            );
+            assert_eq!(exact.live_columns(), width);
+            for k in [1, width / 2, width - 1] {
+                if k == 0 {
+                    continue;
+                }
+                let b = BlockVector::from_columns_padded(&cols[..k], width);
+                assert_eq!((b.width(), b.live_columns()), (width, k));
+                for j in 0..width {
+                    let want = cols[..k].get(j).cloned().unwrap_or(Vector::zeros(5));
+                    assert_eq!(b.column(j), want, "width {width}, {k} columns, lane {j}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! over a *block* of vectors instead of once per vector — becomes, at
 //! the service level, a batching opportunity: concurrent DOS/LDOS/Green
 //! queries against the same Hamiltonian coalesce into one block solve
-//! of autotuned width `R`. Around that hot path this crate layers the
+//! of up to `max_batch_width` columns, sealed when a worker can start
+//! it. Around that hot path this crate layers the
 //! robustness machinery a long-running service needs: a bounded
-//! admission queue with explicit backpressure, per-request deadlines,
+//! admission queue with explicit backpressure (the only buffer in the
+//! runtime), per-request deadlines,
 //! retry with jittered exponential backoff, a per-route circuit
 //! breaker, hedged re-dispatch of stragglers, and graceful degradation
 //! through a moment cache (truncated-`M` answers carry an explicit

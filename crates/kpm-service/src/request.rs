@@ -351,8 +351,8 @@ pub struct ReplyStats {
     pub hedged: bool,
     /// True if the answer came from the moment cache.
     pub cache_hit: bool,
-    /// Column width of the carrying batch (1 for cache/immediate
-    /// replies).
+    /// Requested columns of the carrying batch (0 for cache/immediate
+    /// replies); the zero lanes the solver pads with are not counted.
     pub batch_width: usize,
 }
 
@@ -360,15 +360,15 @@ pub struct ReplyStats {
 ///
 /// The four stages partition the admission-to-reply interval with no
 /// gaps or overlap: *queue* (admission until the batcher seals the
-/// request into a batch or answers it inline), *batch* (sealed batch
-/// waiting for a worker, including retry backoffs), *solve* (the final
+/// request into a batch — which waits for a free worker — or answers
+/// it inline), *batch* (hand-off, retry backoffs), *solve* (the final
 /// solve attempt), *reply* (reconstruction and delivery). Stages a
 /// request never reached are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Admission → batch formation (or inline answer).
     pub queue_us: f64,
-    /// Batch formation → solve start (worker wait, backoff, chaos
+    /// Batch formation → solve start (hand-off, backoff, chaos
     /// delays).
     pub batch_us: f64,
     /// The final solve attempt.

@@ -1,12 +1,15 @@
 //! The service runtime: admission → batch → solve → reply.
 //!
-//! One batcher thread pops admitted requests, coalesces same-matrix
-//! queries into block-vector batches of autotuned width `R` (the
+//! Requests wait in the bounded admission queue — the only buffer, so
+//! its bound sees the whole backlog — until a worker can start them:
+//! the batcher seals a batch only while fewer than `workers` are
+//! unfinished, then pops the oldest request and coalesces the
+//! same-matrix ones behind it up to `max_batch_width` columns (the
 //! paper's stage-2 knob: one matrix stream amortized over many
-//! columns), and dispatches them to a small worker pool. Workers solve
-//! with [`kpm_core::solver::kpm_batch_moments`], whose per-column
-//! arithmetic is bitwise that of the serial solver for *any* batch
-//! composition and thread count — batching changes speed, never
+//! columns). Workers solve with
+//! [`kpm_core::solver::kpm_batch_moments`], whose per-column arithmetic
+//! is bitwise that of the serial solver for *any* batch composition
+//! and thread count — batching changes speed, never
 //! results.
 //!
 //! Robustness machinery around that hot path: per-request deadlines
@@ -20,13 +23,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use kpm_core::dos::reconstruct;
 use kpm_core::green::reconstruct_green;
 use kpm_core::moments::MomentSet;
-use kpm_core::solver::{kpm_batch_moments, starting_vectors, KpmParams};
+use kpm_core::solver::{batch_lanes, kpm_batch_moments, starting_vectors, KpmParams};
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_obs::span::{micros_since_epoch, mint_trace, record_manual, span};
 use kpm_obs::{hist as obs_hist, metrics, recorder, slo};
@@ -110,8 +113,9 @@ pub struct ServiceConfig {
     pub backoff_base: Duration,
     /// Backoff growth cap.
     pub backoff_max: Duration,
-    /// Re-dispatch a batch still unanswered after this long (`None`
-    /// disables hedging).
+    /// Re-dispatch a batch still unanswered this long after its solve
+    /// could start: a batch is sealed only when a worker is free, so
+    /// it never ages behind another (`None` disables hedging).
     pub hedge_after: Option<Duration>,
     /// Queue-depth fraction beyond which answers degrade (reduced `M`
     /// or cache) instead of queueing full-quality work.
@@ -260,11 +264,33 @@ struct ServiceInner {
     admissions: AtomicU64,
     /// EWMA of batch solve time, feeding `retry_after` hints.
     ewma_solve_ns: AtomicU64,
+    /// Batches handed to the workers and not finished; the batcher
+    /// seals one only while this is below `workers`.
+    dispatched: Mutex<usize>,
+    /// Rung by the worker that finishes a batch.
+    worker_freed: Condvar,
 }
 
 impl ServiceInner {
     fn state(&self) -> u8 {
         self.state.load(Ordering::Acquire)
+    }
+
+    /// Waits up to `tick` for a worker without a batch; true if one is.
+    fn worker_is_free(&self, tick: Duration) -> bool {
+        let workers = self.config.workers.max(1);
+        let busy = self.dispatched.lock().unwrap_or_else(|e| e.into_inner());
+        let waited = (self.worker_freed).wait_timeout_while(busy, tick, |busy| *busy >= workers);
+        *waited.unwrap_or_else(|e| e.into_inner()).0 < workers
+    }
+
+    /// Gives back a batch's place among the dispatched: once per batch,
+    /// by whoever set its `done` flag, after its members have replies.
+    fn batch_finished(&self) {
+        let mut busy = self.dispatched.lock().unwrap_or_else(|e| e.into_inner());
+        *busy = busy.saturating_sub(1);
+        drop(busy);
+        self.worker_freed.notify_one();
     }
 
     /// Client-side backoff hint: the work already queued divided by the
@@ -524,6 +550,8 @@ impl Service {
             next_batch: AtomicU64::new(1),
             admissions: AtomicU64::new(0),
             ewma_solve_ns: AtomicU64::new(1_000_000),
+            dispatched: Mutex::new(0),
+            worker_freed: Condvar::new(),
             matrices: Mutex::new(HashMap::new()),
             config,
         });
@@ -831,7 +859,14 @@ fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>)
     let tick = Duration::from_millis(2);
     let mut inflight: Vec<(Arc<BatchJob>, Instant)> = Vec::new();
     loop {
-        match inner.queue.pop_wait(tick) {
+        // Late binding: while every worker has a batch, what is queued
+        // stays where later requests can join it (shutdown does not wait).
+        let popped = if inner.state() == RUNNING && !inner.worker_is_free(tick) {
+            PopOutcome::TimedOut
+        } else {
+            inner.queue.pop_wait(tick)
+        };
+        match popped {
             PopOutcome::Popped(first) => {
                 if inner.state() == ABORT {
                     fail_shutdown(inner, first);
@@ -858,6 +893,7 @@ fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>)
                     group.extend(mates);
                     if let Some(job) = form_batch(inner, group) {
                         let job = Arc::new(job);
+                        *inner.dispatched.lock().unwrap_or_else(|e| e.into_inner()) += 1;
                         inflight.push((Arc::clone(&job), Instant::now()));
                         if job_tx.send(job).is_err() {
                             // Worker pool is gone (tear-down race):
@@ -876,6 +912,7 @@ fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>)
                                     );
                                 }
                                 job.done.store(true, Ordering::Release);
+                                inner.batch_finished();
                             }
                         }
                     }
@@ -1127,6 +1164,7 @@ fn process_batch(
                         member_marks(m, 0.0, 0.0),
                     );
                 }
+                inner.batch_finished();
             }
             return;
         }
@@ -1145,6 +1183,7 @@ fn process_batch(
                     member_marks(m, 0.0, 0.0),
                 );
             }
+            inner.batch_finished();
         }
         return;
     }
@@ -1169,6 +1208,7 @@ fn process_batch(
         .arg("rows", job.entry.matrix.nrows())
         .arg("nnz", job.entry.matrix.nnz())
         .arg("width", job.columns.len())
+        .arg("lanes", batch_lanes(job.columns.len()))
         .arg("moments", job.m_max);
     let solve_start_us = stage_now();
     let t0 = Instant::now();
@@ -1266,6 +1306,7 @@ fn process_batch(
             }
         }
     }
+    inner.batch_finished();
 }
 
 fn member_stats(m: &BatchMember, job: &BatchJob, solve: Duration) -> ReplyStats {

@@ -160,19 +160,21 @@ pub trait SparseKernels: Sync {
 }
 
 /// A vector argument as the sweep sees it — `(panel slots, rows,
-/// width)`, a plain vector being a block of width 1.
-type Block<'a> = (&'a [Complex64], usize, usize);
+/// width)`, a plain vector being a block of width 1 — and, of the block
+/// that is read, the columns the probe counts
+/// ([`BlockVector::live_columns`]).
+type Block<'a> = (&'a [Complex64], usize, usize, usize);
 type BlockMut<'a> = (&'a mut [Complex64], usize, usize);
 
 fn vector(v: &[Complex64]) -> Block<'_> {
-    (v, v.len(), 1)
+    (v, v.len(), 1, 1)
 }
 fn vector_mut(v: &mut [Complex64]) -> BlockMut<'_> {
     let rows = v.len();
     (v, rows, 1)
 }
 fn block(v: &BlockVector) -> Block<'_> {
-    (v.panel_slots(), v.rows(), v.width())
+    (v.panel_slots(), v.rows(), v.width(), v.live_columns())
 }
 fn block_mut(v: &mut BlockVector) -> BlockMut<'_> {
     let (rows, width) = (v.rows(), v.width());
@@ -217,7 +219,7 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
     kind: Option<KernelKind>,
     op: SweepOp,
     schedule: Schedule,
-    (x, x_rows, r): Block,
+    (x, x_rows, r, live): Block,
     (w, _, w_width): BlockMut,
 ) -> AugDotsBlock {
     assert_eq!(x_rows, m.ncols(), "x dimension mismatch");
@@ -228,17 +230,18 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         FormatSpec::Stencil => ProbeFormat::Stencil,
     };
     // Table I's counts of this sweep: flops on the logical non-zeros,
-    // bytes on the elements actually streamed.
+    // bytes on the elements actually streamed, both for the columns
+    // that carry data — a pad lane is swept, not asked for.
     let counts = || {
         let sweep = if op == Plain {
             Sweep::Plain
         } else {
             Sweep::Aug
         };
-        let bytes = sweep.min_bytes(nrows, m.stored_elements(), r);
-        (sweep.flops(nrows, nnz, r) as u64, bytes as u64)
+        let bytes = sweep.min_bytes(nrows, m.stored_elements(), live);
+        (sweep.flops(nrows, nnz, live) as u64, bytes as u64)
     };
-    let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, r, counts));
+    let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, live, counts));
     m.sweep(op, schedule, x, r, &mut w[..nrows * r])
 }
 

@@ -254,11 +254,20 @@ hostile serve --nx 4 --ny 4 --nz 2 --workers 100000
 hostile KPM_THREADS=100000 dos $lattice
 hostile KPM_THREADS=lots dos $lattice
 
-step "service: chaos ledger (500 randomized schedules)"
+step "service: chaos ledger (500 randomized schedules), late-binding batches"
 # Exactly-once replies, bitwise batched moments, and a consistent
 # admitted==replied ledger under crashes, slow solves, lock poisoning,
 # deadline storms, and both shutdown modes.
 cargo test -q --test service_chaos
+# Late binding, by name and out loud: sustained overload is shed at the
+# admission queue (admitted / rejected / most unanswered at once), and
+# requests that arrive during a solve share the next batch; the closed
+# loop behind the second prints requests, batches, columns per solved
+# batch and lanes filled (2.9 columns per batch when batches were sealed
+# on arrival, 4.1 sealed when a worker is free, on `svc_mixed`).
+cargo test -q --test service -- --nocapture \
+    sustained_overload_is_shed_at_the_admission_queue \
+    requests_that_arrive_during_a_solve_share_the_next_batch
 
 step "smoke: kpm serve (batched mixed queries + typed backpressure)"
 # A mixed DOS/LDOS batch must coalesce and answer, a zero-deadline

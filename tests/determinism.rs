@@ -320,3 +320,91 @@ fn checkpoint_records_stay_row_major() {
         }
     }
 }
+
+#[test]
+fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
+    // `kpm_batch_moments` sweeps a group of 3 on 4 lanes and one of 5,
+    // 6 or 7 on 8, the extra lanes zero. Columns never mix, so column j
+    // must stay bitwise its own `moments_from_start` run at every width
+    // through one, two and three groups — in both formats, serial and
+    // parallel, under every sweep body this CPU executes — and a zero
+    // lane must never trip a guardrail while a diverging column still
+    // does.
+    use kpm_repro::core::solver::{
+        batch_lanes, kpm_batch_moments, moments_from_start, starting_vectors,
+    };
+    use kpm_repro::num::{KpmError, Vector};
+    use kpm_repro::sparse::simd::{self, Body};
+    use kpm_repro::sparse::KpmMatrix;
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("batched_solves_on_padded_panels");
+    let ham = TopoHamiltonian::clean(3, 3, 4);
+    let h = ham.assemble();
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let m = 16;
+    let starts = starting_vectors(
+        h.nrows(),
+        &KpmParams {
+            num_random: 17,
+            ..params(1)
+        },
+    );
+    let lanes: Vec<usize> = (1..=17).map(batch_lanes).collect();
+    assert_eq!(
+        lanes,
+        [1, 2, 4, 4, 8, 8, 8, 8, 9, 10, 12, 12, 16, 16, 16, 16, 17]
+    );
+    simd::set_cap(Body::Baseline);
+    let want: Vec<Vec<f64>> = starts
+        .iter()
+        .map(|v| moments_from_start(&h, sf, v, m, false).expect("serial chain"))
+        .map(|set| set.into_vec())
+        .collect();
+    let handles: Vec<(&str, KpmMatrix)> = vec![
+        ("crs", KpmMatrix::crs(h.clone())),
+        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    ];
+    let undersized = ScaleFactors::from_bounds(-0.5, 0.5, 0.0);
+    let mut with_a_zero_column = starts[..2].to_vec();
+    with_a_zero_column.push(Vector::zeros(h.nrows()));
+    for body in bodies {
+        simd::set_cap(body);
+        for (name, matrix) in &handles {
+            for parallel in [false, true] {
+                let at = format!("{name}, {body:?} body, parallel = {parallel}");
+                for width in 1..=17 {
+                    let got = kpm_batch_moments(matrix, sf, &starts[..width], m, parallel, None)
+                        .unwrap_or_else(|e| panic!("width {width}, {at}: {e}"));
+                    assert_eq!(got.len(), width, "pad lanes are not columns ({at})");
+                    for (j, set) in got.iter().enumerate() {
+                        assert_eq!(set.as_slice(), want[j], "width {width} column {j}, {at}");
+                    }
+                }
+                // An all-zero lane — a pad lane, or a column that is
+                // one — passes every guardrail with moments of 0.
+                let got = kpm_batch_moments(matrix, sf, &with_a_zero_column, m, parallel, None)
+                    .unwrap_or_else(|e| panic!("zero column, {at}: {e}"));
+                assert!(got[2].as_slice().iter().all(|&mu| mu == 0.0), "{at}");
+                assert_eq!(got[1].as_slice(), want[1], "{at}");
+                // A real column that diverges fails the batch, padded
+                // (3 on 4, 5 on 8) or not (8).
+                for width in [3, 5, 8] {
+                    let err = kpm_batch_moments(
+                        matrix,
+                        undersized,
+                        &starts[..width],
+                        128,
+                        parallel,
+                        None,
+                    )
+                    .expect_err("the recurrence diverges");
+                    assert!(
+                        matches!(err, KpmError::SpectralBoundsViolated { .. }),
+                        "width {width}, {at}: {err:?}"
+                    );
+                }
+            }
+        }
+    }
+    simd::set_cap(Body::Avx512);
+}

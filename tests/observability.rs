@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use kpm_repro::core::checkpoint::MemoryCheckpointStore;
-use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
+use kpm_repro::core::solver::{
+    batch_lanes, kpm_batch_moments, kpm_moments, starting_vectors, KpmParams, KpmVariant,
+};
 use kpm_repro::hetsim::dist::{distributed_kpm_resilient, ResilienceConfig, RestartStrategy};
 use kpm_repro::hetsim::{FaultPlan, World, WorldConfig};
 use kpm_repro::num::accounting::Sweep;
@@ -116,6 +118,27 @@ fn solver_run_records_spans_and_probes() {
     assert_eq!(
         aug.min_bytes,
         aug.calls * Sweep::Aug.min_bytes(n, nnz, r) as u64
+    );
+
+    // A batched solve sweeps three columns on four lanes, the fourth
+    // zero (one register panel instead of two): the probe counts the
+    // columns that were asked for, not the lanes.
+    obs::reset();
+    obs::set_enabled(true);
+    let starts = starting_vectors(n, &params(16, 3));
+    kpm_batch_moments(&h, sf, &starts, 16, false, None).unwrap();
+    obs::set_enabled(false);
+    assert_eq!(batch_lanes(3), 4);
+    let snap = obs::probe::snapshot();
+    let aug = snap
+        .iter()
+        .find(|rep| rep.kind == KernelKind::AugSpmmv)
+        .expect("aug_spmmv probe recorded");
+    assert_eq!((aug.calls as usize, aug.width), (p.iterations(), 3));
+    assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, 3) as u64);
+    assert_eq!(
+        aug.min_bytes,
+        aug.calls * Sweep::Aug.min_bytes(n, nnz, 3) as u64
     );
 }
 

@@ -13,7 +13,7 @@ use std::time::Duration;
 use kpm_repro::core::kernels::Kernel;
 use kpm_repro::core::ldos::site_moments;
 use kpm_repro::core::moments::MomentSet;
-use kpm_repro::core::solver::{moments_from_start, starting_vectors, KpmParams};
+use kpm_repro::core::solver::{batch_lanes, moments_from_start, starting_vectors, KpmParams};
 use kpm_repro::service::{
     Admission, Answer, ChaosPlan, Outcome, QueryKind, RejectReason, Request, Response, Service,
     ServiceConfig, ShutdownMode, Ticket,
@@ -372,6 +372,271 @@ fn queue_full_backpressure_is_explicit_and_lossless() {
     assert_eq!(ledger.admitted, admitted);
     assert_eq!(ledger.rejected, rejections);
     assert!(ledger.consistent());
+}
+
+/// Runs `test` on a thread of its own and fails, instead of hanging,
+/// when it has not finished after a minute (the pool tests' pattern): a
+/// hand-off that loses a wake-up never finishes.
+fn watchdog(test: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        test();
+        let _ = done_tx.send(());
+    });
+    if done_rx.recv_timeout(Duration::from_secs(60))
+        == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+    {
+        panic!("the service hung");
+    }
+    if let Err(payload) = runner.join() {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Sustained overload — one full-width request every 2 ms against one
+/// worker that needs at least 20 ms per batch — is shed where the
+/// bound is: requests wait in the admission queue until the worker can
+/// start them, so the queue fills and rejects with a typed reason and a
+/// hint, at most `queue_capacity + workers` admitted requests are ever
+/// unanswered, nothing is hedged (no batch waits behind another) and no
+/// admitted request fails on its deadline. (With batches sealed on
+/// arrival and parked in an unbounded channel the same load admitted
+/// 200 of 200, hedged 195 batches that had not started and failed 92.)
+#[test]
+fn sustained_overload_is_shed_at_the_admission_queue() {
+    watchdog(|| {
+        let (h, sf) = test_matrix();
+        let (workers, queue_capacity) = (1, 4);
+        let svc = Service::start(ServiceConfig {
+            workers,
+            queue_capacity,
+            chaos: Some(ChaosPlan::new(5).with_slow_solver(1.0, Duration::from_millis(20))),
+            ..ServiceConfig::default()
+        });
+        let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+
+        let mut tickets = Vec::new();
+        let mut rejected = 0u64;
+        let mut most_unanswered = 0;
+        for seed in 0..200 {
+            match svc.submit(dos_request(fp, seed, 8, 16)) {
+                Admission::Admitted(t) => tickets.push(t),
+                Admission::Rejected {
+                    retry_after,
+                    reason,
+                } => {
+                    assert_eq!(reason, RejectReason::QueueFull);
+                    assert!(retry_after > Duration::ZERO, "hint must be actionable");
+                    rejected += 1;
+                }
+            }
+            let ledger = svc.ledger();
+            most_unanswered = most_unanswered.max(ledger.admitted - ledger.replied);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        println!(
+            "overload: 200 requests, {} admitted, {rejected} rejected, at most {most_unanswered} unanswered",
+            tickets.len()
+        );
+        assert!(rejected > 0, "ten times the worker's rate must shed load");
+        assert!(
+            most_unanswered <= (queue_capacity + workers) as u64,
+            "{most_unanswered} admitted requests unanswered: something buffers behind the queue"
+        );
+        for t in &tickets {
+            let resp = t
+                .wait_timeout(Duration::from_secs(30))
+                .expect("admitted request lost under overload");
+            assert!(resp.is_answered(), "request {} failed: {resp:?}", resp.id);
+        }
+        let ledger = svc.shutdown(ShutdownMode::Drain);
+        assert_eq!(ledger.admitted, tickets.len() as u64);
+        assert_eq!(ledger.rejected, rejected);
+        assert_eq!(ledger.hedged, 0, "no batch waits where a hedge can see it");
+        assert!(ledger.consistent());
+    });
+}
+
+/// Submits `held(key)` while the single worker is held by a (slowed)
+/// solve on another matrix and returns `key` and the replies. A batch
+/// is sealed only when a worker can start it, so everything submitted
+/// before the holder's reply is delivered is still in the admission
+/// queue when the worker comes free. A round in which the holder
+/// answered before the last submit (a stalled test thread) proves
+/// nothing and is repeated under the next key, so that nothing in it is
+/// a cache hit.
+fn replies_to_requests_that_arrive_during_a_solve(
+    svc: &Service,
+    holder_fp: u64,
+    keys: std::ops::Range<u64>,
+    held: impl Fn(u64) -> Vec<Request>,
+) -> (u64, Vec<Response>) {
+    for key in keys {
+        let holder = submit_ok(svc, dos_request(holder_fp, key, 1, 16));
+        // Several batch windows apart: what joins them is the wait for
+        // the worker, not the window.
+        let tickets: Vec<Ticket> = (held(key).into_iter())
+            .map(|req| {
+                std::thread::sleep(4 * ServiceConfig::default().batch_window);
+                submit_ok(svc, req)
+            })
+            .collect();
+        let all_arrived_during_the_solve = holder.rx.try_recv().is_err();
+        let replies = tickets
+            .iter()
+            .map(|t| t.wait().expect("reply"))
+            .collect::<Vec<_>>();
+        if all_arrived_during_the_solve {
+            return (key, replies);
+        }
+    }
+    panic!("in every round the holder answered before the last submit");
+}
+
+/// Late binding: requests that arrive while the worker is busy wait in
+/// the admission queue and ride in one block — `Dos{R=2}`, `Ldos`,
+/// `Dos{R=2}` as one batch of 8, `Dos{R=2}` + `Ldos` as one of 6 —
+/// with every reply bitwise its serial reference, and `batch_width`
+/// counting the requested columns, not the lanes the solver pads a
+/// panel with (6 columns are swept on 8). Then a closed loop of four
+/// clients in the benchmark's mix, whose coalescing `scripts/verify.sh`
+/// prints.
+#[test]
+fn requests_that_arrive_during_a_solve_share_the_next_batch() {
+    watchdog(|| {
+        let (h, sf) = test_matrix();
+        let sites = (h.nrows() / 4) as u64;
+        let other = TopoHamiltonian::clean(2, 2, 2).assemble();
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            chaos: Some(ChaosPlan::new(6).with_slow_solver(1.0, Duration::from_millis(40))),
+            ..ServiceConfig::default()
+        });
+        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        let holder_fp = svc.register_matrix(
+            KpmMatrix::crs(other.clone()),
+            ScaleFactors::from_gershgorin(&other, 0.01),
+        );
+        let m = 32;
+        let ldos = |key: u64| Request {
+            kind: QueryKind::Ldos {
+                site: (key % sites) as usize,
+            },
+            ..dos_request(fp, 0, 0, m)
+        };
+        let moments_of = |r: &Response| {
+            assert!(!r.stats.cache_hit);
+            answer_of(r).moments.clone()
+        };
+        let ldos_reference =
+            |key: u64| site_moments(&h, sf, (key % sites) as usize, m).expect("serial ldos");
+
+        let (key, replies) =
+            replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..sites / 2, |key| {
+                vec![
+                    dos_request(fp, 2 * key, 2, m),
+                    ldos(key),
+                    dos_request(fp, 2 * key + 1, 2, m),
+                ]
+            });
+        let widths: Vec<usize> = replies.iter().map(|r| r.stats.batch_width).collect();
+        assert_eq!(widths, [8, 8, 8], "2 + 4 + 2 columns are one batch");
+        let want = [
+            serial_reference(&h, sf, 2 * key, 2, m),
+            ldos_reference(key),
+            serial_reference(&h, sf, 2 * key + 1, 2, m),
+        ];
+        for (reply, want) in replies.iter().zip(&want) {
+            assert_eq!(moments_of(reply).as_slice(), want.as_slice());
+        }
+
+        let (key, replies) = replies_to_requests_that_arrive_during_a_solve(
+            &svc,
+            holder_fp,
+            sites / 2..sites,
+            |key| vec![dos_request(fp, 2 * key, 2, m), ldos(key)],
+        );
+        let widths: Vec<usize> = replies.iter().map(|r| r.stats.batch_width).collect();
+        assert_eq!(
+            widths,
+            [6, 6],
+            "six requested columns, swept on eight lanes"
+        );
+        assert_eq!(
+            moments_of(&replies[0]).as_slice(),
+            serial_reference(&h, sf, 2 * key, 2, m).as_slice()
+        );
+        assert_eq!(
+            moments_of(&replies[1]).as_slice(),
+            ldos_reference(key).as_slice()
+        );
+        assert!(svc.shutdown(ShutdownMode::Drain).consistent());
+    });
+    watchdog(closed_loop_coalescing);
+}
+
+/// Four clients, each sending its next request when the last is
+/// answered, 60 % DOS / 25 % LDOS / 15 % Green with unique keys, on the
+/// default configuration: prints how the service coalesced them.
+fn closed_loop_coalescing() {
+    let h = TopoHamiltonian::clean(6, 6, 4).assemble();
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let sites = h.nrows() / 4;
+    let svc = Service::start(ServiceConfig::default());
+    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let (clients, per_client) = (4u64, 40u64);
+    let replies: Vec<Response> = std::thread::scope(|scope| {
+        let svc = &svc;
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    (0..per_client)
+                        .map(|i| {
+                            let key = c * per_client + i;
+                            let roll = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 100;
+                            let kind = match roll {
+                                0..60 => QueryKind::Dos {
+                                    seed: key,
+                                    num_random: 2,
+                                },
+                                60..85 => QueryKind::Ldos {
+                                    site: key as usize % sites,
+                                },
+                                _ => QueryKind::Green {
+                                    seed: key,
+                                    num_random: 2,
+                                },
+                            };
+                            let req = Request {
+                                kind,
+                                ..dos_request(fp, 0, 0, 64)
+                            };
+                            submit_ok(svc, req).wait().expect("reply")
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        (handles.into_iter())
+            .flat_map(|h| h.join().expect("client"))
+            .collect()
+    });
+    assert!(svc.shutdown(ShutdownMode::Drain).consistent());
+    // The members of one batch share its solve time to the nanosecond.
+    let mut batches = std::collections::BTreeMap::new();
+    for r in replies.iter().filter(|r| !r.stats.cache_hit) {
+        assert!(r.is_answered(), "{r:?}");
+        batches.insert(r.stats.solve, r.stats.batch_width);
+    }
+    let columns: usize = batches.values().sum();
+    let lanes: usize = batches.values().map(|&w| batch_lanes(w)).sum();
+    println!(
+        "closed loop: {} requests, {} batches, {:.2} columns per solved batch, {:.0} % of {lanes} lanes filled",
+        replies.len(),
+        batches.len(),
+        columns as f64 / batches.len() as f64,
+        100.0 * columns as f64 / lanes as f64,
+    );
 }
 
 /// When the solve blows its deadline but the cache holds a shorter run
