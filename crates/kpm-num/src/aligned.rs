@@ -6,9 +6,11 @@
 //! split cache lines wants 64. Rust's `Vec` gives no alignment
 //! guarantee beyond `align_of::<T>()` (16 for our `Complex64`), so the
 //! numeric containers use this buffer instead: a fixed-length,
-//! 64-byte-aligned allocation.
+//! 64-byte-aligned view into a vector from the workspace's one zeroing
+//! allocator, [`zeroed_vec`] (which also hands `kpm-sparse` the CRS
+//! arrays its parallel fill writes first).
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 
 use crate::complex::Complex64;
@@ -16,40 +18,73 @@ use crate::complex::Complex64;
 /// Alignment of all numeric buffers (one x86 cache line).
 pub const BUFFER_ALIGN: usize = 64;
 
-/// A fixed-length, zero-initialized, 64-byte-aligned buffer of
-/// [`Complex64`]. Dereferences to a slice, so all kernel code operates
-/// on `&[Complex64]` / `&mut [Complex64]` as usual.
-pub struct AlignedVec {
-    ptr: *mut Complex64,
-    len: usize,
+/// Marker for plain-old-data element types whose all-zero bit pattern
+/// is a valid value, as [`zeroed_vec`] requires.
+///
+/// # Safety
+///
+/// Implementors assert that a `T` consisting entirely of zero bytes is
+/// a fully initialized, valid `T`.
+pub unsafe trait ZeroInit: Copy {}
+// SAFETY: the all-zero u32 is 0.
+unsafe impl ZeroInit for u32 {}
+// SAFETY: `Complex64` is `repr(C)` over two f64s; all-zero bytes are
+// `0 + 0i`, its `Default`.
+unsafe impl ZeroInit for Complex64 {}
+
+/// Allocates a length-`len` vector of zeroed `T`s *without touching*
+/// the memory — the workspace's one zeroing allocator. `alloc_zeroed`
+/// hands back untouched copy-on-write zero pages for large requests, so
+/// each page fault is paid once, by the thread that first writes the
+/// page (a worker filling its chunk of a CRS, the sweep writing `w`).
+pub fn zeroed_vec<T: ZeroInit>(len: usize) -> Vec<T> {
+    assert!(std::mem::size_of::<T>() > 0, "zeroed_vec: zero-sized T");
+    if len == 0 {
+        return Vec::new();
+    }
+    let Ok(layout) = Layout::array::<T>(len) else {
+        // Allocation-size overflow: unreachable for anything that fits
+        // in memory, and handled like exhaustion.
+        handle_alloc_error(Layout::new::<T>());
+    };
+    // SAFETY: `layout` has non-zero size (len >= 1, T non-zero-sized).
+    let ptr = unsafe { alloc_zeroed(layout) };
+    if ptr.is_null() {
+        handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` was just allocated with the array layout of `len`
+    // `T`s, `alloc_zeroed` guarantees all-zero bytes, and `T: ZeroInit`
+    // certifies the all-zero pattern as a valid `T` — so this is a
+    // fully initialized vector with length == capacity == `len`.
+    unsafe { Vec::from_raw_parts(ptr.cast::<T>(), len, len) }
 }
 
-// SAFETY: AlignedVec owns its allocation exclusively (the raw pointer
-// is never shared or aliased outside the struct), and Complex64 is
-// plain Send data, so moving the buffer to another thread is sound.
-unsafe impl Send for AlignedVec {}
-// SAFETY: shared access through &AlignedVec only ever produces
-// &[Complex64] reads (`as_slice`); mutation requires &mut self, so
-// concurrent shared use cannot race on the allocation.
-unsafe impl Sync for AlignedVec {}
+/// Elements a [`Complex64`] allocation can be short of a cache-line
+/// boundary by.
+const PAD: usize = BUFFER_ALIGN / std::mem::size_of::<Complex64>() - 1;
+
+/// A fixed-length, zero-initialized, 64-byte-aligned buffer of
+/// [`Complex64`]: a [`zeroed_vec`] with room for [`PAD`] more elements,
+/// entered at its first cache-line boundary. Dereferences to a slice,
+/// so all kernel code operates on `&[Complex64]` / `&mut [Complex64]`
+/// as usual.
+pub struct AlignedVec {
+    buf: Vec<Complex64>,
+    /// Index of the first element on a cache-line boundary.
+    start: usize,
+    len: usize,
+}
 
 impl AlignedVec {
     /// Allocates `len` zeroed elements at 64-byte alignment.
     pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: std::ptr::NonNull::dangling().as_ptr(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size here.
-        let raw = unsafe { alloc_zeroed(layout) };
-        if raw.is_null() {
-            handle_alloc_error(layout);
-        }
+        let buf = zeroed_vec::<Complex64>(len + PAD);
+        // The allocation is aligned to the element size, so the boundary
+        // is a whole number of elements (at most `PAD`) away.
+        let short = buf.as_ptr().addr().wrapping_neg() % BUFFER_ALIGN;
         Self {
-            ptr: raw.cast::<Complex64>(),
+            start: short / std::mem::size_of::<Complex64>(),
+            buf,
             len,
         }
     }
@@ -73,32 +108,12 @@ impl AlignedVec {
 
     /// Borrows the contents.
     pub fn as_slice(&self) -> &[Complex64] {
-        // SAFETY: ptr/len describe a live, initialized allocation (or a
-        // dangling pointer with len 0, for which from_raw_parts is fine).
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        &self.buf[self.start..self.start + self.len]
     }
 
     /// Mutably borrows the contents.
     pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        // SAFETY: as above, plus exclusive access through &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<Complex64>(), BUFFER_ALIGN)
-            // kpm::allow(no_panic): fails only on capacity overflow
-            // (len * 16 > isize::MAX), where Vec panics too; `layout`
-            // is also called from Drop, which cannot return an error.
-            .expect("valid layout")
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: allocated with the identical layout in `zeroed`.
-            unsafe { dealloc(self.ptr.cast::<u8>(), Self::layout(self.len)) };
-        }
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
@@ -146,6 +161,15 @@ mod tests {
         assert_eq!(v.as_slice().as_ptr() as usize % BUFFER_ALIGN, 0);
         assert!(v.iter().all(|z| *z == Complex64::default()));
         assert_eq!(v.len(), 1000);
+    }
+
+    #[test]
+    fn zeroed_vec_is_zero() {
+        let v = zeroed_vec::<Complex64>(1000);
+        assert_eq!(v.len(), 1000);
+        assert!(v.iter().all(|z| *z == Complex64::default()));
+        assert!(zeroed_vec::<u32>(17).iter().all(|x| *x == 0));
+        assert!(zeroed_vec::<u32>(0).is_empty());
     }
 
     #[test]

@@ -40,13 +40,16 @@
 
 use std::ops::Range;
 
+use kpm_num::aligned::zeroed_vec;
 use kpm_num::complex::ZERO;
 use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
 use crate::kernels::{FormatSpec, SparseKernels};
-use crate::sweep::{for_passes, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp};
+use crate::sweep::{
+    all_axial, for_passes, is_axial, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp,
+};
 use crate::tile::DEFAULT_CACHE_BYTES;
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
@@ -56,46 +59,6 @@ pub const MAX_ROW_ENTRIES: usize = 32;
 /// Rows per parallel fill chunk of [`StencilMatrix::to_crs`] (whole
 /// sites; ~4 MB of CRS entries on the TI lattice).
 const FILL_ROWS: usize = 16_384;
-
-/// Marker for plain-old-data element types whose all-zero bit pattern
-/// is a valid value, as [`zeroed_vec`] requires.
-///
-/// # Safety
-///
-/// Implementors assert that a `T` consisting entirely of zero bytes is
-/// a fully initialized, valid `T`.
-unsafe trait ZeroInit: Copy {}
-// SAFETY: the all-zero u32 is 0.
-unsafe impl ZeroInit for u32 {}
-// SAFETY: `Complex64` is `repr(C)` over two f64s; all-zero bytes are
-// `0 + 0i`, its `Default`.
-unsafe impl ZeroInit for Complex64 {}
-
-/// Allocates a length-`len` vector of zeroed `T`s *without touching*
-/// the memory: `alloc_zeroed` hands back untouched copy-on-write zero
-/// pages for large requests, so [`StencilMatrix::to_crs`] pays each
-/// page fault once, on the worker that fills the page.
-fn zeroed_vec<T: ZeroInit>(len: usize) -> Vec<T> {
-    assert!(std::mem::size_of::<T>() > 0, "zeroed_vec: zero-sized T");
-    if len == 0 {
-        return Vec::new();
-    }
-    let Ok(layout) = std::alloc::Layout::array::<T>(len) else {
-        // Allocation-size overflow: unreachable for any in-memory
-        // matrix this crate can hold, and handled like exhaustion.
-        std::alloc::handle_alloc_error(std::alloc::Layout::new::<T>());
-    };
-    // SAFETY: `layout` has non-zero size (len >= 1, T non-zero-sized).
-    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-    if ptr.is_null() {
-        std::alloc::handle_alloc_error(layout);
-    }
-    // SAFETY: `ptr` was just allocated with the array layout of `len`
-    // `T`s, `alloc_zeroed` guarantees all-zero bytes, and `T: ZeroInit`
-    // certifies the all-zero pattern as a valid `T` — so this is a
-    // fully initialized vector with length == capacity == `len`.
-    unsafe { Vec::from_raw_parts(ptr.cast::<T>(), len, len) }
-}
 
 /// Block id of the on-site diagonal in a class's block order (the six
 /// hopping blocks are `0..6`).
@@ -119,6 +82,8 @@ struct HopRow {
 struct RowPlan {
     len: u8,
     onsite_at: u8,
+    /// Every hopping entry has an exactly-zero part ([`is_axial`]).
+    axial: bool,
     entries: [PlanEntry; MAX_ROW_ENTRIES],
 }
 
@@ -264,6 +229,7 @@ impl StencilMatrix {
         }
         slots.sort_unstable();
         for (o, plan) in plans.iter_mut().enumerate() {
+            plan.axial = true;
             for &(offset, block) in &slots {
                 if block == ONSITE {
                     plan.onsite_at = plan.len;
@@ -276,6 +242,7 @@ impl StencilMatrix {
                         val: hr.vals[e],
                         neg_im: -hr.vals[e].im,
                     };
+                    plan.axial &= is_axial(hr.vals[e]);
                     plan.len += 1;
                 }
             }
@@ -612,7 +579,7 @@ impl StencilMatrix {
 /// every row of a coincident-neighbour lattice, are regenerated.
 impl RowSweep for StencilMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue, const COLS: usize>(
+    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -624,9 +591,9 @@ impl RowSweep for StencilMatrix {
         let row1 = row0 + w.len() / r;
         let (s0, s1) = (row0.div_ceil(4), row1 / 4);
         if m.coincident || s0 >= s1 {
-            return regen_rows(m, x, r, row0, row0..row1, w, epi);
+            return regen_rows(m, x, r, row0, row0..row1, ARMS, w, epi);
         }
-        regen_rows(m, x, r, row0, row0..4 * s0, w, epi);
+        regen_rows(m, x, r, row0, row0..4 * s0, ARMS, w, epi);
         let (mut cx, mut cy, mut cz) = (s0 % m.nx, s0 / m.nx % m.ny, s0 / (m.nx * m.ny));
         let mut yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
         for site in s0..s1 {
@@ -634,7 +601,7 @@ impl RowSweep for StencilMatrix {
             let diag = &m.onsite_diag[site];
             let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
             for_passes!(COLS, r, |j0| site_pass(
-                plans, diag, site, x, r, j0, wsite, epi
+                plans, diag, ARMS, site, x, r, j0, wsite, epi
             ));
             cx += 1;
             if cx == m.nx {
@@ -647,7 +614,7 @@ impl RowSweep for StencilMatrix {
                 yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
             }
         }
-        regen_rows(m, x, r, row0, 4 * s1..row1, w, epi);
+        regen_rows(m, x, r, row0, 4 * s1..row1, ARMS, w, epi);
     }
 }
 
@@ -681,12 +648,15 @@ impl SparseKernels for StencilMatrix {
 /// The four orbital rows of `site` on the block-vector columns of one
 /// [`Pass`] from `j0`: each row's accumulators stay in registers while
 /// its class's entries are walked in ascending column order, the
-/// on-site entry in its slot.
+/// on-site entry in its slot. `arms` is the body's `ARMS`: whether a
+/// row of zero-part entries alone runs the loop that skips their
+/// products.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 fn site_pass<const W: usize, const TWO: bool, E: Epilogue>(
     plans: &[RowPlan; 4],
     diag: &[Complex64; 4],
+    arms: bool,
     site: usize,
     x: &[Complex64],
     r: usize,
@@ -696,23 +666,43 @@ fn site_pass<const W: usize, const TWO: bool, E: Epilogue>(
 ) {
     for (o, plan) in plans.iter().enumerate() {
         let at = (4 * site + o) * r + j0;
-        let mut acc = Pass::<W, TWO>::ZERO;
-        let (below, above) = plan.entries[..plan.len as usize].split_at(plan.onsite_at as usize);
         let base = 4 * site * r + j0;
-        walk(below, x, base, r, &mut acc);
-        // The assembly drops an exactly-zero diagonal entry.
-        if diag[o] != ZERO {
-            acc.axpy(diag[o], -diag[o].im, &x[at..]);
+        let mut acc = Pass::<W, TWO>::ZERO;
+        if arms && plan.axial && is_axial(diag[o]) {
+            plan_row::<W, TWO, true>(plan, diag[o], x, r, base, at, &mut acc);
+        } else {
+            plan_row::<W, TWO, false>(plan, diag[o], x, r, base, at, &mut acc);
         }
-        walk(above, x, base, r, &mut acc);
         acc.finish(epi, x, at, j0, &mut wsite[o * r + j0..]);
     }
+}
+
+/// One orbital row on `acc`: the plan's entries from `x[base..]` (the
+/// site's first row, column `j0`) with the on-site entry `diag`, read
+/// at `x[at..]`, in its slot.
+#[inline(always)]
+fn plan_row<const W: usize, const TWO: bool, const AXIAL: bool>(
+    plan: &RowPlan,
+    diag: Complex64,
+    x: &[Complex64],
+    r: usize,
+    base: usize,
+    at: usize,
+    acc: &mut Pass<W, TWO>,
+) {
+    let (below, above) = plan.entries[..plan.len as usize].split_at(plan.onsite_at as usize);
+    walk::<W, TWO, AXIAL>(below, x, base, r, acc);
+    // The assembly drops an exactly-zero diagonal entry.
+    if diag != ZERO {
+        acc.axpy::<AXIAL>(diag, -diag.im, &x[at..]);
+    }
+    walk::<W, TWO, AXIAL>(above, x, base, r, acc);
 }
 
 /// Applies a run of plan entries to the pass at `x[base..]` (the
 /// site's first row, column `j0`).
 #[inline(always)]
-fn walk<const W: usize, const TWO: bool>(
+fn walk<const W: usize, const TWO: bool, const AXIAL: bool>(
     entries: &[PlanEntry],
     x: &[Complex64],
     base: usize,
@@ -721,7 +711,7 @@ fn walk<const W: usize, const TWO: bool>(
 ) {
     for en in entries {
         let at = base.wrapping_add_signed(en.offset * r as isize);
-        acc.axpy(en.val, en.neg_im, &x[at..]);
+        acc.axpy::<AXIAL>(en.val, en.neg_im, &x[at..]);
     }
 }
 
@@ -729,19 +719,24 @@ fn walk<const W: usize, const TWO: bool>(
 /// rows, one layout panel at a time. Not inlined into the sweep copies
 /// — it serves a tile's few cut rows and the coincident-neighbour
 /// lattices — so it runs as compiled for the baseline target under
-/// every copy.
+/// every copy; `arms` is the calling body's `ARMS`.
+#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 fn regen_rows<E: Epilogue>(
     m: &StencilMatrix,
     x: &[Complex64],
     r: usize,
     row0: usize,
     rows: Range<usize>,
+    arms: bool,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
     m.for_rows(rows, |row, cols, vals| {
         let wrow = &mut w[(row - row0) * r..][..r];
-        for_passes!(8, r, |j0| row_pass(cols, vals, x, r, row, j0, wrow, epi));
+        let axial = arms && all_axial(vals);
+        for_passes!(8, r, |j0| row_pass(
+            cols, vals, axial, x, r, row, j0, wrow, epi
+        ));
     });
 }
 
@@ -750,15 +745,6 @@ mod tests {
     use super::*;
     use kpm_num::complex::I;
     use kpm_num::BlockVector;
-
-    #[test]
-    fn zeroed_vec_is_zero() {
-        let v = zeroed_vec::<Complex64>(1000);
-        assert_eq!(v.len(), 1000);
-        assert!(v.iter().all(|z| *z == Complex64::default()));
-        assert!(zeroed_vec::<u32>(17).iter().all(|x| *x == 0));
-        assert!(zeroed_vec::<u32>(0).is_empty());
-    }
 
     /// A tiny hand-built stencil: diagonal hop blocks so expected
     /// values are easy to state; geometry checks use the paper default

@@ -26,13 +26,21 @@
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
-//! under `#[target_feature(enable = "avx512f")]` ([`sweep`]);
+//! under `#[target_feature(enable = "avx512f")]` ([`sweep`]) — each time
+//! with and without its zero-skip arms ([`sweep_body_for`]);
 //! [`crate::simd::wide`] picks per kernel call. The copies differ in
 //! one const, the columns of their widest pass: one layout panel for
 //! the first two, two panels (four 512-bit accumulators) for the
-//! third. No copy uses a fused multiply-add, so every lane performs
-//! the IEEE multiplies and adds of [`Complex64::mul_add`] in the same
-//! order and the copies — and the scalar chain — agree bit for bit.
+//! third. No copy uses a fused multiply-add, and every lane ends up with
+//! the bits of the scalar chain of [`Complex64::mul_add`]s — so the
+//! copies agree with it and with each other bit for bit. The
+//! four-product arm gets there by performing `mul_add`'s IEEE multiplies
+//! and adds in its order. From [`AXIAL_MIN_WIDTH`] columns on, a row
+//! whose values all have an exactly-zero part (every row of the paper's
+//! Eq. 1 lattice, every row of a `real` file) instead runs the arms that
+//! leave the products with that zero out, which cannot change a bit
+//! because an accumulator that starts at `+0.0` is never `−0`
+//! ([`Pass::axpy`] has the argument).
 
 use kpm_num::block::{load_panel, store_panel};
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
@@ -216,27 +224,52 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
     }
 }
 
-/// `acc[k] = val.mul_add(x[k], acc[k])` on the lanes of a register
-/// panel, `x` the panel's slots of an `x` row. The real lane is
-/// `mul_add`'s own `re·re − im·im`; the imaginary lane subtracts the
-/// exactly negated product `(−val.im)·x.re` instead of adding
-/// `val.im·x.re` — the same bits. `neg_im` is `-val.im`: read from a
-/// table (the stencil) it keeps both lanes multiply, multiply,
-/// subtract, add in one operand order; computed in the compiler's
-/// sight (CRS) it folds back into the add.
+/// `re[k] += $dre; im[k] += $dim` on every lane of the pass `$pass`,
+/// both expressions in terms of `$xre` and `$xim`, lane `k` of the `x`
+/// slots `$x` — one of [`Pass::axpy`]'s three forms of `val · x[k]`.
+/// Each panel is written out (see [`Pass`]); a macro rather than a
+/// closure per form, so that unoptimised builds do not make two calls
+/// per lane.
+macro_rules! add_lanes {
+    ($pass:ident, $x:ident, |$xre:ident, $xim:ident| ($dre:expr, $dim:expr)) => {{
+        let x = &$x[..Self::COLS];
+        add_lanes!(@panel x, $pass.re, $pass.im, $xre, $xim, $dre, $dim);
+        if TWO {
+            add_lanes!(@panel &x[W..], $pass.re2, $pass.im2, $xre, $xim, $dre, $dim);
+        }
+    }};
+    (@panel $x:expr, $re:expr, $im:expr, $xre:ident, $xim:ident, $dre:expr, $dim:expr) => {{
+        let (xre, xim) = load_panel::<W>($x);
+        for k in 0..W {
+            let ($xre, $xim) = (xre[k], xim[k]);
+            $re[k] += $dre;
+            $im[k] += $dim;
+        }
+    }};
+}
+
+/// Narrowest block the zero-skip arms of [`Pass::axpy`] are taken at.
+/// Below 16 columns the body is bound by neither its multiplies nor its
+/// instruction count — the arms measured no gain there and CRS's
+/// per-row [`all_axial`] cost ×1.19 at 8 columns (EXPERIMENTS.md,
+/// "Zero-skip arms") — so narrower sweeps run the four-product arm only.
+const AXIAL_MIN_WIDTH: usize = 16;
+
+/// Whether a part of `val` is exactly zero, of either sign.
 #[inline(always)]
-fn axpy_panel<const W: usize>(
-    val: Complex64,
-    neg_im: f64,
-    x: &[Complex64],
-    re: &mut [f64; W],
-    im: &mut [f64; W],
-) {
-    let (xre, xim) = load_panel::<W>(x);
-    for k in 0..W {
-        re[k] += val.re * xre[k] - val.im * xim[k];
-        im[k] += val.re * xim[k] - neg_im * xre[k];
-    }
+pub(crate) fn is_axial(val: Complex64) -> bool {
+    (val.re == 0.0) | (val.im == 0.0)
+}
+
+/// Whether a row with these values takes the zero-skip arms:
+/// [`is_axial`] for every one of them. A fold without an early exit,
+/// evaluated once per row for all its passes: on a matrix whose entry
+/// kinds follow no pattern neither it nor the loop it picks has a branch
+/// to mispredict (tested per entry, such a matrix ran ×2–4 slower; same
+/// section).
+#[inline(always)]
+pub(crate) fn all_axial(vals: &[Complex64]) -> bool {
+    vals.iter().fold(true, |all, &val| all & is_axial(val))
 }
 
 /// The register accumulators of one compute pass over a row: the
@@ -262,14 +295,52 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
         im2: [0.0; W],
     };
 
-    /// [`axpy_panel`] on each panel, `x` the slots of an `x` row from
-    /// column `j0`.
+    /// `acc[k] = val.mul_add(x[k], acc[k])` on every lane, in the bits
+    /// of that four-product chain: `x` are the slots of an `x` row from
+    /// column `j0`, `neg_im` is `-val.im`, and `AXIAL` promises that
+    /// [`is_axial`]`(val)` — the caller tested the whole row
+    /// ([`all_axial`]) and runs one loop or the other.
+    ///
+    /// The general arm is `mul_add`'s own `re·re − im·im` on the real
+    /// lane and `re·im − (−val.im)·x.re` on the imaginary one:
+    /// subtracting the exactly negated product is adding `val.im·x.re`.
+    /// (`neg_im` read from a table — the stencil — keeps both lanes
+    /// multiply, multiply, subtract, add in one operand order; computed
+    /// in the compiler's sight — CRS — it folds back into the add.)
+    ///
+    /// Every hop of paper Eq. 1 is `±t/2` or `±i·t/2` and every on-site
+    /// term, like every entry of a `real` MatrixMarket file, is real: on
+    /// such rows half of the general arm's products multiply by an exact
+    /// zero. The axial arms leave them out. An entry with `val.im == ±0`
+    /// adds `val.re·x.re` and `val.re·x.im`; any other has
+    /// `val.re == ±0` and adds `(−val.im)·x.im` and `val.im·x.re`. For
+    /// every finite `x` that is the general arm's result bit for bit:
+    ///
+    /// * a dropped product is `±0`, and `p − (±0)` is `p` unless `p` is
+    ///   itself a zero, so an addend changes at most in the sign of a
+    ///   zero;
+    /// * an accumulator is never `−0` — it starts at `+0.0`, and an IEEE
+    ///   sum is `−0` only when both addends are — so a zero addend of
+    ///   either sign leaves it as it was;
+    /// * `(±0) − q` is `−q`, and `(−v)·x` is `−(v·x)` in bits: the
+    ///   pure-imaginary arm.
+    ///
+    /// Only a non-finite `x` tells the arms apart (`0 · ∞` was NaN), and
+    /// the solver never sweeps one: its divergence guardrail ends the
+    /// run when `‖x‖²` passes 10³·µ₀, long before an entry overflows.
     #[inline(always)]
-    pub(crate) fn axpy(&mut self, val: Complex64, neg_im: f64, x: &[Complex64]) {
-        let x = &x[..Self::COLS];
-        axpy_panel(val, neg_im, x, &mut self.re, &mut self.im);
-        if TWO {
-            axpy_panel(val, neg_im, &x[W..], &mut self.re2, &mut self.im2);
+    pub(crate) fn axpy<const AXIAL: bool>(&mut self, val: Complex64, neg_im: f64, x: &[Complex64]) {
+        // The kind is tested once per entry and pass, ahead of the
+        // panels.
+        if !AXIAL {
+            add_lanes!(self, x, |xre, xim| (
+                val.re * xre - val.im * xim,
+                val.re * xim - neg_im * xre
+            ));
+        } else if val.im == 0.0 {
+            add_lanes!(self, x, |xre, xim| (val.re * xre, val.re * xim));
+        } else {
+            add_lanes!(self, x, |xre, xim| (neg_im * xim, val.im * xre));
         }
     }
 
@@ -316,9 +387,14 @@ pub(crate) trait RowSweep: Sync {
     /// pass by pass — at most `COLS` (8 or 16) columns each — handed to
     /// `epi`.
     ///
+    /// `ARMS` compiles in the loop that skips products with an
+    /// exactly-zero part of the entry ([`Pass::axpy`]) for the rows that
+    /// qualify; without it every row runs the four-product loop.
+    ///
     /// Implementations are `#[inline(always)]`: [`sweep`] instantiates
-    /// the body once per target-feature set.
-    fn sweep_body<E: Epilogue, const COLS: usize>(
+    /// the body once per target-feature set, [`sweep_body_for`] with and
+    /// without the arms.
+    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -330,7 +406,7 @@ pub(crate) trait RowSweep: Sync {
 
 impl RowSweep for CrsMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue, const COLS: usize>(
+    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -354,7 +430,10 @@ impl RowSweep for CrsMatrix {
         for (i, wrow) in w.chunks_mut(r).enumerate() {
             let row = row0 + i;
             let (cols, vals) = (self.row_cols(row), self.row_vals(row));
-            for_passes!(COLS, r, |j0| row_pass(cols, vals, x, r, row, j0, wrow, epi));
+            let axial = ARMS && all_axial(vals);
+            for_passes!(COLS, r, |j0| row_pass(
+                cols, vals, axial, x, r, row, j0, wrow, epi
+            ));
         }
     }
 }
@@ -386,12 +465,14 @@ impl SparseKernels for CrsMatrix {
 }
 
 /// One row, given as its CRS `(cols, vals)` pairs, on the block-vector
-/// columns of one [`Pass`] from `j0`.
+/// columns of one [`Pass`] from `j0`; `axial` is the row's
+/// [`all_axial`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     cols: &[u32],
     vals: &[Complex64],
+    axial: bool,
     x: &[Complex64],
     r: usize,
     row: usize,
@@ -400,8 +481,15 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     epi: &mut E,
 ) {
     let mut acc = Pass::<W, TWO>::ZERO;
-    for (hv, &c) in vals.iter().zip(cols) {
-        acc.axpy(*hv, -hv.im, &x[c as usize * r + j0..]);
+    let entries = vals.iter().zip(cols);
+    if axial {
+        for (hv, &c) in entries {
+            acc.axpy::<true>(*hv, -hv.im, &x[c as usize * r + j0..]);
+        }
+    } else {
+        for (hv, &c) in entries {
+            acc.axpy::<false>(*hv, -hv.im, &x[c as usize * r + j0..]);
+        }
     }
     acc.finish(epi, x, row * r + j0, j0, &mut wrow[j0..]);
 }
@@ -417,7 +505,7 @@ fn sweep_avx2<S: RowSweep, E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    s.sweep_body::<E, 8>(x, r, row0, w, epi);
+    sweep_body_for::<S, E, 8>(s, x, r, row0, w, epi);
 }
 
 /// The AVX-512 copy of a sweep body: two layout panels per pass.
@@ -431,7 +519,28 @@ fn sweep_avx512<S: RowSweep, E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    s.sweep_body::<E, 16>(x, r, row0, w, epi);
+    sweep_body_for::<S, E, 16>(s, x, r, row0, w, epi);
+}
+
+/// `s`'s sweep body for a width-`r` block: with the zero-skip arms from
+/// [`AXIAL_MIN_WIDTH`] columns on, without them below — as two
+/// instantiations, because one loop shared by both cost the
+/// cache-resident R = 2, 4, 8 sweeps 2–3 % (up to 10 % on the stencil at
+/// R = 2) for arms they never take.
+#[inline(always)]
+fn sweep_body_for<S: RowSweep, E: Epilogue, const COLS: usize>(
+    s: &S,
+    x: &[Complex64],
+    r: usize,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    if r >= AXIAL_MIN_WIDTH {
+        s.sweep_body::<E, COLS, true>(x, r, row0, w, epi);
+    } else {
+        s.sweep_body::<E, COLS, false>(x, r, row0, w, epi);
+    }
 }
 
 /// Runs `s`'s sweep body over the rows of `w` starting at `row0`: the
@@ -458,7 +567,7 @@ fn sweep<S: RowSweep, E: Epilogue>(
         // `is_x86_feature_detected!("avx2")` returned true.
         #[cfg(target_arch = "x86_64")]
         Body::Avx2 => unsafe { sweep_avx2(s, x, r, row0, w, epi) },
-        _ => s.sweep_body::<E, 8>(x, r, row0, w, epi),
+        _ => sweep_body_for::<S, E, 8>(s, x, r, row0, w, epi),
     }
 }
 

@@ -172,6 +172,29 @@ for f in crs stencil; do
     done
 done
 echo "the $body and the baseline sweep body print identical DOS output (crs and stencil, R = 1, 8, 24 and 33, 1 and 2 threads)"
+# Every entry of a lattice has an exactly-zero part, so from 16 columns
+# on the runs above take the sweep's zero-skip arms on every row. The
+# four-product arm at those widths is reached by a file whose entries
+# have two non-zero parts: a 96-row Hermitian band matrix (the lower
+# triangle, as the format stores it), at R = 17 — a 16-column pass and
+# a column under AVX-512.
+awk 'BEGIN {
+    n = 96
+    print "%%MatrixMarket matrix coordinate complex hermitian"
+    print n, n, 3 * n - 8
+    for (i = 1; i <= n; i++) {
+        if (i > 7) print i, i - 7, 0.125 + i / 512, 0.25 - i / 1024
+        if (i > 1) print i, i - 1, -0.5 + i / 256, 0.375 + i / 768
+        print i, i, (i % 5 - 2) / 4, 0
+    }
+}' > target/general-complex.mtx
+for t in 1 2; do
+    run="./target/release/kpm dos target/general-complex.mtx --moments 64 --random 17 --threads $t"
+    $run > "target/dos-body-wide.csv"
+    $run --no-simd > "target/dos-body-base.csv"
+    cmp target/dos-body-wide.csv target/dos-body-base.csv
+done
+echo "and on a general-complex Hermitian file (both parts non-zero off the diagonal) at R = 17"
 
 step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`

@@ -699,6 +699,16 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             kpm_repro::sparse::simd::active_lanes(),
             kpm_repro::sparse::simd::body_name()
         );
+        // What the table divides by, and how much of it the sweep runs:
+        // counted here, over the CRS the replay keeps anyway.
+        let vals = (0..h.nrows()).flat_map(|row| h.row_vals(row));
+        let axial = vals.filter(|v| v.re == 0.0 || v.im == 0.0).count();
+        eprintln!(
+            "GF/s = paper Table I flops (8 per entry and block column) per second; {:.1} % of \
+             the entries have an exactly-zero part, and at R >= 16 a row of such entries alone \
+             skips the products with it",
+            100.0 * axial as f64 / h.nnz().max(1) as f64
+        );
         // The blocked variant first: its initialisation is one width-R
         // `spmv` call, and the probe's `width` column is that of a
         // kind's last call — the naive loop's width-1 ones.

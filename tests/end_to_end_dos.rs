@@ -323,7 +323,10 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
 /// sweep body the CPU executes (AVX-512, else AVX2) or the baseline one. The second lattice has a periodic extent-2
 /// axis (coincident partners: rows are regenerated and merged); the
 /// 8×8×6 one has 1,536 rows — two width-1 chunks, three 512-row tiles —
-/// at R = 1 (the width-1 path) and R = 5 (panels 4 + 1).
+/// at R = 1 (the width-1 path) and R = 5 (panels 4 + 1). The 5×4×6 pair
+/// (periodic x and y, open z; printed by the commit before the zero-skip
+/// arms) pins the AVX-512 copy's 16-column pass: R = 17 is one such pass
+/// plus a column, R = 32 two of them on whole rows.
 #[test]
 fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
     let golden = |name: &str| {
@@ -337,11 +340,18 @@ fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
         format!("{chunked} --random 1"),
         format!("{chunked} --random 5"),
     );
+    let two_panel = "--nx 5 --ny 4 --nz 6 --potential dots --moments 32 --seed 7";
+    let (two_panel_r17, two_panel_r32) = (
+        format!("{two_panel} --random 17"),
+        format!("{two_panel} --random 32"),
+    );
     for (command, want) in [
         (dots, golden("dos_6x5x4_dots_m32_r3_s7.csv")),
         (coincident, golden("dos_2x6x5_m16_r8.csv")),
         (&chunked_r1[..], golden("dos_8x8x6_dots_m32_r1_s7.csv")),
         (&chunked_r5[..], golden("dos_8x8x6_dots_m32_r5_s7.csv")),
+        (&two_panel_r17[..], golden("dos_5x4x6_dots_m32_r17_s7.csv")),
+        (&two_panel_r32[..], golden("dos_5x4x6_dots_m32_r32_s7.csv")),
     ] {
         for threads in ["1", "2"] {
             for format in ["crs", "stencil"] {

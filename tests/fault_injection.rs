@@ -315,6 +315,41 @@ fn unscaled_spectrum_trips_divergence_guardrail() {
     }
 }
 
+/// The guardrail is not delayed by the sweep's zero-skip arms (which,
+/// unlike the four-product arm, would not turn an infinite `x` into a
+/// NaN): with scale factors that undersize the spectrum — grossly, and
+/// by a factor that lets the recurrence grow for 17 sweeps first —
+/// streaming the CRS or matrix-free, at block widths on both sides of
+/// the arms' threshold, the solver stops with `SpectralBoundsViolated`
+/// at the iteration the commit before the arms stopped at (recorded
+/// from a build of it), and so never hands out a moment set.
+#[test]
+fn undersized_scale_factors_trip_the_guardrail_at_the_parents_iteration() {
+    use kpm_repro::sparse::KpmMatrix;
+    let ham = TopoHamiltonian::quantum_dot_superlattice(5, 4, 6);
+    let formats = [
+        ("crs", KpmMatrix::crs(ham.assemble())),
+        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    ];
+    // (half-width the spectrum is claimed to fit in, the parent's
+    // iteration).
+    for (half, at) in [(0.05, 0), (4.5, 17)] {
+        let sf = ScaleFactors::from_bounds(-half, half, 0.0);
+        for r in [1, 8, 32] {
+            for (name, m) in &formats {
+                let err = kpm_moments(m, sf, &params(128, r, 5), KpmVariant::AugSpmmv)
+                    .expect_err("divergent recurrence must be detected");
+                match err {
+                    KpmError::SpectralBoundsViolated { iteration, .. } => {
+                        assert_eq!(iteration, at, "{name}, R = {r}, half-width {half}")
+                    }
+                    other => panic!("{name}, R = {r}, half-width {half}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// Dropped (lossy) faults are *detected*: the run fails with a typed
 /// timeout error instead of hanging, and the leak ledger accounts for
 /// the vanished messages.

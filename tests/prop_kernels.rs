@@ -232,6 +232,92 @@ fn ragged_hermitian(n: usize, seed: u64) -> CrsMatrix {
     coo.to_crs()
 }
 
+/// One matrix value, its kind drawn from the first `kinds` of seven:
+/// real and pure imaginary, each also with its zero part stored as
+/// `−0.0`; both parts non-zero; a stored zero of either sign — what the
+/// zero-skip arms of the sweep tell apart (`kinds` = 4 leaves out the
+/// last three: every value has an exactly-zero part and none is zero).
+fn value_of_kind(rng: &mut impl rand::Rng, kinds: usize) -> Complex64 {
+    let (a, b) = (rng.gen_range(0.1..1.0), rng.gen_range(-1.0..-0.1));
+    match rng.gen_range(0..kinds) {
+        0 => Complex64::new(a, 0.0),
+        1 => Complex64::new(b, -0.0),
+        2 => Complex64::new(0.0, b),
+        3 => Complex64::new(-0.0, a),
+        4 => Complex64::new(a, b),
+        5 => Complex64::new(0.0, 0.0),
+        _ => Complex64::new(-0.0, 0.0),
+    }
+}
+
+/// A square matrix whose stored values are drawn per entry from every
+/// kind of [`value_of_kind`] — except in every third row, which draws
+/// from the zero-part kinds alone, so both loops of the sweep run.
+fn kinds_matrix(n: usize, seed: u64) -> CrsMatrix {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut row_ptr, mut cols, mut vals) = (vec![0u64], Vec::new(), Vec::new());
+    for row in 0..n {
+        let mut row_cols: Vec<u32> = (0..rng.gen_range(0..9))
+            .map(|_| rng.gen_range(0..n) as u32)
+            .collect();
+        row_cols.sort_unstable();
+        row_cols.dedup();
+        for c in row_cols {
+            cols.push(c);
+            vals.push(value_of_kind(&mut rng, if row % 3 == 0 { 4 } else { 7 }));
+        }
+        row_ptr.push(cols.len() as u64);
+    }
+    CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
+}
+
+/// A 3×3×3 periodic stencil with dense hopping blocks (25-entry rows)
+/// whose values are drawn per entry: from the zero-part kinds in orbital
+/// rows 0 and 1, from every kind in rows 2 and 3, and per site for the
+/// on-site diagonal — so a site's rows take either loop of the sweep.
+fn kinds_stencil(seed: u64) -> kpm_repro::sparse::StencilMatrix {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let onsite = (0..27)
+        .map(|_| [0; 4].map(|_| value_of_kind(&mut rng, 7)))
+        .collect();
+    let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+    for block in hop.iter_mut() {
+        for (o, row) in block.iter_mut().enumerate() {
+            for z in row.iter_mut() {
+                *z = value_of_kind(&mut rng, if o < 2 { 4 } else { 7 });
+            }
+        }
+    }
+    kpm_repro::sparse::StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop)
+}
+
+/// Overwrites every fifth part of `block` with a zero, alternating in
+/// sign.
+fn sprinkle_signed_zeros(block: &mut BlockVector) {
+    let mut zero = 0.0f64;
+    for (k, z) in block.panel_slots_mut().iter_mut().enumerate() {
+        if k % 5 == 0 {
+            z.re = zero;
+            zero = -zero;
+        }
+        if k % 5 == 2 {
+            z.im = zero;
+            zero = -zero;
+        }
+    }
+}
+
+/// `block`'s parts as bit patterns: equality that tells `−0.0` from
+/// `+0.0`.
+fn block_bits(block: &BlockVector) -> Vec<[u64; 2]> {
+    let bits = |z: &Complex64| [z.re.to_bits(), z.im.to_bits()];
+    block.panel_slots().iter().map(bits).collect()
+}
+
 /// The reference the panel sweep is held to, written out as the plain
 /// `Complex64::mul_add` chain: `acc = Σ_c H[row, c]·x[c]` in column
 /// order, then either `y[row] = acc` (`aug = None`, no dots) or the
@@ -299,7 +385,13 @@ fn reference_sweep(
 /// no-dot and rectangular kernels; serial and on 1-, 2-, 4- and
 /// 8-thread pools at three cache budgets; on ragged random and lattice
 /// matrices; and under every position of the runtime cap, i.e. on the
-/// baseline, the AVX2 and the AVX-512 copy of the body.
+/// baseline, the AVX2 and the AVX-512 copy of the body. The reference
+/// multiplies out all four products of every entry; the sweep leaves
+/// out those with an exactly-zero factor on rows that hold no other
+/// kind of entry, so [`kinds_matrix`] and [`kinds_stencil`] (the latter
+/// through the stencil's own kernels) draw the kind per entry, `v` and
+/// `w` hold zeros of both signs, and equality is on bit patterns — the
+/// sign of every zero in `w` included.
 #[test]
 fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
     use kpm_repro::sparse::tile::tile_rows_for_budget;
@@ -328,6 +420,7 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
         .collect();
     let dots = |d: AugDotsBlock| (d.eta_even, d.eta_odd);
     let none = (Vec::new(), Vec::new());
+    let stencil = kinds_stencil(6);
     let matrices = [
         ("ragged-700", ragged_hermitian(700, 3)),
         ("ragged-90", ragged_hermitian(90, 4)),
@@ -336,7 +429,10 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
             "dots-6x6x4",
             TopoHamiltonian::quantum_dot_superlattice(6, 6, 4).assemble(),
         ),
+        ("kinds-150", kinds_matrix(150, 5)),
+        ("kinds-stencil", stencil.to_crs()),
     ];
+    let stencil = KpmMatrix::stencil(stencil);
     let (a, b) = (0.7, -0.2);
     for (name, h) in &matrices {
         let n = h.nrows();
@@ -345,13 +441,20 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
         let handles = STENCIL_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
         for r in CRS_WIDTHS {
-            let v = BlockVector::random(n, r, &mut rng);
-            let w0 = BlockVector::random(n, r, &mut rng);
+            let mut v = BlockVector::random(n, r, &mut rng);
+            let mut w0 = BlockVector::random(n, r, &mut rng);
+            sprinkle_signed_zeros(&mut v);
+            sprinkle_signed_zeros(&mut w0);
             // (label, reference result) per kernel; the serial forms first.
             let expect = |m: &CrsMatrix, aug, tile: usize| {
                 let mut w = w0.clone();
                 let d = reference_sweep(m, aug, &v, &mut w, tile);
                 (w, d)
+            };
+            // Rows per chunk of the parallel kernels at a cache budget.
+            let tile_of = |budget| match r {
+                1 => 1024,
+                _ => tile_rows_for_budget(r, budget),
             };
             let serial_plain = expect(h, None, n);
             let serial_aug = expect(h, Some((a, b)), n);
@@ -361,8 +464,16 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                 simd::set_cap(body);
                 assert_eq!(simd::wide().body(), body, "the cap picks the body");
                 let check = |what: &str, want: &(BlockVector, _), got: (BlockVector, _)| {
+                    let dot_bits = |d: &Dots| {
+                        let odd = d.1.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                        d.0.iter()
+                            .map(|e| e.to_bits())
+                            .chain(odd)
+                            .collect::<Vec<_>>()
+                    };
                     assert!(
-                        want.0 == got.0 && want.1 == got.1,
+                        block_bits(&want.0) == block_bits(&got.0)
+                            && dot_bits(&want.1) == dot_bits(&got.1),
                         "{name}: {what} differs from the mul_add chain (r = {r}, {body:?} body)"
                     );
                 };
@@ -430,12 +541,30 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                     &rect_aug,
                     run(&|w| dots(top.aug_spmmv_rect(a, b, &v, w))),
                 );
+                if *name == "kinds-stencil" {
+                    // The same rows through the matrix-free walk, at
+                    // the default budget.
+                    check(
+                        "stencil spmmv",
+                        &serial_plain,
+                        run(&|w| {
+                            stencil.spmmv(&v, w);
+                            none.clone()
+                        }),
+                    );
+                    check(
+                        "stencil aug_spmmv",
+                        &serial_aug,
+                        run(&|w| dots(stencil.aug_spmmv(a, b, &v, w))),
+                    );
+                    check(
+                        "stencil aug_spmmv_par",
+                        &expect(h, Some((a, b)), tile_of(STENCIL_BUDGETS[0])),
+                        pools[1].install(|| run(&|w| dots(stencil.aug_spmmv_par(a, b, &v, w)))),
+                    );
+                }
                 for (budget, m) in STENCIL_BUDGETS.into_iter().zip(&handles) {
-                    let tile = match r {
-                        1 => 1024,
-                        _ => tile_rows_for_budget(r, budget),
-                    };
-                    let par_aug = expect(h, Some((a, b)), tile);
+                    let par_aug = expect(h, Some((a, b)), tile_of(budget));
                     for pool in &pools {
                         pool.install(|| {
                             check(
