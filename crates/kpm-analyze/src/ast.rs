@@ -1,14 +1,13 @@
-//! A spanned AST for the Rust subset the workspace uses, produced by a
+//! A call tree for the Rust subset the workspace uses, produced by a
 //! hand-rolled recursive-descent parser over [`crate::lexer`] tokens.
 //!
-//! The dataflow passes need *flow*, not token adjacency: which function
-//! calls which, what runs inside a loop body or a `par_*` closure,
-//! which lock is held when another is acquired. The parser therefore
-//! recovers exactly that structure — items (functions, with their
-//! enclosing `impl`/`trait` type), statements, and an expression tree
-//! of calls, method chains, field paths, macros, closures, loops, and
-//! branches — and deliberately flattens everything else (operators,
-//! types, patterns) into skipped trivia.
+//! `panic_path` needs to know which function calls which and where a
+//! function panics; nothing else. The parser therefore recovers
+//! exactly that — items (functions, with their enclosing `impl`/`trait`
+//! type) and, per body, the calls, method chains and macros in it —
+//! and flattens everything else (control flow, operators, types,
+//! patterns, closures) into [`Expr::Other`] nodes that only carry the
+//! calls nested inside them.
 //!
 //! Tolerance is a design requirement: the lints must degrade
 //! gracefully on code rustc would reject. Unknown constructs are
@@ -33,43 +32,14 @@ pub struct FnDef {
     pub name: String,
     /// The enclosing `impl`/`trait` type, when the fn is a method.
     pub self_type: Option<String>,
-    /// Whether the fn is `pub` (not `pub(crate)`/`pub(super)`).
-    pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// 1-based line of the body's closing brace.
-    pub end_line: u32,
-    /// The parsed body.
-    pub body: Block,
-}
-
-/// A brace-delimited block of statements.
-#[derive(Debug, Default)]
-pub struct Block {
-    /// Statements in source order.
-    pub stmts: Vec<Stmt>,
-    /// Line of the opening brace.
-    pub line: u32,
-    /// Line of the closing brace.
-    pub end_line: u32,
-}
-
-/// One statement: an optional `let` binding name plus the expression
-/// atoms of the statement in source order. Operators between atoms are
-/// dropped, so `f(x) + g(y)` is two sibling atoms.
-#[derive(Debug)]
-pub struct Stmt {
-    /// `Some(name)` for `let name = ...` (simple lowercase bindings
-    /// only; destructuring patterns yield `None`).
-    pub binding: Option<String>,
-    /// The statement's expression atoms.
-    pub exprs: Vec<Expr>,
-    /// Line on which the statement starts.
-    pub line: u32,
+    /// The body's atoms in source order.
+    pub body: Vec<Expr>,
 }
 
 /// An expression atom. Chains associate leftward: `a.b.c()` is
-/// `MethodCall { recv: Field { recv: Path(a), name: b }, name: c }`.
+/// `MethodCall { recv: Other[Other[]], name: c }`.
 #[derive(Debug)]
 pub enum Expr {
     /// A path call `foo(..)` / `Type::foo(..)` / `a::b::foo(..)`.
@@ -92,23 +62,6 @@ pub enum Expr {
         /// Line of the method name.
         line: u32,
     },
-    /// A field access `recv.name` (also `recv[..]` as name `[]` and
-    /// tuple fields as their index).
-    Field {
-        /// The receiver chain.
-        recv: Box<Expr>,
-        /// The field name.
-        name: String,
-        /// Line of the field name.
-        line: u32,
-    },
-    /// A bare path `foo` / `a::b::C`.
-    Path {
-        /// Path segments.
-        segs: Vec<String>,
-        /// Line of the first segment.
-        line: u32,
-    },
     /// A macro invocation `name!(..)` / `name![..]` / `name!{..}`.
     MacroCall {
         /// The macro name (last path segment).
@@ -118,183 +71,37 @@ pub enum Expr {
         /// Line of the macro name.
         line: u32,
     },
-    /// A closure `|..| body` / `move |..| body`.
-    Closure {
-        /// The closure body (expression bodies are wrapped in a
-        /// single-statement block).
-        body: Block,
-        /// Line of the opening `|`.
-        line: u32,
-    },
-    /// A `for`/`while`/`loop` loop.
-    Loop {
-        /// Atoms of the loop head (iterable / condition), if any.
-        head: Vec<Expr>,
-        /// The loop body.
-        body: Block,
-        /// Line of the loop keyword.
-        line: u32,
-    },
-    /// An `if`/`else if`/`else` chain.
-    If {
-        /// `(condition atoms, branch body)` per `if`/`else if` arm.
-        arms: Vec<(Vec<Expr>, Block)>,
-        /// The trailing `else` body, if any.
-        else_arm: Option<Block>,
-        /// Line of the `if` keyword.
-        line: u32,
-    },
-    /// A `match` expression. Arms are parsed permissively: each arm's
-    /// pattern, guard, and body atoms land in one block.
-    Match {
-        /// Scrutinee atoms.
-        head: Vec<Expr>,
-        /// One block per arm.
-        arms: Vec<Block>,
-        /// Line of the `match` keyword.
-        line: u32,
-    },
-    /// A plain `{ .. }` / `unsafe { .. }` block in expression position
-    /// (struct-literal bodies also parse as this).
-    BlockExpr(Block),
-    /// A parenthesized / bracketed composite `(..)` / `[..]`.
-    Group {
-        /// Interior atoms.
-        items: Vec<Expr>,
-        /// Line of the opening delimiter.
-        line: u32,
-    },
-    /// `return`.
-    Ret(u32),
-    /// `break`.
-    Brk(u32),
-    /// `continue`.
-    Cont(u32),
-    /// A literal (string/char/number) — kept only so method chains on
-    /// literals have a receiver.
-    Lit(u32),
+    /// Anything else — a path, literal, field access, index, block,
+    /// group, closure or loop — with the atoms nested inside it.
+    Other(Vec<Expr>),
 }
 
 impl Expr {
-    /// The atom's source line.
-    pub fn line(&self) -> u32 {
-        match self {
-            Expr::Call { line, .. }
-            | Expr::MethodCall { line, .. }
-            | Expr::Field { line, .. }
-            | Expr::Path { line, .. }
-            | Expr::MacroCall { line, .. }
-            | Expr::Closure { line, .. }
-            | Expr::Loop { line, .. }
-            | Expr::If { line, .. }
-            | Expr::Match { line, .. }
-            | Expr::Group { line, .. }
-            | Expr::Ret(line)
-            | Expr::Brk(line)
-            | Expr::Cont(line)
-            | Expr::Lit(line) => *line,
-            Expr::BlockExpr(b) => b.line,
-        }
-    }
-
-    /// Pre-order walk over this atom and everything nested in it,
-    /// including closure and loop bodies.
+    /// Pre-order walk over this atom and everything nested in it.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match self {
-            Expr::Call { args, .. } | Expr::MacroCall { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
+            Expr::Call { args, .. } | Expr::MacroCall { args, .. } | Expr::Other(args) => {
+                walk_all(args, f)
             }
             Expr::MethodCall { recv, args, .. } => {
                 recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
+                walk_all(args, f);
             }
-            Expr::Field { recv, .. } => recv.walk(f),
-            Expr::Closure { body, .. } => body.walk(f),
-            Expr::Loop { head, body, .. } => {
-                for h in head {
-                    h.walk(f);
-                }
-                body.walk(f);
-            }
-            Expr::If { arms, else_arm, .. } => {
-                for (cond, arm) in arms {
-                    for c in cond {
-                        c.walk(f);
-                    }
-                    arm.walk(f);
-                }
-                if let Some(e) = else_arm {
-                    e.walk(f);
-                }
-            }
-            Expr::Match { head, arms, .. } => {
-                for h in head {
-                    h.walk(f);
-                }
-                for a in arms {
-                    a.walk(f);
-                }
-            }
-            Expr::BlockExpr(b) => b.walk(f),
-            Expr::Group { items, .. } => {
-                for i in items {
-                    i.walk(f);
-                }
-            }
-            Expr::Path { .. } | Expr::Ret(_) | Expr::Brk(_) | Expr::Cont(_) | Expr::Lit(_) => {}
-        }
-    }
-
-    /// Renders a receiver chain as a dotted path (`self.ledger.sent`),
-    /// used to identify locks and atomics across call sites. Unknown
-    /// links render as `?`.
-    pub fn chain_path(&self) -> String {
-        match self {
-            Expr::Path { segs, .. } => segs.join("."),
-            Expr::Field { recv, name, .. } => format!("{}.{}", recv.chain_path(), name),
-            Expr::MethodCall { recv, name, .. } => {
-                format!("{}.{}()", recv.chain_path(), name)
-            }
-            Expr::Call { path, .. } => path.join("::"),
-            Expr::Group { .. } => "(..)".to_string(),
-            _ => "?".to_string(),
-        }
-    }
-
-    /// The last meaningful identifier of a receiver chain — the
-    /// approximate *identity* of the lock/atomic the chain denotes
-    /// (`self.inner.queue` and `inner.queue` both yield `queue`).
-    pub fn chain_key(&self) -> String {
-        match self {
-            Expr::Path { segs, .. } => segs.last().cloned().unwrap_or_default(),
-            Expr::Field { name, .. } => name.clone(),
-            Expr::MethodCall { recv, .. } => recv.chain_key(),
-            Expr::Call { path, .. } => path.last().cloned().unwrap_or_default(),
-            _ => String::new(),
         }
     }
 }
 
-impl Block {
-    /// Pre-order walk over every atom in the block.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        for s in &self.stmts {
-            for e in &s.exprs {
-                e.walk(f);
-            }
-        }
+/// Pre-order walk over every atom of a body.
+pub fn walk_all<'a>(atoms: &'a [Expr], f: &mut impl FnMut(&'a Expr)) {
+    for a in atoms {
+        a.walk(f);
     }
 }
 
 /// Parses `src` into its flattened function list.
 pub fn parse(src: &str) -> File {
-    let toks = lex(src);
-    let code: Vec<(TokKind, u32)> = toks
+    let code: Vec<(TokKind, u32)> = lex(src)
         .into_iter()
         .filter_map(|t| match t.kind {
             TokKind::LineComment(_) | TokKind::BlockComment(_) | TokKind::DocComment(_) => None,
@@ -314,13 +121,13 @@ pub fn parse(src: &str) -> File {
 #[derive(Debug)]
 enum Node {
     Tok(TokKind, u32),
-    Group(char, Vec<Node>, u32, u32),
+    Group(char, Vec<Node>, u32),
 }
 
 impl Node {
     fn line(&self) -> u32 {
         match self {
-            Node::Tok(_, l) | Node::Group(_, _, l, _) => *l,
+            Node::Tok(_, l) | Node::Group(_, _, l) => *l,
         }
     }
 
@@ -335,9 +142,9 @@ impl Node {
         matches!(self, Node::Tok(TokKind::Punct(p), _) if *p == c)
     }
 
-    fn group(&self, open: char) -> Option<(&[Node], u32, u32)> {
+    fn group(&self, open: char) -> Option<&[Node]> {
         match self {
-            Node::Group(o, children, l, e) if *o == open => Some((children, *l, *e)),
+            Node::Group(o, children, _) if *o == open => Some(children),
             _ => None,
         }
     }
@@ -351,44 +158,39 @@ fn close_of(open: char) -> char {
     }
 }
 
+/// An open delimiter group: its opener, line, and children so far.
+type Open = (char, u32, Vec<Node>);
+
+/// Appends `node` to the innermost open group, or to the top level.
+fn attach(stack: &mut [Open], top: &mut Vec<Node>, node: Node) {
+    match stack.last_mut() {
+        Some((_, _, parent)) => parent.push(node),
+        None => top.push(node),
+    }
+}
+
 fn build_tree(code: &[(TokKind, u32)]) -> Vec<Node> {
     // Stack of open groups; the bottom is the top level.
-    let mut stack: Vec<(char, u32, Vec<Node>)> = Vec::new();
+    let mut stack: Vec<Open> = Vec::new();
     let mut top: Vec<Node> = Vec::new();
     for (kind, line) in code {
         match kind {
-            TokKind::Punct(c @ ('(' | '[' | '{')) => {
-                stack.push((*c, *line, Vec::new()));
-            }
+            TokKind::Punct(c @ ('(' | '[' | '{')) => stack.push((*c, *line, Vec::new())),
+            // Close the innermost group whose delimiter matches;
+            // mismatched closers are dropped (tolerance).
             TokKind::Punct(c @ (')' | ']' | '}')) => {
-                // Close the innermost group whose delimiter matches;
-                // mismatched closers are dropped (tolerance).
                 if stack.last().is_some_and(|(o, _, _)| close_of(*o) == *c) {
-                    let (o, l, children) = stack.pop().expect("guarded by last()");
-                    let node = Node::Group(o, children, l, *line);
-                    match stack.last_mut() {
-                        Some((_, _, parent)) => parent.push(node),
-                        None => top.push(node),
+                    if let Some((o, l, children)) = stack.pop() {
+                        attach(&mut stack, &mut top, Node::Group(o, children, l));
                     }
                 }
             }
-            k => {
-                let node = Node::Tok(k.clone(), *line);
-                match stack.last_mut() {
-                    Some((_, _, children)) => children.push(node),
-                    None => top.push(node),
-                }
-            }
+            k => attach(&mut stack, &mut top, Node::Tok(k.clone(), *line)),
         }
     }
     // Unterminated groups: close them all (tolerance).
     while let Some((o, l, children)) = stack.pop() {
-        let end = children.last().map_or(l, Node::line);
-        let node = Node::Group(o, children, l, end);
-        match stack.last_mut() {
-            Some((_, _, parent)) => parent.push(node),
-            None => top.push(node),
-        }
+        attach(&mut stack, &mut top, Node::Group(o, children, l));
     }
     top
 }
@@ -424,39 +226,43 @@ fn skip_angles(nodes: &[Node], i: usize) -> usize {
     j
 }
 
+/// Index of the first `{ .. }` group at or after `from`, stopping at a
+/// top-level `;` (a bodiless item).
+fn body_brace(nodes: &[Node], from: usize) -> Option<usize> {
+    (from..nodes.len())
+        .take_while(|&j| !nodes[j].is_punct(';'))
+        .find(|&j| nodes[j].group('{').is_some())
+}
+
+/// Index just past the top-level `;` at or after `from`.
+fn past_semicolon(nodes: &[Node], from: usize) -> usize {
+    (from..nodes.len())
+        .find(|&j| nodes[j].is_punct(';'))
+        .map_or(nodes.len(), |j| j + 1)
+}
+
 impl Parser {
     fn items(&mut self, nodes: &[Node], self_type: Option<&str>) {
         let mut i = 0;
         while i < nodes.len() {
             // Attributes: `#` [`!`] `[...]`.
             if nodes[i].is_punct('#') {
-                let mut j = i + 1;
-                if j < nodes.len() && nodes[j].is_punct('!') {
-                    j += 1;
-                }
-                if j < nodes.len() && nodes[j].group('[').is_some() {
+                let j = i + 1 + usize::from(nodes.get(i + 1).is_some_and(|n| n.is_punct('!')));
+                if nodes.get(j).is_some_and(|n| n.group('[').is_some()) {
                     i = j + 1;
                     continue;
                 }
             }
             let item_start = i;
-            let mut is_pub = false;
             if nodes[i].ident() == Some("pub") {
                 i += 1;
-                if i < nodes.len() && nodes[i].group('(').is_some() {
-                    i += 1; // pub(crate) / pub(super): not public API
-                } else {
-                    is_pub = true;
+                if nodes.get(i).is_some_and(|n| n.group('(').is_some()) {
+                    i += 1; // pub(crate) / pub(super)
                 }
             }
-            let mut saw_const = false;
             while let Some(q) = nodes.get(i).and_then(Node::ident) {
                 match q {
-                    "const" => {
-                        saw_const = true;
-                        i += 1;
-                    }
-                    "async" | "unsafe" | "default" => i += 1,
+                    "const" | "async" | "unsafe" | "default" => i += 1,
                     "extern" => {
                         i += 1;
                         if matches!(nodes.get(i), Some(Node::Tok(TokKind::Str, _))) {
@@ -467,105 +273,48 @@ impl Parser {
                 }
             }
             match nodes.get(i).and_then(Node::ident) {
-                Some("fn") => {
-                    i = self.parse_fn(nodes, i, self_type, is_pub);
-                }
-                Some("impl") => {
-                    i = self.parse_impl(nodes, i);
-                }
-                Some("trait") => {
-                    // `trait Name: Super + Bounds { items }`
-                    let name = nodes.get(i + 1).and_then(Node::ident).map(str::to_string);
-                    let mut j = i + 2;
-                    while j < nodes.len() {
-                        if let Some((children, _, _)) = nodes[j].group('{') {
-                            self.items(children, name.as_deref());
-                            break;
+                Some("fn") => i = self.parse_fn(nodes, i, self_type),
+                Some("impl") => i = self.parse_impl(nodes, i),
+                // `trait Name: Bounds { items }` / `mod name { items }`
+                Some(kw @ ("trait" | "mod")) => {
+                    let name = nodes.get(i + 1).and_then(Node::ident);
+                    let inner = if kw == "trait" { name } else { None };
+                    match body_brace(nodes, i + 2) {
+                        Some(j) => {
+                            if let Some(children) = nodes[j].group('{') {
+                                self.items(children, inner);
+                            }
+                            i = j + 1;
                         }
-                        if nodes[j].is_punct(';') {
-                            break;
-                        }
-                        j += 1;
+                        None => i = past_semicolon(nodes, i),
                     }
-                    i = j + 1;
                 }
-                Some("mod") => {
-                    let mut j = i + 2;
-                    while j < nodes.len() {
-                        if let Some((children, _, _)) = nodes[j].group('{') {
-                            self.items(children, None);
-                            break;
-                        }
-                        if nodes[j].is_punct(';') {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    i = j + 1;
-                }
+                // Skip to the body or the terminating `;`.
                 Some("struct" | "enum" | "union") => {
-                    // Skip to the body or the terminating `;`.
-                    let mut j = i + 1;
-                    while j < nodes.len() {
-                        if nodes[j].group('{').is_some() || nodes[j].is_punct(';') {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    i = j + 1;
+                    i = body_brace(nodes, i + 1).map_or_else(|| past_semicolon(nodes, i), |j| j + 1)
                 }
+                // `macro_rules! name { ... }`
                 Some("macro_rules") => {
-                    // `macro_rules! name { ... }`
-                    let mut j = i + 1;
-                    while j < nodes.len() && nodes[j].group('{').is_none() {
-                        j += 1;
-                    }
-                    i = j + 1;
+                    i = (i + 1..nodes.len())
+                        .find(|&j| nodes[j].group('{').is_some())
+                        .map_or(nodes.len(), |j| j + 1)
                 }
-                _ if saw_const || i > item_start => {
-                    // A non-fn item behind qualifiers (`const X: ... = ...;`,
-                    // `pub use ...;`): skip to the top-level `;`.
-                    let mut j = i;
-                    while j < nodes.len() && !nodes[j].is_punct(';') {
-                        j += 1;
-                    }
-                    i = j + 1;
-                }
-                _ => {
-                    // `static`/`type`/`use`/stray tokens with no
-                    // qualifiers: same skip for item keywords, single
-                    // step otherwise.
-                    if matches!(
-                        nodes.get(i).and_then(Node::ident),
-                        Some("static" | "type" | "use")
-                    ) {
-                        let mut j = i;
-                        while j < nodes.len() && !nodes[j].is_punct(';') {
-                            j += 1;
-                        }
-                        i = j + 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+                // A non-fn item behind qualifiers (`const X: .. = ..;`,
+                // `pub use ..;`) or a `static`/`type`/`use` item.
+                Some("static" | "type" | "use") => i = past_semicolon(nodes, i),
+                _ if i > item_start => i = past_semicolon(nodes, i),
+                _ => i += 1,
             }
         }
     }
 
     /// Parses `fn name<..>(params) -> Ret where .. { body }` starting
     /// at the `fn` keyword; returns the index past the item.
-    fn parse_fn(
-        &mut self,
-        nodes: &[Node],
-        fn_kw: usize,
-        self_type: Option<&str>,
-        is_pub: bool,
-    ) -> usize {
+    fn parse_fn(&mut self, nodes: &[Node], fn_kw: usize, self_type: Option<&str>) -> usize {
         let line = nodes[fn_kw].line();
         let Some(name) = nodes.get(fn_kw + 1).and_then(Node::ident) else {
             return fn_kw + 1;
         };
-        let name = name.to_string();
         let mut j = fn_kw + 2;
         if nodes.get(j).is_some_and(|n| n.is_punct('<')) {
             j = skip_angles(nodes, j);
@@ -577,46 +326,35 @@ impl Parser {
             }
             j += 1;
         }
-        j += 1;
         // Signature tail: the body brace or a `;` (trait signature).
-        while j < nodes.len() {
-            if let Some((children, bl, el)) = nodes[j].group('{') {
-                let body = self.block(children, bl, el);
-                self.fns.push(FnDef {
-                    name,
-                    self_type: self_type.map(str::to_string),
-                    is_pub,
-                    line,
-                    end_line: el,
-                    body,
-                });
-                return j + 1;
-            }
-            if nodes[j].is_punct(';') {
-                return j + 1;
-            }
-            j += 1;
-        }
-        j
+        let Some(b) = body_brace(nodes, j + 1) else {
+            return past_semicolon(nodes, j + 1);
+        };
+        let body = self.atoms(nodes[b].group('{').unwrap_or_default());
+        self.fns.push(FnDef {
+            name: name.to_string(),
+            self_type: self_type.map(str::to_string),
+            line,
+            body,
+        });
+        b + 1
     }
 
     /// Parses `impl<..> Type { .. }` / `impl<..> Trait for Type { .. }`
     /// starting at the `impl` keyword; returns the index past the item.
     fn parse_impl(&mut self, nodes: &[Node], impl_kw: usize) -> usize {
-        let mut j = impl_kw + 1;
-        if nodes.get(j).is_some_and(|n| n.is_punct('<')) {
-            j = skip_angles(nodes, j);
+        let mut k = impl_kw + 1;
+        if nodes.get(k).is_some_and(|n| n.is_punct('<')) {
+            k = skip_angles(nodes, k);
         }
-        // Collect the self type: the first path-head ident after `for`
-        // if present, else the first after the generics.
-        let mut ty: Option<String> = None;
-        let mut after_for: Option<String> = None;
+        // The self type: the first path-head ident after `for` if
+        // present, else the first after the generics.
+        let mut ty: Option<&str> = None;
+        let mut after_for: Option<&str> = None;
         let mut saw_for = false;
-        let mut k = j;
         while k < nodes.len() {
-            if let Some((children, _, _)) = nodes[k].group('{') {
-                let self_type = after_for.or(ty);
-                self.items(children, self_type.as_deref());
+            if let Some(children) = nodes[k].group('{') {
+                self.items(children, after_for.or(ty));
                 return k + 1;
             }
             if nodes[k].is_punct(';') {
@@ -628,16 +366,9 @@ impl Parser {
             }
             match nodes[k].ident() {
                 Some("for") => saw_for = true,
-                Some("where") => {}
-                Some("dyn") => {}
-                Some(id) => {
-                    if saw_for && after_for.is_none() {
-                        after_for = Some(id.to_string());
-                    } else if !saw_for && ty.is_none() {
-                        ty = Some(id.to_string());
-                    }
-                }
-                None => {}
+                Some("where" | "dyn") | None => {}
+                Some(id) if saw_for => after_for = after_for.or(Some(id)),
+                Some(id) => ty = ty.or(Some(id)),
             }
             k += 1;
         }
@@ -645,145 +376,43 @@ impl Parser {
     }
 
     // -----------------------------------------------------------------
-    // Statement and expression parsing.
+    // Expression parsing.
     // -----------------------------------------------------------------
-
-    fn block(&mut self, children: &[Node], line: u32, end_line: u32) -> Block {
-        let mut stmts = Vec::new();
-        let mut start = 0;
-        for (idx, n) in children.iter().enumerate() {
-            if n.is_punct(';') {
-                if idx > start {
-                    stmts.push(self.stmt(&children[start..idx]));
-                }
-                start = idx + 1;
-            }
-        }
-        if start < children.len() {
-            stmts.push(self.stmt(&children[start..]));
-        }
-        Block {
-            stmts,
-            line,
-            end_line,
-        }
-    }
-
-    fn stmt(&mut self, nodes: &[Node]) -> Stmt {
-        let line = nodes.first().map_or(0, Node::line);
-        let mut binding = None;
-        if nodes.first().and_then(Node::ident) == Some("let") {
-            let mut j = 1;
-            if nodes.get(j).and_then(Node::ident) == Some("mut") {
-                j += 1;
-            }
-            if let Some(name) = nodes.get(j).and_then(Node::ident) {
-                let simple = name
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_lowercase() || c == '_');
-                let followed = nodes
-                    .get(j + 1)
-                    .is_some_and(|n| n.is_punct('=') || n.is_punct(':'));
-                if simple && followed {
-                    binding = Some(name.to_string());
-                }
-            }
-        }
-        Stmt {
-            binding,
-            exprs: self.atoms(nodes),
-            line,
-        }
-    }
 
     /// Parses a run of nodes into expression atoms.
     fn atoms(&mut self, nodes: &[Node]) -> Vec<Expr> {
         let mut out: Vec<Expr> = Vec::new();
-        // True right after an atom completes: decides whether `|` opens
-        // a closure and whether `[` indexes the previous atom.
+        // True right after an atom completes: decides whether `[`
+        // indexes the previous atom.
         let mut atom_done = false;
         let mut i = 0;
         while i < nodes.len() {
             match &nodes[i] {
-                Node::Tok(TokKind::Ident(id), line) => {
-                    let line = *line;
-                    match id.as_str() {
-                        "if" => {
-                            i = self.parse_if(nodes, i, line, &mut out);
-                            atom_done = true;
-                        }
-                        "match" => {
-                            i = self.parse_match(nodes, i, line, &mut out);
-                            atom_done = true;
-                        }
-                        "for" => {
-                            if nodes.get(i + 1).is_some_and(|n| n.is_punct('<')) {
-                                i += 1; // HRTB `for<'a>`: type position
-                            } else {
-                                i = self.parse_for(nodes, i, line, &mut out);
-                            }
-                            atom_done = true;
-                        }
-                        "while" => {
-                            i = self.parse_while(nodes, i, line, &mut out);
-                            atom_done = true;
-                        }
-                        "loop" => {
-                            if let Some((children, bl, el)) =
-                                nodes.get(i + 1).and_then(|n| n.group('{'))
-                            {
-                                let body = self.block(children, bl, el);
-                                out.push(Expr::Loop {
-                                    head: Vec::new(),
-                                    body,
-                                    line,
-                                });
-                                i += 2;
-                            } else {
-                                i += 1;
-                            }
-                            atom_done = true;
-                        }
-                        "return" => {
-                            out.push(Expr::Ret(line));
-                            atom_done = false;
-                            i += 1;
-                        }
-                        "break" => {
-                            out.push(Expr::Brk(line));
-                            atom_done = false;
-                            i += 1;
-                        }
-                        "continue" => {
-                            out.push(Expr::Cont(line));
-                            atom_done = false;
-                            i += 1;
-                        }
-                        "fn" => {
-                            // Nested function item inside a body.
-                            i = self.parse_fn(nodes, i, None, false);
-                            atom_done = false;
-                        }
-                        "let" | "mut" | "ref" | "move" | "unsafe" | "as" | "dyn" | "in"
-                        | "else" | "impl" | "where" | "struct" | "enum" | "trait" | "mod"
-                        | "use" | "static" | "type" | "pub" | "crate" | "super" | "await" => {
-                            atom_done = false;
-                            i += 1;
-                        }
-                        _ => {
-                            i = self.parse_path_like(nodes, i, &mut out);
-                            atom_done = true;
-                        }
+                Node::Tok(TokKind::Ident(id), _) => match id.as_str() {
+                    // Nested function item inside a body.
+                    "fn" => {
+                        i = self.parse_fn(nodes, i, None);
+                        atom_done = false;
                     }
-                }
+                    // Keywords: atom boundaries; the blocks and
+                    // expressions after them parse as ordinary atoms.
+                    "if" | "else" | "match" | "for" | "while" | "loop" | "return" | "break"
+                    | "continue" | "let" | "mut" | "ref" | "move" | "unsafe" | "as" | "dyn"
+                    | "in" | "impl" | "where" | "struct" | "enum" | "trait" | "mod" | "use"
+                    | "static" | "type" | "pub" | "crate" | "super" | "await" => {
+                        atom_done = false;
+                        i += 1;
+                    }
+                    _ => {
+                        i = self.parse_path_like(nodes, i, &mut out);
+                        atom_done = true;
+                    }
+                },
                 Node::Tok(TokKind::Punct('.'), _) => {
                     // Chain link: method call, field, or tuple index.
-                    let link = nodes.get(i + 1);
-                    match link {
-                        Some(Node::Tok(TokKind::Ident(name), nline)) => {
-                            let nline = *nline;
-                            let recv = Box::new(out.pop().unwrap_or(Expr::Lit(nline)));
+                    match nodes.get(i + 1) {
+                        Some(Node::Tok(TokKind::Ident(name), line)) => {
+                            let recv = Box::new(out.pop().unwrap_or(Expr::Other(Vec::new())));
                             // Turbofish between name and args.
                             let mut j = i + 2;
                             if nodes.get(j).is_some_and(|n| n.is_punct(':'))
@@ -792,34 +421,23 @@ impl Parser {
                             {
                                 j = skip_angles(nodes, j + 2);
                             }
-                            if let Some((children, _, _)) = nodes.get(j).and_then(|n| n.group('('))
-                            {
-                                let args = self.atoms(children);
+                            if let Some(children) = nodes.get(j).and_then(|n| n.group('(')) {
                                 out.push(Expr::MethodCall {
                                     recv,
                                     name: name.clone(),
-                                    args,
-                                    line: nline,
+                                    args: self.atoms(children),
+                                    line: *line,
                                 });
                                 i = j + 1;
                             } else {
-                                out.push(Expr::Field {
-                                    recv,
-                                    name: name.clone(),
-                                    line: nline,
-                                });
+                                out.push(Expr::Other(vec![*recv]));
                                 i += 2;
                             }
                             atom_done = true;
                         }
-                        Some(Node::Tok(TokKind::Num, nline)) => {
-                            let nline = *nline;
-                            let recv = Box::new(out.pop().unwrap_or(Expr::Lit(nline)));
-                            out.push(Expr::Field {
-                                recv,
-                                name: "0".to_string(),
-                                line: nline,
-                            });
+                        Some(Node::Tok(TokKind::Num, _)) => {
+                            let recv = out.pop().unwrap_or(Expr::Other(Vec::new()));
+                            out.push(Expr::Other(vec![recv]));
                             i += 2;
                             atom_done = true;
                         }
@@ -830,80 +448,36 @@ impl Parser {
                         }
                     }
                 }
-                Node::Tok(TokKind::Punct('|'), line) => {
-                    if atom_done {
-                        // Binary bit-or / pattern alternation.
-                        atom_done = false;
-                        i += 1;
-                    } else {
-                        i = self.parse_closure(nodes, i, *line, &mut out);
-                        atom_done = true;
-                    }
-                }
                 Node::Tok(TokKind::Punct('#'), _) => {
                     // Statement-level attribute: `#` [`!`] `[...]`.
-                    let mut j = i + 1;
-                    if nodes.get(j).is_some_and(|n| n.is_punct('!')) {
-                        j += 1;
-                    }
-                    if nodes.get(j).is_some_and(|n| n.group('[').is_some()) {
-                        i = j + 1;
+                    let j = i + 1 + usize::from(nodes.get(i + 1).is_some_and(|n| n.is_punct('!')));
+                    i = if nodes.get(j).is_some_and(|n| n.group('[').is_some()) {
+                        j + 1
                     } else {
-                        i += 1;
-                    }
+                        i + 1
+                    };
                 }
                 Node::Tok(TokKind::Punct('?'), _) => {
                     i += 1; // keeps atom_done as-is: `x.f()?.g()`
                 }
-                Node::Tok(TokKind::Str | TokKind::Char | TokKind::Num, line) => {
-                    out.push(Expr::Lit(*line));
+                Node::Tok(TokKind::Str | TokKind::Char | TokKind::Num, _) => {
+                    out.push(Expr::Other(Vec::new()));
                     atom_done = true;
                     i += 1;
                 }
-                Node::Tok(TokKind::Lifetime, _) => {
-                    // Loop labels / bounds; a following `:` is consumed
-                    // with it by the generic punct arm below.
-                    atom_done = false;
-                    i += 1;
-                }
-                Node::Tok(TokKind::Punct(_), _) => {
-                    // Operator or type punctuation: atom boundary.
-                    atom_done = false;
-                    i += 1;
-                }
+                // Operators, type punctuation, labels: atom boundaries.
                 Node::Tok(_, _) => {
+                    atom_done = false;
                     i += 1;
                 }
-                Node::Group('(', children, l, _) => {
-                    let items = self.atoms(children);
-                    out.push(Expr::Group { items, line: *l });
-                    atom_done = true;
-                    i += 1;
-                }
-                Node::Group('[', children, l, _) => {
-                    let l = *l;
-                    let items = self.atoms(children);
-                    if atom_done {
+                Node::Group(open, children, _) => {
+                    let mut items = self.atoms(children);
+                    if *open == '[' && atom_done {
                         // Indexing the previous atom.
-                        let recv = Box::new(out.pop().unwrap_or(Expr::Lit(l)));
-                        out.push(Expr::MethodCall {
-                            recv,
-                            name: "[]".to_string(),
-                            args: items,
-                            line: l,
-                        });
-                    } else {
-                        out.push(Expr::Group { items, line: l });
+                        items.insert(0, out.pop().unwrap_or(Expr::Other(Vec::new())));
                     }
+                    out.push(Expr::Other(items));
                     atom_done = true;
-                    i += 1;
-                }
-                Node::Group('{', children, l, e) => {
-                    out.push(Expr::BlockExpr(self.block(children, *l, *e)));
-                    atom_done = true;
-                    i += 1;
-                }
-                Node::Group(..) => {
                     i += 1;
                 }
             }
@@ -917,257 +491,39 @@ impl Parser {
         let line = nodes[i].line();
         let mut segs = vec![nodes[i].ident().unwrap_or_default().to_string()];
         let mut j = i + 1;
-        loop {
-            if nodes.get(j).is_some_and(|n| n.is_punct(':'))
-                && nodes.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                if let Some(seg) = nodes.get(j + 2).and_then(Node::ident) {
-                    segs.push(seg.to_string());
-                    j += 3;
-                    continue;
-                }
-                if nodes.get(j + 2).is_some_and(|n| n.is_punct('<')) {
-                    j = skip_angles(nodes, j + 2);
-                    continue;
-                }
+        while nodes.get(j).is_some_and(|n| n.is_punct(':'))
+            && nodes.get(j + 1).is_some_and(|n| n.is_punct(':'))
+        {
+            if let Some(seg) = nodes.get(j + 2).and_then(Node::ident) {
+                segs.push(seg.to_string());
+                j += 3;
+            } else if nodes.get(j + 2).is_some_and(|n| n.is_punct('<')) {
+                j = skip_angles(nodes, j + 2);
+            } else {
+                break;
             }
-            break;
         }
         // Macro?
         if nodes.get(j).is_some_and(|n| n.is_punct('!')) {
-            let group = nodes.get(j + 1).and_then(|n| match n {
-                Node::Group(_, children, _, _) => Some(children),
-                _ => None,
-            });
-            if let Some(children) = group {
-                let args = self.atoms(children);
+            if let Some(Node::Group(_, children, _)) = nodes.get(j + 1) {
                 out.push(Expr::MacroCall {
-                    name: segs.last().cloned().unwrap_or_default(),
-                    args,
+                    name: segs.pop().unwrap_or_default(),
+                    args: self.atoms(children),
                     line,
                 });
                 return j + 2;
             }
         }
         // Call?
-        if let Some((children, _, _)) = nodes.get(j).and_then(|n| n.group('(')) {
-            let args = self.atoms(children);
+        if let Some(children) = nodes.get(j).and_then(|n| n.group('(')) {
             out.push(Expr::Call {
                 path: segs,
-                args,
+                args: self.atoms(children),
                 line,
             });
             return j + 1;
         }
-        out.push(Expr::Path { segs, line });
-        j
-    }
-
-    /// Parses `if cond { .. } else if cond { .. } else { .. }` at `i`.
-    fn parse_if(&mut self, nodes: &[Node], i: usize, line: u32, out: &mut Vec<Expr>) -> usize {
-        let mut arms = Vec::new();
-        let mut else_arm = None;
-        let mut j = i;
-        loop {
-            // At the `if` keyword: condition runs to the first
-            // top-level `{` (struct literals need parens here, so this
-            // matches real Rust).
-            j += 1;
-            let cond_start = j;
-            while j < nodes.len() && nodes[j].group('{').is_none() {
-                j += 1;
-            }
-            let cond = self.atoms(&nodes[cond_start..j.min(nodes.len())]);
-            let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) else {
-                out.push(Expr::If {
-                    arms,
-                    else_arm,
-                    line,
-                });
-                return j;
-            };
-            arms.push((cond, self.block(children, bl, el)));
-            j += 1;
-            if nodes.get(j).and_then(Node::ident) == Some("else") {
-                j += 1;
-                if nodes.get(j).and_then(Node::ident) == Some("if") {
-                    continue; // else-if: loop parses the next cond+arm
-                }
-                if let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) {
-                    else_arm = Some(self.block(children, bl, el));
-                    j += 1;
-                }
-            }
-            break;
-        }
-        out.push(Expr::If {
-            arms,
-            else_arm,
-            line,
-        });
-        j
-    }
-
-    /// Parses `match scrutinee { arms }` at `i`. Arms split at
-    /// top-level commas; pattern, guard, and body atoms all land in
-    /// the arm's block.
-    fn parse_match(&mut self, nodes: &[Node], i: usize, line: u32, out: &mut Vec<Expr>) -> usize {
-        let mut j = i + 1;
-        let head_start = j;
-        while j < nodes.len() && nodes[j].group('{').is_none() {
-            j += 1;
-        }
-        let head = self.atoms(&nodes[head_start..j.min(nodes.len())]);
-        let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) else {
-            out.push(Expr::Match {
-                head,
-                arms: Vec::new(),
-                line,
-            });
-            return j;
-        };
-        let mut arms = Vec::new();
-        let mut start = 0;
-        for (idx, n) in children.iter().enumerate() {
-            if n.is_punct(',') {
-                if idx > start {
-                    let exprs = self.atoms(&children[start..idx]);
-                    arms.push(Block {
-                        stmts: vec![Stmt {
-                            binding: None,
-                            exprs,
-                            line: children[start].line(),
-                        }],
-                        line: bl,
-                        end_line: el,
-                    });
-                }
-                start = idx + 1;
-            }
-        }
-        if start < children.len() {
-            let exprs = self.atoms(&children[start..]);
-            arms.push(Block {
-                stmts: vec![Stmt {
-                    binding: None,
-                    exprs,
-                    line: children[start].line(),
-                }],
-                line: bl,
-                end_line: el,
-            });
-        }
-        out.push(Expr::Match { head, arms, line });
-        j + 1
-    }
-
-    /// Parses `for pat in iterable { body }` at `i`.
-    fn parse_for(&mut self, nodes: &[Node], i: usize, line: u32, out: &mut Vec<Expr>) -> usize {
-        // Skip the pattern: everything up to the top-level `in`.
-        let mut j = i + 1;
-        while j < nodes.len() {
-            if nodes[j].ident() == Some("in") {
-                break;
-            }
-            if nodes[j].group('{').is_some() {
-                // Malformed (or not actually a loop): bail out.
-                out.push(Expr::Path {
-                    segs: vec!["for".to_string()],
-                    line,
-                });
-                return i + 1;
-            }
-            j += 1;
-        }
-        j += 1; // past `in`
-        let head_start = j;
-        while j < nodes.len() && nodes[j].group('{').is_none() {
-            j += 1;
-        }
-        let head = self.atoms(&nodes[head_start..j.min(nodes.len())]);
-        if let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) {
-            let body = self.block(children, bl, el);
-            out.push(Expr::Loop { head, body, line });
-            return j + 1;
-        }
-        out.push(Expr::Loop {
-            head,
-            body: Block::default(),
-            line,
-        });
-        j
-    }
-
-    /// Parses `while cond { body }` (including `while let`) at `i`.
-    fn parse_while(&mut self, nodes: &[Node], i: usize, line: u32, out: &mut Vec<Expr>) -> usize {
-        let mut j = i + 1;
-        let head_start = j;
-        while j < nodes.len() && nodes[j].group('{').is_none() {
-            j += 1;
-        }
-        let head = self.atoms(&nodes[head_start..j.min(nodes.len())]);
-        if let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) {
-            let body = self.block(children, bl, el);
-            out.push(Expr::Loop { head, body, line });
-            return j + 1;
-        }
-        out.push(Expr::Loop {
-            head,
-            body: Block::default(),
-            line,
-        });
-        j
-    }
-
-    /// Parses a closure starting at the opening `|` at `i`.
-    fn parse_closure(&mut self, nodes: &[Node], i: usize, line: u32, out: &mut Vec<Expr>) -> usize {
-        // Parameter region: to the matching top-level `|` (the lexer
-        // emits `||` as two puncts, so the empty list falls out).
-        let mut j = i + 1;
-        while j < nodes.len() && !nodes[j].is_punct('|') {
-            j += 1;
-        }
-        if j >= nodes.len() {
-            // No closing `|`: a bitwise-or or pattern alternative, not
-            // a closure. Skip the punct and let the caller continue.
-            return i + 1;
-        }
-        j += 1; // past the closing `|`
-                // Optional return type `-> T` before a block body.
-        if nodes.get(j).is_some_and(|n| n.is_punct('-'))
-            && nodes.get(j + 1).is_some_and(|n| n.is_punct('>'))
-        {
-            let mut k = j + 2;
-            while k < nodes.len() && nodes[k].group('{').is_none() {
-                k += 1;
-            }
-            j = k;
-        }
-        if let Some((children, bl, el)) = nodes.get(j).and_then(|n| n.group('{')) {
-            let body = self.block(children, bl, el);
-            out.push(Expr::Closure { body, line });
-            return j + 1;
-        }
-        // Expression body: runs to the next top-level `,` (argument
-        // separator) or the end of this node run.
-        let body_start = j;
-        while j < nodes.len() && !nodes[j].is_punct(',') {
-            j += 1;
-        }
-        let exprs = self.atoms(&nodes[body_start..j.min(nodes.len())]);
-        let body_line = nodes.get(body_start).map_or(line, Node::line);
-        out.push(Expr::Closure {
-            body: Block {
-                stmts: vec![Stmt {
-                    binding: None,
-                    exprs,
-                    line: body_line,
-                }],
-                line: body_line,
-                end_line: nodes.get(j.saturating_sub(1)).map_or(body_line, Node::line),
-            },
-            line,
-        });
+        out.push(Expr::Other(Vec::new()));
         j
     }
 }
@@ -1182,14 +538,17 @@ mod tests {
         file.fns.remove(0)
     }
 
-    fn collect_method_names(f: &FnDef) -> Vec<String> {
-        let mut names = Vec::new();
-        f.body.walk(&mut |e| {
-            if let Expr::MethodCall { name, .. } = e {
-                names.push(name.clone());
-            }
+    /// Every call in `f`'s body as `name@line`: `path::name` for path
+    /// calls, `.name` for method calls, `name!` for macros.
+    fn calls(f: &FnDef) -> Vec<String> {
+        let mut out = Vec::new();
+        walk_all(&f.body, &mut |e| match e {
+            Expr::Call { path, line, .. } => out.push(format!("{}@{line}", path.join("::"))),
+            Expr::MethodCall { name, line, .. } => out.push(format!(".{name}@{line}")),
+            Expr::MacroCall { name, line, .. } => out.push(format!("{name}!@{line}")),
+            Expr::Other(_) => {}
         });
-        names
+        out
     }
 
     #[test]
@@ -1199,17 +558,17 @@ mod tests {
              impl Foo { fn method(&self) {} }\n\
              impl Iterator for Bar { fn next(&mut self) -> Option<u32> { None } }",
         );
-        let names: Vec<(String, Option<String>, bool)> = file
+        let names: Vec<(String, Option<String>, u32)> = file
             .fns
             .iter()
-            .map(|f| (f.name.clone(), f.self_type.clone(), f.is_pub))
+            .map(|f| (f.name.clone(), f.self_type.clone(), f.line))
             .collect();
         assert_eq!(
             names,
             vec![
-                ("free".into(), None, true),
-                ("method".into(), Some("Foo".into()), false),
-                ("next".into(), Some("Bar".into()), false),
+                ("free".into(), None, 1),
+                ("method".into(), Some("Foo".into()), 2),
+                ("next".into(), Some("Bar".into()), 3),
             ]
         );
     }
@@ -1217,91 +576,46 @@ mod tests {
     #[test]
     fn method_chains_associate_leftward() {
         let f = first_fn("fn f(xs: &[f64]) -> f64 { xs.par_iter().map(|x| x * x).sum() }");
-        let names = collect_method_names(&f);
-        assert!(names.contains(&"par_iter".to_string()));
-        assert!(names.contains(&"map".to_string()));
-        assert!(names.contains(&"sum".to_string()));
+        assert_eq!(calls(&f), vec![".sum@1", ".map@1", ".par_iter@1"]);
         // sum's receiver chain reaches par_iter.
-        let mut found = false;
-        f.body.walk(&mut |e| {
-            if let Expr::MethodCall { name, recv, .. } = e {
-                if name == "sum" {
-                    let mut r: &Expr = recv;
-                    while let Expr::MethodCall { name, recv, .. } = r {
-                        if name == "par_iter" {
-                            found = true;
-                            break;
-                        }
-                        r = recv;
-                    }
-                }
-            }
-        });
-        assert!(found, "sum's receiver chain should reach par_iter");
+        let Expr::MethodCall { recv, .. } = &f.body[0] else {
+            panic!("{:?}", f.body);
+        };
+        let Expr::MethodCall { recv, .. } = &**recv else {
+            panic!("{recv:?}");
+        };
+        assert!(matches!(&**recv, Expr::MethodCall { name, .. } if name == "par_iter"));
     }
 
     #[test]
-    fn loops_and_closures_nest() {
+    fn calls_inside_control_flow_closures_and_indexing_are_seen() {
         let f = first_fn(
-            "fn f(h: &M, v: &[f64]) { for r in 0..h.n() { let acc = h.row(r); } \
-             v.iter().for_each(|x| { sink(x); }); }",
+            "fn f(x: u32) -> u32 {\n\
+                 for r in 0..h.n() { let acc = h.row(r); }\n\
+                 v.iter().for_each(|x| { sink(x); });\n\
+                 if x > 1 { a(); } else if x == 0 { b(); } else { c(); }\n\
+                 match x { 0 => d(), _ => { e()[idx()].g(); } }\n\
+                 while let Some(y) = it.next() { loop { break; } }\n\
+                 x\n\
+             }",
         );
-        let mut loops = 0;
-        let mut closures = 0;
-        let mut calls = Vec::new();
-        f.body.walk(&mut |e| match e {
-            Expr::Loop { .. } => loops += 1,
-            Expr::Closure { .. } => closures += 1,
-            Expr::Call { path, .. } => calls.push(path.join("::")),
-            _ => {}
-        });
-        assert_eq!(loops, 1);
-        assert_eq!(closures, 1);
-        assert!(calls.contains(&"sink".to_string()));
-    }
-
-    #[test]
-    fn let_bindings_and_chain_paths() {
-        let f = first_fn("fn f(&self) { let g = self.inner.queue.lock(); g.push(1); }");
-        assert_eq!(f.body.stmts[0].binding.as_deref(), Some("g"));
-        let mut key = String::new();
-        f.body.walk(&mut |e| {
-            if let Expr::MethodCall { name, recv, .. } = e {
-                if name == "lock" {
-                    key = recv.chain_key();
-                }
-            }
-        });
-        assert_eq!(key, "queue");
-    }
-
-    #[test]
-    fn if_match_while_structure() {
-        let f = first_fn(
-            "fn f(x: u32) -> u32 { if x > 1 { a(); } else if x == 0 { b(); } else { c(); } \
-             match x { 0 => d(), _ => { e(); } } while x < 3 { g(); } x }",
-        );
-        let mut ifs = 0;
-        let mut matches = 0;
-        let mut loops = 0;
-        let mut calls = Vec::new();
-        f.body.walk(&mut |e| match e {
-            Expr::If { arms, else_arm, .. } => {
-                ifs += 1;
-                assert_eq!(arms.len(), 2);
-                assert!(else_arm.is_some());
-            }
-            Expr::Match { arms, .. } => {
-                matches += 1;
-                assert_eq!(arms.len(), 2);
-            }
-            Expr::Loop { .. } => loops += 1,
-            Expr::Call { path, .. } => calls.push(path.join("::")),
-            _ => {}
-        });
-        assert_eq!((ifs, matches, loops), (1, 1, 1));
-        for c in ["a", "b", "c", "d", "e", "g"] {
-            assert!(calls.contains(&c.to_string()), "missing call {c}");
+        let found = calls(&f);
+        for c in [
+            ".n@2",
+            ".row@2",
+            ".for_each@3",
+            "sink@3",
+            "a@4",
+            "b@4",
+            "c@4",
+            "d@5",
+            "e@5",
+            "idx@5",
+            ".g@5",
+            "Some@6",
+            ".next@6",
+        ] {
+            assert!(found.contains(&c.to_string()), "missing {c} in {found:?}");
         }
     }
 
@@ -1309,19 +623,19 @@ mod tests {
     fn macros_and_path_calls() {
         let f = first_fn(
             "fn f() { let v = vec![compute(1), 2]; CrsMatrix::from_raw(&v); \
-             assert_eq!(helper(v), 3); }",
+             assert_eq!(helper(v), 3); x.collect::<Vec<_>>(); }",
         );
-        let mut macros = Vec::new();
-        let mut calls = Vec::new();
-        f.body.walk(&mut |e| match e {
-            Expr::MacroCall { name, .. } => macros.push(name.clone()),
-            Expr::Call { path, .. } => calls.push(path.join("::")),
-            _ => {}
-        });
-        assert_eq!(macros, vec!["vec", "assert_eq"]);
-        assert!(calls.contains(&"compute".to_string()));
-        assert!(calls.contains(&"CrsMatrix::from_raw".to_string()));
-        assert!(calls.contains(&"helper".to_string()));
+        assert_eq!(
+            calls(&f),
+            vec![
+                "vec!@1",
+                "compute@1",
+                "CrsMatrix::from_raw@1",
+                "assert_eq!@1",
+                "helper@1",
+                ".collect@1"
+            ]
+        );
     }
 
     #[test]
@@ -1334,6 +648,8 @@ mod tests {
         );
         let names: Vec<&str> = file.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["inner", "outer"]);
+        // The nested fn's calls are its own, not the outer fn's.
+        assert_eq!(calls(&file.fns[1]), vec!["Ok@3"]);
     }
 
     #[test]

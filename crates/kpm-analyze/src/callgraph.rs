@@ -5,9 +5,9 @@
 //! name on that type, a free call links to free functions by name
 //! (same file, then same crate, then workspace-wide), and a
 //! `recv.method(..)` call links to every workspace method of that
-//! name. Over-approximation is the safe direction for the reachability
-//! passes (`panic_path`, `blocking_in_hot`); the blocklist below keeps
-//! ubiquitous std names from wiring the whole workspace together.
+//! name. Over-approximation is the safe direction for `panic_path`'s
+//! reachability; the blocklist below keeps ubiquitous std names from
+//! wiring the whole workspace together.
 //!
 //! Test functions are never resolution targets: non-test code does not
 //! call test helpers, and a name collision with one would otherwise
@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use crate::ast;
-use crate::lints::FileClass;
+use crate::lints::{FileAnalysis, FileClass};
 
 /// Method names too generic to resolve by name alone — std trait
 /// methods and container operations that would connect unrelated
@@ -134,25 +134,9 @@ const METHOD_RESOLVE_BLOCKLIST: &[&str] = &[
     "zip",
 ];
 
-/// Per-file input to call-graph construction.
-pub struct FileFns<'a> {
-    /// Index of the file in the workspace scan order.
-    pub file_idx: usize,
-    /// Crate directory name (e.g. `kpm-num`).
-    pub crate_name: String,
-    /// The file's class.
-    pub class: FileClass,
-    /// Workspace-relative path, for messages.
-    pub path: String,
-    /// Parsed functions.
-    pub ast: &'a ast::File,
-    /// Per-line test flags (1-based line `l` at index `l - 1`).
-    pub test_lines: &'a [bool],
-}
-
 /// One function in the workspace, flattened across files.
 pub struct FnNode {
-    /// Index of the owning file (into the `FileFns` slice order).
+    /// Index of the owning file in the workspace scan order.
     pub file_idx: usize,
     /// Index into that file's [`ast::File::fns`].
     pub fn_idx: usize,
@@ -164,8 +148,6 @@ pub struct FnNode {
     pub name: String,
     /// Enclosing `impl`/`trait` type for methods.
     pub self_type: Option<String>,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// True for functions inside `#[cfg(test)]`/`#[test]` regions or
     /// test-class files.
     pub is_test: bool,
@@ -200,26 +182,21 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the graph from every parsed file in the workspace.
-    pub fn build(files: &[FileFns<'_>]) -> CallGraph {
+    /// Builds the graph from every analyzed file in the workspace
+    /// (`files` in scan order; [`FnNode::file_idx`] indexes it).
+    pub fn build(files: &[FileAnalysis]) -> CallGraph {
         let mut fns: Vec<FnNode> = Vec::new();
-        for f in files {
+        for (file_idx, f) in files.iter().enumerate() {
             for (fn_idx, d) in f.ast.fns.iter().enumerate() {
-                let in_test_region = f
-                    .test_lines
-                    .get(d.line as usize - 1)
-                    .copied()
-                    .unwrap_or(false);
                 fns.push(FnNode {
-                    file_idx: f.file_idx,
+                    file_idx,
                     fn_idx,
-                    crate_name: f.crate_name.clone(),
-                    path: f.path.clone(),
+                    crate_name: f.input.crate_name.clone(),
+                    path: f.input.path.clone(),
                     name: d.name.clone(),
                     self_type: d.self_type.clone(),
-                    line: d.line,
-                    is_test: f.class == FileClass::Test || in_test_region,
-                    class: f.class,
+                    is_test: f.is_test_line(d.line),
+                    class: f.input.class,
                 });
             }
         }
@@ -234,18 +211,16 @@ impl CallGraph {
             }
         }
 
-        let file_of: HashMap<usize, &FileFns<'_>> = files.iter().map(|f| (f.file_idx, f)).collect();
         let crate_names: Vec<String> = files
             .iter()
-            .map(|f| f.crate_name.replace('-', "_"))
+            .map(|f| f.input.crate_name.replace('-', "_"))
             .collect();
 
         let mut edges: Vec<Vec<CallEdge>> = (0..fns.len()).map(|_| Vec::new()).collect();
         for (caller, node) in fns.iter().enumerate() {
-            let file = file_of[&node.file_idx];
-            let def = &file.ast.fns[node.fn_idx];
+            let def = &files[node.file_idx].ast.fns[node.fn_idx];
             let mut out: Vec<CallEdge> = Vec::new();
-            def.body.walk(&mut |e| {
+            ast::walk_all(&def.body, &mut |e| {
                 resolve_site(e, node, &fns, &by_name, &crate_names, &mut out);
             });
             // Dedup (to) keeping the first (earliest) site.
@@ -255,31 +230,6 @@ impl CallGraph {
         }
 
         CallGraph { fns, edges }
-    }
-
-    /// Breadth-first reachability from the seed functions.
-    pub fn reachable(&self, seeds: impl IntoIterator<Item = usize>) -> Vec<bool> {
-        let mut seen = vec![false; self.fns.len()];
-        let mut queue: Vec<usize> = seeds.into_iter().collect();
-        for &s in &queue {
-            seen[s] = true;
-        }
-        while let Some(f) = queue.pop() {
-            for e in &self.edges[f] {
-                if !seen[e.to] {
-                    seen[e.to] = true;
-                    queue.push(e.to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Index of the function defined at `(file_idx, fn_idx)`.
-    pub fn find(&self, file_idx: usize, fn_idx: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .position(|n| n.file_idx == file_idx && n.fn_idx == fn_idx)
     }
 }
 
@@ -397,32 +347,41 @@ fn resolve_site(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::parse;
+    use crate::lints::{analyze_file, FileInput};
+
+    fn graph(files: &[(&str, &str)]) -> CallGraph {
+        let analyses: Vec<FileAnalysis> = files
+            .iter()
+            .enumerate()
+            .map(|(i, (krate, src))| {
+                let input = FileInput {
+                    path: format!("crates/{krate}/src/f{i}.rs"),
+                    crate_name: krate.to_string(),
+                    class: FileClass::Lib,
+                };
+                analyze_file(&input, src)
+            })
+            .collect();
+        CallGraph::build(&analyses)
+    }
 
     fn graph_one(src: &str) -> CallGraph {
-        let file = parse(src);
-        let test_lines = vec![false; 512];
-        let files = vec![FileFns {
-            file_idx: 0,
-            crate_name: "kpm-num".to_string(),
-            class: FileClass::Lib,
-            path: "crates/kpm-num/src/x.rs".to_string(),
-            ast: &file,
-            test_lines: &test_lines,
-        }];
-        CallGraph::build(&files)
+        graph(&[("kpm-num", src)])
     }
 
     fn idx(g: &CallGraph, name: &str) -> usize {
         g.fns.iter().position(|f| f.name == name).unwrap()
     }
 
+    fn calls(g: &CallGraph, from: &str, to: &str) -> bool {
+        g.edges[idx(g, from)].iter().any(|e| e.to == idx(g, to))
+    }
+
     #[test]
     fn free_calls_link_within_file() {
         let g = graph_one("fn a() { b(); }\nfn b() {}\n");
-        let (a, b) = (idx(&g, "a"), idx(&g, "b"));
-        assert!(g.edges[a].iter().any(|e| e.to == b));
-        assert!(g.edges[b].is_empty());
+        assert!(calls(&g, "a", "b"));
+        assert!(g.edges[idx(&g, "b")].is_empty());
     }
 
     #[test]
@@ -430,73 +389,44 @@ mod tests {
         let g = graph_one(
             "struct S;\nimpl S { fn go(&self) { helper(); } }\nfn helper() {}\nfn top() { S::go(); }\n",
         );
-        let (top, go, helper) = (idx(&g, "top"), idx(&g, "go"), idx(&g, "helper"));
-        assert!(g.edges[top].iter().any(|e| e.to == go));
-        assert!(g.edges[go].iter().any(|e| e.to == helper));
-        let reach = g.reachable([top]);
-        assert!(reach[helper]);
+        assert!(calls(&g, "top", "go"));
+        assert!(calls(&g, "go", "helper"));
     }
 
     #[test]
     fn blocklisted_method_names_do_not_link() {
         let g = graph_one("struct S;\nimpl S { fn clone(&self) { danger(); } }\nfn danger() {}\nfn top(s: S) { s.clone(); }\n");
-        let top = idx(&g, "top");
-        assert!(g.edges[top].is_empty(), "clone must not resolve by name");
+        assert!(
+            g.edges[idx(&g, "top")].is_empty(),
+            "clone must not resolve by name"
+        );
     }
 
     #[test]
     fn method_calls_resolve_by_name() {
         let g =
             graph_one("struct S;\nimpl S { fn solve(&self) {} }\nfn top(s: S) { s.solve(); }\n");
-        let (top, solve) = (idx(&g, "top"), idx(&g, "solve"));
-        assert!(g.edges[top].iter().any(|e| e.to == solve));
+        assert!(calls(&g, "top", "solve"));
     }
 
     #[test]
     fn test_fns_are_not_targets() {
-        let file = parse("fn a() { helper(); }\nfn helper() {}\n");
-        let mut test_lines = vec![false; 8];
-        test_lines[1] = true; // line 2: helper is in a test region
-        let files = vec![FileFns {
-            file_idx: 0,
-            crate_name: "kpm-num".to_string(),
-            class: FileClass::Lib,
-            path: "x.rs".to_string(),
-            ast: &file,
-            test_lines: &test_lines,
-        }];
-        let g = CallGraph::build(&files);
-        let a = g.fns.iter().position(|f| f.name == "a").unwrap();
-        assert!(g.edges[a].is_empty());
+        let g = graph_one("fn a() { helper(); }\n#[cfg(test)]\nfn helper() {}\n");
+        assert!(g.fns[idx(&g, "helper")].is_test);
+        assert!(g.edges[idx(&g, "a")].is_empty());
     }
 
     #[test]
     fn crate_qualified_calls_restrict_to_that_crate() {
-        let f1 = parse("fn shared() {}\n");
-        let f2 = parse("fn shared() {}\nfn top() { kpm_num::shared(); }\n");
-        let t = vec![false; 16];
-        let files = vec![
-            FileFns {
-                file_idx: 0,
-                crate_name: "kpm-num".to_string(),
-                class: FileClass::Lib,
-                path: "a.rs".to_string(),
-                ast: &f1,
-                test_lines: &t,
-            },
-            FileFns {
-                file_idx: 1,
-                crate_name: "kpm-core".to_string(),
-                class: FileClass::Lib,
-                path: "b.rs".to_string(),
-                ast: &f2,
-                test_lines: &t,
-            },
-        ];
-        let g = CallGraph::build(&files);
-        let top = g.fns.iter().position(|f| f.name == "top").unwrap();
+        let g = graph(&[
+            ("kpm-num", "fn shared() {}\n"),
+            (
+                "kpm-core",
+                "fn shared() {}\nfn top() { kpm_num::shared(); }\n",
+            ),
+        ]);
+        let top = idx(&g, "top");
         assert_eq!(g.edges[top].len(), 1);
-        let callee = &g.fns[g.edges[top][0].to];
-        assert_eq!(callee.crate_name, "kpm-num");
+        assert_eq!(g.fns[g.edges[top][0].to].crate_name, "kpm-num");
     }
 }

@@ -1,8 +1,5 @@
-//! Diagnostics: the lint engine's output type, human rendering, and
-//! hand-rolled machine-readable JSON (the workspace is offline, so no
-//! serde — same policy as `kpm-obs`).
-
-use std::fmt::Write as _;
+//! Diagnostics: the lint engine's output type and its `file:line`
+//! rendering.
 
 /// One finding: a rule violated at a file:line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,135 +28,5 @@ impl Diagnostic {
             "{}:{}: [{}] {}\n    hint: {}",
             self.file, self.line, self.rule, self.message, self.hint
         )
-    }
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the full report as one JSON document:
-/// `{"tool":"kpm-analyze","files_scanned":N,"diagnostics":[...]}`.
-pub fn render_json(diags: &[Diagnostic], files_scanned: usize) -> String {
-    render_json_with(diags, files_scanned, &[], &[])
-}
-
-/// [`render_json`] plus the per-rule finding counts and per-pass
-/// timing the workspace driver collects: adds a `"rule_counts"`
-/// object (every registered rule, zeros included) and a `"passes"`
-/// array of `{"name", "ms"}` in execution order.
-pub fn render_json_report(report: &crate::workspace::Report) -> String {
-    render_json_with(
-        &report.diags,
-        report.files_scanned,
-        &report.rule_counts,
-        &report.passes,
-    )
-}
-
-fn render_json_with(
-    diags: &[Diagnostic],
-    files_scanned: usize,
-    rule_counts: &[(&'static str, usize)],
-    passes: &[(&'static str, f64)],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"tool\": \"kpm-analyze\",");
-    let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
-    let _ = writeln!(out, "  \"diagnostic_count\": {},", diags.len());
-    if !rule_counts.is_empty() {
-        out.push_str("  \"rule_counts\": {");
-        for (i, (rule, n)) in rule_counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {n}", json_escape(rule));
-        }
-        out.push_str("\n  },\n");
-    }
-    if !passes.is_empty() {
-        out.push_str("  \"passes\": [");
-        for (i, (name, ms)) in passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"ms\": {ms:.3}}}",
-                json_escape(name)
-            );
-        }
-        out.push_str("\n  ],\n");
-    }
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(
-            out,
-            "\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"hint\": \"{}\"",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message),
-            json_escape(&d.hint)
-        );
-        out.push('}');
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let d = Diagnostic {
-            rule: "no_panic",
-            file: "crates/x/src/lib.rs".into(),
-            line: 7,
-            message: "call to `.unwrap()`".into(),
-            hint: Diagnostic::suppression_hint("no_panic"),
-        };
-        let j = render_json(&[d], 3);
-        assert!(j.contains("\"files_scanned\": 3"));
-        assert!(j.contains("\"diagnostic_count\": 1"));
-        assert!(j.contains("\"line\": 7"));
-        assert!(j.contains("kpm::allow(no_panic)"));
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        let j = render_json(&[], 0);
-        assert!(j.contains("\"diagnostics\": []"));
     }
 }

@@ -20,7 +20,8 @@ use std::cell::Cell;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, TokKind, Token};
 
-/// Crates whose non-test library code must be panic-free (`no_panic`).
+/// Crates whose non-test library code must be panic-free (`no_panic`,
+/// `panic_path`).
 pub const KERNEL_CRATES: &[&str] = &[
     "kpm-sparse",
     "kpm-num",
@@ -31,10 +32,6 @@ pub const KERNEL_CRATES: &[&str] = &[
 
 /// Hot-kernel files checked for in-loop heap allocation.
 pub const HOT_KERNEL_FILES: &[&str] = &["sweep.rs", "stencil.rs"];
-
-/// The crate holding the instrumentation gate; `relaxed_store` is
-/// skipped there and `obs_gate` runs only there.
-pub const OBS_CRATE: &str = "kpm-obs";
 
 /// What kind of compilation target a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,104 +61,32 @@ pub struct FileInput {
     pub class: FileClass,
 }
 
-/// A lint rule's identity and one-line summary.
-#[derive(Debug, Clone, Copy)]
-pub struct Rule {
-    /// Stable machine name, used in suppressions and JSON output.
-    pub name: &'static str,
-    /// One-line human summary.
-    pub summary: &'static str,
-}
-
-/// Every rule the engine knows, in evaluation order.
-pub const RULES: &[Rule] = &[
-    Rule {
-        name: "no_panic",
-        summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test \
-                  library code of the kernel crates",
-    },
-    Rule {
-        name: "safety_comment",
-        summary: "every `unsafe` block and `unsafe impl` is immediately preceded by a \
-                  `// SAFETY:` comment",
-    },
-    Rule {
-        name: "hot_loop_alloc",
-        summary: "no heap allocation (vec!/Vec::new/to_vec/clone/collect/format!/...) \
-                  inside loops of the hot kernel files",
-    },
-    Rule {
-        name: "par_lock",
-        summary: "no Mutex/RwLock acquisition inside `par_*` iterator statements of the \
-                  kernel crates — locks serialize the workers the statement just fanned out",
-    },
-    Rule {
-        name: "relaxed_store",
-        summary: "no `Ordering::Relaxed` store/swap outside the kpm-obs gate",
-    },
-    Rule {
-        name: "doc_coverage",
-        summary: "public fn/struct/enum/trait items in library code carry doc comments",
-    },
-    Rule {
-        name: "obs_gate",
-        summary: "kpm-obs recording entry points check `enabled()` before taking a lock \
-                  or reading a clock",
-    },
-    Rule {
-        name: "obs_label",
-        summary: "metric and span names handed to the kpm-obs registries are \
-                  dot-separated lowercase paths (`svc.queue.wait_ns`), so exports \
-                  group by subsystem and the Prometheus mangling stays invertible",
-    },
-    Rule {
-        name: "unknown_suppression",
-        summary: "suppression markers must name an existing rule",
-    },
-    Rule {
-        name: "lock_order",
-        summary: "lock acquisition order is globally consistent — a cycle in the \
-                  workspace lock graph (built over per-function CFGs and the call \
-                  graph) is a potential deadlock",
-    },
-    Rule {
-        name: "atomic_order",
-        summary: "atomic store/load pairs agree on ordering (no Relaxed publish \
-                  under an Acquire consumer and vice versa), and SeqCst stays \
-                  reserved for the service Ledger",
-    },
-    Rule {
-        name: "det_reduce",
-        summary: "no `.sum()`/`.reduce()`/`.fold()`/`.product()` on `par_*` chains in \
-                  kernel crates — combine fixed-chunk partials in index order \
-                  (`kpm_num::pairwise_sum`) to keep reductions bitwise-deterministic",
-    },
-    Rule {
-        name: "panic_path",
-        summary: "kernel-crate library paths do not reach a panic transitively \
-                  through callees (interprocedural extension of `no_panic`)",
-    },
-    Rule {
-        name: "blocking_in_hot",
-        summary: "no lock/channel-recv/IO reachable (directly or via the call \
-                  graph) from loops and `par_*` closures of the hot kernel files",
-    },
-    Rule {
-        name: "simd_scalar_tail",
-        summary: "every `chunks_exact`/`chunks_exact_mut` lane split in the hot kernel \
-                  files consumes its `remainder()`/`into_remainder()` in the same \
-                  function body — a dropped tail silently skips the last partial group",
-    },
-    Rule {
-        name: "unused_suppression",
-        summary: "every `kpm::allow` marker still silences at least one finding; \
-                  stale markers must be deleted",
-    },
+/// Every rule the engine knows, by the name suppression markers use.
+/// Each of the first four has caught a real defect (DESIGN.md, "Static
+/// analysis & model checking", names the PR); the last two audit the
+/// `kpm::allow` markers themselves.
+pub const RULES: &[&str] = &[
+    // No unwrap/expect/panic!/unreachable!/todo!/unimplemented! in
+    // non-test library code of the kernel crates.
+    "no_panic",
+    // Every `unsafe` block and `unsafe impl` is immediately preceded
+    // by a `// SAFETY:` comment.
+    "safety_comment",
+    // No heap allocation (vec!/Vec::new/to_vec/clone/collect/format!/
+    // ...) inside loops of the hot kernel files.
+    "hot_loop_alloc",
+    // Kernel-crate library paths do not reach a panic transitively
+    // through callees (interprocedural extension of `no_panic`).
+    "panic_path",
+    // Suppression markers name an existing rule.
+    "unknown_suppression",
+    // Every marker still silences at least one finding.
+    "unused_suppression",
 ];
 
 /// True if `name` is a known rule.
 pub fn is_rule(name: &str) -> bool {
-    RULES.iter().any(|r| r.name == name)
+    RULES.contains(&name)
 }
 
 /// The known rule closest to `name` by edit distance (for the
@@ -169,7 +94,7 @@ pub fn is_rule(name: &str) -> bool {
 pub fn nearest_rule(name: &str) -> &'static str {
     RULES
         .iter()
-        .map(|r| (edit_distance(name, r.name), r.name))
+        .map(|r| (edit_distance(name, r), *r))
         .min_by_key(|(d, _)| *d)
         .map(|(_, n)| n)
         .unwrap_or("no_panic")
@@ -198,9 +123,7 @@ struct LineInfo {
     has_code: bool,
     /// Line lies inside an attribute (`#[...]`) span.
     has_attr: bool,
-    /// Line carries a doc comment.
-    has_doc: bool,
-    /// Line carries any comment.
+    /// Line carries any comment (doc comments included).
     has_comment: bool,
     /// Line carries a comment whose text starts with `SAFETY:`.
     has_safety: bool,
@@ -260,18 +183,6 @@ impl Suppressions {
         }
         false
     }
-
-    /// Alias of [`Suppressions::allows`] used by the dataflow passes
-    /// when vetting a *source site* (e.g. `panic_path` honoring a
-    /// `kpm::allow(no_panic)` or `kpm::allow(panic_path)` marker on a
-    /// panicking line so it does not propagate through the call
-    /// graph). Passes only consult a marker when a real site matched
-    /// its line, so the consult counts as the marker's use — without
-    /// this, a propagation-only marker would always look stale to the
-    /// `unused_suppression` audit.
-    pub fn peek(&self, rule: &str, line: u32) -> bool {
-        self.allows(rule, line)
-    }
 }
 
 /// Shared per-file context handed to each rule pass.
@@ -317,9 +228,9 @@ impl Ctx<'_> {
     }
 }
 
-/// The per-file state the workspace AST passes consume: token-rule
-/// diagnostics plus the parsed AST, test regions, and suppression
-/// markers with live hit counts.
+/// The per-file state `panic_path` consumes: token-rule diagnostics
+/// plus the parsed AST, test regions, and suppression markers with live
+/// hit counts.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// The file's identity (path, crate, class).
@@ -330,8 +241,8 @@ pub struct FileAnalysis {
     pub test_lines: Vec<bool>,
     /// Suppression markers with hit tracking.
     pub sup: Suppressions,
-    /// Token-rule diagnostics (AST-pass findings are appended by the
-    /// workspace driver).
+    /// Token-rule diagnostics (`panic_path` findings are appended by
+    /// the workspace driver).
     pub diags: Vec<Diagnostic>,
 }
 
@@ -349,15 +260,15 @@ impl FileAnalysis {
 }
 
 /// Analyzes one source file and returns its diagnostics — token rules
-/// plus the AST/call-graph passes run on the file alone. The full
-/// workspace driver ([`crate::workspace`]) runs the same passes with
-/// cross-file resolution.
+/// plus `panic_path` run on the file alone. The full workspace driver
+/// ([`crate::workspace`]) runs the same analysis with cross-file
+/// resolution.
 pub fn analyze_source(input: &FileInput, src: &str) -> Vec<Diagnostic> {
     crate::workspace::analyze_sources(vec![(input.clone(), src.to_string())]).diags
 }
 
-/// Runs the token rules on one file and prepares the state the
-/// workspace AST passes consume.
+/// Runs the token rules on one file and prepares the state
+/// `panic_path` consumes.
 pub fn analyze_file(input: &FileInput, src: &str) -> FileAnalysis {
     let raw = lex(src);
     let nlines = src.lines().count().max(1);
@@ -367,24 +278,8 @@ pub fn analyze_file(input: &FileInput, src: &str) -> FileAnalysis {
         no_panic(&mut ctx);
     }
     safety_comment(&mut ctx);
-    if applies_hot_loop(input) {
+    if is_hot_kernel_file(input) {
         hot_loop_alloc(&mut ctx);
-        simd_scalar_tail(&mut ctx);
-    }
-    if applies_par_lock(input) {
-        par_lock(&mut ctx);
-    }
-    if input.crate_name != OBS_CRATE && matches!(input.class, FileClass::Lib | FileClass::Bin) {
-        relaxed_store(&mut ctx);
-    }
-    if input.class == FileClass::Lib {
-        doc_coverage(&mut ctx);
-    }
-    if input.crate_name == OBS_CRATE && input.class == FileClass::Lib {
-        obs_gate(&mut ctx);
-    }
-    if matches!(input.class, FileClass::Lib | FileClass::Bin) {
-        obs_label(&mut ctx, src);
     }
 
     let mut diags = ctx.diags;
@@ -402,16 +297,13 @@ fn applies_no_panic(input: &FileInput) -> bool {
     input.class == FileClass::Lib && KERNEL_CRATES.contains(&input.crate_name.as_str())
 }
 
-fn applies_hot_loop(input: &FileInput) -> bool {
+/// True for the kpm-sparse library files named in [`HOT_KERNEL_FILES`].
+pub fn is_hot_kernel_file(input: &FileInput) -> bool {
     input.class == FileClass::Lib
         && input.crate_name == "kpm-sparse"
         && HOT_KERNEL_FILES
             .iter()
             .any(|f| input.path.ends_with(&format!("/{f}")))
-}
-
-fn applies_par_lock(input: &FileInput) -> bool {
-    input.class == FileClass::Lib && KERNEL_CRATES.contains(&input.crate_name.as_str())
 }
 
 // ---------------------------------------------------------------------
@@ -445,10 +337,7 @@ fn build_ctx<'a>(input: &'a FileInput, raw: &[Token], nlines: usize) -> Ctx<'a> 
                 collect_suppressions(text, t.line, &mut raw_markers, &mut diags, input);
             }
             TokKind::DocComment(_) => {
-                mark(&mut lines, t.line, t.end_line, &|i| {
-                    i.has_doc = true;
-                    i.has_comment = true;
-                });
+                mark(&mut lines, t.line, t.end_line, &|i| i.has_comment = true);
             }
             kind => {
                 toks.push(CTok {
@@ -711,7 +600,7 @@ fn has_adjacent_safety_comment(ctx: &Ctx<'_>, line: u32) -> bool {
         if info.has_safety {
             return true;
         }
-        let skippable = !info.has_code && (info.has_comment || info.has_doc || info.has_attr);
+        let skippable = !info.has_code && (info.has_comment || info.has_attr);
         if !skippable {
             return false; // code line or blank line: the comment is not adjacent
         }
@@ -728,14 +617,10 @@ const ALLOC_TYPES: &[(&str, &[&str])] = &[
 ];
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// Walks the token stream tracking loop-body nesting and calls
-/// `matcher` on every identifier token inside a (non-test) loop body;
-/// whatever messages it returns are reported under `rule`.
-fn walk_loops(
-    ctx: &mut Ctx<'_>,
-    rule: &'static str,
-    matcher: fn(&Ctx<'_>, usize) -> Option<String>,
-) {
+/// Heap allocation inside loops of the hot kernel files: walks the
+/// token stream tracking loop-body nesting and checks every identifier
+/// token inside a (non-test) loop body.
+fn hot_loop_alloc(ctx: &mut Ctx<'_>) {
     let mut findings = Vec::new();
     let mut brace_stack: Vec<bool> = Vec::new(); // true = loop body
     let mut loop_depth = 0usize;
@@ -763,7 +648,7 @@ fn walk_loops(
                     _ => {}
                 }
                 if loop_depth > 0 && !ctx.is_test_line(t.line) {
-                    if let Some(msg) = matcher(ctx, i) {
+                    if let Some(msg) = alloc_at(ctx, i) {
                         findings.push((t.line, msg));
                     }
                 }
@@ -789,13 +674,8 @@ fn walk_loops(
         }
     }
     for (line, msg) in findings {
-        ctx.report(rule, line, msg);
+        ctx.report("hot_loop_alloc", line, msg);
     }
-}
-
-/// Heap allocation inside loops of the hot kernel files.
-fn hot_loop_alloc(ctx: &mut Ctx<'_>) {
-    walk_loops(ctx, "hot_loop_alloc", alloc_at);
 }
 
 /// If the ident at `i` is an allocating construct, returns the message.
@@ -834,501 +714,4 @@ fn alloc_at(ctx: &Ctx<'_>, i: usize) -> Option<String> {
         }
     }
     None
-}
-
-const TAIL_SPLITS: &[&str] = &["chunks_exact", "chunks_exact_mut"];
-const TAIL_HANDLERS: &[&str] = &["remainder", "into_remainder"];
-
-/// `simd_scalar_tail`: a `chunks_exact` / `chunks_exact_mut` split in a
-/// hot kernel file whose function body never consumes the iterator's
-/// `remainder()` / `into_remainder()`. The split is how the SIMD lane
-/// loops are written (full groups vectorized, leftover lanes scalar);
-/// forgetting the tail does not fail to compile — it silently drops the
-/// last `len mod LANES` elements, which for the SELL kernels means
-/// whole matrix rows vanish from the accumulation.
-fn simd_scalar_tail(ctx: &mut Ctx<'_>) {
-    let mut findings = Vec::new();
-    let mut i = 0;
-    while i < ctx.toks.len() {
-        if ctx.toks[i].ident() != Some("fn") {
-            i += 1;
-            continue;
-        }
-        // Body span: the first `{` after the signature (a `;` first
-        // means a bodiless trait method), to its matching `}`.
-        let Some(open) = (i + 1..ctx.toks.len())
-            .find(|&k| ctx.toks[k].is_punct('{') || ctx.toks[k].is_punct(';'))
-        else {
-            break;
-        };
-        if ctx.toks[open].is_punct(';') {
-            i = open + 1;
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut close = open;
-        while close < ctx.toks.len() {
-            if ctx.toks[close].is_punct('{') {
-                depth += 1;
-            } else if ctx.toks[close].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            close += 1;
-        }
-        let body = &ctx.toks[open..=close.min(ctx.toks.len() - 1)];
-        let method_call = |k: usize, names: &[&str]| {
-            body[k].ident().is_some_and(|n| names.contains(&n))
-                && k > 0
-                && body[k - 1].is_punct('.')
-                && body.get(k + 1).is_some_and(|n| n.is_punct('('))
-        };
-        let splits: Vec<u32> = (0..body.len())
-            .filter(|&k| method_call(k, TAIL_SPLITS) && !ctx.is_test_line(body[k].line))
-            .map(|k| body[k].line)
-            .collect();
-        let handled = (0..body.len()).any(|k| method_call(k, TAIL_HANDLERS));
-        if !handled {
-            for line in splits {
-                findings.push((
-                    line,
-                    "`chunks_exact` splits the lanes but the function never consumes \
-                     `remainder()`/`into_remainder()`; handle the scalar tail in the \
-                     same function body"
-                        .to_string(),
-                ));
-            }
-        }
-        // Nested fns are re-scanned on their own `fn` token; advancing
-        // past the outer body would skip them.
-        i += 1;
-    }
-    // An unhandled split inside a nested fn surfaces once from the
-    // inner scan and once from the enclosing body — keep one.
-    findings.sort();
-    findings.dedup();
-    for (line, msg) in findings {
-        ctx.report("simd_scalar_tail", line, msg);
-    }
-}
-
-/// Lock acquisition inside `par_*` iterator statements of the kernel
-/// crates. A `.lock()` (or a `Mutex`/`RwLock` value threaded into the
-/// closure) inside the statement that just fanned work out across the
-/// pool serializes the workers again — the classic way a "parallel"
-/// kernel quietly runs at single-thread speed. Deliberate uses (e.g. a
-/// gather point whose lock is taken once per chunk, not per element)
-/// carry a `kpm::allow(par_lock)` marker.
-fn par_lock(ctx: &mut Ctx<'_>) {
-    let mut findings = Vec::new();
-    let mut i = 0;
-    while i < ctx.toks.len() {
-        let t = &ctx.toks[i];
-        let is_par_call = t.ident().is_some_and(|n| n.starts_with("par_"))
-            && i > 0
-            && ctx.toks[i - 1].is_punct('.')
-            && ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !is_par_call || ctx.is_test_line(t.line) {
-            i += 1;
-            continue;
-        }
-        // The parallel statement: from the `par_*` call to the `;` at
-        // this nesting level (or the `}` that closes the enclosing
-        // block for tail expressions). Everything in between — the
-        // adaptor chain and its closures — runs on the pool.
-        let mut depth = 0isize;
-        let mut j = i + 1;
-        let mut end = ctx.toks.len();
-        while j < ctx.toks.len() {
-            match &ctx.toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth < 0 {
-                        end = j;
-                        break;
-                    }
-                }
-                TokKind::Punct(';') if depth == 0 => {
-                    end = j;
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        for k in i..end.min(ctx.toks.len()) {
-            let a = &ctx.toks[k];
-            match a.ident() {
-                Some("lock") => {
-                    let is_call = k > 0
-                        && ctx.toks[k - 1].is_punct('.')
-                        && ctx.toks.get(k + 1).is_some_and(|n| n.is_punct('('));
-                    if is_call {
-                        findings.push((
-                            a.line,
-                            "`.lock()` inside a `par_*` statement serializes the worker \
-                             threads; accumulate per-chunk and reduce after the parallel \
-                             region"
-                                .to_string(),
-                        ));
-                    }
-                }
-                Some(ty @ ("Mutex" | "RwLock")) => {
-                    findings.push((
-                        a.line,
-                        format!(
-                            "`{ty}` referenced inside a `par_*` statement; shared locked \
-                             state serializes the worker threads — use per-chunk partials \
-                             and a post-region reduction"
-                        ),
-                    ));
-                }
-                _ => {}
-            }
-        }
-        i = end.max(i + 1);
-    }
-    for (line, msg) in findings {
-        ctx.report("par_lock", line, msg);
-    }
-}
-
-/// `Ordering::Relaxed` store/swap outside kpm-obs.
-fn relaxed_store(ctx: &mut Ctx<'_>) {
-    let mut findings = Vec::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        let Some(name) = t.ident() else { continue };
-        if !matches!(name, "store" | "swap") {
-            continue;
-        }
-        let is_method_call = i > 0
-            && ctx.toks[i - 1].is_punct('.')
-            && ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !is_method_call {
-            continue;
-        }
-        // Scan the argument list for `Relaxed`.
-        let mut depth = 0usize;
-        for a in &ctx.toks[i + 1..] {
-            match &a.kind {
-                TokKind::Punct('(') => depth += 1,
-                TokKind::Punct(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Ident(arg) if arg == "Relaxed" => {
-                    findings.push((
-                        t.line,
-                        format!(
-                            "`.{name}(…, Ordering::Relaxed)` outside the kpm-obs gate; \
-                             atomics that publish state need `Release`/`SeqCst` (relaxed \
-                             counters may only use load/fetch_add)"
-                        ),
-                    ));
-                    break;
-                }
-                _ => {}
-            }
-        }
-    }
-    for (line, msg) in findings {
-        ctx.report("relaxed_store", line, msg);
-    }
-}
-
-/// Doc-comment coverage for public items in library code.
-fn doc_coverage(ctx: &mut Ctx<'_>) {
-    let mut findings = Vec::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.ident() != Some("pub") || ctx.is_test_line(t.line) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        if ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        // Scan past qualifier keywords to the item keyword.
-        let mut j = i + 1;
-        let mut item = None;
-        while let Some(n) = ctx.toks.get(j) {
-            match n.ident() {
-                Some("unsafe") | Some("const") | Some("async") | Some("extern") => j += 1,
-                Some(k) => {
-                    item = Some((k.to_string(), j));
-                    break;
-                }
-                None if n.kind == TokKind::Str => j += 1, // extern "C"
-                None => break,
-            }
-        }
-        let Some((kind, j)) = item else { continue };
-        if !matches!(kind.as_str(), "fn" | "struct" | "enum" | "trait") {
-            continue;
-        }
-        // `const fn` already matched via qualifier skip; the name is
-        // the next ident.
-        let item_name = ctx
-            .toks
-            .get(j + 1)
-            .and_then(|n| n.ident())
-            .unwrap_or("<unnamed>")
-            .to_string();
-        if !has_adjacent_doc(ctx, t.line) {
-            findings.push((
-                t.line,
-                format!("public {kind} `{item_name}` has no doc comment"),
-            ));
-        }
-    }
-    for (line, msg) in findings {
-        ctx.report("doc_coverage", line, msg);
-    }
-}
-
-/// Walks upward from `line` through attribute/comment lines looking
-/// for a doc comment.
-fn has_adjacent_doc(ctx: &Ctx<'_>, line: u32) -> bool {
-    let mut l = line.saturating_sub(1);
-    while l >= 1 {
-        let info = ctx.line_info(l);
-        if info.has_doc {
-            return true;
-        }
-        let skippable = !info.has_code && (info.has_comment || info.has_attr);
-        if !skippable {
-            return false;
-        }
-        l -= 1;
-    }
-    false
-}
-
-/// kpm-obs recording entry points (public unit-returning fns) must
-/// check `enabled()` before taking the registry lock or reading the
-/// clock. Query/snapshot APIs return values, so they are exempt by
-/// shape; deliberate exceptions carry a suppression marker.
-fn obs_gate(ctx: &mut Ctx<'_>) {
-    let mut findings = Vec::new();
-    let mut i = 0;
-    while i < ctx.toks.len() {
-        let t = &ctx.toks[i];
-        if t.ident() != Some("pub")
-            || ctx.is_test_line(t.line)
-            || ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            i += 1;
-            continue;
-        }
-        // Find `fn` within the qualifier window.
-        let mut j = i + 1;
-        while ctx
-            .toks
-            .get(j)
-            .and_then(|n| n.ident())
-            .is_some_and(|k| matches!(k, "unsafe" | "const" | "async" | "extern"))
-        {
-            j += 1;
-        }
-        if ctx.toks.get(j).and_then(|n| n.ident()) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let fn_line = t.line;
-        let fn_name = ctx
-            .toks
-            .get(j + 1)
-            .and_then(|n| n.ident())
-            .unwrap_or("<unnamed>")
-            .to_string();
-        // Parameter list: first `(` after the name, to its match.
-        let Some(po) = (j + 1..ctx.toks.len()).find(|&k| ctx.toks[k].is_punct('(')) else {
-            i = j + 1;
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut pc = po;
-        while pc < ctx.toks.len() {
-            if ctx.toks[pc].is_punct('(') {
-                depth += 1;
-            } else if ctx.toks[pc].is_punct(')') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            pc += 1;
-        }
-        // Signature tail up to the body brace: a `->` means the fn
-        // returns a value (query API) and is exempt.
-        let mut k = pc + 1;
-        let mut returns_value = false;
-        while k < ctx.toks.len() && !ctx.toks[k].is_punct('{') && !ctx.toks[k].is_punct(';') {
-            if ctx.toks[k].is_punct('-') && ctx.toks.get(k + 1).is_some_and(|n| n.is_punct('>')) {
-                returns_value = true;
-            }
-            k += 1;
-        }
-        if returns_value || k >= ctx.toks.len() || ctx.toks[k].is_punct(';') {
-            i = k + 1;
-            continue;
-        }
-        // Body span.
-        let body_start = k;
-        let mut bd = 0usize;
-        let mut be = body_start;
-        while be < ctx.toks.len() {
-            if ctx.toks[be].is_punct('{') {
-                bd += 1;
-            } else if ctx.toks[be].is_punct('}') {
-                bd -= 1;
-                if bd == 0 {
-                    break;
-                }
-            }
-            be += 1;
-        }
-        let body = &ctx.toks[body_start..=be.min(ctx.toks.len() - 1)];
-        let first_hot = body.iter().position(|b| is_lock_or_clock(body, b));
-        let first_gate = body
-            .windows(2)
-            .position(|w| w[0].ident() == Some("enabled") && w[1].is_punct('('));
-        if let Some(hot) = first_hot {
-            let gated = first_gate.is_some_and(|g| g < hot);
-            if !gated {
-                findings.push((
-                    fn_line,
-                    format!(
-                        "recording entry point `{fn_name}` takes a lock or reads the clock \
-                         without first checking `enabled()`; the disabled path must be a \
-                         single relaxed load"
-                    ),
-                ));
-            }
-        }
-        i = be + 1;
-    }
-    for (line, msg) in findings {
-        ctx.report("obs_gate", line, msg);
-    }
-}
-
-/// Calls whose first string-literal argument is a metric/span/event
-/// name registered with `kpm-obs`. Method-call forms (`.record(`)
-/// never name registry entries and are skipped.
-const OBS_NAME_CALLS: &[&str] = &[
-    "span",
-    "record_manual",
-    "counter_add",
-    "counter_inc",
-    "gauge_set",
-    "gauge_max",
-    "hist_record",
-    "hist_record_ns",
-    "record",
-    "note",
-];
-
-/// True when `name` is a dot-separated lowercase path
-/// (`svc.queue.wait_ns`): at least two segments, each starting with a
-/// letter, using only `[a-z0-9_]`.
-fn is_obs_label(name: &str) -> bool {
-    let mut segments = 0usize;
-    for seg in name.split('.') {
-        let mut chars = seg.chars();
-        match chars.next() {
-            Some(c) if c.is_ascii_lowercase() => {}
-            _ => return false,
-        }
-        if !chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_') {
-            return false;
-        }
-        segments += 1;
-    }
-    segments >= 2
-}
-
-/// `obs_label`: every name handed to the kpm-obs registries —
-/// `span("...")`, `metrics::counter_add("...")`, `hist::record("...")`,
-/// `recorder::note("...")`, ... — is a dot-separated lowercase path, so
-/// trace viewers and the Prometheus exposition group by subsystem
-/// prefix. Scans raw source lines (the lexer drops string payloads);
-/// test code and comment lines are exempt.
-fn obs_label(ctx: &mut Ctx<'_>, src: &str) {
-    let mut findings = Vec::new();
-    for (idx, line) in src.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        if ctx.is_test_line(lineno) || line.trim_start().starts_with("//") {
-            continue;
-        }
-        let bytes = line.as_bytes();
-        for call in OBS_NAME_CALLS {
-            let mut from = 0usize;
-            while let Some(pos) = line[from..].find(call) {
-                let start = from + pos;
-                let after = start + call.len();
-                from = after;
-                // Identifier boundary before, `("` immediately after:
-                // `hist_record(` must not also match as `record(`, and
-                // `.note(`-style method calls are not registry names.
-                let prev = start.checked_sub(1).map(|p| bytes[p] as char);
-                if prev.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.') {
-                    continue;
-                }
-                let rest = &line[after..];
-                let Some(arg) = rest.strip_prefix("(\"") else {
-                    continue;
-                };
-                let Some(end) = arg.find('"') else { continue };
-                let name = &arg[..end];
-                if !is_obs_label(name) {
-                    findings.push((
-                        lineno,
-                        format!(
-                            "`{call}(\"{name}\", ...)`: kpm-obs names are dot-separated \
-                             lowercase paths like `svc.queue.wait_ns`"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    for (line, msg) in findings {
-        ctx.report("obs_label", line, msg);
-    }
-}
-
-/// True when the token is the `lock` of `.lock(` or the `Instant` of
-/// `Instant::now`.
-fn is_lock_or_clock(body: &[CTok], t: &CTok) -> bool {
-    let idx = body
-        .iter()
-        .position(|b| std::ptr::eq(b, t))
-        .unwrap_or(usize::MAX);
-    if idx == usize::MAX {
-        return false;
-    }
-    match t.ident() {
-        Some("lock") => {
-            idx > 0
-                && body[idx - 1].is_punct('.')
-                && body.get(idx + 1).is_some_and(|n| n.is_punct('('))
-        }
-        Some("Instant") | Some("SystemTime") => {
-            body.get(idx + 1).is_some_and(|n| n.is_punct(':'))
-                && body.get(idx + 2).is_some_and(|n| n.is_punct(':'))
-                && body
-                    .get(idx + 3)
-                    .and_then(|n| n.ident())
-                    .is_some_and(|m| m == "now")
-        }
-        _ => false,
-    }
 }

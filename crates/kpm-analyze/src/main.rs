@@ -1,175 +1,45 @@
-//! CLI for the workspace lint engine.
-//!
-//! ```text
-//! cargo run -p kpm-analyze --                    # human-readable findings
-//! cargo run -p kpm-analyze -- --json             # machine-readable report
-//! cargo run -p kpm-analyze -- --list-rules       # rule names + summaries
-//! cargo run -p kpm-analyze -- --root PATH        # scan another workspace
-//! cargo run -p kpm-analyze -- --sarif PATH       # also write SARIF 2.1.0
-//! cargo run -p kpm-analyze -- --baseline PATH    # subtract accepted findings
-//! cargo run -p kpm-analyze -- --write-baseline PATH  # snapshot current findings
-//! ```
-//!
-//! With `--baseline`, only findings *not* in the baseline fail the
-//! gate (exit 1); entries in the baseline that no longer match any
-//! finding are reported so the file ratchets down. `--sarif` writes
-//! the (post-baseline) findings as a SARIF 2.1.0 document for standard
-//! viewers.
+//! CLI for the workspace lint engine: `cargo run -p kpm-analyze` from
+//! the workspace root scans it and prints every finding.
 //!
 //! Exit status: 0 = clean, 1 = diagnostics found, 2 = usage/IO error.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-use kpm_analyze::workspace::Report;
-use kpm_analyze::{analyze_workspace, baseline, lints, render_json_report, render_sarif};
+const USAGE: &str = "usage: kpm-analyze (run from the workspace root; takes no flags)\n\
+                     exit status: 0 clean, 1 diagnostics found, 2 usage/IO error";
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut list_rules = false;
-    let mut root = PathBuf::from(".");
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--list-rules" => list_rules = true,
-            "--root" | "--sarif" | "--baseline" | "--write-baseline" => {
-                let Some(p) = args.next() else {
-                    eprintln!("kpm-analyze: {arg} requires a path");
-                    return ExitCode::from(2);
-                };
-                let p = PathBuf::from(p);
-                match arg.as_str() {
-                    "--root" => root = p,
-                    "--sarif" => sarif_path = Some(p),
-                    "--baseline" => baseline_path = Some(p),
-                    _ => write_baseline = Some(p),
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: kpm-analyze [--json] [--list-rules] [--root PATH]\n\
-                     \x20                  [--sarif PATH] [--baseline PATH] [--write-baseline PATH]\n\
-                     exit status: 0 clean, 1 diagnostics found, 2 usage/IO error"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("kpm-analyze: unknown flag `{other}` (see --help)");
-                return ExitCode::from(2);
-            }
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg == "--help" || arg == "-h" {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-    }
-
-    if list_rules {
-        for rule in lints::RULES {
-            println!("{:<20} {}", rule.name, rule.summary);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // The scan root must look like the workspace (it needs Cargo.toml
-    // at minimum) so a typo'd --root fails loudly instead of
-    // reporting a clean empty scan.
-    if !root.join("Cargo.toml").is_file() {
-        eprintln!(
-            "kpm-analyze: `{}` does not contain a Cargo.toml; pass the workspace root via --root",
-            root.display()
-        );
+        eprintln!("kpm-analyze: unknown argument `{arg}`\n{USAGE}");
         return ExitCode::from(2);
     }
-
-    let mut report = match analyze_workspace(&root) {
+    // The scan root must look like the workspace, so running from the
+    // wrong directory fails loudly instead of reporting a clean scan.
+    let root = Path::new(".");
+    if !root.join("Cargo.toml").is_file() || !root.join("crates").is_dir() {
+        eprintln!("kpm-analyze: run from the workspace root (no Cargo.toml and crates/ here)");
+        return ExitCode::from(2);
+    }
+    let report = match kpm_analyze::analyze_workspace(root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("kpm-analyze: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = write_baseline {
-        let text = baseline::render(&report.diags);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("kpm-analyze: writing baseline `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "kpm-analyze: wrote {} baseline entr{} to {}",
-            report.diags.len(),
-            if report.diags.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
+    for d in &report.diags {
+        println!("{}", d.render());
     }
-
-    let mut stale: Vec<baseline::Entry> = Vec::new();
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("kpm-analyze: reading baseline `{}`: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match baseline::parse(&text) {
-            Ok(es) => es,
-            Err(line) => {
-                eprintln!(
-                    "kpm-analyze: malformed baseline entry at {}:{line} \
-                     (expected rule<TAB>file<TAB>message)",
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        let applied = baseline::apply(&report.diags, &entries);
-        let rule_counts = lints::RULES
-            .iter()
-            .map(|r| {
-                (
-                    r.name,
-                    applied.fresh.iter().filter(|d| d.rule == r.name).count(),
-                )
-            })
-            .collect();
-        report = Report {
-            diags: applied.fresh,
-            rule_counts,
-            ..report
-        };
-        stale = applied.stale;
-    }
-
-    if let Some(path) = &sarif_path {
-        if let Err(e) = std::fs::write(path, render_sarif(&report)) {
-            eprintln!("kpm-analyze: writing SARIF `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if json {
-        print!("{}", render_json_report(&report));
-    } else {
-        for d in &report.diags {
-            println!("{}", d.render());
-        }
-        for e in &stale {
-            println!(
-                "kpm-analyze: stale baseline entry (finding fixed — delete the line): \
-                 [{}] {}: {}",
-                e.rule, e.file, e.message
-            );
-        }
-        println!(
-            "kpm-analyze: {} file(s) scanned, {} diagnostic(s)",
-            report.files_scanned,
-            report.diags.len()
-        );
-    }
+    println!(
+        "kpm-analyze: {} file(s) scanned, {} diagnostic(s)",
+        report.files.len(),
+        report.diags.len()
+    );
     if report.diags.is_empty() {
         ExitCode::SUCCESS
     } else {

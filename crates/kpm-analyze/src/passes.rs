@@ -1,664 +1,29 @@
-//! The workspace dataflow passes: lock-order cycles, atomic-ordering
-//! discipline, deterministic reductions, interprocedural panic
-//! reachability, and blocking operations in hot kernel loops.
+//! `panic_path`, the one interprocedural pass: kernel-crate library
+//! calls into functions that may panic, directly or transitively.
 //!
-//! Every pass returns raw [`Finding`]s; the workspace driver filters
-//! them through each file's `kpm::allow` suppressions and converts the
-//! survivors to diagnostics. Passes consult suppressions directly only
-//! where a marker changes *propagation* (a vetted `no_panic` site does
-//! not make its function may-panic; a vetted `panic_path` call edge
-//! does not taint the caller).
+//! The pass returns raw [`Finding`]s; the workspace driver filters them
+//! through each file's `kpm::allow` suppressions and converts the
+//! survivors to diagnostics. The pass consults suppressions directly
+//! only where a marker changes *propagation*: a vetted `no_panic` or
+//! `panic_path` site does not make its function may-panic, and a
+//! vetted `panic_path` call edge does not taint the caller. It only
+//! consults a marker when a real site matched its line, so the consult
+//! counts as the marker's use for the `unused_suppression` audit.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::ast::Expr;
+use crate::ast::{walk_all, Expr};
 use crate::callgraph::CallGraph;
-use crate::cfg::{Cfg, Node, ENTRY};
-use crate::lints::{FileAnalysis, FileClass, HOT_KERNEL_FILES, KERNEL_CRATES};
+use crate::lints::{FileAnalysis, FileClass, KERNEL_CRATES};
 
 /// One raw pass finding, prior to suppression filtering.
 #[derive(Debug)]
 pub struct Finding {
     /// Index of the file in the workspace scan order.
     pub file_idx: usize,
-    /// The rule that produced the finding.
-    pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
     /// Human-readable message.
     pub message: String,
 }
-
-/// Runs all five passes and returns their combined findings.
-pub fn run_all(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
-    let mut out = lock_order(files, graph);
-    out.extend(atomic_order(files));
-    out.extend(det_reduce(files));
-    out.extend(panic_path(files, graph));
-    out.extend(blocking_in_hot(files, graph));
-    out
-}
-
-fn kernel_lib(fa: &FileAnalysis) -> bool {
-    fa.input.class == FileClass::Lib && KERNEL_CRATES.contains(&fa.input.crate_name.as_str())
-}
-
-fn hot_kernel_file(fa: &FileAnalysis) -> bool {
-    fa.input.class == FileClass::Lib
-        && fa.input.crate_name == "kpm-sparse"
-        && HOT_KERNEL_FILES
-            .iter()
-            .any(|f| fa.input.path.ends_with(&format!("/{f}")))
-}
-
-/// True when some link of the method chain under `e` is a `par_*`
-/// adaptor call.
-fn chain_has_par(e: &Expr) -> bool {
-    match e {
-        Expr::MethodCall { name, recv, .. } => name.starts_with("par_") || chain_has_par(recv),
-        Expr::Field { recv, .. } => chain_has_par(recv),
-        _ => false,
-    }
-}
-
-// ---------------------------------------------------------------------
-// lock_order
-// ---------------------------------------------------------------------
-
-/// If the atom acquires a lock, returns the lock's chain key.
-/// `.lock()` always acquires; zero-argument `.read()`/`.write()` are
-/// the `RwLock` acquisition shapes.
-fn acquire_key(e: &Expr) -> Option<String> {
-    if let Expr::MethodCall {
-        name, recv, args, ..
-    } = e
-    {
-        let locks = name == "lock" || (args.is_empty() && (name == "read" || name == "write"));
-        if locks {
-            let k = recv.chain_key();
-            if !k.is_empty() {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// A held lock: qualified key, owning lexical scope, and the `let`
-/// binding name (for explicit `drop(name)` release).
-type Held = (String, u32, Option<String>);
-
-/// A lock-order edge site: file index, line, enclosing fn display.
-type LockSite = (usize, u32, String);
-
-/// The lock graph: `(held, acquired)` key pairs with the first site.
-type LockEdges = HashMap<(String, String), LockSite>;
-
-/// Detects potential deadlocks: builds the workspace lock-acquisition
-/// graph (an edge `a -> b` means `b` was acquired — directly or
-/// transitively through a callee — while `a` was held) over
-/// per-function CFG dataflow, then reports every cycle once.
-pub fn lock_order(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
-    let nfn = graph.fns.len();
-
-    // 1. Direct lock sets per function, keyed `crate:field`.
-    let mut direct: Vec<HashSet<String>> = vec![HashSet::new(); nfn];
-    for (i, node) in graph.fns.iter().enumerate() {
-        if node.is_test {
-            continue;
-        }
-        let fa = &files[node.file_idx];
-        let def = &fa.ast.fns[node.fn_idx];
-        def.body.walk(&mut |e| {
-            if let Some(k) = acquire_key(e) {
-                if !fa.is_test_line(e.line()) {
-                    direct[i].insert(format!("{}:{}", node.crate_name, k));
-                }
-            }
-        });
-    }
-
-    // 2. Transitive closure over the call graph.
-    let mut trans = direct;
-    loop {
-        let mut changed = false;
-        for i in 0..nfn {
-            for j in 0..graph.edges[i].len() {
-                let to = graph.edges[i][j].to;
-                if to == i {
-                    continue;
-                }
-                let add: Vec<String> = trans[to].iter().cloned().collect();
-                for k in add {
-                    if trans[i].insert(k) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // 3. Per-function CFG dataflow recording acquisition-order edges.
-    let mut lock_edges: LockEdges = LockEdges::new();
-    for (i, node) in graph.fns.iter().enumerate() {
-        if node.is_test {
-            continue;
-        }
-        let fa = &files[node.file_idx];
-        let def = &fa.ast.fns[node.fn_idx];
-        let mut calls_at: HashMap<u32, Vec<usize>> = HashMap::new();
-        for e in &graph.edges[i] {
-            calls_at.entry(e.line).or_default().push(e.to);
-        }
-        let cfg = Cfg::build(def);
-        let rpo = cfg.rpo();
-        let mut entry: Vec<Option<HashSet<Held>>> = vec![None; cfg.blocks.len()];
-        entry[ENTRY] = Some(HashSet::new());
-        loop {
-            let mut changed = false;
-            for &b in &rpo {
-                let Some(mut held) = entry[b].clone() else {
-                    continue;
-                };
-                for n in &cfg.blocks[b].nodes {
-                    match n {
-                        Node::ScopeEnd(sc) => held.retain(|(_, s, _)| s != sc),
-                        Node::Expr {
-                            expr,
-                            scope,
-                            bound,
-                            name,
-                        } => {
-                            atom_locks(
-                                expr,
-                                node,
-                                fa,
-                                *scope,
-                                *bound,
-                                *name,
-                                &calls_at,
-                                &trans,
-                                &mut held,
-                                &mut lock_edges,
-                            );
-                        }
-                    }
-                }
-                for &s in &cfg.blocks[b].succs {
-                    match &mut entry[s] {
-                        Some(existing) => {
-                            for h in &held {
-                                if !existing.contains(h) {
-                                    existing.insert(h.clone());
-                                    changed = true;
-                                }
-                            }
-                        }
-                        slot @ None => {
-                            *slot = Some(held.clone());
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    // 4. Cycle detection over the lock graph.
-    report_lock_cycles(&lock_edges)
-}
-
-/// Processes one CFG atom for the lock pass: records order edges for
-/// acquisitions and callee lock summaries, updates the held set.
-#[allow(clippy::too_many_arguments)]
-fn atom_locks(
-    expr: &Expr,
-    node: &crate::callgraph::FnNode,
-    fa: &FileAnalysis,
-    scope: u32,
-    bound: bool,
-    bind_name: Option<&str>,
-    calls_at: &HashMap<u32, Vec<usize>>,
-    trans: &[HashSet<String>],
-    held: &mut HashSet<Held>,
-    edges: &mut LockEdges,
-) {
-    // Locks acquired by this atom but not let-bound: temporaries that
-    // die when the statement ends.
-    let mut temp: Vec<String> = Vec::new();
-    expr.walk(&mut |e| {
-        let line = e.line();
-        if fa.is_test_line(line) {
-            return;
-        }
-        // Explicit `drop(name)` releases the binding early.
-        if let Expr::Call { path, args, .. } = e {
-            if path.last().is_some_and(|p| p == "drop") && args.len() == 1 {
-                if let Expr::Path { segs, .. } = &args[0] {
-                    if let [var] = segs.as_slice() {
-                        held.retain(|(_, _, n)| n.as_deref() != Some(var.as_str()));
-                    }
-                }
-            }
-        }
-        if let Some(k) = acquire_key(e) {
-            let qk = format!("{}:{}", node.crate_name, k);
-            for (h, _, _) in held.iter() {
-                edges
-                    .entry((h.clone(), qk.clone()))
-                    .or_insert_with(|| (node.file_idx, line, node.display()));
-            }
-            for t in &temp {
-                if *t != qk {
-                    edges
-                        .entry((t.clone(), qk.clone()))
-                        .or_insert_with(|| (node.file_idx, line, node.display()));
-                }
-            }
-            if bound {
-                held.insert((qk, scope, bind_name.map(str::to_string)));
-            } else {
-                temp.push(qk);
-            }
-        }
-        // Callee summaries: every lock the callee may acquire is
-        // ordered after everything currently held.
-        let is_call = matches!(e, Expr::Call { .. } | Expr::MethodCall { .. });
-        if is_call {
-            if let Some(callees) = calls_at.get(&line) {
-                for &c in callees {
-                    for k in &trans[c] {
-                        for (h, _, _) in held.iter() {
-                            edges
-                                .entry((h.clone(), k.clone()))
-                                .or_insert_with(|| (node.file_idx, line, node.display()));
-                        }
-                        for t in &temp {
-                            if t != k {
-                                edges
-                                    .entry((t.clone(), k.clone()))
-                                    .or_insert_with(|| (node.file_idx, line, node.display()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Finds strongly-connected components (and self-loops) in the lock
-/// graph and reports each once, at the lexically first edge site.
-fn report_lock_cycles(edges: &LockEdges) -> Vec<Finding> {
-    let mut findings = Vec::new();
-
-    // Self-loops: a lock acquired while already held.
-    for ((a, b), (file_idx, line, fun)) in edges {
-        if a == b {
-            findings.push(Finding {
-                file_idx: *file_idx,
-                rule: "lock_order",
-                line: *line,
-                message: format!(
-                    "lock `{}` acquired in `{fun}` while a guard for it may still be \
-                     held — self-deadlock for a non-reentrant mutex",
-                    display_key(a)
-                ),
-            });
-        }
-    }
-
-    // Multi-lock cycles via SCCs (Kosaraju).
-    let mut keys: Vec<&String> = edges
-        .keys()
-        .flat_map(|(a, b)| [a, b])
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    keys.sort();
-    let index: HashMap<&String, usize> = keys.iter().enumerate().map(|(i, k)| (*k, i)).collect();
-    let n = keys.len();
-    let mut adj = vec![Vec::new(); n];
-    let mut radj = vec![Vec::new(); n];
-    for (a, b) in edges.keys() {
-        if a != b {
-            adj[index[a]].push(index[b]);
-            radj[index[b]].push(index[a]);
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        // Iterative postorder DFS.
-        let mut stack = vec![(s, 0usize)];
-        seen[s] = true;
-        while let Some(&mut (v, ref mut c)) = stack.last_mut() {
-            if let Some(&w) = adj[v].get(*c) {
-                *c += 1;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-    let mut comp = vec![usize::MAX; n];
-    let mut ncomp = 0;
-    for &s in order.iter().rev() {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![s];
-        comp[s] = ncomp;
-        while let Some(v) = stack.pop() {
-            for &w in &radj[v] {
-                if comp[w] == usize::MAX {
-                    comp[w] = ncomp;
-                    stack.push(w);
-                }
-            }
-        }
-        ncomp += 1;
-    }
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-    for (v, &c) in comp.iter().enumerate() {
-        members[c].push(v);
-    }
-    for m in members.iter().filter(|m| m.len() >= 2) {
-        let set: HashSet<usize> = m.iter().copied().collect();
-        // All edges internal to the SCC, lexically ordered.
-        let mut internal: Vec<(&(String, String), &LockSite)> = edges
-            .iter()
-            .filter(|((a, b), _)| a != b && set.contains(&index[a]) && set.contains(&index[b]))
-            .collect();
-        internal.sort_by_key(|(_, (f, l, _))| (*f, *l));
-        let Some(((_, _), (file_idx, line, _))) = internal.first() else {
-            continue;
-        };
-        let mut names: Vec<String> = m
-            .iter()
-            .map(|&v| display_key(keys[v]).to_string())
-            .collect();
-        names.sort();
-        let detail: Vec<String> = internal
-            .iter()
-            .take(4)
-            .map(|((a, b), (_, l, f))| {
-                format!(
-                    "`{}` -> `{}` in `{f}` (line {l})",
-                    display_key(a),
-                    display_key(b)
-                )
-            })
-            .collect();
-        findings.push(Finding {
-            file_idx: *file_idx,
-            rule: "lock_order",
-            line: *line,
-            message: format!(
-                "lock-order cycle across {{{}}} — {}; a globally consistent \
-                 acquisition order is required to rule out deadlock",
-                names.join(", "),
-                detail.join("; ")
-            ),
-        });
-    }
-    findings
-}
-
-/// Strips the `crate:` qualifier for display.
-fn display_key(k: &str) -> &str {
-    k.split_once(':').map_or(k, |(_, f)| f)
-}
-
-// ---------------------------------------------------------------------
-// atomic_order
-// ---------------------------------------------------------------------
-
-const ORDER_NAMES: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-const ATOMIC_READS: &[&str] = &["load"];
-const ATOMIC_WRITES: &[&str] = &["store", "swap"];
-const ATOMIC_RMWS: &[&str] = &[
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_nand",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_update",
-];
-
-#[derive(Clone, Copy, PartialEq)]
-enum AtomicOp {
-    Read,
-    Write,
-    Rmw,
-}
-
-struct AtomicSite {
-    file_idx: usize,
-    line: u32,
-    op: AtomicOp,
-    method: String,
-    orders: Vec<&'static str>,
-}
-
-/// Checks store/load ordering pairs per atomic (keyed by crate and
-/// field name) and polices the SeqCst budget: a Relaxed publish under
-/// an Acquire consumer synchronizes nothing, a Release publish read
-/// with Relaxed is unordered, and SeqCst is reserved for the service
-/// `Ledger` (cross-variable ordering in the exactly-once protocol).
-pub fn atomic_order(files: &[FileAnalysis]) -> Vec<Finding> {
-    let mut by_key: HashMap<String, Vec<AtomicSite>> = HashMap::new();
-    for (file_idx, fa) in files.iter().enumerate() {
-        if !matches!(fa.input.class, FileClass::Lib | FileClass::Bin) {
-            continue;
-        }
-        for def in &fa.ast.fns {
-            def.body.walk(&mut |e| {
-                let Expr::MethodCall {
-                    name,
-                    recv,
-                    args,
-                    line,
-                } = e
-                else {
-                    return;
-                };
-                if fa.is_test_line(*line) {
-                    return;
-                }
-                let op = if ATOMIC_READS.contains(&name.as_str()) {
-                    AtomicOp::Read
-                } else if ATOMIC_WRITES.contains(&name.as_str()) {
-                    AtomicOp::Write
-                } else if ATOMIC_RMWS.contains(&name.as_str()) {
-                    AtomicOp::Rmw
-                } else {
-                    return;
-                };
-                let mut orders = Vec::new();
-                for a in args {
-                    a.walk(&mut |x| {
-                        if let Expr::Path { segs, .. } = x {
-                            if let Some(last) = segs.last() {
-                                if let Some(o) = ORDER_NAMES.iter().find(|o| *o == last) {
-                                    orders.push(*o);
-                                }
-                            }
-                        }
-                    });
-                }
-                if orders.is_empty() {
-                    return; // not an atomic op (e.g. `file.load(x)`)
-                }
-                let field = recv.chain_key();
-                if field.is_empty() {
-                    return;
-                }
-                // The Ledger's SeqCst budget: either the receiver
-                // chain names the ledger or the op is inside the
-                // Ledger impl itself.
-                let in_ledger = fa.input.crate_name == "kpm-service"
-                    && (recv.chain_path().to_lowercase().contains("ledger")
-                        || def.self_type.as_deref() == Some("Ledger"));
-                let key = format!(
-                    "{}:{}{}",
-                    fa.input.crate_name,
-                    field,
-                    if in_ledger { "@ledger" } else { "" }
-                );
-                by_key.entry(key).or_default().push(AtomicSite {
-                    file_idx,
-                    line: *line,
-                    op,
-                    method: name.clone(),
-                    orders,
-                });
-            });
-        }
-    }
-
-    let mut findings = Vec::new();
-    let mut keys: Vec<&String> = by_key.keys().collect();
-    keys.sort();
-    for key in keys {
-        let sites = &by_key[key];
-        let field = display_key(key).trim_end_matches("@ledger").to_string();
-        let in_ledger = key.ends_with("@ledger");
-        let acquiring_read = sites.iter().find(|s| {
-            s.op == AtomicOp::Read
-                && s.orders
-                    .iter()
-                    .any(|o| matches!(*o, "Acquire" | "AcqRel" | "SeqCst"))
-        });
-        let releasing_write = sites.iter().find(|s| {
-            matches!(s.op, AtomicOp::Write | AtomicOp::Rmw)
-                && s.orders
-                    .iter()
-                    .any(|o| matches!(*o, "Release" | "AcqRel" | "SeqCst"))
-        });
-        for s in sites {
-            let relaxed_only = s.orders.iter().all(|o| *o == "Relaxed");
-            if s.op == AtomicOp::Write && relaxed_only {
-                if let Some(r) = acquiring_read {
-                    findings.push(Finding {
-                        file_idx: s.file_idx,
-                        rule: "atomic_order",
-                        line: s.line,
-                        message: format!(
-                            "`.{}(…, Relaxed)` publishes `{field}`, but `{field}` is \
-                             loaded with {} at {}:{} — the acquiring load synchronizes \
-                             with nothing; store with Release",
-                            s.method,
-                            r.orders.first().unwrap_or(&"Acquire"),
-                            files[r.file_idx].input.path,
-                            r.line
-                        ),
-                    });
-                }
-            }
-            if s.op == AtomicOp::Read && relaxed_only {
-                if let Some(w) = releasing_write {
-                    findings.push(Finding {
-                        file_idx: s.file_idx,
-                        rule: "atomic_order",
-                        line: s.line,
-                        message: format!(
-                            "`.load(Relaxed)` reads `{field}`, but `{field}` is \
-                             published with {} at {}:{} — acquire the load or the \
-                             publish ordering is wasted",
-                            w.orders.first().unwrap_or(&"Release"),
-                            files[w.file_idx].input.path,
-                            w.line
-                        ),
-                    });
-                }
-            }
-            if !in_ledger && s.orders.contains(&"SeqCst") {
-                findings.push(Finding {
-                    file_idx: s.file_idx,
-                    rule: "atomic_order",
-                    line: s.line,
-                    message: format!(
-                        "`.{}(…, SeqCst)` on `{field}`: the workspace reserves SeqCst \
-                         for the service Ledger's cross-variable protocol — use \
-                         Release/Acquire pairs (or Relaxed for pure counters)",
-                        s.method
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// det_reduce
-// ---------------------------------------------------------------------
-
-const NONDET_REDUCERS: &[&str] = &["sum", "product", "reduce", "fold"];
-
-/// Flags floating-point reductions on `par_*` chains in kernel-crate
-/// library code: the combination order depends on thread scheduling,
-/// which breaks the bitwise-determinism contract of the kernels. The
-/// sanctioned pattern collects fixed-size chunk partials and combines
-/// them in index order with `kpm_num::pairwise_sum`.
-pub fn det_reduce(files: &[FileAnalysis]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (file_idx, fa) in files.iter().enumerate() {
-        if !kernel_lib(fa) {
-            continue;
-        }
-        for def in &fa.ast.fns {
-            def.body.walk(&mut |e| {
-                let Expr::MethodCall {
-                    name, recv, line, ..
-                } = e
-                else {
-                    return;
-                };
-                if NONDET_REDUCERS.contains(&name.as_str())
-                    && chain_has_par(recv)
-                    && !fa.is_test_line(*line)
-                {
-                    findings.push(Finding {
-                        file_idx,
-                        rule: "det_reduce",
-                        line: *line,
-                        message: format!(
-                            "`.{name}()` on a `par_*` chain combines partial results in \
-                             scheduling order, which is not bitwise-deterministic; \
-                             collect fixed-size chunk partials and combine them in index \
-                             order (`kpm_num::pairwise_sum`)"
-                        ),
-                    });
-                }
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// panic_path
-// ---------------------------------------------------------------------
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -693,14 +58,14 @@ pub fn panic_path(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
         let fa = &files[node.file_idx];
         let def = &fa.ast.fns[node.fn_idx];
         let mut first: Option<(u32, String)> = None;
-        def.body.walk(&mut |e| {
+        walk_all(&def.body, &mut |e| {
             if first.is_some() {
                 return;
             }
             if let Some((line, what)) = panic_site(e) {
                 if fa.is_test_line(line)
-                    || fa.sup.peek("no_panic", line)
-                    || fa.sup.peek("panic_path", line)
+                    || fa.sup.allows("no_panic", line)
+                    || fa.sup.allows("panic_path", line)
                 {
                     return;
                 }
@@ -757,7 +122,6 @@ pub fn panic_path(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
             if let Some(w) = &witness[e.to] {
                 findings.push(Finding {
                     file_idx: node.file_idx,
-                    rule: "panic_path",
                     line: e.line,
                     message: format!(
                         "call to `{}` can panic ({w}); kernel paths must return typed \
@@ -765,174 +129,6 @@ pub fn panic_path(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
                         graph.fns[e.to].display()
                     ),
                 });
-            }
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// blocking_in_hot
-// ---------------------------------------------------------------------
-
-const BLOCKING_MACROS: &[&str] = &["print", "println", "eprint", "eprintln"];
-
-/// If the atom blocks (lock, channel receive, sleep, file/stdio IO),
-/// returns `(line, what)`.
-fn blocking_site(e: &Expr) -> Option<(u32, String)> {
-    match e {
-        Expr::MethodCall {
-            name, args, line, ..
-        } => match name.as_str() {
-            "lock" => Some((*line, "`.lock()`".to_string())),
-            "read" | "write" if args.is_empty() => Some((*line, format!("`.{name}()` (RwLock)"))),
-            "recv" | "recv_timeout" => Some((*line, format!("`.{name}()` (channel receive)"))),
-            "join" if args.is_empty() => Some((*line, "`.join()` (thread join)".to_string())),
-            _ => None,
-        },
-        Expr::Call { path, line, .. } => {
-            let last = path.last()?;
-            let second_last = path.len().checked_sub(2).map(|i| path[i].as_str());
-            match last.as_str() {
-                "sleep" => Some((*line, "`thread::sleep`".to_string())),
-                "open" | "create" if second_last == Some("File") => {
-                    Some((*line, format!("`File::{last}`")))
-                }
-                "read_to_string" | "read_to_end" => Some((*line, format!("`{last}`"))),
-                _ if path.first().is_some_and(|p| p == "fs") => {
-                    Some((*line, format!("`fs::{last}`")))
-                }
-                _ => None,
-            }
-        }
-        Expr::MacroCall { name, line, .. } if BLOCKING_MACROS.contains(&name.as_str()) => {
-            Some((*line, format!("`{name}!` (stdio lock + write)")))
-        }
-        _ => None,
-    }
-}
-
-/// Flags blocking operations — locks, channel receives, sleeps, IO —
-/// inside loops and `par_*` closures of the hot kernel files, both
-/// directly and reachable through the call graph.
-pub fn blocking_in_hot(files: &[FileAnalysis], graph: &CallGraph) -> Vec<Finding> {
-    let nfn = graph.fns.len();
-    // may-block witness per fn, propagated like panic_path.
-    let mut witness: Vec<Option<String>> = vec![None; nfn];
-    for (i, node) in graph.fns.iter().enumerate() {
-        if node.is_test {
-            continue;
-        }
-        let fa = &files[node.file_idx];
-        let def = &fa.ast.fns[node.fn_idx];
-        let mut first: Option<(u32, String)> = None;
-        def.body.walk(&mut |e| {
-            if first.is_some() {
-                return;
-            }
-            if let Some((line, what)) = blocking_site(e) {
-                if fa.is_test_line(line) || fa.sup.peek("blocking_in_hot", line) {
-                    return;
-                }
-                first = Some((line, what));
-            }
-        });
-        if let Some((line, what)) = first {
-            witness[i] = Some(format!("{what} at {}:{line}", node.path));
-        }
-    }
-    loop {
-        let mut changed = false;
-        for i in 0..nfn {
-            if witness[i].is_some() {
-                continue;
-            }
-            for e in &graph.edges[i] {
-                let Some(w) = witness[e.to].clone() else {
-                    continue;
-                };
-                let fa = &files[graph.fns[i].file_idx];
-                if fa.is_test_line(e.line) || fa.sup.allows("blocking_in_hot", e.line) {
-                    continue;
-                }
-                let mut chain = format!("via `{}`: {w}", graph.fns[e.to].display());
-                if chain.len() > 220 {
-                    chain.truncate(217);
-                    chain.push_str("...");
-                }
-                witness[i] = Some(chain);
-                changed = true;
-                break;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut findings = Vec::new();
-    for (i, node) in graph.fns.iter().enumerate() {
-        let fa = &files[node.file_idx];
-        if node.is_test || !hot_kernel_file(fa) {
-            continue;
-        }
-        let def = &fa.ast.fns[node.fn_idx];
-        // Hot regions: loop bodies and closures running on the pool.
-        let mut hot_blocks: Vec<&crate::ast::Block> = Vec::new();
-        def.body.walk(&mut |e| match e {
-            Expr::Loop { body, .. } => hot_blocks.push(body),
-            Expr::MethodCall {
-                name, recv, args, ..
-            } if name.starts_with("par_") || chain_has_par(recv) => {
-                for a in args {
-                    if let Expr::Closure { body, .. } = a {
-                        hot_blocks.push(body);
-                    }
-                }
-            }
-            _ => {}
-        });
-        if hot_blocks.is_empty() {
-            continue;
-        }
-        // Direct blocking sites inside hot regions.
-        let mut seen_lines: HashSet<u32> = HashSet::new();
-        for b in &hot_blocks {
-            b.walk(&mut |e| {
-                if let Some((line, what)) = blocking_site(e) {
-                    if !fa.is_test_line(line) && seen_lines.insert(line) {
-                        findings.push(Finding {
-                            file_idx: node.file_idx,
-                            rule: "blocking_in_hot",
-                            line,
-                            message: format!(
-                                "{what} inside a hot kernel loop; hoist it out of the \
-                                 inner loop (the kernels must stay lock- and IO-free)"
-                            ),
-                        });
-                    }
-                }
-            });
-        }
-        // Calls from hot regions into may-block functions.
-        let ranges: Vec<(u32, u32)> = hot_blocks.iter().map(|b| (b.line, b.end_line)).collect();
-        for e in &graph.edges[i] {
-            if fa.is_test_line(e.line) || !ranges.iter().any(|&(s, t)| e.line >= s && e.line <= t) {
-                continue;
-            }
-            if let Some(w) = &witness[e.to] {
-                if seen_lines.insert(e.line) {
-                    findings.push(Finding {
-                        file_idx: node.file_idx,
-                        rule: "blocking_in_hot",
-                        line: e.line,
-                        message: format!(
-                            "call to `{}` inside a hot kernel loop reaches a blocking \
-                             operation ({w})",
-                            graph.fns[e.to].display()
-                        ),
-                    });
-                }
             }
         }
     }

@@ -27,28 +27,52 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Push `(from, tag, seq)` into rank `to`'s inbox.
-    Send { to: usize, tag: u32, seq: u64 },
+    Send {
+        /// Destination rank.
+        to: usize,
+        /// Message tag.
+        tag: u32,
+        /// Sequence number, the exactly-once key with the sender.
+        seq: u64,
+    },
     /// Blocking receive of the first inbox message with `tag`;
     /// delivers unconditionally (no dedup).
-    Recv { tag: u32 },
+    Recv {
+        /// Tag to match.
+        tag: u32,
+    },
     /// Receive with a timeout: if no matching message is queued the
     /// thread may take the timeout branch and move on. When a match
     /// *is* queued, both outcomes (deliver, spurious timeout) are
     /// explored, as in the real runtime where the message may arrive
     /// just after the deadline.
-    RecvTimeout { tag: u32 },
+    RecvTimeout {
+        /// Tag to match.
+        tag: u32,
+    },
     /// Blocking receive that runs the exactly-once filter: the
     /// message is consumed, but delivered only if `(from, seq)` was
     /// not seen before (when the dedup model is enabled).
-    DedupRecv { tag: u32 },
+    DedupRecv {
+        /// Tag to match.
+        tag: u32,
+    },
     /// Push a copy of the thread's own `(tag, seq)` onto the shared
     /// out-of-order stash.
-    StashPush { tag: u32, seq: u64 },
+    StashPush {
+        /// Message tag.
+        tag: u32,
+        /// Sequence number.
+        seq: u64,
+    },
     /// Pop one stashed entry (blocks while the stash is empty) and
     /// deliver it through the dedup filter.
     StashPop,
     /// Write `version` to the shared checkpoint register.
-    CkptWrite { version: u64 },
+    CkptWrite {
+        /// The version written.
+        version: u64,
+    },
     /// Read the shared checkpoint register.
     CkptRead,
 }
@@ -93,11 +117,26 @@ pub enum Violation {
     /// No thread can run but some have not finished.
     Deadlock,
     /// `(from, seq)` delivered more than once.
-    DoubleDelivery { from: usize, seq: u64 },
+    DoubleDelivery {
+        /// Sending rank.
+        from: usize,
+        /// Sequence number.
+        seq: u64,
+    },
     /// `(from, seq)` sent but never delivered, or left in a queue.
-    LostMessage { from: usize, seq: u64 },
+    LostMessage {
+        /// Sending rank.
+        from: usize,
+        /// Sequence number.
+        seq: u64,
+    },
     /// The checkpoint register went backwards.
-    VersionRegression { prev: u64, next: u64 },
+    VersionRegression {
+        /// The version held before the write.
+        prev: u64,
+        /// The older version written over it.
+        next: u64,
+    },
 }
 
 /// A violation plus the schedule (thread, op) steps that produced it.

@@ -1,16 +1,15 @@
-//! Workspace discovery and the two-phase analysis driver: walks the
-//! repository, classifies every Rust source file by owning crate and
-//! target class, runs the token rules per file, then builds the
-//! workspace call graph and runs the AST/CFG dataflow passes
-//! ([`crate::passes`]) across all files at once. Raw pass findings are
-//! filtered through each file's `kpm::allow` markers, and markers that
-//! silenced nothing are themselves reported (`unused_suppression`).
+//! Workspace discovery and the analysis driver: walks the repository,
+//! classifies every Rust source file by owning crate and target class,
+//! runs the token rules per file, then builds the workspace call graph
+//! and runs `panic_path` ([`crate::passes`]) across all files at once.
+//! Raw `panic_path` findings are filtered through each file's
+//! `kpm::allow` markers, and markers that silenced nothing are
+//! themselves reported (`unused_suppression`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-use crate::callgraph::{CallGraph, FileFns};
+use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::lints::{analyze_file, FileAnalysis, FileClass, FileInput};
 use crate::passes;
@@ -25,21 +24,8 @@ const SKIP_DIRS: &[&str] = &["target", "shims", ".git"];
 pub struct Report {
     /// All diagnostics, sorted by file, line, rule.
     pub diags: Vec<Diagnostic>,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-    /// Per-rule finding counts, in rule registration order (every
-    /// registered rule appears, including zero counts).
-    pub rule_counts: Vec<(&'static str, usize)>,
-    /// Elapsed milliseconds per analysis pass, in execution order.
-    pub passes: Vec<(&'static str, f64)>,
-}
-
-/// Scans the workspace rooted at `root` and returns all diagnostics
-/// plus the number of files scanned. Compatibility wrapper around
-/// [`analyze_workspace`].
-pub fn run_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
-    let report = analyze_workspace(root)?;
-    Ok((report.diags, report.files_scanned))
+    /// Every file scanned, in scan order.
+    pub files: Vec<FileInput>,
 }
 
 /// Scans the workspace rooted at `root` and runs the full analysis.
@@ -68,76 +54,36 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
 }
 
 /// Runs the full analysis over in-memory sources: token rules per
-/// file, then call-graph construction and the dataflow passes across
-/// all files, suppression filtering, and the unused-suppression audit.
+/// file, then the call graph and `panic_path` across all files,
+/// suppression filtering, and the unused-suppression audit.
 pub fn analyze_sources(inputs: Vec<(FileInput, String)>) -> Report {
-    let mut passes_ms: Vec<(&'static str, f64)> = Vec::new();
-    let files_scanned = inputs.len();
-
-    // Phase 1: token rules + AST parse per file.
-    let t0 = Instant::now();
     let analyses: Vec<FileAnalysis> = inputs
         .iter()
         .map(|(input, src)| analyze_file(input, src))
         .collect();
-    passes_ms.push(("token_rules", ms_since(t0)));
+    let graph = CallGraph::build(&analyses);
 
-    // Phase 2: workspace call graph.
-    let t0 = Instant::now();
-    let file_fns: Vec<FileFns<'_>> = analyses
-        .iter()
-        .enumerate()
-        .map(|(i, fa)| FileFns {
-            file_idx: i,
-            crate_name: fa.input.crate_name.clone(),
-            class: fa.input.class,
-            path: fa.input.path.clone(),
-            ast: &fa.ast,
-            test_lines: &fa.test_lines,
-        })
-        .collect();
-    let graph = CallGraph::build(&file_fns);
-    passes_ms.push(("callgraph", ms_since(t0)));
-
-    // Phase 3: the dataflow passes, individually timed.
-    type PassFn = fn(&[FileAnalysis], &CallGraph) -> Vec<passes::Finding>;
-    let mut findings: Vec<passes::Finding> = Vec::new();
-    let timed: &[(&'static str, PassFn)] = &[
-        ("lock_order", passes::lock_order),
-        ("atomic_order", |f, _| passes::atomic_order(f)),
-        ("det_reduce", |f, _| passes::det_reduce(f)),
-        ("panic_path", passes::panic_path),
-        ("blocking_in_hot", passes::blocking_in_hot),
-    ];
-    for (name, pass) in timed {
-        let t0 = Instant::now();
-        findings.extend(pass(&analyses, &graph));
-        passes_ms.push((name, ms_since(t0)));
-    }
-
-    // Phase 4: suppression filtering + diagnostics assembly.
-    let t0 = Instant::now();
     let mut diags: Vec<Diagnostic> = Vec::new();
     for fa in &analyses {
         diags.extend(fa.diags.iter().cloned());
     }
-    for f in findings {
+    for f in passes::panic_path(&analyses, &graph) {
         let fa = &analyses[f.file_idx];
-        if fa.sup.allows(f.rule, f.line) {
+        if fa.sup.allows("panic_path", f.line) {
             continue;
         }
         diags.push(Diagnostic {
-            rule: f.rule,
+            rule: "panic_path",
             file: fa.input.path.clone(),
             line: f.line,
             message: f.message,
-            hint: Diagnostic::suppression_hint(f.rule),
+            hint: Diagnostic::suppression_hint("panic_path"),
         });
     }
 
-    // Phase 5: the unused-suppression audit. A marker that silenced
-    // nothing is stale and rots: delete it or fix the rule name. The
-    // audit exempts its own markers (consulting them is their use).
+    // The unused-suppression audit. A marker that silenced nothing is
+    // stale and rots: delete it or fix the rule name. The audit exempts
+    // its own markers (consulting them is their use).
     for fa in &analyses {
         for m in &fa.sup.markers {
             if m.hits.get() > 0 || m.rule == "unused_suppression" {
@@ -160,23 +106,11 @@ pub fn analyze_sources(inputs: Vec<(FileInput, String)>) -> Report {
         }
     }
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    passes_ms.push(("suppression_audit", ms_since(t0)));
-
-    let rule_counts = crate::lints::RULES
-        .iter()
-        .map(|r| (r.name, diags.iter().filter(|d| d.rule == r.name).count()))
-        .collect();
 
     Report {
         diags,
-        files_scanned,
-        rule_counts,
-        passes: passes_ms,
+        files: inputs.into_iter().map(|(input, _)| input).collect(),
     }
-}
-
-fn ms_since(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Collects the `.rs` files of one crate rooted at `crate_dir`.

@@ -1,7 +1,7 @@
-//! Fixture tests for every lint rule: each rule is exercised on a
-//! violating fixture (hit), a conforming fixture (miss), and a
-//! suppressed fixture, plus the explorer's own positive and negative
-//! models.
+//! Fixture tests for the token rules: each is exercised on a violating
+//! fixture (hit), a conforming fixture (miss), and a suppressed
+//! fixture, plus the explorer's own positive and negative models.
+//! `passes_fixtures.rs` covers `panic_path` and the marker audit.
 
 use kpm_analyze::lints::{analyze_source, FileClass, FileInput};
 use kpm_analyze::sched::{self, Config, Op, Violation};
@@ -243,431 +243,6 @@ pub fn f(xs: &[Vec<f64>]) {
 }
 "#;
     assert!(hot_file(src).is_empty());
-}
-
-// ---------------------------------------------------- simd_scalar_tail
-
-fn simd_file(src: &str) -> Vec<Diagnostic> {
-    scan(
-        "kpm-sparse",
-        FileClass::Lib,
-        "crates/kpm-sparse/src/sweep.rs",
-        src,
-    )
-}
-
-#[test]
-fn simd_scalar_tail_hit_when_remainder_is_dropped() {
-    let src = r#"
-/// Doc.
-pub fn f(a: &mut [f64]) {
-    for g in a.chunks_exact_mut(4) {
-        g[0] += 1.0;
-    }
-}
-"#;
-    let diags = simd_file(src);
-    assert_eq!(rules(&diags), vec!["simd_scalar_tail"]);
-    assert_eq!(diags[0].line, 4);
-    assert!(diags[0].message.contains("remainder"));
-}
-
-#[test]
-fn simd_scalar_tail_miss_when_tail_is_handled_or_file_is_cold() {
-    // The canonical shape: full groups vectorized, leftover elements
-    // consumed from the same iterator's remainder in the same fn.
-    let src = r#"
-/// Doc.
-pub fn f(a: &mut [f64]) {
-    let mut groups = a.chunks_exact_mut(4);
-    for g in groups.by_ref() {
-        g[0] += 1.0;
-    }
-    for x in groups.into_remainder() {
-        *x += 1.0;
-    }
-}
-"#;
-    assert!(simd_file(src).is_empty());
-    // A handler in one fn does not vet a dropped tail in another.
-    let src = r#"
-/// Doc.
-pub fn good(a: &mut [f64]) {
-    let mut groups = a.chunks_exact_mut(4);
-    for g in groups.by_ref() { g[0] += 1.0; }
-    for x in groups.into_remainder() { *x += 1.0; }
-}
-/// Doc.
-pub fn bad(a: &[f64]) -> f64 {
-    let mut s = 0.0;
-    for g in a.chunks_exact(4) { s += g[0]; }
-    s
-}
-"#;
-    assert_eq!(rules(&simd_file(src)), vec!["simd_scalar_tail"]);
-    // The same dropped tail outside the hot kernel files is allowed.
-    let src = "/// D.\npub fn f(a: &[f64]) -> f64 { a.chunks_exact(4).map(|g| g[0]).sum() }\n";
-    assert!(scan(
-        "kpm-sparse",
-        FileClass::Lib,
-        "crates/kpm-sparse/src/crs.rs",
-        src
-    )
-    .is_empty());
-    // Test code is exempt: exactness is often the point of a test.
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let a = [1.0f64; 7];
-        for g in a.chunks_exact(4) { let _ = g[0]; }
-    }
-}
-"#;
-    assert!(simd_file(src).is_empty());
-}
-
-#[test]
-fn simd_scalar_tail_suppressed() {
-    let src = r#"
-/// Doc.
-pub fn f(a: &mut [f64]) {
-    // kpm::allow(simd_scalar_tail): caller pads `a` to a lane multiple
-    for g in a.chunks_exact_mut(4) {
-        g[0] += 1.0;
-    }
-}
-"#;
-    assert!(simd_file(src).is_empty());
-}
-
-// ------------------------------------------------------------- par_lock
-
-#[test]
-fn par_lock_hit_lock_and_mutex_in_par_statement() {
-    let src = r#"
-/// Doc.
-pub fn bad(xs: &[f64], out: &std::sync::Mutex<Vec<f64>>) {
-    xs.par_iter().for_each(|x| {
-        out.lock().unwrap().push(*x);
-    });
-}
-"#;
-    let diags = scan(
-        "kpm-num",
-        FileClass::Lib,
-        "crates/kpm-num/src/vector.rs",
-        src,
-    );
-    assert!(rules(&diags).contains(&"par_lock"), "{diags:?}");
-    assert!(diags
-        .iter()
-        .any(|d| d.rule == "par_lock" && d.message.contains("serializes")));
-}
-
-#[test]
-fn par_lock_miss_outside_par_and_outside_kernel_crates() {
-    // A lock in plain serial code is fine.
-    let serial = r#"
-/// Doc.
-pub fn ok(out: &std::sync::Mutex<Vec<f64>>) {
-    if let Ok(mut g) = out.lock() {
-        g.push(1.0);
-    }
-}
-"#;
-    assert!(kernel_lib(serial).is_empty());
-    // Per-chunk partials with a post-region reduction: the shape the
-    // rule exists to steer people toward.
-    let partials = r#"
-/// Doc.
-pub fn good(xs: &[f64]) -> f64 {
-    let partials: Vec<f64> = xs.par_chunks(1024).map(|c| c.iter().sum()).collect();
-    partials.iter().sum()
-}
-"#;
-    assert!(kernel_lib(partials).is_empty());
-    // The same locked pattern outside the kernel crates is not flagged.
-    let src = r#"
-/// Doc.
-pub fn bad(xs: &[f64], out: &std::sync::Mutex<Vec<f64>>) {
-    xs.par_iter().for_each(|x| { out.lock().unwrap().push(*x); });
-}
-"#;
-    assert!(scan(
-        "kpm-bench",
-        FileClass::Lib,
-        "crates/kpm-bench/src/lib.rs",
-        src
-    )
-    .is_empty());
-}
-
-#[test]
-fn par_lock_suppressed() {
-    let src = r#"
-/// Doc.
-pub fn gather(xs: &[f64], out: &std::sync::Mutex<Vec<f64>>) {
-    xs.par_chunks(4096).for_each(|c| {
-        // kpm::allow(par_lock): one lock per 4096-element chunk, not per element
-        out.lock().unwrap().extend_from_slice(c);
-    });
-}
-"#;
-    let diags = kernel_lib(src);
-    assert!(
-        diags.iter().all(|d| d.rule != "par_lock"),
-        "suppression must silence the in-closure lock: {diags:?}"
-    );
-}
-
-// -------------------------------------------------------- relaxed_store
-
-#[test]
-fn relaxed_store_hit() {
-    let src = r#"
-/// Doc.
-pub fn publish(flag: &std::sync::atomic::AtomicBool) {
-    flag.store(true, std::sync::atomic::Ordering::Relaxed);
-}
-"#;
-    let diags = kernel_lib(src);
-    assert_eq!(rules(&diags), vec!["relaxed_store"]);
-    assert!(diags[0].message.contains("Relaxed"));
-}
-
-#[test]
-fn relaxed_store_miss_for_loads_seqcst_and_obs_crate() {
-    let src = r#"
-/// Doc.
-pub fn ok(flag: &std::sync::atomic::AtomicBool, n: &std::sync::atomic::AtomicU64) -> bool {
-    n.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    flag.store(true, std::sync::atomic::Ordering::SeqCst);
-    flag.load(std::sync::atomic::Ordering::Relaxed)
-}
-"#;
-    // `relaxed_store` must stay quiet here; the SeqCst store is now
-    // `atomic_order`'s business (gratuitous SeqCst outside the Ledger).
-    let diags = kernel_lib(src);
-    assert!(diags.iter().all(|d| d.rule != "relaxed_store"));
-    assert!(diags
-        .iter()
-        .any(|d| d.rule == "atomic_order" && d.line == 5));
-    let relaxed = "/// D.\npub fn f(flag: &std::sync::atomic::AtomicBool) {\n    flag.store(true, std::sync::atomic::Ordering::Relaxed);\n}\n";
-    assert!(scan(
-        "kpm-obs",
-        FileClass::Lib,
-        "crates/kpm-obs/src/lib.rs",
-        relaxed
-    )
-    .is_empty());
-}
-
-#[test]
-fn relaxed_store_suppressed() {
-    let src = r#"
-/// Doc.
-pub fn f(flag: &std::sync::atomic::AtomicBool) {
-    // kpm::allow(relaxed_store): flag is advisory, no data is published
-    flag.store(true, std::sync::atomic::Ordering::Relaxed);
-}
-"#;
-    assert!(kernel_lib(src).is_empty());
-}
-
-// --------------------------------------------------------- doc_coverage
-
-#[test]
-fn doc_coverage_hit_fn_struct_enum_trait() {
-    let src = "pub fn f() {}\npub struct S;\npub enum E { A }\npub trait T {}\n";
-    let diags = scan(
-        "kpm-topo",
-        FileClass::Lib,
-        "crates/kpm-topo/src/lib.rs",
-        src,
-    );
-    assert_eq!(
-        rules(&diags),
-        vec![
-            "doc_coverage",
-            "doc_coverage",
-            "doc_coverage",
-            "doc_coverage"
-        ]
-    );
-    assert!(diags[0].message.contains("`f`"));
-    assert!(diags[1].message.contains("`S`"));
-}
-
-#[test]
-fn doc_coverage_miss_documented_crate_private_and_tests() {
-    let src = r#"
-/// Documented.
-pub fn f() {}
-
-/// Documented, attribute between doc and item.
-#[inline]
-pub fn g() {}
-
-pub(crate) fn h() {}
-
-#[cfg(test)]
-mod tests {
-    pub fn test_helper() {}
-}
-"#;
-    assert!(scan(
-        "kpm-topo",
-        FileClass::Lib,
-        "crates/kpm-topo/src/lib.rs",
-        src
-    )
-    .is_empty());
-}
-
-#[test]
-fn doc_coverage_suppressed() {
-    let src = "// kpm::allow(doc_coverage): internal trampoline\npub fn f() {}\n";
-    assert!(scan(
-        "kpm-topo",
-        FileClass::Lib,
-        "crates/kpm-topo/src/lib.rs",
-        src
-    )
-    .is_empty());
-}
-
-// ------------------------------------------------------------- obs_gate
-
-fn obs_lib(src: &str) -> Vec<Diagnostic> {
-    scan(
-        "kpm-obs",
-        FileClass::Lib,
-        "crates/kpm-obs/src/metrics.rs",
-        src,
-    )
-}
-
-#[test]
-fn obs_gate_hit_ungated_lock_and_clock() {
-    let src = r#"
-/// Doc.
-pub fn counter_add(reg: &std::sync::Mutex<u64>, delta: u64) {
-    let mut g = reg.lock().unwrap_or_else(|e| e.into_inner());
-    *g += delta;
-}
-"#;
-    let diags = obs_lib(src);
-    assert_eq!(rules(&diags), vec!["obs_gate"]);
-    assert!(diags[0].message.contains("counter_add"));
-}
-
-#[test]
-fn obs_gate_miss_gated_or_value_returning() {
-    let src = r#"
-/// Gated recorder.
-pub fn counter_add(reg: &std::sync::Mutex<u64>, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut g = reg.lock().unwrap_or_else(|e| e.into_inner());
-    *g += delta;
-}
-
-/// Query APIs return values and may lock unconditionally.
-pub fn counter_value(reg: &std::sync::Mutex<u64>) -> u64 {
-    *reg.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn enabled() -> bool {
-    true
-}
-"#;
-    assert!(obs_lib(src).is_empty());
-}
-
-#[test]
-fn obs_gate_suppressed() {
-    let src = r#"
-/// Doc.
-// kpm::allow(obs_gate): shutdown path, called once
-pub fn flush(reg: &std::sync::Mutex<u64>) {
-    let _g = reg.lock().unwrap_or_else(|e| e.into_inner());
-}
-"#;
-    assert!(obs_lib(src).is_empty());
-}
-
-// ------------------------------------------------------------ obs_label
-
-#[test]
-fn obs_label_hit_undotted_uppercase_and_trailing_dot() {
-    let src = r#"
-/// Doc.
-pub fn f() {
-    kpm_obs::metrics::counter_add("admitted", 1);
-    kpm_obs::metrics::gauge_set("Svc.Queue", 1.0);
-    kpm_obs::hist::record("svc.latency.", 3);
-}
-"#;
-    let diags = scan(
-        "kpm-service",
-        FileClass::Lib,
-        "crates/kpm-service/src/service.rs",
-        src,
-    );
-    assert_eq!(rules(&diags), vec!["obs_label", "obs_label", "obs_label"]);
-    assert!(diags[0].message.contains("admitted"));
-    assert!(diags[0].message.contains("dot-separated"));
-}
-
-#[test]
-fn obs_label_miss_dotted_names_tests_and_method_calls() {
-    let src = r#"
-/// Doc.
-pub fn f(h: &mut Hist) {
-    kpm_obs::metrics::counter_add("svc.admitted", 1);
-    let _s = kpm_obs::span::span("svc.stage.queue", "service");
-    kpm_obs::recorder::note("chaos.crash", 7, "detail");
-    // A method call never names a registry entry:
-    h.record(12);
-    let _ = format!("plain string, not a name");
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let _s = kpm_obs::span::span("outer", "test");
-    }
-}
-"#;
-    assert!(scan(
-        "kpm-service",
-        FileClass::Lib,
-        "crates/kpm-service/src/service.rs",
-        src,
-    )
-    .is_empty());
-}
-
-#[test]
-fn obs_label_suppressed() {
-    let src = r#"
-/// Doc.
-pub fn f() {
-    // kpm::allow(obs_label): legacy dashboard expects the flat name
-    kpm_obs::metrics::counter_add("admitted", 1);
-}
-"#;
-    assert!(scan(
-        "kpm-service",
-        FileClass::Lib,
-        "crates/kpm-service/src/service.rs",
-        src,
-    )
-    .is_empty());
 }
 
 // -------------------------------------------------- unknown_suppression

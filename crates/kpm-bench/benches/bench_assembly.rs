@@ -22,7 +22,7 @@ fn bench_assembly(c: &mut Criterion) {
             for i in 0..10_000usize {
                 coo.push(i % 1000, (i * 7) % 1000, Complex64::real(i as f64));
             }
-            coo.to_crs()
+            coo.to_crs().unwrap()
         })
     });
     g.finish();

@@ -5,6 +5,8 @@
 //! figure of the paper and prints it as an aligned text table plus CSV
 //! lines (prefixed `csv,`) so results can be both read and plotted.
 
+#![warn(missing_docs)]
+
 use std::time::Instant;
 
 use kpm_num::{BlockVector, Complex64, Vector};

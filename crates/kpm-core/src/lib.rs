@@ -24,6 +24,8 @@
 //! * [`evolution`] — numerically exact Chebyshev time propagation
 //!   `e^{-iHt}|ψ⟩` (wave-packet dynamics on the same recurrence).
 
+#![warn(missing_docs)]
+
 pub mod chebyshev;
 pub mod checkpoint;
 pub mod dos;

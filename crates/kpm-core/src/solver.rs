@@ -1083,7 +1083,7 @@ mod tests {
             ),
         ];
         // Not square either: the parameter error comes first.
-        let h = kpm_sparse::CooMatrix::new(2, 3).to_crs();
+        let h = kpm_sparse::CooMatrix::new(2, 3).to_crs().unwrap();
         let sf = ScaleFactors::from_bounds(-1.0, 1.0, 0.0);
         for (field, p) in cases {
             for err in [

@@ -48,9 +48,13 @@ struct CrashSpec {
 /// Counters of injected faults, for reporting and test assertions.
 #[derive(Debug, Default)]
 pub struct FaultStats {
+    /// Messages dropped.
     pub dropped: u64,
+    /// Messages sent twice.
     pub duplicated: u64,
+    /// Messages held back.
     pub delayed: u64,
+    /// Ranks crashed.
     pub crashed: u64,
 }
 

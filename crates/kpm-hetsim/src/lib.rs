@@ -28,6 +28,8 @@
 //!     Section VII outlook item, including iterative refinement from
 //!     observed sweep times.
 
+#![warn(missing_docs)]
+
 pub mod autotune;
 pub mod cluster;
 pub mod decomp;

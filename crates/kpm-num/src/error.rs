@@ -23,7 +23,12 @@ pub enum KpmError {
         details: String,
     },
     /// User-supplied matrix data is structurally invalid.
-    InvalidMatrix { what: &'static str, details: String },
+    InvalidMatrix {
+        /// Which part of the matrix is invalid (e.g. `"row_ptr"`).
+        what: &'static str,
+        /// Human-readable explanation.
+        details: String,
+    },
     /// A NaN or infinity surfaced during the moment iteration.
     NonFinite {
         /// Which quantity went non-finite (e.g. `"eta_even"`).
@@ -55,29 +60,57 @@ pub enum KpmError {
         waited_ms: u64,
     },
     /// A rank died (simulated crash, panic, or early exit).
-    RankCrashed { rank: usize },
+    RankCrashed {
+        /// The rank that died.
+        rank: usize,
+    },
     /// A send could not be delivered because the destination's inbox is
     /// gone (the receiving rank has terminated).
-    SendFailed { from: usize, to: usize, tag: u64 },
+    SendFailed {
+        /// The sending rank.
+        from: usize,
+        /// The destination rank whose inbox is gone.
+        to: usize,
+        /// The tag of the undeliverable message.
+        tag: u64,
+    },
     /// The out-of-order receive stash hit its capacity: the rank is
     /// being flooded with messages it never matches (message storm).
-    StashOverflow { rank: usize, capacity: usize },
+    StashOverflow {
+        /// The flooded rank.
+        rank: usize,
+        /// The stash capacity that was hit.
+        capacity: usize,
+    },
     /// After a world completed, undelivered messages remained — a
     /// protocol leak.
-    MessageLeak { undelivered: usize },
+    MessageLeak {
+        /// Number of messages left in inboxes and stashes.
+        undelivered: usize,
+    },
     /// A checkpoint record failed validation (bad magic, version,
     /// length, or checksum).
-    CheckpointCorrupt { details: String },
+    CheckpointCorrupt {
+        /// Which check failed, and on which record.
+        details: String,
+    },
     /// The checkpoint requested for resume does not exist.
-    CheckpointMissing { details: String },
+    CheckpointMissing {
+        /// Which checkpoint was asked for.
+        details: String,
+    },
     /// A resilient run gave up after the configured restart budget.
     RestartsExhausted {
+        /// How many attempts were made.
         attempts: usize,
         /// The error of the final attempt, rendered to text.
         last_error: String,
     },
     /// An I/O failure in a file-backed checkpoint store.
-    Io { details: String },
+    Io {
+        /// The underlying I/O error, rendered to text.
+        details: String,
+    },
     /// A per-request compute deadline expired while the solve was still
     /// running. Carries the Chebyshev sweep index reached when the
     /// budget ran out, so a degraded (truncated-`M`) answer can be

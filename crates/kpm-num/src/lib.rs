@@ -19,6 +19,8 @@
 //! * [`accounting`] — the byte/flop constants of the paper (S_d, S_i,
 //!   F_a, F_m) used by the performance models.
 
+#![warn(missing_docs)]
+
 pub mod accounting;
 pub mod aligned;
 pub mod block;

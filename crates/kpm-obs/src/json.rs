@@ -11,11 +11,17 @@ use std::collections::BTreeMap;
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Any number, read as `f64`.
     Num(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Value>),
+    /// An object, keys sorted.
     Obj(BTreeMap<String, Value>),
 }
 

@@ -31,6 +31,8 @@
 //! depend on it without cycles, and it stays compatible with the
 //! offline shim policy.
 
+#![warn(missing_docs)]
+
 pub mod clock;
 pub mod export;
 pub mod hist;

@@ -17,6 +17,8 @@
 //! * [`ecm`] — the multi-level generalization of the roofline (paper
 //!   ref. [5]): one bandwidth bound per cache level.
 
+#![warn(missing_docs)]
+
 pub mod balance;
 pub mod cachesim;
 pub mod ecm;

@@ -47,6 +47,8 @@
 //! # }
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod chaos;
 pub mod request;
 pub mod service;

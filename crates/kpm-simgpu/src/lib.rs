@@ -30,6 +30,8 @@
 //! products. What it replaces with calibration: absolute bandwidth
 //! ceilings per kernel class.
 
+#![warn(missing_docs)]
+
 pub mod device;
 pub mod exec;
 pub mod memory;

@@ -151,7 +151,7 @@ mod tests {
             coo.push(i, i, Complex64::real(1.0));
             coo.push(i, (i + 1) % 64, Complex64::real(1.0));
         }
-        let h = coo.to_crs();
+        let h = coo.to_crs().unwrap();
         for r in [1usize, 4, 16] {
             assert_eq!(warp_divergence_efficiency(&d, &h, r), 1.0, "r={r}");
         }
@@ -170,7 +170,7 @@ mod tests {
                 }
             }
         }
-        let h = coo.to_crs();
+        let h = coo.to_crs().unwrap();
         // R = 32: one row per warp, no lockstep partner -> no divergence.
         assert_eq!(warp_divergence_efficiency(&d, &h, 32), 1.0);
         // R = 1: 32 rows share a warp, lockstep over the longest -> 60%.

@@ -232,7 +232,7 @@ mod tests {
                 }
             }
         }
-        coo.to_crs()
+        coo.to_crs().unwrap()
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
                 }
             }
         }
-        let h = coo.to_crs();
+        let h = coo.to_crs().unwrap();
         let mut rng = StdRng::seed_from_u64(203);
         let v = BlockVector::random(40, 2, &mut rng);
         let w0 = BlockVector::random(40, 2, &mut rng);

@@ -92,7 +92,7 @@ mod tests {
                 }
             }
         }
-        coo.to_crs()
+        coo.to_crs().unwrap()
     }
 
     /// Reference implementation via the naive BLAS-1 chain (paper Fig. 3).

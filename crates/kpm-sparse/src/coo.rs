@@ -4,7 +4,7 @@
 //! matrices, …) pushes `(row, col, value)` triplets in any order; the
 //! builder sorts, merges duplicates and converts to CRS.
 
-use kpm_num::Complex64;
+use kpm_num::{Complex64, KpmError};
 
 use crate::crs::CrsMatrix;
 
@@ -63,11 +63,27 @@ impl CooMatrix {
 
     /// Converts to CRS, summing duplicates and dropping exact zeros that
     /// result from cancellation.
-    pub fn to_crs(mut self) -> CrsMatrix {
+    ///
+    /// The row pointers are the one allocation not bounded by the
+    /// triplets already held: `nrows + 1` of them, however few entries
+    /// there are. When they cannot be allocated the conversion returns
+    /// `KpmError::InvalidMatrix` instead of aborting the process.
+    pub fn to_crs(mut self) -> Result<CrsMatrix, KpmError> {
         self.entries
             .sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
 
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut row_ptr: Vec<u64> = Vec::new();
+        row_ptr
+            .try_reserve_exact(self.nrows + 1)
+            .map_err(|e| KpmError::InvalidMatrix {
+                what: "row_ptr",
+                details: format!(
+                    "{} rows need {} row pointers ({:.1} GiB): {e}",
+                    self.nrows,
+                    self.nrows + 1,
+                    (self.nrows + 1) as f64 * 8.0 / (1u64 << 30) as f64
+                ),
+            })?;
         let mut cols: Vec<u32> = Vec::with_capacity(self.entries.len());
         let mut vals: Vec<Complex64> = Vec::with_capacity(self.entries.len());
         row_ptr.push(0u64);
@@ -94,7 +110,9 @@ impl CooMatrix {
             row_ptr.push(cols.len() as u64);
         }
 
-        CrsMatrix::from_raw(self.nrows, self.ncols, row_ptr, cols, vals)
+        Ok(CrsMatrix::from_raw(
+            self.nrows, self.ncols, row_ptr, cols, vals,
+        ))
     }
 }
 
@@ -108,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_converts() {
-        let m = CooMatrix::new(3, 3).to_crs();
+        let m = CooMatrix::new(3, 3).to_crs().unwrap();
         assert_eq!(m.nrows(), 3);
         assert_eq!(m.nnz(), 0);
     }
@@ -119,7 +137,7 @@ mod tests {
         m.push(0, 1, c(1.0));
         m.push(0, 1, c(2.5));
         m.push(1, 0, c(-1.0));
-        let crs = m.to_crs();
+        let crs = m.to_crs().unwrap();
         assert_eq!(crs.nnz(), 2);
         assert_eq!(crs.get(0, 1), c(3.5));
         assert_eq!(crs.get(1, 0), c(-1.0));
@@ -131,7 +149,7 @@ mod tests {
         m.push(0, 0, c(1.0));
         m.push(0, 0, c(-1.0));
         m.push(1, 1, c(2.0));
-        let crs = m.to_crs();
+        let crs = m.to_crs().unwrap();
         assert_eq!(crs.nnz(), 1);
         assert_eq!(crs.get(0, 0), Complex64::default());
     }
@@ -143,7 +161,7 @@ mod tests {
         m.push(0, 2, c(1.0));
         m.push(1, 1, c(3.0));
         m.push(0, 0, c(2.0));
-        let crs = m.to_crs();
+        let crs = m.to_crs().unwrap();
         assert_eq!(crs.row_cols(0), &[0, 2]);
         assert_eq!(crs.row_cols(1), &[1]);
         assert_eq!(crs.row_cols(2), &[0]);
@@ -153,7 +171,7 @@ mod tests {
     fn trailing_empty_rows_have_valid_ptrs() {
         let mut m = CooMatrix::new(5, 5);
         m.push(1, 1, c(1.0));
-        let crs = m.to_crs();
+        let crs = m.to_crs().unwrap();
         assert_eq!(crs.nnz(), 1);
         for r in 0..5 {
             let _ = crs.row_cols(r); // must not panic
@@ -166,7 +184,7 @@ mod tests {
         let mut m = CooMatrix::new(1, 1);
         m.push(0, 0, Complex64::new(1.0, 2.0));
         m.push(0, 0, Complex64::new(3.0, -1.0));
-        let crs = m.to_crs();
+        let crs = m.to_crs().unwrap();
         assert_eq!(crs.get(0, 0), Complex64::new(4.0, 1.0));
     }
 }

@@ -415,7 +415,7 @@ mod tests {
         m.push(1, 2, c(0.0, 2.0));
         m.push(2, 1, c(0.0, -2.0));
         m.push(2, 2, c(0.5, 0.0));
-        m.to_crs()
+        m.to_crs().unwrap()
     }
 
     #[test]
@@ -432,7 +432,7 @@ mod tests {
         assert!(hermitian3().is_hermitian());
         let mut m = CooMatrix::new(2, 2);
         m.push(0, 1, c(1.0, 0.0));
-        assert!(!m.to_crs().is_hermitian());
+        assert!(!m.to_crs().unwrap().is_hermitian());
     }
 
     #[test]

@@ -10,10 +10,15 @@
 
 use std::io::{self, BufRead, Write};
 
-use kpm_num::Complex64;
+use kpm_num::{Complex64, KpmError};
 
 use crate::coo::CooMatrix;
 use crate::crs::CrsMatrix;
+
+/// Triplets reserved up front, at most (24 MiB). The size line is a
+/// promise, not data: past this the triplet vector grows from the
+/// entries actually read.
+const MAX_RESERVED_TRIPLETS: usize = 1 << 20;
 
 /// Errors produced by the Matrix Market reader.
 #[derive(Debug)]
@@ -22,6 +27,8 @@ pub enum MmError {
     Io(io::Error),
     /// Structural problem with the file contents.
     Parse(String),
+    /// The entries read do not make a CRS matrix this process can hold.
+    Matrix(KpmError),
 }
 
 impl std::fmt::Display for MmError {
@@ -29,6 +36,7 @@ impl std::fmt::Display for MmError {
         match self {
             MmError::Io(e) => write!(f, "I/O error: {e}"),
             MmError::Parse(msg) => write!(f, "Matrix Market parse error: {msg}"),
+            MmError::Matrix(e) => write!(f, "Matrix Market file: {e}"),
         }
     }
 }
@@ -132,8 +140,14 @@ pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
         return Err(parse_err("size line must be 'rows cols nnz'"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+        return Err(parse_err(format!(
+            "{nrows} x {ncols} exceeds the 32-bit index range (at most {} rows and columns)",
+            u32::MAX
+        )));
+    }
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz.min(MAX_RESERVED_TRIPLETS));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -168,7 +182,7 @@ pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
     if seen != nnz {
         return Err(parse_err(format!("expected {nnz} entries, found {seen}")));
     }
-    Ok(coo.to_crs())
+    coo.to_crs().map_err(MmError::Matrix)
 }
 
 #[cfg(test)]
@@ -185,7 +199,7 @@ mod tests {
         m.push(1, 2, Complex64::new(0.0, 2.0));
         m.push(2, 1, Complex64::new(0.0, -2.0));
         m.push(2, 2, Complex64::real(-0.5));
-        m.to_crs()
+        m.to_crs().unwrap()
     }
 
     #[test]
@@ -249,6 +263,75 @@ mod tests {
     }
 
     #[test]
+    fn promised_entries_are_not_reserved_up_front() {
+        // 10^14 triplets would be 2.4 PB: the reader reserves from what
+        // it reads, and the count mismatch is the error.
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 100000000000000\n1 1 1\n";
+        let err = read(BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("expected 100000000000000 entries, found 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dimensions_past_32_bit_indices_rejected() {
+        for size in ["4294967296 2 1", "2 4294967296 1"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1\n");
+            let err = read(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(matches!(err, MmError::Parse(_)), "{err}");
+            assert!(err.to_string().contains("32-bit index range"), "{err}");
+        }
+    }
+
+    /// True when Linux must refuse one allocation of `bytes`: heuristic
+    /// (0) and strict (2) overcommit both refuse more than RAM + swap.
+    fn allocation_must_fail(bytes: u64) -> bool {
+        let read = |p| std::fs::read_to_string(p).unwrap_or_default();
+        let meminfo = read("/proc/meminfo");
+        let kib = |key: &str| {
+            meminfo.lines().find_map(|l| {
+                let v = l.strip_prefix(key)?.trim().strip_suffix("kB")?;
+                v.trim().parse::<u64>().ok()
+            })
+        };
+        let strict_enough = matches!(read("/proc/sys/vm/overcommit_memory").trim(), "0" | "2");
+        match (kib("MemTotal:"), kib("SwapTotal:")) {
+            (Some(ram), Some(swap)) => strict_enough && (ram + swap) * 1024 < bytes,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn unallocatable_row_pointers_are_a_typed_error() {
+        // 4·10⁹ rows need 32 GB of row pointers for one entry. Where the
+        // allocator could grant that, the test would then fill it, so it
+        // runs only where the allocation must fail.
+        let rows: u64 = 4_000_000_000;
+        if !allocation_must_fail((rows + 1) * 8) {
+            eprintln!(
+                "skipped: this host could allocate {} row pointers",
+                rows + 1
+            );
+            return;
+        }
+        let text =
+            format!("%%MatrixMarket matrix coordinate real general\n{rows} {rows} 1\n1 1 1\n");
+        let err = read(BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MmError::Matrix(KpmError::InvalidMatrix {
+                    what: "row_ptr",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn topological_insulator_roundtrip() {
         // The actual workload survives a write/read cycle.
         use kpm_num::Complex64 as C;
@@ -261,7 +344,7 @@ mod tests {
                 coo.push(i + 1, i, v.conj());
             }
         }
-        let m = coo.to_crs();
+        let m = coo.to_crs().unwrap();
         let mut buf = Vec::new();
         write_hermitian(&m, &mut buf).unwrap();
         let back = read(BufReader::new(buf.as_slice())).unwrap();

@@ -34,6 +34,8 @@
 //!   of the topological-insulator matrix structure,
 //! * [`io`] — Matrix Market reading/writing (std-only).
 
+#![warn(missing_docs)]
+
 pub mod aug;
 pub mod coo;
 pub mod crs;

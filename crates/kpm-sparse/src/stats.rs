@@ -150,7 +150,7 @@ mod tests {
                 coo.push(i + 1, i, Complex64::real(-1.0));
             }
         }
-        coo.to_crs()
+        coo.to_crs().unwrap()
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
             coo.push(i, j, Complex64::real(1.0));
             coo.push(j, i, Complex64::real(1.0));
         }
-        let stats = analyze(&coo.to_crs(), 1);
+        let stats = analyze(&coo.to_crs().unwrap(), 1);
         let corners = stats.corner_diagonals(0.5);
         assert!(corners.contains(&(n as i64 - 1)));
         assert!(corners.contains(&-(n as i64 - 1)));
@@ -205,14 +205,14 @@ mod tests {
             coo.push(i, i, Complex64::real(1.0));
         }
         coo.push(0, 7, Complex64::real(1.0)); // lone scattered entry
-        let stats = analyze(&coo.to_crs(), 2);
+        let stats = analyze(&coo.to_crs().unwrap(), 2);
         assert_eq!(stats.diagonals.len(), 1); // only the main diagonal
         assert!(!stats.is_stencil()); // the stray entry is off-structure
     }
 
     #[test]
     fn empty_matrix() {
-        let stats = analyze(&CooMatrix::new(0, 0).to_crs(), 1);
+        let stats = analyze(&CooMatrix::new(0, 0).to_crs().unwrap(), 1);
         assert_eq!(stats.nnz, 0);
         assert_eq!(stats.min_row_len, 0);
         assert!(stats.diagonals.is_empty());

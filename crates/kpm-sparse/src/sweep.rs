@@ -687,7 +687,7 @@ mod tests {
                 );
             }
         }
-        coo.to_crs()
+        coo.to_crs().unwrap()
     }
 
     fn dense_apply(a: &CrsMatrix, x: &[Complex64]) -> Vec<Complex64> {
@@ -766,7 +766,7 @@ mod tests {
                 coo.push(r, r % ncols, Complex64::new(1.0 + r as f64, -0.5));
                 coo.push(r, (3 * r + 1) % ncols, Complex64::new(0.25, r as f64));
             }
-            let a = coo.to_crs();
+            let a = coo.to_crs().unwrap();
             let mut rng = StdRng::seed_from_u64(16);
             let x = BlockVector::random(ncols, 11, &mut rng);
             let mut y = BlockVector::zeros(nrows, 11);

@@ -81,6 +81,7 @@ where
         }
     }
     coo.to_crs()
+        .expect("a model matrix's row pointers fit in memory")
 }
 
 /// The clean graphene sheet.

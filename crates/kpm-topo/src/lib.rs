@@ -26,6 +26,8 @@
 //! * [`graphene`] — the honeycomb quantum-dot-superlattice workload of
 //!   paper ref. [21], a second real application with a Dirac spectrum.
 
+#![warn(missing_docs)]
+
 pub mod gamma;
 pub mod graphene;
 pub mod hamiltonian;

@@ -18,6 +18,7 @@ pub fn chain_1d(n: usize, t: f64) -> CrsMatrix {
         coo.push(i + 1, i, Complex64::real(t));
     }
     coo.to_crs()
+        .expect("a model matrix's row pointers fit in memory")
 }
 
 /// Exact eigenvalues of [`chain_1d`], ascending.
@@ -40,6 +41,7 @@ pub fn ring_1d(n: usize, t: f64) -> CrsMatrix {
         coo.push(j, i, Complex64::real(t));
     }
     coo.to_crs()
+        .expect("a model matrix's row pointers fit in memory")
 }
 
 /// Random sparse Hermitian matrix: `per_row` off-diagonal pairs per row
@@ -62,6 +64,7 @@ pub fn random_hermitian(n: usize, per_row: usize, seed: u64) -> CrsMatrix {
         }
     }
     coo.to_crs()
+        .expect("a model matrix's row pointers fit in memory")
 }
 
 /// Converts a (small) CRS matrix to the dense form accepted by the

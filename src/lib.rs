@@ -6,6 +6,8 @@
 //! system inventory and `EXPERIMENTS.md` for the paper-vs-measured
 //! record.
 
+#![warn(missing_docs)]
+
 pub use kpm_core as core;
 pub use kpm_hetsim as hetsim;
 pub use kpm_num as num;

@@ -29,7 +29,7 @@ fn hermitian_matrix() -> impl Strategy<Value = CrsMatrix> {
                 }
             }
         }
-        coo.to_crs()
+        coo.to_crs().unwrap()
     })
 }
 
@@ -229,7 +229,7 @@ fn ragged_hermitian(n: usize, seed: u64) -> CrsMatrix {
             }
         }
     }
-    coo.to_crs()
+    coo.to_crs().unwrap()
 }
 
 /// One matrix value, its kind drawn from the first `kinds` of seven:

@@ -3,14 +3,10 @@
 //! Two hard guarantees ride in this suite:
 //!
 //! 1. **The workspace is lint-clean**: `kpm-analyze` finds zero
-//!    diagnostics over every crate — the token rules (panic paths,
-//!    undocumented `unsafe`, hot-loop allocations, relaxed stores,
-//!    doc coverage, kpm-obs gating) plus the AST/call-graph dataflow
-//!    passes (`lock_order`, `atomic_order`, `det_reduce`,
-//!    `panic_path`, `blocking_in_hot`) and the stale-suppression
-//!    audit. Any regression fails CI here (and in
-//!    `scripts/verify.sh`, which also runs the CLI against the
-//!    `ANALYZE_BASELINE.txt` ratchet and emits SARIF).
+//!    diagnostics over every crate — `no_panic`, `safety_comment`,
+//!    `hot_loop_alloc`, the interprocedural `panic_path` and the two
+//!    `kpm::allow` marker audits — and every crate and file those
+//!    rules name still exists, so no rule runs on nothing.
 //! 2. **The hetsim runtime protocol model is verified**: the schedule
 //!    explorer exhausts ≥1000 distinct interleavings of the 2-rank
 //!    send/recv/dedup model (and a 3-rank pipeline under a preemption
@@ -20,45 +16,57 @@
 
 use std::path::Path;
 
-use kpm_analyze::run_workspace;
+use kpm_analyze::lints::{is_hot_kernel_file, HOT_KERNEL_FILES, KERNEL_CRATES};
 use kpm_analyze::sched::{self, Config, Violation};
+use kpm_analyze::{analyze_workspace, Report};
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
+fn scan() -> Report {
+    analyze_workspace(workspace_root()).expect("workspace scan")
+}
+
 #[test]
 fn workspace_is_lint_clean() {
-    let (diags, files_scanned) = run_workspace(workspace_root()).expect("workspace scan");
+    let report = scan();
     assert!(
-        files_scanned > 50,
-        "suspiciously few files scanned ({files_scanned}); did the walker break?"
+        report.files.len() > 50,
+        "suspiciously few files scanned ({}); did the walker break?",
+        report.files.len()
     );
-    let rendered: Vec<String> = diags.iter().map(|d| d.render()).collect();
+    let rendered: Vec<String> = report.diags.iter().map(|d| d.render()).collect();
     assert!(
-        diags.is_empty(),
+        report.diags.is_empty(),
         "kpm-analyze found {} diagnostic(s):\n{}",
-        diags.len(),
+        report.diags.len(),
         rendered.join("\n")
     );
 }
 
 #[test]
-fn committed_baseline_parses_and_carries_no_stale_entries() {
-    // The ratchet file must stay machine-readable, and every entry in
-    // it must still match a live finding — a fixed finding's entry is
-    // supposed to be deleted, not left to mask a future regression.
-    let text = std::fs::read_to_string(workspace_root().join("ANALYZE_BASELINE.txt"))
-        .expect("ANALYZE_BASELINE.txt is committed at the workspace root");
-    let entries = kpm_analyze::baseline::parse(&text)
-        .unwrap_or_else(|line| panic!("malformed baseline entry at line {line}"));
-    let (diags, _) = run_workspace(workspace_root()).expect("workspace scan");
-    let applied = kpm_analyze::baseline::apply(&diags, &entries);
-    assert!(
-        applied.stale.is_empty(),
-        "stale baseline entries (findings fixed — delete the lines): {:?}",
-        applied.stale
-    );
+fn every_rule_subject_is_a_scanned_crate_or_file() {
+    // A rule scoped to a crate or file that no longer exists runs on
+    // nothing and stays silent: `simd_scalar_tail` did so for seven
+    // PRs after its subject left, and renaming `sweep.rs` would
+    // silence `hot_loop_alloc` the same way.
+    let report = scan();
+    for krate in KERNEL_CRATES {
+        assert!(
+            report.files.iter().any(|f| f.crate_name == *krate),
+            "KERNEL_CRATES names `{krate}`, which the scan never visited"
+        );
+    }
+    for name in HOT_KERNEL_FILES {
+        assert!(
+            report
+                .files
+                .iter()
+                .any(|f| is_hot_kernel_file(f) && f.path.ends_with(&format!("/{name}"))),
+            "HOT_KERNEL_FILES names `{name}`, which matches no scanned kpm-sparse library file"
+        );
+    }
 }
 
 #[test]
