@@ -23,6 +23,12 @@ pub const F_A: usize = 2;
 /// Flops per complex multiplication.
 pub const F_M: usize = 6;
 
+/// Bytes of `nnz` CRS entries stored as the paper stores them: a value
+/// and a column index each, `S_d + S_i`.
+pub const fn crs_bytes(nnz: usize) -> usize {
+    nnz * (S_D + S_I)
+}
+
 /// One matrix sweep over a block of vectors, as Table I counts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sweep {
@@ -59,11 +65,11 @@ impl Sweep {
         width * (nnz * (F_A + F_M) + rows * self.row_term())
     }
 
-    /// Minimum bytes of one sweep: the `stored` matrix elements (value
-    /// and index; 0 for a matrix-free operator) streamed once, each
-    /// vector operand touched once.
-    pub const fn min_bytes(self, rows: usize, stored: usize, width: usize) -> usize {
-        stored * (S_D + S_I) + self.transfers() * width * rows * S_D
+    /// Minimum bytes of one sweep: the `matrix` bytes streamed once
+    /// ([`crs_bytes`] for the paper's CRS, 0 for a matrix-free
+    /// operator), each vector operand touched once.
+    pub const fn min_bytes(self, rows: usize, matrix: usize, width: usize) -> usize {
+        matrix + self.transfers() * width * rows * S_D
     }
 
     /// [`Sweep::flops`] per row and vector at `nnzr` non-zeros per row —
@@ -72,9 +78,9 @@ impl Sweep {
         nnzr * (F_A + F_M) as f64 + self.row_term() as f64
     }
 
-    /// [`Sweep::min_bytes`] per row and vector at `nnzr` stored elements
-    /// per row, the matrix shared by `width` vectors — the numerator of
-    /// Eq. (5).
+    /// [`Sweep::min_bytes`] per row and vector at `nnzr` CRS entries
+    /// ([`crs_bytes`]) per row, the matrix shared by `width` vectors —
+    /// the numerator of Eq. (5).
     pub fn min_bytes_per_row(self, nnzr: f64, width: usize) -> f64 {
         nnzr / width as f64 * (S_D + S_I) as f64 + (self.transfers() * S_D) as f64
     }
@@ -110,9 +116,14 @@ mod tests {
         assert_eq!(Sweep::Aug.flops(100, 700, 1), 9000);
         assert_eq!(Sweep::Aug.flops(100, 700, 4), 36000);
         // matrix: 700*(16+4) = 14000; vectors: 2 or 3 transfers of 16 B.
-        assert_eq!(Sweep::Plain.min_bytes(100, 700, 1), 14000 + 3200);
-        assert_eq!(Sweep::Aug.min_bytes(100, 700, 1), 14000 + 4800);
-        assert_eq!(Sweep::Aug.min_bytes(100, 700, 4), 14000 + 3 * 4 * 100 * 16);
+        let matrix = crs_bytes(700);
+        assert_eq!(matrix, 14000);
+        assert_eq!(Sweep::Plain.min_bytes(100, matrix, 1), 14000 + 3200);
+        assert_eq!(Sweep::Aug.min_bytes(100, matrix, 1), 14000 + 4800);
+        assert_eq!(
+            Sweep::Aug.min_bytes(100, matrix, 4),
+            14000 + 3 * 4 * 100 * 16
+        );
         // A matrix-free sweep streams vectors only; its flops keep the
         // logical non-zeros.
         assert_eq!(Sweep::Aug.min_bytes(100, 0, 4), 3 * 4 * 100 * 16);
@@ -126,7 +137,7 @@ mod tests {
                 let per = (rows * width) as f64;
                 let flops = sweep.flops(rows, nnzr * rows, width) as f64;
                 assert_eq!(sweep.flops_per_row(nnzr as f64), flops / per);
-                let bytes = sweep.min_bytes(rows, nnzr * rows, width) as f64;
+                let bytes = sweep.min_bytes(rows, crs_bytes(nnzr * rows), width) as f64;
                 assert_eq!(sweep.min_bytes_per_row(nnzr as f64, width), bytes / per);
             }
         }

@@ -11,7 +11,7 @@
 //! sweep over a real [`CrsMatrix`] through the LLC simulator and reads
 //! off the DRAM volume.
 
-use kpm_num::accounting::{Sweep, S_D, S_I};
+use kpm_num::accounting::{crs_bytes, Sweep, S_D, S_I};
 use kpm_obs::probe::KernelKind;
 use kpm_sparse::CrsMatrix;
 
@@ -117,6 +117,10 @@ pub fn omega_sweep(h: &CrsMatrix, rs: &[usize], llc: CacheConfig) -> Vec<OmegaRe
 /// * [`KernelKind::AugSpmv`] / [`KernelKind::AugSpmmv`] — the fused
 ///   stream of [`measure_omega`] with the extra diagonal-shift re-read
 ///   and the read-modify-write of `W` (minimum: `Nnz(Sd+Si) + 3·R·N·Sd`).
+///
+/// Both replay the paper's CRS layout, one value per entry, whichever
+/// way `h` stores its values, so Ω is the paper's quantity for this
+/// sparsity pattern.
 pub fn measure_omega_kernel(
     h: &CrsMatrix,
     kind: KernelKind,
@@ -160,7 +164,7 @@ pub fn measure_omega_kernel(
     let report = mem.finish();
 
     let sweep = if augmented { Sweep::Aug } else { Sweep::Plain };
-    let v_min = sweep.min_bytes(h.nrows(), h.nnz(), r) as u64;
+    let v_min = sweep.min_bytes(h.nrows(), crs_bytes(h.nnz()), r) as u64;
     let v_meas = report.memory_bytes / sweeps as u64;
     OmegaReport {
         r,

@@ -4,7 +4,7 @@
 //! once. The measured traffic exceeds these by the factor Ω (Eq. 8)
 //! when the right-hand-side vector does not fit the cache.
 
-use kpm_num::accounting::{Sweep, F_A, F_M, S_D};
+use kpm_num::accounting::{crs_bytes, Sweep, F_A, F_M, S_D};
 
 /// One row of paper Table I: a solver sub-routine with its call count,
 /// minimum bytes per call, and flops per call.
@@ -42,7 +42,7 @@ pub fn table1(n: usize, nnz: usize, r: usize, m: usize) -> Vec<FunctionCost> {
             calls: r * m / 2,
             // Matrix (data + index) once, input vector once, output
             // vector written once: Nnz(Sd+Si) + 2N·Sd.
-            bytes_per_call: Sweep::Plain.min_bytes(n, nnz, 1),
+            bytes_per_call: Sweep::Plain.min_bytes(n, crs_bytes(nnz), 1),
             flops_per_call: Sweep::Plain.flops(n, nnz, 1),
         },
         FunctionCost {
@@ -78,7 +78,7 @@ pub fn table1(n: usize, nnz: usize, r: usize, m: usize) -> Vec<FunctionCost> {
 /// row): `R·M/2 · [Nnz(Sd+Si) + 13·N·Sd]` bytes — the `spmv()` sweep
 /// plus the 11 vector transfers of the BLAS-1 chain behind it.
 pub fn naive_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    r * m / 2 * (Sweep::Plain.min_bytes(n, nnz, 1) + 11 * n * S_D)
+    r * m / 2 * (Sweep::Plain.min_bytes(n, crs_bytes(nnz), 1) + 11 * n * S_D)
 }
 
 /// Aggregate flops of the solver (identical for all variants):
@@ -91,14 +91,14 @@ pub fn solver_flops(n: usize, nnz: usize, r: usize, m: usize) -> usize {
 /// `R·M/2 · [Nnz(Sd+Si) + 3·N·Sd]` — the fused kernel touches each of
 /// the two vectors once (v read, w read+write = 3 transfers).
 pub fn stage1_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    r * m / 2 * Sweep::Aug.min_bytes(n, nnz, 1)
+    r * m / 2 * Sweep::Aug.min_bytes(n, crs_bytes(nnz), 1)
 }
 
 /// Minimum traffic after optimization stage 2 (Eq. 4, bottom):
 /// `M/2 · [Nnz(Sd+Si) + 3·R·N·Sd]` — the matrix is streamed once per
 /// iteration for all R vectors.
 pub fn stage2_solver_traffic(n: usize, nnz: usize, r: usize, m: usize) -> usize {
-    m / 2 * Sweep::Aug.min_bytes(n, nnz, r)
+    m / 2 * Sweep::Aug.min_bytes(n, crs_bytes(nnz), r)
 }
 
 #[cfg(test)]

@@ -9,17 +9,192 @@
 //! Index widths follow the paper's mixed-integer convention: 32-bit
 //! column indices inside kernels (`S_i = 4`), 64-bit row pointers so the
 //! total non-zero count may exceed 4·10⁹ in large-scale runs.
+//!
+//! Values are stored in one of two ways, chosen by the data: plain, one
+//! `Complex64` per entry (`S_d = 16`), or coded — a table of at most 256
+//! distinct values and one byte per entry naming its table slot. The
+//! lattice generator ([`crate::StencilMatrix::to_crs`]) codes when its
+//! distinct values fit the table; everything built from raw arrays is
+//! plain. Both read back the same `Complex64` bits, so nothing but the
+//! bytes a sweep streams depends on the choice.
 
+use std::ops::{Index, Range};
+
+use kpm_num::accounting::{crs_bytes, S_D, S_I};
 use kpm_num::{Complex64, KpmError};
 
+/// Slots of a value table: what a `u8` code can name.
+const TABLE_SLOTS: usize = 256;
+
 /// A sparse matrix in CRS format.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `==` compares the logical contents: a coded and a plain build of one
+/// operator are equal.
+#[derive(Debug, Clone)]
 pub struct CrsMatrix {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<u64>,
     cols: Vec<u32>,
-    vals: Vec<Complex64>,
+    vals: Values,
+}
+
+/// How a [`CrsMatrix`] stores its values.
+#[derive(Debug, Clone)]
+pub(crate) enum Values {
+    /// One value per entry.
+    Plain(Vec<Complex64>),
+    /// One code per entry into a table of the distinct values.
+    Coded(Box<CodeTable>, Vec<u8>),
+}
+
+/// The distinct values of a coded matrix, compared by their bits, and
+/// whether each has an exactly-zero part (the sweep's per-row
+/// [`crate::sweep::all_axial`] reads this instead of the values).
+#[derive(Debug, Clone)]
+pub(crate) struct CodeTable {
+    /// The values; slots from `len` on are zero and never named.
+    pub(crate) vals: [Complex64; TABLE_SLOTS],
+    /// [`crate::sweep::is_axial`] of each slot.
+    pub(crate) axial: [bool; TABLE_SLOTS],
+    len: usize,
+}
+
+impl CodeTable {
+    /// An empty table.
+    pub(crate) fn new() -> Box<Self> {
+        Box::new(Self {
+            vals: [Complex64::default(); TABLE_SLOTS],
+            axial: [false; TABLE_SLOTS],
+            len: 0,
+        })
+    }
+
+    /// The code of `v`, matched bit for bit (so `-0.0` and `+0.0` get
+    /// different slots), appended when new; `None` when all
+    /// [`TABLE_SLOTS`] slots hold other values.
+    pub(crate) fn code(&mut self, v: Complex64) -> Option<u8> {
+        let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+        let found = self.vals[..self.len]
+            .iter()
+            .position(|z| bits(z) == bits(&v));
+        let slot = match found {
+            Some(slot) => slot,
+            None if self.len < TABLE_SLOTS => {
+                self.vals[self.len] = v;
+                self.axial[self.len] = crate::sweep::is_axial(v);
+                self.len += 1;
+                self.len - 1
+            }
+            None => return None,
+        };
+        Some(slot as u8)
+    }
+}
+
+/// The values of one CRS row, as [`CrsMatrix::row_vals`] hands them
+/// out: indexable and iterable like the slice a plain matrix holds,
+/// whichever way the matrix stores them.
+#[derive(Clone, Copy)]
+pub struct RowVals<'a> {
+    /// The row's values (plain), or the value table (coded).
+    vals: &'a [Complex64],
+    /// The row's codes into `vals` (coded only).
+    codes: Option<&'a [u8]>,
+}
+
+impl<'a> RowVals<'a> {
+    /// Number of entries in the row.
+    pub fn len(&self) -> usize {
+        self.codes.map_or(self.vals.len(), <[u8]>::len)
+    }
+
+    /// True when the row stores no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `k` of the row, if there is one.
+    pub fn get(&self, k: usize) -> Option<&'a Complex64> {
+        match self.codes {
+            None => self.vals.get(k),
+            Some(codes) => codes.get(k).map(|&c| &self.vals[c as usize]),
+        }
+    }
+
+    /// The row's values in entry order.
+    pub fn iter(&self) -> RowValsIter<'a> {
+        RowValsIter { row: *self, k: 0 }
+    }
+
+    /// The row's values, copied out.
+    pub fn to_vec(&self) -> Vec<Complex64> {
+        self.iter().copied().collect()
+    }
+}
+
+impl Index<usize> for RowVals<'_> {
+    type Output = Complex64;
+
+    fn index(&self, k: usize) -> &Complex64 {
+        match self.codes {
+            None => &self.vals[k],
+            Some(codes) => &self.vals[codes[k] as usize],
+        }
+    }
+}
+
+impl PartialEq for RowVals<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for RowVals<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for RowVals<'a> {
+    type Item = &'a Complex64;
+    type IntoIter = RowValsIter<'a>;
+
+    fn into_iter(self) -> RowValsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`RowVals::iter`].
+#[derive(Clone)]
+pub struct RowValsIter<'a> {
+    row: RowVals<'a>,
+    k: usize,
+}
+
+impl<'a> Iterator for RowValsIter<'a> {
+    type Item = &'a Complex64;
+
+    fn next(&mut self) -> Option<&'a Complex64> {
+        let v = self.row.get(self.k)?;
+        self.k += 1;
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.row.len() - self.k;
+        (left, Some(left))
+    }
+}
+
+impl PartialEq for CrsMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        let same_values = || (0..self.nrows).all(|r| self.row_vals(r) == other.row_vals(r));
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.row_ptr == other.row_ptr
+            && self.cols == other.cols
+            && same_values()
+    }
 }
 
 impl CrsMatrix {
@@ -29,7 +204,7 @@ impl CrsMatrix {
     /// range and strictly increasing within each row.
     ///
     /// Panics on invalid input; use [`CrsMatrix::try_from_raw`] to get a
-    /// typed error instead.
+    /// typed error instead. The values are stored plain.
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -37,9 +212,28 @@ impl CrsMatrix {
         cols: Vec<u32>,
         vals: Vec<Complex64>,
     ) -> Self {
+        Self::built(Self::try_from_raw(nrows, ncols, row_ptr, cols, vals))
+    }
+
+    /// [`CrsMatrix::from_raw`] with coded values: entry `k` is
+    /// `table.vals[codes[k]]`, and every code names one of the table's
+    /// filled slots.
+    pub(crate) fn from_coded(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<u64>,
+        cols: Vec<u32>,
+        table: Box<CodeTable>,
+        codes: Vec<u8>,
+    ) -> Self {
+        let vals = Values::Coded(table, codes);
+        Self::built(Self::checked(nrows, ncols, row_ptr, cols, vals))
+    }
+
+    fn built(m: Result<Self, KpmError>) -> Self {
         // kpm::allow(no_panic): documented panicking wrapper; the fallible
         // path is try_from_raw.
-        Self::try_from_raw(nrows, ncols, row_ptr, cols, vals).unwrap_or_else(|e| panic!("{e}"))
+        m.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`CrsMatrix::from_raw`]: returns
@@ -51,6 +245,18 @@ impl CrsMatrix {
         row_ptr: Vec<u64>,
         cols: Vec<u32>,
         vals: Vec<Complex64>,
+    ) -> Result<Self, KpmError> {
+        Self::checked(nrows, ncols, row_ptr, cols, Values::Plain(vals))
+    }
+
+    /// The invariants of [`CrsMatrix::from_raw`], checked for either
+    /// value store.
+    fn checked(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<u64>,
+        cols: Vec<u32>,
+        vals: Values,
     ) -> Result<Self, KpmError> {
         fn bad(what: &'static str, details: String) -> KpmError {
             KpmError::InvalidMatrix { what, details }
@@ -80,14 +286,14 @@ impl CrsMatrix {
                 ),
             ));
         }
-        if cols.len() != vals.len() {
+        let vals_len = match &vals {
+            Values::Plain(vals) => vals.len(),
+            Values::Coded(_, codes) => codes.len(),
+        };
+        if cols.len() != vals_len {
             return Err(bad(
                 "cols/vals",
-                format!(
-                    "cols/vals length mismatch ({} vs {})",
-                    cols.len(),
-                    vals.len()
-                ),
+                format!("cols/vals length mismatch ({} vs {vals_len})", cols.len()),
             ));
         }
         for r in 0..nrows {
@@ -151,7 +357,45 @@ impl CrsMatrix {
     /// Number of stored non-zeros.
     #[inline(always)]
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.cols.len()
+    }
+
+    /// The distinct values of a coded matrix, in code order; `None` when
+    /// the values are stored plain.
+    pub fn value_table(&self) -> Option<&[Complex64]> {
+        match &self.vals {
+            Values::Plain(_) => None,
+            Values::Coded(table, _) => Some(&table.vals[..table.len]),
+        }
+    }
+
+    /// Bytes of matrix data one sweep streams: per entry its column
+    /// index and its value (`S_d + S_i`) when plain, its column index
+    /// and a one-byte code (`1 + S_i`) plus the table's values once when
+    /// coded.
+    pub fn matrix_bytes(&self) -> usize {
+        match self.value_table() {
+            None => crs_bytes(self.nnz()),
+            Some(table) => self.nnz() * (1 + S_I) + table.len() * S_D,
+        }
+    }
+
+    /// The value store, for the sweep.
+    #[inline(always)]
+    pub(crate) fn values(&self) -> &Values {
+        &self.vals
+    }
+
+    /// All column indices, row after row.
+    #[inline(always)]
+    pub(crate) fn cols(&self) -> &[u32] {
+        &self.cols
+    }
+
+    /// The entries of row `r`: `row_ptr[r]..row_ptr[r + 1]`.
+    #[inline(always)]
+    pub(crate) fn row_range(&self, r: usize) -> Range<usize> {
+        self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize
     }
 
     /// Average number of non-zeros per row (`N_nzr` in the paper; ≈13
@@ -169,18 +413,28 @@ impl CrsMatrix {
     /// Column indices of row `r`.
     #[inline(always)]
     pub fn row_cols(&self, r: usize) -> &[u32] {
-        &self.cols[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
+        &self.cols[self.row_range(r)]
     }
 
     /// Values of row `r`.
     #[inline(always)]
-    pub fn row_vals(&self, r: usize) -> &[Complex64] {
-        &self.vals[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
+    pub fn row_vals(&self, r: usize) -> RowVals<'_> {
+        let range = self.row_range(r);
+        match &self.vals {
+            Values::Plain(vals) => RowVals {
+                vals: &vals[range],
+                codes: None,
+            },
+            Values::Coded(table, codes) => RowVals {
+                vals: &table.vals,
+                codes: Some(&codes[range]),
+            },
+        }
     }
 
     /// A stable 64-bit content fingerprint of the matrix: FNV-1a over
     /// the dimensions, row pointers, column indices, and the raw bit
-    /// patterns of the values.
+    /// patterns of the values (each entry's, coded or not).
     ///
     /// Two matrices fingerprint equal exactly when they are the same
     /// operator stored in the same order down to the last bit — the
@@ -198,7 +452,7 @@ impl CrsMatrix {
         for &c in &self.cols {
             h.write_u64(c as u64);
         }
-        for v in &self.vals {
+        for v in (0..self.nrows).flat_map(|r| self.row_vals(r)) {
             h.write_u64(v.re.to_bits());
             h.write_u64(v.im.to_bits());
         }
@@ -305,8 +559,7 @@ impl CrsMatrix {
         for r in 0..self.nrows {
             let mut diag = 0.0;
             let mut radius = 0.0;
-            for (k, &c) in self.row_cols(r).iter().enumerate() {
-                let v = self.row_vals(r)[k];
+            for (&c, v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
                 if c as usize == r {
                     diag = v.re;
                 } else {
@@ -339,6 +592,7 @@ impl CrsMatrix {
     /// Extracts the row block `[row_begin, row_end)` as a standalone CRS
     /// matrix with the *same* column space. This is the local matrix of
     /// one process under the paper's 1-D data-parallel row distribution.
+    /// A coded matrix's block keeps its table.
     pub fn row_block(&self, row_begin: usize, row_end: usize) -> CrsMatrix {
         assert!(row_begin <= row_end && row_end <= self.nrows);
         let base = self.row_ptr[row_begin];
@@ -348,13 +602,20 @@ impl CrsMatrix {
             .collect();
         let lo = self.row_ptr[row_begin] as usize;
         let hi = self.row_ptr[row_end] as usize;
-        CrsMatrix::from_raw(
-            row_end - row_begin,
-            self.ncols,
-            row_ptr,
-            self.cols[lo..hi].to_vec(),
-            self.vals[lo..hi].to_vec(),
-        )
+        let (nrows, cols) = (row_end - row_begin, self.cols[lo..hi].to_vec());
+        match &self.vals {
+            Values::Plain(vals) => {
+                CrsMatrix::from_raw(nrows, self.ncols, row_ptr, cols, vals[lo..hi].to_vec())
+            }
+            Values::Coded(table, codes) => CrsMatrix::from_coded(
+                nrows,
+                self.ncols,
+                row_ptr,
+                cols,
+                table.clone(),
+                codes[lo..hi].to_vec(),
+            ),
+        }
     }
 
     /// The set of distinct column indices touched by this matrix that lie

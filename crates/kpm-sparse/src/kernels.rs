@@ -85,14 +85,10 @@ pub trait SparseKernels: Sync {
         w: &mut [Complex64],
     ) -> AugDotsBlock;
 
-    /// Matrix elements a sweep streams from memory: every non-zero for
-    /// CRS, none for the matrix-free stencil.
-    fn stored_elements(&self) -> usize {
-        match self.format() {
-            FormatSpec::Crs => self.nnz(),
-            FormatSpec::Stencil => 0,
-        }
-    }
+    /// Bytes of matrix data a sweep streams from memory:
+    /// [`CrsMatrix::matrix_bytes`] for CRS, none for the matrix-free
+    /// stencil.
+    fn matrix_bytes(&self) -> usize;
 
     /// Serial `y = A x`.
     fn spmv(&self, x: &[Complex64], y: &mut [Complex64]) {
@@ -230,7 +226,7 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         FormatSpec::Stencil => ProbeFormat::Stencil,
     };
     // Table I's counts of this sweep: flops on the logical non-zeros,
-    // bytes on the elements actually streamed, both for the columns
+    // bytes on the matrix data actually streamed, both for the columns
     // that carry data — a pad lane is swept, not asked for.
     let counts = || {
         let sweep = if op == Plain {
@@ -238,7 +234,7 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         } else {
             Sweep::Aug
         };
-        let bytes = sweep.min_bytes(nrows, m.stored_elements(), live);
+        let bytes = sweep.min_bytes(nrows, m.matrix_bytes(), live);
         (sweep.flops(nrows, nnz, live) as u64, bytes as u64)
     };
     let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, live, counts));
@@ -356,6 +352,9 @@ impl SparseKernels for KpmMatrix {
     fn format(&self) -> FormatSpec {
         self.inner().format()
     }
+    fn matrix_bytes(&self) -> usize {
+        self.inner().matrix_bytes()
+    }
     fn sweep(
         &self,
         op: SweepOp,
@@ -381,9 +380,29 @@ mod tests {
     fn handle_reports_the_format_it_wraps() {
         let crs = KpmMatrix::crs(CrsMatrix::identity(12));
         assert!(crs.as_crs().is_some() && crs.as_stencil().is_none());
-        let shape = (crs.nrows(), crs.nnz(), crs.stored_elements());
-        assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12)));
+        // Plain values: 16 B each, plus a 4 B column index.
+        let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes());
+        assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12 * 20)));
         assert_eq!(FormatSpec::Crs.to_string(), "crs");
         assert_eq!(FormatSpec::Stencil.to_string(), "stencil");
+
+        // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
+        // coded, a byte and a column index per entry plus the table;
+        // the stencil streams no matrix.
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for (b, block) in hop.iter_mut().enumerate() {
+            block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
+        }
+        let onsite = vec![[Complex64::real(1.0); 4]; 8];
+        let st = StencilMatrix::new(2, 2, 2, [false; 3], onsite, &hop);
+        let coded = KpmMatrix::crs(st.to_crs());
+        let nnz = coded.nnz();
+        assert_eq!(
+            coded.as_crs().unwrap().value_table().map(<[_]>::len),
+            Some(2)
+        );
+        assert_eq!(coded.matrix_bytes(), nnz * 5 + 2 * 16);
+        let stencil = KpmMatrix::stencil(st);
+        assert_eq!((stencil.nnz(), stencil.matrix_bytes()), (nnz, 0));
     }
 }

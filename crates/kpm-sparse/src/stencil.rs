@@ -5,7 +5,7 @@
 //! [`StencilMatrix`] removes that term outright: every kernel rebuilds
 //! the operator from the lattice geometry — per site one on-site
 //! diagonal (64 bytes) plus six 4×4 hopping-block templates shared by
-//! all sites. `stored_elements()` is 0 and the probes model zero matrix
+//! all sites. `matrix_bytes()` is 0 and the probes model zero matrix
 //! bytes.
 //!
 //! All kernels share one **site-blocked sweep** (the [`RowSweep`]
@@ -46,6 +46,7 @@ use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
+use crate::crs::{CodeTable, CrsMatrix};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::sweep::{
     all_axial, for_passes, is_axial, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp,
@@ -94,6 +95,17 @@ struct PlanEntry {
     offset: isize,
     val: Complex64,
     neg_im: f64,
+}
+
+/// The value table of a coded CRS build and the codes its fill writes
+/// ([`StencilMatrix::value_codes`]).
+struct ValueCodes {
+    table: Box<CodeTable>,
+    /// The code of every hopping entry of every [`RowPlan`], laid out
+    /// like `plans`.
+    hops: Vec<[[u8; MAX_ROW_ENTRIES]; 4]>,
+    /// The codes of each site's on-site entries (0 for a dropped zero).
+    onsite: Vec<[u8; 4]>,
 }
 
 /// Boundary code of one coordinate: bit 0 = on the low edge, bit 1 =
@@ -327,14 +339,19 @@ impl StencilMatrix {
     /// Assembles the operator into an explicit CRS matrix — the one
     /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
     /// this). Row lengths come from the boundary-class table, so
-    /// `row_ptr` is an `O(sites)` prefix sum and `cols`/`vals` are
+    /// `row_ptr` is an `O(sites)` prefix sum and the entry arrays are
     /// allocated untouched at their final size; fixed chunks of
     /// [`FILL_ROWS`] rows are then filled straight from the
     /// [`RowPlan`]s on the ambient pool — ascending columns by
     /// construction, no sort, no merge, every page first written by the
     /// worker that fills it. A lattice of one chunk fills inline.
-    /// Coincident-neighbour lattices regenerate (and merge) row by row.
-    pub fn to_crs(&self) -> crate::crs::CrsMatrix {
+    ///
+    /// The values are coded when the lattice has at most 256 distinct
+    /// ones ([`crate::crs`]): the fill writes a one-byte code per entry
+    /// and no value array is allocated. Otherwise they are stored plain,
+    /// as on coincident-neighbour lattices, which regenerate (and merge)
+    /// row by row.
+    pub fn to_crs(&self) -> CrsMatrix {
         let n = self.nrows();
         let mut row_ptr: Vec<u64> = Vec::with_capacity(n + 1);
         let mut end = 0u64;
@@ -344,9 +361,88 @@ impl StencilMatrix {
             row_ptr.push(end);
         });
         let mut cols = zeroed_vec::<u32>(self.nnz);
+        if let Some(coded) = self.value_codes() {
+            // `vec!` of zeros is `calloc`-backed as well.
+            let mut codes = vec![0u8; self.nnz];
+            self.fill_chunks(&row_ptr, &mut cols, &mut codes, |rows, cols, codes| {
+                let hop = |class: usize, o: usize, e: usize| coded.hops[class][o][e];
+                self.fill_rows(rows, cols, codes, hop, |site, o| coded.onsite[site][o]);
+            });
+            return CrsMatrix::from_coded(n, n, row_ptr, cols, coded.table, codes);
+        }
         let mut vals = zeroed_vec::<Complex64>(self.nnz);
+        self.fill_chunks(&row_ptr, &mut cols, &mut vals, |rows, cols, vals| {
+            let mut at = 0;
+            if self.coincident {
+                return self.for_rows(rows, |_, c, v| {
+                    cols[at..][..c.len()].copy_from_slice(c);
+                    vals[at..][..v.len()].copy_from_slice(v);
+                    at += c.len();
+                });
+            }
+            let hop = |class: usize, o: usize, e: usize| self.plans[class][o].entries[e].val;
+            self.fill_rows(rows, cols, vals, hop, |site, o| self.onsite_diag[site][o]);
+        });
+        CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
+    }
+
+    /// Codes for the lattice's distinct values, matched bit for bit: the
+    /// hopping entries of the row plans first, then the kept on-site
+    /// entries in one `O(sites)` pass, in which a site whose diagonal
+    /// has the previous site's bits reuses its codes. `None` past 256
+    /// distinct values, and on coincident-neighbour lattices, whose
+    /// merged entries are sums no plan holds.
+    fn value_codes(&self) -> Option<ValueCodes> {
+        if self.coincident {
+            return None;
+        }
+        let mut table = CodeTable::new();
+        let mut hops = vec![[[0u8; MAX_ROW_ENTRIES]; 4]; self.plans.len()];
+        for (plans, hops) in self.plans.iter().zip(&mut hops) {
+            for (plan, hops) in plans.iter().zip(hops) {
+                for (en, code) in plan.entries[..plan.len as usize].iter().zip(hops) {
+                    *code = table.code(en.val)?;
+                }
+            }
+        }
+        let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
+        let mut onsite = Vec::with_capacity(self.sites());
+        let mut last = None;
+        for diag in &self.onsite_diag {
+            let diag_bits = bits(diag);
+            let codes = match last {
+                Some((prev, codes)) if prev == diag_bits => codes,
+                _ => {
+                    let mut codes = [0u8; 4];
+                    // A dropped zero diagonal entry needs no code.
+                    for (code, &v) in codes.iter_mut().zip(diag).filter(|(_, &v)| v != ZERO) {
+                        *code = table.code(v)?;
+                    }
+                    codes
+                }
+            };
+            last = Some((diag_bits, codes));
+            onsite.push(codes);
+        }
+        Some(ValueCodes {
+            table,
+            hops,
+            onsite,
+        })
+    }
+
+    /// Splits `cols` and `vals` at the fixed [`FILL_ROWS`]-row chunks
+    /// and runs `fill(rows, cols, vals)` on each, on the ambient pool.
+    fn fill_chunks<T: Send>(
+        &self,
+        row_ptr: &[u64],
+        cols: &mut [u32],
+        vals: &mut [T],
+        fill: impl Fn(Range<usize>, &mut [u32], &mut [T]) + Sync,
+    ) {
+        let n = self.nrows();
         let mut chunks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
-        let (mut cols_rest, mut vals_rest) = (&mut cols[..], &mut vals[..]);
+        let (mut cols_rest, mut vals_rest) = (cols, vals);
         for row0 in (0..n).step_by(FILL_ROWS) {
             let row1 = (row0 + FILL_ROWS).min(n);
             let len = (row_ptr[row1] - row_ptr[row0]) as usize;
@@ -356,39 +452,42 @@ impl StencilMatrix {
         }
         chunks
             .par_iter_mut()
-            .for_each(|(rows, cols, vals)| self.fill_rows(rows.clone(), cols, vals));
-        crate::crs::CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
+            .for_each(|(rows, cols, vals)| fill(rows.clone(), cols, vals));
     }
 
     /// Writes the entries of `rows` (whole sites), row after row, into
-    /// `cols`/`vals`, which hold exactly those rows.
-    fn fill_rows(&self, rows: Range<usize>, cols: &mut [u32], vals: &mut [Complex64]) {
+    /// `cols`/`vals`, which hold exactly those rows: hopping entry `e`
+    /// of orbital row `o` of boundary class `class` as `hop(class, o,
+    /// e)`, the kept on-site entry of `site`'s row `o` as
+    /// `onsite(site, o)`.
+    fn fill_rows<T>(
+        &self,
+        rows: Range<usize>,
+        cols: &mut [u32],
+        vals: &mut [T],
+        hop: impl Fn(usize, usize, usize) -> T,
+        onsite: impl Fn(usize, usize) -> T,
+    ) {
         let mut at = 0;
-        if self.coincident {
-            return self.for_rows(rows, |_, c, v| {
-                cols[at..][..c.len()].copy_from_slice(c);
-                vals[at..][..v.len()].copy_from_slice(v);
-                at += c.len();
-            });
-        }
-        let mut put = |col: usize, val: Complex64| {
+        let mut put = |col: usize, val: T| {
             (cols[at], vals[at]) = (col as u32, val);
             at += 1;
         };
         for site in rows.start / 4..rows.end / 4 {
+            let class = self.site_class(site);
             let diag = &self.onsite_diag[site];
-            for (o, plan) in self.plans[self.site_class(site)].iter().enumerate() {
-                let hops = &plan.entries[..plan.len as usize];
-                let (below, above) = hops.split_at(plan.onsite_at as usize);
-                for en in below {
-                    put((4 * site).wrapping_add_signed(en.offset), en.val);
+            for (o, plan) in self.plans[class].iter().enumerate() {
+                let col = |e: usize| (4 * site).wrapping_add_signed(plan.entries[e].offset);
+                let split = plan.onsite_at as usize;
+                for e in 0..split {
+                    put(col(e), hop(class, o, e));
                 }
                 // The assembly drops an exactly-zero diagonal entry.
                 if diag[o] != ZERO {
-                    put(4 * site + o, diag[o]);
+                    put(4 * site + o, onsite(site, o));
                 }
-                for en in above {
-                    put((4 * site).wrapping_add_signed(en.offset), en.val);
+                for e in split..plan.len as usize {
+                    put(col(e), hop(class, o, e));
                 }
             }
         }
@@ -633,6 +732,9 @@ impl SparseKernels for StencilMatrix {
     fn format(&self) -> FormatSpec {
         FormatSpec::Stencil
     }
+    fn matrix_bytes(&self) -> usize {
+        0
+    }
     fn sweep(
         &self,
         op: SweepOp,
@@ -735,7 +837,15 @@ fn regen_rows<E: Epilogue>(
         let wrow = &mut w[(row - row0) * r..][..r];
         let axial = arms && all_axial(vals);
         for_passes!(8, r, |j0| row_pass(
-            cols, vals, axial, x, r, row, j0, wrow, epi
+            cols,
+            vals.iter().copied(),
+            axial,
+            x,
+            r,
+            row,
+            j0,
+            wrow,
+            epi
         ));
     });
 }
@@ -780,7 +890,7 @@ mod tests {
             assert!(crs.max_row_len() <= 13);
             m.for_rows(0..m.nrows(), |r, cols, vals| {
                 assert_eq!(cols, crs.row_cols(r), "row {r}");
-                assert_eq!(vals, crs.row_vals(r), "row {r}");
+                assert_eq!(vals, crs.row_vals(r).to_vec(), "row {r}");
             });
         }
     }

@@ -15,7 +15,8 @@
 //! shuffle.
 //!
 //! A [`RowSweep`] is where a row's entries come from: the CRS arrays
-//! (here) or the stencil's tabulated site classes
+//! (here, one row loop over plain or coded values, [`ValueSource`]) or
+//! the stencil's tabulated site classes
 //! ([`crate::stencil`]). Every CRS and stencil kernel, at every width,
 //! is [`run`]: a [`SweepOp`] (which epilogue) under a [`Schedule`] —
 //! one range over all rows, or fixed chunks ([`chunk_rows`]) whose
@@ -42,13 +43,15 @@
 //! because an accumulator that starts at `+0.0` is never `−0`
 //! ([`Pass::axpy`] has the argument).
 
+use std::ops::Range;
+
 use kpm_num::block::{load_panel, store_panel};
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::CrsMatrix;
+use crate::crs::{CodeTable, CrsMatrix, Values};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
@@ -404,6 +407,53 @@ pub(crate) trait RowSweep: Sync {
     );
 }
 
+/// Where the CRS row loop reads entry values: a plain matrix's value
+/// array, or a coded one's table and codes ([`crate::crs`]). The sweep
+/// body picks one per call and runs the same loop on either.
+trait ValueSource: Copy {
+    /// The values of entries `range`, in order.
+    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64>;
+    /// [`all_axial`] of those values.
+    fn row_axial(self, range: Range<usize>) -> bool;
+}
+
+impl ValueSource for &[Complex64] {
+    #[inline(always)]
+    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64> {
+        self[range].iter().copied()
+    }
+
+    #[inline(always)]
+    fn row_axial(self, range: Range<usize>) -> bool {
+        all_axial(&self[range])
+    }
+}
+
+/// A coded matrix's values: `table.vals[codes[k]]` for entry `k`. The
+/// table is a fixed 256-slot array, so a `u8` code needs no bounds
+/// check.
+#[derive(Clone, Copy)]
+struct Coded<'a> {
+    table: &'a CodeTable,
+    codes: &'a [u8],
+}
+
+impl ValueSource for Coded<'_> {
+    #[inline(always)]
+    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64> {
+        let vals = &self.table.vals;
+        self.codes[range].iter().map(move |&c| vals[c as usize])
+    }
+
+    /// The table's per-slot mask, folded like [`all_axial`].
+    #[inline(always)]
+    fn row_axial(self, range: Range<usize>) -> bool {
+        let axial = &self.table.axial;
+        let codes = self.codes[range].iter();
+        codes.fold(true, |all, &c| all & axial[c as usize])
+    }
+}
+
 impl RowSweep for CrsMatrix {
     #[inline(always)]
     fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
@@ -414,27 +464,61 @@ impl RowSweep for CrsMatrix {
         w: &mut [Complex64],
         epi: &mut E,
     ) {
-        if r == 1 {
-            // One column: the row is a single dependent `mul_add` chain
-            // with nothing to hold in a panel, finished on scalars.
-            for (i, wrow) in w.iter_mut().enumerate() {
-                let row = row0 + i;
-                let mut acc = Complex64::default();
-                for (hv, &c) in self.row_vals(row).iter().zip(self.row_cols(row)) {
-                    acc = hv.mul_add(x[c as usize], acc);
-                }
-                epi.finish_one(acc, x, row, wrow);
+        match self.values() {
+            Values::Plain(vals) => {
+                crs_rows::<E, COLS, ARMS>(self, vals.as_slice(), x, r, row0, w, epi)
             }
-            return;
+            Values::Coded(table, codes) => {
+                let vals = Coded { table, codes };
+                crs_rows::<E, COLS, ARMS>(self, vals, x, r, row0, w, epi)
+            }
         }
-        for (i, wrow) in w.chunks_mut(r).enumerate() {
+    }
+}
+
+/// The CRS row loop of [`RowSweep::sweep_body`], on the values `vals`
+/// of `m`.
+#[inline(always)]
+fn crs_rows<E: Epilogue, const COLS: usize, const ARMS: bool>(
+    m: &CrsMatrix,
+    vals: impl ValueSource,
+    x: &[Complex64],
+    r: usize,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let all_cols = m.cols();
+    if r == 1 {
+        // One column: the row is a single dependent `mul_add` chain
+        // with nothing to hold in a panel, finished on scalars.
+        for (i, wrow) in w.iter_mut().enumerate() {
             let row = row0 + i;
-            let (cols, vals) = (self.row_cols(row), self.row_vals(row));
-            let axial = ARMS && all_axial(vals);
-            for_passes!(COLS, r, |j0| row_pass(
-                cols, vals, axial, x, r, row, j0, wrow, epi
-            ));
+            let Range { start, end } = m.row_range(row);
+            let mut acc = Complex64::default();
+            for (hv, &c) in vals.row(start..end).zip(&all_cols[start..end]) {
+                acc = hv.mul_add(x[c as usize], acc);
+            }
+            epi.finish_one(acc, x, row, wrow);
         }
+        return;
+    }
+    for (i, wrow) in w.chunks_mut(r).enumerate() {
+        let row = row0 + i;
+        let Range { start, end } = m.row_range(row);
+        let cols = &all_cols[start..end];
+        let axial = ARMS && vals.row_axial(start..end);
+        for_passes!(COLS, r, |j0| row_pass(
+            cols,
+            vals.row(start..end),
+            axial,
+            x,
+            r,
+            row,
+            j0,
+            wrow,
+            epi
+        ));
     }
 }
 
@@ -451,6 +535,9 @@ impl SparseKernels for CrsMatrix {
     }
     fn format(&self) -> FormatSpec {
         FormatSpec::Crs
+    }
+    fn matrix_bytes(&self) -> usize {
+        CrsMatrix::matrix_bytes(self)
     }
     fn sweep(
         &self,
@@ -471,7 +558,7 @@ impl SparseKernels for CrsMatrix {
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     cols: &[u32],
-    vals: &[Complex64],
+    vals: impl Iterator<Item = Complex64>,
     axial: bool,
     x: &[Complex64],
     r: usize,
@@ -481,14 +568,14 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     epi: &mut E,
 ) {
     let mut acc = Pass::<W, TWO>::ZERO;
-    let entries = vals.iter().zip(cols);
+    let entries = vals.zip(cols);
     if axial {
         for (hv, &c) in entries {
-            acc.axpy::<true>(*hv, -hv.im, &x[c as usize * r + j0..]);
+            acc.axpy::<true>(hv, -hv.im, &x[c as usize * r + j0..]);
         }
     } else {
         for (hv, &c) in entries {
-            acc.axpy::<false>(*hv, -hv.im, &x[c as usize * r + j0..]);
+            acc.axpy::<false>(hv, -hv.im, &x[c as usize * r + j0..]);
         }
     }
     acc.finish(epi, x, row * r + j0, j0, &mut wrow[j0..]);

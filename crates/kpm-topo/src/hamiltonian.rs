@@ -296,7 +296,9 @@ mod tests {
         // extent 2 periodic merges the coincident partners), all eight
         // open/periodic combinations, four potentials — each smaller
         // than one fill chunk, so filled inline. `CrsMatrix: PartialEq`
-        // compares row_ptr, cols and the values' bits.
+        // compares row_ptr, cols and the values entry by entry, whether
+        // they are coded (the generator's, mostly) or plain (the
+        // oracle's).
         for (nx, ny, nz) in (0..216).map(|i| (1 + i % 6, 1 + i / 6 % 6, 1 + i / 36)) {
             for lattice in all_boundaries(nx, ny, nz) {
                 for potential in potentials() {
@@ -559,6 +561,33 @@ mod tests {
             // CRS handles of one operator coalesce in the service.
             assert_eq!(st.content_fingerprint(), crs.content_fingerprint());
         }
+    }
+
+    #[test]
+    fn coded_values_keep_the_operators_identity() {
+        // The generator codes the lattice's values; the operator is
+        // still the one the plain arrays spell, down to the fingerprint
+        // the service keys its cache by — the value this lattice had
+        // when CRS values were always stored plain.
+        let ham = TopoHamiltonian::clean(4, 4, 2);
+        let h = ham.assemble();
+        let n = h.nrows();
+        let vals: Vec<Complex64> = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
+        let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
+        let plain = CrsMatrix::from_raw(n, n, h.row_ptr().to_vec(), cols, vals.clone());
+        assert!(h.value_table().is_some() && plain.value_table().is_none());
+        assert!(h == plain);
+        assert_eq!(h.nnz(), vals.len());
+        assert_eq!(h.content_fingerprint(), 0x098f_70ad_da13_1718);
+        assert_eq!(plain.content_fingerprint(), h.content_fingerprint());
+        assert_eq!(
+            ham.stencil_matrix().content_fingerprint(),
+            h.content_fingerprint()
+        );
+        // A row block keeps the table.
+        let block = h.row_block(8, 40);
+        assert_eq!(block.value_table(), h.value_table());
+        assert!(block == plain.row_block(8, 40));
     }
 
     #[test]

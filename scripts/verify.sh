@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (referenced from ROADMAP.md).
 #
-# Runs the canonical build/test/lint line, a formatting check, and a
-# short smoke run of the instrumented `kpm report` roofline table on a
-# small topological-insulator lattice (budget: ~10 s).
+# Runs the canonical build/test/lint line, a formatting check, the
+# byte-for-byte CLI comparisons (stencil vs CRS, sweep bodies, coded vs
+# plain values), and a short smoke run of the instrumented `kpm report`
+# roofline table on a small topological-insulator lattice (budget:
+# ~10 s).
 #
 # Every stage runs through `step`, which times it; the footer prints a
 # per-step timing table, and any failure names the step it died in.
@@ -175,6 +177,28 @@ for t in 1 2; do
     cmp target/dos-body-wide.csv target/dos-body-base.csv
 done
 echo "and on a general-complex Hermitian file (both parts non-zero off the diagonal) at R = 17"
+
+step "value storage: a coded lattice CRS is byte-identical to the same matrix read back plain"
+# The lattice generator stores the CRS values as a table of distinct
+# values and a byte per entry; a Matrix Market file is stored plain.
+# The same lattice both ways must print the same CSV. The banners must
+# name the two storages, or the comparison would be plain against plain.
+./target/release/kpm generate --nx 3 --ny 6 --nz 16 --potential dots \
+    --out target/values-dots.mtx 2>/dev/null
+for r in 1 8 17 33; do
+    for t in 1 2; do
+        ./target/release/kpm dos --nx 3 --ny 6 --nz 16 --potential dots \
+            --moments 64 --random "$r" --threads "$t" \
+            > target/dos-values-coded.csv 2> target/dos-values-coded.err
+        ./target/release/kpm dos target/values-dots.mtx \
+            --moments 64 --random "$r" --threads "$t" \
+            > target/dos-values-plain.csv 2> target/dos-values-plain.err
+        grep -q 'values = coded' target/dos-values-coded.err
+        grep -q 'values = plain' target/dos-values-plain.err
+        cmp target/dos-values-coded.csv target/dos-values-plain.csv
+    done
+done
+echo "$(grep -o 'coded ([0-9]* distinct)' target/dos-values-coded.err) and plain values print identical DOS output (R = 1, 8, 17 and 33, 1 and 2 threads)"
 
 step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`

@@ -516,6 +516,14 @@ fn format_matrix(
     }
 }
 
+/// The banner field naming how a CRS matrix stores its values.
+fn value_storage(h: &CrsMatrix) -> String {
+    match h.value_table() {
+        Some(table) => format!(", values = coded ({} distinct)", table.len()),
+        None => ", values = plain".into(),
+    }
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS, GENERATE_FLAGS])?;
     let out_path = opt(args, "--out").ok_or("generate needs --out FILE.mtx")?;
@@ -576,12 +584,13 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
     let curve = in_pool(params.threads, || {
         let (m, sf) = solver_matrix(args)?;
         eprintln!(
-            "N = {}, Nnz = {}, M = {}, R = {}, format = {}",
+            "N = {}, Nnz = {}, M = {}, R = {}, format = {}{}",
             m.nrows(),
             m.nnz(),
             params.num_moments,
             params.num_random,
-            m.format()
+            m.format(),
+            m.as_crs().map(value_storage).unwrap_or_default()
         );
         let moments =
             kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
@@ -688,7 +697,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
         let m = format_matrix(args, h.clone(), generator.as_ref())?;
         eprintln!(
-            "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {} \
+            "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {}{} \
              (lanes = {}, sweep body = {})",
             h.nrows(),
             h.nnz(),
@@ -696,6 +705,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             params.num_random,
             machine.name,
             m.format(),
+            m.as_crs().map(value_storage).unwrap_or_default(),
             kpm_repro::sparse::simd::active_lanes(),
             kpm_repro::sparse::simd::body_name()
         );

@@ -408,3 +408,49 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     }
     simd::set_cap(Body::Avx512);
 }
+
+#[test]
+fn coded_and_plain_values_give_identical_moments() {
+    // One lattice CRS built twice: coded by its generator, plain from
+    // the same arrays. Every entry reads back the same `Complex64` bits,
+    // so the moments must agree bit for bit at every width, under every
+    // sweep body, serial and chunked on 1 and 2 threads. 1,152 rows:
+    // width 1 has two chunks.
+    use kpm_repro::sparse::simd::{self, Body};
+    use kpm_repro::sparse::{CrsMatrix, KpmMatrix};
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("coded_and_plain_values");
+    let coded = TopoHamiltonian::quantum_dot_superlattice(3, 6, 16).assemble();
+    let n = coded.nrows();
+    let vals = (0..n).flat_map(|r| coded.row_vals(r)).copied().collect();
+    let cols = (0..n).flat_map(|r| coded.row_cols(r)).copied().collect();
+    let plain = CrsMatrix::from_raw(n, n, coded.row_ptr().to_vec(), cols, vals);
+    assert!(coded.value_table().is_some() && plain.value_table().is_none());
+    assert!(coded == plain);
+    assert_eq!(coded.content_fingerprint(), plain.content_fingerprint());
+    let sf = ScaleFactors::from_gershgorin(&coded, 0.01);
+    let (coded, plain) = (KpmMatrix::crs(coded), KpmMatrix::crs(plain));
+    for body in bodies {
+        simd::set_cap(body);
+        for (parallel, threads) in [(false, 1), (true, 1), (true, 2)] {
+            for r in [1usize, 2, 8, 16, 17, 32, 33] {
+                let p = KpmParams {
+                    num_moments: 16,
+                    num_random: r,
+                    parallel,
+                    ..params(threads)
+                };
+                let run = |m: &KpmMatrix| {
+                    let set = kpm_moments(m, sf, &p, KpmVariant::AugSpmmv);
+                    set.expect("solver run").into_vec()
+                };
+                assert_eq!(
+                    run(&coded),
+                    run(&plain),
+                    "R = {r}, {body:?} body, parallel = {parallel}, {threads} threads"
+                );
+            }
+        }
+    }
+    simd::set_cap(Body::Avx512);
+}

@@ -48,19 +48,30 @@ fn params(m: usize, r: usize) -> KpmParams {
 
 /// The probe crate holds no accounting of its own: a probed kernel call
 /// records the counts `kpm_num::accounting` gives for its sweep — flops
-/// on the logical non-zeros, bytes on the elements the format streams
-/// (none for the matrix-free stencil).
+/// on the logical non-zeros, bytes on the matrix data the format streams:
+/// a byte and a column index per entry plus the value table for the
+/// lattice's coded CRS, a value and a column index per entry for the
+/// same matrix stored plain, none for the matrix-free stencil.
 #[test]
 fn probe_constants_match_accounting() {
+    use kpm_repro::num::accounting::{crs_bytes, S_D, S_I};
     use kpm_repro::num::BlockVector;
-    use kpm_repro::sparse::SparseKernels;
+    use kpm_repro::sparse::{CrsMatrix, SparseKernels};
     let _g = serial();
     let ham = TopoHamiltonian::clean(4, 4, 2);
     let (crs, stencil) = (ham.assemble(), ham.stencil_matrix());
     let (n, nnz, r) = (crs.nrows(), crs.nnz(), 3);
-    let operators: [(&dyn SparseKernels, usize); 2] = [(&crs, nnz), (&stencil, 0)];
+    let distinct = crs.value_table().expect("the lattice's CRS is coded").len();
+    let vals = (0..n).flat_map(|row| crs.row_vals(row)).copied().collect();
+    let cols = (0..n).flat_map(|row| crs.row_cols(row)).copied().collect();
+    let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);
+    let operators: [(&dyn SparseKernels, usize); 3] = [
+        (&crs, nnz * (1 + S_I) + distinct * S_D),
+        (&plain, crs_bytes(nnz)),
+        (&stencil, 0),
+    ];
     for (h, stored) in operators {
-        assert_eq!(h.stored_elements(), stored);
+        assert_eq!(h.matrix_bytes(), stored);
         let v = BlockVector::zeros(n, r);
         let mut w = BlockVector::zeros(n, r);
         obs::reset();
@@ -115,9 +126,10 @@ fn solver_run_records_spans_and_probes() {
     assert_eq!(aug.width as usize, p.num_random);
     let (n, nnz, r) = (h.nrows(), h.nnz(), p.num_random);
     assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, r) as u64);
+    let matrix = h.matrix_bytes();
     assert_eq!(
         aug.min_bytes,
-        aug.calls * Sweep::Aug.min_bytes(n, nnz, r) as u64
+        aug.calls * Sweep::Aug.min_bytes(n, matrix, r) as u64
     );
 
     // A batched solve sweeps three columns on four lanes, the fourth
@@ -138,7 +150,7 @@ fn solver_run_records_spans_and_probes() {
     assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, 3) as u64);
     assert_eq!(
         aug.min_bytes,
-        aug.calls * Sweep::Aug.min_bytes(n, nnz, 3) as u64
+        aug.calls * Sweep::Aug.min_bytes(n, matrix, 3) as u64
     );
 }
 

@@ -161,7 +161,7 @@ fn roofline_consistency_between_modules() {
 // --- Cachesim/omega validation: measured traffic vs paper Eqs. 5-8 ---
 
 mod traffic_validation {
-    use kpm_repro::num::accounting::Sweep;
+    use kpm_repro::num::accounting::{crs_bytes, Sweep};
     use kpm_repro::obs::probe::KernelKind;
     use kpm_repro::perfmodel::cachesim::CacheConfig;
     use kpm_repro::perfmodel::omega::{measure_omega, measure_omega_kernel, omega_sweep};
@@ -203,19 +203,26 @@ mod traffic_validation {
     #[test]
     fn kernel_minimums_match_stage_formulas() {
         let (n, nnz) = (16_000, 201_600);
+        let matrix = crs_bytes(nnz);
         assert_eq!(
-            Sweep::Aug.min_bytes(n, nnz, 1),
+            Sweep::Aug.min_bytes(n, matrix, 1),
             stage1_solver_traffic(n, nnz, 1, 2)
         );
         for r in [1usize, 4, 16, 32] {
             assert_eq!(
-                Sweep::Aug.min_bytes(n, nnz, r),
+                Sweep::Aug.min_bytes(n, matrix, r),
                 stage2_solver_traffic(n, nnz, r, 2)
             );
-            assert_eq!(Sweep::Aug.min_bytes(n, nnz, r), nnz * 20 + 3 * r * n * 16);
+            assert_eq!(
+                Sweep::Aug.min_bytes(n, matrix, r),
+                nnz * 20 + 3 * r * n * 16
+            );
         }
         // spmv: Nnz(Sd+Si) + 2·R·N·Sd (x read + y write).
-        assert_eq!(Sweep::Plain.min_bytes(n, nnz, 4), nnz * 20 + 2 * 4 * n * 16);
+        assert_eq!(
+            Sweep::Plain.min_bytes(n, matrix, 4),
+            nnz * 20 + 2 * 4 * n * 16
+        );
     }
 
     /// Ω ≥ 1 across block widths whose rows are line-aligned (Eq. 8: the

@@ -6,7 +6,7 @@
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
 use kpm_repro::num::vector::{axpy, dot, nrm2, scal};
 use kpm_repro::num::{BlockVector, Complex64, Vector};
-use kpm_repro::sparse::{CooMatrix, CrsMatrix, KpmMatrix, SparseKernels};
+use kpm_repro::sparse::{CooMatrix, CrsMatrix, KpmMatrix, SparseKernels, StencilMatrix};
 use kpm_repro::topo::{Boundary, Lattice3D, Potential, ScaleFactors, TopoHamiltonian};
 use proptest::prelude::*;
 
@@ -89,15 +89,14 @@ fn boundaries(bits: usize) -> [Boundary; 3] {
 /// parallel ones on 1-, 2-, 4- and 8-thread pools; plain, augmented
 /// with dots and augmented without.
 fn stencil_equals_crs(
-    ham: &TopoHamiltonian,
+    st: &StencilMatrix,
     r: usize,
     cache_bytes: usize,
     seed: u64,
 ) -> Result<(), String> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let h = ham.assemble();
-    let st = ham.stencil_matrix();
+    let (h, st) = (st.to_crs(), st.clone());
     if (st.nrows(), st.nnz()) != (h.nrows(), h.nnz()) {
         return Err("shape or nnz differ".into());
     }
@@ -191,9 +190,62 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
                 (8, STENCIL_BUDGETS[1]),
                 (24, STENCIL_BUDGETS[0]),
             ] {
-                if let Err(e) = stencil_equals_crs(&ham, r, budget, 5 + bc as u64) {
+                if let Err(e) = stencil_equals_crs(&ham.stencil_matrix(), r, budget, 5 + bc as u64)
+                {
                     panic!("{nx}x{ny}x{nz}, boundaries {bc:03b}: {e}");
                 }
+            }
+        }
+    }
+}
+
+/// The value table's limit, on 4×4×4 periodic lattices with six
+/// distinct hopping values (three bonds and their adjoints) and
+/// `onsite` distinct on-site ones: 250 of them make 256 values, which
+/// the CRS build codes, and 251 make 257, which it stores plain — as it
+/// does the 576 on-site values of a disordered lattice. Codes match
+/// bits: on-site entries that alternate between `1 + 0i` and `1 − 0i`
+/// from site to site take two slots. Each CRS agrees with its stencil
+/// kernel for kernel and hashes like it.
+#[test]
+fn crs_builds_code_at_most_256_distinct_values() {
+    let lattice = |value: &dyn Fn(usize) -> Complex64| {
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            hop[2 * j][0][1] = Complex64::new(0.25, 0.125 * (j + 1) as f64);
+            hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
+        }
+        let diag = (0..64).map(|site| [0, 1, 2, 3].map(|o| value(4 * site + o)));
+        StencilMatrix::new(4, 4, 4, [true; 3], diag.collect(), &hop)
+    };
+    let onsite = |distinct: usize| {
+        move |slot: usize| Complex64::real(1.0 + (slot % distinct) as f64 / 256.0)
+    };
+    let signed = |slot: usize| Complex64::new(1.0, if slot / 4 % 2 == 0 { 0.0 } else { -0.0 });
+    let disorder = TopoHamiltonian {
+        lattice: Lattice3D::paper_default(6, 6, 4),
+        t: 1.0,
+        potential: Potential::Disorder {
+            width: 1.0,
+            seed: 3,
+        },
+    };
+    for (st, distinct) in [
+        (lattice(&onsite(250)), Some(256)),
+        (lattice(&onsite(251)), None),
+        (lattice(&signed), Some(8)),
+        (disorder.stencil_matrix(), None),
+    ] {
+        let h = st.to_crs();
+        assert_eq!(h.value_table().map(<[_]>::len), distinct);
+        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        for (r, budget) in [
+            (1, STENCIL_BUDGETS[0]),
+            (8, STENCIL_BUDGETS[1]),
+            (17, STENCIL_BUDGETS[0]),
+        ] {
+            if let Err(e) = stencil_equals_crs(&st, r, budget, 9) {
+                panic!("{distinct:?} distinct values: {e}");
             }
         }
     }
@@ -277,7 +329,7 @@ fn kinds_matrix(n: usize, seed: u64) -> CrsMatrix {
 /// whose values are drawn per entry: from the zero-part kinds in orbital
 /// rows 0 and 1, from every kind in rows 2 and 3, and per site for the
 /// on-site diagonal — so a site's rows take either loop of the sweep.
-fn kinds_stencil(seed: u64) -> kpm_repro::sparse::StencilMatrix {
+fn kinds_stencil(seed: u64) -> StencilMatrix {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -292,7 +344,7 @@ fn kinds_stencil(seed: u64) -> kpm_repro::sparse::StencilMatrix {
             }
         }
     }
-    kpm_repro::sparse::StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop)
+    StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop)
 }
 
 /// Overwrites every fifth part of `block` with a zero, alternating in
@@ -804,7 +856,7 @@ proptest! {
         // geometry; every kernel result must be *bitwise* equal to the
         // assembled CRS operator — any lattice shape and boundary, any
         // block width, any tile height, any thread count.
-        let checked = stencil_equals_crs(&ham, STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
+        let checked = stencil_equals_crs(&ham.stencil_matrix(), STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
         prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
     }
 }
