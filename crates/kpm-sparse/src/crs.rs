@@ -17,6 +17,11 @@
 //! distinct values fit the table; everything built from raw arrays is
 //! plain. Both read back the same `Complex64` bits, so nothing but the
 //! bytes a sweep streams depends on the choice.
+//!
+//! A coded matrix also carries its [`SiteView`]: the lattice's 4×4
+//! site blocks, one byte per block naming a (neighbour, block) pair of
+//! at most 256. The width-1 sweep walks that view instead of the
+//! entries; past 256 pairs the generator stores the matrix plain.
 
 use std::ops::{Index, Range};
 
@@ -44,8 +49,105 @@ pub struct CrsMatrix {
 pub(crate) enum Values {
     /// One value per entry.
     Plain(Vec<Complex64>),
-    /// One code per entry into a table of the distinct values.
-    Coded(Box<CodeTable>, Vec<u8>),
+    /// One code per entry into a table of the distinct values, and the
+    /// same matrix as site blocks.
+    Coded(Box<CodeTable>, Vec<u8>, SiteView),
+}
+
+/// A coded lattice matrix as the width-1 sweep walks it (DESIGN.md
+/// §11). The four rows of a lattice site read the same neighbour sites,
+/// so a site is `stride` codes, each naming a [`SiteBlock`] — a
+/// neighbour and the 4×4 block the site's rows read from it — in
+/// ascending neighbour order, hence ascending column order. Entries the
+/// matrix does not store are zeros in their block, and a site with fewer
+/// blocks than `stride` ends in a zero block on itself; multiplying
+/// those zeros changes no bit of the sweep (`sweep::site_group` has the
+/// argument).
+#[derive(Debug, Clone)]
+pub(crate) struct SiteView {
+    /// The distinct blocks, at most [`TABLE_SLOTS`].
+    pub(crate) blocks: Vec<SiteBlock>,
+    /// Codes per site.
+    pub(crate) stride: usize,
+    /// `stride` codes per site, for the lattice sites the matrix's rows
+    /// touch, from the site of row 0 on.
+    pub(crate) codes: Vec<u8>,
+    /// The lattice row the matrix's row 0 is: 0, or where a row block
+    /// starts. Columns are lattice rows either way.
+    pub(crate) first_row: usize,
+}
+
+impl SiteView {
+    /// The view of lattice rows `first_row + rows`: a row block's.
+    fn rows(&self, rows: Range<usize>) -> SiteView {
+        let site0 = self.first_row / 4;
+        let (first, last) = (self.first_row + rows.start, self.first_row + rows.end);
+        let sites = first / 4 - site0..last.div_ceil(4) - site0;
+        SiteView {
+            blocks: self.blocks.clone(),
+            stride: self.stride,
+            codes: self.codes[sites.start * self.stride..sites.end * self.stride].to_vec(),
+            first_row: first,
+        }
+    }
+
+    /// Bytes a width-1 sweep reads of the view: a byte per code and the
+    /// blocks once.
+    fn bytes(&self) -> usize {
+        self.codes.len() + self.blocks.len() * std::mem::size_of::<SiteBlock>()
+    }
+}
+
+/// A (neighbour, 4×4 block) pair of a [`SiteView`], laid out for the
+/// sweep: the four rows of a site are eight `f64` lanes, `(re, im)`
+/// interleaved — the layout of four `Complex64`s, so of `w` itself.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct SiteBlock {
+    /// Column `p` of the block as lanes: `B[o][p]` at lanes `2o, 2o + 1`.
+    pub(crate) col: [[f64; 8]; 4],
+    /// `i` times `col`: `(−im, re)` in each lane pair.
+    pub(crate) col_i: [[f64; 8]; 4],
+    /// Rows from the site's first row to the neighbour's: four times
+    /// the site distance.
+    pub(crate) offset: isize,
+}
+
+impl SiteBlock {
+    /// The block `b` (`b[o][p]`: row `o`, column `p`) read from the site
+    /// `sites` sites away.
+    pub(crate) fn new(sites: isize, b: &[[Complex64; 4]; 4]) -> Self {
+        let mut block = Self {
+            col: [[0.0; 8]; 4],
+            col_i: [[0.0; 8]; 4],
+            offset: 4 * sites,
+        };
+        for (o, row) in b.iter().enumerate() {
+            for (p, z) in row.iter().enumerate() {
+                block.col[p][2 * o..][..2].copy_from_slice(&[z.re, z.im]);
+                block.col_i[p][2 * o..][..2].copy_from_slice(&[-z.im, z.re]);
+            }
+        }
+        block
+    }
+
+    /// The code of `self` among `blocks`, matched bit for bit and
+    /// appended when new; `None` when all [`TABLE_SLOTS`] codes name
+    /// other blocks.
+    pub(crate) fn code_in(self, blocks: &mut Vec<SiteBlock>) -> Option<u8> {
+        let lanes = |b: &SiteBlock| b.col.into_iter().flatten().map(f64::to_bits);
+        let same = |b: &SiteBlock| b.offset == self.offset && lanes(b).eq(lanes(&self));
+        let found = blocks.iter().position(same);
+        let slot = match found {
+            Some(slot) => slot,
+            None if blocks.len() < TABLE_SLOTS => {
+                blocks.push(self);
+                blocks.len() - 1
+            }
+            None => return None,
+        };
+        Some(slot as u8)
+    }
 }
 
 /// The distinct values of a coded matrix, compared by their bits, and
@@ -216,8 +318,8 @@ impl CrsMatrix {
     }
 
     /// [`CrsMatrix::from_raw`] with coded values: entry `k` is
-    /// `table.vals[codes[k]]`, and every code names one of the table's
-    /// filled slots.
+    /// `table.vals[codes[k]]`, every code names one of the table's
+    /// filled slots, and `sites` holds the same entries as site blocks.
     pub(crate) fn from_coded(
         nrows: usize,
         ncols: usize,
@@ -225,8 +327,16 @@ impl CrsMatrix {
         cols: Vec<u32>,
         table: Box<CodeTable>,
         codes: Vec<u8>,
+        sites: SiteView,
     ) -> Self {
-        let vals = Values::Coded(table, codes);
+        let site0 = sites.first_row / 4;
+        let site_count = (sites.first_row + nrows).div_ceil(4) - site0;
+        assert_eq!(
+            sites.codes.len(),
+            site_count * sites.stride,
+            "one code list per site"
+        );
+        let vals = Values::Coded(table, codes, sites);
         Self::built(Self::checked(nrows, ncols, row_ptr, cols, vals))
     }
 
@@ -288,7 +398,7 @@ impl CrsMatrix {
         }
         let vals_len = match &vals {
             Values::Plain(vals) => vals.len(),
-            Values::Coded(_, codes) => codes.len(),
+            Values::Coded(_, codes, _) => codes.len(),
         };
         if cols.len() != vals_len {
             return Err(bad(
@@ -365,18 +475,31 @@ impl CrsMatrix {
     pub fn value_table(&self) -> Option<&[Complex64]> {
         match &self.vals {
             Values::Plain(_) => None,
-            Values::Coded(table, _) => Some(&table.vals[..table.len]),
+            Values::Coded(table, _, _) => Some(&table.vals[..table.len]),
         }
     }
 
-    /// Bytes of matrix data one sweep streams: per entry its column
-    /// index and its value (`S_d + S_i`) when plain, its column index
-    /// and a one-byte code (`1 + S_i`) plus the table's values once when
-    /// coded.
-    pub fn matrix_bytes(&self) -> usize {
-        match self.value_table() {
-            None => crs_bytes(self.nnz()),
-            Some(table) => self.nnz() * (1 + S_I) + table.len() * S_D,
+    /// The number of distinct (neighbour, 4×4 block) codes of a coded
+    /// matrix's site view, which its width-1 sweep walks instead of the
+    /// entries; `None` when the values are stored plain.
+    pub fn site_blocks(&self) -> Option<usize> {
+        match &self.vals {
+            Values::Plain(_) => None,
+            Values::Coded(_, _, sites) => Some(sites.blocks.len()),
+        }
+    }
+
+    /// Bytes of matrix data one sweep at block width `width` streams: per
+    /// entry its column index and its value (`S_d + S_i`) when plain,
+    /// its column index and a one-byte code (`1 + S_i`) plus the table's
+    /// values once when coded — except at width 1, where a coded matrix
+    /// reads its site view: a byte per site block and the distinct
+    /// blocks once.
+    pub fn matrix_bytes(&self, width: usize) -> usize {
+        match &self.vals {
+            Values::Plain(_) => crs_bytes(self.nnz()),
+            Values::Coded(_, _, sites) if width == 1 => sites.bytes(),
+            Values::Coded(table, codes, _) => codes.len() * (1 + S_I) + table.len * S_D,
         }
     }
 
@@ -425,7 +548,7 @@ impl CrsMatrix {
                 vals: &vals[range],
                 codes: None,
             },
-            Values::Coded(table, codes) => RowVals {
+            Values::Coded(table, codes, _) => RowVals {
                 vals: &table.vals,
                 codes: Some(&codes[range]),
             },
@@ -592,7 +715,8 @@ impl CrsMatrix {
     /// Extracts the row block `[row_begin, row_end)` as a standalone CRS
     /// matrix with the *same* column space. This is the local matrix of
     /// one process under the paper's 1-D data-parallel row distribution.
-    /// A coded matrix's block keeps its table.
+    /// A coded matrix's block keeps its table and the site blocks of its
+    /// rows, cut sites included.
     pub fn row_block(&self, row_begin: usize, row_end: usize) -> CrsMatrix {
         assert!(row_begin <= row_end && row_end <= self.nrows);
         let base = self.row_ptr[row_begin];
@@ -607,13 +731,14 @@ impl CrsMatrix {
             Values::Plain(vals) => {
                 CrsMatrix::from_raw(nrows, self.ncols, row_ptr, cols, vals[lo..hi].to_vec())
             }
-            Values::Coded(table, codes) => CrsMatrix::from_coded(
+            Values::Coded(table, codes, sites) => CrsMatrix::from_coded(
                 nrows,
                 self.ncols,
                 row_ptr,
                 cols,
                 table.clone(),
                 codes[lo..hi].to_vec(),
+                sites.rows(row_begin..row_end),
             ),
         }
     }

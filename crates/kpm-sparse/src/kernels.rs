@@ -85,10 +85,10 @@ pub trait SparseKernels: Sync {
         w: &mut [Complex64],
     ) -> AugDotsBlock;
 
-    /// Bytes of matrix data a sweep streams from memory:
-    /// [`CrsMatrix::matrix_bytes`] for CRS, none for the matrix-free
-    /// stencil.
-    fn matrix_bytes(&self) -> usize;
+    /// Bytes of matrix data a sweep at block width `width` streams from
+    /// memory: [`CrsMatrix::matrix_bytes`] for CRS, none for the
+    /// matrix-free stencil.
+    fn matrix_bytes(&self, width: usize) -> usize;
 
     /// Serial `y = A x`.
     fn spmv(&self, x: &[Complex64], y: &mut [Complex64]) {
@@ -234,7 +234,7 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         } else {
             Sweep::Aug
         };
-        let bytes = sweep.min_bytes(nrows, m.matrix_bytes(), live);
+        let bytes = sweep.min_bytes(nrows, m.matrix_bytes(r), live);
         (sweep.flops(nrows, nnz, live) as u64, bytes as u64)
     };
     let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, live, counts));
@@ -352,8 +352,8 @@ impl SparseKernels for KpmMatrix {
     fn format(&self) -> FormatSpec {
         self.inner().format()
     }
-    fn matrix_bytes(&self) -> usize {
-        self.inner().matrix_bytes()
+    fn matrix_bytes(&self, width: usize) -> usize {
+        self.inner().matrix_bytes(width)
     }
     fn sweep(
         &self,
@@ -381,14 +381,17 @@ mod tests {
         let crs = KpmMatrix::crs(CrsMatrix::identity(12));
         assert!(crs.as_crs().is_some() && crs.as_stencil().is_none());
         // Plain values: 16 B each, plus a 4 B column index.
-        let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes());
+        let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes(1));
         assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12 * 20)));
+        assert_eq!(crs.matrix_bytes(8), 12 * 20);
         assert_eq!(FormatSpec::Crs.to_string(), "crs");
         assert_eq!(FormatSpec::Stencil.to_string(), "stencil");
 
         // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
-        // coded, a byte and a column index per entry plus the table;
-        // the stencil streams no matrix.
+        // coded, a byte and a column index per entry plus the table —
+        // at width 1 a byte per block of each site (itself and three
+        // neighbours) plus the seven distinct 576-byte blocks; the
+        // stencil streams no matrix.
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
@@ -401,8 +404,9 @@ mod tests {
             coded.as_crs().unwrap().value_table().map(<[_]>::len),
             Some(2)
         );
-        assert_eq!(coded.matrix_bytes(), nnz * 5 + 2 * 16);
+        assert_eq!(coded.matrix_bytes(2), nnz * 5 + 2 * 16);
+        assert_eq!(coded.matrix_bytes(1), 8 * 4 + 7 * 576);
         let stencil = KpmMatrix::stencil(st);
-        assert_eq!((stencil.nnz(), stencil.matrix_bytes()), (nnz, 0));
+        assert_eq!((stencil.nnz(), stencil.matrix_bytes(1)), (nnz, 0));
     }
 }

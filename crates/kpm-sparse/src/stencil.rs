@@ -46,7 +46,7 @@ use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CodeTable, CrsMatrix};
+use crate::crs::{CodeTable, CrsMatrix, SiteBlock, SiteView};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::sweep::{
     all_axial, for_passes, is_axial, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp,
@@ -97,8 +97,8 @@ struct PlanEntry {
     neg_im: f64,
 }
 
-/// The value table of a coded CRS build and the codes its fill writes
-/// ([`StencilMatrix::value_codes`]).
+/// The value table of a coded CRS build, the codes its fill writes and
+/// its site view ([`StencilMatrix::value_codes`]).
 struct ValueCodes {
     table: Box<CodeTable>,
     /// The code of every hopping entry of every [`RowPlan`], laid out
@@ -106,6 +106,30 @@ struct ValueCodes {
     hops: Vec<[[u8; MAX_ROW_ENTRIES]; 4]>,
     /// The codes of each site's on-site entries (0 for a dropped zero).
     onsite: Vec<[u8; 4]>,
+    sites: SiteView,
+}
+
+/// Blocks a site reads at most: itself and six neighbours.
+const MAX_SITE_BLOCKS: usize = 7;
+
+/// A boundary class in a [`SiteView`] build: the codes of its blocks in
+/// ascending order, the on-site block's slot among them (its code is
+/// the site's own) and their number.
+#[derive(Clone, Copy, Default)]
+struct ClassCodes {
+    codes: [u8; MAX_SITE_BLOCKS],
+    onsite_at: usize,
+    len: usize,
+}
+
+/// A block entry as the assembly keeps it: an exact zero of either sign,
+/// which the assembly drops, as `+0`.
+fn kept(v: Complex64) -> Complex64 {
+    if v != ZERO {
+        v
+    } else {
+        ZERO
+    }
 }
 
 /// Boundary code of one coordinate: bit 0 = on the low edge, bit 1 =
@@ -213,26 +237,21 @@ impl StencilMatrix {
         Self { nnz, ..m }
     }
 
-    /// The four orbital rows of boundary class `code`, read off a
-    /// representative site (empty when the lattice has no such site).
-    fn row_plans(&self, code: usize) -> [RowPlan; 4] {
+    /// The blocks every site of boundary class `code` reads, as (site
+    /// offset, block) in ascending offset order: the on-site block and
+    /// the neighbours the boundary leaves, read off a representative
+    /// site. `None` when the lattice has no site of the class.
+    fn class_blocks(&self, code: usize) -> Option<Vec<(isize, usize)>> {
         let rep = |code: usize, extent: usize| match code & 3 {
             0 => (extent >= 3).then_some(1),
             1 => (extent >= 2).then_some(0),
             2 => (extent >= 2).then_some(extent - 1),
             _ => (extent == 1).then_some(0),
         };
-        let mut plans = [RowPlan::default(); 4];
-        let (Some(x), Some(y), Some(z)) = (
-            rep(code, self.nx),
-            rep(code >> 2, self.ny),
-            rep(code >> 4, self.nz),
-        ) else {
-            return plans;
-        };
+        let x = rep(code, self.nx)?;
+        let y = rep(code >> 2, self.ny)?;
+        let z = rep(code >> 4, self.nz)?;
         let site = x + self.nx * (y + self.ny * z);
-        // (site offset, block), ascending: the on-site block and the
-        // neighbours the boundary leaves.
         let mut slots = vec![(0isize, ONSITE)];
         for dir in 0..6 {
             if let Some(ns) = self.neighbor(x, y, z, dir) {
@@ -240,6 +259,16 @@ impl StencilMatrix {
             }
         }
         slots.sort_unstable();
+        Some(slots)
+    }
+
+    /// The four orbital rows of boundary class `code` (empty when the
+    /// lattice has no such site).
+    fn row_plans(&self, code: usize) -> [RowPlan; 4] {
+        let mut plans = [RowPlan::default(); 4];
+        let Some(slots) = self.class_blocks(code) else {
+            return plans;
+        };
         for (o, plan) in plans.iter_mut().enumerate() {
             plan.axial = true;
             for &(offset, block) in &slots {
@@ -368,7 +397,8 @@ impl StencilMatrix {
                 let hop = |class: usize, o: usize, e: usize| coded.hops[class][o][e];
                 self.fill_rows(rows, cols, codes, hop, |site, o| coded.onsite[site][o]);
             });
-            return CrsMatrix::from_coded(n, n, row_ptr, cols, coded.table, codes);
+            let (table, sites) = (coded.table, coded.sites);
+            return CrsMatrix::from_coded(n, n, row_ptr, cols, table, codes, sites);
         }
         let mut vals = zeroed_vec::<Complex64>(self.nnz);
         self.fill_chunks(&row_ptr, &mut cols, &mut vals, |rows, cols, vals| {
@@ -428,6 +458,77 @@ impl StencilMatrix {
             table,
             hops,
             onsite,
+            sites: self.site_view()?,
+        })
+    }
+
+    /// The site view of a coded CRS build ([`SiteView`]) in one pass
+    /// over the sites: each boundary class's hopping blocks are coded
+    /// once, from [`StencilMatrix::class_blocks`], and each site takes
+    /// its class's codes with the code of its own on-site block in its
+    /// slot, looked up by the diagonal's bits among the diagonals met
+    /// before. `None` past 256 distinct blocks.
+    fn site_view(&self) -> Option<SiteView> {
+        let mut blocks = Vec::new();
+        let mut classes = [ClassCodes::default(); 64];
+        for (code, class) in classes.iter_mut().enumerate() {
+            let Some(slots) = self.class_blocks(code) else {
+                continue;
+            };
+            class.len = slots.len();
+            for (k, &(offset, dir)) in slots.iter().enumerate() {
+                if dir == ONSITE {
+                    class.onsite_at = k;
+                } else {
+                    let block = self.hop_blocks[dir].map(|row| row.map(kept));
+                    class.codes[k] = SiteBlock::new(offset, &block).code_in(&mut blocks)?;
+                }
+            }
+        }
+        let stride = classes.iter().map(|c| c.len).max().unwrap_or(0);
+        // A site with fewer blocks than that ends in a zero block on
+        // itself.
+        let pad = match classes.iter().any(|c| (1..stride).contains(&c.len)) {
+            true => SiteBlock::new(0, &[[ZERO; 4]; 4]).code_in(&mut blocks)?,
+            false => 0,
+        };
+        let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
+        // The code of each distinct diagonal met so far, by its bits.
+        let mut onsite = Vec::new();
+        let (mut x, mut y, mut z) = (0, 0, 0);
+        // `vec!` of zeros is `calloc`-backed.
+        let mut codes = vec![0u8; self.sites() * stride];
+        for (diag, out) in self.onsite_diag.iter().zip(codes.chunks_exact_mut(stride)) {
+            let diag_bits = bits(diag);
+            let own = match onsite.iter().find(|(seen, _)| *seen == diag_bits) {
+                Some(&(_, code)) => code,
+                None => {
+                    let block = std::array::from_fn(|o| {
+                        std::array::from_fn(|p| if o == p { kept(diag[o]) } else { ZERO })
+                    });
+                    let code = SiteBlock::new(0, &block).code_in(&mut blocks)?;
+                    onsite.push((diag_bits, code));
+                    code
+                }
+            };
+            let class = &classes
+                [edge_code(x, self.nx) | edge_code(y, self.ny) << 2 | edge_code(z, self.nz) << 4];
+            out[..class.len].copy_from_slice(&class.codes[..class.len]);
+            out[class.onsite_at] = own;
+            out[class.len..].fill(pad);
+            x += 1;
+            if x == self.nx {
+                (x, y) = (0, y + 1);
+                if y == self.ny {
+                    (y, z) = (0, z + 1);
+                }
+            }
+        }
+        Some(SiteView {
+            blocks,
+            stride,
+            codes,
+            first_row: 0,
         })
     }
 
@@ -732,7 +833,7 @@ impl SparseKernels for StencilMatrix {
     fn format(&self) -> FormatSpec {
         FormatSpec::Stencil
     }
-    fn matrix_bytes(&self) -> usize {
+    fn matrix_bytes(&self, _: usize) -> usize {
         0
     }
     fn sweep(

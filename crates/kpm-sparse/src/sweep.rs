@@ -21,9 +21,12 @@
 //! is [`run`]: a [`SweepOp`] (which epilogue) under a [`Schedule`] —
 //! one range over all rows, or fixed chunks ([`chunk_rows`]) whose
 //! partial dots are combined in chunk order, so results never depend
-//! on the thread count. Width 1 is a column of the same body: CRS
-//! walks it as the plain `mul_add` chain on `Complex64` scalars it is,
-//! inside the same compiled copies.
+//! on the thread count. Width 1 has nothing to hold in a panel and is
+//! walked inside the same compiled copies in one of two ways: a plain
+//! CRS as the dependent `mul_add` chain of each row's entries
+//! ([`entry_chain`]), a coded one as 4×4 site blocks, two lattice sites
+//! at a time, each site's four rows in eight lanes ([`site_group`]),
+//! finished by [`Epilogue::finish_rows`].
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
@@ -51,7 +54,7 @@ use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CodeTable, CrsMatrix, Values};
+use crate::crs::{CodeTable, CrsMatrix, SiteView, Values};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
@@ -107,9 +110,23 @@ pub(crate) trait Epilogue {
         w: &mut [Complex64],
     );
 
-    /// [`Epilogue::finish`] for the width-1 chain, on scalars: `x[at]`
-    /// and `w` are the row's entries.
-    fn finish_one(&mut self, acc: Complex64, x: &[Complex64], at: usize, w: &mut Complex64);
+    /// [`Epilogue::finish`] for `L / 2` consecutive rows of a width-1
+    /// sweep: `acc` holds their `(Hx)[row]` as `(re, im)` lane pairs —
+    /// the layout of `w` itself — and `x[at..]` and `w` are the rows'
+    /// entries.
+    fn finish_rows<const L: usize>(
+        &mut self,
+        acc: &[f64; L],
+        x: &[Complex64],
+        at: usize,
+        w: &mut [Complex64],
+    );
+}
+
+/// The row `k` of [`Epilogue::finish_rows`]'s lanes.
+#[inline(always)]
+fn lane_pair<const L: usize>(acc: &[f64; L], k: usize) -> Complex64 {
+    Complex64::new(acc[2 * k], acc[2 * k + 1])
 }
 
 /// `y = A x`.
@@ -130,8 +147,16 @@ impl Epilogue for Plain {
     }
 
     #[inline(always)]
-    fn finish_one(&mut self, acc: Complex64, _: &[Complex64], _: usize, y: &mut Complex64) {
-        *y = acc;
+    fn finish_rows<const L: usize>(
+        &mut self,
+        acc: &[f64; L],
+        _: &[Complex64],
+        _: usize,
+        y: &mut [Complex64],
+    ) {
+        for (k, y) in y[..L / 2].iter_mut().enumerate() {
+            *y = lane_pair(acc, k);
+        }
     }
 }
 
@@ -215,13 +240,29 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
         }
     }
 
+    /// Row by row the update and the two dot chains of
+    /// [`Epilogue::finish`]'s column 0, the chains held in registers
+    /// across the rows rather than stored per row.
     #[inline(always)]
-    fn finish_one(&mut self, acc: Complex64, v: &[Complex64], at: usize, w: &mut Complex64) {
-        *w = self.update(acc, v[at], *w);
+    fn finish_rows<const L: usize>(
+        &mut self,
+        acc: &[f64; L],
+        v: &[Complex64],
+        at: usize,
+        w: &mut [Complex64],
+    ) {
+        let (v, w) = (&v[at..at + L / 2], &mut w[..L / 2]);
+        for (k, (w, &v)) in w.iter_mut().zip(v).enumerate() {
+            *w = self.update(lane_pair(acc, k), v, *w);
+        }
         if DOTS {
-            self.even[0] += v[at].norm_sqr();
-            let odd = Complex64::new(self.odd_re[0], self.odd_im[0]);
-            let odd = w.conj().mul_add(v[at], odd);
+            let mut even = self.even[0];
+            let mut odd = Complex64::new(self.odd_re[0], self.odd_im[0]);
+            for (w, &v) in w.iter().zip(v) {
+                even += v.norm_sqr();
+                odd = w.conj().mul_add(v, odd);
+            }
+            self.even[0] = even;
             (self.odd_re[0], self.odd_im[0]) = (odd.re, odd.im);
         }
     }
@@ -464,20 +505,131 @@ impl RowSweep for CrsMatrix {
         w: &mut [Complex64],
         epi: &mut E,
     ) {
+        let rows = row0..row0 + w.len() / r;
         match self.values() {
+            Values::Plain(vals) if r == 1 => {
+                entry_chain(self, vals.as_slice(), x, rows, row0, w, epi)
+            }
             Values::Plain(vals) => {
                 crs_rows::<E, COLS, ARMS>(self, vals.as_slice(), x, r, row0, w, epi)
             }
-            Values::Coded(table, codes) => {
-                let vals = Coded { table, codes };
-                crs_rows::<E, COLS, ARMS>(self, vals, x, r, row0, w, epi)
+            Values::Coded(table, codes, sites) if r == 1 => {
+                site_rows(self, sites, Coded { table, codes }, x, rows, w, epi)
+            }
+            Values::Coded(table, codes, _) => {
+                crs_rows::<E, COLS, ARMS>(self, Coded { table, codes }, x, r, row0, w, epi)
             }
         }
     }
 }
 
-/// The CRS row loop of [`RowSweep::sweep_body`], on the values `vals`
-/// of `m`.
+/// The width-1 entry chain over `rows` of `m` (`w` holds the rows from
+/// `row0`): each row is one dependent `mul_add` chain over its entries,
+/// with nothing to hold in a panel.
+#[inline(always)]
+fn entry_chain<E: Epilogue>(
+    m: &CrsMatrix,
+    vals: impl ValueSource,
+    x: &[Complex64],
+    rows: Range<usize>,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let all_cols = m.cols();
+    let w = &mut w[rows.start - row0..rows.end - row0];
+    for (row, wrow) in rows.zip(w) {
+        let Range { start, end } = m.row_range(row);
+        let mut acc = Complex64::default();
+        for (hv, &c) in vals.row(start..end).zip(&all_cols[start..end]) {
+            acc = hv.mul_add(x[c as usize], acc);
+        }
+        epi.finish_rows(&[acc.re, acc.im], x, row, std::slice::from_mut(wrow));
+    }
+}
+
+/// The width-1 sweep of a coded matrix over `rows` (`w` holds them):
+/// the whole lattice sites among them on the site view, two at a time;
+/// the rows of a site cut by the range's edges — only a row block has
+/// them — on the entry chain.
+#[inline(always)]
+fn site_rows<E: Epilogue>(
+    m: &CrsMatrix,
+    sites: &SiteView,
+    vals: Coded,
+    x: &[Complex64],
+    rows: Range<usize>,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let (row0, first) = (rows.start, sites.first_row);
+    // Lattice sites `s0..s1` lie wholly inside the rows.
+    let (s0, s1) = ((first + rows.start).div_ceil(4), (first + rows.end) / 4);
+    if s0 >= s1 {
+        return entry_chain(m, vals, x, rows, row0, w, epi);
+    }
+    entry_chain(m, vals, x, row0..4 * s0 - first, row0, w, epi);
+    let mut site = s0;
+    while site + 2 <= s1 {
+        site_group::<16, E>(sites, x, site, row0, w, epi);
+        site += 2;
+    }
+    if site < s1 {
+        site_group::<8, E>(sites, x, site, row0, w, epi);
+    }
+    entry_chain(m, vals, x, 4 * s1 - first..rows.end, row0, w, epi);
+}
+
+/// `L / 8` consecutive lattice sites from `site` on the site view, each
+/// site's four rows in eight accumulator lanes: per block in the sites'
+/// code lists, the neighbour's four `x` entries (64 contiguous bytes)
+/// and, per column `p`, `acc += x[p].re · col[p] + x[p].im · col_i[p]`
+/// on every lane — the sites' blocks interleaved, so two independent
+/// accumulator chains are in flight — then [`Epilogue::finish_rows`] on
+/// the rows in order.
+///
+/// A row's products are added in ascending column order, as the entry
+/// chain adds them, and each is the chain's [`Complex64::mul_add`] in
+/// bits: `re·x.re + (−im)·x.im` is `re·x.re − im·x.im`, and the other
+/// lane adds the same two products in the other order. The walk also
+/// multiplies the zeros of its blocks — entries the matrix does not
+/// store, and the padding block — which changes no bit for any finite
+/// `x` by the argument of [`Pass::axpy`]: such a product is `±0`, and an
+/// accumulator that starts at `+0.0` is never `−0`, so adding it leaves
+/// the accumulator as it was. Only a non-finite `x` would tell the walk
+/// from the chain, and the solver's divergence guardrail stops a run
+/// long before one.
+#[inline(always)]
+fn site_group<const L: usize, E: Epilogue>(
+    sites: &SiteView,
+    x: &[Complex64],
+    site: usize,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let stride = sites.stride;
+    let listed = site - sites.first_row / 4;
+    let codes = &sites.codes[listed * stride..][..L / 8 * stride];
+    let mut acc = [0.0; L];
+    for k in 0..stride {
+        for s in 0..L / 8 {
+            let block = &sites.blocks[codes[s * stride + k] as usize];
+            let xs = &x[(4 * (site + s)).wrapping_add_signed(block.offset)..][..4];
+            for (p, xp) in xs.iter().enumerate() {
+                let (col, col_i) = (&block.col[p], &block.col_i[p]);
+                for l in 0..8 {
+                    acc[8 * s + l] += xp.re * col[l] + xp.im * col_i[l];
+                }
+            }
+        }
+    }
+    let at = 4 * site - sites.first_row;
+    epi.finish_rows(&acc, x, at, &mut w[at - row0..]);
+}
+
+/// The CRS row loop of [`RowSweep::sweep_body`] at widths beyond 1, on
+/// the values `vals` of `m`.
 #[inline(always)]
 fn crs_rows<E: Epilogue, const COLS: usize, const ARMS: bool>(
     m: &CrsMatrix,
@@ -489,20 +641,6 @@ fn crs_rows<E: Epilogue, const COLS: usize, const ARMS: bool>(
     epi: &mut E,
 ) {
     let all_cols = m.cols();
-    if r == 1 {
-        // One column: the row is a single dependent `mul_add` chain
-        // with nothing to hold in a panel, finished on scalars.
-        for (i, wrow) in w.iter_mut().enumerate() {
-            let row = row0 + i;
-            let Range { start, end } = m.row_range(row);
-            let mut acc = Complex64::default();
-            for (hv, &c) in vals.row(start..end).zip(&all_cols[start..end]) {
-                acc = hv.mul_add(x[c as usize], acc);
-            }
-            epi.finish_one(acc, x, row, wrow);
-        }
-        return;
-    }
     for (i, wrow) in w.chunks_mut(r).enumerate() {
         let row = row0 + i;
         let Range { start, end } = m.row_range(row);
@@ -536,8 +674,8 @@ impl SparseKernels for CrsMatrix {
     fn format(&self) -> FormatSpec {
         FormatSpec::Crs
     }
-    fn matrix_bytes(&self) -> usize {
-        CrsMatrix::matrix_bytes(self)
+    fn matrix_bytes(&self, width: usize) -> usize {
+        CrsMatrix::matrix_bytes(self, width)
     }
     fn sweep(
         &self,

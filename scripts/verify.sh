@@ -180,25 +180,33 @@ echo "and on a general-complex Hermitian file (both parts non-zero off the diago
 
 step "value storage: a coded lattice CRS is byte-identical to the same matrix read back plain"
 # The lattice generator stores the CRS values as a table of distinct
-# values and a byte per entry; a Matrix Market file is stored plain.
-# The same lattice both ways must print the same CSV. The banners must
-# name the two storages, or the comparison would be plain against plain.
-./target/release/kpm generate --nx 3 --ny 6 --nz 16 --potential dots \
-    --out target/values-dots.mtx 2>/dev/null
-for r in 1 8 17 33; do
-    for t in 1 2; do
-        ./target/release/kpm dos --nx 3 --ny 6 --nz 16 --potential dots \
-            --moments 64 --random "$r" --threads "$t" \
-            > target/dos-values-coded.csv 2> target/dos-values-coded.err
-        ./target/release/kpm dos target/values-dots.mtx \
-            --moments 64 --random "$r" --threads "$t" \
-            > target/dos-values-plain.csv 2> target/dos-values-plain.err
-        grep -q 'values = coded' target/dos-values-coded.err
-        grep -q 'values = plain' target/dos-values-plain.err
-        cmp target/dos-values-coded.csv target/dos-values-plain.csv
+# values and a byte per entry, and its width-1 sweep walks the lattice's
+# 4x4 site blocks; a Matrix Market file is stored plain and its width-1
+# sweep walks the entries. The same lattice both ways must print the
+# same CSV. The banners must name the two storages and the two walks, or
+# the comparison would be plain against plain, or the entry chain
+# against itself. The 5x3x3 lattice has an odd number of sites, so its
+# site walk ends on one unpaired site.
+values_cmp() { # lattice flags, the same lattice as a file, R, threads
+    ./target/release/kpm dos $1 --moments 64 --random "$3" --threads "$4" \
+        > target/dos-values-coded.csv 2> target/dos-values-coded.err
+    ./target/release/kpm dos "$2" --moments 64 --random "$3" --threads "$4" \
+        > target/dos-values-plain.csv 2> target/dos-values-plain.err
+    grep -q 'values = coded ([0-9]* distinct), width-1 walk = sites' target/dos-values-coded.err
+    grep -q 'values = plain, width-1 walk = entries' target/dos-values-plain.err
+    cmp target/dos-values-coded.csv target/dos-values-plain.csv
+}
+dots_lattice="--nx 3 --ny 6 --nz 16 --potential dots"
+odd_lattice="--nx 5 --ny 3 --nz 3"
+./target/release/kpm generate $dots_lattice --out target/values-dots.mtx 2>/dev/null
+./target/release/kpm generate $odd_lattice --out target/values-odd.mtx 2>/dev/null
+for t in 1 2; do
+    for r in 1 8 17 33; do
+        values_cmp "$dots_lattice" target/values-dots.mtx "$r" "$t"
     done
+    values_cmp "$odd_lattice" target/values-odd.mtx 1 "$t"
 done
-echo "$(grep -o 'coded ([0-9]* distinct)' target/dos-values-coded.err) and plain values print identical DOS output (R = 1, 8, 17 and 33, 1 and 2 threads)"
+echo "$(grep -o 'coded ([0-9]* distinct), width-1 walk = sites ([0-9]* codes)' target/dos-values-coded.err) and plain values print identical DOS output (3x6x16 dots at R = 1, 8, 17 and 33, 5x3x3 at R = 1, 1 and 2 threads)"
 
 step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`
@@ -232,12 +240,14 @@ fi
 echo "set-up share on dos_block_r8 ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
 
 step "smoke: kpm report (achieved vs predicted roofline)"
-# The banner names the copy that ran: the one the step above detected.
+# The banner names the copy that ran: the one the step above detected,
+# and the width-1 walk of the lattice's coded CRS: its site blocks.
 wide_report=$(./target/release/kpm report --nx 20 --ny 20 --nz 10 --moments 64 \
     --random 8 --machine IVB --llc-mib 0.5 2>&1)
 echo "$wide_report"
 grep -q "sweep body = $body" <<<"$wide_report"
-echo "the report ran the $body sweep body"
+grep -q "width-1 walk = sites ([0-9]* codes)" <<<"$wide_report"
+echo "the report ran the $body sweep body and names the site walk"
 
 step "smoke: kpm report with the --no-simd runtime cap"
 # --no-simd runs the baseline copy of the sweep. The report must run end

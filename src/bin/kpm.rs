@@ -516,12 +516,19 @@ fn format_matrix(
     }
 }
 
-/// The banner field naming how a CRS matrix stores its values.
+/// The banner fields naming how a CRS matrix stores its values and what
+/// its width-1 sweep walks: the site blocks of a coded lattice matrix,
+/// or the entries.
 fn value_storage(h: &CrsMatrix) -> String {
-    match h.value_table() {
-        Some(table) => format!(", values = coded ({} distinct)", table.len()),
-        None => ", values = plain".into(),
-    }
+    let values = match h.value_table() {
+        Some(table) => format!("coded ({} distinct)", table.len()),
+        None => "plain".into(),
+    };
+    let walk = match h.site_blocks() {
+        Some(blocks) => format!("sites ({blocks} codes)"),
+        None => "entries".into(),
+    };
+    format!(", values = {values}, width-1 walk = {walk}")
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {

@@ -10,6 +10,7 @@
 //! difference is a failure.
 
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
+use kpm_repro::sparse::CrsMatrix;
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn params(threads: usize) -> KpmParams {
@@ -409,6 +410,14 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     simd::set_cap(Body::Avx512);
 }
 
+/// The rows of `h`, stored plain: the same arrays through `from_raw`.
+fn stored_plain(h: &CrsMatrix) -> CrsMatrix {
+    let n = h.nrows();
+    let vals = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
+    let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
+    CrsMatrix::from_raw(n, h.ncols(), h.row_ptr().to_vec(), cols, vals)
+}
+
 #[test]
 fn coded_and_plain_values_give_identical_moments() {
     // One lattice CRS built twice: coded by its generator, plain from
@@ -417,14 +426,11 @@ fn coded_and_plain_values_give_identical_moments() {
     // sweep body, serial and chunked on 1 and 2 threads. 1,152 rows:
     // width 1 has two chunks.
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::{CrsMatrix, KpmMatrix};
+    use kpm_repro::sparse::KpmMatrix;
     let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
     let bodies = runnable_bodies("coded_and_plain_values");
     let coded = TopoHamiltonian::quantum_dot_superlattice(3, 6, 16).assemble();
-    let n = coded.nrows();
-    let vals = (0..n).flat_map(|r| coded.row_vals(r)).copied().collect();
-    let cols = (0..n).flat_map(|r| coded.row_cols(r)).copied().collect();
-    let plain = CrsMatrix::from_raw(n, n, coded.row_ptr().to_vec(), cols, vals);
+    let plain = stored_plain(&coded);
     assert!(coded.value_table().is_some() && plain.value_table().is_none());
     assert!(coded == plain);
     assert_eq!(coded.content_fingerprint(), plain.content_fingerprint());
@@ -449,6 +455,183 @@ fn coded_and_plain_values_give_identical_moments() {
                     run(&plain),
                     "R = {r}, {body:?} body, parallel = {parallel}, {threads} threads"
                 );
+            }
+        }
+    }
+    simd::set_cap(Body::Avx512);
+}
+
+#[test]
+fn site_walk_is_bitwise_the_entry_chain() {
+    // A lattice CRS whose values are coded sweeps width 1 on its 4×4
+    // site blocks, two sites at a time, multiplying the zeros of its
+    // blocks; the same arrays stored plain sweep it entry by entry. Every
+    // width-1 kernel must leave the same bits on both, in `w` (whose
+    // inputs hold zeros of both signs, so a sign slip shows) and in the
+    // dots — serial, and chunked on 1 and 2 threads, under every sweep
+    // body — on a clean lattice (periodic x and y, open z), a dots
+    // lattice of 1,280 rows (two 1,024-row chunks), one with an odd
+    // number of sites (the walk's last site has no partner) and one with
+    // an extent-1 axis; and on a row block of the dots lattice that
+    // starts and ends inside a site and whose chunk edge cuts one too.
+    use kpm_repro::num::{BlockVector, Complex64, Vector};
+    use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
+    use kpm_repro::sparse::simd::{self, Body};
+    use kpm_repro::sparse::SparseKernels;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// One kernel from `(v, w)`, `w` updated in place; returns its dots
+    /// as bits.
+    type Kernel = fn(&CrsMatrix, &[Complex64], &mut [Complex64]) -> Vec<u64>;
+    const A: f64 = 0.7;
+    const B: f64 = -0.2;
+    fn bits(z: &[Complex64]) -> Vec<u64> {
+        z.iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+    fn one(d: AugDots) -> Vec<u64> {
+        [vec![d.eta_even.to_bits()], bits(&[d.eta_odd])].concat()
+    }
+    fn blocked(d: AugDotsBlock) -> Vec<u64> {
+        let even = d.eta_even.iter().map(|e| e.to_bits());
+        even.chain(bits(&d.eta_odd)).collect()
+    }
+    /// `f` on width-1 blocks holding `v` and `w`.
+    fn block<T>(
+        v: &[Complex64],
+        w: &mut [Complex64],
+        f: impl Fn(&BlockVector, &mut BlockVector) -> T,
+    ) -> T {
+        let column = |z: &[Complex64]| BlockVector::from_columns(&[Vector::from_vec(z.to_vec())]);
+        let mut wb = column(w);
+        let out = f(&column(v), &mut wb);
+        w.copy_from_slice(wb.panel_slots());
+        out
+    }
+    let square: [(&str, Kernel); 9] = [
+        ("spmv", |m, v, w| {
+            m.spmv(v, w);
+            Vec::new()
+        }),
+        ("spmv_par", |m, v, w| {
+            m.spmv_par(v, w);
+            Vec::new()
+        }),
+        ("spmmv", |m, v, w| {
+            block(v, w, |v, w| m.spmmv(v, w));
+            Vec::new()
+        }),
+        ("aug_spmv", |m, v, w| one(m.aug_spmv(A, B, v, w))),
+        ("aug_spmv_par", |m, v, w| one(m.aug_spmv_par(A, B, v, w))),
+        ("aug_spmmv", |m, v, w| {
+            blocked(block(v, w, |v, w| m.aug_spmmv(A, B, v, w)))
+        }),
+        ("aug_spmmv_par", |m, v, w| {
+            blocked(block(v, w, |v, w| m.aug_spmmv_par(A, B, v, w)))
+        }),
+        ("aug_spmmv_nodot", |m, v, w| {
+            block(v, w, |v, w| m.aug_spmmv_nodot(A, B, v, w));
+            Vec::new()
+        }),
+        ("aug_spmmv_nodot_par", |m, v, w| {
+            block(v, w, |v, w| m.aug_spmmv_nodot_par(A, B, v, w));
+            Vec::new()
+        }),
+    ];
+    // A row block has more columns than rows: `y = A x` serial and
+    // chunked, and the distributed ranks' rectangular kernels, whose `w`
+    // spans the columns.
+    let rect: [(&str, Kernel); 4] = [
+        ("spmv", |m, v, w| {
+            m.spmv(v, &mut w[..m.nrows()]);
+            Vec::new()
+        }),
+        ("spmv_par", |m, v, w| {
+            m.spmv_par(v, &mut w[..m.nrows()]);
+            Vec::new()
+        }),
+        ("spmmv_rect", |m, v, w| {
+            block(v, w, |v, w| m.spmmv_rect(v, w));
+            Vec::new()
+        }),
+        ("aug_spmmv_rect", |m, v, w| {
+            blocked(block(v, w, |v, w| m.aug_spmmv_rect(A, B, v, w)))
+        }),
+    ];
+
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("site_walk_is_bitwise_the_entry_chain");
+    let pools = [1, 2].map(|t| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .expect("pool")
+    });
+    let dots = TopoHamiltonian::quantum_dot_superlattice(8, 8, 5).assemble();
+    let n = dots.nrows();
+    assert_eq!(n, 1280);
+    let cases = [
+        (
+            "clean 6x6x4",
+            TopoHamiltonian::clean(6, 6, 4).assemble(),
+            &square[..],
+        ),
+        ("dots 8x8x5", dots.clone(), &square[..]),
+        (
+            "odd 5x3x3",
+            TopoHamiltonian::clean(5, 3, 3).assemble(),
+            &square[..],
+        ),
+        (
+            "extent-1 7x5x1",
+            TopoHamiltonian::clean(7, 5, 1).assemble(),
+            &square[..],
+        ),
+        // Rows 6..1277: sites 1 and 319 cut, and the chunk edge at row
+        // 1,024 of the block is lattice row 1,030, inside site 257.
+        (
+            "dots 8x8x5 rows 6..1277",
+            dots.row_block(6, n - 3),
+            &rect[..],
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(27);
+    for (lattice, coded, kernels) in cases {
+        assert!(
+            coded.site_blocks().is_some(),
+            "{lattice}: the walk is on sites"
+        );
+        let plain = stored_plain(&coded);
+        assert!(plain.site_blocks().is_none() && plain == coded);
+        let signed_zeros = |mut z: Vec<Complex64>| {
+            for (k, z) in z.iter_mut().enumerate() {
+                match k % 5 {
+                    0 => z.re = 0.0,
+                    2 => z.im = -0.0,
+                    _ => {}
+                }
+            }
+            z
+        };
+        let cols = coded.ncols();
+        let v = signed_zeros(Vector::random(cols, &mut rng).into_vec());
+        let w0 = signed_zeros(Vector::random(cols, &mut rng).into_vec());
+        for &body in &bodies {
+            simd::set_cap(body);
+            for (threads, pool) in [1, 2].iter().zip(&pools) {
+                for (kernel, run) in kernels {
+                    let sweep = |m: &CrsMatrix| {
+                        let mut w = w0.clone();
+                        let dots = pool.install(|| run(m, &v, &mut w));
+                        (bits(&w), dots)
+                    };
+                    assert!(
+                        sweep(&coded) == sweep(&plain),
+                        "{lattice}: {kernel} differs from the entry chain ({body:?} body, \
+                         {threads} threads)"
+                    );
+                }
             }
         }
     }

@@ -304,11 +304,9 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
         assert!(crs == stencil, "dos CSV differs at --threads {threads}");
         // Same N and Nnz on the banner, read off the stencil. The
         // periodic extent-2 axis merges partner entries into sums, so
-        // the CRS build stores its values plain.
-        assert_eq!(
-            banner.replace("format = stencil", "format = crs, values = plain"),
-            crs_banner
-        );
+        // the CRS build stores its values plain and walks its entries.
+        let plain = "format = crs, values = plain, width-1 walk = entries";
+        assert_eq!(banner.replace("format = stencil", plain), crs_banner);
     }
     let window = ["--from", "-0.5", "--to", "0.5", "--threads", "2"];
     let (crs, _) = run("count", &[&window[..], &["--format", "crs"]].concat());
@@ -328,7 +326,10 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
 /// at R = 1 (the width-1 path) and R = 5 (panels 4 + 1). The 5×4×6 pair
 /// (periodic x and y, open z; printed by the commit before the zero-skip
 /// arms) pins the AVX-512 copy's 16-column pass: R = 17 is one such pass
-/// plus a column, R = 32 two of them on whole rows.
+/// plus a column, R = 32 two of them on whole rows. The clean 5×3×3
+/// lattice (periodic x and y, open z; printed by the commit before the
+/// width-1 site walk) has 45 sites, so at R = 1 the walk's last site has
+/// no partner.
 #[test]
 fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
     let golden = |name: &str| {
@@ -347,6 +348,7 @@ fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
         format!("{two_panel} --random 17"),
         format!("{two_panel} --random 32"),
     );
+    let odd_sites = "--nx 5 --ny 3 --nz 3 --moments 32 --random 1 --seed 7";
     for (command, want) in [
         (dots, golden("dos_6x5x4_dots_m32_r3_s7.csv")),
         (coincident, golden("dos_2x6x5_m16_r8.csv")),
@@ -354,6 +356,7 @@ fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
         (&chunked_r5[..], golden("dos_8x8x6_dots_m32_r5_s7.csv")),
         (&two_panel_r17[..], golden("dos_5x4x6_dots_m32_r17_s7.csv")),
         (&two_panel_r32[..], golden("dos_5x4x6_dots_m32_r32_s7.csv")),
+        (odd_sites, golden("dos_5x3x3_m32_r1_s7.csv")),
     ] {
         for threads in ["1", "2"] {
             for format in ["crs", "stencil"] {

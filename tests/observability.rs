@@ -48,10 +48,12 @@ fn params(m: usize, r: usize) -> KpmParams {
 
 /// The probe crate holds no accounting of its own: a probed kernel call
 /// records the counts `kpm_num::accounting` gives for its sweep — flops
-/// on the logical non-zeros, bytes on the matrix data the format streams:
-/// a byte and a column index per entry plus the value table for the
-/// lattice's coded CRS, a value and a column index per entry for the
-/// same matrix stored plain, none for the matrix-free stencil.
+/// on the logical non-zeros, bytes on the matrix data the format streams
+/// at the sweep's width: for the lattice's coded CRS a byte and a column
+/// index per entry plus the value table, except at width 1, where it
+/// walks its site blocks — a byte per block of each site plus the
+/// distinct blocks; a value and a column index per entry for the same
+/// matrix stored plain; none for the matrix-free stencil.
 #[test]
 fn probe_constants_match_accounting() {
     use kpm_repro::num::accounting::{crs_bytes, S_D, S_I};
@@ -60,18 +62,29 @@ fn probe_constants_match_accounting() {
     let _g = serial();
     let ham = TopoHamiltonian::clean(4, 4, 2);
     let (crs, stencil) = (ham.assemble(), ham.stencil_matrix());
-    let (n, nnz, r) = (crs.nrows(), crs.nnz(), 3);
+    let (n, nnz) = (crs.nrows(), crs.nnz());
     let distinct = crs.value_table().expect("the lattice's CRS is coded").len();
+    // Each of the 32 sites reads six blocks (itself, four neighbours in
+    // the periodic x-y plane, one along the open z axis of extent 2), 11
+    // distinct: x ± 1 and the two x wraps, the same along y, z ± 1 and
+    // the on-site block. A block is 4×4 values and `i` times them, 512
+    // bytes, and its neighbour offset, on 64-byte lines: 576 bytes.
+    assert_eq!(crs.site_blocks(), Some(11));
+    let site_view = 32 * 6 + 11 * 576;
     let vals = (0..n).flat_map(|row| crs.row_vals(row)).copied().collect();
     let cols = (0..n).flat_map(|row| crs.row_cols(row)).copied().collect();
     let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);
-    let operators: [(&dyn SparseKernels, usize); 3] = [
-        (&crs, nnz * (1 + S_I) + distinct * S_D),
-        (&plain, crs_bytes(nnz)),
-        (&stencil, 0),
+    // (operator, width, matrix bytes per sweep)
+    let cases: [(&dyn SparseKernels, usize, usize); 6] = [
+        (&crs, 1, site_view),
+        (&crs, 3, nnz * (1 + S_I) + distinct * S_D),
+        (&plain, 1, crs_bytes(nnz)),
+        (&plain, 3, crs_bytes(nnz)),
+        (&stencil, 1, 0),
+        (&stencil, 3, 0),
     ];
-    for (h, stored) in operators {
-        assert_eq!(h.matrix_bytes(), stored);
+    for (h, r, stored) in cases {
+        assert_eq!(h.matrix_bytes(r), stored, "{} at width {r}", h.format());
         let v = BlockVector::zeros(n, r);
         let mut w = BlockVector::zeros(n, r);
         obs::reset();
@@ -96,7 +109,7 @@ fn probe_constants_match_accounting() {
                 aug.min_bytes(n, stored, r),
             ),
         ];
-        assert_eq!(got, want, "{}", h.format());
+        assert_eq!(got, want, "{} at width {r}", h.format());
     }
 }
 
@@ -126,7 +139,7 @@ fn solver_run_records_spans_and_probes() {
     assert_eq!(aug.width as usize, p.num_random);
     let (n, nnz, r) = (h.nrows(), h.nnz(), p.num_random);
     assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, r) as u64);
-    let matrix = h.matrix_bytes();
+    let matrix = h.matrix_bytes(r);
     assert_eq!(
         aug.min_bytes,
         aug.calls * Sweep::Aug.min_bytes(n, matrix, r) as u64

@@ -251,6 +251,43 @@ fn crs_builds_code_at_most_256_distinct_values() {
     }
 }
 
+/// The site view's limit: an 8×8×5 periodic lattice has 12 hopping
+/// blocks (two neighbours and two wraps per axis), and one on-site block
+/// per distinct diagonal. Diagonals built from 33 distinct values — far
+/// inside the value table — take 244 or 245 distinct combinations over
+/// the 320 sites: 256 blocks, which the CRS build codes, and 257, which
+/// it stores plain. Either way it agrees with its stencil kernel for
+/// kernel at width 1 and 8 and hashes like it.
+#[test]
+fn a_257th_site_block_stores_the_crs_plain() {
+    let lattice = |combinations: usize| {
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            hop[2 * j][0][1] = Complex64::new(0.25, 0.125 * (j + 1) as f64);
+            hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
+        }
+        let level = |k: usize| Complex64::real(1.0 + k as f64 / 64.0);
+        let diag = (0..320).map(|site| {
+            let q = site % combinations;
+            [level(q % 16), level(16 + q / 16), level(40), level(40)]
+        });
+        StencilMatrix::new(8, 8, 5, [true; 3], diag.collect(), &hop)
+    };
+    for (combinations, blocks) in [(244, Some(256)), (245, None)] {
+        let st = lattice(combinations);
+        let h = st.to_crs();
+        assert_eq!(h.site_blocks(), blocks, "{combinations} diagonals");
+        let values = blocks.map(|_| 6 + 16 + 16 + 1);
+        assert_eq!(h.value_table().map(<[_]>::len), values);
+        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        for (r, budget) in [(1, STENCIL_BUDGETS[0]), (8, STENCIL_BUDGETS[1])] {
+            if let Err(e) = stencil_equals_crs(&st, r, budget, 10) {
+                panic!("{combinations} diagonals: {e}");
+            }
+        }
+    }
+}
+
 /// `(η_even, η_odd)` per block column.
 type Dots = (Vec<f64>, Vec<Complex64>);
 
@@ -858,5 +895,48 @@ proptest! {
         // block width, any tile height, any thread count.
         let checked = stencil_equals_crs(&ham.stencil_matrix(), STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
         prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
+    }
+
+    #[test]
+    fn site_walk_bitwise_equals_the_entry_chain_on_any_lattice(
+        ham in any_lattice(),
+        cut in (0usize..4, 0usize..4),
+        seed in any::<u64>(),
+    ) {
+        // Whatever the lattice, the width-1 walk of a coded CRS over its
+        // site blocks leaves the bits the entry chain leaves on the same
+        // arrays stored plain: whole, and as a row block that may start
+        // and end inside a site.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let coded = ham.assemble();
+        prop_assume!(coded.site_blocks().is_some());
+        let n = coded.nrows();
+        prop_assume!(cut.0 < n - cut.1);
+        let vals = (0..n).flat_map(|r| coded.row_vals(r)).copied().collect();
+        let cols = (0..n).flat_map(|r| coded.row_cols(r)).copied().collect();
+        let plain = CrsMatrix::from_raw(n, n, coded.row_ptr().to_vec(), cols, vals);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut v = BlockVector::random(n, 1, &mut rng);
+        let mut w0 = BlockVector::random(n, 1, &mut rng);
+        sprinkle_signed_zeros(&mut v);
+        sprinkle_signed_zeros(&mut w0);
+        let dot_bits = |d: kpm_repro::sparse::aug::AugDots| {
+            [d.eta_even.to_bits(), d.eta_odd.re.to_bits(), d.eta_odd.im.to_bits()]
+        };
+        let sweep = |m: &CrsMatrix| {
+            let (vs, mut y) = (v.panel_slots(), w0.panel_slots().to_vec());
+            m.spmv(vs, &mut y);
+            let mut w = w0.panel_slots().to_vec();
+            let serial = dot_bits(m.aug_spmv(0.7, -0.2, vs, &mut w));
+            let mut w_par = w0.panel_slots().to_vec();
+            let chunked = dot_bits(m.aug_spmv_par(0.7, -0.2, vs, &mut w_par));
+            let rows = m.row_block(cut.0, n - cut.1);
+            let mut w_rect = w0.clone();
+            let rect = rows.aug_spmmv_rect(0.7, -0.2, &v, &mut w_rect);
+            let bits = |z: &[Complex64]| block_bits(&BlockVector::from_columns(&[Vector::from_vec(z.to_vec())]));
+            (bits(&y), bits(&w), serial, bits(&w_par), chunked, block_bits(&w_rect), dot_bits(rect.into()))
+        };
+        prop_assert!(sweep(&coded) == sweep(&plain), "{:?}", ham.lattice);
     }
 }
