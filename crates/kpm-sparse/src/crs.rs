@@ -20,8 +20,10 @@
 //!
 //! A coded matrix also carries its [`SiteView`]: the lattice's 4×4
 //! site blocks, one byte per block naming a (neighbour, block) pair of
-//! at most 256. The width-1 sweep walks that view instead of the
-//! entries; past 256 pairs the generator stores the matrix plain.
+//! at most 256, each pair stored as the slots of [`SiteBlock`]. The
+//! width-1 sweep walks that view instead of the entries; past 256 pairs,
+//! or when a block does not fit its slots, the generator stores the
+//! matrix plain.
 
 use std::ops::{Index, Range};
 
@@ -58,10 +60,10 @@ pub(crate) enum Values {
 /// §11). The four rows of a lattice site read the same neighbour sites,
 /// so a site is `stride` codes, each naming a [`SiteBlock`] — a
 /// neighbour and the 4×4 block the site's rows read from it — in
-/// ascending neighbour order, hence ascending column order. Entries the
-/// matrix does not store are zeros in their block, and a site with fewer
-/// blocks than `stride` ends in a zero block on itself; multiplying
-/// those zeros changes no bit of the sweep (`sweep::site_group` has the
+/// ascending neighbour order, hence ascending column order. A site with
+/// fewer blocks than `stride` ends in the padding block, which has no
+/// slot; a row with fewer entries than its block's slots multiplies
+/// zeros, which changes no bit of the sweep (`sweep::site_group` has the
 /// argument).
 #[derive(Debug, Clone)]
 pub(crate) struct SiteView {
@@ -98,45 +100,93 @@ impl SiteView {
     }
 }
 
+/// Entries a row of a [`SiteBlock`] stores at most: every hopping block
+/// of paper Eq. 1 stores two per row, its on-site block one.
+const MAX_SLOTS: usize = 2;
+
 /// A (neighbour, 4×4 block) pair of a [`SiteView`], laid out for the
-/// sweep: the four rows of a site are eight `f64` lanes, `(re, im)`
-/// interleaved — the layout of four `Complex64`s, so of `w` itself.
+/// sweep as at most [`MAX_SLOTS`] slots: slot `s` gives each of the
+/// site's four rows its `s`-th stored entry of the block, in column
+/// order. A block with fewer than two entries in some row gives that
+/// row zero factors; the padding block has no slot.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
+#[repr(C)]
 pub(crate) struct SiteBlock {
-    /// Column `p` of the block as lanes: `B[o][p]` at lanes `2o, 2o + 1`.
-    pub(crate) col: [[f64; 8]; 4],
-    /// `i` times `col`: `(−im, re)` in each lane pair.
-    pub(crate) col_i: [[f64; 8]; 4],
+    /// The slots; those from `len` on are zero and never read.
+    pub(crate) slots: [Slot; MAX_SLOTS],
+    /// Slots in use: the most entries a row of the block stores.
+    pub(crate) len: usize,
     /// Rows from the site's first row to the neighbour's: four times
     /// the site distance.
     pub(crate) offset: isize,
 }
 
+/// One slot of a [`SiteBlock`]. The four rows of a site are eight `f64`
+/// lanes, `(re, im)` interleaved — the layout of four `Complex64`s, so
+/// of `w` and of the neighbour's four `x` entries — and lane `l` adds
+/// lane `lane[l]` of that `x` times `coef[l]`. For row `o`'s entry in
+/// column `p`, lanes `2o, 2o + 1`:
+/// - of a real entry `v` read `x`'s lanes `2p, 2p + 1` times `(v, v)`;
+/// - of an imaginary entry `i·u` read `2p + 1, 2p` times `(−u, u)`;
+/// - of a row with no such entry read `0, 1` times zeros.
+///
+/// So the two lanes of a row always read the two parts of one entry of
+/// `x`, and `lane[2o + 1] == lane[2o] ^ 1`.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct Slot {
+    /// The lane of `x` each lane reads.
+    pub(crate) lane: [u64; 8],
+    /// The factor each lane multiplies it by.
+    pub(crate) coef: [f64; 8],
+}
+
 impl SiteBlock {
-    /// The block `b` (`b[o][p]`: row `o`, column `p`) read from the site
-    /// `sites` sites away.
-    pub(crate) fn new(sites: isize, b: &[[Complex64; 4]; 4]) -> Self {
+    /// The block `b` (`b[o][p]`: row `o`, column `p`; zeros are not
+    /// stored) read from the site `sites` sites away. `None` when an
+    /// entry has two non-zero parts or a row stores more than
+    /// [`MAX_SLOTS`] entries: one slot lane cannot hold the four products
+    /// of the first, and no slot is left for the second.
+    pub(crate) fn new(sites: isize, b: &[[Complex64; 4]; 4]) -> Option<Self> {
+        let unused = Slot {
+            lane: [0, 1, 0, 1, 0, 1, 0, 1],
+            coef: [0.0; 8],
+        };
         let mut block = Self {
-            col: [[0.0; 8]; 4],
-            col_i: [[0.0; 8]; 4],
+            slots: [unused; MAX_SLOTS],
+            len: 0,
             offset: 4 * sites,
         };
         for (o, row) in b.iter().enumerate() {
-            for (p, z) in row.iter().enumerate() {
-                block.col[p][2 * o..][..2].copy_from_slice(&[z.re, z.im]);
-                block.col_i[p][2 * o..][..2].copy_from_slice(&[-z.im, z.re]);
+            let stored = row
+                .iter()
+                .enumerate()
+                .filter(|(_, z)| **z != Complex64::default());
+            for (s, (p, z)) in stored.enumerate() {
+                let slot = block.slots.get_mut(s)?;
+                let (lanes, coefs) = match (z.re == 0.0, z.im == 0.0) {
+                    (_, true) => ([2 * p, 2 * p + 1], [z.re, z.re]),
+                    (true, false) => ([2 * p + 1, 2 * p], [-z.im, z.im]),
+                    (false, false) => return None,
+                };
+                slot.lane[2 * o..][..2].copy_from_slice(&lanes.map(|l| l as u64));
+                slot.coef[2 * o..][..2].copy_from_slice(&coefs);
+                block.len = block.len.max(s + 1);
             }
         }
-        block
+        Some(block)
     }
 
     /// The code of `self` among `blocks`, matched bit for bit and
     /// appended when new; `None` when all [`TABLE_SLOTS`] codes name
     /// other blocks.
     pub(crate) fn code_in(self, blocks: &mut Vec<SiteBlock>) -> Option<u8> {
-        let lanes = |b: &SiteBlock| b.col.into_iter().flatten().map(f64::to_bits);
-        let same = |b: &SiteBlock| b.offset == self.offset && lanes(b).eq(lanes(&self));
+        let bits = |b: &SiteBlock| {
+            let slot = |s: Slot| s.lane.into_iter().chain(s.coef.map(f64::to_bits));
+            b.slots.into_iter().flat_map(slot)
+        };
+        let same =
+            |b: &SiteBlock| (b.offset, b.len) == (self.offset, self.len) && bits(b).eq(bits(&self));
         let found = blocks.iter().position(same);
         let slot = match found {
             Some(slot) => slot,
@@ -150,15 +200,11 @@ impl SiteBlock {
     }
 }
 
-/// The distinct values of a coded matrix, compared by their bits, and
-/// whether each has an exactly-zero part (the sweep's per-row
-/// [`crate::sweep::all_axial`] reads this instead of the values).
+/// The distinct values of a coded matrix, compared by their bits.
 #[derive(Debug, Clone)]
 pub(crate) struct CodeTable {
     /// The values; slots from `len` on are zero and never named.
     pub(crate) vals: [Complex64; TABLE_SLOTS],
-    /// [`crate::sweep::is_axial`] of each slot.
-    pub(crate) axial: [bool; TABLE_SLOTS],
     len: usize,
 }
 
@@ -167,7 +213,6 @@ impl CodeTable {
     pub(crate) fn new() -> Box<Self> {
         Box::new(Self {
             vals: [Complex64::default(); TABLE_SLOTS],
-            axial: [false; TABLE_SLOTS],
             len: 0,
         })
     }
@@ -184,7 +229,6 @@ impl CodeTable {
             Some(slot) => slot,
             None if self.len < TABLE_SLOTS => {
                 self.vals[self.len] = v;
-                self.axial[self.len] = crate::sweep::is_axial(v);
                 self.len += 1;
                 self.len - 1
             }
@@ -319,7 +363,9 @@ impl CrsMatrix {
 
     /// [`CrsMatrix::from_raw`] with coded values: entry `k` is
     /// `table.vals[codes[k]]`, every code names one of the table's
-    /// filled slots, and `sites` holds the same entries as site blocks.
+    /// filled slots, and `sites` holds the same entries as site blocks —
+    /// so every value has an exactly-zero part, as a [`Slot`] holds
+    /// nothing else.
     pub(crate) fn from_coded(
         nrows: usize,
         ncols: usize,
@@ -336,6 +382,7 @@ impl CrsMatrix {
             site_count * sites.stride,
             "one code list per site"
         );
+        debug_assert!(table.vals.iter().all(|&v| crate::sweep::is_axial(v)));
         let vals = Values::Coded(table, codes, sites);
         Self::built(Self::checked(nrows, ncols, row_ptr, cols, vals))
     }

@@ -94,12 +94,14 @@ pub fn write_hermitian<W: Write>(m: &CrsMatrix, out: &mut W) -> io::Result<()> {
 
 /// Reads a `matrix coordinate complex` file in `general` or
 /// `hermitian` symmetry (also accepts `real`/`integer` values and
-/// `symmetric` symmetry, promoting them to complex).
+/// `symmetric` symmetry, promoting them to complex). A value that is not
+/// finite is a parse error naming its line: no sweep could use it.
 pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
-    let mut lines = input.lines();
+    // Each line with its 1-based number.
+    let mut lines = input.lines().zip(1usize..);
 
     // Header.
-    let header = lines.next().ok_or_else(|| parse_err("empty file"))??;
+    let header = lines.next().ok_or_else(|| parse_err("empty file"))?.0?;
     let tokens: Vec<String> = header
         .split_whitespace()
         .map(|t| t.to_ascii_lowercase())
@@ -122,7 +124,7 @@ pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
 
     // Size line (after comments).
     let mut size_line = None;
-    for line in lines.by_ref() {
+    for (line, _) in lines.by_ref() {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
@@ -149,7 +151,7 @@ pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
 
     let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz.min(MAX_RESERVED_TRIPLETS));
     let mut seen = 0usize;
-    for line in lines {
+    for (line, no) in lines {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
@@ -165,9 +167,18 @@ pub fn read<R: BufRead>(input: R) -> Result<CrsMatrix, MmError> {
         if r < 1 || r > nrows || c < 1 || c > ncols {
             return Err(parse_err(format!("index out of range: {r} {c}")));
         }
-        let re: f64 = parts[2].parse().map_err(|_| parse_err("bad real part"))?;
-        let im: f64 = if complex_values {
-            parts[3].parse().map_err(|_| parse_err("bad imag part"))?
+        let part = |text: &str, what: &str| {
+            let v: f64 = text
+                .parse()
+                .map_err(|_| parse_err(format!("bad {what} part")))?;
+            match v.is_finite() {
+                true => Ok(v),
+                false => Err(parse_err(format!("line {no}: non-finite value {text}"))),
+            }
+        };
+        let re = part(parts[2], "real")?;
+        let im = if complex_values {
+            part(parts[3], "imag")?
         } else {
             0.0
         };
@@ -254,6 +265,34 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate complex general\n2 2 3\n1 1 1 0\n";
         let err = read(BufReader::new(text.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("expected 3 entries"));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_by_line() {
+        let cases = [
+            ("real symmetric", "1 1 nan", "line 4: non-finite value nan"),
+            ("real symmetric", "1 1 inf", "line 4: non-finite value inf"),
+            (
+                "complex hermitian",
+                "2 1 1 -inf",
+                "line 4: non-finite value -inf",
+            ),
+            (
+                "complex general",
+                "1 1 NaN 0",
+                "line 4: non-finite value NaN",
+            ),
+        ];
+        for (kind, entry, msg) in cases {
+            let text = format!("%%MatrixMarket matrix coordinate {kind}\n% c\n2 2 1\n{entry}\n");
+            let err = read(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(matches!(err, MmError::Parse(_)), "{err}");
+            assert!(err.to_string().ends_with(msg), "{err}");
+        }
+        // Extreme finite values still read.
+        let text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.7e308\n";
+        let m = read(BufReader::new(text.as_bytes())).unwrap();
+        assert_eq!(m.get(0, 0), Complex64::real(1.7e308));
     }
 
     #[test]

@@ -390,8 +390,9 @@ mod tests {
         // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
         // coded, a byte and a column index per entry plus the table —
         // at width 1 a byte per block of each site (itself and three
-        // neighbours) plus the seven distinct 576-byte blocks; the
-        // stencil streams no matrix.
+        // neighbours) plus the seven distinct blocks of two 128-byte
+        // slots and a header, 320 bytes on 64-byte lines; the stencil
+        // streams no matrix.
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
@@ -405,7 +406,7 @@ mod tests {
             Some(2)
         );
         assert_eq!(coded.matrix_bytes(2), nnz * 5 + 2 * 16);
-        assert_eq!(coded.matrix_bytes(1), 8 * 4 + 7 * 576);
+        assert_eq!(coded.matrix_bytes(1), 8 * 4 + 7 * 320);
         let stencil = KpmMatrix::stencil(st);
         assert_eq!((stencil.nnz(), stencil.matrix_bytes(1)), (nnz, 0));
     }

@@ -49,7 +49,7 @@ use crate::aug::AugDotsBlock;
 use crate::crs::{CodeTable, CrsMatrix, SiteBlock, SiteView};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::sweep::{
-    all_axial, for_passes, is_axial, row_pass, Epilogue, Pass, RowSweep, Schedule, SweepOp,
+    all_axial, for_passes, is_axial, row_pass, Epilogue, Isa, Pass, RowSweep, Schedule, SweepOp,
 };
 use crate::tile::DEFAULT_CACHE_BYTES;
 
@@ -467,7 +467,8 @@ impl StencilMatrix {
     /// once, from [`StencilMatrix::class_blocks`], and each site takes
     /// its class's codes with the code of its own on-site block in its
     /// slot, looked up by the diagonal's bits among the diagonals met
-    /// before. `None` past 256 distinct blocks.
+    /// before. `None` past 256 distinct blocks, and when a block does not
+    /// fit [`SiteBlock`]'s slots — no generated lattice has one.
     fn site_view(&self) -> Option<SiteView> {
         let mut blocks = Vec::new();
         let mut classes = [ClassCodes::default(); 64];
@@ -481,7 +482,7 @@ impl StencilMatrix {
                     class.onsite_at = k;
                 } else {
                     let block = self.hop_blocks[dir].map(|row| row.map(kept));
-                    class.codes[k] = SiteBlock::new(offset, &block).code_in(&mut blocks)?;
+                    class.codes[k] = SiteBlock::new(offset, &block)?.code_in(&mut blocks)?;
                 }
             }
         }
@@ -489,7 +490,7 @@ impl StencilMatrix {
         // A site with fewer blocks than that ends in a zero block on
         // itself.
         let pad = match classes.iter().any(|c| (1..stride).contains(&c.len)) {
-            true => SiteBlock::new(0, &[[ZERO; 4]; 4]).code_in(&mut blocks)?,
+            true => SiteBlock::new(0, &[[ZERO; 4]; 4])?.code_in(&mut blocks)?,
             false => 0,
         };
         let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
@@ -506,7 +507,7 @@ impl StencilMatrix {
                     let block = std::array::from_fn(|o| {
                         std::array::from_fn(|p| if o == p { kept(diag[o]) } else { ZERO })
                     });
-                    let code = SiteBlock::new(0, &block).code_in(&mut blocks)?;
+                    let code = SiteBlock::new(0, &block)?.code_in(&mut blocks)?;
                     onsite.push((diag_bits, code));
                     code
                 }
@@ -775,11 +776,11 @@ impl StencilMatrix {
 }
 
 /// The sweep body: whole sites take the site-blocked walk in column
-/// passes of at most `COLS`; rows of a site cut by the range edges, and
+/// passes of at most `I::COLS`; rows of a site cut by the range edges, and
 /// every row of a coincident-neighbour lattice, are regenerated.
 impl RowSweep for StencilMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
+    fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -800,7 +801,7 @@ impl RowSweep for StencilMatrix {
             let plans = &m.plans[edge_code(cx, m.nx) | yz];
             let diag = &m.onsite_diag[site];
             let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
-            for_passes!(COLS, r, |j0| site_pass(
+            for_passes!(I::COLS, r, |j0| site_pass(
                 plans, diag, ARMS, site, x, r, j0, wsite, epi
             ));
             cx += 1;

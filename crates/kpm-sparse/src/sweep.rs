@@ -24,18 +24,20 @@
 //! on the thread count. Width 1 has nothing to hold in a panel and is
 //! walked inside the same compiled copies in one of two ways: a plain
 //! CRS as the dependent `mul_add` chain of each row's entries
-//! ([`entry_chain`]), a coded one as 4×4 site blocks, two lattice sites
-//! at a time, each site's four rows in eight lanes ([`site_group`]),
-//! finished by [`Epilogue::finish_rows`].
+//! ([`entry_chain`]), a coded one as the stored entries of its 4×4 site
+//! blocks, four lattice sites at a time, each site's four rows in eight
+//! lanes ([`site_group`]), finished by [`Epilogue::finish_rows`].
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
 //! under `#[target_feature(enable = "avx512f")]` ([`sweep`]) — each time
 //! with and without its zero-skip arms ([`sweep_body_for`]);
 //! [`crate::simd::wide`] picks per kernel call. The copies differ in
-//! one const, the columns of their widest pass: one layout panel for
-//! the first two, two panels (four 512-bit accumulators) for the
-//! third. No copy uses a fused multiply-add, and every lane ends up with
+//! what [`Isa`] gives them: the columns of their widest pass — one
+//! layout panel for the first two, two panels (four 512-bit
+//! accumulators) for the third — and the one primitive the width-1 site
+//! walk needs that the auto-vectoriser does not produce, its lane gather.
+//! No copy uses a fused multiply-add, and every lane ends up with
 //! the bits of the scalar chain of [`Complex64::mul_add`]s — so the
 //! copies agree with it and with each other bit for bit. The
 //! four-product arm gets there by performing `mul_add`'s IEEE multiplies
@@ -428,8 +430,8 @@ pub(crate) trait RowSweep: Sync {
     /// One sweep over the rows of `w` (`w.len() / r` rows of width `r`
     /// starting at `row0`): for each row, in order, the accumulator
     /// chain `acc = Σ_c H[row, c] · x[c]` in ascending column order,
-    /// pass by pass — at most `COLS` (8 or 16) columns each — handed to
-    /// `epi`.
+    /// pass by pass — at most `I::COLS` (8 or 16) columns each — handed
+    /// to `epi`.
     ///
     /// `ARMS` compiles in the loop that skips products with an
     /// exactly-zero part of the entry ([`Pass::axpy`]) for the rows that
@@ -438,7 +440,7 @@ pub(crate) trait RowSweep: Sync {
     /// Implementations are `#[inline(always)]`: [`sweep`] instantiates
     /// the body once per target-feature set, [`sweep_body_for`] with and
     /// without the arms.
-    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
+    fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -486,18 +488,17 @@ impl ValueSource for Coded<'_> {
         self.codes[range].iter().map(move |&c| vals[c as usize])
     }
 
-    /// The table's per-slot mask, folded like [`all_axial`].
+    /// Always: every value of a coded matrix has an exactly-zero part
+    /// (`CrsMatrix::from_coded`).
     #[inline(always)]
-    fn row_axial(self, range: Range<usize>) -> bool {
-        let axial = &self.table.axial;
-        let codes = self.codes[range].iter();
-        codes.fold(true, |all, &c| all & axial[c as usize])
+    fn row_axial(self, _: Range<usize>) -> bool {
+        true
     }
 }
 
 impl RowSweep for CrsMatrix {
     #[inline(always)]
-    fn sweep_body<E: Epilogue, const COLS: usize, const ARMS: bool>(
+    fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
         x: &[Complex64],
         r: usize,
@@ -511,13 +512,13 @@ impl RowSweep for CrsMatrix {
                 entry_chain(self, vals.as_slice(), x, rows, row0, w, epi)
             }
             Values::Plain(vals) => {
-                crs_rows::<E, COLS, ARMS>(self, vals.as_slice(), x, r, row0, w, epi)
+                crs_rows::<E, I, ARMS>(self, vals.as_slice(), x, r, row0, w, epi)
             }
             Values::Coded(table, codes, sites) if r == 1 => {
-                site_rows(self, sites, Coded { table, codes }, x, rows, w, epi)
+                site_rows::<E, I>(self, sites, Coded { table, codes }, x, rows, w, epi)
             }
             Values::Coded(table, codes, _) => {
-                crs_rows::<E, COLS, ARMS>(self, Coded { table, codes }, x, r, row0, w, epi)
+                crs_rows::<E, I, ARMS>(self, Coded { table, codes }, x, r, row0, w, epi)
             }
         }
     }
@@ -549,11 +550,11 @@ fn entry_chain<E: Epilogue>(
 }
 
 /// The width-1 sweep of a coded matrix over `rows` (`w` holds them):
-/// the whole lattice sites among them on the site view, two at a time;
-/// the rows of a site cut by the range's edges — only a row block has
-/// them — on the entry chain.
+/// the whole lattice sites among them on the site view, four at a time
+/// and the last few one by one; the rows of a site cut by the range's
+/// edges — only a row block has them — on the entry chain.
 #[inline(always)]
-fn site_rows<E: Epilogue>(
+fn site_rows<E: Epilogue, I: Isa>(
     m: &CrsMatrix,
     sites: &SiteView,
     vals: Coded,
@@ -570,12 +571,13 @@ fn site_rows<E: Epilogue>(
     }
     entry_chain(m, vals, x, row0..4 * s0 - first, row0, w, epi);
     let mut site = s0;
-    while site + 2 <= s1 {
-        site_group::<16, E>(sites, x, site, row0, w, epi);
-        site += 2;
+    while site + 4 <= s1 {
+        site_group::<32, E, I>(sites, x, site, row0, w, epi);
+        site += 4;
     }
-    if site < s1 {
-        site_group::<8, E>(sites, x, site, row0, w, epi);
+    while site < s1 {
+        site_group::<8, E, I>(sites, x, site, row0, w, epi);
+        site += 1;
     }
     entry_chain(m, vals, x, 4 * s1 - first..rows.end, row0, w, epi);
 }
@@ -583,24 +585,25 @@ fn site_rows<E: Epilogue>(
 /// `L / 8` consecutive lattice sites from `site` on the site view, each
 /// site's four rows in eight accumulator lanes: per block in the sites'
 /// code lists, the neighbour's four `x` entries (64 contiguous bytes)
-/// and, per column `p`, `acc += x[p].re · col[p] + x[p].im · col_i[p]`
-/// on every lane — the sites' blocks interleaved, so two independent
-/// accumulator chains are in flight — then [`Epilogue::finish_rows`] on
-/// the rows in order.
+/// and, per slot of the block ([`Slot`](crate::crs::Slot)), `acc +=
+/// gather(x, slot.lane) · slot.coef` on every lane, the gather being the
+/// copy's [`Isa::gather`] — the sites' blocks interleaved, so `L / 8`
+/// independent accumulator chains are in flight — then
+/// [`Epilogue::finish_rows`] on the rows in order.
 ///
-/// A row's products are added in ascending column order, as the entry
-/// chain adds them, and each is the chain's [`Complex64::mul_add`] in
-/// bits: `re·x.re + (−im)·x.im` is `re·x.re − im·x.im`, and the other
-/// lane adds the same two products in the other order. The walk also
-/// multiplies the zeros of its blocks — entries the matrix does not
-/// store, and the padding block — which changes no bit for any finite
-/// `x` by the argument of [`Pass::axpy`]: such a product is `±0`, and an
-/// accumulator that starts at `+0.0` is never `−0`, so adding it leaves
-/// the accumulator as it was. Only a non-finite `x` would tell the walk
-/// from the chain, and the solver's divergence guardrail stops a run
-/// long before one.
+/// A row's stored entries are added in ascending column order, as the
+/// entry chain adds them, and each with the bits of the chain's
+/// [`Complex64::mul_add`] by the argument of [`Pass::axpy`]'s zero-skip
+/// arms: a real entry `v` adds `x.re·v` and `x.im·v`, an imaginary one
+/// `i·u` adds `x.im·(−u)` and `x.re·u`, and the partner products the
+/// chain also forms multiply an exact zero. Such a product is `±0`, as is
+/// a zero factor's — a row with fewer entries than its block's slots —
+/// and an accumulator that starts at `+0.0` is never `−0`, so adding it
+/// leaves the accumulator as it was. Only a non-finite `x` would tell the
+/// walk from the chain, and the solver's divergence guardrail stops a
+/// run long before one.
 #[inline(always)]
-fn site_group<const L: usize, E: Epilogue>(
+fn site_group<const L: usize, E: Epilogue, I: Isa>(
     sites: &SiteView,
     x: &[Complex64],
     site: usize,
@@ -616,10 +619,10 @@ fn site_group<const L: usize, E: Epilogue>(
         for s in 0..L / 8 {
             let block = &sites.blocks[codes[s * stride + k] as usize];
             let xs = &x[(4 * (site + s)).wrapping_add_signed(block.offset)..][..4];
-            for (p, xp) in xs.iter().enumerate() {
-                let (col, col_i) = (&block.col[p], &block.col_i[p]);
+            for slot in &block.slots[..block.len] {
+                let lanes = I::gather(xs, &slot.lane);
                 for l in 0..8 {
-                    acc[8 * s + l] += xp.re * col[l] + xp.im * col_i[l];
+                    acc[8 * s + l] += lanes[l] * slot.coef[l];
                 }
             }
         }
@@ -631,7 +634,7 @@ fn site_group<const L: usize, E: Epilogue>(
 /// The CRS row loop of [`RowSweep::sweep_body`] at widths beyond 1, on
 /// the values `vals` of `m`.
 #[inline(always)]
-fn crs_rows<E: Epilogue, const COLS: usize, const ARMS: bool>(
+fn crs_rows<E: Epilogue, I: Isa, const ARMS: bool>(
     m: &CrsMatrix,
     vals: impl ValueSource,
     x: &[Complex64],
@@ -646,7 +649,7 @@ fn crs_rows<E: Epilogue, const COLS: usize, const ARMS: bool>(
         let Range { start, end } = m.row_range(row);
         let cols = &all_cols[start..end];
         let axial = ARMS && vals.row_axial(start..end);
-        for_passes!(COLS, r, |j0| row_pass(
+        for_passes!(I::COLS, r, |j0| row_pass(
             cols,
             vals.row(start..end),
             axial,
@@ -719,6 +722,110 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     acc.finish(epi, x, row * r + j0, j0, &mut wrow[j0..]);
 }
 
+/// What differs between the three compiled copies of the sweep body
+/// ([`sweep`]): the columns of the widest compute pass, and the lane
+/// gather of the width-1 site walk ([`site_group`]). The types that
+/// implement it are private to this module and each is named by one
+/// copy only — what makes the AVX2 and AVX-512 gathers' `unsafe` sound.
+pub(crate) trait Isa {
+    /// Columns of the widest pass: two layout panels under AVX-512, one
+    /// otherwise.
+    const COLS: usize;
+
+    /// The eight lanes of a [`Slot`](crate::crs::Slot): lane `l` is lane
+    /// `lane[l]` of `xs`, a neighbour's four `x` entries read as eight
+    /// `f64`s. Written as indexing into a copy of those lanes, the copy
+    /// goes through the stack and each lane is reloaded from it, so each
+    /// compiled copy has its own gather (DESIGN.md §16).
+    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8];
+}
+
+/// The baseline copy: each lane one scalar load from `xs` in place,
+/// through the eight `f64`s of its four entries.
+struct BaselineIsa;
+
+impl Isa for BaselineIsa {
+    const COLS: usize = 8;
+
+    #[inline(always)]
+    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
+        let xs = &xs[..4];
+        let mut out = [0.0; 8];
+        // SAFETY: `xs` holds four `Complex64`s (sliced above), each
+        // `repr(C)` over two `f64`s: eight `f64`s in lane order, aligned
+        // as `f64`, borrowed for as long as `xs` is.
+        let lanes = unsafe { &*xs.as_ptr().cast::<[f64; 8]>() };
+        for (out, &l) in out.iter_mut().zip(lane) {
+            *out = lanes[l as usize & 7];
+        }
+        out
+    }
+}
+
+/// The AVX2 copy: per two rows, their entries of `xs` as two 16-byte
+/// loads into one register and `vpermilpd` on the lanes' low index bits.
+#[cfg(target_arch = "x86_64")]
+struct Avx2Isa;
+
+#[cfg(target_arch = "x86_64")]
+impl Isa for Avx2Isa {
+    const COLS: usize = 8;
+
+    #[inline(always)]
+    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
+        use std::arch::x86_64::*;
+        let xs = &xs[..4];
+        let mut out = [0.0; 8];
+        for (half, out) in out.chunks_exact_mut(4).enumerate() {
+            let lane = &lane[4 * half..][..4];
+            let (lo, hi) = (
+                &xs[(lane[0] >> 1) as usize & 3],
+                &xs[(lane[2] >> 1) as usize & 3],
+            );
+            // SAFETY: `Avx2Isa` is named only by `sweep_avx2`, which
+            // `sweep` enters only with a `Wide` token naming `Body::Avx2`
+            // — made by `simd::wide` after `is_x86_feature_detected!("avx2")`
+            // — so the CPU executes these instructions. `lo` and `hi` are
+            // 16-byte `Complex64`s, `lane` and `out` four 8-byte lanes.
+            unsafe {
+                let pair = _mm256_loadu2_m128d(&hi.re, &lo.re);
+                let index = _mm256_loadu_si256(lane.as_ptr().cast());
+                // `vpermilpd` selects by bit 1 of each index.
+                let picked = _mm256_permutevar_pd(pair, _mm256_slli_epi64::<1>(index));
+                _mm256_storeu_pd(out.as_mut_ptr(), picked);
+            }
+        }
+        out
+    }
+}
+
+/// The AVX-512 copy: one `vpermpd` of the neighbour's 64 bytes.
+#[cfg(target_arch = "x86_64")]
+struct Avx512Isa;
+
+#[cfg(target_arch = "x86_64")]
+impl Isa for Avx512Isa {
+    const COLS: usize = 16;
+
+    #[inline(always)]
+    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
+        use std::arch::x86_64::*;
+        let xs = &xs[..4];
+        let mut out = [0.0; 8];
+        // SAFETY: `Avx512Isa` is named only by `sweep_avx512`, which
+        // `sweep` enters only with a `Wide` token naming `Body::Avx512` —
+        // made by `simd::wide` after `is_x86_feature_detected!("avx512f")`
+        // — so the CPU executes these instructions. `xs` is four 16-byte
+        // `Complex64`s, `lane` and `out` eight 8-byte lanes: 64 bytes each.
+        unsafe {
+            let x = _mm512_loadu_pd(xs.as_ptr().cast());
+            let index = _mm512_loadu_si512(lane.as_ptr().cast());
+            _mm512_storeu_pd(out.as_mut_ptr(), _mm512_permutexvar_pd(index, x));
+        }
+        out
+    }
+}
+
 /// The AVX2 copy of a sweep body.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -730,7 +837,7 @@ fn sweep_avx2<S: RowSweep, E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    sweep_body_for::<S, E, 8>(s, x, r, row0, w, epi);
+    sweep_body_for::<S, E, Avx2Isa>(s, x, r, row0, w, epi);
 }
 
 /// The AVX-512 copy of a sweep body: two layout panels per pass.
@@ -744,7 +851,7 @@ fn sweep_avx512<S: RowSweep, E: Epilogue>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    sweep_body_for::<S, E, 16>(s, x, r, row0, w, epi);
+    sweep_body_for::<S, E, Avx512Isa>(s, x, r, row0, w, epi);
 }
 
 /// `s`'s sweep body for a width-`r` block: with the zero-skip arms from
@@ -753,7 +860,7 @@ fn sweep_avx512<S: RowSweep, E: Epilogue>(
 /// cache-resident R = 2, 4, 8 sweeps 2–3 % (up to 10 % on the stencil at
 /// R = 2) for arms they never take.
 #[inline(always)]
-fn sweep_body_for<S: RowSweep, E: Epilogue, const COLS: usize>(
+fn sweep_body_for<S: RowSweep, E: Epilogue, I: Isa>(
     s: &S,
     x: &[Complex64],
     r: usize,
@@ -762,9 +869,9 @@ fn sweep_body_for<S: RowSweep, E: Epilogue, const COLS: usize>(
     epi: &mut E,
 ) {
     if r >= AXIAL_MIN_WIDTH {
-        s.sweep_body::<E, COLS, true>(x, r, row0, w, epi);
+        s.sweep_body::<E, I, true>(x, r, row0, w, epi);
     } else {
-        s.sweep_body::<E, COLS, false>(x, r, row0, w, epi);
+        s.sweep_body::<E, I, false>(x, r, row0, w, epi);
     }
 }
 
@@ -792,7 +899,7 @@ fn sweep<S: RowSweep, E: Epilogue>(
         // `is_x86_feature_detected!("avx2")` returned true.
         #[cfg(target_arch = "x86_64")]
         Body::Avx2 => unsafe { sweep_avx2(s, x, r, row0, w, epi) },
-        _ => sweep_body_for::<S, E, 8>(s, x, r, row0, w, epi),
+        _ => sweep_body_for::<S, E, BaselineIsa>(s, x, r, row0, w, epi),
     }
 }
 

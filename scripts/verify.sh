@@ -258,7 +258,7 @@ echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
 echo "the --no-simd report ran the baseline sweep body (lanes = 1)"
 
-step "hostile flags, environment values and .mtx size lines: one 'kpm:' line, exit status 1, no panic, no matrix"
+step "hostile flags, environment values, .mtx size lines and values: one 'kpm:' line, exit status 1, no panic, no matrix"
 # Each of these used to panic, abort the process, be refused only after
 # the matrix had been assembled and the banner printed, or (KPM_THREADS)
 # quietly run on another thread count. Now stderr is a single line — so
@@ -308,6 +308,12 @@ if [[ $ram_swap_kib -lt 31250000 && $(cat /proc/sys/vm/overcommit_memory) != 1 ]
 else
     echo "the 4e9-row file DOES NOT RUN: this host could grant its row pointers"
 fi
+# A value that is not finite is refused by the reader, naming its line:
+# `nan` used to fail the Hermitian check on entry (0, 0) itself, and
+# `inf` ran a sweep before the solver's non-finite guard stopped it.
+printf '%s\n1 1 1\n1 1 nan\n' "%%MatrixMarket matrix coordinate real symmetric" > target/hostile-nan.mtx
+printf '%s\n1 1 1\n1 1 inf\n' "%%MatrixMarket matrix coordinate real symmetric" > target/hostile-inf.mtx
+mtx_cases+=" nan inf"
 for f in $mtx_cases; do
     hostile dos "target/hostile-$f.mtx"
     hostile serve "target/hostile-$f.mtx"

@@ -67,10 +67,11 @@ fn probe_constants_match_accounting() {
     // Each of the 32 sites reads six blocks (itself, four neighbours in
     // the periodic x-y plane, one along the open z axis of extent 2), 11
     // distinct: x ± 1 and the two x wraps, the same along y, z ± 1 and
-    // the on-site block. A block is 4×4 values and `i` times them, 512
-    // bytes, and its neighbour offset, on 64-byte lines: 576 bytes.
+    // the on-site block. A block is two slots of eight lane indices and
+    // eight factors, 256 bytes, and its slot count and neighbour offset,
+    // on 64-byte lines: 320 bytes.
     assert_eq!(crs.site_blocks(), Some(11));
-    let site_view = 32 * 6 + 11 * 576;
+    let site_view = 32 * 6 + 11 * 320;
     let vals = (0..n).flat_map(|row| crs.row_vals(row)).copied().collect();
     let cols = (0..n).flat_map(|row| crs.row_cols(row)).copied().collect();
     let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);

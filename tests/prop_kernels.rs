@@ -200,7 +200,7 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 }
 
 /// The value table's limit, on 4×4×4 periodic lattices with six
-/// distinct hopping values (three bonds and their adjoints) and
+/// distinct hopping values (three imaginary bonds and their adjoints) and
 /// `onsite` distinct on-site ones: 250 of them make 256 values, which
 /// the CRS build codes, and 251 make 257, which it stores plain — as it
 /// does the 576 on-site values of a disordered lattice. Codes match
@@ -210,18 +210,23 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 #[test]
 fn crs_builds_code_at_most_256_distinct_values() {
     let lattice = |value: &dyn Fn(usize) -> Complex64| {
-        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
-        for j in 0..3 {
-            hop[2 * j][0][1] = Complex64::new(0.25, 0.125 * (j + 1) as f64);
-            hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
-        }
+        let hop = bond_blocks(|j| Complex64::imag(0.125 * (j + 1) as f64));
         let diag = (0..64).map(|site| [0, 1, 2, 3].map(|o| value(4 * site + o)));
         StencilMatrix::new(4, 4, 4, [true; 3], diag.collect(), &hop)
     };
     let onsite = |distinct: usize| {
         move |slot: usize| Complex64::real(1.0 + (slot % distinct) as f64 / 256.0)
     };
-    let signed = |slot: usize| Complex64::new(1.0, if slot / 4 % 2 == 0 { 0.0 } else { -0.0 });
+    let signed = |slot: usize| {
+        Complex64::new(
+            1.0,
+            if (slot / 4).is_multiple_of(2) {
+                0.0
+            } else {
+                -0.0
+            },
+        )
+    };
     let disorder = TopoHamiltonian {
         lattice: Lattice3D::paper_default(6, 6, 4),
         t: 1.0,
@@ -261,11 +266,7 @@ fn crs_builds_code_at_most_256_distinct_values() {
 #[test]
 fn a_257th_site_block_stores_the_crs_plain() {
     let lattice = |combinations: usize| {
-        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
-        for j in 0..3 {
-            hop[2 * j][0][1] = Complex64::new(0.25, 0.125 * (j + 1) as f64);
-            hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
-        }
+        let hop = bond_blocks(|j| Complex64::imag(0.125 * (j + 1) as f64));
         let level = |k: usize| Complex64::real(1.0 + k as f64 / 64.0);
         let diag = (0..320).map(|site| {
             let q = site % combinations;
@@ -286,6 +287,192 @@ fn a_257th_site_block_stores_the_crs_plain() {
             }
         }
     }
+}
+
+/// Hopping blocks with one bond per axis `j`: `bond(j)` from orbital 0
+/// to orbital 1 and its adjoint back.
+fn bond_blocks(bond: impl Fn(usize) -> Complex64) -> [[[Complex64; 4]; 4]; 6] {
+    let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+    for j in 0..3 {
+        hop[2 * j][0][1] = bond(j);
+        hop[2 * j + 1][1][0] = bond(j).conj();
+    }
+    hop
+}
+
+/// A site block holds each row's entries in at most two slots, one
+/// product per part of `x`: a lattice with an entry whose two parts are
+/// non-zero, or with three entries in a row of one block, is stored
+/// plain — values included, as past 256 blocks — and agrees with its
+/// stencil kernel for kernel and hashes like it. The lattice beside them
+/// with the same bonds made imaginary is coded.
+#[test]
+fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
+    let onsite = |site: usize| [0, 1, 2, 3].map(|o| Complex64::real((site % 3 + o) as f64));
+    let lattice = |hop: &[[[Complex64; 4]; 4]; 6]| {
+        StencilMatrix::new(
+            3,
+            4,
+            5,
+            [true, false, true],
+            (0..60).map(onsite).collect(),
+            hop,
+        )
+    };
+    let mut three_in_a_row = bond_blocks(|_| Complex64::real(0.5));
+    three_in_a_row[4][2] = [0.0, 0.25, -0.25, 0.5].map(Complex64::real);
+    three_in_a_row[5] = std::array::from_fn(|o| std::array::from_fn(|p| three_in_a_row[4][p][o]));
+    for (what, hop, coded) in [
+        (
+            "imaginary bonds",
+            bond_blocks(|j| Complex64::imag(0.5 + j as f64)),
+            true,
+        ),
+        (
+            "complex bonds",
+            bond_blocks(|j| Complex64::new(0.25, 0.5 + j as f64)),
+            false,
+        ),
+        ("three entries in a row", three_in_a_row, false),
+    ] {
+        let st = lattice(&hop);
+        let h = st.to_crs();
+        assert_eq!(h.site_blocks().is_some(), coded, "{what}");
+        assert_eq!(h.value_table().is_some(), coded, "{what}");
+        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        for (r, budget) in [(1, STENCIL_BUDGETS[0]), (8, STENCIL_BUDGETS[1])] {
+            if let Err(e) = stencil_equals_crs(&st, r, budget, 12) {
+                panic!("{what}: {e}");
+            }
+        }
+    }
+}
+
+/// Serialises the tests that move the process-wide cap on the sweep
+/// body: each asserts which body runs. (The others run whichever is
+/// selected when they call; every body gives the same bits.)
+static SIMD_CAP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The sweep bodies this CPU executes, narrowest first — saying loudly
+/// which comparisons cannot be made here instead of skipping them.
+fn runnable_bodies(test: &str) -> Vec<kpm_repro::sparse::simd::Body> {
+    use kpm_repro::sparse::simd::Body;
+    let (run, missing): (Vec<Body>, Vec<Body>) = Body::ALL.iter().partition(|b| b.supported());
+    for body in missing {
+        println!(
+            "{test}: this CPU does not execute the {} body — its comparison DOES NOT RUN",
+            body.name()
+        );
+    }
+    run
+}
+
+/// The same arrays stored plain, so that the width-1 sweep walks the
+/// entry chain.
+fn stored_plain(h: &CrsMatrix) -> CrsMatrix {
+    let n = h.nrows();
+    let vals = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
+    let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
+    CrsMatrix::from_raw(n, h.ncols(), h.row_ptr().to_vec(), cols, vals)
+}
+
+/// The bits every width-1 kernel of `m` leaves from `v` and `w0`: `y = A
+/// x`, the augmented update serial and chunked with its dots, and the
+/// rectangular update of the row block `cut.0 .. n − cut.1`, which may
+/// start and end inside a site.
+fn width_one_bits(
+    m: &CrsMatrix,
+    v: &BlockVector,
+    w0: &BlockVector,
+    cut: (usize, usize),
+) -> Vec<Vec<u64>> {
+    let dot_bits = |d: kpm_repro::sparse::aug::AugDots| {
+        vec![
+            d.eta_even.to_bits(),
+            d.eta_odd.re.to_bits(),
+            d.eta_odd.im.to_bits(),
+        ]
+    };
+    let bits = |z: &[Complex64]| {
+        z.iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    };
+    let (vs, mut y) = (v.panel_slots(), w0.panel_slots().to_vec());
+    m.spmv(vs, &mut y);
+    let mut w = w0.panel_slots().to_vec();
+    let serial = dot_bits(m.aug_spmv(0.7, -0.2, vs, &mut w));
+    let mut w_par = w0.panel_slots().to_vec();
+    let chunked = dot_bits(m.aug_spmv_par(0.7, -0.2, vs, &mut w_par));
+    let rows = m.row_block(cut.0, m.nrows() - cut.1);
+    let mut w_rect = w0.clone();
+    let rect = dot_bits(rows.aug_spmmv_rect(0.7, -0.2, v, &mut w_rect).into());
+    let rect_w = block_bits(&w_rect).concat();
+    vec![
+        bits(&y),
+        bits(&w),
+        serial,
+        bits(&w_par),
+        chunked,
+        rect_w,
+        rect,
+    ]
+}
+
+/// Slot construction on random blocks: hopping blocks whose rows store
+/// zero, one or two entries at random columns, each real or imaginary
+/// with its zero part of either sign (explicit zeros of both signs among
+/// them, which the assembly drops), and on-site entries drawn from eight
+/// of the same kinds. Every build is coded, and its slots, applied to `x` holding
+/// zeros of both signs, leave the entry chain's bits in every width-1
+/// kernel under every sweep body.
+#[test]
+fn slots_of_random_axial_blocks_leave_the_entry_chain_bits() {
+    use kpm_repro::sparse::simd;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("slots_of_random_axial_blocks");
+    let mut rng = StdRng::seed_from_u64(28);
+    let entry = |rng: &mut StdRng| match rng.gen_range(0..6) {
+        0 => Complex64::new(0.0, 0.0),
+        1 => Complex64::new(-0.0, -0.0),
+        _ => value_of_kind(rng, 4),
+    };
+    for case in 0..12 {
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for row in hop.iter_mut().flatten() {
+            for _ in 0..rng.gen_range(0..=2) {
+                row[rng.gen_range(0..4usize)] = entry(&mut rng);
+            }
+        }
+        // No extent 2: a periodic one merges entries, and is stored plain.
+        let mut extent = |at_least: usize| [1, 3, 4, 5][rng.gen_range(at_least..4)];
+        let (nx, ny, nz) = (extent(0), extent(1), extent(0));
+        let levels = [0; 8].map(|_| entry(&mut rng));
+        let onsite: Vec<_> = (0..nx * ny * nz)
+            .map(|_| [0; 4].map(|_| levels[rng.gen_range(0..8usize)]))
+            .collect();
+        let periodic = [0, 1, 2].map(|_| rng.gen_range(0..2) == 1);
+        let coded = StencilMatrix::new(nx, ny, nz, periodic, onsite, &hop).to_crs();
+        assert!(coded.site_blocks().is_some(), "case {case}: coded");
+        let plain = stored_plain(&coded);
+        let n = coded.nrows();
+        let mut v = BlockVector::random(n, 1, &mut rng);
+        let mut w0 = BlockVector::random(n, 1, &mut rng);
+        sprinkle_signed_zeros(&mut v);
+        sprinkle_signed_zeros(&mut w0);
+        let cut = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+        let want = width_one_bits(&plain, &v, &w0, cut);
+        for &body in &bodies {
+            simd::set_cap(body);
+            assert!(
+                width_one_bits(&coded, &v, &w0, cut) == want,
+                "case {case}, {nx}x{ny}x{nz} {periodic:?}: {body:?} body"
+            );
+        }
+    }
+    simd::set_cap(simd::Body::Avx512);
 }
 
 /// `(η_even, η_odd)` per block column.
@@ -487,17 +674,8 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
     use kpm_repro::sparse::{aug::AugDotsBlock, simd};
     use rand::SeedableRng;
 
-    // The only test of this file that moves the process-wide cap (the
-    // others run whichever copy is selected when they call).
-    let (bodies, missing): (Vec<simd::Body>, Vec<simd::Body>) =
-        simd::Body::ALL.iter().partition(|b| b.supported());
-    for body in missing {
-        println!(
-            "crs_panel_sweep: this CPU does not execute the {} body — its comparison \
-             with the reference DOES NOT RUN",
-            body.name()
-        );
-    }
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("crs_panel_sweep");
     let pools: Vec<rayon::ThreadPool> = [1usize, 2, 4, 8]
         .iter()
         .map(|&t| {
@@ -905,38 +1083,32 @@ proptest! {
     ) {
         // Whatever the lattice, the width-1 walk of a coded CRS over its
         // site blocks leaves the bits the entry chain leaves on the same
-        // arrays stored plain: whole, and as a row block that may start
-        // and end inside a site.
+        // arrays stored plain, under every sweep body (each has its own
+        // lane gather): whole, and as a row block that may start and end
+        // inside a site.
+        use kpm_repro::sparse::simd;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let coded = ham.assemble();
         prop_assume!(coded.site_blocks().is_some());
         let n = coded.nrows();
         prop_assume!(cut.0 < n - cut.1);
-        let vals = (0..n).flat_map(|r| coded.row_vals(r)).copied().collect();
-        let cols = (0..n).flat_map(|r| coded.row_cols(r)).copied().collect();
-        let plain = CrsMatrix::from_raw(n, n, coded.row_ptr().to_vec(), cols, vals);
+        let plain = stored_plain(&coded);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut v = BlockVector::random(n, 1, &mut rng);
         let mut w0 = BlockVector::random(n, 1, &mut rng);
         sprinkle_signed_zeros(&mut v);
         sprinkle_signed_zeros(&mut w0);
-        let dot_bits = |d: kpm_repro::sparse::aug::AugDots| {
-            [d.eta_even.to_bits(), d.eta_odd.re.to_bits(), d.eta_odd.im.to_bits()]
-        };
-        let sweep = |m: &CrsMatrix| {
-            let (vs, mut y) = (v.panel_slots(), w0.panel_slots().to_vec());
-            m.spmv(vs, &mut y);
-            let mut w = w0.panel_slots().to_vec();
-            let serial = dot_bits(m.aug_spmv(0.7, -0.2, vs, &mut w));
-            let mut w_par = w0.panel_slots().to_vec();
-            let chunked = dot_bits(m.aug_spmv_par(0.7, -0.2, vs, &mut w_par));
-            let rows = m.row_block(cut.0, n - cut.1);
-            let mut w_rect = w0.clone();
-            let rect = rows.aug_spmmv_rect(0.7, -0.2, &v, &mut w_rect);
-            let bits = |z: &[Complex64]| block_bits(&BlockVector::from_columns(&[Vector::from_vec(z.to_vec())]));
-            (bits(&y), bits(&w), serial, bits(&w_par), chunked, block_bits(&w_rect), dot_bits(rect.into()))
-        };
-        prop_assert!(sweep(&coded) == sweep(&plain), "{:?}", ham.lattice);
+        let want = width_one_bits(&plain, &v, &w0, cut);
+        let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+        let bodies = runnable_bodies("site_walk_bitwise_equals_the_entry_chain");
+        let got: Vec<_> = bodies.iter().map(|&body| {
+            simd::set_cap(body);
+            (body, width_one_bits(&coded, &v, &w0, cut))
+        }).collect();
+        simd::set_cap(simd::Body::Avx512);
+        for (body, got) in got {
+            prop_assert!(got == want, "{:?}: {:?} body", ham.lattice, body);
+        }
     }
 }
