@@ -2,10 +2,12 @@
 # Tier-1 verification gate (referenced from ROADMAP.md).
 #
 # Runs the canonical build/test/lint line, a formatting check, the
-# byte-for-byte CLI comparisons (stencil vs CRS, sweep bodies, coded vs
-# plain values), and a short smoke run of the instrumented `kpm report`
-# roofline table on a small topological-insulator lattice (budget:
-# ~10 s).
+# paper's numbers through `report_all` (budget: ~15 s with its release
+# build warm; it exits 1 when a reproduced number leaves the paper's
+# tolerance), the byte-for-byte CLI comparisons (stencil vs CRS, sweep
+# bodies, coded vs plain values), and a short smoke run of the
+# instrumented `kpm report` roofline table on a small
+# topological-insulator lattice (budget: ~10 s).
 #
 # Every stage runs through `step`, which times it; the footer prints a
 # per-step timing table, and any failure names the step it died in.
@@ -85,6 +87,12 @@ if cargo fmt --version >/dev/null 2>&1; then
 else
     echo "rustfmt unavailable; skipping format check"
 fi
+
+step "paper numbers (report_all)"
+# One line per reproduced number of the paper's evaluation, checked
+# against the paper's value with a tolerance from the paper's wording;
+# a miss exits 1 and names its line.
+cargo run --release --offline -q -p kpm-bench --bin report_all
 
 step "determinism: bitwise moments across formats and thread counts"
 # CRS and matrix-free stencil runs must agree bit for bit at every

