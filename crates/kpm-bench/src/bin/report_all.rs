@@ -15,7 +15,10 @@ use kpm_bench::Claim::*;
 use kpm_bench::{sig, Check};
 use kpm_core::{ldos::site_ldos, Kernel};
 use kpm_hetsim::cluster::{ClusterModel, ScalingPoint};
-use kpm_hetsim::node::{node_performance, Stage};
+use kpm_hetsim::node::{
+    node_performance, Stage, CPU_NAIVE_EFFICIENCY, GPU_NAIVE_EFFICIENCY, GPU_STAGE1_EFFICIENCY,
+    PCIE_BW_GBS,
+};
 use kpm_perfmodel::balance::{asymptotic_balance, min_code_balance};
 use kpm_perfmodel::machine::{CATALOG, IVB, SNB};
 use kpm_perfmodel::omega::{llc_config, measure_omega};
@@ -193,6 +196,11 @@ fn print_inputs(cluster: &ClusterModel) {
         "net_bw_gbs / sync_per_hop_s\t{} / {}",
         cluster.net_bw_gbs, cluster.sync_per_hop_s
     );
+    println!(
+        "efficiency GPU naive / GPU stage 1 / CPU naive\t{GPU_NAIVE_EFFICIENCY} / \
+         {GPU_STAGE1_EFFICIENCY} / {CPU_NAIVE_EFFICIENCY}"
+    );
+    println!("PCIe staging GB/s\t{PCIE_BW_GBS}");
     println!("IVB single-core rate (Fig. 7) Gflop/s\t{IVB_CORE_GFLOPS}");
 }
 

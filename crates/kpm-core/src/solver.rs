@@ -15,7 +15,7 @@ use kpm_num::vector::{
     axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, random_entry, random_nrm2, scal, scal_par,
 };
 use kpm_num::{BlockVector, Complex64, KpmError, Vector};
-use kpm_obs::{metrics, span::span};
+use kpm_obs::{hist, metrics, span::span};
 use kpm_sparse::SparseKernels;
 use kpm_topo::ScaleFactors;
 use rand::rngs::StdRng;
@@ -718,7 +718,7 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
                 eta: eck.eta,
             };
             metrics::counter_inc("solver.ckpt.restores");
-            metrics::hist_record_ns(
+            hist::record(
                 "solver.ckpt.restore_ns",
                 restore_t0.elapsed().as_nanos() as u64,
             );
@@ -755,7 +755,7 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
                 eta: state.eta.clone(),
             })?;
             metrics::counter_inc("solver.ckpt.saves");
-            metrics::hist_record_ns("solver.ckpt.save_ns", save_t0.elapsed().as_nanos() as u64);
+            hist::record("solver.ckpt.save_ns", save_t0.elapsed().as_nanos() as u64);
         }
         if start_iter == 0 && ckpt.crash_at == Some(m) {
             return Err(KpmError::RankCrashed { rank: 0 });

@@ -20,7 +20,7 @@ use kpm_perfmodel::machine::{Machine, SNB};
 use kpm_simgpu::GpuDevice;
 use kpm_sparse::CrsMatrix;
 
-use crate::node::{node_performance, Stage};
+use crate::node::{node_performance, Stage, PCIE_BW_GBS};
 
 /// An `Nx × Ny × Nz` lattice domain (matrix dimension `4·Nx·Ny·Nz`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +88,6 @@ pub struct ClusterModel {
     pub gpu_share: f64,
     /// Per-tree-level global-reduction cost (s).
     pub sync_per_hop_s: f64,
-    /// Overlap communication with computation (the GPU-CPU-MPI pipeline
-    /// named as a "promising optimization" in paper Section VII).
-    pub pipelined: bool,
     /// Heterogeneous node performance per stage (Gflop/s), precomputed.
     node_stage1_gflops: f64,
     node_stage2_gflops: f64,
@@ -111,22 +108,12 @@ impl ClusterModel {
             omega,
             net_bw_gbs: 5.0,
             net_latency_s: 1.5e-6,
-            pcie_bw_gbs: 6.0,
+            pcie_bw_gbs: PCIE_BW_GBS,
             gpu_share: s2.gpu_gflops / (s2.gpu_gflops + s2.cpu_gflops),
             sync_per_hop_s: 2.0e-3,
-            pipelined: false,
             node_stage1_gflops: s1.het_gflops,
             node_stage2_gflops: s2.het_gflops,
         }
-    }
-
-    /// Enables the communication pipeline of the paper's outlook:
-    /// halo download/upload and network transfer proceed in chunks
-    /// concurrently with the local sweep, so only the non-overlappable
-    /// remainder is exposed.
-    pub fn with_pipelining(mut self) -> Self {
-        self.pipelined = true;
-        self
     }
 
     /// Heterogeneous per-node rate of a stage, compute + PCIe only.
@@ -198,15 +185,7 @@ impl ClusterModel {
         } else {
             0.0
         };
-        if self.pipelined {
-            // Overlapped transfers: communication hides behind compute
-            // except for a small non-overlappable startup chunk.
-            let t_comm = t_net + t_pcie;
-            let exposed = (t_comm - t_comp).max(0.05 * t_comm);
-            Ok(t_comp + exposed + t_reduce)
-        } else {
-            Ok(t_comp + t_net + t_pcie + t_reduce)
-        }
+        Ok(t_comp + t_net + t_pcie + t_reduce)
     }
 
     /// Cost of one global reduction over `nodes` nodes (2 ranks each).
@@ -483,42 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_improves_throughput() {
-        // The outlook optimization: overlapped communication lifts both
-        // the weak-scaling plateau and the strong-scaling tail.
-        let bench = TopoHamiltonian::clean(32, 16, 8).assemble();
-        let plain = ClusterModel::piz_daint(&bench, 32);
-        let piped = ClusterModel::piz_daint(&bench, 32).with_pipelining();
-        let d = Domain {
-            nx: 6400,
-            ny: 6400,
-            nz: 40,
-        };
-        let t_plain = plain
-            .sustained_tflops(d, 32, 32, Stage::Stage2, false)
-            .expect("optimized stage");
-        let t_piped = piped
-            .sustained_tflops(d, 32, 32, Stage::Stage2, false)
-            .expect("optimized stage");
-        assert!(t_piped > t_plain, "{t_piped} vs {t_plain}");
-        // Strong-scaling tail benefits more (comm-dominated).
-        let small = Domain {
-            nx: 400,
-            ny: 400,
-            nz: 40,
-        };
-        let s_plain = plain
-            .strong_scaling(small, &[4, 256])
-            .expect("optimized stage");
-        let s_piped = piped
-            .strong_scaling(small, &[4, 256])
-            .expect("optimized stage");
-        let gain_small = s_piped[1].tflops / s_plain[1].tflops;
-        let gain_big = t_piped / t_plain;
-        assert!(gain_small >= gain_big, "{gain_small} vs {gain_big}");
-    }
-
-    #[test]
     fn naive_stage_is_a_typed_error_not_a_panic() {
         let m = model();
         let d = Domain {
@@ -546,6 +489,16 @@ mod tests {
         assert_eq!(near_square_grid(16), (4, 4));
         assert_eq!(near_square_grid(12), (3, 4));
         assert_eq!(near_square_grid(7), (1, 7));
+    }
+
+    #[test]
+    fn domain_row_accounting() {
+        let d = Domain {
+            nx: 400,
+            ny: 100,
+            nz: 40,
+        };
+        assert_eq!(d.rows(), 6_400_000);
     }
 
     #[test]

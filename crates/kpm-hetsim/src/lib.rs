@@ -23,14 +23,10 @@
 //!     CPU, GPU and CPU+GPU execution (paper Fig. 11),
 //!   - [`cluster`] — weak/strong scaling on the modelled Cray XC30
 //!     (paper Fig. 12) and the resource-efficiency comparison of
-//!     blocking vs throughput mode (paper Table III),
-//!   - [`autotune`] — automatic load-balancing weights, the paper's
-//!     Section VII outlook item, including iterative refinement from
-//!     observed sweep times.
+//!     blocking vs throughput mode (paper Table III).
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod cluster;
 pub mod decomp;
 pub mod dist;

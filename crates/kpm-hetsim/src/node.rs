@@ -42,22 +42,23 @@ fn stage_balance(stage: Stage, nnzr: f64, r: usize) -> f64 {
     }
 }
 
-/// Empirical GPU efficiency factors for the pre-blocking stages: the
-/// naive chain pays kernel-launch and separate-reduction overheads; the
-/// single-vector augmented kernel is latency-limited by its fused dot
-/// products at degenerate warp occupancy. Calibrated against the
-/// paper's measured GPU-only speedup of 2.3x from naive to stage 2.
-const GPU_NAIVE_EFFICIENCY: f64 = 0.70;
-const GPU_STAGE1_EFFICIENCY: f64 = 0.50;
+/// Empirical GPU efficiency of the naive chain, which pays kernel-launch
+/// and separate-reduction overheads. Calibrated against the paper's
+/// measured GPU-only speedup of 2.3x from naive to stage 2.
+pub const GPU_NAIVE_EFFICIENCY: f64 = 0.70;
+/// Empirical GPU efficiency of the single-vector augmented kernel,
+/// latency-limited by its fused dot products at degenerate warp
+/// occupancy.
+pub const GPU_STAGE1_EFFICIENCY: f64 = 0.50;
 
 /// The naive CPU chain of separate BLAS-1 kernels loses ~30% to loop
 /// overheads and synchronization between kernels relative to its pure
 /// bandwidth roofline (calibrated so the paper's "more than a factor of
 /// 10" total node speedup holds).
-const CPU_NAIVE_EFFICIENCY: f64 = 0.70;
+pub const CPU_NAIVE_EFFICIENCY: f64 = 0.70;
 
 /// PCIe bandwidth available for halo staging (page-locked memory, GB/s).
-const PCIE_BW_GBS: f64 = 6.0;
+pub const PCIE_BW_GBS: f64 = 6.0;
 
 /// Performance of one *CPU socket* at `stage`, using `cores` of its
 /// cores (paper: the full socket when CPU-only, cores-1 when a GPU

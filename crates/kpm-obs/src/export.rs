@@ -7,12 +7,19 @@
 //! {"type":"meta","schema":"kpm-obs-v1","epoch_unix_us":...,"snapshot_us":...}
 //! {"type":"counter","name":"runtime.msg.sent","value":42}
 //! {"type":"gauge","name":"runtime.stash.peak","value":3}
-//! {"type":"histogram","name":"solver.ckpt.save_ns","count":..,"sum":..,
-//!  "min":..,"max":..,"mean":..,"p50":..,"buckets":[[upper,count],...]}
+//! {"type":"exact_histogram","name":"solver.ckpt.save_ns","scope":"total",
+//!  "count":..,"sum":..,"min":..,"max":..,"mean":..,
+//!  "p50":..,"p90":..,"p99":..,"p999":..}
+//! {"type":"slo","route":"dos","threshold_ns":..,"goal":..,"events":..,
+//!  "breaches":..,"burn_rate":..,"window_events":..,"window_breaches":..,
+//!  "window_burn_rate":..}
 //! {"type":"kernel","kernel":"aug_spmmv","calls":..,"seconds":..,
 //!  "flops":..,"min_bytes":..,"gflops":..,"min_bf":..,
 //!  "rows":..,"nnz":..,"width":..}
 //! ```
+//!
+//! Each exact histogram writes a `"total"` line and, while its sliding
+//! window holds samples, a `"window"` line.
 //!
 //! The trace export is a single JSON object with `traceEvents`:
 //! `ph:"M"` thread-name metadata followed by `ph:"X"` complete events
@@ -47,30 +54,6 @@ pub fn write_metrics_jsonl<W: Write>(mut w: W) -> io::Result<()> {
                 escape(&name),
                 num(v)
             )?,
-            Metric::Histogram(h) => {
-                let mut buckets = String::new();
-                for (i, &c) in h.buckets.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    if !buckets.is_empty() {
-                        buckets.push(',');
-                    }
-                    let _ = write!(buckets, "[{},{c}]", 1u64 << i);
-                }
-                writeln!(
-                    w,
-                    "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\
-                     \"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"buckets\":[{buckets}]}}",
-                    escape(&name),
-                    h.count,
-                    num(h.sum),
-                    num(h.min),
-                    num(h.max),
-                    num(h.mean()),
-                    num(h.quantile_upper(0.5)),
-                )?;
-            }
         }
     }
     for (name, win) in hist::snapshot() {
@@ -287,7 +270,7 @@ mod tests {
         let _on = crate::EnabledGuard::new();
         metrics::counter_add("test.count", 5);
         metrics::gauge_set("test.level", 2.5);
-        metrics::hist_record("test.lat", 300.0);
+        hist::record("test.lat", 300);
         {
             let (kind, format) = (probe::KernelKind::AugSpmv, probe::ProbeFormat::Crs);
             let _t = probe::kernel_timer(kind, format, 10, 40, 1, || (660, 1280));

@@ -1,20 +1,20 @@
 //! Log-linear (HDR-style) histograms with bounded relative error and
-//! exact counts, plus a sliding-window aggregator and a named registry.
+//! exact counts, plus the sliding window and a named registry.
 //!
-//! The legacy [`crate::metrics`] histogram uses power-of-two buckets, so
-//! its quantiles are only exact to a factor of two — useless for SLO
-//! work where p99 and p999 must be resolved within a few percent. This
-//! module stores one linear region (`[0, 2^SUB_BITS)`, exact) plus
+//! A histogram stores one linear region (`[0, 2^SUB_BITS)`, exact) plus
 //! [`1 << SUB_BITS`] sub-buckets per octave above it, so every bucket
-//! spans at most `1/2^SUB_BITS` of its lower bound. Reported quantile
-//! values are bucket midpoints, bounding the relative error by
+//! spans at most `1/2^SUB_BITS` of its lower bound and p99 / p999 are
+//! resolved within a few percent. Reported quantile values are bucket
+//! midpoints, bounding the relative error by
 //! [`ExactHist::MAX_RELATIVE_ERROR`] (~1.6%) against a sorted-vector
 //! oracle using the same nearest-rank definition.
 //!
-//! [`Windowed`] composes a cumulative histogram with a ring of interval
-//! histograms; [`Windowed::advance`] retires the oldest interval, so
-//! expiry is driven explicitly (tests) or by elapsed wall time (the
-//! registry), never by hidden clock reads inside the data structure.
+//! `Ring` is the one sliding window of the crate: [`WINDOW_SLOTS`]
+//! interval accumulators, of which an advance retires the oldest.
+//! [`Windowed`] keeps a ring of histograms next to a cumulative one, and
+//! [`crate::slo`] a ring of (events, breaches) counts. Expiry is driven
+//! explicitly ([`Windowed::advance`], in tests) or by elapsed wall time
+//! when the registry records or snapshots, never by a clock thread.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -177,16 +177,6 @@ impl ExactHist {
             self.value_at_quantile(0.999),
         )
     }
-
-    /// Non-empty `(lower_bound, count)` bucket pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (bucket_lower(i), c))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for ExactHist {
@@ -199,46 +189,87 @@ impl std::fmt::Debug for ExactHist {
     }
 }
 
-/// A cumulative histogram plus a ring of [`WINDOW_SLOTS`] interval
-/// histograms forming a sliding window.
+/// A ring of [`WINDOW_SLOTS`] interval accumulators, each
+/// [`SLOT_WIDTH_US`] of wall time wide: the sliding window.
 #[derive(Clone)]
-pub struct Windowed {
-    total: ExactHist,
-    slots: Vec<ExactHist>,
+pub(crate) struct Ring<T> {
+    slots: Vec<T>,
     cur: usize,
-    advances: u64,
+    slot_started: Instant,
 }
 
-impl Default for Windowed {
+impl<T: Clone + Default> Default for Ring<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
+impl<T: Clone + Default> Ring<T> {
+    /// An empty ring whose current slot starts now.
+    pub(crate) fn new() -> Self {
+        Ring {
+            slots: vec![T::default(); WINDOW_SLOTS],
+            cur: 0,
+            slot_started: Instant::now(),
+        }
+    }
+
+    /// The slot that takes samples now.
+    pub(crate) fn current(&mut self) -> &mut T {
+        &mut self.slots[self.cur]
+    }
+
+    /// Every live slot, oldest and newest alike.
+    pub(crate) fn slots(&self) -> &[T] {
+        &self.slots
+    }
+
+    /// Rotates to the next slot, discarding what it held
+    /// [`WINDOW_SLOTS`] advances ago.
+    pub(crate) fn advance(&mut self) {
+        self.cur = (self.cur + 1) % WINDOW_SLOTS;
+        self.slots[self.cur] = T::default();
+    }
+
+    /// Advances once per [`SLOT_WIDTH_US`] elapsed since the current
+    /// slot started (bounded by a full window, after which the window is
+    /// empty regardless of further elapse).
+    pub(crate) fn rotate_for_elapsed(&mut self) {
+        let mut elapsed_us = self.slot_started.elapsed().as_micros() as u64;
+        let mut turns = 0;
+        while elapsed_us >= SLOT_WIDTH_US && turns <= WINDOW_SLOTS {
+            self.advance();
+            elapsed_us -= SLOT_WIDTH_US;
+            turns += 1;
+            self.slot_started = Instant::now();
+        }
+    }
+}
+
+/// A cumulative histogram plus a [`Ring`] of interval histograms.
+#[derive(Clone, Default)]
+pub struct Windowed {
+    total: ExactHist,
+    window: Ring<ExactHist>,
+}
+
 impl Windowed {
     /// An empty windowed histogram.
     pub fn new() -> Self {
-        Windowed {
-            total: ExactHist::new(),
-            slots: vec![ExactHist::new(); WINDOW_SLOTS],
-            cur: 0,
-            advances: 0,
-        }
+        Self::default()
     }
 
     /// Records a sample into the cumulative histogram and the current
     /// window slot.
     pub fn record(&mut self, v: u64) {
         self.total.record(v);
-        self.slots[self.cur].record(v);
+        self.window.current().record(v);
     }
 
     /// Rotates to the next window slot, discarding the samples that
     /// slot held [`WINDOW_SLOTS`] advances ago.
     pub fn advance(&mut self) {
-        self.cur = (self.cur + 1) % WINDOW_SLOTS;
-        self.slots[self.cur] = ExactHist::new();
-        self.advances += 1;
+        self.window.advance();
     }
 
     /// The cumulative (never-expiring) histogram.
@@ -249,40 +280,15 @@ impl Windowed {
     /// The merged view of every live window slot.
     pub fn window(&self) -> ExactHist {
         let mut merged = ExactHist::new();
-        for s in &self.slots {
+        for s in self.window.slots() {
             merged.merge(s);
         }
         merged
     }
-
-    /// Number of slot rotations performed so far.
-    pub fn advances(&self) -> u64 {
-        self.advances
-    }
 }
 
-struct TimedWindow {
-    hist: Windowed,
-    slot_started: Instant,
-}
-
-impl TimedWindow {
-    /// Rotates slots for elapsed wall time (bounded by a full window,
-    /// after which the window is empty regardless of further elapse).
-    fn rotate_for_elapsed(&mut self) {
-        let mut elapsed_us = self.slot_started.elapsed().as_micros() as u64;
-        let mut turns = 0;
-        while elapsed_us >= SLOT_WIDTH_US && turns <= WINDOW_SLOTS {
-            self.hist.advance();
-            elapsed_us -= SLOT_WIDTH_US;
-            turns += 1;
-            self.slot_started = Instant::now();
-        }
-    }
-}
-
-fn registry() -> &'static Mutex<BTreeMap<String, TimedWindow>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, TimedWindow>>> = OnceLock::new();
+fn registry() -> &'static Mutex<BTreeMap<String, Windowed>> {
+    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Windowed>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -293,12 +299,9 @@ pub fn record(name: &str, value: u64) {
         return;
     }
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let entry = reg.entry(name.to_string()).or_insert_with(|| TimedWindow {
-        hist: Windowed::new(),
-        slot_started: Instant::now(),
-    });
-    entry.rotate_for_elapsed();
-    entry.hist.record(value);
+    let entry = reg.entry(name.to_string()).or_default();
+    entry.window.rotate_for_elapsed();
+    entry.record(value);
 }
 
 /// A copy of every named histogram (cumulative + live window), sorted
@@ -306,9 +309,9 @@ pub fn record(name: &str, value: u64) {
 pub fn snapshot() -> Vec<(String, Windowed)> {
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     reg.iter_mut()
-        .map(|(name, tw)| {
-            tw.rotate_for_elapsed();
-            (name.clone(), tw.hist.clone())
+        .map(|(name, w)| {
+            w.window.rotate_for_elapsed();
+            (name.clone(), w.clone())
         })
         .collect()
 }
@@ -316,7 +319,7 @@ pub fn snapshot() -> Vec<(String, Windowed)> {
 /// The named cumulative histogram, if present.
 pub fn get(name: &str) -> Option<ExactHist> {
     let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.get(name).map(|tw| tw.hist.total().clone())
+    reg.get(name).map(|w| w.total().clone())
 }
 
 /// Clears the registry.

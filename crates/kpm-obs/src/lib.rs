@@ -2,21 +2,31 @@
 //!
 //! The paper's methodology is a *measurement discipline*: achieved
 //! bandwidth, code balance, and the excess-traffic factor Ω (Eq. 8)
-//! are continuously compared against the roofline/ECM model to locate
-//! the bottleneck. `kpm-perfmodel` predicts; this crate measures live
-//! runs so the two can be juxtaposed (`kpm report`).
+//! are continuously compared against the roofline model to locate the
+//! bottleneck. `kpm-perfmodel` predicts; this crate measures live runs
+//! so the two can be juxtaposed (`kpm report`).
 //!
-//! Three facilities, all behind one global switch:
+//! Its facilities, all behind one global switch:
 //!
 //! * [`span`](mod@span) — hierarchical spans with monotonic timing and a
 //!   thread-safe registry, exportable as Chrome trace events.
-//! * [`metrics`] — typed counters / gauges / histograms keyed by name
-//!   (message counts, retry/backoff events, stash depth, checkpoint
-//!   write/restore latency, bytes moved).
+//! * [`metrics`] — typed counters and gauges keyed by name (message
+//!   counts, retry/backoff events, stash depth, bytes moved).
+//! * [`hist`] — the one histogram type: log-linear, exact counts,
+//!   bounded-error quantiles, each with a sliding window (checkpoint
+//!   write/restore latency, service queue wait, solve and reply
+//!   latency).
+//! * [`slo`] — per-route latency objectives and their burn rates, over
+//!   the same sliding window.
 //! * [`probe`] — fixed-slot per-kernel performance probes (`spmv`,
 //!   `aug_spmv`, `aug_spmmv`) accumulating elapsed time, modeled flops
 //!   and minimum data volume, from which achieved GF/s and effective
 //!   B/F are derived.
+//! * [`clock`] and [`recorder`] — a Lamport clock for cross-thread
+//!   ordering and a flight recorder dumped on a crash or a missed
+//!   deadline.
+//! * [`export`] — the JSONL metrics snapshot and the Chrome trace,
+//!   written and parsed with [`json`].
 //!
 //! # Overhead discipline
 //!

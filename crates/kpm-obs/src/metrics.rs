@@ -1,5 +1,6 @@
-//! Typed metrics: counters, gauges, and log2-bucketed histograms, keyed
-//! by a dotted name (`runtime.msg.sent`, `solver.ckpt.save_ns`, ...).
+//! Typed metrics: counters and gauges, keyed by a dotted name
+//! (`runtime.msg.sent`, `svc.queue_depth`, ...). Distributions go to
+//! [`crate::hist`].
 //!
 //! All mutation goes through free functions that first check
 //! [`crate::enabled`]; when instrumentation is off they return without
@@ -12,77 +13,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Number of power-of-two histogram buckets: bucket `i` counts values
-/// `v` with `2^(i-1) < v <= 2^i` (bucket 0 holds `v <= 1`). 2^43 ns is
-/// about 2.4 hours — far beyond any latency this repo records.
-pub const HIST_BUCKETS: usize = 44;
-
-/// A latency/size distribution with log2 buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Hist {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: f64,
-    /// Smallest recorded value.
-    pub min: f64,
-    /// Largest recorded value.
-    pub max: f64,
-    /// Log2 buckets; see [`HIST_BUCKETS`].
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Hist {
-    fn new() -> Self {
-        Hist {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        let idx = if v <= 1.0 {
-            0
-        } else {
-            (v.log2().ceil() as usize).min(HIST_BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
-    }
-
-    /// Arithmetic mean of the recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (0..=1); a
-    /// coarse estimate, exact to within one power of two.
-    pub fn quantile_upper(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return (1u64 << i) as f64;
-            }
-        }
-        self.max
-    }
-}
-
 /// One registered metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
@@ -90,9 +20,6 @@ pub enum Metric {
     Counter(u64),
     /// Last-set (or max-tracked) level.
     Gauge(f64),
-    /// Distribution of recorded values (boxed: the bucket array is
-    /// large relative to the other variants).
-    Histogram(Box<Hist>),
 }
 
 fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
@@ -157,28 +84,6 @@ pub fn gauge_max(name: &str, value: f64) {
     }
 }
 
-/// Records `value` into the histogram `name`.
-pub fn hist_record(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Box::new(Hist::new())))
-    {
-        Metric::Histogram(h) => h.record(value),
-        // kpm::allow(panic_path): metric-kind confusion is a programmer error (one name,
-        // two kinds) caught by the first test that records it, not a data-dependent path.
-        other => panic!("metric '{name}' is not a histogram: {other:?}"),
-    }
-}
-
-/// Records a duration (in nanoseconds) into the histogram `name`.
-pub fn hist_record_ns(name: &str, ns: u64) {
-    hist_record(name, ns as f64);
-}
-
 /// The current value of counter `name` (0 if absent or another type).
 /// Readable regardless of the enabled flag, so tests can assert after
 /// disabling.
@@ -225,12 +130,11 @@ mod tests {
         crate::reset();
         counter_inc("x");
         gauge_set("y", 1.0);
-        hist_record("z", 2.0);
         assert!(snapshot().is_empty());
     }
 
     #[test]
-    fn counters_gauges_histograms_accumulate() {
+    fn counters_and_gauges_accumulate() {
         let _g = serial();
         crate::reset();
         let _on = crate::EnabledGuard::new();
@@ -238,34 +142,7 @@ mod tests {
         counter_inc("c");
         gauge_max("g", 3.0);
         gauge_max("g", 1.0);
-        for v in [100.0, 200.0, 400.0] {
-            hist_record("h", v);
-        }
         assert_eq!(counter_value("c"), 3);
         assert_eq!(gauge_value("g"), Some(3.0));
-        let snap = snapshot();
-        let h = snap
-            .iter()
-            .find_map(|(k, m)| match (k.as_str(), m) {
-                ("h", Metric::Histogram(h)) => Some(h.clone()),
-                _ => None,
-            })
-            .expect("histogram registered");
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, 100.0);
-        assert_eq!(h.max, 400.0);
-        assert!((h.mean() - 233.333).abs() < 0.01 * 233.0);
-        assert!(h.quantile_upper(0.5) >= 128.0);
-    }
-
-    #[test]
-    fn histogram_bucket_edges() {
-        let mut h = Hist::new();
-        h.record(1.0); // bucket 0
-        h.record(2.0); // bucket 1 (2^0 < v <= 2^1)
-        h.record(3.0); // bucket 2
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 1);
     }
 }

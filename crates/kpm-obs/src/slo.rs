@@ -6,16 +6,15 @@
 //! fraction divided by the budgeted bad fraction `1 - goal`, so 1.0
 //! means the error budget is being consumed exactly as provisioned,
 //! above 1.0 it is burning too fast, and 0 means no breaches at all.
-//! Both a cumulative and a sliding-window rate are kept; the window
-//! shares the slot geometry of [`crate::hist`] so the `kpm serve`
+//! Both a cumulative and a sliding-window rate are kept, as exact
+//! counts; the window is the ring of [`crate::hist`], so the `kpm serve`
 //! ledger line can report a recent burn rate that recovers after an
 //! incident clears.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-use crate::hist::{SLOT_WIDTH_US, WINDOW_SLOTS};
+use crate::hist::Ring;
 
 /// A snapshot of one route's objective and its burn rates.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,23 +44,8 @@ struct State {
     goal: f64,
     events: u64,
     breaches: u64,
-    slots: Vec<(u64, u64)>,
-    cur: usize,
-    slot_started: Instant,
-}
-
-impl State {
-    fn rotate_for_elapsed(&mut self) {
-        let mut elapsed_us = self.slot_started.elapsed().as_micros() as u64;
-        let mut turns = 0;
-        while elapsed_us >= SLOT_WIDTH_US && turns <= WINDOW_SLOTS {
-            self.cur = (self.cur + 1) % WINDOW_SLOTS;
-            self.slots[self.cur] = (0, 0);
-            elapsed_us -= SLOT_WIDTH_US;
-            turns += 1;
-            self.slot_started = Instant::now();
-        }
-    }
+    /// (events, breaches) per window slot.
+    window: Ring<(u64, u64)>,
 }
 
 fn burn(events: u64, breaches: u64, goal: f64) -> f64 {
@@ -89,9 +73,7 @@ pub fn objective(route: &str, threshold_ns: u64, goal: f64) {
         goal,
         events: 0,
         breaches: 0,
-        slots: vec![(0, 0); WINDOW_SLOTS],
-        cur: 0,
-        slot_started: Instant::now(),
+        window: Ring::new(),
     });
     state.threshold_ns = threshold_ns;
     state.goal = goal.clamp(1e-9, 1.0 - 1e-9);
@@ -108,11 +90,11 @@ pub fn observe(route: &str, latency_ns: u64) {
     let Some(state) = reg.get_mut(route) else {
         return;
     };
-    state.rotate_for_elapsed();
+    state.window.rotate_for_elapsed();
     let bad = u64::from(latency_ns > state.threshold_ns);
     state.events += 1;
     state.breaches += bad;
-    let slot = &mut state.slots[state.cur];
+    let slot = state.window.current();
     slot.0 += 1;
     slot.1 += bad;
 }
@@ -122,9 +104,10 @@ pub fn snapshot() -> Vec<SloReport> {
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     reg.iter_mut()
         .map(|(route, s)| {
-            s.rotate_for_elapsed();
+            s.window.rotate_for_elapsed();
             let (we, wb) = s
-                .slots
+                .window
+                .slots()
                 .iter()
                 .fold((0, 0), |(e, b), &(se, sb)| (e + se, b + sb));
             SloReport {

@@ -26,7 +26,6 @@ fn recording_leaves_no_trace_under_noop() {
     kpm_obs::metrics::counter_inc("noop.counter");
     kpm_obs::metrics::gauge_set("noop.gauge", 1.5);
     kpm_obs::metrics::gauge_max("noop.gauge", 2.5);
-    kpm_obs::metrics::hist_record("noop.hist", 0.5);
     assert_eq!(kpm_obs::metrics::counter_value("noop.counter"), 0);
     assert_eq!(kpm_obs::metrics::gauge_value("noop.gauge"), None);
     assert!(kpm_obs::metrics::snapshot().is_empty());

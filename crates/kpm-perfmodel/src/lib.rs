@@ -1,7 +1,7 @@
 //! Performance models of the paper (Sections III and V).
 //!
 //! * [`machine`] — the architecture catalog of paper Table II (IVB, SNB,
-//!   K20m, K20X) plus the host machine used for live measurements,
+//!   K20m, K20X),
 //! * [`traffic`] — the minimum-traffic/flop accounting of paper Table I
 //!   and the solver traffic evolution of Eq. (4),
 //! * [`balance`] — code balance `B_min(R)` (Eqs. 5–7) and the measured
@@ -13,15 +13,12 @@
 //!   to *measure* data volumes per memory level (the role LIKWID and
 //!   nvprof play in the paper), producing the Ω factor,
 //! * [`omega`] — drives the cache simulator over the real access stream
-//!   of the augmented SpM(M)V kernels on a given sparse matrix,
-//! * [`ecm`] — the multi-level generalization of the roofline (paper
-//!   ref. [5]): one bandwidth bound per cache level.
+//!   of the augmented SpM(M)V kernels on a given sparse matrix.
 
 #![warn(missing_docs)]
 
 pub mod balance;
 pub mod cachesim;
-pub mod ecm;
 pub mod machine;
 pub mod omega;
 pub mod roofline;

@@ -103,24 +103,6 @@ pub const K20X: Machine = Machine {
     llc_ceiling_gflops: 330.0,
 };
 
-/// Intel Xeon Phi 5110P ("KNC") — not part of Table II, but paper
-/// Section VII notes "the Intel Xeon Phi coprocessor is already
-/// supported in our software"; this entry lets the roofline machinery
-/// answer what the model predicts for it. 60 cores at 1053 MHz with
-/// 512-bit SIMD, ~150 GB/s attainable stream bandwidth, 30 MiB of
-/// distributed L2 acting as the LLC.
-pub const PHI: Machine = Machine {
-    name: "KNC",
-    kind: DeviceKind::Cpu,
-    clock_mhz: 1053.0,
-    simd_bytes: 64,
-    cores: 60,
-    mem_bw_gbs: 150.0,
-    llc_mib: 30.0,
-    peak_gflops: 1010.9,
-    llc_ceiling_gflops: 170.0,
-};
-
 /// All four catalog machines in the paper's Table II order.
 pub const CATALOG: [Machine; 4] = [IVB, SNB, K20M, K20X];
 
@@ -214,20 +196,5 @@ mod tests {
     #[should_panic(expected = "core count out of range")]
     fn too_many_cores_panics() {
         IVB.peak_of_cores(11);
-    }
-
-    #[test]
-    fn phi_outlook_entry_is_consistent() {
-        // 60 cores x 1.053 GHz x 16 DP flops/cycle (512-bit FMA).
-        assert!((PHI.clock_mhz / 1000.0 * PHI.cores as f64 * 16.0 - PHI.peak_gflops).abs() < 1.0);
-        // Phi is NOT in the Table II catalog.
-        assert!(CATALOG.iter().all(|m| m.name != PHI.name));
-        // The model's prediction for the paper's open question: at
-        // R = 32 the blocked kernel on KNC would be LLC-bound around
-        // its calibrated ceiling, not memory-bound.
-        use crate::balance::min_code_balance;
-        use crate::roofline::memory_bound;
-        let b32 = min_code_balance(13.0, 32);
-        assert!(memory_bound(&PHI, b32) > PHI.llc_ceiling_gflops);
     }
 }

@@ -331,10 +331,6 @@ impl ServiceInner {
         if matches!(outcome, Outcome::Failed(_)) {
             metrics::counter_inc("svc.failed");
         }
-        metrics::hist_record_ns(
-            "svc.latency_ns",
-            pending.enqueued_at.elapsed().as_nanos() as u64,
-        );
         if pending.trace != 0 {
             let trace = pending.trace;
             let route = pending.req.kind.route();
@@ -1007,7 +1003,6 @@ fn form_batch(inner: &Arc<ServiceInner>, group: Vec<Pending>) -> Option<BatchJob
     for p in group {
         let req = p.req;
         let queue_wait = now.saturating_duration_since(p.enqueued_at);
-        metrics::hist_record_ns("svc.queue.wait_ns", queue_wait.as_nanos() as u64);
         obs_hist::record("svc.queue.wait_ns", queue_wait.as_nanos() as u64);
 
         if now >= p.deadline_at {
@@ -1222,7 +1217,6 @@ fn process_batch(
     );
     let solve = t0.elapsed();
     let solve_end_us = stage_now();
-    metrics::hist_record_ns("svc.solve_ns", solve.as_nanos() as u64);
     obs_hist::record("svc.solve_ns", solve.as_nanos() as u64);
 
     if job.done.swap(true, Ordering::AcqRel) {

@@ -371,6 +371,13 @@ echo "$traced_out" | grep -q '"slo": '
 stats_out=$(./target/release/kpm stats target/verify-metrics.jsonl)
 echo "$stats_out" | grep -q '^kpm_svc_latency_ns{scope="total",quantile="0.99"}'
 echo "$stats_out" | grep -q '^kpm_slo_burn_rate{route="dos"}'
+# One `# TYPE` per family, and the service latency is a summary.
+dup_types=$(echo "$stats_out" | grep '^# TYPE' | awk '{print $3}' | sort | uniq -d)
+if [ -n "$dup_types" ]; then
+    echo "kpm stats types a family twice: $dup_types" >&2
+    exit 1
+fi
+echo "$stats_out" | grep -q '^# TYPE kpm_svc_latency_ns summary'
 report_out=$(./target/release/kpm trace-report target/verify-trace.json --machine IVB)
 echo "$report_out"
 echo "$report_out" | grep -q 'attribution: queue'

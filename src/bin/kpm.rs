@@ -1110,48 +1110,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 let _ = writeln!(
                     out,
                     "{}{p} {}",
-                    type_line(
-                        &p,
-                        if kind == "counter" {
-                            "counter"
-                        } else {
-                            "gauge"
-                        }
-                    ),
+                    type_line(&p, kind),
                     fmt(num_of(&v, "value").unwrap_or(0.0)),
                 );
-            }
-            "histogram" => {
-                // Power-of-two bucket histogram -> native Prometheus
-                // histogram with cumulative `le` buckets.
-                let p = prom_name(name);
-                let _ = write!(out, "{}", type_line(&p, "histogram"));
-                let mut cumulative = 0.0;
-                if let Some(buckets) = v.get("buckets").and_then(obs::json::Value::as_arr) {
-                    for b in buckets {
-                        let (Some(upper), Some(count)) = (
-                            b.as_arr()
-                                .and_then(|a| a.first())
-                                .and_then(obs::json::Value::as_f64),
-                            b.as_arr()
-                                .and_then(|a| a.get(1))
-                                .and_then(obs::json::Value::as_f64),
-                        ) else {
-                            continue;
-                        };
-                        cumulative += count;
-                        let _ = writeln!(
-                            out,
-                            "{p}_bucket{{le=\"{}\"}} {}",
-                            fmt(upper),
-                            fmt(cumulative)
-                        );
-                    }
-                }
-                let count = num_of(&v, "count").unwrap_or(0.0);
-                let _ = writeln!(out, "{p}_bucket{{le=\"+Inf\"}} {}", fmt(count));
-                let _ = writeln!(out, "{p}_sum {}", fmt(num_of(&v, "sum").unwrap_or(0.0)));
-                let _ = writeln!(out, "{p}_count {}", fmt(count));
             }
             "exact_histogram" => {
                 // Log-linear exact-percentile histogram -> Prometheus

@@ -60,26 +60,34 @@ fn moments_bitwise_identical_across_repeated_runs() {
 
 #[test]
 fn parallel_matches_serial_kernels_bitwise() {
-    // The parallel kernels run the same per-chunk arithmetic as their
-    // serial twins, and the cross-chunk reductions are pinned to the
-    // same fixed boundaries — so even `parallel: false` agrees exactly
-    // for the fused variants.
-    let h = TopoHamiltonian::clean(4, 4, 3).assemble();
-    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
-    for variant in [KpmVariant::AugSpmv, KpmVariant::AugSpmmv] {
-        let serial = kpm_moments(
-            &h,
-            sf,
-            &KpmParams {
-                parallel: false,
-                ..params(0)
-            },
-            variant,
-        )
-        .expect("serial run")
-        .into_vec();
-        let parallel = moments_at(4, variant);
-        assert_eq!(serial, parallel, "{variant:?} parallel != serial");
+    // The parallel kernels run the same per-row arithmetic as their
+    // serial twins, and the serial sweep is one range: while one
+    // reduction tile spans every row (512 rows up to R = 8, 128 at
+    // R = 32), even `parallel: false` agrees exactly for the fused
+    // variants. Besides R = 6, the blocked kernel runs at R = 12 (an 8-
+    // and a 4-wide panel) and at the paper's production width R = 32
+    // (four 8-wide panels), on a 128-row lattice.
+    let run = |(nx, ny, nz): (usize, usize, usize), r: usize, variant, parallel| {
+        let h = TopoHamiltonian::clean(nx, ny, nz).assemble();
+        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+        let p = KpmParams {
+            parallel,
+            num_random: r,
+            ..params(4)
+        };
+        kpm_moments(&h, sf, &p, variant)
+            .expect("solver run")
+            .into_vec()
+    };
+    for (lattice, r, variant) in [
+        ((4, 4, 3), 6, KpmVariant::AugSpmv),
+        ((4, 4, 3), 6, KpmVariant::AugSpmmv),
+        ((4, 4, 2), 12, KpmVariant::AugSpmmv),
+        ((4, 4, 2), 32, KpmVariant::AugSpmmv),
+    ] {
+        let serial = run(lattice, r, variant, false);
+        let parallel = run(lattice, r, variant, true);
+        assert_eq!(serial, parallel, "{variant:?} R = {r}: parallel != serial");
     }
 }
 

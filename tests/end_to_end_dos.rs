@@ -380,3 +380,72 @@ fn kpm_dos_reproduces_the_golden_outputs_of_the_parent_binary() {
         }
     }
 }
+
+/// `kpm serve --metrics-out` followed by `kpm stats` prints a well-formed
+/// Prometheus exposition: every family is typed once, the service
+/// latency is a `summary`, no family typed `histogram` carries a
+/// `quantile` sample, and no series (name and label set) repeats.
+#[test]
+fn kpm_stats_types_each_served_family_once() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let dir = std::env::temp_dir().join(format!("kpm-stats-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join("m.jsonl");
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_kpm"))
+        .args(["serve", "--nx", "4", "--ny", "4", "--nz", "2"])
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("kpm serve starts");
+    serve
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(b"dos 1 2 64\nldos 3 64\ngreen 2 1 32\n")
+        .expect("requests written");
+    let served = serve.wait_with_output().expect("kpm serve runs");
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    assert!(served.status.success(), "kpm serve: {stderr}");
+    let stats = Command::new(env!("CARGO_BIN_EXE_kpm"))
+        .arg("stats")
+        .arg(&metrics)
+        .output()
+        .expect("kpm stats runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(stats.status.success(), "kpm stats");
+    let text = String::from_utf8(stats.stdout).expect("utf-8 exposition");
+
+    let mut typed: Vec<(&str, &str)> = Vec::new();
+    let mut series: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("# TYPE name kind");
+            assert!(
+                typed.iter().all(|&(n, _)| n != name),
+                "{name} is typed twice"
+            );
+            typed.push((name, kind));
+            continue;
+        }
+        let (key, _value) = line.rsplit_once(' ').expect("sample: series value");
+        assert!(!series.contains(&key), "series {key} repeats");
+        series.push(key);
+        if key.contains("quantile=") {
+            let family = key.split('{').next().unwrap_or(key);
+            let kind = typed.iter().find(|&&(n, _)| n == family).map(|&(_, k)| k);
+            assert_ne!(kind, Some("histogram"), "{key} under a histogram type");
+        }
+    }
+    for name in [
+        "kpm_svc_latency_ns",
+        "kpm_svc_queue_wait_ns",
+        "kpm_svc_solve_ns",
+    ] {
+        let kind = typed.iter().find(|&&(n, _)| n == name).map(|&(_, k)| k);
+        assert_eq!(kind, Some("summary"), "{name}");
+    }
+}

@@ -308,7 +308,7 @@ fn jsonl_and_trace_exports_parse() {
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     kpm_moments(&h, sf, &params(16, 2), KpmVariant::AugSpmmv).unwrap();
     obs::metrics::counter_add("test.export.counter", 7);
-    obs::metrics::hist_record("test.export.hist", 250.0);
+    obs::hist::record("test.export.hist", 250);
     let jsonl = obs::export::metrics_jsonl_string();
     let trace = obs::export::chrome_trace_string();
     obs::set_enabled(false);
@@ -326,7 +326,7 @@ fn jsonl_and_trace_exports_parse() {
         }
     }
     assert_eq!(types[0], "meta");
-    for want in ["counter", "histogram", "kernel"] {
+    for want in ["counter", "exact_histogram", "kernel"] {
         assert!(types.iter().any(|t| t == want), "missing '{want}' line");
     }
 
