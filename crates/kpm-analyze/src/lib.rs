@@ -11,10 +11,10 @@
 //!   adjacency; no allocation in the hot kernel loops; and the
 //!   `kpm::allow` marker audits. `tests/static_analysis.rs` at the
 //!   workspace root is the gate: it fails on any [`Diagnostic`].
-//! - [`sched`] — a loom-style deterministic schedule explorer for
-//!   the hetsim runtime protocol (send/recv/timeout, stash, dedup,
-//!   checkpoint), proving deadlock-freedom and exactly-once delivery
-//!   across every interleaving of small rank models.
+//! - [`sched`] — a loom-style deterministic schedule explorer: a
+//!   depth-first search over every interleaving of small programs of
+//!   blocking send/recv ops, with a seeded order and a preemption
+//!   bound, that reports deadlocks with their schedule.
 //!
 //! DESIGN.md, "Static analysis & model checking", lists each rule with
 //! its catch and what checks the properties of the rules that left.

@@ -1,36 +1,34 @@
 //! Checkpoint/restart of the Chebyshev moment iteration.
 //!
-//! A KPM sweep at scale runs for hours; a lost rank must not mean a lost
+//! A KPM sweep at scale runs for hours; a crash must not mean a lost
 //! run. This module serializes the recurrence state — the iteration
 //! index, the two live Chebyshev (block) vectors, and the moment
 //! partials accumulated so far — into self-validating binary records,
 //! behind a [`CheckpointStore`] abstraction with an in-memory
 //! implementation for tests and a directory-backed one for real runs.
+//! `kpm_moments_checkpointed` (in [`crate::solver`]) writes them and
+//! resumes from [`latest_consistent`].
 //!
-//! Two record kinds cover both the shared-memory and the distributed
-//! solver:
+//! Two record kinds:
 //!
-//! * [`RankCheckpoint`] — one rank's local rows of the current (`v`) and
-//!   next (`w`) Chebyshev block at an iteration boundary, tagged with
-//!   the row range it owns so a restart may *re-decompose* the matrix
-//!   over a different rank count (survivor redistribution) and reslice.
-//! * [`EtaCheckpoint`] — the **globally reduced** η prefix (µ0, µ1 and
-//!   all per-iteration scalar products up to the checkpoint). Storing
-//!   the reduced values rather than per-rank partials makes the restart
-//!   arithmetic bitwise-identical to the uninterrupted run: the resumed
-//!   world seeds rank 0 with the prefix and every other rank with zeros,
-//!   so the single final reduction counts it exactly once, in the same
-//!   deterministic order.
+//! * [`RankCheckpoint`] — the rows `row_begin..row_end` of the current
+//!   (`v`) and next (`w`) Chebyshev block at an iteration boundary. The
+//!   single-process solver writes one record, rank 0, over all rows; a
+//!   restart point is any set of records that tiles `0..n`.
+//! * [`EtaCheckpoint`] — the reduced η prefix (µ0, µ1 and all
+//!   per-iteration scalar products up to the checkpoint), so the
+//!   resumed run continues the same sums in the same order and its
+//!   moments are bitwise those of the uninterrupted run.
 //!
 //! The binary format is fixed-layout little-endian with a magic header,
 //! a version byte, explicit lengths, and an FNV-1a checksum over the
 //! payload; every decode failure surfaces as
 //! [`KpmError::CheckpointCorrupt`].
 //!
-//! Cost model (see README): a rank checkpoint is `2 · n_local · R · 16`
-//! bytes of vector payload plus a 64-byte header — for the paper's
-//! largest per-device blocks (n_local ≈ 4·10⁶, R = 32) about 4 GiB per
-//! device, written once every `interval` of the `M/2 − 1` sweeps.
+//! Cost model (see README): a rank checkpoint is `2 · n · R · 16`
+//! bytes of vector payload plus a 64-byte header — for n ≈ 4·10⁶ rows
+//! at R = 32 about 4 GiB, written once every `interval` of the
+//! `M/2 − 1` sweeps.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -64,8 +62,7 @@ pub struct RankCheckpoint {
     pub w: Vec<Complex64>,
 }
 
-/// The globally reduced η prefix at an iteration boundary, in the flat
-/// layout of the distributed solver:
+/// The reduced η prefix at an iteration boundary, in the flat layout:
 /// `[µ0[0..R] | µ1[0..R] | per-sweep (even[0..R] | odd[0..R])]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EtaCheckpoint {
@@ -85,7 +82,7 @@ impl EtaCheckpoint {
 }
 
 /// Where checkpoints live. Implementations must be safe to call from
-/// multiple rank threads at once.
+/// several threads at once.
 pub trait CheckpointStore: Send + Sync {
     /// Persists one rank's recurrence state.
     fn save_rank(&self, ck: &RankCheckpoint) -> Result<(), KpmError>;

@@ -15,14 +15,12 @@
 //! * [`ldos`] — site-resolved local DOS (paper Fig. 2, left panel).
 //! * [`spectral`] — momentum-resolved spectral function `A(k, E)`
 //!   (paper Fig. 2, right panel).
-//! * [`lanczos`] — a few Lanczos sweeps for spectral bounds, the
-//!   alternative to Gershgorin mentioned in paper Section II,
 //! * [`eigencount`] — eigenvalue counting in spectral windows, the
 //!   subspace-sizing application of paper refs. [8] and [22],
 //! * [`green`] — retarded Green function `G(E + i0)` from the same
 //!   moments (the Hilbert-transform companion of the DOS),
-//! * [`evolution`] — numerically exact Chebyshev time propagation
-//!   `e^{-iHt}|ψ⟩` (wave-packet dynamics on the same recurrence).
+//! * [`checkpoint`] — the solver's checkpoint records and stores, for
+//!   crash/resume of a long moment run.
 
 #![warn(missing_docs)]
 
@@ -30,10 +28,8 @@ pub mod chebyshev;
 pub mod checkpoint;
 pub mod dos;
 pub mod eigencount;
-pub mod evolution;
 pub mod green;
 pub mod kernels;
-pub mod lanczos;
 pub mod ldos;
 pub mod moments;
 pub mod solver;

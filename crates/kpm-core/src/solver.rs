@@ -173,8 +173,7 @@ impl KpmParams {
 /// workers (a command that installed its `--threads` pool around
 /// set-up and solve gets no second one), else on a dedicated pool of
 /// `threads` workers. Scoping the pool to the call means nested calls
-/// (e.g. the distributed driver invoking per-rank solvers) compose
-/// without global state.
+/// compose without global state.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> Result<T, KpmError> {
     if threads == 0 || threads == rayon::current_num_threads() {
         return Ok(f());
@@ -238,8 +237,8 @@ pub fn kpm_moments<M: SparseKernels + ?Sized>(
     })?
 }
 
-/// The normalized random starting vectors — a pure function of the seed,
-/// shared with the distributed solver so moments agree exactly.
+/// The normalized random starting vectors — a pure function of the
+/// seed, column for column the starting block of the blocked variants.
 pub fn starting_vectors(n: usize, params: &KpmParams) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     (0..params.num_random)
@@ -381,8 +380,7 @@ fn init_recurrence<M: SparseKernels + ?Sized>(
 /// The recurrence state of a stage-2 run: the block pair, `(ν_m, ν_{m+1})`
 /// after `m` sweeps, and every moment partial recorded so far in the
 /// flat layout `[µ₀ | µ₁ | per sweep (η_even | η_odd)]`, each `R` wide —
-/// the layout [`moments_from_flat_eta`], the checkpoints and the
-/// distributed solver share.
+/// the layout [`moments_from_flat_eta`] and the checkpoints share.
 struct BlockedState {
     v: BlockVector,
     w: BlockVector,
@@ -772,9 +770,8 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
 }
 
 /// Rebuilds a [`MomentSet`] — the average over the `r` columns — from
-/// the flat η layout shared by the shared-memory and the distributed
-/// solver.
-pub fn moments_from_flat_eta(
+/// the flat η layout of [`BlockedState`] and the checkpoints.
+fn moments_from_flat_eta(
     eta_flat: &[Complex64],
     num_moments: usize,
     r: usize,

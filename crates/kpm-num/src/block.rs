@@ -19,8 +19,7 @@
 //! The split is private to [`BlockVector`] and the kernels that borrow
 //! its [`panel_slots`](BlockVector::panel_slots); everything else goes
 //! through the accessors, and what leaves the process (checkpoint
-//! records, halo messages) is row-major
-//! ([`BlockVector::to_interleaved`]).
+//! records) is row-major ([`BlockVector::to_interleaved`]).
 
 use rand::Rng;
 use rayon::prelude::*;

@@ -100,13 +100,6 @@ impl Complex64 {
         Self::new(self.re / d, -self.im / d)
     }
 
-    /// `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Self::new(r * self.im.cos(), r * self.im.sin())
-    }
-
     /// True if both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -294,12 +287,6 @@ mod tests {
         let b = Complex64::new(-3.0, 0.5);
         let c = Complex64::new(0.25, -1.0);
         assert_eq!(a.mul_add(b, c), a * b + c);
-    }
-
-    #[test]
-    fn exp_of_i_pi_is_minus_one() {
-        let z = Complex64::imag(std::f64::consts::PI);
-        assert!(z.exp().approx_eq(Complex64::real(-1.0), 1e-15));
     }
 
     #[test]

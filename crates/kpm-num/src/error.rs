@@ -1,8 +1,8 @@
 //! The workspace-wide typed error, `KpmError`.
 //!
 //! Every fallible user-facing path in the workspace — parameter
-//! validation, matrix construction, the message-passing runtime, the
-//! checkpoint store, and the numerical guardrails — returns this enum
+//! validation, matrix construction, the checkpoint store, the service's
+//! deadlines, and the numerical guardrails — returns this enum
 //! instead of panicking. Internal invariants that cannot be violated by
 //! user input stay `debug_assert!`s. Hand-rolled in the `thiserror`
 //! style because the build runs with no registry access.
@@ -48,45 +48,11 @@ pub enum KpmError {
         /// The bound it violated.
         bound: f64,
     },
-    /// A receive deadline expired: the peer is presumed lost.
-    RankUnreachable {
-        /// The waiting rank.
-        rank: usize,
-        /// The peer that never answered.
-        peer: usize,
-        /// The tag of the message that was awaited.
-        tag: u64,
-        /// How long the receiver waited, in milliseconds.
-        waited_ms: u64,
-    },
-    /// A rank died (simulated crash, panic, or early exit).
+    /// A run stopped at an injected crash point (the checkpointed
+    /// solver's `crash_at` test hook, the service's chaos crash).
     RankCrashed {
-        /// The rank that died.
+        /// The rank that stopped (0 for a single-process run).
         rank: usize,
-    },
-    /// A send could not be delivered because the destination's inbox is
-    /// gone (the receiving rank has terminated).
-    SendFailed {
-        /// The sending rank.
-        from: usize,
-        /// The destination rank whose inbox is gone.
-        to: usize,
-        /// The tag of the undeliverable message.
-        tag: u64,
-    },
-    /// The out-of-order receive stash hit its capacity: the rank is
-    /// being flooded with messages it never matches (message storm).
-    StashOverflow {
-        /// The flooded rank.
-        rank: usize,
-        /// The stash capacity that was hit.
-        capacity: usize,
-    },
-    /// After a world completed, undelivered messages remained — a
-    /// protocol leak.
-    MessageLeak {
-        /// Number of messages left in inboxes and stashes.
-        undelivered: usize,
     },
     /// A checkpoint record failed validation (bad magic, version,
     /// length, or checksum).
@@ -98,13 +64,6 @@ pub enum KpmError {
     CheckpointMissing {
         /// Which checkpoint was asked for.
         details: String,
-    },
-    /// A resilient run gave up after the configured restart budget.
-    RestartsExhausted {
-        /// How many attempts were made.
-        attempts: usize,
-        /// The error of the final attempt, rendered to text.
-        last_error: String,
     },
     /// An I/O failure in a file-backed checkpoint store.
     Io {
@@ -151,45 +110,13 @@ impl fmt::Display for KpmError {
                 "spectral bounds violated at iteration {iteration}: |partial| = {value:e} \
                  exceeds {bound:e}; the scale factors do not cover the spectrum"
             ),
-            KpmError::RankUnreachable {
-                rank,
-                peer,
-                tag,
-                waited_ms,
-            } => write!(
-                f,
-                "rank {rank}: peer {peer} unreachable (tag {tag}, waited {waited_ms} ms)"
-            ),
             KpmError::RankCrashed { rank } => write!(f, "rank {rank} crashed"),
-            KpmError::SendFailed { from, to, tag } => {
-                write!(
-                    f,
-                    "send {from} -> {to} (tag {tag}) failed: receiver is gone"
-                )
-            }
-            KpmError::StashOverflow { rank, capacity } => write!(
-                f,
-                "rank {rank}: receive stash overflow (capacity {capacity} unmatched messages)"
-            ),
-            KpmError::MessageLeak { undelivered } => {
-                write!(
-                    f,
-                    "{undelivered} undelivered message(s) after world shutdown"
-                )
-            }
             KpmError::CheckpointCorrupt { details } => {
                 write!(f, "corrupt checkpoint: {details}")
             }
             KpmError::CheckpointMissing { details } => {
                 write!(f, "checkpoint missing: {details}")
             }
-            KpmError::RestartsExhausted {
-                attempts,
-                last_error,
-            } => write!(
-                f,
-                "gave up after {attempts} attempt(s); last error: {last_error}"
-            ),
             KpmError::Io { details } => write!(f, "checkpoint I/O error: {details}"),
             KpmError::DeadlineExceeded { iteration } => {
                 write!(f, "deadline exceeded at iteration {iteration}")

@@ -1,16 +1,15 @@
-//! A process-wide Lamport clock for causal ordering of trace records.
+//! A process-wide Lamport clock that orders trace records.
 //!
-//! The hetsim "ranks" are threads inside one process, but their message
-//! timestamps must still order causally across send/receive edges so
-//! `kpm trace-report` can reconstruct a critical path that crosses rank
-//! boundaries. One shared atomic counter implements the classic Lamport
-//! rules: [`tick`] advances local time for an internal event (a span
-//! opening, a message send), [`observe`] merges a remote stamp on
-//! receipt (`local = max(local, remote) + 1`).
+//! Spans (on open) and flight-recorder events stamp themselves with
+//! [`tick`]. `kpm trace-report` orders a trace's spans by that stamp
+//! (wall-clock time breaks ties), and the flight recorder breaks its
+//! timestamp ties with it, so records from different threads keep the
+//! order in which they happened. One shared atomic counter is the
+//! whole clock.
 //!
-//! When instrumentation is disabled both operations return 0 without
-//! touching the counter, so the clock contributes no overhead to
-//! uninstrumented runs and the noop build keeps it dark.
+//! When instrumentation is disabled [`tick`] returns 0 without touching
+//! the counter, so the clock contributes no overhead to uninstrumented
+//! runs and the noop build keeps it dark.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,23 +22,6 @@ pub fn tick() -> u64 {
         return 0;
     }
     CLOCK.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// Merges a remote stamp on message receipt: the clock becomes
-/// `max(local, remote) + 1`, which is returned. Returns 0 when
-/// instrumentation is off.
-pub fn observe(remote: u64) -> u64 {
-    if !crate::enabled() {
-        return 0;
-    }
-    let mut cur = CLOCK.load(Ordering::Relaxed);
-    loop {
-        let next = cur.max(remote) + 1;
-        match CLOCK.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return next,
-            Err(seen) => cur = seen,
-        }
-    }
 }
 
 /// The current stamp without advancing the clock.
@@ -58,17 +40,14 @@ mod tests {
     use crate::test_lock as serial;
 
     #[test]
-    fn tick_is_monotonic_and_observe_merges() {
+    fn tick_is_monotonic() {
         let _g = serial();
         crate::reset();
         let _on = crate::EnabledGuard::new();
         let a = tick();
         let b = tick();
         assert!(b > a);
-        // A remote stamp far ahead drags the local clock past it.
-        let merged = observe(1_000);
-        assert!(merged > 1_000);
-        assert!(tick() > merged);
+        assert_eq!(current(), b);
     }
 
     #[test]
@@ -77,7 +56,6 @@ mod tests {
         crate::set_enabled(false);
         crate::reset();
         assert_eq!(tick(), 0);
-        assert_eq!(observe(77), 0);
         assert_eq!(current(), 0);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! {"type":"meta","schema":"kpm-obs-v1","epoch_unix_us":...,"snapshot_us":...}
-//! {"type":"counter","name":"runtime.msg.sent","value":42}
-//! {"type":"gauge","name":"runtime.stash.peak","value":3}
+//! {"type":"counter","name":"svc.admitted","value":42}
+//! {"type":"gauge","name":"svc.queue_depth","value":3}
 //! {"type":"exact_histogram","name":"solver.ckpt.save_ns","scope":"total",
 //!  "count":..,"sum":..,"min":..,"max":..,"mean":..,
 //!  "p50":..,"p90":..,"p99":..,"p999":..}
@@ -121,82 +121,29 @@ pub fn metrics_jsonl_string() -> String {
     String::from_utf8(buf).expect("exporter emits UTF-8")
 }
 
-/// Process lane for a thread: hetsim rank threads (named
-/// `kpm-rank-N`) render under their own pid so chrome://tracing shows
-/// the simulated ranks as separate process lanes; everything else
-/// (main, pool workers, service batcher) shares the host-process lane.
-pub const HOST_PID: u64 = 1;
-/// Chrome-trace pid assigned to hetsim rank threads.
-pub const HETSIM_PID: u64 = 2;
-
-fn pid_for_thread(name: &str) -> u64 {
-    if name.starts_with("kpm-rank-") {
-        HETSIM_PID
-    } else {
-        HOST_PID
-    }
-}
+/// Chrome-trace pid every thread renders under.
+const HOST_PID: u64 = 1;
 
 /// Writes every recorded span as a Chrome trace-event JSON document.
-/// Each registered thread keeps its own `tid`, and threads are mapped
-/// to process lanes by [`pid_for_thread`], with `process_name` /
-/// `thread_name` metadata so the viewer labels every lane.
+/// Each registered thread keeps its own `tid` under the one process
+/// lane, pid 1, with `process_name` / `thread_name` metadata so
+/// the viewer labels every lane.
 pub fn write_chrome_trace<W: Write>(mut w: W) -> io::Result<()> {
     write!(w, "{{\"traceEvents\":[")?;
-    let mut first = true;
-    let threads = span::threads();
-    let mut pids_seen: Vec<u64> = Vec::new();
-    for (_, name) in &threads {
-        let pid = pid_for_thread(name);
-        if !pids_seen.contains(&pid) {
-            pids_seen.push(pid);
-        }
-    }
-    if pids_seen.is_empty() {
-        pids_seen.push(HOST_PID);
-    }
-    for pid in &pids_seen {
-        if !first {
-            write!(w, ",")?;
-        }
-        first = false;
-        let pname = if *pid == HETSIM_PID {
-            "kpm-hetsim"
-        } else {
-            "kpm"
-        };
+    write!(
+        w,
+        "{{\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":0,\"name\":\"process_name\",\
+         \"args\":{{\"name\":\"kpm\"}}}}"
+    )?;
+    for (tid, name) in span::threads() {
         write!(
             w,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{pname}\"}}}}"
-        )?;
-    }
-    let mut pid_of_tid: Vec<(u64, u64)> = Vec::with_capacity(threads.len());
-    for (tid, name) in &threads {
-        let pid = pid_for_thread(name);
-        pid_of_tid.push((*tid, pid));
-        if !first {
-            write!(w, ",")?;
-        }
-        first = false;
-        write!(
-            w,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+            ",{{\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":{tid},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            escape(&name)
         )?;
     }
-    let lookup_pid = |tid: u64| {
-        pid_of_tid
-            .iter()
-            .find(|&&(t, _)| t == tid)
-            .map_or(HOST_PID, |&(_, p)| p)
-    };
     for s in span::snapshot() {
-        if !first {
-            write!(w, ",")?;
-        }
-        first = false;
         let mut args = String::new();
         if let Some(parent) = s.parent {
             let _ = write!(args, "\"parent\":\"{parent}\"");
@@ -219,9 +166,8 @@ pub fn write_chrome_trace<W: Write>(mut w: W) -> io::Result<()> {
         }
         write!(
             w,
-            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"id\":\"{}\",\"name\":\"{}\",\
+            ",{{\"ph\":\"X\",\"pid\":{HOST_PID},\"tid\":{},\"id\":\"{}\",\"name\":\"{}\",\
              \"cat\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            lookup_pid(s.tid),
             s.tid,
             s.id,
             escape(s.name),

@@ -37,7 +37,7 @@
 //! calls entirely (the compile-time fast path).
 //!
 //! The crate deliberately depends on nothing — not even other workspace
-//! crates — so every layer (kernels, solver, distributed runtime) can
+//! crates — so every layer (kernels, solver, service) can
 //! depend on it without cycles, and it stays compatible with the
 //! offline shim policy.
 

@@ -1,14 +1,13 @@
 //! Typed metrics: counters and gauges, keyed by a dotted name
-//! (`runtime.msg.sent`, `svc.queue_depth`, ...). Distributions go to
+//! (`svc.admitted`, `svc.queue_depth`, ...). Distributions go to
 //! [`crate::hist`].
 //!
 //! All mutation goes through free functions that first check
 //! [`crate::enabled`]; when instrumentation is off they return without
 //! touching the registry. The registry is one mutex-protected
-//! `BTreeMap`, which keeps snapshots deterministically ordered. Hot
-//! paths that would contend on the lock (the per-message runtime
-//! counters) accumulate locally and flush once per rank instead of
-//! calling in here per event.
+//! `BTreeMap`, which keeps snapshots deterministically ordered. Every
+//! caller counts per request, batch or checkpoint, never per sweep or
+//! per row, so the lock stays off the hot path.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};

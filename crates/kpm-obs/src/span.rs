@@ -43,7 +43,7 @@ pub struct SpanRecord {
     /// Inherited from the enclosing open span unless set explicitly.
     pub trace: u64,
     /// Lamport stamp assigned when the span opened (see
-    /// [`crate::clock`]); orders spans causally across hetsim ranks.
+    /// [`crate::clock`]); orders spans across threads.
     pub lamport: u64,
     /// Start time in microseconds since the obs epoch.
     pub start_us: f64,

@@ -50,7 +50,6 @@ fn tracing_layer_stays_dark_under_noop() {
     // Trace ids and the Lamport clock are compile-time zeros.
     assert_eq!(kpm_obs::span::mint_trace(), 0);
     assert_eq!(kpm_obs::clock::tick(), 0);
-    assert_eq!(kpm_obs::clock::observe(41), 0);
     assert_eq!(kpm_obs::clock::current(), 0);
 
     // Exact histograms, SLOs, and the flight recorder record nothing.

@@ -1,15 +1,13 @@
 //! Seeded chaos injection for the service runtime.
 //!
-//! Extends the deterministic fault-plan idiom of `kpm-hetsim` (seeded
-//! splitmix draws, builder configuration, atomic stats) from the
-//! message-passing layer into the request runtime. A [`ChaosPlan`]
-//! decides, purely from `(seed, batch id, attempt)`, whether a worker
-//! "crashes" mid-batch (surfacing as a transient failure the retry
-//! logic must absorb) or solves slowly (exercising deadlines and
-//! hedging); it can also poison the admission-queue lock after a fixed
-//! number of admissions, proving the queue survives a worker panicking
-//! while holding it. Same seed → same chaos, so every failing schedule
-//! replays exactly.
+//! A [`ChaosPlan`] (seeded splitmix draws, builder configuration,
+//! atomic stats) decides, purely from `(seed, batch id, attempt)`,
+//! whether a worker "crashes" mid-batch (surfacing as a transient
+//! failure the retry logic must absorb) or solves slowly (exercising
+//! deadlines and hedging); it can also poison the admission-queue
+//! lock after a fixed number of admissions, proving the queue survives
+//! a worker panicking while holding it. Same seed → same chaos, so
+//! every failing schedule replays exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

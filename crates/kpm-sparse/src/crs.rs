@@ -789,21 +789,6 @@ impl CrsMatrix {
             ),
         }
     }
-
-    /// The set of distinct column indices touched by this matrix that lie
-    /// *outside* `[row_begin, row_end)` — exactly the halo elements a
-    /// process must receive under 1-D row distribution. Returned sorted.
-    pub fn halo_columns(&self, row_begin: usize, row_end: usize) -> Vec<u32> {
-        let mut halo: Vec<u32> = self
-            .cols
-            .iter()
-            .copied()
-            .filter(|&c| (c as usize) < row_begin || (c as usize) >= row_end)
-            .collect();
-        halo.sort_unstable();
-        halo.dedup();
-        halo
-    }
 }
 
 /// Incremental FNV-1a (64-bit) over `u64` words — the same hash family
@@ -940,16 +925,6 @@ mod tests {
         assert_eq!(b.ncols(), 3);
         assert_eq!(b.get(0, 0), c(1.0, -1.0)); // original row 1
         assert_eq!(b.get(1, 2), c(0.5, 0.0)); // original row 2
-    }
-
-    #[test]
-    fn halo_columns_are_outside_range() {
-        let m = hermitian3();
-        // Rows 1..3 reference columns 0,1,2; halo wrt [1,3) is {0}.
-        let halo = m.row_block(1, 3);
-        let _ = halo;
-        assert_eq!(m.halo_columns(1, 3), vec![0]);
-        assert_eq!(m.halo_columns(0, 3), Vec::<u32>::new());
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! [`SparseKernels`] asks a storage format for its dimensions and for
 //! one thing it can do: [`SparseKernels::sweep`], the register-panel
 //! sweep of `sweep.rs` under a [`SweepOp`] and a [`Schedule`]. Every
-//! kernel the solver, the distributed driver, the tests and the benches
-//! name — `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par`,
-//! `_nodot` and `_rect` forms — is a provided
-//! method written once on top of it: shape assertions, the kpm-obs
-//! probe, then `sweep`. So the whole pipeline — moments, blocked runs,
-//! checkpointing, the distributed driver — runs unchanged on CRS or on
-//! the matrix-free stencil, and switching formats never changes
-//! results, only speed.
+//! kernel the solver, the service, the tests and the benchmark name —
+//! `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par`, `_nodot` and
+//! `_rect` forms — is a provided method written once on top of it:
+//! shape assertions, the kpm-obs probe, then `sweep`. So the whole
+//! pipeline — moments, blocked runs, checkpointing, the service's
+//! batches — runs unchanged on CRS or on the matrix-free stencil, and
+//! switching formats never changes results, only speed.
 //!
 //! [`KpmMatrix`] is the owning handle the drivers pass around: it
 //! carries the chosen representation plus the per-call tuning state

@@ -22,14 +22,11 @@
 //!   superlattice of paper Fig. 2,
 //! * [`hamiltonian`] — the sparse-matrix assembler plus spectral
 //!   rescaling helpers,
-//! * [`model`] — auxiliary exactly-solvable models used by tests,
-//! * [`graphene`] — the honeycomb quantum-dot-superlattice workload of
-//!   paper ref. [21], a second real application with a Dirac spectrum.
+//! * [`model`] — auxiliary exactly-solvable models used by tests.
 
 #![warn(missing_docs)]
 
 pub mod gamma;
-pub mod graphene;
 pub mod hamiltonian;
 pub mod lattice;
 pub mod model;

@@ -58,11 +58,13 @@ KPM_THREADS=1 cargo test --workspace -q
 KPM_THREADS=4 cargo test --workspace -q
 
 step "static analysis: schedule-explorer model check"
-# Exhausts >=1000 interleavings of the 2-rank send/recv/dedup model
-# (exactly-once + deadlock-freedom) plus the seeded-bug detectors. The
-# same suite holds the kpm-analyze lint gate (no_panic, safety_comment,
-# hot_loop_alloc, panic_path, the marker audits), which tier-1 above
-# already ran; its rule fixtures run with `cargo test --workspace`.
+# The explorer's core tests: >=1000 interleavings of a clean two-thread
+# send/recv program without truncation, a preemption bound that cuts the
+# count and stays clean, and a recv-before-send deadlock reported with
+# its schedule. The same suite holds the kpm-analyze lint gate
+# (no_panic, safety_comment, hot_loop_alloc, panic_path, the marker
+# audits), which tier-1 above already ran; its rule fixtures run with
+# `cargo test --workspace`.
 cargo test -q --test static_analysis
 
 step "kpm-obs noop build stays dark"

@@ -1370,8 +1370,8 @@ fn cmd_trace_report(args: &[String]) -> Result<(), String> {
     let mut total_orphans = 0usize;
     for &trace in &traces {
         let mut mine: Vec<&ReportSpan> = spans.iter().filter(|s| s.trace == trace).collect();
-        // Lamport order is the causal order across threads and hetsim
-        // ranks; wall-clock ties (retroactive stage spans) break by ts.
+        // Lamport order is the causal order across threads; wall-clock
+        // ties (retroactive stage spans) break by ts.
         mine.sort_by(|a, b| {
             (a.lamport, a.ts_us)
                 .partial_cmp(&(b.lamport, b.ts_us))

@@ -1022,17 +1022,6 @@ proptest! {
     }
 
     #[test]
-    fn evolution_preserves_norm_for_any_hermitian(h in hermitian_matrix(), t in -5.0f64..5.0, seed in any::<u64>()) {
-        use kpm_repro::core::evolution::evolve;
-        let sf = ScaleFactors::from_gershgorin(&h, 0.05);
-        let mut v = Vector::from_vec(cvec(h.nrows(), seed));
-        prop_assume!(v.norm() > 1e-9);
-        v.normalize();
-        let out = evolve(&h, sf, &v, t);
-        prop_assert!((out.norm() - 1.0).abs() < 1e-9, "norm {}", out.norm());
-    }
-
-    #[test]
     fn mm_roundtrip_any_hermitian(h in hermitian_matrix()) {
         use kpm_repro::sparse::io::{read, write_hermitian};
         use std::io::BufReader;
