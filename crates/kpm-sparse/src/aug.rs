@@ -25,16 +25,6 @@
 //! quantifies what the extra two block sweeps cost) — and every one of
 //! them is the register-panel sweep of `sweep.rs` under some row
 //! schedule. What lives here is what they return.
-//!
-//! The `*_rect` forms are the building block of distributed execution.
-//! Under the 1-D row distribution a rank owns rows `0..n_local` of a
-//! remapped matrix whose column space is `local rows ++ halo rows`
-//! (`ncols >= nrows`), with the convention that column `i < nrows` is
-//! local row `i` — so the diagonal shift `-b·v_i` and the scalar
-//! products use row `i` of `v` exactly as in the square kernel. Both blocks
-//! span the extended column space (`v`, `w` have `ncols` rows); only
-//! the first `nrows` rows of `w` are written, the halo rows are
-//! refreshed by communication between iterations.
 
 use kpm_num::Complex64;
 
@@ -233,64 +223,6 @@ mod tests {
         h.aug_spmmv_nodot(1.1, 0.2, &v, &mut w1);
         h.aug_spmmv_nodot_par(1.1, 0.2, &v, &mut w2);
         assert_eq!(w1, w2);
-    }
-
-    #[test]
-    fn rect_kernel_on_square_matrix_matches_square_kernel() {
-        let n = 80;
-        let r_width = 4;
-        let h = random_hermitian(n, 91);
-        let mut rng = StdRng::seed_from_u64(92);
-        let v = BlockVector::random(n, r_width, &mut rng);
-        let w0 = BlockVector::random(n, r_width, &mut rng);
-        let mut w1 = w0.clone();
-        let mut w2 = w0;
-        let d1 = h.aug_spmmv(0.6, -0.1, &v, &mut w1);
-        let d2 = h.aug_spmmv_rect(0.6, -0.1, &v, &mut w2);
-        assert_eq!(w1, w2);
-        assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn rect_kernel_computes_row_block() {
-        // Split a square system into two row blocks with identity
-        // column remap (local cols == global cols) and check the pieces
-        // reassemble the square result.
-        let n = 60;
-        let r_width = 3;
-        let h = random_hermitian(n, 93);
-        let mut rng = StdRng::seed_from_u64(94);
-        let v = BlockVector::random(n, r_width, &mut rng);
-        let w0 = BlockVector::random(n, r_width, &mut rng);
-        let mut w_ref = w0.clone();
-        let dots_ref = h.aug_spmmv(0.8, 0.05, &v, &mut w_ref);
-
-        let half = n / 2;
-        let top = h.row_block(0, half);
-        let bottom = h.row_block(half, n);
-        // Top block: columns are global, local row i == global row i.
-        let mut w_top = w0.clone();
-        let d_top = top.aug_spmmv_rect(0.8, 0.05, &v, &mut w_top);
-        for i in 0..half {
-            for j in 0..r_width {
-                assert!(w_top.get(i, j).approx_eq(w_ref.get(i, j), 1e-12));
-            }
-        }
-        // Bottom block violates the "column i == local row i" shift
-        // convention, so apply it through a square-extended view: embed
-        // as rows half..n of a full-size kernel by checking only the
-        // plain SpMMV part.
-        let mut y = BlockVector::zeros(n, r_width);
-        bottom.spmmv_rect(&v, &mut y);
-        let mut y_ref = BlockVector::zeros(n, r_width);
-        h.spmmv(&v, &mut y_ref);
-        for i in 0..(n - half) {
-            for j in 0..r_width {
-                assert!(y.get(i, j).approx_eq(y_ref.get(half + i, j), 1e-12));
-            }
-        }
-        // Dots of the top block are partial sums over its rows only.
-        assert!(d_top.eta_even[0] <= dots_ref.eta_even[0] + 1e-12);
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!
 //! A coded matrix also carries its [`SiteView`]: the lattice's 4×4
 //! site blocks, one byte per block naming a (neighbour, block) pair of
-//! at most 256, each pair stored as the slots of [`SiteBlock`]. The
-//! width-1 sweep walks that view instead of the entries; past 256 pairs,
+//! at most 256, each pair stored as the slots of [`SiteBlock`]. Its
+//! sweep walks that view at every width — the lattice's one sweep, the
+//! stencil's too — and the entries stay for the row API; past 256 pairs,
 //! or when a block does not fit its slots, the generator stores the
 //! matrix plain.
 
 use std::ops::{Index, Range};
 
-use kpm_num::accounting::{crs_bytes, S_D, S_I};
+use kpm_num::accounting::crs_bytes;
 use kpm_num::{Complex64, KpmError};
 
 /// Slots of a value table: what a `u8` code can name.
@@ -51,12 +52,12 @@ pub struct CrsMatrix {
 pub(crate) enum Values {
     /// One value per entry.
     Plain(Vec<Complex64>),
-    /// One code per entry into a table of the distinct values, and the
-    /// same matrix as site blocks.
-    Coded(Box<CodeTable>, Vec<u8>, SiteView),
+    /// A lattice's: one code per entry into a table of the distinct
+    /// values, and the same matrix as site blocks.
+    Lattice(Box<CodeTable>, Vec<u8>, SiteView),
 }
 
-/// A coded lattice matrix as the width-1 sweep walks it (DESIGN.md
+/// A lattice operator as its sweep walks it, at every width (DESIGN.md
 /// §11). The four rows of a lattice site read the same neighbour sites,
 /// so a site is `stride` codes, each naming a [`SiteBlock`] — a
 /// neighbour and the 4×4 block the site's rows read from it — in
@@ -71,34 +72,21 @@ pub(crate) struct SiteView {
     pub(crate) blocks: Vec<SiteBlock>,
     /// Codes per site.
     pub(crate) stride: usize,
-    /// `stride` codes per site, for the lattice sites the matrix's rows
-    /// touch, from the site of row 0 on.
+    /// `stride` codes per lattice site, site after site.
     pub(crate) codes: Vec<u8>,
-    /// The lattice row the matrix's row 0 is: 0, or where a row block
-    /// starts. Columns are lattice rows either way.
-    pub(crate) first_row: usize,
 }
 
 impl SiteView {
-    /// The view of lattice rows `first_row + rows`: a row block's.
-    fn rows(&self, rows: Range<usize>) -> SiteView {
-        let site0 = self.first_row / 4;
-        let (first, last) = (self.first_row + rows.start, self.first_row + rows.end);
-        let sites = first / 4 - site0..last.div_ceil(4) - site0;
-        SiteView {
-            blocks: self.blocks.clone(),
-            stride: self.stride,
-            codes: self.codes[sites.start * self.stride..sites.end * self.stride].to_vec(),
-            first_row: first,
-        }
-    }
-
-    /// Bytes a width-1 sweep reads of the view: a byte per code and the
-    /// blocks once.
-    fn bytes(&self) -> usize {
+    /// Bytes a sweep reads of the view, at any block width: a byte per
+    /// code and the blocks once.
+    pub(crate) fn bytes(&self) -> usize {
         self.codes.len() + self.blocks.len() * std::mem::size_of::<SiteBlock>()
     }
 }
+
+/// Blocks a site reads at most: itself and six neighbours — the codes
+/// per site of a [`SiteView`] at most.
+pub(crate) const MAX_SITE_BLOCKS: usize = 7;
 
 /// Entries a row of a [`SiteBlock`] stores at most: every hopping block
 /// of paper Eq. 1 stores two per row, its on-site block one.
@@ -139,6 +127,18 @@ pub(crate) struct Slot {
     pub(crate) lane: [u64; 8],
     /// The factor each lane multiplies it by.
     pub(crate) coef: [f64; 8],
+}
+
+impl Slot {
+    /// Row `o`'s lane of `x` — a neighbour row and, by parity, the part
+    /// its real lane reads — and its two factors.
+    #[inline(always)]
+    pub(crate) fn row(&self, o: usize) -> (usize, (f64, f64)) {
+        (
+            self.lane[2 * o] as usize,
+            (self.coef[2 * o], self.coef[2 * o + 1]),
+        )
+    }
 }
 
 impl SiteBlock {
@@ -375,15 +375,13 @@ impl CrsMatrix {
         codes: Vec<u8>,
         sites: SiteView,
     ) -> Self {
-        let site0 = sites.first_row / 4;
-        let site_count = (sites.first_row + nrows).div_ceil(4) - site0;
         assert_eq!(
             sites.codes.len(),
-            site_count * sites.stride,
+            nrows.div_ceil(4) * sites.stride,
             "one code list per site"
         );
         debug_assert!(table.vals.iter().all(|&v| crate::sweep::is_axial(v)));
-        let vals = Values::Coded(table, codes, sites);
+        let vals = Values::Lattice(table, codes, sites);
         Self::built(Self::checked(nrows, ncols, row_ptr, cols, vals))
     }
 
@@ -445,7 +443,7 @@ impl CrsMatrix {
         }
         let vals_len = match &vals {
             Values::Plain(vals) => vals.len(),
-            Values::Coded(_, codes, _) => codes.len(),
+            Values::Lattice(_, codes, _) => codes.len(),
         };
         if cols.len() != vals_len {
             return Err(bad(
@@ -522,31 +520,28 @@ impl CrsMatrix {
     pub fn value_table(&self) -> Option<&[Complex64]> {
         match &self.vals {
             Values::Plain(_) => None,
-            Values::Coded(table, _, _) => Some(&table.vals[..table.len]),
+            Values::Lattice(table, _, _) => Some(&table.vals[..table.len]),
         }
     }
 
     /// The number of distinct (neighbour, 4×4 block) codes of a coded
-    /// matrix's site view, which its width-1 sweep walks instead of the
-    /// entries; `None` when the values are stored plain.
+    /// matrix's site view, which its sweep walks instead of the entries;
+    /// `None` when the values are stored plain.
     pub fn site_blocks(&self) -> Option<usize> {
         match &self.vals {
             Values::Plain(_) => None,
-            Values::Coded(_, _, sites) => Some(sites.blocks.len()),
+            Values::Lattice(_, _, sites) => Some(sites.blocks.len()),
         }
     }
 
-    /// Bytes of matrix data one sweep at block width `width` streams: per
-    /// entry its column index and its value (`S_d + S_i`) when plain,
-    /// its column index and a one-byte code (`1 + S_i`) plus the table's
-    /// values once when coded — except at width 1, where a coded matrix
-    /// reads its site view: a byte per site block and the distinct
-    /// blocks once.
-    pub fn matrix_bytes(&self, width: usize) -> usize {
+    /// Bytes of matrix data one sweep streams, at any block width: per
+    /// entry its column index and its value (`S_d + S_i`) when plain;
+    /// when coded, its site view — a byte per site block and the
+    /// distinct blocks once — which is all the sweep reads.
+    pub fn matrix_bytes(&self) -> usize {
         match &self.vals {
             Values::Plain(_) => crs_bytes(self.nnz()),
-            Values::Coded(_, _, sites) if width == 1 => sites.bytes(),
-            Values::Coded(table, codes, _) => codes.len() * (1 + S_I) + table.len * S_D,
+            Values::Lattice(_, _, sites) => sites.bytes(),
         }
     }
 
@@ -595,7 +590,7 @@ impl CrsMatrix {
                 vals: &vals[range],
                 codes: None,
             },
-            Values::Coded(table, codes, _) => RowVals {
+            Values::Lattice(table, codes, _) => RowVals {
                 vals: &table.vals,
                 codes: Some(&codes[range]),
             },
@@ -758,37 +753,6 @@ impl CrsMatrix {
         }
         d
     }
-
-    /// Extracts the row block `[row_begin, row_end)` as a standalone CRS
-    /// matrix with the *same* column space. This is the local matrix of
-    /// one process under the paper's 1-D data-parallel row distribution.
-    /// A coded matrix's block keeps its table and the site blocks of its
-    /// rows, cut sites included.
-    pub fn row_block(&self, row_begin: usize, row_end: usize) -> CrsMatrix {
-        assert!(row_begin <= row_end && row_end <= self.nrows);
-        let base = self.row_ptr[row_begin];
-        let row_ptr: Vec<u64> = self.row_ptr[row_begin..=row_end]
-            .iter()
-            .map(|&p| p - base)
-            .collect();
-        let lo = self.row_ptr[row_begin] as usize;
-        let hi = self.row_ptr[row_end] as usize;
-        let (nrows, cols) = (row_end - row_begin, self.cols[lo..hi].to_vec());
-        match &self.vals {
-            Values::Plain(vals) => {
-                CrsMatrix::from_raw(nrows, self.ncols, row_ptr, cols, vals[lo..hi].to_vec())
-            }
-            Values::Coded(table, codes, sites) => CrsMatrix::from_coded(
-                nrows,
-                self.ncols,
-                row_ptr,
-                cols,
-                table.clone(),
-                codes[lo..hi].to_vec(),
-                sites.rows(row_begin..row_end),
-            ),
-        }
-    }
 }
 
 /// Incremental FNV-1a (64-bit) over `u64` words — the same hash family
@@ -915,16 +879,6 @@ mod tests {
         let r01 = 2.0f64.sqrt();
         assert!((lo - (-1.0 - r01 - 2.0)).abs() < 1e-14);
         assert!((hi - (2.0 + r01)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn row_block_extracts_local_rows() {
-        let m = hermitian3();
-        let b = m.row_block(1, 3);
-        assert_eq!(b.nrows(), 2);
-        assert_eq!(b.ncols(), 3);
-        assert_eq!(b.get(0, 0), c(1.0, -1.0)); // original row 1
-        assert_eq!(b.get(1, 2), c(0.5, 0.0)); // original row 2
     }
 
     #[test]

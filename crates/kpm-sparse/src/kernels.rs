@@ -4,8 +4,8 @@
 //! one thing it can do: [`SparseKernels::sweep`], the register-panel
 //! sweep of `sweep.rs` under a [`SweepOp`] and a [`Schedule`]. Every
 //! kernel the solver, the service, the tests and the benchmark name —
-//! `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par`, `_nodot` and
-//! `_rect` forms — is a provided method written once on top of it:
+//! `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par` and `_nodot`
+//! forms — is a provided method written once on top of it:
 //! shape assertions, the kpm-obs probe, then `sweep`. So the whole
 //! pipeline — moments, blocked runs, checkpointing, the service's
 //! batches — runs unchanged on CRS or on the matrix-free stencil, and
@@ -84,73 +84,62 @@ pub trait SparseKernels: Sync {
         w: &mut [Complex64],
     ) -> AugDotsBlock;
 
-    /// Bytes of matrix data a sweep at block width `width` streams from
-    /// memory: [`CrsMatrix::matrix_bytes`] for CRS, none for the
-    /// matrix-free stencil.
-    fn matrix_bytes(&self, width: usize) -> usize;
+    /// Bytes of matrix data a sweep streams from memory, at any block
+    /// width: the site view of a lattice operator that has one, CRS and
+    /// stencil alike ([`CrsMatrix::matrix_bytes`]); otherwise the
+    /// entries of a CRS and nothing for the stencil, which regenerates
+    /// its rows.
+    fn matrix_bytes(&self) -> usize;
 
     /// Serial `y = A x`.
     fn spmv(&self, x: &[Complex64], y: &mut [Complex64]) {
-        named(self, Some(Spmv), Plain, Serial, vector(x), vector_mut(y));
+        named(self, Spmv, Plain, Serial, vector(x), vector_mut(y));
     }
     /// Parallel `y = A x` (fixed 1024-row chunks).
     fn spmv_par(&self, x: &[Complex64], y: &mut [Complex64]) {
-        named(self, Some(Spmv), Plain, Chunked, vector(x), vector_mut(y));
+        named(self, Spmv, Plain, Chunked, vector(x), vector_mut(y));
     }
     /// Serial `Y = A X` over row-major blocks.
     fn spmmv(&self, x: &BlockVector, y: &mut BlockVector) {
-        named(self, Some(Spmv), Plain, Serial, block(x), block_mut(y));
+        named(self, Spmv, Plain, Serial, block(x), block_mut(y));
     }
     /// Parallel `Y = A X` over row-major blocks (cache-budget tiles).
     fn spmmv_par(&self, x: &BlockVector, y: &mut BlockVector) {
-        named(self, Some(Spmv), Plain, Chunked, block(x), block_mut(y));
+        named(self, Spmv, Plain, Chunked, block(x), block_mut(y));
     }
 
     /// Serial augmented SpMV (paper Fig. 4).
     fn aug_spmv(&self, a: f64, b: f64, v: &[Complex64], w: &mut [Complex64]) -> AugDots {
         let op = SweepOp::Aug { a, b, dots: true };
-        named(self, Some(AugSpmv), op, Serial, vector(v), vector_mut(w)).into()
+        named(self, AugSpmv, op, Serial, vector(v), vector_mut(w)).into()
     }
     /// Parallel augmented SpMV: partial dots per fixed 1024-row chunk,
     /// combined pairwise.
     fn aug_spmv_par(&self, a: f64, b: f64, v: &[Complex64], w: &mut [Complex64]) -> AugDots {
         let op = SweepOp::Aug { a, b, dots: true };
-        named(self, Some(AugSpmv), op, Chunked, vector(v), vector_mut(w)).into()
+        named(self, AugSpmv, op, Chunked, vector(v), vector_mut(w)).into()
     }
     /// Serial augmented SpMMV (paper Fig. 5).
     fn aug_spmmv(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
         let op = SweepOp::Aug { a, b, dots: true };
-        named(self, Some(AugSpmmv), op, Serial, block(v), block_mut(w))
+        named(self, AugSpmmv, op, Serial, block(v), block_mut(w))
     }
     /// Parallel augmented SpMMV: partial dots per cache-budget tile
     /// ([`crate::tile`]), combined in tile order.
     fn aug_spmmv_par(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
         let op = SweepOp::Aug { a, b, dots: true };
-        named(self, Some(AugSpmmv), op, Chunked, block(v), block_mut(w))
+        named(self, AugSpmmv, op, Chunked, block(v), block_mut(w))
     }
     /// Serial augmented SpMMV without the fused scalar products (paper
     /// Fig. 10(b)).
     fn aug_spmmv_nodot(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
         let op = SweepOp::Aug { a, b, dots: false };
-        named(self, Some(AugSpmmv), op, Serial, block(v), block_mut(w));
+        named(self, AugSpmmv, op, Serial, block(v), block_mut(w));
     }
     /// Parallel augmented SpMMV without the fused scalar products.
     fn aug_spmmv_nodot_par(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) {
         let op = SweepOp::Aug { a, b, dots: false };
-        named(self, Some(AugSpmmv), op, Chunked, block(v), block_mut(w));
-    }
-    /// Augmented SpMMV over a local rectangular row block (distributed
-    /// building block; serial — ranks parallelize across each other):
-    /// `v` and `w` span the `ncols >= nrows` extended column space, only
-    /// the first `nrows` rows of `w` are written (see [`crate::aug`]).
-    fn aug_spmmv_rect(&self, a: f64, b: f64, v: &BlockVector, w: &mut BlockVector) -> AugDotsBlock {
-        let op = SweepOp::Aug { a, b, dots: true };
-        named_rect(self, Some(AugSpmmv), op, block(v), block_mut(w))
-    }
-    /// Plain rectangular SpMMV `W[0..nrows] = H V` (distributed
-    /// initialization; not probed).
-    fn spmmv_rect(&self, v: &BlockVector, w: &mut BlockVector) {
-        named_rect(self, None, Plain, block(v), block_mut(w));
+        named(self, AugSpmmv, op, Chunked, block(v), block_mut(w));
     }
 }
 
@@ -180,43 +169,15 @@ fn block_mut(v: &mut BlockVector) -> BlockMut<'_> {
 /// probe (`kind`), then [`SparseKernels::sweep`] over all rows of `w`.
 fn named<M: SparseKernels + ?Sized>(
     m: &M,
-    kind: Option<KernelKind>,
-    op: SweepOp,
-    schedule: Schedule,
-    x: Block,
-    w: BlockMut,
-) -> AugDotsBlock {
-    assert_eq!(w.1, m.nrows(), "w dimension mismatch");
-    let square = op == Plain || m.nrows() == m.ncols();
-    assert!(square, "augmented kernels need a square matrix");
-    probed_sweep(m, kind, op, schedule, x, w)
-}
-
-/// [`named`] on the distributed ranks' shape: `ncols >= nrows`, the
-/// first `nrows` rows of `w` swept, serially.
-fn named_rect<M: SparseKernels + ?Sized>(
-    m: &M,
-    kind: Option<KernelKind>,
-    op: SweepOp,
-    x: Block,
-    w: BlockMut,
-) -> AugDotsBlock {
-    assert!(
-        m.ncols() >= m.nrows(),
-        "local matrix must have ncols >= nrows"
-    );
-    assert!(w.1 >= m.nrows(), "block w too small");
-    probed_sweep(m, kind, op, Serial, x, w)
-}
-
-fn probed_sweep<M: SparseKernels + ?Sized>(
-    m: &M,
-    kind: Option<KernelKind>,
+    kind: KernelKind,
     op: SweepOp,
     schedule: Schedule,
     (x, x_rows, r, live): Block,
-    (w, _, w_width): BlockMut,
+    (w, w_rows, w_width): BlockMut,
 ) -> AugDotsBlock {
+    assert_eq!(w_rows, m.nrows(), "w dimension mismatch");
+    let square = op == Plain || m.nrows() == m.ncols();
+    assert!(square, "augmented kernels need a square matrix");
     assert_eq!(x_rows, m.ncols(), "x dimension mismatch");
     assert_eq!(r, w_width, "block width mismatch");
     let (nrows, nnz) = (m.nrows(), m.nnz());
@@ -233,11 +194,11 @@ fn probed_sweep<M: SparseKernels + ?Sized>(
         } else {
             Sweep::Aug
         };
-        let bytes = sweep.min_bytes(nrows, m.matrix_bytes(r), live);
+        let bytes = sweep.min_bytes(nrows, m.matrix_bytes(), live);
         (sweep.flops(nrows, nnz, live) as u64, bytes as u64)
     };
-    let _probe = kind.and_then(|kind| kernel_timer(kind, format, nrows, nnz, live, counts));
-    m.sweep(op, schedule, x, r, &mut w[..nrows * r])
+    let _probe = kernel_timer(kind, format, nrows, nnz, live, counts);
+    m.sweep(op, schedule, x, r, w)
 }
 
 /// The concrete storage behind a [`KpmMatrix`].
@@ -351,8 +312,8 @@ impl SparseKernels for KpmMatrix {
     fn format(&self) -> FormatSpec {
         self.inner().format()
     }
-    fn matrix_bytes(&self, width: usize) -> usize {
-        self.inner().matrix_bytes(width)
+    fn matrix_bytes(&self) -> usize {
+        self.inner().matrix_bytes()
     }
     fn sweep(
         &self,
@@ -363,10 +324,8 @@ impl SparseKernels for KpmMatrix {
         w: &mut [Complex64],
     ) -> AugDotsBlock {
         match &self.repr {
-            Repr::Crs(m) => crate::sweep::run(m, op, schedule, self.cache_bytes, x, r, w),
-            Repr::Stencil(m) => {
-                crate::sweep::run(m.as_ref(), op, schedule, self.cache_bytes, x, r, w)
-            }
+            Repr::Crs(m) => crate::sweep::run_crs(m, op, schedule, self.cache_bytes, x, r, w),
+            Repr::Stencil(m) => m.sweep_at(op, schedule, self.cache_bytes, x, r, w),
         }
     }
 }
@@ -380,18 +339,16 @@ mod tests {
         let crs = KpmMatrix::crs(CrsMatrix::identity(12));
         assert!(crs.as_crs().is_some() && crs.as_stencil().is_none());
         // Plain values: 16 B each, plus a 4 B column index.
-        let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes(1));
+        let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes());
         assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12 * 20)));
-        assert_eq!(crs.matrix_bytes(8), 12 * 20);
         assert_eq!(FormatSpec::Crs.to_string(), "crs");
         assert_eq!(FormatSpec::Stencil.to_string(), "stencil");
 
         // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
-        // coded, a byte and a column index per entry plus the table —
-        // at width 1 a byte per block of each site (itself and three
+        // coded, and at every width it and the stencil read the one site
+        // view — a byte per block of each site (itself and three
         // neighbours) plus the seven distinct blocks of two 128-byte
-        // slots and a header, 320 bytes on 64-byte lines; the stencil
-        // streams no matrix.
+        // slots and a header, 320 bytes on 64-byte lines.
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
@@ -404,9 +361,9 @@ mod tests {
             coded.as_crs().unwrap().value_table().map(<[_]>::len),
             Some(2)
         );
-        assert_eq!(coded.matrix_bytes(2), nnz * 5 + 2 * 16);
-        assert_eq!(coded.matrix_bytes(1), 8 * 4 + 7 * 320);
+        let view = 8 * 4 + 7 * 320;
+        assert_eq!(coded.matrix_bytes(), view);
         let stencil = KpmMatrix::stencil(st);
-        assert_eq!((stencil.nnz(), stencil.matrix_bytes(1)), (nnz, 0));
+        assert_eq!((stencil.nnz(), stencil.matrix_bytes()), (nnz, view));
     }
 }

@@ -2,26 +2,22 @@
 //!
 //! The paper's roofline analysis makes the matrix stream the dominant
 //! traffic term (`N_nz ≈ 13·N` elements of 20 bytes each per sweep).
-//! [`StencilMatrix`] removes that term outright: every kernel rebuilds
-//! the operator from the lattice geometry — per site one on-site
-//! diagonal (64 bytes) plus six 4×4 hopping-block templates shared by
-//! all sites. `matrix_bytes()` is 0 and the probes model zero matrix
-//! bytes.
+//! [`StencilMatrix`] keeps the operator as the lattice geometry — per
+//! site one on-site diagonal (64 bytes) plus six 4×4 hopping-block
+//! templates shared by all sites — and never assembles a CRS.
 //!
-//! All kernels share one **site-blocked sweep** (the [`RowSweep`]
-//! body, run by the shared panel machinery of `sweep.rs`). The four
-//! orbital rows of a site see the same up-to-seven 4×4 blocks (six
-//! neighbours plus the on-site diagonal), and distinct sites own
-//! disjoint column ranges, so walking the blocks in ascending *site*
-//! order visits each row's entries in exactly the ascending-column
-//! order of a CRS row. That order depends only on the site's boundary
-//! class and is tabulated once at construction (flattened per orbital
-//! row into a [`RowPlan`]); the sweep looks the class up, keeps each
-//! row's accumulators in a const-width register panel and walks the
-//! row's flat entry list — no per-row gather, sort or merge, no
-//! per-block bookkeeping. The same tables are the lattice's CRS
-//! generator: [`StencilMatrix::to_crs`] (kpm-topo's `assemble()`)
-//! writes the plans out row by row.
+//! Its kernels run the lattice's one sweep (`sweep.rs`): the site view
+//! ([`SiteView`]), built here in `O(sites)` from the boundary classes —
+//! a byte per block of each site and the ≤ 256 distinct blocks, 0.4 MB
+//! on the benchmark's 48×48×24 lattice, which is what `matrix_bytes()`
+//! counts. The four orbital rows of a site see the same up-to-seven 4×4
+//! blocks (six neighbours plus the on-site diagonal), and distinct sites
+//! own disjoint column ranges, so walking the blocks in ascending *site*
+//! order visits each row's entries in exactly the ascending-column order
+//! of a CRS row. The lattice's coded CRS build ([`StencilMatrix::to_crs`],
+//! kpm-topo's `assemble()`) carries the same view, so both formats run
+//! the same machine code. The per-class row tables ([`RowPlan`]) are the
+//! CRS generator: `to_crs` writes them out row by row.
 //!
 //! Bitwise contract: every row runs the exact floating-point chain of
 //! the CRS sweep over the exact entries of the CRS build, and the two
@@ -30,13 +26,13 @@
 //! ≡ parallel at equal cache budget) for any thread count. The
 //! determinism and property suites pin this down.
 //!
-//! The per-row generator [`StencilMatrix::regen_row`] — the literal
-//! form of Eq. (1): gather, sort by column, merge — remains for rows of
-//! a site split by a chunk edge (tile heights need not be multiples of
-//! 4), for lattices with a periodic extent-2 axis (the coincident
-//! `n±ê_j` blocks are merged before the multiply), and as the row
-//! source of the fingerprint; entry count and Gershgorin bounds are
-//! `O(sites)` folds.
+//! A lattice has no view when a periodic axis has extent 2 (the
+//! coincident `n±ê_j` blocks are merged before the multiply) or when it
+//! has more than 256 distinct blocks (only a disordered potential has).
+//! Its sweep then regenerates each row with [`StencilMatrix::regen_row`]
+//! — the literal form of Eq. (1): gather, sort by column, merge — which
+//! is also the row source of the fingerprint; entry count and Gershgorin
+//! bounds are `O(sites)` folds.
 
 use std::ops::Range;
 
@@ -46,10 +42,10 @@ use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CodeTable, CrsMatrix, SiteBlock, SiteView};
+use crate::crs::{CodeTable, CrsMatrix, SiteBlock, SiteView, MAX_SITE_BLOCKS};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::sweep::{
-    all_axial, for_passes, is_axial, row_pass, Epilogue, Isa, Pass, RowSweep, Schedule, SweepOp,
+    all_axial, for_passes, row_pass, run, Epilogue, Isa, RowSweep, Schedule, SweepOp,
 };
 use crate::tile::DEFAULT_CACHE_BYTES;
 
@@ -77,24 +73,21 @@ struct HopRow {
 /// One orbital row of a boundary class: the blocks every site of the
 /// class sees, walked in ascending site (hence ascending column) order
 /// and flattened into the row's hopping entries `(x-row offset from the
-/// site's first row, value, −value.im)`, with the on-site entry — whose
-/// value varies per site — slotted in before entry `onsite_at`.
+/// site's first row, value)`, with the on-site entry — whose value
+/// varies per site — slotted in before entry `onsite_at`. The CRS
+/// generator's table ([`StencilMatrix::to_crs`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct RowPlan {
     len: u8,
     onsite_at: u8,
-    /// Every hopping entry has an exactly-zero part ([`is_axial`]).
-    axial: bool,
     entries: [PlanEntry; MAX_ROW_ENTRIES],
 }
 
-/// One hopping entry of a [`RowPlan`]; `neg_im` is `-val.im`,
-/// tabulated (see [`Pass::axpy`]).
+/// One hopping entry of a [`RowPlan`].
 #[derive(Debug, Clone, Copy, Default)]
 struct PlanEntry {
     offset: isize,
     val: Complex64,
-    neg_im: f64,
 }
 
 /// The value table of a coded CRS build, the codes its fill writes and
@@ -108,9 +101,6 @@ struct ValueCodes {
     onsite: Vec<[u8; 4]>,
     sites: SiteView,
 }
-
-/// Blocks a site reads at most: itself and six neighbours.
-const MAX_SITE_BLOCKS: usize = 7;
 
 /// A boundary class in a [`SiteView`] build: the codes of its blocks in
 /// ascending order, the on-site block's slot among them (its code is
@@ -168,8 +158,12 @@ pub struct StencilMatrix {
     plans: Vec<[RowPlan; 4]>,
     /// True when a periodic axis has extent 2: both partners along it
     /// are the same site and the assembly merges their entries, so the
-    /// sweep regenerates (and merges) row by row.
+    /// lattice has no site view.
     coincident: bool,
+    /// The site view the sweep walks ([`StencilMatrix::site_view`]);
+    /// `None` on coincident-neighbour lattices and past 256 distinct
+    /// blocks, whose sweep regenerates (and merges) row by row.
+    sites: Option<SiteView>,
     nnz: usize,
 }
 
@@ -229,12 +223,14 @@ impl StencilMatrix {
                 .iter()
                 .zip(periodic)
                 .any(|(&extent, wraps)| wraps && extent == 2),
+            sites: None,
             nnz: 0,
         };
         m.plans = (0..64).map(|code| m.row_plans(code)).collect();
         let mut nnz = 0;
         m.for_row_sums(|_, entries, _| nnz += entries);
-        Self { nnz, ..m }
+        let sites = if m.coincident { None } else { m.site_view() };
+        Self { nnz, sites, ..m }
     }
 
     /// The blocks every site of boundary class `code` reads, as (site
@@ -270,7 +266,6 @@ impl StencilMatrix {
             return plans;
         };
         for (o, plan) in plans.iter_mut().enumerate() {
-            plan.axial = true;
             for &(offset, block) in &slots {
                 if block == ONSITE {
                     plan.onsite_at = plan.len;
@@ -281,9 +276,7 @@ impl StencilMatrix {
                     plan.entries[plan.len as usize] = PlanEntry {
                         offset: 4 * offset + hr.cols[e] as isize,
                         val: hr.vals[e],
-                        neg_im: -hr.vals[e].im,
                     };
-                    plan.axial &= is_axial(hr.vals[e]);
                     plan.len += 1;
                 }
             }
@@ -420,12 +413,11 @@ impl StencilMatrix {
     /// hopping entries of the row plans first, then the kept on-site
     /// entries in one `O(sites)` pass, in which a site whose diagonal
     /// has the previous site's bits reuses its codes. `None` past 256
-    /// distinct values, and on coincident-neighbour lattices, whose
-    /// merged entries are sums no plan holds.
+    /// distinct values, and on a lattice with no site view
+    /// (coincident neighbours, whose merged entries are sums no plan
+    /// holds, or past 256 distinct blocks).
     fn value_codes(&self) -> Option<ValueCodes> {
-        if self.coincident {
-            return None;
-        }
+        let sites = self.sites.clone()?;
         let mut table = CodeTable::new();
         let mut hops = vec![[[0u8; MAX_ROW_ENTRIES]; 4]; self.plans.len()];
         for (plans, hops) in self.plans.iter().zip(&mut hops) {
@@ -458,12 +450,13 @@ impl StencilMatrix {
             table,
             hops,
             onsite,
-            sites: self.site_view()?,
+            sites,
         })
     }
 
-    /// The site view of a coded CRS build ([`SiteView`]) in one pass
-    /// over the sites: each boundary class's hopping blocks are coded
+    /// The site view of the lattice ([`SiteView`]) — what the sweep walks,
+    /// on the stencil and on a coded CRS build alike — in one pass over
+    /// the sites: each boundary class's hopping blocks are coded
     /// once, from [`StencilMatrix::class_blocks`], and each site takes
     /// its class's codes with the code of its own on-site block in its
     /// slot, looked up by the diagonal's bits among the diagonals met
@@ -529,7 +522,6 @@ impl StencilMatrix {
             blocks,
             stride,
             codes,
-            first_row: 0,
         })
     }
 
@@ -775,9 +767,7 @@ impl StencilMatrix {
     }
 }
 
-/// The sweep body: whole sites take the site-blocked walk in column
-/// passes of at most `I::COLS`; rows of a site cut by the range edges, and
-/// every row of a coincident-neighbour lattice, are regenerated.
+/// The sweep body of a lattice with no site view: its regenerated rows.
 impl RowSweep for StencilMatrix {
     #[inline(always)]
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
@@ -788,34 +778,27 @@ impl RowSweep for StencilMatrix {
         w: &mut [Complex64],
         epi: &mut E,
     ) {
-        let m = self;
-        let row1 = row0 + w.len() / r;
-        let (s0, s1) = (row0.div_ceil(4), row1 / 4);
-        if m.coincident || s0 >= s1 {
-            return regen_rows(m, x, r, row0, row0..row1, ARMS, w, epi);
+        regen_rows(self, x, r, row0, ARMS, w, epi);
+    }
+}
+
+impl StencilMatrix {
+    /// The sweep at the per-thread cache budget `cache_bytes`: the site
+    /// view's walk, the CRS build's own ([`crate::sweep`]), or on a
+    /// lattice with no view the regenerated rows.
+    pub(crate) fn sweep_at(
+        &self,
+        op: SweepOp,
+        schedule: Schedule,
+        cache_bytes: usize,
+        x: &[Complex64],
+        r: usize,
+        w: &mut [Complex64],
+    ) -> AugDotsBlock {
+        match &self.sites {
+            Some(sites) => run(sites, op, schedule, cache_bytes, x, r, w),
+            None => run(self, op, schedule, cache_bytes, x, r, w),
         }
-        regen_rows(m, x, r, row0, row0..4 * s0, ARMS, w, epi);
-        let (mut cx, mut cy, mut cz) = (s0 % m.nx, s0 / m.nx % m.ny, s0 / (m.nx * m.ny));
-        let mut yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
-        for site in s0..s1 {
-            let plans = &m.plans[edge_code(cx, m.nx) | yz];
-            let diag = &m.onsite_diag[site];
-            let wsite = &mut w[(4 * site - row0) * r..][..4 * r];
-            for_passes!(I::COLS, r, |j0| site_pass(
-                plans, diag, ARMS, site, x, r, j0, wsite, epi
-            ));
-            cx += 1;
-            if cx == m.nx {
-                cx = 0;
-                cy += 1;
-                if cy == m.ny {
-                    cy = 0;
-                    cz += 1;
-                }
-                yz = edge_code(cy, m.ny) << 2 | edge_code(cz, m.nz) << 4;
-            }
-        }
-        regen_rows(m, x, r, row0, 4 * s1..row1, ARMS, w, epi);
     }
 }
 
@@ -834,8 +817,8 @@ impl SparseKernels for StencilMatrix {
     fn format(&self) -> FormatSpec {
         FormatSpec::Stencil
     }
-    fn matrix_bytes(&self, _: usize) -> usize {
-        0
+    fn matrix_bytes(&self) -> usize {
+        self.sites.as_ref().map_or(0, SiteView::bytes)
     }
     fn sweep(
         &self,
@@ -845,109 +828,30 @@ impl SparseKernels for StencilMatrix {
         r: usize,
         w: &mut [Complex64],
     ) -> AugDotsBlock {
-        crate::sweep::run(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
+        self.sweep_at(op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
     }
 }
 
-/// The four orbital rows of `site` on the block-vector columns of one
-/// [`Pass`] from `j0`: each row's accumulators stay in registers while
-/// its class's entries are walked in ascending column order, the
-/// on-site entry in its slot. `arms` is the body's `ARMS`: whether a
-/// row of zero-part entries alone runs the loop that skips their
-/// products.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
-fn site_pass<const W: usize, const TWO: bool, E: Epilogue>(
-    plans: &[RowPlan; 4],
-    diag: &[Complex64; 4],
-    arms: bool,
-    site: usize,
-    x: &[Complex64],
-    r: usize,
-    j0: usize,
-    wsite: &mut [Complex64],
-    epi: &mut E,
-) {
-    for (o, plan) in plans.iter().enumerate() {
-        let at = (4 * site + o) * r + j0;
-        let base = 4 * site * r + j0;
-        let mut acc = Pass::<W, TWO>::ZERO;
-        if arms && plan.axial && is_axial(diag[o]) {
-            plan_row::<W, TWO, true>(plan, diag[o], x, r, base, at, &mut acc);
-        } else {
-            plan_row::<W, TWO, false>(plan, diag[o], x, r, base, at, &mut acc);
-        }
-        acc.finish(epi, x, at, j0, &mut wsite[o * r + j0..]);
-    }
-}
-
-/// One orbital row on `acc`: the plan's entries from `x[base..]` (the
-/// site's first row, column `j0`) with the on-site entry `diag`, read
-/// at `x[at..]`, in its slot.
-#[inline(always)]
-fn plan_row<const W: usize, const TWO: bool, const AXIAL: bool>(
-    plan: &RowPlan,
-    diag: Complex64,
-    x: &[Complex64],
-    r: usize,
-    base: usize,
-    at: usize,
-    acc: &mut Pass<W, TWO>,
-) {
-    let (below, above) = plan.entries[..plan.len as usize].split_at(plan.onsite_at as usize);
-    walk::<W, TWO, AXIAL>(below, x, base, r, acc);
-    // The assembly drops an exactly-zero diagonal entry.
-    if diag != ZERO {
-        acc.axpy::<AXIAL>(diag, -diag.im, &x[at..]);
-    }
-    walk::<W, TWO, AXIAL>(above, x, base, r, acc);
-}
-
-/// Applies a run of plan entries to the pass at `x[base..]` (the
-/// site's first row, column `j0`).
-#[inline(always)]
-fn walk<const W: usize, const TWO: bool, const AXIAL: bool>(
-    entries: &[PlanEntry],
-    x: &[Complex64],
-    base: usize,
-    r: usize,
-    acc: &mut Pass<W, TWO>,
-) {
-    for en in entries {
-        let at = base.wrapping_add_signed(en.offset * r as isize);
-        acc.axpy::<AXIAL>(en.val, en.neg_im, &x[at..]);
-    }
-}
-
-/// Per-row path of the sweep body: the CRS row passes over regenerated
-/// rows, one layout panel at a time. Not inlined into the sweep copies
-/// — it serves a tile's few cut rows and the coincident-neighbour
-/// lattices — so it runs as compiled for the baseline target under
-/// every copy; `arms` is the calling body's `ARMS`.
-#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
+/// The sweep of a lattice with no site view over the rows of `w` from
+/// `row0`: the CRS row passes over regenerated rows, one layout panel at
+/// a time. Not inlined into the sweep copies — only coincident-neighbour
+/// lattices and those past 256 distinct blocks come here — so it runs as
+/// compiled for the baseline target under every copy; `arms` is the
+/// calling body's `ARMS`.
 fn regen_rows<E: Epilogue>(
     m: &StencilMatrix,
     x: &[Complex64],
     r: usize,
     row0: usize,
-    rows: Range<usize>,
     arms: bool,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    m.for_rows(rows, |row, cols, vals| {
+    m.for_rows(row0..row0 + w.len() / r, |row, cols, vals| {
         let wrow = &mut w[(row - row0) * r..][..r];
         let axial = arms && all_axial(vals);
         for_passes!(8, r, |j0| row_pass(
-            cols,
-            vals.iter().copied(),
-            axial,
-            x,
-            r,
-            row,
-            j0,
-            wrow,
-            epi
+            cols, vals, axial, x, r, row, j0, wrow, epi
         ));
     });
 }

@@ -8,25 +8,28 @@
 //! `W` columns is `[re; W][im; W]`, see [`kpm_num::block`]), a pass's
 //! accumulators sit in fixed-size `re`/`im` arrays the compiler keeps
 //! in registers ([`Pass`]: one panel, or two adjacent 8-column panels
-//! walked together), the row's `(col, val)` pairs are re-walked per
-//! pass from L1, and an [`Epilogue`] — `y = A x` ([`Plain`]) or the
+//! walked together), the row's entries are re-walked per pass from
+//! L1, and an [`Epilogue`] — `y = A x` ([`Plain`]) or the
 //! augmented update with or without the fused dots ([`Aug`]) —
 //! finishes each panel. Lanes are loaded, combined and stored with no
 //! shuffle.
 //!
-//! A [`RowSweep`] is where a row's entries come from: the CRS arrays
-//! (here, one row loop over plain or coded values, [`ValueSource`]) or
-//! the stencil's tabulated site classes
-//! ([`crate::stencil`]). Every CRS and stencil kernel, at every width,
-//! is [`run`]: a [`SweepOp`] (which epilogue) under a [`Schedule`] —
-//! one range over all rows, or fixed chunks ([`chunk_rows`]) whose
-//! partial dots are combined in chunk order, so results never depend
-//! on the thread count. Width 1 has nothing to hold in a panel and is
-//! walked inside the same compiled copies in one of two ways: a plain
-//! CRS as the dependent `mul_add` chain of each row's entries
-//! ([`entry_chain`]), a coded one as the stored entries of its 4×4 site
-//! blocks, four lattice sites at a time, each site's four rows in eight
-//! lanes ([`site_group`]), finished by [`Epilogue::finish_rows`].
+//! A [`RowSweep`] is where a row's entries come from: a lattice
+//! operator's site view ([`SiteView`]) — the one sweep of the paper's
+//! Eq. 1 lattice, on its coded CRS build and on the stencil alike — a
+//! plain CRS's arrays ([`Entries`]), or the rows a stencil with no view
+//! regenerates ([`crate::stencil`]). Every CRS and stencil kernel, at
+//! every width, is [`run`]: a [`SweepOp`] (which epilogue) under a
+//! [`Schedule`] — one range over all rows, or fixed chunks
+//! ([`chunk_rows`], whole lattice sites) whose partial dots are combined
+//! in chunk order, so results never depend on the thread count. The site
+//! view multiplies only the stored entries of its 4×4 site blocks: at
+//! width 1 four lattice sites at a time, each site's four rows in eight
+//! lanes ([`site_group`]), finished by [`Epilogue::finish_rows`]; wider,
+//! site by site on register passes, each slot one factor times one half
+//! of a neighbour row's panel ([`site_panels`]). A plain CRS at width 1
+//! is the dependent `mul_add` chain of each row's entries
+//! ([`entry_chain`]).
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
@@ -56,10 +59,10 @@ use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CodeTable, CrsMatrix, SiteView, Values};
+use crate::crs::{CrsMatrix, SiteView, Values};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
-use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
+use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
 
 /// What a sweep does with each row's `(Hx)[row]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,8 +99,8 @@ pub enum Schedule {
 /// sums sit on these boundaries regardless of the thread count.
 const ROWS_PER_CHUNK: usize = 1024;
 
-/// What a sweep does with a row's accumulators `(Hx)[row]`. Rows
-/// arrive in ascending order, each as its panels in column order.
+/// What a sweep does with a row's accumulators `(Hx)[row]`. Each
+/// column sees the rows in ascending order.
 pub(crate) trait Epilogue {
     /// The finished layout panel of columns `j0 .. j0 + W`, as lanes:
     /// `x[at..]` are the matching slots of `x`'s row (not touched by
@@ -343,16 +346,13 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
 
     /// `acc[k] = val.mul_add(x[k], acc[k])` on every lane, in the bits
     /// of that four-product chain: `x` are the slots of an `x` row from
-    /// column `j0`, `neg_im` is `-val.im`, and `AXIAL` promises that
-    /// [`is_axial`]`(val)` — the caller tested the whole row
-    /// ([`all_axial`]) and runs one loop or the other.
+    /// column `j0`, and `AXIAL` promises that [`is_axial`]`(val)` — the
+    /// caller tested the whole row ([`all_axial`]) and runs one loop or
+    /// the other.
     ///
     /// The general arm is `mul_add`'s own `re·re − im·im` on the real
     /// lane and `re·im − (−val.im)·x.re` on the imaginary one:
     /// subtracting the exactly negated product is adding `val.im·x.re`.
-    /// (`neg_im` read from a table — the stencil — keeps both lanes
-    /// multiply, multiply, subtract, add in one operand order; computed
-    /// in the compiler's sight — CRS — it folds back into the add.)
     ///
     /// Every hop of paper Eq. 1 is `±t/2` or `±i·t/2` and every on-site
     /// term, like every entry of a `real` MatrixMarket file, is real: on
@@ -375,7 +375,8 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
     /// the solver never sweeps one: its divergence guardrail ends the
     /// run when `‖x‖²` passes 10³·µ₀, long before an entry overflows.
     #[inline(always)]
-    pub(crate) fn axpy<const AXIAL: bool>(&mut self, val: Complex64, neg_im: f64, x: &[Complex64]) {
+    pub(crate) fn axpy<const AXIAL: bool>(&mut self, val: Complex64, x: &[Complex64]) {
+        let neg_im = -val.im;
         // The kind is tested once per entry and pass, ahead of the
         // panels.
         if !AXIAL {
@@ -387,6 +388,29 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
             add_lanes!(self, x, |xre, xim| (val.re * xre, val.re * xim));
         } else {
             add_lanes!(self, x, |xre, xim| (neg_im * xim, val.im * xre));
+        }
+    }
+
+    /// One slot step of the site walk ([`site_panels`]): `re[k] += c.0 ·
+    /// x[s + k]` and `im[k] += c.1 · x[W − s + k]` on every panel of the
+    /// pass, where `x` are the doubles of the neighbour row a slot's lane
+    /// names, from the pass's first column, and `s = W` when `lane` is
+    /// odd, 0 otherwise. A real slot entry (even lane) is
+    /// [`Pass::axpy`]'s real arm, an imaginary one its imaginary arm.
+    #[inline(always)]
+    pub(crate) fn slot_axpy(&mut self, c: (f64, f64), lane: usize, x: &[f64]) {
+        let x = &x[..2 * Self::COLS];
+        let ore = (lane & 1) * W;
+        let (xre, xim) = (&x[ore..], &x[W - ore..]);
+        for k in 0..W {
+            self.re[k] += c.0 * xre[k];
+            self.im[k] += c.1 * xim[k];
+        }
+        if TWO {
+            for k in 0..W {
+                self.re2[k] += c.0 * xre[2 * W + k];
+                self.im2[k] += c.1 * xim[2 * W + k];
+            }
         }
     }
 
@@ -450,53 +474,13 @@ pub(crate) trait RowSweep: Sync {
     );
 }
 
-/// Where the CRS row loop reads entry values: a plain matrix's value
-/// array, or a coded one's table and codes ([`crate::crs`]). The sweep
-/// body picks one per call and runs the same loop on either.
-trait ValueSource: Copy {
-    /// The values of entries `range`, in order.
-    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64>;
-    /// [`all_axial`] of those values.
-    fn row_axial(self, range: Range<usize>) -> bool;
+/// The rows of a CRS matrix whose values are stored plain.
+struct Entries<'a> {
+    m: &'a CrsMatrix,
+    vals: &'a [Complex64],
 }
 
-impl ValueSource for &[Complex64] {
-    #[inline(always)]
-    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64> {
-        self[range].iter().copied()
-    }
-
-    #[inline(always)]
-    fn row_axial(self, range: Range<usize>) -> bool {
-        all_axial(&self[range])
-    }
-}
-
-/// A coded matrix's values: `table.vals[codes[k]]` for entry `k`. The
-/// table is a fixed 256-slot array, so a `u8` code needs no bounds
-/// check.
-#[derive(Clone, Copy)]
-struct Coded<'a> {
-    table: &'a CodeTable,
-    codes: &'a [u8],
-}
-
-impl ValueSource for Coded<'_> {
-    #[inline(always)]
-    fn row(self, range: Range<usize>) -> impl Iterator<Item = Complex64> {
-        let vals = &self.table.vals;
-        self.codes[range].iter().map(move |&c| vals[c as usize])
-    }
-
-    /// Always: every value of a coded matrix has an exactly-zero part
-    /// (`CrsMatrix::from_coded`).
-    #[inline(always)]
-    fn row_axial(self, _: Range<usize>) -> bool {
-        true
-    }
-}
-
-impl RowSweep for CrsMatrix {
+impl RowSweep for Entries<'_> {
     #[inline(always)]
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
@@ -506,80 +490,89 @@ impl RowSweep for CrsMatrix {
         w: &mut [Complex64],
         epi: &mut E,
     ) {
-        let rows = row0..row0 + w.len() / r;
-        match self.values() {
-            Values::Plain(vals) if r == 1 => {
-                entry_chain(self, vals.as_slice(), x, rows, row0, w, epi)
-            }
-            Values::Plain(vals) => {
-                crs_rows::<E, I, ARMS>(self, vals.as_slice(), x, r, row0, w, epi)
-            }
-            Values::Coded(table, codes, sites) if r == 1 => {
-                site_rows::<E, I>(self, sites, Coded { table, codes }, x, rows, w, epi)
-            }
-            Values::Coded(table, codes, _) => {
-                crs_rows::<E, I, ARMS>(self, Coded { table, codes }, x, r, row0, w, epi)
-            }
+        match r {
+            1 => entry_chain(self.m, self.vals, x, row0, w, epi),
+            _ => crs_rows::<E, I, ARMS>(self.m, self.vals, x, r, row0, w, epi),
         }
     }
 }
 
-/// The width-1 entry chain over `rows` of `m` (`w` holds the rows from
-/// `row0`): each row is one dependent `mul_add` chain over its entries,
-/// with nothing to hold in a panel.
+/// The width-1 entry chain over the rows of `w` from `row0`: each row
+/// is one dependent `mul_add` chain over its entries, with nothing to
+/// hold in a panel.
 #[inline(always)]
 fn entry_chain<E: Epilogue>(
     m: &CrsMatrix,
-    vals: impl ValueSource,
+    vals: &[Complex64],
     x: &[Complex64],
-    rows: Range<usize>,
     row0: usize,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
     let all_cols = m.cols();
-    let w = &mut w[rows.start - row0..rows.end - row0];
-    for (row, wrow) in rows.zip(w) {
+    for (row, wrow) in (row0..).zip(w) {
         let Range { start, end } = m.row_range(row);
         let mut acc = Complex64::default();
-        for (hv, &c) in vals.row(start..end).zip(&all_cols[start..end]) {
+        for (hv, &c) in vals[start..end].iter().zip(&all_cols[start..end]) {
             acc = hv.mul_add(x[c as usize], acc);
         }
         epi.finish_rows(&[acc.re, acc.im], x, row, std::slice::from_mut(wrow));
     }
 }
 
-/// The width-1 sweep of a coded matrix over `rows` (`w` holds them):
-/// the whole lattice sites among them on the site view, four at a time
-/// and the last few one by one; the rows of a site cut by the range's
-/// edges — only a row block has them — on the entry chain.
-#[inline(always)]
-fn site_rows<E: Epilogue, I: Isa>(
-    m: &CrsMatrix,
-    sites: &SiteView,
-    vals: Coded,
-    x: &[Complex64],
-    rows: Range<usize>,
-    w: &mut [Complex64],
-    epi: &mut E,
-) {
-    let (row0, first) = (rows.start, sites.first_row);
-    // Lattice sites `s0..s1` lie wholly inside the rows.
-    let (s0, s1) = ((first + rows.start).div_ceil(4), (first + rows.end) / 4);
-    if s0 >= s1 {
-        return entry_chain(m, vals, x, rows, row0, w, epi);
+/// The one lattice sweep: a lattice operator's site view, the CRS
+/// build's and the stencil's alike, over the rows of `w` from `row0` —
+/// whole lattice sites, as every sweep range is ([`chunk_rows`]). Width
+/// 1 walks four sites at a time and the last few one by one
+/// ([`site_group`]); wider blocks walk site by site ([`site_panels`]):
+/// two of the copy's widest passes side by side while their columns
+/// remain, then the widest pass and the layout panels one by one.
+impl RowSweep for SiteView {
+    #[inline(always)]
+    fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
+        &self,
+        x: &[Complex64],
+        r: usize,
+        row0: usize,
+        w: &mut [Complex64],
+        epi: &mut E,
+    ) {
+        let rows = w.len() / r;
+        debug_assert!(
+            row0.is_multiple_of(SITE_ROWS) && rows.is_multiple_of(SITE_ROWS),
+            "a sweep range cuts a site"
+        );
+        let (s0, s1) = (row0 / 4, (row0 + rows) / 4);
+        if r == 1 {
+            let mut site = s0;
+            while site + 4 <= s1 {
+                site_group::<32, E, I>(self, x, site, row0, w, epi);
+                site += 4;
+            }
+            while site < s1 {
+                site_group::<8, E, I>(self, x, site, row0, w, epi);
+                site += 1;
+            }
+            return;
+        }
+        for (site, wsite) in (s0..s1).zip(w.chunks_exact_mut(4 * r)) {
+            let mut j0 = 0;
+            while j0 + 2 * I::COLS <= r {
+                match I::COLS {
+                    16 => site_panels::<8, true, 2, E>(self, site, x, r, j0, wsite, epi),
+                    _ => site_panels::<8, false, 2, E>(self, site, x, r, j0, wsite, epi),
+                }
+                j0 += 2 * I::COLS;
+            }
+            if I::COLS == 16 && j0 + 16 <= r {
+                site_panels::<8, true, 1, E>(self, site, x, r, j0, wsite, epi);
+                j0 += 16;
+            }
+            kpm_num::for_panels!(r, j0, W => site_panels::<W, false, 1, E>(
+                self, site, x, r, j0, wsite, epi
+            ));
+        }
     }
-    entry_chain(m, vals, x, row0..4 * s0 - first, row0, w, epi);
-    let mut site = s0;
-    while site + 4 <= s1 {
-        site_group::<32, E, I>(sites, x, site, row0, w, epi);
-        site += 4;
-    }
-    while site < s1 {
-        site_group::<8, E, I>(sites, x, site, row0, w, epi);
-        site += 1;
-    }
-    entry_chain(m, vals, x, 4 * s1 - first..rows.end, row0, w, epi);
 }
 
 /// `L / 8` consecutive lattice sites from `site` on the site view, each
@@ -612,8 +605,7 @@ fn site_group<const L: usize, E: Epilogue, I: Isa>(
     epi: &mut E,
 ) {
     let stride = sites.stride;
-    let listed = site - sites.first_row / 4;
-    let codes = &sites.codes[listed * stride..][..L / 8 * stride];
+    let codes = &sites.codes[site * stride..][..L / 8 * stride];
     let mut acc = [0.0; L];
     for k in 0..stride {
         for s in 0..L / 8 {
@@ -627,16 +619,99 @@ fn site_group<const L: usize, E: Epilogue, I: Isa>(
             }
         }
     }
-    let at = 4 * site - sites.first_row;
+    let at = 4 * site;
     epi.finish_rows(&acc, x, at, &mut w[at - row0..]);
 }
 
-/// The CRS row loop of [`RowSweep::sweep_body`] at widths beyond 1, on
-/// the values `vals` of `m`.
+/// The four rows of `site` on `SPAN` compute passes side by side from
+/// column `j0` (`wsite` their rows of `w`): the width-`r` form of
+/// [`site_group`], with no lane gather. Four accumulators are in flight
+/// — four rows on one pass, or two rows on two, which decode each slot
+/// once for twice the columns — and each block of the site is read once
+/// for them. For row `o` and a slot, lane `2o` names the neighbour's row
+/// (`lane >> 1`) and, by its parity, the half of that row's split
+/// `[re; W][im; W]` panels the real accumulators read; the imaginary
+/// ones read the other half. So a slot step is one factor times one
+/// contiguous half on each accumulator set ([`Pass::slot_axpy`]), the
+/// products and their order those of [`site_group`], and so are the
+/// bits. (Trial of the loop orders: EXPERIMENTS.md, "One lattice sweep:
+/// the site view at every width".)
+#[inline(always)]
+fn site_panels<const W: usize, const TWO: bool, const SPAN: usize, E: Epilogue>(
+    sites: &SiteView,
+    site: usize,
+    x: &[Complex64],
+    r: usize,
+    j0: usize,
+    wsite: &mut [Complex64],
+    epi: &mut E,
+) {
+    let cols = Pass::<W, TWO>::COLS;
+    let codes = &sites.codes[site * sites.stride..][..sites.stride];
+    let xd = doubles(x);
+    let len = 2 * SPAN * cols;
+    for o in (0..4).step_by(4 / SPAN) {
+        let [mut a0, mut a1, mut a2, mut a3] = [Pass::<W, TWO>::ZERO; 4];
+        for &code in codes {
+            let block = &sites.blocks[code as usize];
+            let base = (4 * site).wrapping_add_signed(block.offset);
+            let xs = &xd[2 * (base * r + j0)..];
+            for slot in &block.slots[..block.len] {
+                if SPAN == 1 {
+                    let (lane, c) = slot.row(o);
+                    a0.slot_axpy(c, lane, lane_row(xs, lane, r, len));
+                    let (lane, c) = slot.row(o + 1);
+                    a1.slot_axpy(c, lane, lane_row(xs, lane, r, len));
+                    let (lane, c) = slot.row(o + 2);
+                    a2.slot_axpy(c, lane, lane_row(xs, lane, r, len));
+                    let (lane, c) = slot.row(o + 3);
+                    a3.slot_axpy(c, lane, lane_row(xs, lane, r, len));
+                } else {
+                    let (lane, c) = slot.row(o);
+                    let x = lane_row(xs, lane, r, len);
+                    a0.slot_axpy(c, lane, x);
+                    a1.slot_axpy(c, lane, &x[2 * cols..]);
+                    let (lane, c) = slot.row(o + 1);
+                    let x = lane_row(xs, lane, r, len);
+                    a2.slot_axpy(c, lane, x);
+                    a3.slot_axpy(c, lane, &x[2 * cols..]);
+                }
+            }
+        }
+        // Accumulator `k` holds row `o + k / SPAN` from column `col(k)`,
+        // which is at `at(k)` in the site's rows.
+        let col = |k: usize| j0 + k % SPAN * cols;
+        let at = |k: usize| (o + k / SPAN) * r + col(k);
+        let row0 = 4 * site * r;
+        a0.finish(epi, x, row0 + at(0), col(0), &mut wsite[at(0)..]);
+        a1.finish(epi, x, row0 + at(1), col(1), &mut wsite[at(1)..]);
+        a2.finish(epi, x, row0 + at(2), col(2), &mut wsite[at(2)..]);
+        a3.finish(epi, x, row0 + at(3), col(3), &mut wsite[at(3)..]);
+    }
+}
+
+/// The `len` doubles of the neighbour row a slot's `lane` names, from
+/// `xs`, those of the neighbour's first row in a width-`r` block.
+#[inline(always)]
+fn lane_row(xs: &[f64], lane: usize, r: usize, len: usize) -> &[f64] {
+    &xs[2 * (lane >> 1) * r..][..len]
+}
+
+/// `x` as its `2 · x.len()` doubles, `(re, im)` per entry.
+#[inline(always)]
+fn doubles(x: &[Complex64]) -> &[f64] {
+    // SAFETY: `Complex64` is `repr(C)` over two `f64`s, so `x` is
+    // `2 · x.len()` `f64`s in order, aligned as `f64`, borrowed for as
+    // long as `x` is.
+    unsafe { std::slice::from_raw_parts(x.as_ptr().cast::<f64>(), 2 * x.len()) }
+}
+
+/// The CRS row loop of [`RowSweep::sweep_body`] at widths beyond 1,
+/// on the plain values `vals` of `m`.
 #[inline(always)]
 fn crs_rows<E: Epilogue, I: Isa, const ARMS: bool>(
     m: &CrsMatrix,
-    vals: impl ValueSource,
+    vals: &[Complex64],
     x: &[Complex64],
     r: usize,
     row0: usize,
@@ -644,22 +719,30 @@ fn crs_rows<E: Epilogue, I: Isa, const ARMS: bool>(
     epi: &mut E,
 ) {
     let all_cols = m.cols();
-    for (i, wrow) in w.chunks_mut(r).enumerate() {
-        let row = row0 + i;
+    for (row, wrow) in (row0..).zip(w.chunks_mut(r)) {
         let Range { start, end } = m.row_range(row);
-        let cols = &all_cols[start..end];
-        let axial = ARMS && vals.row_axial(start..end);
+        let (cols, vals) = (&all_cols[start..end], &vals[start..end]);
+        let axial = ARMS && all_axial(vals);
         for_passes!(I::COLS, r, |j0| row_pass(
-            cols,
-            vals.row(start..end),
-            axial,
-            x,
-            r,
-            row,
-            j0,
-            wrow,
-            epi
+            cols, vals, axial, x, r, row, j0, wrow, epi
         ));
+    }
+}
+
+/// A CRS matrix's sweep at the per-thread cache budget `cache_bytes`:
+/// its site view when it has one, its entries otherwise.
+pub(crate) fn run_crs(
+    m: &CrsMatrix,
+    op: SweepOp,
+    schedule: Schedule,
+    cache_bytes: usize,
+    x: &[Complex64],
+    r: usize,
+    w: &mut [Complex64],
+) -> AugDotsBlock {
+    match m.values() {
+        Values::Lattice(_, _, sites) => run(sites, op, schedule, cache_bytes, x, r, w),
+        Values::Plain(vals) => run(&Entries { m, vals }, op, schedule, cache_bytes, x, r, w),
     }
 }
 
@@ -677,8 +760,8 @@ impl SparseKernels for CrsMatrix {
     fn format(&self) -> FormatSpec {
         FormatSpec::Crs
     }
-    fn matrix_bytes(&self, width: usize) -> usize {
-        CrsMatrix::matrix_bytes(self, width)
+    fn matrix_bytes(&self) -> usize {
+        CrsMatrix::matrix_bytes(self)
     }
     fn sweep(
         &self,
@@ -688,7 +771,7 @@ impl SparseKernels for CrsMatrix {
         r: usize,
         w: &mut [Complex64],
     ) -> AugDotsBlock {
-        run(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
+        run_crs(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
     }
 }
 
@@ -699,7 +782,7 @@ impl SparseKernels for CrsMatrix {
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
 pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     cols: &[u32],
-    vals: impl Iterator<Item = Complex64>,
+    vals: &[Complex64],
     axial: bool,
     x: &[Complex64],
     r: usize,
@@ -709,14 +792,14 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     epi: &mut E,
 ) {
     let mut acc = Pass::<W, TWO>::ZERO;
-    let entries = vals.zip(cols);
+    let entries = vals.iter().zip(cols);
     if axial {
-        for (hv, &c) in entries {
-            acc.axpy::<true>(hv, -hv.im, &x[c as usize * r + j0..]);
+        for (&hv, &c) in entries {
+            acc.axpy::<true>(hv, &x[c as usize * r + j0..]);
         }
     } else {
-        for (hv, &c) in entries {
-            acc.axpy::<false>(hv, -hv.im, &x[c as usize * r + j0..]);
+        for (&hv, &c) in entries {
+            acc.axpy::<false>(hv, &x[c as usize * r + j0..]);
         }
     }
     acc.finish(epi, x, row * r + j0, j0, &mut wrow[j0..]);

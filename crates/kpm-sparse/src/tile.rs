@@ -53,15 +53,21 @@ pub const MAX_TILE_ROWS: usize = 512;
 /// Rows per tile for a blocked kernel of width `r_width`, such that the
 /// tile's block-vector working set (`2 · rows · r_width · 16` bytes for
 /// `V` and `W`) stays within [`BLOCK_VECTOR_SHARE`] of the given
-/// per-thread cache budget, clamped to `[MIN_TILE_ROWS, MAX_TILE_ROWS]`.
+/// per-thread cache budget, clamped to `[MIN_TILE_ROWS, MAX_TILE_ROWS]`
+/// and rounded down to whole lattice sites — a multiple of [`SITE_ROWS`]
+/// — so that no tile edge cuts a site of the site view the sweep walks.
 ///
 /// For `R <= 8` at the default budget this saturates at
 /// [`MAX_TILE_ROWS`] — identical chunking to the pre-tiling kernels.
 pub fn tile_rows_for_budget(r_width: usize, cache_bytes: usize) -> usize {
     let bytes_per_row = 2 * r_width.max(1) * 16;
     let budget = (cache_bytes as f64 * BLOCK_VECTOR_SHARE) as usize;
-    (budget / bytes_per_row).clamp(MIN_TILE_ROWS, MAX_TILE_ROWS)
+    let rows = (budget / bytes_per_row).clamp(MIN_TILE_ROWS, MAX_TILE_ROWS);
+    rows / SITE_ROWS * SITE_ROWS
 }
+
+/// Rows of a lattice site: the four orbitals of paper Eq. 1.
+pub const SITE_ROWS: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -111,6 +117,27 @@ mod tests {
         let small = tile_rows_for_budget(32, 256 * 1024);
         let big = tile_rows_for_budget(32, 1024 * 1024);
         assert!(small < big);
+    }
+
+    #[test]
+    fn tiles_hold_whole_sites_and_keep_the_golden_heights() {
+        // The test suites' budgets: the default and the two that reach
+        // ragged tiles.
+        for budget in [DEFAULT_CACHE_BYTES, 100_000, 77_777] {
+            for r in 1..=64 {
+                let t = tile_rows_for_budget(r, budget);
+                assert_eq!(t % SITE_ROWS, 0, "R = {r}, budget {budget}: {t} rows");
+            }
+        }
+        // Every width a golden output was printed at keeps its height,
+        // and with it its reduction tree.
+        for (r, rows) in [(1, 512), (3, 512), (5, 512), (8, 512), (17, 240), (32, 128)] {
+            assert_eq!(
+                tile_rows_for_budget(r, DEFAULT_CACHE_BYTES),
+                rows,
+                "R = {r}"
+            );
+        }
     }
 
     #[test]

@@ -584,10 +584,6 @@ mod tests {
             ham.stencil_matrix().content_fingerprint(),
             h.content_fingerprint()
         );
-        // A row block keeps the table.
-        let block = h.row_block(8, 40);
-        assert_eq!(block.value_table(), h.value_table());
-        assert!(block == plain.row_block(8, 40));
     }
 
     #[test]

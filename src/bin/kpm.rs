@@ -517,8 +517,8 @@ fn format_matrix(
 }
 
 /// The banner fields naming how a CRS matrix stores its values and what
-/// its width-1 sweep walks: the site blocks of a coded lattice matrix,
-/// or the entries.
+/// its sweep walks, at every width: the site blocks of a coded lattice
+/// matrix, or the entries.
 fn value_storage(h: &CrsMatrix) -> String {
     let values = match h.value_table() {
         Some(table) => format!("coded ({} distinct)", table.len()),
@@ -528,7 +528,7 @@ fn value_storage(h: &CrsMatrix) -> String {
         Some(blocks) => format!("sites ({blocks} codes)"),
         None => "entries".into(),
     };
-    format!(", values = {values}, width-1 walk = {walk}")
+    format!(", values = {values}, walk = {walk}")
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {

@@ -471,18 +471,19 @@ fn coded_and_plain_values_give_identical_moments() {
 
 #[test]
 fn site_walk_is_bitwise_the_entry_chain() {
-    // A lattice CRS whose values are coded sweeps width 1 on its 4×4
-    // site blocks, two sites at a time, multiplying the zeros of its
-    // blocks; the same arrays stored plain sweep it entry by entry. Every
-    // width-1 kernel must leave the same bits on both, in `w` (whose
-    // inputs hold zeros of both signs, so a sign slip shows) and in the
-    // dots — serial, and chunked on 1 and 2 threads, under every sweep
-    // body — on a clean lattice (periodic x and y, open z), a dots
+    // A lattice CRS whose values are coded sweeps its 4×4 site blocks at
+    // every width — width 1 four sites at a time, wider blocks site by
+    // site in register passes — multiplying the zeros of its blocks; the
+    // same arrays stored plain sweep them entry by entry. Every kernel
+    // must leave the same bits on both, in `w` (whose inputs hold zeros
+    // of both signs, so a sign slip shows) and in the dots — serial, and
+    // chunked on 1 and 2 threads, under every sweep body, at widths 1
+    // (through the single-vector entry points too), 2, 3, 4, 8, 16, 17
+    // and 32 — on a clean lattice (periodic x and y, open z), a dots
     // lattice of 1,280 rows (two 1,024-row chunks), one with an odd
-    // number of sites (the walk's last site has no partner) and one with
-    // an extent-1 axis; and on a row block of the dots lattice that
-    // starts and ends inside a site and whose chunk edge cuts one too.
-    use kpm_repro::num::{BlockVector, Complex64, Vector};
+    // number of sites (the width-1 walk's last site has no partner) and
+    // one with an extent-1 axis.
+    use kpm_repro::num::{BlockVector, Complex64};
     use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
     use kpm_repro::sparse::simd::{self, Body};
     use kpm_repro::sparse::SparseKernels;
@@ -490,7 +491,7 @@ fn site_walk_is_bitwise_the_entry_chain() {
 
     /// One kernel from `(v, w)`, `w` updated in place; returns its dots
     /// as bits.
-    type Kernel = fn(&CrsMatrix, &[Complex64], &mut [Complex64]) -> Vec<u64>;
+    type Kernel = fn(&CrsMatrix, &BlockVector, &mut BlockVector) -> Vec<u64>;
     const A: f64 = 0.7;
     const B: f64 = -0.2;
     fn bits(z: &[Complex64]) -> Vec<u64> {
@@ -505,66 +506,42 @@ fn site_walk_is_bitwise_the_entry_chain() {
         let even = d.eta_even.iter().map(|e| e.to_bits());
         even.chain(bits(&d.eta_odd)).collect()
     }
-    /// `f` on width-1 blocks holding `v` and `w`.
-    fn block<T>(
-        v: &[Complex64],
-        w: &mut [Complex64],
-        f: impl Fn(&BlockVector, &mut BlockVector) -> T,
-    ) -> T {
-        let column = |z: &[Complex64]| BlockVector::from_columns(&[Vector::from_vec(z.to_vec())]);
-        let mut wb = column(w);
-        let out = f(&column(v), &mut wb);
-        w.copy_from_slice(wb.panel_slots());
-        out
-    }
-    let square: [(&str, Kernel); 9] = [
-        ("spmv", |m, v, w| {
-            m.spmv(v, w);
-            Vec::new()
-        }),
-        ("spmv_par", |m, v, w| {
-            m.spmv_par(v, w);
-            Vec::new()
-        }),
+    // The blocked kernels, then the single-vector ones, which take the
+    // slots of a width-1 block.
+    let kernels: [(&str, Kernel); 10] = [
         ("spmmv", |m, v, w| {
-            block(v, w, |v, w| m.spmmv(v, w));
+            m.spmmv(v, w);
             Vec::new()
         }),
-        ("aug_spmv", |m, v, w| one(m.aug_spmv(A, B, v, w))),
-        ("aug_spmv_par", |m, v, w| one(m.aug_spmv_par(A, B, v, w))),
-        ("aug_spmmv", |m, v, w| {
-            blocked(block(v, w, |v, w| m.aug_spmmv(A, B, v, w)))
+        ("spmmv_par", |m, v, w| {
+            m.spmmv_par(v, w);
+            Vec::new()
         }),
+        ("aug_spmmv", |m, v, w| blocked(m.aug_spmmv(A, B, v, w))),
         ("aug_spmmv_par", |m, v, w| {
-            blocked(block(v, w, |v, w| m.aug_spmmv_par(A, B, v, w)))
+            blocked(m.aug_spmmv_par(A, B, v, w))
         }),
         ("aug_spmmv_nodot", |m, v, w| {
-            block(v, w, |v, w| m.aug_spmmv_nodot(A, B, v, w));
+            m.aug_spmmv_nodot(A, B, v, w);
             Vec::new()
         }),
         ("aug_spmmv_nodot_par", |m, v, w| {
-            block(v, w, |v, w| m.aug_spmmv_nodot_par(A, B, v, w));
+            m.aug_spmmv_nodot_par(A, B, v, w);
             Vec::new()
         }),
-    ];
-    // A row block has more columns than rows: `y = A x` serial and
-    // chunked, and the distributed ranks' rectangular kernels, whose `w`
-    // spans the columns.
-    let rect: [(&str, Kernel); 4] = [
         ("spmv", |m, v, w| {
-            m.spmv(v, &mut w[..m.nrows()]);
+            m.spmv(v.panel_slots(), w.panel_slots_mut());
             Vec::new()
         }),
         ("spmv_par", |m, v, w| {
-            m.spmv_par(v, &mut w[..m.nrows()]);
+            m.spmv_par(v.panel_slots(), w.panel_slots_mut());
             Vec::new()
         }),
-        ("spmmv_rect", |m, v, w| {
-            block(v, w, |v, w| m.spmmv_rect(v, w));
-            Vec::new()
+        ("aug_spmv", |m, v, w| {
+            one(m.aug_spmv(A, B, v.panel_slots(), w.panel_slots_mut()))
         }),
-        ("aug_spmmv_rect", |m, v, w| {
-            blocked(block(v, w, |v, w| m.aug_spmmv_rect(A, B, v, w)))
+        ("aug_spmv_par", |m, v, w| {
+            one(m.aug_spmv_par(A, B, v.panel_slots(), w.panel_slots_mut()))
         }),
     ];
 
@@ -577,43 +554,23 @@ fn site_walk_is_bitwise_the_entry_chain() {
             .expect("pool")
     });
     let dots = TopoHamiltonian::quantum_dot_superlattice(8, 8, 5).assemble();
-    let n = dots.nrows();
-    assert_eq!(n, 1280);
+    assert_eq!(dots.nrows(), 1280);
     let cases = [
-        (
-            "clean 6x6x4",
-            TopoHamiltonian::clean(6, 6, 4).assemble(),
-            &square[..],
-        ),
-        ("dots 8x8x5", dots.clone(), &square[..]),
-        (
-            "odd 5x3x3",
-            TopoHamiltonian::clean(5, 3, 3).assemble(),
-            &square[..],
-        ),
-        (
-            "extent-1 7x5x1",
-            TopoHamiltonian::clean(7, 5, 1).assemble(),
-            &square[..],
-        ),
-        // Rows 6..1277: sites 1 and 319 cut, and the chunk edge at row
-        // 1,024 of the block is lattice row 1,030, inside site 257.
-        (
-            "dots 8x8x5 rows 6..1277",
-            dots.row_block(6, n - 3),
-            &rect[..],
-        ),
+        ("clean 6x6x4", TopoHamiltonian::clean(6, 6, 4).assemble()),
+        ("dots 8x8x5", dots),
+        ("odd 5x3x3", TopoHamiltonian::clean(5, 3, 3).assemble()),
+        ("extent-1 7x5x1", TopoHamiltonian::clean(7, 5, 1).assemble()),
     ];
     let mut rng = StdRng::seed_from_u64(27);
-    for (lattice, coded, kernels) in cases {
+    for (lattice, coded) in cases {
         assert!(
             coded.site_blocks().is_some(),
             "{lattice}: the walk is on sites"
         );
         let plain = stored_plain(&coded);
         assert!(plain.site_blocks().is_none() && plain == coded);
-        let signed_zeros = |mut z: Vec<Complex64>| {
-            for (k, z) in z.iter_mut().enumerate() {
+        let signed_zeros = |mut z: BlockVector| {
+            for (k, z) in z.panel_slots_mut().iter_mut().enumerate() {
                 match k % 5 {
                     0 => z.re = 0.0,
                     2 => z.im = -0.0,
@@ -622,23 +579,26 @@ fn site_walk_is_bitwise_the_entry_chain() {
             }
             z
         };
-        let cols = coded.ncols();
-        let v = signed_zeros(Vector::random(cols, &mut rng).into_vec());
-        let w0 = signed_zeros(Vector::random(cols, &mut rng).into_vec());
-        for &body in &bodies {
-            simd::set_cap(body);
-            for (threads, pool) in [1, 2].iter().zip(&pools) {
-                for (kernel, run) in kernels {
-                    let sweep = |m: &CrsMatrix| {
-                        let mut w = w0.clone();
-                        let dots = pool.install(|| run(m, &v, &mut w));
-                        (bits(&w), dots)
-                    };
-                    assert!(
-                        sweep(&coded) == sweep(&plain),
-                        "{lattice}: {kernel} differs from the entry chain ({body:?} body, \
-                         {threads} threads)"
-                    );
+        let n = coded.nrows();
+        for r in [1, 2, 3, 4, 8, 16, 17, 32] {
+            let v = signed_zeros(BlockVector::random(n, r, &mut rng));
+            let w0 = signed_zeros(BlockVector::random(n, r, &mut rng));
+            let kernels = if r == 1 { &kernels[..] } else { &kernels[..6] };
+            for &body in &bodies {
+                simd::set_cap(body);
+                for (threads, pool) in [1, 2].iter().zip(&pools) {
+                    for (kernel, run) in kernels {
+                        let sweep = |m: &CrsMatrix| {
+                            let mut w = w0.clone();
+                            let dots = pool.install(|| run(m, &v, &mut w));
+                            (bits(w.panel_slots()), dots)
+                        };
+                        assert!(
+                            sweep(&coded) == sweep(&plain),
+                            "{lattice}: {kernel} differs from the entry chain at R = {r} \
+                             ({body:?} body, {threads} threads)"
+                        );
+                    }
                 }
             }
         }

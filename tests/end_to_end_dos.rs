@@ -253,7 +253,7 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
         // Same N and Nnz on the banner, read off the stencil. The
         // periodic extent-2 axis merges partner entries into sums, so
         // the CRS build stores its values plain and walks its entries.
-        let plain = "format = crs, values = plain, width-1 walk = entries";
+        let plain = "format = crs, values = plain, walk = entries";
         assert_eq!(banner.replace("format = stencil", plain), crs_banner);
     }
     let window = ["--from", "-0.5", "--to", "0.5", "--threads", "2"];

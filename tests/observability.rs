@@ -43,22 +43,21 @@ fn params(m: usize, r: usize) -> KpmParams {
 
 /// The probe crate holds no accounting of its own: a probed kernel call
 /// records the counts `kpm_num::accounting` gives for its sweep — flops
-/// on the logical non-zeros, bytes on the matrix data the format streams
-/// at the sweep's width: for the lattice's coded CRS a byte and a column
-/// index per entry plus the value table, except at width 1, where it
-/// walks its site blocks — a byte per block of each site plus the
-/// distinct blocks; a value and a column index per entry for the same
-/// matrix stored plain; none for the matrix-free stencil.
+/// on the logical non-zeros, bytes on the matrix data the format streams:
+/// at every width, the lattice's site view — a byte per block of each
+/// site plus the distinct blocks — for its coded CRS and its stencil
+/// alike, and a value and a column index per entry for the same matrix
+/// stored plain.
 #[test]
 fn probe_constants_match_accounting() {
-    use kpm_repro::num::accounting::{crs_bytes, S_D, S_I};
+    use kpm_repro::num::accounting::crs_bytes;
     use kpm_repro::num::BlockVector;
     use kpm_repro::sparse::{CrsMatrix, SparseKernels};
     let _g = serial();
     let ham = TopoHamiltonian::clean(4, 4, 2);
     let (crs, stencil) = (ham.assemble(), ham.stencil_matrix());
     let (n, nnz) = (crs.nrows(), crs.nnz());
-    let distinct = crs.value_table().expect("the lattice's CRS is coded").len();
+    assert!(crs.value_table().is_some(), "the lattice's CRS is coded");
     // Each of the 32 sites reads six blocks (itself, four neighbours in
     // the periodic x-y plane, one along the open z axis of extent 2), 11
     // distinct: x ± 1 and the two x wraps, the same along y, z ± 1 and
@@ -73,14 +72,14 @@ fn probe_constants_match_accounting() {
     // (operator, width, matrix bytes per sweep)
     let cases: [(&dyn SparseKernels, usize, usize); 6] = [
         (&crs, 1, site_view),
-        (&crs, 3, nnz * (1 + S_I) + distinct * S_D),
+        (&crs, 3, site_view),
         (&plain, 1, crs_bytes(nnz)),
         (&plain, 3, crs_bytes(nnz)),
-        (&stencil, 1, 0),
-        (&stencil, 3, 0),
+        (&stencil, 1, site_view),
+        (&stencil, 3, site_view),
     ];
     for (h, r, stored) in cases {
-        assert_eq!(h.matrix_bytes(r), stored, "{} at width {r}", h.format());
+        assert_eq!(h.matrix_bytes(), stored, "{} at width {r}", h.format());
         let v = BlockVector::zeros(n, r);
         let mut w = BlockVector::zeros(n, r);
         obs::reset();
@@ -135,7 +134,7 @@ fn solver_run_records_spans_and_probes() {
     assert_eq!(aug.width as usize, p.num_random);
     let (n, nnz, r) = (h.nrows(), h.nnz(), p.num_random);
     assert_eq!(aug.flops, aug.calls * Sweep::Aug.flops(n, nnz, r) as u64);
-    let matrix = h.matrix_bytes(r);
+    let matrix = h.matrix_bytes();
     assert_eq!(
         aug.min_bytes,
         aug.calls * Sweep::Aug.min_bytes(n, matrix, r) as u64
@@ -171,7 +170,7 @@ fn solver_run_records_spans_and_probes() {
 /// calling thread, the parallel ones on 1-, 2- and 4-thread pools — all
 /// four return the same bits, and each call leaves exactly one probe
 /// record of the kernel's kind at its width under the operator's
-/// format (none for `spmmv_rect`, which never had one).
+/// format.
 #[test]
 fn named_kernels_agree_and_probe_once_on_every_operator() {
     use kpm_repro::num::BlockVector;
@@ -211,52 +210,45 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
         // the last four take plain vectors, which a width-1 block is.
         type Call<'a> =
             &'a dyn Fn(&dyn SparseKernels, &mut BlockVector) -> (Vec<f64>, Vec<Complex64>);
-        let kernels: [(&str, Option<KernelKind>, bool, Call); 12] = [
-            ("spmmv", Some(Spmv), false, &|m, w| {
+        let kernels: [(&str, KernelKind, bool, Call); 10] = [
+            ("spmmv", Spmv, false, &|m, w| {
                 m.spmmv(&v, w);
                 none()
             }),
-            ("spmmv_par", Some(Spmv), true, &|m, w| {
+            ("spmmv_par", Spmv, true, &|m, w| {
                 m.spmmv_par(&v, w);
                 none()
             }),
-            ("aug_spmmv", Some(AugSpmmv), false, &|m, w| {
+            ("aug_spmmv", AugSpmmv, false, &|m, w| {
                 block(m.aug_spmmv(a, b, &v, w))
             }),
-            ("aug_spmmv_par", Some(AugSpmmv), true, &|m, w| {
+            ("aug_spmmv_par", AugSpmmv, true, &|m, w| {
                 block(m.aug_spmmv_par(a, b, &v, w))
             }),
-            ("aug_spmmv_nodot", Some(AugSpmmv), false, &|m, w| {
+            ("aug_spmmv_nodot", AugSpmmv, false, &|m, w| {
                 m.aug_spmmv_nodot(a, b, &v, w);
                 none()
             }),
-            ("aug_spmmv_nodot_par", Some(AugSpmmv), true, &|m, w| {
+            ("aug_spmmv_nodot_par", AugSpmmv, true, &|m, w| {
                 m.aug_spmmv_nodot_par(a, b, &v, w);
                 none()
             }),
-            ("aug_spmmv_rect", Some(AugSpmmv), false, &|m, w| {
-                block(m.aug_spmmv_rect(a, b, &v, w))
-            }),
-            ("spmmv_rect", None, false, &|m, w| {
-                m.spmmv_rect(&v, w);
-                none()
-            }),
-            ("spmv", Some(Spmv), false, &|m, w| {
+            ("spmv", Spmv, false, &|m, w| {
                 m.spmv(v.panel_slots(), w.panel_slots_mut());
                 none()
             }),
-            ("spmv_par", Some(Spmv), true, &|m, w| {
+            ("spmv_par", Spmv, true, &|m, w| {
                 m.spmv_par(v.panel_slots(), w.panel_slots_mut());
                 none()
             }),
-            ("aug_spmv", Some(AugSpmv), false, &|m, w| {
+            ("aug_spmv", AugSpmv, false, &|m, w| {
                 single(m.aug_spmv(a, b, v.panel_slots(), w.panel_slots_mut()))
             }),
-            ("aug_spmv_par", Some(AugSpmv), true, &|m, w| {
+            ("aug_spmv_par", AugSpmv, true, &|m, w| {
                 single(m.aug_spmv_par(a, b, v.panel_slots(), w.panel_slots_mut()))
             }),
         ];
-        let blocked = if r == 1 { 12 } else { 8 };
+        let blocked = if r == 1 { 10 } else { 6 };
         for (name, kind, parallel, call) in &kernels[..blocked] {
             let mut first: Option<Out> = None;
             let runs = if *parallel { &pools[..] } else { &pools[..1] };
@@ -281,10 +273,7 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
                         .iter()
                         .map(|p| (p.kind, p.calls, p.width, p.format, p.rows, p.nnz))
                         .collect();
-                    let want: Vec<_> = kind
-                        .map(|k| (k, 1, r as u64, format, n as u64, nnz as u64))
-                        .into_iter()
-                        .collect();
+                    let want = vec![(*kind, 1, r as u64, format, n as u64, nnz as u64)];
                     assert_eq!(records, want, "{what}: probe records");
                 }
             }

@@ -225,25 +225,25 @@ mod traffic_validation {
         );
     }
 
-    /// At width 1 a coded lattice CRS reads its site view instead of its
-    /// entries: on the benchmark's 48×48×24 lattice a byte per block of
-    /// each of the 55,296 sites (itself and six neighbours) plus twelve
-    /// 320-byte blocks, so the R = 1 sweep's minimum traffic is the
-    /// vectors and 0.4 MB — 0.36 B/F, where the coded entries read 0.82
-    /// and the plain ones Eq. 6's 2.23.
+    /// At every width a coded lattice CRS reads its site view instead of
+    /// its entries: on the benchmark's 48×48×24 lattice a byte per block
+    /// of each of the 55,296 sites (itself and six neighbours) plus twelve
+    /// 320-byte blocks, so a sweep's minimum traffic is the vectors and
+    /// 0.4 MB — 0.36 B/F at R = 1, where the plain entries read Eq. 6's
+    /// 2.23, and 0.358 B/F at R = 2.
     #[test]
     fn r1_sweep_of_a_coded_lattice_reads_its_site_view() {
         let h = TopoHamiltonian::clean(48, 48, 24).assemble();
         let (n, nnz) = (h.nrows(), h.nnz());
-        let balance = |matrix: usize| {
-            Sweep::Aug.min_bytes(n, matrix, 1) as f64 / Sweep::Aug.flops(n, nnz, 1) as f64
+        let balance = |matrix: usize, r: usize| {
+            Sweep::Aug.min_bytes(n, matrix, r) as f64 / Sweep::Aug.flops(n, nnz, r) as f64
         };
         assert_eq!(h.site_blocks(), Some(12));
-        assert_eq!(h.matrix_bytes(1), 55_296 * 7 + 12 * 320);
-        assert_eq!(Sweep::Aug.min_bytes(n, h.matrix_bytes(1), 1), 11_007_744);
-        assert!((balance(h.matrix_bytes(1)) - 0.364).abs() < 1e-3);
-        assert!((balance(h.matrix_bytes(2)) - 0.820).abs() < 1e-3);
-        assert!((balance(crs_bytes(nnz)) - 2.229).abs() < 1e-3);
+        assert_eq!(h.matrix_bytes(), 55_296 * 7 + 12 * 320);
+        assert_eq!(Sweep::Aug.min_bytes(n, h.matrix_bytes(), 1), 11_007_744);
+        assert!((balance(h.matrix_bytes(), 1) - 0.364).abs() < 1e-3);
+        assert!((balance(h.matrix_bytes(), 2) - 0.358).abs() < 1e-3);
+        assert!((balance(crs_bytes(nnz), 1) - 2.229).abs() < 1e-3);
     }
 
     /// Ω ≥ 1 across block widths whose rows are line-aligned (Eq. 8: the

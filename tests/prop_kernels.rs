@@ -34,12 +34,12 @@ fn hermitian_matrix() -> impl Strategy<Value = CrsMatrix> {
 }
 
 /// Block widths of the stencil checks: the narrow ones plus the
-/// paper's sweep; 24 puts the default 170-row tile edges mid-site.
+/// paper's sweep; 24 gives 168-row tiles at the default budget.
 const STENCIL_WIDTHS: [usize; 8] = [1, 2, 3, 4, 8, 16, 24, 32];
 
 /// Per-thread cache budgets of the stencil checks: the default and two
-/// that give tile heights which are not multiples of the 4 orbital rows
-/// at most widths.
+/// that give other tile heights — whole sites still, as every tile is
+/// a multiple of the 4 orbital rows.
 const STENCIL_BUDGETS: [usize; 3] = [256 * 1024, 100_000, 77_777];
 
 /// The potentials of the stencil checks; `Uniform(2.0)` makes two of
@@ -138,8 +138,6 @@ fn stencil_equals_crs(
     same!("aug_spmmv", wb0, |m, w| m.aug_spmmv(0.7, -0.2, &vb, &mut w));
     same!("aug_spmmv_nodot", wb0, |m, w| m
         .aug_spmmv_nodot(0.7, -0.2, &vb, &mut w));
-    same!("aug_spmmv_rect", wb0, |m, w| m
-        .aug_spmmv_rect(0.7, -0.2, &vb, &mut w));
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -165,7 +163,7 @@ fn stencil_equals_crs(
 /// open/periodic combination on shapes with an extent-1 axis, an
 /// extent-2 axis and neither, every potential, and widths on both sides
 /// of the panel and tile boundaries (the last shape has 288 rows, so at
-/// width 24 the 170-row tile edge falls inside site 42).
+/// width 24 the 168-row tile edge falls between sites 41 and 42).
 #[test]
 fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
     for (shape_idx, (nx, ny, nz)) in [
@@ -261,8 +259,11 @@ fn crs_builds_code_at_most_256_distinct_values() {
 /// per distinct diagonal. Diagonals built from 33 distinct values — far
 /// inside the value table — take 244 or 245 distinct combinations over
 /// the 320 sites: 256 blocks, which the CRS build codes, and 257, which
-/// it stores plain. Either way it agrees with its stencil kernel for
-/// kernel at width 1 and 8 and hashes like it.
+/// it stores plain, and the stencil, which has no view either,
+/// regenerates its rows. Either way the two agree kernel for kernel at
+/// widths 1, 2, 8 and 17 and hash alike — as on the 2×6×5 lattice,
+/// whose periodic extent-2 axis leaves it no view: its coincident
+/// partners' entries are merged.
 #[test]
 fn a_257th_site_block_stores_the_crs_plain() {
     let lattice = |combinations: usize| {
@@ -274,17 +275,34 @@ fn a_257th_site_block_stores_the_crs_plain() {
         });
         StencilMatrix::new(8, 8, 5, [true; 3], diag.collect(), &hop)
     };
+    let widths = [
+        (1, STENCIL_BUDGETS[0]),
+        (2, STENCIL_BUDGETS[2]),
+        (8, STENCIL_BUDGETS[1]),
+        (17, STENCIL_BUDGETS[0]),
+    ];
     for (combinations, blocks) in [(244, Some(256)), (245, None)] {
         let st = lattice(combinations);
         let h = st.to_crs();
         assert_eq!(h.site_blocks(), blocks, "{combinations} diagonals");
+        // The stencil reads the view the CRS build holds, or none.
+        let view = blocks.map(|_| h.matrix_bytes());
+        assert_eq!(st.matrix_bytes(), view.unwrap_or(0));
         let values = blocks.map(|_| 6 + 16 + 16 + 1);
         assert_eq!(h.value_table().map(<[_]>::len), values);
         assert_eq!(h.content_fingerprint(), st.content_fingerprint());
-        for (r, budget) in [(1, STENCIL_BUDGETS[0]), (8, STENCIL_BUDGETS[1])] {
+        for (r, budget) in widths {
             if let Err(e) = stencil_equals_crs(&st, r, budget, 10) {
                 panic!("{combinations} diagonals: {e}");
             }
+        }
+    }
+    let coincident = TopoHamiltonian::clean(2, 6, 5).stencil_matrix();
+    assert_eq!(coincident.to_crs().site_blocks(), None);
+    assert_eq!(coincident.matrix_bytes(), 0);
+    for (r, budget) in widths {
+        if let Err(e) = stencil_equals_crs(&coincident, r, budget, 11) {
+            panic!("coincident 2x6x5: {e}");
         }
     }
 }
@@ -376,46 +394,46 @@ fn stored_plain(h: &CrsMatrix) -> CrsMatrix {
     CrsMatrix::from_raw(n, h.ncols(), h.row_ptr().to_vec(), cols, vals)
 }
 
-/// The bits every width-1 kernel of `m` leaves from `v` and `w0`: `y = A
-/// x`, the augmented update serial and chunked with its dots, and the
-/// rectangular update of the row block `cut.0 .. n − cut.1`, which may
-/// start and end inside a site.
-fn width_one_bits(
-    m: &CrsMatrix,
-    v: &BlockVector,
-    w0: &BlockVector,
-    cut: (usize, usize),
-) -> Vec<Vec<u64>> {
-    let dot_bits = |d: kpm_repro::sparse::aug::AugDots| {
-        vec![
-            d.eta_even.to_bits(),
-            d.eta_odd.re.to_bits(),
-            d.eta_odd.im.to_bits(),
-        ]
-    };
-    let bits = |z: &[Complex64]| {
+/// The bits the kernels of `m` leave from `v` and `w0` at their width:
+/// `y = A x`, and the augmented update serial and chunked with its dots
+/// — through the single-vector kernels at width 1, the blocked ones
+/// beyond.
+fn sweep_bits(m: &CrsMatrix, v: &BlockVector, w0: &BlockVector) -> Vec<Vec<u64>> {
+    use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
+    let bits = |z: &[Complex64]| -> Vec<u64> {
         z.iter()
             .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
             .collect()
     };
-    let (vs, mut y) = (v.panel_slots(), w0.panel_slots().to_vec());
-    m.spmv(vs, &mut y);
-    let mut w = w0.panel_slots().to_vec();
-    let serial = dot_bits(m.aug_spmv(0.7, -0.2, vs, &mut w));
-    let mut w_par = w0.panel_slots().to_vec();
-    let chunked = dot_bits(m.aug_spmv_par(0.7, -0.2, vs, &mut w_par));
-    let rows = m.row_block(cut.0, m.nrows() - cut.1);
-    let mut w_rect = w0.clone();
-    let rect = dot_bits(rows.aug_spmmv_rect(0.7, -0.2, v, &mut w_rect).into());
-    let rect_w = block_bits(&w_rect).concat();
+    let dot_bits = |d: AugDotsBlock| -> Vec<u64> {
+        let even = d.eta_even.iter().map(|e| e.to_bits());
+        even.chain(bits(&d.eta_odd)).collect()
+    };
+    let one = |d: AugDots| AugDotsBlock {
+        eta_even: vec![d.eta_even],
+        eta_odd: vec![d.eta_odd],
+    };
+    let (mut y, mut w, mut w_par) = (w0.clone(), w0.clone(), w0.clone());
+    let (serial, chunked) = if v.width() == 1 {
+        let vs = v.panel_slots();
+        m.spmv(vs, y.panel_slots_mut());
+        (
+            one(m.aug_spmv(0.7, -0.2, vs, w.panel_slots_mut())),
+            one(m.aug_spmv_par(0.7, -0.2, vs, w_par.panel_slots_mut())),
+        )
+    } else {
+        m.spmmv(v, &mut y);
+        (
+            m.aug_spmmv(0.7, -0.2, v, &mut w),
+            m.aug_spmmv_par(0.7, -0.2, v, &mut w_par),
+        )
+    };
     vec![
-        bits(&y),
-        bits(&w),
-        serial,
-        bits(&w_par),
-        chunked,
-        rect_w,
-        rect,
+        bits(y.panel_slots()),
+        bits(w.panel_slots()),
+        dot_bits(serial),
+        bits(w_par.panel_slots()),
+        dot_bits(chunked),
     ]
 }
 
@@ -424,8 +442,8 @@ fn width_one_bits(
 /// with its zero part of either sign (explicit zeros of both signs among
 /// them, which the assembly drops), and on-site entries drawn from eight
 /// of the same kinds. Every build is coded, and its slots, applied to `x` holding
-/// zeros of both signs, leave the entry chain's bits in every width-1
-/// kernel under every sweep body.
+/// zeros of both signs, leave the entry chain's bits in every kernel at
+/// widths 1, 2, 3, 8 and 17 under every sweep body.
 #[test]
 fn slots_of_random_axial_blocks_leave_the_entry_chain_bits() {
     use kpm_repro::sparse::simd;
@@ -458,18 +476,19 @@ fn slots_of_random_axial_blocks_leave_the_entry_chain_bits() {
         assert!(coded.site_blocks().is_some(), "case {case}: coded");
         let plain = stored_plain(&coded);
         let n = coded.nrows();
-        let mut v = BlockVector::random(n, 1, &mut rng);
-        let mut w0 = BlockVector::random(n, 1, &mut rng);
-        sprinkle_signed_zeros(&mut v);
-        sprinkle_signed_zeros(&mut w0);
-        let cut = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
-        let want = width_one_bits(&plain, &v, &w0, cut);
-        for &body in &bodies {
-            simd::set_cap(body);
-            assert!(
-                width_one_bits(&coded, &v, &w0, cut) == want,
-                "case {case}, {nx}x{ny}x{nz} {periodic:?}: {body:?} body"
-            );
+        for r in [1, 2, 3, 8, 17] {
+            let mut v = BlockVector::random(n, r, &mut rng);
+            let mut w0 = BlockVector::random(n, r, &mut rng);
+            sprinkle_signed_zeros(&mut v);
+            sprinkle_signed_zeros(&mut w0);
+            let want = sweep_bits(&plain, &v, &w0);
+            for &body in &bodies {
+                simd::set_cap(body);
+                assert!(
+                    sweep_bits(&coded, &v, &w0) == want,
+                    "case {case}, {nx}x{ny}x{nz} {periodic:?}, R = {r}: {body:?} body"
+                );
+            }
         }
     }
     simd::set_cap(simd::Body::Avx512);
@@ -657,8 +676,8 @@ fn reference_sweep(
 /// The CRS register-panel sweep against [`reference_sweep`], bit for
 /// bit: every width of [`CRS_WIDTHS`] — width 1 through the
 /// single-vector entry points as well as the blocked ones (the 8×8×5
-/// lattice has two 1024-row chunks); plain, augmented,
-/// no-dot and rectangular kernels; serial and on 1-, 2-, 4- and
+/// lattice has two 1024-row chunks); plain, augmented and
+/// no-dot kernels; serial and on 1-, 2-, 4- and
 /// 8-thread pools at three cache budgets; on ragged random and lattice
 /// matrices; and under every position of the runtime cap, i.e. on the
 /// baseline, the AVX2 and the AVX-512 copy of the body. The reference
@@ -703,7 +722,6 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
     let (a, b) = (0.7, -0.2);
     for (name, h) in &matrices {
         let n = h.nrows();
-        let top = h.row_block(0, n / 2);
         // The budget travels with the handle: one per budget.
         let handles = STENCIL_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
@@ -725,8 +743,6 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
             };
             let serial_plain = expect(h, None, n);
             let serial_aug = expect(h, Some((a, b)), n);
-            let rect_plain = expect(&top, None, n);
-            let rect_aug = expect(&top, Some((a, b)), n);
             for &body in &bodies {
                 simd::set_cap(body);
                 assert_eq!(simd::wide().body(), body, "the cap picks the body");
@@ -794,19 +810,6 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                         h.aug_spmmv_nodot(a, b, &v, w);
                         none.clone()
                     }),
-                );
-                check(
-                    "spmmv_rect",
-                    &rect_plain,
-                    run(&|w| {
-                        top.spmmv_rect(&v, w);
-                        none.clone()
-                    }),
-                );
-                check(
-                    "aug_spmmv_rect",
-                    &rect_aug,
-                    run(&|w| dots(top.aug_spmmv_rect(a, b, &v, w))),
                 );
                 if *name == "kinds-stencil" {
                     // The same rows through the matrix-free walk, at
@@ -1067,33 +1070,30 @@ proptest! {
     #[test]
     fn site_walk_bitwise_equals_the_entry_chain_on_any_lattice(
         ham in any_lattice(),
-        cut in (0usize..4, 0usize..4),
         seed in any::<u64>(),
     ) {
         // Whatever the lattice, the width-1 walk of a coded CRS over its
         // site blocks leaves the bits the entry chain leaves on the same
         // arrays stored plain, under every sweep body (each has its own
-        // lane gather): whole, and as a row block that may start and end
-        // inside a site.
+        // lane gather).
         use kpm_repro::sparse::simd;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let coded = ham.assemble();
         prop_assume!(coded.site_blocks().is_some());
         let n = coded.nrows();
-        prop_assume!(cut.0 < n - cut.1);
         let plain = stored_plain(&coded);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut v = BlockVector::random(n, 1, &mut rng);
         let mut w0 = BlockVector::random(n, 1, &mut rng);
         sprinkle_signed_zeros(&mut v);
         sprinkle_signed_zeros(&mut w0);
-        let want = width_one_bits(&plain, &v, &w0, cut);
+        let want = sweep_bits(&plain, &v, &w0);
         let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
         let bodies = runnable_bodies("site_walk_bitwise_equals_the_entry_chain");
         let got: Vec<_> = bodies.iter().map(|&body| {
             simd::set_cap(body);
-            (body, width_one_bits(&coded, &v, &w0, cut))
+            (body, sweep_bits(&coded, &v, &w0))
         }).collect();
         simd::set_cap(simd::Body::Avx512);
         for (body, got) in got {
