@@ -66,8 +66,7 @@ pub fn measure_omega(h: &CrsMatrix, r: usize, llc: CacheConfig) -> OmegaReport {
     let mut mem = MemoryHierarchy::new(&[llc]);
     let mut k = 0u64;
     for row in 0..h.nrows() {
-        let cols = h.row_cols(row);
-        for &c in cols {
+        for &c in h.row(row).cols() {
             // Matrix value + index stream (sequential).
             mem.read(vals_base + k * sd, sd as usize);
             mem.read(cols_base + k * si, si as usize);
@@ -146,7 +145,7 @@ pub fn measure_omega_kernel(
     for _ in 0..sweeps {
         let mut k = 0u64;
         for row in 0..h.nrows() {
-            for &c in h.row_cols(row) {
+            for &c in h.row(row).cols() {
                 mem.read(vals_base + k * sd, sd as usize);
                 mem.read(cols_base + k * si, si as usize);
                 k += 1;

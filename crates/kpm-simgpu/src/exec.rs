@@ -73,7 +73,7 @@ pub fn simulate(device: &GpuDevice, h: &CrsMatrix, r: usize, kernel: GpuKernel) 
 
     let mut k = 0u64;
     for row in 0..h.nrows() {
-        for &c in h.row_cols(row) {
+        for &c in h.row(row).cols() {
             // Matrix value and column index broadcast through the
             // read-only cache to all R threads of the row (paper
             // Section V-B item 2).

@@ -120,10 +120,8 @@ pub fn aug_spmmv_warp_exec(
         let mut warp_acc: Vec<Vec<Complex64>> = vec![vec![Complex64::default(); ws]; warps_per_row];
         // Lockstep over the *maximum* row length in the warp (the
         // divergence the occupancy module quantifies).
-        let max_len = (row..row + rows_here)
-            .map(|i| h.row_len(i))
-            .max()
-            .unwrap_or(0);
+        let rows: Vec<_> = (row..row + rows_here).map(|i| h.row(i)).collect();
+        let max_len = rows.iter().map(|hr| hr.cols().len()).max().unwrap_or(0);
         for k in 0..max_len {
             for (wi, acc) in warp_acc.iter_mut().enumerate() {
                 #[allow(clippy::needless_range_loop)] // lockstep lane loop
@@ -133,12 +131,11 @@ pub fn aug_spmmv_warp_exec(
                     if local_row >= rows_here || col_idx >= r {
                         continue; // idle lane
                     }
-                    let rr = row + local_row;
-                    if k >= h.row_len(rr) {
+                    let hr = &rows[local_row];
+                    if k >= hr.cols().len() {
                         continue; // this row already done (divergent lane idles)
                     }
-                    let hv = h.row_vals(rr)[k];
-                    let c = h.row_cols(rr)[k] as usize;
+                    let (hv, c) = (hr.vals()[k], hr.cols()[k] as usize);
                     acc[lane] = hv.mul_add(v.get(c, col_idx), acc[lane]);
                 }
             }

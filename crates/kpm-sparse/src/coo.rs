@@ -162,9 +162,9 @@ mod tests {
         m.push(1, 1, c(3.0));
         m.push(0, 0, c(2.0));
         let crs = m.to_crs().unwrap();
-        assert_eq!(crs.row_cols(0), &[0, 2]);
-        assert_eq!(crs.row_cols(1), &[1]);
-        assert_eq!(crs.row_cols(2), &[0]);
+        assert_eq!(crs.row(0).cols(), &[0, 2]);
+        assert_eq!(crs.row(1).cols(), &[1]);
+        assert_eq!(crs.row(2).cols(), &[0]);
     }
 
     #[test]
@@ -174,9 +174,9 @@ mod tests {
         let crs = m.to_crs().unwrap();
         assert_eq!(crs.nnz(), 1);
         for r in 0..5 {
-            let _ = crs.row_cols(r); // must not panic
+            let _ = crs.row(r); // must not panic
         }
-        assert!(crs.row_cols(4).is_empty());
+        assert!(crs.row(4).cols().is_empty());
     }
 
     #[test]

@@ -10,25 +10,25 @@
 //! column indices inside kernels (`S_i = 4`), 64-bit row pointers so the
 //! total non-zero count may exceed 4·10⁹ in large-scale runs.
 //!
-//! Values are stored in one of two ways, chosen by the data: plain, one
-//! `Complex64` per entry (`S_d = 16`), or coded — a table of at most 256
-//! distinct values and one byte per entry naming its table slot. The
-//! lattice generator ([`crate::StencilMatrix::to_crs`]) codes when its
-//! distinct values fit the table; everything built from raw arrays is
-//! plain. Both read back the same `Complex64` bits, so nothing but the
-//! bytes a sweep streams depends on the choice.
-//!
-//! A coded matrix also carries its [`SiteView`]: the lattice's 4×4
-//! site blocks, one byte per block naming a (neighbour, block) pair of
-//! at most 256, each pair stored as the slots of [`SiteBlock`]. Its
-//! sweep walks that view at every width — the lattice's one sweep, the
-//! stencil's too — and the entries stay for the row API; past 256 pairs,
-//! or when a block does not fit its slots, the generator stores the
-//! matrix plain.
+//! A matrix is stored in one of two ways, chosen by the data. Plain:
+//! per entry its column index and one `Complex64` (`S_i + S_d`), which
+//! is how everything built from raw arrays is stored. Coded: a lattice
+//! operator ([`crate::StencilMatrix::to_crs`]) keeps no per-entry array
+//! at all, only its row pointers, a table of at most 256 distinct values
+//! and its [`SiteView`] — the lattice's 4×4 site blocks, one byte per
+//! block naming a (neighbour, block) pair of at most 256, each pair
+//! stored as the slots of [`SiteBlock`] with the table codes of its
+//! entries beside them. Its sweep walks that view at every width — the
+//! lattice's one sweep, the stencil's too — and [`CrsMatrix::row`]
+//! regenerates a row from it on demand. Both read back the same
+//! `Complex64` bits, so nothing but the bytes a sweep streams depends on
+//! the choice. Past 256 pairs or values, or when a block does not fit
+//! its slots, the generator stores the matrix plain.
 
-use std::ops::{Index, Range};
+use std::ops::Range;
 
 use kpm_num::accounting::crs_bytes;
+use kpm_num::complex::ZERO;
 use kpm_num::{Complex64, KpmError};
 
 /// Slots of a value table: what a `u8` code can name.
@@ -43,18 +43,22 @@ pub struct CrsMatrix {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<u64>,
-    cols: Vec<u32>,
     vals: Values,
 }
 
 /// How a [`CrsMatrix`] stores its values.
 #[derive(Debug, Clone)]
 pub(crate) enum Values {
-    /// One value per entry.
-    Plain(Vec<Complex64>),
-    /// A lattice's: one code per entry into a table of the distinct
-    /// values, and the same matrix as site blocks.
-    Lattice(Box<CodeTable>, Vec<u8>, SiteView),
+    /// Per entry its column index and its value.
+    Plain {
+        /// The column indices, row after row.
+        cols: Vec<u32>,
+        /// The values, laid out like `cols`.
+        vals: Vec<Complex64>,
+    },
+    /// A lattice's: its site view, whose blocks name the values of their
+    /// entries in a table of the distinct ones.
+    Lattice(Box<CodeTable>, SiteView),
 }
 
 /// A lattice operator as its sweep walks it, at every width (DESIGN.md
@@ -74,13 +78,51 @@ pub(crate) struct SiteView {
     pub(crate) stride: usize,
     /// `stride` codes per lattice site, site after site.
     pub(crate) codes: Vec<u8>,
+    /// The values of each block's stored entries, as codes into the
+    /// matrix's [`CodeTable`]: `entries[b][o][s]` is row `o`'s entry in
+    /// slot `s` of `blocks[b]`. A [`Slot`]'s factors cannot tell `-0.0`
+    /// from `+0.0` in an entry's zero part; its code does. The sweep
+    /// never reads them.
+    pub(crate) entries: Vec<EntryCodes>,
 }
+
+/// The table codes of a [`SiteBlock`]'s entries, per row and slot.
+pub(crate) type EntryCodes = [[u8; MAX_SLOTS]; 4];
 
 impl SiteView {
     /// Bytes a sweep reads of the view, at any block width: a byte per
     /// code and the blocks once.
     pub(crate) fn bytes(&self) -> usize {
         self.codes.len() + self.blocks.len() * std::mem::size_of::<SiteBlock>()
+    }
+
+    /// Writes row `r` to the front of `cols` / `vals` and returns its
+    /// length: the blocks of its site in order, and in each the slots
+    /// that store an entry of the row — a stored entry has non-zero
+    /// factors, an empty slot zeros — so its columns ascend. Every slot
+    /// is written and only a stored one kept: a site has at most
+    /// [`MAX_SITE_ROW`] slots.
+    #[inline]
+    fn fill_row(
+        &self,
+        table: &CodeTable,
+        r: usize,
+        cols: &mut [u32; MAX_SITE_ROW],
+        vals: &mut [Complex64; MAX_SITE_ROW],
+    ) -> usize {
+        let (site, o) = (r / 4, r % 4);
+        let mut len = 0;
+        for &b in &self.codes[site * self.stride..][..self.stride] {
+            let (block, codes) = (&self.blocks[b as usize], &self.entries[b as usize][o]);
+            let first = (4 * site).wrapping_add_signed(block.offset);
+            for (slot, &code) in block.slots.iter().zip(codes) {
+                let (lane, (_, coef)) = slot.row(o);
+                cols[len] = (first + lane / 2) as u32;
+                vals[len] = table.vals[code as usize];
+                len += (coef != 0.0) as usize;
+            }
+        }
+        len
     }
 }
 
@@ -91,6 +133,10 @@ pub(crate) const MAX_SITE_BLOCKS: usize = 7;
 /// Entries a row of a [`SiteBlock`] stores at most: every hopping block
 /// of paper Eq. 1 stores two per row, its on-site block one.
 const MAX_SLOTS: usize = 2;
+
+/// Entries a row of a [`SiteView`] stores at most: [`MAX_SLOTS`] per
+/// block of its site.
+const MAX_SITE_ROW: usize = MAX_SITE_BLOCKS * MAX_SLOTS;
 
 /// A (neighbour, 4×4 block) pair of a [`SiteView`], laid out for the
 /// sweep as at most [`MAX_SLOTS`] slots: slot `s` gives each of the
@@ -176,27 +222,78 @@ impl SiteBlock {
         }
         Some(block)
     }
+}
 
-    /// The code of `self` among `blocks`, matched bit for bit and
-    /// appended when new; `None` when all [`TABLE_SLOTS`] codes name
-    /// other blocks.
-    pub(crate) fn code_in(self, blocks: &mut Vec<SiteBlock>) -> Option<u8> {
-        let bits = |b: &SiteBlock| {
-            let slot = |s: Slot| s.lane.into_iter().chain(s.coef.map(f64::to_bits));
-            b.slots.into_iter().flat_map(slot)
-        };
-        let same =
-            |b: &SiteBlock| (b.offset, b.len) == (self.offset, self.len) && bits(b).eq(bits(&self));
-        let found = blocks.iter().position(same);
-        let slot = match found {
-            Some(slot) => slot,
-            None if blocks.len() < TABLE_SLOTS => {
-                blocks.push(self);
-                blocks.len() - 1
+/// A 4×4 block of a lattice operator: `b[o][p]` is row `o`, column `p`.
+pub(crate) type Block = [[Complex64; 4]; 4];
+
+/// The distinct blocks of a [`SiteView`] being built, each kept with the
+/// entries it was built from until [`BlockSet::into_view`] codes them.
+#[derive(Default)]
+pub(crate) struct BlockSet {
+    blocks: Vec<SiteBlock>,
+    /// Each block's site distance and entries.
+    raw: Vec<(isize, Block)>,
+}
+
+impl BlockSet {
+    /// The code of the block `b` read from the site `sites` sites away,
+    /// matched by its entries' bits (so blocks that differ only in the
+    /// sign of a zero part get different codes) and appended when new.
+    /// `None` when the block does not fit its slots ([`SiteBlock::new`])
+    /// or all [`TABLE_SLOTS`] codes name other blocks.
+    pub(crate) fn code(&mut self, sites: isize, b: Block) -> Option<u8> {
+        let bits = |b: &Block| b.map(|row| row.map(|z| (z.re.to_bits(), z.im.to_bits())));
+        let same = |(s, raw): &(isize, Block)| *s == sites && bits(raw) == bits(&b);
+        let code = match self.raw.iter().position(same) {
+            Some(code) => code,
+            None if self.blocks.len() < TABLE_SLOTS => {
+                self.blocks.push(SiteBlock::new(sites, &b)?);
+                self.raw.push((sites, b));
+                self.blocks.len() - 1
             }
             None => return None,
         };
-        Some(slot as u8)
+        Some(code as u8)
+    }
+
+    /// The view of the sites whose codes are `codes`, `stride` per site,
+    /// and the table its entries' codes name. Past [`TABLE_SLOTS`]
+    /// distinct values there is no table, and the view's `entries` are
+    /// empty: only a stencil sweeps such a view, and no CRS holds it.
+    pub(crate) fn into_view(
+        self,
+        stride: usize,
+        codes: Vec<u8>,
+    ) -> (SiteView, Option<Box<CodeTable>>) {
+        let (table, entries) = self.entry_codes().unzip();
+        let view = SiteView {
+            blocks: self.blocks,
+            stride,
+            codes,
+            entries: entries.unwrap_or_default(),
+        };
+        (view, table)
+    }
+
+    /// The table of the blocks' distinct values and each block's
+    /// [`EntryCodes`]; `None` past [`TABLE_SLOTS`] values.
+    fn entry_codes(&self) -> Option<(Box<CodeTable>, Vec<EntryCodes>)> {
+        let mut table = CodeTable::new();
+        let mut entries = Vec::with_capacity(self.raw.len());
+        for (_, b) in &self.raw {
+            let mut codes = EntryCodes::default();
+            for (row, codes) in b.iter().zip(&mut codes) {
+                // A block's slots hold its row's stored entries in
+                // column order.
+                let stored = row.iter().filter(|&&z| z != ZERO);
+                for (code, &v) in codes.iter_mut().zip(stored) {
+                    *code = table.code(v)?;
+                }
+            }
+            entries.push(codes);
+        }
+        Some((table, entries))
     }
 }
 
@@ -238,108 +335,59 @@ impl CodeTable {
     }
 }
 
-/// The values of one CRS row, as [`CrsMatrix::row_vals`] hands them
-/// out: indexable and iterable like the slice a plain matrix holds,
-/// whichever way the matrix stores them.
-#[derive(Clone, Copy)]
-pub struct RowVals<'a> {
-    /// The row's values (plain), or the value table (coded).
-    vals: &'a [Complex64],
-    /// The row's codes into `vals` (coded only).
-    codes: Option<&'a [u8]>,
+/// One row of a [`CrsMatrix`], as [`CrsMatrix::row`] hands it out:
+/// borrowed from a plain matrix, regenerated from a coded one's site
+/// view. `==` compares columns and values.
+pub struct Row<'a>(RowEntries<'a>);
+
+// A regenerated row lives on the caller's stack: boxing it would
+// allocate once per row.
+#[allow(clippy::large_enum_variant)]
+enum RowEntries<'a> {
+    Stored(&'a [u32], &'a [Complex64]),
+    Regenerated {
+        len: usize,
+        cols: [u32; MAX_SITE_ROW],
+        vals: [Complex64; MAX_SITE_ROW],
+    },
 }
 
-impl<'a> RowVals<'a> {
-    /// Number of entries in the row.
-    pub fn len(&self) -> usize {
-        self.codes.map_or(self.vals.len(), <[u8]>::len)
-    }
-
-    /// True when the row stores no entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entry `k` of the row, if there is one.
-    pub fn get(&self, k: usize) -> Option<&'a Complex64> {
-        match self.codes {
-            None => self.vals.get(k),
-            Some(codes) => codes.get(k).map(|&c| &self.vals[c as usize]),
+impl Row<'_> {
+    /// The row's column indices, ascending.
+    pub fn cols(&self) -> &[u32] {
+        match &self.0 {
+            RowEntries::Stored(cols, _) => cols,
+            RowEntries::Regenerated { len, cols, .. } => &cols[..*len],
         }
     }
 
-    /// The row's values in entry order.
-    pub fn iter(&self) -> RowValsIter<'a> {
-        RowValsIter { row: *self, k: 0 }
-    }
-
-    /// The row's values, copied out.
-    pub fn to_vec(&self) -> Vec<Complex64> {
-        self.iter().copied().collect()
-    }
-}
-
-impl Index<usize> for RowVals<'_> {
-    type Output = Complex64;
-
-    fn index(&self, k: usize) -> &Complex64 {
-        match self.codes {
-            None => &self.vals[k],
-            Some(codes) => &self.vals[codes[k] as usize],
+    /// The row's values, in column order.
+    pub fn vals(&self) -> &[Complex64] {
+        match &self.0 {
+            RowEntries::Stored(_, vals) => vals,
+            RowEntries::Regenerated { len, vals, .. } => &vals[..*len],
         }
     }
+
+    /// The entry in column `c`, if the row stores one.
+    fn get(&self, c: usize) -> Option<Complex64> {
+        let k = self.cols().binary_search(&(c as u32)).ok();
+        k.map(|k| self.vals()[k])
+    }
 }
 
-impl PartialEq for RowVals<'_> {
+impl PartialEq for Row<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl std::fmt::Debug for RowVals<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<'a> IntoIterator for RowVals<'a> {
-    type Item = &'a Complex64;
-    type IntoIter = RowValsIter<'a>;
-
-    fn into_iter(self) -> RowValsIter<'a> {
-        self.iter()
-    }
-}
-
-/// The iterator of [`RowVals::iter`].
-#[derive(Clone)]
-pub struct RowValsIter<'a> {
-    row: RowVals<'a>,
-    k: usize,
-}
-
-impl<'a> Iterator for RowValsIter<'a> {
-    type Item = &'a Complex64;
-
-    fn next(&mut self) -> Option<&'a Complex64> {
-        let v = self.row.get(self.k)?;
-        self.k += 1;
-        Some(v)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.row.len() - self.k;
-        (left, Some(left))
+        self.cols() == other.cols() && self.vals() == other.vals()
     }
 }
 
 impl PartialEq for CrsMatrix {
     fn eq(&self, other: &Self) -> bool {
-        let same_values = || (0..self.nrows).all(|r| self.row_vals(r) == other.row_vals(r));
+        let same_rows = || (0..self.nrows).all(|r| self.row(r) == other.row(r));
         (self.nrows, self.ncols) == (other.nrows, other.ncols)
             && self.row_ptr == other.row_ptr
-            && self.cols == other.cols
-            && same_values()
+            && same_rows()
     }
 }
 
@@ -361,18 +409,15 @@ impl CrsMatrix {
         Self::built(Self::try_from_raw(nrows, ncols, row_ptr, cols, vals))
     }
 
-    /// [`CrsMatrix::from_raw`] with coded values: entry `k` is
-    /// `table.vals[codes[k]]`, every code names one of the table's
-    /// filled slots, and `sites` holds the same entries as site blocks —
-    /// so every value has an exactly-zero part, as a [`Slot`] holds
-    /// nothing else.
+    /// The square lattice operator whose rows `sites` holds, coded:
+    /// each stored entry's value is `table.vals[code]` for its code in
+    /// `sites.entries`, every code names one of the table's filled slots,
+    /// and `row_ptr` counts the entries of each row — so every value has
+    /// an exactly-zero part, as a [`Slot`] holds nothing else.
     pub(crate) fn from_coded(
         nrows: usize,
-        ncols: usize,
         row_ptr: Vec<u64>,
-        cols: Vec<u32>,
         table: Box<CodeTable>,
-        codes: Vec<u8>,
         sites: SiteView,
     ) -> Self {
         assert_eq!(
@@ -381,8 +426,10 @@ impl CrsMatrix {
             "one code list per site"
         );
         debug_assert!(table.vals.iter().all(|&v| crate::sweep::is_axial(v)));
-        let vals = Values::Lattice(table, codes, sites);
-        Self::built(Self::checked(nrows, ncols, row_ptr, cols, vals))
+        let vals = Values::Lattice(table, sites);
+        let m = Self::built(Self::checked(nrows, nrows, row_ptr, vals));
+        debug_assert!((0..nrows).all(|r| m.row(r).cols().len() == m.row_len(r)));
+        m
     }
 
     fn built(m: Result<Self, KpmError>) -> Self {
@@ -401,7 +448,7 @@ impl CrsMatrix {
         cols: Vec<u32>,
         vals: Vec<Complex64>,
     ) -> Result<Self, KpmError> {
-        Self::checked(nrows, ncols, row_ptr, cols, Values::Plain(vals))
+        Self::checked(nrows, ncols, row_ptr, Values::Plain { cols, vals })
     }
 
     /// The invariants of [`CrsMatrix::from_raw`], checked for either
@@ -410,7 +457,6 @@ impl CrsMatrix {
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<u64>,
-        cols: Vec<u32>,
         vals: Values,
     ) -> Result<Self, KpmError> {
         fn bad(what: &'static str, details: String) -> KpmError {
@@ -431,26 +477,34 @@ impl CrsMatrix {
                 format!("row_ptr must start at 0 (got {})", row_ptr[0]),
             ));
         }
-        let nnz = row_ptr[nrows] as usize;
-        if nnz != cols.len() {
-            return Err(bad(
-                "row_ptr",
-                format!(
-                    "row_ptr must end at nnz (got {nnz}, cols.len() = {})",
-                    cols.len()
-                ),
-            ));
-        }
-        let vals_len = match &vals {
-            Values::Plain(vals) => vals.len(),
-            Values::Lattice(_, codes, _) => codes.len(),
+        // A coded matrix's columns are its site view's, in range and
+        // ascending by construction.
+        let cols = match &vals {
+            Values::Plain { cols, vals } => {
+                let nnz = row_ptr[nrows] as usize;
+                if nnz != cols.len() {
+                    return Err(bad(
+                        "row_ptr",
+                        format!(
+                            "row_ptr must end at nnz (got {nnz}, cols.len() = {})",
+                            cols.len()
+                        ),
+                    ));
+                }
+                if cols.len() != vals.len() {
+                    return Err(bad(
+                        "cols/vals",
+                        format!(
+                            "cols/vals length mismatch ({} vs {})",
+                            cols.len(),
+                            vals.len()
+                        ),
+                    ));
+                }
+                cols.as_slice()
+            }
+            Values::Lattice(..) => &[],
         };
-        if cols.len() != vals_len {
-            return Err(bad(
-                "cols/vals",
-                format!("cols/vals length mismatch ({} vs {vals_len})", cols.len()),
-            ));
-        }
         for r in 0..nrows {
             if row_ptr[r] > row_ptr[r + 1] {
                 return Err(bad(
@@ -459,17 +513,15 @@ impl CrsMatrix {
                 ));
             }
             let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-            for k in lo..hi {
-                if cols[k] as usize >= ncols {
+            let row = cols.get(lo..hi).unwrap_or_default();
+            for (k, &c) in row.iter().enumerate() {
+                if c as usize >= ncols {
                     return Err(bad(
                         "cols",
-                        format!(
-                            "column index out of range (row {r}: col {} >= ncols {ncols})",
-                            cols[k]
-                        ),
+                        format!("column index out of range (row {r}: col {c} >= ncols {ncols})"),
                     ));
                 }
-                if k > lo && cols[k - 1] >= cols[k] {
+                if k > 0 && row[k - 1] >= c {
                     return Err(bad(
                         "cols",
                         format!("columns must be strictly increasing in row {r}"),
@@ -481,7 +533,6 @@ impl CrsMatrix {
             nrows,
             ncols,
             row_ptr,
-            cols,
             vals,
         })
     }
@@ -512,15 +563,15 @@ impl CrsMatrix {
     /// Number of stored non-zeros.
     #[inline(always)]
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.row_ptr[self.nrows] as usize
     }
 
     /// The distinct values of a coded matrix, in code order; `None` when
     /// the values are stored plain.
     pub fn value_table(&self) -> Option<&[Complex64]> {
         match &self.vals {
-            Values::Plain(_) => None,
-            Values::Lattice(table, _, _) => Some(&table.vals[..table.len]),
+            Values::Plain { .. } => None,
+            Values::Lattice(table, _) => Some(&table.vals[..table.len]),
         }
     }
 
@@ -529,8 +580,8 @@ impl CrsMatrix {
     /// `None` when the values are stored plain.
     pub fn site_blocks(&self) -> Option<usize> {
         match &self.vals {
-            Values::Plain(_) => None,
-            Values::Lattice(_, _, sites) => Some(sites.blocks.len()),
+            Values::Plain { .. } => None,
+            Values::Lattice(_, sites) => Some(sites.blocks.len()),
         }
     }
 
@@ -540,8 +591,8 @@ impl CrsMatrix {
     /// distinct blocks once — which is all the sweep reads.
     pub fn matrix_bytes(&self) -> usize {
         match &self.vals {
-            Values::Plain(_) => crs_bytes(self.nnz()),
-            Values::Lattice(_, _, sites) => sites.bytes(),
+            Values::Plain { .. } => crs_bytes(self.nnz()),
+            Values::Lattice(_, sites) => sites.bytes(),
         }
     }
 
@@ -549,12 +600,6 @@ impl CrsMatrix {
     #[inline(always)]
     pub(crate) fn values(&self) -> &Values {
         &self.vals
-    }
-
-    /// All column indices, row after row.
-    #[inline(always)]
-    pub(crate) fn cols(&self) -> &[u32] {
-        &self.cols
     }
 
     /// The entries of row `r`: `row_ptr[r]..row_ptr[r + 1]`.
@@ -575,25 +620,42 @@ impl CrsMatrix {
         &self.row_ptr
     }
 
-    /// Column indices of row `r`.
-    #[inline(always)]
-    pub fn row_cols(&self, r: usize) -> &[u32] {
-        &self.cols[self.row_range(r)]
+    /// Row `r`: its column indices and values, borrowed when stored
+    /// plain, regenerated from the site view when coded. A loop over a
+    /// row's entries fetches it once.
+    #[inline]
+    pub fn row(&self, r: usize) -> Row<'_> {
+        match &self.vals {
+            Values::Plain { cols, vals } => {
+                let range = self.row_range(r);
+                Row(RowEntries::Stored(&cols[range.clone()], &vals[range]))
+            }
+            Values::Lattice(table, sites) => {
+                let (mut cols, mut vals) = ([0; MAX_SITE_ROW], [ZERO; MAX_SITE_ROW]);
+                let len = sites.fill_row(table, r, &mut cols, &mut vals);
+                Row(RowEntries::Regenerated { len, cols, vals })
+            }
+        }
     }
 
-    /// Values of row `r`.
-    #[inline(always)]
-    pub fn row_vals(&self, r: usize) -> RowVals<'_> {
-        let range = self.row_range(r);
+    /// Hands `f` every row in order, `(row, columns, values)`: the loop
+    /// of the readers of the whole matrix, which regenerates a coded
+    /// matrix's rows into one buffer.
+    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize, &[u32], &[Complex64])) {
         match &self.vals {
-            Values::Plain(vals) => RowVals {
-                vals: &vals[range],
-                codes: None,
-            },
-            Values::Lattice(table, codes, _) => RowVals {
-                vals: &table.vals,
-                codes: Some(&codes[range]),
-            },
+            Values::Plain { cols, vals } => {
+                for r in 0..self.nrows {
+                    let range = self.row_range(r);
+                    f(r, &cols[range.clone()], &vals[range]);
+                }
+            }
+            Values::Lattice(table, sites) => {
+                let (mut cols, mut vals) = ([0; MAX_SITE_ROW], [ZERO; MAX_SITE_ROW]);
+                for r in 0..self.nrows {
+                    let len = sites.fill_row(table, r, &mut cols, &mut vals);
+                    f(r, &cols[..len], &vals[..len]);
+                }
+            }
         }
     }
 
@@ -614,23 +676,23 @@ impl CrsMatrix {
         for &p in &self.row_ptr {
             h.write_u64(p);
         }
-        for &c in &self.cols {
-            h.write_u64(c as u64);
-        }
-        for v in (0..self.nrows).flat_map(|r| self.row_vals(r)) {
-            h.write_u64(v.re.to_bits());
-            h.write_u64(v.im.to_bits());
-        }
+        self.for_each_row(|_, cols, _| {
+            for &c in cols {
+                h.write_u64(c as u64);
+            }
+        });
+        self.for_each_row(|_, _, vals| {
+            for v in vals {
+                h.write_u64(v.re.to_bits());
+                h.write_u64(v.im.to_bits());
+            }
+        });
         h.finish()
     }
 
     /// Entry `(r, c)`, or zero if not stored.
     pub fn get(&self, r: usize, c: usize) -> Complex64 {
-        let cols = self.row_cols(r);
-        match cols.binary_search(&(c as u32)) {
-            Ok(k) => self.row_vals(r)[k],
-            Err(_) => Complex64::default(),
-        }
+        self.row(r).get(c).unwrap_or_default()
     }
 
     /// Length of row `r`.
@@ -673,13 +735,11 @@ impl CrsMatrix {
             bad(format!("KPM needs a Hermitian matrix: {transposed}"))
         };
         // The entry at (c, r), if stored.
-        let partner = |r: usize, c: usize| {
-            let at = self.row_cols(c).binary_search(&(r as u32)).ok();
-            at.map(|k| self.row_vals(c)[k])
-        };
+        let partner = |r: usize, c: usize| self.row(c).get(r);
         let (mut lower, mut partnered) = (0usize, 0usize);
         for r in 0..self.nrows {
-            for (&c, &v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
+            let row = self.row(r);
+            for (&c, &v) in row.cols().iter().zip(row.vals()) {
                 let c = c as usize;
                 let ok = match c.cmp(&r) {
                     std::cmp::Ordering::Less => {
@@ -702,7 +762,8 @@ impl CrsMatrix {
             // A strict-lower entry with nothing stored opposite it:
             // Hermitian only if it is an explicit zero.
             for r in 0..self.nrows {
-                for (&c, &v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
+                let row = self.row(r);
+                for (&c, &v) in row.cols().iter().zip(row.vals()) {
                     let c = c as usize;
                     if c < r && partner(r, c).is_none() && v.conj() != Complex64::default() {
                         return Err(unpaired(r, c));
@@ -721,10 +782,10 @@ impl CrsMatrix {
     pub fn gershgorin_bounds(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for r in 0..self.nrows {
+        self.for_each_row(|r, cols, vals| {
             let mut diag = 0.0;
             let mut radius = 0.0;
-            for (&c, v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
+            for (&c, v) in cols.iter().zip(vals) {
                 if c as usize == r {
                     diag = v.re;
                 } else {
@@ -733,7 +794,7 @@ impl CrsMatrix {
             }
             lo = lo.min(diag - radius);
             hi = hi.max(diag + radius);
-        }
+        });
         if self.nrows == 0 {
             (0.0, 0.0)
         } else {
@@ -745,12 +806,11 @@ impl CrsMatrix {
     /// systems).
     pub fn to_dense(&self) -> Vec<Vec<Complex64>> {
         let mut d = vec![vec![Complex64::default(); self.ncols]; self.nrows];
-        #[allow(clippy::needless_range_loop)] // r indexes both matrix and target
-        for r in 0..self.nrows {
-            for (k, &c) in self.row_cols(r).iter().enumerate() {
-                d[r][c as usize] = self.row_vals(r)[k];
+        self.for_each_row(|r, cols, vals| {
+            for (&c, &v) in cols.iter().zip(vals) {
+                d[r][c as usize] = v;
             }
-        }
+        });
         d
     }
 }
@@ -822,8 +882,9 @@ mod tests {
         // The verdict of the literal definition, one lookup per entry.
         let entrywise = |m: &CrsMatrix| {
             (0..m.nrows()).all(|r| {
-                let row = m.row_cols(r).iter().zip(m.row_vals(r));
-                row.clone().all(|(&c, v)| m.get(c as usize, r) == v.conj())
+                let row = m.row(r);
+                let mut entries = row.cols().iter().zip(row.vals());
+                entries.all(|(&c, v)| m.get(c as usize, r) == v.conj())
             })
         };
         // Entries in row-major order, kept as given (COO would drop the

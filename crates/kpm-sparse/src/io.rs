@@ -60,8 +60,8 @@ pub fn write_general<W: Write>(m: &CrsMatrix, out: &mut W) -> io::Result<()> {
     writeln!(out, "% written by kpm-repro")?;
     writeln!(out, "{} {} {}", m.nrows(), m.ncols(), m.nnz())?;
     for r in 0..m.nrows() {
-        for (k, &c) in m.row_cols(r).iter().enumerate() {
-            let v = m.row_vals(r)[k];
+        let row = m.row(r);
+        for (&c, v) in row.cols().iter().zip(row.vals()) {
             writeln!(out, "{} {} {:e} {:e}", r + 1, c + 1, v.re, v.im)?;
         }
     }
@@ -76,15 +76,21 @@ pub fn write_hermitian<W: Write>(m: &CrsMatrix, out: &mut W) -> io::Result<()> {
         "matrix must be Hermitian for hermitian output"
     );
     let lower: usize = (0..m.nrows())
-        .map(|r| m.row_cols(r).iter().filter(|&&c| (c as usize) <= r).count())
+        .map(|r| {
+            m.row(r)
+                .cols()
+                .iter()
+                .filter(|&&c| (c as usize) <= r)
+                .count()
+        })
         .sum();
     writeln!(out, "%%MatrixMarket matrix coordinate complex hermitian")?;
     writeln!(out, "% written by kpm-repro")?;
     writeln!(out, "{} {} {}", m.nrows(), m.ncols(), lower)?;
     for r in 0..m.nrows() {
-        for (k, &c) in m.row_cols(r).iter().enumerate() {
+        let row = m.row(r);
+        for (&c, v) in row.cols().iter().zip(row.vals()) {
             if (c as usize) <= r {
-                let v = m.row_vals(r)[k];
                 writeln!(out, "{} {} {:e} {:e}", r + 1, c + 1, v.re, v.im)?;
             }
         }

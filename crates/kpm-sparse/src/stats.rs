@@ -85,20 +85,20 @@ pub fn analyze(m: &CrsMatrix, min_count: usize) -> MatrixStats {
     let mut max_row_len = 0usize;
     let mut bandwidth = 0usize;
     let mut row_len_histogram = Vec::new();
-    for r in 0..m.nrows() {
-        let len = m.row_len(r);
+    m.for_each_row(|r, cols, _| {
+        let len = cols.len();
         min_row_len = min_row_len.min(len);
         max_row_len = max_row_len.max(len);
         if row_len_histogram.len() <= len {
             row_len_histogram.resize(len + 1, 0);
         }
         row_len_histogram[len] += 1;
-        for &c in m.row_cols(r) {
+        for &c in cols {
             let off = c as i64 - r as i64;
             bandwidth = bandwidth.max(off.unsigned_abs() as usize);
             *diag_counts.entry(off).or_insert(0) += 1;
         }
-    }
+    });
     if m.nrows() == 0 {
         min_row_len = 0;
     }

@@ -15,9 +15,10 @@
 //! own disjoint column ranges, so walking the blocks in ascending *site*
 //! order visits each row's entries in exactly the ascending-column order
 //! of a CRS row. The lattice's coded CRS build ([`StencilMatrix::to_crs`],
-//! kpm-topo's `assemble()`) carries the same view, so both formats run
-//! the same machine code. The per-class row tables ([`RowPlan`]) are the
-//! CRS generator: `to_crs` writes them out row by row.
+//! kpm-topo's `assemble()`) is the same view and its value table, so
+//! both formats run the same machine code. The per-class row tables
+//! ([`RowPlan`]) fill a plain CRS build row by row, and give the row
+//! lengths and Gershgorin sums of any lattice in `O(sites)`.
 //!
 //! Bitwise contract: every row runs the exact floating-point chain of
 //! the CRS sweep over the exact entries of the CRS build, and the two
@@ -42,7 +43,7 @@ use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CodeTable, CrsMatrix, SiteBlock, SiteView, MAX_SITE_BLOCKS};
+use crate::crs::{BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::sweep::{
     all_axial, for_passes, row_pass, run, Epilogue, Isa, RowSweep, Schedule, SweepOp,
@@ -88,18 +89,6 @@ struct RowPlan {
 struct PlanEntry {
     offset: isize,
     val: Complex64,
-}
-
-/// The value table of a coded CRS build, the codes its fill writes and
-/// its site view ([`StencilMatrix::value_codes`]).
-struct ValueCodes {
-    table: Box<CodeTable>,
-    /// The code of every hopping entry of every [`RowPlan`], laid out
-    /// like `plans`.
-    hops: Vec<[[u8; MAX_ROW_ENTRIES]; 4]>,
-    /// The codes of each site's on-site entries (0 for a dropped zero).
-    onsite: Vec<[u8; 4]>,
-    sites: SiteView,
 }
 
 /// A boundary class in a [`SiteView`] build: the codes of its blocks in
@@ -164,6 +153,9 @@ pub struct StencilMatrix {
     /// `None` on coincident-neighbour lattices and past 256 distinct
     /// blocks, whose sweep regenerates (and merges) row by row.
     sites: Option<SiteView>,
+    /// The table the view's entry codes name; `None` without a view and
+    /// past 256 distinct values, where the CRS build is plain.
+    table: Option<Box<CodeTable>>,
     nnz: usize,
 }
 
@@ -224,13 +216,20 @@ impl StencilMatrix {
                 .zip(periodic)
                 .any(|(&extent, wraps)| wraps && extent == 2),
             sites: None,
+            table: None,
             nnz: 0,
         };
         m.plans = (0..64).map(|code| m.row_plans(code)).collect();
         let mut nnz = 0;
         m.for_row_sums(|_, entries, _| nnz += entries);
-        let sites = if m.coincident { None } else { m.site_view() };
-        Self { nnz, sites, ..m }
+        let view = if m.coincident { None } else { m.site_view() };
+        let (sites, table) = view.unzip();
+        Self {
+            nnz,
+            sites,
+            table: table.flatten(),
+            ..m
+        }
     }
 
     /// The blocks every site of boundary class `code` reads, as (site
@@ -361,18 +360,19 @@ impl StencilMatrix {
     /// Assembles the operator into an explicit CRS matrix — the one
     /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
     /// this). Row lengths come from the boundary-class table, so
-    /// `row_ptr` is an `O(sites)` prefix sum and the entry arrays are
-    /// allocated untouched at their final size; fixed chunks of
-    /// [`FILL_ROWS`] rows are then filled straight from the
-    /// [`RowPlan`]s on the ambient pool — ascending columns by
-    /// construction, no sort, no merge, every page first written by the
-    /// worker that fills it. A lattice of one chunk fills inline.
+    /// `row_ptr` is an `O(sites)` prefix sum.
     ///
-    /// The values are coded when the lattice has at most 256 distinct
-    /// ones ([`crate::crs`]): the fill writes a one-byte code per entry
-    /// and no value array is allocated. Otherwise they are stored plain,
-    /// as on coincident-neighbour lattices, which regenerate (and merge)
-    /// row by row.
+    /// A lattice with a site view whose values fit a table of 256 is
+    /// stored coded ([`crate::crs`]): `row_ptr`, the table and a copy of
+    /// the view are all it holds, and its rows are regenerated from the
+    /// view on demand. Otherwise the entries are stored plain: the
+    /// arrays are allocated untouched at their final size, then fixed
+    /// chunks of [`FILL_ROWS`] rows are filled on the ambient pool —
+    /// straight from the [`RowPlan`]s, ascending columns by
+    /// construction, no sort, no merge, or on coincident-neighbour
+    /// lattices regenerated (and merged) row by row — every page first
+    /// written by the worker that fills it. A lattice of one chunk fills
+    /// inline.
     pub fn to_crs(&self) -> CrsMatrix {
         let n = self.nrows();
         let mut row_ptr: Vec<u64> = Vec::with_capacity(n + 1);
@@ -382,17 +382,10 @@ impl StencilMatrix {
             end += entries as u64;
             row_ptr.push(end);
         });
-        let mut cols = zeroed_vec::<u32>(self.nnz);
-        if let Some(coded) = self.value_codes() {
-            // `vec!` of zeros is `calloc`-backed as well.
-            let mut codes = vec![0u8; self.nnz];
-            self.fill_chunks(&row_ptr, &mut cols, &mut codes, |rows, cols, codes| {
-                let hop = |class: usize, o: usize, e: usize| coded.hops[class][o][e];
-                self.fill_rows(rows, cols, codes, hop, |site, o| coded.onsite[site][o]);
-            });
-            let (table, sites) = (coded.table, coded.sites);
-            return CrsMatrix::from_coded(n, n, row_ptr, cols, table, codes, sites);
+        if let (Some(sites), Some(table)) = (&self.sites, &self.table) {
+            return CrsMatrix::from_coded(n, row_ptr, table.clone(), sites.clone());
         }
+        let mut cols = zeroed_vec::<u32>(self.nnz);
         let mut vals = zeroed_vec::<Complex64>(self.nnz);
         self.fill_chunks(&row_ptr, &mut cols, &mut vals, |rows, cols, vals| {
             let mut at = 0;
@@ -403,67 +396,23 @@ impl StencilMatrix {
                     at += c.len();
                 });
             }
-            let hop = |class: usize, o: usize, e: usize| self.plans[class][o].entries[e].val;
-            self.fill_rows(rows, cols, vals, hop, |site, o| self.onsite_diag[site][o]);
+            self.fill_rows(rows, cols, vals);
         });
         CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
     }
 
-    /// Codes for the lattice's distinct values, matched bit for bit: the
-    /// hopping entries of the row plans first, then the kept on-site
-    /// entries in one `O(sites)` pass, in which a site whose diagonal
-    /// has the previous site's bits reuses its codes. `None` past 256
-    /// distinct values, and on a lattice with no site view
-    /// (coincident neighbours, whose merged entries are sums no plan
-    /// holds, or past 256 distinct blocks).
-    fn value_codes(&self) -> Option<ValueCodes> {
-        let sites = self.sites.clone()?;
-        let mut table = CodeTable::new();
-        let mut hops = vec![[[0u8; MAX_ROW_ENTRIES]; 4]; self.plans.len()];
-        for (plans, hops) in self.plans.iter().zip(&mut hops) {
-            for (plan, hops) in plans.iter().zip(hops) {
-                for (en, code) in plan.entries[..plan.len as usize].iter().zip(hops) {
-                    *code = table.code(en.val)?;
-                }
-            }
-        }
-        let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
-        let mut onsite = Vec::with_capacity(self.sites());
-        let mut last = None;
-        for diag in &self.onsite_diag {
-            let diag_bits = bits(diag);
-            let codes = match last {
-                Some((prev, codes)) if prev == diag_bits => codes,
-                _ => {
-                    let mut codes = [0u8; 4];
-                    // A dropped zero diagonal entry needs no code.
-                    for (code, &v) in codes.iter_mut().zip(diag).filter(|(_, &v)| v != ZERO) {
-                        *code = table.code(v)?;
-                    }
-                    codes
-                }
-            };
-            last = Some((diag_bits, codes));
-            onsite.push(codes);
-        }
-        Some(ValueCodes {
-            table,
-            hops,
-            onsite,
-            sites,
-        })
-    }
-
     /// The site view of the lattice ([`SiteView`]) — what the sweep walks,
-    /// on the stencil and on a coded CRS build alike — in one pass over
-    /// the sites: each boundary class's hopping blocks are coded
-    /// once, from [`StencilMatrix::class_blocks`], and each site takes
-    /// its class's codes with the code of its own on-site block in its
-    /// slot, looked up by the diagonal's bits among the diagonals met
-    /// before. `None` past 256 distinct blocks, and when a block does not
-    /// fit [`SiteBlock`]'s slots — no generated lattice has one.
-    fn site_view(&self) -> Option<SiteView> {
-        let mut blocks = Vec::new();
+    /// on the stencil and on a coded CRS build alike — and the table of
+    /// its values, in one pass over the sites: each boundary class's
+    /// hopping blocks are coded once, from
+    /// [`StencilMatrix::class_blocks`], and each site takes its class's
+    /// codes with the code of its own on-site block in its slot, looked
+    /// up by the diagonal's bits among the diagonals met before. `None`
+    /// past 256 distinct blocks, and when a block does not fit its slots
+    /// — no generated lattice has one; no table past 256 distinct values
+    /// ([`BlockSet::into_view`]).
+    fn site_view(&self) -> Option<(SiteView, Option<Box<CodeTable>>)> {
+        let mut blocks = BlockSet::default();
         let mut classes = [ClassCodes::default(); 64];
         for (code, class) in classes.iter_mut().enumerate() {
             let Some(slots) = self.class_blocks(code) else {
@@ -475,7 +424,7 @@ impl StencilMatrix {
                     class.onsite_at = k;
                 } else {
                     let block = self.hop_blocks[dir].map(|row| row.map(kept));
-                    class.codes[k] = SiteBlock::new(offset, &block)?.code_in(&mut blocks)?;
+                    class.codes[k] = blocks.code(offset, block)?;
                 }
             }
         }
@@ -483,7 +432,7 @@ impl StencilMatrix {
         // A site with fewer blocks than that ends in a zero block on
         // itself.
         let pad = match classes.iter().any(|c| (1..stride).contains(&c.len)) {
-            true => SiteBlock::new(0, &[[ZERO; 4]; 4])?.code_in(&mut blocks)?,
+            true => blocks.code(0, [[ZERO; 4]; 4])?,
             false => 0,
         };
         let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
@@ -500,7 +449,7 @@ impl StencilMatrix {
                     let block = std::array::from_fn(|o| {
                         std::array::from_fn(|p| if o == p { kept(diag[o]) } else { ZERO })
                     });
-                    let code = SiteBlock::new(0, &block)?.code_in(&mut blocks)?;
+                    let code = blocks.code(0, block)?;
                     onsite.push((diag_bits, code));
                     code
                 }
@@ -518,21 +467,17 @@ impl StencilMatrix {
                 }
             }
         }
-        Some(SiteView {
-            blocks,
-            stride,
-            codes,
-        })
+        Some(blocks.into_view(stride, codes))
     }
 
     /// Splits `cols` and `vals` at the fixed [`FILL_ROWS`]-row chunks
     /// and runs `fill(rows, cols, vals)` on each, on the ambient pool.
-    fn fill_chunks<T: Send>(
+    fn fill_chunks(
         &self,
         row_ptr: &[u64],
         cols: &mut [u32],
-        vals: &mut [T],
-        fill: impl Fn(Range<usize>, &mut [u32], &mut [T]) + Sync,
+        vals: &mut [Complex64],
+        fill: impl Fn(Range<usize>, &mut [u32], &mut [Complex64]) + Sync,
     ) {
         let n = self.nrows();
         let mut chunks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
@@ -550,20 +495,11 @@ impl StencilMatrix {
     }
 
     /// Writes the entries of `rows` (whole sites), row after row, into
-    /// `cols`/`vals`, which hold exactly those rows: hopping entry `e`
-    /// of orbital row `o` of boundary class `class` as `hop(class, o,
-    /// e)`, the kept on-site entry of `site`'s row `o` as
-    /// `onsite(site, o)`.
-    fn fill_rows<T>(
-        &self,
-        rows: Range<usize>,
-        cols: &mut [u32],
-        vals: &mut [T],
-        hop: impl Fn(usize, usize, usize) -> T,
-        onsite: impl Fn(usize, usize) -> T,
-    ) {
+    /// `cols`/`vals`, which hold exactly those rows, from the
+    /// [`RowPlan`]s and the kept on-site entries.
+    fn fill_rows(&self, rows: Range<usize>, cols: &mut [u32], vals: &mut [Complex64]) {
         let mut at = 0;
-        let mut put = |col: usize, val: T| {
+        let mut put = |col: usize, val: Complex64| {
             (cols[at], vals[at]) = (col as u32, val);
             at += 1;
         };
@@ -574,14 +510,14 @@ impl StencilMatrix {
                 let col = |e: usize| (4 * site).wrapping_add_signed(plan.entries[e].offset);
                 let split = plan.onsite_at as usize;
                 for e in 0..split {
-                    put(col(e), hop(class, o, e));
+                    put(col(e), plan.entries[e].val);
                 }
                 // The assembly drops an exactly-zero diagonal entry.
                 if diag[o] != ZERO {
-                    put(4 * site + o, onsite(site, o));
+                    put(4 * site + o, diag[o]);
                 }
                 for e in split..plan.len as usize {
-                    put(col(e), hop(class, o, e));
+                    put(col(e), plan.entries[e].val);
                 }
             }
         }
@@ -894,9 +830,15 @@ mod tests {
             assert_eq!(crs.nnz(), m.nnz());
             // Interior rows: 1 onsite + 6 neighbours x 2 entries.
             assert!(crs.max_row_len() <= 13);
+            let bits = |vals: &[Complex64]| {
+                vals.iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
             m.for_rows(0..m.nrows(), |r, cols, vals| {
-                assert_eq!(cols, crs.row_cols(r), "row {r}");
-                assert_eq!(vals, crs.row_vals(r).to_vec(), "row {r}");
+                let row = crs.row(r);
+                assert_eq!(cols, row.cols(), "row {r}");
+                assert_eq!(bits(vals), bits(row.vals()), "row {r}");
             });
         }
     }

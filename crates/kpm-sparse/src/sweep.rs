@@ -474,9 +474,11 @@ pub(crate) trait RowSweep: Sync {
     );
 }
 
-/// The rows of a CRS matrix whose values are stored plain.
+/// The rows of a CRS matrix stored plain: its entries' columns and
+/// values.
 struct Entries<'a> {
     m: &'a CrsMatrix,
+    cols: &'a [u32],
     vals: &'a [Complex64],
 }
 
@@ -491,8 +493,8 @@ impl RowSweep for Entries<'_> {
         epi: &mut E,
     ) {
         match r {
-            1 => entry_chain(self.m, self.vals, x, row0, w, epi),
-            _ => crs_rows::<E, I, ARMS>(self.m, self.vals, x, r, row0, w, epi),
+            1 => entry_chain(self, x, row0, w, epi),
+            _ => crs_rows::<E, I, ARMS>(self, x, r, row0, w, epi),
         }
     }
 }
@@ -502,14 +504,17 @@ impl RowSweep for Entries<'_> {
 /// hold in a panel.
 #[inline(always)]
 fn entry_chain<E: Epilogue>(
-    m: &CrsMatrix,
-    vals: &[Complex64],
+    entries: &Entries,
     x: &[Complex64],
     row0: usize,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    let all_cols = m.cols();
+    let Entries {
+        m,
+        cols: all_cols,
+        vals,
+    } = *entries;
     for (row, wrow) in (row0..).zip(w) {
         let Range { start, end } = m.row_range(row);
         let mut acc = Complex64::default();
@@ -707,18 +712,21 @@ fn doubles(x: &[Complex64]) -> &[f64] {
 }
 
 /// The CRS row loop of [`RowSweep::sweep_body`] at widths beyond 1,
-/// on the plain values `vals` of `m`.
+/// on a plain matrix's entries.
 #[inline(always)]
 fn crs_rows<E: Epilogue, I: Isa, const ARMS: bool>(
-    m: &CrsMatrix,
-    vals: &[Complex64],
+    entries: &Entries,
     x: &[Complex64],
     r: usize,
     row0: usize,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    let all_cols = m.cols();
+    let Entries {
+        m,
+        cols: all_cols,
+        vals,
+    } = *entries;
     for (row, wrow) in (row0..).zip(w.chunks_mut(r)) {
         let Range { start, end } = m.row_range(row);
         let (cols, vals) = (&all_cols[start..end], &vals[start..end]);
@@ -741,8 +749,11 @@ pub(crate) fn run_crs(
     w: &mut [Complex64],
 ) -> AugDotsBlock {
     match m.values() {
-        Values::Lattice(_, _, sites) => run(sites, op, schedule, cache_bytes, x, r, w),
-        Values::Plain(vals) => run(&Entries { m, vals }, op, schedule, cache_bytes, x, r, w),
+        Values::Lattice(_, sites) => run(sites, op, schedule, cache_bytes, x, r, w),
+        Values::Plain { cols, vals } => {
+            let entries = Entries { m, cols, vals };
+            run(&entries, op, schedule, cache_bytes, x, r, w)
+        }
     }
 }
 

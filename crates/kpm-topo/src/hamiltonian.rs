@@ -554,8 +554,9 @@ mod tests {
             assert_eq!(st.nnz(), crs.nnz());
             let regen = st.to_crs();
             for r in 0..crs.nrows() {
-                assert_eq!(regen.row_cols(r), crs.row_cols(r), "row {r}");
-                assert_eq!(regen.row_vals(r), crs.row_vals(r), "row {r}");
+                let (got, want) = (regen.row(r), crs.row(r));
+                assert_eq!(got.cols(), want.cols(), "row {r}");
+                assert_eq!(bits(got.vals()), bits(want.vals()), "row {r}");
             }
             // Equal rows imply equal content fingerprints: stencil and
             // CRS handles of one operator coalesce in the service.
@@ -563,27 +564,61 @@ mod tests {
         }
     }
 
+    /// The bit patterns of `vals`: `==` on `f64` cannot tell `-0.0`
+    /// from `+0.0`.
+    fn bits(vals: &[Complex64]) -> Vec<(u64, u64)> {
+        vals.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn coded_values_keep_the_operators_identity() {
-        // The generator codes the lattice's values; the operator is
-        // still the one the plain arrays spell, down to the fingerprint
-        // the service keys its cache by — the value this lattice had
-        // when CRS values were always stored plain.
-        let ham = TopoHamiltonian::clean(4, 4, 2);
-        let h = ham.assemble();
-        let n = h.nrows();
-        let vals: Vec<Complex64> = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
-        let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
-        let plain = CrsMatrix::from_raw(n, n, h.row_ptr().to_vec(), cols, vals.clone());
-        assert!(h.value_table().is_some() && plain.value_table().is_none());
-        assert!(h == plain);
-        assert_eq!(h.nnz(), vals.len());
-        assert_eq!(h.content_fingerprint(), 0x098f_70ad_da13_1718);
-        assert_eq!(plain.content_fingerprint(), h.content_fingerprint());
-        assert_eq!(
-            ham.stencil_matrix().content_fingerprint(),
-            h.content_fingerprint()
-        );
+        // The generator stores the lattice coded, its rows regenerated
+        // from the site view; the operator is still the one the plain
+        // arrays it reads back spell, down to the fingerprint the
+        // service keys its registry and moment cache by — the values
+        // these lattices had when CRS entries were always stored.
+        let dots = TopoHamiltonian::quantum_dot_superlattice;
+        for (ham, fingerprint) in [
+            (TopoHamiltonian::clean(4, 4, 2), 0x098f_70ad_da13_1718),
+            (TopoHamiltonian::clean(5, 3, 3), 0x9d45_1bb4_6340_2f1e),
+            (dots(3, 6, 16), 0x923a_3be2_a08a_e303),
+            (TopoHamiltonian::clean(12, 12, 6), 0x5bce_d898_dd08_abbd),
+        ] {
+            let h = ham.assemble();
+            let n = h.nrows();
+            let vals: Vec<Complex64> = (0..n).flat_map(|r| h.row(r).vals().to_vec()).collect();
+            let cols = (0..n).flat_map(|r| h.row(r).cols().to_vec()).collect();
+            let plain = CrsMatrix::from_raw(n, n, h.row_ptr().to_vec(), cols, vals.clone());
+            assert!(h.value_table().is_some() && plain.value_table().is_none());
+            assert!(h == plain);
+            assert_eq!(h.nnz(), vals.len());
+            for r in 0..n {
+                let (coded, stored) = (h.row(r), plain.row(r));
+                assert_eq!(coded.cols(), stored.cols(), "row {r}");
+                assert_eq!(bits(coded.vals()), bits(stored.vals()), "row {r}");
+            }
+            assert_eq!(h.content_fingerprint(), fingerprint);
+            assert_eq!(plain.content_fingerprint(), fingerprint);
+            assert_eq!(ham.stencil_matrix().content_fingerprint(), fingerprint);
+            let bounds = plain.gershgorin_bounds();
+            assert_eq!(h.gershgorin_bounds(), bounds);
+            assert_eq!(h.check_hermitian(), plain.check_hermitian());
+            // The 12×12×6 lattice is 191 MB dense.
+            if n <= 2048 {
+                let (coded, stored) = (h.to_dense(), plain.to_dense());
+                assert!(coded.iter().zip(&stored).all(|(a, b)| bits(a) == bits(b)));
+            }
+            let stats = |m: &CrsMatrix| format!("{:?}", kpm_sparse::stats::analyze(m, 1));
+            assert_eq!(stats(&h), stats(&plain));
+            let written = |m: &CrsMatrix| {
+                let mut out = Vec::new();
+                kpm_sparse::io::write_hermitian(m, &mut out).unwrap();
+                out
+            };
+            assert!(written(&h) == written(&plain));
+        }
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub fn to_dense_hermitian(m: &CrsMatrix) -> DenseHermitian {
     );
     let mut data = vec![Complex64::default(); n * n];
     for r in 0..n {
-        for (k, &c) in m.row_cols(r).iter().enumerate() {
-            data[r * n + c as usize] = m.row_vals(r)[k];
+        let row = m.row(r);
+        for (&c, &v) in row.cols().iter().zip(row.vals()) {
+            data[r * n + c as usize] = v;
         }
     }
     DenseHermitian::from_row_major(n, data)

@@ -718,8 +718,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         );
         // What the table divides by, and how much of it the sweep runs:
         // counted here, over the CRS the replay keeps anyway.
-        let vals = (0..h.nrows()).flat_map(|row| h.row_vals(row));
-        let axial = vals.filter(|v| v.re == 0.0 || v.im == 0.0).count();
+        let axial_in = |row: usize| {
+            let row = h.row(row);
+            let axial = row.vals().iter().filter(|v| v.re == 0.0 || v.im == 0.0);
+            axial.count()
+        };
+        let axial: usize = (0..h.nrows()).map(axial_in).sum();
         eprintln!(
             "GF/s = paper Table I flops (8 per entry and block column) per second; {:.1} % of \
              the entries have an exactly-zero part, and at R >= 16 a row of such entries alone \
@@ -1688,9 +1692,9 @@ mod tests {
         // Break the second stored entry, (0, 4): (4, 0) no longer is
         // its conjugate.
         let n = h.nrows();
-        let cols = (0..n).flat_map(|r| h.row_cols(r).to_vec()).collect();
-        let mut vals: Vec<_> = (0..n).flat_map(|r| h.row_vals(r).to_vec()).collect();
-        assert_eq!(h.row_cols(0)[1], 4);
+        let cols = (0..n).flat_map(|r| h.row(r).cols().to_vec()).collect();
+        let mut vals: Vec<_> = (0..n).flat_map(|r| h.row(r).vals().to_vec()).collect();
+        assert_eq!(h.row(0).cols()[1], 4);
         vals[1].re += 1.0;
         let broken = CrsMatrix::from_raw(n, n, h.row_ptr().to_vec(), cols, vals);
         let path = std::env::temp_dir().join(format!("kpm-nonherm-{}.mtx", std::process::id()));

@@ -421,8 +421,8 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
 /// The rows of `h`, stored plain: the same arrays through `from_raw`.
 fn stored_plain(h: &CrsMatrix) -> CrsMatrix {
     let n = h.nrows();
-    let vals = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
-    let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
+    let vals = (0..n).flat_map(|r| h.row(r).vals().to_vec()).collect();
+    let cols = (0..n).flat_map(|r| h.row(r).cols().to_vec()).collect();
     CrsMatrix::from_raw(n, h.ncols(), h.row_ptr().to_vec(), cols, vals)
 }
 

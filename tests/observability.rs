@@ -66,8 +66,12 @@ fn probe_constants_match_accounting() {
     // on 64-byte lines: 320 bytes.
     assert_eq!(crs.site_blocks(), Some(11));
     let site_view = 32 * 6 + 11 * 320;
-    let vals = (0..n).flat_map(|row| crs.row_vals(row)).copied().collect();
-    let cols = (0..n).flat_map(|row| crs.row_cols(row)).copied().collect();
+    let vals = (0..n)
+        .flat_map(|row| crs.row(row).vals().to_vec())
+        .collect();
+    let cols = (0..n)
+        .flat_map(|row| crs.row(row).cols().to_vec())
+        .collect();
     let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);
     // (operator, width, matrix bytes per sweep)
     let cases: [(&dyn SparseKernels, usize, usize); 6] = [

@@ -389,8 +389,8 @@ fn runnable_bodies(test: &str) -> Vec<kpm_repro::sparse::simd::Body> {
 /// entry chain.
 fn stored_plain(h: &CrsMatrix) -> CrsMatrix {
     let n = h.nrows();
-    let vals = (0..n).flat_map(|r| h.row_vals(r)).copied().collect();
-    let cols = (0..n).flat_map(|r| h.row_cols(r)).copied().collect();
+    let vals = (0..n).flat_map(|r| h.row(r).vals().to_vec()).collect();
+    let cols = (0..n).flat_map(|r| h.row(r).cols().to_vec()).collect();
     CrsMatrix::from_raw(n, h.ncols(), h.row_ptr().to_vec(), cols, vals)
 }
 
@@ -554,12 +554,12 @@ fn kinds_matrix(n: usize, seed: u64) -> CrsMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut row_ptr, mut cols, mut vals) = (vec![0u64], Vec::new(), Vec::new());
     for row in 0..n {
-        let mut row_cols: Vec<u32> = (0..rng.gen_range(0..9))
+        let mut picked: Vec<u32> = (0..rng.gen_range(0..9))
             .map(|_| rng.gen_range(0..n) as u32)
             .collect();
-        row_cols.sort_unstable();
-        row_cols.dedup();
-        for c in row_cols {
+        picked.sort_unstable();
+        picked.dedup();
+        for c in picked {
             cols.push(c);
             vals.push(value_of_kind(&mut rng, if row % 3 == 0 { 4 } else { 7 }));
         }
@@ -634,9 +634,10 @@ fn reference_sweep(
             partials.push((vec![0.0; r], vec![zero; r]));
         }
         let (even, odd) = partials.last_mut().expect("a tile is open");
+        let hrow = h.row(row);
         for j in 0..r {
             let mut acc = zero;
-            for (hv, &c) in h.row_vals(row).iter().zip(h.row_cols(row)) {
+            for (hv, &c) in hrow.vals().iter().zip(hrow.cols()) {
                 acc = hv.mul_add(x.get(c as usize, j), acc);
             }
             let Some((a, b)) = aug else {
