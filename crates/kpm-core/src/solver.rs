@@ -549,7 +549,9 @@ const BATCH_GROUP_COLS: usize = 8;
 /// Lanes a batch of `columns` is swept on: groups of
 /// [`BATCH_GROUP_COLS`], the last zero-filled to the next power of two —
 /// one 8/4/2/1 panel. A sweep's price follows the panels in the cut, not
-/// the columns (six as 4 + 2 cost 1.9× what eight cost as one).
+/// the columns (on the 3,456-row lattice, one thread, AVX-512: six as
+/// 4 + 2 cost 1.4× what eight cost as one, and eight cost 1.4× four
+/// and 2.0× two).
 pub fn batch_lanes(columns: usize) -> usize {
     let tail = columns % BATCH_GROUP_COLS;
     columns - tail + tail.next_power_of_two() * usize::from(tail > 0)
@@ -1117,6 +1119,56 @@ mod tests {
                 matches!(err, KpmError::DeadlineExceeded { iteration: 0 }),
                 "{columns} columns, parallel = {parallel}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn batch_moments_on_a_lattice_are_the_single_vector_chain() {
+        // The service's contract on the operator it serves: a coded
+        // lattice, swept through its site view — the lane walk on 1, 2
+        // and 4 lanes, the register passes on 8. Batches of 1–8 columns
+        // that mix random and LDOS unit starts sweep on those four lane
+        // counts, and every column must be bitwise its own run alone.
+        let h = TopoHamiltonian::clean(4, 4, 3).assemble();
+        assert!(h.site_blocks().is_some(), "the sweep walks sites");
+        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+        let n = h.nrows();
+        let random = starting_vectors(n, &params(32, 4));
+        let unit = |i: usize| {
+            let mut e = vec![Complex64::default(); n];
+            e[i] = Complex64::new(1.0, 0.0);
+            Vector::from_vec(e)
+        };
+        let units = [unit(0), unit(4 * 7 + 2), unit(n - 1), unit(17)];
+        let starts: Vec<Vector> = random
+            .into_iter()
+            .zip(units)
+            .flat_map(<[_; 2]>::from)
+            .collect();
+        let bits = |set: &MomentSet| {
+            set.as_slice()
+                .iter()
+                .map(|m| m.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let alone: Vec<Vec<u64>> = starts
+            .iter()
+            .map(|v| bits(&moments_from_start(&h, sf, v, 32, false).unwrap()))
+            .collect();
+        let lanes: Vec<usize> = (1..=8).map(batch_lanes).collect();
+        assert_eq!(lanes, [1, 2, 4, 4, 8, 8, 8, 8]);
+        for width in 1..=8 {
+            for parallel in [false, true] {
+                let sets = kpm_batch_moments(&h, sf, &starts[..width], 32, parallel, None).unwrap();
+                assert_eq!(sets.len(), width);
+                for (j, set) in sets.iter().enumerate() {
+                    assert_eq!(
+                        bits(set),
+                        alone[j],
+                        "width {width} column {j}, parallel = {parallel}"
+                    );
+                }
+            }
         }
     }
 

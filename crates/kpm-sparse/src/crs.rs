@@ -68,7 +68,7 @@ pub(crate) enum Values {
 /// ascending neighbour order, hence ascending column order. A site with
 /// fewer blocks than `stride` ends in the padding block, which has no
 /// slot; a row with fewer entries than its block's slots multiplies
-/// zeros, which changes no bit of the sweep (`sweep::site_group` has the
+/// zeros, which changes no bit of the sweep (`sweep::lane_group` has the
 /// argument).
 #[derive(Debug, Clone)]
 pub(crate) struct SiteView {
@@ -821,16 +821,42 @@ impl CrsMatrix {
 /// multi-million-row matrices once at registration.
 pub(crate) struct Fnv1a(u64);
 
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`, wrapping.
+const FNV_POWERS: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fnv1a {
     pub(crate) fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
+    /// The word's eight bytes, little-endian. A zero byte's step is one
+    /// multiply by the prime (`h ^ 0 == h`), so the runs of zero bytes
+    /// below the lowest and above the highest non-zero byte — most of a
+    /// row pointer's or column's, and all of a `0.0`'s — are each one
+    /// multiply by a power of it: the byte-at-a-time hash, bit for bit.
     pub(crate) fn write_u64(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        if word == 0 {
+            self.0 = self.0.wrapping_mul(FNV_POWERS[8]);
+            return;
         }
+        let low = (word.trailing_zeros() / 8) as usize;
+        let high = (8 - word.leading_zeros() / 8) as usize;
+        let mut h = self.0.wrapping_mul(FNV_POWERS[low]);
+        for &byte in &word.to_le_bytes()[low..high] {
+            h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = h.wrapping_mul(FNV_POWERS[8 - high]);
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -842,6 +868,25 @@ impl Fnv1a {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+
+    #[test]
+    fn fnv_skips_zero_runs_exactly() {
+        // The byte-at-a-time FNV-1a the zero runs shortcut.
+        fn bytewise(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h = (*h ^ byte as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+        let mut words = vec![0, 1, u64::MAX, 1 << 63, 0x0100, 0x00ff_0000_ff00];
+        words.extend([0.0, -0.0, 0.5, -0.5, 1.0, 0.25].map(f64::to_bits));
+        words.extend((0..64).map(|k| 0x9e37_79b9_7f4a_7c15u64.rotate_left(k) >> (k % 60)));
+        let (mut fast, mut want) = (Fnv1a::new(), Fnv1a::new().0);
+        for &word in &words {
+            fast.write_u64(word);
+            bytewise(&mut want, word);
+            assert_eq!(fast.finish(), want, "{word:#x}");
+        }
+    }
 
     fn c(re: f64, im: f64) -> Complex64 {
         Complex64::new(re, im)

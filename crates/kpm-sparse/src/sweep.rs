@@ -23,13 +23,16 @@
 //! [`Schedule`] — one range over all rows, or fixed chunks
 //! ([`chunk_rows`], whole lattice sites) whose partial dots are combined
 //! in chunk order, so results never depend on the thread count. The site
-//! view multiplies only the stored entries of its 4×4 site blocks: at
-//! width 1 four lattice sites at a time, each site's four rows in eight
-//! lanes ([`site_group`]), finished by [`Epilogue::finish_rows`]; wider,
-//! site by site on register passes, each slot one factor times one half
-//! of a neighbour row's panel ([`site_panels`]). A plain CRS at width 1
-//! is the dependent `mul_add` chain of each row's entries
-//! ([`entry_chain`]).
+//! view multiplies only the stored entries of its 4×4 site blocks. A
+//! panel narrower than 8 columns — a whole block of 1, 2 or 4, or the
+//! tail beside wider passes — takes the lane walk ([`lane_walk`]):
+//! several lattice sites at a time, each site's four rows as eight units
+//! of `U` lanes, each slot decoded once for all four rows and applied as
+//! one gather of the neighbour's units ([`Isa::unit_steps`]), finished by
+//! [`Epilogue::finish_sites`]. An 8-column panel walks site by site on
+//! register passes, each slot one factor times one half of a neighbour
+//! row's panel ([`site_panels`]). A plain CRS at width 1 is the
+//! dependent `mul_add` chain of each row's entries ([`entry_chain`]).
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
@@ -38,8 +41,8 @@
 //! [`crate::simd::wide`] picks per kernel call. The copies differ in
 //! what [`Isa`] gives them: the columns of their widest pass — one
 //! layout panel for the first two, two panels (four 512-bit
-//! accumulators) for the third — and the one primitive the width-1 site
-//! walk needs that the auto-vectoriser does not produce, its lane gather.
+//! accumulators) for the third — and the one primitive the lane walk
+//! needs that the auto-vectoriser does not produce well, its unit step.
 //! No copy uses a fused multiply-add, and every lane ends up with
 //! the bits of the scalar chain of [`Complex64::mul_add`]s — so the
 //! copies agree with it and with each other bit for bit. The
@@ -59,7 +62,7 @@ use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CrsMatrix, SiteView, Values};
+use crate::crs::{CrsMatrix, SiteView, Slot, Values};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
@@ -115,23 +118,27 @@ pub(crate) trait Epilogue {
         w: &mut [Complex64],
     );
 
-    /// [`Epilogue::finish`] for `L / 2` consecutive rows of a width-1
-    /// sweep: `acc` holds their `(Hx)[row]` as `(re, im)` lane pairs —
-    /// the layout of `w` itself — and `x[at..]` and `w` are the rows'
-    /// entries.
-    fn finish_rows<const L: usize>(
+    /// [`Epilogue::finish`] for the `U`-column panel from column `j0` of
+    /// the `4·S` rows of `S` consecutive lattice sites in a width-`r`
+    /// block, row by row: `acc[s][2o]` and `acc[s][2o + 1]` are the `re`
+    /// and `im` lanes of row `4s + o`, `x[at..]` the slots of the first
+    /// row and `w` those of its row of `w`, each from column 0.
+    #[inline(always)]
+    fn finish_sites<const U: usize, const S: usize>(
         &mut self,
-        acc: &[f64; L],
+        acc: &[[[f64; U]; 8]; S],
         x: &[Complex64],
         at: usize,
+        r: usize,
+        j0: usize,
         w: &mut [Complex64],
-    );
-}
-
-/// The row `k` of [`Epilogue::finish_rows`]'s lanes.
-#[inline(always)]
-fn lane_pair<const L: usize>(acc: &[f64; L], k: usize) -> Complex64 {
-    Complex64::new(acc[2 * k], acc[2 * k + 1])
+    ) {
+        let rows = acc.iter().flat_map(|site| site.chunks_exact(2));
+        for (k, lanes) in (0..).zip(rows) {
+            let off = k * r + j0;
+            self.finish(&lanes[0], &lanes[1], x, at + off, j0, &mut w[off..]);
+        }
+    }
 }
 
 /// `y = A x`.
@@ -149,19 +156,6 @@ impl Epilogue for Plain {
         y: &mut [Complex64],
     ) {
         store_panel(re, im, y);
-    }
-
-    #[inline(always)]
-    fn finish_rows<const L: usize>(
-        &mut self,
-        acc: &[f64; L],
-        _: &[Complex64],
-        _: usize,
-        y: &mut [Complex64],
-    ) {
-        for (k, y) in y[..L / 2].iter_mut().enumerate() {
-            *y = lane_pair(acc, k);
-        }
     }
 }
 
@@ -202,6 +196,49 @@ impl<const DOTS: bool> Aug<DOTS> {
     #[inline(always)]
     fn update(&self, acc: Complex64, v: Complex64, w: Complex64) -> Complex64 {
         (acc - v.scale(self.b)).scale(2.0 * self.a) - w
+    }
+
+    /// [`Epilogue::finish_sites`] on `U`-column panels: per row the
+    /// update and, when `DOTS`, the two dot chains of each column.
+    #[inline(always)]
+    fn finish_panels<const U: usize, const S: usize>(
+        &mut self,
+        acc: &[[[f64; U]; 8]; S],
+        v: &[Complex64],
+        at: usize,
+        r: usize,
+        j0: usize,
+        w: &mut [Complex64],
+    ) {
+        let (mut even, mut odd_re, mut odd_im) = ([0.0; U], [0.0; U], [0.0; U]);
+        if DOTS {
+            even.copy_from_slice(&self.even[j0..][..U]);
+            odd_re.copy_from_slice(&self.odd_re[j0..][..U]);
+            odd_im.copy_from_slice(&self.odd_im[j0..][..U]);
+        }
+        let rows = acc.iter().flat_map(|site| site.chunks_exact(2));
+        for (k, lanes) in (0..).zip(rows) {
+            let off = k * r + j0;
+            let (vre, vim) = load_panel::<U>(&v[at + off..]);
+            let (mut wre, mut wim) = load_panel::<U>(&w[off..]);
+            for i in 0..U {
+                let v = Complex64::new(vre[i], vim[i]);
+                let acc = Complex64::new(lanes[0][i], lanes[1][i]);
+                let wi = self.update(acc, v, Complex64::new(wre[i], wim[i]));
+                (wre[i], wim[i]) = (wi.re, wi.im);
+                if DOTS {
+                    even[i] += v.norm_sqr();
+                    let odd = wi.conj().mul_add(v, Complex64::new(odd_re[i], odd_im[i]));
+                    (odd_re[i], odd_im[i]) = (odd.re, odd.im);
+                }
+            }
+            store_panel(&wre, &wim, &mut w[off..]);
+        }
+        if DOTS {
+            self.even[j0..][..U].copy_from_slice(&even);
+            self.odd_re[j0..][..U].copy_from_slice(&odd_re);
+            self.odd_im[j0..][..U].copy_from_slice(&odd_im);
+        }
     }
 }
 
@@ -246,19 +283,30 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
     }
 
     /// Row by row the update and the two dot chains of
-    /// [`Epilogue::finish`]'s column 0, the chains held in registers
-    /// across the rows rather than stored per row.
+    /// [`Epilogue::finish`], the chains held in registers across the rows
+    /// rather than stored per row.
+    /// [`Epilogue::finish_sites`]'s rows with the dot chains held in
+    /// registers across them rather than stored per row (per row, R = 2
+    /// ran ×1.2). A width-1 block's lanes are `(re, im)` pairs, the
+    /// layout of `v` and `w`: the update runs on all its rows, then the
+    /// two chains.
     #[inline(always)]
-    fn finish_rows<const L: usize>(
+    fn finish_sites<const U: usize, const S: usize>(
         &mut self,
-        acc: &[f64; L],
+        acc: &[[[f64; U]; 8]; S],
         v: &[Complex64],
         at: usize,
+        r: usize,
+        j0: usize,
         w: &mut [Complex64],
     ) {
-        let (v, w) = (&v[at..at + L / 2], &mut w[..L / 2]);
+        if U != 1 || r != 1 {
+            return self.finish_panels(acc, v, at, r, j0, w);
+        }
+        let lanes = acc.as_flattened().as_flattened();
+        let (v, w) = (&v[at..at + 4 * S], &mut w[..4 * S]);
         for (k, (w, &v)) in w.iter_mut().zip(v).enumerate() {
-            *w = self.update(lane_pair(acc, k), v, *w);
+            *w = self.update(Complex64::new(lanes[2 * k], lanes[2 * k + 1]), v, *w);
         }
         if DOTS {
             let mut even = self.even[0];
@@ -521,17 +569,19 @@ fn entry_chain<E: Epilogue>(
         for (hv, &c) in vals[start..end].iter().zip(&all_cols[start..end]) {
             acc = hv.mul_add(x[c as usize], acc);
         }
-        epi.finish_rows(&[acc.re, acc.im], x, row, std::slice::from_mut(wrow));
+        epi.finish(&[acc.re], &[acc.im], x, row, 0, std::slice::from_mut(wrow));
     }
 }
 
 /// The one lattice sweep: a lattice operator's site view, the CRS
 /// build's and the stencil's alike, over the rows of `w` from `row0` —
-/// whole lattice sites, as every sweep range is ([`chunk_rows`]). Width
-/// 1 walks four sites at a time and the last few one by one
-/// ([`site_group`]); wider blocks walk site by site ([`site_panels`]):
-/// two of the copy's widest passes side by side while their columns
-/// remain, then the widest pass and the layout panels one by one.
+/// whole lattice sites, as every sweep range is ([`chunk_rows`]). The
+/// block's 8-column panels walk site by site on register passes
+/// ([`site_panels`]): two of the copy's widest passes side by side while
+/// their columns remain, then the widest pass and the 8-column one. The
+/// panels narrower than 8 columns — a whole block of 1, 2 or 4, or the
+/// 4-, 2- and 1-column tail beside the 8-column panels — each take the
+/// lane walk ([`lane_walk`]).
 impl RowSweep for SiteView {
     #[inline(always)]
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
@@ -549,45 +599,106 @@ impl RowSweep for SiteView {
         );
         let (s0, s1) = (row0 / 4, (row0 + rows) / 4);
         if r == 1 {
-            let mut site = s0;
-            while site + 4 <= s1 {
-                site_group::<32, E, I>(self, x, site, row0, w, epi);
-                site += 4;
-            }
-            while site < s1 {
-                site_group::<8, E, I>(self, x, site, row0, w, epi);
-                site += 1;
-            }
-            return;
+            // The width a constant: with it a variable, the rows' offsets
+            // cost the width-1 sweep ×1.15.
+            return lane_walk::<1, 4, E, I>(self, x, 1, 0, s0..s1, row0, w, epi);
         }
-        for (site, wsite) in (s0..s1).zip(w.chunks_exact_mut(4 * r)) {
-            let mut j0 = 0;
-            while j0 + 2 * I::COLS <= r {
-                match I::COLS {
-                    16 => site_panels::<8, true, 2, E>(self, site, x, r, j0, wsite, epi),
-                    _ => site_panels::<8, false, 2, E>(self, site, x, r, j0, wsite, epi),
+        let wide = r / 8 * 8;
+        let one_width = wide == r || r.is_power_of_two();
+        let step = if one_width { s1 - s0 } else { SITE_GROUP };
+        let mut g0 = s0;
+        while g0 < s1 {
+            let g1 = (g0 + step).min(s1);
+            let wsites = &mut w[4 * (g0 - s0) * r..4 * (g1 - s0) * r];
+            for (site, wsite) in (g0..g1).zip(wsites.chunks_exact_mut(4 * r)) {
+                let mut j0 = 0;
+                while j0 + 2 * I::COLS <= wide {
+                    match I::COLS {
+                        16 => site_panels::<true, 2, E>(self, site, x, r, j0, wsite, epi),
+                        _ => site_panels::<false, 2, E>(self, site, x, r, j0, wsite, epi),
+                    }
+                    j0 += 2 * I::COLS;
                 }
-                j0 += 2 * I::COLS;
+                if I::COLS == 16 && j0 + 16 <= wide {
+                    site_panels::<true, 1, E>(self, site, x, r, j0, wsite, epi);
+                    j0 += 16;
+                }
+                if j0 < wide {
+                    site_panels::<false, 1, E>(self, site, x, r, j0, wsite, epi);
+                }
             }
-            if I::COLS == 16 && j0 + 16 <= r {
-                site_panels::<8, true, 1, E>(self, site, x, r, j0, wsite, epi);
-                j0 += 16;
+            let mut j0 = wide;
+            if j0 + 4 <= r {
+                match I::sites(4, r == 4) {
+                    2 => lane_walk::<4, 2, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                    _ => lane_walk::<4, 1, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                }
+                j0 += 4;
             }
-            kpm_num::for_panels!(r, j0, W => site_panels::<W, false, 1, E>(
-                self, site, x, r, j0, wsite, epi
-            ));
+            if j0 + 2 <= r {
+                match I::sites(2, r == 2) {
+                    4 => lane_walk::<2, 4, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                    _ => lane_walk::<2, 1, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                }
+                j0 += 2;
+            }
+            if j0 < r {
+                match I::sites(1, false) {
+                    4 => lane_walk::<1, 4, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                    _ => lane_walk::<1, 1, E, I>(self, x, r, j0, g0..g1, row0, w, epi),
+                }
+            }
+            g0 = g1;
         }
     }
 }
 
-/// `L / 8` consecutive lattice sites from `site` on the site view, each
-/// site's four rows in eight accumulator lanes: per block in the sites'
-/// code lists, the neighbour's four `x` entries (64 contiguous bytes)
-/// and, per slot of the block ([`Slot`](crate::crs::Slot)), `acc +=
-/// gather(x, slot.lane) · slot.coef` on every lane, the gather being the
-/// copy's [`Isa::gather`] — the sites' blocks interleaved, so `L / 8`
-/// independent accumulator chains are in flight — then
-/// [`Epilogue::finish_rows`] on the rows in order.
+/// Sites a block of more than one panel width walks at a time, all its
+/// panels before the next group, so that the neighbours' rows are read
+/// from L1 for every panel of a site: a multiple of every [`Isa::sites`].
+/// A block of one panel width walks its range in one group: in groups of
+/// four, the baseline copy's R = 8 and 32 sweeps ran ×1.05 and the
+/// AVX-512 copy's R = 4 on 48×48×24 ×1.2.
+const SITE_GROUP: usize = 4;
+
+/// The `U`-column panel from column `j0` of the lattice sites `sites`:
+/// `S` sites at a time ([`lane_group`]), the last few one by one.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
+fn lane_walk<const U: usize, const S: usize, E: Epilogue, I: Isa>(
+    view: &SiteView,
+    x: &[Complex64],
+    r: usize,
+    j0: usize,
+    sites: Range<usize>,
+    row0: usize,
+    w: &mut [Complex64],
+    epi: &mut E,
+) {
+    let mut site = sites.start;
+    while site + S <= sites.end {
+        lane_group::<U, S, E, I>(view, x, r, j0, site, row0, w, epi);
+        site += S;
+    }
+    while site < sites.end {
+        lane_group::<U, 1, E, I>(view, x, r, j0, site, row0, w, epi);
+        site += 1;
+    }
+}
+
+/// `S` consecutive lattice sites from `site` on the `U`-column panel from
+/// column `j0` of a width-`r` block: each site's four rows as eight units
+/// of `U` lanes — unit `l` is row `l / 2`'s real part when `l` is even,
+/// its imaginary part when odd, the layout of the panel in `w` — and per
+/// block in the sites' code lists, the neighbour's four rows as eight
+/// such units ([`Units`]) and, per slot of the block
+/// ([`Slot`](crate::crs::Slot)), `acc[l] += unit[slot.lane[l]] ·
+/// slot.coef[l]` on every unit, the copy's [`Isa::unit_steps`]. The
+/// sites' blocks are interleaved, so `S` independent accumulator chains
+/// are in flight, and each slot is read once for all four rows of a
+/// site; then [`Epilogue::finish_sites`] on the rows in order. At width 1
+/// a unit is one lane and the neighbour's four rows are its four `x`
+/// entries, 64 contiguous bytes.
 ///
 /// A row's stored entries are added in ascending column order, as the
 /// entry chain adds them, and each with the bits of the chain's
@@ -599,50 +710,140 @@ impl RowSweep for SiteView {
 /// and an accumulator that starts at `+0.0` is never `−0`, so adding it
 /// leaves the accumulator as it was. Only a non-finite `x` would tell the
 /// walk from the chain, and the solver's divergence guardrail stops a
-/// run long before one.
+/// run long before one. The products and their order are those of
+/// [`site_panels`] too, so every panel width gives the same bits.
 #[inline(always)]
-fn site_group<const L: usize, E: Epilogue, I: Isa>(
-    sites: &SiteView,
+#[allow(clippy::too_many_arguments)] // the sweep state, passed flat
+fn lane_group<const U: usize, const S: usize, E: Epilogue, I: Isa>(
+    view: &SiteView,
     x: &[Complex64],
+    r: usize,
+    j0: usize,
     site: usize,
     row0: usize,
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    let stride = sites.stride;
-    let codes = &sites.codes[site * stride..][..L / 8 * stride];
-    let mut acc = [0.0; L];
+    let stride = view.stride;
+    let codes = &view.codes[site * stride..][..S * stride];
+    let xd = doubles(x);
+    let mut acc = [[[0.0; U]; 8]; S];
     for k in 0..stride {
-        for s in 0..L / 8 {
-            let block = &sites.blocks[codes[s * stride + k] as usize];
-            let xs = &x[(4 * (site + s)).wrapping_add_signed(block.offset)..][..4];
-            for slot in &block.slots[..block.len] {
-                let lanes = I::gather(xs, &slot.lane);
-                for l in 0..8 {
-                    acc[8 * s + l] += lanes[l] * slot.coef[l];
-                }
+        for (s, acc) in acc.iter_mut().enumerate() {
+            let block = &view.blocks[codes[s * stride + k] as usize];
+            let first = (4 * (site + s)).wrapping_add_signed(block.offset);
+            let (xd, slots) = (&xd[2 * (first * r + j0)..], &block.slots[..block.len]);
+            // A block of width `U` reads its neighbour's rows as one array.
+            let whole = (r == U).then(|| xd[..8 * U].as_chunks().0.first_chunk());
+            match whole.flatten() {
+                Some(units) => I::unit_steps(acc, units, slots),
+                None => I::unit_steps(acc, Strided::new(xd, 2 * r), slots),
             }
         }
     }
-    let at = 4 * site;
-    epi.finish_rows(&acc, x, at, &mut w[at - row0..]);
+    let at = 4 * site * r;
+    epi.finish_sites(&acc, x, at, r, j0, &mut w[at - row0 * r..]);
+}
+
+/// A neighbour's four rows on a `U`-column panel as the lane walk reads
+/// them: eight units of `U` lanes, unit `q` part `q % 2` of row `q / 2`.
+/// The rows of a block of width `U` are `8·U` contiguous doubles, an
+/// array of the eight units; those of a panel in a wider block are
+/// [`Strided`].
+///
+/// # Safety
+///
+/// `unit(q)` must point at `U` doubles and `row(p)` at `2·U`, readable
+/// for as long as the implementor's borrow lives, and at `8·U` from
+/// `row(0)` when `whole()`: the steps read them without a check.
+pub(crate) unsafe trait Units<const U: usize>: Copy {
+    /// Unit `q % 8`.
+    fn unit(self, q: usize) -> *const [f64; U];
+
+    /// The first of row `p % 4`'s `2·U` doubles.
+    fn row(self, p: usize) -> *const f64;
+
+    /// Whether the four rows are contiguous, `8·U` doubles from `row(0)`.
+    fn whole(self) -> bool;
+}
+
+// SAFETY: the array is the eight units, borrowed: unit `q % 8` is in it,
+// row `p % 4` is units `2p, 2p + 1`, and all of it is `8·U` doubles from
+// its first, the pointer `row(0)` is derived from.
+unsafe impl<const U: usize> Units<U> for &[[f64; U]; 8] {
+    #[inline(always)]
+    fn unit(self, q: usize) -> *const [f64; U] {
+        &self[q & 7]
+    }
+
+    #[inline(always)]
+    fn row(self, p: usize) -> *const f64 {
+        self[2 * (p & 3)..].as_ptr().cast()
+    }
+
+    #[inline(always)]
+    fn whole(self) -> bool {
+        true
+    }
+}
+
+/// The four rows of a panel in a wider block: the units at `q / 2 ·
+/// stride + q % 2 · U` of `xd`.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided<'a, const U: usize> {
+    /// The four rows: `3·stride + 2·U` doubles.
+    xd: &'a [f64],
+    /// Doubles from one row to the next.
+    stride: usize,
+}
+
+impl<'a, const U: usize> Strided<'a, U> {
+    /// The rows at `xd`, `stride` doubles apart.
+    #[inline(always)]
+    fn new(xd: &'a [f64], stride: usize) -> Self {
+        Self {
+            xd: &xd[..3 * stride + 2 * U],
+            stride,
+        }
+    }
+}
+
+// SAFETY: row `p % 4` starts `(p % 4)·stride` doubles into `xd` and
+// ends at most `3·stride + 2·U` in, the doubles `new` sliced; unit `q` is
+// the `U` doubles from `(q % 2)·U` in row `q % 8 / 2`; `whole()` is
+// false.
+unsafe impl<const U: usize> Units<U> for Strided<'_, U> {
+    #[inline(always)]
+    fn unit(self, q: usize) -> *const [f64; U] {
+        self.row(q >> 1).wrapping_add((q & 1) * U).cast()
+    }
+
+    #[inline(always)]
+    fn row(self, p: usize) -> *const f64 {
+        self.xd.as_ptr().wrapping_add((p & 3) * self.stride)
+    }
+
+    #[inline(always)]
+    fn whole(self) -> bool {
+        false
+    }
 }
 
 /// The four rows of `site` on `SPAN` compute passes side by side from
-/// column `j0` (`wsite` their rows of `w`): the width-`r` form of
-/// [`site_group`], with no lane gather. Four accumulators are in flight
-/// — four rows on one pass, or two rows on two, which decode each slot
-/// once for twice the columns — and each block of the site is read once
-/// for them. For row `o` and a slot, lane `2o` names the neighbour's row
-/// (`lane >> 1`) and, by its parity, the half of that row's split
-/// `[re; W][im; W]` panels the real accumulators read; the imaginary
-/// ones read the other half. So a slot step is one factor times one
-/// contiguous half on each accumulator set ([`Pass::slot_axpy`]), the
-/// products and their order those of [`site_group`], and so are the
-/// bits. (Trial of the loop orders: EXPERIMENTS.md, "One lattice sweep:
-/// the site view at every width".)
+/// column `j0` (`wsite` their rows of `w`), each pass one 8-column panel
+/// or, when `TWO`, two: the register-pass form of [`lane_group`], with
+/// no gather. Four accumulators are in flight — four rows on one pass,
+/// or two rows on two, which decode each slot once for twice the columns
+/// — and each block of the site is read once for them. For row `o` and
+/// a slot, lane `2o` names the neighbour's row (`lane >> 1`) and, by its
+/// parity, the half of that row's split `[re; 8][im; 8]` panels the real
+/// accumulators read; the imaginary ones read the other half. So a slot
+/// step is one factor times one contiguous half on each accumulator set
+/// ([`Pass::slot_axpy`]), the products and their order those of
+/// [`lane_group`], and so are the bits. (Trial of the loop orders:
+/// EXPERIMENTS.md, "One lattice sweep: the site view at every width".)
 #[inline(always)]
-fn site_panels<const W: usize, const TWO: bool, const SPAN: usize, E: Epilogue>(
+fn site_panels<const TWO: bool, const SPAN: usize, E: Epilogue>(
     sites: &SiteView,
     site: usize,
     x: &[Complex64],
@@ -651,12 +852,12 @@ fn site_panels<const W: usize, const TWO: bool, const SPAN: usize, E: Epilogue>(
     wsite: &mut [Complex64],
     epi: &mut E,
 ) {
-    let cols = Pass::<W, TWO>::COLS;
+    let cols = Pass::<8, TWO>::COLS;
     let codes = &sites.codes[site * sites.stride..][..sites.stride];
     let xd = doubles(x);
     let len = 2 * SPAN * cols;
     for o in (0..4).step_by(4 / SPAN) {
-        let [mut a0, mut a1, mut a2, mut a3] = [Pass::<W, TWO>::ZERO; 4];
+        let [mut a0, mut a1, mut a2, mut a3] = [Pass::<8, TWO>::ZERO; 4];
         for &code in codes {
             let block = &sites.blocks[code as usize];
             let base = (4 * site).wrapping_add_signed(block.offset);
@@ -817,47 +1018,83 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
 }
 
 /// What differs between the three compiled copies of the sweep body
-/// ([`sweep`]): the columns of the widest compute pass, and the lane
-/// gather of the width-1 site walk ([`site_group`]). The types that
-/// implement it are private to this module and each is named by one
-/// copy only — what makes the AVX2 and AVX-512 gathers' `unsafe` sound.
+/// ([`sweep`]): the columns of the widest compute pass, and the unit step
+/// of the lane walk ([`lane_group`]). The types that implement it are
+/// private to this module and each is named by one copy only — what
+/// makes the AVX2 and AVX-512 steps' `unsafe` sound.
 pub(crate) trait Isa {
     /// Columns of the widest pass: two layout panels under AVX-512, one
     /// otherwise.
     const COLS: usize;
 
-    /// The eight lanes of a [`Slot`](crate::crs::Slot): lane `l` is lane
-    /// `lane[l]` of `xs`, a neighbour's four `x` entries read as eight
-    /// `f64`s. Written as indexing into a copy of those lanes, the copy
-    /// goes through the stack and each lane is reloaded from it, so each
-    /// compiled copy has its own gather (DESIGN.md §16).
-    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8];
+    /// Sites the lane walk keeps in flight on a `u`-column panel of a
+    /// block of width `u` (`whole`) or wider: as many as the copy's
+    /// registers hold the accumulators of. (In a tail, one site at a time
+    /// ran the baseline and AVX2 copies faster.)
+    #[inline(always)]
+    fn sites(u: usize, whole: bool) -> usize {
+        if whole && u < 4 {
+            4
+        } else {
+            1
+        }
+    }
+
+    /// The slots of one block of the lane walk on `U`-lane units, in
+    /// order: `acc[l] += units.unit(slot.lane[l]) · slot.coef[l]` on every
+    /// lane of every unit `l`, a multiply and then an add. Row `m`'s two
+    /// units read the two parts of one neighbour row (`lane[2m + 1] ==
+    /// lane[2m] ^ 1`, [`Slot`]), so the portable form reads each row once
+    /// per slot, and at 4 lanes walks the block row by row — under SSE2
+    /// the slot-major order spilled the 16 accumulator registers (×1.3).
+    /// Written as indexing into the units, a width-1 unit goes through the
+    /// stack and each lane is reloaded from it, so each compiled copy has
+    /// its own width-1 step (DESIGN.md §16), and the AVX-512 copy its own
+    /// 2- and 4-lane ones.
+    #[inline(always)]
+    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
+        if U == 4 {
+            for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
+                let (mut re, mut im) = (acc[0], acc[1]);
+                for slot in slots {
+                    let q = slot.lane[2 * m] as usize;
+                    // SAFETY: a unit is `U` readable doubles ([`Units`]).
+                    let (xre, xim) = unsafe { (&*units.unit(q), &*units.unit(q ^ 1)) };
+                    for k in 0..U {
+                        re[k] += xre[k] * slot.coef[2 * m];
+                        im[k] += xim[k] * slot.coef[2 * m + 1];
+                    }
+                }
+                (acc[0], acc[1]) = (re, im);
+            }
+            return;
+        }
+        for slot in slots {
+            for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
+                let q = slot.lane[2 * m] as usize;
+                // SAFETY: a unit is `U` readable doubles ([`Units`]).
+                let (re, im) = unsafe { (&*units.unit(q), &*units.unit(q ^ 1)) };
+                let (cre, cim) = (slot.coef[2 * m], slot.coef[2 * m + 1]);
+                for k in 0..U {
+                    acc[0][k] += re[k] * cre;
+                    acc[1][k] += im[k] * cim;
+                }
+            }
+        }
+    }
 }
 
-/// The baseline copy: each lane one scalar load from `xs` in place,
-/// through the eight `f64`s of its four entries.
+/// The baseline copy: each lane of a step one scalar load from the
+/// neighbour's rows in place.
 struct BaselineIsa;
 
 impl Isa for BaselineIsa {
     const COLS: usize = 8;
-
-    #[inline(always)]
-    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
-        let xs = &xs[..4];
-        let mut out = [0.0; 8];
-        // SAFETY: `xs` holds four `Complex64`s (sliced above), each
-        // `repr(C)` over two `f64`s: eight `f64`s in lane order, aligned
-        // as `f64`, borrowed for as long as `xs` is.
-        let lanes = unsafe { &*xs.as_ptr().cast::<[f64; 8]>() };
-        for (out, &l) in out.iter_mut().zip(lane) {
-            *out = lanes[l as usize & 7];
-        }
-        out
-    }
 }
 
-/// The AVX2 copy: per two rows, their entries of `xs` as two 16-byte
-/// loads into one register and `vpermilpd` on the lanes' low index bits.
+/// The AVX2 copy: at width 1, per two rows, their entries of the
+/// neighbour as two 16-byte loads into one register and `vpermilpd` on
+/// the lanes' low index bits.
 #[cfg(target_arch = "x86_64")]
 struct Avx2Isa;
 
@@ -866,34 +1103,42 @@ impl Isa for Avx2Isa {
     const COLS: usize = 8;
 
     #[inline(always)]
-    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
+    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
         use std::arch::x86_64::*;
-        let xs = &xs[..4];
-        let mut out = [0.0; 8];
-        for (half, out) in out.chunks_exact_mut(4).enumerate() {
-            let lane = &lane[4 * half..][..4];
-            let (lo, hi) = (
-                &xs[(lane[0] >> 1) as usize & 3],
-                &xs[(lane[2] >> 1) as usize & 3],
-            );
-            // SAFETY: `Avx2Isa` is named only by `sweep_avx2`, which
-            // `sweep` enters only with a `Wide` token naming `Body::Avx2`
-            // — made by `simd::wide` after `is_x86_feature_detected!("avx2")`
-            // — so the CPU executes these instructions. `lo` and `hi` are
-            // 16-byte `Complex64`s, `lane` and `out` four 8-byte lanes.
-            unsafe {
-                let pair = _mm256_loadu2_m128d(&hi.re, &lo.re);
-                let index = _mm256_loadu_si256(lane.as_ptr().cast());
-                // `vpermilpd` selects by bit 1 of each index.
-                let picked = _mm256_permutevar_pd(pair, _mm256_slli_epi64::<1>(index));
-                _mm256_storeu_pd(out.as_mut_ptr(), picked);
+        if U != 1 {
+            return BaselineIsa::unit_steps(acc, units, slots);
+        }
+        for slot in slots {
+            let mut out = [0.0; 8];
+            for (half, out) in out.chunks_exact_mut(4).enumerate() {
+                let lane = &slot.lane[4 * half..][..4];
+                let lo = units.row(lane[0] as usize / 2);
+                let hi = units.row(lane[2] as usize / 2);
+                // SAFETY: `Avx2Isa` is named only by `sweep_avx2`, which
+                // `sweep` enters only with a `Wide` token naming
+                // `Body::Avx2` — made by `simd::wide` after
+                // `is_x86_feature_detected!("avx2")` — so the CPU executes
+                // these instructions. `lo` and `hi` are rows of two
+                // `f64`s (`U` is 1), `lane` and `out` four 8-byte lanes.
+                unsafe {
+                    let pair = _mm256_loadu2_m128d(hi, lo);
+                    let index = _mm256_loadu_si256(lane.as_ptr().cast());
+                    // `vpermilpd` selects by bit 1 of each index.
+                    let picked = _mm256_permutevar_pd(pair, _mm256_slli_epi64::<1>(index));
+                    _mm256_storeu_pd(out.as_mut_ptr(), picked);
+                }
+            }
+            for (l, acc) in acc.iter_mut().enumerate() {
+                acc[0] += out[l] * slot.coef[l];
             }
         }
-        out
     }
 }
 
-/// The AVX-512 copy: one `vpermpd` of the neighbour's 64 bytes.
+/// The AVX-512 copy: the neighbour's rows in registers once per block,
+/// then per slot one `vpermpd` of them at width 1, two `vpermt2pd` at
+/// width 2 (with indices `2·lane + part`, the factors doubled by
+/// `vpermpd`), and at width 4 one of eight candidate rows per row.
 #[cfg(target_arch = "x86_64")]
 struct Avx512Isa;
 
@@ -902,21 +1147,113 @@ impl Isa for Avx512Isa {
     const COLS: usize = 16;
 
     #[inline(always)]
-    fn gather(xs: &[Complex64], lane: &[u64; 8]) -> [f64; 8] {
+    fn sites(u: usize, _: bool) -> usize {
+        if u == 4 {
+            2
+        } else {
+            4
+        }
+    }
+
+    #[inline(always)]
+    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
         use std::arch::x86_64::*;
-        let xs = &xs[..4];
-        let mut out = [0.0; 8];
+        if U == 4 {
+            // Row `p` as candidate `2p` and with its halves swapped as
+            // `2p + 1`, built once per block: row `m` of a slot reads
+            // candidate `lane[2m]`, its two units in one 64-byte load.
+            let mut cand = [[0.0; 8]; 8];
+            for (p, cand) in cand.chunks_exact_mut(2).enumerate() {
+                // SAFETY: `Avx512Isa` is named only by `sweep_avx512`,
+                // which `sweep` enters only with a `Wide` token naming
+                // `Body::Avx512`, made after
+                // `is_x86_feature_detected!("avx512f")`, so the CPU
+                // executes these instructions. A row is `2·U` = 8 readable
+                // doubles ([`Units`]), and a candidate 8 doubles.
+                unsafe {
+                    let x = _mm512_loadu_pd(units.row(p));
+                    _mm512_storeu_pd(cand[0].as_mut_ptr(), x);
+                    let swapped = _mm512_shuffle_f64x2::<0b01_00_11_10>(x, x);
+                    _mm512_storeu_pd(cand[1].as_mut_ptr(), swapped);
+                }
+            }
+            for slot in slots {
+                for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
+                    let x = &cand[slot.lane[2 * m] as usize & 7];
+                    let (cre, cim) = (slot.coef[2 * m], slot.coef[2 * m + 1]);
+                    for k in 0..U {
+                        acc[0][k] += x[k] * cre;
+                        acc[1][k] += x[4 + k] * cim;
+                    }
+                }
+            }
+            return;
+        }
+        // The slot's units at `picked` and their factors at `factor`, as
+        // `8·U` lanes each: stored to locals and added in portable code,
+        // so that `acc` stays in registers. (No closure here: one is not
+        // compiled for AVX-512, and each intrinsic in it becomes a call.)
+        let (mut picked, mut factor) = ([[0.0; U]; 8], [[0.0; U]; 8]);
+        let (out, fac) = (
+            picked.as_mut_ptr().cast::<f64>(),
+            factor.as_mut_ptr().cast::<f64>(),
+        );
+        let row = [0, 1, 2, 3].map(|p| units.row(p));
         // SAFETY: `Avx512Isa` is named only by `sweep_avx512`, which
         // `sweep` enters only with a `Wide` token naming `Body::Avx512` —
         // made by `simd::wide` after `is_x86_feature_detected!("avx512f")`
-        // — so the CPU executes these instructions. `xs` is four 16-byte
-        // `Complex64`s, `lane` and `out` eight 8-byte lanes: 64 bytes each.
+        // — so the CPU executes these instructions. `U` is 1 or 2: each
+        // of `units`' rows is `2·U` readable `f64`s, all four `8·U` when
+        // they are whole ([`Units`]), and `picked` and `factor` are `8·U`,
+        // read and written in 64-byte parts; a slot's `lane` and `coef`
+        // are eight 8-byte lanes each.
         unsafe {
-            let x = _mm512_loadu_pd(xs.as_ptr().cast());
-            let index = _mm512_loadu_si512(lane.as_ptr().cast());
-            _mm512_storeu_pd(out.as_mut_ptr(), _mm512_permutexvar_pd(index, x));
+            // Rows 0 and 1 and rows 2 and 3 (`U` is 2), or all four
+            // twice (`U` is 1).
+            let (x0, x1) = if units.whole() {
+                let xd = units.row(0);
+                (_mm512_loadu_pd(xd), _mm512_loadu_pd(xd.add(8 * (U - 1))))
+            } else if U == 2 {
+                let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(row[0]));
+                let hi = _mm512_castpd256_pd512(_mm256_loadu_pd(row[2]));
+                (
+                    _mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(row[1])),
+                    _mm512_insertf64x4::<1>(hi, _mm256_loadu_pd(row[3])),
+                )
+            } else {
+                let lo = _mm512_castpd256_pd512(_mm256_loadu2_m128d(row[1], row[0]));
+                let x = _mm512_insertf64x4::<1>(lo, _mm256_loadu2_m128d(row[3], row[2]));
+                (x, x)
+            };
+            // For `U` = 2, units `4h .. 4h + 4`: each lane's index twice,
+            // as the doubles `2·lane[l] + part` of the sixteen of `x0,
+            // x1`, and each lane's factor twice.
+            let part = _mm512_set_epi64(1, 0, 1, 0, 1, 0, 1, 0);
+            let pick = [
+                _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0),
+                _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4),
+            ];
+            for slot in slots {
+                let lane = _mm512_loadu_si512(slot.lane.as_ptr().cast());
+                let coef = _mm512_loadu_pd(slot.coef.as_ptr());
+                if U == 1 {
+                    _mm512_storeu_pd(out, _mm512_permutexvar_pd(lane, x0));
+                } else {
+                    for (h, &pick) in pick.iter().enumerate() {
+                        let index = _mm512_slli_epi64::<1>(_mm512_permutexvar_epi64(pick, lane));
+                        let units = _mm512_permutex2var_pd(x0, _mm512_or_si512(index, part), x1);
+                        _mm512_storeu_pd(out.add(8 * h), units);
+                        _mm512_storeu_pd(fac.add(8 * h), _mm512_permutexvar_pd(pick, coef));
+                    }
+                }
+                for l in 0..8 {
+                    for k in 0..U {
+                        let f = if U == 1 { slot.coef[l] } else { factor[l][k] };
+                        acc[l][k] += picked[l][k] * f;
+                    }
+                }
+            }
         }
-        out
     }
 }
 

@@ -153,7 +153,7 @@ baseline)
     ;;
 esac
 for f in crs stencil; do
-    for r in 1 8 24 33; do
+    for r in 1 2 4 6 8 24 33; do
         for t in 1 2; do
             run="./target/release/kpm dos --nx 3 --ny 6 --nz 16 --potential dots \
                 --moments 64 --random $r --threads $t --format $f"
@@ -163,7 +163,7 @@ for f in crs stencil; do
         done
     done
 done
-echo "the $body and the baseline sweep body print identical DOS output (crs and stencil, R = 1, 8, 24 and 33, 1 and 2 threads)"
+echo "the $body and the baseline sweep body print identical DOS output (crs and stencil, R = 1, 2, 4, 6, 8, 24 and 33, 1 and 2 threads)"
 # Every entry of a lattice has an exactly-zero part, so from 16 columns
 # on the runs above take the sweep's zero-skip arms on every row. The
 # four-product arm at those widths is reached by a file whose entries

@@ -472,14 +472,16 @@ fn coded_and_plain_values_give_identical_moments() {
 #[test]
 fn site_walk_is_bitwise_the_entry_chain() {
     // A lattice CRS whose values are coded sweeps its 4×4 site blocks at
-    // every width — width 1 four sites at a time, wider blocks site by
-    // site in register passes — multiplying the zeros of its blocks; the
-    // same arrays stored plain sweep them entry by entry. Every kernel
-    // must leave the same bits on both, in `w` (whose inputs hold zeros
-    // of both signs, so a sign slip shows) and in the dots — serial, and
-    // chunked on 1 and 2 threads, under every sweep body, at widths 1
-    // (through the single-vector entry points too), 2, 3, 4, 8, 16, 17
-    // and 32 — on a clean lattice (periodic x and y, open z), a dots
+    // every width — panels narrower than 8 columns on the lane walk,
+    // several sites at a time, 8-column panels site by site in register
+    // passes — multiplying the zeros of its blocks; the same arrays
+    // stored plain sweep them entry by entry. Every kernel must leave the
+    // same bits on both, in `w` (whose inputs hold zeros of both signs,
+    // so a sign slip shows) and in the dots — serial, and chunked on 1
+    // and 2 threads, under every sweep body, at widths 1 (through the
+    // single-vector entry points too), 2, 3, 4, 5, 6, 7, 8, 10, 12, 16,
+    // 17 and 32 (1-, 2- and 4-column tails beside none, 8- and 16-column
+    // passes) — on a clean lattice (periodic x and y, open z), a dots
     // lattice of 1,280 rows (two 1,024-row chunks), one with an odd
     // number of sites (the width-1 walk's last site has no partner) and
     // one with an extent-1 axis.
@@ -580,7 +582,7 @@ fn site_walk_is_bitwise_the_entry_chain() {
             z
         };
         let n = coded.nrows();
-        for r in [1, 2, 3, 4, 8, 16, 17, 32] {
+        for r in [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 17, 32] {
             let v = signed_zeros(BlockVector::random(n, r, &mut rng));
             let w0 = signed_zeros(BlockVector::random(n, r, &mut rng));
             let kernels = if r == 1 { &kernels[..] } else { &kernels[..6] };
