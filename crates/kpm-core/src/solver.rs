@@ -208,11 +208,10 @@ fn validate_square<M: SparseKernels + ?Sized>(h: &M) -> Result<(), KpmError> {
 /// averaged over `R` random unit vectors, using the chosen
 /// implementation stage.
 ///
-/// Generic over the storage format: pass a `CrsMatrix`, a
-/// `StencilMatrix`, or a format-erased [`kpm_sparse::KpmMatrix`] — moments are
-/// bitwise-identical across formats (and across thread counts) because
-/// every [`SparseKernels`] implementation computes the same
-/// floating-point chain.
+/// Generic over the operator: pass a `CrsMatrix` or a format-erased
+/// [`kpm_sparse::KpmMatrix`] — moments are bitwise-identical across
+/// formats (and across thread counts) because every [`SparseKernels`]
+/// implementation computes the same floating-point chain.
 pub fn kpm_moments<M: SparseKernels + ?Sized>(
     h: &M,
     sf: ScaleFactors,
@@ -851,7 +850,7 @@ mod tests {
         let ham = TopoHamiltonian::quantum_dot_superlattice(7, 7, 23);
         let crs = ham.assemble();
         let sf = ScaleFactors::from_gershgorin(&crs, 0.01);
-        let stencil = ham.stencil_matrix();
+        let stencil = kpm_sparse::KpmMatrix::stencil(ham.stencil_matrix());
         let formats: [&dyn SparseKernels; 2] = [&crs, &stencil];
         // The chain `init_block` replaced, column by column.
         let reference = |h: &dyn SparseKernels, v: &[Complex64], parallel: bool| {

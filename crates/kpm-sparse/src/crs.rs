@@ -19,7 +19,8 @@
 //! block naming a (neighbour, block) pair of at most 256, each pair
 //! stored as the slots of [`SiteBlock`] with the table codes of its
 //! entries beside them. Its sweep walks that view at every width — the
-//! lattice's one sweep, the stencil's too — and [`CrsMatrix::row`]
+//! lattice's one sweep and one run-time operator, which
+//! [`crate::KpmMatrix::stencil`] holds too — and [`CrsMatrix::row`]
 //! regenerates a row from it on demand. Both read back the same
 //! `Complex64` bits, so nothing but the bytes a sweep streams depends on
 //! the choice. Past 256 pairs or values, or when a block does not fit
@@ -258,22 +259,21 @@ impl BlockSet {
     }
 
     /// The view of the sites whose codes are `codes`, `stride` per site,
-    /// and the table its entries' codes name. Past [`TABLE_SLOTS`]
-    /// distinct values there is no table, and the view's `entries` are
-    /// empty: only a stencil sweeps such a view, and no CRS holds it.
+    /// and the table its entries' codes name; `None` past [`TABLE_SLOTS`]
+    /// distinct values.
     pub(crate) fn into_view(
         self,
         stride: usize,
         codes: Vec<u8>,
-    ) -> (SiteView, Option<Box<CodeTable>>) {
-        let (table, entries) = self.entry_codes().unzip();
+    ) -> Option<(SiteView, Box<CodeTable>)> {
+        let (table, entries) = self.entry_codes()?;
         let view = SiteView {
             blocks: self.blocks,
             stride,
             codes,
-            entries: entries.unwrap_or_default(),
+            entries,
         };
-        (view, table)
+        Some((view, table))
     }
 
     /// The table of the blocks' distinct values and each block's
@@ -670,24 +670,9 @@ impl CrsMatrix {
     /// Format-independent when computed from the assembled CRS source
     /// (see `KpmMatrix::content_fingerprint`).
     pub fn content_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.nrows as u64);
-        h.write_u64(self.ncols as u64);
-        for &p in &self.row_ptr {
-            h.write_u64(p);
-        }
-        self.for_each_row(|_, cols, _| {
-            for &c in cols {
-                h.write_u64(c as u64);
-            }
-        });
-        self.for_each_row(|_, _, vals| {
-            for v in vals {
-                h.write_u64(v.re.to_bits());
-                h.write_u64(v.im.to_bits());
-            }
-        });
-        h.finish()
+        fingerprint(self.nrows, self.ncols, &self.row_ptr, |f| {
+            self.for_each_row(f)
+        })
     }
 
     /// Entry `(r, c)`, or zero if not stored.
@@ -815,11 +800,43 @@ impl CrsMatrix {
     }
 }
 
+/// The content fingerprint of an `nrows x ncols` matrix whose row
+/// pointers are `row_ptr` and whose rows `for_each_row` hands out in
+/// order: FNV-1a over the dimensions, the row pointers, every column
+/// index, then every value's bits — the three arrays of a plain CRS, one
+/// after the other ([`CrsMatrix::content_fingerprint`]; a lattice with no
+/// coded form hashes its regenerated rows through it too).
+pub(crate) fn fingerprint(
+    nrows: usize,
+    ncols: usize,
+    row_ptr: &[u64],
+    for_each_row: impl Fn(&mut dyn FnMut(usize, &[u32], &[Complex64])),
+) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(nrows as u64);
+    h.write_u64(ncols as u64);
+    for &p in row_ptr {
+        h.write_u64(p);
+    }
+    for_each_row(&mut |_, cols, _| {
+        for &c in cols {
+            h.write_u64(c as u64);
+        }
+    });
+    for_each_row(&mut |_, _, vals| {
+        for v in vals {
+            h.write_u64(v.re.to_bits());
+            h.write_u64(v.im.to_bits());
+        }
+    });
+    h.finish()
+}
+
 /// Incremental FNV-1a (64-bit) over `u64` words — the same hash family
 /// the checkpoint records use, hand-rolled because the build has no
 /// registry access. Word-at-a-time keeps it fast enough to fingerprint
 /// multi-million-row matrices once at registration.
-pub(crate) struct Fnv1a(u64);
+struct Fnv1a(u64);
 
 /// The FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -836,7 +853,7 @@ const FNV_POWERS: [u64; 9] = {
 };
 
 impl Fnv1a {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
@@ -845,7 +862,7 @@ impl Fnv1a {
     /// below the lowest and above the highest non-zero byte — most of a
     /// row pointer's or column's, and all of a `0.0`'s — are each one
     /// multiply by a power of it: the byte-at-a-time hash, bit for bit.
-    pub(crate) fn write_u64(&mut self, word: u64) {
+    fn write_u64(&mut self, word: u64) {
         if word == 0 {
             self.0 = self.0.wrapping_mul(FNV_POWERS[8]);
             return;
@@ -859,7 +876,7 @@ impl Fnv1a {
         self.0 = h.wrapping_mul(FNV_POWERS[8 - high]);
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }

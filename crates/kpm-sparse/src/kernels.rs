@@ -6,15 +6,18 @@
 //! kernel the solver, the service, the tests and the benchmark name —
 //! `spmv`, `spmmv`, `aug_spmv`, `aug_spmmv`, their `_par` and `_nodot`
 //! forms — is a provided method written once on top of it:
-//! shape assertions, the kpm-obs probe, then `sweep`. So the whole
-//! pipeline — moments, blocked runs, checkpointing, the service's
-//! batches — runs unchanged on CRS or on the matrix-free stencil, and
-//! switching formats never changes results, only speed.
+//! shape assertions, the kpm-obs probe, then `sweep`. [`CrsMatrix`] is
+//! the one format that implements it.
 //!
 //! [`KpmMatrix`] is the owning handle the drivers pass around: it
-//! carries the chosen representation plus the per-call tuning state
-//! (the cache budget for the chunked schedule) so tuning travels with
-//! the matrix instead of through global state.
+//! carries the operator plus the per-call tuning state (the cache budget
+//! for the chunked schedule) so tuning travels with the matrix instead
+//! of through global state. A lattice runs as its coded CRS under either
+//! constructor; only a lattice with no coded form held by
+//! [`KpmMatrix::stencil`] runs something else, its regenerated rows. So
+//! the whole pipeline — moments, blocked runs, checkpointing, the
+//! service's batches — runs unchanged whichever constructor built the
+//! handle, and the choice never changes results.
 
 use std::sync::OnceLock;
 
@@ -28,6 +31,7 @@ use crate::crs::CrsMatrix;
 use crate::stencil::StencilMatrix;
 use crate::sweep::Schedule::{self, Chunked, Serial};
 use crate::sweep::SweepOp::{self, Plain};
+use crate::sweep::{run, run_crs};
 use crate::tile::DEFAULT_CACHE_BYTES;
 
 /// A sparse-matrix storage format.
@@ -35,10 +39,10 @@ use crate::tile::DEFAULT_CACHE_BYTES;
 pub enum FormatSpec {
     /// Compressed Row Storage (SELL-1-1 in the paper's terminology).
     Crs,
-    /// Matrix-free stencil: rows regenerated on the fly from the
-    /// lattice geometry ([`crate::stencil`]). Only constructible from a
-    /// known stencil operator (the kpm-topo Hamiltonian), never from an
-    /// assembled CRS matrix.
+    /// A lattice's generator ([`crate::stencil`]): its coded CRS when
+    /// it has one, its rows regenerated on the fly when it has none.
+    /// Only constructible from a known stencil operator (the kpm-topo
+    /// Hamiltonian), never from an assembled CRS matrix.
     Stencil,
 }
 
@@ -85,10 +89,9 @@ pub trait SparseKernels: Sync {
     ) -> AugDotsBlock;
 
     /// Bytes of matrix data a sweep streams from memory, at any block
-    /// width: the site view of a lattice operator that has one, CRS and
-    /// stencil alike ([`CrsMatrix::matrix_bytes`]); otherwise the
-    /// entries of a CRS and nothing for the stencil, which regenerates
-    /// its rows.
+    /// width: a coded CRS's site view, a plain one's entries
+    /// ([`CrsMatrix::matrix_bytes`]), and nothing for a lattice whose
+    /// rows a [`KpmMatrix::stencil`] handle regenerates.
     fn matrix_bytes(&self) -> usize;
 
     /// Serial `y = A x`.
@@ -201,13 +204,16 @@ fn named<M: SparseKernels + ?Sized>(
     m.sweep(op, schedule, x, r, w)
 }
 
-/// The concrete storage behind a [`KpmMatrix`].
+/// The operator behind a [`KpmMatrix`].
 #[derive(Debug, Clone)]
 enum Repr {
+    /// Every CRS, a lattice's coded one under either constructor
+    /// included.
     Crs(CrsMatrix),
-    // Boxed: the inline hop-block tables make this variant ~20x the
-    // size of the other.
-    Stencil(Box<StencilMatrix>),
+    /// A lattice with no coded form under [`KpmMatrix::stencil`]: its
+    /// generator, whose sweep regenerates the rows. Boxed: the inline
+    /// hop-block tables make this variant ~20x the size of the other.
+    Regen(Box<StencilMatrix>),
 }
 
 /// An owning, format-erased matrix handle with its tuning state.
@@ -220,6 +226,9 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct KpmMatrix {
     repr: Repr,
+    /// The constructor's format: what [`SparseKernels::format`] and the
+    /// probes report.
+    format: FormatSpec,
     cache_bytes: usize,
     /// The content fingerprint, hashed on first use (solver-only
     /// callers never pay for it).
@@ -227,9 +236,10 @@ pub struct KpmMatrix {
 }
 
 impl KpmMatrix {
-    fn new(repr: Repr) -> Self {
+    fn new(repr: Repr, format: FormatSpec) -> Self {
         Self {
             repr,
+            format,
             cache_bytes: DEFAULT_CACHE_BYTES,
             fingerprint: OnceLock::new(),
         }
@@ -237,18 +247,25 @@ impl KpmMatrix {
 
     /// Wraps a CRS matrix at the default cache budget.
     pub fn crs(m: CrsMatrix) -> Self {
-        Self::new(Repr::Crs(m))
+        Self::new(Repr::Crs(m), FormatSpec::Crs)
     }
 
-    /// Wraps a matrix-free stencil operator at the default cache
-    /// budget.
+    /// Wraps a lattice's generator at the default cache budget: a
+    /// lattice with a coded form becomes that coded CRS — the very
+    /// operator [`StencilMatrix::to_crs`] builds, its site view and value
+    /// table built here and moved in — and one without keeps its
+    /// generator, whose sweep regenerates the rows matrix-free.
     ///
-    /// The fingerprint is the *content* fingerprint of the CRS build of
-    /// the same lattice ([`StencilMatrix::content_fingerprint`]), so a
-    /// stencil handle and a CRS handle of the same operator coalesce in
-    /// the service registry and share moment-cache entries.
+    /// Either way the fingerprint is the *content* fingerprint of the
+    /// CRS build of the same lattice, so a stencil handle and a CRS
+    /// handle of the same operator coalesce in the service registry and
+    /// share moment-cache entries.
     pub fn stencil(m: StencilMatrix) -> Self {
-        Self::new(Repr::Stencil(Box::new(m)))
+        let repr = match m.coded() {
+            Some(coded) => Repr::Crs(coded),
+            None => Repr::Regen(Box::new(m)),
+        };
+        Self::new(repr, FormatSpec::Stencil)
     }
 
     /// The content fingerprint identifying this operator (see
@@ -258,7 +275,7 @@ impl KpmMatrix {
     pub fn content_fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| match &self.repr {
             Repr::Crs(m) => m.content_fingerprint(),
-            Repr::Stencil(m) => m.content_fingerprint(),
+            Repr::Regen(m) => m.content_fingerprint(),
         })
     }
 
@@ -273,47 +290,43 @@ impl KpmMatrix {
         self
     }
 
-    /// The CRS representation, if that is the active format.
+    /// The CRS the handle runs: every handle's but that of a lattice
+    /// with no coded form under [`KpmMatrix::stencil`].
     pub fn as_crs(&self) -> Option<&CrsMatrix> {
         match &self.repr {
             Repr::Crs(m) => Some(m),
-            Repr::Stencil(_) => None,
-        }
-    }
-
-    /// The matrix-free stencil representation, if that is the active
-    /// format.
-    pub fn as_stencil(&self) -> Option<&StencilMatrix> {
-        match &self.repr {
-            Repr::Stencil(m) => Some(m.as_ref()),
-            Repr::Crs(_) => None,
-        }
-    }
-
-    /// The representation as the interface it implements.
-    fn inner(&self) -> &dyn SparseKernels {
-        match &self.repr {
-            Repr::Crs(m) => m,
-            Repr::Stencil(m) => m.as_ref(),
+            Repr::Regen(_) => None,
         }
     }
 }
 
 impl SparseKernels for KpmMatrix {
     fn nrows(&self) -> usize {
-        self.inner().nrows()
+        match &self.repr {
+            Repr::Crs(m) => m.nrows(),
+            Repr::Regen(m) => m.nrows(),
+        }
     }
     fn ncols(&self) -> usize {
-        self.inner().ncols()
+        match &self.repr {
+            Repr::Crs(m) => m.ncols(),
+            Repr::Regen(m) => m.ncols(),
+        }
     }
     fn nnz(&self) -> usize {
-        self.inner().nnz()
+        match &self.repr {
+            Repr::Crs(m) => m.nnz(),
+            Repr::Regen(m) => m.nnz(),
+        }
     }
     fn format(&self) -> FormatSpec {
-        self.inner().format()
+        self.format
     }
     fn matrix_bytes(&self) -> usize {
-        self.inner().matrix_bytes()
+        match &self.repr {
+            Repr::Crs(m) => m.matrix_bytes(),
+            Repr::Regen(_) => 0,
+        }
     }
     fn sweep(
         &self,
@@ -324,8 +337,8 @@ impl SparseKernels for KpmMatrix {
         w: &mut [Complex64],
     ) -> AugDotsBlock {
         match &self.repr {
-            Repr::Crs(m) => crate::sweep::run_crs(m, op, schedule, self.cache_bytes, x, r, w),
-            Repr::Stencil(m) => m.sweep_at(op, schedule, self.cache_bytes, x, r, w),
+            Repr::Crs(m) => run_crs(m, op, schedule, self.cache_bytes, x, r, w),
+            Repr::Regen(m) => run(m.as_ref(), op, schedule, self.cache_bytes, x, r, w),
         }
     }
 }
@@ -337,7 +350,7 @@ mod tests {
     #[test]
     fn handle_reports_the_format_it_wraps() {
         let crs = KpmMatrix::crs(CrsMatrix::identity(12));
-        assert!(crs.as_crs().is_some() && crs.as_stencil().is_none());
+        assert!(crs.as_crs().is_some());
         // Plain values: 16 B each, plus a 4 B column index.
         let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes());
         assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12 * 20)));
@@ -345,10 +358,11 @@ mod tests {
         assert_eq!(FormatSpec::Stencil.to_string(), "stencil");
 
         // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
-        // coded, and at every width it and the stencil read the one site
-        // view — a byte per block of each site (itself and three
+        // coded, and both handles hold it and read its one site view at
+        // every width — a byte per block of each site (itself and three
         // neighbours) plus the seven distinct blocks of two 128-byte
-        // slots and a header, 320 bytes on 64-byte lines.
+        // slots and a header, 320 bytes on 64-byte lines. Each reports
+        // the format of its constructor.
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
@@ -365,5 +379,11 @@ mod tests {
         assert_eq!(coded.matrix_bytes(), view);
         let stencil = KpmMatrix::stencil(st);
         assert_eq!((stencil.nnz(), stencil.matrix_bytes()), (nnz, view));
+        assert_eq!(stencil.content_fingerprint(), coded.content_fingerprint());
+        assert!(stencil.as_crs().unwrap() == coded.as_crs().unwrap());
+        assert_eq!(
+            (coded.format(), stencil.format()),
+            (FormatSpec::Crs, FormatSpec::Stencil)
+        );
     }
 }

@@ -7,11 +7,12 @@
 //! * [`crs`] — Compressed Row Storage (CRS, a.k.a. CSR; identical to
 //!   SELL-1 in the paper's terminology), the format used for all SpMMV
 //!   kernels because vectorization happens across the block vector
-//!   (paper Section IV-A),
-//! * [`stencil`] — the matrix-free topological-insulator stencil
-//!   format: the kernels rebuild the operator site by site from block
-//!   templates, so the matrix stream disappears from the traffic
-//!   balance entirely,
+//!   (paper Section IV-A); a lattice's is coded, its sweep walking the
+//!   lattice's site blocks,
+//! * [`stencil`] — the topological-insulator lattice's generator: its
+//!   geometry and block templates, which build its CRS form, prove its
+//!   Hermiticity and bound its spectrum in `O(sites)`, and — for a
+//!   lattice with no coded form — regenerate its rows matrix-free,
 //! * [`kernels`] — the [`SparseKernels`] trait — a format's dimensions
 //!   and its one `sweep`, with every named kernel (`spmv`, `spmmv`, the
 //!   paper's *augmented* `aug_spmv()` of Fig. 4 and `aug_spmmv()` of
@@ -19,10 +20,10 @@
 //!   Chebyshev scalar products into the matrix sweep) a provided method
 //!   on top — and the [`KpmMatrix`] handle the solver runs on,
 //! * `sweep` (private) — the one register-panel row-range sweep every
-//!   CRS and stencil kernel runs at every width, on the split `re`/`im`
-//!   lanes of the block vectors' panels, compiled for the baseline
-//!   target, for AVX2 and for AVX-512 from the same source (the paper's
-//!   generated, unrolled kernels of Section IV-B for any block width),
+//!   kernel runs at every width, on the split `re`/`im` lanes of the
+//!   block vectors' panels, compiled for the baseline target, for AVX2
+//!   and for AVX-512 from the same source (the paper's generated,
+//!   unrolled kernels of Section IV-B for any block width),
 //! * [`aug`] — the dot products the augmented kernels return,
 //! * [`tile`] — cache-aware row-block tile sizing for the blocked
 //!   kernels (per-thread cache budget → rows per tile),

@@ -1,39 +1,36 @@
-//! Matrix-free stencil storage for the topological-insulator operator.
+//! The generator of the topological-insulator lattice operator.
 //!
-//! The paper's roofline analysis makes the matrix stream the dominant
-//! traffic term (`N_nz ≈ 13·N` elements of 20 bytes each per sweep).
 //! [`StencilMatrix`] keeps the operator as the lattice geometry — per
 //! site one on-site diagonal (64 bytes) plus six 4×4 hopping-block
-//! templates shared by all sites — and never assembles a CRS.
+//! templates shared by all sites — and is where every form of it comes
+//! from. Its CRS form ([`StencilMatrix::to_crs`], kpm-topo's
+//! `assemble()`) is coded whenever the lattice has a site view
+//! ([`SiteView`]): built here in `O(sites)` from the boundary classes — a
+//! byte per block of each site and the ≤ 256 distinct blocks, 0.4 MB on
+//! the benchmark's 48×48×24 lattice — with the table of its ≤ 256
+//! distinct values. The four orbital rows of a site see the same
+//! up-to-seven 4×4 blocks (six neighbours plus the on-site diagonal), and
+//! distinct sites own disjoint column ranges, so walking the blocks in
+//! ascending *site* order visits each row's entries in exactly the
+//! ascending-column order of a CRS row. That coded CRS is the lattice's
+//! one run-time operator: [`crate::KpmMatrix::stencil`] holds it too.
 //!
-//! Its kernels run the lattice's one sweep (`sweep.rs`): the site view
-//! ([`SiteView`]), built here in `O(sites)` from the boundary classes —
-//! a byte per block of each site and the ≤ 256 distinct blocks, 0.4 MB
-//! on the benchmark's 48×48×24 lattice, which is what `matrix_bytes()`
-//! counts. The four orbital rows of a site see the same up-to-seven 4×4
-//! blocks (six neighbours plus the on-site diagonal), and distinct sites
-//! own disjoint column ranges, so walking the blocks in ascending *site*
-//! order visits each row's entries in exactly the ascending-column order
-//! of a CRS row. The lattice's coded CRS build ([`StencilMatrix::to_crs`],
-//! kpm-topo's `assemble()`) is the same view and its value table, so
-//! both formats run the same machine code. The per-class row tables
-//! ([`RowPlan`]) fill a plain CRS build row by row, and give the row
-//! lengths and Gershgorin sums of any lattice in `O(sites)`.
+//! What stays on the generator is what it does in `O(sites)`: the
+//! structural Hermiticity check, and the row lengths and Gershgorin sums
+//! of the per-class row table — what the CRS build's `row_ptr` is the
+//! prefix sum of, and the bounds, bit-equal to the fold over its rows.
 //!
-//! Bitwise contract: every row runs the exact floating-point chain of
+//! A lattice has no coded form when a periodic axis has extent 2 (the
+//! coincident `n±ê_j` blocks are merged before the multiply), past 256
+//! distinct blocks or values (only a disordered potential has that many),
+//! or when a block does not fit its slots. Its CRS form is plain, filled
+//! in parallel from [`StencilMatrix::regen_row`] — the literal form of
+//! Eq. (1): gather, sort by column, merge — and under
+//! [`crate::KpmMatrix::stencil`] its sweep runs on those regenerated rows
+//! instead, matrix-free. Every row runs the exact floating-point chain of
 //! the CRS sweep over the exact entries of the CRS build, and the two
-//! formats share one schedule and reduction (`sweep.rs`), so vectors
-//! and dot products are bit-identical to CRS (serial ≡ serial, parallel
-//! ≡ parallel at equal cache budget) for any thread count. The
-//! determinism and property suites pin this down.
-//!
-//! A lattice has no view when a periodic axis has extent 2 (the
-//! coincident `n±ê_j` blocks are merged before the multiply) or when it
-//! has more than 256 distinct blocks (only a disordered potential has).
-//! Its sweep then regenerates each row with [`StencilMatrix::regen_row`]
-//! — the literal form of Eq. (1): gather, sort by column, merge — which
-//! is also the row source of the fingerprint; entry count and Gershgorin
-//! bounds are `O(sites)` folds.
+//! share one schedule and reduction (`sweep.rs`), so vectors and dot
+//! products are bit-identical either way for any thread count.
 
 use std::ops::Range;
 
@@ -42,13 +39,8 @@ use kpm_num::complex::ZERO;
 use kpm_num::{Complex64, KpmError};
 use rayon::prelude::*;
 
-use crate::aug::AugDotsBlock;
-use crate::crs::{BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
-use crate::kernels::{FormatSpec, SparseKernels};
-use crate::sweep::{
-    all_axial, for_passes, row_pass, run, Epilogue, Isa, RowSweep, Schedule, SweepOp,
-};
-use crate::tile::DEFAULT_CACHE_BYTES;
+use crate::crs::{fingerprint, BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
+use crate::sweep::{all_axial, for_passes, row_pass, Epilogue, Isa, RowSweep};
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
 /// hopping blocks contributing at most 4 entries per orbital row.
@@ -71,24 +63,13 @@ struct HopRow {
     vals: [Complex64; 4],
 }
 
-/// One orbital row of a boundary class: the blocks every site of the
-/// class sees, walked in ascending site (hence ascending column) order
-/// and flattened into the row's hopping entries `(x-row offset from the
-/// site's first row, value)`, with the on-site entry — whose value
-/// varies per site — slotted in before entry `onsite_at`. The CRS
-/// generator's table ([`StencilMatrix::to_crs`]).
+/// One orbital row of a boundary class, without its on-site entry —
+/// whose value varies per site: the number of hopping entries and the
+/// sum of their absolute values, folded in ascending column order.
 #[derive(Debug, Clone, Copy, Default)]
-struct RowPlan {
-    len: u8,
-    onsite_at: u8,
-    entries: [PlanEntry; MAX_ROW_ENTRIES],
-}
-
-/// One hopping entry of a [`RowPlan`].
-#[derive(Debug, Clone, Copy, Default)]
-struct PlanEntry {
-    offset: isize,
-    val: Complex64,
+struct RowSum {
+    entries: usize,
+    radius: f64,
 }
 
 /// A boundary class in a [`SiteView`] build: the codes of its blocks in
@@ -113,15 +94,16 @@ fn kept(v: Complex64) -> Complex64 {
 
 /// Boundary code of one coordinate: bit 0 = on the low edge, bit 1 =
 /// on the high edge (both on an extent-1 axis). Three of them index
-/// the [`RowPlan`] table.
+/// the [`RowSum`] table.
 #[inline(always)]
 fn edge_code(coord: usize, extent: usize) -> usize {
     (coord == 0) as usize | ((coord + 1 == extent) as usize) << 1
 }
 
-/// A matrix-free representation of the nearest-neighbour 4-orbital
-/// lattice operator (paper Eq. 1): rows are rebuilt on the fly from
-/// `O(1)` stencil data instead of streamed from memory.
+/// The generator of the nearest-neighbour 4-orbital lattice operator
+/// (paper Eq. 1): its geometry, on-site diagonals and hopping blocks, from
+/// which its CRS form is built and, on a lattice with no coded form, its
+/// rows are regenerated on the fly.
 ///
 /// Construction takes the on-site *diagonals* per site and the six raw
 /// hopping blocks in assembly order (`+ê_j` H.c. partner before `−ê_j`
@@ -144,18 +126,11 @@ pub struct StencilMatrix {
     hop_rows: [[HopRow; 4]; 6],
     /// The four orbital rows of every boundary class, indexed by the
     /// three [`edge_code`]s (`x | y << 2 | z << 4`).
-    plans: Vec<[RowPlan; 4]>,
+    sums: Vec<[RowSum; 4]>,
     /// True when a periodic axis has extent 2: both partners along it
     /// are the same site and the assembly merges their entries, so the
     /// lattice has no site view.
     coincident: bool,
-    /// The site view the sweep walks ([`StencilMatrix::site_view`]);
-    /// `None` on coincident-neighbour lattices and past 256 distinct
-    /// blocks, whose sweep regenerates (and merges) row by row.
-    sites: Option<SiteView>,
-    /// The table the view's entry codes name; `None` without a view and
-    /// past 256 distinct values, where the CRS build is plain.
-    table: Option<Box<CodeTable>>,
     nnz: usize,
 }
 
@@ -210,26 +185,17 @@ impl StencilMatrix {
             onsite_diag,
             hop_blocks: *hop_blocks,
             hop_rows,
-            plans: Vec::new(),
+            sums: Vec::new(),
             coincident: [nx, ny, nz]
                 .iter()
                 .zip(periodic)
                 .any(|(&extent, wraps)| wraps && extent == 2),
-            sites: None,
-            table: None,
             nnz: 0,
         };
-        m.plans = (0..64).map(|code| m.row_plans(code)).collect();
+        m.sums = (0..64).map(|code| m.row_sums(code)).collect();
         let mut nnz = 0;
         m.for_row_sums(|_, entries, _| nnz += entries);
-        let view = if m.coincident { None } else { m.site_view() };
-        let (sites, table) = view.unzip();
-        Self {
-            nnz,
-            sites,
-            table: table.flatten(),
-            ..m
-        }
+        Self { nnz, ..m }
     }
 
     /// The blocks every site of boundary class `code` reads, as (site
@@ -259,28 +225,22 @@ impl StencilMatrix {
 
     /// The four orbital rows of boundary class `code` (empty when the
     /// lattice has no such site).
-    fn row_plans(&self, code: usize) -> [RowPlan; 4] {
-        let mut plans = [RowPlan::default(); 4];
+    fn row_sums(&self, code: usize) -> [RowSum; 4] {
+        let mut sums = [RowSum::default(); 4];
         let Some(slots) = self.class_blocks(code) else {
-            return plans;
+            return sums;
         };
-        for (o, plan) in plans.iter_mut().enumerate() {
-            for &(offset, block) in &slots {
-                if block == ONSITE {
-                    plan.onsite_at = plan.len;
-                    continue;
-                }
+        for (o, sum) in sums.iter_mut().enumerate() {
+            let hopping = slots.iter().filter(|&&(_, block)| block != ONSITE);
+            for &(_, block) in hopping {
                 let hr = &self.hop_rows[block][o];
-                for e in 0..hr.len as usize {
-                    plan.entries[plan.len as usize] = PlanEntry {
-                        offset: 4 * offset + hr.cols[e] as isize,
-                        val: hr.vals[e],
-                    };
-                    plan.len += 1;
+                for val in &hr.vals[..hr.len as usize] {
+                    sum.entries += 1;
+                    sum.radius += val.abs();
                 }
             }
         }
-        plans
+        sums
     }
 
     /// Number of lattice sites.
@@ -326,92 +286,90 @@ impl StencilMatrix {
         }
     }
 
-    /// The content fingerprint of the *assembled* operator: identical
-    /// to [`crate::crs::CrsMatrix::content_fingerprint`] of the CRS
-    /// build of the same lattice, so service-side request coalescing
-    /// and moment caching work across the CRS/stencil format boundary.
-    /// CRS hashes its three arrays one after the other; so does this,
-    /// as three regeneration passes that never materialize them.
-    pub fn content_fingerprint(&self) -> u64 {
+    /// The content fingerprint of the CRS build of the lattice
+    /// ([`CrsMatrix::content_fingerprint`]), hashed through the same
+    /// function from the regenerated rows and the tabulated row lengths:
+    /// the one a handle of a lattice with no coded form reports.
+    pub(crate) fn content_fingerprint(&self) -> u64 {
         let n = self.nrows();
-        let mut h = crate::crs::Fnv1a::new();
-        h.write_u64(n as u64);
-        h.write_u64(n as u64);
-        let mut row_ptr = 0u64;
-        h.write_u64(row_ptr);
-        self.for_rows(0..n, |_, cols, _| {
-            row_ptr += cols.len() as u64;
-            h.write_u64(row_ptr);
-        });
-        self.for_rows(0..n, |_, cols, _| {
-            for &c in cols {
-                h.write_u64(c as u64);
-            }
-        });
-        self.for_rows(0..n, |_, _, vals| {
-            for v in vals {
-                h.write_u64(v.re.to_bits());
-                h.write_u64(v.im.to_bits());
-            }
-        });
-        h.finish()
+        fingerprint(n, n, &self.row_ptr(), |f| self.for_rows(0..n, f))
     }
 
-    /// Assembles the operator into an explicit CRS matrix — the one
-    /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
-    /// this). Row lengths come from the boundary-class table, so
-    /// `row_ptr` is an `O(sites)` prefix sum.
-    ///
-    /// A lattice with a site view whose values fit a table of 256 is
-    /// stored coded ([`crate::crs`]): `row_ptr`, the table and a copy of
-    /// the view are all it holds, and its rows are regenerated from the
-    /// view on demand. Otherwise the entries are stored plain: the
-    /// arrays are allocated untouched at their final size, then fixed
-    /// chunks of [`FILL_ROWS`] rows are filled on the ambient pool —
-    /// straight from the [`RowPlan`]s, ascending columns by
-    /// construction, no sort, no merge, or on coincident-neighbour
-    /// lattices regenerated (and merged) row by row — every page first
-    /// written by the worker that fills it. A lattice of one chunk fills
-    /// inline.
-    pub fn to_crs(&self) -> CrsMatrix {
-        let n = self.nrows();
-        let mut row_ptr: Vec<u64> = Vec::with_capacity(n + 1);
+    /// The row pointers of the CRS build: the prefix sums of the
+    /// tabulated row lengths.
+    fn row_ptr(&self) -> Vec<u64> {
+        let mut row_ptr = Vec::with_capacity(self.nrows() + 1);
         let mut end = 0u64;
         row_ptr.push(end);
         self.for_row_sums(|_, entries, _| {
             end += entries as u64;
             row_ptr.push(end);
         });
-        if let (Some(sites), Some(table)) = (&self.sites, &self.table) {
-            return CrsMatrix::from_coded(n, row_ptr, table.clone(), sites.clone());
+        row_ptr
+    }
+
+    /// Assembles the operator into an explicit CRS matrix — the one
+    /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
+    /// this): coded when the lattice has a site view
+    /// ([`StencilMatrix::coded`]), otherwise plain. The plain arrays are
+    /// allocated untouched at their final size, then fixed chunks of
+    /// [`FILL_ROWS`] rows are filled on the ambient pool from the
+    /// regenerated rows, every page first written by the worker that
+    /// fills it. A lattice of one chunk fills inline.
+    pub fn to_crs(&self) -> CrsMatrix {
+        if let Some(coded) = self.coded() {
+            return coded;
         }
+        let n = self.nrows();
+        let row_ptr = self.row_ptr();
         let mut cols = zeroed_vec::<u32>(self.nnz);
         let mut vals = zeroed_vec::<Complex64>(self.nnz);
-        self.fill_chunks(&row_ptr, &mut cols, &mut vals, |rows, cols, vals| {
+        let mut chunks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
+        let (mut cols_rest, mut vals_rest) = (&mut cols[..], &mut vals[..]);
+        for row0 in (0..n).step_by(FILL_ROWS) {
+            let row1 = (row0 + FILL_ROWS).min(n);
+            let len = (row_ptr[row1] - row_ptr[row0]) as usize;
+            let (c, v) = (cols_rest.split_at_mut(len), vals_rest.split_at_mut(len));
+            (cols_rest, vals_rest) = (c.1, v.1);
+            chunks.push((row0..row1, c.0, v.0));
+        }
+        chunks.par_iter_mut().for_each(|(rows, cols, vals)| {
             let mut at = 0;
-            if self.coincident {
-                return self.for_rows(rows, |_, c, v| {
-                    cols[at..][..c.len()].copy_from_slice(c);
-                    vals[at..][..v.len()].copy_from_slice(v);
-                    at += c.len();
-                });
-            }
-            self.fill_rows(rows, cols, vals);
+            self.for_rows(rows.clone(), |_, c, v| {
+                cols[at..][..c.len()].copy_from_slice(c);
+                vals[at..][..v.len()].copy_from_slice(v);
+                at += c.len();
+            });
         });
         CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
     }
 
-    /// The site view of the lattice ([`SiteView`]) — what the sweep walks,
-    /// on the stencil and on a coded CRS build alike — and the table of
-    /// its values, in one pass over the sites: each boundary class's
-    /// hopping blocks are coded once, from
-    /// [`StencilMatrix::class_blocks`], and each site takes its class's
-    /// codes with the code of its own on-site block in its slot, looked
-    /// up by the diagonal's bits among the diagonals met before. `None`
-    /// past 256 distinct blocks, and when a block does not fit its slots
-    /// — no generated lattice has one; no table past 256 distinct values
-    /// ([`BlockSet::into_view`]).
-    fn site_view(&self) -> Option<(SiteView, Option<Box<CodeTable>>)> {
+    /// The coded CRS form of the lattice: `row_ptr`, the value table and
+    /// the site view ([`StencilMatrix::site_view`]), built here and moved
+    /// in. `None` when the lattice has no site view.
+    pub(crate) fn coded(&self) -> Option<CrsMatrix> {
+        let (sites, table) = self.site_view()?;
+        Some(CrsMatrix::from_coded(
+            self.nrows(),
+            self.row_ptr(),
+            table,
+            sites,
+        ))
+    }
+
+    /// The site view of the lattice ([`SiteView`]) — what the sweep of
+    /// its coded CRS walks — and the table of its values, in one pass over
+    /// the sites: each boundary class's hopping blocks are coded once,
+    /// from [`StencilMatrix::class_blocks`], and each site takes its
+    /// class's codes with the code of its own on-site block in its slot,
+    /// looked up by the diagonal's bits among the diagonals met before.
+    /// `None` on coincident-neighbour lattices, past 256 distinct blocks
+    /// or values ([`BlockSet::into_view`]), and when a block does not fit
+    /// its slots — no generated lattice has one.
+    fn site_view(&self) -> Option<(SiteView, Box<CodeTable>)> {
+        if self.coincident {
+            return None;
+        }
         let mut blocks = BlockSet::default();
         let mut classes = [ClassCodes::default(); 64];
         for (code, class) in classes.iter_mut().enumerate() {
@@ -467,63 +425,10 @@ impl StencilMatrix {
                 }
             }
         }
-        Some(blocks.into_view(stride, codes))
+        blocks.into_view(stride, codes)
     }
 
-    /// Splits `cols` and `vals` at the fixed [`FILL_ROWS`]-row chunks
-    /// and runs `fill(rows, cols, vals)` on each, on the ambient pool.
-    fn fill_chunks(
-        &self,
-        row_ptr: &[u64],
-        cols: &mut [u32],
-        vals: &mut [Complex64],
-        fill: impl Fn(Range<usize>, &mut [u32], &mut [Complex64]) + Sync,
-    ) {
-        let n = self.nrows();
-        let mut chunks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
-        let (mut cols_rest, mut vals_rest) = (cols, vals);
-        for row0 in (0..n).step_by(FILL_ROWS) {
-            let row1 = (row0 + FILL_ROWS).min(n);
-            let len = (row_ptr[row1] - row_ptr[row0]) as usize;
-            let (c, v) = (cols_rest.split_at_mut(len), vals_rest.split_at_mut(len));
-            (cols_rest, vals_rest) = (c.1, v.1);
-            chunks.push((row0..row1, c.0, v.0));
-        }
-        chunks
-            .par_iter_mut()
-            .for_each(|(rows, cols, vals)| fill(rows.clone(), cols, vals));
-    }
-
-    /// Writes the entries of `rows` (whole sites), row after row, into
-    /// `cols`/`vals`, which hold exactly those rows, from the
-    /// [`RowPlan`]s and the kept on-site entries.
-    fn fill_rows(&self, rows: Range<usize>, cols: &mut [u32], vals: &mut [Complex64]) {
-        let mut at = 0;
-        let mut put = |col: usize, val: Complex64| {
-            (cols[at], vals[at]) = (col as u32, val);
-            at += 1;
-        };
-        for site in rows.start / 4..rows.end / 4 {
-            let class = self.site_class(site);
-            let diag = &self.onsite_diag[site];
-            for (o, plan) in self.plans[class].iter().enumerate() {
-                let col = |e: usize| (4 * site).wrapping_add_signed(plan.entries[e].offset);
-                let split = plan.onsite_at as usize;
-                for e in 0..split {
-                    put(col(e), plan.entries[e].val);
-                }
-                // The assembly drops an exactly-zero diagonal entry.
-                if diag[o] != ZERO {
-                    put(4 * site + o, diag[o]);
-                }
-                for e in split..plan.len as usize {
-                    put(col(e), plan.entries[e].val);
-                }
-            }
-        }
-    }
-
-    /// Boundary class of `site`: the index into the [`RowPlan`] table.
+    /// Boundary class of `site`: the index into the [`RowSum`] table.
     fn site_class(&self, site: usize) -> usize {
         let (nx, ny, nz) = self.shape();
         let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
@@ -544,19 +449,11 @@ impl StencilMatrix {
                 f(diag.map_or(0.0, |k| vals[k].re), cols.len(), radius)
             });
         }
-        let row_sum = |plan: &RowPlan| {
-            let entries = &plan.entries[..plan.len as usize];
-            (
-                entries.len(),
-                entries.iter().fold(0.0, |s, en| s + en.val.abs()),
-            )
-        };
-        let sums: Vec<[(usize, f64); 4]> =
-            (self.plans.iter().map(|rows| rows.each_ref().map(row_sum))).collect();
         for (site, diag) in self.onsite_diag.iter().enumerate() {
-            for (d, &(len, radius)) in diag.iter().zip(&sums[self.site_class(site)]) {
+            for (d, sum) in diag.iter().zip(&self.sums[self.site_class(site)]) {
                 let kept = *d != ZERO;
-                f(if kept { d.re } else { 0.0 }, len + kept as usize, radius);
+                let diag = if kept { d.re } else { 0.0 };
+                f(diag, sum.entries + kept as usize, sum.radius);
             }
         }
     }
@@ -633,7 +530,7 @@ impl StencilMatrix {
     /// orbital rows of a site share one geometry lookup), the literal
     /// mirror of the assembly loop: gather, sort by column, merge.
     #[inline]
-    pub(crate) fn regen_row(
+    fn regen_row(
         &self,
         r: usize,
         cached_site: &mut usize,
@@ -703,7 +600,8 @@ impl StencilMatrix {
     }
 }
 
-/// The sweep body of a lattice with no site view: its regenerated rows.
+/// The sweep body of a lattice with no coded form: its regenerated rows
+/// ([`crate::KpmMatrix::stencil`]).
 impl RowSweep for StencilMatrix {
     #[inline(always)]
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
@@ -718,62 +616,12 @@ impl RowSweep for StencilMatrix {
     }
 }
 
-impl StencilMatrix {
-    /// The sweep at the per-thread cache budget `cache_bytes`: the site
-    /// view's walk, the CRS build's own ([`crate::sweep`]), or on a
-    /// lattice with no view the regenerated rows.
-    pub(crate) fn sweep_at(
-        &self,
-        op: SweepOp,
-        schedule: Schedule,
-        cache_bytes: usize,
-        x: &[Complex64],
-        r: usize,
-        w: &mut [Complex64],
-    ) -> AugDotsBlock {
-        match &self.sites {
-            Some(sites) => run(sites, op, schedule, cache_bytes, x, r, w),
-            None => run(self, op, schedule, cache_bytes, x, r, w),
-        }
-    }
-}
-
-/// The stencil as a format: its dimensions and the shared sweep at the
-/// default budget.
-impl SparseKernels for StencilMatrix {
-    fn nrows(&self) -> usize {
-        StencilMatrix::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        StencilMatrix::ncols(self)
-    }
-    fn nnz(&self) -> usize {
-        StencilMatrix::nnz(self)
-    }
-    fn format(&self) -> FormatSpec {
-        FormatSpec::Stencil
-    }
-    fn matrix_bytes(&self) -> usize {
-        self.sites.as_ref().map_or(0, SiteView::bytes)
-    }
-    fn sweep(
-        &self,
-        op: SweepOp,
-        schedule: Schedule,
-        x: &[Complex64],
-        r: usize,
-        w: &mut [Complex64],
-    ) -> AugDotsBlock {
-        self.sweep_at(op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
-    }
-}
-
-/// The sweep of a lattice with no site view over the rows of `w` from
+/// The sweep of a lattice with no coded form over the rows of `w` from
 /// `row0`: the CRS row passes over regenerated rows, one layout panel at
 /// a time. Not inlined into the sweep copies — only coincident-neighbour
-/// lattices and those past 256 distinct blocks come here — so it runs as
-/// compiled for the baseline target under every copy; `arms` is the
-/// calling body's `ARMS`.
+/// lattices and those past 256 distinct blocks or values come here — so
+/// it runs as compiled for the baseline target under every copy; `arms`
+/// is the calling body's `ARMS`.
 fn regen_rows<E: Epilogue>(
     m: &StencilMatrix,
     x: &[Complex64],
@@ -795,6 +643,7 @@ fn regen_rows<E: Epilogue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KpmMatrix, SparseKernels};
     use kpm_num::complex::I;
     use kpm_num::BlockVector;
 
@@ -845,11 +694,15 @@ mod tests {
 
     #[test]
     fn kernels_match_crs_bitwise() {
+        // The toy's bonds have two non-zero parts: no coded form, so the
+        // stencil handle sweeps the regenerated rows.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let m = toy(4, 4, 3, [true, true, false]);
-        let crs = m.to_crs();
-        let n = m.nrows();
+        let st = toy(4, 4, 3, [true, true, false]);
+        let crs = st.to_crs();
+        let n = st.nrows();
+        let m = KpmMatrix::stencil(st);
+        assert_eq!((m.as_crs().is_none(), crs.value_table()), (true, None));
         let mut rng = StdRng::seed_from_u64(7);
         let v = BlockVector::random(n, 4, &mut rng);
         let w0 = BlockVector::random(n, 4, &mut rng);
@@ -877,9 +730,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_hop_blocks_fill_the_row_plans() {
+    fn dense_hop_blocks_fill_the_longest_rows() {
         // Four entries per orbital row and block: 24 hopping entries
-        // plus the on-site one, the longest row a plan has to hold.
+        // plus the on-site one, the longest row a lattice regenerates.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let onsite = vec![[Complex64::real(0.5); 4]; 27];
@@ -891,9 +744,10 @@ mod tests {
                 }
             }
         }
-        let m = StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop);
-        let crs = m.to_crs();
+        let st = StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop);
+        let crs = st.to_crs();
         assert_eq!(crs.max_row_len(), 25);
+        let m = KpmMatrix::stencil(st);
         let mut rng = StdRng::seed_from_u64(3);
         let v = BlockVector::random(m.nrows(), 9, &mut rng);
         let w0 = BlockVector::random(m.nrows(), 9, &mut rng);
@@ -908,8 +762,9 @@ mod tests {
     fn fingerprint_and_bounds_match_crs_build() {
         for m in [toy(3, 3, 4, [true, true, false]), toy(2, 1, 3, [true; 3])] {
             let crs = m.to_crs();
-            assert_eq!(m.content_fingerprint(), crs.content_fingerprint());
             assert_eq!(m.gershgorin_bounds(), crs.gershgorin_bounds());
+            let handle = KpmMatrix::stencil(m);
+            assert_eq!(handle.content_fingerprint(), crs.content_fingerprint());
         }
     }
 

@@ -14,13 +14,13 @@
 //! finishes each panel. Lanes are loaded, combined and stored with no
 //! shuffle.
 //!
-//! A [`RowSweep`] is where a row's entries come from: a lattice
-//! operator's site view ([`SiteView`]) — the one sweep of the paper's
-//! Eq. 1 lattice, on its coded CRS build and on the stencil alike — a
-//! plain CRS's arrays ([`Entries`]), or the rows a stencil with no view
-//! regenerates ([`crate::stencil`]). Every CRS and stencil kernel, at
-//! every width, is [`run`]: a [`SweepOp`] (which epilogue) under a
-//! [`Schedule`] — one range over all rows, or fixed chunks
+//! A [`RowSweep`] is where a row's entries come from: a coded CRS's site
+//! view ([`SiteView`]) — the one sweep of the paper's Eq. 1 lattice,
+//! whichever handle holds it — a plain CRS's arrays ([`Entries`]), or
+//! the rows the generator of a lattice with no coded form regenerates
+//! ([`crate::stencil`]). Every kernel, at every width, is [`run`]: a
+//! [`SweepOp`] (which epilogue) under a [`Schedule`] — one range over
+//! all rows, or fixed chunks
 //! ([`chunk_rows`], whole lattice sites) whose partial dots are combined
 //! in chunk order, so results never depend on the thread count. The site
 //! view multiplies only the stored entries of its 4×4 site blocks. A
@@ -37,7 +37,8 @@
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
 //! under `#[target_feature(enable = "avx512f")]` ([`sweep`]) — each time
-//! with and without its zero-skip arms ([`sweep_body_for`]);
+//! with and without its zero-skip arms, where the row source has them
+//! ([`sweep_body_for`]);
 //! [`crate::simd::wide`] picks per kernel call. The copies differ in
 //! what [`Isa`] gives them: the columns of their widest pass — one
 //! layout panel for the first two, two panels (four 512-bit
@@ -499,6 +500,11 @@ pub(crate) use for_passes;
 
 /// A row source the blocked sweep can run on.
 pub(crate) trait RowSweep: Sync {
+    /// Whether the body reads `ARMS`. A row source whose sweep has no
+    /// zero-skip arms says no, and is compiled once per copy and
+    /// epilogue instead of twice.
+    const READS_ARMS: bool = true;
+
     /// One sweep over the rows of `w` (`w.len() / r` rows of width `r`
     /// starting at `row0`): for each row, in order, the accumulator
     /// chain `acc = Σ_c H[row, c] · x[c]` in ascending column order,
@@ -511,7 +517,7 @@ pub(crate) trait RowSweep: Sync {
     ///
     /// Implementations are `#[inline(always)]`: [`sweep`] instantiates
     /// the body once per target-feature set, [`sweep_body_for`] with and
-    /// without the arms.
+    /// without the arms when [`RowSweep::READS_ARMS`].
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
         x: &[Complex64],
@@ -573,8 +579,8 @@ fn entry_chain<E: Epilogue>(
     }
 }
 
-/// The one lattice sweep: a lattice operator's site view, the CRS
-/// build's and the stencil's alike, over the rows of `w` from `row0` —
+/// The one lattice sweep: a coded CRS's site view, whichever handle
+/// holds it, over the rows of `w` from `row0` —
 /// whole lattice sites, as every sweep range is ([`chunk_rows`]). The
 /// block's 8-column panels walk site by site on register passes
 /// ([`site_panels`]): two of the copy's widest passes side by side while
@@ -583,6 +589,9 @@ fn entry_chain<E: Epilogue>(
 /// 4-, 2- and 1-column tail beside the 8-column panels — each take the
 /// lane walk ([`lane_walk`]).
 impl RowSweep for SiteView {
+    // Its slots hold one factor per lane: nothing to skip.
+    const READS_ARMS: bool = false;
+
     #[inline(always)]
     fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
         &self,
@@ -1289,7 +1298,8 @@ fn sweep_avx512<S: RowSweep, E: Epilogue>(
 /// [`AXIAL_MIN_WIDTH`] columns on, without them below — as two
 /// instantiations, because one loop shared by both cost the
 /// cache-resident R = 2, 4, 8 sweeps 2–3 % (up to 10 % on the stencil at
-/// R = 2) for arms they never take.
+/// R = 2) for arms they never take. A row source that does not read
+/// them ([`RowSweep::READS_ARMS`]) is instantiated once.
 #[inline(always)]
 fn sweep_body_for<S: RowSweep, E: Epilogue, I: Isa>(
     s: &S,
@@ -1299,7 +1309,7 @@ fn sweep_body_for<S: RowSweep, E: Epilogue, I: Isa>(
     w: &mut [Complex64],
     epi: &mut E,
 ) {
-    if r >= AXIAL_MIN_WIDTH {
+    if S::READS_ARMS && r >= AXIAL_MIN_WIDTH {
         s.sweep_body::<E, I, true>(x, r, row0, w, epi);
     } else {
         s.sweep_body::<E, I, false>(x, r, row0, w, epi);
@@ -1346,7 +1356,7 @@ fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
 
 /// One sweep of `s` over all rows of `w` (width `r`, `cache_bytes` the
 /// per-thread budget the chunks are sized for): every named kernel of
-/// [`crate::SparseKernels`] on CRS and stencil is this call. Returns
+/// [`crate::SparseKernels`] is this call. Returns
 /// the dot products of [`SweepOp::Aug`] with `dots`, empty otherwise.
 pub(crate) fn run<S: RowSweep>(
     s: &S,

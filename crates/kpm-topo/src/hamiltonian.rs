@@ -12,10 +12,11 @@
 //! per orbital row), matching the paper's `N_nz ≈ 13·N`.
 //!
 //! [`TopoHamiltonian::stencil_matrix`] turns exactly these inputs into
-//! the stencil tables, which generate both forms of the operator: the
-//! matrix-free sweeps and, through [`TopoHamiltonian::assemble`], the
-//! CRS matrix. The literal per-row gather/sort/merge of the blocks
-//! survives as the test oracle both are checked against.
+//! the lattice's generator, which builds its CRS form
+//! ([`TopoHamiltonian::assemble`]) — the operator every kernel runs,
+//! whichever handle holds it — and regenerates the rows of a lattice
+//! with no coded form. The literal per-row gather/sort/merge of the
+//! blocks survives as the test oracle both are checked against.
 
 use kpm_num::Complex64;
 use kpm_sparse::{CrsMatrix, StencilMatrix};
@@ -112,18 +113,17 @@ impl TopoHamiltonian {
     /// Assembles the sparse matrix in CRS format: the stencil tables
     /// are the lattice's one generator, and this is their CRS form
     /// ([`StencilMatrix::to_crs`] — row lengths from the boundary-class
-    /// table, rows filled in parallel on the ambient pool).
+    /// table; coded, or filled in parallel on the ambient pool).
     pub fn assemble(&self) -> CrsMatrix {
         self.stencil_matrix().to_crs()
     }
 
-    /// Builds the matrix-free stencil representation of the same
-    /// operator.
+    /// Builds the generator of the same operator.
     ///
-    /// The stencil rebuilds the operator from the lattice geometry, the
-    /// per-site on-site diagonals, and the six hopping blocks, visiting
-    /// each row's entries in ascending column order, so rows (and
-    /// therefore every kernel result, the Gershgorin bounds and the
+    /// The generator rebuilds the operator from the lattice geometry,
+    /// the per-site on-site diagonals, and the six hopping blocks,
+    /// visiting each row's entries in ascending column order, so rows
+    /// (and therefore every kernel result, the Gershgorin bounds and the
     /// content fingerprint) are bitwise-identical to its CRS form
     /// (asserted against the gather/sort/merge oracle in the tests
     /// below and by the workspace determinism suite).
@@ -187,7 +187,7 @@ mod tests {
     use crate::gamma::{dagger, hopping_block, onsite_block, Gamma};
     use kpm_num::vector::dot;
     use kpm_num::Complex64;
-    use kpm_sparse::SparseKernels;
+    use kpm_sparse::{KpmMatrix, SparseKernels};
     use std::f64::consts::PI;
 
     /// The literal assembly of Eq. (1), kept as the oracle the one
@@ -560,7 +560,8 @@ mod tests {
             }
             // Equal rows imply equal content fingerprints: stencil and
             // CRS handles of one operator coalesce in the service.
-            assert_eq!(st.content_fingerprint(), crs.content_fingerprint());
+            let handle = KpmMatrix::stencil(st);
+            assert_eq!(handle.content_fingerprint(), crs.content_fingerprint());
         }
     }
 
@@ -601,7 +602,8 @@ mod tests {
             }
             assert_eq!(h.content_fingerprint(), fingerprint);
             assert_eq!(plain.content_fingerprint(), fingerprint);
-            assert_eq!(ham.stencil_matrix().content_fingerprint(), fingerprint);
+            let handle = KpmMatrix::stencil(ham.stencil_matrix());
+            assert_eq!(handle.content_fingerprint(), fingerprint);
             let bounds = plain.gershgorin_bounds();
             assert_eq!(h.gershgorin_bounds(), bounds);
             assert_eq!(h.check_hermitian(), plain.check_hermitian());
@@ -627,7 +629,7 @@ mod tests {
         use kpm_sparse::SparseKernels;
         let ham = TopoHamiltonian::quantum_dot_superlattice(6, 5, 3);
         let crs = ham.assemble();
-        let st = ham.stencil_matrix();
+        let st = KpmMatrix::stencil(ham.stencil_matrix());
         let n = crs.nrows();
         let mut rng = rand::rngs::mock::StepRng::new(7, 0x9E3779B97F4A7C15);
         let v = BlockVector::random(n, 4, &mut rng);

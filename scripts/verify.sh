@@ -97,29 +97,43 @@ step "paper numbers (report_all)"
 cargo run --release --offline -q -p kpm-bench --bin report_all
 
 step "determinism: bitwise moments across formats and thread counts"
-# CRS and matrix-free stencil runs must agree bit for bit at every
-# thread count and sweep copy; the suite covers all three solver
-# variants.
+# CRS and stencil handles must agree bit for bit at every thread count
+# and sweep copy; the suite covers all three solver variants.
 cargo test -q --test determinism
 
 step "matrix-free: kpm dos --format stencil is byte-identical to --format crs"
-# The stencil command never assembles a CRS: bounds, scale factors and
-# every moment come from the site-blocked sweep, and the CSV must still
-# equal the CRS run's byte for byte. nx = 2 is periodic (coincident
-# partners, the merge path); the dots potential varies the diagonal.
-for t in 1 2; do
-    for f in crs stencil; do
-        ./target/release/kpm dos --nx 2 --ny 6 --nz 5 --potential dots \
-            --moments 64 --random 8 --threads "$t" --format "$f" \
-            > "target/dos-$f-t$t.csv"
+# A generated lattice runs as its coded CRS whichever --format asks; the
+# format only picks what a lattice with no coded form runs: its plain
+# CRS entries (crs) or its rows regenerated matrix-free (stencil). Both
+# arms of the stencil handle must print the CRS run's CSV byte for byte,
+# and the banners must show which arm ran: 5x3x3 has a coded form (its
+# stencil banner names `walk = sites`); nx = 2 is periodic (coincident
+# partners, the merge path) and leaves 2x6x5 none (its stencil banner
+# names no walk). The dots potential varies the diagonal.
+matrix_free_cmp() { # name, lattice flags
+    for t in 1 2; do
+        for f in crs stencil; do
+            ./target/release/kpm dos $2 --potential dots \
+                --moments 64 --random 8 --threads "$t" --format "$f" \
+                > "target/dos-$1-$f-t$t.csv" 2> "target/dos-$1-$f-t$t.err"
+        done
+        cmp "target/dos-$1-crs-t$t.csv" "target/dos-$1-stencil-t$t.csv"
+        grep -q 'format = stencil' "target/dos-$1-stencil-t$t.err"
     done
-    cmp "target/dos-crs-t$t.csv" "target/dos-stencil-t$t.csv"
-done
-cmp target/dos-crs-t1.csv target/dos-crs-t2.csv
-echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads"
+    cmp "target/dos-$1-crs-t1.csv" "target/dos-$1-crs-t2.csv"
+}
+matrix_free_cmp coded "--nx 5 --ny 3 --nz 3"
+grep -q 'format = stencil, values = coded ([0-9]* distinct), walk = sites' \
+    target/dos-coded-stencil-t1.err
+matrix_free_cmp regen "--nx 2 --ny 6 --nz 5"
+if grep -q 'walk =' target/dos-regen-stencil-t1.err; then
+    echo "the 2x6x5 stencil run names a walk: it did not regenerate its rows" >&2
+    exit 1
+fi
+echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads, on the coded 5x3x3 lattice and on the regenerated rows of 2x6x5"
 
 step "sweep bodies: kpm dos is byte-identical with and without --no-simd"
-# The CRS and stencil sweep is compiled three times from one source
+# The one sweep is compiled three times from one source
 # (baseline, AVX2, AVX-512); the widest copy the CPU executes runs and
 # --no-simd forces the baseline copy — which is also all that exists off
 # x86-64. Both must print the same bytes at width 1 (on 1,152 rows: two

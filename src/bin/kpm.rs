@@ -38,7 +38,7 @@ use kpm_repro::perfmodel::roofline::custom_roofline;
 use kpm_repro::service::{
     Admission, QueryKind, RejectReason, Request, Service, ServiceConfig, ShutdownMode,
 };
-use kpm_repro::sparse::{io as mmio, stats, CrsMatrix, KpmMatrix, SparseKernels, StencilMatrix};
+use kpm_repro::sparse::{io as mmio, stats, CrsMatrix, KpmMatrix, SparseKernels};
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn main() -> ExitCode {
@@ -127,8 +127,12 @@ const USAGE: &str = "usage:
 common:
   --threads T                worker threads of generate, info, dos, count and report
                              (0 = KPM_THREADS env, else all cores)
-  --format crs|stencil       matrix storage format for the solver (default crs;
-                             stencil is matrix-free and needs --nx/--ny/--nz)
+  --format crs|stencil       what a generated lattice with no coded form runs
+                             (a periodic extent-2 axis, > 256 distinct blocks):
+                             its plain CRS (crs, the default) or its rows
+                             regenerated matrix-free (stencil; needs
+                             --nx/--ny/--nz); any other lattice runs its coded
+                             CRS either way
   --no-simd                  run the baseline copy of the sweep instead of the
                              widest copy (AVX-512, else AVX2) the CPU executes
                              (moments are bitwise-identical either way)
@@ -347,73 +351,37 @@ fn matrix_source(args: &[String]) -> Result<MatrixSource, String> {
 }
 
 impl MatrixSource {
-    /// Reads or assembles the CRS matrix. A generated lattice also
-    /// returns its generator — the stencil tables the CRS rows were
-    /// filled from — which carries the Hermiticity proof and the
-    /// tabulated Gershgorin sums, and is the matrix-free format itself.
-    fn into_crs(self) -> Result<(CrsMatrix, Option<StencilMatrix>), String> {
+    /// The CRS matrix of the source: the file's, or the lattice's CRS
+    /// form (coded when the lattice has one).
+    fn into_crs(self) -> Result<CrsMatrix, String> {
         let _sp = obs::span::span("setup.assemble", "setup");
         match self {
             MatrixSource::File(path) => {
                 let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
-                mmio::read(BufReader::new(file))
-                    .map(|m| (m, None))
-                    .map_err(|e| e.to_string())
+                mmio::read(BufReader::new(file)).map_err(|e| e.to_string())
             }
-            MatrixSource::Lattice(ham) => {
-                let generator = ham.stencil_matrix();
-                Ok((generator.to_crs(), Some(generator)))
-            }
+            MatrixSource::Lattice(ham) => Ok(ham.assemble()),
         }
     }
 }
 
-/// What the Hermiticity gate and the spectral bounds are read from.
-enum Evidence<'a> {
-    /// A generated lattice carries its proof: the structural `O(sites)`
-    /// check of the tables its CRS rows were filled from, and their
-    /// tabulated row sums — bit-equal to the fold over the CRS rows.
-    Generator(&'a StencilMatrix),
-    /// A loaded `FILE.mtx` pays the entrywise check (one lookup per
-    /// strict-upper entry) and a pass over its rows.
-    Stored(&'a CrsMatrix),
-}
-
 /// The Hermiticity gate and the spectral rescaling of every
-/// solver-running subcommand.
-fn hermitian_scale_factors(m: Evidence) -> Result<ScaleFactors, String> {
+/// solver-running subcommand: `gate` gives the verdict and, when it
+/// passes, the Gershgorin bounds.
+fn scale_factors(
+    gate: impl FnOnce() -> Result<(f64, f64), KpmError>,
+) -> Result<ScaleFactors, String> {
     let _sp = obs::span::span("setup.bounds", "setup");
-    let (lo, hi) = match m {
-        Evidence::Generator(st) => {
-            st.check_hermitian().map_err(|e| e.to_string())?;
-            st.gershgorin_bounds()
-        }
-        Evidence::Stored(h) => {
-            h.check_hermitian().map_err(|e| e.to_string())?;
-            h.gershgorin_bounds()
-        }
-    };
+    let (lo, hi) = gate().map_err(|e| e.to_string())?;
     Ok(ScaleFactors::from_bounds(lo, hi, 0.01))
 }
 
-/// Reads or assembles the CRS matrix and passes it through
-/// [`hermitian_scale_factors`] — on its generator when it has one.
-fn load_hermitian(
-    source: MatrixSource,
-) -> Result<(CrsMatrix, Option<StencilMatrix>, ScaleFactors), String> {
-    let (h, generator) = source.into_crs()?;
-    let evidence = generator
-        .as_ref()
-        .map_or(Evidence::Stored(&h), Evidence::Generator);
-    let sf = hermitian_scale_factors(evidence)?;
-    Ok((h, generator, sf))
-}
-
 const STENCIL_NEEDS_LATTICE: &str =
-    "--format stencil is matrix-free: it regenerates the lattice stencil and \
-     cannot be built from a FILE.mtx source (use --nx/--ny/--nz)";
+    "--format stencil runs a generated lattice — its coded CRS, or its rows \
+     regenerated matrix-free — and cannot be built from a FILE.mtx source \
+     (use --nx/--ny/--nz)";
 
-/// True when the flags pin the matrix-free stencil format.
+/// True when the flags ask for the lattice generator's handle.
 fn wants_stencil(args: &[String]) -> bool {
     opt(args, "--format") == Some("stencil")
 }
@@ -440,30 +408,43 @@ fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), Stri
 
 /// Loads the matrix: either a Matrix Market file (positional argument)
 /// or a generated topological-insulator system (`--nx/--ny/--nz`).
-fn load_matrix(args: &[String]) -> Result<(CrsMatrix, Option<StencilMatrix>), String> {
+fn load_matrix(args: &[String]) -> Result<CrsMatrix, String> {
     matrix_source(args)?.into_crs()
 }
 
-/// The shared prologue of `dos` and `count`: matrix source → Hermitian
-/// check → spectral bounds → storage format.
+/// The shared prologue of `dos`, `count`, `report` and `serve`: matrix
+/// source → Hermiticity gate and spectral bounds → the handle `--format`
+/// picks.
 ///
-/// A generated lattice under `--format stencil` stays matrix-free end
-/// to end: its generator *is* the solver matrix, and no CRS is ever
-/// filled. Everything else loads the CRS matrix and converts it. Either
-/// way a generated lattice is checked and bounded on its generator, so
-/// scale factors — and every output byte — do not depend on the format.
+/// A generated lattice is gated and bounded on its generator — the
+/// structural `O(sites)` check and the tabulated Gershgorin row sums,
+/// bit-equal to the entrywise check and the fold over the CRS rows —
+/// and then runs as its coded CRS whichever format is asked for:
+/// `--format` only picks what a lattice with no coded form runs, its
+/// plain CRS entries (`crs`) or its rows regenerated matrix-free
+/// (`stencil`). A `FILE.mtx` pays the entrywise check and a pass over
+/// its rows. Either way the scale factors — and every output byte — do
+/// not depend on the format.
 fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
-    let source = matrix_source(args)?;
-    if let (MatrixSource::Lattice(ham), true) = (&source, wants_stencil(args)) {
-        let st = {
-            let _sp = obs::span::span("setup.assemble", "setup");
-            ham.stencil_matrix()
-        };
-        let sf = hermitian_scale_factors(Evidence::Generator(&st))?;
-        return Ok((KpmMatrix::stencil(st), sf));
-    }
-    let (h, generator, sf) = load_hermitian(source)?;
-    Ok((format_matrix(args, h, generator.as_ref())?, sf))
+    let ham = match matrix_source(args)? {
+        MatrixSource::Lattice(ham) => ham,
+        file => {
+            let h = file.into_crs()?;
+            let sf = scale_factors(|| h.check_hermitian().map(|()| h.gershgorin_bounds()))?;
+            return Ok((KpmMatrix::crs(h), sf));
+        }
+    };
+    let st = {
+        let _sp = obs::span::span("setup.assemble", "setup");
+        ham.stencil_matrix()
+    };
+    let sf = scale_factors(|| st.check_hermitian().map(|()| st.gershgorin_bounds()))?;
+    let _sp = obs::span::span("setup.format", "setup");
+    let m = match wants_stencil(args) {
+        true => KpmMatrix::stencil(st),
+        false => KpmMatrix::crs(st.to_crs()),
+    };
+    Ok((m, sf))
 }
 
 /// Runs a command's set-up and solve on one pool: the `--threads` pool
@@ -498,24 +479,6 @@ fn solver_params(args: &[String]) -> Result<KpmParams, String> {
     Ok(params)
 }
 
-/// Applies the `--format` flag: puts the assembled CRS matrix — or,
-/// when the stencil is requested, its generator — behind the
-/// format-erased [`KpmMatrix`] handle.
-fn format_matrix(
-    args: &[String],
-    h: CrsMatrix,
-    generator: Option<&StencilMatrix>,
-) -> Result<KpmMatrix, String> {
-    match opt(args, "--format").unwrap_or("crs") {
-        "crs" => Ok(KpmMatrix::crs(h)),
-        "stencil" => match generator {
-            Some(st) => Ok(KpmMatrix::stencil(st.clone())),
-            None => Err(STENCIL_NEEDS_LATTICE.into()),
-        },
-        other => Err(unknown_format(other)),
-    }
-}
-
 /// The banner fields naming how a CRS matrix stores its values and what
 /// its sweep walks, at every width: the site blocks of a coded lattice
 /// matrix, or the entries.
@@ -534,7 +497,7 @@ fn value_storage(h: &CrsMatrix) -> String {
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS, GENERATE_FLAGS])?;
     let out_path = opt(args, "--out").ok_or("generate needs --out FILE.mtx")?;
-    let (h, _) = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
+    let h = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
     let file = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     let mut w = BufWriter::new(file);
     mmio::write_hermitian(&h, &mut w).map_err(|e| e.to_string())?;
@@ -548,7 +511,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
     check_args(args, &[MATRIX_FLAGS, THREADS_FLAGS])?;
-    let (h, _) = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
+    let h = in_pool(opt_usize(args, "--threads", 0)?, || load_matrix(args))?;
     let s = stats::analyze(&h, 8.max(h.nrows() / 100));
     println!("rows x cols   : {} x {}", s.nrows, s.ncols);
     println!("non-zeros     : {} ({:.2} per row)", s.nnz, s.avg_row_len);
@@ -698,11 +661,14 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     // The report needs the probes regardless of the export flags.
     obs::set_enabled(true);
-    // Keep the CRS matrix for the cachesim replay; the solver runs on
-    // the (possibly converted) handle.
+    // Keep a CRS matrix for the cachesim replay: the handle's own, or on
+    // a lattice whose rows the handle regenerates, the lattice's CRS form.
     let h = in_pool(params.threads, || {
-        let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
-        let m = format_matrix(args, h.clone(), generator.as_ref())?;
+        let (m, sf) = solver_matrix(args)?;
+        let h = match m.as_crs() {
+            Some(h) => h.clone(),
+            None => load_matrix(args)?,
+        };
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {}{} \
              (lanes = {}, sweep body = {})",
@@ -931,8 +897,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             obs::recorder::arm_sigterm();
         }
     }
-    let (h, generator, sf) = load_hermitian(matrix_source(args)?)?;
-    let m = format_matrix(args, h, generator.as_ref())?;
+    let (m, sf) = solver_matrix(args)?;
 
     let config = ServiceConfig {
         workers,
@@ -1492,6 +1457,7 @@ fn cmd_trace_report(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kpm_repro::sparse::FormatSpec;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1526,10 +1492,10 @@ mod tests {
     #[test]
     fn load_generated_matrix() {
         let a = args(&["--nx", "4", "--ny", "4", "--nz", "2"]);
-        let (h, ham) = load_matrix(&a).unwrap();
+        let h = load_matrix(&a).unwrap();
         assert_eq!(h.nrows(), 4 * 4 * 4 * 2);
         assert!(h.is_hermitian());
-        assert!(ham.is_some(), "generated sources keep their generator");
+        assert!(h.value_table().is_some(), "a generated lattice is coded");
     }
 
     #[test]
@@ -1599,19 +1565,33 @@ mod tests {
 
     #[test]
     fn format_flags_build_the_requested_matrix() {
-        let (h, ham) = load_matrix(&args(&["--nx", "4", "--ny", "4", "--nz", "2"])).unwrap();
-        let crs = format_matrix(&args(&[]), h.clone(), ham.as_ref()).unwrap();
-        assert!(crs.as_crs().is_some());
-        assert!(format_matrix(&args(&["--format", "ellpack"]), h.clone(), ham.as_ref()).is_err());
+        // A lattice with a coded form runs it under either format; the
+        // handle still names the format asked for.
+        let lattice = args(&["--nx", "4", "--ny", "4", "--nz", "3"]);
+        let with = |format: &str| {
+            let mut a = lattice.clone();
+            a.extend(args(&["--format", format]));
+            solver_matrix(&a).map(|(m, _)| m)
+        };
+        let (crs, _) = solver_matrix(&lattice).unwrap();
+        assert!(with("ellpack").is_err());
+        let stencil = with("stencil").unwrap();
+        assert_eq!(crs.format().to_string(), "crs");
+        assert_eq!(stencil.format().to_string(), "stencil");
+        let coded = crs.as_crs().expect("the lattice's CRS");
+        assert!(coded.value_table().is_some());
+        assert!(stencil.as_crs() == Some(coded), "one operator");
 
-        // The matrix-free stencil needs the generator: fine with one,
-        // a typed error without (FILE.mtx sources).
-        let st = args(&["--format", "stencil"]);
-        let stencil = format_matrix(&st, h.clone(), ham.as_ref()).unwrap();
-        assert!(stencil.as_stencil().is_some());
-        assert_eq!(stencil.nrows(), h.nrows());
-        let err = format_matrix(&st, h, None).unwrap_err();
-        assert!(err.contains("matrix-free"), "{err}");
+        // A periodic extent-2 axis leaves no coded form: the format picks
+        // plain entries or regenerated rows.
+        let lattice = args(&["--nx", "2", "--ny", "4", "--nz", "3"]);
+        let (crs, _) = solver_matrix(&lattice).unwrap();
+        assert!(crs.as_crs().is_some_and(|h| h.value_table().is_none()));
+        let mut a = lattice;
+        a.extend(args(&["--format", "stencil"]));
+        let (regen, _) = solver_matrix(&a).unwrap();
+        assert!(regen.as_crs().is_none());
+        assert_eq!((regen.nnz(), regen.matrix_bytes()), (crs.nnz(), 0));
     }
 
     #[test]
@@ -1661,7 +1641,13 @@ mod tests {
         let mut a = args(&lattice);
         a.extend(args(&["--format", "stencil"]));
         let (st, sf_st) = solver_matrix(&a).unwrap();
-        assert!(crs.as_crs().is_some() && st.as_stencil().is_some());
+        assert_eq!(
+            (crs.format(), st.format()),
+            (FormatSpec::Crs, FormatSpec::Stencil)
+        );
+        // The periodic y axis of extent 2 leaves the lattice no coded
+        // form: the stencil handle regenerates its rows.
+        assert!(crs.as_crs().is_some() && st.as_crs().is_none());
         assert_eq!(
             sf_crs, sf_st,
             "bit-equal bounds give bit-equal scale factors"
@@ -1673,22 +1659,24 @@ mod tests {
     fn generated_lattices_are_checked_and_bounded_on_their_generator() {
         // The generator's structural proof and tabulated row sums stand
         // in for the entrywise check and the CRS fold: same verdict,
-        // bit-equal scale factors, on the path every command takes.
+        // bit-equal scale factors, on the path every command takes —
+        // here on a lattice with no coded form, under both formats.
         let lattice = args(&["--nx", "2", "--ny", "5", "--nz", "3", "--potential", "dots"]);
-        let (h, generator, sf) = load_hermitian(matrix_source(&lattice).unwrap()).unwrap();
-        let st = generator.expect("generated sources keep their generator");
-        assert_eq!(sf, hermitian_scale_factors(Evidence::Stored(&h)).unwrap());
-        assert_eq!(
-            sf,
-            hermitian_scale_factors(Evidence::Generator(&st)).unwrap()
-        );
+        let h = load_matrix(&lattice).unwrap();
+        let (m, sf) = solver_matrix(&lattice).unwrap();
+        assert!(h.check_hermitian().is_ok());
         assert_eq!(sf, ScaleFactors::from_gershgorin(&h, 0.01));
-        assert_eq!(st.to_crs(), h);
+        assert!(m.as_crs() == Some(&h));
+        let mut a = lattice;
+        a.extend(args(&["--format", "stencil"]));
+        let (regen, sf_regen) = solver_matrix(&a).unwrap();
+        assert_eq!(sf_regen, sf);
+        assert_eq!(regen.content_fingerprint(), h.content_fingerprint());
     }
 
     #[test]
     fn non_hermitian_file_is_rejected_naming_the_entry() {
-        let (h, _) = load_matrix(&args(&["--nx", "3", "--ny", "2", "--nz", "2"])).unwrap();
+        let h = load_matrix(&args(&["--nx", "3", "--ny", "2", "--nz", "2"])).unwrap();
         // Break the second stored entry, (0, 4): (4, 0) no longer is
         // its conjugate.
         let n = h.nrows();

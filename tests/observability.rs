@@ -45,17 +45,17 @@ fn params(m: usize, r: usize) -> KpmParams {
 /// records the counts `kpm_num::accounting` gives for its sweep — flops
 /// on the logical non-zeros, bytes on the matrix data the format streams:
 /// at every width, the lattice's site view — a byte per block of each
-/// site plus the distinct blocks — for its coded CRS and its stencil
-/// alike, and a value and a column index per entry for the same matrix
-/// stored plain.
+/// site plus the distinct blocks — for its coded CRS, bare or behind the
+/// stencil handle, and a value and a column index per entry for the same
+/// matrix stored plain.
 #[test]
 fn probe_constants_match_accounting() {
     use kpm_repro::num::accounting::crs_bytes;
     use kpm_repro::num::BlockVector;
-    use kpm_repro::sparse::{CrsMatrix, SparseKernels};
+    use kpm_repro::sparse::{CrsMatrix, KpmMatrix, SparseKernels};
     let _g = serial();
     let ham = TopoHamiltonian::clean(4, 4, 2);
-    let (crs, stencil) = (ham.assemble(), ham.stencil_matrix());
+    let (crs, stencil) = (ham.assemble(), KpmMatrix::stencil(ham.stencil_matrix()));
     let (n, nnz) = (crs.nrows(), crs.nnz());
     assert!(crs.value_table().is_some(), "the lattice's CRS is coded");
     // Each of the 32 sites reads six blocks (itself, four neighbours in
@@ -168,13 +168,13 @@ fn solver_run_records_spans_and_probes() {
 
 /// Every named kernel of `SparseKernels` is one provided method over
 /// the format's `sweep`, so it must behave alike whatever it is called
-/// on: driven through the bare CRS matrix, the bare stencil and both
-/// `KpmMatrix` handles of one lattice (1,152 rows: two width-1 chunks,
-/// three 512-row tiles) at R = 1, 3 and 8 — the serial kernels on the
-/// calling thread, the parallel ones on 1-, 2- and 4-thread pools — all
-/// four return the same bits, and each call leaves exactly one probe
-/// record of the kernel's kind at its width under the operator's
-/// format.
+/// on: driven through the bare CRS matrix and both `KpmMatrix` handles
+/// of one lattice (1,152 rows: two width-1 chunks, three 512-row tiles)
+/// at R = 1, 3 and 8 — the serial kernels on the calling thread, the
+/// parallel ones on 1-, 2- and 4-thread pools — all three return the
+/// same bits, and each call leaves exactly one probe record of the
+/// kernel's kind at its width under the format of the handle's
+/// constructor.
 #[test]
 fn named_kernels_agree_and_probe_once_on_every_operator() {
     use kpm_repro::num::BlockVector;
@@ -186,11 +186,13 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
 
     let _g = serial();
     let ham = TopoHamiltonian::quantum_dot_superlattice(6, 6, 8);
-    let (crs, st) = (ham.assemble(), ham.stencil_matrix());
-    let (crs_handle, st_handle) = (KpmMatrix::crs(crs.clone()), KpmMatrix::stencil(st.clone()));
-    let operators: [(&str, &dyn SparseKernels, ProbeFormat); 4] = [
+    let crs = ham.assemble();
+    let (crs_handle, st_handle) = (
+        KpmMatrix::crs(crs.clone()),
+        KpmMatrix::stencil(ham.stencil_matrix()),
+    );
+    let operators: [(&str, &dyn SparseKernels, ProbeFormat); 3] = [
         ("&CrsMatrix", &crs, ProbeFormat::Crs),
-        ("&StencilMatrix", &st, ProbeFormat::Stencil),
         ("KpmMatrix::crs", &crs_handle, ProbeFormat::Crs),
         ("KpmMatrix::stencil", &st_handle, ProbeFormat::Stencil),
     ];

@@ -84,10 +84,11 @@ fn boundaries(bits: usize) -> [Boundary; 3] {
     })
 }
 
-/// Every stencil kernel against its CRS twin, bit for bit, at block
-/// width `r` and the given cache budget: the serial kernels, then the
-/// parallel ones on 1-, 2-, 4- and 8-thread pools; plain, augmented
-/// with dots and augmented without.
+/// Every kernel of a lattice's stencil handle against its CRS handle,
+/// bit for bit, at block width `r` and the given cache budget — on a
+/// lattice with no coded form, regenerated rows against plain entries:
+/// the serial kernels, then the parallel ones on 1-, 2-, 4- and 8-thread
+/// pools; plain, augmented with dots and augmented without.
 fn stencil_equals_crs(
     st: &StencilMatrix,
     r: usize,
@@ -159,6 +160,27 @@ fn stencil_equals_crs(
     Ok(())
 }
 
+/// The stencil handle of the lattice `st` against its CRS build `h`: one
+/// operator — the same coded CRS, reading the same view — when the
+/// lattice has a coded form, its regenerated rows with no matrix bytes
+/// when it has none, and the fingerprint of `h` either way.
+fn stencil_handle_runs_the_crs_build(st: &StencilMatrix, h: &CrsMatrix, what: &str) {
+    let handle = KpmMatrix::stencil(st.clone());
+    assert_eq!(
+        handle.content_fingerprint(),
+        h.content_fingerprint(),
+        "{what}"
+    );
+    if h.site_blocks().is_some() {
+        assert!(handle.as_crs() == Some(h), "{what}");
+        assert_eq!(handle.matrix_bytes(), h.matrix_bytes(), "{what}");
+    } else {
+        assert!(handle.as_crs().is_none(), "{what}");
+        assert_eq!(handle.matrix_bytes(), 0, "{what}");
+    }
+    assert_eq!(handle.nnz(), h.nnz(), "{what}");
+}
+
 /// The deterministic counterpart of the property below: every
 /// open/periodic combination on shapes with an extent-1 axis, an
 /// extent-2 axis and neither, every potential, and widths on both sides
@@ -204,7 +226,8 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 /// does the 576 on-site values of a disordered lattice. Codes match
 /// bits: on-site entries that alternate between `1 + 0i` and `1 − 0i`
 /// from site to site take two slots. Each CRS agrees with its stencil
-/// kernel for kernel and hashes like it.
+/// handle kernel for kernel and hashes like it; the handle of a lattice
+/// with no coded form reads no matrix bytes.
 #[test]
 fn crs_builds_code_at_most_256_distinct_values() {
     let lattice = |value: &dyn Fn(usize) -> Complex64| {
@@ -241,7 +264,7 @@ fn crs_builds_code_at_most_256_distinct_values() {
     ] {
         let h = st.to_crs();
         assert_eq!(h.value_table().map(<[_]>::len), distinct);
-        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        stencil_handle_runs_the_crs_build(&st, &h, &format!("{distinct:?} distinct values"));
         for (r, budget) in [
             (1, STENCIL_BUDGETS[0]),
             (8, STENCIL_BUDGETS[1]),
@@ -258,12 +281,12 @@ fn crs_builds_code_at_most_256_distinct_values() {
 /// blocks (two neighbours and two wraps per axis), and one on-site block
 /// per distinct diagonal. Diagonals built from 33 distinct values — far
 /// inside the value table — take 244 or 245 distinct combinations over
-/// the 320 sites: 256 blocks, which the CRS build codes, and 257, which
-/// it stores plain, and the stencil, which has no view either,
-/// regenerates its rows. Either way the two agree kernel for kernel at
-/// widths 1, 2, 8 and 17 and hash alike — as on the 2×6×5 lattice,
-/// whose periodic extent-2 axis leaves it no view: its coincident
-/// partners' entries are merged.
+/// the 320 sites: 256 blocks, which the CRS build codes and the stencil
+/// handle holds, and 257, which it stores plain, and the stencil handle,
+/// which has no coded form either, regenerates its rows. Either way the
+/// two agree kernel for kernel at widths 1, 2, 8 and 17 and hash alike —
+/// as on the 2×6×5 lattice, whose periodic extent-2 axis leaves it no
+/// view: its coincident partners' entries are merged.
 #[test]
 fn a_257th_site_block_stores_the_crs_plain() {
     let lattice = |combinations: usize| {
@@ -285,12 +308,10 @@ fn a_257th_site_block_stores_the_crs_plain() {
         let st = lattice(combinations);
         let h = st.to_crs();
         assert_eq!(h.site_blocks(), blocks, "{combinations} diagonals");
-        // The stencil reads the view the CRS build holds, or none.
-        let view = blocks.map(|_| h.matrix_bytes());
-        assert_eq!(st.matrix_bytes(), view.unwrap_or(0));
         let values = blocks.map(|_| 6 + 16 + 16 + 1);
         assert_eq!(h.value_table().map(<[_]>::len), values);
-        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        // The stencil handle reads the view the CRS build holds, or none.
+        stencil_handle_runs_the_crs_build(&st, &h, &format!("{combinations} diagonals"));
         for (r, budget) in widths {
             if let Err(e) = stencil_equals_crs(&st, r, budget, 10) {
                 panic!("{combinations} diagonals: {e}");
@@ -298,8 +319,9 @@ fn a_257th_site_block_stores_the_crs_plain() {
         }
     }
     let coincident = TopoHamiltonian::clean(2, 6, 5).stencil_matrix();
-    assert_eq!(coincident.to_crs().site_blocks(), None);
-    assert_eq!(coincident.matrix_bytes(), 0);
+    let h = coincident.to_crs();
+    assert_eq!(h.site_blocks(), None);
+    stencil_handle_runs_the_crs_build(&coincident, &h, "coincident 2x6x5");
     for (r, budget) in widths {
         if let Err(e) = stencil_equals_crs(&coincident, r, budget, 11) {
             panic!("coincident 2x6x5: {e}");
@@ -322,8 +344,9 @@ fn bond_blocks(bond: impl Fn(usize) -> Complex64) -> [[[Complex64; 4]; 4]; 6] {
 /// product per part of `x`: a lattice with an entry whose two parts are
 /// non-zero, or with three entries in a row of one block, is stored
 /// plain — values included, as past 256 blocks — and agrees with its
-/// stencil kernel for kernel and hashes like it. The lattice beside them
-/// with the same bonds made imaginary is coded.
+/// stencil handle, which regenerates its rows, kernel for kernel and
+/// hashes like it. The lattice beside them with the same bonds made
+/// imaginary is coded, and its stencil handle holds that coded CRS.
 #[test]
 fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
     let onsite = |site: usize| [0, 1, 2, 3].map(|o| Complex64::real((site % 3 + o) as f64));
@@ -357,7 +380,7 @@ fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
         let h = st.to_crs();
         assert_eq!(h.site_blocks().is_some(), coded, "{what}");
         assert_eq!(h.value_table().is_some(), coded, "{what}");
-        assert_eq!(h.content_fingerprint(), st.content_fingerprint());
+        stencil_handle_runs_the_crs_build(&st, &h, what);
         for (r, budget) in [(1, STENCIL_BUDGETS[0]), (8, STENCIL_BUDGETS[1])] {
             if let Err(e) = stencil_equals_crs(&st, r, budget, 12) {
                 panic!("{what}: {e}");
