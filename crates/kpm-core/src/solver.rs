@@ -168,6 +168,46 @@ impl KpmParams {
     }
 }
 
+/// Checks, before any of them is allocated, that the buffers a run's
+/// request sizes can be had on this host, so a request too large for it
+/// fails with a typed error naming its field instead of aborting in the
+/// allocator: the block of `columns` starting vectors on `n` rows
+/// (`num_random`), the η record of `num_moments` moments per column
+/// (`num_moments`) and a curve of `points` energies (`points`), in that
+/// order. Each is reserved with `try_reserve_exact`, as
+/// `CooMatrix::to_crs` reserves its row pointers, and released
+/// untouched.
+pub fn check_allocatable(
+    n: usize,
+    columns: usize,
+    num_moments: usize,
+    points: usize,
+) -> Result<(), KpmError> {
+    let reserve = |what: &'static str, entries: Option<usize>, of: &dyn Fn() -> String| {
+        let refused = |why: String| KpmError::InvalidParams {
+            what,
+            details: format!("{} {why}", of()),
+        };
+        let entries =
+            entries.ok_or_else(|| refused("cannot be allocated: the size overflows".into()))?;
+        Vec::<Complex64>::new()
+            .try_reserve_exact(entries)
+            .map_err(|e| {
+                let gib = entries as f64 * 16.0 / (1u64 << 30) as f64;
+                refused(format!("({gib:.1} GiB) cannot be allocated: {e}"))
+            })
+    };
+    reserve("num_random", n.checked_mul(columns), &|| {
+        format!("{columns} starting vectors of {n} rows")
+    })?;
+    reserve("num_moments", columns.checked_mul(num_moments), &|| {
+        format!("{num_moments} moments of {columns} columns")
+    })?;
+    reserve("points", Some(points), &|| {
+        format!("a curve of {points} points")
+    })
+}
+
 /// Runs `f` under the thread count the caller asked for: on the ambient
 /// pool when `threads` is 0 or the ambient pool already has that many
 /// workers (a command that installed its `--threads` pool around
@@ -812,6 +852,29 @@ mod tests {
             threads: 0,
             power: 1,
             first_touch: false,
+        }
+    }
+
+    /// Sizes past `isize::MAX` bytes, which no allocator grants on any
+    /// host, fail typed and name the field that sized them; a run of
+    /// ordinary size passes.
+    #[test]
+    fn unallocatable_run_sizes_are_typed_errors_naming_the_field() {
+        assert!(check_allocatable(3456, 8, 256, 1024).is_ok());
+        let huge = usize::MAX / 4;
+        for (args, field) in [
+            ((72, huge, 64, 256), "num_random"),
+            ((usize::MAX, 2, 64, 256), "num_random"),
+            ((72, 2, huge, 256), "num_moments"),
+            ((72, 2, 64, huge), "points"),
+        ] {
+            let (n, columns, m, points) = args;
+            match check_allocatable(n, columns, m, points) {
+                Err(KpmError::InvalidParams { what, details }) => {
+                    assert_eq!(what, field, "{details}")
+                }
+                other => panic!("{args:?}: {other:?}"),
+            }
         }
     }
 

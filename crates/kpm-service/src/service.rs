@@ -3,10 +3,11 @@
 //! Requests wait in the bounded admission queue — the only buffer, so
 //! its bound sees the whole backlog — until a worker can start them:
 //! the batcher seals a batch only while fewer than `workers` are
-//! unfinished, then pops the oldest request and coalesces the
+//! unfinished, then pops the oldest request and at once coalesces the
 //! same-matrix ones behind it up to `max_batch_width` columns (the
 //! paper's stage-2 knob: one matrix stream amortized over many
-//! columns). Workers solve with
+//! columns). What rides together is what arrived while every worker
+//! was busy; no timer holds a free worker back. Workers solve with
 //! [`kpm_core::solver::kpm_batch_moments`], whose per-column arithmetic
 //! is bitwise that of the serial solver for *any* batch composition
 //! and thread count — batching changes speed, never
@@ -29,7 +30,9 @@ use std::time::{Duration, Instant};
 use kpm_core::dos::reconstruct;
 use kpm_core::green::reconstruct_green;
 use kpm_core::moments::MomentSet;
-use kpm_core::solver::{batch_lanes, kpm_batch_moments, starting_vectors, KpmParams};
+use kpm_core::solver::{
+    batch_lanes, check_allocatable, kpm_batch_moments, starting_vectors, KpmParams,
+};
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_obs::span::{micros_since_epoch, mint_trace, record_manual, span};
 use kpm_obs::{hist as obs_hist, metrics, recorder, slo};
@@ -91,7 +94,8 @@ pub enum ShutdownMode {
 
 /// Tuning knobs of the service runtime. All fields have serviceable
 /// defaults; construct with struct-update syntax from
-/// `ServiceConfig::default()`.
+/// `ServiceConfig::default()`. There is no coalescing delay to tune: a
+/// batch is sealed the moment a worker can start it.
 #[derive(Debug)]
 pub struct ServiceConfig {
     /// Worker threads solving batches.
@@ -101,9 +105,6 @@ pub struct ServiceConfig {
     /// Upper bound on batch column width `R`; snapped down to the
     /// largest power of two up to 32 (the paper's sweep widths).
     pub max_batch_width: usize,
-    /// How long the batcher waits after the first request of a batch
-    /// for coalescing mates to arrive.
-    pub batch_window: Duration,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Duration,
     /// Transient-failure retry budget per batch (first attempt not
@@ -143,7 +144,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch_width: 8,
-            batch_window: Duration::from_micros(500),
             default_deadline: Duration::from_secs(2),
             max_retries: 3,
             backoff_base: Duration::from_micros(500),
@@ -294,12 +294,12 @@ impl ServiceInner {
     }
 
     /// Client-side backoff hint: the work already queued divided by the
-    /// worker pool's observed solve rate, plus one batch window.
+    /// worker pool's observed solve rate, at least 1 ms.
     fn retry_after(&self, depth: usize) -> Duration {
         let per = Duration::from_nanos(self.ewma_solve_ns.load(Ordering::Acquire));
         let workers = self.config.workers.max(1) as u32;
         let backlog = per.saturating_mul(depth as u32 + 1) / workers;
-        (self.config.batch_window + backlog).max(Duration::from_millis(1))
+        backlog.max(Duration::from_millis(1))
     }
 
     /// Delivers the terminal reply if this caller wins the slot race;
@@ -613,9 +613,9 @@ impl Service {
         }
 
         let budget = req.deadline.unwrap_or(inner.config.default_deadline);
-        if budget <= inner.config.batch_window {
-            // The deadline cannot survive even the coalescing window:
-            // reject up front instead of admitting doomed work.
+        if budget.is_zero() {
+            // A zero budget is past its deadline on arrival: reject up
+            // front instead of admitting doomed work.
             inner.ledger.rejected.fetch_add(1, Ordering::SeqCst);
             metrics::counter_inc("svc.rejected");
             return Admission::Rejected {
@@ -692,7 +692,8 @@ impl Service {
     }
 
     /// Structural request validation (everything checkable without
-    /// solving).
+    /// solving), then whether this host can allocate what the request
+    /// sizes.
     fn validate(&self, req: &Request) -> Result<(), ServiceError> {
         let matrices = self
             .inner
@@ -740,7 +741,9 @@ impl Service {
                 }
             }
         }
-        Ok(())
+        // Last, so each field above has met its own rule first.
+        check_allocatable(n, req.kind.columns(), req.num_moments, req.points)
+            .map_err(ServiceError::Solver)
     }
 
     /// Current lifecycle counters.
@@ -870,11 +873,6 @@ fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>)
                         fail_shutdown(inner, p);
                     }
                 } else {
-                    // Coalescing window: let concurrent same-matrix
-                    // requests arrive before the batch is sealed.
-                    if inner.state() == RUNNING && !inner.config.batch_window.is_zero() {
-                        std::thread::sleep(inner.config.batch_window.min(Duration::from_millis(2)));
-                    }
                     let budget = width_budget(inner.config.max_batch_width);
                     let first_cols = first.req.kind.columns();
                     let mates = if first_cols < budget {

@@ -294,7 +294,7 @@ echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
 echo "the --no-simd report ran the baseline sweep body (lanes = 1)"
 
-step "hostile flags, environment values, .mtx size lines and values: one 'kpm:' line, exit status 1, no panic, no matrix"
+step "hostile flags, environment values, .mtx size lines and values: one 'kpm:' line, exit status 1, no panic, no matrix; hostile serve lines: typed replies, exit 0"
 # Each of these used to panic, abort the process, be refused only after
 # the matrix had been assembled and the banner printed, or (KPM_THREADS)
 # quietly run on another thread count. Now stderr is a single line — so
@@ -354,6 +354,34 @@ for f in $mtx_cases; do
     hostile dos "target/hostile-$f.mtx"
     hostile serve "target/hostile-$f.mtx"
 done
+# Request sizes are promises too: a value that sizes a buffer the host
+# cannot allocate is refused naming its flag, after the lattice is built
+# and before the solver would abort allocating it (exit 134 before).
+# 10^11 random vectors ask for 3.5·10^17 bytes, which no host maps; 10^9
+# moments (η: 128 GB) and 10^10 points (curve: 160 GB) run only where
+# that allocation must fail.
+must_fail() {
+    [[ $(cat /proc/sys/vm/overcommit_memory) != 1 && $((ram_swap_kib * 1024)) -lt $1 ]]
+}
+hostile dos $lattice --random 99999999999
+if must_fail 128000000000; then hostile dos $lattice --moments 1000000000; fi
+if must_fail 160000000000; then hostile dos $lattice --points 10000000000; fi
+# kpm serve answers each request line in its place: a line that does not
+# parse (which used to end the process with no reply to anyone) and a
+# request too large to allocate get typed error replies, the good lines
+# around them are served, and the process exits 0 with a balanced ledger.
+./target/release/kpm generate --nx 4 --ny 4 --nz 2 --out target/hostile-serve.mtx
+serve_lines='dos 1 2 64\nbogus line\nldos 3 64\ndos 1 99999999999 64\n'
+if must_fail 32000000000; then serve_lines+='dos 1 2 1000000000\n'; fi
+serve_out=$(printf "$serve_lines" | ./target/release/kpm serve target/hostile-serve.mtx)
+echo "$serve_out"
+[[ $(echo "$serve_out" | grep -c '"status": "ok"') -eq 2 ]]
+echo "$serve_out" | grep -q '"request": 1, "status": "error", "error": "cannot parse request'
+echo "$serve_out" | grep -q '"status": "error", "error": "solver error: invalid parameter `num_random`'
+if must_fail 32000000000; then
+    echo "$serve_out" | grep -q '"status": "error", "error": "solver error: invalid parameter `num_moments`'
+fi
+echo "$serve_out" | grep -q '"consistent": true'
 
 step "service: chaos ledger (500 randomized schedules), late-binding batches"
 # Exactly-once replies, bitwise batched moments, and a consistent
@@ -365,7 +393,8 @@ cargo test -q --test service_chaos
 # requests that arrive during a solve share the next batch; the closed
 # loop behind the second prints requests, batches, columns per solved
 # batch and lanes filled (2.9 columns per batch when batches were sealed
-# on arrival, 4.1 sealed when a worker is free, on `svc_mixed`).
+# on arrival, 4.1 sealed when a worker is free after a 500 µs window,
+# XXX sealed the moment a worker is free, on `svc_mixed`).
 cargo test -q --test service -- --nocapture \
     sustained_overload_is_shed_at_the_admission_queue \
     requests_that_arrive_during_a_solve_share_the_next_batch
@@ -382,6 +411,10 @@ echo "$serve_out" | grep -q '"status": "ok"'
 echo "$serve_out" | grep -q '"reason": "past_deadline"'
 echo "$serve_out" | grep -q '"retry_after_ms"'
 echo "$serve_out" | grep -q '"consistent": true'
+# A batch is sealed the moment a worker is free: there is no coalescing
+# window to set, and its old flag is an unknown flag.
+window_err=$(./target/release/kpm serve target/verify-serve.mtx --window-us 1 2>&1 </dev/null) && exit 1
+echo "$window_err" | grep -q "^kpm: unknown flag '--window-us'"
 
 step "smoke: request tracing, kpm stats, kpm trace-report"
 # An instrumented serve run must put a trace id and an exact stage

@@ -27,7 +27,9 @@ use std::process::ExitCode;
 
 use kpm_repro::core::dos::reconstruct;
 use kpm_repro::core::eigencount::count_from_moments;
-use kpm_repro::core::solver::{kpm_moments, with_threads, KpmParams, KpmVariant};
+use kpm_repro::core::solver::{
+    check_allocatable, kpm_moments, with_threads, KpmParams, KpmVariant,
+};
 use kpm_repro::core::Kernel;
 use kpm_repro::num::KpmError;
 use kpm_repro::obs;
@@ -113,7 +115,7 @@ const USAGE: &str = "usage:
   kpm report [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R] [--seed S]
              [--machine IVB|SNB|K20m|K20X] [--llc-mib F] [--sweeps S]
   kpm serve  [FILE.mtx | --nx N --ny N --nz N] [--workers W] [--queue Q]
-             [--width R] [--window-us U] [--deadline-ms D] [--points K]
+             [--width R] [--deadline-ms D] [--points K]
              [--kernel jackson|dirichlet|lorentz] [--lambda L]
              [--slo-ms MS] [--slo-goal G] [--flight-recorder PREFIX]
              (requests on stdin: 'dos SEED R M [MS]' | 'ldos SITE M [MS]'
@@ -162,7 +164,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--workers",
     "--queue",
     "--width",
-    "--window-us",
     "--deadline-ms",
     "--points",
     "--kernel",
@@ -465,18 +466,31 @@ fn solver_params(args: &[String]) -> Result<KpmParams, String> {
         power: 1,
         first_touch: false,
     };
-    params.validate().map_err(|e| {
-        let what = match e {
-            KpmError::InvalidParams { what, .. } => what,
-            _ => "",
-        };
-        match what {
-            "num_moments" => format!("bad value for --moments: {} ({e})", params.num_moments),
-            "num_random" => format!("bad value for --random: {} ({e})", params.num_random),
-            _ => e.to_string(),
-        }
-    })?;
+    params.validate().map_err(|e| flag_error(&e, &params, 0))?;
     Ok(params)
+}
+
+/// A solver-parameter error as a `bad value for --flag` line naming the
+/// flag it came from.
+fn flag_error(e: &KpmError, params: &KpmParams, points: usize) -> String {
+    let what = match e {
+        KpmError::InvalidParams { what, .. } => *what,
+        _ => "",
+    };
+    match what {
+        "num_moments" => format!("bad value for --moments: {} ({e})", params.num_moments),
+        "num_random" => format!("bad value for --random: {} ({e})", params.num_random),
+        "points" => format!("bad value for --points: {points} ({e})"),
+        _ => e.to_string(),
+    }
+}
+
+/// Refuses, naming the flag, a run on `n` rows whose `--random`,
+/// `--moments` or `--points` sizes a buffer this host cannot allocate,
+/// before the solver would abort allocating it.
+fn check_run_fits(n: usize, params: &KpmParams, points: usize) -> Result<(), String> {
+    check_allocatable(n, params.num_random, params.num_moments, points)
+        .map_err(|e| flag_error(&e, params, points))
 }
 
 /// The banner fields naming how a CRS matrix stores its values and what
@@ -553,6 +567,7 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
     let outputs = ObsOutputs::from_args(args);
     let curve = in_pool(params.threads, || {
         let (m, sf) = solver_matrix(args)?;
+        check_run_fits(m.nrows(), &params, points)?;
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, format = {}{}",
             m.nrows(),
@@ -604,6 +619,7 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     let outputs = ObsOutputs::from_args(args);
     let (n, count) = in_pool(params.threads, || {
         let (m, sf) = solver_matrix(args)?;
+        check_run_fits(m.nrows(), &params, 0)?;
         let moments =
             kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
         let n = m.nrows();
@@ -665,6 +681,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // a lattice whose rows the handle regenerates, the lattice's CRS form.
     let h = in_pool(params.threads, || {
         let (m, sf) = solver_matrix(args)?;
+        check_run_fits(m.nrows(), &params, 0)?;
         let h = match m.as_crs() {
             Some(h) => h.clone(),
             None => load_matrix(args)?,
@@ -792,7 +809,12 @@ fn parse_request_line(
             int(m)? as usize,
             deadline(rest.first())?,
         ),
-        _ => return Err(format!("cannot parse request '{line}'\n{USAGE}")),
+        _ => {
+            return Err(format!(
+                "cannot parse request '{line}' (expected 'dos SEED R M [MS]', \
+                 'ldos SITE M [MS]' or 'green SEED R M [MS]')"
+            ))
+        }
     };
     Ok(Some(Request {
         matrix,
@@ -856,6 +878,7 @@ fn serve_reply_line(index: usize, resp: &kpm_repro::service::Response) -> String
             obs::json::num(curve_checksum(&answer.curve)),
         ),
         Outcome::Failed(e) => {
+            let e = obs::json::escape(&e.to_string());
             format!("{{\"request\": {index}, \"status\": \"error\", \"error\": \"{e}\"{trace}}}")
         }
     }
@@ -903,7 +926,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         workers,
         queue_capacity: opt_usize(args, "--queue", 64)?.max(1),
         max_batch_width: opt_usize(args, "--width", 8)?.max(1),
-        batch_window: std::time::Duration::from_micros(opt_usize(args, "--window-us", 500)? as u64),
         default_deadline: std::time::Duration::from_millis(deadline_ms as u64),
         ..ServiceConfig::default()
     };
@@ -941,8 +963,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             break;
         }
         let index = slots.len();
-        let req = parse_request_line(trimmed, fingerprint, kernel, points)?;
-        let Some(req) = req else { continue };
+        // A line that does not parse is answered in its place, typed;
+        // the requests around it are served.
+        let req = match parse_request_line(trimmed, fingerprint, kernel, points) {
+            Ok(Some(req)) => req,
+            Ok(None) => continue,
+            Err(e) => {
+                slots.push(Slot::Line(format!(
+                    "{{\"request\": {index}, \"status\": \"error\", \"error\": \"{}\"}}",
+                    obs::json::escape(&e)
+                )));
+                continue;
+            }
+        };
         match svc.submit(req) {
             Admission::Admitted(ticket) => slots.push(Slot::Ticket(ticket)),
             Admission::Rejected {
@@ -1754,6 +1787,33 @@ mod tests {
         let err = run(&args(line)).expect_err(&line.join(" "));
         assert!(err.contains(flag), "{line:?}: {err}");
         assert!(!err.contains("cannot open"), "{line:?}: {err}");
+    }
+
+    /// Flag values that size a buffer past `isize::MAX` bytes — which no
+    /// host can allocate — are refused naming the flag, after the
+    /// lattice is built and before the solver would abort allocating.
+    #[test]
+    fn unallocatable_runs_are_refused_naming_the_flag() {
+        let huge = ((usize::MAX / 8) & !1).to_string();
+        let lattice = ["--nx", "2", "--ny", "2", "--nz", "2"];
+        let range = ["--from", "0", "--to", "1"];
+        for (run, flag, extra) in [
+            (cmd_dos as fn(&[String]) -> _, "--random", &[][..]),
+            (cmd_dos, "--moments", &[]),
+            (cmd_dos, "--points", &[]),
+            (cmd_count, "--random", &range),
+            (cmd_count, "--moments", &range),
+        ] {
+            let line: Vec<&str> = (lattice.iter().chain(extra).copied())
+                .chain([flag, &huge])
+                .collect();
+            let err = run(&args(&line)).expect_err(&line.join(" "));
+            assert!(
+                err.starts_with(&format!("bad value for {flag}: {huge}")),
+                "{err}"
+            );
+            assert!(err.contains("cannot be allocated"), "{err}");
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@ use kpm_repro::core::kernels::Kernel;
 use kpm_repro::core::ldos::site_moments;
 use kpm_repro::core::moments::MomentSet;
 use kpm_repro::core::solver::{batch_lanes, moments_from_start, starting_vectors, KpmParams};
+use kpm_repro::num::KpmError;
 use kpm_repro::service::{
     Admission, Answer, ChaosPlan, Outcome, QueryKind, RejectReason, Request, Response, Service,
-    ServiceConfig, ShutdownMode, Ticket,
+    ServiceConfig, ServiceError, ShutdownMode, Ticket,
 };
 use kpm_repro::sparse::{CrsMatrix, KpmMatrix};
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
@@ -74,79 +75,89 @@ fn dos_request(fp: u64, seed: u64, num_random: usize, m: usize) -> Request {
 
 /// Batched block solves are bitwise the serial solver, for a batch
 /// mixing DOS, LDOS and Green queries with different seeds, widths and
-/// moment counts — the service's central correctness guarantee.
+/// moment counts — the service's central correctness guarantee. The
+/// four arrive while the one worker is held, so they ride in one block
+/// of 2 + 1 + 4 + 2 columns, swept in two column groups when parallel.
 #[test]
 fn batched_answers_bitwise_match_serial_for_mixed_batches() {
-    let (h, sf) = test_matrix();
-    for parallel_solve in [false, true] {
-        let svc = Service::start(ServiceConfig {
-            workers: 2,
-            batch_window: Duration::from_millis(2),
-            parallel_solve,
-            ..ServiceConfig::default()
-        });
-        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    watchdog(|| {
+        let (h, sf) = test_matrix();
+        let sites = h.nrows() / 4;
+        for parallel_solve in [false, true] {
+            let (svc, holder_fp) = one_slow_worker(ServiceConfig {
+                max_batch_width: 16,
+                parallel_solve,
+                ..ServiceConfig::default()
+            });
+            let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+            // Seeds and site move with the key, so a repeated round
+            // answers nothing from the cache.
+            let site = |key: u64| (3 + key as usize) % sites;
+            let (key, replies) =
+                replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..8, |key| {
+                    vec![
+                        dos_request(fp, 1 + 8 * key, 2, 32),
+                        dos_request(fp, 2 + 8 * key, 1, 16),
+                        Request {
+                            matrix: fp,
+                            kind: QueryKind::Ldos { site: site(key) },
+                            num_moments: 32,
+                            kernel: Kernel::Jackson,
+                            points: 16,
+                            deadline: None,
+                        },
+                        Request {
+                            matrix: fp,
+                            kind: QueryKind::Green {
+                                seed: 5 + 8 * key,
+                                num_random: 2,
+                            },
+                            num_moments: 24,
+                            kernel: Kernel::Lorentz(3.0),
+                            points: 16,
+                            deadline: None,
+                        },
+                    ]
+                });
+            let [r_dos_a, r_dos_b, r_ldos, r_green] = &replies[..] else {
+                panic!("four replies expected, got {}", replies.len());
+            };
+            let widths: Vec<usize> = replies.iter().map(|r| r.stats.batch_width).collect();
+            assert_eq!(
+                widths,
+                [9, 9, 9, 9],
+                "parallel={parallel_solve}: the four requests are one batch"
+            );
 
-        // Submit the whole mixed batch before waiting so the batcher
-        // coalesces it into block solves.
-        let t_dos_a = submit_ok(&svc, dos_request(fp, 1, 2, 32));
-        let t_dos_b = submit_ok(&svc, dos_request(fp, 2, 1, 16));
-        let t_ldos = submit_ok(
-            &svc,
-            Request {
-                matrix: fp,
-                kind: QueryKind::Ldos { site: 3 },
-                num_moments: 32,
-                kernel: Kernel::Jackson,
-                points: 16,
-                deadline: None,
-            },
-        );
-        let t_green = submit_ok(
-            &svc,
-            Request {
-                matrix: fp,
-                kind: QueryKind::Green {
-                    seed: 5,
-                    num_random: 2,
-                },
-                num_moments: 24,
-                kernel: Kernel::Lorentz(3.0),
-                points: 16,
-                deadline: None,
-            },
-        );
+            assert_eq!(
+                answer_of(r_dos_a).moments.as_slice(),
+                serial_reference(&h, sf, 1 + 8 * key, 2, 32).as_slice(),
+                "parallel={parallel_solve}: batched DOS moments differ from serial"
+            );
+            assert_eq!(
+                answer_of(r_dos_b).moments.as_slice(),
+                serial_reference(&h, sf, 2 + 8 * key, 1, 16).as_slice(),
+                "parallel={parallel_solve}: mixed-M member differs from serial"
+            );
+            assert_eq!(
+                answer_of(r_ldos).moments.as_slice(),
+                site_moments(&h, sf, site(key), 32)
+                    .expect("serial ldos")
+                    .as_slice(),
+                "parallel={parallel_solve}: batched LDOS moments differ from site_moments"
+            );
+            assert_eq!(
+                answer_of(r_green).moments.as_slice(),
+                serial_reference(&h, sf, 5 + 8 * key, 2, 24).as_slice(),
+                "parallel={parallel_solve}: batched Green moments differ from serial"
+            );
 
-        let r_dos_a = t_dos_a.wait().expect("dos a reply");
-        let r_dos_b = t_dos_b.wait().expect("dos b reply");
-        let r_ldos = t_ldos.wait().expect("ldos reply");
-        let r_green = t_green.wait().expect("green reply");
-
-        assert_eq!(
-            answer_of(&r_dos_a).moments.as_slice(),
-            serial_reference(&h, sf, 1, 2, 32).as_slice(),
-            "parallel={parallel_solve}: batched DOS moments differ from serial"
-        );
-        assert_eq!(
-            answer_of(&r_dos_b).moments.as_slice(),
-            serial_reference(&h, sf, 2, 1, 16).as_slice(),
-            "parallel={parallel_solve}: mixed-M member differs from serial"
-        );
-        assert_eq!(
-            answer_of(&r_ldos).moments.as_slice(),
-            site_moments(&h, sf, 3, 32).expect("serial ldos").as_slice(),
-            "parallel={parallel_solve}: batched LDOS moments differ from site_moments"
-        );
-        assert_eq!(
-            answer_of(&r_green).moments.as_slice(),
-            serial_reference(&h, sf, 5, 2, 24).as_slice(),
-            "parallel={parallel_solve}: batched Green moments differ from serial"
-        );
-
-        let ledger = svc.shutdown(ShutdownMode::Drain);
-        assert!(ledger.consistent(), "ledger must balance: {ledger:?}");
-        assert_eq!(ledger.admitted, 4);
-    }
+            let ledger = svc.shutdown(ShutdownMode::Drain);
+            assert!(ledger.consistent(), "ledger must balance: {ledger:?}");
+            // Each round admits its holder and the four.
+            assert_eq!(ledger.admitted, 5 * (key + 1));
+        }
+    });
 }
 
 /// A repeat of an identical query answers from the moment cache —
@@ -199,7 +210,6 @@ fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
     let m = 32;
     let svc = Service::start(ServiceConfig {
         workers: 2,
-        batch_window: Duration::from_millis(2),
         ..ServiceConfig::default()
     });
     let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
@@ -269,44 +279,45 @@ fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
 /// other.
 #[test]
 fn crs_and_stencil_handles_of_one_lattice_coalesce_and_share_the_cache() {
-    let ham = TopoHamiltonian::clean(3, 3, 2);
-    let (h, sf) = test_matrix();
-    let svc = Service::start(ServiceConfig {
-        // Wide enough that a descheduled test thread cannot split the
-        // two submits below across windows.
-        batch_window: Duration::from_millis(100),
-        ..ServiceConfig::default()
+    watchdog(|| {
+        let ham = TopoHamiltonian::clean(3, 3, 2);
+        let (h, sf) = test_matrix();
+        let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
+        let fp_stencil = svc.register_matrix(KpmMatrix::stencil(ham.stencil_matrix()), sf);
+        let fp_crs = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        assert_eq!(fp_stencil, fp_crs, "one operator, one fingerprint");
+        assert_eq!(fp_crs, h.content_fingerprint());
+
+        // Submitted while the worker is held, one per handle name.
+        let (key, replies) =
+            replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..8, |key| {
+                vec![
+                    dos_request(fp_stencil, 9 + 2 * key, 1, 32),
+                    dos_request(fp_crs, 10 + 2 * key, 1, 32),
+                ]
+            });
+        let (a, b) = (&replies[0], &replies[1]);
+        assert_eq!((a.stats.batch_width, b.stats.batch_width), (2, 2));
+        assert_eq!(
+            answer_of(a).moments.as_slice(),
+            serial_reference(&h, sf, 9 + 2 * key, 1, 32).as_slice(),
+            "the registered (stencil) handle must solve to the CRS bits"
+        );
+
+        let again = submit_ok(&svc, dos_request(fp_crs, 9 + 2 * key, 1, 32))
+            .wait()
+            .expect("again");
+        assert!(again.stats.cache_hit, "same key through the other name");
+        assert_eq!(
+            answer_of(&again).moments.as_slice(),
+            answer_of(a).moments.as_slice()
+        );
+        svc.shutdown(ShutdownMode::Drain);
     });
-    let fp_stencil = svc.register_matrix(KpmMatrix::stencil(ham.stencil_matrix()), sf);
-    let fp_crs = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
-    assert_eq!(fp_stencil, fp_crs, "one operator, one fingerprint");
-    assert_eq!(fp_crs, h.content_fingerprint());
-
-    // Submitted inside one batching window, one per handle name.
-    let t_a = submit_ok(&svc, dos_request(fp_stencil, 9, 1, 32));
-    let t_b = submit_ok(&svc, dos_request(fp_crs, 10, 1, 32));
-    let (a, b) = (t_a.wait().expect("a"), t_b.wait().expect("b"));
-    assert_eq!((a.stats.batch_width, b.stats.batch_width), (2, 2));
-    assert_eq!(
-        answer_of(&a).moments.as_slice(),
-        serial_reference(&h, sf, 9, 1, 32).as_slice(),
-        "the registered (stencil) handle must solve to the CRS bits"
-    );
-
-    let again = submit_ok(&svc, dos_request(fp_crs, 9, 1, 32))
-        .wait()
-        .expect("again");
-    assert!(again.stats.cache_hit, "same key through the other name");
-    assert_eq!(
-        answer_of(&again).moments.as_slice(),
-        answer_of(&a).moments.as_slice()
-    );
-    svc.shutdown(ShutdownMode::Drain);
 }
 
-/// A deadline that cannot survive the batching window is rejected at
-/// admission with a positive `retry_after` hint, not admitted and
-/// doomed.
+/// A zero deadline is rejected at admission with a positive
+/// `retry_after` hint, not admitted and doomed.
 #[test]
 fn past_deadline_requests_are_rejected_with_retry_after() {
     let (h, sf) = test_matrix();
@@ -457,6 +468,24 @@ fn sustained_overload_is_shed_at_the_admission_queue() {
     });
 }
 
+/// A one-worker service built from `config`, every solve slowed by
+/// 40 ms, with a small second matrix registered whose fingerprint
+/// [`replies_to_requests_that_arrive_during_a_solve`] holds the worker
+/// on.
+fn one_slow_worker(config: ServiceConfig) -> (Service, u64) {
+    let svc = Service::start(ServiceConfig {
+        workers: 1,
+        chaos: Some(ChaosPlan::new(6).with_slow_solver(1.0, Duration::from_millis(40))),
+        ..config
+    });
+    let other = TopoHamiltonian::clean(2, 2, 2).assemble();
+    let holder_fp = svc.register_matrix(
+        KpmMatrix::crs(other.clone()),
+        ScaleFactors::from_gershgorin(&other, 0.01),
+    );
+    (svc, holder_fp)
+}
+
 /// Submits `held(key)` while the single worker is held by a (slowed)
 /// solve on another matrix and returns `key` and the replies. A batch
 /// is sealed only when a worker can start it, so everything submitted
@@ -473,11 +502,10 @@ fn replies_to_requests_that_arrive_during_a_solve(
 ) -> (u64, Vec<Response>) {
     for key in keys {
         let holder = submit_ok(svc, dos_request(holder_fp, key, 1, 16));
-        // Several batch windows apart: what joins them is the wait for
-        // the worker, not the window.
+        // Apart in time: what joins them is the wait for the worker.
         let tickets: Vec<Ticket> = (held(key).into_iter())
             .map(|req| {
-                std::thread::sleep(4 * ServiceConfig::default().batch_window);
+                std::thread::sleep(Duration::from_millis(2));
                 submit_ok(svc, req)
             })
             .collect();
@@ -506,17 +534,8 @@ fn requests_that_arrive_during_a_solve_share_the_next_batch() {
     watchdog(|| {
         let (h, sf) = test_matrix();
         let sites = (h.nrows() / 4) as u64;
-        let other = TopoHamiltonian::clean(2, 2, 2).assemble();
-        let svc = Service::start(ServiceConfig {
-            workers: 1,
-            chaos: Some(ChaosPlan::new(6).with_slow_solver(1.0, Duration::from_millis(40))),
-            ..ServiceConfig::default()
-        });
+        let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
         let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
-        let holder_fp = svc.register_matrix(
-            KpmMatrix::crs(other.clone()),
-            ScaleFactors::from_gershgorin(&other, 0.01),
-        );
         let m = 32;
         let ldos = |key: u64| Request {
             kind: QueryKind::Ldos {
@@ -751,5 +770,71 @@ fn invalid_requests_fail_typed_through_the_reply_path() {
 
     let ledger = svc.shutdown(ShutdownMode::Drain);
     assert_eq!(ledger.admitted, 3);
+    assert!(ledger.consistent());
+}
+
+/// True when Linux must refuse one allocation of `bytes`: heuristic
+/// (0) and strict (2) overcommit both refuse more than RAM + swap.
+fn allocation_must_fail(bytes: u64) -> bool {
+    let read = |p| std::fs::read_to_string(p).unwrap_or_default();
+    let meminfo = read("/proc/meminfo");
+    let kib = |key: &str| {
+        meminfo.lines().find_map(|l| {
+            let v = l.strip_prefix(key)?.trim().strip_suffix("kB")?;
+            v.trim().parse::<u64>().ok()
+        })
+    };
+    let strict_enough = matches!(read("/proc/sys/vm/overcommit_memory").trim(), "0" | "2");
+    match (kib("MemTotal:"), kib("SwapTotal:")) {
+        (Some(ram), Some(swap)) => strict_enough && (ram + swap) * 1024 < bytes,
+        _ => false,
+    }
+}
+
+/// A request whose fields size a buffer the host cannot allocate is
+/// answered through the reply path with a typed error naming the field,
+/// and the service keeps serving: sizes past `isize::MAX` bytes on any
+/// host, and `kpm serve`'s `dos 1 99999999999 64` and
+/// `dos 1 2 1000000000` wherever that allocation must fail.
+#[test]
+fn unallocatable_requests_fail_typed_naming_the_field() {
+    let (h, sf) = test_matrix();
+    let svc = Service::start(ServiceConfig::default());
+    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let huge = (usize::MAX / 8) & !1;
+    let mut cases = vec![
+        (dos_request(fp, 1, huge, 64), "num_random"),
+        (dos_request(fp, 1, 2, huge), "num_moments"),
+        (
+            Request {
+                points: huge,
+                ..dos_request(fp, 1, 2, 64)
+            },
+            "points",
+        ),
+    ];
+    let entry = 16 * h.nrows() as u64;
+    if allocation_must_fail(99_999_999_999 * entry) {
+        cases.push((dos_request(fp, 1, 99_999_999_999, 64), "num_random"));
+    }
+    if allocation_must_fail(2 * 1_000_000_000 * 16) {
+        cases.push((dos_request(fp, 1, 2, 1_000_000_000), "num_moments"));
+    }
+    let refused = cases.len() as u64;
+    for (req, field) in cases {
+        let resp = submit_ok(&svc, req).wait().expect("typed reply");
+        match &resp.outcome {
+            Outcome::Failed(ServiceError::Solver(KpmError::InvalidParams { what, .. })) => {
+                assert_eq!(*what, field, "{resp:?}")
+            }
+            other => panic!("{field}: {other:?}"),
+        }
+    }
+    let after = submit_ok(&svc, dos_request(fp, 3, 1, 16))
+        .wait()
+        .expect("reply");
+    assert!(after.is_answered(), "{after:?}");
+    let ledger = svc.shutdown(ShutdownMode::Drain);
+    assert_eq!(ledger.admitted, refused + 1);
     assert!(ledger.consistent());
 }

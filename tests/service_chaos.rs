@@ -96,11 +96,16 @@ fn random_config(rng: &mut Rng, schedule: u64) -> ServiceConfig {
     } else {
         chaos
     };
+    let workers = 1 + rng.below(2) as usize;
+    let queue_capacity = 2 + rng.below(6) as usize;
+    let max_batch_width = [1, 4, 8][rng.below(3) as usize];
+    // Drawn and discarded: the service lost its coalescing window, and
+    // each schedule seed keeps drawing the configuration it always has.
+    let _ = rng.below(300);
     ServiceConfig {
-        workers: 1 + rng.below(2) as usize,
-        queue_capacity: 2 + rng.below(6) as usize,
-        max_batch_width: [1, 4, 8][rng.below(3) as usize],
-        batch_window: Duration::from_micros(rng.below(300)),
+        workers,
+        queue_capacity,
+        max_batch_width,
         default_deadline: Duration::from_millis(500),
         max_retries: rng.below(3) as u32,
         backoff_base: Duration::from_micros(50),
