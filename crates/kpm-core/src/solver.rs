@@ -183,29 +183,43 @@ pub fn check_allocatable(
     num_moments: usize,
     points: usize,
 ) -> Result<(), KpmError> {
-    let reserve = |what: &'static str, entries: Option<usize>, of: &dyn Fn() -> String| {
-        let refused = |why: String| KpmError::InvalidParams {
-            what,
-            details: format!("{} {why}", of()),
-        };
-        let entries =
-            entries.ok_or_else(|| refused("cannot be allocated: the size overflows".into()))?;
-        Vec::<Complex64>::new()
-            .try_reserve_exact(entries)
-            .map_err(|e| {
-                let gib = entries as f64 * 16.0 / (1u64 << 30) as f64;
-                refused(format!("({gib:.1} GiB) cannot be allocated: {e}"))
-            })
+    reserve_released(
+        "num_random",
+        n.checked_mul(columns),
+        format_args!("{columns} starting vectors of {n} rows"),
+    )?;
+    reserve_released(
+        "num_moments",
+        columns.checked_mul(num_moments),
+        format_args!("{num_moments} moments of {columns} columns"),
+    )?;
+    reserve_released(
+        "points",
+        Some(points),
+        format_args!("a curve of {points} points"),
+    )
+}
+
+/// Reserves `entries` complex values and releases them untouched; an
+/// overflowing size (`None`) or a refusal is an `InvalidParams` naming
+/// `what` and saying what `of` asked for.
+fn reserve_released(
+    what: &'static str,
+    entries: Option<usize>,
+    of: std::fmt::Arguments<'_>,
+) -> Result<(), KpmError> {
+    let refused = |why: String| KpmError::InvalidParams {
+        what,
+        details: format!("{of} {why}"),
     };
-    reserve("num_random", n.checked_mul(columns), &|| {
-        format!("{columns} starting vectors of {n} rows")
-    })?;
-    reserve("num_moments", columns.checked_mul(num_moments), &|| {
-        format!("{num_moments} moments of {columns} columns")
-    })?;
-    reserve("points", Some(points), &|| {
-        format!("a curve of {points} points")
-    })
+    let entries =
+        entries.ok_or_else(|| refused("cannot be allocated: the size overflows".into()))?;
+    Vec::<Complex64>::new()
+        .try_reserve_exact(entries)
+        .map_err(|e| {
+            let gib = entries as f64 * 16.0 / (1u64 << 30) as f64;
+            refused(format!("({gib:.1} GiB) cannot be allocated: {e}"))
+        })
 }
 
 /// Runs `f` under the thread count the caller asked for: on the ambient
