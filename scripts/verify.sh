@@ -396,7 +396,7 @@ cargo test -q --test service_chaos
 # 2.9 columns per batch when batches were sealed on arrival, 3.4 when
 # sealed once a worker was free and a 500 µs window had passed, 3.1 now
 # that a batch is sealed the moment a worker is free — narrower, and
-# ×0.92 in wall time, because no free worker waits out a window.
+# about ×0.9 in wall time, because no free worker waits out a window.
 cargo test -q --test service -- --nocapture \
     sustained_overload_is_shed_at_the_admission_queue \
     requests_that_arrive_during_a_solve_share_the_next_batch
