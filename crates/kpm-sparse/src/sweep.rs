@@ -29,10 +29,13 @@
 //! several lattice sites at a time, each site's four rows as eight units
 //! of `U` lanes, each slot decoded once for all four rows and applied as
 //! one gather of the neighbour's units ([`Isa::unit_steps`]), finished by
-//! [`Epilogue::finish_sites`]. An 8-column panel walks site by site on
-//! register passes, each slot one factor times one half of a neighbour
-//! row's panel ([`site_panels`]). A plain CRS at width 1 is the
-//! dependent `mul_add` chain of each row's entries ([`entry_chain`]).
+//! [`Epilogue::finish_sites`] — at width 1 the products of the fused dots
+//! of all the group's rows first, in SIMD, then only the chains' adds in
+//! row order, so the products no longer wait behind the adds (same bits:
+//! the same operations in the same order). An 8-column panel walks site
+//! by site on register passes, each slot one factor times one half of a
+//! neighbour row's panel ([`site_panels`]). A plain CRS at width 1 is
+//! the dependent `mul_add` chain of each row's entries ([`entry_chain`]).
 //!
 //! The body is compiled **three times from the same source**: for the
 //! baseline target, under `#[target_feature(enable = "avx2")]` and
@@ -283,14 +286,22 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
         }
     }
 
-    /// Row by row the update and the two dot chains of
-    /// [`Epilogue::finish`], the chains held in registers across the rows
-    /// rather than stored per row.
-    /// [`Epilogue::finish_sites`]'s rows with the dot chains held in
+    /// [`Epilogue::finish`] on the group's rows, the dot chains held in
     /// registers across them rather than stored per row (per row, R = 2
     /// ran ×1.2). A width-1 block's lanes are `(re, im)` pairs, the
-    /// layout of `v` and `w`: the update runs on all its rows, then the
-    /// two chains.
+    /// layout of `v` and `w`: the update runs on all its rows, then every
+    /// row's products — `|v|²` and `conj(w)·v` — with nothing chaining
+    /// them, so every compiled copy computes them in SIMD, then the
+    /// three chains' adds alone, in row order. The bits are those of the
+    /// per-row chain: each product and each difference or sum of two is
+    /// the IEEE operation [`Complex64::norm_sqr`] or
+    /// [`Complex64::mul_add`] performs on the same operands, and each
+    /// chain adds the same addends in the same order (`ore += p` is
+    /// `mul_add`'s `p + ore`: IEEE addition commutes). Only when the
+    /// products are computed moves: inside the chains they queued behind
+    /// the dependent adds, and the fused dots cost the width-1 sweep
+    /// +77–80 % instead of +37–39 % (EXPERIMENTS.md, "Width-1 dots off
+    /// the chains").
     #[inline(always)]
     fn finish_sites<const U: usize, const S: usize>(
         &mut self,
@@ -310,14 +321,33 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
             *w = self.update(Complex64::new(lanes[2 * k], lanes[2 * k + 1]), v, *w);
         }
         if DOTS {
-            let mut even = self.even[0];
-            let mut odd = Complex64::new(self.odd_re[0], self.odd_im[0]);
-            for (w, &v) in w.iter().zip(v) {
-                even += v.norm_sqr();
-                odd = w.conj().mul_add(v, odd);
+            // The products of every row first, none waiting on another:
+            // lane by lane on the rows' doubles (at most four sites, 32
+            // lanes), then each row's sums of two in a pass of their own
+            // ... (Written into `[[f64; 8]; S]`, or summed inside the
+            // chain loop, the products stayed scalar.)
+            let (vd, wd) = (doubles(v), doubles(w));
+            let [mut vv, mut cv, mut cx] = [[0.0; 32]; 3];
+            for i in (0..8 * S).step_by(2) {
+                let (vre, vim, cre, cim) = (vd[i], vd[i + 1], wd[i], -wd[i + 1]);
+                (vv[i], vv[i + 1]) = (vre * vre, vim * vim);
+                (cv[i], cv[i + 1]) = (cre * vre, cim * vim);
+                (cx[i], cx[i + 1]) = (cre * vim, cim * vre);
+            }
+            let (mut n2, mut p) = ([0.0; 16], [0.0; 32]);
+            for i in (0..8 * S).step_by(2) {
+                n2[i / 2] = vv[i] + vv[i + 1];
+                (p[i], p[i + 1]) = (cv[i] - cv[i + 1], cx[i] + cx[i + 1]);
+            }
+            // ... then only the three chains' adds, in row order.
+            let (mut even, mut ore, mut oim) = (self.even[0], self.odd_re[0], self.odd_im[0]);
+            for k in 0..4 * S {
+                even += n2[k];
+                ore += p[2 * k];
+                oim += p[2 * k + 1];
             }
             self.even[0] = even;
-            (self.odd_re[0], self.odd_im[0]) = (odd.re, odd.im);
+            (self.odd_re[0], self.odd_im[0]) = (ore, oim);
         }
     }
 }
@@ -1447,6 +1477,7 @@ mod tests {
     use kpm_num::{BlockVector, Vector};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::ops::RangeInclusive;
 
     fn random_matrix(n: usize, seed: u64) -> CrsMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1563,6 +1594,86 @@ mod tests {
         let mut y = vec![Complex64::default(); 33];
         id.spmv(&x, &mut y);
         assert_eq!(x, y);
+    }
+
+    /// `±0` one time in six, otherwise `±m·10^e` with `m` in `[1, 10)`
+    /// and `e` in `exps`.
+    fn extreme(rng: &mut StdRng, exps: RangeInclusive<i32>) -> f64 {
+        let sign = [1.0, -1.0][rng.gen_range(0..2usize)];
+        if rng.gen_range(0..6usize) == 0 {
+            return sign * 0.0;
+        }
+        sign * rng.gen_range(1.0..10.0) * 10f64.powi(rng.gen_range(exps))
+    }
+
+    /// Bitwise equality, two NaNs of any payload counted equal: the
+    /// solver never sweeps a NaN (its divergence guardrail stops first),
+    /// so which NaN a product makes is no part of the contract.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()
+    }
+
+    /// One width-1 site group through [`Epilogue::finish_sites`] against
+    /// its `4·S` rows through [`Epilogue::finish`] one by one, from the
+    /// same seeded chains: the same `w` and the same three chain values.
+    fn group_against_rows<const DOTS: bool, const S: usize>(
+        rng: &mut StdRng,
+        exps: RangeInclusive<i32>,
+    ) {
+        let mut draw = || extreme(rng, exps.clone());
+        let acc: [[[f64; 1]; 8]; S] = std::array::from_fn(|_| std::array::from_fn(|_| [draw()]));
+        // The group's rows start at row 3 of `v` and at row 0 of `w`.
+        let at = 3;
+        let v: Vec<Complex64> = (0..at + 4 * S)
+            .map(|_| Complex64::new(draw(), draw()))
+            .collect();
+        let w0: Vec<Complex64> = (0..4 * S).map(|_| Complex64::new(draw(), draw())).collect();
+        let start = [draw(), draw(), draw()];
+        let seeded = || {
+            let mut epi = Aug::<DOTS>::new(0.37, -0.21, 1);
+            if DOTS {
+                (epi.even[0], epi.odd_re[0], epi.odd_im[0]) = (start[0], start[1], start[2]);
+            }
+            epi
+        };
+        let (mut group, mut rows) = (seeded(), seeded());
+        let mut w_group = w0.clone();
+        group.finish_sites(&acc, &v, at, 1, 0, &mut w_group);
+        let mut w_rows = w0;
+        for k in 0..4 * S {
+            let lanes = &acc[k / 4][2 * (k % 4)..];
+            rows.finish(&lanes[0], &lanes[1], &v, at + k, 0, &mut w_rows[k..]);
+        }
+        let parts = |w: &[Complex64]| w.iter().flat_map(|z| [z.re, z.im]).collect::<Vec<_>>();
+        let chains = |e: &Aug<DOTS>| [&e.even, &e.odd_re, &e.odd_im].map(|c| c.clone());
+        let (got, want) = (parts(&w_group), parts(&w_rows));
+        assert!(
+            got.iter().zip(&want).all(|(&g, &w)| same_bits(g, w)),
+            "w: {got:?} vs {want:?}"
+        );
+        let (got, want) = (chains(&group).concat(), chains(&rows).concat());
+        assert!(
+            got.iter().zip(&want).all(|(&g, &w)| same_bits(g, w)),
+            "dots: {got:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn width_one_group_epilogue_is_bitwise_the_per_row_chain() {
+        // The lane walk's four-site group and its one-site tail, with and
+        // without the dots: magnitudes within a decade or two, where the
+        // order of the adds shows in the bits; from 1e-300 to 1e150, every
+        // product finite and the smallest underflowing to zeros of either
+        // sign; and up to 1e300, where products overflow.
+        let mut rng = StdRng::seed_from_u64(38);
+        for exps in [-1..=1, -300..=150, -300..=300] {
+            for _ in 0..200 {
+                group_against_rows::<true, 4>(&mut rng, exps.clone());
+                group_against_rows::<true, 1>(&mut rng, exps.clone());
+                group_against_rows::<false, 4>(&mut rng, exps.clone());
+                group_against_rows::<false, 1>(&mut rng, exps.clone());
+            }
+        }
     }
 
     #[test]

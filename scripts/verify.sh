@@ -202,6 +202,26 @@ for t in 1 2; do
 done
 echo "and on a general-complex Hermitian file (both parts non-zero off the diagonal) at R = 17"
 
+step "benchmark bytes: the four dos command lines print their recorded CSVs"
+# The dos command lines of benchmark/src/workloads.rs at --seed 2015, and
+# the sha256 of each CSV as EXPERIMENTS.md records it ("The coded CRS
+# stores no entries"): a change that is not meant to move a result must
+# leave all four as they are. Only the change of the start-vector draw
+# (ROADMAP item 4) may record new ones. About 2 s in release.
+while read -r name want args; do
+    got=$(./target/release/kpm $args --seed 2015 2>/dev/null | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+        echo "$name: CSV sha256 $got, recorded $want" >&2
+        exit 1
+    fi
+    echo "$name: CSV sha256 ${want:0:8}… as recorded"
+done <<'EOF'
+dos_stream_r1 c6f35793b546bf24c83455511adfa239f5cff7cbb1b7370dff62a74f60fe3b76 dos --nx 48 --ny 48 --nz 24 --moments 512 --random 1 --threads 1
+dos_block_r8 abf752f16116b3fe0813e6ad5173e66d6f646d5885f3cf02b25daf6f67fc33a9 dos --nx 48 --ny 48 --nz 24 --moments 96 --random 8 --threads 2
+dos_stencil_r8 abf752f16116b3fe0813e6ad5173e66d6f646d5885f3cf02b25daf6f67fc33a9 dos --nx 48 --ny 48 --nz 24 --moments 96 --random 8 --threads 2 --format stencil
+dos_incore_r32 07b42f4dd8aa1ec3c25f8cb448962f3462f55b2d0f30d8c27d0ea2f78c0b67c3 dos --nx 20 --ny 20 --nz 10 --moments 256 --random 32 --threads 1
+EOF
+
 step "value storage: a coded lattice CRS is byte-identical to the same matrix read back plain"
 # The lattice generator stores the CRS values as a table of distinct
 # values and a byte per entry, and its sweep walks the lattice's 4x4

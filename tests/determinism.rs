@@ -469,6 +469,13 @@ fn coded_and_plain_values_give_identical_moments() {
     simd::set_cap(Body::Avx512);
 }
 
+/// The bits of `z`, `(re, im)` per entry: tells `-0.0` from `+0.0`.
+fn bits(z: &[kpm_repro::num::Complex64]) -> Vec<u64> {
+    z.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
+}
+
 #[test]
 fn site_walk_is_bitwise_the_entry_chain() {
     // A lattice CRS whose values are coded sweeps its 4×4 site blocks at
@@ -485,7 +492,7 @@ fn site_walk_is_bitwise_the_entry_chain() {
     // lattice of 1,280 rows (two 1,024-row chunks), one with an odd
     // number of sites (the width-1 walk's last site has no partner) and
     // one with an extent-1 axis.
-    use kpm_repro::num::{BlockVector, Complex64};
+    use kpm_repro::num::BlockVector;
     use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
     use kpm_repro::sparse::simd::{self, Body};
     use kpm_repro::sparse::SparseKernels;
@@ -496,11 +503,6 @@ fn site_walk_is_bitwise_the_entry_chain() {
     type Kernel = fn(&CrsMatrix, &BlockVector, &mut BlockVector) -> Vec<u64>;
     const A: f64 = 0.7;
     const B: f64 = -0.2;
-    fn bits(z: &[Complex64]) -> Vec<u64> {
-        z.iter()
-            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
-            .collect()
-    }
     fn one(d: AugDots) -> Vec<u64> {
         [vec![d.eta_even.to_bits()], bits(&[d.eta_odd])].concat()
     }
@@ -600,6 +602,93 @@ fn site_walk_is_bitwise_the_entry_chain() {
                             "{lattice}: {kernel} differs from the entry chain at R = {r} \
                              ({body:?} body, {threads} threads)"
                         );
+                    }
+                }
+            }
+        }
+    }
+    simd::set_cap(Body::Avx512);
+}
+
+#[test]
+fn site_walk_stops_at_the_end_of_exact_length_vectors() {
+    // The lane walk's epilogue slices `v[at..at + 4·S]` and `w[..4·S]`
+    // and its unit steps read the neighbours' rows through unchecked
+    // pointers; a block vector's storage has padding behind its last
+    // row, in which a read past the end would go unnoticed. Here `x` and
+    // `w` are boxed slices of exactly `rows · r` entries, so the last
+    // site's rows are the last entries of their allocations. Every
+    // sweep must give the bits of the same arrays stored plain (the
+    // entry chain at width 1): serial and chunked, on 1 and 2 threads,
+    // under every sweep body, at widths 1–8, 12 and 17, on a lattice
+    // with an odd number of sites (the width-1 walk's last site runs
+    // alone) and on the 1,280-row dots lattice (two width-1 chunks).
+    use kpm_repro::num::BlockVector;
+    use kpm_repro::sparse::simd::{self, Body};
+    use kpm_repro::sparse::{Schedule, SparseKernels, SweepOp};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let ops = [
+        SweepOp::Plain,
+        SweepOp::Aug {
+            a: 0.7,
+            b: -0.2,
+            dots: true,
+        },
+        SweepOp::Aug {
+            a: 0.7,
+            b: -0.2,
+            dots: false,
+        },
+    ];
+    let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let bodies = runnable_bodies("site_walk_stops_at_the_end_of_exact_length_vectors");
+    let pools = [1, 2].map(|t| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .expect("pool")
+    });
+    let cases = [
+        ("odd 5x3x3", TopoHamiltonian::clean(5, 3, 3).assemble()),
+        (
+            "dots 8x8x5",
+            TopoHamiltonian::quantum_dot_superlattice(8, 8, 5).assemble(),
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(38);
+    for (lattice, coded) in cases {
+        assert!(
+            coded.site_blocks().is_some(),
+            "{lattice}: the walk is on sites"
+        );
+        let plain = stored_plain(&coded);
+        let n = coded.nrows();
+        for r in [1, 2, 3, 4, 5, 6, 7, 8, 12, 17] {
+            let exact = |b: BlockVector| b.panel_slots().to_vec().into_boxed_slice();
+            let x = exact(BlockVector::random(n, r, &mut rng));
+            let w0 = exact(BlockVector::random(n, r, &mut rng));
+            assert_eq!((x.len(), w0.len()), (n * r, n * r));
+            for &body in &bodies {
+                simd::set_cap(body);
+                for (threads, pool) in [1, 2].iter().zip(&pools) {
+                    for op in ops {
+                        for schedule in [Schedule::Serial, Schedule::Chunked] {
+                            let sweep = |m: &CrsMatrix| {
+                                let mut w = w0.clone();
+                                let dots = pool.install(|| m.sweep(op, schedule, &x, r, &mut w));
+                                let even = dots.eta_even.iter().map(|e| e.to_bits());
+                                (
+                                    bits(&w),
+                                    even.chain(bits(&dots.eta_odd)).collect::<Vec<_>>(),
+                                )
+                            };
+                            assert!(
+                                sweep(&coded) == sweep(&plain),
+                                "{lattice}: {op:?} {schedule:?} differs from the entry chain at \
+                                 R = {r} ({body:?} body, {threads} threads)"
+                            );
+                        }
                     }
                 }
             }
