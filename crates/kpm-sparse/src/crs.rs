@@ -67,14 +67,16 @@ pub(crate) enum Values {
 /// so a site is `stride` codes, each naming a [`SiteBlock`] — a
 /// neighbour and the 4×4 block the site's rows read from it — in
 /// ascending neighbour order, hence ascending column order. A site with
-/// fewer blocks than `stride` ends in the padding block, which has no
-/// slot; a row with fewer entries than its block's slots multiplies
-/// zeros, which changes no bit of the sweep (`sweep::lane_group` has the
-/// argument).
+/// fewer blocks than `stride` ends in the zero block on itself, whose
+/// slots hold zero factors; a row with fewer entries than its block's
+/// slots multiplies zeros, which changes no bit of the sweep
+/// (`sweep::lane_group` has the argument).
 #[derive(Debug, Clone)]
 pub(crate) struct SiteView {
-    /// The distinct blocks, at most [`TABLE_SLOTS`].
-    pub(crate) blocks: Vec<SiteBlock>,
+    /// The block table: the distinct blocks, then [`SiteBlock::EMPTY`]
+    /// in every slot no code names, so that a `u8` code indexes it with
+    /// no bounds check.
+    pub(crate) blocks: Box<BlockTable>,
     /// Codes per site.
     pub(crate) stride: usize,
     /// `stride` codes per lattice site, site after site.
@@ -87,14 +89,22 @@ pub(crate) struct SiteView {
     pub(crate) entries: Vec<EntryCodes>,
 }
 
+/// The blocks of a [`SiteView`], one per code a `u8` can hold.
+pub(crate) type BlockTable = [SiteBlock; TABLE_SLOTS];
+
 /// The table codes of a [`SiteBlock`]'s entries, per row and slot.
 pub(crate) type EntryCodes = [[u8; MAX_SLOTS]; 4];
 
 impl SiteView {
+    /// The distinct blocks, the codes in use: the front of the table.
+    pub(crate) fn distinct(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Bytes a sweep reads of the view, at any block width: a byte per
-    /// code and the blocks once.
+    /// code and the distinct blocks once.
     pub(crate) fn bytes(&self) -> usize {
-        self.codes.len() + self.blocks.len() * std::mem::size_of::<SiteBlock>()
+        self.codes.len() + self.distinct() * std::mem::size_of::<SiteBlock>()
     }
 
     /// Writes row `r` to the front of `cols` / `vals` and returns its
@@ -115,7 +125,7 @@ impl SiteView {
         let mut len = 0;
         for &b in &self.codes[site * self.stride..][..self.stride] {
             let (block, codes) = (&self.blocks[b as usize], &self.entries[b as usize][o]);
-            let first = (4 * site).wrapping_add_signed(block.offset);
+            let first = 4 * site.wrapping_add_signed(block.neighbour);
             for (slot, &code) in block.slots.iter().zip(codes) {
                 let (lane, (_, coef)) = slot.row(o);
                 cols[len] = (first + lane / 2) as u32;
@@ -133,7 +143,7 @@ pub(crate) const MAX_SITE_BLOCKS: usize = 7;
 
 /// Entries a row of a [`SiteBlock`] stores at most: every hopping block
 /// of paper Eq. 1 stores two per row, its on-site block one.
-const MAX_SLOTS: usize = 2;
+pub(crate) const MAX_SLOTS: usize = 2;
 
 /// Entries a row of a [`SiteView`] stores at most: [`MAX_SLOTS`] per
 /// block of its site.
@@ -143,17 +153,18 @@ const MAX_SITE_ROW: usize = MAX_SITE_BLOCKS * MAX_SLOTS;
 /// sweep as at most [`MAX_SLOTS`] slots: slot `s` gives each of the
 /// site's four rows its `s`-th stored entry of the block, in column
 /// order. A block with fewer than two entries in some row gives that
-/// row zero factors; the padding block has no slot.
+/// row zero factors.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub(crate) struct SiteBlock {
-    /// The slots; those from `len` on are zero and never read.
+    /// The slots; those from `len` on hold zero factors. The width-1
+    /// lane walk steps both slots of every block, and other widths the
+    /// first `len`.
     pub(crate) slots: [Slot; MAX_SLOTS],
     /// Slots in use: the most entries a row of the block stores.
     pub(crate) len: usize,
-    /// Rows from the site's first row to the neighbour's: four times
-    /// the site distance.
-    pub(crate) offset: isize,
+    /// Sites from the site to the neighbour.
+    pub(crate) neighbour: isize,
 }
 
 /// One slot of a [`SiteBlock`]. The four rows of a site are eight `f64`
@@ -189,6 +200,17 @@ impl Slot {
 }
 
 impl SiteBlock {
+    /// The block of the table slots no code names: no slot in use, every
+    /// lane reading lane 0 of the site itself times zero.
+    pub(crate) const EMPTY: Self = Self {
+        slots: [Slot {
+            lane: [0; 8],
+            coef: [0.0; 8],
+        }; MAX_SLOTS],
+        len: 0,
+        neighbour: 0,
+    };
+
     /// The block `b` (`b[o][p]`: row `o`, column `p`; zeros are not
     /// stored) read from the site `sites` sites away. `None` when an
     /// entry has two non-zero parts or a row stores more than
@@ -202,7 +224,7 @@ impl SiteBlock {
         let mut block = Self {
             slots: [unused; MAX_SLOTS],
             len: 0,
-            offset: 4 * sites,
+            neighbour: sites,
         };
         for (o, row) in b.iter().enumerate() {
             let stored = row
@@ -230,11 +252,20 @@ pub(crate) type Block = [[Complex64; 4]; 4];
 
 /// The distinct blocks of a [`SiteView`] being built, each kept with the
 /// entries it was built from until [`BlockSet::into_view`] codes them.
-#[derive(Default)]
 pub(crate) struct BlockSet {
-    blocks: Vec<SiteBlock>,
-    /// Each block's site distance and entries.
+    /// The table: the blocks coded so far, then [`SiteBlock::EMPTY`].
+    blocks: Box<BlockTable>,
+    /// Each coded block's site distance and entries.
     raw: Vec<(isize, Block)>,
+}
+
+impl Default for BlockSet {
+    fn default() -> Self {
+        Self {
+            blocks: Box::new([SiteBlock::EMPTY; TABLE_SLOTS]),
+            raw: Vec::new(),
+        }
+    }
 }
 
 impl BlockSet {
@@ -248,10 +279,10 @@ impl BlockSet {
         let same = |(s, raw): &(isize, Block)| *s == sites && bits(raw) == bits(&b);
         let code = match self.raw.iter().position(same) {
             Some(code) => code,
-            None if self.blocks.len() < TABLE_SLOTS => {
-                self.blocks.push(SiteBlock::new(sites, &b)?);
+            None if self.raw.len() < TABLE_SLOTS => {
+                self.blocks[self.raw.len()] = SiteBlock::new(sites, &b)?;
                 self.raw.push((sites, b));
-                self.blocks.len() - 1
+                self.raw.len() - 1
             }
             None => return None,
         };
@@ -581,7 +612,7 @@ impl CrsMatrix {
     pub fn site_blocks(&self) -> Option<usize> {
         match &self.vals {
             Values::Plain { .. } => None,
-            Values::Lattice(_, sites) => Some(sites.blocks.len()),
+            Values::Lattice(_, sites) => Some(sites.distinct()),
         }
     }
 

@@ -28,8 +28,9 @@
 //! tail beside wider passes — takes the lane walk ([`lane_walk`]):
 //! several lattice sites at a time, each site's four rows as eight units
 //! of `U` lanes, each slot decoded once for all four rows and applied as
-//! one gather of the neighbour's units ([`Isa::unit_steps`]), finished by
-//! [`Epilogue::finish_sites`] — at width 1 the products of the fused dots
+//! one gather of the neighbour's units ([`Isa::unit_steps`]; at width 1
+//! both slots of every block, so a visit reads no slot count), finished
+//! by [`Epilogue::finish_sites`] — at width 1 the products of the fused dots
 //! of all the group's rows first, in SIMD, then only the chains' adds in
 //! row order, so the products no longer wait behind the adds (same bits:
 //! the same operations in the same order). An 8-column panel walks site
@@ -66,7 +67,7 @@ use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CrsMatrix, SiteView, Slot, Values};
+use crate::crs::{CrsMatrix, SiteView, Slot, Values, MAX_SLOTS};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
@@ -739,17 +740,25 @@ fn lane_walk<const U: usize, const S: usize, E: Epilogue, I: Isa>(
 /// a unit is one lane and the neighbour's four rows are its four `x`
 /// entries, 64 contiguous bytes.
 ///
+/// A visit's decode is kept short: the sites' code lists are sliced once
+/// per group, a `u8` code indexes the 256-block table with no check, the
+/// neighbour's rows are one checked index into `x` taken as whole sites
+/// (in a wider block, one slice of exactly the rows' span), and at width
+/// 1 both slots of every block are stepped, so no slot count is read;
+/// other widths step the block's `len` slots (EXPERIMENTS.md, "A lean
+/// lane walk", counts what is left of a visit).
+///
 /// A row's stored entries are added in ascending column order, as the
 /// entry chain adds them, and each with the bits of the chain's
 /// [`Complex64::mul_add`] by the argument of [`Pass::axpy`]'s zero-skip
 /// arms: a real entry `v` adds `x.re·v` and `x.im·v`, an imaginary one
 /// `i·u` adds `x.im·(−u)` and `x.re·u`, and the partner products the
 /// chain also forms multiply an exact zero. Such a product is `±0`, as is
-/// a zero factor's — a row with fewer entries than its block's slots —
-/// and an accumulator that starts at `+0.0` is never `−0`, so adding it
-/// leaves the accumulator as it was. Only a non-finite `x` would tell the
-/// walk from the chain, and the solver's divergence guardrail stops a
-/// run long before one. The products and their order are those of
+/// a zero factor's — a row with fewer entries than its block's slots, or
+/// a slot from `len` on — and an accumulator that starts at `+0.0` is
+/// never `−0`, so adding it leaves the accumulator as it was. Only a
+/// non-finite `x` would tell the walk from the chain, and the solver's
+/// divergence guardrail stops a run long before one. The products and their order are those of
 /// [`site_panels`] too, so every panel width gives the same bits.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
@@ -764,19 +773,22 @@ fn lane_group<const U: usize, const S: usize, E: Epilogue, I: Isa>(
     epi: &mut E,
 ) {
     let stride = view.stride;
-    let codes = &view.codes[site * stride..][..S * stride];
+    let lists: [&[u8]; S] = std::array::from_fn(|s| &view.codes[(site + s) * stride..][..stride]);
     let xd = doubles(x);
+    // In a block of width `U`, each site's four rows as one array.
+    let xsites = xd.as_chunks::<U>().0.as_chunks::<8>().0;
     let mut acc = [[[0.0; U]; 8]; S];
     for k in 0..stride {
-        for (s, acc) in acc.iter_mut().enumerate() {
-            let block = &view.blocks[codes[s * stride + k] as usize];
-            let first = (4 * (site + s)).wrapping_add_signed(block.offset);
-            let (xd, slots) = (&xd[2 * (first * r + j0)..], &block.slots[..block.len]);
-            // A block of width `U` reads its neighbour's rows as one array.
-            let whole = (r == U).then(|| xd[..8 * U].as_chunks().0.first_chunk());
-            match whole.flatten() {
-                Some(units) => I::unit_steps(acc, units, slots),
-                None => I::unit_steps(acc, Strided::new(xd, 2 * r), slots),
+        let codes = lists.map(|list| list[k]);
+        for (s, (acc, code)) in acc.iter_mut().zip(codes).enumerate() {
+            let block = &view.blocks[code as usize];
+            let neighbour = (site + s).wrapping_add_signed(block.neighbour);
+            let len = if U == 1 { MAX_SLOTS } else { block.len };
+            if r == U {
+                I::unit_steps(acc, &xsites[neighbour], &block.slots, len);
+            } else {
+                let xd = &xd[2 * (4 * neighbour * r + j0)..][..6 * r + 2 * U];
+                I::unit_steps(acc, Strided::new(xd, 2 * r), &block.slots, len);
             }
         }
     }
@@ -899,7 +911,7 @@ fn site_panels<const TWO: bool, const SPAN: usize, E: Epilogue>(
         let [mut a0, mut a1, mut a2, mut a3] = [Pass::<8, TWO>::ZERO; 4];
         for &code in codes {
             let block = &sites.blocks[code as usize];
-            let base = (4 * site).wrapping_add_signed(block.offset);
+            let base = 4 * site.wrapping_add_signed(block.neighbour);
             let xs = &xd[2 * (base * r + j0)..];
             for slot in &block.slots[..block.len] {
                 if SPAN == 1 {
@@ -1079,9 +1091,10 @@ pub(crate) trait Isa {
         }
     }
 
-    /// The slots of one block of the lane walk on `U`-lane units, in
-    /// order: `acc[l] += units.unit(slot.lane[l]) · slot.coef[l]` on every
-    /// lane of every unit `l`, a multiply and then an add. Row `m`'s two
+    /// The first `len` slots of one block of the lane walk on `U`-lane
+    /// units, in order: `acc[l] += units.unit(slot.lane[l]) ·
+    /// slot.coef[l]` on every lane of every unit `l`, a multiply and then
+    /// an add. Row `m`'s two
     /// units read the two parts of one neighbour row (`lane[2m + 1] ==
     /// lane[2m] ^ 1`, [`Slot`]), so the portable form reads each row once
     /// per slot, and at 4 lanes walks the block row by row — under SSE2
@@ -1091,11 +1104,16 @@ pub(crate) trait Isa {
     /// its own width-1 step (DESIGN.md §16), and the AVX-512 copy its own
     /// 2- and 4-lane ones.
     #[inline(always)]
-    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
+    fn unit_steps<const U: usize>(
+        acc: &mut [[f64; U]; 8],
+        units: impl Units<U>,
+        slots: &[Slot; MAX_SLOTS],
+        len: usize,
+    ) {
         if U == 4 {
             for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
                 let (mut re, mut im) = (acc[0], acc[1]);
-                for slot in slots {
+                for slot in slots.iter().take(len) {
                     let q = slot.lane[2 * m] as usize;
                     // SAFETY: a unit is `U` readable doubles ([`Units`]).
                     let (xre, xim) = unsafe { (&*units.unit(q), &*units.unit(q ^ 1)) };
@@ -1108,7 +1126,7 @@ pub(crate) trait Isa {
             }
             return;
         }
-        for slot in slots {
+        for slot in slots.iter().take(len) {
             for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
                 let q = slot.lane[2 * m] as usize;
                 // SAFETY: a unit is `U` readable doubles ([`Units`]).
@@ -1142,12 +1160,17 @@ impl Isa for Avx2Isa {
     const COLS: usize = 8;
 
     #[inline(always)]
-    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
+    fn unit_steps<const U: usize>(
+        acc: &mut [[f64; U]; 8],
+        units: impl Units<U>,
+        slots: &[Slot; MAX_SLOTS],
+        len: usize,
+    ) {
         use std::arch::x86_64::*;
         if U != 1 {
-            return BaselineIsa::unit_steps(acc, units, slots);
+            return BaselineIsa::unit_steps(acc, units, slots, len);
         }
-        for slot in slots {
+        for slot in slots.iter().take(len) {
             let mut out = [0.0; 8];
             for (half, out) in out.chunks_exact_mut(4).enumerate() {
                 let lane = &slot.lane[4 * half..][..4];
@@ -1195,7 +1218,12 @@ impl Isa for Avx512Isa {
     }
 
     #[inline(always)]
-    fn unit_steps<const U: usize>(acc: &mut [[f64; U]; 8], units: impl Units<U>, slots: &[Slot]) {
+    fn unit_steps<const U: usize>(
+        acc: &mut [[f64; U]; 8],
+        units: impl Units<U>,
+        slots: &[Slot; MAX_SLOTS],
+        len: usize,
+    ) {
         use std::arch::x86_64::*;
         if U == 4 {
             // Row `p` as candidate `2p` and with its halves swapped as
@@ -1216,7 +1244,7 @@ impl Isa for Avx512Isa {
                     _mm512_storeu_pd(cand[1].as_mut_ptr(), swapped);
                 }
             }
-            for slot in slots {
+            for slot in slots.iter().take(len) {
                 for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
                     let x = &cand[slot.lane[2 * m] as usize & 7];
                     let (cre, cim) = (slot.coef[2 * m], slot.coef[2 * m + 1]);
@@ -1272,7 +1300,7 @@ impl Isa for Avx512Isa {
                 _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0),
                 _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4),
             ];
-            for slot in slots {
+            for slot in slots.iter().take(len) {
                 let lane = _mm512_loadu_si512(slot.lane.as_ptr().cast());
                 let coef = _mm512_loadu_pd(slot.coef.as_ptr());
                 if U == 1 {
@@ -1674,6 +1702,102 @@ mod tests {
                 group_against_rows::<false, 1>(&mut rng, exps.clone());
             }
         }
+    }
+
+    /// A 16×4×4 open lattice in coded form whose on-site diagonals are
+    /// `diagonals` distinct combinations of eight values, one per site in
+    /// turn, and whose hopping blocks store per row a real and an
+    /// imaginary entry: seven other blocks (six hops and the zero block
+    /// that pads the boundary sites) beside the diagonals'.
+    fn lattice_of_blocks(diagonals: usize) -> CrsMatrix {
+        use crate::StencilMatrix;
+        let vals = [0.5, -0.25, 1.5, -2.0, 0.75, 3.0, -1.25, 0.375];
+        let onsite = (0..256).map(|s| {
+            let d = s % diagonals;
+            [vals[d % 8], vals[d / 8 % 8], vals[d / 64 % 8], 0.125].map(Complex64::real)
+        });
+        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
+        for (b, block) in hop.iter_mut().enumerate() {
+            for (o, row) in block.iter_mut().enumerate() {
+                row[o] = Complex64::real(-0.5 - 0.125 * b as f64);
+                row[3 - o] = Complex64::new(0.0, 0.25 + 0.0625 * b as f64);
+            }
+        }
+        StencilMatrix::new(16, 4, 4, [false; 3], onsite.collect(), &hop).to_crs()
+    }
+
+    #[test]
+    fn a_full_block_table_sweeps_like_its_entries() {
+        use crate::simd::{self, Body};
+        let view = |m: &CrsMatrix| match m.values() {
+            Values::Lattice(_, view) => Some(view.clone()),
+            Values::Plain { .. } => None,
+        };
+        // The table past a view's distinct blocks holds the empty block.
+        let some = lattice_of_blocks(3);
+        let small = view(&some).expect("a coded lattice");
+        assert_eq!(small.distinct(), 10);
+        for block in &small.blocks[small.distinct()..] {
+            assert_eq!(block.len, 0);
+            let factors = block.slots.iter().flat_map(|slot| slot.coef);
+            assert!(factors.into_iter().all(|c| c.to_bits() == 0));
+        }
+        // 249 diagonals fill the table, so code 255 is in use; a 257th
+        // distinct block leaves the lattice plain.
+        let full = lattice_of_blocks(249);
+        let table = view(&full).expect("256 blocks are coded");
+        assert_eq!((table.distinct(), full.site_blocks()), (256, Some(256)));
+        assert!(table.codes.contains(&255));
+        let over = lattice_of_blocks(250);
+        assert!(view(&over).is_none() && over.site_blocks().is_none());
+
+        let n = full.nrows();
+        let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+        full.for_each_row(|_, c, v| {
+            cols.extend_from_slice(c);
+            vals.extend_from_slice(v);
+            row_ptr.push(cols.len() as u64);
+        });
+        let plain = CrsMatrix::from_raw(n, n, row_ptr, cols, vals);
+        assert!(plain.site_blocks().is_none() && plain == full);
+        let bits = |z: &[Complex64]| -> Vec<u64> {
+            z.iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
+        };
+        let pools = [1, 2].map(|t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .expect("pool")
+        });
+        let mut rng = StdRng::seed_from_u64(255);
+        for r in [1, 2, 4] {
+            let v = BlockVector::random(n, r, &mut rng);
+            let w0 = BlockVector::random(n, r, &mut rng);
+            for body in Body::ALL.into_iter().filter(|b| b.supported()) {
+                simd::set_cap(body);
+                for (threads, pool) in [1, 2].iter().zip(&pools) {
+                    let sweep = |m: &CrsMatrix, par: bool| {
+                        let mut w = w0.clone();
+                        let dots = pool.install(|| match par {
+                            true => m.aug_spmmv_par(0.3, -0.1, &v, &mut w),
+                            false => m.aug_spmmv(0.3, -0.1, &v, &mut w),
+                        });
+                        let odd = bits(&dots.eta_odd);
+                        let even = dots.eta_even.iter().map(|e| e.to_bits());
+                        (bits(&w.to_interleaved()), odd, even.collect::<Vec<_>>())
+                    };
+                    for par in [false, true] {
+                        assert!(
+                            sweep(&full, par) == sweep(&plain, par),
+                            "R = {r}, {body:?} body, {threads} threads, chunked: {par}"
+                        );
+                    }
+                }
+            }
+        }
+        simd::set_cap(Body::Avx512);
     }
 
     #[test]

@@ -101,6 +101,26 @@ step "determinism: bitwise moments across formats and thread counts"
 # and sweep copy; the suite covers all three solver variants.
 cargo test -q --test determinism
 
+step "AddressSanitizer: the kernels' reads under ASan (nightly)"
+# The lane walk reads the neighbours' rows of `x` through the raw
+# pointers of `Units`, and the AVX2 and AVX-512 unit steps load them
+# with intrinsics; a read past `x` would go unnoticed in the padding
+# behind a block vector's rows. Here kpm-sparse's and kpm-num's tests
+# and the determinism grid run instrumented. Without a nightly cargo
+# or its ASan runtime the step prints SKIPPED and the gate goes on.
+asan_rt="$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc-nightly_rt.asan.a"
+if cargo +nightly --version >/dev/null 2>&1 && [[ -f "$asan_rt" ]]; then
+    asan_test() {
+        RUSTFLAGS=-Zsanitizer=address ASAN_OPTIONS=allocator_may_return_null=1 \
+            cargo +nightly test -q --release --offline \
+            --target x86_64-unknown-linux-gnu --target-dir target/asan "$@"
+    }
+    asan_test -p kpm-sparse -p kpm-num
+    asan_test --test determinism
+else
+    echo "##### SKIPPED: AddressSanitizer step (no cargo +nightly or no $asan_rt) #####"
+fi
+
 step "matrix-free: kpm dos --format stencil is byte-identical to --format crs"
 # A generated lattice runs as its coded CRS whichever --format asks; the
 # format only picks what a lattice with no coded form runs: its plain
