@@ -602,9 +602,10 @@ const BATCH_GROUP_COLS: usize = 8;
 /// Lanes a batch of `columns` is swept on: groups of
 /// [`BATCH_GROUP_COLS`], the last zero-filled to the next power of two —
 /// one 8/4/2/1 panel. A sweep's price follows the panels in the cut, not
-/// the columns (on the 3,456-row lattice, one thread, AVX-512: six as
-/// 4 + 2 cost 1.4× what eight cost as one, and eight cost 1.4× four
-/// and 2.0× two).
+/// the columns (on the 3,456-row lattice, one thread, AVX-512, with the
+/// dots: three as 2 + 1 cost 1.5× what four cost, seven as 4 + 2 + 1
+/// 1.4× what eight cost, six as 4 + 2 1.0× and five as 4 + 1 0.9×; eight
+/// cost 1.8× four and 2.8× two).
 pub fn batch_lanes(columns: usize) -> usize {
     let tail = columns % BATCH_GROUP_COLS;
     columns - tail + tail.next_power_of_two() * usize::from(tail > 0)

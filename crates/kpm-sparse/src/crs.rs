@@ -87,6 +87,11 @@ pub(crate) struct SiteView {
     /// from `+0.0` in an entry's zero part; its code does. The sweep
     /// never reads them.
     pub(crate) entries: Vec<EntryCodes>,
+    /// Each distinct block decoded for units of two lanes, in the code
+    /// order of `blocks`: what the AVX-512 copy's 2- and 4-lane steps
+    /// read in place of its slots (`sweep::Isa::unit_steps`). Built
+    /// once with the view.
+    pub(crate) pairs: Vec<PairBlock>,
 }
 
 /// The blocks of a [`SiteView`], one per code a `u8` can hold.
@@ -153,7 +158,11 @@ const MAX_SITE_ROW: usize = MAX_SITE_BLOCKS * MAX_SLOTS;
 /// sweep as at most [`MAX_SLOTS`] slots: slot `s` gives each of the
 /// site's four rows its `s`-th stored entry of the block, in column
 /// order. A block with fewer than two entries in some row gives that
-/// row zero factors.
+/// row zero factors. Every copy of the sweep reads it at width 1 and on
+/// 8-column panels, the portable copies at 2 and 4 lanes too; the
+/// AVX-512 copy's 2- and 4-lane steps read its slots decoded
+/// ([`PairSlot`], in [`SiteView::pairs`]) and only its `len` and
+/// `neighbour` here.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub(crate) struct SiteBlock {
@@ -247,6 +256,41 @@ impl SiteBlock {
     }
 }
 
+/// The slots of a [`SiteBlock`] decoded for units of two lanes
+/// ([`PairSlot`]).
+pub(crate) type PairBlock = [PairSlot; MAX_SLOTS];
+
+/// A [`Slot`] decoded for units of two lanes: the operands of the
+/// AVX-512 copy's 2-lane step, which depend on the block alone, so that
+/// a visit reads them instead of building them (`sweep::Isa::unit_steps`).
+/// On a 2-column panel the four rows of a site are sixteen doubles, unit
+/// `q` (part `q % 2` of row `q / 2`) at `2q` and `2q + 1`. Half `g` of
+/// the slot is its units `4g .. 4g + 4`: lane `i` of it reads double
+/// `index[g][i]` of the sixteen times `factor[g][i]` — for unit
+/// `l = 4g + i / 2`, double `2·lane[l] + i % 2` times `coef[l]`. The
+/// 4-lane step reads the same operands on each half of its columns.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct PairSlot {
+    /// The double each lane reads, per half.
+    pub(crate) index: [[u64; 8]; 2],
+    /// The factor each lane multiplies it by, per half.
+    pub(crate) factor: [[f64; 8]; 2],
+}
+
+impl PairSlot {
+    /// `slot` decoded.
+    pub(crate) fn new(slot: &Slot) -> Self {
+        let unit = |g: usize, i: usize| 4 * g + i / 2;
+        Self {
+            index: std::array::from_fn(|g| {
+                std::array::from_fn(|i| 2 * slot.lane[unit(g, i)] + i as u64 % 2)
+            }),
+            factor: std::array::from_fn(|g| std::array::from_fn(|i| slot.coef[unit(g, i)])),
+        }
+    }
+}
+
 /// A 4×4 block of a lattice operator: `b[o][p]` is row `o`, column `p`.
 pub(crate) type Block = [[Complex64; 4]; 4];
 
@@ -298,11 +342,17 @@ impl BlockSet {
         codes: Vec<u8>,
     ) -> Option<(SiteView, Box<CodeTable>)> {
         let (table, entries) = self.entry_codes()?;
+        let distinct = &self.blocks[..entries.len()];
+        let pairs = distinct
+            .iter()
+            .map(|b| b.slots.each_ref().map(PairSlot::new))
+            .collect();
         let view = SiteView {
             blocks: self.blocks,
             stride,
             codes,
             entries,
+            pairs,
         };
         Some((view, table))
     }

@@ -29,11 +29,14 @@
 //! several lattice sites at a time, each site's four rows as eight units
 //! of `U` lanes, each slot decoded once for all four rows and applied as
 //! one gather of the neighbour's units ([`Isa::unit_steps`]; at width 1
-//! both slots of every block, so a visit reads no slot count), finished
-//! by [`Epilogue::finish_sites`] — at width 1 the products of the fused dots
-//! of all the group's rows first, in SIMD, then only the chains' adds in
-//! row order, so the products no longer wait behind the adds (same bits:
-//! the same operations in the same order). An 8-column panel walks site
+//! both slots of every block, so a visit reads no slot count; at 2 and 4
+//! lanes the AVX-512 copy reads each block's slots as decoded once per
+//! view, [`PairSlot`](crate::crs::PairSlot), so a visit builds nothing
+//! that depends on the block alone), finished by
+//! [`Epilogue::finish_sites`] — on a whole block the products of the
+//! fused dots of all the group's rows first, then only the chains' adds
+//! in row order, so the products no longer wait behind the adds (same
+//! bits: the same operations in the same order). An 8-column panel walks site
 //! by site on register passes, each slot one factor times one half of a
 //! neighbour row's panel ([`site_panels`]). A plain CRS at width 1 is
 //! the dependent `mul_add` chain of each row's entries ([`entry_chain`]).
@@ -67,7 +70,7 @@ use kpm_num::Complex64;
 use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
-use crate::crs::{CrsMatrix, SiteView, Slot, Values, MAX_SLOTS};
+use crate::crs::{CrsMatrix, SiteView, Values, MAX_SLOTS};
 use crate::kernels::{FormatSpec, SparseKernels};
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
@@ -221,14 +224,15 @@ impl<const DOTS: bool> Aug<DOTS> {
             odd_re.copy_from_slice(&self.odd_re[j0..][..U]);
             odd_im.copy_from_slice(&self.odd_im[j0..][..U]);
         }
-        let rows = acc.iter().flat_map(|site| site.chunks_exact(2));
-        for (k, lanes) in (0..).zip(rows) {
+        let lanes = acc.as_flattened();
+        let (v, w) = (&v[at..][..4 * S * r], &mut w[..4 * S * r]);
+        for k in 0..4 * S {
             let off = k * r + j0;
-            let (vre, vim) = load_panel::<U>(&v[at + off..]);
+            let (vre, vim) = load_panel::<U>(&v[off..]);
             let (mut wre, mut wim) = load_panel::<U>(&w[off..]);
             for i in 0..U {
                 let v = Complex64::new(vre[i], vim[i]);
-                let acc = Complex64::new(lanes[0][i], lanes[1][i]);
+                let acc = Complex64::new(lanes[2 * k][i], lanes[2 * k + 1][i]);
                 let wi = self.update(acc, v, Complex64::new(wre[i], wim[i]));
                 (wre[i], wim[i]) = (wi.re, wi.im);
                 if DOTS {
@@ -302,7 +306,9 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
     /// products are computed moves: inside the chains they queued behind
     /// the dependent adds, and the fused dots cost the width-1 sweep
     /// +77–80 % instead of +37–39 % (EXPERIMENTS.md, "Width-1 dots off
-    /// the chains").
+    /// the chains"). A whole 2-column block takes the same form on its
+    /// panels ([`Aug::finish_whole`]); a 4-column one and a panel of a
+    /// wider block the per-row one ([`Aug::finish_panels`]).
     #[inline(always)]
     fn finish_sites<const U: usize, const S: usize>(
         &mut self,
@@ -313,6 +319,9 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
         j0: usize,
         w: &mut [Complex64],
     ) {
+        if U == 2 && r == 2 {
+            return self.finish_whole(acc, v, at, w);
+        }
         if U != 1 || r != 1 {
             return self.finish_panels(acc, v, at, r, j0, w);
         }
@@ -350,6 +359,63 @@ impl<const DOTS: bool> Epilogue for Aug<DOTS> {
             self.even[0] = even;
             (self.odd_re[0], self.odd_im[0]) = (ore, oim);
         }
+    }
+}
+
+impl<const DOTS: bool> Aug<DOTS> {
+    /// [`Epilogue::finish_sites`] on a whole block of `U` columns (`r ==
+    /// U`, taken at `U` = 2): the group's rows of `v` and `w` are then
+    /// `8·S·U` contiguous doubles laid out as `acc`, `[re; U][im; U]` per
+    /// row, and the update, the same on both parts, runs on them as
+    /// slots. Then every row's products of the dots, with nothing
+    /// chaining them, then the chains' adds alone in row order — the
+    /// width-1 form and its argument, so the bits of
+    /// [`Aug::finish_panels`]. At R = 2 the fused dots cost +33 % over
+    /// the sweep without them where the per-row form cost +58 % (6×6×6,
+    /// one thread); at `U` = 4 the compiler vectorised the products
+    /// across rows with gathers, and the sweep ran ×1.2–1.3 slower
+    /// (EXPERIMENTS.md, "Narrow panels at width 1's price").
+    #[inline(always)]
+    fn finish_whole<const U: usize, const S: usize>(
+        &mut self,
+        acc: &[[[f64; U]; 8]; S],
+        v: &[Complex64],
+        at: usize,
+        w: &mut [Complex64],
+    ) {
+        let lanes = acc.as_flattened().as_flattened();
+        let (v, w) = (&v[at..at + 4 * S * U], &mut w[..4 * S * U]);
+        for (k, (w, &v)) in w.iter_mut().zip(v).enumerate() {
+            *w = self.update(Complex64::new(lanes[2 * k], lanes[2 * k + 1]), v, *w);
+        }
+        if !DOTS {
+            return;
+        }
+        let (vd, wd) = (doubles(v), doubles(w));
+        let [mut n2, mut pre, mut pim] = [[[0.0; U]; 16]; 3];
+        for k in 0..4 * S {
+            let (v, w) = (&vd[2 * k * U..][..2 * U], &wd[2 * k * U..][..2 * U]);
+            for j in 0..U {
+                let (vre, vim, cre, cim) = (v[j], v[U + j], w[j], -w[U + j]);
+                n2[k][j] = vre * vre + vim * vim;
+                pre[k][j] = cre * vre - cim * vim;
+                pim[k][j] = cre * vim + cim * vre;
+            }
+        }
+        let (mut even, mut ore, mut oim) = ([0.0; U], [0.0; U], [0.0; U]);
+        even.copy_from_slice(&self.even[..U]);
+        ore.copy_from_slice(&self.odd_re[..U]);
+        oim.copy_from_slice(&self.odd_im[..U]);
+        for k in 0..4 * S {
+            for j in 0..U {
+                even[j] += n2[k][j];
+                ore[j] += pre[k][j];
+                oim[j] += pim[k][j];
+            }
+        }
+        self.even[..U].copy_from_slice(&even);
+        self.odd_re[..U].copy_from_slice(&ore);
+        self.odd_im[..U].copy_from_slice(&oim);
     }
 }
 
@@ -785,12 +851,15 @@ fn lane_group<const U: usize, const S: usize, E: Epilogue, I: Isa>(
             let neighbour = (site + s).wrapping_add_signed(block.neighbour);
             let len = if U == 1 { MAX_SLOTS } else { block.len };
             if r == U {
-                I::unit_steps(acc, &xsites[neighbour], &block.slots, len);
+                I::unit_steps(acc, &xsites[neighbour], view, code, len);
             } else {
                 let xd = &xd[2 * (4 * neighbour * r + j0)..][..6 * r + 2 * U];
-                I::unit_steps(acc, Strided::new(xd, 2 * r), &block.slots, len);
+                I::unit_steps(acc, Strided::new(xd, 2 * r), view, code, len);
             }
         }
+    }
+    for acc in &mut acc {
+        I::unit_order(acc);
     }
     let at = 4 * site * r;
     epi.finish_sites(&acc, x, at, r, j0, &mut w[at - row0 * r..]);
@@ -1091,25 +1160,28 @@ pub(crate) trait Isa {
         }
     }
 
-    /// The first `len` slots of one block of the lane walk on `U`-lane
+    /// The first `len` slots of the block `view.blocks[code]` on `U`-lane
     /// units, in order: `acc[l] += units.unit(slot.lane[l]) ·
     /// slot.coef[l]` on every lane of every unit `l`, a multiply and then
     /// an add. Row `m`'s two
     /// units read the two parts of one neighbour row (`lane[2m + 1] ==
-    /// lane[2m] ^ 1`, [`Slot`]), so the portable form reads each row once
-    /// per slot, and at 4 lanes walks the block row by row — under SSE2
-    /// the slot-major order spilled the 16 accumulator registers (×1.3).
-    /// Written as indexing into the units, a width-1 unit goes through the
-    /// stack and each lane is reloaded from it, so each compiled copy has
-    /// its own width-1 step (DESIGN.md §16), and the AVX-512 copy its own
-    /// 2- and 4-lane ones.
+    /// lane[2m] ^ 1`, [`Slot`](crate::crs::Slot)), so the portable form
+    /// reads each row once per slot, and at 4 lanes walks the block row by
+    /// row — under SSE2 the slot-major order spilled the 16 accumulator
+    /// registers (×1.3). Written as indexing into the units, a width-1
+    /// unit goes through the stack and each lane is reloaded from it, so
+    /// each compiled copy has its own width-1 step (DESIGN.md §16), and
+    /// the AVX-512 copy its own 2- and 4-lane ones, which read the block's
+    /// slots as decoded once per view (`view.pairs[code]`).
     #[inline(always)]
     fn unit_steps<const U: usize>(
         acc: &mut [[f64; U]; 8],
         units: impl Units<U>,
-        slots: &[Slot; MAX_SLOTS],
+        view: &SiteView,
+        code: u8,
         len: usize,
     ) {
+        let slots = &view.blocks[code as usize].slots;
         if U == 4 {
             for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
                 let (mut re, mut im) = (acc[0], acc[1]);
@@ -1139,6 +1211,13 @@ pub(crate) trait Isa {
             }
         }
     }
+
+    /// Puts a site's accumulators, as this copy's [`Isa::unit_steps`]
+    /// left them after its last block, in unit order: `acc[l][k]` lane
+    /// `k` of unit `l`. The steps of every copy but the AVX-512 one at 4
+    /// lanes keep them in that order throughout.
+    #[inline(always)]
+    fn unit_order<const U: usize>(_acc: &mut [[f64; U]; 8]) {}
 }
 
 /// The baseline copy: each lane of a step one scalar load from the
@@ -1163,14 +1242,15 @@ impl Isa for Avx2Isa {
     fn unit_steps<const U: usize>(
         acc: &mut [[f64; U]; 8],
         units: impl Units<U>,
-        slots: &[Slot; MAX_SLOTS],
+        view: &SiteView,
+        code: u8,
         len: usize,
     ) {
         use std::arch::x86_64::*;
         if U != 1 {
-            return BaselineIsa::unit_steps(acc, units, slots, len);
+            return BaselineIsa::unit_steps(acc, units, view, code, len);
         }
-        for slot in slots.iter().take(len) {
+        for slot in view.blocks[code as usize].slots.iter().take(len) {
             let mut out = [0.0; 8];
             for (half, out) in out.chunks_exact_mut(4).enumerate() {
                 let lane = &slot.lane[4 * half..][..4];
@@ -1198,9 +1278,11 @@ impl Isa for Avx2Isa {
 }
 
 /// The AVX-512 copy: the neighbour's rows in registers once per block,
-/// then per slot one `vpermpd` of them at width 1, two `vpermt2pd` at
-/// width 2 (with indices `2·lane + part`, the factors doubled by
-/// `vpermpd`), and at width 4 one of eight candidate rows per row.
+/// then per slot one `vpermpd` of them at width 1, and at widths 2 and 4
+/// the block's [`PairSlot`](crate::crs::PairSlot)s — indices and factors
+/// decoded once per view, so that a slot step is one `vpermt2pd`,
+/// `vmulpd` (its factors from memory) and `vaddpd` per eight lanes, on
+/// accumulators held in registers across the block's slots.
 #[cfg(target_arch = "x86_64")]
 struct Avx512Isa;
 
@@ -1217,108 +1299,143 @@ impl Isa for Avx512Isa {
         }
     }
 
+    /// At 4 lanes the step works on the two halves of the columns, each
+    /// as a 2-lane panel (the neighbour's rows re-cut into two tables of
+    /// sixteen doubles per visit), and keeps `acc` in half order — eight
+    /// doubles per (half, unit group) — until [`Isa::unit_order`].
     #[inline(always)]
     fn unit_steps<const U: usize>(
         acc: &mut [[f64; U]; 8],
         units: impl Units<U>,
-        slots: &[Slot; MAX_SLOTS],
+        view: &SiteView,
+        code: u8,
         len: usize,
     ) {
         use std::arch::x86_64::*;
-        if U == 4 {
-            // Row `p` as candidate `2p` and with its halves swapped as
-            // `2p + 1`, built once per block: row `m` of a slot reads
-            // candidate `lane[2m]`, its two units in one 64-byte load.
-            let mut cand = [[0.0; 8]; 8];
-            for (p, cand) in cand.chunks_exact_mut(2).enumerate() {
-                // SAFETY: `Avx512Isa` is named only by `sweep_avx512`,
-                // which `sweep` enters only with a `Wide` token naming
-                // `Body::Avx512`, made after
-                // `is_x86_feature_detected!("avx512f")`, so the CPU
-                // executes these instructions. A row is `2·U` = 8 readable
-                // doubles ([`Units`]), and a candidate 8 doubles.
-                unsafe {
-                    let x = _mm512_loadu_pd(units.row(p));
-                    _mm512_storeu_pd(cand[0].as_mut_ptr(), x);
-                    let swapped = _mm512_shuffle_f64x2::<0b01_00_11_10>(x, x);
-                    _mm512_storeu_pd(cand[1].as_mut_ptr(), swapped);
-                }
-            }
-            for slot in slots.iter().take(len) {
-                for (m, acc) in acc.chunks_exact_mut(2).enumerate() {
-                    let x = &cand[slot.lane[2 * m] as usize & 7];
-                    let (cre, cim) = (slot.coef[2 * m], slot.coef[2 * m + 1]);
-                    for k in 0..U {
-                        acc[0][k] += x[k] * cre;
-                        acc[1][k] += x[4 + k] * cim;
+        let row = [0, 1, 2, 3].map(|p| units.row(p));
+        if U == 1 {
+            // The slot's lanes at `picked`, stored and added in portable
+            // code, so that `acc` stays in registers. (No closure here:
+            // one is not compiled for AVX-512, and each intrinsic in it
+            // becomes a call.)
+            let mut picked = [[0.0; U]; 8];
+            let out = picked.as_mut_ptr().cast::<f64>();
+            // SAFETY: `Avx512Isa` is named only by `sweep_avx512`, which
+            // `sweep` enters only with a `Wide` token naming
+            // `Body::Avx512` — made by `simd::wide` after
+            // `is_x86_feature_detected!("avx512f")` — so the CPU executes
+            // these instructions. `U` is 1: each of `units`' rows is two
+            // readable `f64`s, all four eight when they are whole
+            // ([`Units`]); `picked` is eight `f64`s and a slot's `lane`
+            // eight 8-byte lanes.
+            unsafe {
+                let x = if units.whole() {
+                    _mm512_loadu_pd(row[0])
+                } else {
+                    let lo = _mm512_castpd256_pd512(_mm256_loadu2_m128d(row[1], row[0]));
+                    _mm512_insertf64x4::<1>(lo, _mm256_loadu2_m128d(row[3], row[2]))
+                };
+                for slot in view.blocks[code as usize].slots.iter().take(len) {
+                    let lane = _mm512_loadu_si512(slot.lane.as_ptr().cast());
+                    _mm512_storeu_pd(out, _mm512_permutexvar_pd(lane, x));
+                    for l in 0..8 {
+                        for k in 0..U {
+                            acc[l][k] += picked[l][k] * slot.coef[l];
+                        }
                     }
                 }
             }
             return;
         }
-        // The slot's units at `picked` and their factors at `factor`, as
-        // `8·U` lanes each: stored to locals and added in portable code,
-        // so that `acc` stays in registers. (No closure here: one is not
-        // compiled for AVX-512, and each intrinsic in it becomes a call.)
-        let (mut picked, mut factor) = ([[0.0; U]; 8], [[0.0; U]; 8]);
-        let (out, fac) = (
-            picked.as_mut_ptr().cast::<f64>(),
-            factor.as_mut_ptr().cast::<f64>(),
-        );
-        let row = [0, 1, 2, 3].map(|p| units.row(p));
-        // SAFETY: `Avx512Isa` is named only by `sweep_avx512`, which
-        // `sweep` enters only with a `Wide` token naming `Body::Avx512` —
-        // made by `simd::wide` after `is_x86_feature_detected!("avx512f")`
-        // — so the CPU executes these instructions. `U` is 1 or 2: each
-        // of `units`' rows is `2·U` readable `f64`s, all four `8·U` when
-        // they are whole ([`Units`]), and `picked` and `factor` are `8·U`,
-        // read and written in 64-byte parts; a slot's `lane` and `coef`
-        // are eight 8-byte lanes each.
+        let pairs = &view.pairs[code as usize];
+        let a = acc.as_mut_ptr().cast::<f64>();
+        // SAFETY: as above, the CPU executes these instructions. `U` is 2
+        // or 4: each of `units`' rows is `2·U` readable `f64`s, all four
+        // `8·U` when they are whole ([`Units`]); `acc` is `8·U` `f64`s,
+        // read and written in 64-byte parts, and a pair slot's `index`
+        // and `factor` rows eight 8-byte lanes each.
         unsafe {
-            // Rows 0 and 1 and rows 2 and 3 (`U` is 2), or all four
-            // twice (`U` is 1).
-            let (x0, x1) = if units.whole() {
-                let xd = units.row(0);
-                (_mm512_loadu_pd(xd), _mm512_loadu_pd(xd.add(8 * (U - 1))))
-            } else if U == 2 {
-                let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(row[0]));
-                let hi = _mm512_castpd256_pd512(_mm256_loadu_pd(row[2]));
-                (
-                    _mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(row[1])),
-                    _mm512_insertf64x4::<1>(hi, _mm256_loadu_pd(row[3])),
-                )
-            } else {
-                let lo = _mm512_castpd256_pd512(_mm256_loadu2_m128d(row[1], row[0]));
-                let x = _mm512_insertf64x4::<1>(lo, _mm256_loadu2_m128d(row[3], row[2]));
-                (x, x)
-            };
-            // For `U` = 2, units `4h .. 4h + 4`: each lane's index twice,
-            // as the doubles `2·lane[l] + part` of the sixteen of `x0,
-            // x1`, and each lane's factor twice.
-            let part = _mm512_set_epi64(1, 0, 1, 0, 1, 0, 1, 0);
-            let pick = [
-                _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0),
-                _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4),
-            ];
-            for slot in slots.iter().take(len) {
-                let lane = _mm512_loadu_si512(slot.lane.as_ptr().cast());
-                let coef = _mm512_loadu_pd(slot.coef.as_ptr());
-                if U == 1 {
-                    _mm512_storeu_pd(out, _mm512_permutexvar_pd(lane, x0));
+            if U == 2 {
+                // Rows 0 and 1, and rows 2 and 3: the sixteen doubles the
+                // indices name.
+                let (x0, x1) = if units.whole() {
+                    (_mm512_loadu_pd(row[0]), _mm512_loadu_pd(row[0].add(8)))
                 } else {
-                    for (h, &pick) in pick.iter().enumerate() {
-                        let index = _mm512_slli_epi64::<1>(_mm512_permutexvar_epi64(pick, lane));
-                        let units = _mm512_permutex2var_pd(x0, _mm512_or_si512(index, part), x1);
-                        _mm512_storeu_pd(out.add(8 * h), units);
-                        _mm512_storeu_pd(fac.add(8 * h), _mm512_permutexvar_pd(pick, coef));
-                    }
+                    let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(row[0]));
+                    let hi = _mm512_castpd256_pd512(_mm256_loadu_pd(row[2]));
+                    (
+                        _mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(row[1])),
+                        _mm512_insertf64x4::<1>(hi, _mm256_loadu_pd(row[3])),
+                    )
+                };
+                let (mut a0, mut a1) = (_mm512_loadu_pd(a), _mm512_loadu_pd(a.add(8)));
+                for pair in pairs.iter().take(len) {
+                    let index = _mm512_loadu_si512(pair.index[0].as_ptr().cast());
+                    let x = _mm512_permutex2var_pd(x0, index, x1);
+                    a0 = _mm512_add_pd(
+                        a0,
+                        _mm512_mul_pd(x, _mm512_loadu_pd(pair.factor[0].as_ptr())),
+                    );
+                    let index = _mm512_loadu_si512(pair.index[1].as_ptr().cast());
+                    let x = _mm512_permutex2var_pd(x0, index, x1);
+                    a1 = _mm512_add_pd(
+                        a1,
+                        _mm512_mul_pd(x, _mm512_loadu_pd(pair.factor[1].as_ptr())),
+                    );
                 }
-                for l in 0..8 {
-                    for k in 0..U {
-                        let f = if U == 1 { slot.coef[l] } else { factor[l][k] };
-                        acc[l][k] += picked[l][k] * f;
-                    }
-                }
+                _mm512_storeu_pd(a, a0);
+                _mm512_storeu_pd(a.add(8), a1);
+                return;
+            }
+            // Each row is `[re; 4][im; 4]`, four 16-byte parts: parts 0
+            // and 2 of two rows are their columns 0 and 1 as a 2-lane
+            // panel, parts 1 and 3 their columns 2 and 3.
+            let (x0, x1) = (_mm512_loadu_pd(row[0]), _mm512_loadu_pd(row[1]));
+            let (x2, x3) = (_mm512_loadu_pd(row[2]), _mm512_loadu_pd(row[3]));
+            let lo = (
+                _mm512_shuffle_f64x2::<0b10_00_10_00>(x0, x1),
+                _mm512_shuffle_f64x2::<0b10_00_10_00>(x2, x3),
+            );
+            let hi = (
+                _mm512_shuffle_f64x2::<0b11_01_11_01>(x0, x1),
+                _mm512_shuffle_f64x2::<0b11_01_11_01>(x2, x3),
+            );
+            // Accumulator `2h + g`: units `4g .. 4g + 4` on half `h`.
+            let (mut lo0, mut lo1) = (_mm512_loadu_pd(a), _mm512_loadu_pd(a.add(8)));
+            let (mut hi0, mut hi1) = (_mm512_loadu_pd(a.add(16)), _mm512_loadu_pd(a.add(24)));
+            for pair in pairs.iter().take(len) {
+                let index = _mm512_loadu_si512(pair.index[0].as_ptr().cast());
+                let factor = _mm512_loadu_pd(pair.factor[0].as_ptr());
+                let x = _mm512_permutex2var_pd(lo.0, index, lo.1);
+                lo0 = _mm512_add_pd(lo0, _mm512_mul_pd(x, factor));
+                let x = _mm512_permutex2var_pd(hi.0, index, hi.1);
+                hi0 = _mm512_add_pd(hi0, _mm512_mul_pd(x, factor));
+                let index = _mm512_loadu_si512(pair.index[1].as_ptr().cast());
+                let factor = _mm512_loadu_pd(pair.factor[1].as_ptr());
+                let x = _mm512_permutex2var_pd(lo.0, index, lo.1);
+                lo1 = _mm512_add_pd(lo1, _mm512_mul_pd(x, factor));
+                let x = _mm512_permutex2var_pd(hi.0, index, hi.1);
+                hi1 = _mm512_add_pd(hi1, _mm512_mul_pd(x, factor));
+            }
+            _mm512_storeu_pd(a, lo0);
+            _mm512_storeu_pd(a.add(8), lo1);
+            _mm512_storeu_pd(a.add(16), hi0);
+            _mm512_storeu_pd(a.add(24), hi1);
+        }
+    }
+
+    /// At 4 lanes, from half order: lane `k` of unit `l` is lane `2·(l %
+    /// 4) + k % 2` of accumulator `2·(k / 2) + l / 4`. A fixed shuffle,
+    /// once per site and panel, in portable code.
+    #[inline(always)]
+    fn unit_order<const U: usize>(acc: &mut [[f64; U]; 8]) {
+        if U != 4 {
+            return;
+        }
+        let held: [f64; 32] = std::array::from_fn(|i| acc[i / U][i % U]);
+        for (l, unit) in acc.iter_mut().enumerate() {
+            for (k, lane) in unit.iter_mut().enumerate() {
+                *lane = held[8 * (2 * (k / 2) + l / 4) + 2 * (l % 4) + k % 2];
             }
         }
     }
@@ -1772,7 +1889,10 @@ mod tests {
                 .expect("pool")
         });
         let mut rng = StdRng::seed_from_u64(255);
-        for r in [1, 2, 4] {
+        // Whole blocks of 1, 2 and 4 columns, and tails: 3 is 2 + 1, 6 is
+        // 4 + 2, and 12 and 17 put a 4- and a 1-column panel beside
+        // 8-column ones, so the lane walk reads strided units.
+        for r in [1, 2, 3, 4, 6, 12, 17] {
             let v = BlockVector::random(n, r, &mut rng);
             let w0 = BlockVector::random(n, r, &mut rng);
             for body in Body::ALL.into_iter().filter(|b| b.supported()) {
@@ -1798,6 +1918,62 @@ mod tests {
             }
         }
         simd::set_cap(Body::Avx512);
+    }
+
+    /// What the AVX-512 copy's `U`-lane step adds to lane `k` of unit `l`
+    /// for `pair` (`U` is 2 or 4), on the neighbour units `x`: the double
+    /// its index names in the sixteen of the columns' half, times its
+    /// factor. At 4 lanes the half of column `k` is columns `k / 2 · 2`
+    /// and the next, laid out as a 2-lane panel.
+    fn pair_step<const U: usize>(
+        pair: &crate::crs::PairSlot,
+        x: &[[f64; U]; 8],
+        l: usize,
+        k: usize,
+    ) -> f64 {
+        let (g, i) = (l / 4, 2 * (l % 4) + k % 2);
+        let table: Vec<f64> = x
+            .iter()
+            .flat_map(|unit| unit[k / 2 * 2 % U..][..2].to_vec())
+            .collect();
+        table[pair.index[g][i] as usize] * pair.factor[g][i]
+    }
+
+    #[test]
+    fn pair_slots_decode_like_their_slots() {
+        use crate::crs::{PairSlot, SiteBlock};
+        let full = lattice_of_blocks(249);
+        let Values::Lattice(_, view) = full.values() else {
+            panic!("a coded lattice")
+        };
+        assert_eq!(view.pairs.len(), 256);
+        let decoded = view.pairs.iter().zip(view.blocks.iter());
+        let empty = SiteBlock::EMPTY.slots.map(|slot| PairSlot::new(&slot));
+        let every = decoded.chain([(&empty, &SiteBlock::EMPTY)]);
+        // Distinct units, so a wrong index or factor shows.
+        let x2: [[f64; 2]; 8] =
+            std::array::from_fn(|q| std::array::from_fn(|k| (8 * q + k + 1) as f64));
+        let x4: [[f64; 4]; 8] =
+            std::array::from_fn(|q| std::array::from_fn(|k| (8 * q + k + 1) as f64));
+        let mut blocks = 0;
+        for (pairs, block) in every {
+            for (pair, slot) in pairs.iter().zip(&block.slots) {
+                for l in 0..8 {
+                    let (q, c) = (slot.lane[l] as usize, slot.coef[l]);
+                    for k in 0..2 {
+                        let want = (x2[q][k] * c).to_bits();
+                        assert_eq!(pair_step(pair, &x2, l, k).to_bits(), want, "U = 2");
+                    }
+                    for k in 0..4 {
+                        let want = (x4[q][k] * c).to_bits();
+                        assert_eq!(pair_step(pair, &x4, l, k).to_bits(), want, "U = 4");
+                    }
+                }
+            }
+            blocks += 1;
+        }
+        // Every distinct block — code 255 the last — and the empty one.
+        assert_eq!(blocks, 257);
     }
 
     #[test]

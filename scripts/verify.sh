@@ -242,6 +242,26 @@ dos_stencil_r8 abf752f16116b3fe0813e6ad5173e66d6f646d5885f3cf02b25daf6f67fc33a9 
 dos_incore_r32 07b42f4dd8aa1ec3c25f8cb448962f3462f55b2d0f30d8c27d0ea2f78c0b67c3 dos --nx 20 --ny 20 --nz 10 --moments 256 --random 32 --threads 1
 EOF
 
+step "narrow-width bytes: the lane walk's 2- and 4-lane steps print their recorded CSVs"
+# None of the four lines above runs a 2- or 4-column panel. These run the
+# svc_mixed lattice at 2, 3, 4 and 6 columns (2 and 4 whole, 3 as 2 + 1,
+# 6 as 4 + 2) under both formats; their sha256s were taken from the
+# commit before the AVX-512 copy's narrow steps read decoded slots.
+while read -r name want args; do
+    got=$(./target/release/kpm $args --seed 2015 2>/dev/null | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+        echo "$name: CSV sha256 $got, recorded $want" >&2
+        exit 1
+    fi
+    echo "$name: CSV sha256 ${want:0:8}… as recorded"
+done <<'EOF'
+r2 d9b504502fef6b018c9d5e20d12a8cefcd6b86e8a09baa495defa14c7e12e6e2 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 2
+r3 bf79f51b7ec917a041fccff5bdb9081c5fdf3d397a213bddf247c52a8125f3b8 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 3
+r4 3a793cfa3e66e8d25d2329e4afecbba86dda62e4de19f4264234bee3533e6c58 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 4
+r6 610329e9a9058b009ffd8d61a183225d3a24c610c9a7e8118997596f73c77e5a dos --nx 12 --ny 12 --nz 6 --moments 128 --random 6
+r2_stencil d9b504502fef6b018c9d5e20d12a8cefcd6b86e8a09baa495defa14c7e12e6e2 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 2 --format stencil
+EOF
+
 step "value storage: a coded lattice CRS is byte-identical to the same matrix read back plain"
 # The lattice generator stores the CRS values as a table of distinct
 # values and a byte per entry, and its sweep walks the lattice's 4x4
