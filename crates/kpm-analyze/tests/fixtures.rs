@@ -1,10 +1,9 @@
 //! Fixture tests for the token rules: each is exercised on a violating
 //! fixture (hit), a conforming fixture (miss), and a suppressed
-//! fixture, plus the explorer's schedule count and budget.
+//! fixture.
 //! `passes_fixtures.rs` covers `panic_path` and the marker audit.
 
 use kpm_analyze::lints::{analyze_source, FileClass, FileInput};
-use kpm_analyze::sched::{self, Config, Op};
 use kpm_analyze::Diagnostic;
 
 fn scan(crate_name: &str, class: FileClass, path: &str, src: &str) -> Vec<Diagnostic> {
@@ -271,50 +270,4 @@ fn diagnostics_render_file_line_and_hint() {
         "{text}"
     );
     assert!(text.contains("kpm::allow(no_panic)"));
-}
-
-// ------------------------------------------------------------ explorer
-
-/// Thread 0 sends `n` messages to thread 1, which receives all `n`.
-fn producer_consumer(n: usize) -> Vec<Vec<Op>> {
-    vec![
-        vec![Op::Send { to: 1, tag: 1 }; n],
-        vec![Op::Recv { tag: 1 }; n],
-    ]
-}
-
-#[test]
-fn explorer_interleaving_count_is_seed_independent() {
-    // Thread 1's receives stay behind thread 0's sends: Catalan(4) = 14
-    // schedules, whatever order the seed walks them in.
-    let threads = producer_consumer(4);
-    let a = sched::explore(
-        &threads,
-        &Config {
-            seed: 1,
-            ..Config::default()
-        },
-    );
-    let b = sched::explore(
-        &threads,
-        &Config {
-            seed: 99,
-            ..Config::default()
-        },
-    );
-    assert_eq!((a.interleavings, b.interleavings), (14, 14));
-    assert!(a.clean() && b.clean());
-}
-
-#[test]
-fn explorer_budget_truncates() {
-    let report = sched::explore(
-        &producer_consumer(8),
-        &Config {
-            max_interleavings: 10,
-            ..Config::default()
-        },
-    );
-    assert!(report.truncated);
-    assert_eq!(report.interleavings, 10);
 }

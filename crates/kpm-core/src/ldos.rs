@@ -12,7 +12,6 @@
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_sparse::CrsMatrix;
 use kpm_topo::{Lattice3D, ScaleFactors};
-use rayon::prelude::*;
 
 use crate::dos::{reconstruct, DosCurve};
 use crate::kernels::Kernel;
@@ -121,14 +120,13 @@ pub fn ldos_map(
         .step_by(stride)
         .flat_map(|y| (0..lattice.nx).step_by(stride).map(move |x| (x, y)))
         .collect();
-    let values: Vec<f64> = coords
-        .par_iter()
-        .map(|&(x, y)| {
-            let site = lattice.site(x, y, z);
-            let curve = site_ldos(h, sf, site, num_moments, kernel, 512)?;
-            Ok(curve.value_at(energy))
-        })
-        .collect::<Result<_, KpmError>>()?;
+    let values: Vec<f64> = rayon::map_chunks(coords.iter(), |_, &(x, y)| {
+        let site = lattice.site(x, y, z);
+        let curve = site_ldos(h, sf, site, num_moments, kernel, 512)?;
+        Ok(curve.value_at(energy))
+    })
+    .into_iter()
+    .collect::<Result<_, KpmError>>()?;
     Ok(LdosMap {
         xs: coords.iter().map(|c| c.0).collect(),
         ys: coords.iter().map(|c| c.1).collect(),

@@ -20,7 +20,6 @@ use kpm_sparse::SparseKernels;
 use kpm_topo::ScaleFactors;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::checkpoint::{CheckpointStore, EtaCheckpoint, RankCheckpoint};
 use crate::moments::MomentSet;
@@ -331,11 +330,11 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
         (norm > 0.0).then(|| Complex64::real(1.0 / norm))
     };
     let scales: Vec<Option<Complex64>> = if params.parallel {
-        (0..r).into_par_iter().map(scale_of).collect()
+        rayon::map_chunks(0..r, |_, j| scale_of(j))
     } else {
         (0..r).map(scale_of).collect()
     };
-    let fill = |(chunk, rows): (usize, &mut [Complex64])| {
+    let fill = |chunk: usize, rows: &mut [Complex64]| {
         for (j, scale) in scales.iter().enumerate() {
             let mut rng = stream_at(chunk * START_CHUNK_ROWS, j);
             let at = lanes_of(r, j);
@@ -347,11 +346,12 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
     };
     let mut v = BlockVector::zeros(n, r);
     if params.parallel {
-        let chunks = v.panel_slots_mut().par_chunks_mut(START_CHUNK_ROWS * r);
-        chunks.enumerate().for_each(fill);
+        rayon::map_chunks(v.panel_slots_mut().chunks_mut(START_CHUNK_ROWS * r), fill);
     } else {
         let chunks = v.panel_slots_mut().chunks_mut(START_CHUNK_ROWS * r);
-        chunks.enumerate().for_each(fill);
+        for (chunk, rows) in chunks.enumerate() {
+            fill(chunk, rows);
+        }
     }
     v
 }
@@ -592,11 +592,8 @@ fn run_blocked_variant<M: SparseKernels + ?Sized>(
     Ok(moments_from_flat_eta(&state.eta, m, r, iters))
 }
 
-/// Columns per task when a batched solve runs in parallel.
-///
-/// Fixed (never derived from the thread count) so the column grouping —
-/// and therefore every floating-point chain — is identical no matter
-/// how many workers execute the groups.
+/// Columns per group of a batched solve: one 8-column panel, the
+/// widest the sweep runs in registers.
 const BATCH_GROUP_COLS: usize = 8;
 
 /// Lanes a batch of `columns` is swept on: groups of
@@ -618,10 +615,11 @@ pub fn batch_lanes(columns: usize) -> usize {
 /// [`moments_from_start`]`(h, sf, &starts[j], num_moments, false)`
 /// regardless of the batch composition: every column runs the serial
 /// blocked kernel chain, whose per-column arithmetic is the single
-/// fused `aug_spmv` chain (see `kpm-sparse::aug`). `parallel` splits
-/// the batch into fixed groups of [`BATCH_GROUP_COLS`] columns solved
-/// concurrently; grouping never mixes columns arithmetically, so
-/// results are also bitwise-identical across thread counts.
+/// fused `aug_spmv` chain (see `kpm-sparse::aug`). A batch wider than
+/// [`BATCH_GROUP_COLS`] is solved as groups of that many columns, one
+/// after another on the calling thread; grouping never mixes columns
+/// arithmetically. A service runs batches in parallel by running one
+/// per worker thread, not by splitting one.
 ///
 /// `deadline` aborts a group with [`KpmError::DeadlineExceeded`] when
 /// the wall clock has passed it before a sweep — the hook the service
@@ -631,7 +629,6 @@ pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
     sf: ScaleFactors,
     starts: &[Vector],
     num_moments: usize,
-    parallel: bool,
     deadline: Option<std::time::Instant>,
 ) -> Result<Vec<MomentSet>, KpmError> {
     validate_square(h)?;
@@ -656,17 +653,11 @@ pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
     let _sp = span("solver.batch", "solver")
         .arg("columns", starts.len())
         .arg("moments", num_moments);
-    let solve_group = |group: &[Vector]| batch_group_serial(h, sf, group, num_moments, deadline);
-    let groups: Result<Vec<Vec<MomentSet>>, KpmError> =
-        if parallel && starts.len() > BATCH_GROUP_COLS {
-            starts
-                .par_chunks(BATCH_GROUP_COLS)
-                .map(solve_group)
-                .collect()
-        } else {
-            starts.chunks(BATCH_GROUP_COLS).map(solve_group).collect()
-        };
-    Ok(groups?.into_iter().flatten().collect())
+    let mut sets = Vec::with_capacity(starts.len());
+    for group in starts.chunks(BATCH_GROUP_COLS) {
+        sets.extend(batch_group_serial(h, sf, group, num_moments, deadline)?);
+    }
+    Ok(sets)
 }
 
 /// One column group of a batched solve: the serial stage-2 recurrence
@@ -1003,8 +994,9 @@ mod tests {
     fn with_threads_reuses_an_installed_pool_of_the_requested_size() {
         // Worker threads carry the pool's name; the caller does not.
         let on_worker = || {
-            let name = |_| std::thread::current().name().map(str::to_owned);
-            (0..64).into_par_iter().map(name).collect::<Vec<_>>()
+            rayon::map_chunks(0..64, |_, _| {
+                std::thread::current().name().map(str::to_owned)
+            })
         };
         on_pool(3, || {
             assert_eq!(with_threads(3, rayon::current_num_threads).unwrap(), 3);
@@ -1176,13 +1168,13 @@ mod tests {
 
     #[test]
     fn batch_moments_are_the_single_vector_chain_and_stop_at_a_past_deadline() {
-        // 3 columns take the serial path, 11 the grouped one (8 + 3).
+        // 3 columns are one group, 11 two (8 + 3).
         let h = random_hermitian(90, 3, 29);
         let sf = ScaleFactors::from_gershgorin(&h, 0.01);
         let starts = starting_vectors(h.nrows(), &params(20, 11));
-        for (columns, parallel) in [(3, false), (3, true), (11, false), (11, true)] {
+        for columns in [3, 11] {
             let batch = &starts[..columns];
-            let sets = kpm_batch_moments(&h, sf, batch, 20, parallel, None).unwrap();
+            let sets = kpm_batch_moments(&h, sf, batch, 20, None).unwrap();
             assert_eq!(sets.len(), columns);
             for (set, v0) in sets.iter().zip(batch) {
                 let alone = moments_from_start(&h, sf, v0, 20, false).unwrap();
@@ -1190,11 +1182,11 @@ mod tests {
             }
             // The deadline is tested before every sweep, the first included.
             let past = Some(std::time::Instant::now());
-            let err = kpm_batch_moments(&h, sf, batch, 20, parallel, past)
+            let err = kpm_batch_moments(&h, sf, batch, 20, past)
                 .expect_err("no sweep may start after the deadline");
             assert!(
                 matches!(err, KpmError::DeadlineExceeded { iteration: 0 }),
-                "{columns} columns, parallel = {parallel}: {err:?}"
+                "{columns} columns: {err:?}"
             );
         }
     }
@@ -1235,16 +1227,10 @@ mod tests {
         let lanes: Vec<usize> = (1..=8).map(batch_lanes).collect();
         assert_eq!(lanes, [1, 2, 4, 4, 8, 8, 8, 8]);
         for width in 1..=8 {
-            for parallel in [false, true] {
-                let sets = kpm_batch_moments(&h, sf, &starts[..width], 32, parallel, None).unwrap();
-                assert_eq!(sets.len(), width);
-                for (j, set) in sets.iter().enumerate() {
-                    assert_eq!(
-                        bits(set),
-                        alone[j],
-                        "width {width} column {j}, parallel = {parallel}"
-                    );
-                }
+            let sets = kpm_batch_moments(&h, sf, &starts[..width], 32, None).unwrap();
+            assert_eq!(sets.len(), width);
+            for (j, set) in sets.iter().enumerate() {
+                assert_eq!(bits(set), alone[j], "width {width} column {j}");
             }
         }
     }

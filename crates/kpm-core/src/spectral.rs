@@ -13,7 +13,6 @@
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_sparse::CrsMatrix;
 use kpm_topo::{Lattice3D, ScaleFactors};
-use rayon::prelude::*;
 
 use crate::dos::{reconstruct, DosCurve};
 use crate::kernels::Kernel;
@@ -104,10 +103,11 @@ pub fn spectral_cut(
     let kx: Vec<f64> = (0..n_k)
         .map(|i| -k_max + 2.0 * k_max * i as f64 / (n_k - 1) as f64)
         .collect();
-    let curves: Vec<DosCurve> = kx
-        .par_iter()
-        .map(|&k| spectral_function(h, sf, lattice, (k, 0.0, 0.0), num_moments, kernel, n_points))
-        .collect::<Result<_, KpmError>>()?;
+    let curves: Vec<DosCurve> = rayon::map_chunks(kx.iter(), |_, &k| {
+        spectral_function(h, sf, lattice, (k, 0.0, 0.0), num_moments, kernel, n_points)
+    })
+    .into_iter()
+    .collect::<Result<_, KpmError>>()?;
     Ok(SpectralCut { kx, curves })
 }
 

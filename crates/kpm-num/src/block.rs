@@ -22,7 +22,6 @@
 //! records) is row-major ([`BlockVector::to_interleaved`]).
 
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::aligned::AlignedVec;
 use crate::complex::{Complex64, ZERO};
@@ -411,14 +410,15 @@ pub fn shift_scale_dots_par(
     let chunks = v.rows.div_ceil(PAR_CHUNK);
     // Per chunk: r partials of <v|v>, then r of <w|v>.
     let mut partials = vec![ZERO; chunks * 2 * r];
-    w.data
-        .par_chunks_mut(PAR_CHUNK * r)
-        .zip(v.data.par_chunks(PAR_CHUNK * r))
-        .zip(partials.par_chunks_mut(2 * r))
-        .for_each(|((wc, vc), pc)| {
-            let (vv, wv) = pc.split_at_mut(r);
-            shift_scale_rows(a, b, vc, wc, r, vv, wv);
-        });
+    let parts = (
+        w.data.chunks_mut(PAR_CHUNK * r),
+        v.data.chunks(PAR_CHUNK * r),
+        partials.chunks_mut(2 * r),
+    );
+    rayon::map_chunks(parts, |_, (wc, vc, pc)| {
+        let (vv, wv) = pc.split_at_mut(r);
+        shift_scale_rows(a, b, vc, wc, r, vv, wv);
+    });
     let mut column = vec![ZERO; chunks];
     let mut reduce = |at: usize| {
         for (z, pc) in column.iter_mut().zip(partials.chunks_exact(2 * r)) {

@@ -2,12 +2,12 @@
 //!
 //! These are the building blocks of the *naive* KPM-DOS algorithm (paper
 //! Fig. 3): `spmv()` lives in `kpm-sparse`; `axpy()`, `scal()`, `nrm2()`
-//! and `dot()` live here. Each kernel exists in a serial and a
-//! rayon-parallel variant; the parallel variants chunk the index space so
-//! reductions are tree-shaped and deterministic for a fixed chunk size.
+//! and `dot()` live here. Each kernel exists in a serial and a parallel
+//! variant on the pool (`rayon::map_chunks`); the parallel variants chunk
+//! the index space so reductions are tree-shaped and deterministic for a
+//! fixed chunk size.
 
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::complex::Complex64;
 use crate::summation::pairwise_sum_complex;
@@ -151,9 +151,10 @@ pub fn axpy(a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
 /// Parallel `y <- a*x + y`.
 pub fn axpy_par(a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), y.len(), "axpy_par: dimension mismatch");
-    y.par_chunks_mut(PAR_CHUNK)
-        .zip(x.par_chunks(PAR_CHUNK))
-        .for_each(|(yc, xc)| axpy(a, xc, yc));
+    rayon::map_chunks(
+        (y.chunks_mut(PAR_CHUNK), x.chunks(PAR_CHUNK)),
+        |_, (yc, xc)| axpy(a, xc, yc),
+    );
 }
 
 /// `x <- a*x` (BLAS `scal`).
@@ -165,7 +166,7 @@ pub fn scal(a: Complex64, x: &mut [Complex64]) {
 
 /// Parallel `x <- a*x`.
 pub fn scal_par(a: Complex64, x: &mut [Complex64]) {
-    x.par_chunks_mut(PAR_CHUNK).for_each(|c| scal(a, c));
+    rayon::map_chunks(x.chunks_mut(PAR_CHUNK), |_, c| scal(a, c));
 }
 
 /// Squared Euclidean norm `<x|x>` (BLAS `nrm2` squared), reduced
@@ -200,11 +201,9 @@ pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
 /// final pairwise pass, so the result is independent of thread count.
 pub fn dot_par(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     assert_eq!(x.len(), y.len(), "dot_par: dimension mismatch");
-    let partials: Vec<Complex64> = x
-        .par_chunks(PAR_CHUNK)
-        .zip(y.par_chunks(PAR_CHUNK))
-        .map(|(xc, yc)| dot(xc, yc))
-        .collect();
+    let partials = rayon::map_chunks((x.chunks(PAR_CHUNK), y.chunks(PAR_CHUNK)), |_, (xc, yc)| {
+        dot(xc, yc)
+    });
     pairwise_sum_complex(&partials)
 }
 

@@ -62,4 +62,4 @@ pub use request::{
     Admission, Answer, Curve, DegradeInfo, Outcome, QueryKind, RejectReason, ReplyStats, Request,
     Response, ServiceError, StageBreakdown, Ticket,
 };
-pub use service::{LedgerSnapshot, Service, ServiceConfig, ShutdownMode};
+pub use service::{LedgerSnapshot, Service, ServiceConfig, ShutdownMode, MAX_BATCH_WIDTH};

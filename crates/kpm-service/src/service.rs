@@ -73,6 +73,11 @@ struct StageMarks {
     solve_end_us: f64,
 }
 
+/// Most columns one batch holds: one 8-column register panel, the widest
+/// the sweep runs at once. A service runs batches in parallel by giving
+/// each worker its own; a wider bound is clamped to this.
+pub const MAX_BATCH_WIDTH: usize = 8;
+
 /// Orbitals per lattice site in the topological-insulator models — the
 /// column count of one LDOS query (matches `kpm_core::ldos`).
 pub(crate) const LDOS_ORBITALS: usize = 4;
@@ -102,8 +107,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission-queue capacity (backpressure bound).
     pub queue_capacity: usize,
-    /// Upper bound on batch column width `R`; snapped down to the
-    /// largest power of two up to 32 (the paper's sweep widths).
+    /// Upper bound on batch column width `R`; snapped down to 1, 2, 4
+    /// or 8 — one register panel, the widest the sweep runs at once.
     pub max_batch_width: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Duration,
@@ -129,9 +134,6 @@ pub struct ServiceConfig {
     pub breaker_cooldown: Duration,
     /// Moment-cache entry bound.
     pub cache_capacity: usize,
-    /// Solve batches on the ambient thread pool (column-group
-    /// parallelism; bitwise-invariant either way).
-    pub parallel_solve: bool,
     /// Seed of the retry-jitter RNG.
     pub seed: u64,
     /// Optional chaos injection (tests, soak runs).
@@ -154,7 +156,6 @@ impl Default for ServiceConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             cache_capacity: 256,
-            parallel_solve: true,
             seed: 0,
             chaos: None,
         }
@@ -793,11 +794,11 @@ impl Drop for Service {
     }
 }
 
-/// Largest power-of-two batch width up to 32 (the widths the paper's
-/// experiments sweep) not exceeding the configured bound.
+/// Largest power-of-two batch width up to 8 (one register panel) not
+/// exceeding the configured bound.
 fn width_budget(max_batch_width: usize) -> usize {
     let mut best = 1;
-    while best < 32 && 2 * best <= max_batch_width {
+    while best < MAX_BATCH_WIDTH && 2 * best <= max_batch_width {
         best *= 2;
     }
     best
@@ -1210,7 +1211,6 @@ fn process_batch(
         job.entry.sf,
         &job.columns,
         job.m_max,
-        inner.config.parallel_solve,
         Some(deadline),
     );
     let solve = t0.elapsed();
@@ -1324,9 +1324,9 @@ fn member_marks(m: &BatchMember, solve_start_us: f64, solve_end_us: f64) -> Stag
 #[cfg(test)]
 mod tests {
     #[test]
-    fn width_budget_is_the_largest_paper_width_within_the_bound() {
+    fn width_budget_is_the_largest_panel_width_within_the_bound() {
         let bounds = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 1000];
-        let want = [1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 32];
+        let want = [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 8, 8];
         assert_eq!(bounds.map(super::width_budget), want);
     }
 }

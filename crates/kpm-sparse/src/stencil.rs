@@ -37,7 +37,6 @@ use std::ops::Range;
 use kpm_num::aligned::zeroed_vec;
 use kpm_num::complex::ZERO;
 use kpm_num::{Complex64, KpmError};
-use rayon::prelude::*;
 
 use crate::crs::{fingerprint, BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
 use crate::sweep::{all_axial, for_passes, row_pass, Epilogue, Isa, RowSweep};
@@ -333,7 +332,7 @@ impl StencilMatrix {
             (cols_rest, vals_rest) = (c.1, v.1);
             chunks.push((row0..row1, c.0, v.0));
         }
-        chunks.par_iter_mut().for_each(|(rows, cols, vals)| {
+        rayon::map_chunks(chunks.iter_mut(), |_, (rows, cols, vals)| {
             let mut at = 0;
             self.for_rows(rows.clone(), |_, c, v| {
                 cols[at..][..c.len()].copy_from_slice(c);

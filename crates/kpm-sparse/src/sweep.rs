@@ -67,7 +67,6 @@ use std::ops::Range;
 use kpm_num::block::{load_panel, store_panel};
 use kpm_num::summation::{pairwise_sum, pairwise_sum_complex};
 use kpm_num::Complex64;
-use rayon::prelude::*;
 
 use crate::aug::AugDotsBlock;
 use crate::crs::{CrsMatrix, SiteView, Values, MAX_SLOTS};
@@ -1583,11 +1582,9 @@ fn scheduled<S: RowSweep, E: Epilogue + Send>(
     };
     match schedule {
         Schedule::Serial => vec![range(0, w)],
-        Schedule::Chunked => w
-            .par_chunks_mut(rows * r)
-            .enumerate()
-            .map(|(ci, wc)| range(ci * rows, wc))
-            .collect(),
+        Schedule::Chunked => {
+            rayon::map_chunks(w.chunks_mut(rows * r), |ci, wc| range(ci * rows, wc))
+        }
     }
 }
 

@@ -57,16 +57,6 @@ step "tier-1 under fixed thread counts (KPM_THREADS=1, 4)"
 KPM_THREADS=1 cargo test --workspace -q
 KPM_THREADS=4 cargo test --workspace -q
 
-step "static analysis: schedule-explorer model check"
-# The explorer's core tests: >=1000 interleavings of a clean two-thread
-# send/recv program without truncation, a preemption bound that cuts the
-# count and stays clean, and a recv-before-send deadlock reported with
-# its schedule. The same suite holds the kpm-analyze lint gate
-# (no_panic, safety_comment, hot_loop_alloc, panic_path, the marker
-# audits), which tier-1 above already ran; its rule fixtures run with
-# `cargo test --workspace`.
-cargo test -q --test static_analysis
-
 step "kpm-obs noop build stays dark"
 cargo test -q -p kpm-obs --features noop --test noop_gate
 
@@ -105,9 +95,11 @@ step "AddressSanitizer: the kernels' reads under ASan (nightly)"
 # The lane walk reads the neighbours' rows of `x` through the raw
 # pointers of `Units`, and the AVX2 and AVX-512 unit steps load them
 # with intrinsics; a read past `x` would go unnoticed in the padding
-# behind a block vector's rows. Here kpm-sparse's and kpm-num's tests
-# and the determinism grid run instrumented. Without a nightly cargo
-# or its ASan runtime the step prints SKIPPED and the gate goes on.
+# behind a block vector's rows. The pool hands its workers a job on
+# the caller's stack through a lifetime-erased reference. Here
+# kpm-sparse's, kpm-num's and the pool's tests and the determinism grid
+# run instrumented. Without a nightly cargo or its ASan runtime the
+# step prints SKIPPED and the gate goes on.
 asan_rt="$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc-nightly_rt.asan.a"
 if cargo +nightly --version >/dev/null 2>&1 && [[ -f "$asan_rt" ]]; then
     asan_test() {
@@ -115,7 +107,7 @@ if cargo +nightly --version >/dev/null 2>&1 && [[ -f "$asan_rt" ]]; then
             cargo +nightly test -q --release --offline \
             --target x86_64-unknown-linux-gnu --target-dir target/asan "$@"
     }
-    asan_test -p kpm-sparse -p kpm-num
+    asan_test -p kpm-sparse -p kpm-num -p rayon
     asan_test --test determinism
 else
     echo "##### SKIPPED: AddressSanitizer step (no cargo +nightly or no $asan_rt) #####"

@@ -1,5 +1,5 @@
-//! The execution engine behind the `par_*` surface: one team, one job,
-//! one cursor.
+//! The execution engine behind [`map_chunks`](crate::map_chunks): one
+//! team, one job, one cursor.
 //!
 //! A [`Registry`] of N threads is the thread that calls [`Registry::run`]
 //! plus N − 1 parked workers — an OpenMP team. A job lives on its
@@ -20,8 +20,8 @@
 //!
 //! Determinism note: which thread runs which range is
 //! scheduling-dependent, where ranges are cut is not (a pure function
-//! of length and team size), and neither reaches a result — ordered
-//! reductions put range k's part into slot k, and the KPM kernels put
+//! of length and team size), and neither reaches a result —
+//! `map_chunks` puts chunk k's result into slot k, and the KPM kernels put
 //! their floating-point partial sums on fixed chunk boundaries chosen
 //! by the *caller*, not by this pool.
 
@@ -115,7 +115,7 @@ pub(crate) struct Registry {
 /// module is a few scalar assignments that cannot panic half-way, so the
 /// data is valid at every step — and the protocol must not unwind
 /// between publishing a job and retiring it.
-fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
+pub(crate) fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -193,8 +193,26 @@ impl Registry {
     /// Executes `body` over the ranges `[k·grain, (k+1)·grain)` covering
     /// `[0, len)` — on the team when it is free, else as the one range
     /// `[0, len)` on the calling thread — and returns when all of
-    /// `[0, len)` has run. Panics from range bodies propagate to the
-    /// caller.
+    /// `[0, len)` has run.
+    ///
+    /// The protocol, one invariant a line:
+    /// 1. every index is claimed exactly once;
+    /// 2. the caller returns only at `inside == 0`;
+    /// 3. no wake-up is lost;
+    /// 4. a panic reaches the caller, and the next job completes.
+    ///
+    /// Why each holds, and the test that drives it under the watchdog:
+    /// (1) a claim is one `fetch_add` on the job's cursor
+    /// (`ranges_cover_index_space_exactly_once`); (2) the slot is
+    /// emptied in the critical section that saw `inside == 0`
+    /// (`the_caller_returns_only_after_the_last_worker_leaves_the_job`);
+    /// (3) the epoch is bumped under the state mutex before the workers
+    /// are woken, and a worker waits only while the epoch is one it has
+    /// seen (`a_worker_joins_every_job_even_one_published_before_it_first_looks`);
+    /// (4) range bodies are caught where they run and the first payload
+    /// is re-thrown once the job is retired
+    /// (`a_panic_in_a_range_a_worker_claimed_reaches_the_caller` and its
+    /// caller-side twin).
     pub(crate) fn run(&self, len: usize, body: &Body<'_>) {
         if len == 0 {
             return;
@@ -220,15 +238,18 @@ impl Registry {
                 body(0, len);
                 return;
             }
-            // SAFETY: the erased reference does not outlive `job`. A
-            // worker copies it out of the slot only while holding the
-            // state mutex, and counts itself into `inside` in that same
-            // critical section; this function empties the slot under the
-            // state mutex in the critical section in which it saw
-            // `inside == 0`, after which no worker holds the reference
-            // or can obtain it. Nothing between here and there unwinds:
-            // `Job::work` catches the bodies' panics and `relock` ignores
-            // poison.
+            // SAFETY: the caller returns only at `inside == 0`, so the
+            // erased reference does not outlive `job`. A worker copies
+            // it out of the slot only while holding the state mutex, and
+            // counts itself into `inside` in that same critical section;
+            // this function empties the slot under the state mutex in
+            // the critical section in which it saw `inside == 0`, after
+            // which no worker holds the reference or can obtain it.
+            // Nothing between here and there unwinds: `Job::work`
+            // catches the bodies' panics and `relock` ignores poison.
+            // `the_caller_returns_only_after_the_last_worker_leaves_the_job`
+            // drives the edge (a worker still inside when the caller's
+            // claims run out), under ASan in `scripts/verify.sh`.
             st.job = Some(unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(&job) });
             st.epoch += 1;
         }
@@ -289,7 +310,7 @@ impl Drop for InstallGuard {
     }
 }
 
-/// The registry `par_*` calls on this thread execute on: the innermost
+/// The registry `map_chunks` calls on this thread execute on: the innermost
 /// installed pool if any, else the process-global pool.
 pub(crate) fn current_registry() -> Arc<Registry> {
     INSTALLED
@@ -517,5 +538,88 @@ mod tests {
     #[test]
     fn a_panic_in_a_range_a_worker_claimed_reaches_the_caller() {
         a_panic_reaches_the_caller_from("worker");
+    }
+
+    /// A two-member job of two ranges, one each: the caller's range
+    /// waits until the worker is inside the job, so a job the worker
+    /// never joins hangs. `first` runs in the caller's range before it
+    /// waits, `worker` is the worker's whole range.
+    fn a_job_with_the_worker_in_it(
+        registry: &Registry,
+        first: &(dyn Fn() + Sync),
+        worker: &(dyn Fn() + Sync),
+    ) {
+        let caller = std::thread::current().id();
+        let worker_in = AtomicBool::new(false);
+        registry.run(2, &|_, _| {
+            if std::thread::current().id() == caller {
+                first();
+                while !worker_in.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            } else {
+                worker_in.store(true, Ordering::SeqCst);
+                worker();
+            }
+        });
+    }
+
+    #[test]
+    fn a_worker_joins_every_job_even_one_published_before_it_first_looks() {
+        // The worker thread starts only once the first job is in the
+        // slot, so no wake-up is ever sent to it for that job: it must
+        // find the job by its epoch. Then 2,000 jobs each need it again,
+        // published while it is parked.
+        watchdog(|| {
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
+            let (registry, handles) = Registry::new_with(2, &mut |builder, worker| {
+                let gate = Arc::clone(&gate);
+                builder.spawn(move || {
+                    let (open, opened) = &*gate;
+                    let mut is_open = open.lock().unwrap();
+                    while !*is_open {
+                        is_open = opened.wait(is_open).unwrap();
+                    }
+                    drop(is_open);
+                    worker();
+                })
+            })
+            .unwrap();
+            let open_the_gate = || {
+                *gate.0.lock().unwrap() = true;
+                gate.1.notify_all();
+            };
+            a_job_with_the_worker_in_it(&registry, &open_the_gate, &|| {});
+            for _ in 0..2_000 {
+                a_job_with_the_worker_in_it(&registry, &|| {}, &|| {});
+            }
+            registry.shutdown();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn the_caller_returns_only_after_the_last_worker_leaves_the_job() {
+        // The worker's range outlasts the caller's claims by 50 ms: a
+        // `run` that returned when its own claims ran out, not at
+        // `inside == 0`, would come back before the worker's range ends.
+        watchdog(|| {
+            let (registry, handles) = Registry::new(2).unwrap();
+            let worker_done = AtomicBool::new(false);
+            a_job_with_the_worker_in_it(&registry, &|| {}, &|| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                worker_done.store(true, Ordering::SeqCst);
+            });
+            assert!(
+                worker_done.load(Ordering::SeqCst),
+                "run returned with a worker inside"
+            );
+            registry.shutdown();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
     }
 }

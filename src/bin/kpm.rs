@@ -39,6 +39,7 @@ use kpm_repro::perfmodel::omega::measure_omega_kernel;
 use kpm_repro::perfmodel::roofline::custom_roofline;
 use kpm_repro::service::{
     Admission, QueryKind, RejectReason, Request, Service, ServiceConfig, ShutdownMode,
+    MAX_BATCH_WIDTH,
 };
 use kpm_repro::sparse::{io as mmio, stats, CrsMatrix, KpmMatrix, SparseKernels};
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
@@ -115,7 +116,7 @@ const USAGE: &str = "usage:
   kpm report [FILE.mtx | --nx N --ny N --nz N] [--moments M] [--random R] [--seed S]
              [--machine IVB|SNB|K20m|K20X] [--llc-mib F] [--sweeps S]
   kpm serve  [FILE.mtx | --nx N --ny N --nz N] [--workers W] [--queue Q]
-             [--width R] [--deadline-ms D] [--points K]
+             [--width R (at most 8)] [--deadline-ms D] [--points K]
              [--kernel jackson|dirichlet|lorentz] [--lambda L]
              [--slo-ms MS] [--slo-goal G] [--flight-recorder PREFIX]
              (requests on stdin: 'dos SEED R M [MS]' | 'ldos SITE M [MS]'
@@ -922,10 +923,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let (m, sf) = solver_matrix(args)?;
 
+    let width = opt_usize(args, "--width", MAX_BATCH_WIDTH)?.max(1);
+    if width > MAX_BATCH_WIDTH {
+        eprintln!(
+            "kpm: --width {width} clamped to {MAX_BATCH_WIDTH}, the widest batch the service runs"
+        );
+    }
     let config = ServiceConfig {
         workers,
         queue_capacity: opt_usize(args, "--queue", 64)?.max(1),
-        max_batch_width: opt_usize(args, "--width", 8)?.max(1),
+        max_batch_width: width.min(MAX_BATCH_WIDTH),
         default_deadline: std::time::Duration::from_millis(deadline_ms as u64),
         ..ServiceConfig::default()
     };

@@ -335,8 +335,8 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     // `kpm_batch_moments` sweeps a group of 3 on 4 lanes and one of 5,
     // 6 or 7 on 8, the extra lanes zero. Columns never mix, so column j
     // must stay bitwise its own `moments_from_start` run at every width
-    // through one, two and three groups — in both formats, serial and
-    // parallel, under every sweep body this CPU executes — and a zero
+    // through one, two and three groups — in both formats, under every
+    // sweep body this CPU executes — and a zero
     // lane must never trip a guardrail while a diverging column still
     // does.
     use kpm_repro::core::solver::{
@@ -379,39 +379,30 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     for body in bodies {
         simd::set_cap(body);
         for (name, matrix) in &handles {
-            for parallel in [false, true] {
-                let at = format!("{name}, {body:?} body, parallel = {parallel}");
-                for width in 1..=17 {
-                    let got = kpm_batch_moments(matrix, sf, &starts[..width], m, parallel, None)
-                        .unwrap_or_else(|e| panic!("width {width}, {at}: {e}"));
-                    assert_eq!(got.len(), width, "pad lanes are not columns ({at})");
-                    for (j, set) in got.iter().enumerate() {
-                        assert_eq!(set.as_slice(), want[j], "width {width} column {j}, {at}");
-                    }
+            let at = format!("{name}, {body:?} body");
+            for width in 1..=17 {
+                let got = kpm_batch_moments(matrix, sf, &starts[..width], m, None)
+                    .unwrap_or_else(|e| panic!("width {width}, {at}: {e}"));
+                assert_eq!(got.len(), width, "pad lanes are not columns ({at})");
+                for (j, set) in got.iter().enumerate() {
+                    assert_eq!(set.as_slice(), want[j], "width {width} column {j}, {at}");
                 }
-                // An all-zero lane — a pad lane, or a column that is
-                // one — passes every guardrail with moments of 0.
-                let got = kpm_batch_moments(matrix, sf, &with_a_zero_column, m, parallel, None)
-                    .unwrap_or_else(|e| panic!("zero column, {at}: {e}"));
-                assert!(got[2].as_slice().iter().all(|&mu| mu == 0.0), "{at}");
-                assert_eq!(got[1].as_slice(), want[1], "{at}");
-                // A real column that diverges fails the batch, padded
-                // (3 on 4, 5 on 8) or not (8).
-                for width in [3, 5, 8] {
-                    let err = kpm_batch_moments(
-                        matrix,
-                        undersized,
-                        &starts[..width],
-                        128,
-                        parallel,
-                        None,
-                    )
+            }
+            // An all-zero lane — a pad lane, or a column that is one —
+            // passes every guardrail with moments of 0.
+            let got = kpm_batch_moments(matrix, sf, &with_a_zero_column, m, None)
+                .unwrap_or_else(|e| panic!("zero column, {at}: {e}"));
+            assert!(got[2].as_slice().iter().all(|&mu| mu == 0.0), "{at}");
+            assert_eq!(got[1].as_slice(), want[1], "{at}");
+            // A real column that diverges fails the batch, padded (3 on
+            // 4, 5 on 8) or not (8).
+            for width in [3, 5, 8] {
+                let err = kpm_batch_moments(matrix, undersized, &starts[..width], 128, None)
                     .expect_err("the recurrence diverges");
-                    assert!(
-                        matches!(err, KpmError::SpectralBoundsViolated { .. }),
-                        "width {width}, {at}: {err:?}"
-                    );
-                }
+                assert!(
+                    matches!(err, KpmError::SpectralBoundsViolated { .. }),
+                    "width {width}, {at}: {err:?}"
+                );
             }
         }
     }

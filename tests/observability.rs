@@ -150,7 +150,7 @@ fn solver_run_records_spans_and_probes() {
     obs::reset();
     obs::set_enabled(true);
     let starts = starting_vectors(n, &params(16, 3));
-    kpm_batch_moments(&h, sf, &starts, 16, false, None).unwrap();
+    kpm_batch_moments(&h, sf, &starts, 16, None).unwrap();
     obs::set_enabled(false);
     assert_eq!(batch_lanes(3), 4);
     let snap = obs::probe::snapshot();

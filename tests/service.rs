@@ -77,86 +77,76 @@ fn dos_request(fp: u64, seed: u64, num_random: usize, m: usize) -> Request {
 /// mixing DOS, LDOS and Green queries with different seeds, widths and
 /// moment counts — the service's central correctness guarantee. The
 /// four arrive while the one worker is held, so they ride in one block
-/// of 2 + 1 + 4 + 2 columns, swept in two column groups when parallel.
+/// of 2 + 1 + 4 + 1 columns, the widest batch the service seals.
 #[test]
 fn batched_answers_bitwise_match_serial_for_mixed_batches() {
     watchdog(|| {
         let (h, sf) = test_matrix();
         let sites = h.nrows() / 4;
-        for parallel_solve in [false, true] {
-            let (svc, holder_fp) = one_slow_worker(ServiceConfig {
-                max_batch_width: 16,
-                parallel_solve,
-                ..ServiceConfig::default()
+        let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
+        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        // Seeds and site move with the key, so a repeated round answers
+        // nothing from the cache.
+        let site = |key: u64| (3 + key as usize) % sites;
+        let (key, replies) =
+            replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..8, |key| {
+                vec![
+                    dos_request(fp, 1 + 8 * key, 2, 32),
+                    dos_request(fp, 2 + 8 * key, 1, 16),
+                    Request {
+                        matrix: fp,
+                        kind: QueryKind::Ldos { site: site(key) },
+                        num_moments: 32,
+                        kernel: Kernel::Jackson,
+                        points: 16,
+                        deadline: None,
+                    },
+                    Request {
+                        matrix: fp,
+                        kind: QueryKind::Green {
+                            seed: 5 + 8 * key,
+                            num_random: 1,
+                        },
+                        num_moments: 24,
+                        kernel: Kernel::Lorentz(3.0),
+                        points: 16,
+                        deadline: None,
+                    },
+                ]
             });
-            let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
-            // Seeds and site move with the key, so a repeated round
-            // answers nothing from the cache.
-            let site = |key: u64| (3 + key as usize) % sites;
-            let (key, replies) =
-                replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..8, |key| {
-                    vec![
-                        dos_request(fp, 1 + 8 * key, 2, 32),
-                        dos_request(fp, 2 + 8 * key, 1, 16),
-                        Request {
-                            matrix: fp,
-                            kind: QueryKind::Ldos { site: site(key) },
-                            num_moments: 32,
-                            kernel: Kernel::Jackson,
-                            points: 16,
-                            deadline: None,
-                        },
-                        Request {
-                            matrix: fp,
-                            kind: QueryKind::Green {
-                                seed: 5 + 8 * key,
-                                num_random: 2,
-                            },
-                            num_moments: 24,
-                            kernel: Kernel::Lorentz(3.0),
-                            points: 16,
-                            deadline: None,
-                        },
-                    ]
-                });
-            let [r_dos_a, r_dos_b, r_ldos, r_green] = &replies[..] else {
-                panic!("four replies expected, got {}", replies.len());
-            };
-            let widths: Vec<usize> = replies.iter().map(|r| r.stats.batch_width).collect();
-            assert_eq!(
-                widths,
-                [9, 9, 9, 9],
-                "parallel={parallel_solve}: the four requests are one batch"
-            );
+        let [r_dos_a, r_dos_b, r_ldos, r_green] = &replies[..] else {
+            panic!("four replies expected, got {}", replies.len());
+        };
+        let widths: Vec<usize> = replies.iter().map(|r| r.stats.batch_width).collect();
+        assert_eq!(widths, [8, 8, 8, 8], "the four requests are one batch");
 
-            assert_eq!(
-                answer_of(r_dos_a).moments.as_slice(),
-                serial_reference(&h, sf, 1 + 8 * key, 2, 32).as_slice(),
-                "parallel={parallel_solve}: batched DOS moments differ from serial"
-            );
-            assert_eq!(
-                answer_of(r_dos_b).moments.as_slice(),
-                serial_reference(&h, sf, 2 + 8 * key, 1, 16).as_slice(),
-                "parallel={parallel_solve}: mixed-M member differs from serial"
-            );
-            assert_eq!(
-                answer_of(r_ldos).moments.as_slice(),
-                site_moments(&h, sf, site(key), 32)
-                    .expect("serial ldos")
-                    .as_slice(),
-                "parallel={parallel_solve}: batched LDOS moments differ from site_moments"
-            );
-            assert_eq!(
-                answer_of(r_green).moments.as_slice(),
-                serial_reference(&h, sf, 5 + 8 * key, 2, 24).as_slice(),
-                "parallel={parallel_solve}: batched Green moments differ from serial"
-            );
+        assert_eq!(
+            answer_of(r_dos_a).moments.as_slice(),
+            serial_reference(&h, sf, 1 + 8 * key, 2, 32).as_slice(),
+            "batched DOS moments differ from serial"
+        );
+        assert_eq!(
+            answer_of(r_dos_b).moments.as_slice(),
+            serial_reference(&h, sf, 2 + 8 * key, 1, 16).as_slice(),
+            "mixed-M member differs from serial"
+        );
+        assert_eq!(
+            answer_of(r_ldos).moments.as_slice(),
+            site_moments(&h, sf, site(key), 32)
+                .expect("serial ldos")
+                .as_slice(),
+            "batched LDOS moments differ from site_moments"
+        );
+        assert_eq!(
+            answer_of(r_green).moments.as_slice(),
+            serial_reference(&h, sf, 5 + 8 * key, 1, 24).as_slice(),
+            "batched Green moments differ from serial"
+        );
 
-            let ledger = svc.shutdown(ShutdownMode::Drain);
-            assert!(ledger.consistent(), "ledger must balance: {ledger:?}");
-            // Each round admits its holder and the four.
-            assert_eq!(ledger.admitted, 5 * (key + 1));
-        }
+        let ledger = svc.shutdown(ShutdownMode::Drain);
+        assert!(ledger.consistent(), "ledger must balance: {ledger:?}");
+        // The round admits its holder and the four.
+        assert_eq!(ledger.admitted, 5 * (key + 1));
     });
 }
 

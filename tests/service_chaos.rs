@@ -120,7 +120,6 @@ fn random_config(rng: &mut Rng, schedule: u64) -> ServiceConfig {
         breaker_threshold: 1 + rng.below(3) as u32,
         breaker_cooldown: Duration::from_micros(200),
         cache_capacity: 8,
-        parallel_solve: schedule.is_multiple_of(2),
         seed: schedule,
         chaos: Some(chaos),
     }
