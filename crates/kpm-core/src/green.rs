@@ -32,20 +32,28 @@ pub struct GreenCurve {
 }
 
 /// Evaluates `G(x + i0)` at one Chebyshev coordinate `x ∈ (-1, 1)`.
+///
+/// With `x = cos θ`: `cos mθ = T_m(x)` and `sin mθ / sin θ = U_{m−1}(x)`,
+/// both polynomials stepped by their three-term recurrences, so no term
+/// calls into libm and the real part needs no division by `√(1−x²)`.
 pub fn green_at(moments: &MomentSet, g: &[f64], x: f64) -> Complex64 {
     assert!((-1.0..=1.0).contains(&x), "x must be inside [-1, 1]");
     let mu = moments.as_slice();
     assert_eq!(mu.len(), g.len(), "moments/kernel length mismatch");
-    let theta = x.acos();
     let root = (1.0 - x * x).sqrt().max(f64::MIN_POSITIVE);
     let mut re = 0.0;
     let mut im = if mu.is_empty() { 0.0 } else { g[0] * mu[0] };
+    // (T_{m−1}, T_m) and (U_{m−2}, U_{m−1}) at m = 1.
+    let (mut t_prev, mut t) = (1.0, x);
+    let (mut u_prev, mut u) = (0.0, 1.0);
     for m in 1..mu.len() {
-        let mf = m as f64;
-        re -= 2.0 * g[m] * mu[m] * (mf * theta).sin();
-        im += 2.0 * g[m] * mu[m] * (mf * theta).cos();
+        let c = 2.0 * g[m] * mu[m];
+        re -= c * u;
+        im += c * t;
+        (t_prev, t) = (t, 2.0 * x * t - t_prev);
+        (u_prev, u) = (u, 2.0 * x * u - u_prev);
     }
-    Complex64::new(re / root, -im / root)
+    Complex64::new(re, -im / root)
 }
 
 /// Reconstructs `G(E + i0)` on `n_points` Chebyshev nodes mapped back
@@ -182,6 +190,43 @@ mod tests {
             (re_g - pv).abs() < 0.05 * (1.0 + re_g.abs()),
             "Re G = {re_g} vs PV integral = {pv}"
         );
+    }
+
+    #[test]
+    fn the_recurrences_agree_with_sin_and_cos_per_term() {
+        // The per-term form the recurrences replaced, on single-pole
+        // moments (each |μ_m| up to 1) under the Jackson kernel, at 256
+        // Chebyshev nodes: the largest difference relative to the
+        // curve's largest value. Measured: 6.5e-14, 1.5e-13 and 7.3e-12
+        // at M = 128, 1024 and 4096 — the per-term form's own error, an
+        // `acos` rounding times m, grows the same way.
+        fn per_term(mu: &[f64], g: &[f64], x: f64) -> Complex64 {
+            let theta = x.acos();
+            let root = (1.0 - x * x).sqrt().max(f64::MIN_POSITIVE);
+            let (mut re, mut im) = (0.0, g[0] * mu[0]);
+            for m in 1..mu.len() {
+                let mf = m as f64;
+                re -= 2.0 * g[m] * mu[m] * (mf * theta).sin();
+                im += 2.0 * g[m] * mu[m] * (mf * theta).cos();
+            }
+            Complex64::new(re / root, -im / root)
+        }
+        for (m_count, tolerance) in [(128, 2.5e-13), (1024, 6e-13), (4096, 3e-11)] {
+            let set = pole_moments(0.3, m_count);
+            let g = Kernel::Jackson.coefficients(m_count);
+            let nodes = crate::chebyshev::chebyshev_nodes(256);
+            let want: Vec<_> = nodes
+                .iter()
+                .map(|&x| per_term(set.as_slice(), &g, x))
+                .collect();
+            let scale = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let worst = nodes
+                .iter()
+                .zip(&want)
+                .map(|(&x, w)| (green_at(&set, &g, x) - *w).abs() / scale)
+                .fold(0.0, f64::max);
+            assert!(worst < tolerance, "M = {m_count}: {worst:e}");
+        }
     }
 
     #[test]

@@ -602,7 +602,10 @@ const BATCH_GROUP_COLS: usize = 8;
 /// the columns (on the 3,456-row lattice, one thread, AVX-512, with the
 /// dots: three as 2 + 1 cost 1.5× what four cost, seven as 4 + 2 + 1
 /// 1.4× what eight cost, six as 4 + 2 1.0× and five as 4 + 1 0.9×; eight
-/// cost 1.8× four and 2.8× two).
+/// cost 1.8× four and 2.8× two). Whether to pad only 3 → 4 and 7 → 8
+/// stays open: the service's mix forms batches of 2, 4, 6 and 8 columns
+/// only (DOS and Green requests are 2 columns, LDOS 4), so its only
+/// padding is 6 → 8, which costs what the 4 + 2 cut does.
 pub fn batch_lanes(columns: usize) -> usize {
     let tail = columns % BATCH_GROUP_COLS;
     columns - tail + tail.next_power_of_two() * usize::from(tail > 0)
@@ -992,20 +995,36 @@ mod tests {
 
     #[test]
     fn with_threads_reuses_an_installed_pool_of_the_requested_size() {
-        // Worker threads carry the pool's name; the caller does not.
-        let on_worker = || {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+        use std::time::{Duration, Instant};
+        // The threads a 64-chunk job runs on. Each chunk waits until
+        // three threads have run one (for 10 s per job at most), so every
+        // member of a three-thread team shows up however the claims
+        // race; a job run inline shows only the caller, after the wait.
+        let team = || {
+            let seen = Mutex::new(HashSet::<ThreadId>::new());
+            let deadline = Instant::now() + Duration::from_secs(10);
             rayon::map_chunks(0..64, |_, _| {
-                std::thread::current().name().map(str::to_owned)
-            })
+                seen.lock().unwrap().insert(thread::current().id());
+                while seen.lock().unwrap().len() < 3 && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+            });
+            seen.into_inner().unwrap()
         };
         on_pool(3, || {
             assert_eq!(with_threads(3, rayon::current_num_threads).unwrap(), 3);
             assert_eq!(with_threads(0, rayon::current_num_threads).unwrap(), 3);
             assert_eq!(with_threads(2, rayon::current_num_threads).unwrap(), 2);
-            assert!(with_threads(3, on_worker)
-                .unwrap()
-                .iter()
-                .all(Option::is_some));
+            // The caller and the installed pool's two workers, and the
+            // same three again under `with_threads(3, ..)`: no pool of
+            // its own, and no job that stayed on the caller.
+            let installed = team();
+            assert_eq!(installed.len(), 3);
+            assert!(installed.contains(&thread::current().id()));
+            assert_eq!(with_threads(3, team).unwrap(), installed);
         });
     }
 

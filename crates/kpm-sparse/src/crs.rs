@@ -13,12 +13,12 @@
 //! A matrix is stored in one of two ways, chosen by the data. Plain:
 //! per entry its column index and one `Complex64` (`S_i + S_d`), which
 //! is how everything built from raw arrays is stored. Coded: a lattice
-//! operator ([`crate::StencilMatrix::to_crs`]) keeps no per-entry array
-//! at all, only its row pointers, a table of at most 256 distinct values
-//! and its [`SiteView`] — the lattice's 4×4 site blocks, one byte per
-//! block naming a (neighbour, block) pair of at most 256, each pair
-//! stored as the slots of [`SiteBlock`] with the table codes of its
-//! entries beside them. Its sweep walks that view at every width — the
+//! operator ([`crate::StencilMatrix::to_crs`]) keeps no per-entry or
+//! per-row array at all, only its entry count, a table of at most 256
+//! distinct values and its [`SiteView`] — the lattice's 4×4 site blocks,
+//! one byte per block naming a (neighbour, block) pair of at most 256,
+//! each pair stored as the slots of [`SiteBlock`] with the table codes of
+//! its entries beside them. Its sweep walks that view at every width — the
 //! lattice's one sweep and one run-time operator, which
 //! [`crate::KpmMatrix::stencil`] holds too — and [`CrsMatrix::row`]
 //! regenerates a row from it on demand. Both read back the same
@@ -26,6 +26,7 @@
 //! the choice. Past 256 pairs or values, or when a block does not fit
 //! its slots, the generator stores the matrix plain.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use kpm_num::accounting::crs_bytes;
@@ -43,6 +44,11 @@ const TABLE_SLOTS: usize = 256;
 pub struct CrsMatrix {
     nrows: usize,
     ncols: usize,
+    /// Stored entries.
+    nnz: usize,
+    /// A plain matrix's row pointers: row `r`'s entries are
+    /// `row_ptr[r]..row_ptr[r + 1]`. Empty when coded: the site view is
+    /// the rows.
     row_ptr: Vec<u64>,
     vals: Values,
 }
@@ -139,6 +145,15 @@ impl SiteView {
             }
         }
         len
+    }
+
+    /// The length of row `r`: the slots of its site's blocks that store
+    /// an entry of the row, as [`SiteView::fill_row`] keeps them.
+    fn row_len(&self, r: usize) -> usize {
+        let (site, o) = (r / 4, r % 4);
+        let codes = &self.codes[site * self.stride..][..self.stride];
+        let slots = codes.iter().flat_map(|&b| &self.blocks[b as usize].slots);
+        slots.filter(|slot| slot.row(o).1 .1 != 0.0).count()
     }
 }
 
@@ -466,9 +481,7 @@ impl PartialEq for Row<'_> {
 impl PartialEq for CrsMatrix {
     fn eq(&self, other: &Self) -> bool {
         let same_rows = || (0..self.nrows).all(|r| self.row(r) == other.row(r));
-        (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            && self.row_ptr == other.row_ptr
-            && same_rows()
+        (self.nrows, self.ncols, self.nnz) == (other.nrows, other.ncols, other.nnz) && same_rows()
     }
 }
 
@@ -493,11 +506,13 @@ impl CrsMatrix {
     /// The square lattice operator whose rows `sites` holds, coded:
     /// each stored entry's value is `table.vals[code]` for its code in
     /// `sites.entries`, every code names one of the table's filled slots,
-    /// and `row_ptr` counts the entries of each row — so every value has
-    /// an exactly-zero part, as a [`Slot`] holds nothing else.
+    /// and the rows hold `nnz` entries in all — so every value has an
+    /// exactly-zero part, as a [`Slot`] holds nothing else. Its columns
+    /// are in range and ascending by construction: nothing is checked
+    /// row by row.
     pub(crate) fn from_coded(
         nrows: usize,
-        row_ptr: Vec<u64>,
+        nnz: usize,
         table: Box<CodeTable>,
         sites: SiteView,
     ) -> Self {
@@ -507,10 +522,14 @@ impl CrsMatrix {
             "one code list per site"
         );
         debug_assert!(table.vals.iter().all(|&v| crate::sweep::is_axial(v)));
-        let vals = Values::Lattice(table, sites);
-        let m = Self::built(Self::checked(nrows, nrows, row_ptr, vals));
-        debug_assert!((0..nrows).all(|r| m.row(r).cols().len() == m.row_len(r)));
-        m
+        debug_assert_eq!((0..nrows).map(|r| sites.row_len(r)).sum::<usize>(), nnz);
+        Self {
+            nrows,
+            ncols: nrows,
+            nnz,
+            row_ptr: Vec::new(),
+            vals: Values::Lattice(table, sites),
+        }
     }
 
     fn built(m: Result<Self, KpmError>) -> Self {
@@ -528,17 +547,6 @@ impl CrsMatrix {
         row_ptr: Vec<u64>,
         cols: Vec<u32>,
         vals: Vec<Complex64>,
-    ) -> Result<Self, KpmError> {
-        Self::checked(nrows, ncols, row_ptr, Values::Plain { cols, vals })
-    }
-
-    /// The invariants of [`CrsMatrix::from_raw`], checked for either
-    /// value store.
-    fn checked(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<u64>,
-        vals: Values,
     ) -> Result<Self, KpmError> {
         fn bad(what: &'static str, details: String) -> KpmError {
             KpmError::InvalidMatrix { what, details }
@@ -558,34 +566,26 @@ impl CrsMatrix {
                 format!("row_ptr must start at 0 (got {})", row_ptr[0]),
             ));
         }
-        // A coded matrix's columns are its site view's, in range and
-        // ascending by construction.
-        let cols = match &vals {
-            Values::Plain { cols, vals } => {
-                let nnz = row_ptr[nrows] as usize;
-                if nnz != cols.len() {
-                    return Err(bad(
-                        "row_ptr",
-                        format!(
-                            "row_ptr must end at nnz (got {nnz}, cols.len() = {})",
-                            cols.len()
-                        ),
-                    ));
-                }
-                if cols.len() != vals.len() {
-                    return Err(bad(
-                        "cols/vals",
-                        format!(
-                            "cols/vals length mismatch ({} vs {})",
-                            cols.len(),
-                            vals.len()
-                        ),
-                    ));
-                }
-                cols.as_slice()
-            }
-            Values::Lattice(..) => &[],
-        };
+        let nnz = row_ptr[nrows] as usize;
+        if nnz != cols.len() {
+            return Err(bad(
+                "row_ptr",
+                format!(
+                    "row_ptr must end at nnz (got {nnz}, cols.len() = {})",
+                    cols.len()
+                ),
+            ));
+        }
+        if cols.len() != vals.len() {
+            return Err(bad(
+                "cols/vals",
+                format!(
+                    "cols/vals length mismatch ({} vs {})",
+                    cols.len(),
+                    vals.len()
+                ),
+            ));
+        }
         for r in 0..nrows {
             if row_ptr[r] > row_ptr[r + 1] {
                 return Err(bad(
@@ -613,8 +613,9 @@ impl CrsMatrix {
         Ok(Self {
             nrows,
             ncols,
+            nnz,
             row_ptr,
-            vals,
+            vals: Values::Plain { cols, vals },
         })
     }
 
@@ -644,7 +645,7 @@ impl CrsMatrix {
     /// Number of stored non-zeros.
     #[inline(always)]
     pub fn nnz(&self) -> usize {
-        self.row_ptr[self.nrows] as usize
+        self.nnz
     }
 
     /// The distinct values of a coded matrix, in code order; `None` when
@@ -683,7 +684,8 @@ impl CrsMatrix {
         &self.vals
     }
 
-    /// The entries of row `r`: `row_ptr[r]..row_ptr[r + 1]`.
+    /// The entries of row `r` in a plain matrix's arrays:
+    /// `row_ptr[r]..row_ptr[r + 1]`.
     #[inline(always)]
     pub(crate) fn row_range(&self, r: usize) -> Range<usize> {
         self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize
@@ -695,10 +697,19 @@ impl CrsMatrix {
         self.nnz() as f64 / self.nrows.max(1) as f64
     }
 
-    /// The raw row-pointer array.
-    #[inline(always)]
-    pub fn row_ptr(&self) -> &[u64] {
-        &self.row_ptr
+    /// The row pointers: a plain matrix's array, or the prefix sums of a
+    /// coded matrix's row lengths, which it does not store.
+    pub fn row_ptr(&self) -> Cow<'_, [u64]> {
+        match &self.vals {
+            Values::Plain { .. } => Cow::Borrowed(&self.row_ptr),
+            Values::Lattice(..) => {
+                let ends = (0..self.nrows).scan(0, |end, r| {
+                    *end += self.row_len(r) as u64;
+                    Some(*end)
+                });
+                Cow::Owned(std::iter::once(0).chain(ends).collect())
+            }
+        }
     }
 
     /// Row `r`: its column indices and values, borrowed when stored
@@ -751,9 +762,8 @@ impl CrsMatrix {
     /// Format-independent when computed from the assembled CRS source
     /// (see `KpmMatrix::content_fingerprint`).
     pub fn content_fingerprint(&self) -> u64 {
-        fingerprint(self.nrows, self.ncols, &self.row_ptr, |f| {
-            self.for_each_row(f)
-        })
+        let row_lens = |f: &mut dyn FnMut(usize)| (0..self.nrows).for_each(|r| f(self.row_len(r)));
+        fingerprint(self.nrows, self.ncols, row_lens, |f| self.for_each_row(f))
     }
 
     /// Entry `(r, c)`, or zero if not stored.
@@ -761,10 +771,14 @@ impl CrsMatrix {
         self.row(r).get(c).unwrap_or_default()
     }
 
-    /// Length of row `r`.
+    /// Length of row `r`: off the row pointers when plain, off the site
+    /// view when coded.
     #[inline(always)]
     pub fn row_len(&self, r: usize) -> usize {
-        (self.row_ptr[r + 1] - self.row_ptr[r]) as usize
+        match &self.vals {
+            Values::Plain { .. } => (self.row_ptr[r + 1] - self.row_ptr[r]) as usize,
+            Values::Lattice(_, sites) => sites.row_len(r),
+        }
     }
 
     /// Maximum row length over the whole matrix.
@@ -882,23 +896,27 @@ impl CrsMatrix {
 }
 
 /// The content fingerprint of an `nrows x ncols` matrix whose row
-/// pointers are `row_ptr` and whose rows `for_each_row` hands out in
-/// order: FNV-1a over the dimensions, the row pointers, every column
-/// index, then every value's bits — the three arrays of a plain CRS, one
-/// after the other ([`CrsMatrix::content_fingerprint`]; a lattice with no
-/// coded form hashes its regenerated rows through it too).
+/// lengths `row_lens` and whose rows `for_each_row` hand out in order:
+/// FNV-1a over the dimensions, the row pointers (summed here from the
+/// lengths), every column index, then every value's bits — the three
+/// arrays of a plain CRS, one after the other, whether it stores them or
+/// not ([`CrsMatrix::content_fingerprint`]; a lattice with no coded form
+/// hashes its regenerated rows through it too).
 pub(crate) fn fingerprint(
     nrows: usize,
     ncols: usize,
-    row_ptr: &[u64],
+    row_lens: impl FnOnce(&mut dyn FnMut(usize)),
     for_each_row: impl Fn(&mut dyn FnMut(usize, &[u32], &[Complex64])),
 ) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(nrows as u64);
     h.write_u64(ncols as u64);
-    for &p in row_ptr {
-        h.write_u64(p);
-    }
+    h.write_u64(0);
+    let mut end = 0;
+    row_lens(&mut |len| {
+        end += len as u64;
+        h.write_u64(end);
+    });
     for_each_row(&mut |_, cols, _| {
         for &c in cols {
             h.write_u64(c as u64);

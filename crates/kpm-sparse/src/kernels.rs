@@ -367,8 +367,8 @@ mod tests {
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
         }
-        let onsite = vec![[Complex64::real(1.0); 4]; 8];
-        let st = StencilMatrix::new(2, 2, 2, [false; 3], onsite, &hop);
+        let onsite = vec![[Complex64::real(1.0); 4]];
+        let st = StencilMatrix::new(2, 2, 2, [false; 3], onsite, vec![0; 8], &hop);
         let coded = KpmMatrix::crs(st.to_crs());
         let nnz = coded.nnz();
         assert_eq!(

@@ -10,8 +10,9 @@
 //!   (paper Section IV-A); a lattice's is coded, its sweep walking the
 //!   lattice's site blocks,
 //! * [`stencil`] — the topological-insulator lattice's generator: its
-//!   geometry and block templates, which build its CRS form, prove its
-//!   Hermiticity and bound its spectrum in `O(sites)`, and — for a
+//!   geometry, block templates and one on-site code per site, which
+//!   build its CRS form, prove its Hermiticity and bound its spectrum
+//!   over its distinct blocks, and — for a
 //!   lattice with no coded form — regenerate its rows matrix-free,
 //! * [`kernels`] — the [`SparseKernels`] trait — a format's dimensions
 //!   and its one `sweep`, with every named kernel (`spmv`, `spmmv`, the

@@ -1,11 +1,12 @@
 //! The generator of the topological-insulator lattice operator.
 //!
-//! [`StencilMatrix`] keeps the operator as the lattice geometry — per
-//! site one on-site diagonal (64 bytes) plus six 4×4 hopping-block
-//! templates shared by all sites — and is where every form of it comes
-//! from. Its CRS form ([`StencilMatrix::to_crs`], kpm-topo's
-//! `assemble()`) is coded whenever the lattice has a site view
-//! ([`SiteView`]): built here in `O(sites)` from the boundary classes — a
+//! [`StencilMatrix`] keeps the operator as the lattice geometry — a
+//! table of the distinct on-site diagonals with one code per site into
+//! it, plus six 4×4 hopping-block templates shared by all sites — and is
+//! where every form of it comes from. Its CRS form
+//! ([`StencilMatrix::to_crs`], kpm-topo's `assemble()`) is coded whenever
+//! the lattice has a site view ([`SiteView`]): built here in one pass over
+//! the sites from the boundary classes and the diagonals' block codes — a
 //! byte per block of each site and the ≤ 256 distinct blocks, 0.4 MB on
 //! the benchmark's 48×48×24 lattice — with the table of its ≤ 256
 //! distinct values. The four orbital rows of a site see the same
@@ -15,10 +16,10 @@
 //! ascending-column order of a CRS row. That coded CRS is the lattice's
 //! one run-time operator: [`crate::KpmMatrix::stencil`] holds it too.
 //!
-//! What stays on the generator is what it does in `O(sites)`: the
-//! structural Hermiticity check, and the row lengths and Gershgorin sums
-//! of the per-class row table — what the CRS build's `row_ptr` is the
-//! prefix sum of, and the bounds, bit-equal to the fold over its rows.
+//! What stays on the generator is what it does over its distinct blocks:
+//! the structural Hermiticity check, and the Gershgorin sums of the
+//! (boundary class, on-site diagonal) pairs its sites have — the bounds,
+//! bit-equal to the fold over the CRS rows — and the entry count.
 //!
 //! A lattice has no coded form when a periodic axis has extent 2 (the
 //! coincident `n±ê_j` blocks are merged before the multiply), past 256
@@ -63,8 +64,8 @@ struct HopRow {
 }
 
 /// One orbital row of a boundary class, without its on-site entry —
-/// whose value varies per site: the number of hopping entries and the
-/// sum of their absolute values, folded in ascending column order.
+/// whose value is the site's diagonal: the number of hopping entries and
+/// the sum of their absolute values, folded in ascending column order.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowSum {
     entries: usize,
@@ -104,20 +105,26 @@ fn edge_code(coord: usize, extent: usize) -> usize {
 /// which its CRS form is built and, on a lattice with no coded form, its
 /// rows are regenerated on the fly.
 ///
-/// Construction takes the on-site *diagonals* per site and the six raw
-/// hopping blocks in assembly order (`+ê_j` H.c. partner before `−ê_j`
-/// for each direction); see [`StencilMatrix::new`]. kpm-topo provides
-/// a builder (`TopoHamiltonian::stencil_matrix`) that feeds it the
-/// exact blocks its CRS assembly uses.
+/// Construction takes a table of on-site *diagonals*, one code per site
+/// into it, and the six raw hopping blocks in assembly order (`+ê_j`
+/// H.c. partner before `−ê_j` for each direction); see
+/// [`StencilMatrix::new`]. kpm-topo provides a builder
+/// (`TopoHamiltonian::stencil_matrix`) that feeds it the exact blocks its
+/// CRS assembly uses.
 #[derive(Debug, Clone)]
 pub struct StencilMatrix {
     nx: usize,
     ny: usize,
     nz: usize,
     periodic: [bool; 3],
-    /// Diagonal of the on-site block, per site (the TI on-site block
+    /// The on-site diagonals the sites have (the TI on-site block
     /// `V·Γ⁰ + 2Γ¹` is exactly diagonal).
-    onsite_diag: Vec<[Complex64; 4]>,
+    diags: Vec<[Complex64; 4]>,
+    /// Per site, the index of its on-site diagonal in `diags`.
+    site_diag: Vec<u32>,
+    /// Per entry of `diags`, the boundary classes of the sites that have
+    /// it: bit `c` for class `c` (the [`RowSum`] table's index).
+    diag_classes: Vec<u64>,
     /// The raw blocks: `[2j]` is the `+ê_j` block (`T_j†`), `[2j+1]`
     /// the `−ê_j` block (`T_j`).
     hop_blocks: [[[Complex64; 4]; 4]; 6],
@@ -136,9 +143,11 @@ pub struct StencilMatrix {
 impl StencilMatrix {
     /// Builds the stencil operator.
     ///
-    /// * `onsite_diag[site]` — the diagonal of the on-site 4×4 block
-    ///   (the block must be diagonal; off-diagonal on-site structure is
-    ///   not representable and is the caller's contract to uphold),
+    /// * `diags[site_diag[site]]` — the diagonal of the on-site 4×4 block
+    ///   of `site` (the block must be diagonal; off-diagonal on-site
+    ///   structure is not representable and is the caller's contract to
+    ///   uphold); `site_diag` holds one code per site, sites in
+    ///   `x + Nx·(y + Ny·z)` order,
     /// * `hop_blocks` — the six 4×4 hopping blocks in assembly order:
     ///   index `2j` holds the `+ê_j` partner and `2j+1` the `−ê_j`
     ///   partner for direction `j ∈ {0,1,2}` (x, y, z),
@@ -150,7 +159,8 @@ impl StencilMatrix {
         ny: usize,
         nz: usize,
         periodic: [bool; 3],
-        onsite_diag: Vec<[Complex64; 4]>,
+        diags: Vec<[Complex64; 4]>,
+        site_diag: Vec<u32>,
         hop_blocks: &[[[Complex64; 4]; 4]; 6],
     ) -> Self {
         assert!(
@@ -158,9 +168,13 @@ impl StencilMatrix {
             "lattice extents must be positive"
         );
         assert_eq!(
-            onsite_diag.len(),
+            site_diag.len(),
             nx * ny * nz,
             "one on-site diagonal per site"
+        );
+        assert!(
+            site_diag.iter().all(|&d| (d as usize) < diags.len()),
+            "every site's on-site diagonal is in the table"
         );
         let mut hop_rows = [[HopRow::default(); 4]; 6];
         for (b, block) in hop_blocks.iter().enumerate() {
@@ -181,7 +195,9 @@ impl StencilMatrix {
             ny,
             nz,
             periodic,
-            onsite_diag,
+            diag_classes: Vec::new(),
+            diags,
+            site_diag,
             hop_blocks: *hop_blocks,
             hop_rows,
             sums: Vec::new(),
@@ -192,9 +208,29 @@ impl StencilMatrix {
             nnz: 0,
         };
         m.sums = (0..64).map(|code| m.row_sums(code)).collect();
+        let mut diag_classes = vec![0u64; m.diags.len()];
+        m.for_sites(|_, class, diag| diag_classes[diag] |= 1 << class);
         let mut nnz = 0;
-        m.for_row_sums(|_, entries, _| nnz += entries);
-        Self { nnz, ..m }
+        m.for_row_lens(|len| nnz += len);
+        Self {
+            nnz,
+            diag_classes,
+            ..m
+        }
+    }
+
+    /// Hands `f` every site in order — its index, its boundary class
+    /// (the [`RowSum`] table's index) and the index of its on-site
+    /// diagonal — stepping the coordinates instead of dividing them out
+    /// of the index.
+    fn for_sites(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let (nx, ny) = (self.nx, self.ny);
+        for (line, diags) in self.site_diag.chunks_exact(nx).enumerate() {
+            let yz = edge_code(line % ny, ny) << 2 | edge_code(line / ny, self.nz) << 4;
+            for (x, &diag) in diags.iter().enumerate() {
+                f(line * nx + x, edge_code(x, nx) | yz, diag as usize);
+            }
+        }
     }
 
     /// The blocks every site of boundary class `code` reads, as (site
@@ -287,21 +323,21 @@ impl StencilMatrix {
 
     /// The content fingerprint of the CRS build of the lattice
     /// ([`CrsMatrix::content_fingerprint`]), hashed through the same
-    /// function from the regenerated rows and the tabulated row lengths:
+    /// function from the tabulated row lengths and the regenerated rows:
     /// the one a handle of a lattice with no coded form reports.
     pub(crate) fn content_fingerprint(&self) -> u64 {
         let n = self.nrows();
-        fingerprint(n, n, &self.row_ptr(), |f| self.for_rows(0..n, f))
+        fingerprint(n, n, |f| self.for_row_lens(f), |f| self.for_rows(0..n, f))
     }
 
-    /// The row pointers of the CRS build: the prefix sums of the
-    /// tabulated row lengths.
+    /// The row pointers of the plain CRS build: the prefix sums of the
+    /// row lengths.
     fn row_ptr(&self) -> Vec<u64> {
         let mut row_ptr = Vec::with_capacity(self.nrows() + 1);
         let mut end = 0u64;
         row_ptr.push(end);
-        self.for_row_sums(|_, entries, _| {
-            end += entries as u64;
+        self.for_row_lens(|len| {
+            end += len as u64;
             row_ptr.push(end);
         });
         row_ptr
@@ -343,25 +379,20 @@ impl StencilMatrix {
         CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
     }
 
-    /// The coded CRS form of the lattice: `row_ptr`, the value table and
-    /// the site view ([`StencilMatrix::site_view`]), built here and moved
-    /// in. `None` when the lattice has no site view.
+    /// The coded CRS form of the lattice: the entry count, the value
+    /// table and the site view ([`StencilMatrix::site_view`]), built here
+    /// and moved in. `None` when the lattice has no site view.
     pub(crate) fn coded(&self) -> Option<CrsMatrix> {
         let (sites, table) = self.site_view()?;
-        Some(CrsMatrix::from_coded(
-            self.nrows(),
-            self.row_ptr(),
-            table,
-            sites,
-        ))
+        Some(CrsMatrix::from_coded(self.nrows(), self.nnz, table, sites))
     }
 
     /// The site view of the lattice ([`SiteView`]) — what the sweep of
-    /// its coded CRS walks — and the table of its values, in one pass over
-    /// the sites: each boundary class's hopping blocks are coded once,
-    /// from [`StencilMatrix::class_blocks`], and each site takes its
-    /// class's codes with the code of its own on-site block in its slot,
-    /// looked up by the diagonal's bits among the diagonals met before.
+    /// its coded CRS walks — and the table of its values: each boundary
+    /// class's hopping blocks are coded once, from
+    /// [`StencilMatrix::class_blocks`], and so is each on-site diagonal a
+    /// site has, in table order; then one pass over the sites writes each
+    /// its class's codes with its diagonal's code in the on-site slot.
     /// `None` on coincident-neighbour lattices, past 256 distinct blocks
     /// or values ([`BlockSet::into_view`]), and when a block does not fit
     /// its slots — no generated lattice has one.
@@ -392,87 +423,79 @@ impl StencilMatrix {
             true => blocks.code(0, [[ZERO; 4]; 4])?,
             false => 0,
         };
-        let bits = |d: &[Complex64; 4]| d.map(|z| (z.re.to_bits(), z.im.to_bits()));
-        // The code of each distinct diagonal met so far, by its bits.
-        let mut onsite = Vec::new();
-        let (mut x, mut y, mut z) = (0, 0, 0);
+        let onsite = |diag: &[Complex64; 4]| {
+            std::array::from_fn(|o| {
+                std::array::from_fn(|p| if o == p { kept(diag[o]) } else { ZERO })
+            })
+        };
+        // No site reads a diagonal of no class: it takes no code.
+        let diags = self.diags.iter().zip(&self.diag_classes);
+        let own = diags.map(|(diag, &classes)| match classes {
+            0 => Some(0),
+            _ => blocks.code(0, onsite(diag)),
+        });
+        let own: Vec<u8> = own.collect::<Option<_>>()?;
         // `vec!` of zeros is `calloc`-backed.
         let mut codes = vec![0u8; self.sites() * stride];
-        for (diag, out) in self.onsite_diag.iter().zip(codes.chunks_exact_mut(stride)) {
-            let diag_bits = bits(diag);
-            let own = match onsite.iter().find(|(seen, _)| *seen == diag_bits) {
-                Some(&(_, code)) => code,
-                None => {
-                    let block = std::array::from_fn(|o| {
-                        std::array::from_fn(|p| if o == p { kept(diag[o]) } else { ZERO })
-                    });
-                    let code = blocks.code(0, block)?;
-                    onsite.push((diag_bits, code));
-                    code
-                }
-            };
-            let class = &classes
-                [edge_code(x, self.nx) | edge_code(y, self.ny) << 2 | edge_code(z, self.nz) << 4];
+        self.for_sites(|site, class, diag| {
+            let (class, out) = (&classes[class], &mut codes[site * stride..][..stride]);
             out[..class.len].copy_from_slice(&class.codes[..class.len]);
-            out[class.onsite_at] = own;
+            out[class.onsite_at] = own[diag];
             out[class.len..].fill(pad);
-            x += 1;
-            if x == self.nx {
-                (x, y) = (0, y + 1);
-                if y == self.ny {
-                    (y, z) = (0, z + 1);
-                }
-            }
-        }
+        });
         blocks.into_view(stride, codes)
     }
 
-    /// Boundary class of `site`: the index into the [`RowSum`] table.
-    fn site_class(&self, site: usize) -> usize {
-        let (nx, ny, nz) = self.shape();
-        let (x, y, z) = (site % nx, site / nx % ny, site / (nx * ny));
-        edge_code(x, nx) | edge_code(y, ny) << 2 | edge_code(z, nz) << 4
-    }
-
-    /// Hands `f` every row's real diagonal part (zero when the assembly
-    /// drops the entry), entry count and absolute off-diagonal sum in
-    /// ascending column order, row by row. The rows of a boundary class
-    /// share their hopping entries, so this is `O(sites)` unless
-    /// coincident neighbours force a regeneration.
-    fn for_row_sums(&self, mut f: impl FnMut(f64, usize, f64)) {
+    /// Hands `f` every row's length in order: its class's hopping entries
+    /// and its diagonal entry unless the assembly drops it, or the
+    /// regenerated row's when coincident neighbours merge entries.
+    fn for_row_lens(&self, mut f: impl FnMut(usize)) {
         if self.coincident {
-            return self.for_rows(0..self.nrows(), |r, cols, vals| {
-                let diag = cols.iter().position(|&c| c as usize == r);
-                let off = (0..cols.len()).filter(|&k| Some(k) != diag);
-                let radius = off.fold(0.0, |s, k| s + vals[k].abs());
-                f(diag.map_or(0.0, |k| vals[k].re), cols.len(), radius)
-            });
+            return self.for_rows(0..self.nrows(), |_, cols, _| f(cols.len()));
         }
-        for (site, diag) in self.onsite_diag.iter().enumerate() {
-            for (d, sum) in diag.iter().zip(&self.sums[self.site_class(site)]) {
-                let kept = *d != ZERO;
-                let diag = if kept { d.re } else { 0.0 };
-                f(diag, sum.entries + kept as usize, sum.radius);
+        self.for_sites(|_, class, diag| {
+            for (d, sum) in self.diags[diag].iter().zip(&self.sums[class]) {
+                f(sum.entries + (*d != ZERO) as usize);
             }
-        }
+        });
     }
 
     /// Gershgorin bounds on the spectrum, the fold of
     /// [`crate::crs::CrsMatrix::gershgorin_bounds`] over the same row
-    /// sums: bounds and scale factors equal the CRS build's bit for bit.
+    /// sums, each distinct row once (a row's diagonal is zero when the
+    /// assembly drops the entry): bounds and scale factors equal the CRS
+    /// build's bit for bit. Coincident neighbours fold the regenerated
+    /// rows.
     pub fn gershgorin_bounds(&self) -> (f64, f64) {
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        self.for_row_sums(|diag, _, radius| {
+        let mut fold = |diag: f64, radius: f64| {
             lo = lo.min(diag - radius);
             hi = hi.max(diag + radius);
-        });
+        };
+        if self.coincident {
+            self.for_rows(0..self.nrows(), |r, cols, vals| {
+                let diag = cols.iter().position(|&c| c as usize == r);
+                let off = (0..cols.len()).filter(|&k| Some(k) != diag);
+                let radius = off.fold(0.0, |s, k| s + vals[k].abs());
+                fold(diag.map_or(0.0, |k| vals[k].re), radius)
+            });
+        } else {
+            for (diag, &classes) in self.diags.iter().zip(&self.diag_classes) {
+                for class in (0..64).filter(|class| classes >> class & 1 == 1) {
+                    for (d, sum) in diag.iter().zip(&self.sums[class]) {
+                        fold(if *d != ZERO { d.re } else { 0.0 }, sum.radius);
+                    }
+                }
+            }
+        }
         (lo, hi)
     }
 
-    /// Structural Hermiticity in `O(sites)`: every on-site diagonal
-    /// entry is real and each direction's two partner blocks are
+    /// Structural Hermiticity over the distinct blocks: every on-site
+    /// diagonal entry is real and each direction's two partner blocks are
     /// adjoints of each other (`hop[2j] == hop[2j+1]†`), which makes
-    /// every assembled entry pair exactly conjugate.
+    /// every assembled entry pair exactly conjugate. The error names the
+    /// first site with a complex diagonal entry.
     pub fn check_hermitian(&self) -> Result<(), KpmError> {
         let bad = |details: String| KpmError::InvalidMatrix {
             what: "stencil",
@@ -486,11 +509,11 @@ impl StencilMatrix {
             let blocks = format!("hopping blocks {} and {}", 2 * j, 2 * j + 1);
             return Err(bad(format!("{blocks} are not adjoints of each other")));
         }
-        match self
-            .onsite_diag
-            .iter()
-            .position(|d| d.iter().any(|z| z.im != 0.0))
-        {
+        let complex = |d: u32| self.diags[d as usize].iter().any(|z| z.im != 0.0);
+        if !(0..self.diags.len() as u32).any(complex) {
+            return Ok(());
+        }
+        match self.site_diag.iter().position(|&d| complex(d)) {
             Some(site) => Err(bad(format!("on-site entry of site {site} is not real"))),
             None => Ok(()),
         }
@@ -550,7 +573,7 @@ impl StencilMatrix {
             *cached_site = site;
         }
         let mut n = 0;
-        let d = m.onsite_diag[site][o];
+        let d = m.diags[m.site_diag[site] as usize][o];
         if d != ZERO {
             cols[n] = (4 * site + o) as u32;
             vals[n] = d;
@@ -659,7 +682,16 @@ mod tests {
                 row[3 - o] = I.scale(0.5);
             }
         }
-        StencilMatrix::new(nx, ny, nz, periodic, onsite.collect(), &hop)
+        let sites = 0..(nx * ny * nz) as u32;
+        StencilMatrix::new(
+            nx,
+            ny,
+            nz,
+            periodic,
+            onsite.collect(),
+            sites.collect(),
+            &hop,
+        )
     }
 
     #[test]
@@ -734,7 +766,7 @@ mod tests {
         // plus the on-site one, the longest row a lattice regenerates.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let onsite = vec![[Complex64::real(0.5); 4]; 27];
+        let onsite = vec![[Complex64::real(0.5); 4]];
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             for (o, row) in block.iter_mut().enumerate() {
@@ -743,7 +775,7 @@ mod tests {
                 }
             }
         }
-        let st = StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop);
+        let st = StencilMatrix::new(3, 3, 3, [true; 3], onsite, vec![0; 27], &hop);
         let crs = st.to_crs();
         assert_eq!(crs.max_row_len(), 25);
         let m = KpmMatrix::stencil(st);
@@ -769,20 +801,23 @@ mod tests {
 
     #[test]
     fn hermiticity_is_checked_structurally() {
-        let real_onsite = vec![[Complex64::real(1.0); 4]; 8];
+        let real_onsite = vec![[Complex64::real(1.0); 4]];
+        let new = |onsite: &Vec<_>, site_diag: Vec<u32>, hop: &_| {
+            StencilMatrix::new(2, 2, 2, [false; 3], onsite.clone(), site_diag, hop)
+        };
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for j in 0..3 {
             hop[2 * j][0][1] = Complex64::new(0.5, 0.25 * (j + 1) as f64);
             hop[2 * j + 1][1][0] = hop[2 * j][0][1].conj();
         }
-        let good = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &hop);
+        let good = new(&real_onsite, vec![0; 8], &hop);
         assert!(good.check_hermitian().is_ok());
         assert!(good.to_crs().is_hermitian());
 
         // A partner block that is the transpose but not the conjugate.
         let mut bad_hop = hop;
         bad_hop[3][1][0] = hop[2][0][1];
-        let bad = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &bad_hop);
+        let bad = new(&real_onsite, vec![0; 8], &bad_hop);
         let err = bad.check_hermitian().unwrap_err();
         let typed = |e: &KpmError| {
             matches!(
@@ -800,24 +835,106 @@ mod tests {
         // A z-partner whose real part is off.
         let mut bad_hop = hop;
         bad_hop[5][1][0] += Complex64::real(0.125);
-        let bad = StencilMatrix::new(2, 2, 2, [false; 3], real_onsite.clone(), &bad_hop);
+        let bad = new(&real_onsite, vec![0; 8], &bad_hop);
         let err = bad.check_hermitian().unwrap_err();
         assert!(err.to_string().contains("blocks 4 and 5"), "{err}");
         assert!(!bad.to_crs().is_hermitian());
 
-        // A complex on-site entry.
-        let mut complex_onsite = real_onsite;
-        complex_onsite[5][2] = Complex64::new(1.0, 1e-3);
-        let bad = StencilMatrix::new(2, 2, 2, [false; 3], complex_onsite, &hop);
+        // A complex on-site entry, first had by site 5; a complex
+        // diagonal no site has is none of the operator's.
+        let mut complex_onsite = real_onsite.clone();
+        complex_onsite.push([Complex64::real(1.0); 4]);
+        complex_onsite[1][2] = Complex64::new(1.0, 1e-3);
+        assert!(new(&complex_onsite, vec![0; 8], &hop)
+            .check_hermitian()
+            .is_ok());
+        let bad = new(&complex_onsite, vec![0, 0, 0, 0, 0, 1, 0, 1], &hop);
         let err = bad.check_hermitian().unwrap_err();
         assert!(err.to_string().contains("site 5"), "{err}");
         assert!(!bad.to_crs().is_hermitian());
+
+        // Imaginary bonds, coded, whose z partners are equal instead of
+        // adjoint: the coded CRS names the entry its plain read-back does.
+        let mut bonds = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            bonds[2 * j][0][1] = Complex64::imag(0.5);
+            bonds[2 * j + 1][1][0] = Complex64::imag(-0.5);
+        }
+        bonds[5][1][0] = Complex64::imag(0.5);
+        let bad = new(&real_onsite, vec![0; 8], &bonds);
+        let err = bad.check_hermitian().unwrap_err();
+        assert!(err.to_string().contains("blocks 4 and 5"), "{err}");
+        let coded = bad.to_crs();
+        assert!(coded.value_table().is_some());
+        let verdict = coded.check_hermitian();
+        assert!(verdict.is_err());
+        assert_eq!(verdict, read_back(&coded).check_hermitian());
+    }
+
+    /// `m`'s rows stored plain.
+    fn read_back(m: &CrsMatrix) -> CrsMatrix {
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        m.for_each_row(|_, c, v| {
+            cols.extend_from_slice(c);
+            vals.extend_from_slice(v);
+        });
+        let n = m.nrows();
+        CrsMatrix::from_raw(n, n, m.row_ptr().into_owned(), cols, vals)
+    }
+
+    #[test]
+    fn a_coded_crs_answers_like_its_plain_read_back() {
+        // The coded form stores no row pointers: its entry count, row
+        // lengths, `==` and fingerprint come off the site view, and
+        // equal those of the same rows stored plain — on a lattice whose
+        // boundary sites pad with the zero block and one that has none.
+        let onsite = vec![
+            [2.0, 2.0, -2.0, -2.0].map(Complex64::real),
+            [Complex64::real(0.5); 4],
+        ];
+        let mut bonds = [[[Complex64::default(); 4]; 4]; 6];
+        for j in 0..3 {
+            bonds[2 * j][0][1] = Complex64::imag(0.25 * (j + 1) as f64);
+            bonds[2 * j + 1][1][0] = bonds[2 * j][0][1].conj();
+            bonds[2 * j][2][3] = Complex64::real(-0.5);
+            bonds[2 * j + 1][3][2] = Complex64::real(-0.5);
+        }
+        for (shape, periodic) in [((4, 3, 5), [true, false, true]), ((3, 4, 3), [true; 3])] {
+            let (nx, ny, nz) = shape;
+            let site_diag = (0..nx * ny * nz).map(|s| (s % 7 == 3) as u32).collect();
+            let st = StencilMatrix::new(nx, ny, nz, periodic, onsite.clone(), site_diag, &bonds);
+            let coded = st.to_crs();
+            let plain = read_back(&coded);
+            assert!(coded.value_table().is_some() && plain.value_table().is_none());
+            assert_eq!((coded.nnz(), plain.nnz()), (st.nnz(), st.nnz()));
+            assert!((0..coded.nrows()).all(|r| coded.row_len(r) == plain.row_len(r)));
+            assert_eq!(coded.max_row_len(), plain.max_row_len());
+            assert!(coded == plain);
+            assert_eq!(coded.content_fingerprint(), plain.content_fingerprint());
+        }
     }
 
     #[test]
     #[should_panic(expected = "one on-site diagonal per site")]
     fn wrong_onsite_length_panics() {
         let hop = [[[Complex64::default(); 4]; 4]; 6];
-        StencilMatrix::new(2, 2, 2, [true; 3], vec![[Complex64::default(); 4]; 7], &hop);
+        let onsite = vec![[Complex64::default(); 4]];
+        StencilMatrix::new(2, 2, 2, [true; 3], onsite, vec![0; 7], &hop);
+    }
+
+    #[test]
+    #[should_panic(expected = "every site's on-site diagonal is in the table")]
+    fn an_onsite_code_past_the_table_panics() {
+        let hop = [[[Complex64::default(); 4]; 4]; 6];
+        let onsite = vec![[Complex64::default(); 4]];
+        StencilMatrix::new(
+            2,
+            2,
+            2,
+            [true; 3],
+            onsite,
+            vec![0, 0, 0, 1, 0, 0, 0, 0],
+            &hop,
+        );
     }
 }

@@ -1826,10 +1826,9 @@ mod tests {
     fn lattice_of_blocks(diagonals: usize) -> CrsMatrix {
         use crate::StencilMatrix;
         let vals = [0.5, -0.25, 1.5, -2.0, 0.75, 3.0, -1.25, 0.375];
-        let onsite = (0..256).map(|s| {
-            let d = s % diagonals;
-            [vals[d % 8], vals[d / 8 % 8], vals[d / 64 % 8], 0.125].map(Complex64::real)
-        });
+        let onsite = (0..diagonals)
+            .map(|d| [vals[d % 8], vals[d / 8 % 8], vals[d / 64 % 8], 0.125].map(Complex64::real));
+        let site_diag = (0..256).map(|s| (s % diagonals) as u32);
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             for (o, row) in block.iter_mut().enumerate() {
@@ -1837,7 +1836,8 @@ mod tests {
                 row[3 - o] = Complex64::new(0.0, 0.25 + 0.0625 * b as f64);
             }
         }
-        StencilMatrix::new(16, 4, 4, [false; 3], onsite.collect(), &hop).to_crs()
+        let (onsite, site_diag) = (onsite.collect(), site_diag.collect());
+        StencilMatrix::new(16, 4, 4, [false; 3], onsite, site_diag, &hop).to_crs()
     }
 
     #[test]

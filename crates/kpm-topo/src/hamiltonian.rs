@@ -18,6 +18,8 @@
 //! with no coded form. The literal per-row gather/sort/merge of the
 //! blocks survives as the test oracle both are checked against.
 
+use std::collections::HashMap;
+
 use kpm_num::Complex64;
 use kpm_sparse::{CrsMatrix, StencilMatrix};
 
@@ -121,12 +123,12 @@ impl TopoHamiltonian {
     /// Builds the generator of the same operator.
     ///
     /// The generator rebuilds the operator from the lattice geometry,
-    /// the per-site on-site diagonals, and the six hopping blocks,
-    /// visiting each row's entries in ascending column order, so rows
-    /// (and therefore every kernel result, the Gershgorin bounds and the
-    /// content fingerprint) are bitwise-identical to its CRS form
-    /// (asserted against the gather/sort/merge oracle in the tests
-    /// below and by the workspace determinism suite).
+    /// the distinct on-site diagonals with one code per site, and the six
+    /// hopping blocks, visiting each row's entries in ascending column
+    /// order, so rows (and therefore every kernel result, the Gershgorin
+    /// bounds and the content fingerprint) are bitwise-identical to its
+    /// CRS form (asserted against the gather/sort/merge oracle in the
+    /// tests below and by the workspace determinism suite).
     pub fn stencil_matrix(&self) -> StencilMatrix {
         let lat = &self.lattice;
         let t_blocks: [Gamma; 3] = [
@@ -146,24 +148,49 @@ impl TopoHamiltonian {
             hop[2 * j] = t_dagger[j];
             hop[2 * j + 1] = t_blocks[j];
         }
-        let onsite: Vec<[Complex64; 4]> = (0..lat.sites())
-            .map(|site| {
-                let (x, y, z) = lat.coords(site);
-                let block = onsite_block(self.potential.value(lat, x, y, z));
-                // The on-site block is exactly diagonal (Γ⁰ and Γ¹ are);
-                // the stencil stores only the diagonal.
-                debug_assert!(
-                    (0..4).all(|o| (0..4).all(|p| o == p || block[o][p] == Complex64::default()))
-                );
-                [block[0][0], block[1][1], block[2][2], block[3][3]]
-            })
-            .collect();
+        let (diags, site_diag) = self.onsite_diagonals();
         let periodic = [
             lat.boundary[0] == Boundary::Periodic,
             lat.boundary[1] == Boundary::Periodic,
             lat.boundary[2] == Boundary::Periodic,
         ];
-        StencilMatrix::new(lat.nx, lat.ny, lat.nz, periodic, onsite, &hop)
+        StencilMatrix::new(lat.nx, lat.ny, lat.nz, periodic, diags, site_diag, &hop)
+    }
+
+    /// The distinct on-site diagonals, in the order the sites first meet
+    /// them, and each site's index among them. The on-site block
+    /// `V·Γ⁰ + 2Γ¹` is exactly diagonal (Γ⁰ and Γ¹ are) and depends on
+    /// the site only through `V`, so it is built once per distinct value,
+    /// told apart by its bits.
+    fn onsite_diagonals(&self) -> (Vec<[Complex64; 4]>, Vec<u32>) {
+        let lat = &self.lattice;
+        let mut diags = Vec::new();
+        let mut index = HashMap::new();
+        // Neighbouring sites mostly share a value: the last one met
+        // skips the map.
+        let mut last = None;
+        let mut site_diag = Vec::with_capacity(lat.sites());
+        for z in 0..lat.nz {
+            for y in 0..lat.ny {
+                for x in 0..lat.nx {
+                    let bits = self.potential.value(lat, x, y, z).to_bits();
+                    let diag = match last {
+                        Some((seen, diag)) if seen == bits => diag,
+                        _ => *index.entry(bits).or_insert_with(|| {
+                            let block = onsite_block(f64::from_bits(bits));
+                            debug_assert!((0..4).all(|o| {
+                                (0..4).all(|p| o == p || block[o][p] == Complex64::default())
+                            }));
+                            diags.push([block[0][0], block[1][1], block[2][2], block[3][3]]);
+                            (diags.len() - 1) as u32
+                        }),
+                    };
+                    last = Some((bits, diag));
+                    site_diag.push(diag);
+                }
+            }
+        }
+        (diags, site_diag)
     }
 
     /// The four Bloch eigenvalues of the translation-invariant system
@@ -296,8 +323,8 @@ mod tests {
         // extent 2 periodic merges the coincident partners), all eight
         // open/periodic combinations, four potentials — each smaller
         // than one fill chunk, so filled inline. `CrsMatrix: PartialEq`
-        // compares row_ptr, cols and the values entry by entry, whether
-        // they are coded (the generator's, mostly) or plain (the
+        // compares the entry counts, then each row's columns and values,
+        // whether they are coded (the generator's, mostly) or plain (the
         // oracle's).
         for (nx, ny, nz) in (0..216).map(|i| (1 + i % 6, 1 + i / 6 % 6, 1 + i / 36)) {
             for lattice in all_boundaries(nx, ny, nz) {
@@ -595,6 +622,11 @@ mod tests {
             assert!(h.value_table().is_some() && plain.value_table().is_none());
             assert!(h == plain);
             assert_eq!(h.nnz(), vals.len());
+            // The coded form stores no row pointers: its row lengths are
+            // read off the site view.
+            assert_eq!(h.row_ptr(), plain.row_ptr());
+            assert!((0..n).all(|r| h.row_len(r) == plain.row_len(r)));
+            assert_eq!(h.max_row_len(), plain.max_row_len());
             for r in 0..n {
                 let (coded, stored) = (h.row(r), plain.row(r));
                 assert_eq!(coded.cols(), stored.cols(), "row {r}");
@@ -620,6 +652,85 @@ mod tests {
                 out
             };
             assert!(written(&h) == written(&plain));
+        }
+    }
+
+    #[test]
+    fn the_generator_answers_like_a_plain_crs_of_the_same_rows() {
+        // What the prologue reads off the generator — the entry count,
+        // the bounds, the Hermiticity verdict, the rows of its CRS form
+        // and the fingerprint of either handle — against a plain CRS
+        // assembled from the same rows by the oracle, bit for bit: on a
+        // clean, a uniform and a dotted lattice (coded), a disordered
+        // one past 256 distinct diagonals and a coincident one (periodic
+        // extent-2 axis), both with regenerated rows.
+        use crate::lattice::Boundary::{Open, Periodic};
+        let dots = Potential::QuantumDots {
+            strength: 0.153,
+            period: 6,
+            radius: 1.5,
+            depth: 2,
+        };
+        let disorder = Potential::Disorder {
+            width: 1.5,
+            seed: 9,
+        };
+        let cases = [
+            (Lattice3D::paper_default(6, 5, 4), Potential::Zero, true),
+            (
+                Lattice3D::paper_default(6, 5, 4),
+                Potential::Uniform(-0.75),
+                true,
+            ),
+            (Lattice3D::paper_default(7, 6, 3), dots.clone(), true),
+            (Lattice3D::periodic(8, 8, 5), disorder, false),
+            (
+                Lattice3D::new(2, 5, 3, [Periodic, Periodic, Open]),
+                dots,
+                false,
+            ),
+        ];
+        for (lattice, potential, coded) in cases {
+            let ham = TopoHamiltonian {
+                lattice,
+                t: 1.0,
+                potential,
+            };
+            let (st, plain) = (ham.stencil_matrix(), assemble_oracle(&ham));
+            let h = st.to_crs();
+            assert_eq!(h.value_table().is_some(), coded, "{ham:?}");
+            assert_eq!(st.nnz(), plain.nnz(), "{ham:?}");
+            let bounds = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+            let want = bounds(plain.gershgorin_bounds());
+            assert_eq!(bounds(st.gershgorin_bounds()), want, "{ham:?}");
+            assert_eq!(bounds(h.gershgorin_bounds()), want, "{ham:?}");
+            assert_eq!(st.check_hermitian().is_ok(), plain.is_hermitian());
+            assert_eq!(h.check_hermitian(), plain.check_hermitian());
+            assert_eq!(h.nnz(), plain.nnz());
+            for r in 0..plain.nrows() {
+                let (got, want) = (h.row(r), plain.row(r));
+                assert_eq!(got.cols(), want.cols(), "{ham:?} row {r}");
+                assert_eq!(bits(got.vals()), bits(want.vals()), "{ham:?} row {r}");
+            }
+            let fingerprint = plain.content_fingerprint();
+            assert_eq!(h.content_fingerprint(), fingerprint, "{ham:?}");
+            assert_eq!(KpmMatrix::stencil(st).content_fingerprint(), fingerprint);
+        }
+    }
+
+    #[test]
+    fn the_benchmark_lattices_keep_their_fingerprints() {
+        // The values of the builds that stored every row pointer and
+        // per-site diagonal: `kpm dos --nx 48 --ny 48 --nz 24`, clean and
+        // with `--potential dots`, under both handles.
+        let dots = TopoHamiltonian::quantum_dot_superlattice;
+        for (ham, fingerprint) in [
+            (TopoHamiltonian::clean(48, 48, 24), 0x4658_d48e_9141_2ec9),
+            (dots(48, 48, 24), 0x0a97_5256_51ac_3601),
+        ] {
+            assert_eq!(ham.assemble().content_fingerprint(), fingerprint);
+            let handle = KpmMatrix::stencil(ham.stencil_matrix());
+            assert_eq!(handle.content_fingerprint(), fingerprint);
         }
     }
 

@@ -296,36 +296,54 @@ for t in 1 2; do
 done
 echo "$(grep -o 'coded ([0-9]* distinct), walk = sites ([0-9]* codes)' target/dos-values-coded.err) and plain values print identical DOS output (3x6x16 dots at R = 1, 8, 17 and 33, 5x3x3 at R = 1, 1 and 2 threads), .mtx files and kpm info lines"
 
-step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 command"
+step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 and dos_stream_r1 commands"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`
 # twin (zero sweeps) of the command. Three alternating runs of twin and
 # full command, medians of the raw wall times (not yardstick-normalised:
 # read the share, not the milliseconds). The twin must be the same
-# problem: same CSV header, same N / Nnz on the banner.
-block_r8="./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 8 --threads 2"
-twin_ms=""
-full_ms=""
-for _ in 1 2 3; do
-    t0=$(date +%s%N)
-    $block_r8 --moments 2 > target/setup-twin.csv 2> target/setup-twin.err
-    t1=$(date +%s%N)
-    $block_r8 --moments 96 > target/setup-full.csv 2> target/setup-full.err
-    t2=$(date +%s%N)
-    twin_ms+="$(((t1 - t0) / 1000000))"$'\n'
-    full_ms+="$(((t2 - t1) / 1000000))"$'\n'
-done
-twin=$(printf '%s' "$twin_ms" | sort -n | sed -n 2p)
-full=$(printf '%s' "$full_ms" | sort -n | sed -n 2p)
+# problem: same CSV header, same N / Nnz on the banner. One more traced
+# twin tiles set-up into its spans, printed in ms; a span missing from
+# the trace fails the step, a slow one does not.
 banner() { grep -o 'N = [0-9]*, Nnz = [0-9]*' "$1"; }
-if [[ "$(head -n 1 target/setup-twin.csv)" != "$(head -n 1 target/setup-full.csv)" ]] \
-        || [[ -z "$(banner target/setup-twin.err)" ]] \
-        || [[ "$(banner target/setup-twin.err)" != "$(banner target/setup-full.err)" ]]; then
-    echo "SET-UP TWIN AND FULL COMMAND DISAGREE (CSV header or banner N/Nnz):" >&2
-    head -n 1 target/setup-twin.csv target/setup-full.csv >&2
-    cat target/setup-twin.err target/setup-full.err >&2
-    exit 1
-fi
-echo "set-up share on dos_block_r8 ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
+span_ms() {
+    local dur
+    dur=$(grep -o "\"name\":\"$2\",[^}]*\"dur\":[0-9.]*" "$1" | head -n 1 | sed 's/.*"dur"://' || true)
+    if [[ -z "$dur" ]]; then
+        echo "SPAN $2 MISSING FROM THE TRACE $1" >&2
+        exit 1
+    fi
+    awk -v us="$dur" 'BEGIN { printf "%.3f", us / 1000 }'
+}
+setup_share() {
+    local name=$1 moments=$2 command=$3 twin_ms="" full_ms="" t0 t1 t2 twin full spans="" span
+    for _ in 1 2 3; do
+        t0=$(date +%s%N)
+        $command --moments 2 > target/setup-twin.csv 2> target/setup-twin.err
+        t1=$(date +%s%N)
+        $command --moments "$moments" > target/setup-full.csv 2> target/setup-full.err
+        t2=$(date +%s%N)
+        twin_ms+="$(((t1 - t0) / 1000000))"$'\n'
+        full_ms+="$(((t2 - t1) / 1000000))"$'\n'
+    done
+    twin=$(printf '%s' "$twin_ms" | sort -n | sed -n 2p)
+    full=$(printf '%s' "$full_ms" | sort -n | sed -n 2p)
+    if [[ "$(head -n 1 target/setup-twin.csv)" != "$(head -n 1 target/setup-full.csv)" ]] \
+            || [[ -z "$(banner target/setup-twin.err)" ]] \
+            || [[ "$(banner target/setup-twin.err)" != "$(banner target/setup-full.err)" ]]; then
+        echo "SET-UP TWIN AND FULL COMMAND DISAGREE ON $name (CSV header or banner N/Nnz):" >&2
+        head -n 1 target/setup-twin.csv target/setup-full.csv >&2
+        cat target/setup-twin.err target/setup-full.err >&2
+        exit 1
+    fi
+    echo "set-up share on $name ($(banner target/setup-full.err)): ${twin} ms of ${full} ms = $((100 * twin / full)) %"
+    $command --moments 2 --trace-out "target/setup-$name.json" > /dev/null 2>&1
+    for span in setup.assemble setup.bounds setup.format solver.start solver.init; do
+        spans+=" $span $(span_ms "target/setup-$name.json" "$span") ms,"
+    done
+    echo "  traced twin:${spans%,}"
+}
+setup_share dos_block_r8 96 "./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 8 --threads 2"
+setup_share dos_stream_r1 512 "./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 1 --threads 1"
 
 step "smoke: kpm report (achieved vs predicted roofline)"
 # The banner names the copy that ran: the one the step above detected,

@@ -419,7 +419,7 @@ fn load_matrix(args: &[String]) -> Result<CrsMatrix, String> {
 /// picks.
 ///
 /// A generated lattice is gated and bounded on its generator — the
-/// structural `O(sites)` check and the tabulated Gershgorin row sums,
+/// structural check and the Gershgorin sums of its distinct rows,
 /// bit-equal to the entrywise check and the fold over the CRS rows —
 /// and then runs as its coded CRS whichever format is asked for:
 /// `--format` only picks what a lattice with no coded form runs, its

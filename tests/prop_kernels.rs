@@ -233,7 +233,7 @@ fn crs_builds_code_at_most_256_distinct_values() {
     let lattice = |value: &dyn Fn(usize) -> Complex64| {
         let hop = bond_blocks(|j| Complex64::imag(0.125 * (j + 1) as f64));
         let diag = (0..64).map(|site| [0, 1, 2, 3].map(|o| value(4 * site + o)));
-        StencilMatrix::new(4, 4, 4, [true; 3], diag.collect(), &hop)
+        per_site(4, 4, 4, [true; 3], diag.collect(), &hop)
     };
     let onsite = |distinct: usize| {
         move |slot: usize| Complex64::real(1.0 + (slot % distinct) as f64 / 256.0)
@@ -296,7 +296,7 @@ fn a_257th_site_block_stores_the_crs_plain() {
             let q = site % combinations;
             [level(q % 16), level(16 + q / 16), level(40), level(40)]
         });
-        StencilMatrix::new(8, 8, 5, [true; 3], diag.collect(), &hop)
+        per_site(8, 8, 5, [true; 3], diag.collect(), &hop)
     };
     let widths = [
         (1, STENCIL_BUDGETS[0]),
@@ -351,7 +351,7 @@ fn bond_blocks(bond: impl Fn(usize) -> Complex64) -> [[[Complex64; 4]; 4]; 6] {
 fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
     let onsite = |site: usize| [0, 1, 2, 3].map(|o| Complex64::real((site % 3 + o) as f64));
     let lattice = |hop: &[[[Complex64; 4]; 4]; 6]| {
-        StencilMatrix::new(
+        per_site(
             3,
             4,
             5,
@@ -495,7 +495,7 @@ fn slots_of_random_axial_blocks_leave_the_entry_chain_bits() {
             .map(|_| [0; 4].map(|_| levels[rng.gen_range(0..8usize)]))
             .collect();
         let periodic = [0, 1, 2].map(|_| rng.gen_range(0..2) == 1);
-        let coded = StencilMatrix::new(nx, ny, nz, periodic, onsite, &hop).to_crs();
+        let coded = per_site(nx, ny, nz, periodic, onsite, &hop).to_crs();
         assert!(coded.site_blocks().is_some(), "case {case}: coded");
         let plain = stored_plain(&coded);
         let n = coded.nrows();
@@ -610,7 +610,21 @@ fn kinds_stencil(seed: u64) -> StencilMatrix {
             }
         }
     }
-    StencilMatrix::new(3, 3, 3, [true; 3], onsite, &hop)
+    per_site(3, 3, 3, [true; 3], onsite, &hop)
+}
+
+/// The generator of a lattice whose sites each have a diagonal of their
+/// own in `onsite`, in site order.
+fn per_site(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    periodic: [bool; 3],
+    onsite: Vec<[Complex64; 4]>,
+    hop: &[[[Complex64; 4]; 4]; 6],
+) -> StencilMatrix {
+    let site_diag = (0..onsite.len() as u32).collect();
+    StencilMatrix::new(nx, ny, nz, periodic, onsite, site_diag, hop)
 }
 
 /// Overwrites every fifth part of `block` with a zero, alternating in
