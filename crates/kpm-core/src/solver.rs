@@ -923,7 +923,7 @@ mod tests {
         let crs = ham.assemble();
         let sf = ScaleFactors::from_gershgorin(&crs, 0.01);
         let stencil = kpm_sparse::KpmMatrix::stencil(ham.stencil_matrix());
-        let formats: [&dyn SparseKernels; 2] = [&crs, &stencil];
+        let formats: [(&str, &dyn SparseKernels); 2] = [("crs", &crs), ("stencil", &stencil)];
         // The chain `init_block` replaced, column by column.
         let reference = |h: &dyn SparseKernels, v: &[Complex64], parallel: bool| {
             let mut w = vec![Complex64::default(); v.len()];
@@ -945,7 +945,7 @@ mod tests {
         for width in [1, 2, 3, 8, 24, 32, 33] {
             let p = params(4, width);
             let start = starting_block(crs.nrows(), &p);
-            for h in formats {
+            for (name, h) in formats {
                 let check = |parallel: bool| {
                     let BlockedState { v, w, eta } = init_block(h, sf, start.clone(), 0, parallel);
                     assert_eq!((&v, eta.len()), (&start, 2 * width));
@@ -954,7 +954,7 @@ mod tests {
                         let mu = (eta[j], eta[width + j]);
                         assert_eq!((mu.0.im, mu.1.im), (0.0, 0.0));
                         let got = (w.column(j).into_vec(), mu.0.re, mu.1.re);
-                        assert!(got == want, "{} R={width} column {j}", h.format());
+                        assert!(got == want, "{name} R={width} column {j}");
                     }
                 };
                 check(false);

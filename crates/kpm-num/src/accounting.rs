@@ -66,8 +66,8 @@ impl Sweep {
     }
 
     /// Minimum bytes of one sweep: the `matrix` bytes streamed once
-    /// ([`crs_bytes`] for the paper's CRS, 0 for a matrix-free
-    /// operator), each vector operand touched once.
+    /// ([`crs_bytes`] for the paper's CRS stored plain, the site view for
+    /// a lattice's coded one), each vector operand touched once.
     pub const fn min_bytes(self, rows: usize, matrix: usize, width: usize) -> usize {
         matrix + self.transfers() * width * rows * S_D
     }
@@ -124,9 +124,6 @@ mod tests {
             Sweep::Aug.min_bytes(100, matrix, 4),
             14000 + 3 * 4 * 100 * 16
         );
-        // A matrix-free sweep streams vectors only; its flops keep the
-        // logical non-zeros.
-        assert_eq!(Sweep::Aug.min_bytes(100, 0, 4), 3 * 4 * 100 * 16);
     }
 
     #[test]

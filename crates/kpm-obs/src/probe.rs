@@ -15,43 +15,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The sparse-matrix storage format a kernel call ran against,
-/// recorded per probe call so the report can name it next to the
-/// achieved performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeFormat {
-    /// Compressed Row Storage (SELL-1-1 in the paper's terminology).
-    #[default]
-    Crs,
-    /// Matrix-free stencil: rows regenerated on the fly, no stored
-    /// elements.
-    Stencil,
-}
-
-impl ProbeFormat {
-    /// Stable lowercase name used in exports and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProbeFormat::Crs => "crs",
-            ProbeFormat::Stencil => "stencil",
-        }
-    }
-
-    fn index(self) -> u64 {
-        match self {
-            ProbeFormat::Crs => 0,
-            ProbeFormat::Stencil => 1,
-        }
-    }
-
-    fn from_index(i: u64) -> Self {
-        match i {
-            1 => ProbeFormat::Stencil,
-            _ => ProbeFormat::Crs,
-        }
-    }
-}
-
 /// The instrumented kernel families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
@@ -97,7 +60,6 @@ struct Slot {
     rows: AtomicU64,
     nnz: AtomicU64,
     width: AtomicU64,
-    format: AtomicU64,
 }
 
 impl Slot {
@@ -110,7 +72,6 @@ impl Slot {
             rows: AtomicU64::new(0),
             nnz: AtomicU64::new(0),
             width: AtomicU64::new(0),
-            format: AtomicU64::new(0),
         }
     }
 
@@ -122,7 +83,6 @@ impl Slot {
         self.rows.store(0, Ordering::Relaxed);
         self.nnz.store(0, Ordering::Relaxed);
         self.width.store(0, Ordering::Relaxed);
-        self.format.store(0, Ordering::Relaxed);
     }
 }
 
@@ -136,11 +96,10 @@ pub struct KernelTimer {
     rows: u64,
     nnz: u64,
     width: u64,
-    format: u64,
     started: Instant,
 }
 
-/// Opens a timer for one `kind` kernel call on a `format` operator of
+/// Opens a timer for one `kind` kernel call on an operator of
 /// `rows` rows and `nnz` non-zeros at block width `width`; `counts`
 /// gives the call's modeled `(flops, min_bytes)`. Returns `None` — one
 /// relaxed atomic load, `counts` never called — when instrumentation is
@@ -148,7 +107,6 @@ pub struct KernelTimer {
 #[inline]
 pub fn kernel_timer(
     kind: KernelKind,
-    format: ProbeFormat,
     rows: usize,
     nnz: usize,
     width: usize,
@@ -165,7 +123,6 @@ pub fn kernel_timer(
         rows: rows as u64,
         nnz: nnz as u64,
         width: width as u64,
-        format: format.index(),
         started: Instant::now(),
     })
 }
@@ -182,7 +139,6 @@ impl Drop for KernelTimer {
         self.slot.rows.store(self.rows, Ordering::Relaxed);
         self.slot.nnz.store(self.nnz, Ordering::Relaxed);
         self.slot.width.store(self.width, Ordering::Relaxed);
-        self.slot.format.store(self.format, Ordering::Relaxed);
     }
 }
 
@@ -205,8 +161,6 @@ pub struct KernelReport {
     pub nnz: u64,
     /// Block width of the last call.
     pub width: u64,
-    /// Storage format of the last call.
-    pub format: ProbeFormat,
 }
 
 impl KernelReport {
@@ -247,7 +201,6 @@ pub fn snapshot() -> Vec<KernelReport> {
                 rows: slot.rows.load(Ordering::Relaxed),
                 nnz: slot.nnz.load(Ordering::Relaxed),
                 width: slot.width.load(Ordering::Relaxed),
-                format: ProbeFormat::from_index(slot.format.load(Ordering::Relaxed)),
             })
         })
         .collect()
@@ -270,7 +223,7 @@ mod tests {
         let _g = serial();
         crate::set_enabled(false);
         let counts = || -> (u64, u64) { unreachable!("counted only when enabled") };
-        assert!(kernel_timer(KernelKind::Spmv, ProbeFormat::Crs, 10, 50, 1, counts).is_none());
+        assert!(kernel_timer(KernelKind::Spmv, 10, 50, 1, counts).is_none());
     }
 
     #[test]
@@ -279,14 +232,7 @@ mod tests {
         crate::reset();
         let _on = crate::EnabledGuard::new();
         for _ in 0..3 {
-            let _t = kernel_timer(
-                KernelKind::AugSpmmv,
-                ProbeFormat::Stencil,
-                100,
-                700,
-                8,
-                || (72_000, 38_400),
-            );
+            let _t = kernel_timer(KernelKind::AugSpmmv, 100, 700, 8, || (72_000, 38_400));
         }
         let snap = snapshot();
         assert_eq!(snap.len(), 1);
@@ -294,7 +240,6 @@ mod tests {
         assert_eq!(rep.kind, KernelKind::AugSpmmv);
         assert_eq!((rep.calls, rep.flops, rep.min_bytes), (3, 216_000, 115_200));
         assert_eq!((rep.rows, rep.nnz, rep.width), (100, 700, 8));
-        assert_eq!(rep.format, ProbeFormat::Stencil);
         assert_eq!(rep.min_bytes_per_flop(), 115_200.0 / 216_000.0);
     }
 }

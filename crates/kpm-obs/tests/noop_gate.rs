@@ -7,7 +7,7 @@
 
 #![cfg(feature = "noop")]
 
-use kpm_obs::probe::{KernelKind, ProbeFormat};
+use kpm_obs::probe::KernelKind;
 
 #[test]
 fn enabled_is_constant_false_under_noop() {
@@ -37,8 +37,7 @@ fn recording_leaves_no_trace_under_noop() {
     assert!(kpm_obs::span::snapshot().is_empty());
     assert_eq!(kpm_obs::span::count("noop.span"), 0);
 
-    let timer =
-        kpm_obs::probe::kernel_timer(KernelKind::AugSpmmv, ProbeFormat::Crs, 8, 32, 4, || (1, 1));
+    let timer = kpm_obs::probe::kernel_timer(KernelKind::AugSpmmv, 8, 32, 4, || (1, 1));
     assert!(timer.is_none(), "kernel_timer must not arm under noop");
     assert!(kpm_obs::probe::snapshot().is_empty());
 }

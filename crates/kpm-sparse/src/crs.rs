@@ -441,7 +441,7 @@ pub struct Row<'a>(RowEntries<'a>);
 #[allow(clippy::large_enum_variant)]
 enum RowEntries<'a> {
     Stored(&'a [u32], &'a [Complex64]),
-    Regenerated {
+    Decoded {
         len: usize,
         cols: [u32; MAX_SITE_ROW],
         vals: [Complex64; MAX_SITE_ROW],
@@ -453,7 +453,7 @@ impl Row<'_> {
     pub fn cols(&self) -> &[u32] {
         match &self.0 {
             RowEntries::Stored(cols, _) => cols,
-            RowEntries::Regenerated { len, cols, .. } => &cols[..*len],
+            RowEntries::Decoded { len, cols, .. } => &cols[..*len],
         }
     }
 
@@ -461,7 +461,7 @@ impl Row<'_> {
     pub fn vals(&self) -> &[Complex64] {
         match &self.0 {
             RowEntries::Stored(_, vals) => vals,
-            RowEntries::Regenerated { len, vals, .. } => &vals[..*len],
+            RowEntries::Decoded { len, vals, .. } => &vals[..*len],
         }
     }
 
@@ -725,7 +725,7 @@ impl CrsMatrix {
             Values::Lattice(table, sites) => {
                 let (mut cols, mut vals) = ([0; MAX_SITE_ROW], [ZERO; MAX_SITE_ROW]);
                 let len = sites.fill_row(table, r, &mut cols, &mut vals);
-                Row(RowEntries::Regenerated { len, cols, vals })
+                Row(RowEntries::Decoded { len, cols, vals })
             }
         }
     }
@@ -759,11 +759,32 @@ impl CrsMatrix {
     /// operator stored in the same order down to the last bit — the
     /// identity the service front-end uses to coalesce concurrent
     /// requests into one block solve and to key its moment cache.
-    /// Format-independent when computed from the assembled CRS source
-    /// (see `KpmMatrix::content_fingerprint`).
+    /// The three arrays of a plain CRS are hashed one after the other,
+    /// whether they are stored or not: the row pointers summed on the fly
+    /// from the row lengths (read off the site view when coded), then
+    /// every column index, then every value's bits.
     pub fn content_fingerprint(&self) -> u64 {
-        let row_lens = |f: &mut dyn FnMut(usize)| (0..self.nrows).for_each(|r| f(self.row_len(r)));
-        fingerprint(self.nrows, self.ncols, row_lens, |f| self.for_each_row(f))
+        let mut h = Fnv1a::new();
+        h.write_u64(self.nrows as u64);
+        h.write_u64(self.ncols as u64);
+        h.write_u64(0);
+        let mut end = 0;
+        for r in 0..self.nrows {
+            end += self.row_len(r) as u64;
+            h.write_u64(end);
+        }
+        self.for_each_row(|_, cols, _| {
+            for &c in cols {
+                h.write_u64(c as u64);
+            }
+        });
+        self.for_each_row(|_, _, vals| {
+            for v in vals {
+                h.write_u64(v.re.to_bits());
+                h.write_u64(v.im.to_bits());
+            }
+        });
+        h.finish()
     }
 
     /// Entry `(r, c)`, or zero if not stored.
@@ -893,42 +914,6 @@ impl CrsMatrix {
         });
         d
     }
-}
-
-/// The content fingerprint of an `nrows x ncols` matrix whose row
-/// lengths `row_lens` and whose rows `for_each_row` hand out in order:
-/// FNV-1a over the dimensions, the row pointers (summed here from the
-/// lengths), every column index, then every value's bits — the three
-/// arrays of a plain CRS, one after the other, whether it stores them or
-/// not ([`CrsMatrix::content_fingerprint`]; a lattice with no coded form
-/// hashes its regenerated rows through it too).
-pub(crate) fn fingerprint(
-    nrows: usize,
-    ncols: usize,
-    row_lens: impl FnOnce(&mut dyn FnMut(usize)),
-    for_each_row: impl Fn(&mut dyn FnMut(usize, &[u32], &[Complex64])),
-) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(nrows as u64);
-    h.write_u64(ncols as u64);
-    h.write_u64(0);
-    let mut end = 0;
-    row_lens(&mut |len| {
-        end += len as u64;
-        h.write_u64(end);
-    });
-    for_each_row(&mut |_, cols, _| {
-        for &c in cols {
-            h.write_u64(c as u64);
-        }
-    });
-    for_each_row(&mut |_, _, vals| {
-        for v in vals {
-            h.write_u64(v.re.to_bits());
-            h.write_u64(v.im.to_bits());
-        }
-    });
-    h.finish()
 }
 
 /// Incremental FNV-1a (64-bit) over `u64` words — the same hash family

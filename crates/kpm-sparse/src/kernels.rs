@@ -9,51 +9,28 @@
 //! shape assertions, the kpm-obs probe, then `sweep`. [`CrsMatrix`] is
 //! the one format that implements it.
 //!
-//! [`KpmMatrix`] is the owning handle the drivers pass around: it
-//! carries the operator plus the per-call tuning state (the cache budget
-//! for the chunked schedule) so tuning travels with the matrix instead
-//! of through global state. A lattice runs as its coded CRS under either
-//! constructor; only a lattice with no coded form held by
-//! [`KpmMatrix::stencil`] runs something else, its regenerated rows. So
+//! [`KpmMatrix`] is the owning handle the drivers pass around: one
+//! [`CrsMatrix`] plus the per-call tuning state (the cache budget for
+//! the chunked schedule), so tuning travels with the matrix instead of
+//! through global state. A lattice's handle holds its CRS form — coded
+//! when it has one, plain otherwise — whichever constructor built it, so
 //! the whole pipeline — moments, blocked runs, checkpointing, the
-//! service's batches — runs unchanged whichever constructor built the
-//! handle, and the choice never changes results.
+//! service's batches — runs the same operator and the same bits.
 
 use std::sync::OnceLock;
 
 use kpm_num::accounting::Sweep;
 use kpm_num::{BlockVector, Complex64};
+use kpm_obs::probe::kernel_timer;
 use kpm_obs::probe::KernelKind::{self, AugSpmmv, AugSpmv, Spmv};
-use kpm_obs::probe::{kernel_timer, ProbeFormat};
 
 use crate::aug::{AugDots, AugDotsBlock};
 use crate::crs::CrsMatrix;
 use crate::stencil::StencilMatrix;
+use crate::sweep::run_crs;
 use crate::sweep::Schedule::{self, Chunked, Serial};
 use crate::sweep::SweepOp::{self, Plain};
-use crate::sweep::{run, run_crs};
 use crate::tile::DEFAULT_CACHE_BYTES;
-
-/// A sparse-matrix storage format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatSpec {
-    /// Compressed Row Storage (SELL-1-1 in the paper's terminology).
-    Crs,
-    /// A lattice's generator ([`crate::stencil`]): its coded CRS when
-    /// it has one, its rows regenerated on the fly when it has none.
-    /// Only constructible from a known stencil operator (the kpm-topo
-    /// Hamiltonian), never from an assembled CRS matrix.
-    Stencil,
-}
-
-impl std::fmt::Display for FormatSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FormatSpec::Crs => "crs",
-            FormatSpec::Stencil => "stencil",
-        })
-    }
-}
 
 /// The kernel family the KPM solver requires of a storage format.
 ///
@@ -68,8 +45,6 @@ pub trait SparseKernels: Sync {
     fn ncols(&self) -> usize;
     /// Number of logical non-zeros.
     fn nnz(&self) -> usize;
-    /// The storage format of this matrix.
-    fn format(&self) -> FormatSpec;
 
     /// One sweep over the rows of `w` — `w.len() / r` of them, from row
     /// 0, at block width `r` — reading the block `x`, both as
@@ -90,8 +65,7 @@ pub trait SparseKernels: Sync {
 
     /// Bytes of matrix data a sweep streams from memory, at any block
     /// width: a coded CRS's site view, a plain one's entries
-    /// ([`CrsMatrix::matrix_bytes`]), and nothing for a lattice whose
-    /// rows a [`KpmMatrix::stencil`] handle regenerates.
+    /// ([`CrsMatrix::matrix_bytes`]).
     fn matrix_bytes(&self) -> usize;
 
     /// Serial `y = A x`.
@@ -184,10 +158,6 @@ fn named<M: SparseKernels + ?Sized>(
     assert_eq!(x_rows, m.ncols(), "x dimension mismatch");
     assert_eq!(r, w_width, "block width mismatch");
     let (nrows, nnz) = (m.nrows(), m.nnz());
-    let format = match m.format() {
-        FormatSpec::Crs => ProbeFormat::Crs,
-        FormatSpec::Stencil => ProbeFormat::Stencil,
-    };
     // Table I's counts of this sweep: flops on the logical non-zeros,
     // bytes on the matrix data actually streamed, both for the columns
     // that carry data — a pad lane is swept, not asked for.
@@ -200,23 +170,11 @@ fn named<M: SparseKernels + ?Sized>(
         let bytes = sweep.min_bytes(nrows, m.matrix_bytes(), live);
         (sweep.flops(nrows, nnz, live) as u64, bytes as u64)
     };
-    let _probe = kernel_timer(kind, format, nrows, nnz, live, counts);
+    let _probe = kernel_timer(kind, nrows, nnz, live, counts);
     m.sweep(op, schedule, x, r, w)
 }
 
-/// The operator behind a [`KpmMatrix`].
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Every CRS, a lattice's coded one under either constructor
-    /// included.
-    Crs(CrsMatrix),
-    /// A lattice with no coded form under [`KpmMatrix::stencil`]: its
-    /// generator, whose sweep regenerates the rows. Boxed: the inline
-    /// hop-block tables make this variant ~20x the size of the other.
-    Regen(Box<StencilMatrix>),
-}
-
-/// An owning, format-erased matrix handle with its tuning state.
+/// An owning matrix handle with its tuning state: one [`CrsMatrix`].
 ///
 /// The per-thread cache budget for the blocked tilings rides on the
 /// handle (scoped, not global — see [`crate::tile`]). It is a pure
@@ -225,10 +183,7 @@ enum Repr {
 /// blocked parallel dots.
 #[derive(Debug, Clone)]
 pub struct KpmMatrix {
-    repr: Repr,
-    /// The constructor's format: what [`SparseKernels::format`] and the
-    /// probes report.
-    format: FormatSpec,
+    m: CrsMatrix,
     cache_bytes: usize,
     /// The content fingerprint, hashed on first use (solver-only
     /// callers never pay for it).
@@ -236,47 +191,31 @@ pub struct KpmMatrix {
 }
 
 impl KpmMatrix {
-    fn new(repr: Repr, format: FormatSpec) -> Self {
+    /// Wraps a CRS matrix at the default cache budget.
+    pub fn crs(m: CrsMatrix) -> Self {
         Self {
-            repr,
-            format,
+            m,
             cache_bytes: DEFAULT_CACHE_BYTES,
             fingerprint: OnceLock::new(),
         }
     }
 
-    /// Wraps a CRS matrix at the default cache budget.
-    pub fn crs(m: CrsMatrix) -> Self {
-        Self::new(Repr::Crs(m), FormatSpec::Crs)
-    }
-
-    /// Wraps a lattice's generator at the default cache budget: a
-    /// lattice with a coded form becomes that coded CRS — the very
-    /// operator [`StencilMatrix::to_crs`] builds, its site view and value
-    /// table built here and moved in — and one without keeps its
-    /// generator, whose sweep regenerates the rows matrix-free.
-    ///
-    /// Either way the fingerprint is the *content* fingerprint of the
-    /// CRS build of the same lattice, so a stencil handle and a CRS
-    /// handle of the same operator coalesce in the service registry and
-    /// share moment-cache entries.
+    /// Wraps a lattice's CRS form ([`StencilMatrix::to_crs`]) at the
+    /// default cache budget: coded when the lattice has a site view,
+    /// plain otherwise — the handle [`KpmMatrix::crs`] makes of the same
+    /// build, down to the fingerprint, so the two coalesce in the service
+    /// registry and share moment-cache entries.
     pub fn stencil(m: StencilMatrix) -> Self {
-        let repr = match m.coded() {
-            Some(coded) => Repr::Crs(coded),
-            None => Repr::Regen(Box::new(m)),
-        };
-        Self::new(repr, FormatSpec::Stencil)
+        Self::crs(m.to_crs())
     }
 
     /// The content fingerprint identifying this operator (see
-    /// [`CrsMatrix::content_fingerprint`]): the hash of the assembled
-    /// CRS content, so CRS and stencil handles of one operator
-    /// fingerprint identically. Hashed on the first call and kept.
+    /// [`CrsMatrix::content_fingerprint`]). Hashed on the first call and
+    /// kept.
     pub fn content_fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| match &self.repr {
-            Repr::Crs(m) => m.content_fingerprint(),
-            Repr::Regen(m) => m.content_fingerprint(),
-        })
+        *self
+            .fingerprint
+            .get_or_init(|| self.m.content_fingerprint())
     }
 
     /// Sets the per-thread cache budget (bytes) used by the blocked
@@ -290,43 +229,24 @@ impl KpmMatrix {
         self
     }
 
-    /// The CRS the handle runs: every handle's but that of a lattice
-    /// with no coded form under [`KpmMatrix::stencil`].
-    pub fn as_crs(&self) -> Option<&CrsMatrix> {
-        match &self.repr {
-            Repr::Crs(m) => Some(m),
-            Repr::Regen(_) => None,
-        }
+    /// The CRS the handle runs.
+    pub fn as_crs(&self) -> &CrsMatrix {
+        &self.m
     }
 }
 
 impl SparseKernels for KpmMatrix {
     fn nrows(&self) -> usize {
-        match &self.repr {
-            Repr::Crs(m) => m.nrows(),
-            Repr::Regen(m) => m.nrows(),
-        }
+        self.m.nrows()
     }
     fn ncols(&self) -> usize {
-        match &self.repr {
-            Repr::Crs(m) => m.ncols(),
-            Repr::Regen(m) => m.ncols(),
-        }
+        self.m.ncols()
     }
     fn nnz(&self) -> usize {
-        match &self.repr {
-            Repr::Crs(m) => m.nnz(),
-            Repr::Regen(m) => m.nnz(),
-        }
-    }
-    fn format(&self) -> FormatSpec {
-        self.format
+        self.m.nnz()
     }
     fn matrix_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Crs(m) => m.matrix_bytes(),
-            Repr::Regen(_) => 0,
-        }
+        self.m.matrix_bytes()
     }
     fn sweep(
         &self,
@@ -336,10 +256,7 @@ impl SparseKernels for KpmMatrix {
         r: usize,
         w: &mut [Complex64],
     ) -> AugDotsBlock {
-        match &self.repr {
-            Repr::Crs(m) => run_crs(m, op, schedule, self.cache_bytes, x, r, w),
-            Repr::Regen(m) => run(m.as_ref(), op, schedule, self.cache_bytes, x, r, w),
-        }
+        run_crs(&self.m, op, schedule, self.cache_bytes, x, r, w)
     }
 }
 
@@ -348,21 +265,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handle_reports_the_format_it_wraps() {
+    fn handle_holds_the_crs_it_wraps() {
         let crs = KpmMatrix::crs(CrsMatrix::identity(12));
-        assert!(crs.as_crs().is_some());
+        assert!(crs.as_crs() == &CrsMatrix::identity(12));
         // Plain values: 16 B each, plus a 4 B column index.
         let shape = (crs.nrows(), crs.nnz(), crs.matrix_bytes());
-        assert_eq!((crs.format(), shape), (FormatSpec::Crs, (12, 12, 12 * 20)));
-        assert_eq!(FormatSpec::Crs.to_string(), "crs");
-        assert_eq!(FormatSpec::Stencil.to_string(), "stencil");
+        assert_eq!(shape, (12, 12, 12 * 20));
 
         // A 2 x 2 x 2 lattice with two distinct values: its CRS build is
         // coded, and both handles hold it and read its one site view at
         // every width — a byte per block of each site (itself and three
         // neighbours) plus the seven distinct blocks of two 128-byte
-        // slots and a header, 320 bytes on 64-byte lines. Each reports
-        // the format of its constructor.
+        // slots and a header, 320 bytes on 64-byte lines.
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
             block[b % 4][(b + 1) % 4] = Complex64::real(-0.5);
@@ -371,19 +285,12 @@ mod tests {
         let st = StencilMatrix::new(2, 2, 2, [false; 3], onsite, vec![0; 8], &hop);
         let coded = KpmMatrix::crs(st.to_crs());
         let nnz = coded.nnz();
-        assert_eq!(
-            coded.as_crs().unwrap().value_table().map(<[_]>::len),
-            Some(2)
-        );
+        assert_eq!(coded.as_crs().value_table().map(<[_]>::len), Some(2));
         let view = 8 * 4 + 7 * 320;
         assert_eq!(coded.matrix_bytes(), view);
         let stencil = KpmMatrix::stencil(st);
         assert_eq!((stencil.nnz(), stencil.matrix_bytes()), (nnz, view));
         assert_eq!(stencil.content_fingerprint(), coded.content_fingerprint());
-        assert!(stencil.as_crs().unwrap() == coded.as_crs().unwrap());
-        assert_eq!(
-            (coded.format(), stencil.format()),
-            (FormatSpec::Crs, FormatSpec::Stencil)
-        );
+        assert!(stencil.as_crs() == coded.as_crs());
     }
 }

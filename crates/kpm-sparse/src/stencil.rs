@@ -14,7 +14,7 @@
 //! distinct sites own disjoint column ranges, so walking the blocks in
 //! ascending *site* order visits each row's entries in exactly the
 //! ascending-column order of a CRS row. That coded CRS is the lattice's
-//! one run-time operator: [`crate::KpmMatrix::stencil`] holds it too.
+//! run-time operator: [`crate::KpmMatrix::stencil`] holds it too.
 //!
 //! What stays on the generator is what it does over its distinct blocks:
 //! the structural Hermiticity check, and the Gershgorin sums of the
@@ -26,12 +26,8 @@
 //! distinct blocks or values (only a disordered potential has that many),
 //! or when a block does not fit its slots. Its CRS form is plain, filled
 //! in parallel from [`StencilMatrix::regen_row`] — the literal form of
-//! Eq. (1): gather, sort by column, merge — and under
-//! [`crate::KpmMatrix::stencil`] its sweep runs on those regenerated rows
-//! instead, matrix-free. Every row runs the exact floating-point chain of
-//! the CRS sweep over the exact entries of the CRS build, and the two
-//! share one schedule and reduction (`sweep.rs`), so vectors and dot
-//! products are bit-identical either way for any thread count.
+//! Eq. (1): gather, sort by column, merge — and that plain CRS is what
+//! either handle of it runs.
 
 use std::ops::Range;
 
@@ -39,8 +35,7 @@ use kpm_num::aligned::zeroed_vec;
 use kpm_num::complex::ZERO;
 use kpm_num::{Complex64, KpmError};
 
-use crate::crs::{fingerprint, BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
-use crate::sweep::{all_axial, for_passes, row_pass, Epilogue, Isa, RowSweep};
+use crate::crs::{BlockSet, CodeTable, CrsMatrix, SiteView, MAX_SITE_BLOCKS};
 
 /// Upper bound on regenerated row length: 1 on-site entry plus six
 /// hopping blocks contributing at most 4 entries per orbital row.
@@ -102,8 +97,8 @@ fn edge_code(coord: usize, extent: usize) -> usize {
 
 /// The generator of the nearest-neighbour 4-orbital lattice operator
 /// (paper Eq. 1): its geometry, on-site diagonals and hopping blocks, from
-/// which its CRS form is built and, on a lattice with no coded form, its
-/// rows are regenerated on the fly.
+/// which its CRS form is built, its Hermiticity proved and its spectrum
+/// bounded.
 ///
 /// Construction takes a table of on-site *diagonals*, one code per site
 /// into it, and the six raw hopping blocks in assembly order (`+ê_j`
@@ -293,7 +288,7 @@ impl StencilMatrix {
         self.nrows()
     }
 
-    /// Number of logical non-zeros of the regenerated operator.
+    /// Number of logical non-zeros of the operator.
     pub fn nnz(&self) -> usize {
         self.nnz
     }
@@ -321,15 +316,6 @@ impl StencilMatrix {
         }
     }
 
-    /// The content fingerprint of the CRS build of the lattice
-    /// ([`CrsMatrix::content_fingerprint`]), hashed through the same
-    /// function from the tabulated row lengths and the regenerated rows:
-    /// the one a handle of a lattice with no coded form reports.
-    pub(crate) fn content_fingerprint(&self) -> u64 {
-        let n = self.nrows();
-        fingerprint(n, n, |f| self.for_row_lens(f), |f| self.for_rows(0..n, f))
-    }
-
     /// The row pointers of the plain CRS build: the prefix sums of the
     /// row lengths.
     fn row_ptr(&self) -> Vec<u64> {
@@ -344,16 +330,18 @@ impl StencilMatrix {
     }
 
     /// Assembles the operator into an explicit CRS matrix — the one
-    /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
-    /// this): coded when the lattice has a site view
-    /// ([`StencilMatrix::coded`]), otherwise plain. The plain arrays are
-    /// allocated untouched at their final size, then fixed chunks of
-    /// [`FILL_ROWS`] rows are filled on the ambient pool from the
-    /// regenerated rows, every page first written by the worker that
-    /// fills it. A lattice of one chunk fills inline.
+    /// generator of the lattice's CRS form (kpm-topo's `assemble()` and
+    /// [`crate::KpmMatrix::stencil`] are this): coded when the lattice
+    /// has a site view — the entry count, the value table and the view
+    /// ([`StencilMatrix::site_view`]), built here and moved in —
+    /// otherwise plain. The plain arrays are allocated untouched at their
+    /// final size, then fixed chunks of [`FILL_ROWS`] rows are filled on
+    /// the ambient pool from the regenerated rows, every page first
+    /// written by the worker that fills it. A lattice of one chunk fills
+    /// inline.
     pub fn to_crs(&self) -> CrsMatrix {
-        if let Some(coded) = self.coded() {
-            return coded;
+        if let Some((sites, table)) = self.site_view() {
+            return CrsMatrix::from_coded(self.nrows(), self.nnz, table, sites);
         }
         let n = self.nrows();
         let row_ptr = self.row_ptr();
@@ -377,14 +365,6 @@ impl StencilMatrix {
             });
         });
         CrsMatrix::from_raw(n, n, row_ptr, cols, vals)
-    }
-
-    /// The coded CRS form of the lattice: the entry count, the value
-    /// table and the site view ([`StencilMatrix::site_view`]), built here
-    /// and moved in. `None` when the lattice has no site view.
-    pub(crate) fn coded(&self) -> Option<CrsMatrix> {
-        let (sites, table) = self.site_view()?;
-        Some(CrsMatrix::from_coded(self.nrows(), self.nnz, table, sites))
     }
 
     /// The site view of the lattice ([`SiteView`]) — what the sweep of
@@ -622,52 +602,11 @@ impl StencilMatrix {
     }
 }
 
-/// The sweep body of a lattice with no coded form: its regenerated rows
-/// ([`crate::KpmMatrix::stencil`]).
-impl RowSweep for StencilMatrix {
-    #[inline(always)]
-    fn sweep_body<E: Epilogue, I: Isa, const ARMS: bool>(
-        &self,
-        x: &[Complex64],
-        r: usize,
-        row0: usize,
-        w: &mut [Complex64],
-        epi: &mut E,
-    ) {
-        regen_rows(self, x, r, row0, ARMS, w, epi);
-    }
-}
-
-/// The sweep of a lattice with no coded form over the rows of `w` from
-/// `row0`: the CRS row passes over regenerated rows, one layout panel at
-/// a time. Not inlined into the sweep copies — only coincident-neighbour
-/// lattices and those past 256 distinct blocks or values come here — so
-/// it runs as compiled for the baseline target under every copy; `arms`
-/// is the calling body's `ARMS`.
-fn regen_rows<E: Epilogue>(
-    m: &StencilMatrix,
-    x: &[Complex64],
-    r: usize,
-    row0: usize,
-    arms: bool,
-    w: &mut [Complex64],
-    epi: &mut E,
-) {
-    m.for_rows(row0..row0 + w.len() / r, |row, cols, vals| {
-        let wrow = &mut w[(row - row0) * r..][..r];
-        let axial = arms && all_axial(vals);
-        for_passes!(8, r, |j0| row_pass(
-            cols, vals, axial, x, r, row, j0, wrow, epi
-        ));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{KpmMatrix, SparseKernels};
     use kpm_num::complex::I;
-    use kpm_num::BlockVector;
 
     /// A tiny hand-built stencil: diagonal hop blocks so expected
     /// values are easy to state; geometry checks use the paper default
@@ -724,48 +663,22 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_crs_bitwise() {
-        // The toy's bonds have two non-zero parts: no coded form, so the
-        // stencil handle sweeps the regenerated rows.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+    fn a_lattice_with_no_coded_form_runs_its_plain_crs() {
+        // The toy's bonds have two non-zero parts: no coded form, so
+        // both handles hold the plain CRS filled from the regenerated
+        // rows, and read its entries.
         let st = toy(4, 4, 3, [true, true, false]);
         let crs = st.to_crs();
-        let n = st.nrows();
+        assert!(crs.value_table().is_none() && crs.site_blocks().is_none());
         let m = KpmMatrix::stencil(st);
-        assert_eq!((m.as_crs().is_none(), crs.value_table()), (true, None));
-        let mut rng = StdRng::seed_from_u64(7);
-        let v = BlockVector::random(n, 4, &mut rng);
-        let w0 = BlockVector::random(n, 4, &mut rng);
-
-        let mut w1 = w0.clone();
-        let mut w2 = w0.clone();
-        let d1 = m.aug_spmmv(0.4, -0.2, &v, &mut w1);
-        let d2 = crs.aug_spmmv(0.4, -0.2, &v, &mut w2);
-        assert_eq!(w1.max_abs_diff(&w2), 0.0);
-        assert_eq!(d1, d2);
-
-        let mut w1 = w0.clone();
-        let mut w2 = w0;
-        let d1 = m.aug_spmmv_par(0.4, -0.2, &v, &mut w1);
-        let d2 = crs.aug_spmmv_par(0.4, -0.2, &v, &mut w2);
-        assert_eq!(w1.max_abs_diff(&w2), 0.0);
-        assert_eq!(d1, d2);
-
-        let vs = v.column(0).into_vec();
-        let mut y1 = vec![Complex64::default(); n];
-        let mut y2 = y1.clone();
-        m.spmv(&vs, &mut y1);
-        crs.spmv(&vs, &mut y2);
-        assert_eq!(y1, y2);
+        assert!(m.as_crs() == &crs);
+        assert_eq!(m.matrix_bytes(), crs.matrix_bytes());
     }
 
     #[test]
     fn dense_hop_blocks_fill_the_longest_rows() {
         // Four entries per orbital row and block: 24 hopping entries
         // plus the on-site one, the longest row a lattice regenerates.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let onsite = vec![[Complex64::real(0.5); 4]];
         let mut hop = [[[Complex64::default(); 4]; 4]; 6];
         for (b, block) in hop.iter_mut().enumerate() {
@@ -776,17 +689,7 @@ mod tests {
             }
         }
         let st = StencilMatrix::new(3, 3, 3, [true; 3], onsite, vec![0; 27], &hop);
-        let crs = st.to_crs();
-        assert_eq!(crs.max_row_len(), 25);
-        let m = KpmMatrix::stencil(st);
-        let mut rng = StdRng::seed_from_u64(3);
-        let v = BlockVector::random(m.nrows(), 9, &mut rng);
-        let w0 = BlockVector::random(m.nrows(), 9, &mut rng);
-        let (mut w1, mut w2) = (w0.clone(), w0);
-        let d1 = m.aug_spmmv(0.3, 0.1, &v, &mut w1);
-        let d2 = crs.aug_spmmv(0.3, 0.1, &v, &mut w2);
-        assert_eq!(w1, w2);
-        assert_eq!(d1, d2);
+        assert_eq!(st.to_crs().max_row_len(), 25);
     }
 
     #[test]

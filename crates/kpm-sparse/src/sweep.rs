@@ -16,9 +16,8 @@
 //!
 //! A [`RowSweep`] is where a row's entries come from: a coded CRS's site
 //! view ([`SiteView`]) — the one sweep of the paper's Eq. 1 lattice,
-//! whichever handle holds it — a plain CRS's arrays ([`Entries`]), or
-//! the rows the generator of a lattice with no coded form regenerates
-//! ([`crate::stencil`]). Every kernel, at every width, is [`run`]: a
+//! whichever handle holds it — or a plain CRS's arrays ([`Entries`]).
+//! Every kernel, at every width, is [`run`]: a
 //! [`SweepOp`] (which epilogue) under a [`Schedule`] — one range over
 //! all rows, or fixed chunks
 //! ([`chunk_rows`], whole lattice sites) whose partial dots are combined
@@ -70,7 +69,7 @@ use kpm_num::Complex64;
 
 use crate::aug::AugDotsBlock;
 use crate::crs::{CrsMatrix, SiteView, Values, MAX_SLOTS};
-use crate::kernels::{FormatSpec, SparseKernels};
+use crate::kernels::SparseKernels;
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
 
@@ -111,7 +110,7 @@ const ROWS_PER_CHUNK: usize = 1024;
 
 /// What a sweep does with a row's accumulators `(Hx)[row]`. Each
 /// column sees the rows in ascending order.
-pub(crate) trait Epilogue {
+trait Epilogue {
     /// The finished layout panel of columns `j0 .. j0 + W`, as lanes:
     /// `x[at..]` are the matching slots of `x`'s row (not touched by
     /// [`Plain`], so `y = A x` works on any shape), `w` those of `w`'s.
@@ -462,7 +461,7 @@ pub(crate) fn is_axial(val: Complex64) -> bool {
 /// to mispredict (tested per entry, such a matrix ran ×2–4 slower; same
 /// section).
 #[inline(always)]
-pub(crate) fn all_axial(vals: &[Complex64]) -> bool {
+fn all_axial(vals: &[Complex64]) -> bool {
     vals.iter().fold(true, |all, &val| all & is_axial(val))
 }
 
@@ -471,7 +470,7 @@ pub(crate) fn all_axial(vals: &[Complex64]) -> bool {
 /// and, when `TWO`, the next panel beside it. Four named arrays, not an
 /// array of panels: a loop over sub-panels gets vectorised across the
 /// wrong axis.
-pub(crate) struct Pass<const W: usize, const TWO: bool> {
+struct Pass<const W: usize, const TWO: bool> {
     re: [f64; W],
     im: [f64; W],
     re2: [f64; W],
@@ -480,9 +479,9 @@ pub(crate) struct Pass<const W: usize, const TWO: bool> {
 
 impl<const W: usize, const TWO: bool> Pass<W, TWO> {
     /// Block-vector columns the pass covers.
-    pub(crate) const COLS: usize = if TWO { 2 * W } else { W };
+    const COLS: usize = if TWO { 2 * W } else { W };
 
-    pub(crate) const ZERO: Self = Self {
+    const ZERO: Self = Self {
         re: [0.0; W],
         im: [0.0; W],
         re2: [0.0; W],
@@ -520,7 +519,7 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
     /// the solver never sweeps one: its divergence guardrail ends the
     /// run when `‖x‖²` passes 10³·µ₀, long before an entry overflows.
     #[inline(always)]
-    pub(crate) fn axpy<const AXIAL: bool>(&mut self, val: Complex64, x: &[Complex64]) {
+    fn axpy<const AXIAL: bool>(&mut self, val: Complex64, x: &[Complex64]) {
         let neg_im = -val.im;
         // The kind is tested once per entry and pass, ahead of the
         // panels.
@@ -543,7 +542,7 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
     /// odd, 0 otherwise. A real slot entry (even lane) is
     /// [`Pass::axpy`]'s real arm, an imaginary one its imaginary arm.
     #[inline(always)]
-    pub(crate) fn slot_axpy(&mut self, c: (f64, f64), lane: usize, x: &[f64]) {
+    fn slot_axpy(&mut self, c: (f64, f64), lane: usize, x: &[f64]) {
         let x = &x[..2 * Self::COLS];
         let ore = (lane & 1) * W;
         let (xre, xim) = (&x[ore..], &x[W - ore..]);
@@ -562,7 +561,7 @@ impl<const W: usize, const TWO: bool> Pass<W, TWO> {
     /// Hands each finished panel to `epi`: `x[at..]` and `w` are the
     /// slots of the `x` and `w` rows from column `j0`.
     #[inline(always)]
-    pub(crate) fn finish<E: Epilogue>(
+    fn finish<E: Epilogue>(
         &self,
         epi: &mut E,
         x: &[Complex64],
@@ -592,10 +591,9 @@ macro_rules! for_passes {
         kpm_num::for_panels!($r, $j0, W => $pass::<W, false, _>($($arg),*));
     }};
 }
-pub(crate) use for_passes;
 
 /// A row source the blocked sweep can run on.
-pub(crate) trait RowSweep: Sync {
+trait RowSweep: Sync {
     /// Whether the body reads `ARMS`. A row source whose sweep has no
     /// zero-skip arms says no, and is compiled once per copy and
     /// epilogue instead of twice.
@@ -875,7 +873,7 @@ fn lane_group<const U: usize, const S: usize, E: Epilogue, I: Isa>(
 /// `unit(q)` must point at `U` doubles and `row(p)` at `2·U`, readable
 /// for as long as the implementor's borrow lives, and at `8·U` from
 /// `row(0)` when `whole()`: the steps read them without a check.
-pub(crate) unsafe trait Units<const U: usize>: Copy {
+unsafe trait Units<const U: usize>: Copy {
     /// Unit `q % 8`.
     fn unit(self, q: usize) -> *const [f64; U];
 
@@ -909,7 +907,7 @@ unsafe impl<const U: usize> Units<U> for &[[f64; U]; 8] {
 /// The four rows of a panel in a wider block: the units at `q / 2 ·
 /// stride + q % 2 · U` of `xd`.
 #[derive(Clone, Copy)]
-pub(crate) struct Strided<'a, const U: usize> {
+struct Strided<'a, const U: usize> {
     /// The four rows: `3·stride + 2·U` doubles.
     xd: &'a [f64],
     /// Doubles from one row to the next.
@@ -1088,9 +1086,6 @@ impl SparseKernels for CrsMatrix {
     fn nnz(&self) -> usize {
         CrsMatrix::nnz(self)
     }
-    fn format(&self) -> FormatSpec {
-        FormatSpec::Crs
-    }
     fn matrix_bytes(&self) -> usize {
         CrsMatrix::matrix_bytes(self)
     }
@@ -1111,7 +1106,7 @@ impl SparseKernels for CrsMatrix {
 /// [`all_axial`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // the sweep state, passed flat
-pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
+fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
     cols: &[u32],
     vals: &[Complex64],
     axial: bool,
@@ -1141,7 +1136,7 @@ pub(crate) fn row_pass<const W: usize, const TWO: bool, E: Epilogue>(
 /// of the lane walk ([`lane_group`]). The types that implement it are
 /// private to this module and each is named by one copy only — what
 /// makes the AVX2 and AVX-512 steps' `unsafe` sound.
-pub(crate) trait Isa {
+trait Isa {
     /// Columns of the widest pass: two layout panels under AVX-512, one
     /// otherwise.
     const COLS: usize;
@@ -1532,7 +1527,7 @@ fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
 /// per-thread budget the chunks are sized for): every named kernel of
 /// [`crate::SparseKernels`] is this call. Returns
 /// the dot products of [`SweepOp::Aug`] with `dots`, empty otherwise.
-pub(crate) fn run<S: RowSweep>(
+fn run<S: RowSweep>(
     s: &S,
     op: SweepOp,
     schedule: Schedule,

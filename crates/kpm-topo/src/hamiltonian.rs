@@ -13,10 +13,11 @@
 //!
 //! [`TopoHamiltonian::stencil_matrix`] turns exactly these inputs into
 //! the lattice's generator, which builds its CRS form
-//! ([`TopoHamiltonian::assemble`]) — the operator every kernel runs,
-//! whichever handle holds it — and regenerates the rows of a lattice
-//! with no coded form. The literal per-row gather/sort/merge of the
-//! blocks survives as the test oracle both are checked against.
+//! ([`TopoHamiltonian::assemble`]) — coded when the lattice has one,
+//! filled plain from regenerated rows otherwise — the operator every
+//! kernel runs, whichever handle holds it. The literal per-row
+//! gather/sort/merge of the blocks survives as the test oracle it is
+//! checked against.
 
 use std::collections::HashMap;
 

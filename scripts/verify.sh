@@ -113,16 +113,15 @@ else
     echo "##### SKIPPED: AddressSanitizer step (no cargo +nightly or no $asan_rt) #####"
 fi
 
-step "matrix-free: kpm dos --format stencil is byte-identical to --format crs"
-# A generated lattice runs as its coded CRS whichever --format asks; the
-# format only picks what a lattice with no coded form runs: its plain
-# CRS entries (crs) or its rows regenerated matrix-free (stencil). Both
-# arms of the stencil handle must print the CRS run's CSV byte for byte,
-# and the banners must show which arm ran: 5x3x3 has a coded form (its
-# stencil banner names `walk = sites`); nx = 2 is periodic (coincident
-# partners, the merge path) and leaves 2x6x5 none (its stencil banner
-# names no walk). The dots potential varies the diagonal.
-matrix_free_cmp() { # name, lattice flags
+step "one operator: kpm dos --format stencil is byte-identical to --format crs"
+# A generated lattice runs as its CRS form whichever --format names:
+# coded when it has one, plain otherwise. Both formats must print the
+# same CSV byte for byte, and the banners must show what ran: 5x3x3 has
+# a coded form (its stencil banner names `walk = sites`); nx = 2 is
+# periodic (coincident partners, the merge path) and leaves 2x6x5 none
+# (its stencil banner names `values = plain, walk = entries`). The dots
+# potential varies the diagonal.
+format_cmp() { # name, lattice flags
     for t in 1 2; do
         for f in crs stencil; do
             ./target/release/kpm dos $2 --potential dots \
@@ -134,15 +133,12 @@ matrix_free_cmp() { # name, lattice flags
     done
     cmp "target/dos-$1-crs-t1.csv" "target/dos-$1-crs-t2.csv"
 }
-matrix_free_cmp coded "--nx 5 --ny 3 --nz 3"
+format_cmp coded "--nx 5 --ny 3 --nz 3"
 grep -q 'format = stencil, values = coded ([0-9]* distinct), walk = sites' \
     target/dos-coded-stencil-t1.err
-matrix_free_cmp regen "--nx 2 --ny 6 --nz 5"
-if grep -q 'walk =' target/dos-regen-stencil-t1.err; then
-    echo "the 2x6x5 stencil run names a walk: it did not regenerate its rows" >&2
-    exit 1
-fi
-echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads, on the coded 5x3x3 lattice and on the regenerated rows of 2x6x5"
+format_cmp plain "--nx 2 --ny 6 --nz 5"
+grep -q 'format = stencil, values = plain, walk = entries' target/dos-plain-stencil-t1.err
+echo "stencil and CRS DOS output are byte-identical at 1 and 2 threads, on the coded 5x3x3 lattice and on the plain 2x6x5 one"
 
 step "sweep bodies: kpm dos is byte-identical with and without --no-simd"
 # The one sweep is compiled three times from one source

@@ -130,12 +130,10 @@ const USAGE: &str = "usage:
 common:
   --threads T                worker threads of generate, info, dos, count and report
                              (0 = KPM_THREADS env, else all cores)
-  --format crs|stencil       what a generated lattice with no coded form runs
-                             (a periodic extent-2 axis, > 256 distinct blocks):
-                             its plain CRS (crs, the default) or its rows
-                             regenerated matrix-free (stencil; needs
-                             --nx/--ny/--nz); any other lattice runs its coded
-                             CRS either way
+  --format crs|stencil       the name the banner and the report give the
+                             format (crs, the default; stencil needs
+                             --nx/--ny/--nz); every lattice runs its CRS
+                             form either way, coded when it has one
   --no-simd                  run the baseline copy of the sweep instead of the
                              widest copy (AVX-512, else AVX2) the CPU executes
                              (moments are bitwise-identical either way)
@@ -379,13 +377,13 @@ fn scale_factors(
 }
 
 const STENCIL_NEEDS_LATTICE: &str =
-    "--format stencil runs a generated lattice — its coded CRS, or its rows \
-     regenerated matrix-free — and cannot be built from a FILE.mtx source \
-     (use --nx/--ny/--nz)";
+    "--format stencil names a generated lattice's operator and cannot be \
+     given with a FILE.mtx source (use --nx/--ny/--nz)";
 
-/// True when the flags ask for the lattice generator's handle.
-fn wants_stencil(args: &[String]) -> bool {
-    opt(args, "--format") == Some("stencil")
+/// The format `--format` names — `crs` unless given — which the
+/// `dos` banner and the `report` table print.
+fn format_name(args: &[String]) -> &str {
+    opt(args, "--format").unwrap_or("crs")
 }
 
 fn unknown_format(name: &str) -> String {
@@ -398,11 +396,11 @@ fn check_format_flags(args: &[String], source: &MatrixSource) -> Result<(), Stri
     if has_flag(args, "--no-simd") {
         kpm_repro::sparse::simd::set_cap(kpm_repro::sparse::simd::Body::Baseline);
     }
-    let format = opt(args, "--format");
-    if let Some(other) = format.filter(|f| !matches!(*f, "crs" | "stencil")) {
-        return Err(unknown_format(other));
+    let format = format_name(args);
+    if !matches!(format, "crs" | "stencil") {
+        return Err(unknown_format(format));
     }
-    if wants_stencil(args) && matches!(source, MatrixSource::File(_)) {
+    if format == "stencil" && matches!(source, MatrixSource::File(_)) {
         return Err(STENCIL_NEEDS_LATTICE.into());
     }
     Ok(())
@@ -415,18 +413,15 @@ fn load_matrix(args: &[String]) -> Result<CrsMatrix, String> {
 }
 
 /// The shared prologue of `dos`, `count`, `report` and `serve`: matrix
-/// source → Hermiticity gate and spectral bounds → the handle `--format`
-/// picks.
+/// source → Hermiticity gate and spectral bounds → the handle.
 ///
 /// A generated lattice is gated and bounded on its generator — the
 /// structural check and the Gershgorin sums of its distinct rows,
 /// bit-equal to the entrywise check and the fold over the CRS rows —
-/// and then runs as its coded CRS whichever format is asked for:
-/// `--format` only picks what a lattice with no coded form runs, its
-/// plain CRS entries (`crs`) or its rows regenerated matrix-free
-/// (`stencil`). A `FILE.mtx` pays the entrywise check and a pass over
-/// its rows. Either way the scale factors — and every output byte — do
-/// not depend on the format.
+/// and then runs as its CRS form, coded when it has one, whichever
+/// format is named. A `FILE.mtx` pays the entrywise check and a pass
+/// over its rows. Either way the scale factors — and every output byte —
+/// do not depend on the format.
 fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
     let ham = match matrix_source(args)? {
         MatrixSource::Lattice(ham) => ham,
@@ -442,11 +437,7 @@ fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
     };
     let sf = scale_factors(|| st.check_hermitian().map(|()| st.gershgorin_bounds()))?;
     let _sp = obs::span::span("setup.format", "setup");
-    let m = match wants_stencil(args) {
-        true => KpmMatrix::stencil(st),
-        false => KpmMatrix::crs(st.to_crs()),
-    };
-    Ok((m, sf))
+    Ok((KpmMatrix::stencil(st), sf))
 }
 
 /// Runs a command's set-up and solve on one pool: the `--threads` pool
@@ -575,8 +566,8 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
             m.nnz(),
             params.num_moments,
             params.num_random,
-            m.format(),
-            m.as_crs().map(value_storage).unwrap_or_default()
+            format_name(args),
+            value_storage(m.as_crs())
         );
         let moments =
             kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
@@ -678,15 +669,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     // The report needs the probes regardless of the export flags.
     obs::set_enabled(true);
-    // Keep a CRS matrix for the cachesim replay: the handle's own, or on
-    // a lattice whose rows the handle regenerates, the lattice's CRS form.
-    let h = in_pool(params.threads, || {
+    // The handle's CRS is kept for the cachesim replay.
+    let format = format_name(args);
+    let m = in_pool(params.threads, || {
         let (m, sf) = solver_matrix(args)?;
         check_run_fits(m.nrows(), &params, 0)?;
-        let h = match m.as_crs() {
-            Some(h) => h.clone(),
-            None => load_matrix(args)?,
-        };
+        let h = m.as_crs();
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {}{} \
              (lanes = {}, sweep body = {})",
@@ -695,8 +683,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             params.num_moments,
             params.num_random,
             machine.name,
-            m.format(),
-            m.as_crs().map(value_storage).unwrap_or_default(),
+            format,
+            value_storage(h),
             kpm_repro::sparse::simd::active_lanes(),
             kpm_repro::sparse::simd::body_name()
         );
@@ -720,15 +708,16 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         for variant in [KpmVariant::AugSpmmv, KpmVariant::Naive, KpmVariant::AugSpmv] {
             kpm_moments(&m, sf, &params, variant).map_err(|e| e.to_string())?;
         }
-        Ok(h)
+        Ok(m)
     })?;
 
+    let h = m.as_crs();
     let nnzr = h.nnz() as f64 / h.nrows() as f64;
     println!("kernel     fmt      calls  width  achieved-GF/s  GB-moved  GB/s   B_min(B/F)  omega-live  omega-pred  B_eff(B/F)  P*(GF/s)  %P*");
     for rep in obs::probe::snapshot() {
         let r = rep.width.max(1) as usize;
-        let live = measure_omega_kernel(&h, rep.kind, r, llc, sweeps);
-        let pred = measure_omega_kernel(&h, rep.kind, r, llc, 1);
+        let live = measure_omega_kernel(h, rep.kind, r, llc, sweeps);
+        let pred = measure_omega_kernel(h, rep.kind, r, llc, 1);
         // A warm replay of an operator that fits the simulated LLC
         // measures Ω < 1; the omega columns show that, and the roofline
         // — a model of memory traffic, Ω ≥ 1 — is evaluated at 1.
@@ -744,7 +733,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         println!(
             "{:<9} {:<7} {:>6} {:>6}  {:>13.2}  {:>8.3}  {:>5.1}  {:>10.2}  {:>10.3}  {:>10.3}  {:>10.2}  {:>8.1}  {:>3.0}",
             rep.kind.name(),
-            rep.format.name(),
+            format,
             rep.calls,
             r,
             achieved,
@@ -1497,7 +1486,6 @@ fn cmd_trace_report(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpm_repro::sparse::FormatSpec;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1605,33 +1593,28 @@ mod tests {
 
     #[test]
     fn format_flags_build_the_requested_matrix() {
-        // A lattice with a coded form runs it under either format; the
-        // handle still names the format asked for.
-        let lattice = args(&["--nx", "4", "--ny", "4", "--nz", "3"]);
-        let with = |format: &str| {
-            let mut a = lattice.clone();
-            a.extend(args(&["--format", format]));
-            solver_matrix(&a).map(|(m, _)| m)
-        };
-        let (crs, _) = solver_matrix(&lattice).unwrap();
-        assert!(with("ellpack").is_err());
-        let stencil = with("stencil").unwrap();
-        assert_eq!(crs.format().to_string(), "crs");
-        assert_eq!(stencil.format().to_string(), "stencil");
-        let coded = crs.as_crs().expect("the lattice's CRS");
-        assert!(coded.value_table().is_some());
-        assert!(stencil.as_crs() == Some(coded), "one operator");
-
-        // A periodic extent-2 axis leaves no coded form: the format picks
-        // plain entries or regenerated rows.
-        let lattice = args(&["--nx", "2", "--ny", "4", "--nz", "3"]);
-        let (crs, _) = solver_matrix(&lattice).unwrap();
-        assert!(crs.as_crs().is_some_and(|h| h.value_table().is_none()));
-        let mut a = lattice;
-        a.extend(args(&["--format", "stencil"]));
-        let (regen, _) = solver_matrix(&a).unwrap();
-        assert!(regen.as_crs().is_none());
-        assert_eq!((regen.nnz(), regen.matrix_bytes()), (crs.nnz(), 0));
+        // Every lattice runs its CRS form under either format — coded
+        // when it has one, plain when a periodic extent-2 axis leaves it
+        // none — and the flag only names the format the banner prints.
+        let coded = ["--nx", "4", "--ny", "4", "--nz", "3"];
+        for (lattice, is_coded) in [
+            (coded, true),
+            (["--nx", "2", "--ny", "4", "--nz", "3"], false),
+        ] {
+            let a = args(&lattice);
+            let (crs, _) = solver_matrix(&a).unwrap();
+            assert_eq!(format_name(&a), "crs");
+            let mut a = a;
+            a.extend(args(&["--format", "stencil"]));
+            let (stencil, _) = solver_matrix(&a).unwrap();
+            assert_eq!(format_name(&a), "stencil");
+            assert_eq!(crs.as_crs().value_table().is_some(), is_coded);
+            assert!(stencil.as_crs() == crs.as_crs(), "one operator");
+            assert_eq!(stencil.matrix_bytes(), crs.matrix_bytes());
+        }
+        let mut a = args(&coded);
+        a.extend(args(&["--format", "ellpack"]));
+        assert!(solver_matrix(&a).is_err());
     }
 
     #[test]
@@ -1639,8 +1622,8 @@ mod tests {
         // The file does not exist: the flag contradiction must win over
         // the open error, on every loading path.
         let a = args(&["missing.mtx", "--format", "stencil"]);
-        assert!(solver_matrix(&a).unwrap_err().contains("matrix-free"));
-        assert!(load_matrix(&a).unwrap_err().contains("matrix-free"));
+        assert_eq!(solver_matrix(&a).unwrap_err(), STENCIL_NEEDS_LATTICE);
+        assert_eq!(load_matrix(&a).unwrap_err(), STENCIL_NEEDS_LATTICE);
         let typo = args(&["missing.mtx", "--format", "ellpack"]);
         assert!(solver_matrix(&typo).unwrap_err().contains("unknown format"));
     }
@@ -1681,13 +1664,10 @@ mod tests {
         let mut a = args(&lattice);
         a.extend(args(&["--format", "stencil"]));
         let (st, sf_st) = solver_matrix(&a).unwrap();
-        assert_eq!(
-            (crs.format(), st.format()),
-            (FormatSpec::Crs, FormatSpec::Stencil)
-        );
         // The periodic y axis of extent 2 leaves the lattice no coded
-        // form: the stencil handle regenerates its rows.
-        assert!(crs.as_crs().is_some() && st.as_crs().is_none());
+        // form: both handles hold its plain CRS.
+        assert!(crs.as_crs().value_table().is_none());
+        assert!(st.as_crs() == crs.as_crs());
         assert_eq!(
             sf_crs, sf_st,
             "bit-equal bounds give bit-equal scale factors"
@@ -1706,12 +1686,12 @@ mod tests {
         let (m, sf) = solver_matrix(&lattice).unwrap();
         assert!(h.check_hermitian().is_ok());
         assert_eq!(sf, ScaleFactors::from_gershgorin(&h, 0.01));
-        assert!(m.as_crs() == Some(&h));
+        assert!(m.as_crs() == &h);
         let mut a = lattice;
         a.extend(args(&["--format", "stencil"]));
-        let (regen, sf_regen) = solver_matrix(&a).unwrap();
-        assert_eq!(sf_regen, sf);
-        assert_eq!(regen.content_fingerprint(), h.content_fingerprint());
+        let (stencil, sf_stencil) = solver_matrix(&a).unwrap();
+        assert_eq!(sf_stencil, sf);
+        assert!(stencil.as_crs() == &h);
     }
 
     #[test]

@@ -118,9 +118,8 @@ fn checkpointed_solver_is_thread_count_invariant() {
 
 #[test]
 fn stencil_and_crs_thread_grid_is_bitwise_identical() {
-    // The acceptance grid of the matrix-free work: {crs, stencil} ×
-    // {1, 2, 4, 8 threads} must all reproduce the plain CRS moments bit
-    // for bit.
+    // Both handles of a lattice × {1, 2, 4, 8 threads} must all
+    // reproduce the moments of the assembled CRS bit for bit.
     use kpm_repro::sparse::KpmMatrix;
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();

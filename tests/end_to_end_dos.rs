@@ -225,12 +225,11 @@ fn ldos_moments_match_exact_eigenvector_expansion() {
     }
 }
 
-/// The built `kpm dos` prints the same CSV, byte for byte, whether it
-/// streams the assembled CRS or runs matrix-free end to end (no CRS is
-/// assembled under `--format stencil`: bounds, scale factors and every
-/// moment must still carry the CRS bits) — on a lattice with a periodic
-/// extent-2 axis and the dots potential, at one and two threads, and
-/// through `kpm count`.
+/// The built `kpm dos` prints the same CSV, byte for byte, under
+/// `--format crs` and `--format stencil` (the flag names the format; the
+/// lattice runs its CRS form under either) — on a lattice with a
+/// periodic extent-2 axis, which leaves it no coded form, and the dots
+/// potential, at one and two threads, and through `kpm count`.
 #[test]
 fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
     let run = |sub: &str, extra: &[&str]| {
@@ -250,11 +249,15 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
         let (stencil, banner) = run("dos", &["--threads", threads, "--format", "stencil"]);
         assert!(crs.starts_with(b"energy,dos\n") && crs.len() > 1024);
         assert!(crs == stencil, "dos CSV differs at --threads {threads}");
-        // Same N and Nnz on the banner, read off the stencil. The
-        // periodic extent-2 axis merges partner entries into sums, so
-        // the CRS build stores its values plain and walks its entries.
-        let plain = "format = crs, values = plain, walk = entries";
-        assert_eq!(banner.replace("format = stencil", plain), crs_banner);
+        // The same banner but for the format's name. The periodic
+        // extent-2 axis merges partner entries into sums, so the CRS
+        // build stores its values plain and walks its entries.
+        let plain = "format = stencil, values = plain, walk = entries";
+        assert!(banner.contains(plain), "{banner}");
+        assert_eq!(
+            banner.replace("format = stencil", "format = crs"),
+            crs_banner
+        );
     }
     let window = ["--from", "-0.5", "--to", "0.5", "--threads", "2"];
     let (crs, _) = run("count", &[&window[..], &["--format", "crs"]].concat());
@@ -267,7 +270,7 @@ fn kpm_dos_stencil_stdout_is_byte_identical_to_crs() {
 /// first two from the commit before the set-up rewrite, the 8×8×6 pair
 /// from the one before the kernel collapse), so this is a check against
 /// *old* outputs, not of the code against itself — byte for byte at one
-/// and two threads, streaming the CRS or matrix-free, with the widest
+/// and two threads, under `--format crs` and `--format stencil`, with the widest
 /// sweep body the CPU executes (AVX-512, else AVX2) or the baseline one. The second lattice has a periodic extent-2
 /// axis (coincident partners: rows are regenerated and merged); the
 /// 8×8×6 one has 1,536 rows — two width-1 chunks, three 512-row tiles —

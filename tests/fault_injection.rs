@@ -175,7 +175,7 @@ fn unscaled_spectrum_trips_divergence_guardrail() {
 /// unlike the four-product arm, would not turn an infinite `x` into a
 /// NaN): with scale factors that undersize the spectrum — grossly, and
 /// by a factor that lets the recurrence grow for 17 sweeps first —
-/// streaming the CRS or matrix-free, at block widths on both sides of
+/// through either handle, at block widths on both sides of
 /// the arms' threshold, the solver stops with `SpectralBoundsViolated`
 /// at the iteration the commit before the arms stopped at (recorded
 /// from a build of it), and so never hands out a moment set.

@@ -73,17 +73,17 @@ fn probe_constants_match_accounting() {
         .flat_map(|row| crs.row(row).cols().to_vec())
         .collect();
     let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);
-    // (operator, width, matrix bytes per sweep)
-    let cases: [(&dyn SparseKernels, usize, usize); 6] = [
-        (&crs, 1, site_view),
-        (&crs, 3, site_view),
-        (&plain, 1, crs_bytes(nnz)),
-        (&plain, 3, crs_bytes(nnz)),
-        (&stencil, 1, site_view),
-        (&stencil, 3, site_view),
+    // (name, operator, width, matrix bytes per sweep)
+    let cases: [(&str, &dyn SparseKernels, usize, usize); 6] = [
+        ("coded", &crs, 1, site_view),
+        ("coded", &crs, 3, site_view),
+        ("plain", &plain, 1, crs_bytes(nnz)),
+        ("plain", &plain, 3, crs_bytes(nnz)),
+        ("stencil handle", &stencil, 1, site_view),
+        ("stencil handle", &stencil, 3, site_view),
     ];
-    for (h, r, stored) in cases {
-        assert_eq!(h.matrix_bytes(), stored, "{} at width {r}", h.format());
+    for (name, h, r, stored) in cases {
+        assert_eq!(h.matrix_bytes(), stored, "{name} at width {r}");
         let v = BlockVector::zeros(n, r);
         let mut w = BlockVector::zeros(n, r);
         obs::reset();
@@ -108,7 +108,7 @@ fn probe_constants_match_accounting() {
                 aug.min_bytes(n, stored, r),
             ),
         ];
-        assert_eq!(got, want, "{} at width {r}", h.format());
+        assert_eq!(got, want, "{name} at width {r}");
     }
 }
 
@@ -173,12 +173,10 @@ fn solver_run_records_spans_and_probes() {
 /// at R = 1, 3 and 8 — the serial kernels on the calling thread, the
 /// parallel ones on 1-, 2- and 4-thread pools — all three return the
 /// same bits, and each call leaves exactly one probe record of the
-/// kernel's kind at its width under the format of the handle's
-/// constructor.
+/// kernel's kind at its width.
 #[test]
 fn named_kernels_agree_and_probe_once_on_every_operator() {
     use kpm_repro::num::BlockVector;
-    use kpm_repro::obs::probe::ProbeFormat;
     use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
     use kpm_repro::sparse::{KpmMatrix, SparseKernels};
     use rand::SeedableRng;
@@ -191,10 +189,10 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
         KpmMatrix::crs(crs.clone()),
         KpmMatrix::stencil(ham.stencil_matrix()),
     );
-    let operators: [(&str, &dyn SparseKernels, ProbeFormat); 3] = [
-        ("&CrsMatrix", &crs, ProbeFormat::Crs),
-        ("KpmMatrix::crs", &crs_handle, ProbeFormat::Crs),
-        ("KpmMatrix::stencil", &st_handle, ProbeFormat::Stencil),
+    let operators: [(&str, &dyn SparseKernels); 3] = [
+        ("&CrsMatrix", &crs),
+        ("KpmMatrix::crs", &crs_handle),
+        ("KpmMatrix::stencil", &st_handle),
     ];
     let (n, nnz) = (crs.nrows(), crs.nnz());
     let pools = [1usize, 2, 4].map(|t| {
@@ -259,7 +257,7 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
             let mut first: Option<Out> = None;
             let runs = if *parallel { &pools[..] } else { &pools[..1] };
             for pool in runs {
-                for (operator, m, format) in operators {
+                for (operator, m) in operators {
                     obs::reset();
                     obs::set_enabled(true);
                     let mut w = w0.clone();
@@ -277,9 +275,9 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
                     let snap = obs::probe::snapshot();
                     let records: Vec<_> = snap
                         .iter()
-                        .map(|p| (p.kind, p.calls, p.width, p.format, p.rows, p.nnz))
+                        .map(|p| (p.kind, p.calls, p.width, p.rows, p.nnz))
                         .collect();
-                    let want = vec![(*kind, 1, r as u64, format, n as u64, nnz as u64)];
+                    let want = vec![(*kind, 1, r as u64, n as u64, nnz as u64)];
                     assert_eq!(records, want, "{what}: probe records");
                 }
             }

@@ -33,14 +33,10 @@ fn hermitian_matrix() -> impl Strategy<Value = CrsMatrix> {
     })
 }
 
-/// Block widths of the stencil checks: the narrow ones plus the
-/// paper's sweep; 24 gives 168-row tiles at the default budget.
-const STENCIL_WIDTHS: [usize; 8] = [1, 2, 3, 4, 8, 16, 24, 32];
-
-/// Per-thread cache budgets of the stencil checks: the default and two
-/// that give other tile heights — whole sites still, as every tile is
-/// a multiple of the 4 orbital rows.
-const STENCIL_BUDGETS: [usize; 3] = [256 * 1024, 100_000, 77_777];
+/// Per-thread cache budgets of the parallel kernel checks: the default
+/// and two that give other tile heights — whole sites still, as every
+/// tile is a multiple of the 4 orbital rows.
+const CACHE_BUDGETS: [usize; 3] = [256 * 1024, 100_000, 77_777];
 
 /// The potentials of the stencil checks; `Uniform(2.0)` makes two of
 /// the four on-site diagonal entries exactly zero (dropped by the
@@ -84,108 +80,45 @@ fn boundaries(bits: usize) -> [Boundary; 3] {
     })
 }
 
-/// Every kernel of a lattice's stencil handle against its CRS handle,
-/// bit for bit, at block width `r` and the given cache budget — on a
-/// lattice with no coded form, regenerated rows against plain entries:
-/// the serial kernels, then the parallel ones on 1-, 2-, 4- and 8-thread
-/// pools; plain, augmented with dots and augmented without.
-fn stencil_equals_crs(
-    st: &StencilMatrix,
-    r: usize,
-    cache_bytes: usize,
-    seed: u64,
-) -> Result<(), String> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let (h, st) = (st.to_crs(), st.clone());
+/// The generator of a lattice against its CRS build: shape, entry
+/// count, the bits of the Gershgorin bounds and the Hermiticity verdict.
+/// Both handles run the CRS build ([`stencil_handle_runs_the_crs_build`]),
+/// so the kernels have one operator to agree on; the thread-count ×
+/// cache-budget grid of a plain CRS's parallel kernels, bitwise against
+/// the serial chain, is
+/// `crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body`.
+fn stencil_equals_crs(st: &StencilMatrix) -> Result<(), String> {
+    let h = st.to_crs();
     if (st.nrows(), st.nnz()) != (h.nrows(), h.nnz()) {
         return Err("shape or nnz differ".into());
     }
-    if st.gershgorin_bounds() != h.gershgorin_bounds() {
+    let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+    if bits(st.gershgorin_bounds()) != bits(h.gershgorin_bounds()) {
         return Err("gershgorin bounds differ".into());
     }
     if st.check_hermitian().is_err() || !h.is_hermitian() {
         return Err("hermiticity checks differ".into());
     }
-    let n = h.nrows();
-    let crs = KpmMatrix::crs(h).with_cache_bytes(cache_bytes);
-    let st = KpmMatrix::stencil(st).with_cache_bytes(cache_bytes);
-    let v = cvec(n, seed);
-    let w0 = cvec(n, seed.wrapping_add(3));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let vb = BlockVector::random(n, r, &mut rng);
-    let wb0 = BlockVector::random(n, r, &mut rng);
-
-    // One kernel on both formats from identical inputs; `$dots` is the
-    // kernel's return value (`()` for the plain and no-dot kernels).
-    macro_rules! same {
-        ($what:expr, $w0:expr, |$m:ident, $w:ident| $call:expr) => {{
-            let ($m, mut $w) = (&crs, $w0.clone());
-            let d_crs = $call;
-            let w_crs = $w;
-            let ($m, mut $w) = (&st, $w0.clone());
-            let d_st = $call;
-            if w_crs != $w || d_crs != d_st {
-                return Err(format!(
-                    "{} differs (r = {r}, budget = {cache_bytes})",
-                    $what
-                ));
-            }
-        }};
-    }
-    same!("spmv", w0, |m, w| m.spmv(&v, &mut w));
-    same!("spmmv", wb0, |m, w| m.spmmv(&vb, &mut w));
-    same!("aug_spmv", w0, |m, w| m.aug_spmv(0.7, -0.2, &v, &mut w));
-    same!("aug_spmmv", wb0, |m, w| m.aug_spmmv(0.7, -0.2, &vb, &mut w));
-    same!("aug_spmmv_nodot", wb0, |m, w| m
-        .aug_spmmv_nodot(0.7, -0.2, &vb, &mut w));
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| e.to_string())?;
-        pool.install(|| {
-            same!("spmv_par", w0, |m, w| m.spmv_par(&v, &mut w));
-            same!("spmmv_par", wb0, |m, w| m.spmmv_par(&vb, &mut w));
-            same!("aug_spmv_par", w0, |m, w| m
-                .aug_spmv_par(0.7, -0.2, &v, &mut w));
-            same!("aug_spmmv_par", wb0, |m, w| m
-                .aug_spmmv_par(0.7, -0.2, &vb, &mut w));
-            same!("aug_spmmv_nodot_par", wb0, |m, w| m
-                .aug_spmmv_nodot_par(0.7, -0.2, &vb, &mut w));
-            Ok::<(), String>(())
-        })
-        .map_err(|e| format!("{e} at {threads} threads"))?;
-    }
     Ok(())
 }
 
 /// The stencil handle of the lattice `st` against its CRS build `h`: one
-/// operator — the same coded CRS, reading the same view — when the
-/// lattice has a coded form, its regenerated rows with no matrix bytes
-/// when it has none, and the fingerprint of `h` either way.
+/// operator — the same CRS, coded or plain, reading the same bytes —
+/// with the fingerprint of `h`.
 fn stencil_handle_runs_the_crs_build(st: &StencilMatrix, h: &CrsMatrix, what: &str) {
     let handle = KpmMatrix::stencil(st.clone());
+    assert!(handle.as_crs() == h, "{what}");
     assert_eq!(
         handle.content_fingerprint(),
         h.content_fingerprint(),
         "{what}"
     );
-    if h.site_blocks().is_some() {
-        assert!(handle.as_crs() == Some(h), "{what}");
-        assert_eq!(handle.matrix_bytes(), h.matrix_bytes(), "{what}");
-    } else {
-        assert!(handle.as_crs().is_none(), "{what}");
-        assert_eq!(handle.matrix_bytes(), 0, "{what}");
-    }
-    assert_eq!(handle.nnz(), h.nnz(), "{what}");
+    assert_eq!(handle.matrix_bytes(), h.matrix_bytes(), "{what}");
 }
 
 /// The deterministic counterpart of the property below: every
 /// open/periodic combination on shapes with an extent-1 axis, an
-/// extent-2 axis and neither, every potential, and widths on both sides
-/// of the panel and tile boundaries (the last shape has 288 rows, so at
-/// width 24 the 168-row tile edge falls between sites 41 and 42).
+/// extent-2 axis and neither, and every potential.
 #[test]
 fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
     for (shape_idx, (nx, ny, nz)) in [
@@ -205,16 +138,12 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
                 t: 1.0,
                 potential: stencil_potential((shape_idx + bc) % 4, 11),
             };
-            for (r, budget) in [
-                (1, STENCIL_BUDGETS[0]),
-                (8, STENCIL_BUDGETS[1]),
-                (24, STENCIL_BUDGETS[0]),
-            ] {
-                if let Err(e) = stencil_equals_crs(&ham.stencil_matrix(), r, budget, 5 + bc as u64)
-                {
-                    panic!("{nx}x{ny}x{nz}, boundaries {bc:03b}: {e}");
-                }
+            let st = ham.stencil_matrix();
+            let what = format!("{nx}x{ny}x{nz}, boundaries {bc:03b}");
+            if let Err(e) = stencil_equals_crs(&st) {
+                panic!("{what}: {e}");
             }
+            stencil_handle_runs_the_crs_build(&st, &st.to_crs(), &what);
         }
     }
 }
@@ -225,9 +154,8 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 /// the CRS build codes, and 251 make 257, which it stores plain — as it
 /// does the 576 on-site values of a disordered lattice. Codes match
 /// bits: on-site entries that alternate between `1 + 0i` and `1 − 0i`
-/// from site to site take two slots. Each CRS agrees with its stencil
-/// handle kernel for kernel and hashes like it; the handle of a lattice
-/// with no coded form reads no matrix bytes.
+/// from site to site take two slots. Each lattice's stencil handle holds
+/// its CRS build, coded or plain, and hashes like it.
 #[test]
 fn crs_builds_code_at_most_256_distinct_values() {
     let lattice = |value: &dyn Fn(usize) -> Complex64| {
@@ -265,14 +193,8 @@ fn crs_builds_code_at_most_256_distinct_values() {
         let h = st.to_crs();
         assert_eq!(h.value_table().map(<[_]>::len), distinct);
         stencil_handle_runs_the_crs_build(&st, &h, &format!("{distinct:?} distinct values"));
-        for (r, budget) in [
-            (1, STENCIL_BUDGETS[0]),
-            (8, STENCIL_BUDGETS[1]),
-            (17, STENCIL_BUDGETS[0]),
-        ] {
-            if let Err(e) = stencil_equals_crs(&st, r, budget, 9) {
-                panic!("{distinct:?} distinct values: {e}");
-            }
+        if let Err(e) = stencil_equals_crs(&st) {
+            panic!("{distinct:?} distinct values: {e}");
         }
     }
 }
@@ -281,12 +203,10 @@ fn crs_builds_code_at_most_256_distinct_values() {
 /// blocks (two neighbours and two wraps per axis), and one on-site block
 /// per distinct diagonal. Diagonals built from 33 distinct values — far
 /// inside the value table — take 244 or 245 distinct combinations over
-/// the 320 sites: 256 blocks, which the CRS build codes and the stencil
-/// handle holds, and 257, which it stores plain, and the stencil handle,
-/// which has no coded form either, regenerates its rows. Either way the
-/// two agree kernel for kernel at widths 1, 2, 8 and 17 and hash alike —
-/// as on the 2×6×5 lattice, whose periodic extent-2 axis leaves it no
-/// view: its coincident partners' entries are merged.
+/// the 320 sites: 256 blocks, which the CRS build codes, and 257, which
+/// it stores plain. Either way the stencil handle holds that CRS — as on
+/// the 2×6×5 lattice, whose periodic extent-2 axis leaves it no view:
+/// its coincident partners' entries are merged.
 #[test]
 fn a_257th_site_block_stores_the_crs_plain() {
     let lattice = |combinations: usize| {
@@ -298,34 +218,23 @@ fn a_257th_site_block_stores_the_crs_plain() {
         });
         per_site(8, 8, 5, [true; 3], diag.collect(), &hop)
     };
-    let widths = [
-        (1, STENCIL_BUDGETS[0]),
-        (2, STENCIL_BUDGETS[2]),
-        (8, STENCIL_BUDGETS[1]),
-        (17, STENCIL_BUDGETS[0]),
-    ];
     for (combinations, blocks) in [(244, Some(256)), (245, None)] {
         let st = lattice(combinations);
         let h = st.to_crs();
         assert_eq!(h.site_blocks(), blocks, "{combinations} diagonals");
         let values = blocks.map(|_| 6 + 16 + 16 + 1);
         assert_eq!(h.value_table().map(<[_]>::len), values);
-        // The stencil handle reads the view the CRS build holds, or none.
         stencil_handle_runs_the_crs_build(&st, &h, &format!("{combinations} diagonals"));
-        for (r, budget) in widths {
-            if let Err(e) = stencil_equals_crs(&st, r, budget, 10) {
-                panic!("{combinations} diagonals: {e}");
-            }
+        if let Err(e) = stencil_equals_crs(&st) {
+            panic!("{combinations} diagonals: {e}");
         }
     }
     let coincident = TopoHamiltonian::clean(2, 6, 5).stencil_matrix();
     let h = coincident.to_crs();
     assert_eq!(h.site_blocks(), None);
     stencil_handle_runs_the_crs_build(&coincident, &h, "coincident 2x6x5");
-    for (r, budget) in widths {
-        if let Err(e) = stencil_equals_crs(&coincident, r, budget, 11) {
-            panic!("coincident 2x6x5: {e}");
-        }
+    if let Err(e) = stencil_equals_crs(&coincident) {
+        panic!("coincident 2x6x5: {e}");
     }
 }
 
@@ -343,10 +252,9 @@ fn bond_blocks(bond: impl Fn(usize) -> Complex64) -> [[[Complex64; 4]; 4]; 6] {
 /// A site block holds each row's entries in at most two slots, one
 /// product per part of `x`: a lattice with an entry whose two parts are
 /// non-zero, or with three entries in a row of one block, is stored
-/// plain — values included, as past 256 blocks — and agrees with its
-/// stencil handle, which regenerates its rows, kernel for kernel and
-/// hashes like it. The lattice beside them with the same bonds made
-/// imaginary is coded, and its stencil handle holds that coded CRS.
+/// plain — values included, as past 256 blocks. The lattice beside them
+/// with the same bonds made imaginary is coded. Each stencil handle
+/// holds its CRS build.
 #[test]
 fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
     let onsite = |site: usize| [0, 1, 2, 3].map(|o| Complex64::real((site % 3 + o) as f64));
@@ -381,10 +289,8 @@ fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
         assert_eq!(h.site_blocks().is_some(), coded, "{what}");
         assert_eq!(h.value_table().is_some(), coded, "{what}");
         stencil_handle_runs_the_crs_build(&st, &h, what);
-        for (r, budget) in [(1, STENCIL_BUDGETS[0]), (8, STENCIL_BUDGETS[1])] {
-            if let Err(e) = stencil_equals_crs(&st, r, budget, 12) {
-                panic!("{what}: {e}");
-            }
+        if let Err(e) = stencil_equals_crs(&st) {
+            panic!("{what}: {e}");
         }
     }
 }
@@ -721,8 +627,8 @@ fn reference_sweep(
 /// baseline, the AVX2 and the AVX-512 copy of the body. The reference
 /// multiplies out all four products of every entry; the sweep leaves
 /// out those with an exactly-zero factor on rows that hold no other
-/// kind of entry, so [`kinds_matrix`] and [`kinds_stencil`] (the latter
-/// through the stencil's own kernels) draw the kind per entry, `v` and
+/// kind of entry, so [`kinds_matrix`] and [`kinds_stencil`] draw the
+/// kind per entry, `v` and
 /// `w` hold zeros of both signs, and equality is on bit patterns — the
 /// sign of every zero in `w` included.
 #[test]
@@ -744,7 +650,6 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
         .collect();
     let dots = |d: AugDotsBlock| (d.eta_even, d.eta_odd);
     let none = (Vec::new(), Vec::new());
-    let stencil = kinds_stencil(6);
     let matrices = [
         ("ragged-700", ragged_hermitian(700, 3)),
         ("ragged-90", ragged_hermitian(90, 4)),
@@ -754,14 +659,13 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
             TopoHamiltonian::quantum_dot_superlattice(6, 6, 4).assemble(),
         ),
         ("kinds-150", kinds_matrix(150, 5)),
-        ("kinds-stencil", stencil.to_crs()),
+        ("kinds-stencil", kinds_stencil(6).to_crs()),
     ];
-    let stencil = KpmMatrix::stencil(stencil);
     let (a, b) = (0.7, -0.2);
     for (name, h) in &matrices {
         let n = h.nrows();
         // The budget travels with the handle: one per budget.
-        let handles = STENCIL_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
+        let handles = CACHE_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
         for r in CRS_WIDTHS {
             let mut v = BlockVector::random(n, r, &mut rng);
@@ -849,29 +753,7 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                         none.clone()
                     }),
                 );
-                if *name == "kinds-stencil" {
-                    // The same rows through the matrix-free walk, at
-                    // the default budget.
-                    check(
-                        "stencil spmmv",
-                        &serial_plain,
-                        run(&|w| {
-                            stencil.spmmv(&v, w);
-                            none.clone()
-                        }),
-                    );
-                    check(
-                        "stencil aug_spmmv",
-                        &serial_aug,
-                        run(&|w| dots(stencil.aug_spmmv(a, b, &v, w))),
-                    );
-                    check(
-                        "stencil aug_spmmv_par",
-                        &expect(h, Some((a, b)), tile_of(STENCIL_BUDGETS[0])),
-                        pools[1].install(|| run(&|w| dots(stencil.aug_spmmv_par(a, b, &v, w)))),
-                    );
-                }
-                for (budget, m) in STENCIL_BUDGETS.into_iter().zip(&handles) {
+                for (budget, m) in CACHE_BUDGETS.into_iter().zip(&handles) {
                     let par_aug = expect(h, Some((a, b)), tile_of(budget));
                     for pool in &pools {
                         pool.install(|| {
@@ -1091,18 +973,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn stencil_kernels_bitwise_equal_crs(
-        ham in any_lattice(),
-        r_idx in 0usize..STENCIL_WIDTHS.len(),
-        budget_idx in 0usize..STENCIL_BUDGETS.len(),
-        seed in any::<u64>(),
-    ) {
-        // The matrix-free stencil rebuilds the operator from the lattice
-        // geometry; every kernel result must be *bitwise* equal to the
-        // assembled CRS operator — any lattice shape and boundary, any
-        // block width, any tile height, any thread count.
-        let checked = stencil_equals_crs(&ham.stencil_matrix(), STENCIL_WIDTHS[r_idx], STENCIL_BUDGETS[budget_idx], seed);
+    fn stencil_kernels_bitwise_equal_crs(ham in any_lattice()) {
+        // Any lattice shape, boundary and potential: the stencil handle
+        // runs the CRS build itself, so its kernels are the CRS's bit
+        // for bit, and the generator's bounds and verdict are the
+        // build's.
+        let st = ham.stencil_matrix();
+        let checked = stencil_equals_crs(&st);
         prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
+        stencil_handle_runs_the_crs_build(&st, &st.to_crs(), &format!("{:?}", ham.lattice));
     }
 
     #[test]

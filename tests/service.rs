@@ -262,7 +262,7 @@ fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
     assert!(svc.shutdown(ShutdownMode::Drain).consistent());
 }
 
-/// A CRS handle and a matrix-free stencil handle of one lattice hash —
+/// A CRS handle and a stencil handle of one lattice hash —
 /// each lazily, on registration — to the same fingerprint: they
 /// register as one matrix, requests naming either coalesce into one
 /// block solve, and an answer solved on one is a cache hit for the
