@@ -19,8 +19,8 @@
 //!   subspace-sizing application of paper refs. [8] and [22],
 //! * [`green`] — retarded Green function `G(E + i0)` from the same
 //!   moments (the Hilbert-transform companion of the DOS),
-//! * [`checkpoint`] — the solver's checkpoint records and stores, for
-//!   crash/resume of a long moment run.
+//! * [`checkpoint`] — the solver's one checkpoint record and its
+//!   stores, for crash/resume of a long moment run.
 
 #![warn(missing_docs)]
 
@@ -35,9 +35,7 @@ pub mod moments;
 pub mod solver;
 pub mod spectral;
 
-pub use checkpoint::{
-    CheckpointStore, DirCheckpointStore, EtaCheckpoint, MemoryCheckpointStore, RankCheckpoint,
-};
+pub use checkpoint::{Checkpoint, CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use dos::DosCurve;
 pub use kernels::Kernel;
 pub use moments::MomentSet;

@@ -21,7 +21,7 @@ use kpm_topo::ScaleFactors;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checkpoint::{CheckpointStore, EtaCheckpoint, RankCheckpoint};
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::moments::MomentSet;
 
 /// Divergence guardrail: a partial `η_even = ‖ν_m‖²` may never exceed
@@ -463,7 +463,7 @@ fn init_block<M: SparseKernels + ?Sized>(
         h.spmmv(&v, &mut w);
         shift_scale_dots(sf.a, sf.b, &v, &mut w)
     };
-    let mut eta = Vec::with_capacity(EtaCheckpoint::expected_len(iters, v.width()));
+    let mut eta = Vec::with_capacity(Checkpoint::eta_len(iters, v.width()).unwrap_or(0));
     eta.extend(mu0.into_iter().chain(mu1).map(Complex64::real));
     BlockedState { v, w, eta }
 }
@@ -696,7 +696,7 @@ pub struct SolverCheckpointing<'a> {
     pub store: &'a dyn CheckpointStore,
     /// Sweeps between checkpoints (≥ 1).
     pub interval: usize,
-    /// Test hook: simulate a crash (return `Err(RankCrashed)`) when a
+    /// Test hook: simulate a crash (return `Err(InjectedCrash)`) when a
     /// *fresh* run reaches this sweep. A run resumed from a checkpoint
     /// never crashes here, so write → crash → resume roundtrips in one
     /// process.
@@ -742,35 +742,23 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
     let restore_sp = span("solver.ckpt.restore", "ckpt");
     let restore_t0 = std::time::Instant::now();
     let (mut state, start_iter) = match crate::checkpoint::latest_consistent(ckpt.store, n)? {
-        Some(it) => {
-            let rck = ckpt
-                .store
-                .load_rank(it, 0)?
-                .ok_or_else(|| KpmError::CheckpointMissing {
-                    details: format!("rank 0 record at iteration {it}"),
-                })?;
-            let eck = ckpt
-                .store
-                .load_eta(it)?
-                .ok_or_else(|| KpmError::CheckpointMissing {
-                    details: format!("eta record at iteration {it}"),
-                })?;
-            if rck.width != r || eck.width != r || rck.row_end - rck.row_begin != n {
+        Some(ck) => {
+            if ck.width != r {
                 return Err(KpmError::CheckpointCorrupt {
-                    details: "checkpoint geometry does not match this run".to_string(),
+                    details: "checkpoint width does not match this run".to_string(),
                 });
             }
             let state = BlockedState {
-                v: BlockVector::from_interleaved(&rck.v, n, r),
-                w: BlockVector::from_interleaved(&rck.w, n, r),
-                eta: eck.eta,
+                v: BlockVector::from_interleaved(&ck.v, n, r),
+                w: BlockVector::from_interleaved(&ck.w, n, r),
+                eta: ck.eta,
             };
             metrics::counter_inc("solver.ckpt.restores");
             hist::record(
                 "solver.ckpt.restore_ns",
                 restore_t0.elapsed().as_nanos() as u64,
             );
-            (state, it)
+            (state, ck.iteration)
         }
         None => {
             let start = starting_block(n, params);
@@ -787,26 +775,18 @@ fn checkpointed_run<M: SparseKernels + ?Sized>(
         if m > start_iter && m.is_multiple_of(ckpt.interval) {
             let _save_sp = span("solver.ckpt.save", "ckpt");
             let save_t0 = std::time::Instant::now();
-            ckpt.store.save_rank(&RankCheckpoint {
+            ckpt.store.save_checkpoint(&Checkpoint {
                 iteration: m,
-                rank: 0,
-                row_begin: 0,
-                row_end: n,
                 width: r,
-                halo_sent: 0,
                 v: state.v.to_interleaved(),
                 w: state.w.to_interleaved(),
-            })?;
-            ckpt.store.save_eta(&EtaCheckpoint {
-                iteration: m,
-                width: r,
                 eta: state.eta.clone(),
             })?;
             metrics::counter_inc("solver.ckpt.saves");
             hist::record("solver.ckpt.save_ns", save_t0.elapsed().as_nanos() as u64);
         }
         if start_iter == 0 && ckpt.crash_at == Some(m) {
-            return Err(KpmError::RankCrashed { rank: 0 });
+            return Err(KpmError::InjectedCrash);
         }
         Ok(())
     };
@@ -836,7 +816,7 @@ fn moments_from_flat_eta(
 
 /// The moments of column `j` alone from the flat η layout.
 fn column_from_flat_eta(eta_flat: &[Complex64], r: usize, iters: usize, j: usize) -> MomentSet {
-    debug_assert_eq!(eta_flat.len(), EtaCheckpoint::expected_len(iters, r));
+    debug_assert_eq!(Some(eta_flat.len()), Checkpoint::eta_len(iters, r));
     let sweep = |m: usize| {
         let base = 2 * r + m * 2 * r;
         (eta_flat[base + j].re, eta_flat[base + r + j])
@@ -1316,7 +1296,7 @@ mod tests {
         };
         let err = kpm_moments_checkpointed(&h, sf, &p, &crash_mid)
             .expect_err("the injected crash must fire");
-        assert!(matches!(err, KpmError::RankCrashed { rank: 0 }));
+        assert!(matches!(err, KpmError::InjectedCrash));
 
         // Resume from the surviving store; the crash hook does not fire
         // on resumed runs.
@@ -1328,5 +1308,10 @@ mod tests {
             resumed.as_slice(),
             "not bitwise equal"
         );
+
+        // A record of another block width is refused, not restored.
+        let wider = KpmParams { num_random: 3, ..p };
+        let err = kpm_moments_checkpointed(&h, sf, &wider, &crash_mid).expect_err("width");
+        assert!(matches!(err, KpmError::CheckpointCorrupt { .. }), "{err:?}");
     }
 }

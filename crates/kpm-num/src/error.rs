@@ -50,19 +50,11 @@ pub enum KpmError {
     },
     /// A run stopped at an injected crash point (the checkpointed
     /// solver's `crash_at` test hook, the service's chaos crash).
-    RankCrashed {
-        /// The rank that stopped (0 for a single-process run).
-        rank: usize,
-    },
+    InjectedCrash,
     /// A checkpoint record failed validation (bad magic, version,
     /// length, or checksum).
     CheckpointCorrupt {
         /// Which check failed, and on which record.
-        details: String,
-    },
-    /// The checkpoint requested for resume does not exist.
-    CheckpointMissing {
-        /// Which checkpoint was asked for.
         details: String,
     },
     /// An I/O failure in a file-backed checkpoint store.
@@ -110,12 +102,9 @@ impl fmt::Display for KpmError {
                 "spectral bounds violated at iteration {iteration}: |partial| = {value:e} \
                  exceeds {bound:e}; the scale factors do not cover the spectrum"
             ),
-            KpmError::RankCrashed { rank } => write!(f, "rank {rank} crashed"),
+            KpmError::InjectedCrash => write!(f, "injected crash"),
             KpmError::CheckpointCorrupt { details } => {
                 write!(f, "corrupt checkpoint: {details}")
-            }
-            KpmError::CheckpointMissing { details } => {
-                write!(f, "checkpoint missing: {details}")
             }
             KpmError::Io { details } => write!(f, "checkpoint I/O error: {details}"),
             KpmError::DeadlineExceeded { iteration } => {

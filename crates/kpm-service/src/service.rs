@@ -1152,7 +1152,7 @@ fn process_batch(
                         &m.pending,
                         Outcome::Failed(ServiceError::RetriesExhausted {
                             attempts: attempts_used,
-                            last_error: KpmError::RankCrashed { rank: 0 }.to_string(),
+                            last_error: KpmError::InjectedCrash.to_string(),
                         }),
                         member_stats(m, job, Duration::ZERO),
                         member_marks(m, 0.0, 0.0),

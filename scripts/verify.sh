@@ -86,9 +86,10 @@ step "paper numbers (report_all)"
 # a miss exits 1 and names its line.
 cargo run --release --offline -q -p kpm-bench --bin report_all
 
-step "determinism: bitwise moments across formats and thread counts"
-# CRS and stencil handles must agree bit for bit at every thread count
-# and sweep copy; the suite covers all three solver variants.
+step "determinism: bitwise moments across thread counts, sweep copies, solver variants and checkpoint/restart"
+# Moments must agree bit for bit at every thread count and sweep copy,
+# for all three solver variants, and a checkpointed run — crashed under
+# one sweep copy and resumed under another — with the uninterrupted one.
 cargo test -q --test determinism
 
 step "AddressSanitizer: the kernels' reads under ASan (nightly)"

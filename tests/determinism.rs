@@ -270,7 +270,7 @@ fn simd_checkpoint_restart_is_bitwise_identical() {
             };
             let err = kpm_moments_checkpointed(&h, sf, &params(2), &ckpt);
             let err = err.expect_err("injected crash");
-            assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
+            assert!(matches!(err, KpmError::InjectedCrash), "{err:?}");
 
             simd::set_cap(resumed);
             let got = kpm_moments_checkpointed(&h, sf, &params(2), &ckpt)
@@ -317,14 +317,14 @@ fn checkpoint_records_stay_row_major() {
         kpm_repro::num::block::shift_scale_dots(sf.a, sf.b, &v0, &mut v1);
         let (v, mut w) = (v1, v0);
         h.aug_spmmv(sf.a, sf.b, &v, &mut w);
-        let rck = store
-            .load_rank(1, 0)
+        let ck = store
+            .load_checkpoint(1)
             .expect("load")
             .expect("saved at sweep 1");
-        assert_eq!((rck.width, rck.v.len(), rck.w.len()), (r, n * r, n * r));
+        assert_eq!((ck.width, ck.v.len(), ck.w.len()), (r, n * r, n * r));
         for (i, j) in (0..n).flat_map(|i| (0..r).map(move |j| (i, j))) {
-            assert_eq!(rck.v[i * r + j], v.get(i, j), "v({i}, {j}) at R = {r}");
-            assert_eq!(rck.w[i * r + j], w.get(i, j), "w({i}, {j}) at R = {r}");
+            assert_eq!(ck.v[i * r + j], v.get(i, j), "v({i}, {j}) at R = {r}");
+            assert_eq!(ck.w[i * r + j], w.get(i, j), "w({i}, {j}) at R = {r}");
         }
     }
 }

@@ -2,19 +2,53 @@
 //! solver.
 //!
 //! A crash injected into a checkpointed run must be survived by resuming
-//! from the newest consistent checkpoint, with the resumed moments
-//! bitwise those of an uninterrupted run; a damaged checkpoint file must
-//! make discovery fall back to an older consistent state; and scale
-//! factors that do not cover the spectrum must stop the recurrence with
-//! a typed error instead of handing out garbage moments.
+//! from the newest consistent checkpoint, read once, with the resumed
+//! moments bitwise those of an uninterrupted run; a damaged, truncated
+//! or version-1 checkpoint record must decode to a typed error without
+//! allocating past its own length, and make discovery fall back to an
+//! older consistent record; and scale factors that do not cover the
+//! spectrum must stop the recurrence with a typed error instead of
+//! handing out garbage moments.
 
-use kpm_repro::core::checkpoint::{latest_consistent, MemoryCheckpointStore};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use kpm_repro::core::checkpoint::{
+    latest_consistent, Checkpoint, CheckpointStore, DirCheckpointStore, MemoryCheckpointStore,
+};
 use kpm_repro::core::solver::{
     kpm_moments, kpm_moments_checkpointed, KpmParams, KpmVariant, SolverCheckpointing,
 };
 use kpm_repro::num::{Complex64, KpmError};
 use kpm_repro::topo::model::random_hermitian;
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's requested bytes so a
+/// test can bound what one call allocates.
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// a const-initialised thread-local without a destructor, so touching it
+// neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn params(m: usize, r: usize, seed: u64) -> KpmParams {
     KpmParams {
@@ -33,8 +67,6 @@ fn params(m: usize, r: usize, seed: u64) -> KpmParams {
 /// and the store only retains consistent restart points.
 #[test]
 fn checkpoint_crash_resume_roundtrip() {
-    use kpm_repro::core::checkpoint::CheckpointStore as _;
-
     let h = random_hermitian(120, 4, 17);
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     let p = params(48, 3, 4321); // 23 sweeps
@@ -48,10 +80,11 @@ fn checkpoint_crash_resume_roundtrip() {
     };
     let err =
         kpm_moments_checkpointed(&h, sf, &p, &crashing).expect_err("injected crash must surface");
-    assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
+    assert!(matches!(err, KpmError::InjectedCrash), "{err:?}");
     let resume_at = latest_consistent(&store, h.nrows())
         .unwrap()
-        .expect("a checkpoint must exist before the crash");
+        .expect("a checkpoint must exist before the crash")
+        .iteration;
     assert!(resume_at > 0 && resume_at <= p.iterations() / 2);
 
     // Second call resumes from the stored state (crash_at only fires on
@@ -71,76 +104,244 @@ fn checkpoint_crash_resume_roundtrip() {
         crash_at: Some(7),
     };
     let err = kpm_moments_checkpointed(&h, sf, &p, &off_grid).expect_err("injected crash");
-    assert!(matches!(err, KpmError::RankCrashed { .. }), "{err:?}");
-    assert_eq!(store.eta_iterations().unwrap(), [3, 6]);
-    assert_eq!(latest_consistent(&store, h.nrows()).unwrap(), Some(6));
+    assert!(matches!(err, KpmError::InjectedCrash), "{err:?}");
+    assert_eq!(store.checkpoint_iterations().unwrap(), [3, 6]);
+    let newest = latest_consistent(&store, h.nrows()).unwrap();
+    assert_eq!(newest.map(|ck| ck.iteration), Some(6));
     let resumed = kpm_moments_checkpointed(&h, sf, &p, &off_grid).unwrap();
+    assert_eq!(straight.as_slice(), resumed.as_slice(), "not bitwise equal");
+}
+
+/// A checkpoint store that counts the records it decodes.
+struct CountingStore {
+    inner: MemoryCheckpointStore,
+    loads: AtomicUsize,
+}
+
+impl CheckpointStore for CountingStore {
+    fn save_checkpoint(&self, ck: &Checkpoint) -> Result<(), KpmError> {
+        self.inner.save_checkpoint(ck)
+    }
+
+    fn load_checkpoint(&self, iteration: usize) -> Result<Option<Checkpoint>, KpmError> {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.inner.load_checkpoint(iteration)
+    }
+
+    fn checkpoint_iterations(&self) -> Result<Vec<usize>, KpmError> {
+        self.inner.checkpoint_iterations()
+    }
+}
+
+/// A resume decodes one record, the newest, and restores that record
+/// itself: the restart path reads the `2 · n · R` block values once.
+#[test]
+fn restore_decodes_exactly_one_record() {
+    let h = random_hermitian(120, 4, 17);
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let p = params(48, 3, 4321);
+    let straight = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
+    let store = CountingStore {
+        inner: MemoryCheckpointStore::new(),
+        loads: AtomicUsize::new(0),
+    };
+    let ckpt = SolverCheckpointing {
+        store: &store,
+        interval: 3,
+        crash_at: Some(7),
+    };
+    let err = kpm_moments_checkpointed(&h, sf, &p, &ckpt).expect_err("injected crash");
+    assert!(matches!(err, KpmError::InjectedCrash), "{err:?}");
+    let loads = || store.loads.load(Ordering::Relaxed);
+    assert_eq!(loads(), 0, "a fresh run loads nothing");
+    let resumed = kpm_moments_checkpointed(&h, sf, &p, &ckpt).unwrap();
+    assert_eq!(loads(), 1, "records decoded by the resume");
     assert_eq!(straight.as_slice(), resumed.as_slice(), "not bitwise equal");
 }
 
 /// A corrupt checkpoint file — a truncated write or garbage bytes under
 /// a checkpoint name — must not abort restart discovery:
-/// `latest_consistent` skips the damaged record, lets the tiling check
-/// disqualify the iteration, and falls back to the previous consistent
-/// state. Direct loads still surface the damage as a typed error.
+/// `latest_consistent` skips the damaged record and falls back to the
+/// previous one. Direct loads still surface the damage as a typed error.
 #[test]
 fn corrupt_checkpoint_files_fall_back_to_older_consistent_state() {
-    use kpm_repro::core::checkpoint::{
-        CheckpointStore, DirCheckpointStore, EtaCheckpoint, RankCheckpoint,
-    };
-
     let dir = std::env::temp_dir().join(format!("kpm-fault-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = DirCheckpointStore::new(&dir).expect("create store");
     let n = 20usize;
-    let width = 2usize;
-    let save_full = |iteration: usize| {
-        for rank in 0..2usize {
-            let rows = n / 2;
-            let begin = rank * rows;
-            store
-                .save_rank(&RankCheckpoint {
-                    iteration,
-                    rank,
-                    row_begin: begin,
-                    row_end: begin + rows,
-                    width,
-                    halo_sent: 0,
-                    v: vec![Complex64::real(1.0); rows * width],
-                    w: vec![Complex64::real(2.0); rows * width],
-                })
-                .expect("save rank");
-        }
+    for iteration in [4, 8] {
         store
-            .save_eta(&EtaCheckpoint {
-                iteration,
-                width,
-                eta: vec![Complex64::real(0.5); EtaCheckpoint::expected_len(iteration, width)],
-            })
-            .expect("save eta");
-    };
-    save_full(4);
-    save_full(8);
-    assert_eq!(latest_consistent(&store, n).unwrap(), Some(8));
+            .save_checkpoint(&sample_record(iteration, n, 2))
+            .expect("save");
+    }
+    let newest =
+        |store: &DirCheckpointStore| latest_consistent(store, n).unwrap().map(|ck| ck.iteration);
+    assert_eq!(newest(&store), Some(8));
 
-    // Truncate one rank record of the newest iteration: its tiling of
-    // 0..n breaks, so discovery falls back to 4 instead of erroring.
-    let victim = dir.join("rank-00000008-0000.ckpt");
+    // Truncate the newest record: discovery falls back to 4 instead of
+    // erroring.
+    let victim = dir.join("ckpt-00000008.ckpt");
     let bytes = std::fs::read(&victim).expect("read victim");
     std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate victim");
-    assert_eq!(latest_consistent(&store, n).unwrap(), Some(4));
+    assert_eq!(newest(&store), Some(4));
 
     // Direct loads still report the damage as typed corruption.
     let err = store
-        .load_rank(8, 0)
+        .load_checkpoint(8)
         .expect_err("truncated record must decode to a typed error");
     assert!(matches!(err, KpmError::CheckpointCorrupt { .. }), "{err:?}");
 
-    // Replace the η record at 4 with garbage: iteration 4 is
-    // disqualified too and no consistent restart point remains.
-    std::fs::write(dir.join("eta-00000004.ckpt"), b"not a checkpoint at all")
+    // Replace the record at 4 with garbage: no consistent restart point
+    // remains.
+    std::fs::write(dir.join("ckpt-00000004.ckpt"), b"not a checkpoint at all")
         .expect("write garbage");
-    assert_eq!(latest_consistent(&store, n).unwrap(), None);
+    assert_eq!(newest(&store), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record of `rows` rows at width `width` after `iteration` sweeps,
+/// every value distinct.
+fn sample_record(iteration: usize, rows: usize, width: usize) -> Checkpoint {
+    let block = |shift: f64| {
+        (0..rows * width)
+            .map(|i| Complex64::new(i as f64 + shift, -(i as f64)))
+            .collect()
+    };
+    let eta_len = Checkpoint::eta_len(iteration, width).expect("small record");
+    Checkpoint {
+        iteration,
+        width,
+        v: block(0.25),
+        w: block(0.5),
+        eta: (0..eta_len).map(|i| Complex64::real(i as f64)).collect(),
+    }
+}
+
+/// Rewrites the trailing FNV-1a checksum to match the edited body, so
+/// the decoder's structural checks, not the checksum, must refuse it.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in &bytes[..body] {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    bytes[body..].copy_from_slice(&h.to_le_bytes());
+    bytes
+}
+
+/// Byte offsets of a version-2 record's five integer fields: the
+/// iteration, the width and the lengths of `v`, `w` and η.
+fn integer_fields(ck: &Checkpoint) -> [usize; 5] {
+    let block = 16 * ck.v.len();
+    [8, 16, 24, 32 + block, 40 + 2 * block]
+}
+
+/// `bytes` with the integer field at `at` set to `u64::MAX`, resealed.
+fn with_max_field(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(out)
+}
+
+/// `ck`'s blocks in the version-1 layout — magic `KPMCKPT\x01`, a kind
+/// byte, then iteration, rank, row range, width, halo bytes, `v`, `w`
+/// and the checksum — as the rank record that format wrote.
+fn version_1(ck: &Checkpoint) -> Vec<u8> {
+    let mut out = b"KPMCKPT\x01\x01".to_vec();
+    for x in [ck.iteration, 0, 0, ck.rows(), ck.width, 0] {
+        out.extend_from_slice(&(x as u64).to_le_bytes());
+    }
+    for block in [&ck.v, &ck.w] {
+        out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+        for z in block.iter() {
+            out.extend_from_slice(&z.re.to_le_bytes());
+            out.extend_from_slice(&z.im.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&[0; 8]);
+    reseal(out)
+}
+
+/// Decodes `bytes`, which must be refused as `CheckpointCorrupt` with no
+/// panic and nothing allocated beyond the record's length and the
+/// error's text.
+fn assert_refused(bytes: &[u8], what: &str) {
+    let before = ALLOCATED.with(Cell::get);
+    let got = Checkpoint::decode(bytes);
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    match got {
+        Err(KpmError::CheckpointCorrupt { details }) => assert!(
+            allocated <= bytes.len() + details.len(),
+            "{what}: {allocated} B allocated for a {} B record",
+            bytes.len()
+        ),
+        other => panic!("{what}: expected CheckpointCorrupt, got {other:?}"),
+    }
+}
+
+/// Hostile records — random byte flips, truncation at every length,
+/// each integer field at `u64::MAX` and a version-1 record — of a few
+/// rows at R = 1 and R = 3 all decode to `CheckpointCorrupt`, never a
+/// panic or an allocation past their own length. A directory holding
+/// such files at newer iterations beside one good record resumes from
+/// the good one, bit for bit.
+#[test]
+fn hostile_checkpoint_records_are_refused_and_skipped() {
+    for width in [1usize, 3] {
+        let ck = sample_record(2, 4, width);
+        let good = ck.encode();
+        assert_eq!(Checkpoint::decode(&good).as_ref(), Ok(&ck));
+        let mut rng = proptest::TestRng::for_case("checkpoint_record_fuzz", width as u32);
+        for case in 0..256 {
+            let mut bytes = good.clone();
+            for _ in 0..1 + rng.next_u64() % 4 {
+                let at = (rng.next_u64() % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 + (rng.next_u64() % 255) as u8;
+            }
+            assert_refused(&bytes, &format!("R = {width}, flip case {case}"));
+        }
+        for len in 0..good.len() {
+            assert_refused(&good[..len], &format!("R = {width}, truncated to {len} B"));
+        }
+        for at in integer_fields(&ck) {
+            let what = format!("R = {width}, field at byte {at} set to u64::MAX");
+            assert_refused(&with_max_field(&good, at), &what);
+        }
+        assert_refused(&version_1(&ck), &format!("R = {width}, version 1"));
+    }
+
+    let h = random_hermitian(120, 4, 17);
+    let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+    let p = params(48, 3, 4321);
+    let straight = kpm_moments(&h, sf, &p, KpmVariant::AugSpmmv).unwrap();
+    let dir = std::env::temp_dir().join(format!("kpm-hostile-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DirCheckpointStore::new(&dir).expect("create store");
+    let ckpt = SolverCheckpointing {
+        store: &store,
+        interval: 5,
+        crash_at: Some(7),
+    };
+    let err = kpm_moments_checkpointed(&h, sf, &p, &ckpt).expect_err("injected crash");
+    assert!(matches!(err, KpmError::InjectedCrash), "{err:?}");
+    let good = std::fs::read(dir.join("ckpt-00000005.ckpt")).expect("the record at 5");
+    let ck = Checkpoint::decode(&good).expect("a good record");
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x40;
+    let hostile = [
+        flipped,
+        good[..good.len() - 1].to_vec(),
+        with_max_field(&good, integer_fields(&ck)[2]),
+        version_1(&ck),
+    ];
+    for (k, bytes) in hostile.iter().enumerate() {
+        std::fs::write(dir.join(format!("ckpt-{:08}.ckpt", 6 + k)), bytes).expect("write");
+    }
+    let newest = latest_consistent(&store, h.nrows()).unwrap();
+    assert_eq!(newest.map(|ck| ck.iteration), Some(5));
+    let resumed = kpm_moments_checkpointed(&h, sf, &p, &ckpt).unwrap();
+    assert_eq!(straight.as_slice(), resumed.as_slice(), "not bitwise equal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
