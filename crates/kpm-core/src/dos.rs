@@ -140,7 +140,7 @@ mod tests {
                 .collect(),
         );
         v.normalize();
-        let set = moments_from_start(&h, sf, &v, 128, false).unwrap();
+        let set = moments_from_start(&h, sf, &v, 128).unwrap();
         let curve = reconstruct(&set, Kernel::Jackson, sf, 400);
         assert!(
             (curve.peak_energy() - e_mode).abs() < 0.05,

@@ -43,7 +43,7 @@ pub fn site_moments(
         data[4 * site + o] = Complex64::real(1.0);
         let start = Vector::from_vec(data);
         // The inner kernels stay serial: parallelism is across sites.
-        acc.accumulate(&moments_from_start(h, sf, &start, num_moments, false)?);
+        acc.accumulate(&moments_from_start(h, sf, &start, num_moments)?);
     }
     Ok(acc)
 }
@@ -212,8 +212,8 @@ mod tests {
         e0[0] = Complex64::real(1.0);
         let mut em = vec![Complex64::default(); 64];
         em[32] = Complex64::real(1.0);
-        let end = moments_from_start(&h, sf, &Vector::from_vec(e0), 64, false).unwrap();
-        let mid = moments_from_start(&h, sf, &Vector::from_vec(em), 64, false).unwrap();
+        let end = moments_from_start(&h, sf, &Vector::from_vec(e0), 64).unwrap();
+        let mid = moments_from_start(&h, sf, &Vector::from_vec(em), 64).unwrap();
         assert!(end.max_abs_diff(&mid) > 1e-3);
     }
 

@@ -16,7 +16,7 @@ use kpm_num::vector::{
 };
 use kpm_num::{BlockVector, Complex64, KpmError, Vector};
 use kpm_obs::{hist, metrics, span::span};
-use kpm_sparse::SparseKernels;
+use kpm_sparse::CrsMatrix;
 use kpm_topo::ScaleFactors;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -242,7 +242,7 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> Result<T, KpmEr
 }
 
 /// Checks that `h` is square, as KPM requires.
-fn validate_square<M: SparseKernels + ?Sized>(h: &M) -> Result<(), KpmError> {
+fn validate_square(h: &CrsMatrix) -> Result<(), KpmError> {
     if h.nrows() != h.ncols() {
         return Err(KpmError::InvalidMatrix {
             what: "shape",
@@ -261,12 +261,11 @@ fn validate_square<M: SparseKernels + ?Sized>(h: &M) -> Result<(), KpmError> {
 /// averaged over `R` random unit vectors, using the chosen
 /// implementation stage.
 ///
-/// Generic over the operator: pass a `CrsMatrix` or a format-erased
-/// [`kpm_sparse::KpmMatrix`] — moments are bitwise-identical across
-/// formats (and across thread counts) because every [`SparseKernels`]
-/// implementation computes the same floating-point chain.
-pub fn kpm_moments<M: SparseKernels + ?Sized>(
-    h: &M,
+/// Moments are bitwise-identical across thread counts, and across a
+/// lattice's coded and plain CRS, because every kernel computes the same
+/// floating-point chain on either.
+pub fn kpm_moments(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     variant: KpmVariant,
@@ -358,20 +357,21 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
 
 /// Computes the moments `μ_m = ⟨φ|T_m(H̃)|φ⟩` of a *given* (not
 /// necessarily normalized) starting vector — the primitive behind local
-/// DOS and spectral functions, where the "trace" is over one state.
-pub fn moments_from_start<M: SparseKernels + ?Sized>(
-    h: &M,
+/// DOS and spectral functions, where the "trace" is over one state. It
+/// runs the serial stage-1 chain (`aug_spmv`), the chain
+/// [`kpm_batch_moments`] is bitwise equal to column by column.
+pub fn moments_from_start(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     start: &Vector,
     num_moments: usize,
-    parallel: bool,
 ) -> Result<MomentSet, KpmError> {
     validate_square(h)?;
     let params = KpmParams {
         num_moments,
         num_random: 1,
         seed: 0,
-        parallel,
+        parallel: false,
         threads: 0,
         power: 1,
         first_touch: false,
@@ -381,8 +381,8 @@ pub fn moments_from_start<M: SparseKernels + ?Sized>(
 }
 
 /// One KPM run in the naive (Fig. 3) or stage-1 (Fig. 4) formulation.
-fn run_vector_variant<M: SparseKernels + ?Sized>(
-    h: &M,
+fn run_vector_variant(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     starts: &[Vector],
@@ -405,8 +405,8 @@ fn run_vector_variant<M: SparseKernels + ?Sized>(
 /// Returns `(w, mu0, mu1)` with `w = ν₁`; `ν₀` stays the caller's.
 /// Implemented with the same BLAS-1 chain in every variant so that
 /// moments agree exactly.
-fn init_recurrence<M: SparseKernels + ?Sized>(
-    h: &M,
+fn init_recurrence(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     v: &[Complex64],
     parallel: bool,
@@ -447,8 +447,8 @@ struct BlockedState {
 /// the first of `iters` sweeps, `(V, W, [µ₀ | µ₁])`; every column
 /// carries the bits of its own [`init_recurrence`] chain, serial or
 /// parallel.
-fn init_block<M: SparseKernels + ?Sized>(
-    h: &M,
+fn init_block(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     v: BlockVector,
     iters: usize,
@@ -471,8 +471,8 @@ fn init_block<M: SparseKernels + ?Sized>(
 /// The naive KPM loop (paper Fig. 3): per iteration one `spmv()`, two
 /// `axpy()`, one `scal()`, one `nrm2()` and one `dot()` — the vectors
 /// stream through memory six times.
-fn single_run_naive<M: SparseKernels + ?Sized>(
-    h: &M,
+fn single_run_naive(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     v0: &Vector,
@@ -511,8 +511,8 @@ fn single_run_naive<M: SparseKernels + ?Sized>(
 
 /// The stage-1 loop (paper Fig. 4): one fused `aug_spmv()` per
 /// iteration.
-fn single_run_aug<M: SparseKernels + ?Sized>(
-    h: &M,
+fn single_run_aug(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     v0: &Vector,
@@ -543,8 +543,8 @@ fn single_run_aug<M: SparseKernels + ?Sized>(
 /// injected crash of the checkpointed one — then swap, sweep, the
 /// [`check_partials`] guardrail on every column, and the partials
 /// appended to `state.eta`.
-fn blocked_sweeps<M: SparseKernels + ?Sized>(
-    h: &M,
+fn blocked_sweeps(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     parallel: bool,
     state: &mut BlockedState,
@@ -575,8 +575,8 @@ fn blocked_sweeps<M: SparseKernels + ?Sized>(
 
 /// [`KpmVariant::AugSpmmv`]: [`blocked_sweeps`] from the seeded starting
 /// block to the last iteration, nothing in between.
-fn run_blocked_variant<M: SparseKernels + ?Sized>(
-    h: &M,
+fn run_blocked_variant(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
 ) -> Result<MomentSet, KpmError> {
@@ -615,7 +615,7 @@ pub fn batch_lanes(columns: usize) -> usize {
 /// the service front-end's solve primitive.
 ///
 /// Column `j` of the result is **bitwise identical** to
-/// [`moments_from_start`]`(h, sf, &starts[j], num_moments, false)`
+/// [`moments_from_start`]`(h, sf, &starts[j], num_moments)`
 /// regardless of the batch composition: every column runs the serial
 /// blocked kernel chain, whose per-column arithmetic is the single
 /// fused `aug_spmv` chain (see `kpm-sparse::aug`). A batch wider than
@@ -627,8 +627,8 @@ pub fn batch_lanes(columns: usize) -> usize {
 /// `deadline` aborts a group with [`KpmError::DeadlineExceeded`] when
 /// the wall clock has passed it before a sweep — the hook the service
 /// uses to thread per-request budgets through the solver.
-pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
-    h: &M,
+pub fn kpm_batch_moments(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     starts: &[Vector],
     num_moments: usize,
@@ -668,8 +668,8 @@ pub fn kpm_batch_moments<M: SparseKernels + ?Sized>(
 /// group) on [`batch_lanes`] lanes, the deadline tested before every
 /// sweep. Serial by design — see [`kpm_batch_moments`] for the bitwise
 /// argument; a pad lane's partials are exactly 0 and trip no guardrail.
-fn batch_group_serial<M: SparseKernels + ?Sized>(
-    h: &M,
+fn batch_group_serial(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     starts: &[Vector],
     num_moments: usize,
@@ -711,8 +711,8 @@ pub struct SolverCheckpointing<'a> {
 ///
 /// Because η values are recorded *as computed* and never recomputed, the
 /// resumed run reproduces the uninterrupted moments bit for bit.
-pub fn kpm_moments_checkpointed<M: SparseKernels + ?Sized>(
-    h: &M,
+pub fn kpm_moments_checkpointed(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     ckpt: &SolverCheckpointing<'_>,
@@ -721,8 +721,8 @@ pub fn kpm_moments_checkpointed<M: SparseKernels + ?Sized>(
 }
 
 /// [`kpm_moments_checkpointed`] under the already-installed pool.
-fn checkpointed_run<M: SparseKernels + ?Sized>(
-    h: &M,
+fn checkpointed_run(
+    h: &CrsMatrix,
     sf: ScaleFactors,
     params: &KpmParams,
     ckpt: &SolverCheckpointing<'_>,
@@ -902,20 +902,18 @@ mod tests {
         let ham = TopoHamiltonian::quantum_dot_superlattice(7, 7, 23);
         let crs = ham.assemble();
         let sf = ScaleFactors::from_gershgorin(&crs, 0.01);
-        let stencil = kpm_sparse::KpmMatrix::stencil(ham.stencil_matrix());
-        let formats: [(&str, &dyn SparseKernels); 2] = [("crs", &crs), ("stencil", &stencil)];
         // The chain `init_block` replaced, column by column.
-        let reference = |h: &dyn SparseKernels, v: &[Complex64], parallel: bool| {
+        let reference = |v: &[Complex64], parallel: bool| {
             let mut w = vec![Complex64::default(); v.len()];
             let (minus_b, a) = (Complex64::real(-sf.b), Complex64::real(sf.a));
             if parallel {
-                h.spmv_par(v, &mut w);
+                crs.spmv_par(v, &mut w);
                 axpy_par(minus_b, v, &mut w);
                 scal_par(a, &mut w);
                 let mu1 = dot_par(&w, v).re;
                 (w, nrm2_par(v), mu1)
             } else {
-                h.spmv(v, &mut w);
+                crs.spmv(v, &mut w);
                 axpy(minus_b, v, &mut w);
                 scal(a, &mut w);
                 let mu1 = dot(&w, v).re;
@@ -925,22 +923,20 @@ mod tests {
         for width in [1, 2, 3, 8, 24, 32, 33] {
             let p = params(4, width);
             let start = starting_block(crs.nrows(), &p);
-            for (name, h) in formats {
-                let check = |parallel: bool| {
-                    let BlockedState { v, w, eta } = init_block(h, sf, start.clone(), 0, parallel);
-                    assert_eq!((&v, eta.len()), (&start, 2 * width));
-                    for j in 0..width {
-                        let want = reference(h, start.column(j).as_slice(), parallel);
-                        let mu = (eta[j], eta[width + j]);
-                        assert_eq!((mu.0.im, mu.1.im), (0.0, 0.0));
-                        let got = (w.column(j).into_vec(), mu.0.re, mu.1.re);
-                        assert!(got == want, "{name} R={width} column {j}");
-                    }
-                };
-                check(false);
-                for threads in [1, 2, 4, 8] {
-                    on_pool(threads, || check(true));
+            let check = |parallel: bool| {
+                let BlockedState { v, w, eta } = init_block(&crs, sf, start.clone(), 0, parallel);
+                assert_eq!((&v, eta.len()), (&start, 2 * width));
+                for j in 0..width {
+                    let want = reference(start.column(j).as_slice(), parallel);
+                    let mu = (eta[j], eta[width + j]);
+                    assert_eq!((mu.0.im, mu.1.im), (0.0, 0.0));
+                    let got = (w.column(j).into_vec(), mu.0.re, mu.1.re);
+                    assert!(got == want, "R={width} column {j}");
                 }
+            };
+            check(false);
+            for threads in [1, 2, 4, 8] {
+                on_pool(threads, || check(true));
             }
         }
     }
@@ -1054,7 +1050,7 @@ mod tests {
         let e_mode = 2.0 * kq.cos();
         assert!(evs.iter().any(|e| (e - e_mode).abs() < 1e-12));
 
-        let set = moments_from_start(&h, sf, &v, 48, false).unwrap();
+        let set = moments_from_start(&h, sf, &v, 48).unwrap();
         let x = sf.to_chebyshev(e_mode);
         for (m, &mu) in set.as_slice().iter().enumerate() {
             assert!(
@@ -1176,7 +1172,7 @@ mod tests {
             let sets = kpm_batch_moments(&h, sf, batch, 20, None).unwrap();
             assert_eq!(sets.len(), columns);
             for (set, v0) in sets.iter().zip(batch) {
-                let alone = moments_from_start(&h, sf, v0, 20, false).unwrap();
+                let alone = moments_from_start(&h, sf, v0, 20).unwrap();
                 assert_eq!(set.as_slice(), alone.as_slice(), "{columns} columns");
             }
             // The deadline is tested before every sweep, the first included.
@@ -1221,7 +1217,7 @@ mod tests {
         };
         let alone: Vec<Vec<u64>> = starts
             .iter()
-            .map(|v| bits(&moments_from_start(&h, sf, v, 32, false).unwrap()))
+            .map(|v| bits(&moments_from_start(&h, sf, v, 32).unwrap()))
             .collect();
         let lanes: Vec<usize> = (1..=8).map(batch_lanes).collect();
         assert_eq!(lanes, [1, 2, 4, 4, 8, 8, 8, 8]);

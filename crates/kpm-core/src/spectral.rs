@@ -45,7 +45,7 @@ pub fn momentum_moments(
     let mut acc = MomentSet::zeros(num_moments);
     for spinor in 0..4 {
         let start = plane_wave(lattice, k, spinor);
-        acc.accumulate(&moments_from_start(h, sf, &start, num_moments, false)?);
+        acc.accumulate(&moments_from_start(h, sf, &start, num_moments)?);
     }
     Ok(acc)
 }

@@ -28,7 +28,7 @@
 //! use kpm_service::{Service, ServiceConfig, Request, QueryKind, Admission, ShutdownMode};
 //! use kpm_core::kernels::Kernel;
 //!
-//! # fn demo(matrix: kpm_sparse::KpmMatrix, sf: kpm_topo::ScaleFactors) {
+//! # fn demo(matrix: kpm_sparse::CrsMatrix, sf: kpm_topo::ScaleFactors) {
 //! let svc = Service::start(ServiceConfig::default());
 //! let fp = svc.register_matrix(matrix, sf);
 //! let admission = svc.submit(Request {

@@ -101,7 +101,7 @@ pub(crate) fn kernel_key(k: Kernel) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct Request {
     /// Content fingerprint of the registered matrix
-    /// (`KpmMatrix::content_fingerprint`, returned by
+    /// (`CrsMatrix::content_fingerprint`, returned by
     /// `Service::register_matrix`).
     pub matrix: u64,
     /// The spectral quantity to compute.

@@ -36,7 +36,7 @@ use kpm_core::solver::{
 use kpm_num::{Complex64, KpmError, Vector};
 use kpm_obs::span::{micros_since_epoch, mint_trace, record_manual, span};
 use kpm_obs::{hist as obs_hist, metrics, recorder, slo};
-use kpm_sparse::{KpmMatrix, SparseKernels};
+use kpm_sparse::CrsMatrix;
 use kpm_topo::ScaleFactors;
 
 use crate::breaker::{CircuitBreaker, RouteKey};
@@ -194,10 +194,15 @@ pub struct LedgerSnapshot {
     pub hedged: u64,
     /// Replies served from the moment cache.
     pub cache_hits: u64,
+    /// Batches handed to the workers and not yet finished: 0 once the
+    /// service has shut down, when every batch has given its place back
+    /// exactly once.
+    pub in_flight: u64,
 }
 
 impl Ledger {
-    fn snapshot(&self) -> LedgerSnapshot {
+    /// The counters, with `in_flight` read off the dispatch counter.
+    fn snapshot(&self, in_flight: usize) -> LedgerSnapshot {
         LedgerSnapshot {
             admitted: self.admitted.load(Ordering::SeqCst),
             replied: self.replied.load(Ordering::SeqCst),
@@ -206,6 +211,7 @@ impl Ledger {
             retried: self.retried.load(Ordering::SeqCst),
             hedged: self.hedged.load(Ordering::SeqCst),
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
+            in_flight: in_flight as u64,
         }
     }
 }
@@ -221,7 +227,7 @@ impl LedgerSnapshot {
 /// A registered Hamiltonian with its spectral scale factors.
 #[derive(Debug)]
 struct MatrixEntry {
-    matrix: KpmMatrix,
+    matrix: CrsMatrix,
     sf: ScaleFactors,
 }
 
@@ -583,9 +589,10 @@ impl Service {
     }
 
     /// Registers a Hamiltonian; requests name it by the returned
-    /// content fingerprint. Re-registering the same content is a no-op
-    /// returning the same fingerprint.
-    pub fn register_matrix(&self, matrix: KpmMatrix, sf: ScaleFactors) -> u64 {
+    /// content fingerprint ([`CrsMatrix::content_fingerprint`], hashed
+    /// here, once). Re-registering the same content is a no-op returning
+    /// the same fingerprint.
+    pub fn register_matrix(&self, matrix: CrsMatrix, sf: ScaleFactors) -> u64 {
         let fp = matrix.content_fingerprint();
         let mut map = self
             .inner
@@ -747,14 +754,14 @@ impl Service {
             .map_err(ServiceError::Solver)
     }
 
-    /// Current lifecycle counters.
+    /// Current lifecycle counters, and the batches in flight.
     pub fn ledger(&self) -> LedgerSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    /// Chaos-injection counters, if a plan is configured.
-    pub fn chaos_stats(&self) -> Option<crate::chaos::ChaosStats> {
-        self.inner.config.chaos.as_ref().map(|c| c.stats())
+        let in_flight = *self
+            .inner
+            .dispatched
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        self.inner.ledger.snapshot(in_flight)
     }
 
     /// Current admission-queue depth.
@@ -763,10 +770,10 @@ impl Service {
     }
 
     /// Winds the runtime down and joins every thread. Always returns
-    /// with `admitted == replied` in the ledger.
+    /// with `admitted == replied` and no batch in flight in the ledger.
     pub fn shutdown(mut self, mode: ShutdownMode) -> LedgerSnapshot {
         self.shutdown_impl(mode);
-        self.inner.ledger.snapshot()
+        self.ledger()
     }
 
     fn shutdown_impl(&mut self, mode: ShutdownMode) {

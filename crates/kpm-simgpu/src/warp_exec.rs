@@ -211,7 +211,7 @@ pub fn aug_spmmv_warp_exec(
 mod tests {
     use super::*;
     use crate::device::GpuDevice;
-    use kpm_sparse::{CooMatrix, SparseKernels};
+    use kpm_sparse::CooMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -16,8 +16,8 @@
 //! scalar products on the fly. Compared with the naive chain of BLAS-1
 //! calls this saves 10 vector transfers per iteration (paper Eq. 4).
 //!
-//! The kernels themselves are the provided methods of
-//! [`crate::SparseKernels`] — `aug_spmv` for one vector, `aug_spmmv` for
+//! The kernels themselves are methods of [`crate::CrsMatrix`]
+//! ([`crate::kernels`]) — `aug_spmv` for one vector, `aug_spmmv` for
 //! block vectors of width `R` (the matrix streamed once for
 //! all `R` Chebyshev runs), the `*_nodot` forms of paper Fig. 10(b)
 //! without the fused scalar products (the caller computes the dots
@@ -62,7 +62,7 @@ impl From<AugDotsBlock> for AugDots {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::{CrsMatrix, SparseKernels};
+    use crate::CrsMatrix;
     use kpm_num::vector::{axpy, dot, nrm2, scal};
     use kpm_num::{BlockVector, Vector};
     use rand::rngs::StdRng;

@@ -56,11 +56,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of stored triplets (before duplicate merging).
-    pub fn triplet_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Converts to CRS, summing duplicates and dropping exact zeros that
     /// result from cancellation.
     ///

@@ -19,8 +19,7 @@
 //! one byte per block naming a (neighbour, block) pair of at most 256,
 //! each pair stored as the slots of [`SiteBlock`] with the table codes of
 //! its entries beside them. Its sweep walks that view at every width — the
-//! lattice's one sweep and one run-time operator, which
-//! [`crate::KpmMatrix::stencil`] holds too — and [`CrsMatrix::row`]
+//! lattice's one sweep and one run-time operator — and [`CrsMatrix::row`]
 //! regenerates a row from it on demand. Both read back the same
 //! `Complex64` bits, so nothing but the bytes a sweep streams depends on
 //! the choice. Past 256 pairs or values, or when a block does not fit

@@ -13,13 +13,12 @@
 //!   geometry, block templates and one on-site code per site, which
 //!   build its CRS form (coded, or plain from regenerated rows), prove
 //!   its Hermiticity and bound its spectrum over its distinct blocks,
-//! * [`kernels`] — the [`SparseKernels`] trait — a format's dimensions
-//!   and its one `sweep`, with every named kernel (`spmv`, `spmmv`, the
-//!   paper's *augmented* `aug_spmv()` of Fig. 4 and `aug_spmmv()` of
-//!   Fig. 5, which fuse the shift, scale, recurrence update and both
-//!   Chebyshev scalar products into the matrix sweep) a provided method
-//!   on top — and the [`KpmMatrix`] handle the solver runs on, one CRS
-//!   and its cache budget,
+//! * [`kernels`] — every named kernel as a method of [`CrsMatrix`] on
+//!   top of its one `sweep`: `spmv`, `spmmv`, and the paper's
+//!   *augmented* `aug_spmv()` of Fig. 4 and `aug_spmmv()` of Fig. 5,
+//!   which fuse the shift, scale, recurrence update and both Chebyshev
+//!   scalar products into the matrix sweep; [`KpmMatrix`] is the
+//!   benchmark's name for `CrsMatrix`,
 //! * `sweep` (private) — the one register-panel row-range sweep every
 //!   kernel runs at every width, on the split `re`/`im` lanes of the
 //!   block vectors' panels, compiled for the baseline target, for AVX2
@@ -51,6 +50,6 @@ pub mod tile;
 
 pub use coo::CooMatrix;
 pub use crs::CrsMatrix;
-pub use kernels::{KpmMatrix, SparseKernels};
+pub use kernels::KpmMatrix;
 pub use stencil::StencilMatrix;
 pub use sweep::{Schedule, SweepOp};

@@ -14,7 +14,7 @@
 //! distinct sites own disjoint column ranges, so walking the blocks in
 //! ascending *site* order visits each row's entries in exactly the
 //! ascending-column order of a CRS row. That coded CRS is the lattice's
-//! run-time operator: [`crate::KpmMatrix::stencil`] holds it too.
+//! run-time operator under either `--format`.
 //!
 //! What stays on the generator is what it does over its distinct blocks:
 //! the structural Hermiticity check, and the Gershgorin sums of the
@@ -27,7 +27,7 @@
 //! or when a block does not fit its slots. Its CRS form is plain, filled
 //! in parallel from [`StencilMatrix::regen_row`] — the literal form of
 //! Eq. (1): gather, sort by column, merge — and that plain CRS is what
-//! either handle of it runs.
+//! it runs under either `--format`.
 
 use std::ops::Range;
 
@@ -330,11 +330,10 @@ impl StencilMatrix {
     }
 
     /// Assembles the operator into an explicit CRS matrix — the one
-    /// generator of the lattice's CRS form (kpm-topo's `assemble()` and
-    /// [`crate::KpmMatrix::stencil`] are this): coded when the lattice
-    /// has a site view — the entry count, the value table and the view
-    /// ([`StencilMatrix::site_view`]), built here and moved in —
-    /// otherwise plain. The plain arrays are allocated untouched at their
+    /// generator of the lattice's CRS form (kpm-topo's `assemble()` is
+    /// this): coded when the lattice has a site view — the entry count,
+    /// the value table and the view ([`StencilMatrix::site_view`]), built
+    /// here and moved in — otherwise plain. The plain arrays are allocated untouched at their
     /// final size, then fixed chunks of [`FILL_ROWS`] rows are filled on
     /// the ambient pool from the regenerated rows, every page first
     /// written by the worker that fills it. A lattice of one chunk fills
@@ -605,7 +604,6 @@ impl StencilMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KpmMatrix, SparseKernels};
     use kpm_num::complex::I;
 
     /// A tiny hand-built stencil: diagonal hop blocks so expected
@@ -665,14 +663,11 @@ mod tests {
     #[test]
     fn a_lattice_with_no_coded_form_runs_its_plain_crs() {
         // The toy's bonds have two non-zero parts: no coded form, so
-        // both handles hold the plain CRS filled from the regenerated
-        // rows, and read its entries.
-        let st = toy(4, 4, 3, [true, true, false]);
-        let crs = st.to_crs();
+        // the lattice runs the plain CRS filled from the regenerated
+        // rows, and reads its entries: a 4 B column and a 16 B value.
+        let crs = toy(4, 4, 3, [true, true, false]).to_crs();
         assert!(crs.value_table().is_none() && crs.site_blocks().is_none());
-        let m = KpmMatrix::stencil(st);
-        assert!(m.as_crs() == &crs);
-        assert_eq!(m.matrix_bytes(), crs.matrix_bytes());
+        assert_eq!(crs.matrix_bytes(), 20 * crs.nnz());
     }
 
     #[test]
@@ -693,12 +688,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_and_bounds_match_crs_build() {
+    fn bounds_match_crs_build() {
         for m in [toy(3, 3, 4, [true, true, false]), toy(2, 1, 3, [true; 3])] {
-            let crs = m.to_crs();
-            assert_eq!(m.gershgorin_bounds(), crs.gershgorin_bounds());
-            let handle = KpmMatrix::stencil(m);
-            assert_eq!(handle.content_fingerprint(), crs.content_fingerprint());
+            assert_eq!(m.gershgorin_bounds(), m.to_crs().gershgorin_bounds());
         }
     }
 

@@ -15,8 +15,8 @@
 //! shuffle.
 //!
 //! A [`RowSweep`] is where a row's entries come from: a coded CRS's site
-//! view ([`SiteView`]) — the one sweep of the paper's Eq. 1 lattice,
-//! whichever handle holds it — or a plain CRS's arrays ([`Entries`]).
+//! view ([`SiteView`]) — the one sweep of the paper's Eq. 1 lattice —
+//! or a plain CRS's arrays ([`Entries`]).
 //! Every kernel, at every width, is [`run`]: a
 //! [`SweepOp`] (which epilogue) under a [`Schedule`] — one range over
 //! all rows, or fixed chunks
@@ -69,7 +69,6 @@ use kpm_num::Complex64;
 
 use crate::aug::AugDotsBlock;
 use crate::crs::{CrsMatrix, SiteView, Values, MAX_SLOTS};
-use crate::kernels::SparseKernels;
 use crate::simd::{Body, Wide};
 use crate::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES, SITE_ROWS};
 
@@ -673,8 +672,8 @@ fn entry_chain<E: Epilogue>(
     }
 }
 
-/// The one lattice sweep: a coded CRS's site view, whichever handle
-/// holds it, over the rows of `w` from `row0` —
+/// The one lattice sweep: a coded CRS's site view, over the rows of `w`
+/// from `row0` —
 /// whole lattice sites, as every sweep range is ([`chunk_rows`]). The
 /// block's 8-column panels walk site by site on register passes
 /// ([`site_panels`]): two of the copy's widest passes side by side while
@@ -1055,41 +1054,15 @@ fn crs_rows<E: Epilogue, I: Isa, const ARMS: bool>(
     }
 }
 
-/// A CRS matrix's sweep at the per-thread cache budget `cache_bytes`:
-/// its site view when it has one, its entries otherwise.
-pub(crate) fn run_crs(
-    m: &CrsMatrix,
-    op: SweepOp,
-    schedule: Schedule,
-    cache_bytes: usize,
-    x: &[Complex64],
-    r: usize,
-    w: &mut [Complex64],
-) -> AugDotsBlock {
-    match m.values() {
-        Values::Lattice(_, sites) => run(sites, op, schedule, cache_bytes, x, r, w),
-        Values::Plain { cols, vals } => {
-            let entries = Entries { m, cols, vals };
-            run(&entries, op, schedule, cache_bytes, x, r, w)
-        }
-    }
-}
-
-/// CRS as a format: its dimensions and [`run`] at the default budget.
-impl SparseKernels for CrsMatrix {
-    fn nrows(&self) -> usize {
-        CrsMatrix::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        CrsMatrix::ncols(self)
-    }
-    fn nnz(&self) -> usize {
-        CrsMatrix::nnz(self)
-    }
-    fn matrix_bytes(&self) -> usize {
-        CrsMatrix::matrix_bytes(self)
-    }
-    fn sweep(
+impl CrsMatrix {
+    /// One sweep over the rows of `w` — `w.len() / r` of them, from row
+    /// 0, at block width `r` — reading the block `x`, both as
+    /// [`BlockVector::panel_slots`](kpm_num::BlockVector::panel_slots)
+    /// (plain vectors at `r == 1`): the one kernel behind every named
+    /// kernel of [`crate::kernels`]. It walks the site view when the
+    /// matrix has one, its entries otherwise. Returns the fused dot
+    /// products of [`SweepOp::Aug`] with `dots`, empty vectors otherwise.
+    pub fn sweep(
         &self,
         op: SweepOp,
         schedule: Schedule,
@@ -1097,7 +1070,17 @@ impl SparseKernels for CrsMatrix {
         r: usize,
         w: &mut [Complex64],
     ) -> AugDotsBlock {
-        run_crs(self, op, schedule, DEFAULT_CACHE_BYTES, x, r, w)
+        match self.values() {
+            Values::Lattice(_, sites) => run(sites, op, schedule, x, r, w),
+            Values::Plain { cols, vals } => {
+                let entries = Entries {
+                    m: self,
+                    cols,
+                    vals,
+                };
+                run(&entries, op, schedule, x, r, w)
+            }
+        }
     }
 }
 
@@ -1513,30 +1496,28 @@ fn sweep<S: RowSweep, E: Epilogue>(
     }
 }
 
-/// Rows per parallel chunk — the one reduction grid of every format:
-/// 1024-row chunks at width 1, cache-budget tiles beyond. It depends
+/// Rows per parallel chunk — the one reduction grid: 1024-row chunks at
+/// width 1, tiles sized for [`DEFAULT_CACHE_BYTES`] beyond. It depends
 /// on nothing scheduling-related, so neither do the reduced dots.
-fn chunk_rows(r: usize, cache_bytes: usize) -> usize {
+fn chunk_rows(r: usize) -> usize {
     match r {
         1 => ROWS_PER_CHUNK,
-        _ => tile_rows_for_budget(r, cache_bytes),
+        _ => tile_rows_for_budget(r, DEFAULT_CACHE_BYTES),
     }
 }
 
-/// One sweep of `s` over all rows of `w` (width `r`, `cache_bytes` the
-/// per-thread budget the chunks are sized for): every named kernel of
-/// [`crate::SparseKernels`] is this call. Returns
+/// One sweep of `s` over all rows of `w` (width `r`): every named
+/// kernel of [`crate::kernels`] is this call. Returns
 /// the dot products of [`SweepOp::Aug`] with `dots`, empty otherwise.
 fn run<S: RowSweep>(
     s: &S,
     op: SweepOp,
     schedule: Schedule,
-    cache_bytes: usize,
     x: &[Complex64],
     r: usize,
     w: &mut [Complex64],
 ) -> AugDotsBlock {
-    let rows = chunk_rows(r, cache_bytes);
+    let rows = chunk_rows(r);
     match op {
         SweepOp::Plain => {
             scheduled(s, schedule, rows, x, r, w, || Plain);

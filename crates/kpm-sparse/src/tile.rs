@@ -18,20 +18,15 @@
 //! to the scheduler. The tile size is a pure function of the block
 //! width and one machine parameter — the per-thread cache budget.
 //!
-//! The budget is **scoped, not global**: it travels with the kernel
-//! call (the `KpmMatrix` handle's `cache_bytes`, which its chunked
-//! sweeps tile at), so two concurrent solvers at different budgets
-//! cannot stomp each other's tiling. There is no process-global
-//! mutable state in this module.
+//! Every chunked sweep tiles at one budget, [`DEFAULT_CACHE_BYTES`], a
+//! constant: there is no process-global mutable state in this module.
 //!
 //! Determinism: the tile size also fixes the boundaries of the
 //! per-tile partial dot products, so it must not depend on anything
-//! scheduling-related. It depends only on `R` and the budget carried
-//! by the call, both fixed for a run — moments stay bitwise-identical
-//! for any thread count, and changing the budget is an explicit,
-//! documented way to change (only) the reduction tree.
+//! scheduling-related. It depends only on `R` and the constant budget —
+//! moments stay bitwise-identical for any thread count.
 
-/// Default per-thread cache budget in bytes when none is configured:
+/// The per-thread cache budget in bytes every chunked sweep tiles at:
 /// 256 KiB, the private per-core (L2) cache of the paper's Xeon
 /// sockets. The *private* cache is the right per-thread target — the
 /// LLC is shared with the other threads' matrix streams.

@@ -15,7 +15,7 @@
 //! the lattice's generator, which builds its CRS form
 //! ([`TopoHamiltonian::assemble`]) — coded when the lattice has one,
 //! filled plain from regenerated rows otherwise — the operator every
-//! kernel runs, whichever handle holds it. The literal per-row
+//! kernel runs, under either `--format`. The literal per-row
 //! gather/sort/merge of the blocks survives as the test oracle it is
 //! checked against.
 
@@ -215,7 +215,6 @@ mod tests {
     use crate::gamma::{dagger, hopping_block, onsite_block, Gamma};
     use kpm_num::vector::dot;
     use kpm_num::Complex64;
-    use kpm_sparse::{KpmMatrix, SparseKernels};
     use std::f64::consts::PI;
 
     /// The literal assembly of Eq. (1), kept as the oracle the one
@@ -586,10 +585,9 @@ mod tests {
                 assert_eq!(got.cols(), want.cols(), "row {r}");
                 assert_eq!(bits(got.vals()), bits(want.vals()), "row {r}");
             }
-            // Equal rows imply equal content fingerprints: stencil and
-            // CRS handles of one operator coalesce in the service.
-            let handle = KpmMatrix::stencil(st);
-            assert_eq!(handle.content_fingerprint(), crs.content_fingerprint());
+            // Equal rows imply equal content fingerprints: a generated
+            // lattice and its `.mtx` file coalesce in the service.
+            assert_eq!(regen.content_fingerprint(), crs.content_fingerprint());
         }
     }
 
@@ -635,8 +633,6 @@ mod tests {
             }
             assert_eq!(h.content_fingerprint(), fingerprint);
             assert_eq!(plain.content_fingerprint(), fingerprint);
-            let handle = KpmMatrix::stencil(ham.stencil_matrix());
-            assert_eq!(handle.content_fingerprint(), fingerprint);
             let bounds = plain.gershgorin_bounds();
             assert_eq!(h.gershgorin_bounds(), bounds);
             assert_eq!(h.check_hermitian(), plain.check_hermitian());
@@ -660,7 +656,7 @@ mod tests {
     fn the_generator_answers_like_a_plain_crs_of_the_same_rows() {
         // What the prologue reads off the generator — the entry count,
         // the bounds, the Hermiticity verdict, the rows of its CRS form
-        // and the fingerprint of either handle — against a plain CRS
+        // and its fingerprint — against a plain CRS
         // assembled from the same rows by the oracle, bit for bit: on a
         // clean, a uniform and a dotted lattice (coded), a disordered
         // one past 256 distinct diagonals and a coincident one (periodic
@@ -715,7 +711,6 @@ mod tests {
             }
             let fingerprint = plain.content_fingerprint();
             assert_eq!(h.content_fingerprint(), fingerprint, "{ham:?}");
-            assert_eq!(KpmMatrix::stencil(st).content_fingerprint(), fingerprint);
         }
     }
 
@@ -723,34 +718,14 @@ mod tests {
     fn the_benchmark_lattices_keep_their_fingerprints() {
         // The values of the builds that stored every row pointer and
         // per-site diagonal: `kpm dos --nx 48 --ny 48 --nz 24`, clean and
-        // with `--potential dots`, under both handles.
+        // with `--potential dots`.
         let dots = TopoHamiltonian::quantum_dot_superlattice;
         for (ham, fingerprint) in [
             (TopoHamiltonian::clean(48, 48, 24), 0x4658_d48e_9141_2ec9),
             (dots(48, 48, 24), 0x0a97_5256_51ac_3601),
         ] {
             assert_eq!(ham.assemble().content_fingerprint(), fingerprint);
-            let handle = KpmMatrix::stencil(ham.stencil_matrix());
-            assert_eq!(handle.content_fingerprint(), fingerprint);
         }
-    }
-
-    #[test]
-    fn stencil_kernels_match_crs_on_the_ti_operator() {
-        use kpm_num::BlockVector;
-        use kpm_sparse::SparseKernels;
-        let ham = TopoHamiltonian::quantum_dot_superlattice(6, 5, 3);
-        let crs = ham.assemble();
-        let st = KpmMatrix::stencil(ham.stencil_matrix());
-        let n = crs.nrows();
-        let mut rng = rand::rngs::mock::StepRng::new(7, 0x9E3779B97F4A7C15);
-        let v = BlockVector::random(n, 4, &mut rng);
-        let w0 = BlockVector::random(n, 4, &mut rng);
-        let (mut w1, mut w2) = (w0.clone(), w0);
-        let d1 = SparseKernels::aug_spmmv(&crs, 0.4, -0.05, &v, &mut w1);
-        let d2 = SparseKernels::aug_spmmv(&st, 0.4, -0.05, &v, &mut w2);
-        assert_eq!(w1.max_abs_diff(&w2), 0.0);
-        assert_eq!(d1, d2);
     }
 
     #[test]

@@ -144,20 +144,6 @@ impl Lattice3D {
             _ => self.site(x, y, prev),
         })
     }
-
-    /// Total number of directed bonds (each undirected bond counted
-    /// once, in its +ê_j orientation).
-    pub fn bond_count(&self) -> usize {
-        let mut count = 0;
-        for (j, extent) in [(1usize, self.nx), (2, self.ny), (3, self.nz)] {
-            let per_line = match self.boundary[j - 1] {
-                Boundary::Periodic if extent > 1 => extent,
-                _ => extent - 1,
-            };
-            count += per_line * self.sites() / extent;
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -199,29 +185,6 @@ mod tests {
         let l = Lattice3D::paper_default(100, 100, 40);
         assert_eq!(l.dim(), 4 * 100 * 100 * 40);
         assert_eq!(l.dim(), 1_600_000);
-    }
-
-    #[test]
-    fn bond_count_matches_enumeration() {
-        for lat in [
-            Lattice3D::paper_default(4, 5, 3),
-            Lattice3D::periodic(3, 3, 3),
-            Lattice3D::new(6, 2, 2, [Boundary::Open; 3]),
-        ] {
-            let mut count = 0;
-            for z in 0..lat.nz {
-                for y in 0..lat.ny {
-                    for x in 0..lat.nx {
-                        for j in 1..=3 {
-                            if lat.neighbor(x, y, z, j).is_some() {
-                                count += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            assert_eq!(count, lat.bond_count(), "{lat:?}");
-        }
     }
 
     #[test]

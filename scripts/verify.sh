@@ -50,6 +50,13 @@ cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
+step "the benchmark builds against the library"
+# `benchmark/` is a workspace of its own that no other step compiles;
+# it names library items (`KpmMatrix`, `kpm_moments`,
+# `Service::register_matrix`, `LedgerSnapshot`), so a change to one of
+# them must keep it building.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 step "tier-1 under fixed thread counts (KPM_THREADS=1, 4)"
 # The same workspace tests on a serial global pool and on a 4-worker
 # pool: results (moments, kernels, checkpoints) must be bitwise

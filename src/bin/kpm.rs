@@ -41,7 +41,7 @@ use kpm_repro::service::{
     Admission, QueryKind, RejectReason, Request, Service, ServiceConfig, ShutdownMode,
     MAX_BATCH_WIDTH,
 };
-use kpm_repro::sparse::{io as mmio, stats, CrsMatrix, KpmMatrix, SparseKernels};
+use kpm_repro::sparse::{io as mmio, stats, CrsMatrix};
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn main() -> ExitCode {
@@ -413,7 +413,7 @@ fn load_matrix(args: &[String]) -> Result<CrsMatrix, String> {
 }
 
 /// The shared prologue of `dos`, `count`, `report` and `serve`: matrix
-/// source → Hermiticity gate and spectral bounds → the handle.
+/// source → Hermiticity gate and spectral bounds → the CRS the solver runs.
 ///
 /// A generated lattice is gated and bounded on its generator — the
 /// structural check and the Gershgorin sums of its distinct rows,
@@ -422,13 +422,13 @@ fn load_matrix(args: &[String]) -> Result<CrsMatrix, String> {
 /// format is named. A `FILE.mtx` pays the entrywise check and a pass
 /// over its rows. Either way the scale factors — and every output byte —
 /// do not depend on the format.
-fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
+fn solver_matrix(args: &[String]) -> Result<(CrsMatrix, ScaleFactors), String> {
     let ham = match matrix_source(args)? {
         MatrixSource::Lattice(ham) => ham,
         file => {
             let h = file.into_crs()?;
             let sf = scale_factors(|| h.check_hermitian().map(|()| h.gershgorin_bounds()))?;
-            return Ok((KpmMatrix::crs(h), sf));
+            return Ok((h, sf));
         }
     };
     let st = {
@@ -437,7 +437,7 @@ fn solver_matrix(args: &[String]) -> Result<(KpmMatrix, ScaleFactors), String> {
     };
     let sf = scale_factors(|| st.check_hermitian().map(|()| st.gershgorin_bounds()))?;
     let _sp = obs::span::span("setup.format", "setup");
-    Ok((KpmMatrix::stencil(st), sf))
+    Ok((st.to_crs(), sf))
 }
 
 /// Runs a command's set-up and solve on one pool: the `--threads` pool
@@ -567,7 +567,7 @@ fn cmd_dos(args: &[String]) -> Result<(), String> {
             params.num_moments,
             params.num_random,
             format_name(args),
-            value_storage(m.as_crs())
+            value_storage(&m)
         );
         let moments =
             kpm_moments(&m, sf, &params, KpmVariant::AugSpmmv).map_err(|e| e.to_string())?;
@@ -669,12 +669,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     // The report needs the probes regardless of the export flags.
     obs::set_enabled(true);
-    // The handle's CRS is kept for the cachesim replay.
+    // The CRS is kept for the cachesim replay.
     let format = format_name(args);
-    let m = in_pool(params.threads, || {
-        let (m, sf) = solver_matrix(args)?;
-        check_run_fits(m.nrows(), &params, 0)?;
-        let h = m.as_crs();
+    let h = in_pool(params.threads, || {
+        let (h, sf) = solver_matrix(args)?;
+        check_run_fits(h.nrows(), &params, 0)?;
         eprintln!(
             "N = {}, Nnz = {}, M = {}, R = {}, machine = {}, LLC = {llc_mib} MiB, format = {}{} \
              (lanes = {}, sweep body = {})",
@@ -684,7 +683,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             params.num_random,
             machine.name,
             format,
-            value_storage(h),
+            value_storage(&h),
             kpm_repro::sparse::simd::active_lanes(),
             kpm_repro::sparse::simd::body_name()
         );
@@ -706,18 +705,17 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         // `spmv` call, and the probe's `width` column is that of a
         // kind's last call — the naive loop's width-1 ones.
         for variant in [KpmVariant::AugSpmmv, KpmVariant::Naive, KpmVariant::AugSpmv] {
-            kpm_moments(&m, sf, &params, variant).map_err(|e| e.to_string())?;
+            kpm_moments(&h, sf, &params, variant).map_err(|e| e.to_string())?;
         }
-        Ok(m)
+        Ok(h)
     })?;
 
-    let h = m.as_crs();
     let nnzr = h.nnz() as f64 / h.nrows() as f64;
     println!("kernel     fmt      calls  width  achieved-GF/s  GB-moved  GB/s   B_min(B/F)  omega-live  omega-pred  B_eff(B/F)  P*(GF/s)  %P*");
     for rep in obs::probe::snapshot() {
         let r = rep.width.max(1) as usize;
-        let live = measure_omega_kernel(h, rep.kind, r, llc, sweeps);
-        let pred = measure_omega_kernel(h, rep.kind, r, llc, 1);
+        let live = measure_omega_kernel(&h, rep.kind, r, llc, sweeps);
+        let pred = measure_omega_kernel(&h, rep.kind, r, llc, 1);
         // A warm replay of an operator that fits the simulated LLC
         // measures Ω < 1; the omega columns show that, and the roofline
         // — a model of memory traffic, Ω ≥ 1 — is evaluated at 1.
@@ -1608,8 +1606,8 @@ mod tests {
             a.extend(args(&["--format", "stencil"]));
             let (stencil, _) = solver_matrix(&a).unwrap();
             assert_eq!(format_name(&a), "stencil");
-            assert_eq!(crs.as_crs().value_table().is_some(), is_coded);
-            assert!(stencil.as_crs() == crs.as_crs(), "one operator");
+            assert_eq!(crs.value_table().is_some(), is_coded);
+            assert!(stencil == crs, "one operator");
             assert_eq!(stencil.matrix_bytes(), crs.matrix_bytes());
         }
         let mut a = args(&coded);
@@ -1665,9 +1663,9 @@ mod tests {
         a.extend(args(&["--format", "stencil"]));
         let (st, sf_st) = solver_matrix(&a).unwrap();
         // The periodic y axis of extent 2 leaves the lattice no coded
-        // form: both handles hold its plain CRS.
-        assert!(crs.as_crs().value_table().is_none());
-        assert!(st.as_crs() == crs.as_crs());
+        // form: both formats run its plain CRS.
+        assert!(crs.value_table().is_none());
+        assert!(st == crs);
         assert_eq!(
             sf_crs, sf_st,
             "bit-equal bounds give bit-equal scale factors"
@@ -1686,12 +1684,12 @@ mod tests {
         let (m, sf) = solver_matrix(&lattice).unwrap();
         assert!(h.check_hermitian().is_ok());
         assert_eq!(sf, ScaleFactors::from_gershgorin(&h, 0.01));
-        assert!(m.as_crs() == &h);
+        assert!(m == h);
         let mut a = lattice;
         a.extend(args(&["--format", "stencil"]));
         let (stencil, sf_stencil) = solver_matrix(&a).unwrap();
         assert_eq!(sf_stencil, sf);
-        assert!(stencil.as_crs() == &h);
+        assert!(stencil == h);
     }
 
     #[test]

@@ -118,9 +118,8 @@ fn checkpointed_solver_is_thread_count_invariant() {
 
 #[test]
 fn stencil_and_crs_thread_grid_is_bitwise_identical() {
-    // Both handles of a lattice × {1, 2, 4, 8 threads} must all
+    // Both formats' builds of a lattice × {1, 2, 4, 8 threads} must all
     // reproduce the moments of the assembled CRS bit for bit.
-    use kpm_repro::sparse::KpmMatrix;
     let ham = TopoHamiltonian::clean(3, 3, 12);
     let h = ham.assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
@@ -128,11 +127,11 @@ fn stencil_and_crs_thread_grid_is_bitwise_identical() {
         .expect("baseline run")
         .into_vec();
 
-    let handles: Vec<(&str, KpmMatrix)> = vec![
-        ("crs", KpmMatrix::crs(h.clone())),
-        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    let formats: Vec<(&str, CrsMatrix)> = vec![
+        ("crs", h.clone()),
+        ("stencil", ham.stencil_matrix().to_crs()),
     ];
-    for (name, m) in &handles {
+    for (name, m) in &formats {
         for threads in [1usize, 2, 4, 8] {
             let got = kpm_moments(m, sf, &params(threads), KpmVariant::AugSpmmv)
                 .expect("solver run")
@@ -170,7 +169,6 @@ fn simd_toggle_grid_is_bitwise_identical() {
     // stencil sweep, so each arm is a real comparison on any CPU that
     // executes the body (and says so when it does not).
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::KpmMatrix;
     let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
     let bodies = runnable_bodies("simd_toggle_grid");
     let ham = TopoHamiltonian::clean(3, 3, 12);
@@ -202,14 +200,14 @@ fn simd_toggle_grid_is_bitwise_identical() {
         })
         .collect();
 
-    let handles: Vec<(&str, KpmMatrix)> = vec![
-        ("crs", KpmMatrix::crs(h.clone())),
-        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    let formats: Vec<(&str, CrsMatrix)> = vec![
+        ("crs", h.clone()),
+        ("stencil", ham.stencil_matrix().to_crs()),
     ];
     for body in bodies {
         simd::set_cap(body);
         assert_eq!(simd::wide().body(), body, "the cap picks the body");
-        for (name, m) in &handles {
+        for (name, m) in &formats {
             for threads in [1usize, 2] {
                 let got = kpm_moments(m, sf, &params(threads), KpmVariant::AugSpmmv)
                     .expect("solver run")
@@ -293,7 +291,6 @@ fn checkpoint_records_stay_row_major() {
     use kpm_repro::core::checkpoint::{CheckpointStore, MemoryCheckpointStore};
     use kpm_repro::core::solver::starting_block;
     use kpm_repro::core::solver::{kpm_moments_checkpointed, SolverCheckpointing};
-    use kpm_repro::sparse::SparseKernels;
 
     let h = TopoHamiltonian::clean(4, 4, 2).assemble();
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
@@ -343,7 +340,6 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     };
     use kpm_repro::num::{KpmError, Vector};
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::KpmMatrix;
     let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
     let bodies = runnable_bodies("batched_solves_on_padded_panels");
     let ham = TopoHamiltonian::clean(3, 3, 4);
@@ -365,19 +361,19 @@ fn batched_solves_on_padded_panels_are_bitwise_the_serial_chain() {
     simd::set_cap(Body::Baseline);
     let want: Vec<Vec<f64>> = starts
         .iter()
-        .map(|v| moments_from_start(&h, sf, v, m, false).expect("serial chain"))
+        .map(|v| moments_from_start(&h, sf, v, m).expect("serial chain"))
         .map(|set| set.into_vec())
         .collect();
-    let handles: Vec<(&str, KpmMatrix)> = vec![
-        ("crs", KpmMatrix::crs(h.clone())),
-        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+    let formats: Vec<(&str, CrsMatrix)> = vec![
+        ("crs", h.clone()),
+        ("stencil", ham.stencil_matrix().to_crs()),
     ];
     let undersized = ScaleFactors::from_bounds(-0.5, 0.5, 0.0);
     let mut with_a_zero_column = starts[..2].to_vec();
     with_a_zero_column.push(Vector::zeros(h.nrows()));
     for body in bodies {
         simd::set_cap(body);
-        for (name, matrix) in &handles {
+        for (name, matrix) in &formats {
             let at = format!("{name}, {body:?} body");
             for width in 1..=17 {
                 let got = kpm_batch_moments(matrix, sf, &starts[..width], m, None)
@@ -424,7 +420,6 @@ fn coded_and_plain_values_give_identical_moments() {
     // sweep body, serial and chunked on 1 and 2 threads. 1,152 rows:
     // width 1 has two chunks.
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::KpmMatrix;
     let _cap = SIMD_CAP.lock().unwrap_or_else(|e| e.into_inner());
     let bodies = runnable_bodies("coded_and_plain_values");
     let coded = TopoHamiltonian::quantum_dot_superlattice(3, 6, 16).assemble();
@@ -433,7 +428,6 @@ fn coded_and_plain_values_give_identical_moments() {
     assert!(coded == plain);
     assert_eq!(coded.content_fingerprint(), plain.content_fingerprint());
     let sf = ScaleFactors::from_gershgorin(&coded, 0.01);
-    let (coded, plain) = (KpmMatrix::crs(coded), KpmMatrix::crs(plain));
     for body in bodies {
         simd::set_cap(body);
         for (parallel, threads) in [(false, 1), (true, 1), (true, 2)] {
@@ -444,7 +438,7 @@ fn coded_and_plain_values_give_identical_moments() {
                     parallel,
                     ..params(threads)
                 };
-                let run = |m: &KpmMatrix| {
+                let run = |m: &CrsMatrix| {
                     let set = kpm_moments(m, sf, &p, KpmVariant::AugSpmmv);
                     set.expect("solver run").into_vec()
                 };
@@ -485,7 +479,6 @@ fn site_walk_is_bitwise_the_entry_chain() {
     use kpm_repro::num::BlockVector;
     use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::SparseKernels;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// One kernel from `(v, w)`, `w` updated in place; returns its dots
@@ -615,7 +608,7 @@ fn site_walk_stops_at_the_end_of_exact_length_vectors() {
     // alone) and on the 1,280-row dots lattice (two width-1 chunks).
     use kpm_repro::num::BlockVector;
     use kpm_repro::sparse::simd::{self, Body};
-    use kpm_repro::sparse::{Schedule, SparseKernels, SweepOp};
+    use kpm_repro::sparse::{Schedule, SweepOp};
     use rand::{rngs::StdRng, SeedableRng};
 
     let ops = [

@@ -376,17 +376,16 @@ fn unscaled_spectrum_trips_divergence_guardrail() {
 /// unlike the four-product arm, would not turn an infinite `x` into a
 /// NaN): with scale factors that undersize the spectrum — grossly, and
 /// by a factor that lets the recurrence grow for 17 sweeps first —
-/// through either handle, at block widths on both sides of
+/// under either `--format`, at block widths on both sides of
 /// the arms' threshold, the solver stops with `SpectralBoundsViolated`
 /// at the iteration the commit before the arms stopped at (recorded
 /// from a build of it), and so never hands out a moment set.
 #[test]
 fn undersized_scale_factors_trip_the_guardrail_at_the_parents_iteration() {
-    use kpm_repro::sparse::KpmMatrix;
     let ham = TopoHamiltonian::quantum_dot_superlattice(5, 4, 6);
     let formats = [
-        ("crs", KpmMatrix::crs(ham.assemble())),
-        ("stencil", KpmMatrix::stencil(ham.stencil_matrix())),
+        ("crs", ham.assemble()),
+        ("stencil", ham.stencil_matrix().to_crs()),
     ];
     // (half-width the spectrum is claimed to fit in, the parent's
     // iteration).

@@ -45,17 +45,17 @@ fn params(m: usize, r: usize) -> KpmParams {
 /// records the counts `kpm_num::accounting` gives for its sweep — flops
 /// on the logical non-zeros, bytes on the matrix data the format streams:
 /// at every width, the lattice's site view — a byte per block of each
-/// site plus the distinct blocks — for its coded CRS, bare or behind the
-/// stencil handle, and a value and a column index per entry for the same
+/// site plus the distinct blocks — for its coded CRS, built by either
+/// `--format`, and a value and a column index per entry for the same
 /// matrix stored plain.
 #[test]
 fn probe_constants_match_accounting() {
     use kpm_repro::num::accounting::crs_bytes;
     use kpm_repro::num::BlockVector;
-    use kpm_repro::sparse::{CrsMatrix, KpmMatrix, SparseKernels};
+    use kpm_repro::sparse::CrsMatrix;
     let _g = serial();
     let ham = TopoHamiltonian::clean(4, 4, 2);
-    let (crs, stencil) = (ham.assemble(), KpmMatrix::stencil(ham.stencil_matrix()));
+    let (crs, stencil) = (ham.assemble(), ham.stencil_matrix().to_crs());
     let (n, nnz) = (crs.nrows(), crs.nnz());
     assert!(crs.value_table().is_some(), "the lattice's CRS is coded");
     // Each of the 32 sites reads six blocks (itself, four neighbours in
@@ -74,13 +74,13 @@ fn probe_constants_match_accounting() {
         .collect();
     let plain = CrsMatrix::from_raw(n, n, crs.row_ptr().to_vec(), cols, vals);
     // (name, operator, width, matrix bytes per sweep)
-    let cases: [(&str, &dyn SparseKernels, usize, usize); 6] = [
+    let cases: [(&str, &CrsMatrix, usize, usize); 6] = [
         ("coded", &crs, 1, site_view),
         ("coded", &crs, 3, site_view),
         ("plain", &plain, 1, crs_bytes(nnz)),
         ("plain", &plain, 3, crs_bytes(nnz)),
-        ("stencil handle", &stencil, 1, site_view),
-        ("stencil handle", &stencil, 3, site_view),
+        ("stencil build", &stencil, 1, site_view),
+        ("stencil build", &stencil, 3, site_view),
     ];
     for (name, h, r, stored) in cases {
         assert_eq!(h.matrix_bytes(), stored, "{name} at width {r}");
@@ -166,34 +166,25 @@ fn solver_run_records_spans_and_probes() {
     );
 }
 
-/// Every named kernel of `SparseKernels` is one provided method over
-/// the format's `sweep`, so it must behave alike whatever it is called
-/// on: driven through the bare CRS matrix and both `KpmMatrix` handles
-/// of one lattice (1,152 rows: two width-1 chunks, three 512-row tiles)
-/// at R = 1, 3 and 8 — the serial kernels on the calling thread, the
-/// parallel ones on 1-, 2- and 4-thread pools — all three return the
-/// same bits, and each call leaves exactly one probe record of the
-/// kernel's kind at its width.
+/// Every named kernel is one method of `CrsMatrix` over its `sweep`, so
+/// it must behave alike whatever builds the matrix: driven through the
+/// `--format crs` and `--format stencil` builds of one lattice (1,152
+/// rows: two width-1 chunks, three 512-row tiles) at R = 1, 3 and 8 —
+/// the serial kernels on the calling thread, the parallel ones on 1-, 2-
+/// and 4-thread pools — both return the same bits, and each call leaves
+/// exactly one probe record of the kernel's kind at its width.
 #[test]
 fn named_kernels_agree_and_probe_once_on_every_operator() {
     use kpm_repro::num::BlockVector;
     use kpm_repro::sparse::aug::{AugDots, AugDotsBlock};
-    use kpm_repro::sparse::{KpmMatrix, SparseKernels};
+    use kpm_repro::sparse::CrsMatrix;
     use rand::SeedableRng;
     use KernelKind::{AugSpmmv, AugSpmv, Spmv};
 
     let _g = serial();
     let ham = TopoHamiltonian::quantum_dot_superlattice(6, 6, 8);
-    let crs = ham.assemble();
-    let (crs_handle, st_handle) = (
-        KpmMatrix::crs(crs.clone()),
-        KpmMatrix::stencil(ham.stencil_matrix()),
-    );
-    let operators: [(&str, &dyn SparseKernels); 3] = [
-        ("&CrsMatrix", &crs),
-        ("KpmMatrix::crs", &crs_handle),
-        ("KpmMatrix::stencil", &st_handle),
-    ];
+    let (crs, stencil) = (ham.assemble(), ham.stencil_matrix().to_crs());
+    let operators: [(&str, &CrsMatrix); 2] = [("crs", &crs), ("stencil", &stencil)];
     let (n, nnz) = (crs.nrows(), crs.nnz());
     let pools = [1usize, 2, 4].map(|t| {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(t);
@@ -212,8 +203,7 @@ fn named_kernels_agree_and_probe_once_on_every_operator() {
         let w0 = BlockVector::random(n, r, &mut rng);
         // (name, probe kind, parallel, the call on a fresh copy of w0);
         // the last four take plain vectors, which a width-1 block is.
-        type Call<'a> =
-            &'a dyn Fn(&dyn SparseKernels, &mut BlockVector) -> (Vec<f64>, Vec<Complex64>);
+        type Call<'a> = &'a dyn Fn(&CrsMatrix, &mut BlockVector) -> (Vec<f64>, Vec<Complex64>);
         let kernels: [(&str, KernelKind, bool, Call); 10] = [
             ("spmmv", Spmv, false, &|m, w| {
                 m.spmmv(&v, w);
@@ -492,7 +482,6 @@ fn sliding_window_expires_old_samples() {
 #[test]
 fn service_replies_carry_complete_traces_and_stage_tilings() {
     use kpm_repro::service::{Admission, QueryKind, Request, Service, ServiceConfig, ShutdownMode};
-    use kpm_repro::sparse::KpmMatrix;
 
     let _g = serial();
     obs::reset();
@@ -503,7 +492,7 @@ fn service_replies_carry_complete_traces_and_stage_tilings() {
         workers: 2,
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
     let kinds = [
         QueryKind::Dos {
             seed: 1,
@@ -592,7 +581,6 @@ fn flight_recorder_dumps_on_chaos_crash() {
     use kpm_repro::service::{
         Admission, ChaosPlan, QueryKind, Request, Service, ServiceConfig, ShutdownMode,
     };
-    use kpm_repro::sparse::KpmMatrix;
 
     let _g = serial();
     obs::reset();
@@ -611,7 +599,7 @@ fn flight_recorder_dumps_on_chaos_crash() {
         chaos: Some(ChaosPlan::new(77).with_worker_crashes(1.0)),
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
     let admission = svc.submit(Request {
         matrix: fp,
         kind: QueryKind::Dos {

@@ -6,7 +6,7 @@
 use kpm_repro::core::solver::{kpm_moments, KpmParams, KpmVariant};
 use kpm_repro::num::vector::{axpy, dot, nrm2, scal};
 use kpm_repro::num::{BlockVector, Complex64, Vector};
-use kpm_repro::sparse::{CooMatrix, CrsMatrix, KpmMatrix, SparseKernels, StencilMatrix};
+use kpm_repro::sparse::{CooMatrix, CrsMatrix, StencilMatrix};
 use kpm_repro::topo::{Boundary, Lattice3D, Potential, ScaleFactors, TopoHamiltonian};
 use proptest::prelude::*;
 
@@ -32,11 +32,6 @@ fn hermitian_matrix() -> impl Strategy<Value = CrsMatrix> {
         coo.to_crs().unwrap()
     })
 }
-
-/// Per-thread cache budgets of the parallel kernel checks: the default
-/// and two that give other tile heights — whole sites still, as every
-/// tile is a multiple of the 4 orbital rows.
-const CACHE_BUDGETS: [usize; 3] = [256 * 1024, 100_000, 77_777];
 
 /// The potentials of the stencil checks; `Uniform(2.0)` makes two of
 /// the four on-site diagonal entries exactly zero (dropped by the
@@ -82,10 +77,9 @@ fn boundaries(bits: usize) -> [Boundary; 3] {
 
 /// The generator of a lattice against its CRS build: shape, entry
 /// count, the bits of the Gershgorin bounds and the Hermiticity verdict.
-/// Both handles run the CRS build ([`stencil_handle_runs_the_crs_build`]),
-/// so the kernels have one operator to agree on; the thread-count ×
-/// cache-budget grid of a plain CRS's parallel kernels, bitwise against
-/// the serial chain, is
+/// Both formats run the CRS build, so the kernels have one operator to
+/// agree on; the thread-count grid of a plain CRS's parallel kernels,
+/// bitwise against the serial chain, is
 /// `crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body`.
 fn stencil_equals_crs(st: &StencilMatrix) -> Result<(), String> {
     let h = st.to_crs();
@@ -100,20 +94,6 @@ fn stencil_equals_crs(st: &StencilMatrix) -> Result<(), String> {
         return Err("hermiticity checks differ".into());
     }
     Ok(())
-}
-
-/// The stencil handle of the lattice `st` against its CRS build `h`: one
-/// operator — the same CRS, coded or plain, reading the same bytes —
-/// with the fingerprint of `h`.
-fn stencil_handle_runs_the_crs_build(st: &StencilMatrix, h: &CrsMatrix, what: &str) {
-    let handle = KpmMatrix::stencil(st.clone());
-    assert!(handle.as_crs() == h, "{what}");
-    assert_eq!(
-        handle.content_fingerprint(),
-        h.content_fingerprint(),
-        "{what}"
-    );
-    assert_eq!(handle.matrix_bytes(), h.matrix_bytes(), "{what}");
 }
 
 /// The deterministic counterpart of the property below: every
@@ -143,7 +123,6 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
             if let Err(e) = stencil_equals_crs(&st) {
                 panic!("{what}: {e}");
             }
-            stencil_handle_runs_the_crs_build(&st, &st.to_crs(), &what);
         }
     }
 }
@@ -154,8 +133,7 @@ fn stencil_kernels_bitwise_equal_crs_on_the_boundary_grid() {
 /// the CRS build codes, and 251 make 257, which it stores plain — as it
 /// does the 576 on-site values of a disordered lattice. Codes match
 /// bits: on-site entries that alternate between `1 + 0i` and `1 − 0i`
-/// from site to site take two slots. Each lattice's stencil handle holds
-/// its CRS build, coded or plain, and hashes like it.
+/// from site to site take two slots.
 #[test]
 fn crs_builds_code_at_most_256_distinct_values() {
     let lattice = |value: &dyn Fn(usize) -> Complex64| {
@@ -192,7 +170,6 @@ fn crs_builds_code_at_most_256_distinct_values() {
     ] {
         let h = st.to_crs();
         assert_eq!(h.value_table().map(<[_]>::len), distinct);
-        stencil_handle_runs_the_crs_build(&st, &h, &format!("{distinct:?} distinct values"));
         if let Err(e) = stencil_equals_crs(&st) {
             panic!("{distinct:?} distinct values: {e}");
         }
@@ -204,9 +181,9 @@ fn crs_builds_code_at_most_256_distinct_values() {
 /// per distinct diagonal. Diagonals built from 33 distinct values — far
 /// inside the value table — take 244 or 245 distinct combinations over
 /// the 320 sites: 256 blocks, which the CRS build codes, and 257, which
-/// it stores plain. Either way the stencil handle holds that CRS — as on
-/// the 2×6×5 lattice, whose periodic extent-2 axis leaves it no view:
-/// its coincident partners' entries are merged.
+/// it stores plain, as it does the 2×6×5 lattice, whose periodic
+/// extent-2 axis leaves it no view: its coincident partners' entries are
+/// merged.
 #[test]
 fn a_257th_site_block_stores_the_crs_plain() {
     let lattice = |combinations: usize| {
@@ -224,7 +201,6 @@ fn a_257th_site_block_stores_the_crs_plain() {
         assert_eq!(h.site_blocks(), blocks, "{combinations} diagonals");
         let values = blocks.map(|_| 6 + 16 + 16 + 1);
         assert_eq!(h.value_table().map(<[_]>::len), values);
-        stencil_handle_runs_the_crs_build(&st, &h, &format!("{combinations} diagonals"));
         if let Err(e) = stencil_equals_crs(&st) {
             panic!("{combinations} diagonals: {e}");
         }
@@ -232,7 +208,6 @@ fn a_257th_site_block_stores_the_crs_plain() {
     let coincident = TopoHamiltonian::clean(2, 6, 5).stencil_matrix();
     let h = coincident.to_crs();
     assert_eq!(h.site_blocks(), None);
-    stencil_handle_runs_the_crs_build(&coincident, &h, "coincident 2x6x5");
     if let Err(e) = stencil_equals_crs(&coincident) {
         panic!("coincident 2x6x5: {e}");
     }
@@ -253,8 +228,7 @@ fn bond_blocks(bond: impl Fn(usize) -> Complex64) -> [[[Complex64; 4]; 4]; 6] {
 /// product per part of `x`: a lattice with an entry whose two parts are
 /// non-zero, or with three entries in a row of one block, is stored
 /// plain — values included, as past 256 blocks. The lattice beside them
-/// with the same bonds made imaginary is coded. Each stencil handle
-/// holds its CRS build.
+/// with the same bonds made imaginary is coded.
 #[test]
 fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
     let onsite = |site: usize| [0, 1, 2, 3].map(|o| Complex64::real((site % 3 + o) as f64));
@@ -288,7 +262,6 @@ fn a_site_block_that_does_not_fit_its_slots_stores_the_crs_plain() {
         let h = st.to_crs();
         assert_eq!(h.site_blocks().is_some(), coded, "{what}");
         assert_eq!(h.value_table().is_some(), coded, "{what}");
-        stencil_handle_runs_the_crs_build(&st, &h, what);
         if let Err(e) = stencil_equals_crs(&st) {
             panic!("{what}: {e}");
         }
@@ -622,7 +595,8 @@ fn reference_sweep(
 /// single-vector entry points as well as the blocked ones (the 8×8×5
 /// lattice has two 1024-row chunks); plain, augmented and
 /// no-dot kernels; serial and on 1-, 2-, 4- and
-/// 8-thread pools at three cache budgets; on ragged random and lattice
+/// 8-thread pools at the one cache budget every chunked sweep tiles at
+/// (tiles that do not divide the rows); on ragged random and lattice
 /// matrices; and under every position of the runtime cap, i.e. on the
 /// baseline, the AVX2 and the AVX-512 copy of the body. The reference
 /// multiplies out all four products of every entry; the sweep leaves
@@ -633,7 +607,7 @@ fn reference_sweep(
 /// sign of every zero in `w` included.
 #[test]
 fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
-    use kpm_repro::sparse::tile::tile_rows_for_budget;
+    use kpm_repro::sparse::tile::{tile_rows_for_budget, DEFAULT_CACHE_BYTES};
     use kpm_repro::sparse::{aug::AugDotsBlock, simd};
     use rand::SeedableRng;
 
@@ -664,8 +638,6 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
     let (a, b) = (0.7, -0.2);
     for (name, h) in &matrices {
         let n = h.nrows();
-        // The budget travels with the handle: one per budget.
-        let handles = CACHE_BUDGETS.map(|b| KpmMatrix::crs(h.clone()).with_cache_bytes(b));
         let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
         for r in CRS_WIDTHS {
             let mut v = BlockVector::random(n, r, &mut rng);
@@ -678,10 +650,10 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                 let d = reference_sweep(m, aug, &v, &mut w, tile);
                 (w, d)
             };
-            // Rows per chunk of the parallel kernels at a cache budget.
-            let tile_of = |budget| match r {
+            // Rows per chunk of the parallel kernels.
+            let tile = match r {
                 1 => 1024,
-                _ => tile_rows_for_budget(r, budget),
+                _ => tile_rows_for_budget(r, DEFAULT_CACHE_BYTES),
             };
             let serial_plain = expect(h, None, n);
             let serial_aug = expect(h, Some((a, b)), n);
@@ -753,48 +725,46 @@ fn crs_panel_sweep_bitwise_equals_the_mul_add_chain_on_every_body() {
                         none.clone()
                     }),
                 );
-                for (budget, m) in CACHE_BUDGETS.into_iter().zip(&handles) {
-                    let par_aug = expect(h, Some((a, b)), tile_of(budget));
-                    for pool in &pools {
-                        pool.install(|| {
+                let par_aug = expect(h, Some((a, b)), tile);
+                for pool in &pools {
+                    pool.install(|| {
+                        check(
+                            "spmmv_par",
+                            &serial_plain,
+                            run(&|w| {
+                                h.spmmv_par(&v, w);
+                                none.clone()
+                            }),
+                        );
+                        check(
+                            "aug_spmmv_par",
+                            &par_aug,
+                            run(&|w| dots(h.aug_spmmv_par(a, b, &v, w))),
+                        );
+                        check(
+                            "aug_spmmv_nodot_par",
+                            &nodot,
+                            run(&|w| {
+                                h.aug_spmmv_nodot_par(a, b, &v, w);
+                                none.clone()
+                            }),
+                        );
+                        if r == 1 {
                             check(
-                                "spmmv_par",
+                                "spmv_par",
                                 &serial_plain,
-                                run(&|w| {
-                                    m.spmmv_par(&v, w);
+                                run_vector(&|v, w| {
+                                    h.spmv_par(v, w);
                                     none.clone()
                                 }),
                             );
                             check(
-                                "aug_spmmv_par",
+                                "aug_spmv_par",
                                 &par_aug,
-                                run(&|w| dots(m.aug_spmmv_par(a, b, &v, w))),
+                                run_vector(&|v, w| single(h.aug_spmv_par(a, b, v, w))),
                             );
-                            check(
-                                "aug_spmmv_nodot_par",
-                                &nodot,
-                                run(&|w| {
-                                    m.aug_spmmv_nodot_par(a, b, &v, w);
-                                    none.clone()
-                                }),
-                            );
-                            if r == 1 {
-                                check(
-                                    "spmv_par",
-                                    &serial_plain,
-                                    run_vector(&|v, w| {
-                                        m.spmv_par(v, w);
-                                        none.clone()
-                                    }),
-                                );
-                                check(
-                                    "aug_spmv_par",
-                                    &par_aug,
-                                    run_vector(&|v, w| single(m.aug_spmv_par(a, b, v, w))),
-                                );
-                            }
-                        });
-                    }
+                        }
+                    });
                 }
             }
         }
@@ -974,14 +944,13 @@ proptest! {
 
     #[test]
     fn stencil_kernels_bitwise_equal_crs(ham in any_lattice()) {
-        // Any lattice shape, boundary and potential: the stencil handle
+        // Any lattice shape, boundary and potential: `--format stencil`
         // runs the CRS build itself, so its kernels are the CRS's bit
         // for bit, and the generator's bounds and verdict are the
         // build's.
         let st = ham.stencil_matrix();
         let checked = stencil_equals_crs(&st);
         prop_assert!(checked.is_ok(), "{:?}: {}", ham.lattice, checked.unwrap_err());
-        stencil_handle_runs_the_crs_build(&st, &st.to_crs(), &format!("{:?}", ham.lattice));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use kpm_repro::service::{
     Admission, Answer, ChaosPlan, Outcome, QueryKind, RejectReason, Request, Response, Service,
     ServiceConfig, ServiceError, ShutdownMode, Ticket,
 };
-use kpm_repro::sparse::{CrsMatrix, KpmMatrix};
+use kpm_repro::sparse::CrsMatrix;
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 fn test_matrix() -> (CrsMatrix, ScaleFactors) {
@@ -42,7 +42,7 @@ fn serial_reference(h: &CrsMatrix, sf: ScaleFactors, seed: u64, r: usize, m: usi
     };
     let mut acc = MomentSet::zeros(m);
     for v in &starting_vectors(h.nrows(), &params) {
-        acc.accumulate(&moments_from_start(h, sf, v, m, false).expect("serial solve"));
+        acc.accumulate(&moments_from_start(h, sf, v, m).expect("serial solve"));
     }
     acc
 }
@@ -84,7 +84,7 @@ fn batched_answers_bitwise_match_serial_for_mixed_batches() {
         let (h, sf) = test_matrix();
         let sites = h.nrows() / 4;
         let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
-        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        let fp = svc.register_matrix(h.clone(), sf);
         // Seeds and site move with the key, so a repeated round answers
         // nothing from the cache.
         let site = |key: u64| (3 + key as usize) % sites;
@@ -156,7 +156,7 @@ fn batched_answers_bitwise_match_serial_for_mixed_batches() {
 fn repeat_queries_answer_from_the_moment_cache() {
     let (h, sf) = test_matrix();
     let svc = Service::start(ServiceConfig::default());
-    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let fp = svc.register_matrix(h.clone(), sf);
 
     let first = submit_ok(&svc, dos_request(fp, 9, 1, 32))
         .wait()
@@ -202,7 +202,7 @@ fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
         workers: 2,
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let fp = svc.register_matrix(h.clone(), sf);
     let query = |kind: QueryKind| Request {
         kind,
         ..dos_request(fp, 0, 0, m)
@@ -262,8 +262,8 @@ fn svc_mixed_shaped_solves_and_hot_keys_are_bitwise_the_serial_solver() {
     assert!(svc.shutdown(ShutdownMode::Drain).consistent());
 }
 
-/// A CRS handle and a stencil handle of one lattice hash —
-/// each lazily, on registration — to the same fingerprint: they
+/// The `--format crs` and `--format stencil` builds of one lattice hash
+/// — each once, on registration — to the same fingerprint: they
 /// register as one matrix, requests naming either coalesce into one
 /// block solve, and an answer solved on one is a cache hit for the
 /// other.
@@ -273,12 +273,12 @@ fn crs_and_stencil_handles_of_one_lattice_coalesce_and_share_the_cache() {
         let ham = TopoHamiltonian::clean(3, 3, 2);
         let (h, sf) = test_matrix();
         let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
-        let fp_stencil = svc.register_matrix(KpmMatrix::stencil(ham.stencil_matrix()), sf);
-        let fp_crs = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        let fp_stencil = svc.register_matrix(ham.stencil_matrix().to_crs(), sf);
+        let fp_crs = svc.register_matrix(h.clone(), sf);
         assert_eq!(fp_stencil, fp_crs, "one operator, one fingerprint");
         assert_eq!(fp_crs, h.content_fingerprint());
 
-        // Submitted while the worker is held, one per handle name.
+        // Submitted while the worker is held, one per registration.
         let (key, replies) =
             replies_to_requests_that_arrive_during_a_solve(&svc, holder_fp, 0..8, |key| {
                 vec![
@@ -291,7 +291,7 @@ fn crs_and_stencil_handles_of_one_lattice_coalesce_and_share_the_cache() {
         assert_eq!(
             answer_of(a).moments.as_slice(),
             serial_reference(&h, sf, 9 + 2 * key, 1, 32).as_slice(),
-            "the registered (stencil) handle must solve to the CRS bits"
+            "the registered stencil build must solve to the CRS bits"
         );
 
         let again = submit_ok(&svc, dos_request(fp_crs, 9 + 2 * key, 1, 32))
@@ -312,7 +312,7 @@ fn crs_and_stencil_handles_of_one_lattice_coalesce_and_share_the_cache() {
 fn past_deadline_requests_are_rejected_with_retry_after() {
     let (h, sf) = test_matrix();
     let svc = Service::start(ServiceConfig::default());
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
     let mut req = dos_request(fp, 1, 1, 16);
     req.deadline = Some(Duration::ZERO);
     match svc.submit(req) {
@@ -341,7 +341,7 @@ fn queue_full_backpressure_is_explicit_and_lossless() {
         chaos: Some(ChaosPlan::new(1).with_slow_solver(1.0, Duration::from_millis(10))),
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
 
     let mut tickets = Vec::new();
     let mut rejections = 0u64;
@@ -414,7 +414,7 @@ fn sustained_overload_is_shed_at_the_admission_queue() {
             chaos: Some(ChaosPlan::new(5).with_slow_solver(1.0, Duration::from_millis(20))),
             ..ServiceConfig::default()
         });
-        let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+        let fp = svc.register_matrix(h, sf);
 
         let mut tickets = Vec::new();
         let mut rejected = 0u64;
@@ -469,10 +469,7 @@ fn one_slow_worker(config: ServiceConfig) -> (Service, u64) {
         ..config
     });
     let other = TopoHamiltonian::clean(2, 2, 2).assemble();
-    let holder_fp = svc.register_matrix(
-        KpmMatrix::crs(other.clone()),
-        ScaleFactors::from_gershgorin(&other, 0.01),
-    );
+    let holder_fp = svc.register_matrix(other.clone(), ScaleFactors::from_gershgorin(&other, 0.01));
     (svc, holder_fp)
 }
 
@@ -525,7 +522,7 @@ fn requests_that_arrive_during_a_solve_share_the_next_batch() {
         let (h, sf) = test_matrix();
         let sites = (h.nrows() / 4) as u64;
         let (svc, holder_fp) = one_slow_worker(ServiceConfig::default());
-        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        let fp = svc.register_matrix(h.clone(), sf);
         let m = 32;
         let ldos = |key: u64| Request {
             kind: QueryKind::Ldos {
@@ -592,7 +589,7 @@ fn closed_loop_coalescing() {
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     let sites = h.nrows() / 4;
     let svc = Service::start(ServiceConfig::default());
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
     let (clients, per_client) = (4u64, 40u64);
     let replies: Vec<Response> = std::thread::scope(|scope| {
         let svc = &svc;
@@ -662,7 +659,7 @@ fn solve_deadline_degrades_to_a_cached_shorter_answer() {
         hedge_after: None,
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let fp = svc.register_matrix(h.clone(), sf);
 
     // Warm the cache at M=32 (the slow solver delays but the default
     // deadline absorbs it).
@@ -704,7 +701,7 @@ fn abort_shutdown_replies_to_every_admitted_request() {
         chaos: Some(ChaosPlan::new(3).with_slow_solver(1.0, Duration::from_millis(20))),
         ..ServiceConfig::default()
     });
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
     let tickets: Vec<Ticket> = (0..8)
         .map(|i| submit_ok(&svc, dos_request(fp, i, 1, 16)))
         .collect();
@@ -731,7 +728,7 @@ fn abort_shutdown_replies_to_every_admitted_request() {
 fn invalid_requests_fail_typed_through_the_reply_path() {
     let (h, sf) = test_matrix();
     let svc = Service::start(ServiceConfig::default());
-    let fp = svc.register_matrix(KpmMatrix::crs(h), sf);
+    let fp = svc.register_matrix(h, sf);
 
     let unknown = submit_ok(&svc, dos_request(0xdead_beef, 1, 1, 16))
         .wait()
@@ -790,7 +787,7 @@ fn allocation_must_fail(bytes: u64) -> bool {
 fn unallocatable_requests_fail_typed_naming_the_field() {
     let (h, sf) = test_matrix();
     let svc = Service::start(ServiceConfig::default());
-    let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+    let fp = svc.register_matrix(h.clone(), sf);
     let huge = (usize::MAX / 8) & !1;
     let mut cases = vec![
         (dos_request(fp, 1, huge, 64), "num_random"),

@@ -11,7 +11,9 @@
 //! 3. the service shuts down cleanly (joins its threads; `shutdown`
 //!    returning *is* the proof — a deadlock hangs the test);
 //! 4. successful full-quality answers remain bitwise identical to the
-//!    serial solver even while the chaos layer is crashing workers.
+//!    serial solver even while the chaos layer is crashing workers;
+//! 5. every batch handed to the workers gives its place back: the
+//!    ledger's `in_flight` is 0 after shutdown.
 
 use std::time::Duration;
 
@@ -22,7 +24,7 @@ use kpm_repro::service::{
     chaos::install_quiet_poison_hook, Admission, ChaosPlan, Outcome, QueryKind, Request, Service,
     ServiceConfig, ShutdownMode, Ticket,
 };
-use kpm_repro::sparse::{CrsMatrix, KpmMatrix};
+use kpm_repro::sparse::CrsMatrix;
 use kpm_repro::topo::{ScaleFactors, TopoHamiltonian};
 
 const SCHEDULES: u64 = 500;
@@ -79,7 +81,7 @@ fn probe_reference(h: &CrsMatrix, sf: ScaleFactors) -> MomentSet {
     };
     let mut acc = MomentSet::zeros(12);
     for v in &starting_vectors(h.nrows(), &params) {
-        acc.accumulate(&moments_from_start(h, sf, v, 12, false).expect("serial probe"));
+        acc.accumulate(&moments_from_start(h, sf, v, 12).expect("serial probe"));
     }
     acc
 }
@@ -173,7 +175,7 @@ fn randomized_chaos_schedules_never_lose_an_admitted_request() {
             schedule.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xabcd,
         ));
         let svc = Service::start(random_config(&mut rng, schedule));
-        let fp = svc.register_matrix(KpmMatrix::crs(h.clone()), sf);
+        let fp = svc.register_matrix(h.clone(), sf);
 
         let mut tickets: Vec<Ticket> = Vec::new();
         let mut rejections = 0u64;
@@ -239,6 +241,11 @@ fn randomized_chaos_schedules_never_lose_an_admitted_request() {
         assert!(
             ledger.consistent(),
             "schedule {schedule}: ledger imbalance {ledger:?}"
+        );
+        // Invariant 5: no batch still holds a worker's place.
+        assert_eq!(
+            ledger.in_flight, 0,
+            "schedule {schedule}: a batch never gave its place back {ledger:?}"
         );
     }
 }
