@@ -5,8 +5,8 @@
 //! Lamport stamp, kind, detail) to one of [`SHARDS`] bounded rings
 //! chosen by thread id, so concurrent writers rarely contend and memory
 //! stays constant no matter how long the process runs. When a trigger
-//! fires — a chaos-injected fault, a breaker opening, a deadline miss,
-//! or SIGTERM — [`trigger_dump`] freezes the rings plus the tail of the
+//! fires — a breaker opening, a deadline miss, or SIGTERM —
+//! [`trigger_dump`] freezes the rings plus the tail of the
 //! span registry into a `kpm-flight-v1` JSONL file for post-mortem
 //! replay with `kpm trace-report`.
 //!
@@ -46,7 +46,7 @@ pub struct EventRecord {
     pub trace: u64,
     /// Lamport stamp at record time.
     pub lamport: u64,
-    /// Event kind, e.g. `chaos.crash`, `breaker.open`.
+    /// Event kind, e.g. `deadline.miss`, `breaker.open`.
     pub kind: &'static str,
     /// Free-form detail.
     pub detail: String,
@@ -300,7 +300,7 @@ mod tests {
         let _g = serial();
         crate::reset();
         let _on = crate::EnabledGuard::new();
-        note("chaos.crash", 42, "batch 7 attempt 0");
+        note("deadline.miss", 42, "batch=7 expired mid-solve");
         {
             let _s = crate::span::span("svc.request", "svc").trace(42);
         }

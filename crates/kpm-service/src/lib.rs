@@ -9,15 +9,16 @@
 //! it. Around that hot path this crate layers the
 //! robustness machinery a long-running service needs: a bounded
 //! admission queue with explicit backpressure (the only buffer in the
-//! runtime), per-request deadlines,
-//! retry with jittered exponential backoff, a per-route circuit
-//! breaker, hedged re-dispatch of stragglers, and graceful degradation
-//! through a moment cache (truncated-`M` answers carry an explicit
-//! `degraded` flag plus a quantified broadening penalty).
+//! runtime), per-request deadlines, a per-route circuit breaker, and
+//! graceful degradation through a moment cache (truncated-`M` answers
+//! carry an explicit `degraded` flag plus a quantified broadening
+//! penalty). Each batch runs exactly once, on one worker: a solve is a
+//! pure function of its inputs, so neither a retry nor a hedged second
+//! copy could change or speed its answer.
 //!
 //! Everything is `std`-only and deterministic where it matters: the
-//! chaos layer ([`chaos::ChaosPlan`]) injects worker crashes, slow
-//! solves and queue-lock poisoning from a seed, and the [`Ledger`]
+//! chaos layer ([`chaos::ChaosPlan`]) injects slow solves and
+//! queue-lock poisoning from a seed, and the [`Ledger`]
 //! proves the core invariant — every admitted request gets exactly one
 //! terminal reply, on every schedule, on every shutdown path. Batched
 //! answers are bitwise identical to serial solves for any batch
@@ -57,7 +58,7 @@ mod breaker;
 mod cache;
 mod queue;
 
-pub use chaos::{BatchFate, ChaosPlan, ChaosStats};
+pub use chaos::ChaosPlan;
 pub use request::{
     Admission, Answer, Curve, DegradeInfo, Outcome, QueryKind, RejectReason, ReplyStats, Request,
     Response, ServiceError, StageBreakdown, Ticket,

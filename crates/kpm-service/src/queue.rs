@@ -18,8 +18,8 @@ use crate::chaos::QueuePoisonSentinel;
 use crate::request::{Request, Response};
 
 /// Shared one-shot reply slot: whoever `take()`s the sender delivers
-/// the terminal reply; later takers (hedged duplicates, racing paths)
-/// find it empty and drop their result. Exactly-once by construction.
+/// the terminal reply; a later taker finds it empty and drops its
+/// result. Exactly-once by construction.
 pub(crate) type ReplySlot = Arc<Mutex<Option<mpsc::Sender<Response>>>>;
 
 /// An admitted request waiting to be batched.

@@ -276,13 +276,6 @@ pub enum ServiceError {
         /// How long until the breaker admits a trial request again.
         cooldown: Duration,
     },
-    /// All retry attempts were consumed by transient failures.
-    RetriesExhausted {
-        /// Total attempts made (including the first).
-        attempts: u32,
-        /// The final transient error, rendered to text.
-        last_error: String,
-    },
     /// The service shut down before the request could be served.
     Shutdown,
     /// The request named a fingerprint no registered matrix carries.
@@ -302,10 +295,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::CircuitOpen { cooldown } => {
                 write!(f, "circuit open; retry in {} ms", cooldown.as_millis())
             }
-            ServiceError::RetriesExhausted {
-                attempts,
-                last_error,
-            } => write!(f, "gave up after {attempts} attempt(s): {last_error}"),
             ServiceError::Shutdown => write!(f, "service is shutting down"),
             ServiceError::UnknownMatrix { fingerprint } => {
                 write!(
@@ -342,13 +331,8 @@ pub struct ReplyStats {
     pub stages: StageBreakdown,
     /// Time from admission to batch formation.
     pub queue_wait: Duration,
-    /// Time spent in the (final) solve attempt; zero for cache hits.
+    /// Time spent in the batch's solve; zero for cache hits.
     pub solve: Duration,
-    /// Transient-failure retries consumed by the carrying batch.
-    pub retries: u32,
-    /// True if the carrying batch was hedged (re-dispatched while a
-    /// straggling attempt was still running).
-    pub hedged: bool,
     /// True if the answer came from the moment cache.
     pub cache_hit: bool,
     /// Requested columns of the carrying batch (0 for cache/immediate
@@ -361,17 +345,17 @@ pub struct ReplyStats {
 /// The four stages partition the admission-to-reply interval with no
 /// gaps or overlap: *queue* (admission until the batcher seals the
 /// request into a batch — which waits for a free worker — or answers
-/// it inline), *batch* (hand-off, retry backoffs), *solve* (the final
-/// solve attempt), *reply* (reconstruction and delivery). Stages a
+/// it inline), *batch* (hand-off to a worker, injected chaos delay),
+/// *solve* (the batch's one solve), *reply* (reconstruction and
+/// delivery). Stages a
 /// request never reached are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Admission → batch formation (or inline answer).
     pub queue_us: f64,
-    /// Batch formation → solve start (hand-off, backoff, chaos
-    /// delays).
+    /// Batch formation → solve start (hand-off, chaos delay).
     pub batch_us: f64,
-    /// The final solve attempt.
+    /// The batch's solve.
     pub solve_us: f64,
     /// Solve end (or last reached stage) → terminal reply delivered.
     pub reply_us: f64,

@@ -13,17 +13,18 @@
 //! and thread count — batching changes speed, never
 //! results.
 //!
+//! Every batch runs exactly once, on one worker: a solve is a pure
+//! function of its inputs, so a second copy could only repeat it.
 //! Robustness machinery around that hot path: per-request deadlines
-//! threaded into the solver, retry with exponential backoff + seeded
-//! jitter on transient faults, a circuit breaker per (matrix, kernel)
-//! route, hedged re-dispatch of straggling batches, and graceful
-//! degradation through the moment cache (reduced-`M` answers carry an
-//! explicit `degraded` annotation). The [`Ledger`] counts both sides
-//! of the core invariant: every admitted request gets exactly one
-//! terminal reply, under any chaos schedule, on any shutdown path.
+//! threaded into the solver, a circuit breaker per (matrix, kernel)
+//! route, and graceful degradation through the moment cache
+//! (reduced-`M` answers carry an explicit `degraded` annotation). The
+//! [`Ledger`] counts both sides of the core invariant: every admitted
+//! request gets exactly one terminal reply, under any chaos schedule,
+//! on any shutdown path.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,7 @@ use crate::cache::{CacheKey, MomentCache};
 use crate::chaos::ChaosPlan;
 use crate::queue::{AdmissionQueue, Pending, PopOutcome, PushOutcome};
 use crate::request::{
-    kernel_key, splitmix, Admission, Answer, Curve, DegradeInfo, Outcome, QueryKind, RejectReason,
+    kernel_key, Admission, Answer, Curve, DegradeInfo, Outcome, QueryKind, RejectReason,
     ReplyStats, Request, Response, ServiceError, StageBreakdown, Ticket,
 };
 
@@ -67,9 +68,9 @@ struct StageMarks {
     /// When the batcher sealed the request into a batch (or served an
     /// inline fast path).
     batched_us: f64,
-    /// When the final solve attempt started.
+    /// When the solve started.
     solve_start_us: f64,
-    /// When the final solve attempt returned.
+    /// When the solve returned.
     solve_end_us: f64,
 }
 
@@ -112,17 +113,6 @@ pub struct ServiceConfig {
     pub max_batch_width: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Duration,
-    /// Transient-failure retry budget per batch (first attempt not
-    /// counted).
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff growth cap.
-    pub backoff_max: Duration,
-    /// Re-dispatch a batch still unanswered this long after its solve
-    /// could start: a batch is sealed only when a worker is free, so
-    /// it never ages behind another (`None` disables hedging).
-    pub hedge_after: Option<Duration>,
     /// Queue-depth fraction beyond which answers degrade (reduced `M`
     /// or cache) instead of queueing full-quality work.
     pub degrade_at_depth: f64,
@@ -134,8 +124,6 @@ pub struct ServiceConfig {
     pub breaker_cooldown: Duration,
     /// Moment-cache entry bound.
     pub cache_capacity: usize,
-    /// Seed of the retry-jitter RNG.
-    pub seed: u64,
     /// Optional chaos injection (tests, soak runs).
     pub chaos: Option<ChaosPlan>,
 }
@@ -147,16 +135,11 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             max_batch_width: 8,
             default_deadline: Duration::from_secs(2),
-            max_retries: 3,
-            backoff_base: Duration::from_micros(500),
-            backoff_max: Duration::from_millis(20),
-            hedge_after: Some(Duration::from_millis(100)),
             degrade_at_depth: 0.75,
             min_degraded_moments: 16,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             cache_capacity: 256,
-            seed: 0,
             chaos: None,
         }
     }
@@ -170,8 +153,6 @@ pub struct Ledger {
     replied: AtomicU64,
     rejected: AtomicU64,
     degraded: AtomicU64,
-    retried: AtomicU64,
-    hedged: AtomicU64,
     cache_hits: AtomicU64,
 }
 
@@ -188,9 +169,8 @@ pub struct LedgerSnapshot {
     pub rejected: u64,
     /// Replies that carried `degraded: true`.
     pub degraded: u64,
-    /// Transient-failure retries performed.
-    pub retried: u64,
-    /// Batches hedge-re-dispatched.
+    /// Always 0: a batch runs once. Kept because the benchmark reads
+    /// `ledger.hedged` under this spelling.
     pub hedged: u64,
     /// Replies served from the moment cache.
     pub cache_hits: u64,
@@ -208,8 +188,7 @@ impl Ledger {
             replied: self.replied.load(Ordering::SeqCst),
             rejected: self.rejected.load(Ordering::SeqCst),
             degraded: self.degraded.load(Ordering::SeqCst),
-            retried: self.retried.load(Ordering::SeqCst),
-            hedged: self.hedged.load(Ordering::SeqCst),
+            hedged: 0,
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
             in_flight: in_flight as u64,
         }
@@ -244,17 +223,13 @@ struct BatchMember {
     m_solve: usize,
 }
 
-/// A dispatched block solve shared between the batcher (hedging), the
-/// worker pool (solving/retries) and duplicates of itself.
+/// A block solve the batcher hands to exactly one worker.
 struct BatchJob {
     id: u64,
     entry: Arc<MatrixEntry>,
     columns: Vec<Vector>,
     members: Vec<BatchMember>,
     m_max: usize,
-    done: AtomicBool,
-    attempts: AtomicU32,
-    hedged: AtomicBool,
 }
 
 struct ServiceInner {
@@ -265,7 +240,6 @@ struct ServiceInner {
     breaker: CircuitBreaker,
     ledger: Ledger,
     state: AtomicU8,
-    stop_workers: AtomicBool,
     next_id: AtomicU64,
     next_batch: AtomicU64,
     admissions: AtomicU64,
@@ -292,7 +266,7 @@ impl ServiceInner {
     }
 
     /// Gives back a batch's place among the dispatched: once per batch,
-    /// by whoever set its `done` flag, after its members have replies.
+    /// after its members have replies.
     fn batch_finished(&self) {
         let mut busy = self.dispatched.lock().unwrap_or_else(|e| e.into_inner());
         *busy = busy.saturating_sub(1);
@@ -548,7 +522,6 @@ impl Service {
             queue,
             ledger: Ledger::default(),
             state: AtomicU8::new(RUNNING),
-            stop_workers: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             next_batch: AtomicU64::new(1),
             admissions: AtomicU64::new(0),
@@ -559,17 +532,18 @@ impl Service {
             config,
         });
 
-        let (job_tx, job_rx) = mpsc::channel::<Arc<BatchJob>>();
+        // The batcher holds the only sender: once it exits, the workers
+        // finish what the channel holds and see it disconnected.
+        let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
         let job_rx = Arc::new(Mutex::new(job_rx));
 
         let mut workers = Vec::with_capacity(workers_n);
         for w in 0..workers_n {
             let inner_w = Arc::clone(&inner);
             let rx = Arc::clone(&job_rx);
-            let tx = job_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("kpm-svc-worker-{w}"))
-                .spawn(move || worker_loop(&inner_w, &rx, &tx));
+                .spawn(move || worker_loop(&inner_w, &rx));
             if let Ok(h) = handle {
                 workers.push(h);
             }
@@ -578,7 +552,7 @@ impl Service {
         let inner_b = Arc::clone(&inner);
         let batcher = std::thread::Builder::new()
             .name("kpm-svc-batcher".into())
-            .spawn(move || batcher_loop(&inner_b, &job_tx))
+            .spawn(move || batcher_loop(&inner_b, job_tx))
             .ok();
 
         Service {
@@ -786,7 +760,6 @@ impl Service {
         if let Some(b) = self.batcher.take() {
             let _ = b.join();
         }
-        self.inner.stop_workers.store(true, Ordering::Release);
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -809,14 +782,6 @@ fn width_budget(max_batch_width: usize) -> usize {
         best *= 2;
     }
     best
-}
-
-/// Exponential backoff with seeded multiplicative jitter in
-/// `[0.5, 1.5)` so retries across batches never fall into lockstep.
-fn backoff_with_jitter(base: Duration, max: Duration, attempt: u32, seed: u64) -> Duration {
-    let exp = base.saturating_mul(1u32 << attempt.min(16)).min(max);
-    let draw = (splitmix(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    exp.mul_f64(0.5 + draw)
 }
 
 /// Reduced moment count under overload: half the request, even, at
@@ -860,11 +825,11 @@ fn build_columns(n: usize, kind: QueryKind) -> Vec<Vector> {
 }
 
 /// The batcher: pops admitted requests, serves the fast paths (cache,
-/// breaker, expired deadlines), coalesces the rest into block solves,
-/// and hedges stragglers.
-fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>) {
+/// breaker, expired deadlines) and coalesces the rest into block
+/// solves, each handed to one worker. Returns once the queue is closed
+/// and empty, dropping the workers' only sender.
+fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: mpsc::Sender<BatchJob>) {
     let tick = Duration::from_millis(2);
-    let mut inflight: Vec<(Arc<BatchJob>, Instant)> = Vec::new();
     loop {
         // Late binding: while every worker has a batch, what is queued
         // stays where later requests can join it (shutdown does not wait).
@@ -894,58 +859,29 @@ fn batcher_loop(inner: &Arc<ServiceInner>, job_tx: &mpsc::Sender<Arc<BatchJob>>)
                     group.push(first);
                     group.extend(mates);
                     if let Some(job) = form_batch(inner, group) {
-                        let job = Arc::new(job);
                         *inner.dispatched.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-                        inflight.push((Arc::clone(&job), Instant::now()));
-                        if job_tx.send(job).is_err() {
+                        if let Err(mpsc::SendError(job)) = job_tx.send(job) {
                             // Worker pool is gone (tear-down race):
                             // answer the members typed instead of
                             // losing them.
-                            if let Some((job, _)) = inflight.pop() {
-                                for m in &job.members {
-                                    inner.deliver(
-                                        &m.pending,
-                                        Outcome::Failed(ServiceError::Shutdown),
-                                        ReplyStats::default(),
-                                        StageMarks {
-                                            batched_us: m.batched_us,
-                                            ..StageMarks::default()
-                                        },
-                                    );
-                                }
-                                job.done.store(true, Ordering::Release);
-                                inner.batch_finished();
+                            for m in &job.members {
+                                inner.deliver(
+                                    &m.pending,
+                                    Outcome::Failed(ServiceError::Shutdown),
+                                    ReplyStats::default(),
+                                    StageMarks {
+                                        batched_us: m.batched_us,
+                                        ..StageMarks::default()
+                                    },
+                                );
                             }
+                            inner.batch_finished();
                         }
                     }
                 }
             }
             PopOutcome::TimedOut => {}
-            PopOutcome::Closed => {
-                inflight.retain(|(job, _)| !job.done.load(Ordering::Acquire));
-                if inflight.is_empty() {
-                    break;
-                }
-                // Closed pops return immediately; pace the wait for
-                // the in-flight batches.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        // Hedge stragglers and forget completed batches.
-        inflight.retain(|(job, _)| !job.done.load(Ordering::Acquire));
-        if let Some(hedge_after) = inner.config.hedge_after {
-            for (job, dispatched) in &inflight {
-                if dispatched.elapsed() >= hedge_after && !job.hedged.swap(true, Ordering::AcqRel) {
-                    inner.ledger.hedged.fetch_add(1, Ordering::SeqCst);
-                    metrics::counter_inc("svc.hedged");
-                    recorder::note(
-                        "svc.hedge",
-                        job.members.first().map_or(0, |m| m.pending.trace),
-                        format_args!("batch={} re-dispatched", job.id),
-                    );
-                    let _ = job_tx.send(Arc::clone(job));
-                }
-            }
+            PopOutcome::Closed => break,
         }
     }
 }
@@ -1089,106 +1025,30 @@ fn form_batch(inner: &Arc<ServiceInner>, group: Vec<Pending>) -> Option<BatchJob
         columns,
         members,
         m_max,
-        done: AtomicBool::new(false),
-        attempts: AtomicU32::new(0),
-        hedged: AtomicBool::new(false),
     })
 }
 
-/// A worker: solve batches, absorb chaos, retry transients with
-/// jittered backoff, deliver terminal replies exactly once.
-fn worker_loop(
-    inner: &Arc<ServiceInner>,
-    job_rx: &Arc<Mutex<mpsc::Receiver<Arc<BatchJob>>>>,
-    job_tx: &mpsc::Sender<Arc<BatchJob>>,
-) {
+/// A worker: solves the batches it receives, one at a time, and
+/// delivers their terminal replies. Exits once the batcher has gone
+/// and the channel is empty.
+fn worker_loop(inner: &ServiceInner, job_rx: &Mutex<mpsc::Receiver<BatchJob>>) {
     loop {
-        let msg = {
-            let rx = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(Duration::from_millis(1))
-        };
-        match msg {
-            Ok(job) => process_batch(inner, &job, job_tx),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if inner.stop_workers.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
+        // The guard drops at the end of this statement, so the next
+        // worker waits for a batch while this one solves.
+        let next = job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(job) = next else { break };
+        process_batch(inner, &job);
     }
 }
 
-fn process_batch(
-    inner: &Arc<ServiceInner>,
-    job: &Arc<BatchJob>,
-    job_tx: &mpsc::Sender<Arc<BatchJob>>,
-) {
-    if job.done.load(Ordering::Acquire) {
-        return; // stale hedged/retried duplicate
-    }
-    let attempt = job.attempts.load(Ordering::Relaxed);
-    let fate = inner
+fn process_batch(inner: &ServiceInner, job: &BatchJob) {
+    let trace0 = job.members.first().map_or(0, |m| m.pending.trace);
+    if let Some(delay) = inner
         .config
         .chaos
         .as_ref()
-        .map(|c| c.batch_fate(job.id, attempt))
-        .unwrap_or(crate::chaos::BatchFate {
-            crash: false,
-            slow: None,
-        });
-
-    let trace0 = job.members.first().map_or(0, |m| m.pending.trace);
-    if fate.crash {
-        // Simulated worker crash mid-batch: the attempt dies without a
-        // result and the batch re-enters the pool after a jittered
-        // backoff — or fails typed once the retry budget is gone.
-        let attempts_used = job.attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.ledger.retried.fetch_add(1, Ordering::SeqCst);
-        metrics::counter_inc("svc.retried");
-        recorder::note(
-            "chaos.crash",
-            trace0,
-            format_args!("batch={} attempt={attempt}", job.id),
-        );
-        recorder::trigger_dump("chaos_crash");
-        if attempts_used > inner.config.max_retries {
-            if !job.done.swap(true, Ordering::AcqRel) {
-                for m in &job.members {
-                    inner.deliver(
-                        &m.pending,
-                        Outcome::Failed(ServiceError::RetriesExhausted {
-                            attempts: attempts_used,
-                            last_error: KpmError::InjectedCrash.to_string(),
-                        }),
-                        member_stats(m, job, Duration::ZERO),
-                        member_marks(m, 0.0, 0.0),
-                    );
-                }
-                inner.batch_finished();
-            }
-            return;
-        }
-        std::thread::sleep(backoff_with_jitter(
-            inner.config.backoff_base,
-            inner.config.backoff_max,
-            attempts_used,
-            inner.config.seed ^ job.id.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ attempts_used as u64,
-        ));
-        if job_tx.send(Arc::clone(job)).is_err() && !job.done.swap(true, Ordering::AcqRel) {
-            for m in &job.members {
-                inner.deliver(
-                    &m.pending,
-                    Outcome::Failed(ServiceError::Shutdown),
-                    member_stats(m, job, Duration::ZERO),
-                    member_marks(m, 0.0, 0.0),
-                );
-            }
-            inner.batch_finished();
-        }
-        return;
-    }
-    if let Some(delay) = fate.slow {
+        .and_then(|c| c.batch_delay(job.id))
+    {
         recorder::note(
             "chaos.slow",
             trace0,
@@ -1223,10 +1083,6 @@ fn process_batch(
     let solve = t0.elapsed();
     let solve_end_us = stage_now();
     obs_hist::record("svc.solve_ns", solve.as_nanos() as u64);
-
-    if job.done.swap(true, Ordering::AcqRel) {
-        return; // a hedged twin answered first (bitwise the same answer)
-    }
 
     match result {
         Ok(col_sets) => {
@@ -1312,8 +1168,6 @@ fn member_stats(m: &BatchMember, job: &BatchJob, solve: Duration) -> ReplyStats 
     ReplyStats {
         queue_wait: m.queue_wait,
         solve,
-        retries: job.attempts.load(Ordering::Relaxed),
-        hedged: job.hedged.load(Ordering::Acquire),
         cache_hit: false,
         batch_width: job.columns.len(),
         ..ReplyStats::default()

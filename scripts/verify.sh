@@ -459,7 +459,7 @@ echo "$serve_out" | grep -q '"consistent": true'
 
 step "service: chaos ledger (500 randomized schedules), late-binding batches"
 # Exactly-once replies, bitwise batched moments, and a consistent
-# admitted==replied ledger under crashes, slow solves, lock poisoning,
+# admitted==replied ledger under slow solves, lock poisoning,
 # deadline storms, and both shutdown modes.
 cargo test -q --test service_chaos
 # Late binding, by name and out loud: sustained overload is shed at the

@@ -1034,14 +1034,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     println!(
         "{{\"ledger\": {{\"admitted\": {}, \"replied\": {}, \"rejected\": {}, \"degraded\": {}, \
-         \"retried\": {}, \"hedged\": {}, \"cache_hits\": {}, \"consistent\": {}, \
-         \"slo\": [{slo}]}}}}",
+         \"cache_hits\": {}, \"consistent\": {}, \"slo\": [{slo}]}}}}",
         ledger.admitted,
         ledger.replied,
         ledger.rejected,
         ledger.degraded,
-        ledger.retried,
-        ledger.hedged,
         ledger.cache_hits,
         ledger.consistent(),
     );

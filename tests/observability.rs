@@ -10,6 +10,7 @@
 //! mutex.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use kpm_repro::core::solver::{
     batch_lanes, kpm_batch_moments, kpm_moments, starting_vectors, KpmParams, KpmVariant,
@@ -573,13 +574,15 @@ fn service_replies_carry_complete_traces_and_stage_tilings() {
     obs::set_enabled(false);
 }
 
-/// A chaos-injected worker crash triggers an automatic flight-recorder
-/// dump: a `kpm-flight-v1` JSONL file whose every line parses and
-/// whose event stream contains the crash marker.
+/// A solve slowed past a tight deadline, with nothing cached to fall
+/// back on, triggers an automatic flight-recorder dump: a
+/// `kpm-flight-v1` JSONL file whose every line parses and whose event
+/// stream contains the deadline-miss marker.
 #[test]
-fn flight_recorder_dumps_on_chaos_crash() {
+fn flight_recorder_dumps_on_deadline_miss() {
     use kpm_repro::service::{
-        Admission, ChaosPlan, QueryKind, Request, Service, ServiceConfig, ShutdownMode,
+        Admission, ChaosPlan, Outcome, QueryKind, Request, Service, ServiceConfig, ServiceError,
+        ShutdownMode,
     };
 
     let _g = serial();
@@ -595,8 +598,7 @@ fn flight_recorder_dumps_on_chaos_crash() {
     let sf = ScaleFactors::from_gershgorin(&h, 0.01);
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        max_retries: 0,
-        chaos: Some(ChaosPlan::new(77).with_worker_crashes(1.0)),
+        chaos: Some(ChaosPlan::new(77).with_slow_solver(1.0, Duration::from_millis(40))),
         ..ServiceConfig::default()
     });
     let fp = svc.register_matrix(h, sf);
@@ -609,18 +611,25 @@ fn flight_recorder_dumps_on_chaos_crash() {
         num_moments: 16,
         kernel: kpm_repro::core::Kernel::Jackson,
         points: 16,
-        deadline: None,
+        deadline: Some(Duration::from_millis(10)),
     });
     let Admission::Admitted(ticket) = admission else {
         panic!("submit rejected");
     };
     let resp = ticket.wait().expect("terminal reply even under chaos");
+    assert!(
+        matches!(
+            resp.outcome,
+            Outcome::Failed(ServiceError::DeadlineExceeded { .. })
+        ),
+        "{resp:?}"
+    );
     assert_ne!(resp.stats.trace, 0, "failed replies are traced too");
     svc.shutdown(ShutdownMode::Drain);
 
     assert!(
         obs::recorder::dumps_triggered() > 0,
-        "chaos crash must trigger an automatic dump"
+        "a deadline miss must trigger an automatic dump"
     );
     let dumps: Vec<_> = std::fs::read_dir(&dir)
         .expect("dump dir")
@@ -629,7 +638,7 @@ fn flight_recorder_dumps_on_chaos_crash() {
         .collect();
     assert!(!dumps.is_empty(), "dump file written");
     let text = std::fs::read_to_string(dumps[0].path()).expect("read dump");
-    let mut crash_seen = false;
+    let mut miss_seen = false;
     for (i, line) in text.lines().enumerate() {
         let v = obs::json::parse(line).unwrap_or_else(|e| panic!("dump line {i}: {e}"));
         if i == 0 {
@@ -638,11 +647,11 @@ fn flight_recorder_dumps_on_chaos_crash() {
                 Some("kpm-flight-v1")
             );
         }
-        if v.get("kind").and_then(obs::json::Value::as_str) == Some("chaos.crash") {
-            crash_seen = true;
+        if v.get("kind").and_then(obs::json::Value::as_str) == Some("deadline.miss") {
+            miss_seen = true;
         }
     }
-    assert!(crash_seen, "dump records the chaos.crash event");
+    assert!(miss_seen, "dump records the deadline.miss event");
     let _ = std::fs::remove_dir_all(&dir);
     obs::set_enabled(false);
 }

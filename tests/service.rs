@@ -399,10 +399,10 @@ fn watchdog(test: impl FnOnce() + Send + 'static) {
 /// bound is: requests wait in the admission queue until the worker can
 /// start them, so the queue fills and rejects with a typed reason and a
 /// hint, at most `queue_capacity + workers` admitted requests are ever
-/// unanswered, nothing is hedged (no batch waits behind another) and no
-/// admitted request fails on its deadline. (With batches sealed on
-/// arrival and parked in an unbounded channel the same load admitted
-/// 200 of 200, hedged 195 batches that had not started and failed 92.)
+/// unanswered and no admitted request fails on its deadline. (With
+/// batches sealed on arrival and parked in an unbounded channel the
+/// same load admitted 200 of 200, hedged 195 batches that had not
+/// started and failed 92.)
 #[test]
 fn sustained_overload_is_shed_at_the_admission_queue() {
     watchdog(|| {
@@ -453,8 +453,45 @@ fn sustained_overload_is_shed_at_the_admission_queue() {
         let ledger = svc.shutdown(ShutdownMode::Drain);
         assert_eq!(ledger.admitted, tickets.len() as u64);
         assert_eq!(ledger.rejected, rejected);
-        assert_eq!(ledger.hedged, 0, "no batch waits where a hedge can see it");
         assert!(ledger.consistent());
+    });
+}
+
+/// A batch runs once, on one worker, however long its solve takes and
+/// however many workers sit idle: a request whose solve is slowed by
+/// 150 ms on a two-worker service records one `svc.solve` span under
+/// its one `svc.batch` span, and its answer is bitwise the serial one.
+#[test]
+fn a_batch_is_solved_once() {
+    watchdog(|| {
+        let (h, sf) = test_matrix();
+        let _obs = kpm_repro::obs::EnabledGuard::new();
+        let svc = Service::start(ServiceConfig {
+            workers: 2,
+            chaos: Some(ChaosPlan::new(8).with_slow_solver(1.0, Duration::from_millis(150))),
+            ..ServiceConfig::default()
+        });
+        let fp = svc.register_matrix(h.clone(), sf);
+        let resp = submit_ok(&svc, dos_request(fp, 3, 2, 32))
+            .wait()
+            .expect("terminal reply");
+        // Shutdown joins the workers, so every solve has closed its span.
+        assert!(svc.shutdown(ShutdownMode::Drain).consistent());
+        assert_eq!(
+            answer_of(&resp).moments.as_slice(),
+            serial_reference(&h, sf, 3, 2, 32).as_slice(),
+        );
+        let trace = resp.stats.trace;
+        assert_ne!(trace, 0, "the reply is traced");
+        let spans = kpm_repro::obs::span::snapshot();
+        let count = |name: &str| {
+            spans
+                .iter()
+                .filter(|s| s.trace == trace && s.name == name)
+                .count()
+        };
+        assert_eq!(count("svc.batch"), 1, "the request rides in one batch");
+        assert_eq!(count("svc.solve"), 1, "its batch is solved once");
     });
 }
 
@@ -656,7 +693,6 @@ fn solve_deadline_degrades_to_a_cached_shorter_answer() {
         workers: 1,
         // Every solve attempt is slowed past the tight deadline below.
         chaos: Some(ChaosPlan::new(2).with_slow_solver(1.0, Duration::from_millis(40))),
-        hedge_after: None,
         ..ServiceConfig::default()
     });
     let fp = svc.register_matrix(h.clone(), sf);
