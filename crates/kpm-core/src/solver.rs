@@ -10,6 +10,7 @@
 //! for the same seed — the paper's point is precisely that the
 //! *algorithm is untouched* and only the implementation changes.
 
+use kpm_num::aligned::populate_pages;
 use kpm_num::block::{lanes_of, set_entry_at, shift_scale_dots, shift_scale_dots_par};
 use kpm_num::vector::{
     axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, random_entry, random_nrm2, scal, scal_par,
@@ -315,7 +316,9 @@ const START_CHUNK_ROWS: usize = 4096;
 /// the entries are drawn (one task per column, nothing stored), then
 /// fixed row chunks of the block, each entry drawn again and written
 /// scaled — every block page is written once, by the worker that fills
-/// it. Drawing twice costs less than a second pass over the block.
+/// it, which has the chunk's pages populated in one batch first
+/// ([`populate_pages`]). Drawing twice costs less than a second pass
+/// over the block.
 pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
     let r = params.num_random;
     let stream_at = |row: usize, j: usize| {
@@ -334,6 +337,7 @@ pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
         (0..r).map(scale_of).collect()
     };
     let fill = |chunk: usize, rows: &mut [Complex64]| {
+        populate_pages(rows);
         for (j, scale) in scales.iter().enumerate() {
             let mut rng = stream_at(chunk * START_CHUNK_ROWS, j);
             let at = lanes_of(r, j);
@@ -446,7 +450,9 @@ struct BlockedState {
 /// shift, the scaling and both dot products. Returns the state before
 /// the first of `iters` sweeps, `(V, W, [µ₀ | µ₁])`; every column
 /// carries the bits of its own [`init_recurrence`] chain, serial or
-/// parallel.
+/// parallel. The fresh `W` has its pages populated first, chunk by
+/// chunk on the pool when `parallel` ([`populate_pages`]), so the
+/// `spmmv` that writes it first takes no page faults.
 fn init_block(
     h: &CrsMatrix,
     sf: ScaleFactors,
@@ -457,9 +463,12 @@ fn init_block(
     let _sp = span("solver.init", "solver").arg("width", v.width());
     let mut w = BlockVector::zeros(v.rows(), v.width());
     let (mu0, mu1) = if parallel {
+        let chunks = w.panel_slots_mut().chunks_mut(START_CHUNK_ROWS * v.width());
+        rayon::map_chunks(chunks, |_, slots| populate_pages(slots));
         h.spmmv_par(&v, &mut w);
         shift_scale_dots_par(sf.a, sf.b, &v, &mut w)
     } else {
+        populate_pages(w.panel_slots_mut());
         h.spmmv(&v, &mut w);
         shift_scale_dots(sf.a, sf.b, &v, &mut w)
     };

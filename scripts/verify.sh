@@ -300,7 +300,7 @@ for t in 1 2; do
 done
 echo "$(grep -o 'coded ([0-9]* distinct), walk = sites ([0-9]* codes)' target/dos-values-coded.err) and plain values print identical DOS output (3x6x16 dots at R = 1, 8, 17 and 33, 5x3x3 at R = 1, 1 and 2 threads), .mtx files and kpm info lines"
 
-step "set-up share: kpm dos --moments 2 vs the full dos_block_r8 and dos_stream_r1 commands"
+step "set-up share: kpm dos --moments 2 vs the full dos_block_r8, dos_stream_r1 and dos_incore_r32 commands"
 # The repo benchmark's setup_s is the wall time of the `--moments 2`
 # twin (zero sweeps) of the command. Three alternating runs of twin and
 # full command, medians of the raw wall times (not yardstick-normalised:
@@ -348,6 +348,7 @@ setup_share() {
 }
 setup_share dos_block_r8 96 "./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 8 --threads 2"
 setup_share dos_stream_r1 512 "./target/release/kpm dos --nx 48 --ny 48 --nz 24 --random 1 --threads 1"
+setup_share dos_incore_r32 256 "./target/release/kpm dos --nx 20 --ny 20 --nz 10 --random 32 --threads 1"
 
 step "smoke: kpm report (achieved vs predicted roofline)"
 # The banner names the copy that ran: the one the step above detected,
@@ -368,7 +369,7 @@ echo "$toggle_report" | grep -q 'lanes = 1'
 echo "$toggle_report" | grep -q 'sweep body = baseline'
 echo "the --no-simd report ran the baseline sweep body (lanes = 1)"
 
-step "hostile flags, environment values, .mtx size lines and values: one 'kpm:' line, exit status 1, no panic, no matrix; hostile serve lines: typed replies, exit 0"
+step "hostile flags, environment values, .mtx size lines, values and bodies: one 'kpm:' line, exit status 1, no panic, no matrix; hostile serve lines: typed replies, exit 0"
 # Each of these used to panic, abort the process, be refused only after
 # the matrix had been assembled and the banner printed, or (KPM_THREADS)
 # quietly run on another thread count. Now stderr is a single line — so
@@ -423,7 +424,13 @@ fi
 # `inf` ran a sweep before the solver's non-finite guard stopped it.
 printf '%s\n1 1 1\n1 1 nan\n' "%%MatrixMarket matrix coordinate real symmetric" > target/hostile-nan.mtx
 printf '%s\n1 1 1\n1 1 inf\n' "%%MatrixMarket matrix coordinate real symmetric" > target/hostile-inf.mtx
-mtx_cases+=" nan inf"
+# A body is checked too: an index past the size line is refused by the
+# reader, and an off-diagonal entry whose conjugate is missing by the
+# Hermiticity check, naming the entry (tests/io_roundtrip.rs mutates
+# bodies more ways).
+printf '%s\n2 2 2\n1 1 1\n3 1 0.5\n' "%%MatrixMarket matrix coordinate real symmetric" > target/hostile-range.mtx
+printf '%s\n2 2 3\n1 1 1 0\n2 1 0.5 0.5\n2 2 1 0\n' "%%MatrixMarket matrix coordinate complex general" > target/hostile-unpaired.mtx
+mtx_cases+=" nan inf range unpaired"
 for f in $mtx_cases; do
     hostile dos "target/hostile-$f.mtx"
     hostile serve "target/hostile-$f.mtx"
