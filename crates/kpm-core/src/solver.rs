@@ -452,7 +452,8 @@ struct BlockedState {
 /// carries the bits of its own [`init_recurrence`] chain, serial or
 /// parallel. The fresh `W` has its pages populated first, chunk by
 /// chunk on the pool when `parallel` ([`populate_pages`]), so the
-/// `spmmv` that writes it first takes no page faults.
+/// `spmmv` that writes it first takes no page faults; one call on the
+/// calling thread instead measured slower at two threads.
 fn init_block(
     h: &CrsMatrix,
     sf: ScaleFactors,

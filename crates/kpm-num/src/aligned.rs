@@ -64,7 +64,8 @@ pub fn zeroed_vec<T: ZeroInit>(len: usize) -> Vec<T> {
     unsafe { Vec::from_raw_parts(ptr.cast::<T>(), len, len) }
 }
 
-/// Base page size the batch request of [`populate_pages`] is cut to.
+/// Page size the batch request of [`populate_pages`] is cut to: the
+/// only base page size x86-64 Linux has.
 const PAGE_BYTES: usize = 4096;
 
 /// Asks the kernel to back every whole page inside `data` in one call
@@ -73,8 +74,9 @@ const PAGE_BYTES: usize = 4096;
 /// `data` are not changed: a page already backed stays as it is, and a
 /// fresh one is backed with the zeros it read as. Errors are ignored —
 /// an older kernel answers `EINVAL`, and the first write then faults
-/// each page as it would have without the call. A no-op off Linux and
-/// on slices that hold no whole page.
+/// each page as it would have without the call. A no-op on slices that
+/// hold no whole page and off x86-64 Linux (other Linux targets may run
+/// 16 or 64 KiB pages, which a 4 KiB cut would not fit).
 pub fn populate_pages<T>(data: &mut [T]) {
     let start = data.as_mut_ptr().cast::<u8>();
     let first = start.addr().next_multiple_of(PAGE_BYTES);
@@ -82,17 +84,18 @@ pub fn populate_pages<T>(data: &mut [T]) {
     if first >= end {
         return;
     }
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
         extern "C" {
             fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
         }
         const MADV_POPULATE_WRITE: i32 = 23;
         // SAFETY: `madvise` is the libc madvise(2) binding (std links
-        // libc on Linux). `[first, end)` is a page-aligned range of whole
-        // pages inside `data`, which the unique borrow keeps mapped and
-        // unread by anyone else for the call, and MADV_POPULATE_WRITE
-        // only backs pages: it reads and writes no byte of them.
+        // libc on Linux). Pages are 4 KiB on x86-64 Linux, so
+        // `[first, end)` is a page-aligned range of whole pages inside
+        // `data`, which the unique borrow keeps mapped and unread by
+        // anyone else for the call, and MADV_POPULATE_WRITE only backs
+        // pages: it reads and writes no byte of them.
         unsafe {
             madvise(
                 start.wrapping_add(first - start.addr()),

@@ -1118,47 +1118,4 @@ mod tests {
     fn column_out_of_range_rejected() {
         CrsMatrix::from_raw(1, 2, vec![0, 1], vec![5], vec![Complex64::real(1.0)]);
     }
-
-    #[test]
-    fn table_slots_no_code_names_are_the_empty_block_bit_for_bit() {
-        let bits = |b: &SiteBlock| {
-            let slots = b
-                .slots
-                .iter()
-                .flat_map(|s| s.lane.into_iter().chain(s.coef.map(f64::to_bits)));
-            slots
-                .chain([b.len as u64, b.neighbour as u64])
-                .collect::<Vec<u64>>()
-        };
-        let empty = bits(&SiteBlock::EMPTY);
-        assert!(empty.iter().all(|&w| w == 0), "EMPTY is all-zero bytes");
-        // Three on-site diagonals and real / imaginary hopping blocks:
-        // a coded lattice with a handful of distinct blocks.
-        let mut hop = [[[Complex64::default(); 4]; 4]; 6];
-        for (b, block) in hop.iter_mut().enumerate() {
-            for (o, row) in block.iter_mut().enumerate() {
-                row[o] = Complex64::real(-0.5 - 0.125 * b as f64);
-                row[3 - o] = Complex64::new(0.0, 0.25);
-            }
-        }
-        let onsite = [0.5, -1.0, 2.0].map(|v| [v, v, -v, -v].map(Complex64::real));
-        let site_diag = (0..4 * 4 * 3).map(|s| s % 3).collect();
-        let st = crate::StencilMatrix::new(
-            4,
-            4,
-            3,
-            [true, true, false],
-            onsite.to_vec(),
-            site_diag,
-            &hop,
-        );
-        let Values::Lattice(_, view) = st.to_crs().vals else {
-            panic!("the lattice has a coded form");
-        };
-        assert!((1..TABLE_SLOTS).contains(&view.distinct()));
-        assert!(view.codes.iter().all(|&c| (c as usize) < view.distinct()));
-        for (code, block) in view.blocks.iter().enumerate().skip(view.distinct()) {
-            assert_eq!(bits(block), empty, "table slot {code}");
-        }
-    }
 }

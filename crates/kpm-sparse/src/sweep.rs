@@ -1818,19 +1818,25 @@ mod tests {
 
     #[test]
     fn a_full_block_table_sweeps_like_its_entries() {
+        use crate::crs::SiteBlock;
         use crate::simd::{self, Body};
         let view = |m: &CrsMatrix| match m.values() {
             Values::Lattice(_, view) => Some(view.clone()),
             Values::Plain { .. } => None,
         };
-        // The table past a view's distinct blocks holds the empty block.
+        // The table past a view's distinct blocks holds the empty block,
+        // bit for bit: lanes, factors, slot count and neighbour.
+        let block_bits = |b: &SiteBlock| -> Vec<u64> {
+            let slots = b.slots.iter();
+            let slots = slots.flat_map(|s| s.lane.into_iter().chain(s.coef.map(f64::to_bits)));
+            slots.chain([b.len as u64, b.neighbour as u64]).collect()
+        };
+        let empty = block_bits(&SiteBlock::EMPTY);
         let some = lattice_of_blocks(3);
         let small = view(&some).expect("a coded lattice");
         assert_eq!(small.distinct(), 10);
-        for block in &small.blocks[small.distinct()..] {
-            assert_eq!(block.len, 0);
-            let factors = block.slots.iter().flat_map(|slot| slot.coef);
-            assert!(factors.into_iter().all(|c| c.to_bits() == 0));
+        for (code, block) in small.blocks.iter().enumerate().skip(small.distinct()) {
+            assert!(block_bits(block) == empty, "table slot {code}");
         }
         // 249 diagonals fill the table, so code 255 is in use; a 257th
         // distinct block leaves the lattice plain.
