@@ -25,13 +25,15 @@ pub fn site_moments(
     site: usize,
     num_moments: usize,
 ) -> Result<MomentSet, KpmError> {
-    if 4 * site + 3 >= h.nrows() {
+    // Checked: a site past `usize::MAX / 4` must not wrap onto a row.
+    let last_row = site.checked_mul(4).and_then(|r| r.checked_add(3));
+    if last_row.is_none_or(|last| last >= h.nrows()) {
         return Err(KpmError::InvalidParams {
             what: "site",
             details: format!(
                 "site index out of range (site {site} needs rows {}..{}, matrix has {})",
-                4 * site,
-                4 * site + 4,
+                site.saturating_mul(4),
+                site.saturating_mul(4).saturating_add(4),
                 h.nrows()
             ),
         });
@@ -224,5 +226,10 @@ mod tests {
         // Site 4 needs rows 16..19, which the 16-row matrix lacks.
         let err = site_moments(&h, sf, 4, 8).expect_err("out-of-range site");
         assert!(err.to_string().contains("site index out of range"), "{err}");
+        // 4·2^62 wraps to row 0 in unchecked arithmetic.
+        for site in [1 << 62, usize::MAX] {
+            let err = site_moments(&h, sf, site, 8).expect_err("wrapping site");
+            assert!(err.to_string().contains("site index out of range"), "{err}");
+        }
     }
 }

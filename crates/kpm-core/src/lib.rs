@@ -27,6 +27,7 @@
 pub mod chebyshev;
 pub mod checkpoint;
 pub mod dos;
+mod draw;
 pub mod eigencount;
 pub mod green;
 pub mod kernels;

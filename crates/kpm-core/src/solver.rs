@@ -11,18 +11,16 @@
 //! *algorithm is untouched* and only the implementation changes.
 
 use kpm_num::aligned::populate_pages;
-use kpm_num::block::{lanes_of, set_entry_at, shift_scale_dots, shift_scale_dots_par};
-use kpm_num::vector::{
-    axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, random_entry, random_nrm2, scal, scal_par,
-};
+use kpm_num::block::{shift_scale_dots, shift_scale_dots_par};
+use kpm_num::for_panels;
+use kpm_num::vector::{axpy, axpy_par, dot, dot_par, nrm2, nrm2_par, scal, scal_par};
 use kpm_num::{BlockVector, Complex64, KpmError, Vector};
 use kpm_obs::{hist, metrics, span::span};
-use kpm_sparse::CrsMatrix;
+use kpm_sparse::{simd, CrsMatrix};
 use kpm_topo::ScaleFactors;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::draw::{Draws, Job};
 use crate::moments::MomentSet;
 
 /// Divergence guardrail: a partial `η_even = ‖ν_m‖²` may never exceed
@@ -290,16 +288,20 @@ pub fn kpm_moments(
 }
 
 /// The normalized random starting vectors — a pure function of the
-/// seed, column for column the starting block of the blocked variants.
+/// seed, column for column the starting block of the blocked variants
+/// and bit for bit `Vector::random` + `normalize` on one seeded stream.
+/// Drawn serially by the lane kernels of `draw.rs`: the norms, then
+/// each column as one run of draws.
 pub fn starting_vectors(n: usize, params: &KpmParams) -> Vec<Vector> {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    (0..params.num_random)
-        .map(|_| {
-            let mut v = Vector::random(n, &mut rng);
-            v.normalize();
-            v
-        })
-        .collect()
+    let (wide, draws) = (simd::wide(), Draws::new(params.seed, n));
+    let scales = draws.column_scales(params.num_random, wide, false);
+    let column = |(j, &scale): (usize, &f64)| {
+        let mut v = Vector::zeros(n);
+        let (first, out) = (2 * (j * n) as u64, v.as_mut_slice());
+        draws.run(wide, Job::Run { first, scale, out });
+        v
+    };
+    scales.iter().enumerate().map(column).collect()
 }
 
 /// Rows per parallel fill chunk of [`starting_block`].
@@ -309,43 +311,38 @@ const START_CHUNK_ROWS: usize = 4096;
 /// `starting_block(n, p).column(j) == starting_vectors(n, p)[j]` bit for
 /// bit, without the `R` column vectors in between.
 ///
-/// All columns share one seeded stream and column `j` starts `2·n·j`
-/// draws into it, so every `(row, column)` is a random-access position
-/// ([`StdRng::advance`]). Two passes on the ambient pool when
-/// `params.parallel`: the columns' norms, reduced on `nrm2`'s tree as
-/// the entries are drawn (one task per column, nothing stored), then
-/// fixed row chunks of the block, each entry drawn again and written
-/// scaled — every block page is written once, by the worker that fills
-/// it, which has the chunk's pages populated in one batch first
-/// ([`populate_pages`]). Drawing twice costs less than a second pass
-/// over the block.
+/// Two passes of `draw.rs`'s lane kernels, on the ambient pool
+/// when `params.parallel`: the columns' norms, every entry drawn and
+/// reduced on `nrm2`'s tree without being stored (one lane per column,
+/// or per leaf below a register of columns; jobs of leaves on the
+/// pool), then fixed row chunks of the block, each entry drawn again
+/// and written scaled, a layout panel a register at a time — every
+/// block page is written once, by the worker that fills it, which has
+/// the chunk's pages populated in one batch first ([`populate_pages`]).
+/// Drawing twice costs about what a second pass over the block would:
+/// on one core of the AVX-512 host the norm pass took 0.59 ms at R = 32
+/// on 16,000 rows, where a rescaling pass over the cache-resident 8 MB
+/// block took 0.47 ms, and 2.0 ms at R = 8 on 221,184 rows, where the
+/// pass over 28 MB took 3.4 ms; the baseline copy's norm pass took 1.4
+/// and 5.0 ms (EXPERIMENTS.md, "Starting vectors, eight columns a
+/// register").
 pub fn starting_block(n: usize, params: &KpmParams) -> BlockVector {
-    let r = params.num_random;
-    let stream_at = |row: usize, j: usize| {
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        rng.advance(2 * (j * n + row) as u64);
-        rng
-    };
-    // `Vector::normalize`: scale by `1/‖v‖` unless the norm is zero.
-    let scale_of = |j: usize| {
-        let norm = random_nrm2(n, &mut stream_at(0, j)).sqrt();
-        (norm > 0.0).then(|| Complex64::real(1.0 / norm))
-    };
-    let scales: Vec<Option<Complex64>> = if params.parallel {
-        rayon::map_chunks(0..r, |_, j| scale_of(j))
-    } else {
-        (0..r).map(scale_of).collect()
-    };
+    let (r, wide) = (params.num_random, simd::wide());
+    let draws = Draws::new(params.seed, n);
+    let scales = draws.column_scales(r, wide, params.parallel);
     let fill = |chunk: usize, rows: &mut [Complex64]| {
         populate_pages(rows);
-        for (j, scale) in scales.iter().enumerate() {
-            let mut rng = stream_at(chunk * START_CHUNK_ROWS, j);
-            let at = lanes_of(r, j);
-            for row in rows.chunks_exact_mut(r) {
-                let z = random_entry(&mut rng);
-                set_entry_at(row, at, scale.map_or(z, |s| s * z));
-            }
+        let row0 = chunk * START_CHUNK_ROWS;
+        if r == 1 {
+            let (first, scale, out) = (2 * row0 as u64, scales[0], rows);
+            return draws.run(wide, Job::Run { first, scale, out });
         }
+        let mut j0 = 0;
+        for_panels!(r, j0, W => {
+            let scales = &scales[j0..j0 + W];
+            let rows = &mut *rows;
+            draws.run(wide, Job::Panel { row0, r, j0, w: W, scales, rows });
+        });
     };
     let mut v = BlockVector::zeros(n, r);
     if params.parallel {
@@ -951,32 +948,60 @@ mod tests {
         }
     }
 
+    /// `Vector::random` + `normalize` on one seeded stream: the scalar
+    /// chain the lane kernels replaced, as `(re, im)` bit patterns.
+    fn sequential_starts(n: usize, p: &KpmParams) -> Vec<Vec<(u64, u64)>> {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(p.seed);
+        let mut column = || {
+            let mut v = Vector::random(n, &mut rng);
+            v.normalize();
+            bits(&v)
+        };
+        (0..p.num_random).map(|_| column()).collect()
+    }
+
+    fn bits(v: &Vector) -> Vec<(u64, u64)> {
+        v.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn starting_block_is_the_starting_vectors_bitwise() {
-        // Every 8/4/2/1 cut of a row at a chunk-sized block; a few at
-        // one row and at two ragged fill chunks.
-        let all_cuts: Vec<usize> = (1..=40).collect();
-        for (n, widths) in [
-            (1, &[1, 2, 7, 33][..]),
-            (255, &all_cuts),
-            (4097, &[1, 2, 7, 33]),
-        ] {
-            for &r in widths {
+        use kpm_sparse::simd::Body;
+        // Rows: one; a short leaf; one, a whole and a ragged 256-row
+        // leaf; either side of a 4,096-row fill chunk; the R = 32
+        // benchmark line's 16,000. Widths: every 8/4/2/1 cut to 9, 8 + 8,
+        // 16 + 1 and 32. The only cap setter in this test binary, so
+        // it takes no lock: a test running meanwhile on the other copy
+        // gets the same bits anyway.
+        for n in [1, 7, 255, 256, 257, 4095, 4097, 16_000] {
+            for r in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32] {
                 let mut p = params(4, r);
-                let want = starting_vectors(n, &p);
-                let check = |p: &KpmParams| {
-                    let block = starting_block(n, p);
-                    for (j, v) in want.iter().enumerate() {
-                        assert!(block.column(j) == *v, "n={n} R={r} column {j}");
+                let want = sequential_starts(n, &p);
+                for body in Body::ALL.into_iter().filter(|b| b.supported()) {
+                    simd::set_cap(body);
+                    let got: Vec<_> = starting_vectors(n, &p).iter().map(bits).collect();
+                    assert!(got == want, "vectors n={n} R={r} {body:?}");
+                    let check = |p: &KpmParams| {
+                        let block = starting_block(n, p);
+                        for (j, v) in want.iter().enumerate() {
+                            let at = format!("block n={n} R={r} {body:?} column {j}");
+                            assert!(bits(&block.column(j)) == *v, "{at}");
+                        }
+                    };
+                    p.parallel = false;
+                    check(&p);
+                    p.parallel = true;
+                    for threads in [1, 2] {
+                        on_pool(threads, || check(&p));
                     }
-                };
-                check(&p);
-                p.parallel = true;
-                for threads in [1, 2, 4, 8] {
-                    on_pool(threads, || check(&p));
                 }
             }
         }
+        simd::set_cap(Body::Avx512);
     }
 
     #[test]

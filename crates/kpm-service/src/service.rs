@@ -711,13 +711,17 @@ impl Service {
                 }
             }
             QueryKind::Ldos { site } => {
-                if LDOS_ORBITALS * site + LDOS_ORBITALS > n {
+                // Checked: a site past `usize::MAX / 4` must not wrap
+                // onto a row of the matrix.
+                let rows_end = site
+                    .checked_add(1)
+                    .and_then(|s| s.checked_mul(LDOS_ORBITALS));
+                if rows_end.is_none_or(|end| end > n) {
                     return Err(ServiceError::Solver(KpmError::InvalidParams {
                         what: "site",
                         details: format!(
-                            "site {site} needs rows {}..{}, matrix has {n}",
-                            LDOS_ORBITALS * site,
-                            LDOS_ORBITALS * (site + 1),
+                            "site {site} is past the matrix's {} sites ({n} rows)",
+                            n / LDOS_ORBITALS
                         ),
                     }));
                 }

@@ -5,7 +5,9 @@
 //! "avx2")]` and under `#[target_feature(enable = "avx512f")]` — and
 //! [`wide`] picks the widest copy ([`Body`]) the CPU executes that the
 //! cap ([`set_cap`]) allows. No cargo feature, build flag or nightly
-//! toolchain is involved.
+//! toolchain is involved. The starting vectors' draw kernel (kpm-core)
+//! reads the same token for its own two copies, so the cap bounds it
+//! too.
 //!
 //! All copies replay the exact scalar operation order per lane (no
 //! fused multiply-add anywhere), so the choice is purely a performance
@@ -45,14 +47,20 @@ impl Body {
         [1, 4, 8][self as usize]
     }
 
-    /// Whether the running CPU executes this copy.
+    /// Whether the running CPU executes this copy. The AVX-512 one
+    /// needs `avx512dq` besides `avx512f`: the starting vectors' draw
+    /// kernel, which reads the same token, multiplies and converts
+    /// 64-bit lanes (`vpmullq`, `vcvtqq2pd`).
     pub fn supported(self) -> bool {
         match self {
             Body::Baseline => true,
             #[cfg(target_arch = "x86_64")]
             Body::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            Body::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Body::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }

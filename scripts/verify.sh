@@ -104,9 +104,10 @@ step "AddressSanitizer: the kernels' reads under ASan (nightly)"
 # pointers of `Units`, and the AVX2 and AVX-512 unit steps load them
 # with intrinsics; a read past `x` would go unnoticed in the padding
 # behind a block vector's rows. The pool hands its workers a job on
-# the caller's stack through a lifetime-erased reference. Here
-# kpm-sparse's, kpm-num's and the pool's tests and the determinism grid
-# run instrumented. Without a nightly cargo or its ASan runtime the
+# the caller's stack through a lifetime-erased reference. The starting
+# vectors' draw kernel writes a block's rows through a doubles view of
+# its slots. Here kpm-sparse's, kpm-num's, kpm-core's and the pool's
+# tests and the determinism grid run instrumented. Without a nightly cargo or its ASan runtime the
 # step prints SKIPPED and the gate goes on.
 asan_rt="$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc-nightly_rt.asan.a"
 if cargo +nightly --version >/dev/null 2>&1 && [[ -f "$asan_rt" ]]; then
@@ -115,7 +116,7 @@ if cargo +nightly --version >/dev/null 2>&1 && [[ -f "$asan_rt" ]]; then
             cargo +nightly test -q --release --offline \
             --target x86_64-unknown-linux-gnu --target-dir target/asan "$@"
     }
-    asan_test -p kpm-sparse -p kpm-num -p rayon
+    asan_test -p kpm-sparse -p kpm-num -p kpm-core -p rayon
     asan_test --test determinism
 else
     echo "##### SKIPPED: AddressSanitizer step (no cargo +nightly or no $asan_rt) #####"
@@ -242,7 +243,9 @@ step "narrow-width bytes: the lane walk's 2- and 4-lane steps print their record
 # None of the four lines above runs a 2- or 4-column panel. These run the
 # svc_mixed lattice at 2, 3, 4 and 6 columns (2 and 4 whole, 3 as 2 + 1,
 # 6 as 4 + 2) under both formats; their sha256s were taken from the
-# commit before the AVX-512 copy's narrow steps read decoded slots.
+# commit before the AVX-512 copy's narrow steps read decoded slots. The
+# last two draw their starting blocks as 8 + 1 and 8 + 8 panels; their
+# sha256s were taken from the commit before the lane-wise draw kernel.
 while read -r name want args; do
     got=$(./target/release/kpm $args --seed 2015 2>/dev/null | sha256sum | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then
@@ -256,6 +259,8 @@ r3 bf79f51b7ec917a041fccff5bdb9081c5fdf3d397a213bddf247c52a8125f3b8 dos --nx 12 
 r4 3a793cfa3e66e8d25d2329e4afecbba86dda62e4de19f4264234bee3533e6c58 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 4
 r6 610329e9a9058b009ffd8d61a183225d3a24c610c9a7e8118997596f73c77e5a dos --nx 12 --ny 12 --nz 6 --moments 128 --random 6
 r2_stencil d9b504502fef6b018c9d5e20d12a8cefcd6b86e8a09baa495defa14c7e12e6e2 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 2 --format stencil
+r9 04cb3a0b6df54c289b8b12a2729d8761282bfddc323bdd25a990d5790a7f2afe dos --nx 12 --ny 12 --nz 6 --moments 128 --random 9
+r16_t1 96a73c757bcfa0021081b09e87ec5b969681d27595a21b45d682affe3b6a59d3 dos --nx 12 --ny 12 --nz 6 --moments 128 --random 16 --threads 1
 EOF
 
 step "value storage: a coded lattice CRS is byte-identical to the same matrix read back plain"
@@ -451,14 +456,19 @@ if must_fail 160000000000; then hostile dos $lattice --points 10000000000; fi
 # parse (which used to end the process with no reply to anyone) and a
 # request too large to allocate get typed error replies, the good lines
 # around them are served, and the process exits 0 with a balanced ledger.
+# So do a token past the deadline (once ignored: the request was served
+# without it) and a site whose rows wrap past 2^64 (once served as site 0).
 ./target/release/kpm generate --nx 4 --ny 4 --nz 2 --out target/hostile-serve.mtx
-serve_lines='dos 1 2 64\nbogus line\nldos 3 64\ndos 1 99999999999 64\n'
+serve_lines='dos 1 2 64\nbogus line\nldos 3 64\ndos 1 99999999999 64\ndos 1 2 64 50 junk\n'
+serve_lines+='ldos 4611686018427387904 64\n'
 if must_fail 32000000000; then serve_lines+='dos 1 2 1000000000\n'; fi
 serve_out=$(printf "$serve_lines" | ./target/release/kpm serve target/hostile-serve.mtx)
 echo "$serve_out"
 [[ $(echo "$serve_out" | grep -c '"status": "ok"') -eq 2 ]]
 echo "$serve_out" | grep -q '"request": 1, "status": "error", "error": "cannot parse request'
 echo "$serve_out" | grep -q '"status": "error", "error": "solver error: invalid parameter `num_random`'
+echo "$serve_out" | grep -q '"request": 4, "status": "error", "error": "unexpected token'
+echo "$serve_out" | grep -q '"request": 5, "status": "error", "error": "solver error: invalid parameter `site`'
 if must_fail 32000000000; then
     echo "$serve_out" | grep -q '"status": "error", "error": "solver error: invalid parameter `num_moments`'
 fi

@@ -12,6 +12,8 @@
 
 use std::ops::{Range, RangeInclusive};
 
+use rand::rngs::{splitmix64_mix, GAMMA};
+
 /// Runner configuration. Only `cases` is honoured.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -54,16 +56,13 @@ impl TestRng {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         TestRng {
-            state: h ^ ((case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            state: h ^ ((case as u64).wrapping_mul(GAMMA)),
         }
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        splitmix64_mix(self.state)
     }
 
     fn unit_f64(&mut self) -> f64 {

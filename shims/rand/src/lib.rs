@@ -74,10 +74,20 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> f64 {
         let (lo, hi) = self.into_inner();
         assert!(lo <= hi, "empty f64 sample range");
-        // Inclusive upper end: scale by 2^53 buckets including the top.
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
-        lo + u * (hi - lo)
+        f64_in_inclusive(rng.next_u64(), lo, hi)
     }
+}
+
+/// The map `gen_range(lo..=hi)` applies to one raw word: its top 53
+/// bits as `2^53` buckets over `[lo, hi]`, both ends included. Not part
+/// of the upstream `rand` API; callers that draw many words at once
+/// apply it lane by lane and get the bits `gen_range` would.
+#[inline(always)]
+pub fn f64_in_inclusive(word: u64, lo: f64, hi: f64) -> f64 {
+    // Below 2^53, so the signed conversion (one instruction on every
+    // x86-64 copy) is exact.
+    let u = ((word >> 11) as i64) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
+    lo + u * (hi - lo)
 }
 
 macro_rules! int_sample_range {
@@ -108,7 +118,28 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// The SplitMix64 state increment per draw.
-    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The state draw `k` of `seed`'s stream is mixed from: `seed + (k +
+    /// 1)·γ`, wrapping. SplitMix64 is counter-based, so any position of
+    /// the stream is one multiply away, and `splitmix64_mix` of this is
+    /// the word [`StdRng`]'s `(k + 1)`-th `next_u64` returns. Not part of
+    /// the upstream `rand` API.
+    #[inline(always)]
+    pub fn splitmix64_state(seed: u64, k: u64) -> u64 {
+        seed.wrapping_add(GAMMA.wrapping_mul(k.wrapping_add(1)))
+    }
+
+    /// SplitMix64's output function of one state: the one definition
+    /// [`StdRng`] and the lane-wise drawers share. Not part of the
+    /// upstream `rand` API.
+    #[inline(always)]
+    pub fn splitmix64_mix(state: u64) -> u64 {
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     /// SplitMix64 generator standing in for the upstream `StdRng`.
     #[derive(Debug, Clone)]
@@ -119,25 +150,13 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(GAMMA);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            splitmix64_mix(self.state)
         }
     }
 
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
             StdRng { state: seed }
-        }
-    }
-
-    impl StdRng {
-        /// Skips `draws` outputs in O(1): SplitMix64's state after `k`
-        /// draws is `seed + k·γ` (wrapping), so the stream position is
-        /// random-access. Not part of the upstream `rand` API.
-        pub fn advance(&mut self, draws: u64) {
-            self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
         }
     }
 
@@ -209,26 +228,31 @@ mod tests {
     }
 
     #[test]
-    fn advance_equals_that_many_draws() {
-        use super::RngCore;
-        // Seeds near the top of the range wrap the state within a few
-        // draws; 2^63 + 5 draws wrap the multiplication.
-        for seed in [0, 7, 2015, u64::MAX, u64::MAX - 0x9E37_79B9_7F4A_7C15] {
-            for k in [0u64, 1, 2, 255, 4097, 442_368] {
-                let mut stepped = StdRng::seed_from_u64(seed);
-                for _ in 0..k {
-                    stepped.next_u64();
-                }
-                let mut jumped = StdRng::seed_from_u64(seed);
-                jumped.advance(k);
-                assert_eq!(jumped.next_u64(), stepped.next_u64(), "seed {seed} k {k}");
+    fn the_counter_form_is_the_stream() {
+        use super::rngs::{splitmix64_mix, splitmix64_state, GAMMA};
+        use super::{f64_in_inclusive, RngCore};
+        // u64::MAX wraps the state on its first draw.
+        for seed in [0, 2015, u64::MAX] {
+            let mut stepped = StdRng::seed_from_u64(seed);
+            let mut same = StdRng::seed_from_u64(seed);
+            for k in 0..5000u64 {
+                let word = stepped.next_u64();
+                assert_eq!(
+                    splitmix64_mix(splitmix64_state(seed, k)),
+                    word,
+                    "seed {seed} k {k}"
+                );
+                let x = f64_in_inclusive(word, -1.0, 1.0);
+                assert_eq!(x.to_bits(), same.gen_range(-1.0..=1.0).to_bits());
             }
-            // Two jumps compose, also across the 2^64 wrap-around.
-            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            a.advance((1 << 63) + 5);
-            a.advance((1 << 63) + 6);
-            b.advance(11);
-            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+            // Far positions wrap the multiplication: draw k is draw 0 of
+            // the stream seeded k·γ further on (mod 2^64, taken in u128).
+            for k in [1u64 << 40, (1 << 63) + 5, u64::MAX - 1] {
+                let skip = (u128::from(GAMMA) * u128::from(k)) as u64;
+                let mut there = StdRng::seed_from_u64(seed.wrapping_add(skip));
+                let word = splitmix64_mix(splitmix64_state(seed, k));
+                assert_eq!(word, there.next_u64(), "seed {seed} k {k}");
+            }
         }
     }
 

@@ -756,6 +756,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// ldos SITE M [DEADLINE_MS]
 /// green SEED R M [DEADLINE_MS]
 /// ```
+///
+/// Any other line, a token past `DEADLINE_MS` included, is an `Err`
+/// naming what it could not read.
 fn parse_request_line(
     line: &str,
     matrix: u64,
@@ -767,9 +770,13 @@ fn parse_request_line(
         s.parse()
             .map_err(|_| format!("bad number '{s}' in '{line}'"))
     };
-    let deadline = |t: Option<&&str>| -> Result<Option<std::time::Duration>, String> {
-        t.map(|s| int(s).map(std::time::Duration::from_millis))
-            .transpose()
+    // At most one token after the sizes: the deadline.
+    let deadline = |rest: &[&str]| -> Result<Option<std::time::Duration>, String> {
+        match rest {
+            [] => Ok(None),
+            [ms] => int(ms).map(|ms| Some(std::time::Duration::from_millis(ms))),
+            [_, extra, ..] => Err(format!("unexpected token '{extra}' in '{line}'")),
+        }
     };
     let (kind, num_moments, deadline) = match tokens.as_slice() {
         [] => return Ok(None),
@@ -780,14 +787,14 @@ fn parse_request_line(
                 num_random: int(r)? as usize,
             },
             int(m)? as usize,
-            deadline(rest.first())?,
+            deadline(rest)?,
         ),
         ["ldos", site, m, rest @ ..] => (
             QueryKind::Ldos {
                 site: int(site)? as usize,
             },
             int(m)? as usize,
-            deadline(rest.first())?,
+            deadline(rest)?,
         ),
         ["green", seed, r, m, rest @ ..] => (
             QueryKind::Green {
@@ -795,7 +802,7 @@ fn parse_request_line(
                 num_random: int(r)? as usize,
             },
             int(m)? as usize,
-            deadline(rest.first())?,
+            deadline(rest)?,
         ),
         _ => {
             return Err(format!(
@@ -1880,6 +1887,121 @@ mod tests {
         for unusable in ["", "0", "lots", "-2", "1025", "100000"] {
             let err = check_env_threads(Some(OsStr::new(unusable))).unwrap_err();
             assert!(err.contains(&format!("KPM_THREADS: {unusable} (")), "{err}");
+        }
+    }
+
+    /// The tokens a mangled request line is made of: sizes that fit,
+    /// `u64::MAX` and past it, sizes no host allocates, signs, floats,
+    /// non-ASCII digits and words.
+    const HOSTILE_TOKENS: [&str; 20] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "16",
+        "64",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4611686018427387904",
+        "1099511627776",
+        "99999999999",
+        "-1",
+        "+5",
+        "1.5",
+        "1e3",
+        "nan",
+        "\u{663}",
+        "\u{ff11}\u{ff16}",
+        "straße",
+        "dos",
+    ];
+
+    /// Serves `line` as `kpm serve` would, on a fresh one-worker service
+    /// over a 2×2×2 lattice: `Err` names what went wrong — a dropped
+    /// reply (a worker panicked), an unbalanced ledger, or a line served
+    /// although it is longer than its form (`dos`/`green` take four
+    /// tokens and a deadline, `ldos` three and a deadline).
+    fn serve_line(line: &str) -> Result<(), String> {
+        let longest = if line.starts_with("ldos") { 4 } else { 5 };
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let h = TopoHamiltonian::clean(2, 2, 2).assemble();
+        let sf = ScaleFactors::from_gershgorin(&h, 0.01);
+        let matrix = svc.register_matrix(h, sf);
+        let served = match parse_request_line(line, matrix, Kernel::Jackson, 64) {
+            Err(e) if e.is_empty() => Err(format!("'{line}': untyped error")),
+            Err(_) => Ok(()),
+            Ok(None) if line.is_empty() => Ok(()),
+            Ok(None) => Err(format!("'{line}' skipped")),
+            Ok(Some(_)) if line.split_whitespace().count() > longest => {
+                Err(format!("'{line}' served past its last token"))
+            }
+            Ok(Some(req)) => match svc.submit(req) {
+                Admission::Admitted(ticket) if ticket.wait().is_none() => {
+                    Err(format!("'{line}': reply dropped"))
+                }
+                _ => Ok(()),
+            },
+        };
+        let ledger = svc.shutdown(ShutdownMode::Drain);
+        served?;
+        match ledger.consistent() {
+            true => Ok(()),
+            false => Err(format!("'{line}': {ledger:?}")),
+        }
+    }
+
+    #[test]
+    fn trailing_tokens_and_wrapping_sites_are_typed_errors() {
+        for line in [
+            "dos 1 2 16 50 junk",
+            "ldos 0 16 5 6 7",
+            "green 1 2 16 50 0",
+            "ldos 18446744073709551615 16",
+            "ldos 4611686018427387904 16",
+        ] {
+            let err = parse_request_line(line, 0, Kernel::Jackson, 64).err();
+            let site = line.starts_with("ldos") && err.is_none();
+            assert!(
+                site || err.is_some_and(|e| e.contains("unexpected token")),
+                "'{line}'"
+            );
+            serve_line(line).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Each request line made from a valid one by replacing one token
+        /// with a hostile one, then truncating it, inserting or appending
+        /// a second one — or not — is served or answered with a typed
+        /// error in its place: never a panic, never a dropped reply,
+        /// never a trailing token ignored.
+        #[test]
+        fn mangled_request_lines_are_served_or_typed_errors(
+            base in 0usize..3,
+            at in 0usize..4,
+            pick in 0usize..20,
+            op in 0usize..4,
+            cut in 0usize..6,
+            second in 0usize..20,
+        ) {
+            const VALID: [&str; 3] = ["dos 1 2 16", "ldos 3 16 2000", "green 5 2 16"];
+            let mut tokens: Vec<&str> = VALID[base].split_whitespace().collect();
+            let at = at % tokens.len();
+            tokens[at] = HOSTILE_TOKENS[pick];
+            let cut = cut % (tokens.len() + 1);
+            match op {
+                0 => {}
+                1 => tokens.truncate(cut),
+                2 => tokens.insert(cut, HOSTILE_TOKENS[second]),
+                _ => tokens.push(HOSTILE_TOKENS[second]),
+            }
+            let served = serve_line(&tokens.join(" "));
+            proptest::prop_assert!(served.is_ok(), "{}", served.unwrap_err());
         }
     }
 }
