@@ -24,6 +24,7 @@
 //! plain product (`Vector::normalize`'s `(s + 0i)·z` has the same bits,
 //! since a drawn part is never `-0.0`).
 
+use kpm_num::block::store_panel;
 use kpm_num::vector::DOT_BASE;
 use kpm_num::Complex64;
 use kpm_sparse::simd::{Body, Wide};
@@ -82,14 +83,6 @@ pub(crate) struct Draws {
 #[inline(always)]
 fn side(state: u64) -> f64 {
     f64_in_inclusive(splitmix64_mix(state), -1.0, 1.0)
-}
-
-/// `slots` as its `2·len` doubles, `[re, im]` per slot.
-fn doubles_mut(slots: &mut [Complex64]) -> &mut [f64] {
-    // SAFETY: `Complex64` is `repr(C)` of two `f64`s (size 16, align 8),
-    // so the slots are `2·len` initialised, aligned doubles, and the
-    // result reborrows them exclusively for as long as `slots`.
-    unsafe { std::slice::from_raw_parts_mut(slots.as_mut_ptr().cast::<f64>(), 2 * slots.len()) }
 }
 
 /// Calls `leaf(row0, len)` for the leaves of `nrm2`'s pairwise tree
@@ -202,21 +195,17 @@ impl Draws {
                 scales,
                 rows,
             } => {
-                let rows = doubles_mut(rows);
-                let at = |k: usize| (row0, r, j0 + k, 2 * j0 + k, 2 * j0 + w + k);
+                let at = (row0, r, j0);
                 match w {
-                    8 if L >= 8 => self.panel_lanes::<8>(at(0), scales, rows),
-                    // An 8-column panel on 4 lanes: two halves.
-                    8 | 4 => {
-                        for k in (0..w).step_by(4) {
-                            self.panel_lanes::<4>(at(k), &scales[k..], rows);
-                        }
-                    }
-                    2 => self.panel_lanes::<2>(at(0), scales, rows),
-                    _ => self.panel_lanes::<1>(at(0), scales, rows),
+                    8 if L >= 8 => self.panel_lanes::<8, 8>(at, scales, rows),
+                    // An 8-column panel on 4 lanes: two halves a row.
+                    8 => self.panel_lanes::<8, 4>(at, scales, rows),
+                    4 => self.panel_lanes::<4, 4>(at, scales, rows),
+                    2 => self.panel_lanes::<2, 2>(at, scales, rows),
+                    _ => self.panel_lanes::<1, 1>(at, scales, rows),
                 }
             }
-            Job::Run { first, scale, out } => self.run_draws::<L>(first, scale, doubles_mut(out)),
+            Job::Run { first, scale, out } => self.run_draws::<L>(first, scale, out),
         }
     }
 
@@ -254,52 +243,56 @@ impl Draws {
         out.copy_from_slice(&acc[..out.len()]);
     }
 
-    /// `K` columns of a panel, one per lane: `at` is (first row, block
-    /// width, first column, the doubles of a row their real and their
-    /// imaginary parts start at).
+    /// The `W` columns of a panel, `H` lanes at a time: `at` is (first
+    /// row, block width, first column). Each row's lanes go out in one
+    /// [`store_panel`]. The halves of an 8-column panel on 4 lanes are
+    /// separate loops: one loop over all 8 drew the baseline copy's
+    /// R = 8 and R = 32 starts about ×1.25 slower.
     #[inline(always)]
-    fn panel_lanes<const K: usize>(
+    fn panel_lanes<const W: usize, const H: usize>(
         self,
-        at: (usize, usize, usize, usize, usize),
+        at: (usize, usize, usize),
         scales: &[f64],
-        rows: &mut [f64],
+        rows: &mut [Complex64],
     ) {
-        let (row0, r, j, re_at, im_at) = at;
-        let mut scale = [0.0; K];
-        scale.copy_from_slice(&scales[..K]);
-        let mut state = [0u64; K];
-        for (k, s) in state.iter_mut().enumerate() {
-            *s = self.entry_state(row0, j + k);
-        }
-        for row in rows.chunks_exact_mut(2 * r) {
-            let (mut re, mut im) = ([0.0; K], [0.0; K]);
-            for k in 0..K {
-                re[k] = side(state[k]) * scale[k];
-                im[k] = side(state[k].wrapping_add(GAMMA)) * scale[k];
-                state[k] = state[k].wrapping_add(GAMMA.wrapping_mul(2));
+        let (row0, r, j0) = at;
+        let mut scale = [0.0; W];
+        scale.copy_from_slice(&scales[..W]);
+        let mut state: [u64; W] = std::array::from_fn(|k| self.entry_state(row0, j0 + k));
+        for row in rows.chunks_exact_mut(r) {
+            let (mut re, mut im) = ([0.0; W], [0.0; W]);
+            for h in (0..W).step_by(H) {
+                for k in h..h + H {
+                    re[k] = side(state[k]) * scale[k];
+                    im[k] = side(state[k].wrapping_add(GAMMA)) * scale[k];
+                    state[k] = state[k].wrapping_add(GAMMA.wrapping_mul(2));
+                }
             }
-            row[re_at..re_at + K].copy_from_slice(&re);
-            row[im_at..im_at + K].copy_from_slice(&im);
+            store_panel::<W>(&re, &im, &mut row[j0..]);
         }
     }
 
-    /// [`Job::Run`] on `L` lanes, lane `l` drawing every `L`-th double.
+    /// [`Job::Run`] on `L` lanes, lane `l` drawing every `L`-th double
+    /// (`L / 2` slots a step).
     #[inline(always)]
-    fn run_draws<const L: usize>(self, first: u64, scale: f64, out: &mut [f64]) {
-        let mut state = [0u64; L];
-        for (l, s) in state.iter_mut().enumerate() {
-            *s = splitmix64_state(self.seed, first + l as u64);
-        }
+    fn run_draws<const L: usize>(self, first: u64, scale: f64, out: &mut [Complex64]) {
+        let mut state: [u64; L] =
+            std::array::from_fn(|l| splitmix64_state(self.seed, first + l as u64));
         let step = GAMMA.wrapping_mul(L as u64);
-        let mut lanes = out.chunks_exact_mut(L);
-        for x in &mut lanes {
+        let mut slots = out.chunks_exact_mut(L / 2);
+        for group in &mut slots {
+            let mut x = [0.0; L];
             for l in 0..L {
                 x[l] = side(state[l]) * scale;
                 state[l] = state[l].wrapping_add(step);
             }
+            for (k, z) in group.iter_mut().enumerate() {
+                (z.re, z.im) = (x[2 * k], x[2 * k + 1]);
+            }
         }
-        for (x, s) in lanes.into_remainder().iter_mut().zip(state) {
-            *x = side(s) * scale;
+        for (k, z) in slots.into_remainder().iter_mut().enumerate() {
+            z.re = side(state[2 * k]) * scale;
+            z.im = side(state[2 * k + 1]) * scale;
         }
     }
 }

@@ -973,12 +973,17 @@ mod tests {
         use kpm_sparse::simd::Body;
         // Rows: one; a short leaf; one, a whole and a ragged 256-row
         // leaf; either side of a 4,096-row fill chunk; the R = 32
-        // benchmark line's 16,000. Widths: every 8/4/2/1 cut to 9, 8 + 8,
-        // 16 + 1 and 32. The only cap setter in this test binary, so
-        // it takes no lock: a test running meanwhile on the other copy
-        // gets the same bits anyway.
+        // benchmark line's 16,000. Widths: every 8/4/2/1 cut to 40 at
+        // 255 rows (4- and 2-column panels behind 8 and 32 columns
+        // included); elsewhere each cut to 9, 8 + 8, 16 + 1, 32 and
+        // 32 + 1. The only cap setter in this test binary, so it takes
+        // no lock: a test running meanwhile on the other copy gets the
+        // same bits anyway.
+        let some_cuts = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33];
+        let all_cuts: Vec<usize> = (1..=40).collect();
         for n in [1, 7, 255, 256, 257, 4095, 4097, 16_000] {
-            for r in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32] {
+            let widths = if n == 255 { &all_cuts[..] } else { &some_cuts };
+            for &r in widths {
                 let mut p = params(4, r);
                 let want = sequential_starts(n, &p);
                 for body in Body::ALL.into_iter().filter(|b| b.supported()) {
@@ -995,7 +1000,7 @@ mod tests {
                     p.parallel = false;
                     check(&p);
                     p.parallel = true;
-                    for threads in [1, 2] {
+                    for threads in [1, 2, 4, 8] {
                         on_pool(threads, || check(&p));
                     }
                 }

@@ -105,8 +105,9 @@ step "AddressSanitizer: the kernels' reads under ASan (nightly)"
 # with intrinsics; a read past `x` would go unnoticed in the padding
 # behind a block vector's rows. The pool hands its workers a job on
 # the caller's stack through a lifetime-erased reference. The starting
-# vectors' draw kernel writes a block's rows through a doubles view of
-# its slots. Here kpm-sparse's, kpm-num's, kpm-core's and the pool's
+# vectors' draw kernel is entered through its AVX-512 copy's
+# `target_feature` call and writes each panel at offsets it computes.
+# Here kpm-sparse's, kpm-num's, kpm-core's and the pool's
 # tests and the determinism grid run instrumented. Without a nightly cargo or its ASan runtime the
 # step prints SKIPPED and the gate goes on.
 asan_rt="$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc-nightly_rt.asan.a"
